@@ -22,22 +22,26 @@ var ErrClosed = shard.ErrClosed
 // pid appears anywhere in its API.  Keys are hash-partitioned across S
 // independent shards, each a full paper-faithful core.Map with its own
 // Version Maintenance instance, O(P) delay bound and precise per-shard
-// garbage collection.  Point operations keep the paper's guarantees in
-// full.  Cross-shard operations come in two modes:
+// garbage collection.  Point operations (Get, Insert, InsertWith, Delete)
+// keep the paper's guarantees in full.  Cross-shard operations come in two
+// modes, and every call site picks one explicitly:
 //
-//   - Per-shard (Update, View; the default): fast, but a multi-key write
+//   - Per-shard (Update, View, ForEachChunked): fast, but a multi-key write
 //     commits shard by shard and a fan-out read pins shard snapshots at
 //     slightly different instants, so a concurrent reader can observe part
 //     of a multi-shard write.
-//   - Global (UpdateAtomic, ViewConsistent): every commit is stamped from
-//     one global commit sequence number (GSN); UpdateAtomic installs all
-//     touched shards under one GSN and ViewConsistent pins a snapshot
-//     vector proven tear-free by double-collecting the per-shard
-//     (latest-GSN, install-seq) vector, so no atomic transaction is ever
-//     observed torn.  DBOptions.AtomicDefault makes Update/View use the
-//     global mode.
+//   - Global (UpdateAtomic, UpdateAtomicKeys, ViewConsistent,
+//     ForEachChunkedConsistent): every commit is stamped from one global
+//     commit sequence number (GSN); UpdateAtomic installs all touched
+//     shards under one GSN and ViewConsistent pins a tear-free cut, so no
+//     atomic transaction is ever observed torn; UpdateAtomicKeys adds
+//     validated reads — a multi-key compare-and-swap, serializable against
+//     all writers (its callback may run more than once).
 //
-// See the internal/shard package comment for the exact semantics.
+// Write methods return nil unless the database is closed (ErrClosed) or
+// write-ahead logging is enabled and the log cannot persist the commit.
+// The methods are shard.Map's, promoted; see the internal/shard package
+// comment for the exact semantics.
 //
 //	db, _ := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{}, nil)
 //	db.Update(func(t *mvgc.DBTxn[uint64, uint64, struct{}]) { t.Insert(1, 100) })
@@ -45,7 +49,6 @@ var ErrClosed = shard.ErrClosed
 //	db.Close()
 type DB[K, V, A any] struct {
 	*shard.Map[K, V, A]
-	atomicDefault bool
 
 	// Background checkpointer (nil channels when not configured).
 	ckptStop chan struct{}
@@ -66,61 +69,12 @@ func (db *DB[K, V, A]) Close() error {
 	return db.Map.Close()
 }
 
-// Update runs a buffered multi-key write transaction.  By default commits
-// are atomic per shard (see DB); with DBOptions.AtomicDefault it behaves
-// like UpdateAtomic.  The error is nil unless the database is closed or
-// write-ahead logging is enabled and the log cannot persist the commit —
-// see shard.Map.Update for the exact durability contract.
-func (db *DB[K, V, A]) Update(f func(t *DBTxn[K, V, A])) error {
-	if db.atomicDefault {
-		return db.Map.UpdateAtomic(f)
-	}
-	return db.Map.Update(f)
-}
-
-// View runs f against a fan-out snapshot.  By default the snapshot is
-// per-shard consistent (see DB); with DBOptions.AtomicDefault it behaves
-// like ViewConsistent.
-func (db *DB[K, V, A]) View(f func(s DBSnapshot[K, V, A])) {
-	if db.atomicDefault {
-		db.Map.ViewConsistent(f)
-		return
-	}
-	db.Map.View(f)
-}
-
-// UpdateAtomic runs a buffered multi-key write transaction that commits
-// every touched shard under one global commit sequence number: a concurrent
-// ViewConsistent never observes it torn.  Single-shard transactions cost
-// the same as Update.
-func (db *DB[K, V, A]) UpdateAtomic(f func(t *DBTxn[K, V, A])) error { return db.Map.UpdateAtomic(f) }
-
-// UpdateAtomicKeys runs an atomic transaction whose key footprint is
-// declared up front — a full multi-key compare-and-swap, serializable
-// against ALL writers: fence-respecting ones (other atomic transactions,
-// batched writers) are excluded while f runs, and plain point writers are
-// caught by optimistic validation — every read inside f is sampled against
-// per-key version stripes and revalidated at install time, with the whole
-// transaction aborted and retried (f re-runs) on any conflict.  f may read
-// any key but must write only keys covered by the declared footprint, and
-// must be a pure function of its reads since it can run more than once
-// (see shard.Map.UpdateAtomicKeys for the exact contract).
-func (db *DB[K, V, A]) UpdateAtomicKeys(keys []K, f func(t *DBTxn[K, V, A])) error {
-	return db.Map.UpdateAtomicKeys(keys, f)
-}
-
-// ViewConsistent runs f against a globally consistent snapshot: one pinned
-// version per shard, all reflecting the same global commit prefix
-// (Snap.GSNs), with no atomic transaction torn across shards.
-func (db *DB[K, V, A]) ViewConsistent(f func(s DBSnapshot[K, V, A])) { db.Map.ViewConsistent(f) }
-
 // Scan returns up to n entries with keys ≥ lo in global key order — the
-// YCSB-style short range scan.  The merge is a loser-tree over per-shard
-// iterators (O(log S) per element) on pooled scan state; by default the
-// scan pins a per-shard View, with DBOptions.AtomicDefault it pins a
-// ViewConsistent cut so no atomic transaction is observed torn.  For a
-// zero-allocation warm scan, pin a snapshot yourself and use
-// DBSnapshot.ScanAppend with a reused buffer.
+// YCSB-style short range scan — from a per-shard View.  The merge is a
+// loser-tree over per-shard iterators (O(log S) per element) on pooled scan
+// state.  For a consistent cut or a zero-allocation warm scan, pin a
+// snapshot yourself (View, ViewConsistent) and use DBSnapshot.ScanAppend
+// with a reused buffer.
 func (db *DB[K, V, A]) Scan(lo K, n int) []Entry[K, V] {
 	var out []Entry[K, V]
 	db.View(func(s DBSnapshot[K, V, A]) { out = s.ScanAppend(nil, lo, n) })
@@ -128,31 +82,12 @@ func (db *DB[K, V, A]) Scan(lo K, n int) []Entry[K, V] {
 }
 
 // RangeFunc streams the entries with keys in [lo, hi] in global key order
-// to f, stopping early when f returns false; it reports whether the walk
-// ran to completion.  Nothing is materialized.  Consistency follows
-// DBOptions.AtomicDefault exactly like Scan.
+// from a per-shard View to f, stopping early when f returns false; it
+// reports whether the walk ran to completion.  Nothing is materialized.
 func (db *DB[K, V, A]) RangeFunc(lo, hi K, f func(k K, v V) bool) bool {
 	done := true
 	db.View(func(s DBSnapshot[K, V, A]) { done = s.RangeFunc(lo, hi, f) })
 	return done
-}
-
-// ForEachChunked visits every entry in global key order with bounded
-// staleness: every n entries the walk releases its snapshot pins and
-// re-seeks at the last visited key against a fresh snapshot, so a
-// full-table analytics walk never holds any shard's uncollected-version
-// window open for longer than one chunk.  Keys stream in strictly
-// increasing order and each key is visited at most once, but commits
-// landing ahead of the walk between chunks are observed — see
-// shard.Map.ForEachChunked for the exact semantics.  Each chunk's
-// consistency follows DBOptions.AtomicDefault exactly like Scan: with
-// AtomicDefault every chunk reflects one global commit cut.  It reports
-// whether the walk ran to completion; n <= 0 walks under a single pin.
-func (db *DB[K, V, A]) ForEachChunked(n int, f func(k K, v V) bool) bool {
-	if db.atomicDefault {
-		return db.Map.ForEachChunkedConsistent(n, f)
-	}
-	return db.Map.ForEachChunked(n, f)
 }
 
 // DBSnapshot is the fan-out read view passed to DB.View: one pinned
@@ -189,11 +124,6 @@ type DBOptions[K any] struct {
 	// every tree node is allocated fresh from the Go heap.  Ablation
 	// only; leave false in production.
 	NoRecycle bool
-	// AtomicDefault makes DB.Update commit all touched shards under one
-	// global commit sequence number and DB.View pin a globally consistent
-	// snapshot — i.e. Update/View become UpdateAtomic/ViewConsistent.
-	// Single-key operations are unaffected either way.
-	AtomicDefault bool
 
 	// WAL enables write-ahead logging when non-nil with a Dir: every
 	// committed write is appended to a segmented redo log and fsynced per
@@ -338,7 +268,7 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 		return nil, err
 	}
-	db := &DB[K, V, A]{Map: s, atomicDefault: o.AtomicDefault}
+	db := &DB[K, V, A]{Map: s}
 	if wcfg.Log != nil {
 		if err := s.RecoverWAL(wcfg, rec); err != nil {
 			wcfg.Log.Close()

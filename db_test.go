@@ -47,9 +47,9 @@ func TestDBNoPidAnywhere(t *testing.T) {
 }
 
 // TestDBAtomicModes covers the global-commit surface of the front door:
-// UpdateAtomic + ViewConsistent round-trips with a GSN vector, the
-// AtomicDefault option rerouting Update/View, and UpdateAtomicKeys driving
-// a multi-key compare-and-swap.
+// UpdateAtomic + ViewConsistent round-trips with a GSN vector, on a
+// 4-shard and a 2-shard database, and UpdateAtomicKeys driving a multi-key
+// compare-and-swap.
 func TestDBAtomicModes(t *testing.T) {
 	db, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
 	if err != nil {
@@ -117,20 +117,23 @@ func TestDBAtomicModes(t *testing.T) {
 		t.Fatalf("leaked %d nodes", live)
 	}
 
-	// AtomicDefault: plain Update/View become the global-commit forms.
-	adb, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 2, Procs: 2, AtomicDefault: true}, nil)
+	// The same global-commit forms on a second, smaller database.
+	adb, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 2, Procs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adb.Update(func(tx *mvgc.DBTxn[uint64, int64, struct{}]) { tx.Insert(1, 1); tx.Insert(2, 2) })
-	adb.View(func(s mvgc.DBSnapshot[uint64, int64, struct{}]) {
+	adb.UpdateAtomic(func(tx *mvgc.DBTxn[uint64, int64, struct{}]) { tx.Insert(1, 1); tx.Insert(2, 2) })
+	adb.ViewConsistent(func(s mvgc.DBSnapshot[uint64, int64, struct{}]) {
 		if !s.Consistent() {
-			t.Error("AtomicDefault View is not consistent")
+			t.Error("ViewConsistent snap is not consistent")
+		}
+		if v, _ := s.Get(2); v != 2 {
+			t.Errorf("key 2 = %d, want 2", v)
 		}
 	})
 	adb.Close()
 	if live := adb.Live(); live != 0 {
-		t.Fatalf("AtomicDefault db leaked %d nodes", live)
+		t.Fatalf("second db leaked %d nodes", live)
 	}
 }
 
@@ -195,40 +198,43 @@ func TestDBScan(t *testing.T) {
 	})
 }
 
-// TestDBForEachChunked covers the bounded-staleness front door on both
-// consistency settings: the full key set streams in order through the
+// TestDBForEachChunked covers the bounded-staleness front door in both
+// consistency modes: the full key set streams in order through the
 // chunked re-pinning walk, and early exit reports non-completion.
 func TestDBForEachChunked(t *testing.T) {
-	for _, atomicDefault := range []bool{false, true} {
-		db, err := mvgc.OpenPlainDB[uint64, uint64](
-			mvgc.DBOptions[uint64]{Shards: 4, Procs: 3, AtomicDefault: atomicDefault}, nil)
+	for _, consistent := range []bool{false, true} {
+		db, err := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		walk := db.ForEachChunked
+		if consistent {
+			walk = db.ForEachChunkedConsistent
 		}
 		const n = 300
 		for k := uint64(0); k < n; k++ {
 			db.Insert(k, k+1)
 		}
 		visited := uint64(0)
-		if !db.ForEachChunked(32, func(k, v uint64) bool {
+		if !walk(32, func(k, v uint64) bool {
 			if k != visited || v != k+1 {
-				t.Fatalf("atomic=%v: got %d:%d at position %d", atomicDefault, k, v, visited)
+				t.Fatalf("consistent=%v: got %d:%d at position %d", consistent, k, v, visited)
 			}
 			visited++
 			return true
 		}) {
-			t.Fatalf("atomic=%v: chunked walk did not complete", atomicDefault)
+			t.Fatalf("consistent=%v: chunked walk did not complete", consistent)
 		}
 		if visited != n {
-			t.Fatalf("atomic=%v: visited %d keys, want %d", atomicDefault, visited, n)
+			t.Fatalf("consistent=%v: visited %d keys, want %d", consistent, visited, n)
 		}
 		count := 0
-		if db.ForEachChunked(10, func(k, v uint64) bool { count++; return count < 15 }) {
-			t.Fatalf("atomic=%v: stopped walk reported completion", atomicDefault)
+		if walk(10, func(k, v uint64) bool { count++; return count < 15 }) {
+			t.Fatalf("consistent=%v: stopped walk reported completion", consistent)
 		}
 		db.Close()
 		if live := db.Live(); live != 0 {
-			t.Fatalf("atomic=%v: leaked %d nodes", atomicDefault, live)
+			t.Fatalf("consistent=%v: leaked %d nodes", consistent, live)
 		}
 	}
 }

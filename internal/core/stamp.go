@@ -165,7 +165,7 @@ func InstallAtomic[K, V, A any](maps []*Map[K, V, A], touched []int, commitAll f
 // locks held the transaction linearizes at its validation read: reads of
 // unwritten stripes stay current-or-aborted by the stripe-word compare, and
 // writes cannot be disturbed or disturb until published.
-// shard.Map.installLocked is the reference caller of this protocol.
+// shard.Map.installAtomic is the reference caller of this protocol.
 //
 // A read-only transaction (touched empty) skips the seqlock protocol and
 // needs no locks: its validation alone proves all reads held simultaneously

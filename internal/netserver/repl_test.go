@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -228,6 +229,98 @@ func TestFollowerReconnectAndBootstrap(t *testing.T) {
 		if got[k] != -k*10 {
 			t.Fatalf("MCAS effect on key %d = %d, want %d", k, got[k], -k*10)
 		}
+	}
+}
+
+// TestFollowerLagAcrossGSNInversion: two shards' commits can sit in the
+// leader's log in the opposite order of their GSNs.  The follower's resume
+// marker names the LAST frame (here GSN 1), but the lag STATS reports must
+// be measured against the highest GSN applied (2): a fully caught-up
+// follower reads lag 0.  And a reconnect must still resume after the last
+// frame — nothing skipped, nothing shipped twice.
+func TestFollowerLagAcrossGSNInversion(t *testing.T) {
+	lmem, fmem := wal.NewMemFS(), wal.NewMemFS()
+	leader, laddr := startServer(t, Config{
+		Shards: 2, MaxConns: 4,
+		WAL: mvgc.WALOptions{Dir: "wal", FS: lmem},
+	})
+	defer leader.Close()
+	// One insert op in the redo payload format (tag, length-prefixed
+	// 8-byte key and value); appended directly so the inversion is exact.
+	insert := func(k, v int64) []byte {
+		p := binary.LittleEndian.AppendUint64([]byte{1, 8}, uint64(k))
+		return binary.LittleEndian.AppendUint64(append(p, 8), uint64(v))
+	}
+	log := leader.db.WAL()
+	for _, r := range []struct{ gsn, k, v int64 }{{2, 20, 200}, {1, 10, 100}} {
+		if err := log.Append(uint64(r.gsn), insert(r.k, r.v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	leader.db.FloorGSN(2)
+	lc, err := netclient.Dial(laddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	followerCfg := Config{
+		Shards: 2, MaxConns: 4,
+		WAL:    mvgc.WALOptions{Dir: "wal", FS: fmem},
+		Follow: laddr,
+	}
+	lag := func(fc *netclient.Client) int64 {
+		return statInt(t, mustStats(t, lc), "gsn") - statInt(t, mustStats(t, fc), "repl_pos")
+	}
+	follower, faddr := startServer(t, followerCfg)
+	fc, err := netclient.Dial(faddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFollower(t, fc, 20, 200)
+	waitFollower(t, fc, 10, 100) // the last frame: the follower is caught up
+	if l := lag(fc); l != 0 {
+		t.Fatalf("caught-up follower reports lag %d, want 0", l)
+	}
+	fc.Close()
+	if err := follower.Shutdown(); err != nil {
+		t.Fatalf("follower shutdown: %v", err)
+	}
+
+	// One more leader write, then rebirth from the persisted position.
+	if err := lc.Set(30, 300); err != nil {
+		t.Fatal(err)
+	}
+	follower, faddr = startServer(t, followerCfg)
+	fc, err = netclient.Dial(faddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFollower(t, fc, 30, 300)
+	if l := lag(fc); l != 0 {
+		t.Fatalf("reconnected follower reports lag %d, want 0", l)
+	}
+	for k, v := range map[int64]int64{10: 100, 20: 200} {
+		if got, ok, err := fc.Get(k); err != nil || !ok || got != v {
+			t.Fatalf("after reconnect key %d = (%d, %v, %v), want %d", k, got, ok, err, v)
+		}
+	}
+	fc.Close()
+	if err := follower.Shutdown(); err != nil {
+		t.Fatalf("follower shutdown: %v", err)
+	}
+	// The follower relogs exactly what it applies: three records means the
+	// reconnect shipped only the new one.
+	flog, rec, err := wal.Open(wal.Options{Dir: "wal", FS: fmem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flog.Close()
+	if len(rec.Records) != 3 {
+		t.Fatalf("follower log holds %d records, want 3 (a reconnect re-shipped or skipped frames)", len(rec.Records))
 	}
 }
 

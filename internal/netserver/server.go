@@ -874,10 +874,12 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 // coalescing: batches/applied are the shard combiners' commit and request
 // totals (applied/batches = writes per combiner commit), commits is the
 // store's total committed write transactions.  gsn is the store's commit
-// sequence high-water mark and repl_pos/repl_floor the follower's stream
-// position — leader gsn minus follower repl_pos is the replication lag
-// cmd/netbench and cmd/replloop sample; wal_live is the log's live bytes
-// (what the background checkpointer bounds).
+// sequence high-water mark; repl_pos is the highest GSN the follower has
+// applied (NOT the positional resume marker, which names the last frame
+// and can trail by a GSN inversion) and repl_floor its newest snapshot cut
+// — leader gsn minus follower repl_pos is the replication lag in GSNs, 0
+// when caught up; wal_live is the log's live bytes (what the background
+// checkpointer bounds).
 func (c *conn) execStats() {
 	s := c.srv
 	sl := c.slot()
@@ -889,7 +891,8 @@ func (c *conn) execStats() {
 	var pos, floor uint64
 	s.fmu.Lock()
 	if s.follower != nil {
-		pos, floor = s.follower.Pos()
+		pos = s.follower.Applied()
+		_, floor = s.follower.Pos()
 	}
 	s.fmu.Unlock()
 	sl.msg = "batches=" + strconv.FormatInt(s.db.Batches(), 10) +

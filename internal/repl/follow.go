@@ -57,9 +57,17 @@ type Config struct {
 // handshakes with its persisted position, applies the frame stream, and
 // reconnects (or re-bootstraps) until Stop.
 type Follower struct {
-	cfg   Config
-	pos   atomic.Uint64 // GSN of the last stream frame processed
+	cfg Config
+	// pos is the GSN of the last stream frame processed — the positional
+	// resume marker the handshake and repl.pos carry.  It names a frame, not
+	// a high-water mark: two shards' commits can sit in the log in the
+	// opposite order of their GSNs.
+	pos   atomic.Uint64
 	floor atomic.Uint64 // newest snapshot cut applied
+	// applied is the highest GSN applied or covered so far — what
+	// replication lag is measured against.  It is seeded from the persisted
+	// position, so after a restart it is a lower bound until the first frame.
+	applied atomic.Uint64
 
 	mu   sync.Mutex
 	conn net.Conn // live connection, for Stop to abort
@@ -89,6 +97,7 @@ func Start(cfg Config) (*Follower, error) {
 	}
 	f.pos.Store(pos)
 	f.floor.Store(floor)
+	f.applied.Store(max(pos, floor))
 	go f.run()
 	return f, nil
 }
@@ -96,6 +105,11 @@ func Start(cfg Config) (*Follower, error) {
 // Pos reports the stream position: the GSN of the last frame processed
 // and the newest snapshot cut applied.
 func (f *Follower) Pos() (pos, floor uint64) { return f.pos.Load(), f.floor.Load() }
+
+// Applied reports the highest GSN the follower has applied (or a snapshot
+// covered): leader CommitGSN minus Applied is the replication lag in GSNs,
+// 0 on a caught-up follower.
+func (f *Follower) Applied() uint64 { return f.applied.Load() }
 
 // Stop severs the connection, stops reconnecting, and persists the
 // final position (after a local log sync).  Idempotent.
@@ -244,6 +258,7 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 			}
 			f.floor.Store(snapCut)
 			f.pos.Store(0) // the stream restarts at the earliest retained byte
+			f.applied.Store(max(f.applied.Load(), snapCut))
 			inSnap, snap = false, nil
 			if err := f.save(); err != nil {
 				return err
@@ -264,6 +279,7 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 				}
 			}
 			f.pos.Store(gsn)
+			f.applied.Store(max(f.applied.Load(), gsn))
 			if unsynced++; unsynced >= f.cfg.SyncEvery {
 				if err := f.save(); err != nil {
 					return err

@@ -1,20 +1,11 @@
-// Replication replay: the follower-side apply path.
-//
-// A follower receives the leader's redo stream — the exact framed records
-// a Tailer lifts out of the leader's log, in log byte order — and applies
-// each through ReplayRecord.  Because records carry absolute post-images,
-// replay is idempotent: re-applying a record, or applying one that a later
-// record overwrites, converges to the same map.  Each replayed record runs
-// as one atomic local transaction (UpdateAtomic), so a multi-shard atomic
-// record applies all-or-nothing on the follower exactly as it did on the
-// leader, and the follower's own WAL logs it as one record again — a
-// follower is itself recoverable and shippable.
-//
-// GSN discipline: before applying record g the follower floors its stamp
-// source at g-1, so the local install allocates exactly g on a quiet
-// follower (replays carry the leader's stamps through); after applying it
-// floors at g, which also covers empty records.  Floors never rewind, so
-// promotion hands out stamps strictly above everything ever replayed.
+// Replication: the follower-side surface.  A follower receives the
+// leader's redo stream — the exact framed records a Tailer lifts out of the
+// leader's log, in log byte order — and applies each through ReplayRecord,
+// i.e. through the same applyRecord recovery uses (wal.go).  Because
+// records carry absolute post-images, replay is idempotent: re-applying a
+// record, or applying one that a later record overwrites, converges to the
+// same map; and because the follower has its own log attached, it relogs
+// what it applies — a follower is itself recoverable and shippable.
 package shard
 
 import (
@@ -58,13 +49,6 @@ func (m *Map[K, V, A]) SyncWAL() error {
 	return m.wal.log.Sync()
 }
 
-// replOp is one decoded op of a shipped record.
-type replOp[K, V any] struct {
-	del bool
-	k   K
-	v   V
-}
-
 // ReplayRecord applies one shipped redo record stamped gsn as a single
 // atomic transaction and floors the stamp source at gsn.  A decode error
 // applies nothing.  Requires an attached WAL (for the codecs, and so the
@@ -73,32 +57,7 @@ func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
 	if m.wal == nil {
 		return errors.New("shard: ReplayRecord requires an attached WAL")
 	}
-	var ops []replOp[K, V]
-	err := decodeWALOps(&m.wal.cfg, payload,
-		func(k K, v V) { ops = append(ops, replOp[K, V]{k: k, v: v}) },
-		func(k K) { ops = append(ops, replOp[K, V]{del: true, k: k}) })
-	if err != nil {
-		return fmt.Errorf("shard: replaying shipped record gsn=%d: %w", gsn, err)
-	}
-	if len(ops) > 0 {
-		if gsn > 0 {
-			m.FloorGSN(gsn - 1)
-		}
-		err := m.UpdateAtomic(func(t *Txn[K, V, A]) {
-			for _, o := range ops {
-				if o.del {
-					t.Delete(o.k)
-				} else {
-					t.Insert(o.k, o.v)
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	m.FloorGSN(gsn)
-	return nil
+	return m.applyRecord(&m.wal.cfg, m.newTxn(), gsn, payload)
 }
 
 // replApplyChunk bounds one bootstrap transaction: large snapshots apply

@@ -193,6 +193,39 @@ func TestScanWarmZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestPointWriteZeroAlloc is the same gate for point writes, which route
+// through the shared commit primitive: on a map with no log, a warm Insert
+// (overwrite), InsertWith, and Delete + re-Insert perform zero heap
+// allocations — no closure, intent list or encoder escapes.
+func TestPointWriteZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	initial := make([]ftree.Entry[int64, int64], 10_000)
+	for i := range initial {
+		initial[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: int64(i)}
+	}
+	m := newSharded(t, "pswf", 4, 2, initial)
+	defer m.Close()
+	rng := ycsb.NewSplitMix64(11)
+	add := func(old, new int64) int64 { return old + new }
+	for _, c := range []struct {
+		name string
+		op   func(k int64)
+	}{
+		{"Insert", func(k int64) { m.Insert(k, k+1) }},
+		{"InsertWith", func(k int64) { m.InsertWith(k, 1, add) }},
+		{"Delete+Insert", func(k int64) { m.Delete(k); m.Insert(k, k) }},
+	} {
+		for i := 0; i < 2000; i++ { // warm the handle cache and the pid arenas
+			c.op(int64(rng.Intn(10_000)))
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { c.op(int64(rng.Intn(10_000))) }); allocs != 0 {
+			t.Errorf("warm %s allocates %.2f times per op", c.name, allocs)
+		}
+	}
+}
+
 // TestTornScanForeclosed is the consistency regression for scans: with a
 // two-shard atomic install parked halfway (shard A's root installed,
 // shard B's not), a plain View scan merges the latest per-shard roots and

@@ -1,27 +1,12 @@
-// WAL binding: redo logging for every sharded write path.
+// WAL binding: the redo-log side of the commit pipeline (commit.go).
 //
 // The log (internal/wal) is a single GSN-keyed redo stream shared by all
-// shards.  Soundness requires that, per shard, records reach the log in the
-// order their commits became visible — the raw GSN allocation order is NOT
-// that order, because a shard's stamp is allocated after its Set and two
-// writers on one shard can be preempted between the two steps.  Every
-// logged write path therefore holds its shard's walMu across {in-memory
-// commit + Append}, which collapses per-shard log order onto per-shard
-// commit order; cross-shard order between records is then exactly GSN
-// order, because stamps are allocated from one shared source after
-// visibility (core/stamp.go) and recovery replays records sorted by GSN.
-//
-// Records carry ABSOLUTE post-images (insert k=v / delete k), never deltas:
-// a combining write (InsertWith, combiner batches with a comb) is resolved
-// to its final value at log time, inside the committing transaction, so
-// replay is idempotent and a record buried under a later one is simply
-// overwritten.  Commits that publish nothing (a delete of an absent key)
-// allocate no stamp and write no record.
-//
-// Ordering discipline, map-wide: walMu (ascending shard order) -> writer
-// slots (ascending) -> install/stripe locks.  walMu is released BEFORE
-// Commit() — the group-fsync wait — so one shard's durability wait never
-// blocks another writer's commit on the same shard.
+// shards.  Records carry ABSOLUTE post-images (insert k=v / delete k), never
+// deltas: a combining write is resolved to its final value at log time,
+// inside the committing transaction, so replay is idempotent and a record
+// buried under a later one is simply overwritten.  Why per-shard log order
+// must equal per-shard commit order, and how walMu enforces it, is stated
+// once in DESIGN.md "The commit pipeline".
 package shard
 
 import (
@@ -176,11 +161,11 @@ func DecodeWALSnapshot[K, V any](cfg WALConfig[K, V], payload []byte) ([]ftree.E
 	return out, nil
 }
 
-// AttachWAL binds an open redo log to the map: from here on every write
-// path logs a redo record under its shard's walMu and acks only after the
-// log's fsync policy says the record is durable.  Call it after New (and
-// after RecoverWAL when reopening), before any writes and before
-// StartBatching; it is not concurrency-safe against writes.
+// AttachWAL binds an open redo log to the map: from here on every commit
+// appends a redo record and acks only after the log's fsync policy says the
+// record is durable.  Call it after New (and after RecoverWAL when
+// reopening), before any writes and before StartBatching; it is not
+// concurrency-safe against writes.
 func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V]) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -206,28 +191,46 @@ func (m *Map[K, V, A]) WALStats() wal.Stats {
 // RecoverWAL replays recovered redo records into the map, in GSN order,
 // then advances the map's commit-sequence source past everything replayed
 // so post-recovery stamps never collide with logged ones.  Call it on a
-// fresh map (seeded with the decoded snapshot) before AttachWAL; it is not
+// fresh map (seeded with the decoded snapshot) before AttachWAL — with no
+// log attached yet, the replay itself logs nothing; it is not
 // concurrency-safe.
 func (m *Map[K, V, A]) RecoverWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
+	t := m.newTxn()
 	for _, r := range rec.Records {
-		err := decodeWALOps(&cfg, r.Payload,
-			func(k K, v V) {
-				m.shards[m.ShardFor(k)].WithCached(func(h *core.Handle[K, V, A]) {
-					h.Update(func(tx *core.Txn[K, V, A]) { tx.Insert(k, v) })
-				})
-			},
-			func(k K) {
-				m.shards[m.ShardFor(k)].WithCached(func(h *core.Handle[K, V, A]) {
-					h.Update(func(tx *core.Txn[K, V, A]) { tx.Delete(k) })
-				})
-			})
-		if err != nil {
-			return fmt.Errorf("shard: replaying record gsn=%d: %w", r.GSN, err)
+		if err := m.applyRecord(&cfg, t, r.GSN, r.Payload); err != nil {
+			return err
 		}
 	}
-	// Never rewind: the replay itself stamped from 0, and a snapshot-only
-	// recovery (no records) must still clear the checkpoint cut.
+	// A snapshot-only recovery (no records) must still clear the
+	// checkpoint cut.
 	m.FloorGSN(max(rec.MaxGSN, rec.SnapshotCut))
+	return nil
+}
+
+// applyRecord is the one redo-apply path, shared by recovery (RecoverWAL)
+// and replication (ReplayRecord): decode the record into t, then commit it
+// as ONE atomic transaction, so a multi-shard record applies all-or-nothing
+// exactly as it committed.  A decode error applies nothing.  Before the
+// commit the stamp source is floored at gsn-1, so on a quiet map the
+// commit allocates exactly gsn (replays carry the original stamps
+// through); afterwards at gsn, which also covers records that publish
+// nothing.  Floors never rewind.
+func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn uint64, payload []byte) error {
+	if !m.enter(0) {
+		return ErrClosed
+	}
+	defer m.exit(0)
+	t.reset()
+	if err := decodeWALOps(cfg, payload, t.Insert, t.Delete); err != nil {
+		return fmt.Errorf("shard: applying record gsn=%d: %w", gsn, err)
+	}
+	if gsn > 0 {
+		m.FloorGSN(gsn - 1)
+	}
+	if err := m.commitTxn(t); err != nil {
+		return err
+	}
+	m.FloorGSN(gsn)
 	return nil
 }
 
@@ -270,134 +273,80 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	return w.log.Checkpoint(cut, e.buf)
 }
 
-// walShardCommit runs one logged single-shard commit: under walMu[i] it
-// commits apply through a cached handle, encodes the record the committing
-// transaction resolved (encode runs INSIDE the transaction, after apply, so
-// combining writes read their own post-image; it must reset enc.buf itself
-// — commits retry on conflict), and appends it under the commit's GSN.  It
-// reports whether a record was appended; the caller decides when to
-// Commit() the log (group the fsync across shards).  A no-op commit (no
-// stamp) appends nothing.
-func (m *Map[K, V, A]) walShardCommit(i int, enc *walEnc[K, V], apply func(tx *core.Txn[K, V, A]), encode func(tx *core.Txn[K, V, A])) (bool, error) {
-	w := m.wal
-	var g uint64
-	m.walMu[i].Lock()
-	m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-		h.Update(func(tx *core.Txn[K, V, A]) {
-			apply(tx)
-			encode(tx)
-		})
-		g = h.LastStamp()
-	})
-	var err error
-	if g != 0 {
-		err = w.log.Append(g, enc.buf)
+// appendPost logs an insert of k.  With resolve (a combining write) the
+// value is k's post-image as the committing transaction sees it; v stands
+// when the key is absent there — a later op of the same plan deleted it,
+// and logs its own delete.
+func appendPost[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], k K, v V, resolve bool) {
+	if resolve {
+		if post, ok := tx.Get(k); ok {
+			v = post
+		}
 	}
-	m.walMu[i].Unlock()
-	return g != 0 && err == nil, err
+	e.appendInsert(k, v)
 }
 
-// walPoint is walShardCommit plus the bracketing every independent logged
-// write shares: fail fast on a poisoned log before committing anything to
-// memory, and group-fsync after the append.
-func (m *Map[K, V, A]) walPoint(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) error {
-	w := m.wal
-	if err := w.log.Err(); err != nil {
-		return err
-	}
-	e := w.getEnc()
-	defer w.putEnc(e)
-	appended, err := m.walShardCommit(i, e, apply, func(tx *core.Txn[K, V, A]) {
-		e.buf = e.buf[:0]
-		encode(e, tx)
-	})
-	if err != nil || !appended {
-		return err
-	}
-	return w.log.Commit()
-}
-
-// encodeIntents appends one op per buffered intent, in replay order,
-// resolving combining intents to their post-image via the committing
-// transaction (tx reads through the fully applied list, so a comb buried
-// under later writes encodes the final value — overwritten at replay by
-// the later ops' own encodes, exactly as in memory).
+// encodeIntents appends one op per buffered intent, in replay order (tx
+// reads through the fully applied list, so a comb buried under later writes
+// encodes the final value — overwritten at replay by the later ops' own
+// encodes, exactly as in memory).
 func encodeIntents[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], list []intent[K, V]) {
 	for _, in := range list {
-		switch {
-		case in.del:
+		if in.del {
 			e.appendDelete(in.key)
-		case in.comb != nil:
-			if v, ok := tx.Get(in.key); ok {
-				e.appendInsert(in.key, v)
-			} else {
-				e.appendInsert(in.key, in.val)
-			}
-		default:
-			e.appendInsert(in.key, in.val)
+		} else {
+			appendPost(e, tx, in.key, in.val, in.comb != nil)
 		}
 	}
 }
 
-// walPersist builds the batch.Persist hook for shard i's combiner: hold
-// walMu[i] across {batch commit + Append} and group-fsync after release.
-// With a combining function the batch's post-images are read back from the
+// walPersist builds the batch.Persist hook for shard i's combiner — the
+// pipeline's third committer, shaped like commitShard except that the
+// combiner owns the commit (under the writer slot, through its own handle).
+func (m *Map[K, V, A]) walPersist(i int, hasComb bool) batch.Persist[K, V] {
+	return func(inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) error {
+		if err := m.logErr(); err != nil {
+			return err
+		}
+		return m.groupCommit(m.persistBatch(i, hasComb, inserts, deletes, commit))
+	}
+}
+
+// persistBatch holds walMu[i] across {batch commit, Append}.  With a
+// combining function the batch's post-images are read back from the
 // just-committed version (one pinned read; under walMu no other logged
 // writer can advance the shard first); without one the gathered entries
 // are already absolute.  Inserts are encoded before deletes to match the
 // commit's apply order.
-func (m *Map[K, V, A]) walPersist(i int, hasComb bool) batch.Persist[K, V] {
+func (m *Map[K, V, A]) persistBatch(i int, hasComb bool, inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) (bool, error) {
 	w := m.wal
-	return func(inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) error {
-		if err := w.log.Err(); err != nil {
-			return err
-		}
-		e := w.getEnc()
-		defer w.putEnc(e)
-		m.walMu[i].Lock()
-		g := commit()
-		var err error
-		if g != 0 {
-			if hasComb && len(inserts) > 0 {
-				m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-					h.Read(func(sn core.Snapshot[K, V, A]) {
-						for _, en := range inserts {
-							if v, ok := sn.Get(en.Key); ok {
-								e.appendInsert(en.Key, v)
-							} else {
-								e.appendDelete(en.Key)
-							}
-						}
-					})
-				})
-			} else {
+	e := w.getEnc()
+	defer w.putEnc(e)
+	m.walMu[i].Lock()
+	defer m.walMu[i].Unlock()
+	g := commit()
+	if g == 0 {
+		return false, nil
+	}
+	if hasComb && len(inserts) > 0 {
+		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
+			h.Read(func(sn core.Snapshot[K, V, A]) {
 				for _, en := range inserts {
-					e.appendInsert(en.Key, en.Val)
+					if v, ok := sn.Get(en.Key); ok {
+						e.appendInsert(en.Key, v)
+					} else {
+						e.appendDelete(en.Key)
+					}
 				}
-			}
-			for _, k := range deletes {
-				e.appendDelete(k)
-			}
-			err = w.log.Append(g, e.buf)
+			})
+		})
+	} else {
+		for _, en := range inserts {
+			e.appendInsert(en.Key, en.Val)
 		}
-		m.walMu[i].Unlock()
-		if err != nil || g == 0 {
-			return err
-		}
-		return w.log.Commit()
 	}
-}
-
-// lockWALMus locks the listed shards' walMu in ascending order (the lists
-// touched() produces are already ascending).
-func (m *Map[K, V, A]) lockWALMus(touched []int) {
-	for _, i := range touched {
-		m.walMu[i].Lock()
+	for _, k := range deletes {
+		e.appendDelete(k)
 	}
-}
-
-func (m *Map[K, V, A]) unlockWALMus(touched []int) {
-	for j := len(touched) - 1; j >= 0; j-- {
-		m.walMu[touched[j]].Unlock()
-	}
+	return true, w.log.Append(g, e.buf)
 }

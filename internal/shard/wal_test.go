@@ -32,6 +32,23 @@ func newWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, struct
 	return m, m.wal.log
 }
 
+// newU64Map builds the uint64 test map every WAL test shares: identity
+// hash, so key k lives on shard k % shards.
+func newU64Map(t *testing.T, shards int, initial []ftree.Entry[uint64, uint64]) *Map[uint64, uint64, struct{}] {
+	t.Helper()
+	m, err := New(
+		Config[uint64]{Shards: shards, Procs: 4, Hash: func(k uint64) uint64 { return k }},
+		func() *ftree.Ops[uint64, uint64, struct{}] {
+			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
+		},
+		initial,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // reopenWALMap opens (or re-opens) a WAL-backed map over fs, replaying
 // whatever the log holds — the same dance DB recovery does.
 func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, struct{}], *wal.Recovered) {
@@ -46,16 +63,7 @@ func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(
-		Config[uint64]{Shards: shards, Procs: 4, Hash: func(k uint64) uint64 { return k }},
-		func() *ftree.Ops[uint64, uint64, struct{}] {
-			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
-		},
-		initial,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newU64Map(t, shards, initial)
 	if err := m.RecoverWAL(cfg, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +161,199 @@ func TestShardWALRoundTrip(t *testing.T) {
 	// Post-recovery stamps must never rewind below logged ones.
 	if g := m2.gsn.Load(); g < rec.MaxGSN {
 		t.Fatalf("gsn resumed at %d, below recovered max %d", g, rec.MaxGSN)
+	}
+}
+
+// TestWritePathDifferential is the safety net under the commit pipeline:
+// one script over EVERY write entry point, run against (a) a map with no
+// log and (b) a map logging to a MemFS.  After every step the two must hold
+// identical contents, and (b)'s log must have grown by exactly the step's
+// record count under exactly the step's number of group fsyncs.  Then (c) a
+// fresh map recovered from (b)'s log (RecoverWAL) and (d) a follower-shaped
+// map fed the same records (ReplayRecord) must equal both, with the same
+// CommitGSN — recovery and replication are one applyRecord.
+func TestWritePathDifferential(t *testing.T) {
+	type tmap = Map[uint64, uint64, struct{}]
+	type txn = Txn[uint64, uint64, struct{}]
+	add := func(old, new uint64) uint64 { return old + new }
+	// submit pushes one request through the combiner and waits for its ack.
+	submit := func(m *tmap, r batch.Request[uint64, uint64]) error {
+		ch := make(chan error, 1)
+		m.SubmitAsync(0, r, func(err error) { ch <- err })
+		return <-ch
+	}
+	batching := func(comb func(old, new uint64) uint64) func(m *tmap) error {
+		return func(m *tmap) error {
+			m.StopBatching()
+			m.StartBatching(batch.Config{Clients: 1, MaxBatch: 64}, comb)
+			return nil
+		}
+	}
+	steps := []struct {
+		name    string
+		run     func(m *tmap) error
+		records int // redo records the step appends
+		syncs   int // group fsyncs the step waits on
+	}{
+		{"Insert", func(m *tmap) error { return m.Insert(1, 10) }, 1, 1},
+		{"Insert/second", func(m *tmap) error { return m.Insert(2, 20) }, 1, 1},
+		{"InsertWith", func(m *tmap) error { return m.InsertWith(1, 5, add) }, 1, 1},
+		{"InsertWith/absent", func(m *tmap) error { return m.InsertWith(13, 13, add) }, 1, 1},
+		{"Delete", func(m *tmap) error { return m.Delete(2) }, 1, 1},
+		// A commit that publishes nothing allocates no stamp: no record.
+		{"Delete/absent", func(m *tmap) error { return m.Delete(999) }, 0, 0},
+		{"InsertBatch", func(m *tmap) error {
+			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 70}, {Key: 8, Val: 80}, {Key: 12, Val: 120}}, nil)
+		}, 2, 1}, // shards 3 and 0
+		{"InsertBatch/comb", func(m *tmap) error {
+			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 1}, {Key: 8, Val: 2}, {Key: 14, Val: 140}}, add)
+		}, 3, 1}, // shards 3, 0 and 2
+		// Key 877 is absent, but a batch delete path-copies its shard's tree
+		// regardless: shard 1's leg publishes a new root, so it logs too.
+		{"DeleteBatch", func(m *tmap) error { return m.DeleteBatch([]uint64{8, 877}) }, 2, 1},
+		{"Update", func(m *tmap) error {
+			return m.Update(func(tx *txn) {
+				tx.Insert(3, 30)
+				tx.Insert(4, 40)
+				tx.Insert(5, 50)
+				tx.InsertWith(3, 3, add)
+			})
+		}, 3, 1}, // k shards = k records, one group fsync
+		{"UpdateAtomic/single-shard", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Insert(4, 44); tx.Insert(16, 160) })
+		}, 1, 1},
+		{"UpdateAtomic/multi-shard", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) {
+				tx.Insert(5, 55)
+				tx.InsertWith(6, 60, add)
+				tx.Delete(4)
+			})
+		}, 1, 1}, // three shards, exactly ONE record
+		{"UpdateAtomic/empty", func(m *tmap) error { return m.UpdateAtomic(func(tx *txn) {}) }, 0, 0},
+		{"UpdateAtomicKeys", func(m *tmap) error {
+			return m.UpdateAtomicKeys([]uint64{5, 6}, func(tx *txn) {
+				a, _ := tx.Get(5)
+				b, _ := tx.Get(6)
+				tx.Insert(5, a+b)
+				tx.Delete(6)
+			})
+		}, 1, 1},
+		{"UpdateAtomicKeys/read-only", func(m *tmap) error {
+			return m.UpdateAtomicKeys([]uint64{5}, func(tx *txn) { tx.Get(5); tx.Get(7) })
+		}, 0, 0},
+		// One forced abort.  testPostValidate runs only once validation has
+		// PASSED, so it cannot fail its own attempt; instead the first run
+		// of f overwrites a key it has just read — on a shard outside the
+		// footprint, whose walMu the attempt does not hold — so the first
+		// validation must fail, nothing of that attempt may be installed or
+		// logged, and the retry commits against the new value.  The hook
+		// counts the validations that passed: exactly one.
+		{"UpdateAtomicKeys/abort", func(m *tmap) error {
+			before, runs, passed := m.OCCAborts(), 0, 0
+			m.testPostValidate = func() { passed++ }
+			defer func() { m.testPostValidate = nil }()
+			err := m.UpdateAtomicKeys([]uint64{1}, func(tx *txn) {
+				v, _ := tx.Get(7) // shard 3; the footprint is shard 1
+				if runs++; runs == 1 {
+					if err := m.Insert(7, v+1000); err != nil {
+						t.Error(err)
+					}
+				}
+				tx.Insert(1, v)
+			})
+			if runs != 2 || passed != 1 || m.OCCAborts() != before+1 {
+				t.Errorf("forced abort: f ran %d times, %d validations passed, %d aborts; want 2, 1, 1", runs, passed, m.OCCAborts()-before)
+			}
+			return err
+		}, 2, 2}, // the point write inside f, then the committing attempt
+		{"StartBatching", batching(nil), 0, 0},
+		{"SubmitAsync", func(m *tmap) error {
+			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 90})
+		}, 1, 1},
+		{"SubmitAsync/delete", func(m *tmap) error {
+			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: 12})
+		}, 1, 1},
+		{"StartBatching/comb", batching(add), 0, 0},
+		{"SubmitAsync/comb", func(m *tmap) error {
+			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 9})
+		}, 1, 1},
+	}
+
+	equal := func(what string, got, want map[uint64]uint64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d keys, want %d: got %v want %v", what, len(got), len(want), got, want)
+		}
+		for k, v := range want {
+			if gv, ok := got[k]; !ok || gv != v {
+				t.Fatalf("%s: key %d = (%d, %v), want %d", what, k, gv, ok, v)
+			}
+		}
+	}
+
+	plain := newU64Map(t, 4, nil)
+	defer plain.Close()
+	fs := wal.NewMemFS()
+	logged, log := newWALMap(t, 4, fs)
+	tail, err := log.Tail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	for _, st := range steps {
+		if err := st.run(plain); err != nil {
+			t.Fatalf("%s (no log): %v", st.name, err)
+		}
+		syncs := fs.Syncs()
+		if err := st.run(logged); err != nil {
+			t.Fatalf("%s (logged): %v", st.name, err)
+		}
+		if got := fs.Syncs() - syncs; got != st.syncs {
+			t.Errorf("%s: %d fsyncs, want %d", st.name, got, st.syncs)
+		}
+		records := 0
+		for {
+			recs, err := tail.Next(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			records += len(recs)
+		}
+		if records != st.records {
+			t.Errorf("%s: appended %d records, want %d", st.name, records, st.records)
+		}
+		equal(st.name+": logged vs no log", dump(logged), dump(plain))
+	}
+	want := dump(plain)
+	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 115, 7: 1071, 9: 99, 13: 13, 14: 140, 16: 160})
+	if plain.CommitGSN() != logged.CommitGSN() {
+		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
+	}
+	gsn := logged.CommitGSN()
+	if err := logged.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, rec := reopenWALMap(t, 4, fs)
+	defer recovered.Close()
+	equal("recovered", dump(recovered), want)
+	if rec.MaxGSN != gsn || recovered.CommitGSN() != gsn {
+		t.Errorf("recovered CommitGSN %d (log max %d), want %d", recovered.CommitGSN(), rec.MaxGSN, gsn)
+	}
+
+	follower, _ := newWALMap(t, 4, wal.NewMemFS())
+	defer follower.Close()
+	for _, r := range rec.Records {
+		if err := follower.ReplayRecord(r.GSN, r.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equal("follower", dump(follower), want)
+	if follower.CommitGSN() != gsn {
+		t.Errorf("follower CommitGSN %d, want %d", follower.CommitGSN(), gsn)
 	}
 }
 

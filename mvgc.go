@@ -17,7 +17,7 @@
 // There are two entry points.  NewMap is the paper-faithful single
 // structure (see examples/quickstart); goroutine-per-request servers that
 // do not want to manage process ids should use OpenDB/OpenPlainDB, the
-// sharded pid-free front door (see examples/kvserver).  The batching layer
+// sharded pid-free front door (cmd/mvgcd serves it over TCP).  The batching layer
 // (Appendix F of the paper) lives in internal/batch, the sharding layer in
 // internal/shard, alternative version-maintenance algorithms (hazard
 // pointers, epochs, RCU) in internal/vm, and the evaluation harness in
