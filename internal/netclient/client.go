@@ -155,6 +155,7 @@ type Client struct {
 	mu     sync.Mutex // serializes encoding + enqueueing (wire order = FIFO order)
 	w      *netproto.Writer
 	closed bool
+	out    outbox // where w's bytes wait for the socket
 
 	// fail is the sticky transport error (*errorBox); once set, every new
 	// operation fails fast.  Lock-free on purpose: the read loop must be
@@ -196,10 +197,11 @@ func NewClient(nc net.Conn, depth int) *Client {
 	}
 	c := &Client{
 		nc:       nc,
-		w:        netproto.NewWriter(nc),
 		queue:    make(chan *Pending, depth),
 		readDone: make(chan struct{}),
 	}
+	c.w = netproto.NewWriter(&c.out)
+	c.out.start(nc, c.poison)
 	go c.readLoop()
 	return c
 }
@@ -217,8 +219,8 @@ func (c *Client) readLoop() {
 	for p := range c.queue {
 		if fail == nil {
 			if err := r.ReadReply(&rep); err != nil {
-				fail = err
 				c.poison(err)
+				fail = c.failErr() // the first error, which a failed write may have set
 			}
 		}
 		if fail != nil {
@@ -260,24 +262,24 @@ func (c *Client) poison(err error) {
 
 // enqueue registers p as the next expected reply.  Called with mu held,
 // immediately after encoding p's request.  If the window is full, the
-// write buffer is flushed first — the server can only drain the window by
-// seeing the requests — and then the send blocks until the reader frees a
-// slot, which bounds outstanding requests without deadlock (on a failed
+// write buffer is handed to the flusher first — the server can only drain
+// the window by seeing the requests — and then the send blocks until the
+// reader frees a slot, which bounds outstanding requests without deadlock
+// (neither the flusher nor the reader ever takes mu, and on a failed
 // connection the reader drains the queue failing everything, so the send
 // still returns promptly).
-func (c *Client) enqueue(p *Pending) error {
+func (c *Client) enqueue(p *Pending) {
 	select {
 	case c.queue <- p:
 	default:
 		if err := c.w.Flush(); err != nil {
-			c.fail.CompareAndSwap(nil, &errorBox{err})
 			p.err = err
 			close(p.done)
-			return err
+			return
 		}
+		c.out.kick()
 		c.queue <- p
 	}
-	return nil
 }
 
 func (c *Client) newPending() *Pending { return &Pending{done: make(chan struct{})} }
@@ -481,10 +483,24 @@ func (c *Client) StatsAsync() *Pending {
 	return p
 }
 
-// Flush pushes all encoded-but-buffered requests to the wire.  Waiting on
-// a Pending without flushing first can deadlock a quiet connection — the
-// synchronous wrappers and window-full sends flush for you.
+// Flush sends all encoded-but-buffered requests on their way.  It is a
+// hand-off: the bytes move to the outbox and the flusher goroutine puts
+// them on the wire, together with whatever else is encoded before it gets
+// to write, with no further call.  A write that fails poisons the client,
+// so the error surfaces on the next Flush or operation and on every
+// outstanding Pending.  Waiting on a Pending without flushing first can
+// deadlock a quiet connection — the synchronous wrappers and window-full
+// sends flush for you.
 func (c *Client) Flush() error {
+	err := c.handOff()
+	if err == nil {
+		c.out.kick()
+	}
+	return err
+}
+
+// handOff moves the encoder's buffer into the outbox.
+func (c *Client) handOff() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -493,73 +509,78 @@ func (c *Client) Flush() error {
 	if err := c.failErr(); err != nil {
 		return err
 	}
-	if err := c.w.Flush(); err != nil {
-		c.fail.CompareAndSwap(nil, &errorBox{err})
-		return err
+	return c.w.Flush()
+}
+
+// send is the synchronous wrappers' flush: their caller is about to block
+// on the reply, so it writes the outbox itself instead of paying a
+// goroutine hop.  Errors reach the caller through its Pending.
+func (c *Client) send() {
+	if c.handOff() == nil {
+		c.out.writeNow()
 	}
-	return nil
 }
 
 // Set is the synchronous SET: flushes and waits.
 func (c *Client) Set(key, val int64) error {
 	p := c.SetAsync(key, val)
-	c.Flush()
+	c.send()
 	return p.Err()
 }
 
 // Del is the synchronous DEL.
 func (c *Client) Del(key int64) error {
 	p := c.DelAsync(key)
-	c.Flush()
+	c.send()
 	return p.Err()
 }
 
 // Get is the synchronous GET.
 func (c *Client) Get(key int64) (int64, bool, error) {
 	p := c.GetAsync(key)
-	c.Flush()
+	c.send()
 	return p.Value()
 }
 
 // Sum is the synchronous SUM over [lo, hi].
 func (c *Client) Sum(lo, hi int64) (int64, error) {
 	p := c.SumAsync(lo, hi)
-	c.Flush()
+	c.send()
 	return p.Int()
 }
 
 // Scan is the synchronous SCAN: up to n entries with keys ≥ lo.
 func (c *Client) Scan(lo int64, n int) ([]Entry, error) {
 	p := c.ScanAsync(lo, n)
-	c.Flush()
+	c.send()
 	return p.Entries()
 }
 
 // ScanChunk is the synchronous SCANC: one cursor page.
 func (c *Client) ScanChunk(lo int64, n int, excl bool) (ScanChunk, error) {
 	p := c.ScanChunkAsync(lo, n, excl)
-	c.Flush()
+	c.send()
 	return p.Chunk()
 }
 
 // Promote is the synchronous PROMOTE.
 func (c *Client) Promote() error {
 	p := c.PromoteAsync()
-	c.Flush()
+	c.send()
 	return p.Err()
 }
 
 // Len is the synchronous LEN.
 func (c *Client) Len() (int64, error) {
 	p := c.LenAsync()
-	c.Flush()
+	c.send()
 	return p.Int()
 }
 
 // MCAS is the synchronous multi-key compare-and-swap; true = swapped.
 func (c *Client) MCAS(keys, expects, news []int64) (bool, error) {
 	p := c.MCASAsync(keys, expects, news)
-	c.Flush()
+	c.send()
 	n, err := p.Int()
 	return n == 1, err
 }
@@ -567,14 +588,14 @@ func (c *Client) MCAS(keys, expects, news []int64) (bool, error) {
 // Ping is the synchronous PING.
 func (c *Client) Ping() error {
 	p := c.PingAsync()
-	c.Flush()
+	c.send()
 	return p.Err()
 }
 
 // Stats fetches the server's coalescing counters as "k=v ..." text.
 func (c *Client) Stats() (string, error) {
 	p := c.StatsAsync()
-	c.Flush()
+	c.send()
 	return p.Text()
 }
 
@@ -644,8 +665,9 @@ func (s *Scanner) Entry() Entry { return s.page[s.i] }
 // Err returns the first error the iteration hit, if any.
 func (s *Scanner) Err() error { return s.err }
 
-// Close flushes, closes the connection, and waits for the reader to finish
-// failing or completing every outstanding Pending.  Safe to call twice.
+// Close puts everything encoded so far on the wire, closes the connection,
+// and waits for the flusher to exit and the reader to finish failing or
+// completing every outstanding Pending.  Safe to call twice.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -653,7 +675,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.w.Flush()
+	c.w.Flush() //nolint:errcheck // a failed outbox has poisoned the client already
+	c.out.close()
 	close(c.queue) // senders are excluded by closed; reader drains and exits
 	err := c.nc.Close()
 	c.mu.Unlock()
