@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -28,24 +29,122 @@ import (
 // ErrClosed is returned by operations on a closed client.
 var ErrClosed = errors.New("netclient: client closed")
 
-// Pending is one in-flight request's future reply.
+// Pending is one in-flight request's future reply, and the only heap
+// object a request usually costs (64 bytes).  A short payload — any decimal
+// int64, OK, PONG — is stored inline as its wire text and parsed when
+// asked for; only an array or a longer text takes a second object.  The
+// channel a waiter parks on is made only when a waiter arrives before the
+// reply.
 type Pending struct {
-	done chan struct{}
-	err  error
+	mu   sync.Mutex    // guards wait against the reader's complete
+	wait chan struct{} // made by the first waiter that finds the reply missing
+	fail *errorBox     // transport or usage error; nil when a reply arrived
+	big  *bigReply     // what small cannot hold
 
-	kind byte
-	n    int64
-	null bool
-	text string  // error line or bulk payload, copied out of the read buffer
-	arr  []int64 // array reply elements, copied out of the read buffer
+	done  atomic.Bool // set, after every other field, by complete
+	kind  byte
+	null  bool
+	slen  uint8
+	small [25]byte
+}
+
+// bigReply is a reply's payload when it is an array or a text longer than
+// Pending.small.
+type bigReply struct {
+	text string
+	arr  []int64
+}
+
+// complete publishes the reply (or failure) stored in p and releases
+// every waiter.  Called exactly once per Pending.
+func (p *Pending) complete() {
+	p.mu.Lock()
+	p.done.Store(true)
+	wait := p.wait
+	p.mu.Unlock()
+	if wait != nil {
+		close(wait)
+	}
+}
+
+// completeErr fails p.
+func (p *Pending) completeErr(b *errorBox) {
+	p.fail = b
+	p.complete()
+}
+
+// setReply copies a decoded reply out of the read buffer.
+func (p *Pending) setReply(rep *netproto.Reply) {
+	p.kind = rep.Kind
+	switch rep.Kind {
+	case netproto.KindInt:
+		p.slen = uint8(len(strconv.AppendInt(p.small[:0], rep.Int, 10)))
+	case netproto.KindSimple, netproto.KindError:
+		p.setText(rep.Line)
+	case netproto.KindBulk:
+		if rep.Bulk == nil {
+			p.null = true
+		} else {
+			p.setText(rep.Bulk)
+		}
+	case netproto.KindArray:
+		p.big = &bigReply{arr: append([]int64(nil), rep.Array...)}
+	}
+}
+
+func (p *Pending) setText(b []byte) {
+	if len(b) <= len(p.small) {
+		p.slen = uint8(copy(p.small[:], b))
+	} else {
+		p.big = &bigReply{text: string(b)}
+	}
+}
+
+// text returns the reply's payload as a string.
+func (p *Pending) text() string {
+	if p.big != nil {
+		return p.big.text
+	}
+	return string(p.small[:p.slen])
+}
+
+// number parses the reply's payload as a decimal int64.
+func (p *Pending) number() (int64, error) {
+	if p.big != nil {
+		return netproto.ParseInt([]byte(p.big.text))
+	}
+	return netproto.ParseInt(p.small[:p.slen])
+}
+
+// array returns an array reply's elements.
+func (p *Pending) array() []int64 {
+	if p.big != nil {
+		return p.big.arr
+	}
+	return nil
 }
 
 // Wait blocks until the reply arrives (or the connection fails) and
 // returns the transport/protocol error, if any.  Command-level errors
 // (server "-ERR ..." replies) surface on the typed accessors, not here.
 func (p *Pending) Wait() error {
-	<-p.done
-	return p.err
+	if !p.done.Load() {
+		p.mu.Lock()
+		if p.done.Load() {
+			p.mu.Unlock()
+		} else {
+			if p.wait == nil {
+				p.wait = make(chan struct{})
+			}
+			wait := p.wait
+			p.mu.Unlock()
+			<-wait
+		}
+	}
+	if p.fail != nil {
+		return p.fail.err
+	}
+	return nil
 }
 
 // Err waits and returns the first error of any kind — transport, protocol
@@ -55,7 +154,7 @@ func (p *Pending) Err() error {
 		return err
 	}
 	if p.kind == netproto.KindError {
-		return errors.New(p.text)
+		return errors.New(p.text())
 	}
 	return nil
 }
@@ -68,7 +167,7 @@ func (p *Pending) Int() (int64, error) {
 	if p.kind != netproto.KindInt {
 		return 0, fmt.Errorf("netclient: unexpected reply kind %q", p.kind)
 	}
-	return p.n, nil
+	return p.number()
 }
 
 // Value waits and returns a GET reply: value, whether the key was present.
@@ -82,7 +181,7 @@ func (p *Pending) Value() (int64, bool, error) {
 	if p.null {
 		return 0, false, nil
 	}
-	v, err := netproto.ParseInt([]byte(p.text))
+	v, err := p.number()
 	if err != nil {
 		return 0, false, err
 	}
@@ -94,7 +193,7 @@ func (p *Pending) Text() (string, error) {
 	if err := p.Err(); err != nil {
 		return "", err
 	}
-	return p.text, nil
+	return p.text(), nil
 }
 
 // Entry is one scanned key-value pair.
@@ -109,12 +208,13 @@ func (p *Pending) Entries() ([]Entry, error) {
 	if p.kind != netproto.KindArray {
 		return nil, fmt.Errorf("netclient: unexpected reply kind %q", p.kind)
 	}
-	if len(p.arr)%2 != 0 {
-		return nil, fmt.Errorf("netclient: odd scan reply length %d", len(p.arr))
+	arr := p.array()
+	if len(arr)%2 != 0 {
+		return nil, fmt.Errorf("netclient: odd scan reply length %d", len(arr))
 	}
-	out := make([]Entry, 0, len(p.arr)/2)
-	for i := 0; i+1 < len(p.arr); i += 2 {
-		out = append(out, Entry{Key: p.arr[i], Val: p.arr[i+1]})
+	out := make([]Entry, 0, len(arr)/2)
+	for i := 0; i+1 < len(arr); i += 2 {
+		out = append(out, Entry{Key: arr[i], Val: arr[i+1]})
 	}
 	return out, nil
 }
@@ -137,13 +237,14 @@ func (p *Pending) Chunk() (ScanChunk, error) {
 	if p.kind != netproto.KindArray {
 		return ScanChunk{}, fmt.Errorf("netclient: unexpected reply kind %q", p.kind)
 	}
-	if len(p.arr) < 2 || len(p.arr)%2 != 0 {
-		return ScanChunk{}, fmt.Errorf("netclient: malformed cursor-scan reply length %d", len(p.arr))
+	arr := p.array()
+	if len(arr) < 2 || len(arr)%2 != 0 {
+		return ScanChunk{}, fmt.Errorf("netclient: malformed cursor-scan reply length %d", len(arr))
 	}
-	ch := ScanChunk{More: p.arr[0] != 0, Next: p.arr[1]}
-	ch.Entries = make([]Entry, 0, (len(p.arr)-2)/2)
-	for i := 2; i+1 < len(p.arr); i += 2 {
-		ch.Entries = append(ch.Entries, Entry{Key: p.arr[i], Val: p.arr[i+1]})
+	ch := ScanChunk{More: arr[0] != 0, Next: arr[1]}
+	ch.Entries = make([]Entry, 0, (len(arr)-2)/2)
+	for i := 2; i+1 < len(arr); i += 2 {
+		ch.Entries = append(ch.Entries, Entry{Key: arr[i], Val: arr[i+1]})
 	}
 	return ch, nil
 }
@@ -215,37 +316,20 @@ func (c *Client) readLoop() {
 	defer close(c.readDone)
 	r := netproto.NewReader(c.nc)
 	var rep netproto.Reply
-	var fail error
+	var fail *errorBox
 	for p := range c.queue {
 		if fail == nil {
 			if err := r.ReadReply(&rep); err != nil {
 				c.poison(err)
-				fail = c.failErr() // the first error, which a failed write may have set
+				fail = c.fail.Load() // the first error, which a failed write may have set
 			}
 		}
 		if fail != nil {
-			p.err = fail
-			close(p.done)
+			p.completeErr(fail)
 			continue
 		}
-		p.kind = rep.Kind
-		switch rep.Kind {
-		case netproto.KindInt:
-			p.n = rep.Int
-		case netproto.KindSimple:
-			p.text = string(rep.Line)
-		case netproto.KindError:
-			p.text = string(rep.Line)
-		case netproto.KindBulk:
-			if rep.Bulk == nil {
-				p.null = true
-			} else {
-				p.text = string(rep.Bulk)
-			}
-		case netproto.KindArray:
-			p.arr = append(p.arr, rep.Array...)
-		}
-		close(p.done)
+		p.setReply(&rep)
+		p.complete()
 	}
 }
 
@@ -273,8 +357,7 @@ func (c *Client) enqueue(p *Pending) {
 	case c.queue <- p:
 	default:
 		if err := c.w.Flush(); err != nil {
-			p.err = err
-			close(p.done)
+			p.completeErr(&errorBox{err})
 			return
 		}
 		c.out.kick()
@@ -282,26 +365,23 @@ func (c *Client) enqueue(p *Pending) {
 	}
 }
 
-func (c *Client) newPending() *Pending { return &Pending{done: make(chan struct{})} }
-
 // dead reports (with mu held) whether new operations must fail fast, and
 // fails p with the reason when so.
 func (c *Client) dead(p *Pending) bool {
-	switch {
-	case c.closed:
-		p.err = ErrClosed
-	case c.failErr() != nil:
-		p.err = c.failErr()
-	default:
+	fail := c.fail.Load()
+	if c.closed {
+		fail = &errorBox{ErrClosed}
+	}
+	if fail == nil {
 		return false
 	}
-	close(p.done)
+	p.completeErr(fail)
 	return true
 }
 
 // SetAsync pipelines SET key val.
 func (c *Client) SetAsync(key, val int64) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -317,7 +397,7 @@ func (c *Client) SetAsync(key, val int64) *Pending {
 
 // DelAsync pipelines DEL key.
 func (c *Client) DelAsync(key int64) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -332,7 +412,7 @@ func (c *Client) DelAsync(key int64) *Pending {
 
 // GetAsync pipelines GET key.
 func (c *Client) GetAsync(key int64) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -347,7 +427,7 @@ func (c *Client) GetAsync(key int64) *Pending {
 
 // SumAsync pipelines SUM lo hi.
 func (c *Client) SumAsync(lo, hi int64) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -365,7 +445,7 @@ func (c *Client) SumAsync(lo, hi int64) *Pending {
 // ascending key order, merged across all shards (one consistent cut when
 // the server runs with Config.Consistent).
 func (c *Client) ScanAsync(lo int64, n int) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -382,7 +462,7 @@ func (c *Client) ScanAsync(lo int64, n int) *Pending {
 // ScanChunkAsync pipelines SCANC lo n excl: one cursor page of up to n
 // entries with keys ≥ lo (or > lo when excl), in ascending key order.
 func (c *Client) ScanChunkAsync(lo int64, n int, excl bool) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -403,7 +483,7 @@ func (c *Client) ScanChunkAsync(lo int64, n int, excl bool) *Pending {
 
 // LenAsync pipelines LEN.
 func (c *Client) LenAsync() *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -418,10 +498,9 @@ func (c *Client) LenAsync() *Pending {
 // MCASAsync pipelines MCAS k1 e1 n1 [...]: swap every keys[i] from
 // expects[i] to news[i] atomically, all or nothing.
 func (c *Client) MCASAsync(keys, expects, news []int64) *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	if len(keys) == 0 || len(keys) != len(expects) || len(keys) != len(news) {
-		p.err = errors.New("netclient: MCAS wants equal-length non-empty key/expect/new slices")
-		close(p.done)
+		p.completeErr(&errorBox{errors.New("netclient: MCAS wants equal-length non-empty key/expect/new slices")})
 		return p
 	}
 	c.mu.Lock()
@@ -443,7 +522,7 @@ func (c *Client) MCASAsync(keys, expects, news []int64) *Pending {
 // PromoteAsync pipelines PROMOTE: a following server stops replicating
 // and starts accepting writes.
 func (c *Client) PromoteAsync() *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -457,7 +536,7 @@ func (c *Client) PromoteAsync() *Pending {
 
 // PingAsync pipelines PING.
 func (c *Client) PingAsync() *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
@@ -471,7 +550,7 @@ func (c *Client) PingAsync() *Pending {
 
 // StatsAsync pipelines STATS.
 func (c *Client) StatsAsync() *Pending {
-	p := c.newPending()
+	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {

@@ -3,9 +3,11 @@ package netclient
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,5 +391,70 @@ func TestWindowFullDuringWrite(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("deadlock: %d of %d requests issued", got, n)
 		}
+	}
+}
+
+// TestPendingPayloads: every reply shape reads back the same whether it
+// fits a Pending's inline bytes or not, for waiters that arrive before the
+// reply (several on one Pending) and after it.
+func TestPendingPayloads(t *testing.T) {
+	sc := newScriptConn(false)
+	c := NewClient(sc, 16)
+	defer c.Close()
+
+	long := strings.Repeat("x", 2*len(Pending{}.small))
+	edge := strings.Repeat("y", len(Pending{}.small))
+	pend := []*Pending{
+		c.GetAsync(1), c.GetAsync(2), c.GetAsync(3), c.LenAsync(), c.PingAsync(),
+		c.StatsAsync(), c.StatsAsync(), c.SetAsync(1, 1), c.SetAsync(1, 1), c.ScanAsync(0, 2),
+	}
+	c.Flush()
+	// Waiters that find the reply missing: all must be released.
+	var early sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		early.Add(1)
+		go func() {
+			defer early.Done()
+			if v, ok, err := pend[0].Value(); err != nil || !ok || v != -math.MaxInt64 {
+				t.Errorf("early waiter: %d %v %v", v, ok, err)
+			}
+		}()
+	}
+	for len(sc.written()) == 0 { // the requests are out, so the waiters above had their head start
+		time.Sleep(time.Millisecond)
+	}
+	sc.replies <- []byte("$20\r\n-9223372036854775807\r\n$-1\r\n$3\r\nabc\r\n:-42\r\n+PONG\r\n" +
+		"$" + strconv.Itoa(len(long)) + "\r\n" + long + "\r\n" +
+		"$" + strconv.Itoa(len(edge)) + "\r\n" + edge + "\r\n" +
+		"-ERR no\r\n-ERR " + long + "\r\n*4\r\n:1\r\n:10\r\n:2\r\n:20\r\n")
+	early.Wait()
+
+	if v, ok, err := pend[0].Value(); err != nil || !ok || v != -math.MaxInt64 {
+		t.Errorf("late waiter: %d %v %v", v, ok, err)
+	}
+	if _, ok, err := pend[1].Value(); err != nil || ok {
+		t.Errorf("null bulk: present=%v err=%v", ok, err)
+	}
+	if _, _, err := pend[2].Value(); err == nil {
+		t.Error("non-numeric bulk parsed as a value")
+	}
+	if n, err := pend[3].Int(); err != nil || n != -42 {
+		t.Errorf("int reply: %d %v", n, err)
+	}
+	for i, want := range map[int]string{4: "PONG", 5: long, 6: edge} {
+		if s, err := pend[i].Text(); err != nil || s != want {
+			t.Errorf("text reply %d: %q %v", i, s, err)
+		}
+	}
+	for i, want := range map[int]string{7: "ERR no", 8: "ERR " + long} {
+		if err := pend[i].Err(); err == nil || err.Error() != want {
+			t.Errorf("error reply %d: %v", i, err)
+		}
+	}
+	if es, err := pend[9].Entries(); err != nil || len(es) != 2 || es[1] != (Entry{2, 20}) {
+		t.Errorf("array reply: %v %v", es, err)
+	}
+	if _, err := pend[9].Int(); err == nil {
+		t.Error("array reply read as an int")
 	}
 }

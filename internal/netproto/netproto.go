@@ -103,15 +103,17 @@ type Command struct {
 	offs []int  // arg boundaries within buf: arg i is buf[offs[i]:offs[i+1]]
 }
 
-// Reply is one decoded response.  Line, Bulk and Array alias the Reply's
-// reused storage and are valid only until the next ReadReply decoding
-// into the same Reply.
+// Reply is one decoded response.  Line aliases the Reader's buffer, Bulk
+// and Array the Reply's own reused storage; all three are valid only until
+// the next ReadReply decoding into the same Reply.
 type Reply struct {
 	Kind  byte
 	Int   int64   // KindInt
 	Line  []byte  // KindSimple / KindError text
 	Bulk  []byte  // KindBulk payload; nil means the null bulk ($-1)
 	Array []int64 // KindArray integer elements (SCAN's k,v,k,v,... stream)
+
+	bulk []byte // backing storage for Bulk, grown to the largest payload seen
 }
 
 // Err returns the reply's error when it is a KindError reply, nil
@@ -281,7 +283,10 @@ func (r *Reader) ReadReply(rep *Reply) error {
 		if l < 0 || l > MaxBulk {
 			return protoErrf("bad bulk length %d", l)
 		}
-		buf := make([]byte, l+2)
+		if int64(cap(rep.bulk)) < l+2 {
+			rep.bulk = make([]byte, l+2)
+		}
+		buf := rep.bulk[:l+2]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return noEOF(err)
 		}

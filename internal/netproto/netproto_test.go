@@ -258,3 +258,46 @@ func TestCommandReuseNoAlloc(t *testing.T) {
 		t.Fatalf("warm decode allocates %.1f times per %d frames", allocs, frames)
 	}
 }
+
+// TestReplyReuseNoAlloc: a warm ReadReply decodes every reply kind without
+// touching the heap, the client reader's half of the package's
+// no-allocation promise.
+func TestReplyReuseNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	const rounds = 25 // four replies each
+	for i := 0; i < rounds; i++ {
+		w.BulkInt(int64(i) * 1e9)
+		w.Null()
+		w.Int(int64(i))
+		w.BeginArray(4)
+		for j := 0; j < 4; j++ {
+			w.Int(int64(i + j))
+		}
+	}
+	w.Flush()
+	reader := bytes.NewReader(buf.Bytes())
+	r := NewReader(reader)
+	var rep Reply
+	decode := func() {
+		reader.Seek(0, io.SeekStart)
+		r.br.Reset(reader)
+		for i := 0; i < rounds; i++ {
+			for _, kind := range []byte{KindBulk, KindBulk, KindInt, KindArray} {
+				if err := r.ReadReply(&rep); err != nil {
+					t.Fatal(err)
+				}
+				if rep.Kind != kind {
+					t.Fatalf("reply kind %q, want %q", rep.Kind, kind)
+				}
+			}
+		}
+	}
+	decode() // size rep's storage
+	if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
+		t.Fatalf("warm decode allocates %.1f times per %d replies", allocs, 4*rounds)
+	}
+}
