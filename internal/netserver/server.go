@@ -2,20 +2,23 @@
 // mvgc.DB: the front door that turns N sockets' traffic into the
 // concurrency shape the underlying store amortizes best.
 //
-// Each accepted connection runs two goroutines joined by a bounded FIFO of
-// response slots:
+// Each accepted connection runs two goroutines joined by a ring of
+// response slots, single-producer single-consumer:
 //
 //   - The read loop decodes requests (netproto) and never blocks on a
-//     response.  Writes (SET/DEL) are submitted to the key's shard
-//     combiner via the async completion path (shard.Map.SubmitAsync) — the
-//     request's response slot is enqueued first, then the submission
-//     carries a callback that marks the slot ready when the combiner's
-//     batch commit publishes.  Reads (GET) take the cached-handle point
-//     path and complete immediately.  MCAS runs mvgc.DB.UpdateAtomicKeys
-//     inline.
-//   - The writer drains slots strictly in request order, waiting for each
-//     slot's completion, so pipelined replies come back in protocol order
-//     no matter which shard's combiner commits first.
+//     response.  It leases the next slot of the ring for every request,
+//     which fixes the response's place on the wire.  Writes (SET/DEL) are
+//     then submitted to the key's shard combiner via the async completion
+//     path (shard.Map.SubmitAsync) with a callback that marks the slot
+//     ready when the combiner's batch commit publishes.  Reads (GET) take
+//     the cached-handle point path and complete immediately.  MCAS runs
+//     mvgc.DB.UpdateAtomicKeys inline.
+//   - The writer walks the ring in order, encoding each slot once it is
+//     ready, so pipelined replies come back in protocol order no matter
+//     which shard's combiner commits first.  It sleeps only on the slot at
+//     its own position, after flushing, and the completion of that slot is
+//     the one thing that wakes it: a burst of requests costs the two
+//     goroutines one scheduler interaction, not one per request.
 //
 // This is what makes the serving layer cheaper than goroutine-per-request
 // over SubmitWait: N connections × D-deep pipelines keep N×D writes in
@@ -25,8 +28,8 @@
 // cmd/netbench measures commits-per-op).
 //
 // Backpressure is layered: a connection may have at most Config.MaxPipeline
-// responses outstanding (the read loop stalls on the slot FIFO beyond
-// that), each combiner ring bounds in-flight writes per connection, and
+// responses outstanding (the read loop stalls in lease beyond that), each
+// combiner ring bounds in-flight writes per connection, and
 // Config.MaxConns bounds connections being served concurrently (each holds
 // a combiner client slot for its lifetime).
 package netserver
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"runtime"
 	"strconv"
@@ -305,56 +309,83 @@ const (
 	respNull
 	respBulk  // Bulk([]byte(msg))
 	respArray // BeginArray(len(arr)) + Int per element
+	respClose // no response: the read loop is done and the writer exits
 )
 
-// slot is one in-flight response: enqueued on the connection's FIFO at
+// A slot's state word.  The read loop leases slots in ring order without
+// touching the word; whoever completes the response swaps in slotReady;
+// the writer, which only ever looks at the slot at its own position, parks
+// by moving slotIdle to slotParked and resets the word when it has encoded
+// the response.
+const (
+	slotIdle   uint32 = iota // free, or leased and not yet completed
+	slotReady                // response complete: the writer may encode it
+	slotParked               // the writer sleeps until this slot completes
+)
+
+// slot is one in-flight response: leased from the connection's ring at
 // decode time, completed either immediately (reads, errors) or by the
 // shard combiner's commit callback (writes), encoded by the writer in
-// FIFO order.
+// ring order.
 type slot struct {
-	kind respKind
-	n    int64
-	msg  string
+	state atomic.Uint32
+	kind  respKind
+	n     int64
+	msg   string
 	// arr carries an array reply's integer elements (SCAN's alternating
 	// key/value stream).  The backing array survives recycling, so a warm
 	// connection's scans stop allocating once a slot has grown to the
 	// largest scan it has served.
 	arr []int64
-	// ready gates the writer; buffered so completion never blocks the
-	// combiner.  done sends on it and is allocated once per slot, so a
-	// recycled slot's async submission costs no closure allocation.  A
-	// non-nil error from the combiner (WAL failure, map closing) rewrites
-	// the prepared response into a protocol error before release: the
-	// client must never see +OK for a write that was not committed (and,
-	// with a WAL, not made durable).
-	ready chan struct{}
-	done  func(error)
+	// done completes the slot from the combiner; made on a slot's first
+	// write and kept, so a warm slot's async submission costs no closure
+	// allocation.  A non-nil error from the combiner (WAL failure, map
+	// closing) rewrites the prepared response into a protocol error before
+	// release: the client must never see +OK for a write that was not
+	// committed (and, with a WAL, not made durable).
+	done func(error)
 }
 
-func newSlot() *slot {
-	sl := &slot{ready: make(chan struct{}, 1)}
-	sl.done = func(err error) {
-		if err != nil {
-			sl.kind = respErr
-			sl.msg = "ERR " + err.Error()
-		}
-		sl.ready <- struct{}{}
-	}
-	return sl
-}
-
-// conn is one served connection.
+// conn is one served connection.  Its two goroutines share ring, an SPSC
+// queue of response slots: the read loop owns tail and is the only one to
+// lease, the writer owns head and is the only one to release.
 type conn struct {
-	srv     *Server
-	nc      net.Conn
-	client  int // leased combiner client slot
-	pending chan *slot
-	free    chan *slot
+	srv    *Server
+	nc     net.Conn
+	client int // leased combiner client slot
+
+	ring []slot // power-of-two length ≥ MaxPipeline
+	tail uint64 // next position to lease; read loop only
+	// head is the writer's position; it stores, the read loop loads it to
+	// hold tail-head at MaxPipeline.
+	head atomic.Uint64
+	// wake carries the one token a completion sends when it finds the
+	// writer parked on its slot.
+	wake chan struct{}
+	// stalled is the read loop's declaration that it waits for head to
+	// move; the release that sees it sends the one token on space.
+	stalled atomic.Bool
+	space   chan struct{}
+
+	// mcas is execMCAS's scratch; an MCAS runs to completion on the read
+	// loop, so nothing outlives the call.
+	mcas struct{ keys, expects, news []int64 }
 
 	// repl, when set by a REPL command, hands the connection over to the
 	// log shipper once the read loop returns and the writer drains (the
 	// +OK is the last RESP bytes on the wire).
 	repl *replHandoff
+}
+
+func (s *Server) newConn(nc net.Conn, client int) *conn {
+	return &conn{
+		srv:    s,
+		nc:     nc,
+		client: client,
+		ring:   make([]slot, 1<<bits.Len(uint(s.cfg.MaxPipeline-1))),
+		wake:   make(chan struct{}, 1),
+		space:  make(chan struct{}, 1),
+	}
 }
 
 // replHandoff carries a REPL command's arguments from the read loop to
@@ -379,13 +410,7 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	defer func() { s.ids <- id }()
 
-	c := &conn{
-		srv:     s,
-		nc:      nc,
-		client:  id,
-		pending: make(chan *slot, s.cfg.MaxPipeline),
-		free:    make(chan *slot, s.cfg.MaxPipeline),
-	}
+	c := s.newConn(nc, id)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -409,7 +434,7 @@ func (s *Server) handle(nc net.Conn) {
 		c.writeLoop()
 	}()
 	c.readLoop()
-	close(c.pending) // no more slots; the writer drains and flushes
+	c.closeRing()
 	writerWG.Wait()
 	if c.repl != nil {
 		// RESP is fully drained (+OK for REPL was the writer's last
@@ -438,47 +463,89 @@ func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
 	close(stopped)
 }
 
-// slot leases a response slot, recycling the writer's returns.  Recycled
-// slots carry the previous response's payload, so every field a handler
-// might leave unset is cleared here — a handler that sets kind but not n
-// (MCAS's failure path, say) must not echo a stale value.
-func (c *conn) slot() *slot {
-	select {
-	case sl := <-c.free:
-		sl.kind = 0
-		sl.n = 0
-		sl.msg = ""
-		sl.arr = sl.arr[:0]
-		return sl
-	default:
-		return newSlot()
+// lease takes the next slot of the ring for a response, which fixes the
+// response's place on the wire: leases happen in request order, before the
+// operation that will complete the slot.  With MaxPipeline responses
+// outstanding it waits for the writer to release one — the pipeline-depth
+// backpressure.  A recycled slot carries the previous response's payload,
+// so every field a handler might leave unset is cleared here — a handler
+// that sets kind but not n (MCAS's failure path, say) must not echo a
+// stale value.
+func (c *conn) lease() *slot {
+	full := func() bool { return c.tail-c.head.Load() >= uint64(c.srv.cfg.MaxPipeline) }
+	for full() {
+		c.stalled.Store(true)
+		// Between the check and the declaration the writer may have
+		// released without seeing it: look again before sleeping, and take
+		// the token only if a release has claimed the declaration.
+		if full() || !c.stalled.CompareAndSwap(true, false) {
+			<-c.space
+		}
+	}
+	sl := &c.ring[c.tail&uint64(len(c.ring)-1)]
+	c.tail++
+	sl.kind = 0
+	sl.n = 0
+	sl.arr = sl.arr[:0]
+	return sl
+}
+
+// complete publishes a leased slot's response to the writer, waking it if
+// it sleeps on this very slot.  The swap is the only synchronization a
+// completion pays: a writer that is awake, or asleep on an earlier slot,
+// finds the slot ready when it gets there.
+func (c *conn) complete(sl *slot) {
+	if sl.state.Swap(slotReady) == slotParked {
+		c.wake <- struct{}{}
 	}
 }
 
-// enqueue places sl at the back of the response FIFO (applying the
-// pipeline-depth backpressure) — always BEFORE the operation that will
-// complete it, so wire order is request order.
-func (c *conn) enqueue(sl *slot) { c.pending <- sl }
+// closeRing ends the response stream: the writer drains every response
+// leased before this marker, flushes, and exits when it reaches it.
+func (c *conn) closeRing() {
+	sl := c.lease()
+	sl.kind = respClose
+	c.complete(sl)
+}
 
-// complete finishes an operation handled inline on the read loop.
-func (sl *slot) complete() { sl.ready <- struct{}{} }
+// completion returns the slot's combiner callback.
+func (c *conn) completion(sl *slot) func(error) {
+	if sl.done == nil {
+		sl.done = func(err error) {
+			if err != nil {
+				sl.kind = respErr
+				sl.msg = "ERR " + err.Error()
+			}
+			c.complete(sl)
+		}
+	}
+	return sl.done
+}
 
-// writeLoop encodes responses in FIFO order.  Before parking on an
-// incomplete slot it flushes everything already encoded, so a stalled
-// write never withholds earlier completed responses from the client.
-// Write errors go sticky inside the buffered writer; the loop keeps
-// draining so every combiner callback finds its slot (and the recycle
-// list) in place.
+// writeLoop encodes responses in ring order.  It looks only at the slot at
+// its own position: ready, it encodes and releases it; not ready — leased
+// and incomplete, or not leased yet — it flushes everything already
+// encoded, so a stalled write never withholds earlier completed responses
+// from the client, and parks on that slot.  One wake-up per park: a burst
+// of completions behind a sleeping writer costs one scheduler interaction,
+// and a writer that keeps finding slots ready costs none.  Write errors go
+// sticky inside the buffered writer; the loop keeps draining so every
+// combiner callback finds its slot in place.
 func (c *conn) writeLoop() {
 	w := netproto.NewWriter(c.nc)
-	for sl := range c.pending {
-		select {
-		case <-sl.ready:
-		default:
+	defer w.Flush()
+	for head := uint64(0); ; head++ {
+		sl := &c.ring[head&uint64(len(c.ring)-1)]
+		if sl.state.Load() != slotReady {
 			w.Flush()
-			<-sl.ready
+			// A failed swap means the completion got in first.
+			if sl.state.CompareAndSwap(slotIdle, slotParked) {
+				<-c.wake
+			}
 		}
 		switch sl.kind {
+		case respClose:
+			return
 		case respOK:
 			w.Simple("OK")
 		case respPong:
@@ -500,26 +567,22 @@ func (c *conn) writeLoop() {
 			}
 		}
 		sl.msg = ""
-		select {
-		case c.free <- sl:
-		default: // recycle list full; let it be collected
-		}
-		if len(c.pending) == 0 {
-			w.Flush()
+		sl.state.Store(slotIdle)
+		c.head.Store(head + 1)
+		if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
+			c.space <- struct{}{}
 		}
 	}
-	w.Flush()
 }
 
-// fail enqueues an error response; the connection survives (framing is
-// intact — parse errors of VALUES are command errors, not protocol
+// fail answers with an error response; the connection survives (framing
+// is intact — parse errors of VALUES are command errors, not protocol
 // errors).
 func (c *conn) fail(msg string) {
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respErr
 	sl.msg = msg
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // eqFold reports ASCII case-insensitive equality with an upper-case name.
@@ -577,10 +640,9 @@ func (c *conn) readLoop() {
 		case eqFold(name, netproto.CmdMCAS):
 			c.execMCAS(&cmd)
 		case eqFold(name, netproto.CmdPing):
-			sl := c.slot()
+			sl := c.lease()
 			sl.kind = respPong
-			sl.complete()
-			c.enqueue(sl)
+			c.complete(sl)
 		case eqFold(name, netproto.CmdStats):
 			c.execStats()
 		case eqFold(name, netproto.CmdRepl):
@@ -589,17 +651,16 @@ func (c *conn) readLoop() {
 			}
 		case eqFold(name, netproto.CmdPromote):
 			c.srv.Promote()
-			sl := c.slot()
+			sl := c.lease()
 			sl.kind = respOK
-			sl.complete()
-			c.enqueue(sl)
+			c.complete(sl)
 		default:
 			c.fail(fmt.Sprintf("ERR unknown command %q", name))
 		}
 	}
 }
 
-// execWrite is the coalescing path: enqueue the response slot, then hand
+// execWrite is the coalescing path: lease the response slot, then hand
 // the write to the key's shard combiner with the slot's completion
 // callback.  The reply reaches the wire only after the combiner commit
 // containing this write has published — a replied SET is committed — yet
@@ -628,10 +689,9 @@ func (c *conn) execWrite(cmd *netproto.Command, op batch.Op) {
 		c.fail("ERR bad integer")
 		return
 	}
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respOK
-	c.enqueue(sl)
-	c.srv.db.SubmitAsync(c.client, batch.Request[int64, int64]{Op: op, Key: k, Val: v}, sl.done)
+	c.srv.db.SubmitAsync(c.client, batch.Request[int64, int64]{Op: op, Key: k, Val: v}, c.completion(sl))
 }
 
 // execGet serves the cached-handle point read: decode, read, complete —
@@ -646,15 +706,14 @@ func (c *conn) execGet(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
-	sl := c.slot()
+	sl := c.lease()
 	if v, found := c.srv.db.Get(k); found {
 		sl.kind = respValue
 		sl.n = v
 	} else {
 		sl.kind = respNull
 	}
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // view is the fan-out read mode SUM and LEN use: globally consistent when
@@ -678,11 +737,10 @@ func (c *conn) execSum(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respInt
 	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.AugRange(lo, hi) })
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // maxScanEntries bounds one SCAN's result so the reply's element count
@@ -711,7 +769,7 @@ func (c *conn) execScan(cmd *netproto.Command) {
 		c.fail(fmt.Sprintf("ERR scan count must be in [0, %d]", maxScanEntries))
 		return
 	}
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respArray
 	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
 		sn.ScanFunc(lo, int(n), func(k, v int64) bool {
@@ -719,8 +777,7 @@ func (c *conn) execScan(cmd *netproto.Command) {
 			return true
 		})
 	})
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // maxCursorEntries bounds one SCANC chunk: the reply carries two extra
@@ -755,14 +812,13 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 		c.fail(fmt.Sprintf("ERR scan count must be in [1, %d]", maxCursorEntries))
 		return
 	}
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respArray
 	sl.arr = append(sl.arr, 0, lo) // [more, next] backfilled below
 	start := lo
 	if excl != 0 {
 		if lo == math.MaxInt64 { // nothing can follow the cursor
-			sl.complete()
-			c.enqueue(sl)
+			c.complete(sl)
 			return
 		}
 		start = lo + 1
@@ -778,8 +834,7 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 			return true
 		})
 	})
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // execRepl validates a REPL handshake and schedules the connection
@@ -803,19 +858,17 @@ func (c *conn) execRepl(cmd *netproto.Command) bool {
 		return false
 	}
 	c.repl = &replHandoff{afterGSN: after, floor: floor}
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respOK
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 	return true
 }
 
 func (c *conn) execLen() {
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respInt
 	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.Len() })
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // execMCAS maps MCAS onto DB.UpdateAtomicKeys: the declared footprint is
@@ -834,20 +887,18 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 		c.fail("ERR usage: MCAS <key> <expect> <new> [...]")
 		return
 	}
-	n := (len(cmd.Args) - 1) / 3
-	keys := make([]int64, n)
-	expects := make([]int64, n)
-	news := make([]int64, n)
-	for i := 0; i < n; i++ {
-		var ok [3]bool
-		keys[i], ok[0] = argInt(cmd.Args[1+3*i])
-		expects[i], ok[1] = argInt(cmd.Args[2+3*i])
-		news[i], ok[2] = argInt(cmd.Args[3+3*i])
-		if !ok[0] || !ok[1] || !ok[2] {
+	keys, expects, news := c.mcas.keys[:0], c.mcas.expects[:0], c.mcas.news[:0]
+	for i := 1; i < len(cmd.Args); i += 3 {
+		k, ok1 := argInt(cmd.Args[i])
+		e, ok2 := argInt(cmd.Args[i+1])
+		n, ok3 := argInt(cmd.Args[i+2])
+		if !ok1 || !ok2 || !ok3 {
 			c.fail("ERR bad integer")
 			return
 		}
+		keys, expects, news = append(keys, k), append(expects, e), append(news, n)
 	}
+	c.mcas.keys, c.mcas.expects, c.mcas.news = keys, expects, news
 	swapped := false
 	c.srv.db.UpdateAtomicKeys(keys, func(t *mvgc.DBTxn[int64, int64, int64]) {
 		swapped = false // f may re-run after an OCC abort
@@ -861,13 +912,12 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 			t.Insert(k, news[i])
 		}
 	})
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respInt
 	if swapped {
 		sl.n = 1
 	}
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }
 
 // execStats renders the serving-layer counters netbench uses to prove
@@ -882,7 +932,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 // checkpointer bounds).
 func (c *conn) execStats() {
 	s := c.srv
-	sl := c.slot()
+	sl := c.lease()
 	sl.kind = respBulk
 	readonly := int64(0)
 	if s.readOnly.Load() {
@@ -905,6 +955,5 @@ func (c *conn) execStats() {
 		" repl_pos=" + strconv.FormatUint(pos, 10) +
 		" repl_floor=" + strconv.FormatUint(floor, 10) +
 		" wal_live=" + strconv.FormatInt(s.db.WALStats().LiveBytes, 10)
-	sl.complete()
-	c.enqueue(sl)
+	c.complete(sl)
 }

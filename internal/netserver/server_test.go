@@ -1,15 +1,20 @@
 package netserver
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mvgc"
 	"mvgc/internal/netclient"
+	"mvgc/internal/netproto"
 	"mvgc/internal/wal"
 )
 
@@ -565,4 +570,161 @@ func TestServerKillMidPipeline(t *testing.T) {
 		t.Fatalf("post-kill op took %v, want fail-fast", d)
 	}
 	t.Logf("server kill: %d acked, %d failed, none hung", acked, failed)
+}
+
+// TestRingOrderAndBackpressure pipelines 10k mixed GETs and SETs far
+// deeper than MaxPipeline at a server whose replies nobody reads at first:
+// the read loop must stall with exactly MaxPipeline responses outstanding
+// (not the ring's rounded-up length), never get further ahead while the
+// client drains, and every reply must come back in request order.
+func TestRingOrderAndBackpressure(t *testing.T) {
+	const (
+		maxPipeline = 48 // not a power of two: the ring itself has 64 slots
+		total       = 10000
+		getKeys     = 100
+	)
+	s, err := New(Config{Shards: 2, MaxConns: 2, MaxPipeline: maxPipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := int64(0); k < getKeys; k++ {
+		if err := s.DB().Insert(k, k+1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// net.Pipe has no buffer.  The server's writer blocks in its first
+	// flush until this side reads, and a Write here returns when the
+	// server's read loop has taken the bytes — so with one request per
+	// Write, consumed counts the requests the read loop has taken, of
+	// which all but the one it may be holding in lease have a slot.
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	s.serveWG.Add(1)
+	go s.handle(srv)
+	var c *conn
+	for c == nil {
+		time.Sleep(time.Millisecond)
+		s.mu.Lock()
+		for k := range s.conns {
+			c = k
+		}
+		s.mu.Unlock()
+	}
+
+	// Request i is SET 1000+i i when i%3 == 0, else GET i%getKeys: SETs
+	// complete from the combiners, GETs inline, and the GETs' replies tell
+	// positions apart.
+	var consumed atomic.Int64
+	sent := make(chan error, 1)
+	go func() {
+		var buf bytes.Buffer
+		w := netproto.NewWriter(&buf)
+		for i := int64(0); i < total; i++ {
+			if i%3 == 0 {
+				w.BeginCommand(3)
+				w.ArgString(netproto.CmdSet)
+				w.ArgInt(1000 + i)
+				w.ArgInt(i)
+			} else {
+				w.BeginCommand(2)
+				w.ArgString(netproto.CmdGet)
+				w.ArgInt(i % getKeys)
+			}
+			w.Flush()
+			if _, err := cli.Write(buf.Bytes()); err != nil {
+				sent <- err
+				return
+			}
+			buf.Reset()
+			consumed.Add(1)
+		}
+		sent <- nil
+	}()
+	// outstanding is a lower bound on leased-minus-released that is exact
+	// once both loops stand still (consumed is read first: head only grows).
+	outstanding := func() int64 { return consumed.Load() - 1 - int64(c.head.Load()) }
+
+	deadline := time.Now().Add(10 * time.Second)
+	for stable := 0; stable < 20; {
+		if time.Now().After(deadline) {
+			t.Fatalf("read loop settled at %d responses outstanding, want %d", outstanding(), maxPipeline)
+		}
+		time.Sleep(time.Millisecond)
+		switch out := outstanding(); {
+		case out > maxPipeline:
+			t.Fatalf("%d responses outstanding, want ≤ %d", out, maxPipeline)
+		case out == maxPipeline && c.stalled.Load():
+			stable++
+		default:
+			stable = 0
+		}
+	}
+
+	r := netproto.NewReader(cli)
+	var rep netproto.Reply
+	for i := int64(0); i < total; i++ {
+		if err := r.ReadReply(&rep); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if i%3 == 0 {
+			if rep.Kind != netproto.KindSimple || string(rep.Line) != "OK" {
+				t.Fatalf("reply %d: kind %q line %q, want +OK", i, rep.Kind, rep.Line)
+			}
+		} else if want := strconv.FormatInt(i%getKeys+1000, 10); rep.Kind != netproto.KindBulk || string(rep.Bulk) != want {
+			t.Fatalf("reply %d: kind %q bulk %q, want $%s: out of order", i, rep.Kind, rep.Bulk, want)
+		}
+		if out := outstanding(); out > maxPipeline {
+			t.Fatalf("%d responses outstanding after reply %d, want ≤ %d", out, i, maxPipeline)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < total; i += 3 {
+		if v, ok := s.DB().Get(1000 + i); !ok || v != i {
+			t.Fatalf("acknowledged SET %d not in the store: %d %v", 1000+i, v, ok)
+		}
+	}
+}
+
+// TestRingLateCompletion: a slot the combiner completes after the writer
+// has gone to sleep on it is still written — with the combiner's error
+// rewritten into the response — and the close marker ends the writer.
+func TestRingLateCompletion(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	c := (&Server{cfg: Config{MaxPipeline: 4}}).newConn(srv, 0)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		c.writeLoop()
+	}()
+	r := bufio.NewReader(cli)
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{{nil, "+OK\r\n"}, {errors.New("disk full"), "-ERR disk full\r\n"}, {nil, "+OK\r\n"}} {
+		sl := c.lease()
+		sl.kind = respOK
+		done := c.completion(sl)
+		deadline := time.Now().Add(10 * time.Second)
+		for sl.state.Load() != slotParked {
+			if time.Now().After(deadline) {
+				t.Fatal("the writer never parked on the incomplete slot")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		go done(tc.err) // the combiner's goroutine
+		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if got, err := r.ReadString('\n'); err != nil || got != tc.want {
+			t.Fatalf("reply %q (%v), want %q", got, err, tc.want)
+		}
+	}
+	c.closeRing()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer did not exit at the close marker")
+	}
 }
