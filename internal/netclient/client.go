@@ -11,6 +11,14 @@
 // shard batches as every other connection's, so per-op commit cost falls
 // as depth and connection count grow (cmd/netbench sweeps both).
 //
+// The client pays per burst, not per request.  Flush is a hand-off to the
+// outbox, a bounded double buffer that a flusher goroutine puts on the
+// wire one whole half per write(2): requests flushed while a write is in
+// flight share the next one.  The synchronous wrappers write from the
+// calling goroutine instead, since it is about to block on the reply.  A
+// request costs one 64-byte heap object, its Pending.  See DESIGN.md, "The
+// network coalescing path".
+//
 // The client is safe for concurrent use; requests from multiple goroutines
 // are serialized onto the wire in submission order.
 package netclient
@@ -271,13 +279,7 @@ type Client struct {
 
 type errorBox struct{ err error }
 
-// failErr returns the sticky transport error, or nil.
-func (c *Client) failErr() error {
-	if b := c.fail.Load(); b != nil {
-		return b.err
-	}
-	return nil
-}
+var closedBox = &errorBox{ErrClosed}
 
 // Dial connects with the given pipeline window: up to depth requests may
 // be outstanding before an async call implicitly flushes and blocks.
@@ -370,7 +372,7 @@ func (c *Client) enqueue(p *Pending) {
 func (c *Client) dead(p *Pending) bool {
 	fail := c.fail.Load()
 	if c.closed {
-		fail = &errorBox{ErrClosed}
+		fail = closedBox
 	}
 	if fail == nil {
 		return false
@@ -585,8 +587,8 @@ func (c *Client) handOff() error {
 	if c.closed {
 		return ErrClosed
 	}
-	if err := c.failErr(); err != nil {
-		return err
+	if b := c.fail.Load(); b != nil {
+		return b.err
 	}
 	return c.w.Flush()
 }
