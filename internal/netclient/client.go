@@ -12,22 +12,22 @@
 // as depth and connection count grow (cmd/netbench sweeps both).
 //
 // The client pays per burst, not per request.  Flush is a hand-off to the
-// outbox, a bounded double buffer that a flusher goroutine puts on the
-// wire one whole half per write(2): requests flushed while a write is in
-// flight share the next one.  The synchronous wrappers write from the
-// calling goroutine instead, since it is about to block on the reply.  A
-// request costs one 64-byte heap object, its Pending.  See DESIGN.md, "The
-// network coalescing path".
+// outbox, a bounded double buffer that a flusher goroutine, the socket's
+// only writer, puts on the wire one whole half per write(2): requests
+// flushed while a write is in flight share the next one.  The synchronous
+// wrappers are the async call, Flush and a wait.  A request costs one
+// 64-byte heap object, its Pending.  See DESIGN.md, "The network coalescing
+// path".
 //
 // The client is safe for concurrent use; requests from multiple goroutines
 // are serialized onto the wire in submission order.
 package netclient
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -38,11 +38,11 @@ import (
 var ErrClosed = errors.New("netclient: client closed")
 
 // Pending is one in-flight request's future reply, and the only heap
-// object a request usually costs (64 bytes).  A short payload — any decimal
-// int64, OK, PONG — is stored inline as its wire text and parsed when
-// asked for; only an array or a longer text takes a second object.  The
-// channel a waiter parks on is made only when a waiter arrives before the
-// reply.
+// object a request usually costs (64 bytes).  An integer reply is stored
+// inline as its eight bytes, a short text — a GET's decimal value, OK, PONG —
+// inline as it came off the wire and parsed when asked for; only an array
+// or a longer text takes a second object.  The channel a waiter parks on is
+// made only when a waiter arrives before the reply.
 type Pending struct {
 	mu   sync.Mutex    // guards wait against the reader's complete
 	wait chan struct{} // made by the first waiter that finds the reply missing
@@ -52,8 +52,8 @@ type Pending struct {
 	done  atomic.Bool // set, after every other field, by complete
 	kind  byte
 	null  bool
-	slen  uint8
-	small [25]byte
+	slen  uint8    // bytes of text in small
+	small [25]byte // a short text, or an integer reply in the first eight bytes
 }
 
 // bigReply is a reply's payload when it is an array or a text longer than
@@ -86,7 +86,7 @@ func (p *Pending) setReply(rep *netproto.Reply) {
 	p.kind = rep.Kind
 	switch rep.Kind {
 	case netproto.KindInt:
-		p.slen = uint8(len(strconv.AppendInt(p.small[:0], rep.Int, 10)))
+		binary.LittleEndian.PutUint64(p.small[:], uint64(rep.Int))
 	case netproto.KindSimple, netproto.KindError:
 		p.setText(rep.Line)
 	case netproto.KindBulk:
@@ -116,8 +116,12 @@ func (p *Pending) text() string {
 	return string(p.small[:p.slen])
 }
 
-// number parses the reply's payload as a decimal int64.
+// number returns an integer reply, or a text payload parsed as a decimal
+// int64.
 func (p *Pending) number() (int64, error) {
+	if p.kind == netproto.KindInt {
+		return int64(binary.LittleEndian.Uint64(p.small[:])), nil
+	}
 	if p.big != nil {
 		return netproto.ParseInt([]byte(p.big.text))
 	}
@@ -303,7 +307,7 @@ func NewClient(nc net.Conn, depth int) *Client {
 		queue:    make(chan *Pending, depth),
 		readDone: make(chan struct{}),
 	}
-	c.w = netproto.NewWriter(&c.out)
+	c.w = netproto.NewWriterSize(&c.out, encoderBuf)
 	c.out.start(nc, c.poison)
 	go c.readLoop()
 	return c
@@ -573,15 +577,6 @@ func (c *Client) StatsAsync() *Pending {
 // deadlock a quiet connection — the synchronous wrappers and window-full
 // sends flush for you.
 func (c *Client) Flush() error {
-	err := c.handOff()
-	if err == nil {
-		c.out.kick()
-	}
-	return err
-}
-
-// handOff moves the encoder's buffer into the outbox.
-func (c *Client) handOff() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -590,78 +585,73 @@ func (c *Client) handOff() error {
 	if b := c.fail.Load(); b != nil {
 		return b.err
 	}
-	return c.w.Flush()
-}
-
-// send is the synchronous wrappers' flush: their caller is about to block
-// on the reply, so it writes the outbox itself instead of paying a
-// goroutine hop.  Errors reach the caller through its Pending.
-func (c *Client) send() {
-	if c.handOff() == nil {
-		c.out.writeNow()
+	if err := c.w.Flush(); err != nil {
+		return err
 	}
+	c.out.kick()
+	return nil
 }
 
 // Set is the synchronous SET: flushes and waits.
 func (c *Client) Set(key, val int64) error {
 	p := c.SetAsync(key, val)
-	c.send()
+	c.Flush()
 	return p.Err()
 }
 
 // Del is the synchronous DEL.
 func (c *Client) Del(key int64) error {
 	p := c.DelAsync(key)
-	c.send()
+	c.Flush()
 	return p.Err()
 }
 
 // Get is the synchronous GET.
 func (c *Client) Get(key int64) (int64, bool, error) {
 	p := c.GetAsync(key)
-	c.send()
+	c.Flush()
 	return p.Value()
 }
 
 // Sum is the synchronous SUM over [lo, hi].
 func (c *Client) Sum(lo, hi int64) (int64, error) {
 	p := c.SumAsync(lo, hi)
-	c.send()
+	c.Flush()
 	return p.Int()
 }
 
 // Scan is the synchronous SCAN: up to n entries with keys ≥ lo.
 func (c *Client) Scan(lo int64, n int) ([]Entry, error) {
 	p := c.ScanAsync(lo, n)
-	c.send()
+	c.Flush()
 	return p.Entries()
 }
 
 // ScanChunk is the synchronous SCANC: one cursor page.
 func (c *Client) ScanChunk(lo int64, n int, excl bool) (ScanChunk, error) {
 	p := c.ScanChunkAsync(lo, n, excl)
-	c.send()
+	c.Flush()
 	return p.Chunk()
 }
 
 // Promote is the synchronous PROMOTE.
 func (c *Client) Promote() error {
 	p := c.PromoteAsync()
-	c.send()
+	c.Flush()
 	return p.Err()
 }
 
 // Len is the synchronous LEN.
 func (c *Client) Len() (int64, error) {
 	p := c.LenAsync()
-	c.send()
+	c.Flush()
 	return p.Int()
 }
 
 // MCAS is the synchronous multi-key compare-and-swap; true = swapped.
 func (c *Client) MCAS(keys, expects, news []int64) (bool, error) {
 	p := c.MCASAsync(keys, expects, news)
-	c.send()
+	c.Flush()
 	n, err := p.Int()
 	return n == 1, err
 }
@@ -669,14 +659,14 @@ func (c *Client) MCAS(keys, expects, news []int64) (bool, error) {
 // Ping is the synchronous PING.
 func (c *Client) Ping() error {
 	p := c.PingAsync()
-	c.send()
+	c.Flush()
 	return p.Err()
 }
 
 // Stats fetches the server's coalescing counters as "k=v ..." text.
 func (c *Client) Stats() (string, error) {
 	p := c.StatsAsync()
-	c.send()
+	c.Flush()
 	return p.Text()
 }
 

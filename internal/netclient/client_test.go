@@ -327,8 +327,8 @@ func TestStalledPeerBoundsBuffer(t *testing.T) {
 		}
 	}
 	frame := int64(len(getFrame(1e9)))
-	// The half in flight, the half filling, and the encoder's 64 KiB.
-	if limit := int64(2*outboxCap + 64<<10); n*frame > limit+frame {
+	// The half in flight, the half filling, and the encoder's own buffer.
+	if limit := int64(2*outboxCap + encoderBuf); n*frame > limit+frame {
 		t.Fatalf("%d bytes buffered against a stalled peer, want ≤ %d", n*frame, limit)
 	}
 	if n*frame < outboxCap {
@@ -440,6 +440,9 @@ func TestPendingPayloads(t *testing.T) {
 	}
 	if n, err := pend[3].Int(); err != nil || n != -42 {
 		t.Errorf("int reply: %d %v", n, err)
+	}
+	if s, err := pend[3].Text(); err != nil || s != "" {
+		t.Errorf("int reply read as text: %q %v", s, err)
 	}
 	for i, want := range map[int]string{4: "PONG", 5: long, 6: edge} {
 		if s, err := pend[i].Text(); err != nil || s != want {

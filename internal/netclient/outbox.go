@@ -10,22 +10,24 @@ import (
 // has stopped reading: the encoder blocks beyond it.
 const outboxCap = 64 << 10
 
+// encoderBuf is the size of the encoder's buffer in front of the outbox.
+// The outbox is what batches socket writes, so this one only has to hold a
+// typical frame between the encoder's byte-sized writes and outbox.Write.
+const encoderBuf = 4 << 10
+
 // outbox is the client→server half of the coalescing path: a double buffer
 // between the encoder and the socket.  Encoded bytes are appended to fill;
-// whoever writes swaps fill for the empty half and puts the whole of it on
-// the wire in one Write, so requests encoded while a Write is in flight
-// ride the next one.  The usual writer is the flusher goroutine (run); a
-// caller about to block on a reply may write itself (writeNow) when no
-// Write is in flight.  At most one Write is in flight, which keeps wire
-// order the order bytes entered fill.
+// the flusher goroutine (run), the socket's only writer, swaps fill for the
+// empty half and puts the whole of it on the wire in one Write, so requests
+// encoded while a Write is in flight ride the next one and wire order is
+// the order bytes entered fill.
 type outbox struct {
 	nc   net.Conn
 	fail func(error) // poisons the client on the first write error
 
 	mu      sync.Mutex
 	fill    []byte // handed off, not yet on the wire
-	spare   []byte // the empty half (nil while a Write holds it)
-	writing bool   // a Write is in flight
+	spare   []byte // the other half: empty, or on the wire right now
 	closing bool   // close was called: the flusher drains fill and exits
 	err     error  // first write error; sticky
 	work    sync.Cond
@@ -62,53 +64,30 @@ func (o *outbox) Write(p []byte) (int, error) {
 // busy it costs one atomic load.
 func (o *outbox) kick() { o.work.Signal() }
 
-// writeNow writes fill from the calling goroutine unless a Write is in
-// flight, in which case the bytes ride the next one.
-func (o *outbox) writeNow() {
-	o.mu.Lock()
-	if !o.writing && len(o.fill) > 0 && o.err == nil {
-		o.writeLocked()
-	}
-	if !o.writing && (len(o.fill) > 0 || o.closing) {
-		o.work.Signal() // what arrived meanwhile is the flusher's
-	}
-	o.mu.Unlock()
-}
-
-// writeLocked puts fill on the wire in one Write.  Called with mu held
-// and no Write in flight; mu is released for the Write itself.
-func (o *outbox) writeLocked() {
-	buf := o.fill
-	o.fill, o.spare = o.spare[:0], nil
-	o.writing = true
-	o.room.Broadcast() // fill is empty again
-	o.mu.Unlock()
-	_, err := o.nc.Write(buf)
-	o.mu.Lock()
-	o.writing = false
-	o.spare = buf[:0]
-	if err != nil && o.err == nil {
-		o.err = err
-		o.fail(err)
-		o.room.Broadcast() // blocked encoders fail instead of waiting
-	}
-}
-
-// run is the flusher: it writes whenever fill is non-empty and nobody else
-// is writing, until a write fails or close has been called and fill is
-// drained.
+// run is the flusher: it puts fill on the wire, one Write per swap, until
+// a Write fails or close has been called and fill is drained.
 func (o *outbox) run() {
 	defer close(o.done)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for o.err == nil {
-		switch {
-		case !o.writing && len(o.fill) > 0:
-			o.writeLocked()
-		case !o.writing && o.closing:
-			return
-		default:
+		if len(o.fill) == 0 {
+			if o.closing {
+				return
+			}
 			o.work.Wait()
+			continue
+		}
+		buf := o.fill
+		o.fill, o.spare = o.spare[:0], buf
+		o.room.Broadcast() // fill is empty again
+		o.mu.Unlock()
+		_, err := o.nc.Write(buf)
+		o.mu.Lock()
+		if err != nil {
+			o.err = err
+			o.fail(err)
+			o.room.Broadcast() // blocked encoders fail instead of waiting
 		}
 	}
 }

@@ -332,9 +332,14 @@ type Writer struct {
 	num [24]byte // scratch for decimal lengths and integers
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 64<<10)}
+// NewWriter wraps w behind a 64 KiB buffer, enough to batch a pipelined
+// burst into few socket writes.
+func NewWriter(w io.Writer) *Writer { return NewWriterSize(w, 64<<10) }
+
+// NewWriterSize wraps w behind a buffer of the given size, for a w that
+// does its own batching.
+func NewWriterSize(w io.Writer, size int) *Writer {
+	return &Writer{bw: bufio.NewWriterSize(w, size)}
 }
 
 func (w *Writer) line(kind byte, body []byte) {
