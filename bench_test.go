@@ -123,11 +123,9 @@ func BenchmarkFigure7ShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDBGet compares the two pid-free point-read paths on one map:
-// "lease" acquires and releases a pid from the PidPool per op (two mutex
-// hits — the pre-cache DB path), "cached" reuses a parked lease from the
-// lock-free free list (Map.WithCached — what shard.Map and DB point ops
-// use now), one CAS at each end and zero allocations on reuse.
+// BenchmarkDBGet prices the pid-free point read on one map: a scoped lease
+// (Map.With — what shard.Map and DB point ops use) is one CAS at each end
+// of the transaction and allocates nothing.
 func BenchmarkDBGet(b *testing.B) {
 	ops := NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 0)
 	initial := make([]Entry[uint64, uint64], 100_000)
@@ -141,21 +139,14 @@ func BenchmarkDBGet(b *testing.B) {
 	get := func(h *Handle[uint64, uint64, struct{}], k uint64) {
 		h.Read(func(s Snapshot[uint64, uint64, struct{}]) { s.Get(k) })
 	}
-	b.Run("lease", func(b *testing.B) {
+	b.Run("with", func(b *testing.B) {
 		rng := ycsb.NewSplitMix64(10)
 		for i := 0; i < b.N; i++ {
 			k := rng.Next() % 100_000
 			m.With(func(h *Handle[uint64, uint64, struct{}]) { get(h, k) })
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
-		rng := ycsb.NewSplitMix64(10)
-		for i := 0; i < b.N; i++ {
-			k := rng.Next() % 100_000
-			m.WithCached(func(h *Handle[uint64, uint64, struct{}]) { get(h, k) })
-		}
-	})
-	b.Run("lease-parallel", func(b *testing.B) {
+	b.Run("with-parallel", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			rng := ycsb.NewSplitMix64(11)
 			for pb.Next() {
@@ -164,22 +155,12 @@ func BenchmarkDBGet(b *testing.B) {
 			}
 		})
 	})
-	b.Run("cached-parallel", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			rng := ycsb.NewSplitMix64(11)
-			for pb.Next() {
-				k := rng.Next() % 100_000
-				m.WithCached(func(h *Handle[uint64, uint64, struct{}]) { get(h, k) })
-			}
-		})
-	})
 	b.StopTimer()
 	m.Close()
 }
 
 // BenchmarkDBPointOps measures the pid-free front door end to end: point
-// ops lease through each shard's per-P handle cache (core.Map.WithCached),
-// so this quantifies what a goroutine-per-request server sees.
+// ops lease a pid per transaction (core.Map.With), so this quantifies what a goroutine-per-request server sees.
 func BenchmarkDBPointOps(b *testing.B) {
 	initial := make([]Entry[uint64, uint64], 100_000)
 	for i := range initial {

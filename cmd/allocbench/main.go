@@ -9,7 +9,7 @@
 //
 //	point-update   one overwriting Insert per op on a leased core handle,
 //	               tree size steady — warm magazines make this 0 B/op
-//	point-update-db the same through the sharded DB front door (WithCached)
+//	point-update-db the same through the sharded DB front door (Map.With)
 //	batch-commit   one combining-writer commit of an n-entry batch per op
 //	scan-warm      one 100-entry cross-shard merged scan per op on a pinned
 //	               snapshot, results appended into a reused buffer — pooled
@@ -132,7 +132,7 @@ func benchPointUpdate(records uint64, procs int, noRecycle bool) testing.Benchma
 }
 
 // benchPointUpdateDB measures the same write through the pid-free sharded
-// front door: hash the key, take a cached lease, commit.
+// front door: hash the key, lease a pid, commit.
 func benchPointUpdateDB(records uint64, shards, procs int, noRecycle bool) testing.BenchmarkResult {
 	db, err := openDB(records, shards, procs, noRecycle)
 	if err != nil {

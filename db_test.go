@@ -402,10 +402,10 @@ func TestAutoHashCmpUnsupported(t *testing.T) {
 	db.Close()
 }
 
-// TestDBPointOpContention hammers the cached-handle fast path the way a
+// TestDBPointOpContention hammers the point-op lease path the way a
 // goroutine-per-request server would: GOMAXPROCS×4 goroutines of mixed
 // point ops per shard count.  The no-double-lease property itself is
-// asserted at the core layer (TestWithCachedNoDoubleLease); here the
+// asserted at the core layer (TestLeaseExclusive); here the
 // observable contract is checked end to end — every committed write is
 // readable and per-shard precise GC reports zero leaks — under -race.
 func TestDBPointOpContention(t *testing.T) {

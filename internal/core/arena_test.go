@@ -90,7 +90,7 @@ func TestArenaLiveExactAtQuiescence(t *testing.T) {
 	}
 }
 
-// TestArenaConcurrentHandles runs leased and cached handles from many
+// TestArenaConcurrentHandles runs scoped and held handles from many
 // goroutines under -race: pid exclusivity must keep every arena
 // single-owner (the race detector sees any violation), and accounting must
 // come back to zero.
@@ -105,9 +105,9 @@ func TestArenaConcurrentHandles(t *testing.T) {
 			for i := int64(0); i < 500; i++ {
 				k := int64(w)*100 + i%97
 				if w%2 == 0 {
-					m.WithCached(func(h *Handle[int64, int64, int64]) {
-						h.Update(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, i) })
-					})
+					h := m.Handle()
+					h.Update(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, i) })
+					h.Close()
 				} else {
 					m.With(func(h *Handle[int64, int64, int64]) {
 						h.Update(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, i) })

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file is the goroutine-facing face of the map: the Version
 // Maintenance contract wants a fixed set of P processes, each calling
@@ -9,101 +12,106 @@ import "sync"
 // hold the request.  A Handle bridges the two worlds: it owns a leased pid
 // and forwards transactions to it, so user code never sees a pid at all.
 //
-// A Map may be driven either through handles (leased from the map's
-// internal pool) or through the raw pid-indexed methods (the seed's
-// contract, where the caller statically assigns pids 0..P-1).  The two
-// styles must not be mixed on one Map: the pool hands out the full pid
-// space, so a raw pid may collide with a leased one.  Code that needs a
-// long-lived dedicated pid (a combining writer, a benchmark worker) should
-// hold a Handle for its lifetime instead of hard-coding a pid.
+// There is one lease over all P pids and one way through it: acquire pops a
+// pid, release pushes it back.  Map.With is the scoped pair around a
+// callback — what every point operation and commit uses — and
+// Map.Handle/Handle.Close the unscoped pair for a worker that wants to keep
+// one pid for a while (an experiment harness thread, a benchmark worker).
+// Holding a pid is admission: at most P transactions run at once, and a
+// long-lived Handle simply keeps one pid out of circulation.
 //
-// Short point operations should prefer WithCached (cache.go), which reuses
-// leases through a lock-free cache instead of paying the pool's two mutex
-// acquisitions on every transaction.
+// A Map may be driven either through handles or through the raw
+// pid-indexed methods (the seed's contract, where the caller statically
+// assigns pids 0..P-1).  The two styles must not be mixed on one Map: the
+// lease hands out the full pid space, so a raw pid may collide with a
+// leased one.
 
-// PidPool leases process identifiers to short-lived workers.  The Version
-// Maintenance contract requires that a given process id is never used
-// concurrently; long-lived workers can simply own an id, but servers that
-// spawn a goroutine per request need to multiplex many goroutines over P
-// ids.  Acquire blocks while all ids are leased, which doubles as
-// admission control: at most P transactions run at once.
-type PidPool struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	free []int
+// lease is the free list of pids: an intrusive stack over the process
+// records themselves (proc.next links free pids), so leasing allocates
+// nothing and costs one CAS at each end.  head packs the top of the stack
+// into one CAS-able word: the low 32 bits hold pid+1 (0 = every pid is
+// leased), the high 32 bits a version counter bumped by every successful
+// push and pop, so a stale CAS can never succeed (no ABA).
+//
+// An empty stack is the only slow path.  A goroutine that finds it empty
+// registers in waiters (under mu), re-tries the pop, and only then sleeps
+// on wake; a release that sees waiters != 0 after its push signals under
+// mu.  Either the releaser's load sees the registration and signals — and
+// mu orders that signal after the waiter is parked — or the registration
+// came after the load and the waiter's re-try sees the pushed pid: no lost
+// wake-up, and nobody polls.
+type lease struct {
+	head    atomic.Uint64
+	waiters atomic.Int32
+	mu      sync.Mutex
+	wake    sync.Cond // L is &mu; set by NewMap
 }
 
-// NewPidPool returns a pool over ids lo..hi-1.
-func NewPidPool(lo, hi int) *PidPool {
-	p := &PidPool{}
-	p.cond = sync.NewCond(&p.mu)
-	for id := hi - 1; id >= lo; id-- {
-		p.free = append(p.free, id)
+// acquire leases a pid, sleeping while all P are leased.
+func (m *Map[K, V, A]) acquire() int {
+	l := &m.free
+	registered := false
+	for {
+		h := l.head.Load()
+		top := uint32(h)
+		if top != 0 {
+			// next is written only by the pusher that owned top; a racing
+			// pop may read a stale link but its CAS then fails on the
+			// version.
+			below := uint32(m.procs[top-1].next.Load())
+			if !l.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(below)) {
+				continue
+			}
+			if registered {
+				l.waiters.Add(-1)
+				l.mu.Unlock()
+			}
+			return int(top - 1)
+		}
+		if registered {
+			l.wake.Wait()
+			continue
+		}
+		l.mu.Lock()
+		l.waiters.Add(1)
+		registered = true
 	}
-	return p
 }
 
-// Acquire leases an id, blocking until one is available.
-func (p *PidPool) Acquire() int {
-	p.mu.Lock()
-	for len(p.free) == 0 {
-		p.cond.Wait()
+// release returns a leased pid and wakes one sleeper if there is any.
+func (m *Map[K, V, A]) release(pid int) {
+	l := &m.free
+	for {
+		h := l.head.Load()
+		m.procs[pid].next.Store(int32(uint32(h)))
+		if l.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(pid+1)) {
+			break
+		}
 	}
-	id := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.mu.Unlock()
-	return id
-}
-
-// TryAcquire leases an id without blocking; ok is false when all ids are
-// in use.
-func (p *PidPool) TryAcquire() (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) == 0 {
-		return 0, false
+	if l.waiters.Load() != 0 {
+		l.mu.Lock()
+		l.wake.Signal()
+		l.mu.Unlock()
 	}
-	id := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return id, true
-}
-
-// Release returns a leased id to the pool.
-func (p *PidPool) Release(id int) {
-	p.mu.Lock()
-	p.free = append(p.free, id)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// Do runs f with a leased id, releasing it afterwards.
-func (p *PidPool) Do(f func(pid int)) {
-	id := p.Acquire()
-	defer p.Release(id)
-	f(id)
 }
 
 // Handle is a leased process identity on a Map.  It may migrate between
 // goroutines, but its methods must never run concurrently — exactly the
 // Version Maintenance contract, enforced by lease exclusivity rather than
-// by caller discipline.  Close returns the pid to the map's pool.
+// by caller discipline.
 //
-// A handle owns its pid's node arena (ftree.Arena) for the duration of the
-// lease: transactions run on an Ops view bound to it, so the write path
-// allocates and collects through a single-owner magazine with no locks.
-// The arena belongs to the pid, not the handle struct — release a pid and
-// re-lease it and the magazine is still warm — which is also what makes
-// the preallocated WithCached handles (pid-affine by construction) hit the
-// same fast path with zero extra plumbing.
+// A handle owns its pid's process record for the duration of the lease:
+// transactions run on an Ops view bound to the pid's node arena
+// (ftree.Arena), so the write path allocates and collects through a
+// single-owner magazine with no locks.  The record belongs to the pid, not
+// the handle struct — release a pid and re-lease it and the magazine is
+// still warm.
 type Handle[K, V, A any] struct {
 	m   *Map[K, V, A]
 	pid int
-	// cached marks the preallocated handles WithCached hands out: their
-	// Close only records the intent, and WithCached's epilogue performs
-	// the actual pool release.  Releasing inside Close would let another
-	// goroutine re-lease the pid — and recycle this very struct — while
-	// the epilogue still reads closed (a double-lease race).
-	cached bool
+	// scoped marks the per-pid handles With lends out: With's return is
+	// their release, so Close on one is a no-op.
+	scoped bool
 	closed bool
 }
 
@@ -111,40 +119,28 @@ type Handle[K, V, A any] struct {
 // (admission control: at most P transactions run at once).  The caller
 // must Close it.
 func (m *Map[K, V, A]) Handle() *Handle[K, V, A] {
-	return &Handle[K, V, A]{m: m, pid: m.pool.Acquire()}
+	return &Handle[K, V, A]{m: m, pid: m.acquire()}
 }
 
-// TryHandle leases a process identity without blocking; ok is false when
-// all P are in use.
-func (m *Map[K, V, A]) TryHandle() (*Handle[K, V, A], bool) {
-	pid, ok := m.pool.TryAcquire()
-	if !ok {
-		return nil, false
-	}
-	return &Handle[K, V, A]{m: m, pid: pid}, true
-}
-
-// With runs f with a leased handle, closing it afterwards.  It is the
-// scoped form of Handle/Close for short transactions.
+// With runs f with a leased handle and releases the lease when f returns —
+// the form every short transaction takes.  Like Handle it blocks while all
+// P pids are in use.  The handle is the pid's own preallocated one, so a
+// warm With allocates nothing; it is valid only within f.
 func (m *Map[K, V, A]) With(f func(h *Handle[K, V, A])) {
-	h := m.Handle()
-	defer h.Close()
-	f(h)
+	pid := m.acquire()
+	defer m.release(pid)
+	f(&m.procs[pid].handle)
 }
 
-// Close returns the leased pid to the pool.  The handle must not be used
-// afterwards; Close is idempotent.  For a cached handle (inside a
-// WithCached callback) the release is deferred to WithCached's epilogue;
-// see the cached field.
+// Close returns the leased pid.  The handle must not be used afterwards;
+// Close is idempotent, and a no-op on the handle With passes its callback
+// (With releases that lease itself, exactly once).
 func (h *Handle[K, V, A]) Close() {
-	if h.closed {
+	if h.scoped || h.closed {
 		return
 	}
 	h.closed = true
-	if h.cached {
-		return
-	}
-	h.m.pool.Release(h.pid)
+	h.m.release(h.pid)
 }
 
 // Pid exposes the leased pid for integration with pid-indexed code (e.g.
@@ -177,17 +173,17 @@ func (h *Handle[K, V, A]) TryUpdate(f func(t *Txn[K, V, A])) bool { return h.m.T
 // through this handle, or 0 when that commit was a no-op (nothing
 // published — e.g. a delete of an absent key).  Valid until the next
 // transaction on the handle; the WAL layer keys redo records with it.
-func (h *Handle[K, V, A]) LastStamp() uint64 { return h.m.lastStamps[h.pid] }
+func (h *Handle[K, V, A]) LastStamp() uint64 { return h.m.procs[h.pid].lastStamp }
 
 // ReserveNodes pre-fills the leased pid's arena so the next n node
 // allocations are magazine hits: block transfers from the global free
 // lists, plus at most one contiguous chunk carve.  A combining writer
 // calls this with its gathered batch size before committing, bounding the
 // batch's shared-list traffic at O(n/M) lock acquisitions.
-func (h *Handle[K, V, A]) ReserveNodes(n int) { h.m.pops[h.pid].Reserve(n) }
+func (h *Handle[K, V, A]) ReserveNodes(n int) { h.m.procs[h.pid].ops.Reserve(n) }
 
 // ArenaStats exposes the leased pid's arena counters (refills, spills,
 // chunk carves) for tests and tuning; call only while holding the lease.
 func (h *Handle[K, V, A]) ArenaStats() (refills, spills, carves int64) {
-	return h.m.arenas[h.pid].Stats()
+	return h.m.procs[h.pid].arena.Stats()
 }

@@ -2,126 +2,10 @@ package core
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mvgc/internal/ftree"
 )
-
-// TestHandleNoConcurrentLease: many goroutines churn handles on a small
-// map; a pid must never be leased by two handles at once.  Run with -race
-// to catch unsynchronized hand-offs.
-func TestHandleNoConcurrentLease(t *testing.T) {
-	const procs, workers, iters = 4, 32, 2000
-	ops := ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
-	m, err := NewMap(Config{Procs: procs}, ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inUse := make([]atomic.Bool, procs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				m.With(func(h *Handle[int64, int64, int64]) {
-					if !inUse[h.Pid()].CompareAndSwap(false, true) {
-						t.Errorf("pid %d leased twice concurrently", h.Pid())
-					}
-					h.Update(func(tx *Txn[int64, int64, int64]) {
-						tx.Insert(int64(w), int64(i))
-					})
-					if !inUse[h.Pid()].CompareAndSwap(true, false) {
-						t.Errorf("pid %d released while not marked leased", h.Pid())
-					}
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.Close()
-	if live := ops.Live(); live != 0 {
-		t.Fatalf("leaked %d nodes", live)
-	}
-}
-
-// TestHandleAcquireMakesProgress: with P=1 every transaction serializes
-// through one pid; all blocked Acquires must still complete (admission
-// control admits them one at a time, no lost wakeups).
-func TestHandleAcquireMakesProgress(t *testing.T) {
-	const workers, iters = 16, 500
-	ops := ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
-	m, err := NewMap(Config{Procs: 1}, ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				h := m.Handle() // blocks while the sole pid is leased
-				h.Update(func(tx *Txn[int64, int64, int64]) {
-					tx.InsertWith(0, 1, func(old, new int64) int64 { return old + new })
-				})
-				h.Close()
-				done.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := done.Load(); got != workers*iters {
-		t.Fatalf("only %d of %d acquisitions completed", got, workers*iters)
-	}
-	var total int64
-	m.With(func(h *Handle[int64, int64, int64]) {
-		h.Read(func(s Snapshot[int64, int64, int64]) { total, _ = s.Get(0) })
-	})
-	if total != workers*iters {
-		t.Fatalf("counter = %d, want %d (lost update through handle churn)", total, workers*iters)
-	}
-	m.Close()
-	if live := ops.Live(); live != 0 {
-		t.Fatalf("leaked %d nodes", live)
-	}
-}
-
-// TestTryHandleExhaustion: TryHandle must fail exactly when all P pids are
-// leased and succeed again after a release; Close is idempotent.
-func TestTryHandleExhaustion(t *testing.T) {
-	ops := ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
-	m, err := NewMap(Config{Procs: 2}, ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, ok1 := m.TryHandle()
-	h2, ok2 := m.TryHandle()
-	if !ok1 || !ok2 {
-		t.Fatal("TryHandle failed with pids available")
-	}
-	if h1.Pid() == h2.Pid() {
-		t.Fatalf("both handles leased pid %d", h1.Pid())
-	}
-	if _, ok := m.TryHandle(); ok {
-		t.Fatal("TryHandle succeeded with all pids leased")
-	}
-	h1.Close()
-	h1.Close() // idempotent: must not double-free the pid
-	h3, ok := m.TryHandle()
-	if !ok {
-		t.Fatal("TryHandle failed after a release")
-	}
-	if _, ok := m.TryHandle(); ok {
-		t.Fatal("idempotent Close returned the pid twice")
-	}
-	h3.Close()
-	h2.Close()
-	m.Close()
-}
 
 // TestNewMapErrorReporting: the resolved algorithm name appears in the
 // unknown-algorithm error (not the raw, possibly empty, config string) and

@@ -142,7 +142,7 @@ func Backoff(i int) {
 // check per commit.
 func (m *Map[K, V, A]) EnableKeyVersions(hash func(K) uint64, stripes int) {
 	if stripes <= 0 {
-		stripes = 128 * m.procs
+		stripes = 128 * len(m.procs)
 		if stripes < 256 {
 			stripes = 256
 		}

@@ -27,14 +27,14 @@ import (
 // identifier pid ∈ [0, P); a given pid must not be used concurrently,
 // matching the Version Maintenance contract.  Goroutine-oriented callers
 // should not manage pids by hand: lease a Handle (see handle.go) and let
-// the map's pool enforce the contract.
+// the map's lease enforce the contract.
 type Map[K, V, A any] struct {
-	ops      *ftree.Ops[K, V, A]
-	m        vm.Maintainer[ftree.Node[K, V, A]]
-	procs    int
-	pool     *PidPool
-	cache    handleCache       // cached leases for point ops (see cache.go)
-	chandles []Handle[K, V, A] // preallocated per-pid handles for WithCached
+	ops *ftree.Ops[K, V, A]
+	m   vm.Maintainer[ftree.Node[K, V, A]]
+	// procs[p] is everything process p owns (see proc); free is the lease
+	// that hands the P records out one holder at a time (handle.go).
+	procs []proc[K, V, A]
+	free  lease
 
 	// Global-commit-sequence state (see stamp.go): stampSrc is the counter
 	// commits draw their GSN from (shared across sibling shards when
@@ -46,11 +46,6 @@ type Map[K, V, A any] struct {
 	latestStamp atomic.Uint64
 	installSeq  atomic.Uint64
 	slotMu      sync.Mutex
-	// lastStamps[p] is the GSN of pid p's most recent stamped commit, 0
-	// when that commit was a no-op (pid exclusivity makes the plain slice
-	// safe).  Read back via Handle.LastStamp by callers that need their
-	// own commit's GSN, e.g. to key a WAL record.
-	lastStamps []uint64
 
 	// Per-key version state (see keyver.go): kvtab is the striped table of
 	// (in-flight, completed-writes) seqlock words commits bracket their Set
@@ -60,19 +55,6 @@ type Map[K, V, A any] struct {
 	kvmask uint64
 	kvhash func(K) uint64
 
-	// Per-pid allocation state: pid p's transactions run on pops[p], an
-	// Ops view bound to arenas[p] — a pid-local node magazine (see
-	// ftree.Arena) — so the path-copying write path allocates and collects
-	// with no locks.  txns[p] and rbufs[p] are pid p's reusable write
-	// transaction and Release collect buffer, which together with the
-	// arena make a warm point update allocate nothing from the Go heap.
-	// Pid exclusivity (one leaseholder at a time, never concurrent) is
-	// exactly the single-owner discipline all four need.
-	arenas []*ftree.Arena[K, V, A]
-	pops   []*ftree.Ops[K, V, A]
-	txns   []Txn[K, V, A]
-	rbufs  [][]*ftree.Node[K, V, A]
-
 	// TrackVersions enables sampling of the version count at the start of
 	// every write transaction (the Table 2 / Figure 6 metric).
 	TrackVersions bool
@@ -81,6 +63,31 @@ type Map[K, V, A any] struct {
 	commits atomic.Int64
 	aborts  atomic.Int64
 	closed  atomic.Bool
+}
+
+// proc is the state one process owns.  Pid exclusivity (one leaseholder at
+// a time, never concurrent) is exactly the single-owner discipline every
+// field needs, so none of it is synchronized except the free-list link.
+type proc[K, V, A any] struct {
+	// The pid's transactions run on ops, an Ops view bound to arena — a
+	// pid-local node magazine (see ftree.Arena) — so the path-copying
+	// write path allocates and collects with no locks.  txn and rbuf are
+	// the reusable write transaction and Release collect buffer, which
+	// together with the arena make a warm point update allocate nothing
+	// from the Go heap.
+	arena *ftree.Arena[K, V, A]
+	ops   *ftree.Ops[K, V, A]
+	txn   Txn[K, V, A]
+	rbuf  []*ftree.Node[K, V, A]
+	// lastStamp is the GSN of the pid's most recent stamped commit, 0 when
+	// that commit was a no-op.  Read back via Handle.LastStamp by callers
+	// that need their own commit's GSN, e.g. to key a WAL record.
+	lastStamp uint64
+	// handle is what Map.With lends out, so a scoped lease allocates
+	// nothing; next links the pid into the lease's free stack.
+	handle Handle[K, V, A]
+	next   atomic.Int32
+	_      [64]byte // keeps neighbouring pids' records off one cache line
 }
 
 // Config selects the Version Maintenance algorithm and process count.
@@ -128,26 +135,19 @@ func NewMap[K, V, A any](cfg Config, ops *ftree.Ops[K, V, A], initial []ftree.En
 		ops.Release(root)
 		return nil, fmt.Errorf("core: unknown version-maintenance algorithm %q (want one of %v)", alg, vm.Names())
 	}
-	mp := &Map[K, V, A]{ops: ops, m: m, procs: cfg.Procs, pool: NewPidPool(0, cfg.Procs)}
+	mp := &Map[K, V, A]{ops: ops, m: m, procs: make([]proc[K, V, A], cfg.Procs)}
 	mp.stampSrc = cfg.Stamp
 	if mp.stampSrc == nil {
 		mp.stampSrc = new(atomic.Uint64)
 	}
-	mp.cache.max = int64(cfg.Procs - 1) // keep one pid on the blocking path
-	mp.cache.next = make([]atomic.Int32, cfg.Procs)
-	mp.chandles = make([]Handle[K, V, A], cfg.Procs)
-	for pid := range mp.chandles {
-		mp.chandles[pid] = Handle[K, V, A]{m: mp, pid: pid, cached: true}
-	}
-	mp.arenas = make([]*ftree.Arena[K, V, A], cfg.Procs)
-	mp.pops = make([]*ftree.Ops[K, V, A], cfg.Procs)
-	mp.txns = make([]Txn[K, V, A], cfg.Procs)
-	mp.rbufs = make([][]*ftree.Node[K, V, A], cfg.Procs)
-	mp.lastStamps = make([]uint64, cfg.Procs)
-	for pid := 0; pid < cfg.Procs; pid++ {
-		mp.arenas[pid] = ops.NewArena()
-		mp.pops[pid] = ops.Bound(mp.arenas[pid])
-		mp.rbufs[pid] = make([]*ftree.Node[K, V, A], 0, 4)
+	mp.free.wake.L = &mp.free.mu
+	for pid := cfg.Procs - 1; pid >= 0; pid-- {
+		p := &mp.procs[pid]
+		p.arena = ops.NewArena()
+		p.ops = ops.Bound(p.arena)
+		p.rbuf = make([]*ftree.Node[K, V, A], 0, 4)
+		p.handle = Handle[K, V, A]{m: mp, pid: pid, scoped: true}
+		mp.release(pid) // pid 0 ends up on top of the free stack
 	}
 	return mp, nil
 }
@@ -156,7 +156,7 @@ func NewMap[K, V, A any](cfg Config, ops *ftree.Ops[K, V, A], initial []ftree.En
 func (m *Map[K, V, A]) Ops() *ftree.Ops[K, V, A] { return m.ops }
 
 // Procs returns the process count P.
-func (m *Map[K, V, A]) Procs() int { return m.procs }
+func (m *Map[K, V, A]) Procs() int { return len(m.procs) }
 
 // Algorithm returns the Version Maintenance algorithm in use.
 func (m *Map[K, V, A]) Algorithm() string { return m.m.Name() }
@@ -184,19 +184,19 @@ func (m *Map[K, V, A]) ResetMaxVersions() { m.maxVersions.Store(0) }
 // appends into pid's reusable buffer, so a steady-state cleanup phase
 // allocates nothing.
 func (m *Map[K, V, A]) collect(pid int) {
-	buf := m.m.ReleaseInto(pid, m.rbufs[pid][:0])
-	po := m.pops[pid]
+	p := &m.procs[pid]
+	buf := m.m.ReleaseInto(pid, p.rbuf[:0])
 	for _, r := range buf {
-		po.Release(r)
+		p.ops.Release(r)
 	}
-	m.rbufs[pid] = buf[:0]
+	p.rbuf = buf[:0]
 }
 
 // Read runs a read-only transaction on process pid (Figure 1, left).  The
 // snapshot passed to f is immutable and valid only within f.
 func (m *Map[K, V, A]) Read(pid int, f func(s Snapshot[K, V, A])) {
 	root := m.m.Acquire(pid)
-	f(Snapshot[K, V, A]{ops: m.pops[pid], root: root})
+	f(Snapshot[K, V, A]{ops: m.procs[pid].ops, root: root})
 	// Response point: the transaction's result is complete here; what
 	// follows is the cleanup phase.
 	m.collect(pid)
@@ -415,14 +415,15 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 		}
 	}
 	root := m.m.Acquire(pid)
-	po := m.pops[pid]
+	p := &m.procs[pid]
+	po := p.ops
 	// Zero pid's stamp record up front so a no-op (or aborted, or
 	// unstamped) transaction never leaves a stale GSN for LastStamp.
-	m.lastStamps[pid] = 0
+	p.lastStamp = 0
 	// The transaction struct is pid-local and reused across transactions
 	// (pid exclusivity makes that safe), so a warm write allocates only
 	// tree nodes — which come from pid's arena.
-	tx := &m.txns[pid]
+	tx := &p.txn
 	*tx = Txn[K, V, A]{ops: po, m: m, base: root, cur: root, kstripes: tx.kstripes[:0]}
 	f(tx)
 	if !tx.dirty || tx.cur == root {
@@ -472,7 +473,7 @@ func (m *Map[K, V, A]) Close() {
 	for _, r := range m.m.Drain() {
 		m.ops.Release(r)
 	}
-	for _, a := range m.arenas {
-		a.Flush()
+	for pid := range m.procs {
+		m.procs[pid].arena.Flush()
 	}
 }

@@ -15,9 +15,9 @@ package core
 //   - The stamp itself: tryUpdate calls stamp() right after a successful
 //     Set — one atomic Add on the (possibly shared) counter plus one
 //     CAS-max on the map's latestStamp word.  No lock, no allocation, so
-//     the cached-handle point-op path is unchanged apart from those two
-//     RMWs.  Stamps are allocated *after* the Set is visible, which is what
-//     makes the reader protocol below sound: if a reader observed
+//     the point-op path is unchanged apart from those two RMWs.  Stamps
+//     are allocated *after* the Set is visible, which is what makes the
+//     reader protocol below sound: if a reader observed
 //     LatestStamp() >= g before pinning a version, then commit g's root (and
 //     those of every smaller stamp on this map) is contained in the pinned
 //     version — a stamp can never lead its own visibility.
@@ -32,18 +32,12 @@ package core
 //   - The writer slot (slotMu): a per-map mutex serializing atomic
 //     installers (and the batch combiner's commits, which take it briefly so
 //     a multi-shard install never has to chase a firehose of batch commits).
-//     Plain transactions never touch it: Read/Update/WithCached stay
-//     mutex-free.  Deadlock-freedom: multi-map operations acquire slots in
-//     ascending shard order (ordered resource acquisition), and the
-//     slot/pid interaction cannot cycle because pids are fungible — a slot
-//     holder waiting for a pid waits for *any* pid, never a specific one.
-//     The only pid holder that blocks on a slot is the combiner (one
-//     long-lived leased pid per batched map), and it can never be the last
-//     pid standing: WithCached caps cached leases at Procs-1 and polls
-//     rather than sleeping, so every other pid on the map is held only by
-//     transactions that complete without touching slots and then free it.
-//     (This does assume Procs >= 2 on a batched map — with Procs == 1 the
-//     combiner's lease is the whole pid space, with or without slots.)
+//     Plain transactions never touch it: Read/Update/With stay mutex-free.
+//     Deadlock-freedom: multi-map operations acquire slots in ascending
+//     shard order (ordered resource acquisition), and a slot is always
+//     taken before the pid it commits under, never after — no pid holder
+//     waits for a slot, so a slot holder waiting for a pid waits only for
+//     transactions that complete on their own and then free it.
 
 import "sync/atomic"
 
@@ -80,7 +74,7 @@ func (m *Map[K, V, A]) BumpStamp(g uint64) {
 func (m *Map[K, V, A]) stamp(pid int) {
 	g := m.stampSrc.Add(1)
 	m.BumpStamp(g)
-	m.lastStamps[pid] = g
+	m.procs[pid].lastStamp = g
 }
 
 // LockWriterSlot acquires the map's writer slot — the mutual exclusion

@@ -26,7 +26,7 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 	if g := m.LatestStamp(); g != 0 {
 		t.Fatalf("fresh map LatestStamp = %d, want 0", g)
 	}
-	m.WithCached(func(h *Handle[int64, int64, struct{}]) {
+	m.With(func(h *Handle[int64, int64, struct{}]) {
 		h.Read(func(s Snapshot[int64, int64, struct{}]) {})
 		h.Update(func(tx *Txn[int64, int64, struct{}]) {}) // no-op: nothing published
 	})
@@ -34,7 +34,7 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		t.Fatalf("LatestStamp after read + no-op write = %d, want 0", g)
 	}
 	for i := int64(1); i <= 5; i++ {
-		m.WithCached(func(h *Handle[int64, int64, struct{}]) {
+		m.With(func(h *Handle[int64, int64, struct{}]) {
 			h.Update(func(tx *Txn[int64, int64, struct{}]) { tx.Insert(i, i) })
 		})
 		if g := m.LatestStamp(); g != uint64(i) {
@@ -67,7 +67,7 @@ func TestStampSharedSource(t *testing.T) {
 			}
 			for i := 0; i < per; i++ {
 				k := int64(w*per + i)
-				m.WithCached(func(h *Handle[int64, int64, struct{}]) {
+				m.With(func(h *Handle[int64, int64, struct{}]) {
 					h.Update(func(tx *Txn[int64, int64, struct{}]) { tx.Insert(k, k) })
 				})
 			}
@@ -88,7 +88,7 @@ func TestStampSharedSource(t *testing.T) {
 func TestUnstampedInstallProtocol(t *testing.T) {
 	m := newStampMap(t, nil, 2)
 	defer m.Close()
-	m.WithCached(func(h *Handle[int64, int64, struct{}]) {
+	m.With(func(h *Handle[int64, int64, struct{}]) {
 		h.Update(func(tx *Txn[int64, int64, struct{}]) { tx.Insert(1, 1) })
 	})
 	base := m.LatestStamp()
@@ -100,7 +100,7 @@ func TestUnstampedInstallProtocol(t *testing.T) {
 	if q := m.InstallSeq(); q&1 != 1 {
 		t.Fatalf("InstallSeq during install = %d, want odd", q)
 	}
-	m.WithCached(func(h *Handle[int64, int64, struct{}]) {
+	m.With(func(h *Handle[int64, int64, struct{}]) {
 		h.UpdateUnstamped(func(tx *Txn[int64, int64, struct{}]) { tx.Insert(2, 2) })
 	})
 	if g := m.LatestStamp(); g != base {
@@ -127,7 +127,7 @@ func TestUnstampedInstallProtocol(t *testing.T) {
 
 // get is a test convenience point read.
 func (m *Map[K, V, A]) get(k K) (v V, ok bool) {
-	m.WithCached(func(h *Handle[K, V, A]) {
+	m.With(func(h *Handle[K, V, A]) {
 		h.Read(func(s Snapshot[K, V, A]) { v, ok = s.Get(k) })
 	})
 	return

@@ -7,10 +7,10 @@
 // posting-list snapshots without any synchronization.
 //
 // No pid appears anywhere in this package's API: the index leases process
-// identities internally from its map's pool through the cached-handle fast
-// path (core.Map.WithCached), so ingestion and queries may be issued from
-// any goroutine.  ShardedIndex (sharded.go) hash-partitions the outer term
-// tree across S independent maps for parallel ingestion.
+// identities internally, one per transaction (core.Map.With), so ingestion
+// and queries may be issued from any goroutine.  ShardedIndex (sharded.go)
+// hash-partitions the outer term tree across S independent maps for
+// parallel ingestion.
 //
 // The corpus is synthetic (Zipf-distributed vocabulary), substituting for
 // the paper's Wikipedia dump; see DESIGN.md for why the substitution
@@ -82,14 +82,14 @@ func newOuter(inner *ftree.Ops[uint64, int64, int64], grain int) *ftree.Ops[uint
 	return outer
 }
 
-// read runs a read-only transaction on an internally-leased cached handle.
+// read runs a read-only transaction on an internally-leased handle.
 func (ix *Index) read(f func(s core.Snapshot[uint64, *Posting, struct{}])) {
-	ix.m.WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Read(f) })
+	ix.m.With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Read(f) })
 }
 
-// update runs a write transaction on an internally-leased cached handle.
+// update runs a write transaction on an internally-leased handle.
 func (ix *Index) update(f func(tx *core.Txn[uint64, *Posting, struct{}])) {
-	ix.m.WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Update(f) })
+	ix.m.With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Update(f) })
 }
 
 // combinePostings merges two owned posting trees into one owned tree,
@@ -140,7 +140,7 @@ func (ix *Index) AddDocuments(docs []Doc) {
 // caller publishes one shared commit stamp after all shards install.
 func insertDocBatch(inner *ftree.Ops[uint64, int64, int64], m *core.Map[uint64, *Posting, struct{}], batch []ftree.Entry[uint64, *Posting], stamped bool) {
 	comb := combinePostings(inner)
-	m.WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) {
+	m.With(func(h *core.Handle[uint64, *Posting, struct{}]) {
 		commit := h.Update
 		if !stamped {
 			commit = h.UpdateUnstamped

@@ -79,14 +79,14 @@ func (ix *ShardedIndex) shardFor(term uint64) int {
 	return int(ycsb.Mix64(term) % uint64(len(ix.maps)))
 }
 
-// read runs a read-only transaction on shard i's cached handle.
+// read runs a read-only transaction on a handle leased from shard i.
 func (ix *ShardedIndex) read(i int, f func(s core.Snapshot[uint64, *Posting, struct{}])) {
-	ix.maps[i].WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Read(f) })
+	ix.maps[i].With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Read(f) })
 }
 
-// update runs a write transaction on shard i's cached handle.
+// update runs a write transaction on a handle leased from shard i.
 func (ix *ShardedIndex) update(i int, f func(tx *core.Txn[uint64, *Posting, struct{}])) {
-	ix.maps[i].WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Update(f) })
+	ix.maps[i].With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Update(f) })
 }
 
 // AddDocument ingests one document atomically, even when its terms span
@@ -190,7 +190,7 @@ func (ix *ShardedIndex) RemoveDocument(d Doc) {
 	}
 	// A single document's removal is small; commit inline.
 	ix.installAtomic(touched, false, func(i int) {
-		ix.maps[i].WithCached(func(h *core.Handle[uint64, *Posting, struct{}]) {
+		ix.maps[i].With(func(h *core.Handle[uint64, *Posting, struct{}]) {
 			h.UpdateUnstamped(func(tx *core.Txn[uint64, *Posting, struct{}]) {
 				removeDocTerms(ix.inner, tx, d, parts[i])
 			})

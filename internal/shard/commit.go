@@ -35,16 +35,16 @@ func (m *Map[K, V, A]) groupCommit(appended bool, err error) error {
 	return m.wal.log.Commit()
 }
 
-// install commits f as one write transaction on shard i through a cached
-// handle — under the shard's writer slot when fenced — and returns the
-// commit's GSN, 0 when it published nothing.
+// install commits f as one write transaction on shard i — under the shard's
+// writer slot when fenced — and returns the commit's GSN, 0 when it
+// published nothing.
 func (m *Map[K, V, A]) install(i int, fenced bool, f func(tx *core.Txn[K, V, A])) (g uint64) {
 	s := m.shards[i]
 	if fenced {
 		s.LockWriterSlot()
 		defer s.UnlockWriterSlot()
 	}
-	s.WithCached(func(h *core.Handle[K, V, A]) {
+	s.With(func(h *core.Handle[K, V, A]) {
 		h.Update(f)
 		g = h.LastStamp()
 	})
@@ -131,7 +131,7 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 // and need no locks.  Ordering matters twice.  The handles are leased
 // BEFORE the stripes are locked: a point writer stalled on an install lock
 // sits inside its transaction holding a pid, so leasing afterwards could
-// find the pools drained by the very writers waiting on us.  (Leasing first
+// find every pid held by the very writers waiting on us.  (Leasing first
 // is safe: locking a stripe of these shards requires the slots we hold.)
 // And the stripes are locked BEFORE validation, which is what makes
 // validate-then-install atomic against unfenced writers; see
@@ -168,7 +168,7 @@ func (m *Map[K, V, A]) installAtomic(fence []int, t *Txn[K, V, A], plan func(t *
 	var rec func(j int)
 	rec = func(j int) {
 		if j < len(write) {
-			m.shards[write[j]].WithCached(func(h *core.Handle[K, V, A]) {
+			m.shards[write[j]].With(func(h *core.Handle[K, V, A]) {
 				handles[j] = h
 				rec(j + 1)
 			})

@@ -84,7 +84,7 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 				}
 				// Single-key read-modify-write: atomic on its own (core
 				// re-runs the callback on conflict), takes no writer slot.
-				m.shards[m.ShardFor(k)].WithCached(func(h *coreHandle) {
+				m.shards[m.ShardFor(k)].With(func(h *coreHandle) {
 					h.Update(func(tx *coreTxn) {
 						v, _ := tx.Get(k)
 						tx.Insert(k, v+3)
@@ -250,7 +250,7 @@ func TestOCCInstallWindowLostUpdate(t *testing.T) {
 			defer hammer.Done()
 			// Unfenced single-key read-modify-write: no writer slot, atomic
 			// on its own (core re-runs the callback on root conflict).
-			m.shards[m.ShardFor(k)].WithCached(func(h *coreHandle) {
+			m.shards[m.ShardFor(k)].With(func(h *coreHandle) {
 				h.Update(func(tx *coreTxn) {
 					v, _ := tx.Get(k)
 					tx.Insert(k, v+5)

@@ -46,10 +46,9 @@
 // atomic RMWs per commit.
 //
 // No pid appears anywhere in this package's API: process identities are
-// leased internally from each shard's pool (core.Handle), through the
-// cached-handle fast path (core.Map.WithCached) so back-to-back point ops
-// skip the pool's mutexes entirely.  Each leased pid brings its own node
-// arena (ftree.Arena), so a shard's write path also allocates lock-free:
+// leased internally, one per transaction (core.Map.With — one CAS to take a
+// pid, one to return it).  Each leased pid brings its own node arena
+// (ftree.Arena), so a shard's write path also allocates lock-free:
 // warm point updates touch no shared allocator state at all.  Multi-shard
 // operations lease in ascending shard order, which makes blocking
 // admission control deadlock-free (ordered resource acquisition).
@@ -229,7 +228,7 @@ func (m *Map[K, V, A]) Get(k K) (v V, ok bool) {
 		return
 	}
 	defer m.exit(i)
-	m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
+	m.shards[i].With(func(h *core.Handle[K, V, A]) {
 		h.Read(func(s core.Snapshot[K, V, A]) { v, ok = s.Get(k) })
 	})
 	return
@@ -251,7 +250,7 @@ func (m *Map[K, V, A]) Len() int64 {
 	defer m.exit(0)
 	var n int64
 	for _, s := range m.shards {
-		s.WithCached(func(h *core.Handle[K, V, A]) {
+		s.With(func(h *core.Handle[K, V, A]) {
 			h.Read(func(sn core.Snapshot[K, V, A]) { n += sn.Len() })
 		})
 	}

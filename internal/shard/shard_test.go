@@ -379,12 +379,12 @@ func TestConsistentFenceFallback(t *testing.T) {
 		second.LockWriterSlot()
 		m.shards[sa].BeginInstall()
 		m.shards[sb].BeginInstall()
-		m.shards[sa].WithCached(func(h *core.Handle[int64, int64, int64]) {
+		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
 			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 		})
 		close(installing)
 		<-finish
-		m.shards[sb].WithCached(func(h *core.Handle[int64, int64, int64]) {
+		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
 			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
 		})
 		g := m.gsn.Add(1)

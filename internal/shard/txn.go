@@ -163,7 +163,7 @@ func (t *Txn[K, V, A]) readTracked(i int, k K) (V, bool) {
 	var ok bool
 	for n := 0; ; n++ {
 		w := s.StableStripeWord(stripe)
-		s.WithCached(func(h *core.Handle[K, V, A]) {
+		s.With(func(h *core.Handle[K, V, A]) {
 			h.Read(func(sn core.Snapshot[K, V, A]) { v, ok = sn.Get(k) })
 		})
 		if s.StripeWord(stripe) == w {

@@ -24,7 +24,7 @@ func (m *Map[K, V, A]) withPinned(f func(snaps []core.Snapshot[K, V, A])) {
 			f(snaps)
 			return
 		}
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
+		m.shards[i].With(func(h *core.Handle[K, V, A]) {
 			h.Read(func(s core.Snapshot[K, V, A]) {
 				snaps[i] = s
 				rec(i + 1)
@@ -40,7 +40,7 @@ func (m *Map[K, V, A]) withPinned(f func(snaps []core.Snapshot[K, V, A])) {
 // consistent, NOT a single global snapshot: a concurrent cross-shard
 // transaction (UpdateAtomic or plain Update) may be visible on some shards
 // of the Snap and not others.  Use ViewConsistent when that matters.
-// View blocks while any shard's admission pool is exhausted.  After Close
+// View blocks while all P pids of any shard are leased.  After Close
 // it returns without running f.
 func (m *Map[K, V, A]) View(f func(s Snap[K, V, A])) {
 	if !m.enter(0) {

@@ -329,7 +329,7 @@ func (m *Map[K, V, A]) persistBatch(i int, hasComb bool, inserts []ftree.Entry[K
 		return false, nil
 	}
 	if hasComb && len(inserts) > 0 {
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
+		m.shards[i].With(func(h *core.Handle[K, V, A]) {
 			h.Read(func(sn core.Snapshot[K, V, A]) {
 				for _, en := range inserts {
 					if v, ok := sn.Get(en.Key); ok {

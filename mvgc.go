@@ -38,9 +38,10 @@ type Snapshot[K, V, A any] = core.Snapshot[K, V, A]
 // Txn is the handle write transactions mutate through.
 type Txn[K, V, A any] = core.Txn[K, V, A]
 
-// Handle is a leased process identity on a Map: it owns a pid from the
-// map's pool and forwards Read/Update to it, so callers never thread pids
-// by hand.  Lease with Map.Handle or scoped Map.With; see core.Handle.
+// Handle is a leased process identity on a Map: it owns one of the map's P
+// pids and forwards Read/Update to it, so callers never thread pids by
+// hand.  Map.With is the scoped lease every short transaction should use;
+// Map.Handle keeps a pid until Close.  See core.Handle.
 type Handle[K, V, A any] = core.Handle[K, V, A]
 
 // Config selects the Version Maintenance algorithm ("pswf" by default)
