@@ -26,12 +26,12 @@ const (
 
 func main() {
 	ops := ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 2048)
-	// One process per reader plus one for the combining writer.
+	// At most two transactions at once: a reader beside the combiner's commit.
 	m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: 2}, ops, nil)
 	if err != nil {
 		panic(err)
 	}
-	b := batch.New(m, batch.Config{ // the combiner leases its own identity
+	b := batch.New(m, batch.Config{ // the combiner leases an identity per batch
 		Clients:    clients,
 		BufCap:     4096,
 		MaxLatency: 2 * time.Millisecond, // latency bound per request

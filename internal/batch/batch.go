@@ -41,22 +41,18 @@ type Request[K, V any] struct {
 	// done, when non-nil, is the completion callback SubmitAsync attached:
 	// the combiner invokes it exactly once, after the commit containing the
 	// request has been published (or during the final drain on Stop).  A
-	// non-nil argument means the batch was NOT committed: the persist hook
-	// refused it (e.g. the WAL is poisoned or full) and the request's write
-	// was discarded.
+	// non-nil argument is the commit function's error: the batch was NOT
+	// acknowledged (e.g. the WAL is poisoned or full).
 	done func(error)
 }
 
-// Persist is the durability hook a Batcher's owner may install with
-// SetPersist: the combiner calls it once per gathered batch, handing over
-// the batch's inserts and deletes plus a commit closure that applies the
-// batch to the in-memory map and returns the commit's GSN (0 when the
-// batch was a no-op).  The hook decides whether to run the commit at all
-// (fail-fast when the log is unusable), logs the committed batch keyed by
-// the returned GSN, and makes it durable; its error is delivered to every
-// request callback in the batch.  The slices are owned by the combiner
-// and valid only for the duration of the call.
-type Persist[K, V any] func(inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) error
+// Commit is how a Batcher commits: the combiner calls it once per gathered
+// batch with the batch's inserts and deletes, and it applies them as ONE
+// write transaction (see Apply), making the result as durable as its owner
+// promises before returning.  Its error is delivered to every request
+// callback in the batch.  The slices are owned by the combiner and valid
+// only for the duration of the call.
+type Commit[K, V any] func(inserts []ftree.Entry[K, V], deletes []K) error
 
 // ring is a single-producer single-consumer bounded queue.  The producer
 // (client) advances tail; the consumer (combiner) advances head.
@@ -71,23 +67,34 @@ type ring[K, V any] struct {
 
 // Batcher owns the single combining writer for a Map.  Clients call Submit
 // (SubmitWait, or SubmitAsync for pipelined completion callbacks) from
-// their own goroutine; the combiner goroutine commits
-// batches until Stop.  The combiner's process identity is a Handle leased
-// from the map's pool, so callers never assign it a pid.
+// their own goroutine; the combiner goroutine commits batches until Stop.
+// The combiner holds no process identity between batches: each commit
+// leases one like any other transaction.
 type Batcher[K, V, A any] struct {
-	m        *core.Map[K, V, A]
-	w        *core.Handle[K, V, A]
 	rings    []*ring[K, V]
-	comb     func(old, new V) V
-	persist  Persist[K, V]
+	commit   Commit[K, V]
 	interval time.Duration
 	maxBatch int
+
+	// The gathered batch; touched only by the combiner goroutine, reused
+	// across commits.
+	inserts []ftree.Entry[K, V]
+	deletes []K
+	cbs     []func(error)
+	marks   []mark[K, V]
 
 	stop    chan struct{}
 	done    chan struct{}
 	batches atomic.Int64
 	applied atomic.Int64
 	maxSeen atomic.Int64
+}
+
+// mark is a ring's head after a gather: its committed watermark once the
+// gathered batch is resolved.
+type mark[K, V any] struct {
+	q   *ring[K, V]
+	seq uint64
 }
 
 // Config tunes a Batcher.
@@ -106,23 +113,36 @@ type Config struct {
 	MaxBatch int
 }
 
-// New creates a Batcher for m and leases the combiner's process identity
-// from m's pool (blocking if all P are in use, so size Procs for your
-// readers plus one writer).  comb defines how an inserted value merges
-// with an existing one (nil overwrites).  Start must be called before any
-// Submit; Stop returns the identity to the pool.
+// New creates a Batcher that commits each batch to m as one write
+// transaction under m's writer slot, so a cross-shard atomic install or a
+// fenced consistent view never has to chase a stream of combiner commits.
+// The commit is GSN-stamped like any other.  comb defines how an inserted
+// value merges with an existing one (nil overwrites).  Start must be called
+// before any Submit.
 func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V) *Batcher[K, V, A] {
+	return NewWithCommit[K, V, A](cfg, func(inserts []ftree.Entry[K, V], deletes []K) error {
+		m.LockWriterSlot()
+		defer m.UnlockWriterSlot()
+		m.With(func(h *core.Handle[K, V, A]) {
+			h.Update(func(tx *core.Txn[K, V, A]) { Apply(tx, inserts, deletes, comb) })
+		})
+		return nil
+	})
+}
+
+// NewWithCommit creates a Batcher around the owner's own commit function
+// (shard.Map routes it through its commit pipeline).
+func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, A] {
 	capacity := cfg.BufCap
 	if capacity <= 0 {
 		capacity = 8192
 	}
 	capacity = nextPow2(capacity)
 	b := &Batcher[K, V, A]{
-		m:        m,
-		w:        m.Handle(),
-		comb:     comb,
+		commit:   commit,
 		interval: cfg.MaxLatency,
 		maxBatch: cfg.MaxBatch,
+		marks:    make([]mark[K, V], 0, cfg.Clients),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -136,6 +156,16 @@ func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V)
 	return b
 }
 
+// Apply is a gathered batch as transaction code: inserts, then deletes.
+func Apply[K, V, A any](tx *core.Txn[K, V, A], inserts []ftree.Entry[K, V], deletes []K, comb func(old, new V) V) {
+	if len(inserts) > 0 {
+		tx.InsertBatch(inserts, comb)
+	}
+	if len(deletes) > 0 {
+		tx.DeleteBatch(deletes)
+	}
+}
+
 func nextPow2(n int) int {
 	p := 1
 	for p < n {
@@ -144,19 +174,14 @@ func nextPow2(n int) int {
 	return p
 }
 
-// SetPersist installs the durability hook; call before Start.  See
-// Persist for the contract.
-func (b *Batcher[K, V, A]) SetPersist(p Persist[K, V]) { b.persist = p }
-
 // Start launches the combiner goroutine.
 func (b *Batcher[K, V, A]) Start() { go b.run() }
 
-// Stop drains every buffer, commits the final batch, shuts the combiner
-// down, and returns its process identity to the map's pool.
+// Stop drains every buffer, commits what is left and shuts the combiner
+// down.  Clients must have stopped submitting.
 func (b *Batcher[K, V, A]) Stop() {
 	close(b.stop)
 	<-b.done
-	b.w.Close()
 }
 
 // Batches reports how many write transactions the combiner committed.
@@ -222,167 +247,96 @@ func (b *Batcher[K, V, A]) Flush(client int) {
 	}
 }
 
-// run is the combiner loop: gather all buffers, commit one transaction,
-// publish per-ring committed watermarks, sleep out the latency budget if
-// there was nothing to do.
+// run is the combiner loop: commit batches while work is flowing, sleep
+// out the latency budget when there is none.
 func (b *Batcher[K, V, A]) run() {
 	defer close(b.done)
-	type mark struct {
-		q   *ring[K, V]
-		seq uint64
-	}
-	var inserts []ftree.Entry[K, V]
-	var deletes []K
-	var cbs []func(error)
-	marks := make([]mark, 0, len(b.rings))
+	idle := time.NewTimer(b.interval) // one timer for every idle poll
+	defer idle.Stop()
 	for {
-		inserts = inserts[:0]
-		deletes = deletes[:0]
-		cbs = cbs[:0]
-		marks = marks[:0]
-		total := 0
-		for _, q := range b.rings {
-			h, t := q.head.Load(), q.tail.Load()
-			if b.maxBatch > 0 && t-h > uint64(b.maxBatch-total) {
-				t = h + uint64(b.maxBatch-total)
-			}
-			for i := h; i < t; i++ {
-				r := q.buf[i&q.mask]
-				if r.done != nil {
-					// The slot is ours until head advances; dropping the
-					// closure now keeps a drained ring from retaining it
-					// until the producer happens to overwrite the slot.
-					cbs = append(cbs, r.done)
-					q.buf[i&q.mask].done = nil
-				}
-				if r.Op == OpInsert {
-					inserts = append(inserts, ftree.Entry[K, V]{Key: r.Key, Val: r.Val})
-				} else {
-					deletes = append(deletes, r.Key)
-				}
-			}
-			if t != h {
-				q.head.Store(t)
-				marks = append(marks, mark{q, t})
-				total += int(t - h)
-			}
-			if b.maxBatch > 0 && total >= b.maxBatch {
-				break
-			}
-		}
-		if total > 0 {
-			// Pre-fill the combiner's arena for the whole gathered batch —
-			// inserts and deletes in one sweep — so the commit's node
-			// allocations come out of the pid-local magazine in O(total/M)
-			// block transfers instead of touching the shared free lists per
-			// node.  MultiInsert/MultiDelete self-reserve too, but after
-			// this combined reservation those are O(1) no-ops.  The
-			// magazine keeps its high-water capacity between commits, so a
-			// steady batch size reserves for free.
-			b.w.ReserveNodes(total + total/4)
-			err := b.commit(inserts, deletes)
-			if err == nil {
-				b.batches.Add(1)
-				b.applied.Add(int64(total))
-				if int64(total) > b.maxSeen.Load() {
-					b.maxSeen.Store(int64(total))
-				}
-			}
-			// Watermarks advance even when the persist hook refused the
-			// batch: "committed" means resolved — SubmitWait and Flush must
-			// never wedge behind a poisoned log; only the callbacks carry
-			// the verdict.
-			for _, mk := range marks {
-				mk.q.committed.Store(mk.seq)
-			}
-			// Completion callbacks fire after the watermarks: an async
-			// waiter's callback and a SubmitWait on the same batch agree on
-			// what "committed" means.  Exactly once per request: the gather
-			// consumed each slot's callback before advancing head, and each
-			// slot is gathered by exactly one commit (this one).
-			for i, cb := range cbs {
-				cb(err)
-				cbs[i] = nil
-			}
+		if b.step() {
 			continue // stay hot while work is flowing
 		}
+		idle.Reset(b.interval)
 		select {
 		case <-b.stop:
-			// Final drain: clients must have stopped submitting.
-			b.finalDrain()
+			// Final drain.  Shutdown keeps the exactly-once contract: no
+			// other commit can have gathered what these steps gather (head
+			// advances under this goroutine only).
+			for b.step() {
+			}
 			return
-		case <-time.After(b.interval):
+		case <-idle.C:
 		}
 	}
 }
 
-// commit applies one gathered batch under the writer slot, routing it
-// through the persist hook when one is installed.  The hook receives a
-// closure over the in-memory commit so it can bracket {apply, log} under
-// its own ordering lock and group-sync afterwards; without a hook the
-// closure just runs.
-func (b *Batcher[K, V, A]) commit(inserts []ftree.Entry[K, V], deletes []K) error {
-	do := func() uint64 {
-		// Commit under the map's writer slot: one uncontended mutex per
-		// batch (thousands of requests), so a cross-shard atomic install
-		// or a fenced consistent view never has to chase a stream of
-		// combiner commits — the combiner "respects the fence".  The
-		// commit is GSN-stamped like any other (core stamps on Set), so
-		// batched updates order correctly under ViewConsistent.
-		b.m.LockWriterSlot()
-		b.w.Update(func(tx *core.Txn[K, V, A]) {
-			if len(inserts) > 0 {
-				tx.InsertBatch(inserts, b.comb)
-			}
-			if len(deletes) > 0 {
-				tx.DeleteBatch(deletes)
-			}
-		})
-		b.m.UnlockWriterSlot()
-		return b.w.LastStamp()
-	}
-	if b.persist != nil {
-		return b.persist(inserts, deletes, do)
-	}
-	do()
-	return nil
-}
-
-func (b *Batcher[K, V, A]) finalDrain() {
-	var inserts []ftree.Entry[K, V]
-	var deletes []K
-	var cbs []func(error)
+// gather moves up to maxBatch buffered requests (all of them when it is 0)
+// out of the rings into the combiner's batch and reports how many.
+func (b *Batcher[K, V, A]) gather() (total int) {
+	b.inserts, b.deletes, b.cbs, b.marks = b.inserts[:0], b.deletes[:0], b.cbs[:0], b.marks[:0]
 	for _, q := range b.rings {
 		h, t := q.head.Load(), q.tail.Load()
+		if b.maxBatch > 0 && t-h > uint64(b.maxBatch-total) {
+			t = h + uint64(b.maxBatch-total)
+		}
 		for i := h; i < t; i++ {
 			r := q.buf[i&q.mask]
 			if r.done != nil {
-				cbs = append(cbs, r.done)
+				// The slot is ours until head advances; dropping the
+				// closure now keeps a drained ring from retaining it
+				// until the producer happens to overwrite the slot.
+				b.cbs = append(b.cbs, r.done)
 				q.buf[i&q.mask].done = nil
 			}
 			if r.Op == OpInsert {
-				inserts = append(inserts, ftree.Entry[K, V]{Key: r.Key, Val: r.Val})
+				b.inserts = append(b.inserts, ftree.Entry[K, V]{Key: r.Key, Val: r.Val})
 			} else {
-				deletes = append(deletes, r.Key)
+				b.deletes = append(b.deletes, r.Key)
 			}
 		}
-		q.head.Store(t)
-	}
-	var err error
-	if len(inserts)+len(deletes) > 0 {
-		err = b.commit(inserts, deletes)
-		if err == nil {
-			b.batches.Add(1)
-			b.applied.Add(int64(len(inserts) + len(deletes)))
+		if t != h {
+			q.head.Store(t)
+			b.marks = append(b.marks, mark[K, V]{q, t})
+			total += int(t - h)
+		}
+		if b.maxBatch > 0 && total >= b.maxBatch {
+			break
 		}
 	}
-	for _, q := range b.rings {
-		q.committed.Store(q.tail.Load())
+	return total
+}
+
+// step gathers one batch, commits it, publishes the per-ring committed
+// watermarks and fires the batch's callbacks; false means there was
+// nothing to gather.
+func (b *Batcher[K, V, A]) step() bool {
+	total := b.gather()
+	if total == 0 {
+		return false
 	}
-	// Shutdown keeps the exactly-once contract: every callback gathered by
-	// the final drain fires here, after its commit, and no other commit can
-	// have gathered it (head was advanced under this goroutine throughout).
-	for _, cb := range cbs {
+	err := b.commit(b.inserts, b.deletes)
+	if err == nil {
+		b.batches.Add(1)
+		b.applied.Add(int64(total))
+		if int64(total) > b.maxSeen.Load() {
+			b.maxSeen.Store(int64(total))
+		}
+	}
+	// Watermarks advance even when the commit was refused: "committed"
+	// means resolved — SubmitWait and Flush must never wedge behind a
+	// poisoned log; only the callbacks carry the verdict.
+	for _, mk := range b.marks {
+		mk.q.committed.Store(mk.seq)
+	}
+	// Completion callbacks fire after the watermarks: an async waiter's
+	// callback and a SubmitWait on the same batch agree on what
+	// "committed" means.  Exactly once per request: the gather consumed
+	// each slot's callback before advancing head, and each slot is
+	// gathered by exactly one step (this one).
+	for i, cb := range b.cbs {
 		cb(err)
+		b.cbs[i] = nil
 	}
+	return true
 }

@@ -12,8 +12,8 @@ import (
 	"mvgc/internal/ftree"
 )
 
-// read runs a read transaction on a leased handle: the combiner holds one
-// pid, so tests never hard-code a reader pid next to it.
+// read runs a read transaction on a leased handle: the combiner leases a
+// pid per batch, so tests never hard-code a reader pid next to it.
 func read(m *core.Map[int64, int64, int64], f func(s core.Snapshot[int64, int64, int64])) {
 	m.With(func(h *core.Handle[int64, int64, int64]) { h.Read(f) })
 }
@@ -314,46 +314,50 @@ func TestSubmitAsyncShutdownDrain(t *testing.T) {
 	m.Close()
 }
 
-// TestPersistHook: the persist hook brackets every batch commit, sees the
-// commit GSN, and its error (fail-fast: commit closure never run) is
-// delivered to every callback in the batch while watermarks still advance.
-func TestPersistHook(t *testing.T) {
+// TestCommitHook: the owner's commit function sees every gathered batch,
+// and its error is delivered to every callback in the batch while the
+// watermarks still advance — SubmitWait and Flush never wedge behind a
+// commit function that refuses.
+func TestCommitHook(t *testing.T) {
 	m := newIntMap(t, 2)
 	defer m.Close()
-	b := New(m, Config{Clients: 1, MaxLatency: 100 * time.Microsecond}, nil)
-	var gsns []uint64
 	var failing atomic.Bool
 	errRefused := errors.New("log refused")
-	b.SetPersist(func(ins []ftree.Entry[int64, int64], dels []int64, commit func() uint64) error {
-		if failing.Load() {
-			return errRefused // fail fast: no memory commit either
-		}
-		g := commit()
-		if g != 0 {
-			gsns = append(gsns, g)
-		}
-		return nil
-	})
+	b := NewWithCommit[int64, int64, int64](Config{Clients: 1, MaxLatency: 100 * time.Microsecond},
+		func(ins []ftree.Entry[int64, int64], dels []int64) error {
+			if failing.Load() {
+				return errRefused // fail fast: nothing reaches memory either
+			}
+			m.With(func(h *core.Handle[int64, int64, int64]) {
+				h.Update(func(tx *core.Txn[int64, int64, int64]) { Apply(tx, ins, dels, nil) })
+			})
+			return nil
+		})
 	b.Start()
 
-	okCh := make(chan error, 1)
-	b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: 1, Val: 10}, func(err error) { okCh <- err })
-	if err := <-okCh; err != nil {
-		t.Fatalf("healthy persist delivered error %v", err)
-	}
-	if len(gsns) == 0 || gsns[0] == 0 {
-		t.Fatalf("persist hook saw no commit GSN: %v", gsns)
+	errs := make(chan error, 3)
+	b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: 1, Val: 10}, func(err error) { errs <- err })
+	if err := <-errs; err != nil {
+		t.Fatalf("healthy commit delivered error %v", err)
 	}
 
 	failing.Store(true)
-	b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: 2, Val: 20}, func(err error) { okCh <- err })
-	if err := <-okCh; !errors.Is(err, errRefused) {
-		t.Fatalf("refused batch delivered %v, want %v", err, errRefused)
+	for k := int64(2); k <= 4; k++ {
+		b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: k, Val: 10 * k}, func(err error) { errs <- err })
 	}
-	b.Flush(0) // must not wedge on a failing persist hook
+	for k := 2; k <= 4; k++ {
+		if err := <-errs; !errors.Is(err, errRefused) {
+			t.Fatalf("refused batch delivered %v, want %v", err, errRefused)
+		}
+	}
+	b.SubmitWait(0, Request[int64, int64]{Op: OpInsert, Key: 5, Val: 50}) // must not wedge
+	b.Flush(0)                                                            // nor this
+	if got := b.Applied(); got != 1 {
+		t.Fatalf("Applied = %d, want only the accepted request", got)
+	}
 	read(m, func(s core.Snapshot[int64, int64, int64]) {
-		if _, ok := s.Get(2); ok {
-			t.Fatal("refused batch was committed to memory")
+		if s.Len() != 1 {
+			t.Fatalf("Len = %d: a refused batch reached memory", s.Len())
 		}
 		if v, ok := s.Get(1); !ok || v != 10 {
 			t.Fatal("accepted batch missing")

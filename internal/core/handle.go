@@ -175,13 +175,6 @@ func (h *Handle[K, V, A]) TryUpdate(f func(t *Txn[K, V, A])) bool { return h.m.T
 // transaction on the handle; the WAL layer keys redo records with it.
 func (h *Handle[K, V, A]) LastStamp() uint64 { return h.m.procs[h.pid].lastStamp }
 
-// ReserveNodes pre-fills the leased pid's arena so the next n node
-// allocations are magazine hits: block transfers from the global free
-// lists, plus at most one contiguous chunk carve.  A combining writer
-// calls this with its gathered batch size before committing, bounding the
-// batch's shared-list traffic at O(n/M) lock acquisitions.
-func (h *Handle[K, V, A]) ReserveNodes(n int) { h.m.procs[h.pid].ops.Reserve(n) }
-
 // ArenaStats exposes the leased pid's arena counters (refills, spills,
 // chunk carves) for tests and tuning; call only while holding the lease.
 func (h *Handle[K, V, A]) ArenaStats() (refills, spills, carves int64) {

@@ -5,7 +5,6 @@ package netserver
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"mvgc/internal/netclient"
 )
@@ -20,9 +19,7 @@ func TestWireGetAllocs(t *testing.T) {
 		keys   = 1 << 12
 		perRun = 16 * depth // GETs per measured run
 	)
-	// An idle combiner polls once per MaxLatency and every poll allocates
-	// a timer; GETs never reach a combiner, so keep them out of the count.
-	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2, MaxLatency: time.Minute})
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2})
 	defer s.Close()
 	for k := int64(0); k < keys; k++ {
 		if err := s.DB().Insert(k, k); err != nil {

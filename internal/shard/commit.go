@@ -1,10 +1,11 @@
 // The commit pipeline: every write entry point plans its intents, commits
 // them through one of two primitives — commitShard (one shard) or
 // commitAtomic (many shards, one GSN) — and ends in groupCommit.  The lock
-// order (walMu → writer slots → stripe locks, each ascending by shard) and
-// the logging rules (encode inside the committing transaction, apply then
-// log, no record without a stamp, walMu released before the fsync wait) are
-// written here once; DESIGN.md "The commit pipeline" states them in full.
+// order (walMu → writer slots → pids → stripe locks, each ascending by
+// shard) and the logging rules (encode inside the committing transaction,
+// apply then log, no record without a stamp, walMu released before the
+// fsync wait) are written here once; DESIGN.md "The commit pipeline" states
+// them in full.
 package shard
 
 import (

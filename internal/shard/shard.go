@@ -134,7 +134,7 @@ type Map[K, V, A any] struct {
 
 	// wal, when non-nil, is the attached redo log (wal.go); walMu[i] is
 	// held across shard i's {in-memory commit + Append}.  Only the commit
-	// primitives (commit.go) and the combiner hook consult either.
+	// primitives (commit.go) consult either.
 	wal    *walBinding[K, V]
 	walMu  []sync.Mutex
 	ckptMu sync.Mutex
@@ -257,11 +257,13 @@ func (m *Map[K, V, A]) Len() int64 {
 	return n
 }
 
-// StartBatching launches one Appendix-F combining writer per shard: each
-// leases its own writer identity from its shard's pool and commits that
-// shard's submissions as atomic batches.  cfg.Clients buffers are created
-// on every shard, so any client id in 0..Clients-1 may submit keys bound
-// for any shard.
+// StartBatching launches one Appendix-F combining writer per shard, each
+// committing that shard's submissions as atomic batches through the commit
+// pipeline: a batch is one fenced commitShard — log or no log — so it takes
+// the writer slot, leases a pid for the one transaction, logs its
+// post-images from inside it and group-commits like every other write.
+// cfg.Clients buffers are created on every shard, so any client id in
+// 0..Clients-1 may submit keys bound for any shard.
 func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) {
 	if m.batchers != nil {
 		panic("shard: StartBatching called twice")
@@ -271,13 +273,23 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 	}
 	defer m.exit(0)
 	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
-	for i, s := range m.shards {
-		b := batch.New(s, cfg, comb)
-		if m.wal != nil {
-			b.SetPersist(m.walPersist(i, comb != nil))
-		}
-		m.batchers[i] = b
-		b.Start()
+	for i := range m.shards {
+		m.batchers[i] = batch.NewWithCommit[K, V, A](cfg, func(inserts []ftree.Entry[K, V], deletes []K) error {
+			if err := m.logErr(); err != nil {
+				return err
+			}
+			return m.groupCommit(m.commitShard(i, true,
+				func(tx *core.Txn[K, V, A]) { batch.Apply(tx, inserts, deletes, comb) },
+				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
+					for _, en := range inserts {
+						appendPost(e, tx, en.Key, en.Val, comb != nil)
+					}
+					for _, k := range deletes {
+						e.appendDelete(k)
+					}
+				}))
+		})
+		m.batchers[i].Start()
 	}
 }
 

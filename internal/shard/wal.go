@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
@@ -298,55 +297,4 @@ func encodeIntents[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], list []i
 			appendPost(e, tx, in.key, in.val, in.comb != nil)
 		}
 	}
-}
-
-// walPersist builds the batch.Persist hook for shard i's combiner — the
-// pipeline's third committer, shaped like commitShard except that the
-// combiner owns the commit (under the writer slot, through its own handle).
-func (m *Map[K, V, A]) walPersist(i int, hasComb bool) batch.Persist[K, V] {
-	return func(inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) error {
-		if err := m.logErr(); err != nil {
-			return err
-		}
-		return m.groupCommit(m.persistBatch(i, hasComb, inserts, deletes, commit))
-	}
-}
-
-// persistBatch holds walMu[i] across {batch commit, Append}.  With a
-// combining function the batch's post-images are read back from the
-// just-committed version (one pinned read; under walMu no other logged
-// writer can advance the shard first); without one the gathered entries
-// are already absolute.  Inserts are encoded before deletes to match the
-// commit's apply order.
-func (m *Map[K, V, A]) persistBatch(i int, hasComb bool, inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) (bool, error) {
-	w := m.wal
-	e := w.getEnc()
-	defer w.putEnc(e)
-	m.walMu[i].Lock()
-	defer m.walMu[i].Unlock()
-	g := commit()
-	if g == 0 {
-		return false, nil
-	}
-	if hasComb && len(inserts) > 0 {
-		m.shards[i].With(func(h *core.Handle[K, V, A]) {
-			h.Read(func(sn core.Snapshot[K, V, A]) {
-				for _, en := range inserts {
-					if v, ok := sn.Get(en.Key); ok {
-						e.appendInsert(en.Key, v)
-					} else {
-						e.appendDelete(en.Key)
-					}
-				}
-			})
-		})
-	} else {
-		for _, en := range inserts {
-			e.appendInsert(en.Key, en.Val)
-		}
-	}
-	for _, k := range deletes {
-		e.appendDelete(k)
-	}
-	return true, w.log.Append(g, e.buf)
 }
