@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -167,22 +168,28 @@ func parseInt(b []byte) (int64, error) {
 			return 0, protoErrf("bare minus")
 		}
 	}
-	var n int64
+	// Accumulate the magnitude unsigned against a cutoff checked before
+	// the multiply, so no wrap-around slips through: math.MaxInt64, or one
+	// more for a negative number (math.MinInt64 has no positive twin).
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var n uint64
 	for ; i < len(b); i++ {
-		d := b[i] - '0'
+		d := uint64(b[i] - '0')
 		if d > 9 {
 			return 0, protoErrf("bad digit %q", b[i])
 		}
-		nn := n*10 + int64(d)
-		if nn < n {
+		if n > (limit-d)/10 {
 			return 0, protoErrf("integer overflow")
 		}
-		n = nn
+		n = n*10 + d
 	}
 	if neg {
-		n = -n
+		return -int64(n), nil // exact for 1<<63 too: it wraps to MinInt64
 	}
-	return n, nil
+	return int64(n), nil
 }
 
 // ParseInt decodes a decimal int64 argument (how keys and values travel).

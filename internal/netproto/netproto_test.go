@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -210,6 +212,55 @@ func TestMalformedFrames(t *testing.T) {
 	if err := r.ReadCommand(&cmd); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("MaxBulk violation: err = %v", err)
 	}
+}
+
+// TestParseInt: the wire's integer parser accepts exactly the int64 range —
+// both ends of it — and no wrap-around, however it lands.
+func TestParseInt(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"-0", 0, true},
+		{"-9007", -9007, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"-9223372036854775808", math.MinInt64, true},
+		{"9223372036854775808", 0, false},
+		{"-9223372036854775809", 0, false},
+		{"20496382304121724020", 0, false}, // wraps to a value above the running total
+		{"1000000000000000000000", 0, false},
+		{"", 0, false},
+		{"-", 0, false},
+		{"+1", 0, false},
+		{"12a", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseInt([]byte(c.in))
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseInt(%q) = %d, %v; want %d, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// FuzzParseInt holds ParseInt to strconv.ParseInt on every string of
+// digits with an optional minus — the wire's whole integer grammar.
+func FuzzParseInt(f *testing.F) {
+	for _, s := range []string{"0", "-1", "9223372036854775807", "-9223372036854775808", "20496382304121724020", "18446744073709551616"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		digits := strings.TrimPrefix(s, "-")
+		if digits == "" || strings.Trim(digits, "0123456789") != "" {
+			t.Skip()
+		}
+		want, werr := strconv.ParseInt(s, 10, 64)
+		got, err := ParseInt([]byte(s))
+		if (err == nil) != (werr == nil) || (err == nil && got != want) {
+			t.Fatalf("ParseInt(%q) = %d, %v; strconv says %d, %v", s, got, err, want, werr)
+		}
+	})
 }
 
 // TestCommandReuseNoAlloc: a warm ReadCommand decodes without touching the

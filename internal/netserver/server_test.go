@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -88,6 +89,19 @@ func TestServerCommands(t *testing.T) {
 	}
 	if _, ok, _ := c.Get(3); ok {
 		t.Fatal("GET 3 still present after DEL")
+	}
+	// Both ends of the int64 range cross the wire in both directions, as
+	// keys and as values.
+	for _, kv := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
+		if err := c.Set(kv[0], kv[1]); err != nil {
+			t.Fatalf("SET %d %d: %v", kv[0], kv[1], err)
+		}
+		if v, ok, err := c.Get(kv[0]); err != nil || !ok || v != kv[1] {
+			t.Fatalf("GET %d = (%d, %v, %v), want %d", kv[0], v, ok, err, kv[1])
+		}
+		if err := c.Del(kv[0]); err != nil {
+			t.Fatalf("DEL %d: %v", kv[0], err)
+		}
 	}
 
 	// MCAS: wrong expectation fails and writes nothing, right one swaps all.

@@ -441,6 +441,12 @@ func TestConcurrentSingleWriter(t *testing.T) {
 							}
 						}
 						collect(m.Release(k))
+						// Yield between transactions, never inside one: seven
+						// spinning readers on two cores otherwise get
+						// preempted mid-read, and a blocking maintainer
+						// (rcu's synchronize) then waits out the other
+						// readers' time slices on every one of the writes.
+						runtime.Gosched()
 					}
 				}(k)
 			}
