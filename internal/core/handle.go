@@ -147,9 +147,6 @@ func (h *Handle[K, V, A]) Close() {
 // experiment harnesses that index per-process counters).
 func (h *Handle[K, V, A]) Pid() int { return h.pid }
 
-// Map returns the map this handle is leased from.
-func (h *Handle[K, V, A]) Map() *Map[K, V, A] { return h.m }
-
 // Read runs a read-only transaction on the leased process.
 func (h *Handle[K, V, A]) Read(f func(s Snapshot[K, V, A])) { h.m.Read(h.pid, f) }
 

@@ -39,9 +39,8 @@ type Snapshot[K, V, A any] = core.Snapshot[K, V, A]
 type Txn[K, V, A any] = core.Txn[K, V, A]
 
 // Handle is a leased process identity on a Map: it owns one of the map's P
-// pids and forwards Read/Update to it, so callers never thread pids by
-// hand.  Map.With is the scoped lease every short transaction should use;
-// Map.Handle keeps a pid until Close.  See core.Handle.
+// pids and forwards Read/Update to it.  Lease with the scoped Map.With (any
+// short transaction) or Map.Handle (kept until Close); see core.Handle.
 type Handle[K, V, A any] = core.Handle[K, V, A]
 
 // Config selects the Version Maintenance algorithm ("pswf" by default)
