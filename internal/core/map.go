@@ -178,11 +178,11 @@ func (m *Map[K, V, A]) MaxVersions() int64 { return m.maxVersions.Load() }
 // ResetMaxVersions clears the peak version gauge.
 func (m *Map[K, V, A]) ResetMaxVersions() { m.maxVersions.Store(0) }
 
-// collect runs Figure 1's cleanup loop for pid: Algorithm 5's collect on
-// every version the VM hands back, releasing through pid's bound ops so
-// freed nodes land in pid's arena, ready for its next allocation.  The VM
-// appends into pid's reusable buffer, so a steady-state cleanup phase
-// allocates nothing.
+// collect runs Figure 1's cleanup loop for pid — the end of every
+// transaction: Algorithm 5's collect on every version the VM hands back,
+// releasing through pid's bound ops so freed nodes land in pid's arena,
+// ready for its next allocation.  The VM appends into pid's reusable
+// buffer, so a steady-state cleanup phase allocates nothing.
 func (m *Map[K, V, A]) collect(pid int) {
 	p := &m.procs[pid]
 	buf := m.m.ReleaseInto(pid, p.rbuf[:0])
@@ -190,6 +190,9 @@ func (m *Map[K, V, A]) collect(pid int) {
 		p.ops.Release(r)
 	}
 	p.rbuf = buf[:0]
+	// A bulk write widens the magazine for its own duration; an idle pid
+	// must not sit on a batch's worth of nodes.
+	p.arena.Trim()
 }
 
 // Read runs a read-only transaction on process pid (Figure 1, left).  The

@@ -34,8 +34,9 @@ type Arena[K, V, A any] struct {
 
 	// mag is the magazine: parked freed nodes, most recently freed first
 	// (LIFO keeps reuse cache-warm).  Its capacity is the spill threshold;
-	// Reserve may grow it, and the slice then keeps its high-water
-	// capacity so steady state allocates nothing.
+	// Reserve may grow it for one transaction's worth of nodes — Trim
+	// sheds them again — and the slice keeps its high-water capacity so
+	// steady state allocates nothing.
 	mag []*Node[K, V, A]
 
 	// blk is the current locality chunk; blk[bi:] are raw never-allocated
@@ -173,10 +174,9 @@ func (a *Arena[K, V, A]) refill(k int) bool {
 // chunk hits: it sweeps the global lists in blocks, then carves whatever
 // is still missing as one contiguous chunk.  An n-entry batch build after
 // Reserve(n) touches the shared lists O(n/M) times instead of O(n).
-// Growing the magazine raises its spill threshold permanently — the
-// magazine's capacity is its high-water mark, which is what lets a
-// combining writer keep a whole batch's worth of nodes parked between
-// commits without ping-ponging them through the global lists.
+// Growing the magazine raises its spill threshold, so the nodes the batch
+// frees while it runs stay local too; the owner calls Trim when the
+// transaction is over.
 func (a *Arena[K, V, A]) Reserve(n int) {
 	have := a.Cached()
 	if have >= n {
@@ -209,6 +209,16 @@ func (a *Arena[K, V, A]) Reserve(n int) {
 		a.blk = make([]Node[K, V, A], need)
 		a.bi = 0
 		a.carves++
+	}
+}
+
+// Trim spills what the magazine holds beyond its default capacity, in
+// blocks.  A pid parks a bounded number of nodes between transactions
+// however large a batch it last ran: the surplus waits on the global
+// lists, where the next batch finds it whichever pid runs it.
+func (a *Arena[K, V, A]) Trim() {
+	for len(a.mag) > magCap {
+		a.spill(magMove)
 	}
 }
 

@@ -190,6 +190,39 @@ func TestArenaReserve(t *testing.T) {
 	}
 }
 
+// TestArenaTrim: after a reserved batch the magazine holds the batch's
+// freed nodes; Trim hands everything beyond the default capacity to the
+// global lists, where a second arena finds it.
+func TestArenaTrim(t *testing.T) {
+	o := arenaOps()
+	a := o.NewArena()
+	bo := o.Bound(a)
+	const n = 4 * magCap
+	a.Reserve(n)
+	entries := make([]Entry[int64, int64], n)
+	for i := range entries {
+		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
+	}
+	bo.Release(bo.Build(entries))
+	if len(a.mag) <= magCap {
+		t.Fatalf("the widened magazine parked only %d of the batch's %d nodes", len(a.mag), n)
+	}
+	a.Trim()
+	if len(a.mag) > magCap {
+		t.Fatalf("Trim left %d nodes parked, want ≤ %d", len(a.mag), magCap)
+	}
+	a2 := o.NewArena()
+	a2.Reserve(n - magCap)
+	if _, _, carves := a2.Stats(); carves != 0 {
+		t.Fatalf("a second arena carved %d fresh chunks instead of reusing the trimmed nodes", carves)
+	}
+	a.Flush()
+	a2.Flush()
+	if o.Live() != 0 {
+		t.Fatalf("leaked %d nodes", o.Live())
+	}
+}
+
 // TestArenaParallelBulk: with Grain forcing forks, parallel bulk ops on a
 // bound view must stay correct and exact — forked branches run on the
 // unbound root (see maybeParallel), the spine keeps the arena.  Run with
