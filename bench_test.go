@@ -548,8 +548,8 @@ func BenchmarkAllocBatchCommit(b *testing.B) {
 				}
 			}
 			commit := func() {
-				// No explicit ReserveNodes: MultiInsert self-reserves, so
-				// this measures the default InsertBatch path.
+				// MultiInsert reserves its own nodes, so this is the
+				// default InsertBatch path.
 				w.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.InsertBatch(entries, nil) })
 			}
 			for i := 0; i < 5; i++ { // warm

@@ -69,7 +69,9 @@ type ring[K, V any] struct {
 // (SubmitWait, or SubmitAsync for pipelined completion callbacks) from
 // their own goroutine; the combiner goroutine commits batches until Stop.
 // The combiner holds no process identity between batches: each commit
-// leases one like any other transaction.
+// leases one like any other transaction.  (A, the map's augmentation type,
+// is in no field: it is a parameter so that Batcher[K, V, A] names the map
+// the batcher writes to.)
 type Batcher[K, V, A any] struct {
 	rings    []*ring[K, V]
 	commit   Commit[K, V]
