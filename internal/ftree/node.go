@@ -43,7 +43,12 @@ import (
 // Node is an immutable tree node.  Exported so the transaction layer can
 // name the type, but its fields are managed exclusively by this package.
 type Node[K, V, A any] struct {
-	ref   atomic.Int32
+	// ref is a plain word: written plainly while the node is private (mk
+	// before the node is published, freeNode after its last token died, and
+	// Release's sole-owner fast path), through sync/atomic wherever another
+	// goroutine can hold a token.  DESIGN.md ("Reference counts") has the
+	// happens-before argument.
+	ref   int32
 	left  *Node[K, V, A]
 	right *Node[K, V, A]
 	size  int64
@@ -167,7 +172,7 @@ func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K,
 		n = &Node[K, V, A]{}
 	}
 	n.left, n.right, n.key, n.val = l, r, k, v
-	n.ref.Store(1)
+	n.ref = 1 // private until the caller publishes it
 	n.size = size(l) + size(r) + 1
 	a := o.Aug.Single(k, v)
 	if l != nil {
@@ -192,7 +197,7 @@ func (o *Ops[K, V, A]) share(t *Node[K, V, A]) *Node[K, V, A] {
 	if t == nil {
 		return nil
 	}
-	if t.ref.Add(1) <= 1 {
+	if atomic.AddInt32(&t.ref, 1) <= 1 {
 		panic("ftree: share of freed or unowned node")
 	}
 	return t
@@ -222,11 +227,19 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	}()
 	cur := t
 	for {
-		n := cur.ref.Add(-1)
-		if n < 0 {
-			panic("ftree: release of freed node (double collect)")
+		// A count of 1 is the caller's own token and nobody else can mint
+		// another (decompose's steal argument), so the node dies without a
+		// locked decrement.  A freed node's count is freedMark, not 1, so a
+		// double collect still reaches the decrement and trips the panic.
+		dead := atomic.LoadInt32(&cur.ref) == 1
+		if !dead {
+			n := atomic.AddInt32(&cur.ref, -1)
+			if n < 0 {
+				panic("ftree: release of freed node (double collect)")
+			}
+			dead = n == 0
 		}
-		if n == 0 {
+		if dead {
 			l, r := cur.left, cur.right
 			o.releaseVal(cur.val)
 			o.freeNode(cur)
@@ -251,7 +264,7 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 }
 
 func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
-	n.ref.Store(freedMark)
+	n.ref = freedMark // unreachable: the last token just died
 	o.sh.st.addFree(unsafe.Pointer(n))
 	if !o.Recycle {
 		n.left, n.right = nil, nil
@@ -303,7 +316,7 @@ func (o *Ops[K, V, A]) popFree() *Node[K, V, A] {
 // choice as an ablation (BenchmarkAblationSteal).
 func (o *Ops[K, V, A]) decompose(t *Node[K, V, A]) (k K, v V, l, r *Node[K, V, A]) {
 	k, v, l, r = t.key, t.val, t.left, t.right
-	if !o.NoSteal && t.ref.Load() == 1 {
+	if !o.NoSteal && atomic.LoadInt32(&t.ref) == 1 {
 		// We hold the only token, so no concurrent share can target t:
 		// shares require reaching t through some other owned reference,
 		// and there is none.  Transfer the child edges and the value

@@ -1,6 +1,9 @@
 package ftree
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Invariant checking and debugging support.  These walk borrowed trees and
 // are used by the property tests; they are not part of the hot paths.
@@ -18,7 +21,7 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 	if t == nil {
 		return 0, nil
 	}
-	if r := t.ref.Load(); r <= 0 {
+	if r := atomic.LoadInt32(&t.ref); r <= 0 {
 		return 0, fmt.Errorf("ftree: reachable node has ref %d", r)
 	}
 	if lo != nil && o.Cmp(t.key, *lo) <= 0 {
