@@ -1,250 +1,326 @@
 package ftree
 
-// Arena is a pid-local node magazine: a private allocation cache that lets
-// one process (in the paper's sense — one leased pid, never used
-// concurrently) allocate and free tree nodes with no locks and no
-// shared-state atomics.  The transaction layer gives every pid its own
-// arena and runs that pid's transactions on an Ops view Bound to it, so
-// the path-copying write path touches only single-owner memory:
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Arena is a pid-local allocation cache: two magazines — one of tree
+// nodes, one of leaf blocks — that let one process (in the paper's sense —
+// one leased pid, never used concurrently) allocate and free tree memory
+// with no locks and no shared-state atomics.  The transaction layer gives
+// every pid its own arena and runs that pid's transactions on an Ops view
+// Bound to it, so the path-copying write path touches only single-owner
+// memory.  Both magazines follow the same rules:
 //
-//   - get/put hit the magazine, a plain LIFO of freed nodes.
-//   - A magazine that fills up spills a block of magMove nodes to one
-//     sharded global list under a single lock, so memory migrates between
-//     pids at O(1/M) locks per node instead of one lock per node.
-//   - An empty magazine refills the same way: a block of magMove nodes off
-//     one global list, one lock.
-//   - When the global lists are empty too (cold start, growing tree), the
-//     arena carves nodes sequentially out of chunk-allocated []Node blocks,
-//     so nodes born together — which path copying tends to link together —
+//   - get/put hit the magazine, a plain LIFO of freed objects.
+//   - A magazine that fills up spills a block of magMove objects to one
+//     shard of the family's depot under a single lock, so memory migrates
+//     between pids at O(1/M) locks per object instead of one lock each.
+//   - An empty magazine refills the same way: a block of magMove objects
+//     off the depot, one lock.
+//   - When the depot is empty too (cold start, growing tree), the magazine
+//     carves objects sequentially out of a chunk-allocated slice, so
+//     objects born together — which path copying tends to link together —
 //     share cache lines.
 //
-// Accounting is unchanged by any of this: mk and freeNode count through the
-// family's exact sharded counters whether a node moves through an arena, a
-// global list or the Go heap, so Live() == Allocs() − Frees() holds at
-// every instant and equals the reachable-node count at quiescent points.
-// DESIGN.md ("Pid-local node magazines") explains why the cache is per-pid
-// rather than a per-P sync.Pool.
+// Free objects are linked only through the magazine and depot slices,
+// never through fields of their own, which keeps leafBlock pointer-free
+// for pointer-free keys and values.
+//
+// Accounting is unchanged by any of this: newNode and freeNode count
+// allocation units (an internal node, or a leaf node with its block)
+// through the family's exact sharded counters whether the memory moves
+// through an arena, the depot or the Go heap, so Live() == Allocs() −
+// Frees() holds at every instant and equals the reachable-node count at
+// quiescent points.  DESIGN.md ("Pid-local node magazines") explains why
+// the cache is per-pid rather than a per-P sync.Pool.
 //
 // An Arena is deliberately not goroutine-safe: exclusivity comes from pid
 // leasing, exactly like the Version Maintenance contract.  Parallel bulk
 // operations fork onto the unbound root Ops (see maybeParallel), so a
 // bound arena is only ever touched by the goroutine running its pid.
 type Arena[K, V, A any] struct {
-	sh *allocShared[K, V, A]
-
-	// mag is the magazine: parked freed nodes, most recently freed first
-	// (LIFO keeps reuse cache-warm).  Its capacity is the spill threshold;
-	// Reserve may grow it for one transaction's worth of nodes — Trim
-	// sheds them again — and the slice keeps its high-water capacity so
-	// steady state allocates nothing.
-	mag []*Node[K, V, A]
-
-	// blk is the current locality chunk; blk[bi:] are raw never-allocated
-	// nodes handed out sequentially when the magazine and global lists are
-	// both empty.
-	blk []Node[K, V, A]
-	bi  int
+	nodes  magazine[Node[K, V, A]]
+	blocks magazine[leafBlock[K, V]]
 
 	// scratch is the collector's reusable traversal stack (see
 	// Ops.Release); parked here because the arena is exactly the
 	// single-owner state a bound view may scribble on.
 	scratch []*Node[K, V, A]
-
-	// Counters for tests and tuning; single-owner like the rest.
-	refills int64 // block transfers in from the global lists
-	spills  int64 // block transfers out to the global lists
-	carves  int64 // fresh chunks allocated from the Go heap
 }
 
 const (
-	// magCap is the magazine's initial capacity and default spill
-	// threshold M·2: a put into a full magazine moves magMove nodes out,
-	// a get from an empty one moves up to magMove nodes in, so a process
+	// magCap is a magazine's initial capacity and default spill threshold
+	// M·2: a put into a full magazine moves magMove objects out, a get from
+	// an empty one moves up to magMove objects in, so a process
 	// ping-ponging around the threshold still amortizes one lock per
-	// magMove node operations.
+	// magMove operations.
 	magCap = 256
 	// magMove is M, the block size of spills and refills.
 	magMove = magCap / 2
-	// chunkNodes is how many nodes a fresh locality chunk carves.
-	chunkNodes = 256
+	// chunkNodes and chunkBlocks are how many objects a fresh locality
+	// chunk carves: 16 KiB of 64-byte nodes, and as many bytes again per
+	// eight entries of a block.
+	chunkNodes  = 256
+	chunkBlocks = 64
+	// depotShards is the number of independent depot lists; sharding keeps
+	// unbound collectors and allocators from serializing on one lock, and
+	// gives arenas independent places to spill to.
+	depotShards = 16
 )
+
+// depot is the shared side of the allocator: sharded mutex-protected
+// stacks of free objects.  Magazines move blocks in and out; the unbound
+// root Ops pushes and pops single objects.
+type depot[T any] struct {
+	shards [depotShards]struct {
+		mu    sync.Mutex
+		items []*T
+		_     [4]uint64
+	}
+	hint atomic.Uint32
+	// size is the number of objects in all shards.  It lets a taker sweep
+	// every shard while anything is parked and skip the sweep when nothing
+	// is: an object the depot holds is never passed over for a fresh heap
+	// allocation, which would grow the pool by one for good.
+	size atomic.Int64
+}
+
+// put parks xs on one shard under a single lock.
+func (d *depot[T]) put(xs ...*T) {
+	s := &d.shards[d.hint.Add(1)%depotShards]
+	s.mu.Lock()
+	s.items = append(s.items, xs...)
+	s.mu.Unlock()
+	d.size.Add(int64(len(xs)))
+}
+
+// take moves up to k parked objects onto dst, sweeping shards from a
+// rotating start, and returns dst.
+func (d *depot[T]) take(dst []*T, k int) []*T {
+	if d.size.Load() == 0 {
+		return dst
+	}
+	had := len(dst)
+	start := d.hint.Add(1)
+	for i := uint32(0); i < depotShards && k > 0; i++ {
+		s := &d.shards[(start+i)%depotShards]
+		s.mu.Lock()
+		n := min(k, len(s.items))
+		rest := len(s.items) - n
+		dst = append(dst, s.items[rest:]...)
+		clear(s.items[rest:])
+		s.items = s.items[:rest]
+		s.mu.Unlock()
+		k -= n
+	}
+	d.size.Add(int64(had - len(dst)))
+	return dst
+}
+
+// pop takes one object for the unbound root Ops (nil when the depot is
+// empty).
+func (d *depot[T]) pop() *T {
+	var one [1]*T
+	if len(d.take(one[:0], 1)) == 0 {
+		return nil
+	}
+	return one[0]
+}
+
+// magazine is one object type's pid-local cache.
+type magazine[T any] struct {
+	d *depot[T]
+
+	// mag holds parked free objects, most recently freed last (LIFO keeps
+	// reuse cache-warm).  Its capacity is the spill threshold; reserve may
+	// grow it for one transaction's worth of objects — trim sheds them
+	// again — and the slice keeps its high-water capacity so steady state
+	// allocates nothing.
+	mag []*T
+
+	// blk is the current locality chunk; blk[bi:] are raw never-allocated
+	// objects handed out sequentially when the magazine and the depot are
+	// both empty.  chunk is how many a fresh one holds.
+	blk   []T
+	bi    int
+	chunk int
+
+	// Counters for tests and tuning; single-owner like the rest.
+	refills int64 // block transfers in from the depot
+	spills  int64 // block transfers out to the depot
+	carves  int64 // fresh chunks allocated from the Go heap
+}
 
 // NewArena returns an empty arena belonging to o's Ops family.  Bind it
 // with Ops.Bound; the caller must guarantee the arena (and every view
 // bound to it) is used by one goroutine at a time.
 func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
-	return &Arena[K, V, A]{sh: o.sh, mag: make([]*Node[K, V, A], 0, magCap)}
+	return &Arena[K, V, A]{
+		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
+		blocks: magazine[leafBlock[K, V]]{d: &o.sh.blocks, mag: make([]*leafBlock[K, V], 0, magCap), chunk: chunkBlocks},
+	}
 }
 
-// get returns a node for mk: magazine first, then the current chunk, then
-// a block refill from the global lists, then a fresh chunk.
-func (a *Arena[K, V, A]) get() *Node[K, V, A] {
-	if n := len(a.mag); n > 0 {
-		nd := a.mag[n-1]
-		a.mag[n-1] = nil
-		a.mag = a.mag[:n-1]
-		return nd
+// get returns a free object: magazine first, then the current chunk, then
+// a block refill from the depot, then a fresh chunk.
+func (m *magazine[T]) get() *T {
+	if n := len(m.mag); n > 0 {
+		x := m.mag[n-1]
+		m.mag[n-1] = nil
+		m.mag = m.mag[:n-1]
+		return x
 	}
-	if a.bi < len(a.blk) {
-		nd := &a.blk[a.bi]
-		a.bi++
-		return nd
+	if m.bi < len(m.blk) {
+		x := &m.blk[m.bi]
+		m.bi++
+		return x
 	}
-	if a.refill(magMove) {
-		n := len(a.mag)
-		nd := a.mag[n-1]
-		a.mag[n-1] = nil
-		a.mag = a.mag[:n-1]
-		return nd
+	if m.refill(magMove) {
+		n := len(m.mag)
+		x := m.mag[n-1]
+		m.mag[n-1] = nil
+		m.mag = m.mag[:n-1]
+		return x
 	}
-	a.blk = make([]Node[K, V, A], chunkNodes)
-	a.bi = 1
-	a.carves++
-	return &a.blk[0]
+	m.blk = make([]T, m.chunk)
+	m.bi = 1
+	m.carves++
+	return &m.blk[0]
 }
 
-// put parks a freed node in the magazine, spilling a block to the global
-// lists when the magazine is at capacity.
-func (a *Arena[K, V, A]) put(n *Node[K, V, A]) {
-	if len(a.mag) == cap(a.mag) {
-		a.spill(magMove)
+// put parks a freed object in the magazine, spilling a block to the depot
+// when the magazine is at capacity.
+func (m *magazine[T]) put(x *T) {
+	if len(m.mag) == cap(m.mag) {
+		m.spill(magMove)
 	}
-	a.mag = append(a.mag, n)
+	m.mag = append(m.mag, x)
 }
 
-// spill moves the top k parked nodes onto one global free list under a
-// single lock.  Taking the top keeps the operation O(k) however large the
-// magazine has grown (a Reserve-widened magazine never pays O(cap) here).
-func (a *Arena[K, V, A]) spill(k int) {
-	if k > len(a.mag) {
-		k = len(a.mag)
-	}
+// spill moves the top k parked objects onto one depot shard under a single
+// lock.  Taking the top keeps the operation O(k) however large the
+// magazine has grown (a reserve-widened magazine never pays O(cap) here).
+func (m *magazine[T]) spill(k int) {
+	k = min(k, len(m.mag))
 	if k == 0 {
 		return
 	}
-	// Chain the block through the nodes' right pointers, as the global
-	// lists store them.
-	top := a.mag[len(a.mag)-k:]
-	head := top[0]
-	tail := head
-	for _, nd := range top[1:] {
-		tail.right = nd
-		tail = nd
-	}
-	for i := range top {
-		top[i] = nil
-	}
-	a.mag = a.mag[:len(a.mag)-k]
-	fl := &a.sh.free[a.sh.freeHint.Add(1)%freeShards]
-	fl.mu.Lock()
-	tail.right = fl.head
-	fl.head = head
-	fl.mu.Unlock()
-	a.spills++
+	top := m.mag[len(m.mag)-k:]
+	m.d.put(top...)
+	clear(top)
+	m.mag = m.mag[:len(m.mag)-k]
+	m.spills++
 }
 
-// refill pulls up to k nodes off the global lists into the magazine.  It
-// sweeps every shard before giving up: a refill only happens when the
-// magazine and chunk are both empty, where the alternative is carving a
-// fresh chunk from the heap — 16 uncontended mutexes are far cheaper than
-// letting spilled memory strand while the heap grows.  Reports whether it
-// got at least one node.
-func (a *Arena[K, V, A]) refill(k int) bool {
-	got := 0
-	start := int(a.sh.freeHint.Add(1))
-	for i := 0; i < freeShards && got < k; i++ {
-		fl := &a.sh.free[(start+i)%freeShards]
-		fl.mu.Lock()
-		for got < k && fl.head != nil {
-			nd := fl.head
-			fl.head = nd.right
-			nd.right = nil
-			a.mag = append(a.mag, nd)
-			got++
-		}
-		fl.mu.Unlock()
+// refill pulls up to k objects off the depot into the magazine.  The depot
+// is swept whole before giving up: a refill only happens when the magazine
+// and chunk are both empty, where the alternative is carving a fresh chunk
+// from the heap — 16 uncontended mutexes are far cheaper than letting
+// spilled memory strand while the heap grows.  Reports whether it got at
+// least one object.
+func (m *magazine[T]) refill(k int) bool {
+	before := len(m.mag)
+	m.mag = m.d.take(m.mag, k)
+	if len(m.mag) == before {
+		return false
 	}
-	if got > 0 {
-		a.refills++
-	}
-	return got > 0
+	m.refills++
+	return true
 }
 
-// Reserve pre-fills the arena so the next n allocations are magazine or
-// chunk hits: it sweeps the global lists in blocks, then carves whatever
-// is still missing as one contiguous chunk.  An n-entry batch build after
-// Reserve(n) touches the shared lists O(n/M) times instead of O(n).
-// Growing the magazine raises its spill threshold, so the nodes the batch
-// frees while it runs stay local too; the owner calls Trim when the
-// transaction is over.
-func (a *Arena[K, V, A]) Reserve(n int) {
-	have := a.Cached()
+// reserve pre-fills the magazine so the next n gets are magazine or chunk
+// hits: it sweeps the depot in blocks, then carves whatever is still
+// missing as one contiguous chunk.  Growing the magazine raises its spill
+// threshold, so what the transaction frees while it runs stays local too;
+// the owner calls trim when the transaction is over.
+func (m *magazine[T]) reserve(n int) {
+	have := m.cached()
 	if have >= n {
 		return
 	}
-	if cap(a.mag) < n {
-		mag := make([]*Node[K, V, A], len(a.mag), n)
-		copy(mag, a.mag)
-		a.mag = mag
+	if cap(m.mag) < n {
+		mag := make([]*T, len(m.mag), n)
+		copy(mag, m.mag)
+		m.mag = mag
 	}
-	for i := 0; i < freeShards && have < n; i++ {
-		before := len(a.mag)
-		if !a.refill(n - have) {
-			break
-		}
-		have += len(a.mag) - before
-	}
+	before := len(m.mag)
+	m.refill(n - have)
+	have += len(m.mag) - before
 	if have < n {
 		// Park the current chunk's remainder in the magazine so carving a
 		// fresh chunk strands nothing, then carve the whole shortfall in
 		// one contiguous block.
-		for a.bi < len(a.blk) {
-			a.mag = append(a.mag, &a.blk[a.bi])
-			a.bi++
+		for ; m.bi < len(m.blk); m.bi++ {
+			m.mag = append(m.mag, &m.blk[m.bi])
 		}
-		need := n - have
-		if need < chunkNodes {
-			need = chunkNodes
-		}
-		a.blk = make([]Node[K, V, A], need)
-		a.bi = 0
-		a.carves++
+		m.blk = make([]T, max(n-have, m.chunk))
+		m.bi = 0
+		m.carves++
 	}
 }
 
-// Trim spills what the magazine holds beyond its default capacity, in
-// blocks.  A pid parks a bounded number of nodes between transactions
-// however large a batch it last ran: the surplus waits on the global
-// lists, where the next batch finds it whichever pid runs it.
-func (a *Arena[K, V, A]) Trim() {
-	for len(a.mag) > magCap {
-		a.spill(magMove)
+// trim spills what the magazine holds beyond its default capacity, in
+// blocks.
+func (m *magazine[T]) trim() {
+	for len(m.mag) > magCap {
+		m.spill(magMove)
 	}
 }
 
-// Flush spills every parked node back to the global free lists, in blocks.
-// The transaction layer calls it when an arena's owner goes away for good
-// (Map.Close), so parked memory is never stranded with a dead pid.  The
-// current chunk's unallocated remainder is dropped: those nodes were never
+// flush spills every parked object back to the depot, in blocks, and drops
+// the current chunk's unallocated remainder: those objects were never
 // allocated, so no accounting moves.
-func (a *Arena[K, V, A]) Flush() {
-	for len(a.mag) > 0 {
-		a.spill(magMove)
+func (m *magazine[T]) flush() {
+	for len(m.mag) > 0 {
+		m.spill(magMove)
 	}
-	a.blk, a.bi = nil, 0
+	m.blk, m.bi = nil, 0
 }
 
-// Cached reports how many allocations the arena can serve without touching
-// the global lists: parked magazine nodes plus the current chunk's
-// remainder.  Like all arena state it is single-owner — read it only from
-// the owning process or at quiescence.
-func (a *Arena[K, V, A]) Cached() int {
-	return len(a.mag) + len(a.blk) - a.bi
+// cached is how many gets the magazine can serve without touching the
+// depot: parked objects plus the current chunk's remainder.
+func (m *magazine[T]) cached() int { return len(m.mag) + len(m.blk) - m.bi }
+
+// Reserve pre-fills the arena so the next n allocations — nodes or leaves —
+// are magazine or chunk hits.  An n-unit batch after Reserve(n) touches
+// the depot O(n/M) times instead of O(n).
+func (a *Arena[K, V, A]) Reserve(n int) { a.reserve(n, n) }
+
+// reserve is Reserve with separate budgets for nodes and leaf blocks.
+func (a *Arena[K, V, A]) reserve(nodes, blocks int) {
+	a.nodes.reserve(nodes)
+	a.blocks.reserve(blocks)
 }
 
-// Stats reports the arena's lifetime block-transfer counters: refills and
-// spills against the global lists, and fresh chunks carved from the heap.
-// Single-owner; read from the owning process or at quiescence.
+// Trim spills what the magazines hold beyond their default capacity.  A
+// pid parks a bounded amount of memory between transactions however large
+// a batch it last ran: the surplus waits in the depot, where the next
+// batch finds it whichever pid runs it.
+func (a *Arena[K, V, A]) Trim() {
+	a.nodes.trim()
+	a.blocks.trim()
+}
+
+// Flush spills everything parked back to the depot.  The transaction layer
+// calls it when an arena's owner goes away for good (Map.Close), so parked
+// memory is never stranded with a dead pid.
+func (a *Arena[K, V, A]) Flush() {
+	a.nodes.flush()
+	a.blocks.flush()
+}
+
+// Cached reports how many allocations of either kind the arena can serve
+// without touching the depot.  Like all arena state it is single-owner —
+// read it only from the owning process or at quiescence.
+func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.blocks.cached()) }
+
+// Stats reports the arena's lifetime block-transfer counters, both
+// magazines together: refills and spills against the depot, and fresh
+// chunks carved from the heap.  Single-owner; read from the owning process
+// or at quiescence.
 func (a *Arena[K, V, A]) Stats() (refills, spills, carves int64) {
-	return a.refills, a.spills, a.carves
+	n, b := &a.nodes, &a.blocks
+	return n.refills + b.refills, n.spills + b.spills, n.carves + b.carves
 }

@@ -113,17 +113,18 @@ func (e ownerErr) Error() string {
 	return "owner tree corrupted (cross-arena reuse of a live node?)"
 }
 
-// TestArenaSpillRefillMigration: nodes freed by one arena must become
-// allocatable by another via the shared lists — spill on one side, refill
-// on the other — without disturbing exact accounting.
+// TestArenaSpillRefillMigration: nodes and leaf blocks freed by one arena
+// must become allocatable by another via the depot — spill on one side,
+// refill on the other — without disturbing exact accounting.
 func TestArenaSpillRefillMigration(t *testing.T) {
 	o := arenaOps()
 	a1 := o.NewArena()
 	b1 := o.Bound(a1)
-	// Build and fully release a chunky tree on arena 1: far more nodes
-	// than one magazine holds, so the surplus spills to the global lists.
+	// Build and fully release a chunky tree on arena 1: far more leaves
+	// than one magazine holds, so the surplus of both magazines spills to
+	// the depot.
 	var root *Node[int64, int64, int64]
-	for i := int64(0); i < 4*magCap; i++ {
+	for i := int64(0); i < 4*magCap*leafMax; i++ {
 		nr := b1.Insert(root, i, i)
 		b1.Release(root)
 		root = nr
@@ -132,9 +133,9 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 	if o.Live() != 0 {
 		t.Fatalf("phase 1 leaked %d nodes", o.Live())
 	}
-	_, spills, _ := a1.Stats()
-	if spills == 0 {
-		t.Fatalf("freeing %d nodes never spilled past magazine capacity %d", 4*magCap, magCap)
+	if a1.nodes.spills == 0 || a1.blocks.spills == 0 {
+		t.Fatalf("freeing ≥ %d leaves spilled nodes %d times, blocks %d times; magazine capacity %d",
+			4*magCap, a1.nodes.spills, a1.blocks.spills, magCap)
 	}
 
 	// Arena 2 must refill off those spilled nodes rather than carving
@@ -148,9 +149,11 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 		b2.Release(root)
 		root = nr
 	}
-	refills, _, _ := a2.Stats()
-	if refills == 0 {
-		t.Fatalf("arena 2 never refilled from the shared lists")
+	if a2.nodes.refills == 0 || a2.blocks.refills == 0 {
+		t.Fatalf("arena 2 refilled nodes %d times, blocks %d times from the depot", a2.nodes.refills, a2.blocks.refills)
+	}
+	if _, _, carves := a2.Stats(); carves != 0 {
+		t.Fatalf("arena 2 carved %d fresh chunks with the depot full", carves)
 	}
 	if o.Allocs() == allocsBefore {
 		t.Fatalf("accounting stopped moving")
@@ -161,8 +164,9 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 	}
 }
 
-// TestArenaReserve: Reserve must make the next n allocations magazine or
-// chunk hits and must never shrink what is already parked.
+// TestArenaReserve: Reserve must make the next n allocations — of nodes and
+// of leaf blocks — magazine or chunk hits and must never shrink what is
+// already parked.
 func TestArenaReserve(t *testing.T) {
 	o := arenaOps()
 	a := o.NewArena()
@@ -174,11 +178,16 @@ func TestArenaReserve(t *testing.T) {
 	}
 	carvesBefore, refillsBefore := int64(0), int64(0)
 	refillsBefore, _, carvesBefore = a.Stats()
-	entries := make([]Entry[int64, int64], n)
+	// n·leafMax/4 entries cut into n/3 leaves under as many internal nodes:
+	// more blocks than a default magazine or chunk holds, fewer than n.
+	entries := make([]Entry[int64, int64], n*leafMax/4)
 	for i := range entries {
 		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
 	}
 	root := bo.Build(entries)
+	if units := o.Live(); units <= magCap || units > n {
+		t.Fatalf("the build took %d units, want (%d, %d]", units, magCap, n)
+	}
 	refillsAfter, _, carvesAfter := a.Stats()
 	if carvesAfter != carvesBefore || refillsAfter != refillsBefore {
 		t.Fatalf("reserved build still hit the slow path: carves %d→%d refills %d→%d",
@@ -190,26 +199,27 @@ func TestArenaReserve(t *testing.T) {
 	}
 }
 
-// TestArenaTrim: after a reserved batch the magazine holds the batch's
-// freed nodes; Trim hands everything beyond the default capacity to the
-// global lists, where a second arena finds it.
+// TestArenaTrim: after a reserved batch the magazines hold the batch's
+// freed nodes and blocks; Trim hands everything beyond the default capacity
+// to the depot, where a second arena finds it.
 func TestArenaTrim(t *testing.T) {
 	o := arenaOps()
 	a := o.NewArena()
 	bo := o.Bound(a)
-	const n = 4 * magCap
-	a.Reserve(n)
-	entries := make([]Entry[int64, int64], n)
+	const n = 4 * magCap // leaves in the batch, under n−1 internal nodes
+	a.Reserve(2 * n)
+	entries := make([]Entry[int64, int64], n*leafMax)
 	for i := range entries {
 		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
 	}
 	bo.Release(bo.Build(entries))
-	if len(a.mag) <= magCap {
-		t.Fatalf("the widened magazine parked only %d of the batch's %d nodes", len(a.mag), n)
+	if len(a.nodes.mag) < 2*n-1 || len(a.blocks.mag) < n {
+		t.Fatalf("the widened magazines parked %d nodes and %d blocks of the batch's %d and %d",
+			len(a.nodes.mag), len(a.blocks.mag), 2*n-1, n)
 	}
 	a.Trim()
-	if len(a.mag) > magCap {
-		t.Fatalf("Trim left %d nodes parked, want ≤ %d", len(a.mag), magCap)
+	if len(a.nodes.mag) > magCap || len(a.blocks.mag) > magCap {
+		t.Fatalf("Trim left %d nodes and %d blocks parked, want ≤ %d", len(a.nodes.mag), len(a.blocks.mag), magCap)
 	}
 	a2 := o.NewArena()
 	a2.Reserve(n - magCap)
@@ -282,22 +292,21 @@ func TestArenaFlush(t *testing.T) {
 		t.Fatalf("nothing parked before Flush")
 	}
 	a.Flush()
-	if a.Cached() != 0 {
-		t.Fatalf("%d nodes still parked after Flush", a.Cached())
+	if n, b := a.nodes.cached(), a.blocks.cached(); n != 0 || b != 0 {
+		t.Fatalf("%d nodes and %d blocks still parked after Flush", n, b)
 	}
 	if o.Live() != 0 {
 		t.Fatalf("leaked %d nodes", o.Live())
 	}
-	// The flushed nodes are now on the global lists, available to any
+	// The flushed nodes and blocks are now in the depot, available to any
 	// arena or to the unbound root.
-	parked := 0
-	for i := range o.sh.free {
-		for n := o.sh.free[i].head; n != nil; n = n.right {
-			parked++
-		}
+	nodes, blocks := 0, 0
+	for i := range o.sh.nodes.shards {
+		nodes += len(o.sh.nodes.shards[i].items)
+		blocks += len(o.sh.blocks.shards[i].items)
 	}
-	if parked == 0 {
-		t.Fatalf("global lists empty after Flush")
+	if nodes == 0 || blocks == 0 {
+		t.Fatalf("depot holds %d nodes and %d blocks after Flush", nodes, blocks)
 	}
 }
 

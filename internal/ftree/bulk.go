@@ -3,10 +3,12 @@ package ftree
 import "slices"
 
 // Build constructs a perfectly balanced owned tree from entries sorted by
-// key with no duplicates.  O(n) work, O(log n) span with parallel halves.
+// key with no duplicates, cutting the input into leaves directly and
+// consuming the entries' values.  O(n) work, O(log n) span with parallel
+// halves.
 func (o *Ops[K, V, A]) Build(entries []Entry[K, V]) *Node[K, V, A] {
-	if len(entries) == 0 {
-		return nil
+	if o.Grain <= 0 || len(entries) <= max(o.Grain, leafMax) {
+		return o.build(entries)
 	}
 	mid := len(entries) / 2
 	var l, r *Node[K, V, A]
@@ -15,6 +17,16 @@ func (o *Ops[K, V, A]) Build(entries []Entry[K, V]) *Node[K, V, A] {
 		func(o *Ops[K, V, A]) { r = o.Build(entries[mid+1:]) },
 	)
 	return o.mk(l, entries[mid].Key, entries[mid].Val, r)
+}
+
+// build is Build's sequential case.  It captures nothing, so a caller's
+// stack-allocated run stays on the stack.
+func (o *Ops[K, V, A]) build(entries []Entry[K, V]) *Node[K, V, A] {
+	if len(entries) <= leafMax {
+		return o.leafOf(entries, false)
+	}
+	mid := len(entries) / 2
+	return o.mk(o.build(entries[:mid]), entries[mid].Key, entries[mid].Val, o.build(entries[mid+1:]))
 }
 
 // SortEntries sorts a batch by key and coalesces duplicates, applying comb
@@ -62,12 +74,29 @@ func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], batch []Entry[K, V], comb f
 		return o.share(t)
 	}
 	sorted := o.SortEntries(batch, comb)
-	// Build needs one node per entry and the union re-joins O(m·log(n/m))
-	// more; pre-fill the bound arena so those allocations are block
-	// transfers, not per-node lock acquisitions.
-	o.Reserve(len(sorted) + len(sorted)/4)
+	o.reserveBatch(len(sorted))
 	built := o.Build(sorted)
 	return o.unionOwned(o.share(t), built, comb)
+}
+
+// reserveBatch pre-fills the bound arena with what Build will take to cut
+// an m-entry batch into leaves: at most p leaves under p−1 internal nodes,
+// p the power of two that halves m to leafMax.  That much is certain and
+// wanted in one contiguous carve.  What the union then copies of the tree
+// depends on where the batch lands — nothing but a spine for an append, a
+// leaf per entry for a scattered batch — and comes through the magazines'
+// ordinary block refills, one lock per magMove objects; reserving for the
+// worst case would park the difference for good.  A no-op on an unbound
+// Ops or with Recycle off.
+func (o *Ops[K, V, A]) reserveBatch(m int) {
+	if o.arena == nil || !o.Recycle {
+		return
+	}
+	p := 1
+	for ; m > leafMax; m /= 2 {
+		p *= 2
+	}
+	o.arena.reserve(2*p, p)
 }
 
 // MultiDelete returns a new owned tree equal to borrowed t with every key
@@ -81,7 +110,7 @@ func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
 		entries[i].Key = k
 	}
 	sorted := o.SortEntries(entries, nil)
-	o.Reserve(len(sorted))
+	o.reserveBatch(len(sorted))
 	built := o.Build(sorted)
 	out := o.Difference(t, built)
 	o.Release(built)
@@ -91,6 +120,12 @@ func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
 // ForEach visits borrowed tree t in key order.  Pure reads.
 func (o *Ops[K, V, A]) ForEach(t *Node[K, V, A], f func(K, V)) {
 	if t == nil {
+		return
+	}
+	if t.leaf != nil {
+		for _, e := range t.run() {
+			f(e.Key, e.Val)
+		}
 		return
 	}
 	o.ForEach(t.left, f)
@@ -104,6 +139,9 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 	if t == nil {
 		return true
 	}
+	if t.leaf != nil {
+		return eachCond(t.run(), f)
+	}
 	if !o.ForEachCond(t.left, f) {
 		return false
 	}
@@ -111,6 +149,17 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 		return false
 	}
 	return o.ForEachCond(t.right, f)
+}
+
+// eachCond visits a run until f returns false, reporting whether it ran to
+// completion.
+func eachCond[K, V any](run []Entry[K, V], f func(K, V) bool) bool {
+	for _, e := range run {
+		if !f(e.Key, e.Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // ForEachCondFrom visits borrowed tree t's entries with key ≥ lo in key
@@ -121,6 +170,11 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 func (o *Ops[K, V, A]) ForEachCondFrom(t *Node[K, V, A], lo K, f func(K, V) bool) bool {
 	if t == nil {
 		return true
+	}
+	if t.leaf != nil {
+		run := t.run()
+		i, _ := o.search(run, lo)
+		return eachCond(run[i:], f)
 	}
 	if o.Cmp(t.key, lo) < 0 {
 		// t and everything left of it are below lo.
@@ -153,6 +207,12 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 	if t == nil {
 		return
 	}
+	if t.leaf != nil {
+		for _, e := range o.between(t.run(), lo, hi) {
+			f(e.Key, e.Val)
+		}
+		return
+	}
 	geLo := o.Cmp(t.key, lo) >= 0
 	leHi := o.Cmp(t.key, hi) <= 0
 	if geLo {
@@ -166,11 +226,25 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 	}
 }
 
+// between returns the entries of a run with lo ≤ key ≤ hi.
+func (o *Ops[K, V, A]) between(run []Entry[K, V], lo, hi K) []Entry[K, V] {
+	i, _ := o.search(run, lo)
+	run = run[i:]
+	j, found := o.search(run, hi)
+	if found {
+		j++
+	}
+	return run[:j]
+}
+
 // AugRange returns the augmented value of the entries of borrowed tree t
 // with lo ≤ key ≤ hi in O(log n) time — the paper's range-sum query
 // (Section 7.1) when used with SumAug.
 func (o *Ops[K, V, A]) AugRange(t *Node[K, V, A], lo, hi K) A {
 	for t != nil {
+		if t.leaf != nil {
+			return o.foldRun(o.between(t.run(), lo, hi))
+		}
 		if o.Cmp(t.key, lo) < 0 {
 			t = t.right
 			continue
@@ -191,6 +265,11 @@ func (o *Ops[K, V, A]) AugRange(t *Node[K, V, A], lo, hi K) A {
 func (o *Ops[K, V, A]) augGE(t *Node[K, V, A], lo K) A {
 	a := o.Aug.Zero()
 	for t != nil {
+		if t.leaf != nil {
+			run := t.run()
+			i, _ := o.search(run, lo)
+			return o.Aug.Combine(o.foldRun(run[i:]), a)
+		}
 		if o.Cmp(t.key, lo) < 0 {
 			t = t.right
 			continue
@@ -210,6 +289,14 @@ func (o *Ops[K, V, A]) augGE(t *Node[K, V, A], lo K) A {
 func (o *Ops[K, V, A]) augLE(t *Node[K, V, A], hi K) A {
 	a := o.Aug.Zero()
 	for t != nil {
+		if t.leaf != nil {
+			run := t.run()
+			j, found := o.search(run, hi)
+			if found {
+				j++
+			}
+			return o.Aug.Combine(a, o.foldRun(run[:j]))
+		}
 		if o.Cmp(t.key, hi) > 0 {
 			t = t.left
 			continue

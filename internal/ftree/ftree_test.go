@@ -468,17 +468,38 @@ func TestFilter(t *testing.T) {
 }
 
 // TestDoubleReleasePanics: the poisoned refcount must catch a double
-// collect, which would be a GC-safety bug in the transaction layer.
+// collect, which would be a GC-safety bug in the transaction layer.  The
+// sole-owner fast path frees on a count of 1 without decrementing; a freed
+// root's count is the poison, not 1, so the second Release still reaches
+// the decrement — whether the root is a leaf or an internal node, freed to
+// the garbage collector, the depot or a magazine.
 func TestDoubleReleasePanics(t *testing.T) {
-	o := intOps(0)
-	root := o.Insert(nil, 1, 1)
-	o.Release(root)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double release")
-		}
-	}()
-	o.Release(root)
+	for _, c := range []struct {
+		name           string
+		n              int
+		recycle, bound bool
+	}{
+		{"leaf", 1, false, false},
+		{"internal", 4 * leafMax, false, false},
+		{"leaf/depot", 1, true, false},
+		{"internal/magazine", 4 * leafMax, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := intOps(0)
+			o.Recycle = c.recycle
+			if c.bound {
+				o = o.Bound(o.NewArena())
+			}
+			root := o.Build(seqEntries(c.n))
+			o.Release(root)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on double release")
+				}
+			}()
+			o.Release(root)
+		})
+	}
 }
 
 // TestNoStealMatchesSteal: the decompose fast path is a pure optimization;

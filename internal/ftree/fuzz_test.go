@@ -1,60 +1,249 @@
 package ftree
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
+// fuzzTrees is the state one FuzzTreeOps input drives: the tree under test
+// with its map model, a second fuzz-built tree for the binary set
+// operations, and snapshots that must keep reading their own contents.
+type fuzzTrees struct {
+	t     *testing.T
+	o     *Ops[int64, int64, int64]
+	root  *Node[int64, int64, int64]
+	ref   map[int64]int64
+	other *Node[int64, int64, int64]
+	oref  map[int64]int64
+	snaps []*Node[int64, int64, int64]
+	srefs []map[int64]int64
+}
+
+// set installs next as the tree under test and checks everything a step
+// that returns a tree must leave true: structure, contents and exact space.
+func (f *fuzzTrees) set(next *Node[int64, int64, int64]) {
+	f.t.Helper()
+	f.o.Release(f.root)
+	f.root = next
+	if err := f.o.Validate(f.root, augEq); err != nil {
+		f.t.Fatal(err)
+	}
+	if f.o.Size(f.root) != int64(len(f.ref)) {
+		f.t.Fatalf("size %d, want %d", f.o.Size(f.root), len(f.ref))
+	}
+	f.o.ForEach(f.root, func(k, v int64) {
+		if want, ok := f.ref[k]; !ok || want != v {
+			f.t.Fatalf("key %d = %d, want %d (present %v)", k, v, want, ok)
+		}
+	})
+	roots := append([]*Node[int64, int64, int64]{f.root, f.other}, f.snaps...)
+	if live, reach := f.o.Live(), f.o.ReachableNodes(roots...); live != reach {
+		f.t.Fatalf("allocated %d ≠ reachable %d", live, reach)
+	}
+}
+
+// keys returns the model's keys in order.
+func (f *fuzzTrees) keys() []int64 {
+	ks := make([]int64, 0, len(f.ref))
+	for k := range f.ref {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
 // FuzzTreeOps drives the persistent map with an op sequence decoded from
-// fuzz input, checking contents against a reference map, structural
-// invariants, and exact space accounting.  Run long with
-// `go test -fuzz FuzzTreeOps ./internal/ftree`.
+// fuzz input — two-byte keys, so trees grow past leaf boundaries — through
+// point, bulk, set, split/join, iterator and order-statistic operations,
+// checking every result against a map model, with structural invariants and
+// exact space accounting after every step that returns a tree.  Run long
+// with `go test -run '^$' -fuzz FuzzTreeOps ./internal/ftree`.
 func FuzzTreeOps(f *testing.F) {
-	f.Add([]byte{1, 10, 2, 20, 3, 30})
-	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2})
-	f.Add([]byte{255, 254, 253, 252, 251, 250})
+	f.Add([]byte{0, 1, 0, 10, 2, 0, 10, 3, 0, 30})
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 1, 2, 2, 2})
+	f.Add([]byte{2, 255, 254, 253, 252, 251, 250})
+	// Ascending and scattered bulk loads that cross several leaf
+	// boundaries, then every other op once against them.
+	var bulk []byte
+	for round := byte(0); round < 4; round++ {
+		bulk = append(bulk, 6, 60) // MultiInsert of 60 keys
+		for i := byte(0); i < 60; i++ {
+			bulk = append(bulk, round*(i%3), i*4+round)
+		}
+	}
+	for op := byte(0); op < 13; op++ {
+		bulk = append(bulk, op, 0, 100+op, 7, 9)
+	}
+	for cfg := byte(0); cfg < 4; cfg++ {
+		f.Add(append([]byte{cfg}, bulk...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o := intOps(0)
-		var root *Node[int64, int64, int64]
-		var snaps []*Node[int64, int64, int64]
-		ref := map[int64]int64{}
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%5, int64(data[i+1])
-			switch op {
+		s := &fuzzTrees{t: t, o: intOps(0), ref: map[int64]int64{}, oref: map[int64]int64{}}
+		o := s.o
+		next := func() byte { // the next input byte, 0 once exhausted
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		key := func() int64 { return int64(binary.BigEndian.Uint16([]byte{next(), next()})) }
+		sum := func(a, b int64) int64 { return a + b }
+		// The first byte picks the allocator and the decompose path, so both
+		// sides of every steal-or-retain branch see the same op sequences.
+		cfg := next()
+		o.Recycle, o.NoSteal = cfg&1 != 0, cfg&2 != 0
+		for step := int64(1); len(data) > 0; step++ {
+			switch next() % 13 {
 			case 0, 1: // insert
-				nr := o.Insert(root, arg, int64(i))
-				o.Release(root)
-				root = nr
-				ref[arg] = int64(i)
-			case 2: // delete
-				nr := o.Delete(root, arg)
-				o.Release(root)
-				root = nr
-				delete(ref, arg)
+				k := key()
+				s.ref[k] = step
+				s.set(o.Insert(s.root, k, step))
+			case 2: // delete by key
+				k := key()
+				delete(s.ref, k)
+				s.set(o.Delete(s.root, k))
 			case 3: // snapshot
-				if len(snaps) < 8 {
-					snaps = append(snaps, o.share(root))
+				if len(s.snaps) < 8 {
+					cp := make(map[int64]int64, len(s.ref))
+					for k, v := range s.ref {
+						cp[k] = v
+					}
+					s.snaps, s.srefs = append(s.snaps, o.share(s.root)), append(s.srefs, cp)
 				}
 			case 4: // find must agree with the model
-				got, ok := o.Find(root, arg)
-				want, wantOK := ref[arg]
+				k := key()
+				got, ok := o.Find(s.root, k)
+				want, wantOK := s.ref[k]
 				if ok != wantOK || (ok && got != want) {
-					t.Fatalf("find(%d) = %d,%v want %d,%v", arg, got, ok, want, wantOK)
+					t.Fatalf("find(%d) = %d,%v want %d,%v", k, got, ok, want, wantOK)
+				}
+			case 5: // grow the second tree
+				k := key()
+				s.oref[k] = -step
+				no := o.Insert(s.other, k, -step)
+				o.Release(s.other)
+				s.other = no
+			case 6: // MultiInsert, combining with the stored value
+				batch := make([]Entry[int64, int64], next()%80)
+				for i := range batch {
+					batch[i] = Entry[int64, int64]{key(), step}
+					s.ref[batch[i].Key] += step
+				}
+				s.set(o.MultiInsert(s.root, batch, sum))
+			case 7: // MultiDelete
+				ks := make([]int64, next()%80)
+				for i := range ks {
+					ks[i] = key()
+					delete(s.ref, ks[i])
+				}
+				s.set(o.MultiDelete(s.root, ks))
+			case 8: // a set operation against the second tree
+				mode := next() % 5
+				comb := sum
+				if mode%2 == 1 {
+					comb = nil
+				}
+				switch mode {
+				case 0, 1: // union: summed, or the second tree's value wins
+					for k, v := range s.oref {
+						if old, ok := s.ref[k]; ok && comb != nil {
+							v += old
+						}
+						s.ref[k] = v
+					}
+					s.set(o.Union(s.root, s.other, comb))
+				case 2, 3: // intersection: summed, or the first tree's value wins
+					for k, v := range s.ref {
+						if ov, ok := s.oref[k]; !ok {
+							delete(s.ref, k)
+						} else if comb != nil {
+							s.ref[k] = v + ov
+						}
+					}
+					s.set(o.Intersect(s.root, s.other, comb))
+				default:
+					for k := range s.oref {
+						delete(s.ref, k)
+					}
+					s.set(o.Difference(s.root, s.other))
+				}
+			case 9: // split at a key and join the halves back
+				k := key()
+				l, r, found, fv := o.Split(s.root, k)
+				if want, ok := s.ref[k]; found != ok || (found && fv != want) {
+					t.Fatalf("split(%d) found %d,%v want %d,%v", k, fv, found, want, ok)
+				}
+				for _, half := range []*Node[int64, int64, int64]{l, r} {
+					if err := o.Validate(half, augEq); err != nil {
+						t.Fatalf("split(%d): %v", k, err)
+					}
+				}
+				if found {
+					s.set(o.Join(l, k, fv, r))
+				} else {
+					s.set(o.Join2(l, r))
+				}
+			case 10: // seek and walk the iterator against the sorted model
+				k, steps := key(), int(next())
+				ks := s.keys()
+				i, _ := slices.BinarySearch(ks, k)
+				it := o.NewIterAt(s.root, k)
+				for ; steps >= 0; steps, i = steps-1, i+1 {
+					if i >= len(ks) {
+						if it.Valid() {
+							t.Fatalf("seek(%d): iterator at %d past the model's end", k, it.Key())
+						}
+						break
+					}
+					if !it.Valid() || it.Key() != ks[i] || it.Val() != s.ref[ks[i]] {
+						t.Fatalf("seek(%d) step %d: iterator valid %v, want key %d", k, i, it.Valid(), ks[i])
+					}
+					it.Next()
+				}
+			case 11: // order statistics and the augmented range
+				lo, hi := key(), key()
+				ks := s.keys()
+				rank, _ := slices.BinarySearch(ks, lo)
+				if got := o.Rank(s.root, lo); got != int64(rank) {
+					t.Fatalf("rank(%d) = %d, want %d", lo, got, rank)
+				}
+				e, ok := o.Select(s.root, int64(rank))
+				if ok != (rank < len(ks)) || (ok && (e.Key != ks[rank] || e.Val != s.ref[e.Key])) {
+					t.Fatalf("select(%d) = %v,%v", rank, e, ok)
+				}
+				var want int64
+				for _, k := range ks {
+					if lo <= k && k <= hi {
+						want += s.ref[k]
+					}
+				}
+				if got := o.AugRange(s.root, lo, hi); got != want {
+					t.Fatalf("AugRange(%d,%d) = %d, want %d", lo, hi, got, want)
+				}
+			case 12: // delete by rank: always hits, so leaves shrink and merge
+				if ks := s.keys(); len(ks) > 0 {
+					k := ks[int(key())%len(ks)]
+					delete(s.ref, k)
+					s.set(o.Delete(s.root, k))
 				}
 			}
 		}
-		if err := o.Validate(root, augEq); err != nil {
-			t.Fatal(err)
+		for i, snap := range s.snaps {
+			if o.Size(snap) != int64(len(s.srefs[i])) {
+				t.Fatalf("snapshot %d: size %d, want %d", i, o.Size(snap), len(s.srefs[i]))
+			}
+			for k, v := range s.srefs[i] {
+				if got, ok := o.Find(snap, k); !ok || got != v {
+					t.Fatalf("snapshot %d: find(%d) = %d,%v want %d", i, k, got, ok, v)
+				}
+			}
+			o.Release(snap)
 		}
-		if o.Size(root) != int64(len(ref)) {
-			t.Fatalf("size %d want %d", o.Size(root), len(ref))
-		}
-		all := append(snaps, root)
-		if o.Live() != o.ReachableNodes(all...) {
-			t.Fatalf("allocated %d ≠ reachable %d", o.Live(), o.ReachableNodes(all...))
-		}
-		for _, s := range all {
-			o.Release(s)
-		}
+		o.Release(s.root)
+		o.Release(s.other)
 		if o.Live() != 0 {
 			t.Fatalf("leaked %d nodes", o.Live())
 		}

@@ -7,6 +7,10 @@ package ftree
 // need no invalidation protocol — one more consequence of the functional
 // representation.
 //
+// The cursor is a path of pending nodes plus a position: an internal
+// node's single entry, or an index into a leaf's run.  Next inside a leaf
+// is an index increment; only crossing a leaf boundary touches the stack.
+//
 // An Iter is reusable: Reset and SeekGE re-position it on a (possibly
 // different) tree of the same Ops family while keeping the descent
 // stack's backing array, so a warm re-seek allocates nothing.  That is
@@ -16,8 +20,9 @@ package ftree
 // it may be reused freely, but never concurrently.
 type Iter[K, V, A any] struct {
 	ops   *Ops[K, V, A]
-	stack []*Node[K, V, A] // path of nodes whose entry is still pending
-	cur   *Node[K, V, A]
+	stack []*Node[K, V, A] // path of nodes whose entries are all still pending
+	cur   *Node[K, V, A]   // node holding the current entry; nil when exhausted
+	idx   int              // position in cur's run when cur is a leaf
 }
 
 // NewIter returns an iterator positioned at t's smallest entry; Valid
@@ -56,6 +61,13 @@ func (it *Iter[K, V, A]) Reset(t *Node[K, V, A]) {
 func (it *Iter[K, V, A]) SeekGE(t *Node[K, V, A], k K) {
 	it.stack = it.stack[:0]
 	for t != nil {
+		if t.leaf != nil {
+			if i, _ := it.ops.search(t.run(), k); i < int(t.size) {
+				it.cur, it.idx = t, i
+				return
+			}
+			break
+		}
 		c := it.ops.Cmp(k, t.key)
 		switch {
 		case c == 0:
@@ -78,8 +90,9 @@ func (it *Iter[K, V, A]) descendLeft(t *Node[K, V, A]) {
 	}
 }
 
-// advance moves to the next pending entry.
+// advance moves to the first entry of the next pending node.
 func (it *Iter[K, V, A]) advance() {
+	it.idx = 0
 	if len(it.stack) == 0 {
 		it.cur = nil
 		return
@@ -92,16 +105,32 @@ func (it *Iter[K, V, A]) advance() {
 func (it *Iter[K, V, A]) Valid() bool { return it.cur != nil }
 
 // Key returns the current entry's key; requires Valid.
-func (it *Iter[K, V, A]) Key() K { return it.cur.key }
+func (it *Iter[K, V, A]) Key() K {
+	if b := it.cur.leaf; b != nil {
+		return b.e[it.idx].Key
+	}
+	return it.cur.key
+}
 
 // Val returns the current entry's value; requires Valid.
-func (it *Iter[K, V, A]) Val() V { return it.cur.val }
+func (it *Iter[K, V, A]) Val() V {
+	if b := it.cur.leaf; b != nil {
+		return b.e[it.idx].Val
+	}
+	return it.cur.val
+}
 
 // Next moves to the following entry in key order.
 func (it *Iter[K, V, A]) Next() {
 	if it.cur == nil {
 		return
 	}
-	it.descendLeft(it.cur.right)
+	if it.cur.leaf != nil {
+		if it.idx++; it.idx < int(it.cur.size) {
+			return
+		}
+	} else {
+		it.descendLeft(it.cur.right)
+	}
 	it.advance()
 }

@@ -124,6 +124,9 @@ func TestIterWarmSeekNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	root, _ := buildRandom(o, rng, 5000, 20000)
 	defer o.Release(root)
+	if o.Height(root) < 3 {
+		t.Fatalf("height %d: the seeks cross no leaf boundary", o.Height(root))
+	}
 
 	var it Iter[int64, int64, int64]
 	it.Bind(o)
@@ -150,6 +153,9 @@ func TestIterQuickMatchesEntries(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		root, _ := buildRandom(o, rng, 200, 400)
 		defer o.Release(root)
+		if o.Height(root) < 2 {
+			return false // the walk must cross leaf boundaries
+		}
 		seek := int64(seekRaw) % 450
 		var want []Entry[int64, int64]
 		o.ForEach(root, func(k, v int64) {

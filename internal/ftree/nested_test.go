@@ -149,3 +149,75 @@ func TestNestedDeleteReleasesPostings(t *testing.T) {
 		t.Fatalf("outer leaked %d", outer.Live())
 	}
 }
+
+// innerLive counts the distinct inner trees the given outer versions
+// reference.  Every inner tree here is a single-entry leaf — one unit — so
+// this is what inner.Live() must read.
+func innerLive(outer *Ops[int64, *innerNode, struct{}], roots ...*Node[int64, *innerNode, struct{}]) int64 {
+	seen := map[*innerNode]struct{}{}
+	for _, r := range roots {
+		outer.ForEach(r, func(_ int64, p *innerNode) { seen[p] = struct{}{} })
+	}
+	return int64(len(seen))
+}
+
+// TestNestedLeafOwnership: a leaf whose run holds refcounted inner trees is
+// copied (replace), split (overflow), merged (delete, union) and freed, with
+// and without the steal path; at every stage the inner family's live space
+// is exactly the inner trees some live outer version references.
+func TestNestedLeafOwnership(t *testing.T) {
+	for _, noSteal := range []bool{false, true} {
+		inner, outer := nestedOps()
+		outer.NoSteal = noSteal
+		posting := func(k int64) *innerNode { return inner.Insert(nil, k, k) }
+		var live []*Node[int64, *innerNode, struct{}]
+		check := func(what string) {
+			t.Helper()
+			if got, want := inner.Live(), innerLive(outer, live...); got != want {
+				t.Fatalf("noSteal=%v, %s: inner live %d, want %d", noSteal, what, got, want)
+			}
+			if got, want := outer.Live(), outer.ReachableNodes(live...); got != want {
+				t.Fatalf("noSteal=%v, %s: outer live %d, want %d", noSteal, what, got, want)
+			}
+		}
+		// One full leaf.
+		es := make([]Entry[int64, *innerNode], leafMax)
+		for i := range es {
+			es[i] = Entry[int64, *innerNode]{Key: int64(i) * 2, Val: posting(int64(i))}
+		}
+		v1 := outer.Build(es)
+		live = append(live, v1)
+		check("build")
+		// Copy: a replace retains the other leafMax−1 postings for the new leaf.
+		v2 := outer.Insert(v1, 10, posting(100))
+		live = append(live, v2)
+		check("replace")
+		// Split: an overflowing insert cuts the run in two around a middle entry.
+		v3 := outer.Insert(v2, 11, posting(101))
+		live = append(live, v3)
+		check("overflow")
+		// Merge: deleting it folds two leaves and the middle entry into one.
+		v4 := outer.Delete(v3, 11)
+		live = append(live, v4)
+		check("fold")
+		// Merge two runs: union with a second leaf, combining shared keys by
+		// keeping the left posting and releasing the right one.
+		other := outer.Build([]Entry[int64, *innerNode]{{Key: 10, Val: posting(200)}, {Key: 13, Val: posting(201)}})
+		live = append(live, other)
+		v5 := outer.Union(v4, other, func(a, b *innerNode) *innerNode { inner.Release(b); return a })
+		live = append(live, v5)
+		check("union")
+		v6 := outer.Difference(v5, other)
+		live = append(live, v6)
+		check("difference")
+		// Free in an order that leaves shared postings alive to the end.
+		for len(live) > 0 {
+			outer.Release(live[0])
+			live = live[1:]
+			check("release")
+		}
+		if outer.Live() != 0 || inner.Live() != 0 {
+			t.Fatalf("noSteal=%v: leak: outer %d inner %d", noSteal, outer.Live(), inner.Live())
+		}
+	}
+}

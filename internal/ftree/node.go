@@ -6,17 +6,32 @@
 // user-defined augmentation, and precise reference-counting garbage
 // collection following Algorithm 5.
 //
+// # Layout: leaf blocks
+//
+// A subtree of at most leafMax entries is ONE node — a leaf — whose
+// entries sit sorted in one contiguous block (the PaC-tree shape of
+// Dhulipala, Blelloch, Gu and Sun, PLDI 2022).  Internal nodes are the
+// binary, one-entry, weight-balanced nodes of the paper and exist only
+// above more than leafMax entries.  Size, balance and augmentation are
+// counted in entries throughout, so a leaf is to every algorithm a
+// perfectly balanced subtree of its size: mk folds children that fit into
+// one leaf, decompose unfolds a leaf at its middle entry, and the join
+// algorithms between those two are unchanged.  The hot paths do not unfold
+// entry by entry; they have array base cases (leaf.go).  DESIGN.md ("Leaf
+// blocks") has the invariants and the measurements behind leafMax.
+//
 // # Ownership discipline
 //
 // Every node carries a reference count equal to the number of parent
 // pointers in the memory graph plus the number of outstanding ownership
 // tokens (a version root held by the transaction layer, or an intermediate
-// result held by an operation in progress).  All code manipulates nodes
-// through four primitives, which make reference-count exactness
-// compositional:
+// result held by an operation in progress).  A leaf has one count for its
+// whole run; entries have none.  All code manipulates nodes through four
+// primitives, which make reference-count exactness compositional:
 //
 //   - mk(l, k, v, r) creates a node, consuming the caller's tokens on l
-//     and r (they become parent edges) and minting a token on the new node.
+//     and r (they become parent edges, or their runs move into the new
+//     leaf) and minting a token on the new node.
 //   - share(t) mints a new token on a borrowed node (t.ref++).
 //   - decompose(t) trades the caller's token on t for tokens on t's
 //     children plus t's payload, freeing t when the token was the last.
@@ -27,21 +42,34 @@
 //
 // # Allocation
 //
-// With Recycle on, freed nodes are reused by the next mk.  An Ops view
-// bound to an Arena (the per-pid magazine allocator, arena.go) recycles
-// through the arena with no locks or shared-state atomics; the unbound
-// root Ops recycles through sharded mutex-protected global lists, which
-// double as the depot magazines spill to and refill from.
+// An allocation unit is an internal node, or a leaf node together with its
+// block; Allocs, Frees and Live count units.  With Recycle on, freed units
+// are reused by the next mk.  An Ops view bound to an Arena (the per-pid
+// magazine allocator, arena.go) recycles through the arena with no locks
+// or shared-state atomics; the unbound root Ops recycles through the
+// sharded mutex-protected depot that magazines spill to and refill from.
 package ftree
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// Node is an immutable tree node.  Exported so the transaction layer can
-// name the type, but its fields are managed exclusively by this package.
+// leafMax is the most entries one leaf holds.  DESIGN.md ("Leaf blocks")
+// records the measurements at 16, 32 and 64 that chose it.
+const leafMax = 32
+
+// leafBlock is the storage of one leaf's run.  It has no pointer fields of
+// its own — free blocks are linked through the magazine and depot slices —
+// so for pointer-free K and V the collector never scans a block.
+type leafBlock[K, V any] struct {
+	e [leafMax]Entry[K, V]
+}
+
+// Node is an immutable tree node: a leaf when leaf is non-nil (entries
+// leaf.e[:size]; left, right, key and val unused), an internal node
+// otherwise.  Exported so the transaction layer can name the type, but its
+// fields are managed exclusively by this package.
 type Node[K, V, A any] struct {
 	// ref is a plain word: written plainly while the node is private (mk
 	// before the node is published, freeNode after its last token died, and
@@ -51,6 +79,7 @@ type Node[K, V, A any] struct {
 	ref   int32
 	left  *Node[K, V, A]
 	right *Node[K, V, A]
+	leaf  *leafBlock[K, V]
 	size  int64
 	key   K
 	val   V
@@ -62,20 +91,31 @@ type Node[K, V, A any] struct {
 // than corrupting the heap silently.
 const freedMark = -1 << 24
 
-// Key returns the node's key; used by iterators.
-func (n *Node[K, V, A]) Key() K { return n.key }
-
-// Val returns the node's value (borrowed: valid while the tree is live).
-func (n *Node[K, V, A]) Val() V { return n.val }
-
 // Aug returns the augmented value of the subtree rooted at n.
 func (n *Node[K, V, A]) Aug() A { return n.aug }
 
-// Left returns the left child for read-only traversals (borrowed).
-func (n *Node[K, V, A]) Left() *Node[K, V, A] { return n.left }
+// Expand visits the immediate parts of borrowed node n in key order: an
+// internal node's left subtree, entry and right subtree, or every entry of
+// a leaf.  It is how a caller searches by augmentation (the inverted
+// index's top-k) without knowing the layout.
+func (n *Node[K, V, A]) Expand(sub func(*Node[K, V, A]), entry func(K, V)) {
+	if n.leaf != nil {
+		for _, e := range n.run() {
+			entry(e.Key, e.Val)
+		}
+		return
+	}
+	if n.left != nil {
+		sub(n.left)
+	}
+	entry(n.key, n.val)
+	if n.right != nil {
+		sub(n.right)
+	}
+}
 
-// Right returns the right child for read-only traversals (borrowed).
-func (n *Node[K, V, A]) Right() *Node[K, V, A] { return n.right }
+// run returns leaf n's entries.
+func (n *Node[K, V, A]) run() []Entry[K, V] { return n.leaf.e[:n.size] }
 
 // Size returns the number of keys in the subtree rooted at n (nil-safe).
 func size[K, V, A any](n *Node[K, V, A]) int64 {
@@ -103,25 +143,14 @@ type stats struct {
 	frees  [statShards]padCounter
 }
 
-// freeShards is the number of independent global free lists when Recycle
-// is on; sharding keeps unbound collectors and allocators from serializing
-// on one lock, and gives arenas independent depots to spill to.
-const freeShards = 16
-
-type freeList[K, V, A any] struct {
-	mu   sync.Mutex
-	head *Node[K, V, A]
-	_    [4]uint64
-}
-
 // allocShared is the allocation state every view of one Ops family shares:
-// exact statistics plus the sharded global free lists.  Arenas hold a
+// exact statistics plus the two depots (nodes, leaf blocks).  Arenas hold a
 // pointer to it so spills and refills stay inside the family and Live()
 // accounting cannot drift between views.
 type allocShared[K, V, A any] struct {
-	st       stats
-	free     [freeShards]freeList[K, V, A]
-	freeHint atomic.Uint32
+	st     stats
+	nodes  depot[Node[K, V, A]]
+	blocks depot[leafBlock[K, V]]
 }
 
 func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
@@ -137,52 +166,72 @@ func (s *stats) totals() (allocs, frees int64) {
 	return
 }
 
-// Allocs reports the total number of nodes ever created by this Ops family.
+// Allocs reports the total number of allocation units (internal nodes and
+// leaves) ever created by this Ops family.
 func (o *Ops[K, V, A]) Allocs() int64 { a, _ := o.sh.st.totals(); return a }
 
-// Frees reports the total number of nodes freed by the collector.
+// Frees reports the total number of units freed by the collector.
 func (o *Ops[K, V, A]) Frees() int64 { _, f := o.sh.st.totals(); return f }
 
-// Live reports the allocated space in nodes: Allocs() − Frees().  After all
+// Live reports the allocated space in units: Allocs() − Frees().  After all
 // versions are released this must be zero; the property tests assert that
 // at every quiescent point Live equals the number of nodes reachable from
-// the live version roots.  Nodes parked in magazines or on the global free
-// lists are counted free: they are reachable from no version.
+// the live version roots.  Units parked in magazines or in the depot are
+// counted free: they are reachable from no version.
 func (o *Ops[K, V, A]) Live() int64 {
 	a, f := o.sh.st.totals()
 	return a - f
 }
 
-// mk allocates a node with key k, value v and children l and r, consuming
-// the caller's tokens on l and r and returning a token on the new node.
-// Size and augmentation are computed here so they are correct by
-// construction everywhere.  With Recycle on, a bound view takes the node
-// from its arena (no locks, no shared-state atomics); the unbound root
-// scans the sharded global lists.
-func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
+// hasAug reports whether A carries information.  A zero-size A has one
+// value, so every fold over it is that value and is skipped.
+func hasAug[A any]() bool {
+	var z A
+	return unsafe.Sizeof(z) != 0
+}
+
+// newNode returns a private node with a count of 1 and counts the unit.
+// With Recycle on, a bound view takes it from its arena (no locks, no
+// shared-state atomics); the unbound root asks the depot.
+func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 	var n *Node[K, V, A]
 	if o.Recycle {
 		if a := o.arena; a != nil {
-			n = a.get()
+			n = a.nodes.get()
 		} else {
-			n = o.popFree()
+			n = o.sh.nodes.pop()
 		}
 	}
 	if n == nil {
 		n = &Node[K, V, A]{}
 	}
-	n.left, n.right, n.key, n.val = l, r, k, v
 	n.ref = 1 // private until the caller publishes it
-	n.size = size(l) + size(r) + 1
-	a := o.Aug.Single(k, v)
-	if l != nil {
-		a = o.Aug.Combine(l.aug, a)
-	}
-	if r != nil {
-		a = o.Aug.Combine(a, r.aug)
-	}
-	n.aug = a
 	o.sh.st.addAlloc(unsafe.Pointer(n))
+	return n
+}
+
+// mk makes a tree of children l and r around entry (k, v), consuming the
+// caller's tokens on l and r and returning a token on the result: one leaf
+// when everything fits in one, an internal node otherwise.  Size and
+// augmentation are computed here so they are correct by construction
+// everywhere.
+func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
+	if size(l)+size(r) < leafMax {
+		return o.fold(l, k, v, r)
+	}
+	n := o.newNode()
+	n.left, n.right, n.key, n.val = l, r, k, v
+	n.size = size(l) + size(r) + 1
+	if hasAug[A]() {
+		a := o.Aug.Single(k, v)
+		if l != nil {
+			a = o.Aug.Combine(l.aug, a)
+		}
+		if r != nil {
+			a = o.Aug.Combine(a, r.aug)
+		}
+		n.aug = a
+	}
 	return n
 }
 
@@ -203,10 +252,16 @@ func (o *Ops[K, V, A]) share(t *Node[K, V, A]) *Node[K, V, A] {
 	return t
 }
 
+// sole reports whether the caller's token on t is the only reference.  No
+// concurrent share can then target t — shares require reaching t through
+// some other owned reference, and there is none — so the caller may take
+// t apart without a locked instruction.
+func sole[K, V, A any](t *Node[K, V, A]) bool { return atomic.LoadInt32(&t.ref) == 1 }
+
 // Release destroys one ownership token on t: Algorithm 5's collect.  When
-// the token was the last reference the node is freed and its children are
-// collected recursively (iteratively, to bound stack use).  Runs in
-// O(freed+1) time (Theorem 4.2).
+// the token was the last reference the node is freed, the values it holds
+// are released and its children are collected recursively (iteratively, to
+// bound stack use).  Runs in O(freed+1) time (Theorem 4.2).
 func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	if t == nil {
 		return
@@ -227,11 +282,11 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	}()
 	cur := t
 	for {
-		// A count of 1 is the caller's own token and nobody else can mint
-		// another (decompose's steal argument), so the node dies without a
-		// locked decrement.  A freed node's count is freedMark, not 1, so a
-		// double collect still reaches the decrement and trips the panic.
-		dead := atomic.LoadInt32(&cur.ref) == 1
+		// A count of 1 is the caller's own token (see sole), so the node
+		// dies without a locked decrement.  A freed node's count is
+		// freedMark, not 1, so a double collect still reaches the decrement
+		// and trips the panic.
+		dead := sole(cur)
 		if !dead {
 			n := atomic.AddInt32(&cur.ref, -1)
 			if n < 0 {
@@ -241,7 +296,13 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 		}
 		if dead {
 			l, r := cur.left, cur.right
-			o.releaseVal(cur.val)
+			if cur.leaf == nil {
+				o.releaseVal(cur.val)
+			} else if o.ReleaseVal != nil {
+				for _, e := range cur.run() {
+					o.ReleaseVal(e.Val)
+				}
+			}
 			o.freeNode(cur)
 			if l != nil {
 				if r != nil {
@@ -263,64 +324,54 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	}
 }
 
+// freeNode frees a unit whose last token just died.  The caller has
+// released, or moved elsewhere, every value the unit held.
 func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
-	n.ref = freedMark // unreachable: the last token just died
+	n.ref = freedMark // unreachable: nobody else can read the word
 	o.sh.st.addFree(unsafe.Pointer(n))
+	b := n.leaf
 	if !o.Recycle {
-		n.left, n.right = nil, nil
+		n.left, n.right, n.leaf = nil, nil, nil
 		return
 	}
-	// The node is unreachable from any live version, so no reader can
-	// observe it; drop its references so parked nodes pin nothing.
+	// The unit is unreachable from any live version, so no reader can
+	// observe it; drop its references so parked memory pins nothing.
 	var zeroK K
 	var zeroV V
-	n.left, n.right, n.key, n.val = nil, nil, zeroK, zeroV
+	n.left, n.right, n.leaf, n.key, n.val = nil, nil, nil, zeroK, zeroV
+	if b != nil {
+		clear(b.e[:n.size])
+	}
 	if a := o.arena; a != nil {
-		a.put(n)
+		a.nodes.put(n)
+		if b != nil {
+			a.blocks.put(b)
+		}
 		return
 	}
-	fl := &o.sh.free[(uintptr(unsafe.Pointer(n))>>7)%freeShards]
-	fl.mu.Lock()
-	n.right = fl.head
-	fl.head = n
-	fl.mu.Unlock()
-}
-
-// popFree takes a recycled node off the global lists, scanning a couple of
-// shards so one empty shard does not force an allocation while others are
-// full.  Only the unbound root allocates this way; bound views go through
-// their arena.
-func (o *Ops[K, V, A]) popFree() *Node[K, V, A] {
-	start := int(o.sh.freeHint.Add(1))
-	for i := 0; i < 2; i++ {
-		fl := &o.sh.free[(start+i)%freeShards]
-		fl.mu.Lock()
-		n := fl.head
-		if n != nil {
-			fl.head = n.right
-			fl.mu.Unlock()
-			n.right = nil
-			return n
-		}
-		fl.mu.Unlock()
+	o.sh.nodes.put(n)
+	if b != nil {
+		o.sh.blocks.put(b)
 	}
-	return nil
 }
 
 // decompose trades the caller's token on t for t's payload plus tokens on
-// both children.  With the steal fast path (the default), a node whose
-// token is the only reference is freed immediately and its child edges are
-// handed to the caller without touching the children's counts; otherwise
-// the children are shared first and the node released, which is always
-// correct but costs two extra atomic operations.  DESIGN.md lists this
-// choice as an ablation (BenchmarkAblationSteal).
+// both children; a leaf unfolds at its middle entry.  With the steal fast
+// path (the default), a node whose token is the only reference is freed
+// immediately and its child edges are handed to the caller without
+// touching the children's counts; otherwise the children are shared first
+// and the node released, which is always correct but costs two extra
+// atomic operations.  DESIGN.md lists this choice as an ablation
+// (BenchmarkAblationSteal).
 func (o *Ops[K, V, A]) decompose(t *Node[K, V, A]) (k K, v V, l, r *Node[K, V, A]) {
+	if t.leaf != nil {
+		mid := int(t.size / 2)
+		l, r, e := o.carve(t, mid, mid+1)
+		return e.Key, e.Val, l, r
+	}
 	k, v, l, r = t.key, t.val, t.left, t.right
-	if !o.NoSteal && atomic.LoadInt32(&t.ref) == 1 {
-		// We hold the only token, so no concurrent share can target t:
-		// shares require reaching t through some other owned reference,
-		// and there is none.  Transfer the child edges and the value
-		// reference to the caller.
+	if !o.NoSteal && sole(t) {
+		// Transfer the child edges and the value reference to the caller.
 		o.freeNode(t)
 		return
 	}

@@ -22,9 +22,8 @@ type Augmenter[K, V, A any] interface {
 // An Ops value is either the root returned by New, or an arena-bound view
 // returned by Bound: a shallow copy that routes node allocation and
 // collection through a caller-owned Arena with no locks or shared-state
-// atomics (see arena.go).  Views share the root's statistics and global
-// free lists, so Allocs/Frees/Live stay exact however allocation is
-// routed.  Construct Ops only through New; the zero value is unusable.
+// atomics (see arena.go).  Views share the root's statistics and depot,
+// so Allocs/Frees/Live stay exact however allocation is routed.  Construct Ops only through New; the zero value is unusable.
 type Ops[K, V, A any] struct {
 	// Cmp is a three-way comparison: negative if a<b, zero if equal.
 	Cmp func(a, b K) int
@@ -36,9 +35,9 @@ type Ops[K, V, A any] struct {
 	Grain int
 	// NoSteal disables decompose's exclusive-node fast path (ablation).
 	NoSteal bool
-	// Recycle routes freed nodes back to the next mk — through the bound
-	// Arena's magazine when one is attached, through the sharded global
-	// free lists otherwise — making the collector's "free instruction"
+	// Recycle routes freed nodes and leaf blocks back to the next mk —
+	// through the bound Arena's magazines when one is attached, through the
+	// sharded depot otherwise — making the collector's "free instruction"
 	// literal (the paper's C++ implementation reuses version memory the
 	// same way).  Safe because precise GC guarantees a freed node is
 	// reachable from no live version.  core.NewMap turns this on by
@@ -48,9 +47,9 @@ type Ops[K, V, A any] struct {
 	// RetainVal and ReleaseVal make values themselves reference-counted
 	// resources (e.g. inner trees of a nested map, as in the paper's
 	// inverted index §7.2).  When set, the tree operations call RetainVal
-	// every time they copy a value out of a node that stays alive, and
-	// ReleaseVal when a node holding a value is freed or a bulk operation
-	// drops a value.  Ownership contract: every value passed into an
+	// every time they copy a value out of a node or leaf that stays alive,
+	// and ReleaseVal for every value of a node or leaf that is freed or
+	// that a bulk operation drops.  Ownership contract: every value passed into an
 	// operation (Insert's v, batch entries, combine results) is an owned
 	// reference that the tree consumes; combine functions receive two
 	// owned references and must return an owned reference.  Leave both nil
@@ -59,11 +58,11 @@ type Ops[K, V, A any] struct {
 	ReleaseVal func(V)
 
 	// sh is the allocation state shared by the root Ops and every bound
-	// view: statistics plus the sharded global free lists that magazines
-	// spill to and refill from.  Set by New.
+	// view: statistics plus the depots that magazines spill to and refill
+	// from.  Set by New.
 	sh *allocShared[K, V, A]
-	// arena is the pid-local magazine this view allocates through; nil on
-	// the root Ops (global sharded lists with per-shard locking).
+	// arena is the pid-local magazines this view allocates through; nil on
+	// the root Ops (the depot, with per-shard locking).
 	arena *Arena[K, V, A]
 	// root points back at the unbound Ops a view was Bound from; nil on
 	// the root itself.  maybeParallel hands forked goroutines the root so
@@ -94,13 +93,13 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 
 // Bound returns a view of o whose allocations and frees go through arena a
 // with no locks or atomics: the fast path for a process that owns a (see
-// Arena).  The view shares o's statistics and global free lists, and
+// Arena).  The view shares o's statistics and depot, and
 // captures o's configuration at call time.  Like the arena itself, the
 // view's mutating operations must not run concurrently with each other;
 // read-only operations (Find, ForEach, AugRange, ...) touch no allocator
 // state and stay safe from any goroutine.
 func (o *Ops[K, V, A]) Bound(a *Arena[K, V, A]) *Ops[K, V, A] {
-	if a != nil && a.sh != o.sh {
+	if a != nil && a.nodes.d != &o.sh.nodes {
 		panic("ftree: Bound with an arena from a different Ops family")
 	}
 	root := o
@@ -121,17 +120,6 @@ func (o *Ops[K, V, A]) Unbound() *Ops[K, V, A] {
 		return o.root
 	}
 	return o
-}
-
-// Reserve pre-fills the bound arena so the next n allocations hit the
-// magazine without touching the shared lists — the combining writer calls
-// this before applying an n-entry batch, turning n per-node lock
-// acquisitions into O(n/M) block transfers.  It is a no-op on an unbound
-// Ops or with Recycle off.
-func (o *Ops[K, V, A]) Reserve(n int) {
-	if o.arena != nil && o.Recycle {
-		o.arena.Reserve(n)
-	}
 }
 
 // Entry is a key-value pair, used by batch operations and iteration.

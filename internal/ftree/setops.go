@@ -47,24 +47,7 @@ func (o *Ops[K, V, A]) unionOwned(a, b *Node[K, V, A], comb func(av, bv V) V) *N
 	if b == nil {
 		return a
 	}
-	sz := a.size + b.size
-	ak, av, al, ar := o.decompose(a)
-	bl, br, found, bv := o.splitOwned(b, ak)
-	var l, r *Node[K, V, A]
-	o.maybeParallel(sz,
-		func(o *Ops[K, V, A]) { l = o.unionOwned(al, bl, comb) },
-		func(o *Ops[K, V, A]) { r = o.unionOwned(ar, br, comb) },
-	)
-	v := av
-	if found {
-		if comb != nil {
-			v = comb(av, bv) // comb consumes both owned references
-		} else {
-			o.releaseVal(av) // b's value wins; drop a's reference
-			v = bv
-		}
-	}
-	return o.Join(l, ak, v, r)
+	return o.divide(opUnion, a, b, comb)
 }
 
 // Intersect returns a tree containing the keys present in both borrowed
@@ -79,25 +62,7 @@ func (o *Ops[K, V, A]) intersectOwned(a, b *Node[K, V, A], comb func(av, bv V) V
 		o.Release(b)
 		return nil
 	}
-	sz := a.size + b.size
-	ak, av, al, ar := o.decompose(a)
-	bl, br, found, bv := o.splitOwned(b, ak)
-	var l, r *Node[K, V, A]
-	o.maybeParallel(sz,
-		func(o *Ops[K, V, A]) { l = o.intersectOwned(al, bl, comb) },
-		func(o *Ops[K, V, A]) { r = o.intersectOwned(ar, br, comb) },
-	)
-	if found {
-		v := av
-		if comb != nil {
-			v = comb(av, bv)
-		} else {
-			o.releaseVal(bv) // a's value wins; drop b's reference
-		}
-		return o.Join(l, ak, v, r)
-	}
-	o.releaseVal(av) // key absent from b: the entry is dropped
-	return o.Join2(l, r)
+	return o.divide(opIntersect, a, b, comb)
 }
 
 // Difference returns a tree containing the keys of borrowed tree a that are
@@ -114,20 +79,67 @@ func (o *Ops[K, V, A]) differenceOwned(a, b *Node[K, V, A]) *Node[K, V, A] {
 	if b == nil {
 		return a
 	}
+	return o.divide(opDifference, a, b, nil)
+}
+
+// divide is the step the three operations share, on owned non-empty
+// a and b.  Two leaves merge as sorted runs.  Otherwise the pivot is the
+// root entry of a side that is an internal node (a when both are), the
+// other side is split by its key — one cut of the run when that side is a
+// leaf — and the two halves recurse; nothing unfolds entry by entry.
+func (o *Ops[K, V, A]) divide(op setOp, a, b *Node[K, V, A], comb func(av, bv V) V) *Node[K, V, A] {
+	if a.leaf != nil && b.leaf != nil {
+		return o.mergeLeaves(op, a, b, comb)
+	}
 	sz := a.size + b.size
-	ak, av, al, ar := o.decompose(a)
-	bl, br, found, bv := o.splitOwned(b, ak)
+	var (
+		k              K
+		av, bv         V
+		inA, inB       bool
+		al, ar, bl, br *Node[K, V, A]
+	)
+	if a.leaf == nil {
+		k, av, al, ar = o.decompose(a)
+		bl, br, inB, bv = o.splitOwned(b, k)
+		inA = true
+	} else {
+		k, bv, bl, br = o.decompose(b)
+		al, ar, inA, av = o.splitOwned(a, k)
+		inB = true
+	}
 	var l, r *Node[K, V, A]
 	o.maybeParallel(sz,
-		func(o *Ops[K, V, A]) { l = o.differenceOwned(al, bl) },
-		func(o *Ops[K, V, A]) { r = o.differenceOwned(ar, br) },
+		func(o *Ops[K, V, A]) { l = o.recurse(op, al, bl, comb) },
+		func(o *Ops[K, V, A]) { r = o.recurse(op, ar, br, comb) },
 	)
-	if found {
-		o.releaseVal(av) // the entry is subtracted away
-		o.releaseVal(bv)
-		return o.Join2(l, r)
+	switch {
+	case inA && inB:
+		if v, keep := o.both(op, av, bv, comb); keep {
+			return o.Join(l, k, v, r)
+		}
+	case inA && op != opIntersect:
+		return o.Join(l, k, av, r)
+	case inA:
+		o.releaseVal(av) // key absent from b: the entry is dropped
+	case op == opUnion:
+		return o.Join(l, k, bv, r)
+	default:
+		o.releaseVal(bv) // key absent from a
 	}
-	return o.Join(l, ak, av, r)
+	return o.Join2(l, r)
+}
+
+// recurse dispatches one half of a divide step through the operation's
+// empty-input rules.
+func (o *Ops[K, V, A]) recurse(op setOp, a, b *Node[K, V, A], comb func(av, bv V) V) *Node[K, V, A] {
+	switch op {
+	case opUnion:
+		return o.unionOwned(a, b, comb)
+	case opIntersect:
+		return o.intersectOwned(a, b, comb)
+	default:
+		return o.differenceOwned(a, b)
+	}
 }
 
 // MapValues returns a tree with the same keys as borrowed tree t and
@@ -137,6 +149,13 @@ func (o *Ops[K, V, A]) differenceOwned(a, b *Node[K, V, A]) *Node[K, V, A] {
 func (o *Ops[K, V, A]) MapValues(t *Node[K, V, A], f func(K, V) V) *Node[K, V, A] {
 	if t == nil {
 		return nil
+	}
+	if t.leaf != nil {
+		nd := o.newLeaf(int(t.size))
+		for i, e := range t.run() {
+			nd.leaf.e[i] = Entry[K, V]{e.Key, f(e.Key, e.Val)}
+		}
+		return o.seal(nd)
 	}
 	var l, r *Node[K, V, A]
 	o.maybeParallel(t.size,
@@ -151,6 +170,17 @@ func (o *Ops[K, V, A]) MapValues(t *Node[K, V, A], f func(K, V) V) *Node[K, V, A
 func (o *Ops[K, V, A]) Filter(t *Node[K, V, A], keep func(K, V) bool) *Node[K, V, A] {
 	if t == nil {
 		return nil
+	}
+	if t.leaf != nil {
+		var kept [leafMax]Entry[K, V]
+		n := 0
+		for _, e := range t.run() {
+			if keep(e.Key, e.Val) {
+				kept[n] = e
+				n++
+			}
+		}
+		return o.leafOf(kept[:n], true)
 	}
 	var l, r *Node[K, V, A]
 	o.maybeParallel(t.size,

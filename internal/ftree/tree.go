@@ -10,9 +10,10 @@ package ftree
 // balancedWeights reports whether weights wl and wr may be siblings.
 func balancedWeights(wl, wr int64) bool { return wl <= 3*wr && wr <= 3*wl }
 
-// isBalancedPair reports whether trees l and r may be joined directly.
-func isBalancedPair[K, V, A any](l, r *Node[K, V, A]) bool {
-	return balancedWeights(weight(l), weight(r))
+// joinable reports whether mk may join trees l and r directly: they are
+// balanced siblings, or small enough that mk folds them into one leaf.
+func joinable[K, V, A any](l, r *Node[K, V, A]) bool {
+	return size(l)+size(r) < leafMax || balancedWeights(weight(l), weight(r))
 }
 
 // Join combines owned trees l and r and entry (k, v) where every key of l
@@ -20,7 +21,7 @@ func isBalancedPair[K, V, A any](l, r *Node[K, V, A]) bool {
 // O(|log w(l) − log w(r)|) amortized.  Consumes l and r.
 func (o *Ops[K, V, A]) Join(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
 	switch {
-	case isBalancedPair(l, r):
+	case joinable(l, r):
 		return o.mk(l, k, v, r)
 	case weight(l) > weight(r):
 		return o.joinRight(l, k, v, r)
@@ -35,12 +36,12 @@ func (o *Ops[K, V, A]) Join(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[
 func (o *Ops[K, V, A]) joinRight(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
 	lk, lv, ll, lr := o.decompose(l)
 	var t1 *Node[K, V, A]
-	if balancedWeights(weight(lr), weight(r)) {
+	if joinable(lr, r) {
 		t1 = o.mk(lr, k, v, r)
 	} else {
 		t1 = o.joinRight(lr, k, v, r)
 	}
-	if balancedWeights(weight(ll), weight(t1)) {
+	if joinable(ll, t1) {
 		return o.mk(ll, lk, lv, t1)
 	}
 	// t1 grew too heavy for ll.  Expose t1 = (l1, k1, r1) and rotate.
@@ -59,12 +60,12 @@ func (o *Ops[K, V, A]) joinRight(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *
 func (o *Ops[K, V, A]) joinLeft(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
 	rk, rv, rl, rr := o.decompose(r)
 	var t1 *Node[K, V, A]
-	if balancedWeights(weight(l), weight(rl)) {
+	if joinable(l, rl) {
 		t1 = o.mk(l, k, v, rl)
 	} else {
 		t1 = o.joinLeft(l, k, v, rl)
 	}
-	if balancedWeights(weight(t1), weight(rr)) {
+	if joinable(t1, rr) {
 		return o.mk(t1, rk, rv, rr)
 	}
 	k1, v1, l1, r1 := o.decompose(t1)
@@ -91,6 +92,10 @@ func (o *Ops[K, V, A]) Join2(l, r *Node[K, V, A]) *Node[K, V, A] {
 // splitLast removes the maximum entry from owned tree t, returning the
 // remaining tree and the entry.  Consumes t.
 func (o *Ops[K, V, A]) splitLast(t *Node[K, V, A]) (rest *Node[K, V, A], k K, v V) {
+	if t.leaf != nil {
+		rest, _, e := o.carve(t, int(t.size)-1, int(t.size))
+		return rest, e.Key, e.Val
+	}
 	tk, tv, l, r := o.decompose(t)
 	if r == nil {
 		return l, tk, tv
@@ -104,6 +109,13 @@ func (o *Ops[K, V, A]) splitLast(t *Node[K, V, A]) (rest *Node[K, V, A], k K, v 
 func (o *Ops[K, V, A]) Split(t *Node[K, V, A], k K) (l, r *Node[K, V, A], found bool, fv V) {
 	if t == nil {
 		return nil, nil, false, fv
+	}
+	if t.leaf != nil {
+		l, r, found, fv = o.splitOwned(o.share(t), k)
+		if found {
+			o.releaseVal(fv) // reported borrowed: t keeps its own reference
+		}
+		return l, r, found, fv
 	}
 	c := o.Cmp(k, t.key)
 	switch {
@@ -125,6 +137,15 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 	if t == nil {
 		return nil, nil, false, fv
 	}
+	if t.leaf != nil {
+		i, found := o.search(t.run(), k)
+		j := i
+		if found {
+			j++
+		}
+		l, r, e := o.carve(t, i, j)
+		return l, r, found, e.Val
+	}
 	tk, tv, tl, tr := o.decompose(t)
 	c := o.Cmp(k, tk)
 	switch {
@@ -144,6 +165,13 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 // are delay-free.
 func (o *Ops[K, V, A]) Find(t *Node[K, V, A], k K) (V, bool) {
 	for t != nil {
+		if t.leaf != nil {
+			run := t.run()
+			if i, found := o.search(run, k); found {
+				return run[i].Val, true
+			}
+			break
+		}
 		c := o.Cmp(k, t.key)
 		if c == 0 {
 			return t.val, true
@@ -176,6 +204,9 @@ func (o *Ops[K, V, A]) Insert(t *Node[K, V, A], k K, v V) *Node[K, V, A] {
 func (o *Ops[K, V, A]) InsertWith(t *Node[K, V, A], k K, v V, comb func(old, new V) V) *Node[K, V, A] {
 	if t == nil {
 		return o.mk(nil, k, v, nil)
+	}
+	if t.leaf != nil {
+		return o.leafInsert(t, k, v, comb)
 	}
 	c := o.Cmp(k, t.key)
 	switch {
@@ -210,6 +241,9 @@ func (o *Ops[K, V, A]) deleteFound(t *Node[K, V, A], k K) (out *Node[K, V, A], f
 	if t == nil {
 		return nil, false
 	}
+	if t.leaf != nil {
+		return o.leafDelete(t, k)
+	}
 	c := o.Cmp(k, t.key)
 	switch {
 	case c == 0:
@@ -240,6 +274,9 @@ func (o *Ops[K, V, A]) Min(t *Node[K, V, A]) (Entry[K, V], bool) {
 	for t.left != nil {
 		t = t.left
 	}
+	if t.leaf != nil {
+		return t.leaf.e[0], true
+	}
 	return Entry[K, V]{t.key, t.val}, true
 }
 
@@ -251,12 +288,21 @@ func (o *Ops[K, V, A]) Max(t *Node[K, V, A]) (Entry[K, V], bool) {
 	for t.right != nil {
 		t = t.right
 	}
+	if t.leaf != nil {
+		return t.leaf.e[t.size-1], true
+	}
 	return Entry[K, V]{t.key, t.val}, true
 }
 
 // Select returns the entry with zero-based rank i in borrowed tree t.
 func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int64) (Entry[K, V], bool) {
 	for t != nil {
+		if t.leaf != nil {
+			if i < 0 || i >= t.size {
+				break
+			}
+			return t.leaf.e[i], true
+		}
 		ls := size(t.left)
 		switch {
 		case i < ls:
@@ -275,6 +321,10 @@ func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int64) (Entry[K, V], bool) {
 func (o *Ops[K, V, A]) Rank(t *Node[K, V, A], k K) int64 {
 	var r int64
 	for t != nil {
+		if t.leaf != nil {
+			i, _ := o.search(t.run(), k)
+			return r + int64(i)
+		}
 		if o.Cmp(k, t.key) <= 0 {
 			t = t.left
 		} else {

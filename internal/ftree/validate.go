@@ -10,8 +10,10 @@ import (
 
 // Validate checks every structural invariant of borrowed tree t: BST key
 // order, BB[α] weight balance, correct cached sizes and augmented values,
-// and positive reference counts on every reachable node.  It returns the
-// first violation found, or nil.
+// positive reference counts on every reachable node, and the leaf-block
+// shape — a leaf holds 1 to leafMax strictly ascending entries, an
+// internal node more than leafMax.  It returns the first violation found,
+// or nil.
 func (o *Ops[K, V, A]) Validate(t *Node[K, V, A], augEqual func(a, b A) bool) error {
 	_, err := o.validate(t, nil, nil, augEqual)
 	return err
@@ -23,6 +25,12 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 	}
 	if r := atomic.LoadInt32(&t.ref); r <= 0 {
 		return 0, fmt.Errorf("ftree: reachable node has ref %d", r)
+	}
+	if t.leaf != nil {
+		return o.validateLeaf(t, lo, hi, augEqual)
+	}
+	if t.size <= leafMax {
+		return 0, fmt.Errorf("ftree: internal node of %d entries, want > %d", t.size, leafMax)
 	}
 	if lo != nil && o.Cmp(t.key, *lo) <= 0 {
 		return 0, fmt.Errorf("ftree: key order violated (≤ lower bound)")
@@ -59,7 +67,34 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 	return ls + rs + 1, nil
 }
 
-// Height returns the height of borrowed tree t (0 for empty).
+func (o *Ops[K, V, A]) validateLeaf(t *Node[K, V, A], lo, hi *K, augEqual func(a, b A) bool) (int64, error) {
+	if t.size < 1 || t.size > leafMax {
+		return 0, fmt.Errorf("ftree: leaf of %d entries, want 1..%d", t.size, leafMax)
+	}
+	if t.left != nil || t.right != nil {
+		return 0, fmt.Errorf("ftree: leaf with children")
+	}
+	run := t.run()
+	for i := range run {
+		prev := lo
+		if i > 0 {
+			prev = &run[i-1].Key
+		}
+		if prev != nil && o.Cmp(run[i].Key, *prev) <= 0 {
+			return 0, fmt.Errorf("ftree: key order violated in leaf (≤ predecessor)")
+		}
+	}
+	if hi != nil && o.Cmp(run[len(run)-1].Key, *hi) >= 0 {
+		return 0, fmt.Errorf("ftree: key order violated in leaf (≥ upper bound)")
+	}
+	if augEqual != nil && !augEqual(t.aug, o.foldRun(run)) {
+		return 0, fmt.Errorf("ftree: augmentation cache mismatch in leaf at key %v", run[0].Key)
+	}
+	return t.size, nil
+}
+
+// Height returns the height of borrowed tree t in nodes (0 for empty, 1
+// for a leaf).
 func (o *Ops[K, V, A]) Height(t *Node[K, V, A]) int {
 	if t == nil {
 		return 0
@@ -72,9 +107,9 @@ func (o *Ops[K, V, A]) Height(t *Node[K, V, A]) int {
 	return rh + 1
 }
 
-// ReachableNodes counts the distinct nodes reachable from the given
-// borrowed roots; the GC-exactness property tests compare this against
-// Live().
+// ReachableNodes counts the distinct allocation units — internal nodes and
+// leaves — reachable from the given borrowed roots; the GC-exactness
+// property tests compare this against Live().
 func (o *Ops[K, V, A]) ReachableNodes(roots ...*Node[K, V, A]) int64 {
 	seen := make(map[*Node[K, V, A]]struct{})
 	var walk func(*Node[K, V, A])

@@ -301,15 +301,17 @@ func (ix *Index) LiveNodes() (outer, inner int64) {
 // TopK extracts the k highest-weight entries of a max-augmented posting
 // tree in O(k log n) using the augmentation as a priority bound: a heap
 // holds subtrees keyed by their max-weight augmentation and single entries
-// keyed by their weight; popping a subtree re-inserts its root entry and
-// children.  This is the augmented top-k search the paper's index design
-// enables.
+// keyed by their weight; popping a subtree re-inserts its immediate parts
+// (Node.Expand: child subtrees and the root entry, or a leaf's entries).
+// This is the augmented top-k search the paper's index design enables.
 func TopK(t *Posting, k int) []ScoredDoc {
 	if t == nil || k <= 0 {
 		return nil
 	}
 	h := &topkHeap{}
-	heap.Push(h, topkItem{sub: t, pri: t.Aug()})
+	pushSub := func(n *Posting) { heap.Push(h, topkItem{sub: n, pri: n.Aug()}) }
+	pushDoc := func(doc uint64, w int64) { heap.Push(h, topkItem{doc: doc, pri: w}) }
+	pushSub(t)
 	var out []ScoredDoc
 	for h.Len() > 0 && len(out) < k {
 		it := heap.Pop(h).(topkItem)
@@ -317,14 +319,7 @@ func TopK(t *Posting, k int) []ScoredDoc {
 			out = append(out, ScoredDoc{Doc: it.doc, Score: it.pri})
 			continue
 		}
-		n := it.sub
-		heap.Push(h, topkItem{doc: n.Key(), pri: n.Val()})
-		if l := n.Left(); l != nil {
-			heap.Push(h, topkItem{sub: l, pri: l.Aug()})
-		}
-		if r := n.Right(); r != nil {
-			heap.Push(h, topkItem{sub: r, pri: r.Aug()})
-		}
+		it.sub.Expand(pushSub, pushDoc)
 	}
 	return out
 }
