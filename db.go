@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -417,35 +418,30 @@ func autoCodec[T any]() (enc func(dst []byte, t T) []byte, dec func(b []byte) (T
 }
 
 // autoCmp returns a default ordering for integer and string key types; ok
-// is false for other kinds, where DBOptions.Cmp is required.
+// is false for other kinds, where DBOptions.Cmp is required.  It returns
+// the comparator itself, not a closure converting through any: the tree
+// calls it once per level of every lookup.
 func autoCmp[K any]() (func(a, b K) int, bool) {
 	var zero K
+	var cmp any
 	switch any(zero).(type) {
 	case int:
-		return func(a, b K) int { return IntCmp(any(a).(int), any(b).(int)) }, true
+		cmp = ftree.IntCmp[int]
 	case int32:
-		return func(a, b K) int { return IntCmp(any(a).(int32), any(b).(int32)) }, true
+		cmp = ftree.IntCmp[int32]
 	case int64:
-		return func(a, b K) int { return IntCmp(any(a).(int64), any(b).(int64)) }, true
+		cmp = ftree.IntCmp[int64]
 	case uint:
-		return func(a, b K) int { return IntCmp(any(a).(uint), any(b).(uint)) }, true
+		cmp = ftree.IntCmp[uint]
 	case uint32:
-		return func(a, b K) int { return IntCmp(any(a).(uint32), any(b).(uint32)) }, true
+		cmp = ftree.IntCmp[uint32]
 	case uint64:
-		return func(a, b K) int { return IntCmp(any(a).(uint64), any(b).(uint64)) }, true
+		cmp = ftree.IntCmp[uint64]
 	case string:
-		return func(a, b K) int {
-			sa, sb := any(a).(string), any(b).(string)
-			switch {
-			case sa < sb:
-				return -1
-			case sa > sb:
-				return 1
-			}
-			return 0
-		}, true
+		cmp = strings.Compare
 	}
-	return nil, false
+	c, ok := cmp.(func(a, b K) int)
+	return c, ok
 }
 
 // Mix64 is SplitMix64's finalizer: a fast, well-distributed integer hash

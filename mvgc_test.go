@@ -96,3 +96,36 @@ func TestPublicAPIConcurrent(t *testing.T) {
 		t.Fatalf("leaked %d nodes", ops.Live())
 	}
 }
+
+// checkAutoCmp orders lo < hi with autoCmp's comparator for K and pins that
+// a comparison allocates nothing: the comparator is the function itself,
+// not a closure boxing both keys.
+func checkAutoCmp[K any](t *testing.T, lo, hi K) {
+	t.Helper()
+	cmp, ok := autoCmp[K]()
+	if !ok {
+		t.Fatalf("%T: no default ordering", lo)
+	}
+	if cmp(lo, hi) >= 0 || cmp(hi, lo) <= 0 || cmp(lo, lo) != 0 || cmp(hi, hi) != 0 {
+		t.Fatalf("%T: cmp(lo,hi)=%d cmp(hi,lo)=%d cmp(lo,lo)=%d", lo, cmp(lo, hi), cmp(hi, lo), cmp(lo, lo))
+	}
+	sink := 0
+	if allocs := testing.AllocsPerRun(100, func() { sink += cmp(lo, hi) + cmp(hi, lo) }); allocs != 0 {
+		t.Fatalf("%T: %.1f allocs per comparison pair", lo, allocs)
+	}
+}
+
+// TestAutoCmp covers the seven key types with a default ordering, each
+// across its sign or length boundary.
+func TestAutoCmp(t *testing.T) {
+	checkAutoCmp[int](t, -3, 2)
+	checkAutoCmp[int32](t, -1<<31, 1<<31-1)
+	checkAutoCmp[int64](t, -1<<63, 1<<63-1)
+	checkAutoCmp[uint](t, 1, 1<<63)
+	checkAutoCmp[uint32](t, 0, 1<<32-1)
+	checkAutoCmp[uint64](t, 1<<63-1, 1<<63)
+	checkAutoCmp[string](t, "ab", "abc")
+	if _, ok := autoCmp[float64](); ok {
+		t.Fatal("float64 has no default ordering")
+	}
+}
