@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame tags.
@@ -82,22 +83,37 @@ func WriteRecordFrame(w *bufio.Writer, gsn uint64, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, reusing buf for the body when it fits.
+// frameGrowBytes bounds how far ReadFrame's buffer runs ahead of the bytes
+// that have arrived: larger than a snapshot chunk, so only a record beyond
+// it grows in more than one step.
+const frameGrowBytes = 1 << 20
+
+// ReadFrame reads one frame, reusing buf for the body when it fits.  The
+// header's length is a claim, not a fact: a buffer that must grow grows as
+// the body arrives, so a corrupt or hostile header costs at most
+// frameGrowBytes beyond what the stream delivers, and a body cut short is
+// io.ErrUnexpectedEOF.
 func ReadFrame(r *bufio.Reader, buf []byte) (tag byte, body []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFrameBody {
-		return 0, nil, fmt.Errorf("repl: frame body of %d bytes exceeds limit", n)
+	size := binary.LittleEndian.Uint32(hdr[1:])
+	if size > maxFrameBody {
+		return 0, nil, fmt.Errorf("repl: frame body of %d bytes exceeds limit", size)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	body = buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	n := int(size)
+	body = buf[:0]
+	for len(body) < n {
+		have := len(body)
+		step := min(n-have, max(cap(body)-have, frameGrowBytes))
+		body = slices.Grow(body, step)[:have+step]
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			if err == io.EOF { // bare from ReadFull: the stream ended between two steps
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
 	return hdr[0], body, nil
 }
