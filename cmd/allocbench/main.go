@@ -4,7 +4,7 @@
 // report for cmd/benchdiff and CI's artifact trail.
 //
 // Three paths are measured, each with recycling on (the default: arenas +
-// global free lists) and off (the NoRecycle ablation: every node fresh
+// the shared depot) and off (the NoRecycle ablation: every node fresh
 // from the Go heap):
 //
 //	point-update   one overwriting Insert per op on a leased core handle,

@@ -69,12 +69,12 @@ type Map[K, V, A any] struct {
 // a time, never concurrent) is exactly the single-owner discipline every
 // field needs, so none of it is synchronized except the free-list link.
 type proc[K, V, A any] struct {
-	// The pid's transactions run on ops, an Ops view bound to arena — a
-	// pid-local node magazine (see ftree.Arena) — so the path-copying
-	// write path allocates and collects with no locks.  txn and rbuf are
-	// the reusable write transaction and Release collect buffer, which
-	// together with the arena make a warm point update allocate nothing
-	// from the Go heap.
+	// The pid's transactions run on ops, an Ops view bound to arena — the
+	// pid's magazines of nodes and leaf blocks (see ftree.Arena) — so the
+	// path-copying write path allocates and collects with no locks.  txn
+	// and rbuf are the reusable write transaction and Release collect
+	// buffer, which together with the arena make a warm point update
+	// allocate nothing from the Go heap.
 	arena *ftree.Arena[K, V, A]
 	ops   *ftree.Ops[K, V, A]
 	txn   Txn[K, V, A]
@@ -99,7 +99,7 @@ type Config struct {
 	// Procs is the number of processes P that will use the map.
 	Procs int
 	// NoRecycle disables node recycling (the pid-local magazine allocator
-	// and the global free lists), so every mk allocates fresh from the Go
+	// and the shared depot), so every mk allocates fresh from the Go
 	// heap — the ablation NewMap's recycling-on default is measured
 	// against (BenchmarkAllocPointUpdate, cmd/allocbench).
 	NoRecycle bool
@@ -465,7 +465,7 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 }
 
 // Close drains the Version Maintenance object and collects every remaining
-// version, then flushes every pid arena back to the global free lists so
+// version, then flushes every pid arena back to the shared depot so
 // no parked memory is stranded with the dead map.  All processes must have
 // quiesced.  After Close, Live() on the Ops reports any leaked nodes (zero
 // when the system is correct; arena- and list-parked nodes count as free).
