@@ -166,28 +166,21 @@ func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 // get returns a free object: magazine first, then the current chunk, then
 // a block refill from the depot, then a fresh chunk.
 func (m *magazine[T]) get() *T {
-	if n := len(m.mag); n > 0 {
-		x := m.mag[n-1]
-		m.mag[n-1] = nil
-		m.mag = m.mag[:n-1]
-		return x
+	if len(m.mag) == 0 {
+		if m.bi == len(m.blk) && !m.refill(magMove) {
+			m.blk, m.bi = make([]T, m.chunk), 0
+			m.carves++
+		}
+		if m.bi < len(m.blk) {
+			m.bi++
+			return &m.blk[m.bi-1]
+		}
 	}
-	if m.bi < len(m.blk) {
-		x := &m.blk[m.bi]
-		m.bi++
-		return x
-	}
-	if m.refill(magMove) {
-		n := len(m.mag)
-		x := m.mag[n-1]
-		m.mag[n-1] = nil
-		m.mag = m.mag[:n-1]
-		return x
-	}
-	m.blk = make([]T, m.chunk)
-	m.bi = 1
-	m.carves++
-	return &m.blk[0]
+	n := len(m.mag) - 1
+	x := m.mag[n]
+	m.mag[n] = nil
+	m.mag = m.mag[:n]
+	return x
 }
 
 // put parks a freed object in the magazine, spilling a block to the depot
@@ -283,12 +276,9 @@ func (m *magazine[T]) flush() {
 // depot: parked objects plus the current chunk's remainder.
 func (m *magazine[T]) cached() int { return len(m.mag) + len(m.blk) - m.bi }
 
-// Reserve pre-fills the arena so the next n allocations — nodes or leaves —
-// are magazine or chunk hits.  An n-unit batch after Reserve(n) touches
-// the depot O(n/M) times instead of O(n).
-func (a *Arena[K, V, A]) Reserve(n int) { a.reserve(n, n) }
-
-// reserve is Reserve with separate budgets for nodes and leaf blocks.
+// reserve pre-fills the arena so the next allocations — that many nodes,
+// that many leaf blocks — are magazine or chunk hits, touching the depot
+// once per magMove objects instead of once each.
 func (a *Arena[K, V, A]) reserve(nodes, blocks int) {
 	a.nodes.reserve(nodes)
 	a.blocks.reserve(blocks)

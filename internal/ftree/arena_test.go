@@ -164,7 +164,7 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 	}
 }
 
-// TestArenaReserve: Reserve must make the next n allocations — of nodes and
+// TestArenaReserve: reserve must make the next n allocations — of nodes and
 // of leaf blocks — magazine or chunk hits and must never shrink what is
 // already parked.
 func TestArenaReserve(t *testing.T) {
@@ -172,9 +172,9 @@ func TestArenaReserve(t *testing.T) {
 	a := o.NewArena()
 	bo := o.Bound(a)
 	const n = 3 * magCap
-	a.Reserve(n)
+	a.reserve(n, n)
 	if got := a.Cached(); got < n {
-		t.Fatalf("Reserve(%d) left only %d cached", n, got)
+		t.Fatalf("reserve(%d, %d) left only %d cached", n, n, got)
 	}
 	carvesBefore, refillsBefore := int64(0), int64(0)
 	refillsBefore, _, carvesBefore = a.Stats()
@@ -207,7 +207,7 @@ func TestArenaTrim(t *testing.T) {
 	a := o.NewArena()
 	bo := o.Bound(a)
 	const n = 4 * magCap // leaves in the batch, under n−1 internal nodes
-	a.Reserve(2 * n)
+	a.reserve(2*n, 2*n)
 	entries := make([]Entry[int64, int64], n*leafMax)
 	for i := range entries {
 		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
@@ -222,7 +222,7 @@ func TestArenaTrim(t *testing.T) {
 		t.Fatalf("Trim left %d nodes and %d blocks parked, want ≤ %d", len(a.nodes.mag), len(a.blocks.mag), magCap)
 	}
 	a2 := o.NewArena()
-	a2.Reserve(n - magCap)
+	a2.reserve(n-magCap, n-magCap)
 	if _, _, carves := a2.Stats(); carves != 0 {
 		t.Fatalf("a second arena carved %d fresh chunks instead of reusing the trimmed nodes", carves)
 	}

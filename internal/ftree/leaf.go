@@ -140,40 +140,37 @@ func (o *Ops[K, V, A]) carve(t *Node[K, V, A], i, j int) (l, r *Node[K, V, A], e
 	return
 }
 
+// splice writes run[:i], e and run[j:] into dst, retaining the values it
+// copies out of the live run.
+func (o *Ops[K, V, A]) splice(dst, run []Entry[K, V], i, j int, e Entry[K, V]) {
+	copy(dst, run[:i])
+	dst[i] = e
+	copy(dst[i+1:], run[j:])
+	o.retainRun(dst[:i])
+	o.retainRun(dst[i+1:])
+}
+
 // leafInsert is InsertWith on borrowed leaf t: the run copied with the
 // change, in one leaf while it fits and cut in two around a middle entry
 // when it overflows.
 func (o *Ops[K, V, A]) leafInsert(t *Node[K, V, A], k K, v V, comb func(old, new V) V) *Node[K, V, A] {
 	run := t.run()
 	i, found := o.search(run, k)
+	j := i
 	if found {
-		nd := o.newLeaf(len(run))
-		dst := nd.run()
-		copy(dst, run)
-		o.retainRun(dst[:i])
-		o.retainRun(dst[i+1:])
+		j++
 		if comb != nil {
 			v = comb(o.retainVal(run[i].Val), v)
 		} // plain replace: the old value stays owned by the old leaf
-		dst[i].Val = v
-		return o.seal(nd)
 	}
-	if len(run) < leafMax {
-		nd := o.newLeaf(len(run) + 1)
-		dst := nd.run()
-		copy(dst, run[:i])
-		dst[i] = Entry[K, V]{k, v}
-		copy(dst[i+1:], run[i:])
-		o.retainRun(dst[:i])
-		o.retainRun(dst[i+1:])
+	e := Entry[K, V]{k, v}
+	if n := len(run) + 1 - (j - i); n <= leafMax {
+		nd := o.newLeaf(n)
+		o.splice(nd.run(), run, i, j, e)
 		return o.seal(nd)
 	}
 	var all [leafMax + 1]Entry[K, V]
-	copy(all[:], run[:i])
-	all[i] = Entry[K, V]{k, v}
-	copy(all[i+1:], run[i:])
-	o.retainRun(all[:i])
-	o.retainRun(all[i+1:])
+	o.splice(all[:], run, i, j, e)
 	return o.build(all[:])
 }
 
