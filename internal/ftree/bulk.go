@@ -230,10 +230,7 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 func (o *Ops[K, V, A]) between(run []Entry[K, V], lo, hi K) []Entry[K, V] {
 	i, _ := o.search(run, lo)
 	run = run[i:]
-	j, found := o.search(run, hi)
-	if found {
-		j++
-	}
+	_, j := o.span(run, hi)
 	return run[:j]
 }
 
@@ -291,10 +288,7 @@ func (o *Ops[K, V, A]) augLE(t *Node[K, V, A], hi K) A {
 	for t != nil {
 		if t.leaf != nil {
 			run := t.run()
-			j, found := o.search(run, hi)
-			if found {
-				j++
-			}
+			_, j := o.span(run, hi)
 			return o.Aug.Combine(a, o.foldRun(run[:j]))
 		}
 		if o.Cmp(t.key, hi) > 0 {

@@ -29,6 +29,16 @@ func (o *Ops[K, V, A]) search(run []Entry[K, V], k K) (i int, found bool) {
 	return lo, false
 }
 
+// span brackets k in a sorted run: run[:i] lies below k and run[j:] above
+// it, with i < j exactly when k is present (at i).
+func (o *Ops[K, V, A]) span(run []Entry[K, V], k K) (i, j int) {
+	i, found := o.search(run, k)
+	if found {
+		return i, i + 1
+	}
+	return i, i
+}
+
 // newLeaf returns a private leaf of n entries for the caller to fill and
 // seal.  Node and block come from the same place newNode's node does.
 func (o *Ops[K, V, A]) newLeaf(n int) *Node[K, V, A] {
@@ -155,14 +165,10 @@ func (o *Ops[K, V, A]) splice(dst, run []Entry[K, V], i, j int, e Entry[K, V]) {
 // when it overflows.
 func (o *Ops[K, V, A]) leafInsert(t *Node[K, V, A], k K, v V, comb func(old, new V) V) *Node[K, V, A] {
 	run := t.run()
-	i, found := o.search(run, k)
-	j := i
-	if found {
-		j++
-		if comb != nil {
-			v = comb(o.retainVal(run[i].Val), v)
-		} // plain replace: the old value stays owned by the old leaf
-	}
+	i, j := o.span(run, k)
+	if i < j && comb != nil {
+		v = comb(o.retainVal(run[i].Val), v)
+	} // plain replace: the old value stays owned by the old leaf
 	e := Entry[K, V]{k, v}
 	if n := len(run) + 1 - (j - i); n <= leafMax {
 		nd := o.newLeaf(n)

@@ -138,13 +138,9 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 		return nil, nil, false, fv
 	}
 	if t.leaf != nil {
-		i, found := o.search(t.run(), k)
-		j := i
-		if found {
-			j++
-		}
+		i, j := o.span(t.run(), k)
 		l, r, e := o.carve(t, i, j)
-		return l, r, found, e.Val
+		return l, r, i < j, e.Val
 	}
 	tk, tv, tl, tr := o.decompose(t)
 	c := o.Cmp(k, tk)
