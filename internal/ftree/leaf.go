@@ -108,7 +108,7 @@ func (o *Ops[K, V, A]) drain(dst []Entry[K, V], t *Node[K, V, A]) int {
 		return 0
 	}
 	n := copy(dst, t.run())
-	if !o.NoSteal && sole(t) {
+	if o.steals(t) {
 		o.freeNode(t) // dst took over the value references
 	} else {
 		o.retainRun(dst[:n])
@@ -134,7 +134,7 @@ func (o *Ops[K, V, A]) fold(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[
 // run[i] between them.
 func (o *Ops[K, V, A]) carve(t *Node[K, V, A], i, j int) (l, r *Node[K, V, A], e Entry[K, V]) {
 	run := t.run()
-	steal := !o.NoSteal && sole(t)
+	steal := o.steals(t)
 	l, r = o.leafOf(run[:i], !steal), o.leafOf(run[j:], !steal)
 	if i < j {
 		e = run[i]

@@ -258,6 +258,11 @@ func (o *Ops[K, V, A]) share(t *Node[K, V, A]) *Node[K, V, A] {
 // t apart without a locked instruction.
 func sole[K, V, A any](t *Node[K, V, A]) bool { return atomic.LoadInt32(&t.ref) == 1 }
 
+// steals reports whether an operation consuming the caller's token on t
+// may take t apart in place — the steal fast path — instead of sharing its
+// parts and releasing it.
+func (o *Ops[K, V, A]) steals(t *Node[K, V, A]) bool { return !o.NoSteal && sole(t) }
+
 // Release destroys one ownership token on t: Algorithm 5's collect.  When
 // the token was the last reference the node is freed, the values it holds
 // are released and its children are collected recursively (iteratively, to
@@ -370,7 +375,7 @@ func (o *Ops[K, V, A]) decompose(t *Node[K, V, A]) (k K, v V, l, r *Node[K, V, A
 		return e.Key, e.Val, l, r
 	}
 	k, v, l, r = t.key, t.val, t.left, t.right
-	if !o.NoSteal && sole(t) {
+	if o.steals(t) {
 		// Transfer the child edges and the value reference to the caller.
 		o.freeNode(t)
 		return
