@@ -548,8 +548,7 @@ func BenchmarkAllocBatchCommit(b *testing.B) {
 				}
 			}
 			commit := func() {
-				// MultiInsert reserves its own nodes, so this is the
-				// default InsertBatch path.
+				// The default InsertBatch path.
 				w.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.InsertBatch(entries, nil) })
 			}
 			for i := 0; i < 5; i++ { // warm

@@ -172,8 +172,7 @@ func benchBatchCommit(records uint64, batchN, procs int, noRecycle bool) testing
 		}
 	}
 	commit := func() {
-		// MultiInsert self-reserves, so this is the default InsertBatch
-		// path a non-combining caller gets.
+		// The default InsertBatch path a non-combining caller gets.
 		w.Update(func(tx *core.Txn[uint64, uint64, struct{}]) {
 			tx.InsertBatch(entries, nil)
 		})

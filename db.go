@@ -117,8 +117,11 @@ type DBOptions[K any] struct {
 	Hash func(K) uint64
 	// Cmp is the key ordering (required unless Ops is set).
 	Cmp func(a, b K) int
-	// Grain is the parallel divide-and-conquer cutoff for batch commits
-	// (0 = sequential).
+	// Grain is the parallel cutoff of the tree's bulk operations (0 =
+	// sequential).  A batch commit forks a step only when both halves of
+	// the batch exceed it, so batches up to twice Grain run on the
+	// committing goroutine alone; bulk loads and set operations above it
+	// use parallel halves.
 	Grain int
 	// NoRecycle disables node recycling — the per-process magazine
 	// allocator that makes warm point updates heap-allocation-free — so

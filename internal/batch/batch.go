@@ -126,7 +126,9 @@ func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V)
 		m.LockWriterSlot()
 		defer m.UnlockWriterSlot()
 		m.With(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) { Apply(tx, inserts, deletes, comb) })
+			// A conflict re-runs the transaction on what the attempt
+			// before it coalesced the inserts to, never on its leftovers.
+			h.Update(func(tx *core.Txn[K, V, A]) { inserts = Apply(tx, inserts, deletes, comb) })
 		})
 		return nil
 	})
@@ -158,14 +160,18 @@ func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, 
 	return b
 }
 
-// Apply is a gathered batch as transaction code: inserts, then deletes.
-func Apply[K, V, A any](tx *core.Txn[K, V, A], inserts []ftree.Entry[K, V], deletes []K, comb func(old, new V) V) {
+// Apply is a gathered batch as transaction code: inserts, then deletes.  It
+// returns the inserts as the transaction wrote them — sorted, one entry per
+// key (see core.Txn.InsertBatch) — which is what a log records and what a
+// re-run of the transaction must be given.
+func Apply[K, V, A any](tx *core.Txn[K, V, A], inserts []ftree.Entry[K, V], deletes []K, comb func(old, new V) V) []ftree.Entry[K, V] {
 	if len(inserts) > 0 {
-		tx.InsertBatch(inserts, comb)
+		inserts = tx.InsertBatch(inserts, comb)
 	}
 	if len(deletes) > 0 {
 		tx.DeleteBatch(deletes)
 	}
+	return inserts
 }
 
 func nextPow2(n int) int {

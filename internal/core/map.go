@@ -190,9 +190,6 @@ func (m *Map[K, V, A]) collect(pid int) {
 		p.ops.Release(r)
 	}
 	p.rbuf = buf[:0]
-	// A bulk write widens the magazine for its own duration; an idle pid
-	// must not sit on a batch's worth of nodes.
-	p.arena.Trim()
 }
 
 // Read runs a read-only transaction on process pid (Figure 1, left).  The
@@ -346,16 +343,22 @@ func (t *Txn[K, V, A]) Delete(k K) {
 	t.apply(t.ops.Delete(t.cur, k))
 }
 
-// InsertBatch adds a whole batch atomically using the parallel
-// multi-insert; nil comb overwrites.
-func (t *Txn[K, V, A]) InsertBatch(batch []ftree.Entry[K, V], comb func(old, new V) V) {
+// InsertBatch adds a whole batch atomically using the multi-insert; nil
+// comb overwrites.  The batch is sorted by key and its duplicates coalesced
+// in place (see ftree.Ops.SortEntries); the result, which aliases batch, is
+// returned: it is what the transaction wrote, one entry per key, and
+// applying it again is a no-op under a nil comb — so a caller whose
+// transaction may re-run hands the next attempt this slice, not batch.
+func (t *Txn[K, V, A]) InsertBatch(batch []ftree.Entry[K, V], comb func(old, new V) V) []ftree.Entry[K, V] {
 	for i := range batch {
 		t.kvNote(batch[i].Key)
 	}
-	t.apply(t.ops.MultiInsert(t.cur, batch, comb))
+	batch = t.ops.SortEntries(batch, comb)
+	t.apply(t.ops.InsertSorted(t.cur, batch, comb))
+	return batch
 }
 
-// DeleteBatch removes a set of keys atomically.
+// DeleteBatch removes a set of keys atomically; keys is sorted in place.
 func (t *Txn[K, V, A]) DeleteBatch(keys []K) {
 	for _, k := range keys {
 		t.kvNote(k)

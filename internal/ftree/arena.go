@@ -38,8 +38,9 @@ import (
 //
 // An Arena is deliberately not goroutine-safe: exclusivity comes from pid
 // leasing, exactly like the Version Maintenance contract.  Parallel bulk
-// operations fork onto the unbound root Ops (see maybeParallel), so a
-// bound arena is only ever touched by the goroutine running its pid.
+// operations fork onto the unbound root Ops (see maybeParallel and
+// insertBoth), so a bound arena is only ever touched by the goroutine
+// running its pid.
 type Arena[K, V, A any] struct {
 	nodes  magazine[Node[K, V, A]]
 	blocks magazine[leafBlock[K, V]]
@@ -134,10 +135,7 @@ type magazine[T any] struct {
 	d *depot[T]
 
 	// mag holds parked free objects, most recently freed last (LIFO keeps
-	// reuse cache-warm).  Its capacity is the spill threshold; reserve may
-	// grow it for one transaction's worth of objects — trim sheds them
-	// again — and the slice keeps its high-water capacity so steady state
-	// allocates nothing.
+	// reuse cache-warm).  Its capacity, magCap, is the spill threshold.
 	mag []*T
 
 	// blk is the current locality chunk; blk[bi:] are raw never-allocated
@@ -193,8 +191,7 @@ func (m *magazine[T]) put(x *T) {
 }
 
 // spill moves the top k parked objects onto one depot shard under a single
-// lock.  Taking the top keeps the operation O(k) however large the
-// magazine has grown (a reserve-widened magazine never pays O(cap) here).
+// lock.
 func (m *magazine[T]) spill(k int) {
 	k = min(k, len(m.mag))
 	if k == 0 {
@@ -223,45 +220,6 @@ func (m *magazine[T]) refill(k int) bool {
 	return true
 }
 
-// reserve pre-fills the magazine so the next n gets are magazine or chunk
-// hits: it sweeps the depot in blocks, then carves whatever is still
-// missing as one contiguous chunk.  Growing the magazine raises its spill
-// threshold, so what the transaction frees while it runs stays local too;
-// the owner calls trim when the transaction is over.
-func (m *magazine[T]) reserve(n int) {
-	have := m.cached()
-	if have >= n {
-		return
-	}
-	if cap(m.mag) < n {
-		mag := make([]*T, len(m.mag), n)
-		copy(mag, m.mag)
-		m.mag = mag
-	}
-	before := len(m.mag)
-	m.refill(n - have)
-	have += len(m.mag) - before
-	if have < n {
-		// Park the current chunk's remainder in the magazine so carving a
-		// fresh chunk strands nothing, then carve the whole shortfall in
-		// one contiguous block.
-		for ; m.bi < len(m.blk); m.bi++ {
-			m.mag = append(m.mag, &m.blk[m.bi])
-		}
-		m.blk = make([]T, max(n-have, m.chunk))
-		m.bi = 0
-		m.carves++
-	}
-}
-
-// trim spills what the magazine holds beyond its default capacity, in
-// blocks.
-func (m *magazine[T]) trim() {
-	for len(m.mag) > magCap {
-		m.spill(magMove)
-	}
-}
-
 // flush spills every parked object back to the depot, in blocks, and drops
 // the current chunk's unallocated remainder: those objects were never
 // allocated, so no accounting moves.
@@ -275,23 +233,6 @@ func (m *magazine[T]) flush() {
 // cached is how many gets the magazine can serve without touching the
 // depot: parked objects plus the current chunk's remainder.
 func (m *magazine[T]) cached() int { return len(m.mag) + len(m.blk) - m.bi }
-
-// reserve pre-fills the arena so the next allocations — that many nodes,
-// that many leaf blocks — are magazine or chunk hits, touching the depot
-// once per magMove objects instead of once each.
-func (a *Arena[K, V, A]) reserve(nodes, blocks int) {
-	a.nodes.reserve(nodes)
-	a.blocks.reserve(blocks)
-}
-
-// Trim spills what the magazines hold beyond their default capacity.  A
-// pid parks a bounded amount of memory between transactions however large
-// a batch it last ran: the surplus waits in the depot, where the next
-// batch finds it whichever pid runs it.
-func (a *Arena[K, V, A]) Trim() {
-	a.nodes.trim()
-	a.blocks.trim()
-}
 
 // Flush spills everything parked back to the depot.  The transaction layer
 // calls it when an arena's owner goes away for good (Map.Close), so parked

@@ -164,78 +164,9 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 	}
 }
 
-// TestArenaReserve: reserve must make the next n allocations — of nodes and
-// of leaf blocks — magazine or chunk hits and must never shrink what is
-// already parked.
-func TestArenaReserve(t *testing.T) {
-	o := arenaOps()
-	a := o.NewArena()
-	bo := o.Bound(a)
-	const n = 3 * magCap
-	a.reserve(n, n)
-	if got := a.Cached(); got < n {
-		t.Fatalf("reserve(%d, %d) left only %d cached", n, n, got)
-	}
-	carvesBefore, refillsBefore := int64(0), int64(0)
-	refillsBefore, _, carvesBefore = a.Stats()
-	// n·leafMax/4 entries cut into n/3 leaves under as many internal nodes:
-	// more blocks than a default magazine or chunk holds, fewer than n.
-	entries := make([]Entry[int64, int64], n*leafMax/4)
-	for i := range entries {
-		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
-	}
-	root := bo.Build(entries)
-	if units := o.Live(); units <= magCap || units > n {
-		t.Fatalf("the build took %d units, want (%d, %d]", units, magCap, n)
-	}
-	refillsAfter, _, carvesAfter := a.Stats()
-	if carvesAfter != carvesBefore || refillsAfter != refillsBefore {
-		t.Fatalf("reserved build still hit the slow path: carves %d→%d refills %d→%d",
-			carvesBefore, carvesAfter, refillsBefore, refillsAfter)
-	}
-	bo.Release(root)
-	if o.Live() != 0 {
-		t.Fatalf("leaked %d nodes", o.Live())
-	}
-}
-
-// TestArenaTrim: after a reserved batch the magazines hold the batch's
-// freed nodes and blocks; Trim hands everything beyond the default capacity
-// to the depot, where a second arena finds it.
-func TestArenaTrim(t *testing.T) {
-	o := arenaOps()
-	a := o.NewArena()
-	bo := o.Bound(a)
-	const n = 4 * magCap // leaves in the batch, under n−1 internal nodes
-	a.reserve(2*n, 2*n)
-	entries := make([]Entry[int64, int64], n*leafMax)
-	for i := range entries {
-		entries[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
-	}
-	bo.Release(bo.Build(entries))
-	if len(a.nodes.mag) < 2*n-1 || len(a.blocks.mag) < n {
-		t.Fatalf("the widened magazines parked %d nodes and %d blocks of the batch's %d and %d",
-			len(a.nodes.mag), len(a.blocks.mag), 2*n-1, n)
-	}
-	a.Trim()
-	if len(a.nodes.mag) > magCap || len(a.blocks.mag) > magCap {
-		t.Fatalf("Trim left %d nodes and %d blocks parked, want ≤ %d", len(a.nodes.mag), len(a.blocks.mag), magCap)
-	}
-	a2 := o.NewArena()
-	a2.reserve(n-magCap, n-magCap)
-	if _, _, carves := a2.Stats(); carves != 0 {
-		t.Fatalf("a second arena carved %d fresh chunks instead of reusing the trimmed nodes", carves)
-	}
-	a.Flush()
-	a2.Flush()
-	if o.Live() != 0 {
-		t.Fatalf("leaked %d nodes", o.Live())
-	}
-}
-
 // TestArenaParallelBulk: with Grain forcing forks, parallel bulk ops on a
 // bound view must stay correct and exact — forked branches run on the
-// unbound root (see maybeParallel), the spine keeps the arena.  Run with
+// unbound root (see insertBoth), the spine keeps the arena.  Run with
 // -race this doubles as the no-two-goroutines-on-one-arena check.
 func TestArenaParallelBulk(t *testing.T) {
 	o := New[int64, int64, int64](IntCmp[int64], SumAug[int64](), 64)

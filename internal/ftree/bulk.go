@@ -1,6 +1,9 @@
 package ftree
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Build constructs a perfectly balanced owned tree from entries sorted by
 // key with no duplicates, cutting the input into leaves directly and
@@ -64,57 +67,178 @@ func (o *Ops[K, V, A]) SortEntries(batch []Entry[K, V], comb func(old, new V) V)
 }
 
 // MultiInsert returns a new owned tree equal to borrowed t with the whole
-// batch inserted atomically: it sorts and deduplicates the batch, builds a
-// balanced tree from it in parallel, and unions it into t — PAM's
-// multi_insert, the primitive behind the paper's batched single writer
-// (Section 7.2 and Appendix F).  For a key already in t, the stored value
-// becomes comb(old, new); nil comb overwrites.
+// batch inserted atomically — PAM's multi_insert, the primitive behind the
+// paper's batched single writer (Section 7.2 and Appendix F) — in the
+// PaC-tree shape: the batch is sorted and coalesced in place once, then one
+// descent carries it down as a slice (insertRun).  For a key already in t,
+// the stored value becomes comb(old, new); nil comb overwrites.
 func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], batch []Entry[K, V], comb func(old, new V) V) *Node[K, V, A] {
-	if len(batch) == 0 {
-		return o.share(t)
-	}
-	sorted := o.SortEntries(batch, comb)
-	o.reserveBatch(len(sorted))
-	built := o.Build(sorted)
-	return o.unionOwned(o.share(t), built, comb)
+	return o.InsertSorted(t, o.SortEntries(batch, comb), comb)
 }
 
-// reserveBatch pre-fills the bound arena with what Build will take to cut
-// an m-entry batch into leaves: at most p leaves under p−1 internal nodes,
-// p the power of two that halves m to leafMax.  That much is certain and
-// wanted in one contiguous carve.  What the union then copies of the tree
-// depends on where the batch lands — nothing but a spine for an append, a
-// leaf per entry for a scattered batch — and comes through the magazines'
-// ordinary block refills, one lock per magMove objects; reserving for the
-// worst case would park the difference for good.  A no-op on an unbound
-// Ops or with Recycle off.
-func (o *Ops[K, V, A]) reserveBatch(m int) {
-	if o.arena == nil || !o.Recycle {
-		return
+// InsertSorted is MultiInsert for a batch already sorted by key without
+// duplicates, as SortEntries leaves it — for a caller that wants the
+// coalesced batch as well as the tree.
+func (o *Ops[K, V, A]) InsertSorted(t *Node[K, V, A], sorted []Entry[K, V], comb func(old, new V) V) *Node[K, V, A] {
+	return o.insertRun(landing[K, V, A]{t: t, batch: sorted}, comb)
+}
+
+// landing is one step of MultiInsert's descent: a batch, sorted by key
+// without duplicates, whose values the step consumes, and what it lands
+// on, which the step borrows — subtree t or, with t nil, run: part of a
+// live leaf's run that a batch larger than a leaf cut in two.
+type landing[K, V, A any] struct {
+	t     *Node[K, V, A]
+	run   []Entry[K, V]
+	batch []Entry[K, V]
+}
+
+// insertRun is MultiInsert's descent.  A side no batch entry reaches is
+// shared, never copied, so the work is the batch's paths and nothing else.
+func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *Node[K, V, A] {
+	t, run, batch := at.t, at.run, at.batch
+	switch {
+	case len(batch) == 0 && t != nil:
+		return o.share(t)
+	case len(batch) == 0:
+		return o.leafOf(run, true)
+	case t != nil && t.leaf != nil:
+		t, run = nil, t.run()
 	}
-	p := 1
-	for ; m > leafMax; m /= 2 {
-		p *= 2
+	var e Entry[K, V]
+	var l, r *Node[K, V, A]
+	switch {
+	case t != nil:
+		// An internal node: its key cuts the batch.
+		i, j := o.span(batch, t.key)
+		if i < j {
+			e = o.over(t.val, batch[i], comb)
+		} else {
+			e = Entry[K, V]{t.key, o.retainVal(t.val)}
+		}
+		l, r = o.insertBoth(landing[K, V, A]{t: t.left, batch: batch[:i]}, landing[K, V, A]{t: t.right, batch: batch[j:]}, comb)
+	case len(run) == 0:
+		return o.Build(batch)
+	case len(batch) <= leafMax:
+		return o.mergeRun(run, batch, comb)
+	default:
+		// More than a leaf's worth lands on one run: the batch's median
+		// cuts the run, so both halves stay slices of what they were.
+		mid := len(batch) / 2
+		e = batch[mid]
+		i, j := o.span(run, e.Key)
+		if i < j {
+			e = o.over(run[i].Val, e, comb)
+		}
+		l, r = o.insertBoth(landing[K, V, A]{run: run[:i], batch: batch[:mid]}, landing[K, V, A]{run: run[j:], batch: batch[mid+1:]}, comb)
 	}
-	o.arena.reserve(2*p, p)
+	return o.Join(l, e.Key, e.Val, r)
+}
+
+// over is the entry a batched insert stores for a key the tree already
+// holds under value old.  A plain replace leaves old owned by the old
+// version.
+func (o *Ops[K, V, A]) over(old V, e Entry[K, V], comb func(old, new V) V) Entry[K, V] {
+	if comb != nil {
+		e.Val = comb(o.retainVal(old), e.Val)
+	}
+	return e
+}
+
+// insertBoth runs the two halves of an insertRun step.  The left half is
+// forked onto its own goroutine only when BOTH batches exceed the grain:
+// the grain measures the work, which is the batch, not the tree under it —
+// a combiner batch of a few hundred entries never forks however large the
+// tree.  A forked half runs on the unbound root, because an arena-bound
+// view is single-owner (see maybeParallel); the worker is a plain method,
+// so a step that does not fork allocates nothing.
+func (o *Ops[K, V, A]) insertBoth(lat, rat landing[K, V, A], comb func(old, new V) V) (l, r *Node[K, V, A]) {
+	if !o.forks(len(lat.batch), len(rat.batch)) {
+		return o.insertRun(lat, comb), o.insertRun(rat, comb)
+	}
+	var f forked[K, V, A]
+	f.wg.Add(1)
+	go o.Unbound().insertFork(&f, lat, comb)
+	r = o.insertRun(rat, comb)
+	f.wg.Wait()
+	return f.out, r
+}
+
+// forks reports whether a batched step with these two sub-batch sizes runs
+// its halves in parallel.
+func (o *Ops[K, V, A]) forks(l, r int) bool { return o.Grain > 0 && l > o.Grain && r > o.Grain }
+
+// forked is where the forked half of a batched step leaves its result.
+type forked[K, V, A any] struct {
+	wg      sync.WaitGroup
+	out     *Node[K, V, A]
+	changed bool // deleteRun's second result
+}
+
+func (o *Ops[K, V, A]) insertFork(f *forked[K, V, A], at landing[K, V, A], comb func(old, new V) V) {
+	defer f.wg.Done()
+	f.out = o.insertRun(at, comb)
 }
 
 // MultiDelete returns a new owned tree equal to borrowed t with every key
-// of the batch removed.
+// of the batch removed, by the same descent as MultiInsert.  keys is
+// sorted in place; duplicates are harmless.
 func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
-	if len(keys) == 0 {
-		return o.share(t)
+	slices.SortFunc(keys, o.Cmp)
+	if out, changed := o.deleteRun(t, keys); changed {
+		return out
 	}
-	entries := make([]Entry[K, V], len(keys))
-	for i, k := range keys {
-		entries[i].Key = k
+	return o.share(t)
+}
+
+// deleteRun searches borrowed t for the sorted keys.  When any is present
+// it returns the new owned tree without them; otherwise changed is false
+// and no reference count was touched.  A second copy of a key lands in a
+// subtree that cannot hold it and finds nothing, so keys need not be
+// unique.
+func (o *Ops[K, V, A]) deleteRun(t *Node[K, V, A], keys []K) (out *Node[K, V, A], changed bool) {
+	if t == nil || len(keys) == 0 {
+		return nil, false
 	}
-	sorted := o.SortEntries(entries, nil)
-	o.reserveBatch(len(sorted))
-	built := o.Build(sorted)
-	out := o.Difference(t, built)
-	o.Release(built)
-	return out
+	if t.leaf != nil {
+		return o.leafDeleteRun(t, keys)
+	}
+	i, found := slices.BinarySearchFunc(keys, t.key, o.Cmp)
+	lk, rk := keys[:i], keys[i:]
+	if found {
+		rk = rk[1:]
+	}
+	var l, r *Node[K, V, A]
+	var lc, rc bool
+	if o.forks(len(lk), len(rk)) {
+		var f forked[K, V, A]
+		f.wg.Add(1)
+		go o.Unbound().deleteFork(&f, t.left, lk)
+		r, rc = o.deleteRun(t.right, rk)
+		f.wg.Wait()
+		l, lc = f.out, f.changed
+	} else {
+		l, lc = o.deleteRun(t.left, lk)
+		r, rc = o.deleteRun(t.right, rk)
+	}
+	if !lc && !rc && !found {
+		return nil, false
+	}
+	if !lc {
+		l = o.share(t.left)
+	}
+	if !rc {
+		r = o.share(t.right)
+	}
+	if found {
+		return o.Join2(l, r), true
+	}
+	return o.Join(l, t.key, o.retainVal(t.val), r), true
+}
+
+func (o *Ops[K, V, A]) deleteFork(f *forked[K, V, A], t *Node[K, V, A], keys []K) {
+	defer f.wg.Done()
+	f.out, f.changed = o.deleteRun(t, keys)
 }
 
 // ForEach visits borrowed tree t in key order.  Pure reads.

@@ -75,7 +75,7 @@ func FuzzTreeOps(f *testing.F) {
 	for op := byte(0); op < 13; op++ {
 		bulk = append(bulk, op, 0, 100+op, 7, 9)
 	}
-	for cfg := byte(0); cfg < 4; cfg++ {
+	for cfg := byte(0); cfg < 8; cfg++ {
 		f.Add(append([]byte{cfg}, bulk...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -92,9 +92,14 @@ func FuzzTreeOps(f *testing.F) {
 		key := func() int64 { return int64(binary.BigEndian.Uint16([]byte{next(), next()})) }
 		sum := func(a, b int64) int64 { return a + b }
 		// The first byte picks the allocator and the decompose path, so both
-		// sides of every steal-or-retain branch see the same op sequences.
+		// sides of every steal-or-retain branch see the same op sequences,
+		// and a grain small enough that these batches fork: at an internal
+		// node and where a batch larger than a leaf cuts one run in two.
 		cfg := next()
 		o.Recycle, o.NoSteal = cfg&1 != 0, cfg&2 != 0
+		if cfg&4 != 0 {
+			o.Grain = 4
+		}
 		for step := int64(1); len(data) > 0; step++ {
 			switch next() % 13 {
 			case 0, 1: // insert

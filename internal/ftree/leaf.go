@@ -150,14 +150,20 @@ func (o *Ops[K, V, A]) carve(t *Node[K, V, A], i, j int) (l, r *Node[K, V, A], e
 	return
 }
 
+// copyRun copies a live run into dst, retaining the values it copies, and
+// returns how many entries that was.
+func (o *Ops[K, V, A]) copyRun(dst, run []Entry[K, V]) int {
+	n := copy(dst, run)
+	o.retainRun(dst[:n])
+	return n
+}
+
 // splice writes run[:i], e and run[j:] into dst, retaining the values it
 // copies out of the live run.
 func (o *Ops[K, V, A]) splice(dst, run []Entry[K, V], i, j int, e Entry[K, V]) {
-	copy(dst, run[:i])
+	o.copyRun(dst, run[:i])
 	dst[i] = e
-	copy(dst[i+1:], run[j:])
-	o.retainRun(dst[:i])
-	o.retainRun(dst[i+1:])
+	o.copyRun(dst[i+1:], run[j:])
 }
 
 // leafInsert is InsertWith on borrowed leaf t: the run copied with the
@@ -189,10 +195,47 @@ func (o *Ops[K, V, A]) leafDelete(t *Node[K, V, A], k K) (out *Node[K, V, A], fo
 	}
 	nd := o.newLeaf(len(run) - 1)
 	dst := nd.run()
-	copy(dst, run[:i])
-	copy(dst[i:], run[i+1:])
-	o.retainRun(dst)
+	o.copyRun(dst, run[:i])
+	o.copyRun(dst[i:], run[i+1:])
 	return o.seal(nd), true
+}
+
+// mergeRun is insertRun's base case: a batch of at most a leaf's worth
+// merged into a non-empty live run on the stack.  Each batch entry is
+// searched for and the stretch of the run between two of them moves in one
+// copy, so a batch of one costs what leafInsert costs.
+func (o *Ops[K, V, A]) mergeRun(run, batch []Entry[K, V], comb func(old, new V) V) *Node[K, V, A] {
+	var out [2 * leafMax]Entry[K, V]
+	n := 0
+	for _, e := range batch {
+		i, j := o.span(run, e.Key)
+		n += o.copyRun(out[n:], run[:i])
+		if i < j {
+			e = o.over(run[i].Val, e, comb)
+		}
+		out[n] = e
+		n++
+		run = run[j:]
+	}
+	n += o.copyRun(out[n:], run)
+	return o.build(out[:n])
+}
+
+// leafDeleteRun is deleteRun on borrowed leaf t.
+func (o *Ops[K, V, A]) leafDeleteRun(t *Node[K, V, A], keys []K) (out *Node[K, V, A], changed bool) {
+	run := t.run()
+	var kept [leafMax]Entry[K, V]
+	n := 0
+	for _, k := range keys {
+		i, j := o.span(run, k)
+		n += copy(kept[n:], run[:i])
+		run = run[j:]
+	}
+	n += copy(kept[n:], run)
+	if n == int(t.size) {
+		return nil, false
+	}
+	return o.leafOf(kept[:n], true), true
 }
 
 // setOp selects what mergeLeaves and the join-based set operations keep.

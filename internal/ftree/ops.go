@@ -29,9 +29,13 @@ type Ops[K, V, A any] struct {
 	Cmp func(a, b K) int
 	// Aug computes subtree augmentations; see Augmenter.
 	Aug Augmenter[K, V, A]
-	// Grain is the sequential cutoff for parallel divide-and-conquer:
-	// subproblems with at most Grain keys run sequentially.  Zero means
-	// fully sequential.  DESIGN.md lists this as an ablation.
+	// Grain is the sequential cutoff for parallel divide-and-conquer, in
+	// units of the work: MultiInsert and MultiDelete fork a step only when
+	// both halves of the batch exceed Grain (the tree under a batch is
+	// shared, not work), Build forks halves of more than Grain entries,
+	// and the operations over two trees (Union, Intersect, Difference)
+	// and over one whole tree (MapValues, Filter) fork above Grain keys.
+	// Zero means fully sequential.  DESIGN.md, "Parallel bulk operations".
 	Grain int
 	// NoSteal disables decompose's exclusive-node fast path (ablation).
 	NoSteal bool
@@ -65,8 +69,8 @@ type Ops[K, V, A any] struct {
 	// the root Ops (the depot, with per-shard locking).
 	arena *Arena[K, V, A]
 	// root points back at the unbound Ops a view was Bound from; nil on
-	// the root itself.  maybeParallel hands forked goroutines the root so
-	// a single-owner arena is never touched from two goroutines.
+	// the root itself.  Forked goroutines get the root (Unbound) so a
+	// single-owner arena is never touched from two goroutines.
 	root *Ops[K, V, A]
 }
 

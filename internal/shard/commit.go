@@ -268,9 +268,11 @@ func (m *Map[K, V, A]) Delete(k K) error {
 
 // commitParts partitions items by their key's shard and commits each
 // non-empty part as one write transaction, all shards in parallel, with one
-// groupCommit for the whole fan-out.  The first error wins (sticky log
-// errors make the rest fail identically anyway).
-func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, apply func(tx *core.Txn[K, V, A], part []T), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A], part []T)) error {
+// groupCommit for the whole fan-out.  apply returns the part as it wrote
+// it, which is what encode logs and a conflict's re-run starts from.  The
+// first error wins (sticky log errors make the rest fail identically
+// anyway).
+func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, apply func(tx *core.Txn[K, V, A], part []T) []T, encode func(e *walEnc[K, V], tx *core.Txn[K, V, A], part []T)) error {
 	if !m.enter(0) {
 		return ErrClosed
 	}
@@ -294,7 +296,7 @@ func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, appl
 		go func(i int, part []T) {
 			defer wg.Done()
 			appended[i], errs[i] = m.commitShard(i, false,
-				func(tx *core.Txn[K, V, A]) { apply(tx, part) },
+				func(tx *core.Txn[K, V, A]) { part = apply(tx, part) },
 				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encode(e, tx, part) })
 		}(i, part)
 	}
@@ -314,7 +316,9 @@ func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, appl
 // covers the batch.
 func (m *Map[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, new V) V) error {
 	return commitParts(m, entries, func(en ftree.Entry[K, V]) K { return en.Key },
-		func(tx *core.Txn[K, V, A], part []ftree.Entry[K, V]) { tx.InsertBatch(part, comb) },
+		func(tx *core.Txn[K, V, A], part []ftree.Entry[K, V]) []ftree.Entry[K, V] {
+			return tx.InsertBatch(part, comb)
+		},
 		func(e *walEnc[K, V], tx *core.Txn[K, V, A], part []ftree.Entry[K, V]) {
 			for _, en := range part {
 				appendPost(e, tx, en.Key, en.Val, comb != nil)
@@ -327,7 +331,7 @@ func (m *Map[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, n
 // and one grouped fsync.
 func (m *Map[K, V, A]) DeleteBatch(keys []K) error {
 	return commitParts(m, keys, func(k K) K { return k },
-		func(tx *core.Txn[K, V, A], part []K) { tx.DeleteBatch(part) },
+		func(tx *core.Txn[K, V, A], part []K) []K { tx.DeleteBatch(part); return part },
 		func(e *walEnc[K, V], _ *core.Txn[K, V, A], part []K) {
 			for _, k := range part {
 				e.appendDelete(k)

@@ -278,8 +278,11 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 			if err := m.logErr(); err != nil {
 				return err
 			}
+			// The record is the batch as committed: coalescing reorders and
+			// shortens inserts in place, so the encode (and a conflict's
+			// re-run) must see what Apply returns, not the gathered length.
 			return m.groupCommit(m.commitShard(i, true,
-				func(tx *core.Txn[K, V, A]) { batch.Apply(tx, inserts, deletes, comb) },
+				func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
 				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
 					for _, en := range inserts {
 						appendPost(e, tx, en.Key, en.Val, comb != nil)

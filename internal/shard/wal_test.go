@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mvgc/internal/batch"
 	"mvgc/internal/ftree"
@@ -208,9 +210,9 @@ func TestWritePathDifferential(t *testing.T) {
 		{"InsertBatch/comb", func(m *tmap) error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 1}, {Key: 8, Val: 2}, {Key: 14, Val: 140}}, add)
 		}, 3, 1}, // shards 3, 0 and 2
-		// Key 877 is absent, but a batch delete path-copies its shard's tree
-		// regardless: shard 1's leg publishes a new root, so it logs too.
-		{"DeleteBatch", func(m *tmap) error { return m.DeleteBatch([]uint64{8, 877}) }, 2, 1},
+		// Key 877 is absent: shard 1's leg shares its root, publishes nothing
+		// and logs nothing, like the point delete above.
+		{"DeleteBatch", func(m *tmap) error { return m.DeleteBatch([]uint64{8, 877}) }, 1, 1},
 		{"Update", func(m *tmap) error {
 			return m.Update(func(tx *txn) {
 				tx.Insert(3, 30)
@@ -354,6 +356,82 @@ func TestWritePathDifferential(t *testing.T) {
 	equal("follower", dump(follower), want)
 	if follower.CommitGSN() != gsn {
 		t.Errorf("follower CommitGSN %d, want %d", follower.CommitGSN(), gsn)
+	}
+}
+
+// TestShardWALBatchLogsCoalesced: a batch holding duplicate keys logs one op
+// per key — the batch as committed, not the gathered length with a stale
+// tail — through InsertBatch and through the combiner.
+func TestShardWALBatchLogsCoalesced(t *testing.T) {
+	m, log := newWALMap(t, 1, wal.NewMemFS())
+	defer m.Close()
+	tail, err := log.Tail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	// logged drains the tail: how many records, and which keys' inserts.
+	logged := func() (records int, keys []uint64) {
+		t.Helper()
+		for {
+			recs, err := tail.Next(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				return records, keys
+			}
+			records += len(recs)
+			for _, r := range recs {
+				err := decodeWALOps(&m.wal.cfg, r.Payload, func(k, _ uint64) { keys = append(keys, k) }, func(uint64) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	add := func(old, new uint64) uint64 { return old + new }
+	dups := func() []ftree.Entry[uint64, uint64] { // six entries, three duplicates
+		return []ftree.Entry[uint64, uint64]{{Key: 3, Val: 1}, {Key: 1, Val: 2}, {Key: 3, Val: 4}, {Key: 2, Val: 8}, {Key: 1, Val: 16}, {Key: 3, Val: 32}}
+	}
+	want := []uint64{1, 2, 3}
+	for _, comb := range []func(old, new uint64) uint64{nil, add} {
+		if err := m.InsertBatch(dups(), comb); err != nil {
+			t.Fatal(err)
+		}
+		if records, keys := logged(); records != 1 || !slices.Equal(keys, want) {
+			t.Fatalf("InsertBatch (comb %v) logged %d records inserting keys %v, want 1 record of %v", comb != nil, records, keys, want)
+		}
+	}
+	// The combiner sleeps out its latency budget before it gathers, so the
+	// six requests submitted inside that window are one batch; should a
+	// stall split them, the round is run again.
+	m.StartBatching(batch.Config{Clients: 1, MaxLatency: 50 * time.Millisecond}, nil)
+	for round := 0; ; round++ {
+		var wg sync.WaitGroup
+		for _, e := range dups() {
+			wg.Add(1)
+			m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: e.Key, Val: e.Val}, func(err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				wg.Done()
+			})
+		}
+		wg.Wait()
+		records, keys := logged()
+		if records == 1 {
+			if !slices.Equal(keys, want) {
+				t.Fatalf("the combiner's batch logged inserts of keys %v, want %v", keys, want)
+			}
+			break
+		}
+		if round == 20 {
+			t.Fatalf("the combiner never gathered the six requests as one batch")
+		}
+	}
+	if got := dump(m); got[1] != 16 || got[2] != 8 || got[3] != 32 {
+		t.Fatalf("contents %v, want the last write of each key", got)
 	}
 }
 
