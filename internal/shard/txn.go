@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"mvgc/internal/core"
+	"mvgc/internal/ftree"
 )
 
 // Txn buffers a cross-shard write transaction: Insert and Delete record
@@ -196,8 +197,19 @@ func (t *Txn[K, V, A]) validateReads() bool {
 }
 
 // replay applies a shard's buffered intents, in order, to a core write
-// transaction.
+// transaction.  A list of nothing but plain inserts — every redo record
+// without a delete, so most of what recovery and a follower apply — goes
+// down as one batch: InsertBatch's stable sort keeps the last write of a
+// key, which is what applying them one by one leaves.
 func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
+	if len(list) > 1 && !slices.ContainsFunc(list, func(in intent[K, V]) bool { return in.del || in.comb != nil }) {
+		batch := make([]ftree.Entry[K, V], len(list))
+		for i, in := range list {
+			batch[i] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
+		}
+		tx.InsertBatch(batch, nil)
+		return
+	}
 	for _, in := range list {
 		switch {
 		case in.del:

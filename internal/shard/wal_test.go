@@ -232,6 +232,36 @@ func TestWritePathDifferential(t *testing.T) {
 			})
 		}, 1, 1}, // three shards, exactly ONE record
 		{"UpdateAtomic/empty", func(m *tmap) error { return m.UpdateAtomic(func(tx *txn) {}) }, 0, 0},
+		// Both arms of replay, on the leader and again where the record is
+		// applied: plain inserts only (a key written twice among them) go
+		// down as one batch; a delete or a comb keeps the list in order.
+		{"Update/duplicate-keys", func(m *tmap) error {
+			return m.Update(func(tx *txn) { tx.Insert(20, 1); tx.Insert(24, 2); tx.Insert(20, 3); tx.Insert(28, 4) })
+		}, 1, 1},
+		{"UpdateAtomic/duplicate-keys", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) {
+				tx.Insert(21, 1)
+				tx.Insert(22, 2)
+				tx.Insert(21, 3)
+				tx.Insert(25, 4)
+				tx.Insert(22, 5)
+				tx.Insert(26, 6)
+			})
+		}, 1, 1}, // shards 1 and 2, three intents each
+		{"Update/insert-and-delete", func(m *tmap) error {
+			return m.Update(func(tx *txn) {
+				tx.Insert(32, 5)
+				tx.Insert(36, 6)
+				tx.Delete(32)
+				tx.Delete(36)
+				tx.Insert(36, 7)
+			})
+		}, 1, 1},
+		// Logged as post-images: the record holds key 40 twice, 1 then 3,
+		// and no comb, so where it is applied it takes the batched arm.
+		{"Update/comb", func(m *tmap) error {
+			return m.Update(func(tx *txn) { tx.Insert(40, 1); tx.InsertWith(40, 2, add); tx.Insert(44, 3) })
+		}, 1, 1},
 		{"UpdateAtomicKeys", func(m *tmap) error {
 			return m.UpdateAtomicKeys([]uint64{5, 6}, func(tx *txn) {
 				a, _ := tx.Get(5)
@@ -330,7 +360,8 @@ func TestWritePathDifferential(t *testing.T) {
 		equal(st.name+": logged vs no log", dump(logged), dump(plain))
 	}
 	want := dump(plain)
-	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 115, 7: 1071, 9: 99, 13: 13, 14: 140, 16: 160})
+	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 115, 7: 1071, 9: 99, 13: 13, 14: 140, 16: 160,
+		20: 3, 24: 2, 28: 4, 21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3})
 	if plain.CommitGSN() != logged.CommitGSN() {
 		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
 	}
@@ -356,6 +387,58 @@ func TestWritePathDifferential(t *testing.T) {
 	equal("follower", dump(follower), want)
 	if follower.CommitGSN() != gsn {
 		t.Errorf("follower CommitGSN %d, want %d", follower.CommitGSN(), gsn)
+	}
+}
+
+// TestRecoverWALReplayArms feeds RecoverWAL hand-made records that take each
+// arm of replay — plain inserts with a repeated key (one batch), an insert
+// and a delete of the same key (in order), a lone insert — and requires
+// what applying every op in stream order gives.
+func TestRecoverWALReplayArms(t *testing.T) {
+	type op struct {
+		del  bool
+		k, v uint64
+	}
+	records := [][]op{
+		{{k: 4, v: 1}, {k: 8, v: 2}, {k: 4, v: 3}, {k: 5, v: 4}, {k: 12, v: 5}, {k: 8, v: 6}},
+		{{k: 16, v: 7}, {k: 4, v: 8}, {del: true, k: 16}, {del: true, k: 8}, {k: 8, v: 9}},
+		{{k: 5, v: 10}},
+		{{k: 5, v: 11}, {k: 5, v: 12}},
+	}
+	enc, dec := u64Codec()
+	cfg := WALConfig[uint64, uint64]{EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
+	want := map[uint64]uint64{}
+	rec := &wal.Recovered{}
+	for i, ops := range records {
+		e := &walEnc[uint64, uint64]{cfg: &cfg}
+		for _, o := range ops {
+			if o.del {
+				e.appendDelete(o.k)
+				delete(want, o.k)
+			} else {
+				e.appendInsert(o.k, o.v)
+				want[o.k] = o.v
+			}
+		}
+		rec.Records = append(rec.Records, wal.Record{GSN: uint64(i + 1), Payload: e.buf})
+		rec.MaxGSN = uint64(i + 1)
+	}
+	m := newU64Map(t, 4, nil)
+	defer m.Close()
+	if err := m.RecoverWAL(cfg, rec); err != nil {
+		t.Fatal(err)
+	}
+	got := dump(m)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if gv, ok := got[k]; !ok || gv != v {
+			t.Fatalf("recovered %v, want %v", got, want)
+		}
+	}
+	if m.CommitGSN() != rec.MaxGSN {
+		t.Fatalf("CommitGSN %d, want %d", m.CommitGSN(), rec.MaxGSN)
 	}
 }
 
