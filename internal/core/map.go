@@ -345,10 +345,10 @@ func (t *Txn[K, V, A]) Delete(k K) {
 
 // InsertBatch adds a whole batch atomically using the multi-insert; nil
 // comb overwrites.  The batch is sorted by key and its duplicates coalesced
-// in place (see ftree.Ops.SortEntries); the result, which aliases batch, is
-// returned: it is what the transaction wrote, one entry per key, and
-// applying it again is a no-op under a nil comb — so a caller whose
-// transaction may re-run hands the next attempt this slice, not batch.
+// in place (ftree.Ops.SortEntries); the result, which aliases batch, is
+// returned: one entry per key, what the transaction wrote.  What batch
+// holds beyond that length is stale, so a log encodes the returned slice
+// and a transaction that may re-run hands it to the next attempt.
 func (t *Txn[K, V, A]) InsertBatch(batch []ftree.Entry[K, V], comb func(old, new V) V) []ftree.Entry[K, V] {
 	for i := range batch {
 		t.kvNote(batch[i].Key)
