@@ -11,10 +11,18 @@
 // contention between processes").  Batching trades wait-freedom of
 // individual writes for contention-free parallel throughput and atomic
 // multi-operation commits; the paper's Figure 7 measures the payoff.
+//
+// A commit has two stages, on two goroutines.  The combiner gathers a batch
+// and applies it (Commit.Apply: one write transaction, handed to the owner's
+// log); the completer, in batch order, waits for it to be durable
+// (Commit.Wait), publishes the rings' committed watermarks and fires the
+// completion callbacks.  The combiner is therefore bounded by the work of
+// applying batches, not by the log's fsync: it gathers and applies batch k+1
+// while batch k's fsync is in flight, up to runAhead batches ahead.
 package batch
 
 import (
-	"runtime"
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -39,39 +47,98 @@ type Request[K, V any] struct {
 	Val V
 
 	// done, when non-nil, is the completion callback SubmitAsync attached:
-	// the combiner invokes it exactly once, after the commit containing the
-	// request has been published (or during the final drain on Stop).  A
-	// non-nil argument is the commit function's error: the batch was NOT
-	// acknowledged (e.g. the WAL is poisoned or full).
+	// the completer invokes it exactly once, after the commit containing the
+	// request has been resolved and published (for requests still buffered
+	// at Stop: after the final drain's).  A non-nil argument is the commit's
+	// error: the batch was NOT acknowledged (e.g. the WAL is poisoned or
+	// full).
 	done func(error)
 }
 
-// Commit is how a Batcher commits: the combiner calls it once per gathered
-// batch with the batch's inserts and deletes, and it applies them as ONE
-// write transaction (see Apply), making the result as durable as its owner
-// promises before returning.  Its error is delivered to every request
-// callback in the batch.  The slices are owned by the combiner and valid
-// only for the duration of the call.
-type Commit[K, V any] func(inserts []ftree.Entry[K, V], deletes []K) error
+// Commit is how a Batcher commits, one stage per goroutine.
+type Commit[K, V any] struct {
+	// Apply is the combiner's stage, called once per gathered batch: it
+	// applies the batch's inserts and deletes as ONE write transaction (see
+	// Apply) and hands it to the owner's log without waiting for the log.
+	// mark identifies the batch to Wait.  The slices are owned by the
+	// combiner and valid only for the duration of the call.
+	Apply func(inserts []ftree.Entry[K, V], deletes []K) (mark int64, err error)
+	// Wait is the completer's stage: it returns once the batch Apply
+	// returned mark for is as durable as the owner promises.  It is called
+	// in batch order, with no lock held, only for batches whose Apply
+	// succeeded; nil means there is nothing to wait for.
+	Wait func(mark int64) error
+}
+
+// ErrStopped is delivered to the callback of a request that a producer
+// still parked at Stop submitted after the final drain: it was dropped.
+var ErrStopped = errors.New("batch: batcher stopped")
 
 // ring is a single-producer single-consumer bounded queue.  The producer
-// (client) advances tail; the consumer (combiner) advances head.
+// (client) advances tail; the consumer (combiner) advances head; the
+// completer advances committed.
 type ring[K, V any] struct {
 	buf       []Request[K, V]
 	mask      uint64
 	head      atomic.Uint64 // next slot the combiner will read
 	tail      atomic.Uint64 // next slot the client will write
-	committed atomic.Uint64 // requests ≤ this index are durably committed
-	_         [4]uint64
+	committed atomic.Uint64 // requests ≤ this index are resolved (see complete)
+	// parked is the producer's declaration that it sleeps, and what for
+	// (waitSpace, waitCommit); whoever moves the word it waits on claims the
+	// declaration and sends the one token on wake.
+	parked atomic.Uint32
+	wake   chan struct{}
+	_      [2]uint64
+}
+
+// What a parked producer waits for.
+const (
+	waitSpace  uint32 = 1 + iota // head to advance: the ring is full
+	waitCommit                   // committed to reach its request
+)
+
+// blocked reports whether the producer still has to wait: for room at tail
+// seq, or for the request at seq to be committed.
+func (q *ring[K, V]) blocked(why uint32, seq uint64) bool {
+	if why == waitSpace {
+		return seq-q.head.Load() >= uint64(len(q.buf))
+	}
+	return q.committed.Load() < seq
+}
+
+// unpark wakes the producer if it sleeps for why.  The combiner calls it
+// after advancing head, the completer after advancing committed.
+func (q *ring[K, V]) unpark(why uint32) {
+	if q.parked.Load() == why && q.parked.CompareAndSwap(why, 0) {
+		q.wake <- struct{}{}
+	}
+}
+
+// runAhead is how many batches may be applied and not yet resolved: the
+// size of the fixed ring of batch records between combiner and completer.
+// It is a constant, not a Config field: one batch in flight already hides
+// the fsync behind the next batch's apply, and every further one trades
+// batch size (each gather finds less) for nothing — what bounds a client's
+// outstanding writes is BufCap, as before.
+const runAhead = 4
+
+// batchRec is one applied batch on its way to the completer.  The records
+// are allocated once and reused, slices included.
+type batchRec[K, V any] struct {
+	marks []mark[K, V]  // the rings' committed watermarks once resolved
+	cbs   []func(error) // the batch's completion callbacks, in gather order
+	total int           // requests in the batch
+	mark  int64         // Commit.Apply's result, for Commit.Wait
+	err   error
 }
 
 // Batcher owns the single combining writer for a Map.  Clients call Submit
-// (SubmitWait, or SubmitAsync for pipelined completion callbacks) from
-// their own goroutine; the combiner goroutine commits batches until Stop.
-// The combiner holds no process identity between batches: each commit
-// leases one like any other transaction.  (A, the map's augmentation type,
-// is in no field: it is a parameter so that Batcher[K, V, A] names the map
-// the batcher writes to.)
+// (SubmitWait, or SubmitAsync for pipelined completion callbacks), each
+// client id from one goroutine at a time; the combiner and completer
+// goroutines commit batches until Stop.  The combiner holds no process
+// identity between batches: each commit leases one like any other
+// transaction.  (A, the map's augmentation type, is in no field: it is a
+// parameter so that Batcher[K, V, A] names the map the batcher writes to.)
 type Batcher[K, V, A any] struct {
 	rings    []*ring[K, V]
 	commit   Commit[K, V]
@@ -79,17 +146,24 @@ type Batcher[K, V, A any] struct {
 	maxBatch int
 
 	// The gathered batch; touched only by the combiner goroutine, reused
-	// across commits.
+	// across commits.  cur is the batch record being filled.
 	inserts []ftree.Entry[K, V]
 	deletes []K
-	cbs     []func(error)
-	marks   []mark[K, V]
+	cur     *batchRec[K, V]
 
-	stop    chan struct{}
-	done    chan struct{}
-	batches atomic.Int64
-	applied atomic.Int64
-	maxSeen atomic.Int64
+	// The ring of batch records: the combiner takes one from free, fills it
+	// and sends it on pending; the completer resolves it and returns it.
+	recs    [runAhead]batchRec[K, V]
+	free    chan *batchRec[K, V]
+	pending chan *batchRec[K, V]
+
+	stop      chan struct{}
+	done      chan struct{} // closed when both goroutines have exited
+	completed chan struct{} // closed by the completer on its way out
+	stopped   atomic.Bool   // set after the final drain: parked producers leave
+	batches   atomic.Int64
+	applied   atomic.Int64
+	maxSeen   atomic.Int64
 }
 
 // mark is a ring's head after a gather: its committed watermark once the
@@ -122,20 +196,22 @@ type Config struct {
 // value merges with an existing one (nil overwrites).  Start must be called
 // before any Submit.
 func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V) *Batcher[K, V, A] {
-	return NewWithCommit[K, V, A](cfg, func(inserts []ftree.Entry[K, V], deletes []K) error {
-		m.LockWriterSlot()
-		defer m.UnlockWriterSlot()
-		m.With(func(h *core.Handle[K, V, A]) {
-			// A conflict re-runs the transaction on what the attempt
-			// before it coalesced the inserts to, never on its leftovers.
-			h.Update(func(tx *core.Txn[K, V, A]) { inserts = Apply(tx, inserts, deletes, comb) })
-		})
-		return nil
+	return NewWithCommit[K, V, A](cfg, Commit[K, V]{
+		Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
+			m.LockWriterSlot()
+			defer m.UnlockWriterSlot()
+			m.With(func(h *core.Handle[K, V, A]) {
+				// A conflict re-runs the transaction on what the attempt
+				// before it coalesced the inserts to, never on its leftovers.
+				h.Update(func(tx *core.Txn[K, V, A]) { inserts = Apply(tx, inserts, deletes, comb) })
+			})
+			return 0, nil
+		},
 	})
 }
 
-// NewWithCommit creates a Batcher around the owner's own commit function
-// (shard.Map routes it through its commit pipeline).
+// NewWithCommit creates a Batcher around the owner's own commit stages
+// (shard.Map routes them through its commit pipeline).
 func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, A] {
 	capacity := cfg.BufCap
 	if capacity <= 0 {
@@ -143,19 +219,29 @@ func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, 
 	}
 	capacity = nextPow2(capacity)
 	b := &Batcher[K, V, A]{
-		commit:   commit,
-		interval: cfg.MaxLatency,
-		maxBatch: cfg.MaxBatch,
-		marks:    make([]mark[K, V], 0, cfg.Clients),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		commit:    commit,
+		interval:  cfg.MaxLatency,
+		maxBatch:  cfg.MaxBatch,
+		free:      make(chan *batchRec[K, V], runAhead),
+		pending:   make(chan *batchRec[K, V], runAhead),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		completed: make(chan struct{}),
 	}
 	if b.interval <= 0 {
 		b.interval = 2 * time.Millisecond
 	}
+	for i := range b.recs {
+		b.recs[i].marks = make([]mark[K, V], 0, cfg.Clients)
+		b.free <- &b.recs[i]
+	}
 	b.rings = make([]*ring[K, V], cfg.Clients)
 	for i := range b.rings {
-		b.rings[i] = &ring[K, V]{buf: make([]Request[K, V], capacity), mask: uint64(capacity - 1)}
+		b.rings[i] = &ring[K, V]{
+			buf:  make([]Request[K, V], capacity),
+			mask: uint64(capacity - 1),
+			wake: make(chan struct{}, 1),
+		}
 	}
 	return b
 }
@@ -182,11 +268,16 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Start launches the combiner goroutine.
-func (b *Batcher[K, V, A]) Start() { go b.run() }
+// Start launches the combiner and completer goroutines.
+func (b *Batcher[K, V, A]) Start() {
+	go b.complete()
+	go b.run()
+}
 
-// Stop drains every buffer, commits what is left and shuts the combiner
-// down.  Clients must have stopped submitting.
+// Stop drains every buffer, commits what is left, waits for the last batch
+// to be resolved and its callbacks to have fired, and shuts both goroutines
+// down.  Clients must have stopped submitting; a producer found parked all
+// the same is released (see park).
 func (b *Batcher[K, V, A]) Stop() {
 	close(b.stop)
 	<-b.done
@@ -201,45 +292,64 @@ func (b *Batcher[K, V, A]) Applied() int64 { return b.applied.Load() }
 // MaxBatchSeen reports the largest committed batch.
 func (b *Batcher[K, V, A]) MaxBatchSeen() int64 { return b.maxSeen.Load() }
 
+// park blocks the ring's producer while q.blocked(why, seq): it declares
+// what it waits for, looks again — the word may have moved between the
+// check and the declaration — and only then sleeps; it takes the token only
+// if a waker has claimed the declaration (netserver's conn.lease is the
+// same handshake).  No polling: a parked producer costs nothing until the
+// combiner's gather or the completer's publication wakes it.  After Stop it
+// returns at once, blocked or not.
+func (b *Batcher[K, V, A]) park(q *ring[K, V], why uint32, seq uint64) {
+	for q.blocked(why, seq) && !b.stopped.Load() {
+		q.parked.Store(why)
+		if (q.blocked(why, seq) && !b.stopped.Load()) || !q.parked.CompareAndSwap(why, 0) {
+			<-q.wake
+		}
+	}
+}
+
 // Submit enqueues an update from client (0..Clients-1).  It blocks —
-// yielding, not spinning hot — while the client's buffer is full.
+// parked, not polling — while the client's buffer is full, until the
+// combiner's next gather makes room.
 func (b *Batcher[K, V, A]) Submit(client int, r Request[K, V]) {
 	q := b.rings[client]
-	for {
-		t := q.tail.Load()
-		if t-q.head.Load() < uint64(len(q.buf)) {
-			q.buf[t&q.mask] = r
-			q.tail.Store(t + 1)
+	t := q.tail.Load()
+	if q.blocked(waitSpace, t) {
+		b.park(q, waitSpace, t) // backpressure: the combiner is behind
+		if q.blocked(waitSpace, t) {
+			// Released by Stop, and nobody will gather again.
+			if r.done != nil {
+				r.done(ErrStopped)
+			}
 			return
 		}
-		runtime.Gosched() // backpressure: combiner is behind
 	}
+	q.buf[t&q.mask] = r
+	q.tail.Store(t + 1)
 }
 
 // SubmitWait enqueues an update and blocks until it has been committed,
 // giving per-request durability at batching latency.
 func (b *Batcher[K, V, A]) SubmitWait(client int, r Request[K, V]) {
-	q := b.rings[client]
 	b.Submit(client, r)
-	seq := q.tail.Load()
-	for q.committed.Load() < seq {
-		runtime.Gosched()
-	}
+	b.Flush(client)
 }
 
 // SubmitAsync enqueues an update and returns without waiting for the
 // commit; done is invoked exactly once, after the commit containing the
-// request has been published — including the final drain commit when the
+// request has been resolved — including the final drain commit when the
 // combiner is stopped with requests still buffered.  This is the
 // pipelining primitive: N in-flight writes cost N ring slots, not N
 // blocked goroutines (SubmitWait parks its caller per request).
 //
-// done runs on the combiner goroutine, after the batch's watermarks are
-// published, so it may itself call Submit/SubmitAsync — but it must not
-// block: every callback in the batch (and every later commit) waits
-// behind it.  Hand off to a channel or flip a flag; don't do work there.
-// Like Submit, SubmitAsync applies backpressure (blocks) while the
-// client's ring is full.
+// done runs on the batcher's completer goroutine, in batch order, after the
+// batch's watermarks are published.  It must not block: every callback in
+// the batch, and every later batch's resolution, waits behind it.  In
+// particular it must not Submit into a ring that may be full: the combiner
+// that would make room may itself be waiting for the completer to hand
+// back a batch record, and the pair deadlocks.  Hand off to a channel or
+// flip a flag; don't do work there.  Like Submit, SubmitAsync applies
+// backpressure (blocks) while the client's ring is full.
 func (b *Batcher[K, V, A]) SubmitAsync(client int, r Request[K, V], done func(error)) {
 	r.done = done
 	b.Submit(client, r)
@@ -249,14 +359,11 @@ func (b *Batcher[K, V, A]) SubmitAsync(client int, r Request[K, V], done func(er
 // committed.
 func (b *Batcher[K, V, A]) Flush(client int) {
 	q := b.rings[client]
-	seq := q.tail.Load()
-	for q.committed.Load() < seq {
-		runtime.Gosched()
-	}
+	b.park(q, waitCommit, q.tail.Load())
 }
 
-// run is the combiner loop: commit batches while work is flowing, sleep
-// out the latency budget when there is none.
+// run is the combiner loop: apply batches while work is flowing, sleep out
+// the latency budget when there is none.
 func (b *Batcher[K, V, A]) run() {
 	defer close(b.done)
 	idle := time.NewTimer(b.interval) // one timer for every idle poll
@@ -270,8 +377,19 @@ func (b *Batcher[K, V, A]) run() {
 		case <-b.stop:
 			// Final drain.  Shutdown keeps the exactly-once contract: no
 			// other commit can have gathered what these steps gather (head
-			// advances under this goroutine only).
+			// advances under this goroutine only), and the completer
+			// resolves every batch sent before pending closes.
 			for b.step() {
+			}
+			close(b.pending)
+			<-b.completed
+			// Nobody gathers or publishes any more: let go of any producer
+			// that is (or is about to be) parked.
+			b.stopped.Store(true)
+			for _, q := range b.rings {
+				if q.parked.Swap(0) != 0 {
+					q.wake <- struct{}{}
+				}
 			}
 			return
 		case <-idle.C:
@@ -280,9 +398,11 @@ func (b *Batcher[K, V, A]) run() {
 }
 
 // gather moves up to maxBatch buffered requests (all of them when it is 0)
-// out of the rings into the combiner's batch and reports how many.
-func (b *Batcher[K, V, A]) gather() (total int) {
-	b.inserts, b.deletes, b.cbs, b.marks = b.inserts[:0], b.deletes[:0], b.cbs[:0], b.marks[:0]
+// out of the rings into the combiner's batch and rec, wakes the producers
+// it made room for, and reports how many requests it took.
+func (b *Batcher[K, V, A]) gather(rec *batchRec[K, V]) (total int) {
+	b.inserts, b.deletes = b.inserts[:0], b.deletes[:0]
+	rec.cbs, rec.marks = rec.cbs[:0], rec.marks[:0]
 	for _, q := range b.rings {
 		h, t := q.head.Load(), q.tail.Load()
 		if b.maxBatch > 0 && t-h > uint64(b.maxBatch-total) {
@@ -294,7 +414,7 @@ func (b *Batcher[K, V, A]) gather() (total int) {
 				// The slot is ours until head advances; dropping the
 				// closure now keeps a drained ring from retaining it
 				// until the producer happens to overwrite the slot.
-				b.cbs = append(b.cbs, r.done)
+				rec.cbs = append(rec.cbs, r.done)
 				q.buf[i&q.mask].done = nil
 			}
 			if r.Op == OpInsert {
@@ -305,7 +425,8 @@ func (b *Batcher[K, V, A]) gather() (total int) {
 		}
 		if t != h {
 			q.head.Store(t)
-			b.marks = append(b.marks, mark[K, V]{q, t})
+			q.unpark(waitSpace)
+			rec.marks = append(rec.marks, mark[K, V]{q, t})
 			total += int(t - h)
 		}
 		if b.maxBatch > 0 && total >= b.maxBatch {
@@ -315,36 +436,58 @@ func (b *Batcher[K, V, A]) gather() (total int) {
 	return total
 }
 
-// step gathers one batch, commits it, publishes the per-ring committed
-// watermarks and fires the batch's callbacks; false means there was
-// nothing to gather.
+// step is the combiner's stage of one commit: take a free batch record
+// (waiting for the completer when runAhead batches are in flight), gather a
+// batch into it, apply it and pass it on; false means there was nothing to
+// gather.
 func (b *Batcher[K, V, A]) step() bool {
-	total := b.gather()
-	if total == 0 {
+	if b.cur == nil {
+		b.cur = <-b.free
+	}
+	rec := b.cur
+	rec.total = b.gather(rec)
+	if rec.total == 0 {
 		return false
 	}
-	err := b.commit(b.inserts, b.deletes)
-	if err == nil {
-		b.batches.Add(1)
-		b.applied.Add(int64(total))
-		if int64(total) > b.maxSeen.Load() {
-			b.maxSeen.Store(int64(total))
-		}
-	}
-	// Watermarks advance even when the commit was refused: "committed"
-	// means resolved — SubmitWait and Flush must never wedge behind a
-	// poisoned log; only the callbacks carry the verdict.
-	for _, mk := range b.marks {
-		mk.q.committed.Store(mk.seq)
-	}
-	// Completion callbacks fire after the watermarks: an async waiter's
-	// callback and a SubmitWait on the same batch agree on what
-	// "committed" means.  Exactly once per request: the gather consumed
-	// each slot's callback before advancing head, and each slot is
-	// gathered by exactly one step (this one).
-	for i, cb := range b.cbs {
-		cb(err)
-		b.cbs[i] = nil
-	}
+	rec.mark, rec.err = b.commit.Apply(b.inserts, b.deletes)
+	b.cur = nil
+	b.pending <- rec
 	return true
+}
+
+// complete is the completer loop, the second stage of every commit in batch
+// order: wait until the batch is durable, count it, publish the per-ring
+// committed watermarks and fire the batch's callbacks.
+func (b *Batcher[K, V, A]) complete() {
+	defer close(b.completed)
+	for rec := range b.pending {
+		err := rec.err
+		if err == nil && b.commit.Wait != nil {
+			err = b.commit.Wait(rec.mark)
+		}
+		if err == nil {
+			b.batches.Add(1)
+			b.applied.Add(int64(rec.total))
+			if int64(rec.total) > b.maxSeen.Load() {
+				b.maxSeen.Store(int64(rec.total))
+			}
+		}
+		// Watermarks advance even when the commit was refused: "committed"
+		// means resolved — SubmitWait and Flush must never wedge behind a
+		// poisoned log; only the callbacks carry the verdict.
+		for _, mk := range rec.marks {
+			mk.q.committed.Store(mk.seq)
+			mk.q.unpark(waitCommit)
+		}
+		// Completion callbacks fire after the watermarks: an async waiter's
+		// callback and a SubmitWait on the same batch agree on what
+		// "committed" means.  Exactly once per request: the gather consumed
+		// each slot's callback before advancing head, and each slot is
+		// gathered by exactly one step.
+		for i, cb := range rec.cbs {
+			cb(err)
+			rec.cbs[i] = nil
+		}
+		b.free <- rec
+	}
 }

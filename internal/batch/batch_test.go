@@ -324,15 +324,15 @@ func TestCommitHook(t *testing.T) {
 	var failing atomic.Bool
 	errRefused := errors.New("log refused")
 	b := NewWithCommit[int64, int64, int64](Config{Clients: 1, MaxLatency: 100 * time.Microsecond},
-		func(ins []ftree.Entry[int64, int64], dels []int64) error {
+		Commit[int64, int64]{Apply: func(ins []ftree.Entry[int64, int64], dels []int64) (int64, error) {
 			if failing.Load() {
-				return errRefused // fail fast: nothing reaches memory either
+				return 0, errRefused // fail fast: nothing reaches memory either
 			}
 			m.With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { Apply(tx, ins, dels, nil) })
 			})
-			return nil
-		})
+			return 0, nil
+		}})
 	b.Start()
 
 	errs := make(chan error, 3)

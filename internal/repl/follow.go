@@ -20,13 +20,15 @@ import (
 // Applier is the follower-side apply surface — what shard.Map (and so
 // mvgc.DB) provides for replication.
 type Applier interface {
-	// ReplayRecord applies one shipped record as an atomic transaction
-	// and floors the stamp source at its GSN.
+	// ReplayRecord applies one shipped record as an atomic transaction,
+	// relogs it without waiting for the local log's fsync, and floors the
+	// stamp source at its GSN.
 	ReplayRecord(gsn uint64, payload []byte) error
 	// ApplyReplSnapshot replaces the contents with a shipped checkpoint
 	// snapshot and floors the stamp source at its cut.
 	ApplyReplSnapshot(cut uint64, payload []byte) error
-	// SyncWAL forces the local log durable; called before the stream
+	// SyncWAL forces the local log durable; called whenever the follower
+	// has applied everything it has received, and before the stream
 	// position is persisted.
 	SyncWAL() error
 }
@@ -285,6 +287,15 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 					return err
 				}
 				unsynced = 0
+			} else if br.Buffered() == 0 {
+				// Everything received is applied: make it durable before
+				// waiting for more.  A follower that keeps up syncs after
+				// every record, as it always did; one that is behind applies
+				// what the read buffer holds — at most its 256 KiB of stream
+				// — under one fsync instead of stopping for one per record.
+				if err := f.cfg.DB.SyncWAL(); err != nil {
+					return err
+				}
 			}
 		default:
 			return fmt.Errorf("repl: unknown frame tag %q", tag)

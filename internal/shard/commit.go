@@ -27,13 +27,15 @@ func (m *Map[K, V, A]) logErr() error {
 }
 
 // groupCommit is the tail of every logged write, fed a primitive's result:
-// one durability wait (per the log's fsync policy) covering every record the
-// write appended.  Callers reach it holding no lock.
-func (m *Map[K, V, A]) groupCommit(appended bool, err error) error {
-	if err != nil || !appended {
+// one durability wait (per the log's fsync policy) up to mark, the log
+// watermark of the last record the write appended — 0 when it appended
+// none.  It waits for the write's own records, not for whatever other
+// writers appended behind them.  Callers reach it holding no lock.
+func (m *Map[K, V, A]) groupCommit(mark int64, err error) error {
+	if err != nil || mark == 0 {
 		return err
 	}
-	return m.wal.log.Commit()
+	return m.wal.log.CommitTo(mark)
 }
 
 // install commits f as one write transaction on shard i — under the shard's
@@ -57,9 +59,9 @@ func (m *Map[K, V, A]) install(i int, fenced bool, f func(tx *core.Txn[K, V, A])
 // record encode produces is appended under the commit's GSN.  walMu[i]
 // spans {commit, Append} so the shard's log order is its commit order;
 // encode runs inside the committing transaction, after apply, so combining
-// writes log their resolved post-image.  It reports whether a record was
-// appended; the caller owes the groupCommit.
-func (m *Map[K, V, A]) commitShard(i int, fenced bool, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) (appended bool, err error) {
+// writes log their resolved post-image.  It returns the appended record's
+// log watermark, 0 when there was none; the caller owes the groupCommit.
+func (m *Map[K, V, A]) commitShard(i int, fenced bool, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) (mark int64, err error) {
 	var e *walEnc[K, V]
 	if w := m.wal; w != nil {
 		e = w.getEnc()
@@ -75,13 +77,13 @@ func (m *Map[K, V, A]) commitShard(i int, fenced bool, apply func(tx *core.Txn[K
 		}
 	})
 	if e == nil || g == 0 {
-		return false, nil
+		return 0, nil
 	}
-	return true, m.wal.log.Append(g, e.buf)
+	return m.wal.log.AppendMark(g, e.buf)
 }
 
 // commitIntents is commitShard for a plan of buffered intents.
-func (m *Map[K, V, A]) commitIntents(i int, fenced bool, list []intent[K, V]) (bool, error) {
+func (m *Map[K, V, A]) commitIntents(i int, fenced bool, list []intent[K, V]) (int64, error) {
 	return m.commitShard(i, fenced,
 		func(tx *core.Txn[K, V, A]) { replay(tx, list) },
 		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encodeIntents(e, tx, list) })
@@ -94,9 +96,9 @@ func (m *Map[K, V, A]) commitIntents(i int, fenced bool, list []intent[K, V]) (b
 // through the install only.  With a nil plan t's intents are already
 // buffered and the install is blind; a non-nil plan makes the attempt
 // optimistic (see installAtomic).  It reports whether the attempt committed
-// and whether a record was appended; a non-nil error means the commit is in
-// memory but the log is poisoned.
-func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A])) (committed, appended bool, err error) {
+// and the appended record's log watermark (0 when none); a non-nil error
+// means the commit is in memory but the log is poisoned.
+func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A])) (committed bool, mark int64, err error) {
 	var e *walEnc[K, V]
 	if w := m.wal; w != nil {
 		e = w.getEnc()
@@ -112,9 +114,10 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 	}
 	g, ok := m.installAtomic(fence, t, plan, e)
 	if e == nil || g == 0 {
-		return ok, false, nil
+		return ok, 0, nil
 	}
-	return true, true, m.wal.log.Append(g, e.buf)
+	mark, err = m.wal.log.AppendMark(g, e.buf)
+	return true, mark, err
 }
 
 // installAtomic is commitAtomic's in-memory half.  Under the fence shards'
@@ -209,25 +212,26 @@ func (m *Map[K, V, A]) installAtomic(fence []int, t *Txn[K, V, A], plan func(t *
 	return gsn, ok
 }
 
-// commitTxn commits t's buffered intents as one atomic transaction.  A
+// commitTxn commits t's buffered intents as one atomic transaction and
+// returns its record's log watermark; the caller owes the groupCommit.  A
 // single-shard footprint skips the seqlock protocol — one shard's commit is
 // already atomic and its normal stamp orders it globally — but still
 // commits under that shard's writer slot: an atomic transaction must never
 // bypass another's fence, whatever its footprint.
-func (m *Map[K, V, A]) commitTxn(t *Txn[K, V, A]) error {
+func (m *Map[K, V, A]) commitTxn(t *Txn[K, V, A]) (mark int64, err error) {
 	touched := t.touched()
 	if len(touched) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := m.logErr(); err != nil {
-		return err
+		return 0, err
 	}
 	if len(touched) == 1 {
 		i := touched[0]
-		return m.groupCommit(m.commitIntents(i, true, t.intents[i]))
+		return m.commitIntents(i, true, t.intents[i])
 	}
-	_, appended, err := m.commitAtomic(touched, t, nil)
-	return m.groupCommit(appended, err)
+	_, mark, err = m.commitAtomic(touched, t, nil)
+	return mark, err
 }
 
 // commitPoint commits one intent on its key's shard.
@@ -287,7 +291,7 @@ func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, appl
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(parts))
-	appended := make([]bool, len(parts))
+	marks := make([]int64, len(parts))
 	for i, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -295,7 +299,7 @@ func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, appl
 		wg.Add(1)
 		go func(i int, part []T) {
 			defer wg.Done()
-			appended[i], errs[i] = m.commitShard(i, false,
+			marks[i], errs[i] = m.commitShard(i, false,
 				func(tx *core.Txn[K, V, A]) { part = apply(tx, part) },
 				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encode(e, tx, part) })
 		}(i, part)
@@ -306,7 +310,7 @@ func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, appl
 			return err
 		}
 	}
-	return m.groupCommit(slices.Contains(appended, true), nil)
+	return m.groupCommit(slices.Max(marks), nil)
 }
 
 // InsertBatch partitions the batch by shard and commits each part as one
@@ -358,18 +362,18 @@ func (m *Map[K, V, A]) Update(f func(t *Txn[K, V, A])) error {
 	if err := m.logErr(); err != nil {
 		return err
 	}
-	appended := false
+	var mark int64
 	for i, list := range t.intents {
 		if len(list) == 0 {
 			continue
 		}
-		a, err := m.commitIntents(i, false, list)
+		mk, err := m.commitIntents(i, false, list)
 		if err != nil {
 			return err
 		}
-		appended = appended || a
+		mark = max(mark, mk)
 	}
-	return m.groupCommit(appended, nil)
+	return m.groupCommit(mark, nil)
 }
 
 // UpdateAtomic runs a buffered cross-shard write transaction with a global
@@ -387,7 +391,7 @@ func (m *Map[K, V, A]) UpdateAtomic(f func(t *Txn[K, V, A])) error {
 	defer m.exit(0)
 	t := m.newTxn()
 	f(t)
-	return m.commitTxn(t)
+	return m.groupCommit(m.commitTxn(t))
 }
 
 // UpdateAtomicKeys runs an atomic cross-shard transaction whose key
@@ -444,9 +448,9 @@ func (m *Map[K, V, A]) UpdateAtomicKeys(keys []K, f func(t *Txn[K, V, A])) error
 		if err := m.logErr(); err != nil {
 			return err
 		}
-		committed, appended, err := m.commitAtomic(fence, t, f)
+		committed, mark, err := m.commitAtomic(fence, t, f)
 		if committed {
-			return m.groupCommit(appended, err)
+			return m.groupCommit(mark, err)
 		}
 		m.occAborts.Add(1)
 		core.Backoff(attempt)

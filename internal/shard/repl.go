@@ -52,7 +52,12 @@ func (m *Map[K, V, A]) SyncWAL() error {
 // ReplayRecord applies one shipped redo record stamped gsn as a single
 // atomic transaction and floors the stamp source at gsn.  A decode error
 // applies nothing.  Requires an attached WAL (for the codecs, and so the
-// follower relogs what it applies).
+// follower relogs what it applies).  It returns once the record is applied
+// and appended to the local log, without waiting for that log's fsync: a
+// follower acks nothing, so the apply of the next record overlaps this
+// one's durability, and SyncWAL is the barrier — the follower calls it when
+// it has applied everything it has received, and before it persists its
+// position.
 func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
 	if m.wal == nil {
 		return errors.New("shard: ReplayRecord requires an attached WAL")

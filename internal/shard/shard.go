@@ -260,10 +260,12 @@ func (m *Map[K, V, A]) Len() int64 {
 // StartBatching launches one Appendix-F combining writer per shard, each
 // committing that shard's submissions as atomic batches through the commit
 // pipeline: a batch is one fenced commitShard — log or no log — so it takes
-// the writer slot, leases a pid for the one transaction, logs its
-// post-images from inside it and group-commits like every other write.
-// cfg.Clients buffers are created on every shard, so any client id in
-// 0..Clients-1 may submit keys bound for any shard.
+// the writer slot, leases a pid for the one transaction and logs its
+// post-images from inside it like every other write.  Its groupCommit runs
+// on the shard's completer (batch.Commit.Wait), so the combiner applies the
+// next batch while this one's fsync is in flight; without a log the wait is
+// a no-op on the same path.  cfg.Clients buffers are created on every shard,
+// so any client id in 0..Clients-1 may submit keys bound for any shard.
 func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) {
 	if m.batchers != nil {
 		panic("shard: StartBatching called twice")
@@ -274,23 +276,27 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 	defer m.exit(0)
 	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
 	for i := range m.shards {
-		m.batchers[i] = batch.NewWithCommit[K, V, A](cfg, func(inserts []ftree.Entry[K, V], deletes []K) error {
-			if err := m.logErr(); err != nil {
-				return err
-			}
-			// The record is the batch as committed: coalescing reorders and
-			// shortens inserts in place, so the encode (and a conflict's
-			// re-run) must see what Apply returns, not the gathered length.
-			return m.groupCommit(m.commitShard(i, true,
-				func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
-				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-					for _, en := range inserts {
-						appendPost(e, tx, en.Key, en.Val, comb != nil)
-					}
-					for _, k := range deletes {
-						e.appendDelete(k)
-					}
-				}))
+		m.batchers[i] = batch.NewWithCommit[K, V, A](cfg, batch.Commit[K, V]{
+			Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
+				if err := m.logErr(); err != nil {
+					return 0, err
+				}
+				// The record is the batch as committed: coalescing reorders
+				// and shortens inserts in place, so the encode (and a
+				// conflict's re-run) must see what Apply returns, not the
+				// gathered length.
+				return m.commitShard(i, true,
+					func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
+					func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
+						for _, en := range inserts {
+							appendPost(e, tx, en.Key, en.Val, comb != nil)
+						}
+						for _, k := range deletes {
+							e.appendDelete(k)
+						}
+					})
+			},
+			Wait: func(mark int64) error { return m.groupCommit(mark, nil) },
 		})
 		m.batchers[i].Start()
 	}
@@ -320,9 +326,11 @@ func (m *Map[K, V, A]) SubmitWait(client int, r batch.Request[K, V]) {
 }
 
 // SubmitAsync routes a buffered update and returns immediately; done runs
-// exactly once on the owning shard's combiner goroutine after the commit
-// containing the request has been resolved (see batch.Batcher.SubmitAsync
-// for the callback contract: fast, non-blocking).  A nil error means the
+// exactly once on the owning shard's completer goroutine, in that shard's
+// batch order, after the commit containing the request has been resolved
+// (see batch.Batcher.SubmitAsync for the callback contract: fast,
+// non-blocking, and no Submit into a ring that may be full — the completer
+// and the combiner would wait for each other).  A nil error means the
 // write committed — and, with a WAL attached, is durable per the log's
 // fsync policy; ErrClosed (delivered synchronously when the map is
 // closing) or a log error means it did not.  This is how a pipelined

@@ -213,7 +213,8 @@ func (m *Map[K, V, A]) RecoverWAL(cfg WALConfig[K, V], rec *wal.Recovered) error
 // commit the stamp source is floored at gsn-1, so on a quiet map the
 // commit allocates exactly gsn (replays carry the original stamps
 // through); afterwards at gsn, which also covers records that publish
-// nothing.  Floors never rewind.
+// nothing.  Floors never rewind.  The commit is relogged when a log is
+// attached (a follower's) but not waited for: see ReplayRecord.
 func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn uint64, payload []byte) error {
 	if !m.enter(0) {
 		return ErrClosed
@@ -226,7 +227,7 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 	if gsn > 0 {
 		m.FloorGSN(gsn - 1)
 	}
-	if err := m.commitTxn(t); err != nil {
+	if _, err := m.commitTxn(t); err != nil {
 		return err
 	}
 	m.FloorGSN(gsn)

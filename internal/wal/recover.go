@@ -194,6 +194,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	}
 	l.syncCond.L = &l.syncMu
 	l.tailCond.L = &l.mu
+	l.ioCond.L = &l.mu
 	l.mu.Lock()
 	err = l.newSegmentLocked()
 	l.mu.Unlock()

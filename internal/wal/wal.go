@@ -102,14 +102,24 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex // file state; never acquired while holding syncMu
+	// mu guards the log's state and is never held across an fsync nor
+	// acquired while holding syncMu.  The current segment has one writer at
+	// a time: whoever holds mu with inflight clear, or — with mu released —
+	// the fsync leader that set inflight (flushAndSync).
+	mu        sync.Mutex
 	cur       File
 	curName   string
 	curSeq    uint64
 	curSize   int64 // bytes appended to the current segment (incl. header)
 	curMaxGSN uint64
 	buf       []byte // framed records not yet written to cur
+	spare     []byte // the other append buffer; nil while a leader writes it out
 	appended  int64  // logical watermark: total framed bytes ever appended
+	// inflight is set while an fsync leader writes and syncs cur outside mu.
+	// A size-triggered flush and a segment roll wait for it on ioCond rather
+	// than write to (or seal) the file under the leader.
+	inflight  bool
+	ioCond    sync.Cond
 	sealed    []segInfo
 	liveBytes int64
 	snapSeq   uint64
@@ -118,7 +128,9 @@ type Log struct {
 	closed    bool
 
 	// curDurable is the current segment's durable prefix in bytes: 0 until
-	// its first fsync, l.curSize after every successful flushAndSync.
+	// its first fsync, then what l.curSize was when the last completed
+	// flushAndSync swapped the buffers out — published only after that
+	// fsync returned, and short of l.curSize by whatever was appended since.
 	// Sealed segments are fully durable (sealing syncs before closing), so
 	// this single watermark plus the sealed sizes define exactly the byte
 	// range a Tailer may ship — a shipped record is never one a crash on
@@ -135,7 +147,7 @@ type Log struct {
 	syncMu   sync.Mutex
 	syncCond sync.Cond
 	synced   int64 // watermark: appended bytes known durable
-	syncing  bool  // a leader is inside flushAndSync
+	syncing  bool  // a leader elected by syncTo is inside flushAndSync
 
 	ckptMu sync.Mutex // single-flight checkpoints
 
@@ -167,7 +179,7 @@ func Create(opts Options) (*Log, error) {
 // next one.  The seal syncs the old file before the new one exists, so
 // a torn tail can only ever be in the highest-numbered segment; the
 // SyncDir makes the new entry crash-durable before any record lands in
-// it.
+// it.  The caller holds mu with no fsync in flight (see awaitIOLocked).
 func (l *Log) newSegmentLocked() error {
 	if l.cur != nil {
 		if err := l.flushLocked(); err != nil {
@@ -210,9 +222,9 @@ func (l *Log) newSegmentLocked() error {
 }
 
 // flushLocked writes the append buffer to the current segment without
-// syncing.  A failed or short write poisons the log: the file may now
-// hold a partial frame that later appends would bury, so no further
-// record can ever be acked from this Log.
+// syncing; the caller holds mu with no fsync in flight.  A failed or short
+// write poisons the log: the file may now hold a partial frame that later
+// appends would bury, so no further record can ever be acked from this Log.
 func (l *Log) flushLocked() error {
 	if len(l.buf) == 0 {
 		return nil
@@ -231,30 +243,52 @@ func (l *Log) flushLocked() error {
 // returns ErrWALFull when MaxBytes is exceeded and the sticky log error
 // after any I/O failure.
 func (l *Log) Append(gsn uint64, payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return ErrLogClosed
-	case l.err != nil:
-		return l.err
-	case len(payload)+8 > maxRecordBytes:
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
+	_, err := l.AppendMark(gsn, payload)
+	return err
+}
+
+// AppendMark is Append that also returns the record's mark: the logical
+// watermark just past it.  CommitTo(mark) waits for exactly this record
+// (and everything before it), however much is appended behind it meanwhile.
+//
+// Append never waits for an fsync it does not have to: the two cases that
+// touch the file — the buffer outgrowing flushThreshold, the segment
+// filling up — wait for an in-flight fsync to finish (the leader is the
+// file's only writer meanwhile) and then do their I/O under mu as before.
+func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
+	if len(payload)+8 > maxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
 	// curSize and liveBytes already count buffered-but-unflushed frames.
 	frame := int64(frameHeader + 8 + len(payload))
-	if l.opts.MaxBytes > 0 && l.liveBytes+frame > l.opts.MaxBytes {
-		return ErrWALFull
-	}
-	if l.curSize+frame > l.opts.SegmentBytes && l.curSize > int64(len(segMagic)) {
-		if err := l.newSegmentLocked(); err != nil {
-			return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		switch {
+		case l.closed:
+			return 0, ErrLogClosed
+		case l.err != nil:
+			return 0, l.err
+		case l.opts.MaxBytes > 0 && l.liveBytes+frame > l.opts.MaxBytes:
+			return 0, ErrWALFull
 		}
+		if l.curSize+frame <= l.opts.SegmentBytes || l.curSize == int64(len(segMagic)) {
+			break
+		}
+		if l.inflight {
+			l.ioCond.Wait() // everything above may have changed: look again
+			continue
+		}
+		if err := l.newSegmentLocked(); err != nil {
+			return 0, err
+		}
+		break
 	}
 	l.buf = appendFrame(l.buf, gsn, payload)
 	l.appended += frame
 	l.curSize += frame
 	l.liveBytes += frame
+	mark = l.appended
 	if gsn > l.curMaxGSN {
 		l.curMaxGSN = gsn
 	}
@@ -274,10 +308,18 @@ func (l *Log) Append(gsn uint64, payload []byte) error {
 		// ship under FsyncOff/Interval, where no Commit would ever wake it.
 		l.tailCond.Broadcast()
 	}
-	if len(l.buf) >= flushThreshold {
-		return l.flushLocked()
+	// An fsync leader that got in first takes the whole buffer with it, so
+	// after a wait there is usually nothing left to flush.
+	for len(l.buf) >= flushThreshold && l.cur != nil {
+		if l.err != nil {
+			return 0, l.err
+		}
+		if !l.inflight {
+			return mark, l.flushLocked()
+		}
+		l.ioCond.Wait()
 	}
-	return nil
+	return mark, nil
 }
 
 // appendFrame encodes one record: u32 body length, u32 CRC-32C of the
@@ -300,6 +342,15 @@ func appendFrame(dst []byte, gsn uint64, payload []byte) []byte {
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	target := l.appended
+	l.mu.Unlock()
+	return l.CommitTo(target)
+}
+
+// CommitTo is Commit for one record: it returns once the log is durable up
+// to mark (an AppendMark result), without waiting for — or forcing an fsync
+// of — anything appended after it.
+func (l *Log) CommitTo(mark int64) error {
+	l.mu.Lock()
 	err := l.err
 	closed := l.closed
 	l.mu.Unlock()
@@ -312,7 +363,7 @@ func (l *Log) Commit() error {
 	if l.opts.Policy != FsyncAlways {
 		return nil
 	}
-	return l.syncTo(target)
+	return l.syncTo(mark)
 }
 
 // Sync forces a flush+fsync regardless of policy.
@@ -354,30 +405,81 @@ func (l *Log) syncTo(target int64) error {
 	return err
 }
 
-// flushAndSync writes the buffer and fsyncs the current segment,
-// returning the appended watermark the fsync covered.
+// awaitIOLocked waits out an in-flight fsync; the caller holds mu, which
+// the wait releases and retakes.
+func (l *Log) awaitIOLocked() {
+	for l.inflight {
+		l.ioCond.Wait()
+	}
+}
+
+// maxSpareBytes bounds the capacity a written-out append buffer may keep
+// for reuse: one oversized record (a bulk load's) must not pin its size in
+// both buffers for the life of the log.
+const maxSpareBytes = 2 * flushThreshold
+
+// flushAndSync writes the buffer and fsyncs the current segment, returning
+// the appended watermark the fsync covered.  Only the bookkeeping runs
+// under mu: the buffer is swapped for the spare and the watermarks noted,
+// the Write and the Sync run with mu released — appenders fill the other
+// buffer meanwhile, and the next fsync covers them all — and mu is retaken
+// to publish what became durable.  Between the two, inflight makes the
+// caller the segment's only writer.
 func (l *Log) flushAndSync() (int64, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.awaitIOLocked()
 	if l.err != nil {
+		l.mu.Unlock()
 		return 0, l.err
 	}
 	if l.cur == nil {
+		l.mu.Unlock()
 		return 0, ErrLogClosed
 	}
-	if err := l.flushLocked(); err != nil {
+	var out []byte
+	if len(l.buf) > 0 {
+		out, l.buf, l.spare = l.buf, l.spare[:0], nil
+	}
+	// Everything up to reached is in the file or in out, and the file will
+	// be exactly size bytes long once out is written.
+	reached, size := l.appended, l.curSize
+	f, name := l.cur, l.curName
+	l.inflight = true
+	l.mu.Unlock()
+
+	var err error
+	if len(out) > 0 {
+		if _, werr := f.Write(out); werr != nil {
+			err = fmt.Errorf("wal: write %s: %w", name, werr)
+		}
+	}
+	if err == nil {
+		if serr := f.Sync(); serr != nil {
+			err = fmt.Errorf("wal: fsync %s: %w", name, serr)
+		}
+	}
+
+	l.mu.Lock()
+	l.inflight = false
+	if out != nil && cap(out) <= maxSpareBytes {
+		l.spare = out[:0]
+	}
+	if err != nil {
+		// As in flushLocked: the file may hold a partial frame, and nothing
+		// appended since can be acked from this Log either.
+		l.err = err
+	} else {
+		// Durable only now that the Sync has returned.  No roll can have
+		// happened under inflight, so size still measures l.cur.
+		l.curDurable = size
+		if l.tailWaiters > 0 {
+			l.tailCond.Broadcast()
+		}
+	}
+	l.ioCond.Broadcast()
+	l.mu.Unlock()
+	if err != nil {
 		return 0, err
-	}
-	reached := l.appended
-	if err := l.cur.Sync(); err != nil {
-		l.err = fmt.Errorf("wal: fsync %s: %w", l.curName, err)
-		return 0, l.err
-	}
-	// flushLocked emptied the buffer, so curSize is exactly the segment's
-	// file length and the fsync just made all of it durable.
-	l.curDurable = l.curSize
-	if l.tailWaiters > 0 {
-		l.tailCond.Broadcast()
 	}
 	return reached, nil
 }
@@ -535,6 +637,7 @@ func (l *Log) Close() error {
 	_, serr := l.flushAndSync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitIOLocked()      // a Tailer's forced Sync may have got in behind ours
 	l.tailCond.Broadcast() // wake Tailers so they observe closed
 	if l.cur != nil {
 		if err := l.cur.Close(); err != nil && serr == nil {
