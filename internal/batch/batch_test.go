@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,8 @@ func TestManyClientsNoLostUpdates(t *testing.T) {
 }
 
 // TestStopDrains: requests submitted before Stop must be committed by the
-// final drain even if the combiner never woke for them.
+// final drain even if the combiner never woke for them — and resolved by the
+// time Stop returns: Stop joins the completer, not just the combiner.
 func TestStopDrains(t *testing.T) {
 	m := newIntMap(t, 2)
 	b := New(m, Config{Clients: 1, MaxLatency: time.Hour}, nil) // never wakes on its own
@@ -161,12 +163,158 @@ func TestStopDrains(t *testing.T) {
 		b.Submit(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i})
 	}
 	b.Stop()
+	if got := b.Applied(); got != 10 {
+		t.Fatalf("Applied = %d when Stop returned, want 10: the completer was not joined", got)
+	}
+	if q := b.rings[0]; q.committed.Load() != q.tail.Load() {
+		t.Fatalf("committed = %d, tail = %d when Stop returned", q.committed.Load(), q.tail.Load())
+	}
 	read(m, func(s core.Snapshot[int64, int64, int64]) {
 		if s.Len() != 10 {
 			t.Fatalf("Len = %d after Stop drain", s.Len())
 		}
 	})
 	m.Close()
+}
+
+// awaitParked waits until client's producer sleeps in its ring for why.
+func awaitParked(t *testing.T, b *Batcher[int64, int64, int64], client int, why uint32) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); b.rings[client].parked.Load() != why; {
+		if time.Now().After(deadline) {
+			t.Fatal("the producer never parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStopReleasesParkedProducer: a producer asleep on a full ring when Stop
+// is called — against the contract, clients were meant to have stopped — is
+// let go: the final drain makes room once, and after it nobody would, so
+// Stop itself wakes whoever is still parked and their leftovers are dropped.
+// Every callback still fires exactly once: nil for what the drain committed,
+// ErrStopped for what it did not.
+func TestStopReleasesParkedProducer(t *testing.T) {
+	const n = 64
+	m := newIntMap(t, 2)
+	b := New(m, Config{Clients: 1, BufCap: 4, MaxLatency: time.Hour}, nil) // only Stop's drain ever gathers
+	b.Start()
+	fired := make([]atomic.Int32, n)
+	var committed, dropped atomic.Int32
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := int64(0); i < n; i++ {
+			b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i}, func(err error) {
+				fired[i].Add(1)
+				switch {
+				case err == nil:
+					committed.Add(1)
+				case errors.Is(err, ErrStopped):
+					dropped.Add(1)
+				default:
+					t.Errorf("callback %d got %v", i, err)
+				}
+			})
+		}
+		b.Flush(0) // parked or not, this must return too
+	}()
+	awaitParked(t, b, 0, waitSpace)
+	b.Stop()
+	select {
+	case <-produced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a producer parked at Stop was never released")
+	}
+	for i := range fired {
+		// A request the producer slipped into the ring after the final
+		// drain's last gather is neither committed nor refused; the contract
+		// (no submits during Stop) is what rules those out, so only double
+		// fires are an error here.
+		if c := fired[i].Load(); c > 1 {
+			t.Fatalf("callback %d fired %d times", i, c)
+		}
+	}
+	if committed.Load() < 4 {
+		t.Fatalf("the final drain committed %d requests, want at least the 4 the ring held", committed.Load())
+	}
+	read(m, func(s core.Snapshot[int64, int64, int64]) {
+		if s.Len() != int64(committed.Load()) {
+			t.Fatalf("Len = %d, callbacks acknowledged %d", s.Len(), committed.Load())
+		}
+	})
+	m.Close()
+}
+
+// TestParkedHandshakeStress hunts lost wake-ups in the declare-recheck-sleep
+// handshake: rings of one and two slots, so nearly every Submit parks for
+// room and every SubmitWait and Flush parks for its commit, four producers
+// mixing all three against one combiner and one completer.  A lost wake-up
+// is a producer that never finishes.  The full count runs under the race
+// detector without -short (the nightly lane); a plain build spends an idle
+// timer period on most rounds, so it and -short run a tenth.
+func TestParkedHandshakeStress(t *testing.T) {
+	const producers = 4
+	per := 50_000
+	if testing.Short() || !raceEnabled {
+		per = 5_000
+	}
+	for _, bufCap := range []int{1, 2} {
+		t.Run(fmt.Sprintf("BufCap=%d", bufCap), func(t *testing.T) {
+			m := newIntMap(t, 2)
+			b := New(m, Config{Clients: producers, BufCap: bufCap, MaxLatency: 50 * time.Microsecond}, nil)
+			b.Start()
+			var wg sync.WaitGroup
+			for c := 0; c < producers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(c)))
+					for i := 0; i < per; i++ {
+						// Arrive anywhere in the combiner's cycle, not just
+						// right behind the gather that woke us: the windows
+						// the handshake has to close are nanoseconds wide.
+						for d, t0 := time.Duration(rng.Intn(20_000)), time.Now(); time.Since(t0) < d; {
+						}
+						r := Request[int64, int64]{Op: OpInsert, Key: int64(c*1024 + i%1024), Val: int64(i)}
+						switch {
+						case i%8 == 7:
+							b.SubmitWait(c, r)
+						case i%64 == 33:
+							b.Submit(c, r)
+							b.Flush(c)
+						default:
+							b.Submit(c, r)
+						}
+					}
+					b.Flush(c)
+				}(c)
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(5 * time.Minute):
+				t.Fatalf("lost wake-up: producers still parked with %d of %d requests applied", b.Applied(), producers*per)
+			}
+			if got := b.Applied(); got != int64(producers*per) {
+				t.Fatalf("Applied = %d, want %d", got, producers*per)
+			}
+			read(m, func(s core.Snapshot[int64, int64, int64]) {
+				for c := 0; c < producers; c++ {
+					k := int64(c*1024 + (per-1)%1024)
+					if v, _ := s.Get(k); v != int64(per-1) {
+						t.Fatalf("client %d: last write to key %d reads %d, want %d", c, k, v, per-1)
+					}
+				}
+			})
+			b.Stop()
+			m.Close()
+			if live := m.Ops().Live(); live != 0 {
+				t.Fatalf("leaked %d nodes", live)
+			}
+		})
+	}
 }
 
 // TestBackpressure: a tiny buffer forces Submit to block until the
@@ -300,10 +448,10 @@ func TestSubmitAsyncShutdownDrain(t *testing.T) {
 		i := i
 		b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i}, func(error) { fired[i].Add(1) })
 	}
-	b.Stop() // final drain commits and must fire every callback
+	b.Stop() // final drain commits, and the joined completer has fired every callback
 	for i := range fired {
 		if c := fired[i].Load(); c != 1 {
-			t.Fatalf("callback %d fired %d times across shutdown", i, c)
+			t.Fatalf("callback %d fired %d times by the time Stop returned", i, c)
 		}
 	}
 	read(m, func(s core.Snapshot[int64, int64, int64]) {

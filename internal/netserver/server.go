@@ -10,7 +10,9 @@
 //     which fixes the response's place on the wire.  Writes (SET/DEL) are
 //     then submitted to the key's shard combiner via the async completion
 //     path (shard.Map.SubmitAsync) with a callback that marks the slot
-//     ready when the combiner's batch commit publishes.  Reads (GET) take
+//     ready when the batch commit holding the write is resolved — durable,
+//     with a log — which the shard's completer goroutine does one batch
+//     behind the combiner.  Reads (GET) take
 //     the cached-handle point path and complete immediately.  MCAS runs
 //     mvgc.DB.UpdateAtomicKeys inline.
 //   - The writer walks the ring in order, encoding each slot once it is
@@ -29,7 +31,8 @@
 //
 // Backpressure is layered: a connection may have at most Config.MaxPipeline
 // responses outstanding (the read loop stalls in lease beyond that), each
-// combiner ring bounds in-flight writes per connection, and
+// combiner ring bounds in-flight writes per connection (a read loop that
+// fills one sleeps in Submit until the combiner's next gather), and
 // Config.MaxConns bounds connections being served concurrently (each holds
 // a combiner client slot for its lifetime).
 package netserver

@@ -276,7 +276,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 			break
 		}
 		if l.inflight {
-			l.ioCond.Wait() // everything above may have changed: look again
+			l.awaitIOLocked() // everything above may have changed: look again
 			continue
 		}
 		if err := l.newSegmentLocked(); err != nil {
@@ -310,7 +310,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 	}
 	// An fsync leader that got in first takes the whole buffer with it, so
 	// after a wait there is usually nothing left to flush.
-	for len(l.buf) >= flushThreshold && l.cur != nil {
+	for len(l.buf) >= flushThreshold {
 		if l.err != nil {
 			return 0, l.err
 		}
