@@ -119,7 +119,7 @@ func (q *ring[K, V]) unpark(why uint32) {
 // It is a constant, not a Config field, because there is nothing to tune:
 // two already keep a batch waiting whenever an fsync returns, the rest only
 // lets the combiner keep applying through one slow fsync, and beyond that
-// every further batch in flight is a smaller gather for no gain (2, 3, 4
+// every further batch in flight is a smaller gather for no gain (2, 4
 // and 8 measure alike on the durable wire workload).  What bounds a
 // client's outstanding writes is BufCap, as before.
 const runAhead = 4
