@@ -24,7 +24,8 @@ var ErrClosed = shard.ErrClosed
 // independent shards, each a full paper-faithful core.Map with its own
 // Version Maintenance instance, O(P) delay bound and precise per-shard
 // garbage collection.  Point operations (Get, Insert, InsertWith, Delete)
-// keep the paper's guarantees in full.  Cross-shard operations come in two
+// keep the paper's guarantees in full; GetBatch is many Gets for one read
+// transaction per shard touched.  Cross-shard operations come in two
 // modes, and every call site picks one explicitly:
 //
 //   - Per-shard (Update, View, ForEachChunked): fast, but a multi-key write

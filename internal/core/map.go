@@ -213,6 +213,13 @@ type Snapshot[K, V, A any] struct {
 // Get returns the value stored under k.
 func (s Snapshot[K, V, A]) Get(k K) (V, bool) { return s.ops.Find(s.root, k) }
 
+// GetBatch looks keys[i] up into vals[i] and found[i] (both at least
+// len(keys) long), all against this one version, descending several lookups
+// at a time (ftree.Ops.FindBatch).
+func (s Snapshot[K, V, A]) GetBatch(keys []K, vals []V, found []bool) {
+	s.ops.FindBatch(s.root, keys, vals, found)
+}
+
 // Has reports whether k is present.
 func (s Snapshot[K, V, A]) Has(k K) bool { return s.ops.Has(s.root, k) }
 

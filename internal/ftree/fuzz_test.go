@@ -72,8 +72,20 @@ func FuzzTreeOps(f *testing.F) {
 			bulk = append(bulk, round*(i%3), i*4+round)
 		}
 	}
-	for op := byte(0); op < 13; op++ {
+	for op := byte(0); op < 14; op++ {
 		bulk = append(bulk, op, 0, 100+op, 7, 9)
+	}
+	// Batch lookups: on the nil tree, and over several leaves in runs
+	// shorter and longer than findWidth with every third key a repeat.
+	f.Add([]byte{0, 13, 5, 1, 0, 7, 0, 0, 9})
+	for _, n := range []byte{1, findWidth - 1, findWidth + 1, 39} {
+		look := append(append([]byte{1}, bulk[:4*122]...), 13, n)
+		for i := byte(0); i < n; i++ {
+			if look = append(look, i%3); i == 0 || i%3 != 0 {
+				look = append(look, i, 4*i) // a repeat reads no key
+			}
+		}
+		f.Add(look)
 	}
 	for cfg := byte(0); cfg < 8; cfg++ {
 		f.Add(append([]byte{cfg}, bulk...))
@@ -101,7 +113,7 @@ func FuzzTreeOps(f *testing.F) {
 			o.Grain = 4
 		}
 		for step := int64(1); len(data) > 0; step++ {
-			switch next() % 13 {
+			switch next() % 14 {
 			case 0, 1: // insert
 				k := key()
 				s.ref[k] = step
@@ -233,6 +245,34 @@ func FuzzTreeOps(f *testing.F) {
 					k := ks[int(key())%len(ks)]
 					delete(s.ref, k)
 					s.set(o.Delete(s.root, k))
+				}
+			case 13: // a batch lookup must agree with per-key Find
+				present := s.keys()
+				ks := make([]int64, next()%40)
+				for i := range ks {
+					switch pick := next() % 3; {
+					case pick == 0 && i > 0:
+						ks[i] = ks[i-1]
+					case pick == 1 && len(present) > 0:
+						ks[i] = present[int(key())%len(present)]
+					default:
+						ks[i] = key()
+					}
+				}
+				// Stale results from an earlier batch must not survive.
+				vals, found := make([]int64, len(ks)), make([]bool, len(ks))
+				for i := range ks {
+					vals[i], found[i] = -1, i%2 == 0
+				}
+				o.FindBatch(s.root, ks, vals, found)
+				for i, k := range ks {
+					want, wantOK := o.Find(s.root, k)
+					if ref, refOK := s.ref[k]; want != ref || wantOK != refOK {
+						t.Fatalf("find(%d) = %d,%v want %d,%v", k, want, wantOK, ref, refOK)
+					}
+					if vals[i] != want || found[i] != wantOK {
+						t.Fatalf("batch of %d: key %d (#%d) = %d,%v want %d,%v", len(ks), k, i, vals[i], found[i], want, wantOK)
+					}
 				}
 			}
 		}

@@ -182,6 +182,76 @@ func (o *Ops[K, V, A]) Find(t *Node[K, V, A], k K) (V, bool) {
 	return zero, false
 }
 
+// findWidth is how many lookups FindBatch keeps in flight.  DESIGN.md ("The
+// read side") has the measurements at 4, 8, 16 and 32.
+const findWidth = 16
+
+// FindBatch looks keys[i] up in borrowed tree t into vals[i] and found[i]
+// (both at least len(keys) long), as len(keys) calls of Find would.  It
+// descends findWidth lookups in lockstep: a round first touches every live
+// cursor's node — loads with nothing between them, so their cache misses
+// are all in flight together where back-to-back Finds take them one after
+// another — and then steps each cursor down one node.  A cursor that
+// reaches a leaf searches its run in that step, and one that finishes
+// restarts at the root on the next key.
+func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []bool) {
+	if t == nil {
+		clear(vals[:len(keys)])
+		clear(found[:len(keys)])
+		return
+	}
+	var (
+		cur  [findWidth]*Node[K, V, A] // never nil
+		at   [findWidth]int            // cursor c serves keys[at[c]]
+		leaf [findWidth]*leafBlock[K, V]
+	)
+	live := min(findWidth, len(keys))
+	next := live // first key no cursor has taken yet
+	for c := 0; c < live; c++ {
+		cur[c], at[c] = t, c
+	}
+	for live > 0 {
+		for c := 0; c < live; c++ {
+			leaf[c] = cur[c].leaf
+		}
+		for c := 0; c < live; {
+			n, i := cur[c], at[c]
+			var v V
+			ok := false
+			if leaf[c] != nil {
+				run := n.run()
+				if j, hit := o.search(run, keys[i]); hit {
+					v, ok = run[j].Val, true
+				}
+			} else if cmp := o.Cmp(keys[i], n.key); cmp == 0 {
+				v, ok = n.val, true
+			} else {
+				// Both children are loaded before the choice so that it
+				// compiles to a conditional move, not a branch that
+				// mispredicts every other time.
+				l, child := n.left, n.right
+				if cmp < 0 {
+					child = l
+				}
+				if child != nil {
+					cur[c] = child
+					c++
+					continue
+				}
+			}
+			vals[i], found[i] = v, ok
+			if next < len(keys) {
+				cur[c], at[c] = t, next // steps from the next round on
+				next++
+				c++
+			} else {
+				live--
+				cur[c], at[c], leaf[c] = cur[live], at[live], leaf[live]
+			}
+		}
+	}
+}
+
 // Has reports whether k is present in borrowed tree t.
 func (o *Ops[K, V, A]) Has(t *Node[K, V, A], k K) bool {
 	_, ok := o.Find(t, k)

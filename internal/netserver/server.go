@@ -12,9 +12,10 @@
 //     path (shard.Map.SubmitAsync) with a callback that marks the slot
 //     ready when the batch commit holding the write is resolved — durable,
 //     with a log — which the shard's completer goroutine does one batch
-//     behind the combiner.  Reads (GET) take
-//     the cached-handle point path and complete immediately.  MCAS runs
-//     mvgc.DB.UpdateAtomicKeys inline.
+//     behind the combiner.  Reads (GET) coalesce the other way: consecutive
+//     GETs already in the input buffer are queued as one run and answered
+//     by one read transaction per shard (mvgc.DB.GetBatch) as soon as the
+//     run ends — see getRun.  MCAS runs mvgc.DB.UpdateAtomicKeys inline.
 //   - The writer walks the ring in order, encoding each slot once it is
 //     ready, so pipelined replies come back in protocol order no matter
 //     which shard's combiner commits first.  It sleeps only on the slot at
@@ -137,6 +138,12 @@ type Server struct {
 
 	serveWG sync.WaitGroup // accept loops + connection goroutines
 	nconns  atomic.Int64
+
+	// getRuns and gets count executed read runs and the GETs in them, one
+	// add each per run: gets/getRuns is the mean run length, the read-side
+	// twin of the combiners' applied/batches.
+	getRuns atomic.Int64
+	gets    atomic.Int64
 
 	// Replication state: readOnly gates the write commands while the
 	// server follows a leader; Promote clears it.  fmu serializes
@@ -370,6 +377,9 @@ type conn struct {
 	stalled atomic.Bool
 	space   chan struct{}
 
+	// gets is the run of GETs decoded and not yet executed; read loop only.
+	gets getRun
+
 	// mcas is execMCAS's scratch; an MCAS runs to completion on the read
 	// loop, so nothing outlives the call.
 	mcas struct{ keys, expects, news []int64 }
@@ -388,6 +398,12 @@ func (s *Server) newConn(nc net.Conn, client int) *conn {
 		ring:   make([]slot, 1<<bits.Len(uint(s.cfg.MaxPipeline-1))),
 		wake:   make(chan struct{}, 1),
 		space:  make(chan struct{}, 1),
+		gets: getRun{
+			keys:  make([]int64, 0, getRunCap),
+			vals:  make([]int64, getRunCap),
+			found: make([]bool, getRunCap),
+			slots: make([]*slot, 0, getRunCap),
+		},
 	}
 }
 
@@ -470,13 +486,16 @@ func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
 // response's place on the wire: leases happen in request order, before the
 // operation that will complete the slot.  With MaxPipeline responses
 // outstanding it waits for the writer to release one — the pipeline-depth
-// backpressure.  A recycled slot carries the previous response's payload,
-// so every field a handler might leave unset is cleared here — a handler
-// that sets kind but not n (MCAS's failure path, say) must not echo a
-// stale value.
+// backpressure — answering the queued read run first.  A recycled slot
+// carries the previous response's payload, so every field a handler might
+// leave unset is cleared here — a handler that sets kind but not n (MCAS's
+// failure path, say) must not echo a stale value.
 func (c *conn) lease() *slot {
 	full := func() bool { return c.tail-c.head.Load() >= uint64(c.srv.cfg.MaxPipeline) }
 	for full() {
+		// The writer may be waiting on a queued GET's slot: answer the run
+		// before waiting for the writer.
+		c.flushGets()
 		c.stalled.Store(true)
 		// Between the check and the declaration the writer may have
 		// released without seeing it: look again before sleeping, and take
@@ -611,11 +630,21 @@ func argInt(b []byte) (int64, bool) {
 	return v, err == nil
 }
 
+// Read makes the connection the read loop's input: the socket, behind a
+// flush of the queued read run, so GETs already decoded are never held back
+// while the loop waits for input that has not arrived.
+func (c *conn) Read(p []byte) (int, error) {
+	c.flushGets()
+	return c.nc.Read(p)
+}
+
 // readLoop decodes and dispatches until EOF, a protocol error, or
 // shutdown.  It never waits for a response: the only things that block it
 // are its own backpressure bounds (pipeline FIFO, combiner ring).
 func (c *conn) readLoop() {
-	r := netproto.NewReader(c.nc)
+	// Whatever ends the loop, the GETs it accepted are answered.
+	defer c.flushGets()
+	r := netproto.NewReader(c)
 	var cmd netproto.Command
 	for {
 		if err := r.ReadCommand(&cmd); err != nil {
@@ -625,13 +654,18 @@ func (c *conn) readLoop() {
 			return
 		}
 		name := cmd.Args[0]
+		if eqFold(name, netproto.CmdGet) {
+			c.execGet(&cmd)
+			continue
+		}
+		// A read run never crosses another command: the queued GETs are
+		// dispatched before it, in the connection's order.
+		c.flushGets()
 		switch {
 		case eqFold(name, netproto.CmdSet):
 			c.execWrite(&cmd, batch.OpInsert)
 		case eqFold(name, netproto.CmdDel):
 			c.execWrite(&cmd, batch.OpDelete)
-		case eqFold(name, netproto.CmdGet):
-			c.execGet(&cmd)
 		case eqFold(name, netproto.CmdSum):
 			c.execSum(&cmd)
 		case eqFold(name, netproto.CmdLen):
@@ -697,8 +731,33 @@ func (c *conn) execWrite(cmd *netproto.Command, op batch.Op) {
 	c.srv.db.SubmitAsync(c.client, batch.Request[int64, int64]{Op: op, Key: k, Val: v}, c.completion(sl))
 }
 
-// execGet serves the cached-handle point read: decode, read, complete —
-// all inline, 0 B/op on the store side.
+// getRunCap bounds a read run, and with it how long one run holds the
+// versions it reads from: at most this many lookups.  It is not a setting:
+// runs end far sooner on every other condition (a 95 % GET pipeline averages
+// 19 GETs between SETs), so no workload wants a different value.
+const getRunCap = 256
+
+// getRun is a run of consecutive GETs that were all in the input buffer
+// together: their slots are leased, in request order, and their lookups
+// wait to be executed as one batch.  It is the read-side mirror of the
+// combiner — N pipelined GETs cost one read transaction per shard, and
+// their tree descents overlap (ftree.Ops.FindBatch) — with one difference:
+// nothing here ever waits.  flushGets runs the moment the run cannot grow
+// without waiting: before any other command is dispatched, before the read
+// loop goes back to the socket (conn.Read), before a lease that would block
+// on MaxPipeline, at getRunCap keys, and on the way out of the read loop.
+// So each key is read from a version acquired after its GET arrived and
+// before its reply is written, exactly as when every GET was its own
+// transaction.
+type getRun struct {
+	keys  []int64
+	slots []*slot // slots[i] answers keys[i]
+	// vals and found receive a flush's results; getRunCap long.
+	vals  []int64
+	found []bool
+}
+
+// execGet queues one GET on the connection's read run.
 func (c *conn) execGet(cmd *netproto.Command) {
 	if len(cmd.Args) != 2 {
 		c.fail("ERR wrong number of arguments")
@@ -709,14 +768,42 @@ func (c *conn) execGet(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
+	g := &c.gets
 	sl := c.lease()
-	if v, found := c.srv.db.Get(k); found {
-		sl.kind = respValue
-		sl.n = v
-	} else {
-		sl.kind = respNull
+	g.keys, g.slots = append(g.keys, k), append(g.slots, sl)
+	if len(g.keys) == getRunCap {
+		c.flushGets()
 	}
-	c.complete(sl)
+}
+
+// flushGets executes the queued read run and completes its slots.  A lone
+// GET — every GET of a client that sends one request at a time — is the
+// cached-handle point read, 0 B/op on the store side.
+func (c *conn) flushGets() {
+	g := &c.gets
+	n := len(g.keys)
+	switch n {
+	case 0:
+		return
+	case 1:
+		g.vals[0], g.found[0] = c.srv.db.Get(g.keys[0])
+	default:
+		c.srv.db.GetBatch(g.keys, g.vals, g.found)
+	}
+	// Last slot first: a writer parked on the run's first slot wakes once,
+	// to find the whole run ready.
+	for i := n - 1; i >= 0; i-- {
+		sl := g.slots[i]
+		if g.found[i] {
+			sl.kind, sl.n = respValue, g.vals[i]
+		} else {
+			sl.kind = respNull
+		}
+		c.complete(sl)
+	}
+	g.keys, g.slots = g.keys[:0], g.slots[:0]
+	c.srv.getRuns.Add(1)
+	c.srv.gets.Add(int64(n))
 }
 
 // view is the fan-out read mode SUM and LEN use: globally consistent when
@@ -903,7 +990,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	}
 	c.mcas.keys, c.mcas.expects, c.mcas.news = keys, expects, news
 	swapped := false
-	c.srv.db.UpdateAtomicKeys(keys, func(t *mvgc.DBTxn[int64, int64, int64]) {
+	err := c.srv.db.UpdateAtomicKeys(keys, func(t *mvgc.DBTxn[int64, int64, int64]) {
 		swapped = false // f may re-run after an OCC abort
 		for i, k := range keys {
 			if v, ok := t.Get(k); !ok || v != expects[i] {
@@ -915,6 +1002,12 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 			t.Insert(k, news[i])
 		}
 	})
+	if err != nil {
+		// Not committed, or committed in memory and not durable: like a SET
+		// in the same position, the client must not read it as an answer.
+		c.fail("ERR " + err.Error())
+		return
+	}
 	sl := c.lease()
 	sl.kind = respInt
 	if swapped {
@@ -932,7 +1025,9 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 // and can trail by a GSN inversion) and repl_floor its newest snapshot cut
 // — leader gsn minus follower repl_pos is the replication lag in GSNs, 0
 // when caught up; wal_live is the log's live bytes (what the background
-// checkpointer bounds).
+// checkpointer bounds); get_runs/gets are the read runs executed and the GETs
+// in them (gets/get_runs = GETs per read transaction batch, applied/batches'
+// read-side twin).
 func (c *conn) execStats() {
 	s := c.srv
 	sl := c.lease()
@@ -957,6 +1052,8 @@ func (c *conn) execStats() {
 		" readonly=" + strconv.FormatInt(readonly, 10) +
 		" repl_pos=" + strconv.FormatUint(pos, 10) +
 		" repl_floor=" + strconv.FormatUint(floor, 10) +
-		" wal_live=" + strconv.FormatInt(s.db.WALStats().LiveBytes, 10)
+		" wal_live=" + strconv.FormatInt(s.db.WALStats().LiveBytes, 10) +
+		" get_runs=" + strconv.FormatInt(s.getRuns.Load(), 10) +
+		" gets=" + strconv.FormatInt(s.gets.Load(), 10)
 	c.complete(sl)
 }

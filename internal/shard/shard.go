@@ -234,6 +234,65 @@ func (m *Map[K, V, A]) Get(k K) (v V, ok bool) {
 	return
 }
 
+// getChunk is how many keys GetBatch partitions at a time.  The partition's
+// scratch is arrays of this length on the calling goroutine's stack, so a
+// batch of any length allocates nothing and shares nothing.
+const getChunk = 64
+
+// GetBatch looks keys[i] up into vals[i] and found[i] (both at least
+// len(keys) long) as len(keys) calls of Get would, for the price of one
+// read transaction per shard touched by each getChunk keys, not one per
+// key: the keys are partitioned by shard, and each shard's share is read
+// from one acquired version (core.Snapshot.GetBatch).  Like back-to-back
+// Gets, keys of different shards are read at slightly different times —
+// per-shard semantics — and every key is read from a version current at
+// some moment during the call.  After Close it reports nothing found.
+func (m *Map[K, V, A]) GetBatch(keys []K, vals []V, found []bool) {
+	for len(keys) > getChunk {
+		m.getBatchChunk(keys[:getChunk], vals, found)
+		keys, vals, found = keys[getChunk:], vals[getChunk:], found[getChunk:]
+	}
+	m.getBatchChunk(keys, vals, found)
+}
+
+func (m *Map[K, V, A]) getBatchChunk(keys []K, vals []V, found []bool) {
+	var (
+		sh [getChunk]int32 // key j's shard; -1 once it has been looked up
+		at [getChunk]uint8 // ks[g] is keys[at[g]]
+		ks [getChunk]K     // one shard's share, gathered
+		vs [getChunk]V
+		fs [getChunk]bool
+	)
+	for j, k := range keys {
+		sh[j] = int32(m.ShardFor(k))
+	}
+	for lo := range keys {
+		s := sh[lo]
+		if s < 0 {
+			continue
+		}
+		n := 0
+		for j := lo; j < len(keys); j++ {
+			if sh[j] == s {
+				sh[j], at[n], ks[n] = -1, uint8(j), keys[j]
+				n++
+			}
+		}
+		if m.enter(int(s)) {
+			m.shards[s].With(func(h *core.Handle[K, V, A]) {
+				h.Read(func(sn core.Snapshot[K, V, A]) { sn.GetBatch(ks[:n], vs[:n], fs[:n]) })
+			})
+			m.exit(int(s))
+		} else {
+			clear(vs[:n])
+			clear(fs[:n])
+		}
+		for g := 0; g < n; g++ {
+			vals[at[g]], found[at[g]] = vs[g], fs[g]
+		}
+	}
+}
+
 // Has reports whether k is present.
 func (m *Map[K, V, A]) Has(k K) bool {
 	_, ok := m.Get(k)
