@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mvgc/internal/ftree"
+	"mvgc/internal/vm"
 )
 
 func arenaMap(t *testing.T, procs int) *Map[int64, int64, int64] {
@@ -52,41 +53,51 @@ func TestArenaPidChurn(t *testing.T) {
 	}
 }
 
-// TestArenaLiveExactAtQuiescence: with arenas on by default, Live() must
-// equal the reachable node count at every quiescent point and zero after
-// Close — magazine-parked nodes are free, not live.
+// TestArenaLiveExactAtQuiescence: every pid counts the units it allocates
+// and frees in its own arena's tally, with plain adds.  After P goroutines
+// have each written through With on whatever pid they leased — under -race,
+// which sees any tally written from two goroutines without the lease between
+// them — Live() must equal the node count reachable from the versions the
+// maintainer retains with no call made to gather the tallies, and zero after
+// Close: magazine-parked nodes are free, not live.  For every maintainer.
 func TestArenaLiveExactAtQuiescence(t *testing.T) {
-	m := arenaMap(t, 4)
-	ops := m.Ops()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := m.Handle()
-			defer h.Close()
-			for i := int64(0); i < 3000; i++ {
-				k := int64(w)*1000 + i%200
-				if i%5 == 4 {
-					h.Update(func(tx *Txn[int64, int64, int64]) { tx.Delete(k) })
-				} else {
-					h.Update(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, i) })
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Quiescent: exactly the retained versions' nodes are live.
-	var roots []*ftree.Node[int64, int64, int64]
-	m.Read(0, func(s Snapshot[int64, int64, int64]) {
-		roots = append(roots, s.Root())
-		if live, reach := ops.Live(), ops.ReachableNodes(roots...); live != reach {
-			t.Errorf("quiescent: live %d ≠ reachable %d", live, reach)
+	for _, alg := range vm.Names() {
+		ops := ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
+		m, err := NewMap(Config{Algorithm: alg, Procs: 4}, ops, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	m.Close()
-	if live := ops.Live(); live != 0 {
-		t.Fatalf("leaked %d nodes after Close", live)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := int64(0); i < 3000; i++ {
+					k := int64(w)*1000 + i%200
+					m.With(func(h *Handle[int64, int64, int64]) {
+						if i%5 == 4 {
+							h.Update(func(tx *Txn[int64, int64, int64]) { tx.Delete(k) })
+						} else {
+							h.Update(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, i) })
+						}
+					})
+				}
+			}(w)
+		}
+		wg.Wait()
+		// Quiescent: exactly what the maintainer still holds — the current
+		// version and whatever it had not handed back yet — is live.
+		roots := m.m.Drain()
+		if live, reach := ops.Live(), ops.ReachableNodes(roots...); live != reach {
+			t.Errorf("%s: quiescent: live %d ≠ reachable %d from %d versions", alg, live, reach, len(roots))
+		}
+		for _, r := range roots {
+			ops.Release(r)
+		}
+		m.Close()
+		if live := ops.Live(); live != 0 {
+			t.Fatalf("%s: leaked %d nodes after Close", alg, live)
+		}
 	}
 }
 

@@ -6,12 +6,15 @@ import (
 )
 
 // Arena is a pid-local allocation cache: two magazines — one of tree
-// nodes, one of leaf blocks — that let one process (in the paper's sense —
-// one leased pid, never used concurrently) allocate and free tree memory
-// with no locks and no shared-state atomics.  The transaction layer gives
-// every pid its own arena and runs that pid's transactions on an Ops view
-// Bound to it, so the path-copying write path touches only single-owner
-// memory.  Both magazines follow the same rules:
+// nodes, one of leaf blocks — and a tally of the units allocated and freed
+// through them, which let one process (in the paper's sense — one leased
+// pid, never used concurrently) allocate, free and count tree memory with
+// no lock and no locked instruction.  The transaction layer gives every pid
+// its own arena and runs that pid's transactions on an Ops view Bound to
+// it, so allocation on the path-copying write path touches only
+// single-owner memory; the locked instructions left on that path are the
+// reference counts' (share, and Release of a node someone else still
+// holds).  Both magazines follow the same rules:
 //
 //   - get/put hit the magazine, a plain LIFO of freed objects.
 //   - A magazine that fills up spills a block of magMove objects to one
@@ -28,13 +31,14 @@ import (
 // never through fields of their own, which keeps leafBlock pointer-free
 // for pointer-free keys and values.
 //
-// Accounting is unchanged by any of this: newNode and freeNode count
-// allocation units (an internal node, or a leaf node with its block)
-// through the family's exact sharded counters whether the memory moves
-// through an arena, the depot or the Go heap, so Live() == Allocs() −
-// Frees() holds at every instant and equals the reachable-node count at
-// quiescent points.  DESIGN.md ("Pid-local node magazines") explains why
-// the cache is per-pid rather than a per-P sync.Pool.
+// Accounting follows the memory's owner, not the memory: newNode and
+// freeNode count allocation units (an internal node, or a leaf node with
+// its block) in the arena's tally — plain adds on a cache line nobody else
+// writes — when the view is bound, in the family's sharded atomics when it
+// is not, wherever the unit itself came from or goes to.  The family lists
+// every tally, so Allocs, Frees and Live are sums over both kinds; Ops.Allocs
+// states when those sums are exact.  DESIGN.md ("Pid-local node magazines")
+// explains why the cache is per-pid rather than a per-P sync.Pool.
 //
 // An Arena is deliberately not goroutine-safe: exclusivity comes from pid
 // leasing, exactly like the Version Maintenance contract.  Parallel bulk
@@ -45,10 +49,17 @@ type Arena[K, V, A any] struct {
 	nodes  magazine[Node[K, V, A]]
 	blocks magazine[leafBlock[K, V]]
 
+	// tally counts the units allocated and freed through views bound to
+	// this arena.  The family's allocShared lists it too, so the counts
+	// survive an arena that is dropped without a Flush.
+	tally *tally
+
 	// scratch is the collector's reusable traversal stack (see
-	// Ops.Release); parked here because the arena is exactly the
+	// Ops.Release) and path the point write's step record (see
+	// Ops.descend); parked here because the arena is exactly the
 	// single-owner state a bound view may scribble on.
 	scratch []*Node[K, V, A]
+	path    []step[K, V, A]
 }
 
 const (
@@ -156,6 +167,7 @@ type magazine[T any] struct {
 // bound to it) is used by one goroutine at a time.
 func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 	return &Arena[K, V, A]{
+		tally:  o.sh.newTally(),
 		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
 		blocks: magazine[leafBlock[K, V]]{d: &o.sh.blocks, mag: make([]*leafBlock[K, V], 0, magCap), chunk: chunkBlocks},
 	}
@@ -250,7 +262,8 @@ func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.blocks.ca
 // Stats reports the arena's lifetime block-transfer counters, both
 // magazines together: refills and spills against the depot, and fresh
 // chunks carved from the heap.  Single-owner; read from the owning process
-// or at quiescence.
+// or at quiescence — the rule the family's Allocs, Frees and Live follow
+// for every arena at once (see Ops.Allocs).
 func (a *Arena[K, V, A]) Stats() (refills, spills, carves int64) {
 	n, b := &a.nodes, &a.blocks
 	return n.refills + b.refills, n.spills + b.spills, n.carves + b.carves

@@ -2,8 +2,10 @@ package ftree
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func arenaOps() *Ops[int64, int64, int64] {
@@ -188,8 +190,21 @@ func TestArenaParallelBulk(t *testing.T) {
 		nr := bo.MultiInsert(root, batch, nil)
 		bo.Release(root)
 		root = nr
+		// The forks counted in the root's atomics, the spine and the Release
+		// in the arena's tally: the sum is what must be exact.
 		if live, reach := o.Live(), o.ReachableNodes(root); live != reach {
 			t.Fatalf("round %d: live %d ≠ reachable %d", round, live, reach)
+		}
+		gone := make([]int64, 0, len(batch)/2)
+		for _, e := range batch[:len(batch)/2] {
+			gone = append(gone, e.Key)
+			delete(model, e.Key)
+		}
+		nr = bo.MultiDelete(root, gone)
+		bo.Release(root)
+		root = nr
+		if live, reach := o.Live(), o.ReachableNodes(root); live != reach {
+			t.Fatalf("round %d, after MultiDelete: live %d ≠ reachable %d", round, live, reach)
 		}
 	}
 	if got, want := bo.Size(root), int64(len(model)); got != want {
@@ -238,6 +253,40 @@ func TestArenaFlush(t *testing.T) {
 	}
 	if nodes == 0 || blocks == 0 {
 		t.Fatalf("depot holds %d nodes and %d blocks after Flush", nodes, blocks)
+	}
+}
+
+// TestArenaAbandoned: an arena dropped without a Flush takes its magazines
+// with it but not its tally — the units it allocated are still in the tree —
+// so once the arena has been garbage-collected Live() is still exactly what
+// the tree reaches, and comes back to zero when another view frees it.
+func TestArenaAbandoned(t *testing.T) {
+	o := arenaOps()
+	collected := make(chan struct{})
+	root := func() *Node[int64, int64, int64] {
+		a := o.NewArena()
+		runtime.SetFinalizer(a, func(*Arena[int64, int64, int64]) { close(collected) })
+		bo := o.Bound(a)
+		var root *Node[int64, int64, int64]
+		for i := int64(0); i < 20*leafMax; i++ {
+			nr := bo.Insert(root, i*7919%1000, i)
+			bo.Release(root)
+			root = nr
+		}
+		return root
+	}()
+	for gone := false; !gone; {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	checkExact(t, o, root)
+	o.Release(root)
+	if o.Live() != 0 {
+		t.Fatalf("leaked %d nodes", o.Live())
 	}
 }
 

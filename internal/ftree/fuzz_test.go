@@ -12,6 +12,7 @@ import (
 type fuzzTrees struct {
 	t     *testing.T
 	o     *Ops[int64, int64, int64]
+	po    *Ops[int64, int64, int64] // the view the point writes and set's Release go through
 	root  *Node[int64, int64, int64]
 	ref   map[int64]int64
 	other *Node[int64, int64, int64]
@@ -24,7 +25,7 @@ type fuzzTrees struct {
 // that returns a tree must leave true: structure, contents and exact space.
 func (f *fuzzTrees) set(next *Node[int64, int64, int64]) {
 	f.t.Helper()
-	f.o.Release(f.root)
+	f.po.Release(f.root)
 	f.root = next
 	if err := f.o.Validate(f.root, augEq); err != nil {
 		f.t.Fatal(err)
@@ -87,7 +88,7 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		f.Add(look)
 	}
-	for cfg := byte(0); cfg < 8; cfg++ {
+	for cfg := byte(0); cfg < 16; cfg++ {
 		f.Add(append([]byte{cfg}, bulk...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,21 +108,31 @@ func FuzzTreeOps(f *testing.F) {
 		// sides of every steal-or-retain branch see the same op sequences,
 		// and a grain small enough that these batches fork: at an internal
 		// node and where a batch larger than a leaf cuts one run in two.
+		// The fourth bit sends the point writes, and the Release of every
+		// tree they or the bulk operations made, through an arena-bound
+		// view, so "allocated = reachable" sums an arena's tally with the
+		// root's counters, units allocated on one side and freed on the
+		// other included.
 		cfg := next()
 		o.Recycle, o.NoSteal = cfg&1 != 0, cfg&2 != 0
 		if cfg&4 != 0 {
 			o.Grain = 4
 		}
+		s.po = o
+		if cfg&8 != 0 {
+			s.po = o.Bound(o.NewArena())
+		}
+		po := s.po
 		for step := int64(1); len(data) > 0; step++ {
 			switch next() % 14 {
 			case 0, 1: // insert
 				k := key()
 				s.ref[k] = step
-				s.set(o.Insert(s.root, k, step))
+				s.set(po.Insert(s.root, k, step))
 			case 2: // delete by key
 				k := key()
 				delete(s.ref, k)
-				s.set(o.Delete(s.root, k))
+				s.set(po.Delete(s.root, k))
 			case 3: // snapshot
 				if len(s.snaps) < 8 {
 					cp := make(map[int64]int64, len(s.ref))
@@ -244,7 +255,7 @@ func FuzzTreeOps(f *testing.F) {
 				if ks := s.keys(); len(ks) > 0 {
 					k := ks[int(key())%len(ks)]
 					delete(s.ref, k)
-					s.set(o.Delete(s.root, k))
+					s.set(po.Delete(s.root, k))
 				}
 			case 13: // a batch lookup must agree with per-key Find
 				present := s.keys()

@@ -186,7 +186,8 @@ func (o *Ops[K, V, A]) leafInsert(t *Node[K, V, A], k K, v V, comb func(old, new
 	return o.build(all[:])
 }
 
-// leafDelete is deleteFound on borrowed leaf t.
+// leafDelete is Delete on borrowed leaf t: the run copied without k when k
+// is there, which is nil when k was all there was.
 func (o *Ops[K, V, A]) leafDelete(t *Node[K, V, A], k K) (out *Node[K, V, A], found bool) {
 	run := t.run()
 	i, found := o.search(run, k)

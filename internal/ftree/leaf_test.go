@@ -124,33 +124,62 @@ func TestLeafShape(t *testing.T) {
 	checkExact(t, o)
 }
 
-// TestBoundReplaceInsertNoAlloc: on a bound view, replacing a key and
-// releasing the old version recycles the path's nodes and the leaf's block
-// through the magazines — nothing comes from the Go heap once warm.
-func TestBoundReplaceInsertNoAlloc(t *testing.T) {
+// warmPointWriteAllocs builds a few-level tree on a bound view, warms the
+// magazines, the collector's stack and the step record with write, and
+// reports the heap allocations of one more write.  write maps the current
+// root and a key of the tree to the next root.
+func warmPointWriteAllocs(t *testing.T, write func(bo *Ops[int64, int64, int64], root *Node[int64, int64, int64], k int64) *Node[int64, int64, int64]) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
 	o := arenaOps()
-	a := o.NewArena()
-	bo := o.Bound(a)
+	bo := o.Bound(o.NewArena())
 	const n = 100 * leafMax
 	root := bo.Build(seqEntries(n))
 	k := int64(0)
 	step := func() {
 		k = (k + 7919) % n
-		nr := bo.Insert(root, (k+1)*10, k)
-		bo.Release(root)
-		root = nr
+		root = write(bo, root, (k+1)*10)
 	}
 	for i := 0; i < 100; i++ {
-		step() // warm the magazines and the collector's stack
+		step()
 	}
-	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Fatalf("warm replace-Insert+Release allocates %.2f times per op", allocs)
-	}
+	allocs := testing.AllocsPerRun(1000, step)
 	bo.Release(root)
 	if o.Live() != 0 {
 		t.Fatalf("leaked %d units", o.Live())
+	}
+	return allocs
+}
+
+// TestBoundReplaceInsertNoAlloc: on a bound view, replacing a key and
+// releasing the old version recycles the path's nodes and the leaf's block
+// through the magazines — nothing comes from the Go heap once warm.
+func TestBoundReplaceInsertNoAlloc(t *testing.T) {
+	allocs := warmPointWriteAllocs(t, func(bo *Ops[int64, int64, int64], root *Node[int64, int64, int64], k int64) *Node[int64, int64, int64] {
+		nr := bo.Insert(root, k, k)
+		bo.Release(root)
+		return nr
+	})
+	if allocs != 0 {
+		t.Fatalf("warm replace-Insert+Release allocates %.2f times per op", allocs)
+	}
+}
+
+// TestBoundDeleteInsertNoAlloc is the same gate for the delete half of the
+// path copy: deleting a key, putting it back and releasing both old versions
+// — a leaf that shrinks and one that grows, joins that fold and rotate on
+// the way up — takes nothing from the Go heap once warm.
+func TestBoundDeleteInsertNoAlloc(t *testing.T) {
+	allocs := warmPointWriteAllocs(t, func(bo *Ops[int64, int64, int64], root *Node[int64, int64, int64], k int64) *Node[int64, int64, int64] {
+		without := bo.Delete(root, k)
+		bo.Release(root)
+		back := bo.Insert(without, k, k)
+		bo.Release(without)
+		return back
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Delete+Insert+2×Release allocates %.2f times per op", allocs)
 	}
 }

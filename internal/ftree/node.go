@@ -45,12 +45,14 @@
 // An allocation unit is an internal node, or a leaf node together with its
 // block; Allocs, Frees and Live count units.  With Recycle on, freed units
 // are reused by the next mk.  An Ops view bound to an Arena (the per-pid
-// magazine allocator, arena.go) recycles through the arena with no locks
-// or shared-state atomics; the unbound root Ops recycles through the
-// sharded mutex-protected depot that magazines spill to and refill from.
+// magazine allocator, arena.go) recycles through the arena and counts in
+// the arena's own tally: no lock and no locked instruction per unit.  The
+// unbound root Ops recycles through the sharded mutex-protected depot that
+// magazines spill to and refill from, and counts in sharded atomics.
 package ftree
 
 import (
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -128,9 +130,9 @@ func size[K, V, A any](n *Node[K, V, A]) int64 {
 // weight is the BB[α] weight: size + 1, so empty trees weigh 1.
 func weight[K, V, A any](n *Node[K, V, A]) int64 { return size(n) + 1 }
 
-// stats tracks allocation accounting with cache-line padded shards, indexed
-// by node address, so that parallel operations do not serialize on a single
-// counter.  live = allocs − frees is the "allocated space" of Section 2.
+// stats is the unbound root's allocation accounting: cache-line padded
+// atomic shards, indexed by node address, so that parallel operations do not
+// serialize on a single counter.
 const statShards = 64
 
 type padCounter struct {
@@ -143,14 +145,26 @@ type stats struct {
 	frees  [statShards]padCounter
 }
 
+// tally is one arena's allocation accounting: two plain words only the
+// arena's owner writes, alone on their cache line.  A unit may be counted
+// allocated in one tally and freed in another (or in the root's stats); only
+// the sums over the family mean anything.
+type tally struct {
+	allocs, frees int64
+	_             [6]uint64
+}
+
 // allocShared is the allocation state every view of one Ops family shares:
-// exact statistics plus the two depots (nodes, leaf blocks).  Arenas hold a
-// pointer to it so spills and refills stay inside the family and Live()
-// accounting cannot drift between views.
+// the root's statistics, every arena's tally and the two depots (nodes,
+// leaf blocks).  Arenas hold a pointer to the depots so spills and refills
+// stay inside the family.  A tally is listed here for good: the units an
+// arena allocated outlive an arena that is dropped.
 type allocShared[K, V, A any] struct {
-	st     stats
-	nodes  depot[Node[K, V, A]]
-	blocks depot[leafBlock[K, V]]
+	st      stats
+	mu      sync.Mutex // guards tallies
+	tallies []*tally
+	nodes   depot[Node[K, V, A]]
+	blocks  depot[leafBlock[K, V]]
 }
 
 func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
@@ -158,28 +172,55 @@ func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
 func (s *stats) addAlloc(p unsafe.Pointer) { s.allocs[shard(p)].v.Add(1) }
 func (s *stats) addFree(p unsafe.Pointer)  { s.frees[shard(p)].v.Add(1) }
 
-func (s *stats) totals() (allocs, frees int64) {
-	for i := range s.allocs {
-		allocs += s.allocs[i].v.Load()
-		frees += s.frees[i].v.Load()
+// newTally lists a fresh tally for a new arena.
+func (sh *allocShared[K, V, A]) newTally() *tally {
+	t := new(tally)
+	sh.mu.Lock()
+	sh.tallies = append(sh.tallies, t)
+	sh.mu.Unlock()
+	return t
+}
+
+// totals sums the root's shards and every arena's tally.  The tallies are
+// read plainly: see Allocs for when the sums are meaningful.
+func (sh *allocShared[K, V, A]) totals() (allocs, frees int64) {
+	for i := range sh.st.allocs {
+		allocs += sh.st.allocs[i].v.Load()
+		frees += sh.st.frees[i].v.Load()
 	}
+	sh.mu.Lock()
+	for _, t := range sh.tallies {
+		allocs += t.allocs
+		frees += t.frees
+	}
+	sh.mu.Unlock()
 	return
 }
 
 // Allocs reports the total number of allocation units (internal nodes and
 // leaves) ever created by this Ops family.
-func (o *Ops[K, V, A]) Allocs() int64 { a, _ := o.sh.st.totals(); return a }
+//
+// The accounting contract, for Allocs, Frees and Live alike: each is exact
+// at any point ordered after (happens-after) the last operation of every
+// arena-bound view — the same "owning process or quiescence" rule as
+// Arena.Stats, and no call is needed to get there: a bound view's counts
+// are in place the moment its operation returns.  None of the three is a
+// snapshot under concurrent writers (sums over 64 counters read one after
+// another never were), and reading them while a bound view is mid-operation
+// on another goroutine is a data race.
+func (o *Ops[K, V, A]) Allocs() int64 { a, _ := o.sh.totals(); return a }
 
 // Frees reports the total number of units freed by the collector.
-func (o *Ops[K, V, A]) Frees() int64 { _, f := o.sh.st.totals(); return f }
+func (o *Ops[K, V, A]) Frees() int64 { _, f := o.sh.totals(); return f }
 
-// Live reports the allocated space in units: Allocs() − Frees().  After all
-// versions are released this must be zero; the property tests assert that
-// at every quiescent point Live equals the number of nodes reachable from
-// the live version roots.  Units parked in magazines or in the depot are
-// counted free: they are reachable from no version.
+// Live reports the allocated space in units, Allocs() − Frees(): the
+// "allocated space" of Section 2.  After all versions are released this
+// must be zero; the property tests assert that at every quiescent point
+// Live equals the number of nodes reachable from the live version roots.
+// Units parked in magazines or in the depot are counted free: they are
+// reachable from no version.
 func (o *Ops[K, V, A]) Live() int64 {
-	a, f := o.sh.st.totals()
+	a, f := o.sh.totals()
 	return a - f
 }
 
@@ -190,13 +231,15 @@ func hasAug[A any]() bool {
 	return unsafe.Sizeof(z) != 0
 }
 
-// newNode returns a private node with a count of 1 and counts the unit.
-// With Recycle on, a bound view takes it from its arena (no locks, no
-// shared-state atomics); the unbound root asks the depot.
+// newNode returns a private node with a count of 1 and counts the unit.  A
+// bound view counts in its arena's tally and, with Recycle on, takes the
+// node from the arena's magazine — plain loads and stores throughout; the
+// unbound root counts in the sharded atomics and asks the depot.
 func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 	var n *Node[K, V, A]
+	a := o.arena
 	if o.Recycle {
-		if a := o.arena; a != nil {
+		if a != nil {
 			n = a.nodes.get()
 		} else {
 			n = o.sh.nodes.pop()
@@ -206,7 +249,11 @@ func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 		n = &Node[K, V, A]{}
 	}
 	n.ref = 1 // private until the caller publishes it
-	o.sh.st.addAlloc(unsafe.Pointer(n))
+	if a != nil {
+		a.tally.allocs++
+	} else {
+		o.sh.st.addAlloc(unsafe.Pointer(n))
+	}
 	return n
 }
 
@@ -219,6 +266,12 @@ func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K,
 	if size(l)+size(r) < leafMax {
 		return o.fold(l, k, v, r)
 	}
+	return o.mkInternal(l, k, v, r)
+}
+
+// mkInternal is mk where the caller knows the result is an internal node:
+// l and r together hold at least leafMax entries.
+func (o *Ops[K, V, A]) mkInternal(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K, V, A] {
 	n := o.newNode()
 	n.left, n.right, n.key, n.val = l, r, k, v
 	n.size = size(l) + size(r) + 1
@@ -280,11 +333,6 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	if a != nil {
 		stack, a.scratch = a.scratch[:0], nil
 	}
-	defer func() {
-		if a != nil {
-			a.scratch = stack[:0]
-		}
-	}()
 	cur := t
 	for {
 		// A count of 1 is the caller's own token (see sole), so the node
@@ -322,6 +370,9 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 			}
 		}
 		if len(stack) == 0 {
+			if a != nil {
+				a.scratch = stack
+			}
 			return
 		}
 		cur = stack[len(stack)-1]
@@ -333,7 +384,12 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 // released, or moved elsewhere, every value the unit held.
 func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 	n.ref = freedMark // unreachable: nobody else can read the word
-	o.sh.st.addFree(unsafe.Pointer(n))
+	a := o.arena
+	if a != nil {
+		a.tally.frees++
+	} else {
+		o.sh.st.addFree(unsafe.Pointer(n))
+	}
 	b := n.leaf
 	if !o.Recycle {
 		n.left, n.right, n.leaf = nil, nil, nil
@@ -347,7 +403,7 @@ func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 	if b != nil {
 		clear(b.e[:n.size])
 	}
-	if a := o.arena; a != nil {
+	if a != nil {
 		a.nodes.put(n)
 		if b != nil {
 			a.blocks.put(b)

@@ -20,10 +20,12 @@ type Augmenter[K, V, A any] interface {
 // share its statistics.  Ops is safe for concurrent use.
 //
 // An Ops value is either the root returned by New, or an arena-bound view
-// returned by Bound: a shallow copy that routes node allocation and
-// collection through a caller-owned Arena with no locks or shared-state
-// atomics (see arena.go).  Views share the root's statistics and depot,
-// so Allocs/Frees/Live stay exact however allocation is routed.  Construct Ops only through New; the zero value is unusable.
+// returned by Bound: a shallow copy that routes node allocation, collection
+// and their accounting through a caller-owned Arena with no lock and no
+// locked instruction (see arena.go).  Views share the root's depot, and the
+// family sums every arena's counts with the root's, so Allocs/Frees/Live
+// stay exact however allocation is routed (Allocs says when they may be
+// read).  Construct Ops only through New; the zero value is unusable.
 type Ops[K, V, A any] struct {
 	// Cmp is a three-way comparison: negative if a<b, zero if equal.
 	Cmp func(a, b K) int
@@ -95,9 +97,9 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 	return &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
 }
 
-// Bound returns a view of o whose allocations and frees go through arena a
-// with no locks or atomics: the fast path for a process that owns a (see
-// Arena).  The view shares o's statistics and depot, and
+// Bound returns a view of o whose allocations and frees go through arena a,
+// and are counted there, with no locks or atomics: the fast path for a
+// process that owns a (see Arena).  The view shares o's depot, and
 // captures o's configuration at call time.  Like the arena itself, the
 // view's mutating operations must not run concurrently with each other;
 // read-only operations (Find, ForEach, AugRange, ...) touch no allocator

@@ -265,68 +265,141 @@ func (o *Ops[K, V, A]) Insert(t *Node[K, V, A], k K, v V) *Node[K, V, A] {
 	return o.InsertWith(t, k, v, nil)
 }
 
+// step is one level of a point write's descent: the internal node passed,
+// which way the descent left it, and the weight of the child it did not
+// take.
+type step[K, V, A any] struct {
+	n     *Node[K, V, A]
+	right bool
+	sibw  int64
+}
+
+// maxPath bounds the internal nodes on any root-to-leaf path, so a step
+// record of this capacity never grows.  With α = 1/4 a child weighs at most
+// 3/4 of its parent, an internal node weighs at least leafMax+2 and a tree
+// of math.MaxInt64 entries weighs 2⁶³: log₄⸝₃(2⁶³/34) < 140.
+// TestMaxPathBound derives the number.
+const maxPath = 140
+
+// descend walks borrowed t toward k and records the internal nodes it
+// passes.  It returns the record and where the walk ended: nil, the leaf
+// whose run brackets k, or the internal node that holds k.  No reference
+// count is touched; the caller hands the record to rebuild, or to dropPath
+// when there turns out to be nothing to write.
+//
+// The sibling's weight is loaded here although only rebuild's balance check
+// reads it: the load asks for the sibling's cache line while the next path
+// node's miss — which the walk cannot avoid and cannot start any earlier — is
+// outstanding, so that rebuild's share, a locked add, hits instead of
+// stalling on a line nobody asked for.  DESIGN.md ("The point write").
+func (o *Ops[K, V, A]) descend(t *Node[K, V, A], k K) ([]step[K, V, A], *Node[K, V, A]) {
+	// A bound view keeps the record in its arena, at a capacity no tree
+	// outgrows, so a warm write allocates nothing.  It is taken by swap, like
+	// Release's stack: a combine or retain callback that re-enters this view
+	// finds nil and makes its own.  The unbound root has nowhere single-owner
+	// to keep one and lets append grow it.
+	var path []step[K, V, A]
+	if a := o.arena; a != nil {
+		if path, a.path = a.path, nil; path == nil {
+			path = make([]step[K, V, A], 0, maxPath)
+		}
+	}
+	for t != nil && t.leaf == nil {
+		c := o.Cmp(k, t.key)
+		if c == 0 {
+			break
+		}
+		l, r := t.left, t.right
+		if c < 0 {
+			path = append(path, step[K, V, A]{t, false, weight(r)})
+			t = l
+		} else {
+			path = append(path, step[K, V, A]{t, true, weight(l)})
+			t = r
+		}
+	}
+	return path, t
+}
+
+// dropPath returns a step record its holder is done with to the arena it
+// came from.
+func (o *Ops[K, V, A]) dropPath(path []step[K, V, A]) {
+	if a := o.arena; a != nil {
+		a.path = path[:0]
+	}
+}
+
+// rebuild is the way back up from descend: owned tree c replaces the child
+// the descent took at the last recorded step, and each step above it gets a
+// copy of its node over the rebuilt child and the shared sibling.  Consumes
+// c and the record.
+//
+// A step whose two weights balance, with more than a leaf's worth between
+// them, is what Join would hand straight to mk, and is filled directly.
+// That is every step of a replace: the child's size did not change, so the
+// step's node — balanced and internal when the descent passed it — still
+// is.  Anything else (a leaf that split or emptied far enough to tip a
+// node, a pair that now fits one leaf) goes through Join.
+func (o *Ops[K, V, A]) rebuild(path []step[K, V, A], c *Node[K, V, A]) *Node[K, V, A] {
+	for i := len(path) - 1; i >= 0; i-- {
+		s := &path[i]
+		n := s.n
+		l, r := c, c
+		if s.right {
+			l = o.share(n.left)
+		} else {
+			r = o.share(n.right)
+		}
+		v := o.retainVal(n.val)
+		if size(c)+s.sibw > leafMax && balancedWeights(weight(c), s.sibw) {
+			c = o.mkInternal(l, n.key, v, r)
+		} else {
+			c = o.Join(l, n.key, v, r)
+		}
+	}
+	o.dropPath(path)
+	return c
+}
+
 // InsertWith is Insert with a combine function applied when k is already
 // present: the stored value becomes comb(old, v).  A nil comb replaces.
 func (o *Ops[K, V, A]) InsertWith(t *Node[K, V, A], k K, v V, comb func(old, new V) V) *Node[K, V, A] {
-	if t == nil {
-		return o.mk(nil, k, v, nil)
-	}
-	if t.leaf != nil {
-		return o.leafInsert(t, k, v, comb)
-	}
-	c := o.Cmp(k, t.key)
+	path, t := o.descend(t, k)
 	switch {
-	case c == 0:
+	case t == nil:
+		t = o.mk(nil, k, v, nil)
+	case t.leaf != nil:
+		t = o.leafInsert(t, k, v, comb)
+	default: // k sits at internal node t
 		if comb != nil {
 			v = comb(o.retainVal(t.val), v)
 		} // plain replace: the old value stays owned by the old node
-		return o.mk(o.share(t.left), k, v, o.share(t.right))
-	case c < 0:
-		return o.Join(o.InsertWith(t.left, k, v, comb), t.key, o.retainVal(t.val), o.share(t.right))
-	default:
-		return o.Join(o.share(t.left), t.key, o.retainVal(t.val), o.InsertWith(t.right, k, v, comb))
+		t = o.mkInternal(o.share(t.left), k, v, o.share(t.right))
 	}
+	return o.rebuild(path, t)
 }
 
 // Delete returns a new owned tree equal to borrowed t with k removed.
 // When k is absent the result shares the whole input.  One traversal in
-// either case: the descent looks for k and only builds the path-copied
-// spine on the way back up once k was found, so an absent key costs a pure
-// search and allocates nothing.  O(log n).
+// either case: the descent looks for k and the path-copied spine is only
+// built once k was found, so an absent key costs a pure search, touches no
+// reference count but the root's and allocates nothing.  O(log n).
 func (o *Ops[K, V, A]) Delete(t *Node[K, V, A], k K) *Node[K, V, A] {
-	if out, found := o.deleteFound(t, k); found {
-		return out
-	}
-	return o.share(t)
-}
-
-// deleteFound searches borrowed t for k; when present it returns the new
-// owned tree with k removed, otherwise it returns found == false having
-// touched no reference counts.
-func (o *Ops[K, V, A]) deleteFound(t *Node[K, V, A], k K) (out *Node[K, V, A], found bool) {
-	if t == nil {
-		return nil, false
-	}
-	if t.leaf != nil {
-		return o.leafDelete(t, k)
-	}
-	c := o.Cmp(k, t.key)
+	path, at := o.descend(t, k)
+	var out *Node[K, V, A]
+	found := false
 	switch {
-	case c == 0:
-		return o.Join2(o.share(t.left), o.share(t.right)), true
-	case c < 0:
-		nl, ok := o.deleteFound(t.left, k)
-		if !ok {
-			return nil, false
-		}
-		return o.Join(nl, t.key, o.retainVal(t.val), o.share(t.right)), true
-	default:
-		nr, ok := o.deleteFound(t.right, k)
-		if !ok {
-			return nil, false
-		}
-		return o.Join(o.share(t.left), t.key, o.retainVal(t.val), nr), true
+	case at == nil:
+	case at.leaf != nil:
+		out, found = o.leafDelete(at, k)
+	default: // k sits at internal node at
+		out, found = o.Join2(o.share(at.left), o.share(at.right)), true
 	}
+	if !found {
+		o.dropPath(path)
+		return o.share(t)
+	}
+	return o.rebuild(path, out)
 }
 
 // Size returns the number of keys in borrowed tree t.
