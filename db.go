@@ -188,7 +188,7 @@ func (w *WALOptions) checkpointing() bool {
 // OpenDB opens a sharded map with the given augmenter and initial
 // contents; use OpenPlainDB for the common unaugmented case.
 //
-// With DBOptions.WALDir set, OpenDB is also the recovery path: it loads
+// With DBOptions.WAL.Dir set, OpenDB is also the recovery path: it loads
 // the newest valid checkpoint snapshot, replays every durable record in
 // global commit (GSN) order, truncates any torn tail left by a crash, and
 // only then accepts writes — all before returning.  When the directory

@@ -56,9 +56,10 @@ const (
 	CmdScanCursor = "SCANC" // SCANC <lo> <n> <excl>  → *<2m+2>: :more :next then k/v pairs
 	// CmdRepl hands the connection over to the replication shipper: after
 	// the +OK the server stops speaking RESP on this connection and streams
-	// raw repl frames (see internal/repl) forever.  Args are the follower's
-	// resume position and snapshot floor.
-	CmdRepl = "REPL" // REPL <afterGSN> <floor>      → +OK then raw repl frames
+	// raw repl frames (see internal/repl) forever.  Args are the stream protocol's
+	// token (repl.Proto), then the follower's resume position and snapshot
+	// floor.
+	CmdRepl = "REPL" // REPL <proto> <afterGSN> <floor> → +OK then raw repl frames
 	// CmdPromote flips a follower into a writable leader.
 	CmdPromote = "PROMOTE" // PROMOTE               → +OK
 )

@@ -1,14 +1,18 @@
 package netserver
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"mvgc"
 	"mvgc/internal/netclient"
+	"mvgc/internal/netproto"
+	"mvgc/internal/repl"
 	"mvgc/internal/wal"
 )
 
@@ -393,6 +397,64 @@ func TestFollowerCrashMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplHandshakeVersion: the stream's grammar is named in the handshake.
+// A leader answers the first protocol's REPL <pos> <floor> — and any token
+// but its own — with -ERR on a connection that goes on speaking RESP, so an
+// old follower retries harmlessly and never misreads a stream; the current
+// form gets +OK and then the log's own bytes.
+func TestReplHandshakeVersion(t *testing.T) {
+	leader, addr := startServer(t, Config{Shards: 1, MaxConns: 4, WAL: mvgc.WALOptions{Dir: "wal", FS: wal.NewMemFS()}})
+	defer leader.Close()
+	lc, err := netclient.Dial(addr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if err := lc.Set(5, 55); err != nil {
+		t.Fatal(err)
+	}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	br, w := bufio.NewReader(nc), netproto.NewWriter(nc)
+	handshake := func(args ...string) string {
+		t.Helper()
+		w.BeginCommand(1 + len(args))
+		w.ArgString(netproto.CmdRepl)
+		for _, a := range args {
+			w.ArgString(a)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		status, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("REPL %v: %v", args, err)
+		}
+		return status
+	}
+	for _, old := range [][]string{{"0", "0"}, {"1", "0", "0"}, {repl.Proto + "x", "0", "0"}} {
+		if status := handshake(old...); !strings.HasPrefix(status, "-ERR") {
+			t.Fatalf("REPL %v answered %q, want -ERR", old, status)
+		}
+	}
+	if status := handshake(repl.Proto, "0", "0"); !strings.HasPrefix(status, "+OK") {
+		t.Fatalf("REPL %s 0 0 answered %q, want +OK", repl.Proto, status)
+	}
+	tag, body, err := repl.ReadFrame(br, nil)
+	if err != nil || tag != repl.TagRecord {
+		t.Fatalf("first stream frame: tag %q, err %v; want a run of records", tag, err)
+	}
+	gsn, payload, n, err := wal.NextFrame(body)
+	if err != nil || gsn == 0 || len(payload) == 0 || n != len(body) {
+		t.Fatalf("the run does not decode as the log's frame: gsn %d, %d-byte payload, %d of %d bytes, err %v", gsn, len(payload), n, len(body), err)
 	}
 }
 

@@ -933,12 +933,14 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 // of REPL are answered first and the handover happens at a clean frame
 // boundary.
 func (c *conn) execRepl(cmd *netproto.Command) bool {
-	if len(cmd.Args) != 3 {
-		c.fail("ERR usage: REPL <afterGSN> <floor>")
+	if len(cmd.Args) != 4 || string(cmd.Args[1]) != repl.Proto {
+		// Includes the first protocol's REPL <afterGSN> <floor>: its follower
+		// would misread this stream, so it is refused, not served.
+		c.fail("ERR usage: REPL " + repl.Proto + " <afterGSN> <floor>")
 		return false
 	}
-	after, err1 := strconv.ParseUint(string(cmd.Args[1]), 10, 64)
-	floor, err2 := strconv.ParseUint(string(cmd.Args[2]), 10, 64)
+	after, err1 := strconv.ParseUint(string(cmd.Args[2]), 10, 64)
+	floor, err2 := strconv.ParseUint(string(cmd.Args[3]), 10, 64)
 	if err1 != nil || err2 != nil {
 		c.fail("ERR bad position")
 		return false

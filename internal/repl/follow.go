@@ -2,10 +2,8 @@ package repl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"strconv"
 	"strings"
@@ -44,16 +42,16 @@ type Config struct {
 	Dir string
 	// FS accesses Dir (nil = the real filesystem).
 	FS wal.FS
-	// RetryInterval paces reconnection attempts (default 500ms).
-	RetryInterval time.Duration
-	// SyncEvery persists the stream position after this many applied
-	// records (default 256).  The position is only persisted after the
-	// local log syncs, so it never claims records a follower crash could
-	// lose.
-	SyncEvery int
-	// Logf, when non-nil, receives connection lifecycle messages.
-	Logf func(format string, args ...any)
 }
+
+const (
+	// retryInterval paces reconnection attempts.
+	retryInterval = 500 * time.Millisecond
+	// syncEvery persists the stream position after this many applied
+	// records.  The position is only persisted after the local log syncs,
+	// so it never claims records a follower crash could lose.
+	syncEvery = 256
+)
 
 // Follower maintains a replication connection to the leader: it
 // handshakes with its persisted position, applies the frame stream, and
@@ -85,12 +83,6 @@ func Start(cfg Config) (*Follower, error) {
 	}
 	if cfg.FS == nil {
 		cfg.FS = wal.OsFS{}
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 500 * time.Millisecond
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 256
 	}
 	f := &Follower{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 	pos, floor, err := loadPos(cfg.FS, cfg.Dir)
@@ -132,39 +124,22 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-func (f *Follower) logf(format string, args ...any) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
-	}
-}
-
 func (f *Follower) run() {
 	defer close(f.done)
-	defer func() {
-		// Best-effort final save; the position is a watermark, so losing
-		// it only costs idempotent re-replay.
-		if err := f.save(); err != nil {
-			f.logf("repl: final position save: %v", err)
-		}
-	}()
+	// Best-effort final save; the position is a watermark, so losing
+	// it only costs idempotent re-replay.
+	defer f.save() //nolint:errcheck
 	for {
 		select {
 		case <-f.stop:
 			return
 		default:
 		}
-		if err := f.follow(); err != nil {
-			select {
-			case <-f.stop:
-				return
-			default:
-			}
-			f.logf("repl: stream from %s broke: %v (retrying)", f.cfg.Addr, err)
-		}
+		f.follow() //nolint:errcheck // whatever broke the stream, the cure is to reconnect
 		select {
 		case <-f.stop:
 			return
-		case <-time.After(f.cfg.RetryInterval):
+		case <-time.After(retryInterval):
 		}
 	}
 }
@@ -202,8 +177,9 @@ func (f *Follower) follow() error {
 
 	br := bufio.NewReaderSize(nc, 256<<10)
 	w := netproto.NewWriter(nc)
-	w.BeginCommand(3)
+	w.BeginCommand(4)
 	w.ArgString(netproto.CmdRepl)
+	w.ArgString(Proto)
 	w.ArgString(strconv.FormatUint(f.pos.Load(), 10))
 	w.ArgString(strconv.FormatUint(f.floor.Load(), 10))
 	if err := w.Flush(); err != nil {
@@ -216,7 +192,6 @@ func (f *Follower) follow() error {
 	if len(status) < 1 || status[0] != '+' {
 		return fmt.Errorf("repl: leader refused stream: %s", strings.TrimSpace(status))
 	}
-	f.logf("repl: streaming from %s at pos=%d floor=%d", f.cfg.Addr, f.pos.Load(), f.floor.Load())
 	return f.frameLoop(br)
 }
 
@@ -224,8 +199,7 @@ func (f *Follower) follow() error {
 func (f *Follower) frameLoop(br *bufio.Reader) error {
 	var (
 		buf      []byte // frame read buffer, reused
-		snap     []byte // accumulating snapshot payload
-		snapCut  uint64
+		snap     []byte // accumulating checkpoint file
 		inSnap   bool
 		unsynced int // records applied since the last position save
 	)
@@ -237,10 +211,6 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 		buf = body[:0]
 		switch tag {
 		case TagSnapBegin:
-			if len(body) != 8 {
-				return fmt.Errorf("repl: snapshot-begin frame of %d bytes", len(body))
-			}
-			snapCut = binary.LittleEndian.Uint64(body)
 			snap, inSnap = snap[:0], true
 		case TagSnapChunk:
 			if !inSnap {
@@ -249,52 +219,56 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 			snap = append(snap, body...)
 			// The chunk data was copied out; body (== buf) is free again.
 		case TagSnapEnd:
-			if !inSnap || len(body) != 4 {
-				return errors.New("repl: stray or malformed snapshot-end frame")
+			if !inSnap {
+				return errors.New("repl: stray snapshot-end frame")
 			}
-			if crc32.Checksum(snap, crcTable) != binary.LittleEndian.Uint32(body) {
-				return errors.New("repl: snapshot failed CRC")
+			cut, payload, ok := wal.DecodeSnapshot(snap)
+			if !ok {
+				return errors.New("repl: snapshot failed validation")
 			}
-			if err := f.cfg.DB.ApplyReplSnapshot(snapCut, snap); err != nil {
+			if err := f.cfg.DB.ApplyReplSnapshot(cut, payload); err != nil {
 				return err
 			}
-			f.floor.Store(snapCut)
+			f.floor.Store(cut)
 			f.pos.Store(0) // the stream restarts at the earliest retained byte
-			f.applied.Store(max(f.applied.Load(), snapCut))
+			f.applied.Store(max(f.applied.Load(), cut))
 			inSnap, snap = false, nil
 			if err := f.save(); err != nil {
 				return err
 			}
 			unsynced = 0
-			f.logf("repl: bootstrapped from snapshot cut=%d", snapCut)
 		case TagRecord:
-			gsn, payload, err := DecodeRecord(body)
-			if err != nil {
-				return err
-			}
-			// Records at or below the floor are already covered by the
-			// applied snapshot (retained segments can straddle the cut);
-			// applying them would resurrect stale post-images.
-			if gsn > f.floor.Load() {
-				if err := f.cfg.DB.ReplayRecord(gsn, payload); err != nil {
-					return err
+			for len(body) > 0 {
+				gsn, payload, n, err := wal.NextFrame(body)
+				if err != nil {
+					return fmt.Errorf("repl: record run: %w", err)
 				}
-			}
-			f.pos.Store(gsn)
-			f.applied.Store(max(f.applied.Load(), gsn))
-			if unsynced++; unsynced >= f.cfg.SyncEvery {
-				if err := f.save(); err != nil {
-					return err
+				body = body[n:]
+				// Records at or below the floor are already covered by the
+				// applied snapshot (retained segments can straddle the cut);
+				// applying them would resurrect stale post-images.
+				if gsn > f.floor.Load() {
+					if err := f.cfg.DB.ReplayRecord(gsn, payload); err != nil {
+						return err
+					}
 				}
-				unsynced = 0
-			} else if br.Buffered() == 0 {
-				// Everything received is applied: make it durable before
-				// waiting for more.  A follower that keeps up syncs after
-				// every record, as it always did; one that is behind applies
-				// what the read buffer holds — at most its 256 KiB of stream
-				// — under one fsync instead of stopping for one per record.
-				if err := f.cfg.DB.SyncWAL(); err != nil {
-					return err
+				f.pos.Store(gsn)
+				f.applied.Store(max(f.applied.Load(), gsn))
+				if unsynced++; unsynced >= syncEvery {
+					if err := f.save(); err != nil {
+						return err
+					}
+					unsynced = 0
+				} else if len(body) == 0 && br.Buffered() == 0 {
+					// Everything received is applied: make it durable before
+					// waiting for more.  A follower that keeps up syncs after
+					// every run, as it always did after every record; one that
+					// is behind applies what the read buffer holds — at most
+					// its 256 KiB of stream — under one fsync instead of
+					// stopping for one per run.
+					if err := f.cfg.DB.SyncWAL(); err != nil {
+						return err
+					}
 				}
 			}
 		default:

@@ -3,29 +3,40 @@
 // them to a follower, and a follower-side Follower that replays the
 // stream through the map's GSN-ordered apply path.
 //
+// The stream is the log.  The leader ships the bytes its log made durable
+// and nothing else: record frames exactly as the segments hold them, the
+// checkpoint file exactly as recovery would read it.  Both formats have
+// one codec, internal/wal/frame.go, which the follower decodes with; this
+// package adds only the envelope that tells the two apart on the wire.
+//
 // The stream rides a netproto connection: the follower sends a normal
-// RESP command (REPL <afterGSN> <floor>) and, after the +OK, the
+// RESP command (REPL <Proto> <afterGSN> <floor>) and, after the +OK, the
 // connection stops speaking RESP and carries raw binary frames forever —
 // records can exceed netproto's MaxBulk, so they do not travel as bulk
 // strings.  A frame is
 //
 //	u8 tag | u32 little-endian body length | body
 //
-// with four tags:
+// and the stream's grammar is
 //
-//	'S'  u64 cut — a snapshot bootstrap begins (the follower's resume
+//	stream    = { bootstrap | 'R' }
+//	bootstrap = 'S' { 'c' } 'E'
+//
+//	'S'  empty — a snapshot bootstrap begins (the follower's resume
 //	     position was not retained); the follower resets its snapshot
 //	     accumulator
-//	'c'  one chunk of the snapshot payload
-//	'E'  u32 CRC-32C of the whole payload — the follower verifies and
-//	     applies the snapshot, floors its GSN at cut, and resets its
+//	'c'  the next chunk of the checkpoint file
+//	'E'  empty — the file is complete: the follower validates it with
+//	     wal.DecodeSnapshot (magic, length, CRC — the file carries its own
+//	     cut), applies it, floors its GSN at the cut, and resets its
 //	     stream position
-//	'R'  u64 GSN | u32 CRC-32C of the record payload | payload — one
-//	     redo record in leader log-append order
+//	'R'  a run of whole WAL record frames in leader log-append order,
+//	     each carrying its own CRC; the follower walks it with
+//	     wal.NextFrame
 //
 // Why shipping raw log bytes is sound: records carry absolute
-// post-images and replay is idempotent, so the follower applies each 'R'
-// frame as one atomic local transaction and equal states converge even
+// post-images and replay is idempotent, so the follower applies each
+// record as one atomic local transaction and equal states converge even
 // across reconnects and re-bootstraps.  The follower skips records with
 // GSN <= its floor (the newest snapshot cut it has applied) — that is
 // what makes checkpoint retirement on the leader safe mid-stream.
@@ -35,10 +46,17 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"slices"
+
+	"mvgc/internal/wal"
 )
+
+// Proto names the stream's grammar in the REPL handshake.  A leader refuses
+// a handshake that does not carry its own token — the bare two-argument
+// form of the first protocol included — so a follower never applies a
+// stream it would misread.
+const Proto = "2"
 
 // Frame tags.
 const (
@@ -48,44 +66,32 @@ const (
 	TagRecord    = 'R'
 )
 
-// maxFrameBody bounds one frame body; matches the WAL's record bound
-// plus the record frame header.
-const maxFrameBody = (1 << 30) + 16
+// maxFrameBody bounds one frame body: the longest run a Tailer hands the
+// shipper.
+const maxFrameBody = wal.MaxRunBytes
 
 // snapChunkBytes is the shipper's snapshot chunk size.
 const snapChunkBytes = 256 << 10
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteFrame writes one frame.  The caller flushes.
 func WriteFrame(w *bufio.Writer, tag byte, body []byte) error {
 	var hdr [5]byte
 	hdr[0] = tag
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	// Byte by byte: a slice handed to Write may reach the connection and so
+	// escapes, which would make the header a heap allocation per frame.
+	for _, b := range hdr {
+		if err := w.WriteByte(b); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(body)
 	return err
 }
 
-// WriteRecordFrame writes one 'R' frame for a record.
-func WriteRecordFrame(w *bufio.Writer, gsn uint64, payload []byte) error {
-	var hdr [5 + 12]byte
-	hdr[0] = TagRecord
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(12+len(payload)))
-	binary.LittleEndian.PutUint64(hdr[5:], gsn)
-	binary.LittleEndian.PutUint32(hdr[13:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // frameGrowBytes bounds how far ReadFrame's buffer runs ahead of the bytes
-// that have arrived: larger than a snapshot chunk, so only a record beyond
-// it grows in more than one step.
+// that have arrived: larger than a snapshot chunk, so only a run holding a
+// record beyond it grows in more than one step.
 const frameGrowBytes = 1 << 20
 
 // ReadFrame reads one frame, reusing buf for the body when it fits.  The
@@ -116,18 +122,4 @@ func ReadFrame(r *bufio.Reader, buf []byte) (tag byte, body []byte, err error) {
 		}
 	}
 	return hdr[0], body, nil
-}
-
-// DecodeRecord splits an 'R' frame body and verifies its CRC.
-func DecodeRecord(body []byte) (gsn uint64, payload []byte, err error) {
-	if len(body) < 12 {
-		return 0, nil, fmt.Errorf("repl: record frame of %d bytes is too short", len(body))
-	}
-	gsn = binary.LittleEndian.Uint64(body)
-	crc := binary.LittleEndian.Uint32(body[8:])
-	payload = body[12:]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return 0, nil, fmt.Errorf("repl: record gsn=%d failed CRC", gsn)
-	}
-	return gsn, payload, nil
 }

@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"mvgc/internal/wal"
 )
 
 // frameBytes encodes frames through the writers the shipper uses.
@@ -31,40 +35,30 @@ func header(tag byte, n uint32) []byte {
 }
 
 // TestFrameRoundTrip: all four tags survive write → read, in order, through
-// one reused buffer, and the record frame decodes to its GSN and payload.
+// one reused buffer — the empty bodies of 'S' and 'E' and an empty chunk
+// included.
 func TestFrameRoundTrip(t *testing.T) {
-	cut := binary.LittleEndian.AppendUint64(nil, 42)
 	chunk := bytes.Repeat([]byte("snapshot-chunk."), 5000) // larger than bufio's buffer
-	sum := binary.LittleEndian.AppendUint32(nil, 0xdeadbeef)
-	payload := []byte("one redo record")
+	run := wal.AppendFrame(wal.AppendFrame(nil, 7, []byte("one redo record")), 8, nil)
+	frames := []struct {
+		tag  byte
+		body []byte
+	}{{TagSnapBegin, nil}, {TagSnapChunk, chunk}, {TagSnapChunk, nil}, {TagSnapEnd, nil}, {TagRecord, run}}
 	stream := frameBytes(t, func(w *bufio.Writer) error {
-		return errors.Join(
-			WriteFrame(w, TagSnapBegin, cut),
-			WriteFrame(w, TagSnapChunk, chunk),
-			WriteFrame(w, TagSnapChunk, nil),
-			WriteFrame(w, TagSnapEnd, sum),
-			WriteRecordFrame(w, 7, payload),
-		)
+		var err error
+		for _, f := range frames {
+			err = errors.Join(err, WriteFrame(w, f.tag, f.body))
+		}
+		return err
 	})
 	r := bufio.NewReader(bytes.NewReader(stream))
 	var buf []byte
-	for i, want := range []struct {
-		tag  byte
-		body []byte
-	}{{TagSnapBegin, cut}, {TagSnapChunk, chunk}, {TagSnapChunk, nil}, {TagSnapEnd, sum}} {
+	for i, want := range frames {
 		tag, body, err := ReadFrame(r, buf)
 		if err != nil || tag != want.tag || !bytes.Equal(body, want.body) {
 			t.Fatalf("frame %d: tag %q, %d bytes, err %v; want tag %q, %d bytes", i, tag, len(body), err, want.tag, len(want.body))
 		}
 		buf = body[:0]
-	}
-	tag, body, err := ReadFrame(r, buf)
-	if err != nil || tag != TagRecord {
-		t.Fatalf("record frame: tag %q, err %v", tag, err)
-	}
-	gsn, got, err := DecodeRecord(body)
-	if err != nil || gsn != 7 || !bytes.Equal(got, payload) {
-		t.Fatalf("DecodeRecord = %d, %q, %v", gsn, got, err)
 	}
 	if _, _, err := ReadFrame(r, buf); err != io.EOF {
 		t.Fatalf("read past the last frame: %v, want io.EOF", err)
@@ -84,7 +78,7 @@ func TestReadFrameOversize(t *testing.T) {
 // inside the body — at its first byte, in the middle, one short — is an
 // unexpected EOF, never a frame.
 func TestReadFrameTruncated(t *testing.T) {
-	whole := frameBytes(t, func(w *bufio.Writer) error { return WriteRecordFrame(w, 1, make([]byte, 100)) })
+	whole := frameBytes(t, func(w *bufio.Writer) error { return WriteFrame(w, TagRecord, make([]byte, 112)) })
 	for _, keep := range []int{3, 5, 60, len(whole) - 1} {
 		r := bufio.NewReader(bytes.NewReader(whole[:keep]))
 		if _, _, err := ReadFrame(r, nil); err != io.ErrUnexpectedEOF {
@@ -122,22 +116,137 @@ func TestReadFrameGrowsInSteps(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordCorrupt: a flipped payload bit, a flipped CRC bit and a
-// body shorter than the record header are all refused.
-func TestDecodeRecordCorrupt(t *testing.T) {
-	frame := frameBytes(t, func(w *bufio.Writer) error { return WriteRecordFrame(w, 9, []byte("payload")) })
-	body := frame[5:]
-	if _, _, err := DecodeRecord(body); err != nil {
-		t.Fatalf("intact record: %v", err)
+// replayLog is an Applier that records what the stream asked of it.
+type replayLog struct {
+	gsns     []uint64
+	payloads []string
+	snapCut  uint64
+	snap     string
+	syncs    int
+}
+
+func (r *replayLog) ReplayRecord(gsn uint64, payload []byte) error {
+	r.gsns, r.payloads = append(r.gsns, gsn), append(r.payloads, string(payload))
+	return nil
+}
+
+func (r *replayLog) ApplyReplSnapshot(cut uint64, payload []byte) error {
+	r.snapCut, r.snap = cut, string(payload)
+	return nil
+}
+
+func (r *replayLog) SyncWAL() error { r.syncs++; return nil }
+
+// follow runs one connection's worth of stream through a follower whose
+// floor is already at floor, and returns what broke the loop.
+func follow(t *testing.T, stream []byte, floor uint64) (*Follower, *replayLog, error) {
+	t.Helper()
+	db := &replayLog{}
+	f := &Follower{cfg: Config{DB: db, Dir: "follower", FS: wal.NewMemFS()}}
+	f.floor.Store(floor)
+	return f, db, f.frameLoop(bufio.NewReader(bytes.NewReader(stream)))
+}
+
+// TestFollowerRunAcrossFloor: one 'R' frame carries a run of the log's own
+// frames, out of GSN order as two shards' commits can be, with the floor in
+// the middle of it.  Every record moves the position; only those above the
+// floor are applied; the run is synced once, when it and the read buffer
+// are both spent.
+func TestFollowerRunAcrossFloor(t *testing.T) {
+	var run []byte
+	for _, g := range []uint64{4, 6, 5, 8, 7} {
+		run = wal.AppendFrame(run, g, fmt.Appendf(nil, "v%d", g))
 	}
-	for _, at := range []int{8, len(body) - 1} { // CRC field, payload
-		bad := bytes.Clone(body)
-		bad[at] ^= 0x10
-		if _, _, err := DecodeRecord(bad); err == nil || !strings.Contains(err.Error(), "failed CRC") {
-			t.Fatalf("bit flipped at %d: %v", at, err)
+	stream := frameBytes(t, func(w *bufio.Writer) error { return WriteFrame(w, TagRecord, run) })
+	f, db, err := follow(t, stream, 5)
+	if err != io.EOF {
+		t.Fatalf("frame loop ended with %v, want io.EOF after the last frame", err)
+	}
+	if want := []uint64{6, 8, 7}; !slices.Equal(db.gsns, want) || !slices.Equal(db.payloads, []string{"v6", "v8", "v7"}) {
+		t.Fatalf("applied %v %q, want %v", db.gsns, db.payloads, want)
+	}
+	if pos, floor := f.Pos(); pos != 7 || floor != 5 || f.Applied() != 8 {
+		t.Fatalf("pos %d floor %d applied %d, want 7, 5, 8", pos, floor, f.Applied())
+	}
+	if db.syncs != 1 {
+		t.Fatalf("%d syncs for one run, want 1", db.syncs)
+	}
+}
+
+// TestFollowerRunCorrupt: the follower trusts no byte of a run it has not
+// checked — a flipped bit anywhere in a frame, or a run that ends inside
+// one, stops the stream with that frame and everything after it unapplied.
+func TestFollowerRunCorrupt(t *testing.T) {
+	first := wal.AppendFrame(nil, 1, []byte("first"))
+	run := wal.AppendFrame(bytes.Clone(first), 2, []byte("second"))
+	for at := len(first); at <= len(run); at++ {
+		bad := bytes.Clone(run)
+		if at < len(run) {
+			bad[at] ^= 0x10
+		} else {
+			bad = bad[:len(run)-1]
+		}
+		stream := frameBytes(t, func(w *bufio.Writer) error { return WriteFrame(w, TagRecord, bad) })
+		f, db, err := follow(t, stream, 0)
+		if !errors.Is(err, wal.ErrBadFrame) && !errors.Is(err, wal.ErrShortFrame) {
+			t.Fatalf("damage at byte %d: frame loop ended with %v", at, err)
+		}
+		if pos, _ := f.Pos(); pos != 1 || !slices.Equal(db.gsns, []uint64{1}) {
+			t.Fatalf("damage at byte %d: applied %v, pos %d; want the intact first record only", at, db.gsns, pos)
 		}
 	}
-	if _, _, err := DecodeRecord(body[:11]); err == nil {
-		t.Fatal("an 11-byte record body decoded")
+}
+
+// TestFollowerSnapshot: the checkpoint file travels as the log wrote it, in
+// chunks, and is decoded by the codec recovery uses; a damaged or unfinished
+// transfer is refused whole, and a second 'S' starts the file over.
+func TestFollowerSnapshot(t *testing.T) {
+	fs := wal.NewMemFS()
+	l, err := wal.Create(wal.Options{Dir: "leader", FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Checkpoint(41, []byte("the whole map")); err != nil {
+		t.Fatal(err)
+	}
+	fh, size, _, err := l.LatestSnapshot()
+	if err != nil || fh == nil {
+		t.Fatalf("LatestSnapshot: %v, %v", fh, err)
+	}
+	file, err := io.ReadAll(fh)
+	fh.Close()
+	if err != nil || int64(len(file)) != size {
+		t.Fatalf("read %d of %d snapshot bytes: %v", len(file), size, err)
+	}
+	send := func(file []byte) []byte {
+		return frameBytes(t, func(w *bufio.Writer) error {
+			return errors.Join(
+				WriteFrame(w, TagSnapBegin, nil),
+				WriteFrame(w, TagSnapChunk, file[:10]), // abandoned: the next 'S' starts over
+				WriteFrame(w, TagSnapBegin, nil),
+				WriteFrame(w, TagSnapChunk, file[:10]),
+				WriteFrame(w, TagSnapChunk, file[10:]),
+				WriteFrame(w, TagSnapEnd, nil),
+			)
+		})
+	}
+	f, db, err := follow(t, send(file), 7)
+	if err != io.EOF || db.snapCut != 41 || db.snap != "the whole map" {
+		t.Fatalf("intact file: err %v, applied cut %d %q", err, db.snapCut, db.snap)
+	}
+	if pos, floor := f.Pos(); pos != 0 || floor != 41 || f.Applied() != 41 {
+		t.Fatalf("pos %d floor %d applied %d after the bootstrap, want 0, 41, 41", pos, floor, f.Applied())
+	}
+	bad := bytes.Clone(file)
+	bad[len(bad)/2] ^= 1
+	for name, file := range map[string][]byte{"bit flip": bad, "cut short": file[:len(file)-1]} {
+		f, db, err := follow(t, send(file), 7)
+		if err == nil || err == io.EOF || db.snap != "" {
+			t.Fatalf("%s: err %v, applied %q", name, err, db.snap)
+		}
+		if _, floor := f.Pos(); floor != 7 {
+			t.Fatalf("%s: floor moved to %d", name, floor)
+		}
 	}
 }

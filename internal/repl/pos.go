@@ -28,6 +28,8 @@ const (
 	posTmpName = "repl.pos.tmp"
 )
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // loadPos reads the persisted position; a missing or invalid file is a
 // fresh start (0, 0) — the stream handshake then bootstraps as needed.
 func loadPos(fs wal.FS, dir string) (pos, floor uint64, err error) {

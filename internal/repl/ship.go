@@ -2,9 +2,8 @@ package repl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 
@@ -62,7 +61,7 @@ func (s *Shipper) setTailer(t *wal.Tailer) bool {
 // the connection fails, the log closes, or Abort is called.  A position
 // that is no longer retained (ErrTailTruncated, initially or mid-stream
 // when a checkpoint retires records the follower still needs) falls back
-// to a snapshot bootstrap: the latest checkpoint streams as S/c/E
+// to a snapshot bootstrap: the latest checkpoint file streams as S/c/E
 // frames, then tailing resumes from the earliest retained byte.
 func (s *Shipper) Run(afterGSN, floor uint64) error {
 	t, err := s.log.Tail(afterGSN, floor)
@@ -76,88 +75,87 @@ func (s *Shipper) Run(afterGSN, floor uint64) error {
 		if !s.setTailer(t) {
 			return errors.New("repl: shipper aborted")
 		}
-		err = s.stream(t)
-		if !errors.Is(err, wal.ErrTailTruncated) {
-			t.Close() //nolint:errcheck
-			return err
+		for err == nil {
+			err = s.shipRun(t)
 		}
 		t.Close() //nolint:errcheck
+		if !errors.Is(err, wal.ErrTailTruncated) {
+			return err
+		}
 	}
 }
 
-// bootstrap sends the latest checkpoint as S/c/E frames and returns a
+// bootstrap sends the latest checkpoint file as S/c/E frames and returns a
 // tailer positioned at the earliest retained byte.  It loops if a
 // concurrent checkpoint supersedes the snapshot mid-handoff.
 func (s *Shipper) bootstrap() (*wal.Tailer, error) {
 	for {
-		cut, payload, ok, err := s.log.LatestSnapshot()
+		f, size, cut, err := s.log.LatestSnapshot()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if f == nil {
 			return nil, errors.New("repl: follower position not retained and no snapshot exists")
 		}
 		// Acquire the tailer BEFORE shipping the snapshot: TailSnapshot
 		// validates cut against the newest checkpoint, so the follower
 		// never applies a snapshot we then cannot tail from.
 		t, err := s.log.TailSnapshot(cut)
-		if errors.Is(err, wal.ErrTailTruncated) {
-			continue // a newer checkpoint raced; re-fetch
+		if err == nil {
+			err = s.sendSnapshot(f, size)
 		}
-		if err != nil {
-			return nil, err
+		f.Close() //nolint:errcheck // read-only handle
+		if err == nil {
+			return t, nil
 		}
-		if err := s.sendSnapshot(cut, payload); err != nil {
+		if t != nil {
 			t.Close() //nolint:errcheck
+		}
+		// A newer checkpoint raced — before the tailer, or retiring the file
+		// while it was being read: re-fetch, and the next 'S' makes the
+		// follower start over.
+		if !errors.Is(err, wal.ErrTailTruncated) && s.log.Stat().SnapshotCut == cut {
 			return nil, err
 		}
-		return t, nil
 	}
 }
 
-func (s *Shipper) sendSnapshot(cut uint64, payload []byte) error {
-	var cutBuf [8]byte
-	binary.LittleEndian.PutUint64(cutBuf[:], cut)
-	if err := WriteFrame(s.bw, TagSnapBegin, cutBuf[:]); err != nil {
+// sendSnapshot streams the size bytes of the checkpoint file f, verbatim.
+func (s *Shipper) sendSnapshot(f io.Reader, size int64) error {
+	if err := WriteFrame(s.bw, TagSnapBegin, nil); err != nil {
 		return err
 	}
-	for off := 0; off < len(payload); off += snapChunkBytes {
-		end := min(off+snapChunkBytes, len(payload))
-		if err := WriteFrame(s.bw, TagSnapChunk, payload[off:end]); err != nil {
+	buf := make([]byte, snapChunkBytes)
+	for size > 0 {
+		chunk := buf[:min(size, snapChunkBytes)]
+		if _, err := io.ReadFull(f, chunk); err != nil {
 			return err
 		}
+		if err := WriteFrame(s.bw, TagSnapChunk, chunk); err != nil {
+			return err
+		}
+		size -= int64(len(chunk))
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload, crcTable))
-	if err := WriteFrame(s.bw, TagSnapEnd, crcBuf[:]); err != nil {
+	if err := WriteFrame(s.bw, TagSnapEnd, nil); err != nil {
 		return err
 	}
 	return s.bw.Flush()
 }
 
-// stream pumps records from the tailer to the wire.  It drains without
-// blocking first and only flushes the wire buffer when the tailer has
-// nothing ready — so a busy leader batches frames into large writes and
+// shipRun writes the tailer's next run as the body of one 'R' frame: the
+// log's bytes, verified once by the tailer and not touched again.  It takes
+// what is ready without blocking and only flushes the wire buffer when the
+// tailer has nothing — so a busy leader batches runs into large writes and
 // an idle one delivers promptly.
-func (s *Shipper) stream(t *wal.Tailer) error {
-	for {
-		recs, err := t.Next(false)
-		if err != nil {
-			return err
-		}
-		if len(recs) == 0 {
-			if err := s.bw.Flush(); err != nil {
-				return err
-			}
-			recs, err = t.Next(true)
-			if err != nil {
-				return err
-			}
-		}
-		for _, r := range recs {
-			if err := WriteRecordFrame(s.bw, r.GSN, r.Payload); err != nil {
-				return err
-			}
+func (s *Shipper) shipRun(t *wal.Tailer) error {
+	run, err := t.Next(false)
+	if err == nil && len(run) == 0 {
+		if err = s.bw.Flush(); err == nil {
+			run, err = t.Next(true)
 		}
 	}
+	if err != nil {
+		return err
+	}
+	return WriteFrame(s.bw, TagRecord, run)
 }

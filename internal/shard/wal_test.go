@@ -75,6 +75,30 @@ func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, str
 	return m, rec
 }
 
+// drainTail walks every record the tailer has ready, handing each payload
+// (the tailer's own bytes, good for the call) to each, and counts them.
+func drainTail(t *testing.T, tail *wal.Tailer, each func(payload []byte)) (records int) {
+	t.Helper()
+	for {
+		run, err := tail.Next(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run) == 0 {
+			return records
+		}
+		for len(run) > 0 {
+			_, payload, n, err := wal.NextFrame(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			each(payload)
+			records++
+			run = run[n:]
+		}
+	}
+}
+
 func dump(m *Map[uint64, uint64, struct{}]) map[uint64]uint64 {
 	out := map[uint64]uint64{}
 	m.View(func(s Snap[uint64, uint64, struct{}]) {
@@ -343,17 +367,7 @@ func TestWritePathDifferential(t *testing.T) {
 		if got := fs.Syncs() - syncs; got != st.syncs {
 			t.Errorf("%s: %d fsyncs, want %d", st.name, got, st.syncs)
 		}
-		records := 0
-		for {
-			recs, err := tail.Next(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				break
-			}
-			records += len(recs)
-		}
+		records := drainTail(t, tail, func([]byte) {})
 		if records != st.records {
 			t.Errorf("%s: appended %d records, want %d", st.name, records, st.records)
 		}
@@ -456,22 +470,13 @@ func TestShardWALBatchLogsCoalesced(t *testing.T) {
 	// logged drains the tail: how many records, and which keys' inserts.
 	logged := func() (records int, keys []uint64) {
 		t.Helper()
-		for {
-			recs, err := tail.Next(false)
+		records = drainTail(t, tail, func(payload []byte) {
+			err := decodeWALOps(&m.wal.cfg, payload, func(k, _ uint64) { keys = append(keys, k) }, func(uint64) {})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recs) == 0 {
-				return records, keys
-			}
-			records += len(recs)
-			for _, r := range recs {
-				err := decodeWALOps(&m.wal.cfg, r.Payload, func(k, _ uint64) { keys = append(keys, k) }, func(uint64) {})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		})
+		return records, keys
 	}
 	add := func(old, new uint64) uint64 { return old + new }
 	dups := func() []ftree.Entry[uint64, uint64] { // six entries, three duplicates

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
@@ -87,11 +85,12 @@ func Open(opts Options) (*Log, *Recovered, error) {
 
 	rec := &Recovered{}
 	var snapSeq uint64
+	var snapSize int64
 	// Newest valid snapshot wins; anything newer that fails validation
 	// is an interrupted checkpoint and is removed.
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
 		name := filepath.Join(dir, snapName(snapSeqs[i]))
-		cut, payload, ok, rerr := readSnapshot(fs, name)
+		file, rerr := readFile(fs, name)
 		if rerr != nil {
 			// A transient read failure is NOT an invalid snapshot: the
 			// checkpoint that wrote it already retired the segments (and
@@ -99,11 +98,12 @@ func Open(opts Options) (*Log, *Recovered, error) {
 			// would silently lose every acked write it covers.
 			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", name, rerr)
 		}
+		cut, payload, ok := DecodeSnapshot(file)
 		if !ok {
 			stray = append(stray, snapName(snapSeqs[i]))
 			continue
 		}
-		snapSeq = snapSeqs[i]
+		snapSeq, snapSize = snapSeqs[i], int64(len(file))
 		rec.SnapshotCut, rec.Snapshot = cut, payload
 		// Older snapshots are superseded; an interrupted checkpoint may
 		// have left them behind.
@@ -190,6 +190,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 		sealed:    sealed,
 		liveBytes: liveBytes,
 		snapSeq:   snapSeq,
+		snapSize:  snapSize,
 		snapCut:   rec.SnapshotCut,
 	}
 	l.syncCond.L = &l.syncMu
@@ -269,34 +270,15 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// readSnapshot validates one snapshot file.  ok=false (with nil err)
-// means the bytes were read but fail validation — an interrupted
-// checkpoint the caller may delete; a non-nil err is an I/O failure and
-// says nothing about the snapshot's contents.
-func readSnapshot(fs FS, name string) (cut uint64, payload []byte, ok bool, err error) {
+// readFile reads the named file whole.
+func readFile(fs FS, name string) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
-		return 0, nil, false, err
+		return nil, err
 	}
 	data, err := io.ReadAll(f)
 	f.Close()
-	if err != nil {
-		return 0, nil, false, err
-	}
-	if len(data) < len(snapMagic)+8+8+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, nil, false, nil
-	}
-	body := data[len(snapMagic) : len(data)-4]
-	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != crc {
-		return 0, nil, false, nil
-	}
-	cut = binary.LittleEndian.Uint64(body)
-	plen := binary.LittleEndian.Uint64(body[8:])
-	if plen != uint64(len(body)-16) {
-		return 0, nil, false, nil
-	}
-	return cut, body[16:], true, nil
+	return data, err
 }
 
 // syncFile fsyncs the named file, making a recovery-time truncate itself
@@ -317,14 +299,9 @@ func syncFile(fs FS, name string) error {
 // readSegment parses one segment file.  good is the byte offset of the
 // end of the last valid frame (the truncation point when torn); size is
 // the raw file length (good == 0 with torn means the header itself is
-// missing or invalid).
+// missing or invalid).  The records' payloads alias the bytes read.
 func readSegment(fs FS, name string) (recs []Record, maxGSN uint64, good, size int64, torn bool, err error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, 0, 0, 0, false, fmt.Errorf("wal: open %s: %w", name, err)
-	}
-	data, err := io.ReadAll(f)
-	f.Close()
+	data, err := readFile(fs, name)
 	if err != nil {
 		return nil, 0, 0, 0, false, fmt.Errorf("wal: read %s: %w", name, err)
 	}
@@ -335,26 +312,14 @@ func readSegment(fs FS, name string) (recs []Record, maxGSN uint64, good, size i
 	}
 	off := len(segMagic)
 	for off < len(data) {
-		if len(data)-off < frameHeader {
+		gsn, payload, n, err := NextFrame(data[off:])
+		if err != nil {
+			// Short or corrupt, at the end of a file both are a torn tail.
 			return recs, maxGSN, int64(off), size, true, nil
 		}
-		blen := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if blen < 8 || blen > maxRecordBytes || off+frameHeader+blen > len(data) {
-			return recs, maxGSN, int64(off), size, true, nil
-		}
-		body := data[off+frameHeader : off+frameHeader+blen]
-		if crc32.Checksum(body, crcTable) != crc {
-			return recs, maxGSN, int64(off), size, true, nil
-		}
-		gsn := binary.LittleEndian.Uint64(body)
-		payload := make([]byte, blen-8)
-		copy(payload, body[8:])
 		recs = append(recs, Record{GSN: gsn, Payload: payload})
-		if gsn > maxGSN {
-			maxGSN = gsn
-		}
-		off += frameHeader + blen
+		maxGSN = max(maxGSN, gsn)
+		off += n
 	}
 	return recs, maxGSN, int64(off), size, false, nil
 }

@@ -127,7 +127,7 @@ func TestTailNeverPastCompletedSync(t *testing.T) {
 
 	committed := parkCommit(t, fs, l)
 	appendDuringSync(t, l)
-	if recs, err := tl.Next(false); err != nil || len(recs) != 0 {
+	if recs, err := nextRecs(tl, false); err != nil || len(recs) != 0 {
 		t.Fatalf("tailer shipped %v (err %v) from inside an unfinished fsync", gsns(recs), err)
 	}
 	if got := l.Stat().Synced; got != before {

@@ -1,11 +1,10 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 )
 
 // ErrTailTruncated means the requested tail position is no longer
@@ -21,6 +20,10 @@ var ErrTailerClosed = fmt.Errorf("wal: tailer closed")
 // maxTailRead bounds one read from a segment file, so a tailer never
 // materialises a whole segment at once.
 const maxTailRead = 256 << 10
+
+// MaxRunBytes bounds what one Next returns: the frames one read completes,
+// the first of which may be the largest legal record, begun in earlier reads.
+const MaxRunBytes = frameOverhead + maxPayloadBytes + maxTailRead
 
 // Tailer follows the log's durable byte stream: every record fsynced to
 // a segment, in log-append (byte) order, across segment seals and
@@ -43,7 +46,11 @@ type Tailer struct {
 	seq   uint64 // segment being read
 	off   int64  // next unread byte offset within seq
 	f     File   // open sequential handle on seq, positioned at off (nil until used)
-	buf   []byte // carry: bytes read from the file but not yet parsed into frames
+	// buf holds bytes read from the file: buf[:head] is the run the last Next
+	// handed out (the caller's until the next one), buf[head:] is not yet
+	// parsed into frames.
+	buf  []byte
+	head int
 
 	closed bool // under l.mu
 }
@@ -55,34 +62,35 @@ type Tailer struct {
 // ErrTailTruncated means the position is not resumable and the consumer
 // must bootstrap from the latest snapshot.
 func (l *Log) Tail(afterGSN, floor uint64) (*Tailer, error) {
+	if afterGSN == 0 {
+		return l.TailSnapshot(floor) // the same position under the same condition
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, ErrLogClosed
 	}
 	segs := l.retainedLocked()
-	snapCut := l.snapCut
 	l.mu.Unlock()
 
-	if afterGSN == 0 {
-		if snapCut > floor {
-			return nil, ErrTailTruncated
-		}
-		first := segs[0]
-		return &Tailer{l: l, floor: floor, seq: first.seq, off: int64(len(segMagic))}, nil
-	}
+	// The resume scan is the tailer itself, read forward until it has
+	// consumed the frame stamped afterGSN: same window, same CRC check, and
+	// what it has read beyond that frame is already its carry.
+	t := &Tailer{l: l, floor: floor}
 	for _, sg := range segs {
-		off, found, err := scanForGSN(l.fs, sg.name, sg.limit, afterGSN)
+		t.seq, t.off = sg.seq, int64(len(segMagic))
+		found, err := t.seek(sg.name, sg.limit, afterGSN)
+		if found {
+			return t, nil
+		}
+		t.drop()
 		if err != nil {
 			// The segment may have been retired mid-scan; report that as
 			// a truncation so the caller bootstraps instead of failing.
-			if gone := !l.isRetained(sg.seq); gone {
+			if t.retired() {
 				return nil, ErrTailTruncated
 			}
 			return nil, err
-		}
-		if found {
-			return &Tailer{l: l, floor: floor, seq: sg.seq, off: off}, nil
 		}
 	}
 	return nil, ErrTailTruncated
@@ -102,42 +110,40 @@ func (l *Log) TailSnapshot(cut uint64) (*Tailer, error) {
 		l.mu.Unlock()
 		return nil, ErrTailTruncated
 	}
-	first := l.retainedLocked()[0]
+	first, _ := l.nextRetainedLocked(0) // sequence numbers start at 1
 	l.mu.Unlock()
-	return &Tailer{l: l, floor: cut, seq: first.seq, off: int64(len(segMagic))}, nil
+	return &Tailer{l: l, floor: cut, seq: first, off: int64(len(segMagic))}, nil
 }
 
-// LatestSnapshot reads the newest durable checkpoint (cut + payload).
-// ok=false with nil err means no checkpoint exists yet.  Concurrent
-// checkpoints can retire the file mid-read; the read retries against
-// the newer snapshot.
-func (l *Log) LatestSnapshot() (cut uint64, payload []byte, ok bool, err error) {
+// LatestSnapshot opens the newest durable checkpoint file, positioned at
+// its first byte, and reports its size and the cut it covers; the caller
+// closes f.  A nil f with a nil err means no checkpoint exists yet.  A
+// concurrent checkpoint can retire the file before it is opened; the open
+// retries against the newer snapshot.
+func (l *Log) LatestSnapshot() (f File, size int64, cut uint64, err error) {
 	for tries := 0; tries < 5; tries++ {
 		l.mu.Lock()
-		seq := l.snapSeq
-		closed := l.closed
+		seq, closed := l.snapSeq, l.closed
+		size, cut = l.snapSize, l.snapCut
 		l.mu.Unlock()
 		if closed {
-			return 0, nil, false, ErrLogClosed
+			return nil, 0, 0, ErrLogClosed
 		}
 		if seq == 0 {
-			return 0, nil, false, nil
+			return nil, 0, 0, nil
 		}
-		cut, payload, ok, err = readSnapshot(l.fs, filepath.Join(l.dir, snapName(seq)))
-		if err == nil && ok {
-			return cut, payload, true, nil
+		f, err = l.fs.Open(filepath.Join(l.dir, snapName(seq)))
+		if err == nil {
+			return f, size, cut, nil
 		}
 		l.mu.Lock()
 		raced := l.snapSeq != seq
 		l.mu.Unlock()
 		if !raced {
-			if err == nil {
-				err = fmt.Errorf("wal: snapshot %d failed validation", seq)
-			}
-			return 0, nil, false, err
+			return nil, 0, 0, err
 		}
 	}
-	return 0, nil, false, fmt.Errorf("wal: snapshot read kept racing with checkpoints")
+	return nil, 0, 0, fmt.Errorf("wal: snapshot read kept racing with checkpoints")
 }
 
 // tailSeg is one retained segment as a Tailer sees it: name plus the
@@ -159,21 +165,6 @@ func (l *Log) retainedLocked() []tailSeg {
 	return append(segs, tailSeg{seq: l.curSeq, name: l.curName, limit: l.curDurable})
 }
 
-// isRetained reports whether seq is still a retained segment.
-func (l *Log) isRetained(seq uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq == l.curSeq {
-		return true
-	}
-	for _, s := range l.sealed {
-		if s.seq == seq {
-			return true
-		}
-	}
-	return false
-}
-
 // windowLocked reports the byte limit a tailer may read in its current
 // segment.  live means the segment is the log's current one (the limit
 // can still grow); gone means it was retired.  Caller holds l.mu.
@@ -188,6 +179,15 @@ func (t *Tailer) windowLocked() (limit int64, name string, live, gone bool) {
 		}
 	}
 	return 0, "", false, true
+}
+
+// retired reports whether the tailer's segment was retired: a read that
+// failed under it is then a truncation, not an I/O failure.
+func (t *Tailer) retired() bool {
+	t.l.mu.Lock()
+	defer t.l.mu.Unlock()
+	_, _, _, gone := t.windowLocked()
+	return gone
 }
 
 // nextRetainedLocked returns the smallest retained sequence number
@@ -206,16 +206,27 @@ func (l *Log) nextRetainedLocked(seq uint64) (uint64, bool) {
 	return next, true
 }
 
-// Next returns the next batch of durable records in log-append order.
+// Next returns the next run of durable records in log-append order: whole
+// frames, each CRC-verified, as the bytes the log holds — walk them with
+// NextFrame.  The run is at most MaxRunBytes long and aliases the tailer's
+// buffer: it is valid until the next call.
 // With wait=true it blocks until records are available (forcing a sync
 // of buffered appends first, so FsyncOff/Interval logs still ship
 // promptly); with wait=false it returns (nil, nil) when caught up.
 // Terminal returns: ErrTailTruncated (re-bootstrap), ErrLogClosed (the
 // log closed and every durable byte has been returned), ErrTailerClosed
 // (Close was called), or the log's sticky error.
-func (t *Tailer) Next(wait bool) ([]Record, error) {
+func (t *Tailer) Next(wait bool) ([]byte, error) {
 	l := t.l
 	for {
+		run, _, err := t.frames(0)
+		if err != nil {
+			t.drop()
+			return nil, fmt.Errorf("wal: tail %s: %w inside durable window", segName(t.seq), err)
+		}
+		if len(run) > 0 {
+			return run, nil
+		}
 		l.mu.Lock()
 		if t.closed {
 			l.mu.Unlock()
@@ -228,41 +239,36 @@ func (t *Tailer) Next(wait bool) ([]Record, error) {
 			// Retired out from under us.  The unread remainder held only
 			// records <= the checkpoint cut; without floor coverage the
 			// consumer must re-bootstrap.
-			snapCut := l.snapCut
+			next, ok := l.nextRetainedLocked(t.seq)
+			covered := l.snapCut <= t.floor
 			l.mu.Unlock()
 			t.drop()
-			if snapCut <= t.floor {
-				if next, ok := t.advance(); ok {
-					t.seq, t.off = next, int64(len(segMagic))
-					continue
-				}
+			if !ok || !covered {
+				return nil, ErrTailTruncated
 			}
-			return nil, ErrTailTruncated
+			t.seq, t.off = next, int64(len(segMagic))
 		case t.off < limit:
 			l.mu.Unlock()
-			recs, err := t.read(name, limit)
-			if err != nil {
+			if err := t.fill(name, limit); err != nil {
 				t.drop()
 				// Distinguish a retirement race from real I/O failure.
-				if !l.isRetained(t.seq) {
+				if t.retired() {
 					return nil, ErrTailTruncated
 				}
 				return nil, err
 			}
-			if len(recs) > 0 {
-				return recs, nil
-			}
-			continue // read stopped mid-frame; next pass reads the rest
+		case t.head != len(t.buf):
+			// Every limit — a sealed size, a durable watermark — is a frame
+			// boundary, so bytes left over at one are a frame whose length
+			// field lies.
+			l.mu.Unlock()
+			t.drop()
+			return nil, fmt.Errorf("wal: tail %s: %w at the end of the durable window", name, ErrShortFrame)
 		case !live:
 			// Sealed segment fully consumed: move to the next retained
 			// one.  A sequence gap means segments were retired (or
 			// removed as headerless at recovery); jumping it is lossless
 			// only when the newest checkpoint cut is within our floor.
-			if len(t.buf) != 0 {
-				l.mu.Unlock()
-				t.drop()
-				return nil, fmt.Errorf("wal: tail %s: partial frame at sealed segment end", name)
-			}
 			next, ok := l.nextRetainedLocked(t.seq)
 			if !ok || (next != t.seq+1 && l.snapCut > t.floor) {
 				l.mu.Unlock()
@@ -302,73 +308,86 @@ func (t *Tailer) Next(wait bool) ([]Record, error) {
 	}
 }
 
-// advance finds the next retained sequence after t.seq (used on the
-// retired-under-us path, where the caller dropped l.mu).
-func (t *Tailer) advance() (uint64, bool) {
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	return t.l.nextRetainedLocked(t.seq)
-}
-
-// read pulls up to maxTailRead bytes of the durable window into the
-// carry buffer and parses whole frames out of it.  Frames split by the
-// read cap stay in the carry until the next call.
-func (t *Tailer) read(name string, limit int64) ([]Record, error) {
+// fill drops the run already handed out and reads up to maxTailRead more
+// bytes of the durable window in behind what is left, so the buffer never
+// holds more than one read beyond the frame being completed.
+func (t *Tailer) fill(name string, limit int64) error {
 	if t.f == nil {
 		f, err := t.l.fs.Open(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.f = f
 		if t.off > 0 {
 			if _, err := io.CopyN(io.Discard, f, t.off); err != nil {
-				return nil, fmt.Errorf("wal: tail %s: seek to %d: %w", name, t.off, err)
+				return fmt.Errorf("wal: tail %s: seek to %d: %w", name, t.off, err)
 			}
 		}
 	}
-	n := limit - t.off
-	if n > maxTailRead {
-		n = maxTailRead
-	}
+	t.buf = append(t.buf[:0], t.buf[t.head:]...)
+	t.head = 0
+	n := int(min(limit-t.off, maxTailRead))
 	start := len(t.buf)
-	t.buf = append(t.buf, make([]byte, n)...)
+	t.buf = slices.Grow(t.buf, n)[:start+n]
 	if _, err := io.ReadFull(t.f, t.buf[start:]); err != nil {
 		t.buf = t.buf[:start]
-		return nil, fmt.Errorf("wal: tail %s: %w", name, err)
+		return fmt.Errorf("wal: tail %s: %w", name, err)
 	}
-	t.off += n
-
-	var recs []Record
-	off := 0
-	for off+frameHeader <= len(t.buf) {
-		blen := int(binary.LittleEndian.Uint32(t.buf[off:]))
-		crc := binary.LittleEndian.Uint32(t.buf[off+4:])
-		if blen < 8 || blen > maxRecordBytes {
-			return nil, fmt.Errorf("wal: tail %s: bad frame length %d", name, blen)
-		}
-		if off+frameHeader+blen > len(t.buf) {
-			break
-		}
-		body := t.buf[off+frameHeader : off+frameHeader+blen]
-		if crc32.Checksum(body, crcTable) != crc {
-			return nil, fmt.Errorf("wal: tail %s: frame CRC mismatch inside durable window", name)
-		}
-		payload := make([]byte, blen-8)
-		copy(payload, body[8:])
-		recs = append(recs, Record{GSN: binary.LittleEndian.Uint64(body), Payload: payload})
-		off += frameHeader + blen
-	}
-	t.buf = append(t.buf[:0], t.buf[off:]...)
-	return recs, nil
+	t.off += int64(n)
+	return nil
 }
 
-// drop closes the segment handle and clears the carry buffer.
+// frames verifies the whole frames at the head of the unparsed bytes and
+// hands them out as one run, ending it just past a frame stamped until (0
+// ends it only where the whole frames do).  A frame cut short by the read
+// cap stays unparsed until a later fill completes it.
+func (t *Tailer) frames(until uint64) (run []byte, found bool, err error) {
+	end := t.head
+	for !found {
+		gsn, _, n, err := NextFrame(t.buf[end:])
+		if err == ErrShortFrame {
+			break
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		end += n
+		found = until != 0 && gsn == until
+	}
+	run, t.head = t.buf[t.head:end], end
+	return run, found, nil
+}
+
+// seek reads the first limit bytes of the tailer's segment forward until it
+// has consumed the frame stamped gsn, and reports whether it is there.
+func (t *Tailer) seek(name string, limit int64, gsn uint64) (bool, error) {
+	for {
+		_, found, err := t.frames(gsn)
+		switch {
+		case err != nil:
+		case found:
+			return true, nil
+		case t.off < limit:
+			if err := t.fill(name, limit); err != nil {
+				return false, err
+			}
+			continue
+		case t.head != len(t.buf):
+			err = ErrShortFrame // as in Next: limit is a frame boundary
+		default:
+			return false, nil
+		}
+		return false, fmt.Errorf("wal: scan %s: %w inside durable window", name, err)
+	}
+}
+
+// drop closes the segment handle and clears the buffer.
 func (t *Tailer) drop() {
 	if t.f != nil {
 		t.f.Close() //nolint:errcheck // read-only handle
 		t.f = nil
 	}
-	t.buf = t.buf[:0]
+	t.buf, t.head = t.buf[:0], 0
 }
 
 // Close stops the tailer: a concurrent Next blocked in wait wakes and
@@ -382,38 +401,4 @@ func (t *Tailer) Close() error {
 	}
 	l.mu.Unlock()
 	return nil
-}
-
-// scanForGSN walks the first limit bytes of a segment looking for the
-// frame stamped gsn, returning the offset just past it.
-func scanForGSN(fs FS, name string, limit int64, gsn uint64) (after int64, found bool, err error) {
-	if limit <= int64(len(segMagic)) {
-		return 0, false, nil
-	}
-	f, err := fs.Open(name)
-	if err != nil {
-		return 0, false, err
-	}
-	data := make([]byte, limit)
-	_, err = io.ReadFull(f, data)
-	f.Close() //nolint:errcheck // read-only handle
-	if err != nil {
-		return 0, false, fmt.Errorf("wal: scan %s: %w", name, err)
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return 0, false, fmt.Errorf("wal: scan %s: bad segment header", name)
-	}
-	off := len(segMagic)
-	for off+frameHeader <= len(data) {
-		blen := int(binary.LittleEndian.Uint32(data[off:]))
-		if blen < 8 || blen > maxRecordBytes || off+frameHeader+blen > len(data) {
-			return 0, false, fmt.Errorf("wal: scan %s: torn frame inside durable window", name)
-		}
-		body := data[off+frameHeader : off+frameHeader+blen]
-		off += frameHeader + blen
-		if binary.LittleEndian.Uint64(body) == gsn {
-			return int64(off), true, nil
-		}
-	}
-	return 0, false, nil
 }

@@ -1,11 +1,30 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"path/filepath"
 	"testing"
 	"time"
 )
+
+// nextRecs is Next with the run decoded into records of their own (the run
+// itself is the tailer's buffer, good until the next call).
+func nextRecs(tl *Tailer, wait bool) ([]Record, error) {
+	run, err := tl.Next(wait)
+	var out []Record
+	for len(run) > 0 {
+		gsn, payload, n, ferr := NextFrame(run)
+		if ferr != nil {
+			return out, fmt.Errorf("run handed out by Next does not decode: %w", ferr)
+		}
+		out = append(out, Record{GSN: gsn, Payload: bytes.Clone(payload)})
+		run = run[n:]
+	}
+	return out, err
+}
 
 // drainTailer collects records with non-blocking Next until the tailer is
 // caught up.
@@ -13,7 +32,7 @@ func drainTailer(t *testing.T, tl *Tailer) []Record {
 	t.Helper()
 	var out []Record
 	for {
-		recs, err := tl.Next(false)
+		recs, err := nextRecs(tl, false)
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
@@ -53,7 +72,7 @@ func TestTailStream(t *testing.T) {
 	if err := l.Append(1, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := tl.Next(false); err != nil || len(recs) != 0 {
+	if recs, err := nextRecs(tl, false); err != nil || len(recs) != 0 {
 		t.Fatalf("undurable records shipped: %v, %v", gsns(recs), err)
 	}
 	for g := uint64(2); g <= 10; g++ {
@@ -131,7 +150,7 @@ func TestTailBlockingWake(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		recs, err := tl.Next(true)
+		recs, err := nextRecs(tl, true)
 		done <- result{recs, err}
 	}()
 	select {
@@ -198,9 +217,14 @@ func TestTailTruncatedBootstrap(t *testing.T) {
 	if _, err := l.Tail(0, 0); !errors.Is(err, ErrTailTruncated) {
 		t.Fatalf("Tail(0, 0) past a checkpoint = %v, want ErrTailTruncated", err)
 	}
-	cut, payload, ok, err := l.LatestSnapshot()
-	if err != nil || !ok || cut != 8 || string(payload) != "snap-8" {
-		t.Fatalf("LatestSnapshot = (%d, %q, %v, %v)", cut, payload, ok, err)
+	f, size, cut, err := l.LatestSnapshot()
+	if err != nil || f == nil || cut != 8 {
+		t.Fatalf("LatestSnapshot = (%v, %d, %d, %v)", f, size, cut, err)
+	}
+	file, err := io.ReadAll(f)
+	f.Close()
+	if fcut, payload, ok := DecodeSnapshot(file); err != nil || int64(len(file)) != size || !ok || fcut != cut || string(payload) != "snap-8" {
+		t.Fatalf("snapshot file: %d bytes (size %d), err %v, decodes to (%d, %q, %v)", len(file), size, err, fcut, payload, ok)
 	}
 	tl, err := l.TailSnapshot(cut)
 	if err != nil {
@@ -303,5 +327,64 @@ func TestTailLogClose(t *testing.T) {
 	}
 	if _, err := tl.Next(true); !errors.Is(err, ErrLogClosed) {
 		t.Fatalf("Next on closed log = %v, want ErrLogClosed", err)
+	}
+}
+
+// TestTailResumeCorruptFrame: the resume scan trusts no length it has not
+// checked.  A flipped bit in a frame before the resume point — in its
+// length, where an unchecked walk lands on a wrong offset, or in its
+// payload, where it walks on as if nothing happened — is an error Tail
+// reports, not a position it resumes from.
+func TestTailResumeCorruptFrame(t *testing.T) {
+	for _, at := range []int{0, 1, 5, 10, 17} { // length, length, CRC, GSN, payload of the second frame
+		fs := NewMemFS()
+		l, _ := openMem(t, fs, Options{})
+		for g := uint64(1); g <= 4; g++ {
+			appendCommit(t, l, g, fmt.Sprintf("value-%d", g))
+		}
+		seg := fs.files[filepath.Join("db", segName(1))]
+		seg.data[len(segMagic)+frameLen(len("value-1"))+at] ^= 0x04
+		if tl, err := l.Tail(1, 0); err != nil { // the scan stops at frame 1, before the damage
+			t.Fatalf("byte %d: Tail(1) = %v", at, err)
+		} else if _, err := tl.Next(false); !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
+			t.Fatalf("byte %d: Next over the damaged frame = %v", at, err)
+		}
+		tl, err := l.Tail(3, 0)
+		if err == nil || errors.Is(err, ErrTailTruncated) {
+			t.Fatalf("byte %d: Tail(3) past a damaged frame = %v, %v; want the corruption reported", at, tl, err)
+		}
+		l.Close()
+	}
+}
+
+// TestTailResumeBoundedMemory: resuming into the last frame of a sealed
+// multi-MiB segment reads it through the tailer's window — one read plus
+// the frame it cut, never the segment.
+func TestTailResumeBoundedMemory(t *testing.T) {
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, Options{SegmentBytes: 4 << 20, Policy: FsyncOff})
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0x5a}, 1000)
+	g := uint64(0)
+	for l.Stat().Segments == 1 {
+		g++
+		if err := l.Append(g, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := l.Tail(g-1, 0) // g opened the second segment
+	if err != nil {
+		t.Fatalf("Tail(%d): %v", g-1, err)
+	}
+	defer tl.Close()
+	// len is what the scan holds; cap is that grown by append's rule.
+	if most := maxTailRead + frameLen(len(payload)); len(tl.buf) > most || cap(tl.buf) > 2*maxTailRead {
+		t.Fatalf("the scan of a %d-byte segment holds %d bytes (cap %d), want ≤ %d (cap ≤ %d)", l.sealed[0].size, len(tl.buf), cap(tl.buf), most, 2*maxTailRead)
+	}
+	if got := gsns(drainTailer(t, tl)); len(got) != 1 || got[0] != g {
+		t.Fatalf("resume after %d yielded %v, want [%d]", g-1, got, g)
 	}
 }

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sync"
 	"time"
@@ -70,20 +68,9 @@ var ErrWALFull = errors.New("wal: log full (checkpoint to retire segments)")
 // ErrLogClosed is returned by operations on a closed Log.
 var ErrLogClosed = errors.New("wal: log closed")
 
-const (
-	segMagic  = "MVWAL001"
-	snapMagic = "MVCKPT01"
-	// frameHeader is u32 body length + u32 CRC-32C of the body.
-	frameHeader = 8
-	// maxRecordBytes bounds a single record body; recovery treats a
-	// larger length field as a torn frame.
-	maxRecordBytes = 1 << 30
-	// flushThreshold flushes the append buffer to the file (without
-	// syncing) once it grows past this, bounding memory under FsyncOff.
-	flushThreshold = 256 << 10
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// flushThreshold flushes the append buffer to the file (without syncing)
+// once it grows past this, bounding memory under FsyncOff.
+const flushThreshold = 256 << 10
 
 // segInfo describes a sealed (closed, fully synced) segment.
 type segInfo struct {
@@ -123,6 +110,7 @@ type Log struct {
 	sealed    []segInfo
 	liveBytes int64
 	snapSeq   uint64
+	snapSize  int64  // bytes of snapshot file snapSeq, which LatestSnapshot hands out
 	snapCut   uint64 // GSN the newest durable snapshot covers; 0 when none
 	err       error  // sticky: the log is unusable after an I/O failure
 	closed    bool
@@ -256,11 +244,11 @@ func (l *Log) Append(gsn uint64, payload []byte) error {
 // filling up — wait for an in-flight fsync to finish (the leader is the
 // file's only writer meanwhile) and then do their I/O under mu as before.
 func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
-	if len(payload)+8 > maxRecordBytes {
+	if len(payload) > maxPayloadBytes {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
 	// curSize and liveBytes already count buffered-but-unflushed frames.
-	frame := int64(frameHeader + 8 + len(payload))
+	frame := int64(frameLen(len(payload)))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
@@ -284,7 +272,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 		}
 		break
 	}
-	l.buf = appendFrame(l.buf, gsn, payload)
+	l.buf = AppendFrame(l.buf, gsn, payload)
 	l.appended += frame
 	l.curSize += frame
 	l.liveBytes += frame
@@ -320,20 +308,6 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 		l.ioCond.Wait()
 	}
 	return mark, nil
-}
-
-// appendFrame encodes one record: u32 body length, u32 CRC-32C of the
-// body, body = u64 GSN + payload.
-func appendFrame(dst []byte, gsn uint64, payload []byte) []byte {
-	body := 8 + len(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body))
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
-	dst = binary.LittleEndian.AppendUint64(dst, gsn)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start+4:], crcTable)
-	binary.LittleEndian.PutUint32(dst[start:], crc)
-	return dst
 }
 
 // Commit makes every record appended so far durable under FsyncAlways
@@ -520,9 +494,12 @@ func (l *Log) Checkpoint(cut uint64, snapshot []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if _, err := f.Write(encodeSnapshotFile(cut, snapshot)); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint write: %w", err)
+	header, trailer := snapshotEnds(cut, snapshot)
+	for _, part := range [][]byte{header[:], snapshot, trailer[:]} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: checkpoint write: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -543,6 +520,7 @@ func (l *Log) Checkpoint(cut uint64, snapshot []byte) error {
 	l.mu.Lock()
 	oldSnap := l.snapSeq
 	l.snapSeq = seq
+	l.snapSize = int64(len(header) + len(snapshot) + len(trailer))
 	if cut > l.snapCut {
 		l.snapCut = cut
 	}
@@ -575,18 +553,6 @@ func (l *Log) Checkpoint(cut uint64, snapshot []byte) error {
 		}
 	}
 	return nil
-}
-
-// encodeSnapshotFile frames a snapshot: magic, u64 cut, u64 payload
-// length, payload, u32 CRC-32C over cut+length+payload.
-func encodeSnapshotFile(cut uint64, payload []byte) []byte {
-	buf := make([]byte, 0, len(snapMagic)+8+8+len(payload)+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, cut)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	crc := crc32.Checksum(buf[len(snapMagic):], crcTable)
-	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
 // Stats is a point-in-time snapshot of the log's shape, for tests and
