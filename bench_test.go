@@ -689,3 +689,50 @@ func BenchmarkPointUpdateLargeTree(b *testing.B) {
 		b.Fatalf("leaked %d units", live)
 	}
 }
+
+// BenchmarkBatchInsertLargeTree is the batched write beside the point write
+// above: the same 1 M-key tree under an arena-bound view, with the ordering
+// OpenDB gives an int64 key (ftree.NewNatural), and per iteration one
+// MultiInsert of 1, 16 or 256 uniform keys, all present, plus the Release of
+// the version it replaced — what a combiner commit and a follower's replay
+// are made of.  At the leaf a batch of 1 does what "replace" does above (one
+// search, one copy of the run, one fold); what it costs beyond that is the
+// descent's frame per level.  ns/entry falls as the batch's paths share
+// their upper levels.  0 B/op, and a leaked unit fails it.  DESIGN.md
+// ("Leaf kernels") records the numbers.
+func BenchmarkBatchInsertLargeTree(b *testing.B) {
+	const n = 1_000_000
+	o, _ := ftree.NewNatural[int64, int64, int64](ftree.SumAug[int64](), 0)
+	o.Recycle = true
+	po := o.Bound(o.NewArena())
+	entries := make([]ftree.Entry[int64, int64], n)
+	for i := range entries {
+		entries[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: int64(i)}
+	}
+	root := po.Build(entries)
+	set := func(next *ftree.Node[int64, int64, int64]) {
+		po.Release(root)
+		root = next
+	}
+	rng := ycsb.NewSplitMix64(29)
+	for i := 0; i < n; i++ { // warm the magazines, scatter the paths
+		set(po.Insert(root, int64(rng.Intn(n)), int64(i)))
+	}
+	for _, size := range []int{1, 16, 256} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			batch := make([]ftree.Entry[int64, int64], size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range batch {
+					batch[j] = ftree.Entry[int64, int64]{Key: int64(rng.Intn(n)), Val: int64(i)}
+				}
+				set(po.MultiInsert(root, batch, nil))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/entry")
+		})
+	}
+	set(nil)
+	if live := o.Live(); live != 0 {
+		b.Fatalf("leaked %d units", live)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -116,7 +115,10 @@ type DBOptions[K any] struct {
 	// Hash maps keys to shards.  When nil, OpenDB falls back to a mixed
 	// hash for integer and string keys and errors on other kinds.
 	Hash func(K) uint64
-	// Cmp is the key ordering (required unless Ops is set).
+	// Cmp is the key ordering.  When nil, OpenDB orders integer and string
+	// keys by their own < — which the tree then compares directly rather
+	// than through a function — and errors on other kinds.  A Cmp given
+	// here is called for every comparison, whatever it computes.
 	Cmp func(a, b K) int
 	// Grain is the parallel cutoff of the tree's bulk operations (0 =
 	// sequential).  A batch commit forks a step only when both halves of
@@ -215,12 +217,16 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 		o.Hash = h
 	}
-	if o.Cmp == nil {
-		c, ok := autoCmp[K]()
-		if !ok {
+	// Each shard gets its own Ops family.  Without a caller's ordering the
+	// keys are in their type's own order, which the tree compares directly
+	// (ftree.NewNatural); a caller's Cmp is called, whatever it computes.
+	cmp, grain := o.Cmp, o.Grain
+	newOps := func() *Ops[K, V, A] { return ftree.New(cmp, aug, grain) }
+	if cmp == nil {
+		if _, ok := ftree.NewNatural(aug, grain); !ok {
 			return nil, errors.New("mvgc: DBOptions.Cmp is required for this key type")
 		}
-		o.Cmp = c
+		newOps = func() *Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, grain); return ops }
 	}
 	var (
 		wcfg      shard.WALConfig[K, V]
@@ -261,10 +267,9 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 			}
 		}
 	}
-	cmp, grain := o.Cmp, o.Grain
 	s, err := shard.New(
 		shard.Config[K]{Shards: o.Shards, Procs: o.Procs, Algorithm: o.Algorithm, Hash: o.Hash, NoRecycle: o.NoRecycle},
-		func() *Ops[K, V, A] { return ftree.New(cmp, aug, grain) },
+		newOps,
 		initial,
 	)
 	if err != nil {
@@ -419,33 +424,6 @@ func autoCodec[T any]() (enc func(dst []byte, t T) []byte, dec func(b []byte) (T
 			func(b []byte) (T, error) { return any(string(b)).(T), nil }, true
 	}
 	return nil, nil, false
-}
-
-// autoCmp returns a default ordering for integer and string key types; ok
-// is false for other kinds, where DBOptions.Cmp is required.  It returns
-// the comparator itself, not a closure converting through any: the tree
-// calls it once per level of every lookup.
-func autoCmp[K any]() (func(a, b K) int, bool) {
-	var zero K
-	var cmp any
-	switch any(zero).(type) {
-	case int:
-		cmp = ftree.IntCmp[int]
-	case int32:
-		cmp = ftree.IntCmp[int32]
-	case int64:
-		cmp = ftree.IntCmp[int64]
-	case uint:
-		cmp = ftree.IntCmp[uint]
-	case uint32:
-		cmp = ftree.IntCmp[uint32]
-	case uint64:
-		cmp = ftree.IntCmp[uint64]
-	case string:
-		cmp = strings.Compare
-	}
-	c, ok := cmp.(func(a, b K) int)
-	return c, ok
 }
 
 // Mix64 is SplitMix64's finalizer: a fast, well-distributed integer hash

@@ -1,7 +1,9 @@
 package mvgc_test
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -316,21 +318,42 @@ func TestOpenDBValidation(t *testing.T) {
 }
 
 // roundTripKeys proves one key type works end to end with zero-value
-// DBOptions: the built-in autoHash routes keys to shards and the built-in
-// autoCmp keeps the global iteration order sorted.
+// DBOptions: the built-in autoHash routes keys to shards, and the tree's
+// own-order kernels (ftree.NewNatural) find every key — and miss every
+// neighbour of one, the key below the smallest and above the largest
+// included — and keep the global iteration order sorted.  mk is ascending
+// with gaps.
 func roundTripKeys[K int | int32 | int64 | uint | uint32 | uint64](t *testing.T, mk func(i int) K) {
 	t.Helper()
 	db, err := mvgc.OpenPlainDB[K, int](mvgc.DBOptions[K]{Shards: 3, Procs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		db.Insert(mk(i), i)
+	const n = 400
+	batch := make([]mvgc.Entry[K, int], 0, n/2)
+	for i := n - 1; i >= 0; i-- { // descending: half point writes, half one unsorted batch
+		if i%2 == 0 {
+			db.Insert(mk(i), i)
+		} else {
+			batch = append(batch, mvgc.Entry[K, int]{Key: mk(i), Val: i})
+		}
 	}
+	if err := db.InsertBatch(batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	probes := make([]K, 0, 3*n)
 	for i := 0; i < n; i++ {
-		if v, ok := db.Get(mk(i)); !ok || v != i {
-			t.Fatalf("Get(%v) = %d,%v want %d", mk(i), v, ok, i)
+		probes = append(probes, mk(i)-1, mk(i), mk(i)+1)
+	}
+	vals, found := make([]int, len(probes)), make([]bool, len(probes))
+	db.GetBatch(probes, vals, found)
+	for j, k := range probes {
+		v, ok := db.Get(k)
+		if want := j%3 == 1; ok != want || (ok && v != j/3) {
+			t.Fatalf("Get(%v) = %d,%v want %d,%v", k, v, ok, j/3, want)
+		}
+		if found[j] != ok || (ok && vals[j] != v) {
+			t.Fatalf("GetBatch(%v) = %d,%v; Get says %d,%v", k, vals[j], found[j], v, ok)
 		}
 	}
 	var visited int
@@ -352,15 +375,121 @@ func roundTripKeys[K int | int32 | int64 | uint | uint32 | uint64](t *testing.T,
 	}
 }
 
-// TestAutoHashCmpRoundTrip covers every key type autoHash/autoCmp support
-// (strings are covered by TestDBStringKeys).
+// TestAutoHashCmpRoundTrip covers every integer key type autoHash and the
+// default ordering support, each across what an unsigned or a narrower
+// comparison would get wrong: zero for the signed kinds, the sign bit for
+// the unsigned.  (Strings are covered by TestDBStringKeys and TestAutoCmp.)
 func TestAutoHashCmpRoundTrip(t *testing.T) {
-	t.Run("int", func(t *testing.T) { roundTripKeys(t, func(i int) int { return (i - 100) * 3 }) })
-	t.Run("int32", func(t *testing.T) { roundTripKeys(t, func(i int) int32 { return int32(i-100) * 7 }) })
-	t.Run("int64", func(t *testing.T) { roundTripKeys(t, func(i int) int64 { return int64(i-100) * 11 }) })
-	t.Run("uint", func(t *testing.T) { roundTripKeys(t, func(i int) uint { return uint(i)*13 + 1 }) })
-	t.Run("uint32", func(t *testing.T) { roundTripKeys(t, func(i int) uint32 { return uint32(i)*17 + 1 }) })
-	t.Run("uint64", func(t *testing.T) { roundTripKeys(t, func(i int) uint64 { return uint64(i)*19 + 1 }) })
+	t.Run("int", func(t *testing.T) { roundTripKeys(t, func(i int) int { return (i - 200) * 3 }) })
+	t.Run("int32", func(t *testing.T) { roundTripKeys(t, func(i int) int32 { return int32(i-200) * 7 }) })
+	t.Run("int64", func(t *testing.T) { roundTripKeys(t, func(i int) int64 { return int64(i-200) * (1 << 40) }) })
+	t.Run("uint", func(t *testing.T) { roundTripKeys(t, func(i int) uint { return 1<<63 + uint(i-200)*13 }) })
+	t.Run("uint32", func(t *testing.T) { roundTripKeys(t, func(i int) uint32 { return 1<<31 + uint32(i-200)*17 }) })
+	t.Run("uint64", func(t *testing.T) { roundTripKeys(t, func(i int) uint64 { return 1<<63 + uint64(i-200)*19 }) })
+}
+
+// TestCustomCmpKeepsItsOrder: a caller's ordering is the ordering, even over
+// a key type the tree has kernels for.  int64 keys under a REVERSED Cmp must
+// scan descending and read, write, batch and transact as a map model says;
+// a tree that compared the keys directly would scan ascending and lose
+// every key it searched for.
+func TestCustomCmpKeepsItsOrder(t *testing.T) {
+	db, err := mvgc.OpenPlainDB[int64, int64](mvgc.DBOptions[int64]{
+		Shards: 2, Procs: 2,
+		Cmp: func(a, b int64) int { return mvgc.IntCmp(b, a) },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[int64]int64{}
+	check := func(what string) {
+		t.Helper()
+		keys := make([]int64, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b int64) int { return mvgc.IntCmp(b, a) })
+		var got []int64
+		db.View(func(s mvgc.DBSnapshot[int64, int64, struct{}]) {
+			s.ForEach(func(k, v int64) {
+				if v != ref[k] {
+					t.Fatalf("%s: ForEach saw %d=%d, want %d", what, k, v, ref[k])
+				}
+				got = append(got, k)
+			})
+			// A scan runs DOWN: from a key present, and from one above
+			// every key, which in this order is before the first.
+			for at, from := range map[int]int64{5: keys[5], 0: 1000} {
+				for i, e := range s.Scan(from, 4) {
+					if e.Key != keys[at+i] {
+						t.Fatalf("%s: Scan(%d, 4)[%d] = %d, want %d", what, from, i, e.Key, keys[at+i])
+					}
+				}
+			}
+		})
+		if !slices.Equal(got, keys) {
+			t.Fatalf("%s: ForEach order %v, want descending %v", what, got, keys)
+		}
+		probes := make([]int64, 0, 600)
+		for k := int64(-300); k < 300; k++ {
+			probes = append(probes, k)
+		}
+		vals, found := make([]int64, len(probes)), make([]bool, len(probes))
+		db.GetBatch(probes, vals, found)
+		for i, k := range probes {
+			v, ok := db.Get(k)
+			if want, wantOK := ref[k]; ok != wantOK || v != want || found[i] != ok || vals[i] != v {
+				t.Fatalf("%s: Get(%d) = %d,%v, GetBatch %d,%v, want %d,%v", what, k, v, ok, vals[i], found[i], want, wantOK)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	key := func() int64 { return int64(rng.Intn(500) - 250) }
+	for i := int64(0); i < 300; i++ {
+		k := key()
+		db.Insert(k, i)
+		ref[k] = i
+	}
+	check("Insert")
+	for i := 0; i < 100; i++ {
+		k := key()
+		db.Delete(k)
+		delete(ref, k)
+	}
+	check("Delete")
+	sum := func(old, new int64) int64 { return old + new }
+	for round := int64(1); round <= 3; round++ {
+		batch := make([]mvgc.Entry[int64, int64], 150) // unsorted, with duplicates
+		for i := range batch {
+			batch[i] = mvgc.Entry[int64, int64]{Key: key(), Val: round}
+			ref[batch[i].Key] += round
+		}
+		if err := db.InsertBatch(batch, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("InsertBatch")
+	for i := 0; i < 50; i++ {
+		a, b := key(), key()
+		if a == b {
+			continue
+		}
+		err := db.UpdateAtomicKeys([]int64{a, b}, func(tx *mvgc.DBTxn[int64, int64, struct{}]) {
+			va, _ := tx.Get(a)
+			vb, _ := tx.Get(b)
+			tx.Insert(a, vb+1)
+			tx.Insert(b, va-1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[a], ref[b] = ref[b]+1, ref[a]-1
+	}
+	check("UpdateAtomicKeys")
+	db.Close()
+	if live := db.Live(); live != 0 {
+		t.Fatalf("leaked %d nodes", live)
+	}
 }
 
 // TestAutoHashCmpUnsupported pins the documented errors for key types

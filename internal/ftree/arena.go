@@ -55,11 +55,13 @@ type Arena[K, V, A any] struct {
 	tally *tally
 
 	// scratch is the collector's reusable traversal stack (see
-	// Ops.Release) and path the point write's step record (see
-	// Ops.descend); parked here because the arena is exactly the
+	// Ops.Release), path the point write's step record (see Ops.descend)
+	// and sorted the buffer a batch is merge-sorted through (see
+	// Ops.SortEntries); parked here because the arena is exactly the
 	// single-owner state a bound view may scribble on.
 	scratch []*Node[K, V, A]
 	path    []step[K, V, A]
+	sorted  []Entry[K, V]
 }
 
 const (

@@ -1,6 +1,7 @@
 package ftree
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -313,4 +314,89 @@ func TestDeleteAbsentSharesInput(t *testing.T) {
 	if o.Live() != 0 {
 		t.Fatalf("leaked %d nodes", o.Live())
 	}
+}
+
+// parkedBlocks empties an unbound family's depot of leaf blocks.
+func parkedBlocks[K, V, A any](o *Ops[K, V, A]) (blocks []*leafBlock[K, V]) {
+	for b := o.sh.blocks.pop(); b != nil; b = o.sh.blocks.pop() {
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+// TestFreeClearsPointerfulBlocks: a freed leaf block is parked, not handed
+// back to the Go heap, so whatever it still points at would stay alive for
+// as long as it is parked.  With a pointer in the value or in the key every
+// parked entry is zero; with neither — where a stale entry pins nothing —
+// the block is parked as it was, which is the 512-byte clear per freed leaf
+// that the collector does not pay.
+func TestFreeClearsPointerfulBlocks(t *testing.T) {
+	const n = 10 * leafMax
+	type payload struct{ id int }
+	check := func(name string, parked, stale int, wantStale bool) {
+		t.Helper()
+		if parked < n/leafMax {
+			t.Fatalf("%s: %d blocks parked after freeing %d entries", name, parked, n)
+		}
+		if (stale > 0) != wantStale {
+			t.Fatalf("%s: %d stale entries in %d parked blocks, want stale: %v", name, stale, parked, wantStale)
+		}
+	}
+
+	ptrs := New[int64, *payload, struct{}](IntCmp[int64], NoAug[int64, *payload](), 0)
+	strs, _ := NewNatural[string, int64, struct{}](NoAug[string, int64](), 0)
+	ints, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	ptrs.Recycle, strs.Recycle, ints.Recycle = true, true, true
+
+	var pr *Node[int64, *payload, struct{}]
+	var sr *Node[string, int64, struct{}]
+	var ir *Node[int64, int64, int64]
+	for i := 0; i < n; i++ {
+		np := ptrs.Insert(pr, int64(i), &payload{i})
+		ns := strs.Insert(sr, fmt.Sprintf("key-%04d", i), int64(i))
+		ni := ints.Insert(ir, int64(i+1), int64(i+1))
+		ptrs.Release(pr)
+		strs.Release(sr)
+		ints.Release(ir)
+		pr, sr, ir = np, ns, ni
+	}
+	ptrs.Release(pr)
+	strs.Release(sr)
+	ints.Release(ir)
+	if ptrs.Live() != 0 || strs.Live() != 0 || ints.Live() != 0 {
+		t.Fatalf("live units after the release: %d, %d, %d", ptrs.Live(), strs.Live(), ints.Live())
+	}
+
+	stale := 0
+	pb := parkedBlocks(ptrs)
+	for _, b := range pb {
+		for _, e := range b.e {
+			if e.Val != nil {
+				stale++
+			}
+		}
+	}
+	check("*T values", len(pb), stale, false)
+
+	stale = 0
+	sb := parkedBlocks(strs)
+	for _, b := range sb {
+		for _, e := range b.e {
+			if e.Key != "" {
+				stale++
+			}
+		}
+	}
+	check("string keys", len(sb), stale, false)
+
+	stale = 0
+	ib := parkedBlocks(ints)
+	for _, b := range ib {
+		for _, e := range b.e {
+			if e != (Entry[int64, int64]{}) {
+				stale++
+			}
+		}
+	}
+	check("int64/int64", len(ib), stale, true)
 }

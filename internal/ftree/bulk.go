@@ -35,35 +35,57 @@ func (o *Ops[K, V, A]) build(entries []Entry[K, V]) *Node[K, V, A] {
 // SortEntries sorts a batch by key and coalesces duplicates, applying comb
 // left-to-right (nil comb keeps the last occurrence).  The input slice is
 // reordered in place and the result aliases it.  This is the preprocessing
-// step of MultiInsert.
+// step of MultiInsert.  A batch that is already strictly ascending — a
+// follower replaying what a leader sorted, a caller that batches in key
+// order — is returned after the one pass that finds it so.
 func (o *Ops[K, V, A]) SortEntries(batch []Entry[K, V], comb func(old, new V) V) []Entry[K, V] {
-	slices.SortStableFunc(batch, func(a, b Entry[K, V]) int { return o.Cmp(a.Key, b.Key) })
-	// Dedup in place: skip ahead to the first duplicate so the common
-	// all-unique batch pays one comparison per entry and no copies.
-	dup := -1
-	for i := 1; i < len(batch); i++ {
-		if o.Cmp(batch[i-1].Key, batch[i].Key) == 0 {
-			dup = i
-			break
-		}
+	ascending := true
+	for i := 1; i < len(batch) && ascending; i++ {
+		ascending = o.Cmp(batch[i-1].Key, batch[i].Key) < 0
 	}
-	if dup < 0 {
-		return batch
+	if ascending {
+		return batch // sorted, and no two keys equal
 	}
-	out := batch[:dup]
-	for _, e := range batch[dup:] {
-		if o.Cmp(out[len(out)-1].Key, e.Key) == 0 {
-			if comb != nil {
-				out[len(out)-1].Val = comb(out[len(out)-1].Val, e.Val)
-			} else {
-				o.releaseVal(out[len(out)-1].Val) // superseded duplicate
-				out[len(out)-1].Val = e.Val
-			}
-			continue
+	o.sortStable(batch)
+	out := batch[:1]
+	for _, e := range batch[1:] {
+		last := &out[len(out)-1]
+		switch {
+		case o.Cmp(last.Key, e.Key) != 0:
+			out = append(out, e)
+		case comb != nil:
+			last.Val = comb(last.Val, e.Val)
+		default:
+			o.releaseVal(last.Val) // superseded duplicate
+			last.Val = e.Val
 		}
-		out = append(out, e)
 	}
 	return out
+}
+
+// sortKeep is the longest batch whose merge buffer an arena keeps: 64 KiB
+// of int64 pairs, several times what a combiner gathers at once.  A bulk load's
+// buffer — a million-entry batch wants 16 MiB — is allocated for the one
+// sort and dropped, not parked in a pid's arena for good.
+const sortKeep = 4096
+
+// sortStable sorts a batch by key, keeping the order of equal keys: through
+// Cmp in place, or, for keys in their own order, by the kernel's merge sort.
+func (o *Ops[K, V, A]) sortStable(batch []Entry[K, V]) {
+	kern, a := o.typed, o.arena
+	switch {
+	case kern == nil:
+		slices.SortStableFunc(batch, func(a, b Entry[K, V]) int { return o.Cmp(a.Key, b.Key) })
+	case a == nil || len(batch) > sortKeep:
+		kern.sort(batch, nil)
+	default:
+		// A bound view keeps the merge buffer in its arena, so a warm sort
+		// allocates nothing; it must not keep the values alive with it.
+		a.sorted = kern.sort(batch, a.sorted)
+		if !o.plainLeaves {
+			clear(a.sorted[:min(len(a.sorted), len(batch))])
+		}
+	}
 }
 
 // MultiInsert returns a new owned tree equal to borrowed t with the whole
@@ -109,7 +131,12 @@ func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *
 	var l, r *Node[K, V, A]
 	switch {
 	case t != nil:
-		// An internal node: its key cuts the batch.
+		// An internal node: its key cuts the batch.  Both children's
+		// weights are read before either child is descended into, which
+		// asks for the second one's cache line — for its own descent, or
+		// for the locked add of a share when no entry reaches it — while
+		// the first is being worked on.
+		wl, wr := weight(t.left), weight(t.right)
 		i, j := o.span(batch, t.key)
 		if i < j {
 			e = o.over(t.val, batch[i], comb)
@@ -117,6 +144,11 @@ func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *
 			e = Entry[K, V]{t.key, o.retainVal(t.val)}
 		}
 		l, r = o.insertBoth(landing[K, V, A]{t: t.left, batch: batch[:i]}, landing[K, V, A]{t: t.right, batch: batch[j:]}, comb)
+		if weight(l) == wl && weight(r) == wr {
+			// Nothing but replaces below: the two are what t's children
+			// were to Join, balanced and too many for one leaf.
+			return o.mkInternal(l, e.Key, e.Val, r)
+		}
 	case len(run) == 0:
 		return o.Build(batch)
 	case len(batch) <= leafMax:

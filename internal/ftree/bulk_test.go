@@ -230,3 +230,75 @@ func TestBatchCommitNoAlloc(t *testing.T) {
 		t.Fatalf("leaked %d units", o.Live())
 	}
 }
+
+// TestSortedBatchSkipsSort: a batch that arrives strictly ascending — every
+// record a follower replays, since a leader logs what SortEntries returned —
+// is found so in one pass of n−1 comparisons and handed on as it is, the
+// sort never entered and nothing allocated, under either ordering; and a
+// batch with duplicates as late as its last entry is still sorted stably
+// and coalesced: the later duplicate wins, or comb folds left to right.
+func TestSortedBatchSkipsSort(t *testing.T) {
+	const n = 1_000
+	compares := 0
+	counting := New[int64, int64, int64](func(a, b int64) int { compares++; return IntCmp(a, b) }, SumAug[int64](), 0)
+	natural, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	// An unsorted batch thick with duplicates comes out the same from the
+	// sort through Cmp and from the direct one — on the unbound root, and on
+	// a bound view, whose merge buffer a second sort reuses.
+	rng := rand.New(rand.NewSource(29))
+	shuffled := make([]Entry[int64, int64], 3*n)
+	for i := range shuffled {
+		shuffled[i] = Entry[int64, int64]{Key: int64(rng.Intn(n / 2)), Val: int64(i)}
+	}
+	ordered := func(old, new int64) int64 { return old*31 + new }
+	bound := natural.Bound(natural.NewArena())
+	for _, comb := range []func(old, new int64) int64{nil, ordered} {
+		want := counting.SortEntries(slices.Clone(shuffled), comb)
+		for name, o := range map[string]*Ops[int64, int64, int64]{"unbound": natural, "bound": bound, "bound again": bound} {
+			if got := o.SortEntries(slices.Clone(shuffled), comb); !slices.Equal(got, want) {
+				t.Fatalf("%s, comb %v: the direct sort and the sort through Cmp disagree", name, comb != nil)
+			}
+		}
+	}
+	if !raceEnabled {
+		work := make([]Entry[int64, int64], len(shuffled))
+		if allocs := testing.AllocsPerRun(20, func() { copy(work, shuffled); bound.SortEntries(work, nil) }); allocs != 0 {
+			t.Fatalf("a warm sort on a bound view allocates %.1f times", allocs)
+		}
+	}
+
+	for name, o := range map[string]*Ops[int64, int64, int64]{"by Cmp": counting, "direct": natural} {
+		batch := seqEntries(n)
+		compares = 0
+		got := o.SortEntries(batch, nil)
+		if len(got) != n || &got[0] != &batch[0] || !slices.Equal(got, seqEntries(n)) {
+			t.Fatalf("%s: an ascending batch came back changed", name)
+		}
+		if o == counting && compares != n-1 {
+			t.Fatalf("an ascending batch of %d took %d comparisons, want %d", n, compares, n-1)
+		}
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(20, func() { o.SortEntries(batch, nil) }); allocs != 0 {
+				t.Fatalf("%s: SortEntries of an ascending batch allocates %.1f times", name, allocs)
+			}
+		}
+
+		// The last entry repeats an early key, and so do two entries in
+		// the middle: three values for key 70, in batch order 6, -1, -2.
+		late := func() []Entry[int64, int64] {
+			b := seqEntries(n)
+			b[n/2], b[n-1] = Entry[int64, int64]{70, -1}, Entry[int64, int64]{70, -2}
+			return b
+		}
+		want := seqEntries(n)
+		want = slices.Delete(want, n/2, n/2+1)[:n-2]
+		want[6].Val = -2
+		if got := o.SortEntries(late(), nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: late duplicates, no comb: key 70 = %d in %d entries, want -2 in %d", name, got[6].Val, len(got), len(want))
+		}
+		want[6].Val = (6*10-1)*10 - 2
+		if got := o.SortEntries(late(), func(old, new int64) int64 { return old*10 + new }); !slices.Equal(got, want) {
+			t.Fatalf("%s: late duplicates under comb: key 70 = %d, want %d (left to right)", name, got[6].Val, want[6].Val)
+		}
+	}
+}

@@ -88,12 +88,10 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		f.Add(look)
 	}
-	for cfg := byte(0); cfg < 16; cfg++ {
+	for cfg := byte(0); cfg < 32; cfg++ {
 		f.Add(append([]byte{cfg}, bulk...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &fuzzTrees{t: t, o: intOps(0), ref: map[int64]int64{}, oref: map[int64]int64{}}
-		o := s.o
 		next := func() byte { // the next input byte, 0 once exhausted
 			if len(data) == 0 {
 				return 0
@@ -112,8 +110,15 @@ func FuzzTreeOps(f *testing.F) {
 		// tree they or the bulk operations made, through an arena-bound
 		// view, so "allocated = reachable" sums an arena's tally with the
 		// root's counters, units allocated on one side and freed on the
-		// other included.
+		// other included.  The fifth bit orders the keys by their own <
+		// (NewNatural) instead of by IntCmp, so every op sequence runs on
+		// both search bodies and both sorts.
 		cfg := next()
+		s := &fuzzTrees{t: t, o: intOps(0), ref: map[int64]int64{}, oref: map[int64]int64{}}
+		if cfg&16 != 0 {
+			s.o, _ = NewNatural[int64, int64, int64](SumAug[int64](), 0)
+		}
+		o := s.o
 		o.Recycle, o.NoSteal = cfg&1 != 0, cfg&2 != 0
 		if cfg&4 != 0 {
 			o.Grain = 4
@@ -302,6 +307,168 @@ func FuzzTreeOps(f *testing.F) {
 		o.Release(s.other)
 		if o.Live() != 0 {
 			t.Fatalf("leaked %d nodes", o.Live())
+		}
+	})
+}
+
+// stagedMerge is mergeRun as it was before it wrote into the new block
+// directly: every entry staged through a stack array and handed to build.
+// FuzzLeafKernels holds mergeRun to it.
+func stagedMerge(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], comb func(old, new int64) int64) *Node[int64, int64, int64] {
+	var out [2 * leafMax]Entry[int64, int64]
+	n := 0
+	for _, e := range batch {
+		i, j := o.span(run, e.Key)
+		n += o.copyRun(out[n:], run[:i])
+		if i < j {
+			e = o.over(run[i].Val, e, comb)
+		}
+		out[n] = e
+		n++
+		run = run[j:]
+	}
+	n += o.copyRun(out[n:], run)
+	return o.build(out[:n])
+}
+
+// mergeFunc is mergeRun's signature, and stagedMerge's.
+type mergeFunc = func(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], comb func(old, new int64) int64) *Node[int64, int64, int64]
+
+// unbulked hides an augmenter's FoldRun, leaving the Single/Combine fold.
+type unbulked struct{ Augmenter[int64, int64, int64] }
+
+// FuzzLeafKernels holds each leaf kernel to the body it replaced, on a
+// sorted run and a sorted batch of up to a leaf's worth each decoded from
+// the input: the direct-compare search to the search through Cmp (and both
+// to a linear scan) for every probe around the run's keys, also on a slice
+// longer than a leaf; mergeRun to stagedMerge entry for entry and in the
+// augmentation, with and without a combine function, under both orderings
+// and with every value reference counted — whatever a merge retained is
+// released exactly once, and the live run keeps exactly its own; FoldRun to
+// the Single/Combine fold for SumAug and MaxAug, the empty run included.
+func FuzzLeafKernels(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 1, 0, 5, 5})                            // one entry replaced
+	f.Add([]byte{3, 32, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})      // a full run, one new key: overflow
+	f.Add([]byte{2, 7, 32, 200, 100, 50, 25, 12, 6, 3, 1})  // a short run under a full batch
+	f.Add([]byte{7, 32, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})  // the batch is the run: all replaces
+	f.Add([]byte{4, 20, 9, 255, 128, 127, 129, 1, 254, 64}) // values at both ends of int64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		cfg := next()
+		// Ascending keys from small steps, so run and batch share many;
+		// values carry the byte in their top bits, so folds see both signs
+		// and magnitudes beyond MaxAug's Zero.
+		ascending := func(n int, key, id int64) []Entry[int64, int64] {
+			es := make([]Entry[int64, int64], n)
+			for i := range es {
+				b := next()
+				key += 1 + int64(b%4)
+				id++
+				es[i] = Entry[int64, int64]{Key: key, Val: int64(int8(b))<<56 | id}
+			}
+			return es
+		}
+		run := ascending(int(next())%(leafMax+1), -40, 0)
+		batch := ascending(int(next())%(leafMax+1), -42+int64(cfg>>4), 1000)
+		long := ascending(leafMax+1+int(next()), -300, 2000)
+
+		gen := intOps(0)
+		nat, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+
+		// search
+		for _, sorted := range [][]Entry[int64, int64]{run, batch, long, nil} {
+			lo, hi := int64(-2), int64(2)
+			if len(sorted) > 0 {
+				lo, hi = sorted[0].Key-2, sorted[len(sorted)-1].Key+2
+			}
+			for k := lo; k <= hi; k++ {
+				want := 0
+				for want < len(sorted) && sorted[want].Key < k {
+					want++
+				}
+				wantOK := want < len(sorted) && sorted[want].Key == k
+				gi, gok := gen.search(sorted, k)
+				ni, nok := nat.search(sorted, k)
+				if gi != want || gok != wantOK || ni != want || nok != wantOK {
+					t.Fatalf("search(%d keys, %d): by Cmp %d,%v, direct %d,%v, want %d,%v", len(sorted), k, gi, gok, ni, nok, want, wantOK)
+				}
+			}
+		}
+
+		// FoldRun
+		for name, aug := range map[string]Augmenter[int64, int64, int64]{"sum": SumAug[int64](), "max": MaxAug[int64]()} {
+			bulk, plain := New(IntCmp[int64], aug, 0), New[int64, int64, int64](IntCmp[int64], unbulked{aug}, 0)
+			if bulk.bulk == nil || plain.bulk != nil {
+				t.Fatalf("%s: FoldRun seen %v, hidden %v", name, bulk.bulk != nil, plain.bulk == nil)
+			}
+			for _, r := range [][]Entry[int64, int64]{run, batch, long[:leafMax], nil} {
+				if got, want := bulk.foldRun(r), plain.foldRun(r); got != want {
+					t.Fatalf("%s: FoldRun of %d entries = %d, the fold says %d", name, len(r), got, want)
+				}
+			}
+		}
+
+		// mergeRun
+		if len(run) == 0 || len(batch) == 0 {
+			return
+		}
+		refs := map[int64]int{} // owned references per value
+		retain := func(v int64) int64 { refs[v]++; return v }
+		release := func(v int64) {
+			if refs[v]--; refs[v] < 0 {
+				t.Fatalf("value %d released more often than retained", v)
+			}
+		}
+		var comb func(old, new int64) int64
+		if cfg&1 != 0 {
+			comb = func(old, new int64) int64 { // not commutative; consumes both
+				release(old)
+				release(new)
+				return retain(old*31 + new)
+			}
+		}
+		owned := map[int64]int{} // what must be left when everything else is released
+		for _, e := range run {
+			retain(e.Val) // the live leaf's own
+			owned[e.Val] = 1
+		}
+		merged := func(o *Ops[int64, int64, int64], merge mergeFunc) ([]Entry[int64, int64], int64) {
+			o.RetainVal, o.ReleaseVal = retain, release
+			o.Recycle = cfg&2 != 0
+			mine := slices.Clone(batch)
+			for _, e := range mine {
+				retain(e.Val) // owned, for the merge to consume
+			}
+			nd := merge(o, run, mine, comb)
+			if err := o.Validate(nd, augEq); err != nil {
+				t.Fatal(err)
+			}
+			es, aug := o.Entries(nd), nd.Aug()
+			o.Release(nd)
+			if o.Live() != 0 {
+				t.Fatalf("%d units live after the release", o.Live())
+			}
+			for v, n := range refs {
+				if n != owned[v] {
+					t.Fatalf("value %d holds %d references after the release, want %d", v, n, owned[v])
+				}
+			}
+			return es, aug
+		}
+		want, wantAug := merged(gen, stagedMerge)
+		for name, o := range map[string]*Ops[int64, int64, int64]{"by Cmp": intOps(0), "direct": nat} {
+			got, aug := merged(o, (*Ops[int64, int64, int64]).mergeRun)
+			if !slices.Equal(got, want) || aug != wantAug {
+				t.Fatalf("%s: mergeRun of %d into %d = %v (aug %d)\nstaged: %v (aug %d)", name, len(batch), len(run), got, aug, want, wantAug)
+			}
 		}
 	})
 }

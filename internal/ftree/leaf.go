@@ -1,5 +1,7 @@
 package ftree
 
+import "math/bits"
+
 // Leaf primitives: everything that reads or writes a run directly.  The
 // rest of the package sees leaves through mk (which folds), decompose
 // (which unfolds) and the base cases built from the helpers here.
@@ -12,7 +14,17 @@ package ftree
 
 // search returns the position of k in a sorted run: the index of the entry
 // with key k when found, the index where k would be inserted otherwise.
+// Keys in their own order are compared directly (kernels.go); an Ops
+// ordered by a caller's Cmp calls it.
 func (o *Ops[K, V, A]) search(run []Entry[K, V], k K) (i int, found bool) {
+	if kern := o.typed; kern != nil {
+		return kern.search(run, k)
+	}
+	return o.searchCmp(run, k)
+}
+
+// searchCmp is search by whatever Cmp computes.
+func (o *Ops[K, V, A]) searchCmp(run []Entry[K, V], k K) (i int, found bool) {
 	lo, hi := 0, len(run)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -66,8 +78,12 @@ func (o *Ops[K, V, A]) seal(nd *Node[K, V, A]) *Node[K, V, A] {
 	return nd
 }
 
-// foldRun is the augmentation of a run (Zero when empty).
+// foldRun is the augmentation of a run (Zero when empty): one call when the
+// augmenter folds runs itself, two per entry otherwise.
 func (o *Ops[K, V, A]) foldRun(run []Entry[K, V]) A {
+	if o.bulk != nil {
+		return o.bulk.FoldRun(run)
+	}
 	if len(run) == 0 {
 		return o.Aug.Zero()
 	}
@@ -202,24 +218,52 @@ func (o *Ops[K, V, A]) leafDelete(t *Node[K, V, A], k K) (out *Node[K, V, A], fo
 }
 
 // mergeRun is insertRun's base case: a batch of at most a leaf's worth
-// merged into a non-empty live run on the stack.  Each batch entry is
-// searched for and the stretch of the run between two of them moves in one
-// copy, so a batch of one costs what leafInsert costs.
+// merged into a non-empty live run.  The batch is located in the run first —
+// that says how long the result is — and a result that fits one leaf, as
+// every batch of replaces does, is woven straight into the new block, so a
+// batch of one costs what leafInsert costs.  Only a result that overflows
+// is staged, for build to cut in two.
 func (o *Ops[K, V, A]) mergeRun(run, batch []Entry[K, V], comb func(old, new V) V) *Node[K, V, A] {
-	var out [2 * leafMax]Entry[K, V]
-	n := 0
-	for _, e := range batch {
-		i, j := o.span(run, e.Key)
-		n += o.copyRun(out[n:], run[:i])
-		if i < j {
-			e = o.over(run[i].Val, e, comb)
+	var at [leafMax]uint8 // batch[b] belongs at run[at[b]],
+	var hit uint32        // which holds its key already when bit b is set
+	from := 0
+	for b := range batch {
+		i, found := o.search(run[from:], batch[b].Key)
+		from += i
+		at[b] = uint8(from)
+		if found {
+			hit |= 1 << b
+			from++
 		}
-		out[n] = e
-		n++
-		run = run[j:]
 	}
-	n += o.copyRun(out[n:], run)
+	n := len(run) + len(batch) - bits.OnesCount32(hit)
+	if n <= leafMax {
+		nd := o.newLeaf(n)
+		o.weave(nd.run(), run, batch, &at, hit, comb)
+		return o.seal(nd)
+	}
+	var out [2 * leafMax]Entry[K, V]
+	o.weave(out[:n], run, batch, &at, hit, comb)
 	return o.build(out[:n])
+}
+
+// weave writes the merge of a live run and a batch located in it (see
+// mergeRun) into dst: the stretch of the run between two batch entries moves
+// in one copy, retaining what it copies.
+func (o *Ops[K, V, A]) weave(dst, run, batch []Entry[K, V], at *[leafMax]uint8, hit uint32, comb func(old, new V) V) {
+	n, from := 0, 0
+	for b, e := range batch {
+		i := int(at[b])
+		n += o.copyRun(dst[n:], run[from:i])
+		from = i
+		if hit&(1<<b) != 0 {
+			e = o.over(run[i].Val, e, comb)
+			from++
+		}
+		dst[n] = e
+		n++
+	}
+	o.copyRun(dst[n:], run[from:])
 }
 
 // leafDeleteRun is deleteRun on borrowed leaf t.

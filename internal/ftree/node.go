@@ -396,11 +396,12 @@ func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 		return
 	}
 	// The unit is unreachable from any live version, so no reader can
-	// observe it; drop its references so parked memory pins nothing.
+	// observe it; drop its references so parked memory pins nothing.  A
+	// block of entries that cannot hold a pointer pins nothing as it is.
 	var zeroK K
 	var zeroV V
 	n.left, n.right, n.leaf, n.key, n.val = nil, nil, nil, zeroK, zeroV
-	if b != nil {
+	if b != nil && !o.plainLeaves {
 		clear(b.e[:n.size])
 	}
 	if a != nil {

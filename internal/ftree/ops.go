@@ -1,5 +1,11 @@
 package ftree
 
+import (
+	"cmp"
+	"reflect"
+	"strings"
+)
+
 // Augmenter computes the augmented value attached to every subtree, in the
 // style of PAM's augmented maps: an associative Combine with identity Zero
 // folded over the in-order sequence of Single(k, v) values.  Range-sum
@@ -15,6 +21,20 @@ type Augmenter[K, V, A any] interface {
 	Combine(a, b A) A
 }
 
+// runFolder is the optional bulk form of an Augmenter: an augmenter that
+// also has
+//
+//	FoldRun(run []Entry[K, V]) A
+//
+// is handed a leaf's whole run (possibly empty) instead of one Single and
+// one Combine call per entry.  FoldRun must return what that fold returns:
+// Zero for the empty run, else Single of the entries Combined in order.
+// SumAug and MaxAug have it; an augmenter without it loses nothing but the
+// speed.
+type runFolder[K, V, A any] interface {
+	FoldRun(run []Entry[K, V]) A
+}
+
 // Ops holds the comparison function, augmenter and allocation accounting
 // for one family of trees.  All trees operated on by the same Ops family
 // share its statistics.  Ops is safe for concurrent use.
@@ -25,7 +45,8 @@ type Augmenter[K, V, A any] interface {
 // locked instruction (see arena.go).  Views share the root's depot, and the
 // family sums every arena's counts with the root's, so Allocs/Frees/Live
 // stay exact however allocation is routed (Allocs says when they may be
-// read).  Construct Ops only through New; the zero value is unusable.
+// read).  Construct Ops only through New or NewNatural; the zero value is
+// unusable, and Cmp and Aug are read-only once constructed.
 type Ops[K, V, A any] struct {
 	// Cmp is a three-way comparison: negative if a<b, zero if equal.
 	Cmp func(a, b K) int
@@ -74,6 +95,17 @@ type Ops[K, V, A any] struct {
 	// the root itself.  Forked goroutines get the root (Unbound) so a
 	// single-owner arena is never touched from two goroutines.
 	root *Ops[K, V, A]
+
+	// typed is the leaf kernels compiled for K's own order (kernels.go):
+	// the key-kind tag.  Only NewNatural sets it, together with the Cmp of
+	// the same order, so the two cannot disagree; it is nil on an Ops from
+	// New, whose ordering is whatever the caller's Cmp says.
+	typed *kernels[K, V]
+	// bulk is Aug when Aug can fold a whole run in one call, else nil.
+	bulk runFolder[K, V, A]
+	// plainLeaves says neither K nor V can hold a pointer, so a freed leaf
+	// block pins nothing and is parked as it is (freeNode).
+	plainLeaves bool
 }
 
 // retainVal duplicates a value reference when values are refcounted.
@@ -92,9 +124,71 @@ func (o *Ops[K, V, A]) releaseVal(v V) {
 }
 
 // New returns an Ops for the given comparison and augmenter with parallel
-// grain g.
+// grain g.  The tree orders keys by calling cmp, whatever cmp is; for a key
+// type's own order NewNatural compares keys directly.
 func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[K, V, A] {
-	return &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
+	o := &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
+	o.bulk, _ = aug.(runFolder[K, V, A])
+	o.plainLeaves = pointerFree(reflect.TypeFor[Entry[K, V]]())
+	return o
+}
+
+// NewNatural returns an Ops that orders keys by K's own < — K one of int,
+// int32, int64, uint, uint32, uint64 or string, exactly; ok is false for
+// any other K.  It is New with Cmp set to that order and, for the integer
+// kinds, with leaf kernels (search, the batch sort) that compare keys
+// directly instead of through Cmp.  There is no way to have the kernels
+// with another ordering.  A string comparison follows a pointer and is a
+// call however it is made, so string keys are compared through Cmp.
+func NewNatural[K, V, A any](aug Augmenter[K, V, A], g int) (o *Ops[K, V, A], ok bool) {
+	var zero K
+	switch any(zero).(type) {
+	case int:
+		return natural[int, K](IntCmp[int], aug, g), true
+	case int32:
+		return natural[int32, K](IntCmp[int32], aug, g), true
+	case int64:
+		return natural[int64, K](IntCmp[int64], aug, g), true
+	case uint:
+		return natural[uint, K](IntCmp[uint], aug, g), true
+	case uint32:
+		return natural[uint32, K](IntCmp[uint32], aug, g), true
+	case uint64:
+		return natural[uint64, K](IntCmp[uint64], aug, g), true
+	case string:
+		return New(any(strings.Compare).(func(a, b K) int), aug, g), true
+	}
+	return nil, false
+}
+
+// natural is NewNatural for an integer K, which the caller knows to be T:
+// cmp, which computes T's own order, and the kernels compiled for it, set
+// together.
+func natural[T cmp.Ordered, K, V, A any](cmp func(a, b T) int, aug Augmenter[K, V, A], g int) *Ops[K, V, A] {
+	o := New(any(cmp).(func(a, b K) int), aug, g)
+	o.typed = any(&kernels[T, V]{search: searchOrdered[T, V], sort: sortOrdered[T, V]}).(*kernels[K, V])
+	return o
+}
+
+// pointerFree reports whether no value of type t holds a pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Bound returns a view of o whose allocations and frees go through arena a,
@@ -150,6 +244,12 @@ type sumAug[K any] struct{}
 func (sumAug[K]) Zero() int64               { return 0 }
 func (sumAug[K]) Single(_ K, v int64) int64 { return v }
 func (sumAug[K]) Combine(a, b int64) int64  { return a + b }
+func (sumAug[K]) FoldRun(run []Entry[K, int64]) (s int64) {
+	for _, e := range run {
+		s += e.Val
+	}
+	return s
+}
 
 // SumAug returns an augmenter computing the sum of int64 values; this is
 // the augmentation used for the paper's range-sum query workload (§7.1).
@@ -166,6 +266,16 @@ func (maxAug[K]) Combine(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+func (m maxAug[K]) FoldRun(run []Entry[K, int64]) int64 {
+	if len(run) == 0 {
+		return m.Zero()
+	}
+	a := run[0].Val
+	for _, e := range run[1:] {
+		a = max(a, e.Val)
+	}
+	return a
 }
 
 // MaxAug returns an augmenter computing the maximum int64 value in a

@@ -55,7 +55,14 @@ type Ops[K, V, A any] = ftree.Ops[K, V, A]
 // Entry is a key-value pair for batch operations.
 type Entry[K, V any] = ftree.Entry[K, V]
 
-// Augmenter defines subtree augmentation; see ftree.Augmenter.
+// Augmenter defines subtree augmentation; see ftree.Augmenter.  An
+// augmenter may also implement
+//
+//	FoldRun(run []Entry[K, V]) A
+//
+// returning what Single and Combine fold a leaf's run to (Zero for the empty
+// run); the tree then makes that one call per leaf instead of two per entry.
+// SumAug and MaxAug do.  It is optional: without it nothing changes.
 type Augmenter[K, V, A any] = ftree.Augmenter[K, V, A]
 
 // NewOps returns tree operations for the given comparison and augmenter;
