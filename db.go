@@ -229,9 +229,8 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		newOps = func() *Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, grain); return ops }
 	}
 	var (
-		wcfg      shard.WALConfig[K, V]
-		rec       *wal.Recovered
-		recovered bool
+		wcfg shard.WALConfig[K, V]
+		rec  *wal.Recovered
 	)
 	if o.WAL != nil && o.WAL.Dir != "" {
 		encK, decK, ok := autoCodec[K]()
@@ -256,15 +255,9 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 		rec = r
 		wcfg = shard.WALConfig[K, V]{Log: log, EncKey: encK, DecKey: decK, EncVal: encV, DecVal: decV}
-		recovered = rec.Snapshot != nil || len(rec.Records) > 0
-		if recovered {
-			// The log is the source of truth: the snapshot replaces the
-			// caller's initial entries, and records replay on top below.
-			initial, err = shard.DecodeWALSnapshot(wcfg, rec.Snapshot)
-			if err != nil {
-				log.Close()
-				return nil, err
-			}
+		if rec.Snapshot != nil || len(rec.Records) > 0 {
+			// The log is the source of truth: AttachWAL loads it into an empty map.
+			initial = nil
 		}
 	}
 	s, err := shard.New(
@@ -280,15 +273,11 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 	}
 	db := &DB[K, V, A]{Map: s}
 	if wcfg.Log != nil {
-		if err := s.RecoverWAL(wcfg, rec); err != nil {
+		if err := s.AttachWAL(wcfg, rec); err != nil {
 			wcfg.Log.Close()
 			return nil, err
 		}
-		if err := s.AttachWAL(wcfg); err != nil {
-			wcfg.Log.Close()
-			return nil, err
-		}
-		if !recovered && len(initial) > 0 {
+		if len(initial) > 0 {
 			if err := s.Checkpoint(); err != nil {
 				db.Close()
 				return nil, err

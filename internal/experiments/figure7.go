@@ -240,7 +240,7 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 		du64 := func(b []byte) (uint64, error) { return binary.LittleEndian.Uint64(b), nil }
 		if aerr := sm.AttachWAL(shard.WALConfig[uint64, uint64]{
 			Log: log, EncKey: u64, DecKey: du64, EncVal: u64, DecVal: du64,
-		}); aerr != nil {
+		}, nil); aerr != nil {
 			panic(aerr)
 		}
 	}

@@ -3,8 +3,12 @@ package netserver
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -397,6 +401,237 @@ func TestFollowerCrashMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// copyFS clones dir of src into a fresh MemFS, every byte durable: the image
+// a matrix cell starts from.
+func copyFS(t *testing.T, src wal.FS, dir string) *wal.MemFS {
+	t.Helper()
+	dst := wal.NewMemFS()
+	names, err := src.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		in, err := src.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(in)
+		in.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := dst.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := out.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(out.Sync(), out.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestFollowerBootstrapCrashMatrix power-cuts a follower at EVERY
+// filesystem-operation index of a re-bootstrap — reopening its log, installing
+// the shipped snapshot, cutting the local checkpoint (temp, rename, fsync),
+// retiring what it covers, saving repl.pos — and requires the surviving
+// directory to recover to the complete old state or the complete new one,
+// never a mix, and a follower reopened on it to converge to the leader.
+func TestFollowerBootstrapCrashMatrix(t *testing.T) {
+	// A follower that is cut down leaves its shipper holding a connection
+	// until the leader next writes to it: room for every cell's.
+	leader, laddr := startServer(t, Config{
+		Shards: 2, MaxConns: 16,
+		WAL: mvgc.WALOptions{Dir: "wal", FS: wal.NewMemFS(), SegmentBytes: 1 << 10},
+	})
+	defer leader.Close()
+	lc, err := netclient.Dial(laddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	follow := func(fs wal.FS) Config {
+		return Config{Shards: 2, MaxConns: 4, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}, Follow: laddr}
+	}
+	// converged dials a follower and returns once it holds the leader's
+	// newest write, with both sides' contents less that marker.
+	marker := int64(0)
+	converged := func(faddr string) (fc *netclient.Client, got, want map[int64]int64) {
+		t.Helper()
+		fc, err := netclient.Dial(faddr, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		marker++
+		if err := lc.Set(-1, marker); err != nil {
+			t.Fatal(err)
+		}
+		waitFollower(t, fc, -1, marker)
+		got, want = dumpServer(t, fc), dumpServer(t, lc)
+		delete(got, -1)
+		delete(want, -1)
+		return fc, got, want
+	}
+
+	// The old state: a follower tails the leader from its first byte and
+	// leaves gracefully.
+	for k := int64(0); k < 100; k++ {
+		if err := lc.Set(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := wal.NewMemFS()
+	follower, faddr := startServer(t, follow(base))
+	fc, _, _ := converged(faddr)
+	fc.Close()
+	if err := follower.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	old := dumpServer(t, lc)
+	delete(old, -1)
+	// The new state: overwrites, deletes and new keys, then a checkpoint that
+	// retires the log the follower's position names.
+	for k := int64(0); k < 300; k++ {
+		if err := lc.Set(k, k+1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := int64(0); k < 100; k += 3 {
+		if err := lc.Del(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut := leader.db.WALStats().SnapshotCut
+	fresh := dumpServer(t, lc)
+	delete(fresh, -1)
+
+	// One uninterrupted run counts the operations a re-bootstrap takes.
+	counting := wal.NewFaultFS(copyFS(t, base, "wal"))
+	follower, faddr = startServer(t, follow(counting))
+	fc, got, want := converged(faddr)
+	if floor := statInt(t, mustStats(t, fc), "repl_floor"); uint64(floor) != cut {
+		t.Fatalf("the follower's floor is %d: it did not bootstrap from the checkpoint cut at %d", floor, cut)
+	}
+	ops := counting.Ops()
+	fc.Close()
+	follower.Close()
+	if !maps.Equal(got, want) {
+		t.Fatalf("uninterrupted re-bootstrap: follower holds %d keys, leader %d", len(got), len(want))
+	}
+
+	for crashAt := 1; crashAt <= ops; crashAt++ {
+		image := copyFS(t, base, "wal")
+		ffs := wal.NewFaultFS(image)
+		ffs.Script(crashAt, wal.FaultCrash)
+		if follower, err := New(follow(ffs)); err == nil { // a cut inside OpenDB fails New
+			// As in the counted run, a record follows the snapshot down the
+			// stream, so the last cuts land in its replay.
+			marker++
+			if err := lc.Set(-1, marker); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !ffs.Crashed() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			follower.Close()
+		}
+		if !ffs.Crashed() {
+			t.Logf("crash@%d: this run took fewer operations than the counted one's %d", crashAt, ops)
+			continue
+		}
+
+		// What the surviving bytes recover to, with nobody following.
+		db, err := mvgc.OpenDB[int64, int64, int64](mvgc.DBOptions[int64]{
+			Shards: 2, WAL: &mvgc.WALOptions{Dir: "wal", FS: copyFS(t, image, "wal")},
+		}, mvgc.SumAug[int64](), nil)
+		if err != nil {
+			t.Fatalf("crash@%d: reopening the surviving directory: %v", crashAt, err)
+		}
+		recovered := map[int64]int64{}
+		db.View(func(s mvgc.DBSnapshot[int64, int64, int64]) {
+			s.ForEach(func(k, v int64) { recovered[k] = v })
+		})
+		db.Close()
+		delete(recovered, -1)
+		if !maps.Equal(recovered, old) && !maps.Equal(recovered, fresh) {
+			t.Fatalf("crash@%d: the directory recovers to %d keys: neither the old state (%d) nor the new (%d)",
+				crashAt, len(recovered), len(old), len(fresh))
+		}
+
+		follower, faddr := startServer(t, follow(image))
+		fc, got, want := converged(faddr)
+		fc.Close()
+		follower.Close()
+		if !maps.Equal(got, want) {
+			t.Fatalf("crash@%d: the reopened follower holds %d keys, the leader %d", crashAt, len(got), len(want))
+		}
+	}
+}
+
+// TestFollowerBootstrapSmallLog: a follower whose log may hold less than the
+// leader's snapshot (WAL.MaxBytes) still bootstraps, because the snapshot
+// becomes its checkpoint file, which is not live-log bytes.
+func TestFollowerBootstrapSmallLog(t *testing.T) {
+	leader, laddr := startServer(t, Config{
+		Shards: 2, MaxConns: 4,
+		WAL: mvgc.WALOptions{Dir: "wal", FS: wal.NewMemFS(), SegmentBytes: 4 << 10},
+	})
+	defer leader.Close()
+	const keys, maxBytes = 8000, 32 << 10
+	batch := make([]mvgc.Entry[int64, int64], keys)
+	for i := range batch {
+		batch[i] = mvgc.Entry[int64, int64]{Key: int64(i), Val: int64(i) * 5}
+	}
+	for lo := 0; lo < keys; lo += 100 { // many small records: sealed segments to retire
+		if err := leader.db.InsertBatch(batch[lo:lo+100], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := netclient.Dial(laddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	follower, faddr := startServer(t, Config{
+		Shards: 2, MaxConns: 4,
+		WAL:    mvgc.WALOptions{Dir: "wal", FS: wal.NewMemFS(), SegmentBytes: 4 << 10, MaxBytes: maxBytes},
+		Follow: laddr,
+	})
+	defer follower.Close()
+	fc, err := netclient.Dial(faddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	if err := lc.Set(-1, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitFollower(t, fc, -1, 1)
+	stats := mustStats(t, fc)
+	if floor, live := statInt(t, stats, "repl_floor"), statInt(t, stats, "wal_live"); floor == 0 || live > maxBytes {
+		t.Fatalf("repl_floor %d, wal_live %d: want a bootstrap (floor > 0) inside the %d-byte log bound", floor, live, maxBytes)
+	}
+	if n, err := fc.Len(); err != nil || n != keys+1 {
+		t.Fatalf("follower LEN = (%d, %v), want %d", n, err, keys+1)
+	}
+	if sum, err := fc.Sum(0, keys); err != nil || sum != 5*keys*(keys-1)/2 {
+		t.Fatalf("follower SUM = (%d, %v), want %d", sum, err, 5*keys*(keys-1)/2)
 	}
 }
 

@@ -22,8 +22,8 @@ type Applier interface {
 	// relogs it without waiting for the local log's fsync, and floors the
 	// stamp source at its GSN.
 	ReplayRecord(gsn uint64, payload []byte) error
-	// ApplyReplSnapshot replaces the contents with a shipped checkpoint
-	// snapshot and floors the stamp source at its cut.
+	// ApplyReplSnapshot installs a shipped checkpoint snapshot as one version
+	// and the local log's own checkpoint; the stamp source ends >= its cut.
 	ApplyReplSnapshot(cut uint64, payload []byte) error
 	// SyncWAL forces the local log durable; called whenever the follower
 	// has applied everything it has received, and before the stream
@@ -51,6 +51,9 @@ const (
 	// records.  The position is only persisted after the local log syncs,
 	// so it never claims records a follower crash could lose.
 	syncEvery = 256
+	// snapTrustBytes: how far ahead of the bytes received a snapshot's
+	// declared length is believed (a smaller file is allocated once, whole).
+	snapTrustBytes = 64 << 20
 )
 
 // Follower maintains a replication connection to the leader: it
@@ -200,6 +203,7 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 	var (
 		buf      []byte // frame read buffer, reused
 		snap     []byte // accumulating checkpoint file
+		snapLen  int64  // how long what snap holds so far says the file is
 		inSnap   bool
 		unsynced int // records applied since the last position save
 	)
@@ -211,20 +215,30 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 		buf = body[:0]
 		switch tag {
 		case TagSnapBegin:
-			snap, inSnap = snap[:0], true
+			snap, snapLen, inSnap = nil, 0, true
 		case TagSnapChunk:
 			if !inSnap {
 				return errors.New("repl: snapshot chunk outside a snapshot")
 			}
-			snap = append(snap, body...)
-			// The chunk data was copied out; body (== buf) is free again.
+			// The file's header declares its length (the shortest a file can
+			// be until it is whole) and the buffer is sized from that once: a
+			// claim, believed snapTrustBytes (or as much again) past the bytes.
+			if need := int64(len(snap) + len(body)); need > int64(cap(snap)) {
+				room := min(max(snapLen, need), need+max(int64(len(snap)), snapTrustBytes))
+				snap = append(make([]byte, 0, room), snap...)
+			}
+			snap = append(snap, body...) // copied out: body (== buf) is free again
+			var ok bool
+			if snapLen, ok = wal.SnapshotFileLen(snap); !ok || int64(len(snap)) > snapLen {
+				return errors.New("repl: snapshot chunks do not match the file's declared length")
+			}
 		case TagSnapEnd:
 			if !inSnap {
 				return errors.New("repl: stray snapshot-end frame")
 			}
 			cut, payload, ok := wal.DecodeSnapshot(snap)
-			if !ok {
-				return errors.New("repl: snapshot failed validation")
+			if !ok || int64(len(snap)) != snapLen {
+				return fmt.Errorf("repl: snapshot of %d bytes, %d declared, failed validation", len(snap), snapLen)
 			}
 			if err := f.cfg.DB.ApplyReplSnapshot(cut, payload); err != nil {
 				return err

@@ -240,7 +240,9 @@ func TestFollowerSnapshot(t *testing.T) {
 	}
 	bad := bytes.Clone(file)
 	bad[len(bad)/2] ^= 1
-	for name, file := range map[string][]byte{"bit flip": bad, "cut short": file[:len(file)-1]} {
+	// The header declares the file's length: chunks past it are refused as
+	// they arrive, and an 'E' short of it before anything is validated.
+	for name, file := range map[string][]byte{"bit flip": bad, "cut short": file[:len(file)-1], "too long": append(bytes.Clone(file), 0)} {
 		f, db, err := follow(t, send(file), 7)
 		if err == nil || err == io.EOF || db.snap != "" {
 			t.Fatalf("%s: err %v, applied %q", name, err, db.snap)
@@ -248,5 +250,60 @@ func TestFollowerSnapshot(t *testing.T) {
 		if _, floor := f.Pos(); floor != 7 {
 			t.Fatalf("%s: floor moved to %d", name, floor)
 		}
+	}
+
+	// A declared length is a claim.  One damaged into gigabytes buys room
+	// snapTrustBytes ahead of the bytes that arrive, not the claim, and the
+	// stream fails when 'E' comes short of it.
+	var claim int64
+	for at := 0; at < len(file) && claim < 1<<30; at++ {
+		bad = bytes.Clone(file)
+		bad[at] ^= 1
+		claim, _ = wal.SnapshotFileLen(bad)
+	}
+	if claim < 1<<30 {
+		t.Fatal("no single bit of the header inflates the declared length")
+	}
+	stream := frameBytes(t, func(w *bufio.Writer) error {
+		return errors.Join(
+			WriteFrame(w, TagSnapBegin, nil),
+			WriteFrame(w, TagSnapChunk, bad),
+			WriteFrame(w, TagSnapChunk, make([]byte, snapChunkBytes)),
+			WriteFrame(w, TagSnapChunk, make([]byte, snapChunkBytes)),
+			WriteFrame(w, TagSnapEnd, nil),
+		)
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, db, err = follow(t, stream, 7)
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF || db.snap != "" {
+		t.Fatalf("%d-byte claim: err %v, applied %q", claim, err, db.snap)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*snapTrustBytes {
+		t.Fatalf("%d bytes behind a %d-byte claim allocated %d, want ≤ %d", len(bad)+2*snapChunkBytes, claim, got, 2*snapTrustBytes)
+	}
+
+	// An honest file is allocated once: the whole transfer costs its own
+	// length and the first chunk's, not the doubling an append pays.
+	big := make([]byte, 8<<20)
+	if err := l.Checkpoint(42, big); err != nil {
+		t.Fatal(err)
+	}
+	fh, size, _, err = l.LatestSnapshot()
+	if err != nil || fh == nil {
+		t.Fatalf("LatestSnapshot: %v, %v", fh, err)
+	}
+	defer fh.Close()
+	stream = frameBytes(t, func(w *bufio.Writer) error { return (&Shipper{bw: w}).sendSnapshot(fh, size) })
+	runtime.ReadMemStats(&before)
+	_, db, err = follow(t, stream, 7)
+	runtime.ReadMemStats(&after)
+	if err != io.EOF || db.snapCut != 42 || len(db.snap) != len(big) {
+		t.Fatalf("%d-byte file: err %v, applied cut %d, %d bytes", size, err, db.snapCut, len(db.snap))
+	}
+	// The fake Applier's copy of the payload is one more length.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*size+4*snapChunkBytes); got > limit {
+		t.Fatalf("receiving a %d-byte file allocated %d bytes, want ≤ %d", size, got, limit)
 	}
 }

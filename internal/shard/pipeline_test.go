@@ -56,15 +56,8 @@ func tryOpenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, st
 	}
 	enc, dec := u64Codec()
 	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
-	initial, err := DecodeWALSnapshot(cfg, rec.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	m := newU64Map(t, shards, initial)
-	if err := m.RecoverWAL(cfg, rec); err != nil {
-		return nil, err
-	}
-	return m, m.AttachWAL(cfg)
+	m := newU64Map(t, shards, nil)
+	return m, m.AttachWAL(cfg, rec)
 }
 
 // pipelineRun is one run of the pipelined workload: n distinct keys

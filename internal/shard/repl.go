@@ -10,7 +10,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 
 	"mvgc/internal/wal"
 )
@@ -65,65 +64,30 @@ func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
 	return m.applyRecord(&m.wal.cfg, m.newTxn(), gsn, payload)
 }
 
-// replApplyChunk bounds one bootstrap transaction: large snapshots apply
-// as a sequence of atomic chunks rather than one map-sized install.
-const replApplyChunk = 1024
-
 // ApplyReplSnapshot replaces the map's contents with a shipped checkpoint
-// snapshot covering every commit with GSN <= cut, then floors the stamp
-// source at cut.  Keys present locally but absent from the snapshot are
-// deleted (a re-bootstrap after a partial tail must not leave them
-// behind); matching keys are overwritten.  The apply is chunked, not
-// atomic — callers run it before serving reads (bootstrap) where a
-// mid-apply view is never handed out, and a crash mid-apply re-bootstraps
-// from scratch.
+// snapshot (the leader's state as of every commit stamped <= cut) as one
+// version: a reader sees the old contents or the new, never a mix.  Nothing
+// is relogged; the payload becomes this map's OWN checkpoint, cut at the
+// install's local stamp — the leader's cut can lie below stale local records
+// (local stamps run ahead: applyRecord) that recovery would replay over it.
+// ckptMu keeps a background Checkpoint of the older contents from landing
+// after.  A failed load changes nothing.  DESIGN.md, "A snapshot is a root".
 func (m *Map[K, V, A]) ApplyReplSnapshot(cut uint64, payload []byte) error {
 	if m.wal == nil {
 		return errors.New("shard: ApplyReplSnapshot requires an attached WAL")
 	}
-	cfg := &m.wal.cfg
-	entries, err := DecodeWALSnapshot(m.wal.cfg, payload)
+	if !m.enter(0) {
+		return ErrClosed
+	}
+	defer m.exit(0)
+	if err := m.logErr(); err != nil {
+		return err
+	}
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	stamp, err := m.loadSnapshot(&m.wal.cfg, cut, payload)
 	if err != nil {
-		return fmt.Errorf("shard: decoding shipped snapshot cut=%d: %w", cut, err)
+		return err
 	}
-	// K is not comparable in general; the encoded key bytes are the
-	// identity the log itself uses.
-	present := make(map[string]struct{}, len(entries))
-	var kb []byte
-	for _, e := range entries {
-		kb = cfg.EncKey(kb[:0], e.Key)
-		present[string(kb)] = struct{}{}
-	}
-	var stale []K
-	m.ForEachChunked(replApplyChunk, func(k K, _ V) bool {
-		kb = cfg.EncKey(kb[:0], k)
-		if _, ok := present[string(kb)]; !ok {
-			stale = append(stale, k)
-		}
-		return true
-	})
-	for start := 0; start < len(stale); start += replApplyChunk {
-		chunk := stale[start:min(start+replApplyChunk, len(stale))]
-		err := m.UpdateAtomic(func(t *Txn[K, V, A]) {
-			for _, k := range chunk {
-				t.Delete(k)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for start := 0; start < len(entries); start += replApplyChunk {
-		chunk := entries[start:min(start+replApplyChunk, len(entries))]
-		err := m.UpdateAtomic(func(t *Txn[K, V, A]) {
-			for _, e := range chunk {
-				t.Insert(e.Key, e.Val)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	m.FloorGSN(cut)
-	return nil
+	return m.wal.log.Checkpoint(stamp, payload)
 }

@@ -63,7 +63,7 @@
 // places that know whether a redo log is attached; txn.go the plan (Txn,
 // intents, validated reads); view.go the read side (View, ViewConsistent,
 // Snap); scan.go ordered cross-shard reads; wal.go and repl.go the log
-// binding, whose one applyRecord serves recovery and replication alike.
+// binding: one applyRecord, one loadSnapshot, for recovery and replication.
 // The lock order and the per-primitive invariants are stated once, in
 // DESIGN.md "The commit pipeline".
 package shard

@@ -147,36 +147,46 @@ func decodeWALOps[K, V any](cfg *WALConfig[K, V], p []byte, ins func(K, V), del 
 	return nil
 }
 
-// DecodeWALSnapshot parses a checkpoint snapshot payload back into entries;
-// callers pass the result to New as the recovered map's initial contents.
-func DecodeWALSnapshot[K, V any](cfg WALConfig[K, V], payload []byte) ([]ftree.Entry[K, V], error) {
-	var out []ftree.Entry[K, V]
-	err := decodeWALOps(&cfg, payload,
-		func(k K, v V) { out = append(out, ftree.Entry[K, V]{Key: k, Val: v}) },
-		func(K) {})
+// loadSnapshot is the one place a checkpoint payload becomes map contents:
+// recovery runs it on an empty map, a follower's bootstrap on the live one
+// it serves reads from.  The payload (the state as of every commit stamped
+// <= cut) is decoded straight into per-shard parts, each tree is built on
+// its shard's unbound Ops with no lock held, and all S roots are published
+// as ONE version under one GSN, which is returned.  What the map held is
+// now the previous version, freed when its last reader leaves; nothing is
+// logged.  The stamp source is first floored at cut-1, so a map that has not
+// run ahead stamps the version cut.  Not concurrent with logged writes: a
+// follower's only writer is its stream.  DESIGN.md, "A snapshot is a root".
+func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []byte) (stamp uint64, err error) {
+	parts := make([][]ftree.Entry[K, V], len(m.shards))
+	err = decodeWALOps(cfg, payload, func(k K, v V) {
+		i := m.ShardFor(k)
+		parts[i] = append(parts[i], ftree.Entry[K, V]{Key: k, Val: v})
+	}, func(K) {})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return out, nil
-}
-
-// AttachWAL binds an open redo log to the map: from here on every commit
-// appends a redo record and acks only after the log's fsync policy says the
-// record is durable.  Call it after New (and after RecoverWAL when
-// reopening), before any writes and before StartBatching; it is not
-// concurrency-safe against writes.
-func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V]) error {
-	if err := cfg.validate(); err != nil {
-		return err
+	all := make([]int, len(m.shards))
+	roots := make([]*ftree.Node[K, V, A], len(m.shards))
+	for i, s := range m.shards {
+		all[i] = i
+		roots[i] = s.Ops().MultiInsert(nil, parts[i], nil)
+		parts[i] = nil
+		// The builder's token: each install attempt is handed its own Share,
+		// because a conflict retry releases what it was handed.
+		defer s.Ops().Release(roots[i])
 	}
-	if m.wal != nil {
-		return errors.New("shard: WAL already attached")
-	}
-	if m.batchers != nil {
-		return errors.New("shard: AttachWAL must precede StartBatching")
-	}
-	m.wal = &walBinding[K, V]{log: cfg.Log, cfg: cfg}
-	return nil
+	m.FloorGSN(max(cut, 1) - 1)
+	core.LockWriterSlots(m.shards, all)
+	defer core.UnlockWriterSlots(m.shards, all)
+	stamp, _ = core.InstallAtomicValidated(m.shards, all, nil, func() {
+		for i, s := range m.shards {
+			s.With(func(h *core.Handle[K, V, A]) {
+				h.UpdateUnstamped(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
+			})
+		}
+	})
+	return stamp, nil
 }
 
 // WALStats exposes the attached log's counters (nil-safe: zero when no WAL).
@@ -187,13 +197,31 @@ func (m *Map[K, V, A]) WALStats() wal.Stats {
 	return m.wal.log.Stat()
 }
 
-// RecoverWAL replays recovered redo records into the map, in GSN order,
-// then advances the map's commit-sequence source past everything replayed
-// so post-recovery stamps never collide with logged ones.  Call it on a
-// fresh map (seeded with the decoded snapshot) before AttachWAL — with no
-// log attached yet, the replay itself logs nothing; it is not
-// concurrency-safe.
-func (m *Map[K, V, A]) RecoverWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
+// AttachWAL binds an open redo log to a fresh, empty map, first bringing
+// back what wal.Open recovered from it (rec; nil for a new log): load the
+// snapshot as one version (loadSnapshot), replay the records above its cut
+// in GSN order (applyRecord), advance the stamp source past everything seen,
+// and only then attach — so nothing recovery does is logged, and from here
+// on every commit appends a record and acks per the log's fsync policy.
+// Call it after New, before any writes and before StartBatching.
+func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if m.wal != nil {
+		return errors.New("shard: WAL already attached")
+	}
+	if m.batchers != nil {
+		return errors.New("shard: AttachWAL must precede StartBatching")
+	}
+	if rec == nil {
+		rec = &wal.Recovered{}
+	}
+	if rec.Snapshot != nil {
+		if _, err := m.loadSnapshot(&cfg, rec.SnapshotCut, rec.Snapshot); err != nil {
+			return err
+		}
+	}
 	t := m.newTxn()
 	for _, r := range rec.Records {
 		if err := m.applyRecord(&cfg, t, r.GSN, r.Payload); err != nil {
@@ -203,18 +231,20 @@ func (m *Map[K, V, A]) RecoverWAL(cfg WALConfig[K, V], rec *wal.Recovered) error
 	// A snapshot-only recovery (no records) must still clear the
 	// checkpoint cut.
 	m.FloorGSN(max(rec.MaxGSN, rec.SnapshotCut))
+	m.wal = &walBinding[K, V]{log: cfg.Log, cfg: cfg}
 	return nil
 }
 
-// applyRecord is the one redo-apply path, shared by recovery (RecoverWAL)
+// applyRecord is the one redo-apply path, shared by recovery (AttachWAL)
 // and replication (ReplayRecord): decode the record into t, then commit it
 // as ONE atomic transaction, so a multi-shard record applies all-or-nothing
-// exactly as it committed.  A decode error applies nothing.  Before the
-// commit the stamp source is floored at gsn-1, so on a quiet map the
-// commit allocates exactly gsn (replays carry the original stamps
-// through); afterwards at gsn, which also covers records that publish
-// nothing.  Floors never rewind.  The commit is relogged when a log is
-// attached (a follower's) but not waited for: see ReplayRecord.
+// exactly as it committed.  A decode error applies nothing.  The stamp
+// source is floored at gsn-1 before the commit and at gsn after (which also
+// covers records that publish nothing); floors never rewind.  So the commit
+// is stamped gsn unless the source had already passed it: never at recovery,
+// on a follower once the leader's log order and GSN order part (DESIGN.md
+// "Replication").  The commit is relogged when a log is attached (a
+// follower's) but not waited for: see ReplayRecord.
 func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn uint64, payload []byte) error {
 	if !m.enter(0) {
 		return ErrClosed

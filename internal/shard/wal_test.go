@@ -51,8 +51,8 @@ func newU64Map(t *testing.T, shards int, initial []ftree.Entry[uint64, uint64]) 
 	return m
 }
 
-// reopenWALMap opens (or re-opens) a WAL-backed map over fs, replaying
-// whatever the log holds — the same dance DB recovery does.
+// reopenWALMap opens (or re-opens) a WAL-backed map over fs, recovering
+// whatever the log holds through the call DB recovery makes.
 func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, struct{}], *wal.Recovered) {
 	t.Helper()
 	log, rec, err := wal.Open(wal.Options{Dir: "wal", FS: fs, SegmentBytes: 1 << 16})
@@ -61,15 +61,8 @@ func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, str
 	}
 	enc, dec := u64Codec()
 	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
-	initial, err := DecodeWALSnapshot(cfg, rec.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newU64Map(t, shards, initial)
-	if err := m.RecoverWAL(cfg, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AttachWAL(cfg); err != nil {
+	m := newU64Map(t, shards, nil)
+	if err := m.AttachWAL(cfg, rec); err != nil {
 		t.Fatal(err)
 	}
 	return m, rec
@@ -195,7 +188,7 @@ func TestShardWALRoundTrip(t *testing.T) {
 // log and (b) a map logging to a MemFS.  After every step the two must hold
 // identical contents, and (b)'s log must have grown by exactly the step's
 // record count under exactly the step's number of group fsyncs.  Then (c) a
-// fresh map recovered from (b)'s log (RecoverWAL) and (d) a follower-shaped
+// fresh map recovered from (b)'s log (AttachWAL) and (d) a follower-shaped
 // map fed the same records (ReplayRecord) must equal both, with the same
 // CommitGSN — recovery and replication are one applyRecord.
 func TestWritePathDifferential(t *testing.T) {
@@ -404,7 +397,7 @@ func TestWritePathDifferential(t *testing.T) {
 	}
 }
 
-// TestRecoverWALReplayArms feeds RecoverWAL hand-made records that take each
+// TestRecoverWALReplayArms feeds AttachWAL hand-made records that take each
 // arm of replay — plain inserts with a repeated key (one batch), an insert
 // and a delete of the same key (in order), a lone insert — and requires
 // what applying every op in stream order gives.
@@ -419,8 +412,12 @@ func TestRecoverWALReplayArms(t *testing.T) {
 		{{k: 5, v: 10}},
 		{{k: 5, v: 11}, {k: 5, v: 12}},
 	}
+	log, err := wal.Create(wal.Options{Dir: "wal", FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc, dec := u64Codec()
-	cfg := WALConfig[uint64, uint64]{EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
+	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
 	want := map[uint64]uint64{}
 	rec := &wal.Recovered{}
 	for i, ops := range records {
@@ -439,7 +436,7 @@ func TestRecoverWALReplayArms(t *testing.T) {
 	}
 	m := newU64Map(t, 4, nil)
 	defer m.Close()
-	if err := m.RecoverWAL(cfg, rec); err != nil {
+	if err := m.AttachWAL(cfg, rec); err != nil {
 		t.Fatal(err)
 	}
 	got := dump(m)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 )
 
 // This file is the only one that knows a byte offset of the log's two
@@ -95,6 +96,31 @@ func snapshotEnds(cut uint64, payload []byte) (header [snapHeaderLen]byte, trail
 	crc := crc32.Update(crc32.Checksum(header[len(snapMagic):], crcTable), crcTable, payload)
 	binary.LittleEndian.PutUint32(trailer[:], crc)
 	return header, trailer
+}
+
+// maxSnapshotBytes bounds the payload length a snapshot header may declare;
+// a larger one is damage, not a map.
+const maxSnapshotBytes = 1 << 40
+
+// SnapshotFileLen reports how long the snapshot file that begins with
+// prefix is, so that a receiver of one can size its buffer once and knows
+// when it has been sent too much.  While prefix is shorter than the file's
+// header, n is the shortest a file can be.  ok is false when no file begins
+// with prefix: the magic is wrong, or the declared length is one no file
+// (and no int) holds.
+func SnapshotFileLen(prefix []byte) (n int64, ok bool) {
+	if m := min(len(prefix), len(snapMagic)); string(prefix[:m]) != snapMagic[:m] {
+		return 0, false
+	}
+	n = int64(snapHeaderLen + snapTrailerLen)
+	if len(prefix) < snapHeaderLen {
+		return n, true
+	}
+	plen := binary.LittleEndian.Uint64(prefix[len(snapMagic)+8:])
+	if plen > maxSnapshotBytes || plen > uint64(math.MaxInt)-uint64(n) {
+		return 0, false
+	}
+	return n + int64(plen), true
 }
 
 // DecodeSnapshot validates the bytes of a whole snapshot file; payload

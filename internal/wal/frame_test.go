@@ -99,7 +99,7 @@ func FuzzFrame(f *testing.F) {
 
 // TestSnapshotCodec: the header and trailer the checkpoint writes around a
 // payload decode back to it; every single-byte damage and every truncation
-// is refused.
+// is refused; the header alone tells how long the file is.
 func TestSnapshotCodec(t *testing.T) {
 	for _, payload := range [][]byte{nil, []byte("p"), bytes.Repeat([]byte("payload."), 100)} {
 		header, trailer := snapshotEnds(9, payload)
@@ -117,6 +117,25 @@ func TestSnapshotCodec(t *testing.T) {
 			if _, _, ok := DecodeSnapshot(file[:at]); ok {
 				t.Fatalf("%d-byte payload: the first %d bytes decode as a whole file", len(payload), at)
 			}
+			// Every prefix begins this file: short of the header it
+			// declares the shortest file there is, from the header on the
+			// file's own length.
+			want := int64(len(file))
+			if at < snapHeaderLen {
+				want = int64(snapHeaderLen + snapTrailerLen)
+			}
+			if n, ok := SnapshotFileLen(file[:at]); !ok || n != want {
+				t.Fatalf("%d-byte payload: the first %d bytes declare (%d, %v), want %d", len(payload), at, n, ok, want)
+			}
+		}
+		header[0] ^= 0x01
+		if _, ok := SnapshotFileLen(header[:1]); ok {
+			t.Fatal("a wrong first magic byte begins a snapshot file")
+		}
+		header[0] ^= 0x01
+		header[snapHeaderLen-1] = 0x80 // a payload of 2^63 bytes
+		if _, ok := SnapshotFileLen(header[:]); ok {
+			t.Fatal("a header declaring 2^63 payload bytes begins a snapshot file")
 		}
 	}
 }
