@@ -13,7 +13,7 @@
 //	ycsbbench                         # all structures, workloads A/B/C
 //	ycsbbench -records 50000000       # the paper's key-space size
 //	ycsbbench -structures ours,ours-sharded -shards 8 -dur 10s
-//	ycsbbench -txn -txnkeys 4         # add multi-key transfer cells (atomic, per-shard, validated OCC)
+//	ycsbbench -txn -txnkeys 4         # add multi-key transfer cells (atomic, per-shard, multi-key CAS)
 //	ycsbbench -scan                   # add workload E scan cells
 //	ycsbbench -wal -walfsync always   # add ours-sharded durability-tax cells
 //	ycsbbench -json BENCH_ycsb.json   # machine-readable results

@@ -35,9 +35,14 @@ var ErrClosed = shard.ErrClosed
 //     ForEachChunkedConsistent): every commit is stamped from one global
 //     commit sequence number (GSN); UpdateAtomic installs all touched
 //     shards under one GSN and ViewConsistent pins a tear-free cut, so no
-//     atomic transaction is ever observed torn; UpdateAtomicKeys adds
-//     validated reads — a multi-key compare-and-swap, serializable against
-//     all writers (its callback may run more than once).
+//     atomic transaction is ever observed torn; UpdateAtomicKeys holds its
+//     key footprint's writer slots from before its reads until its install
+//     — a multi-key compare-and-swap, serializable against all writers (its
+//     callback runs again, at most once per shard, when it reads outside
+//     the footprint).
+//
+// Every write holds its shard's writer slot while it commits, so each shard
+// has exactly one writer at a time, the paper's single-writer setting.
 //
 // Write methods return nil unless the database is closed (ErrClosed) or
 // write-ahead logging is enabled and the log cannot persist the commit.
@@ -306,9 +311,9 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 // shape and checkpoints when live bytes exceed the size bound, or when
 // the newest checkpoint is older than the age bound and records have
 // been appended since.  A checkpoint rides ViewConsistent — a pinned
-// immutable read — so writers are never blocked; the loop therefore
-// bounds the log's footprint without ever appearing in a write's
-// latency.  Transient checkpoint failures are retried on the next poll
+// immutable read — so writers wait at most for its pins, never for the
+// encode; the loop therefore bounds the log's footprint without its work
+// appearing in a write's latency.  Transient checkpoint failures are retried on the next poll
 // (wal.Checkpoint errors are not sticky).
 func (db *DB[K, V, A]) checkpointLoop(bytes int64, age time.Duration, lastAppended int64) {
 	defer close(db.ckptDone)

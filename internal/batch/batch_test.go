@@ -361,34 +361,6 @@ func TestMaxBatchRespected(t *testing.T) {
 	m.Close()
 }
 
-// TestCombinerPublishesKeyVersions: on a key-versioned map the combiner's
-// batch commits must move the written keys' version stripes like any other
-// writer — otherwise batched writes would be invisible to the optimistic
-// read validation of shard.Map.UpdateAtomicKeys and become a new unfenced
-// writer class.  The recording rides in core.Txn.InsertBatch/DeleteBatch,
-// so the combiner gets it without any code of its own; this pins that.
-func TestCombinerPublishesKeyVersions(t *testing.T) {
-	m := newIntMap(t, 3)
-	m.EnableKeyVersions(func(k int64) uint64 { return uint64(k) }, 256)
-	b := New(m, Config{Clients: 1, MaxLatency: time.Millisecond}, nil)
-	b.Start()
-
-	const k = int64(42)
-	stripe := m.KeyStripe(k)
-	w0 := m.StripeWord(stripe)
-	b.SubmitWait(0, Request[int64, int64]{Op: OpInsert, Key: k, Val: 7})
-	w1 := m.StripeWord(stripe)
-	if !core.StableStripe(w1) || w1 <= w0 {
-		t.Fatalf("batched insert left stripe at %#x (was %#x); combiner commits must bump key versions", w1, w0)
-	}
-	b.SubmitWait(0, Request[int64, int64]{Op: OpDelete, Key: k})
-	if w2 := m.StripeWord(stripe); !core.StableStripe(w2) || w2 <= w1 {
-		t.Fatalf("batched delete left stripe at %#x (was %#x)", w2, w1)
-	}
-	b.Stop()
-	m.Close()
-}
-
 // TestSubmitAsyncExactlyOnce: every SubmitAsync callback fires exactly
 // once, after the commit containing its request — the contract the
 // pipelined network server's in-order response writers depend on.

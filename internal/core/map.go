@@ -40,20 +40,12 @@ type Map[K, V, A any] struct {
 	// commits draw their GSN from (shared across sibling shards when
 	// Config.Stamp is set), latestStamp the largest stamp committed here,
 	// installSeq the seqlock readers double-collect to detect an atomic
-	// cross-map install in flight, and slotMu the writer slot serializing
-	// such installs (plus combiner commits).
+	// cross-map install in flight, and slotMu the writer slot — the one
+	// writer lock of a map whose writers all take it (a shard.Map's).
 	stampSrc    *atomic.Uint64
 	latestStamp atomic.Uint64
 	installSeq  atomic.Uint64
 	slotMu      sync.Mutex
-
-	// Per-key version state (see keyver.go): kvtab is the striped table of
-	// (in-flight, completed-writes) seqlock words commits bracket their Set
-	// with, kvhash/kvmask map a key onto it.  Nil until EnableKeyVersions;
-	// maps without OCC transactions never pay more than a nil check.
-	kvtab  []atomic.Uint64
-	kvmask uint64
-	kvhash func(K) uint64
 
 	// TrackVersions enables sampling of the version count at the start of
 	// every write transaction (the Table 2 / Figure 6 metric).
@@ -288,30 +280,10 @@ func (s Snapshot[K, V, A]) Root() *ftree.Node[K, V, A] { return s.root }
 // transaction on the same process.
 type Txn[K, V, A any] struct {
 	ops   *ftree.Ops[K, V, A]
-	m     *Map[K, V, A]        // for key-version noting; nil in tests that build bare Txns
 	base  *ftree.Node[K, V, A] // the acquired version (borrowed)
 	cur   *ftree.Node[K, V, A] // owned iff dirty
 	dirty bool
-
-	// Written-key version stripes (see keyver.go): kstripes lists the
-	// stripes this transaction's commit must bracket, kvAll degrades to a
-	// wholesale bracket when the key set is table-scale or unknown
-	// (SetRoot), and kvOwned (HoldsStripeLocks) exempts the commit bracket
-	// from the install-lock stall.  The slice's backing array is pid-local
-	// and reused, so noting allocates nothing warm.
-	kstripes []uint64
-	kvAll    bool
-	kvOwned  bool
-	kvDedup  int // next kstripes length worth deduplicating at (see kvNote)
 }
-
-// HoldsStripeLocks declares that this transaction runs inside an install
-// whose caller holds install locks (Map.LockStripes) covering every stripe
-// the transaction writes: the commit bracket skips the install-lock stall,
-// which would otherwise deadlock on the caller's own locks.  The pid-local
-// Txn struct is reset between transactions, so set the flag inside the
-// transaction callback on every run.
-func (t *Txn[K, V, A]) HoldsStripeLocks() { t.kvOwned = true }
 
 // apply installs a new intermediate root, collecting the previous one if
 // this transaction owned it.
@@ -333,22 +305,15 @@ func (t *Txn[K, V, A]) Snapshot() Snapshot[K, V, A] {
 func (t *Txn[K, V, A]) Get(k K) (V, bool) { return t.ops.Find(t.cur, k) }
 
 // Insert adds or replaces one entry.
-func (t *Txn[K, V, A]) Insert(k K, v V) {
-	t.kvNote(k)
-	t.apply(t.ops.Insert(t.cur, k, v))
-}
+func (t *Txn[K, V, A]) Insert(k K, v V) { t.apply(t.ops.Insert(t.cur, k, v)) }
 
 // InsertWith adds one entry, combining with any existing value.
 func (t *Txn[K, V, A]) InsertWith(k K, v V, comb func(old, new V) V) {
-	t.kvNote(k)
 	t.apply(t.ops.InsertWith(t.cur, k, v, comb))
 }
 
 // Delete removes one entry.
-func (t *Txn[K, V, A]) Delete(k K) {
-	t.kvNote(k)
-	t.apply(t.ops.Delete(t.cur, k))
-}
+func (t *Txn[K, V, A]) Delete(k K) { t.apply(t.ops.Delete(t.cur, k)) }
 
 // InsertBatch adds a whole batch atomically using the multi-insert; nil
 // comb overwrites.  The batch is sorted by key and its duplicates coalesced
@@ -357,30 +322,18 @@ func (t *Txn[K, V, A]) Delete(k K) {
 // holds beyond that length is stale, so a log encodes the returned slice
 // and a transaction that may re-run hands it to the next attempt.
 func (t *Txn[K, V, A]) InsertBatch(batch []ftree.Entry[K, V], comb func(old, new V) V) []ftree.Entry[K, V] {
-	for i := range batch {
-		t.kvNote(batch[i].Key)
-	}
 	batch = t.ops.SortEntries(batch, comb)
 	t.apply(t.ops.InsertSorted(t.cur, batch, comb))
 	return batch
 }
 
 // DeleteBatch removes a set of keys atomically; keys is sorted in place.
-func (t *Txn[K, V, A]) DeleteBatch(keys []K) {
-	for _, k := range keys {
-		t.kvNote(k)
-	}
-	t.apply(t.ops.MultiDelete(t.cur, keys))
-}
+func (t *Txn[K, V, A]) DeleteBatch(keys []K) { t.apply(t.ops.MultiDelete(t.cur, keys)) }
 
 // SetRoot replaces the transaction's state with an owned tree built by the
 // caller through ftree operations (e.g. a Union); the transaction takes
-// ownership of root's token.  The written key set is unknown, so on a
-// key-versioned map the commit brackets the whole stripe table.
-func (t *Txn[K, V, A]) SetRoot(root *ftree.Node[K, V, A]) {
-	t.kvWholesale()
-	t.apply(root)
-}
+// ownership of root's token.
+func (t *Txn[K, V, A]) SetRoot(root *ftree.Node[K, V, A]) { t.apply(root) }
 
 // Update runs a write transaction on process pid (Figure 1, right),
 // retrying on conflict until it commits; it returns the number of retries.
@@ -437,7 +390,7 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 	// (pid exclusivity makes that safe), so a warm write allocates only
 	// tree nodes — which come from pid's arena.
 	tx := &p.txn
-	*tx = Txn[K, V, A]{ops: po, m: m, base: root, cur: root, kstripes: tx.kstripes[:0]}
+	*tx = Txn[K, V, A]{ops: po, base: root, cur: root}
 	f(tx)
 	if !tx.dirty || tx.cur == root {
 		// Nothing to publish.  A dirty transaction can still end at the
@@ -450,11 +403,6 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 		m.collect(pid)
 		return true
 	}
-	// Bracket the Set with the written keys' in-flight marks (keyver.go):
-	// enter before the write becomes visible, exit after, with no user code
-	// in between, so an optimistic validator can never observe a committed
-	// root whose stripe words don't yet admit a write happened.
-	m.kvEnterTxn(tx)
 	ok := m.m.Set(pid, tx.cur)
 	if ok && stamped {
 		// Stamp after visibility: a commit's GSN is allocated only once its
@@ -462,7 +410,6 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 		// contained in any later-acquired version (see stamp.go).
 		m.stamp(pid)
 	}
-	m.kvExitTxn(tx)
 	// Response point for a successful commit: the new version is visible.
 	m.collect(pid)
 	if ok {

@@ -29,15 +29,16 @@ package core
 //     no atomic install overlapped the pin — the double-collect that makes
 //     shard.Map.ViewConsistent tear-free without any reader lock.
 //
-//   - The writer slot (slotMu): a per-map mutex serializing atomic
-//     installers (and the batch combiner's commits, which take it briefly so
-//     a multi-shard install never has to chase a firehose of batch commits).
-//     Plain transactions never touch it: Read/Update/With stay mutex-free.
-//     Deadlock-freedom: multi-map operations acquire slots in ascending
-//     shard order (ordered resource acquisition), and a slot is always
-//     taken before the pid it commits under, never after — no pid holder
-//     waits for a slot, so a slot holder waiting for a pid waits only for
-//     transactions that complete on their own and then free it.
+//   - The writer slot (slotMu): a per-map mutex.  The map itself never
+//     takes it — Read/Update/With stay mutex-free, and a standalone Map's
+//     concurrent writers are lock-free — but a caller that makes every
+//     commit hold it gets one writer per map, the paper's single-writer
+//     setting: shard.Map does, for every write it accepts.  Deadlock-
+//     freedom: multi-map operations acquire slots in ascending shard order
+//     (ordered resource acquisition), and a slot is always taken before the
+//     pid it commits under, never after — no pid holder waits for a slot,
+//     so a slot holder waiting for a pid waits only for transactions that
+//     complete on their own and then free it.
 
 import "sync/atomic"
 
@@ -77,10 +78,10 @@ func (m *Map[K, V, A]) stamp(pid int) {
 	m.procs[pid].lastStamp = g
 }
 
-// LockWriterSlot acquires the map's writer slot — the mutual exclusion
-// among cross-map atomic installers (and the combiner's batch commits).
-// Callers locking slots on several maps must do so in ascending shard
-// order.  Plain transactions do not take the slot.
+// LockWriterSlot acquires the map's writer slot, the mutual exclusion among
+// the writers that take it (see the file comment).  Callers locking slots
+// on several maps must do so in ascending shard order, and before leasing
+// a pid.
 func (m *Map[K, V, A]) LockWriterSlot() { m.slotMu.Lock() }
 
 // UnlockWriterSlot releases the writer slot.
@@ -128,49 +129,13 @@ func UnlockWriterSlots[K, V, A any](maps []*Map[K, V, A], touched []int) {
 // stamp is allocated after the last install so it never leads any of its
 // roots' visibility, the invariant consistent readers rest on; the maps
 // must share their stamp source (Config.Stamp), or the "one global order"
-// the stamp promises would be fiction.
-func InstallAtomic[K, V, A any](maps []*Map[K, V, A], touched []int, commitAll func()) {
-	InstallAtomicValidated(maps, touched, nil, commitAll)
-}
-
-// InstallAtomicValidated is InstallAtomic with an optimistic-concurrency
-// gate: after the touched maps' install seqlocks go odd — so no consistent
-// reader can cut a snapshot mid-decision — validate runs, and only if it
-// returns true does the install proceed.  On false the seqlocks return even
-// with nothing published and the call reports failure, which is the abort
-// half of shard.Map.UpdateAtomicKeys' validate-at-install loop; validate
-// typically re-reads the key-version stripes (keyver.go) of the
-// transaction's read set.  A nil validate always installs.
-//
-// Validation alone does NOT make the install atomic: between validate
-// returning true and commitAll's Sets becoming visible, an unfenced point
-// writer could commit on a key this transaction writes, and the installed
-// roots — absolute values computed from the validated reads — would
-// silently erase it (a lost update admitted by no serial order).  A
-// validating caller must therefore hold install locks (Map.LockStripes) on
-// every stripe its commitAll writes, taken BEFORE validate runs and
-// released only after this call returns: the locks stall unfenced writers'
-// commit brackets off the write set for the whole validate-to-install
-// window, and — because locking precedes validation — two concurrent
-// installers that read each other's write sets cannot both pass validation
-// (one of them must observe the other's lock, which validation treats as a
-// conflict), which forecloses write skew.  commitAll's own transactions
-// declare Txn.HoldsStripeLocks so they pass their own locks.  With the
-// locks held the transaction linearizes at its validation read: reads of
-// unwritten stripes stay current-or-aborted by the stripe-word compare, and
-// writes cannot be disturbed or disturb until published.
-// shard.Map.installAtomic is the reference caller of this protocol.
-//
-// A read-only transaction (touched empty) skips the seqlock protocol and
-// needs no locks: its validation alone proves all reads held simultaneously
-// at the validation point, which is its linearization.
-//
-// On success the allocated stamp is returned (0 on abort or for read-only
-// transactions): it is the transaction's global commit sequence number,
-// which the WAL layer uses to key the install's redo record.
-func InstallAtomicValidated[K, V, A any](maps []*Map[K, V, A], touched []int, validate func() bool, commitAll func()) (uint64, bool) {
+// the stamp promises would be fiction.  The stamp is returned — the
+// transaction's global commit sequence number, which the WAL layer keys
+// the install's redo record with — or 0 when touched is empty, which
+// installs nothing and skips the protocol.
+func InstallAtomic[K, V, A any](maps []*Map[K, V, A], touched []int, commitAll func()) uint64 {
 	if len(touched) == 0 {
-		return 0, validate == nil || validate()
+		return 0
 	}
 	for _, i := range touched {
 		maps[i].BeginInstall()
@@ -186,13 +151,10 @@ func InstallAtomicValidated[K, V, A any](maps []*Map[K, V, A], touched []int, va
 			maps[i].EndInstall()
 		}
 	}()
-	if validate != nil && !validate() {
-		return 0, false
-	}
 	commitAll()
 	g := maps[touched[0]].stampSrc.Add(1)
 	for _, i := range touched {
 		maps[i].BumpStamp(g)
 	}
-	return g, true
+	return g
 }

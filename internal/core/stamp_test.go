@@ -125,6 +125,47 @@ func TestUnstampedInstallProtocol(t *testing.T) {
 	}
 }
 
+// TestInstallAtomic: the install publishes its roots under one fresh stamp,
+// returns it, and leaves the seqlock even; an empty footprint installs
+// nothing, returns 0 and leaves the seqlock where it was.
+func TestInstallAtomic(t *testing.T) {
+	var src atomic.Uint64
+	maps := []*Map[int64, int64, struct{}]{newStampMap(t, &src, 2), newStampMap(t, &src, 2)}
+	for _, m := range maps {
+		defer m.Close()
+	}
+	all := []int{0, 1}
+	LockWriterSlots(maps, all)
+	gsn := InstallAtomic(maps, all, func() {
+		for i, m := range maps {
+			m.With(func(h *Handle[int64, int64, struct{}]) {
+				h.UpdateUnstamped(func(tx *Txn[int64, int64, struct{}]) { tx.Insert(int64(i), 1) })
+			})
+		}
+	})
+	UnlockWriterSlots(maps, all)
+	if gsn == 0 || src.Load() != gsn {
+		t.Fatalf("InstallAtomic returned %d, stamp source at %d", gsn, src.Load())
+	}
+	for i, m := range maps {
+		if g := m.LatestStamp(); g != gsn {
+			t.Fatalf("map %d published stamp %d, want %d", i, g, gsn)
+		}
+		if q := m.InstallSeq(); q != 2 {
+			t.Fatalf("map %d InstallSeq = %d after one install, want 2", i, q)
+		}
+		if v, ok := m.get(int64(i)); !ok || v != 1 {
+			t.Fatalf("map %d lost its leg: Get = %d,%v", i, v, ok)
+		}
+	}
+	if g := InstallAtomic(maps, nil, func() { t.Fatal("empty footprint ran commitAll") }); g != 0 {
+		t.Fatalf("empty footprint returned stamp %d", g)
+	}
+	if q := maps[0].InstallSeq(); q != 2 {
+		t.Fatalf("empty footprint moved the seqlock to %d", q)
+	}
+}
+
 // get is a test convenience point read.
 func (m *Map[K, V, A]) get(k K) (v V, ok bool) {
 	m.With(func(h *Handle[K, V, A]) {

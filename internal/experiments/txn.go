@@ -51,15 +51,16 @@ const (
 	// txnAtomicMode commits all touched shards under one GSN
 	// (UpdateAtomic) with commutative InsertWith deltas.
 	txnAtomicMode
-	// txnOCCMode is the validated multi-key CAS (UpdateAtomicKeys): read
-	// the balances, write absolute values, and let install-time read
-	// validation abort and retry on conflict — the price of serializability
-	// against unfenced point writers.
+	// txnOCCMode is the multi-key CAS (UpdateAtomicKeys): the footprint's
+	// writer slots are held from before the balance reads until the
+	// absolute values are installed — two-phase locking on the slots, the
+	// price of serializability against every writer.  The cell keeps its
+	// "txn-occ" name so earlier reports still line up.
 	txnOCCMode
 )
 
 // runTxnCell measures transfer throughput (million transactions per second)
-// in one commit mode: UpdateAtomicKeys (validated OCC), UpdateAtomic (one
+// in one commit mode: UpdateAtomicKeys (multi-key CAS), UpdateAtomic (one
 // GSN per transaction) or the plain per-shard Update.
 func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 	initial := make([]ftree.Entry[uint64, int64], cfg.Accounts)
@@ -94,8 +95,8 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 			switch mode {
 			case txnOCCMode:
 				// The CAS transfer shape: read every balance, write absolute
-				// new balances.  Correctness rests entirely on the read set
-				// validating at install — exactly what the cell prices.
+				// new balances.  Correctness rests entirely on the reads
+				// holding until the install — exactly what the cell prices.
 				sm.UpdateAtomicKeys(keys, func(t *shard.Txn[uint64, int64, struct{}]) {
 					amt := int64(len(keys) - 1)
 					bal, _ := t.Get(keys[0])
@@ -142,7 +143,7 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 // RunTxn measures the transfer workload in all three commit modes and
 // returns BENCH_ycsb/v1 cells (structure "ours-sharded", workloads
 // "txn-atomic", "txn-pershard" and "txn-occ") so cmd/benchdiff gates the
-// atomic and validated commit paths' throughput like every other cell.
+// atomic and multi-key CAS commit paths' throughput like every other cell.
 func RunTxn(cfg TxnConfig, w io.Writer) []bench.YCSBRecord {
 	t := bench.NewTable(fmt.Sprintf("Transfers: %d-key cross-shard txns (Mtxn/s), %d threads, %d accounts, %d shards",
 		cfg.KeysPerTxn, cfg.Threads, cfg.Accounts, cfg.Shards), "commit mode", "Mtxn/s")

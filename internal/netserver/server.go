@@ -964,9 +964,9 @@ func (c *conn) execLen() {
 }
 
 // execMCAS maps MCAS onto DB.UpdateAtomicKeys: the declared footprint is
-// the swapped keys, expectations are validated reads, and the commit is a
-// serializable multi-key compare-and-swap against every other writer —
-// including the combiners all pipelined SETs flow through.  It runs inline
+// the swapped keys, expectations are read under its writer slots, and the
+// commit is a serializable multi-key compare-and-swap against every other
+// writer — including the combiners all pipelined SETs flow through.  It runs inline
 // on the read loop (it must observe its own connection's earlier SETs no
 // differently than any other writer's), so an MCAS is a pipeline barrier
 // for its connection; replies stay in order regardless.
@@ -993,7 +993,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	c.mcas.keys, c.mcas.expects, c.mcas.news = keys, expects, news
 	swapped := false
 	err := c.srv.db.UpdateAtomicKeys(keys, func(t *mvgc.DBTxn[int64, int64, int64]) {
-		swapped = false // f may re-run after an OCC abort
+		swapped = false // f may re-run if the attempt restarts
 		for i, k := range keys {
 			if v, ok := t.Get(k); !ok || v != expects[i] {
 				return // no intents buffered: nothing commits

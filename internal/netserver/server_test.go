@@ -255,6 +255,9 @@ func TestPipelinedClientsCoalesce(t *testing.T) {
 	}
 	t.Logf("coalescing: %d writes in %d commits (%.1f writes/commit)",
 		applied, batches, float64(applied)/float64(batches))
+	if a := s.DB().Aborts(); a != 0 {
+		t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
+	}
 }
 
 // TestConsistentScanInvariant: under Config.Consistent, a SCAN rides one

@@ -7,19 +7,17 @@ import (
 	"testing"
 	"time"
 
-	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 )
 
 // TestOCCUnfencedWriterInvariant is the headline guarantee under -race:
 // UpdateAtomicKeys transfers use blind read-compute-write (absolute values,
-// no commutative deltas), while unfenced plain point writers hammer the
-// same keys with increments that never take a writer slot.  Without
-// install-time read validation a transfer that read key k before a hammer
-// commit and installed after it would overwrite the increment, and the
-// account sum would drift — which is exactly how this test fails on the
-// pre-OCC code if the validation gate is bypassed.  With validation the
-// final sum must equal the initial sum plus the hammerers' recorded net.
+// no commutative deltas), while point writers hammer the same keys with
+// increments.  A transfer whose reads a hammer commit could overtake before
+// its install would overwrite the increment, and the account sum would
+// drift; holding the footprint's writer slots from before f until the
+// install is what rules that out.  The final sum must equal the initial
+// sum plus the hammerers' recorded net, and no Set may ever have failed.
 func TestOCCUnfencedWriterInvariant(t *testing.T) {
 	const (
 		accounts = 64
@@ -41,12 +39,13 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 	}
 	m := newSharded(t, "pswf", 4, threads+2, initial)
 	defer m.Close()
+	add := func(old, new int64) int64 { return old + new }
 
 	var hammerNet atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
-		go func(seed int64) { // transfer threads: validated multi-key CAS
+		go func(seed int64) { // transfer threads: multi-key CAS
 			defer wg.Done()
 			rng := seed
 			next := func() int64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng }
@@ -58,14 +57,13 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 				b := (a + 1 + (next()&0xff)%(accounts-1)) % accounts
 				m.UpdateAtomicKeys([]int64{a, b}, func(tx *Txn[int64, int64, int64]) {
 					// Blind CAS shape: absolute rewrites computed from the
-					// validated reads.  Any stale read that committed would
-					// erase a hammer increment.
+					// reads.  Any stale read that committed would erase a
+					// hammer increment.
 					av, _ := tx.Get(a)
 					bv, _ := tx.Get(b)
 					// Arbitrary user work between read and write is legal and
-					// widens the conflict window; the guarantee must hold
-					// regardless (without install-time validation this yield
-					// makes the sum drift within a few hundred transfers).
+					// widens the window a writer would need; the guarantee
+					// must hold regardless.
 					runtime.Gosched()
 					tx.Insert(a, av-1)
 					tx.Insert(b, bv+1)
@@ -73,7 +71,7 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 			}
 		}(int64(w)*7919 + 1)
 		wg.Add(1)
-		go func(seed int64) { // unfenced hammer threads: plain point updates
+		go func(seed int64) { // hammer threads: point increments
 			defer wg.Done()
 			rng := seed
 			next := func() int64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng }
@@ -82,14 +80,10 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 				if k < 0 {
 					k = -k
 				}
-				// Single-key read-modify-write: atomic on its own (core
-				// re-runs the callback on conflict), takes no writer slot.
-				m.shards[m.ShardFor(k)].With(func(h *coreHandle) {
-					h.Update(func(tx *coreTxn) {
-						v, _ := tx.Get(k)
-						tx.Insert(k, v+3)
-					})
-				})
+				if err := m.InsertWith(k, 3, add); err != nil {
+					t.Error(err)
+					return
+				}
 				hammerNet.Add(3)
 			}
 		}(int64(w)*104729 + 13)
@@ -102,18 +96,39 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 	})
 	want := int64(accounts)*initBal + hammerNet.Load()
 	if sum != want {
-		t.Fatalf("sum invariant broken: got %d, want %d (drift %d): an invalidated read committed",
+		t.Fatalf("sum invariant broken: got %d, want %d (drift %d): a stale read committed",
 			sum, want, sum-want)
 	}
-	t.Logf("occ aborts under hammering: %d (threads=%d)", m.OCCAborts(), threads)
+	if a := m.Aborts(); a != 0 {
+		t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
+	}
+	t.Logf("fence restarts under hammering: %d (threads=%d)", m.OCCAborts(), threads)
+}
+
+// writeWaited runs write beside a transaction parked until release is
+// closed, then releases it and waits for both.  It reports whether write
+// finished while the transaction was still parked.
+func writeWaited(write func(), release, done chan struct{}) (overtook bool) {
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		write()
+	}()
+	select {
+	case <-wrote:
+		overtook = true
+	case <-time.After(5 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	<-wrote
+	return overtook
 }
 
 // TestOCCDeterministicAbort parks an UpdateAtomicKeys transaction between
-// its read and its install, lands an unfenced point write on the read key,
-// and releases it: install-time validation must abort the first attempt,
-// re-run the callback against the new value, and commit the second — the
-// retry loop and abort counter observed deterministically rather than
-// hoping a stress race fires.
+// its read and its install and sends a point write at the read key: the
+// point write must wait for the transaction — its shard's slot is in the
+// fence — and land on top of it, and f must run exactly once.
 func TestOCCDeterministicAbort(t *testing.T) {
 	initial := []ftree.Entry[int64, int64]{}
 	for i := int64(0); i < 32; i++ {
@@ -123,7 +138,7 @@ func TestOCCDeterministicAbort(t *testing.T) {
 	defer m.Close()
 
 	const k = int64(7)
-	read, hammered := make(chan struct{}), make(chan struct{})
+	read, release := make(chan struct{}), make(chan struct{})
 	runs := 0
 	done := make(chan struct{})
 	go func() {
@@ -132,83 +147,125 @@ func TestOCCDeterministicAbort(t *testing.T) {
 			runs++
 			v, _ := tx.Get(k)
 			if runs == 1 {
-				close(read) // first attempt: hold the stale read …
-				<-hammered  // … until the point writer has committed
+				close(read) // hold the read …
+				<-release   // … while the point write tries to commit
 			}
 			tx.Insert(k, v+1)
 		})
 	}()
 	<-read
-	m.Insert(k, 777) // unfenced: plain point write, no slot taken
-	close(hammered)
-	<-done
-
-	if runs != 2 {
-		t.Fatalf("callback ran %d times, want 2 (abort must re-run f)", runs)
+	if writeWaited(func() { m.Insert(k, 777) }, release, done) {
+		t.Fatal("a point write on a footprint key committed inside the transaction")
 	}
-	if got := m.OCCAborts(); got != 1 {
-		t.Fatalf("OCCAborts() = %d, want exactly 1", got)
+	if runs != 1 {
+		t.Fatalf("callback ran %d times, want 1", runs)
 	}
-	if v, _ := m.Get(k); v != 778 {
-		t.Fatalf("final value %d, want 778 (second attempt must read the hammered 777)", v)
+	if got := m.OCCAborts(); got != 0 {
+		t.Fatalf("OCCAborts() = %d, want 0", got)
+	}
+	if v, _ := m.Get(k); v != 777 {
+		t.Fatalf("final value %d, want 777 (the point write lands after the transaction's 101)", v)
 	}
 }
 
-// TestOCCValidatesReadsOutsideFootprint declares a write-only footprint and
-// reads a key on a DIFFERENT shard inside the transaction: the read is
-// outside every held writer slot, so only stripe validation protects it.
-// The parked-write pattern proves it does.
+// TestOCCValidatesReadsOutsideFootprint declares a one-key footprint and
+// reads keys on OTHER shards inside the transaction.  A read outside the
+// fence dooms the attempt and fences its shard: a read of one other shard
+// restarts once, and the retry's read is stable — a point write sent while
+// it is parked waits for it.  An f that reads a new shard on every run
+// restarts once per shard, so f runs at most S times.
 func TestOCCValidatesReadsOutsideFootprint(t *testing.T) {
+	const shards = 4
 	initial := []ftree.Entry[int64, int64]{}
 	for i := int64(0); i < 64; i++ {
 		initial = append(initial, ftree.Entry[int64, int64]{Key: i, Val: int64(i)})
 	}
-	m := newSharded(t, "pswf", 4, 4, initial)
+	m := newSharded(t, "pswf", shards, 4, initial)
 	defer m.Close()
 
-	// Pick src on a different shard than dst so the read is unfenced.
-	dst := int64(1)
-	src := int64(-1)
-	for i := int64(2); i < 64; i++ {
-		if m.ShardFor(i) != m.ShardFor(dst) {
-			src = i
-			break
+	// keyOn[i] is a key on shard i; dst is the footprint.
+	keyOn := make([]int64, shards)
+	for i := range keyOn {
+		keyOn[i] = -1
+	}
+	for k := int64(0); k < 64; k++ {
+		if i := m.ShardFor(k); keyOn[i] < 0 {
+			keyOn[i] = k
 		}
 	}
-	if src < 0 {
-		t.Skip("hash put 64 keys on one shard")
+	for i, k := range keyOn {
+		if k < 0 {
+			t.Skipf("hash put no key below 64 on shard %d", i)
+		}
 	}
+	dst := keyOn[0]
+	src := keyOn[1]
 
-	read, hammered := make(chan struct{}), make(chan struct{})
-	runs := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	t.Run("one-shard", func(t *testing.T) {
+		before := m.OCCAborts()
+		read, release := make(chan struct{}), make(chan struct{})
+		runs := 0
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			m.UpdateAtomicKeys([]int64{dst}, func(tx *Txn[int64, int64, int64]) {
+				runs++
+				v, _ := tx.Get(src) // cross-shard read, not in the footprint
+				if runs == 2 {
+					close(read)
+					<-release
+				}
+				tx.Insert(dst, v*10)
+			})
+		}()
+		<-read
+		if writeWaited(func() { m.Insert(src, 5000) }, release, done) {
+			t.Fatal("a point write on a fenced read key committed inside the transaction")
+		}
+		if runs != 2 || m.OCCAborts() != before+1 {
+			t.Fatalf("callback ran %d times with %d restarts, want 2 and 1", runs, m.OCCAborts()-before)
+		}
+		if v, _ := m.Get(dst); v != src*10 {
+			t.Fatalf("dst = %d, want %d (derived from the read the transaction held)", v, src*10)
+		}
+	})
+
+	t.Run("every-shard-at-once", func(t *testing.T) {
+		before, runs := m.OCCAborts(), 0
 		m.UpdateAtomicKeys([]int64{dst}, func(tx *Txn[int64, int64, int64]) {
 			runs++
-			v, _ := tx.Get(src) // cross-shard read, not in the footprint
-			if runs == 1 {
-				close(read)
-				<-hammered
+			var sum int64
+			for _, k := range keyOn {
+				v, _ := tx.Get(k)
+				sum += v
 			}
-			tx.Insert(dst, v*10)
+			tx.Insert(dst, sum)
 		})
-	}()
-	<-read
-	m.Insert(src, 5000)
-	close(hammered)
-	<-done
+		if runs != 2 || m.OCCAborts() != before+1 {
+			t.Fatalf("callback ran %d times with %d restarts, want 2 and 1", runs, m.OCCAborts()-before)
+		}
+	})
 
-	if runs != 2 {
-		t.Fatalf("callback ran %d times, want 2", runs)
-	}
-	if v, _ := m.Get(dst); v != 50000 {
-		t.Fatalf("dst = %d, want 50000 (derived from the post-hammer read)", v)
-	}
+	t.Run("one-new-shard-per-run", func(t *testing.T) {
+		before, runs := m.OCCAborts(), 0
+		m.UpdateAtomicKeys([]int64{dst}, func(tx *Txn[int64, int64, int64]) {
+			runs++
+			var sum int64
+			for _, k := range keyOn[1:min(runs+1, shards)] { // run r reads shards 1..r
+				v, _ := tx.Get(k)
+				sum += v
+			}
+			tx.Insert(dst, sum)
+		})
+		if runs != shards || m.OCCAborts()-before != shards-1 {
+			t.Fatalf("callback ran %d times with %d restarts, want %d (= S) and %d",
+				runs, m.OCCAborts()-before, shards, shards-1)
+		}
+	})
 }
 
-// TestOCCReadOnlyTxn covers the no-write path: validation alone (no install
-// window) must still terminate and report a mutually consistent read set.
+// TestOCCReadOnlyTxn covers the no-write path: it must still terminate and
+// report a mutually consistent read set.
 func TestOCCReadOnlyTxn(t *testing.T) {
 	initial := []ftree.Entry[int64, int64]{{Key: 1, Val: 10}, {Key: 2, Val: 20}}
 	m := newSharded(t, "pswf", 2, 3, initial)
@@ -224,63 +281,12 @@ func TestOCCReadOnlyTxn(t *testing.T) {
 	}
 }
 
-// TestOCCInstallWindowLostUpdate lands an unfenced point increment
-// deterministically inside the validate-to-install window — after the
-// transaction's read-set validation has passed, before any shard's root is
-// published — via the testPostValidate hook.  This is the window validation
-// alone cannot cover: without the write-set install locks the increment
-// commits mid-window and the install's absolute value silently erases it
-// (final 200, a lost update).  With the locks the increment must stall
-// until the install publishes and then land on top of it (final 205),
-// whichever side of the window the scheduler puts it on.
-func TestOCCInstallWindowLostUpdate(t *testing.T) {
-	const k = int64(3)
-	m := newSharded(t, "pswf", 2, 4, []ftree.Entry[int64, int64]{{Key: k, Val: 100}})
-	defer m.Close()
-
-	var hammer sync.WaitGroup
-	fired := false
-	m.testPostValidate = func() {
-		if fired { // only the first attempt's window hosts the race
-			return
-		}
-		fired = true
-		hammer.Add(1)
-		go func() {
-			defer hammer.Done()
-			// Unfenced single-key read-modify-write: no writer slot, atomic
-			// on its own (core re-runs the callback on root conflict).
-			m.shards[m.ShardFor(k)].With(func(h *coreHandle) {
-				h.Update(func(tx *coreTxn) {
-					v, _ := tx.Get(k)
-					tx.Insert(k, v+5)
-				})
-			})
-		}()
-		// Park inside the window long enough for the increment to either
-		// commit (the pre-lock bug) or reach the install-lock stall (the
-		// guarantee under test).
-		time.Sleep(2 * time.Millisecond)
-	}
-	m.UpdateAtomicKeys([]int64{k}, func(tx *Txn[int64, int64, int64]) {
-		v, _ := tx.Get(k)
-		tx.Insert(k, v*2)
-	})
-	m.testPostValidate = nil
-	hammer.Wait()
-
-	if v, _ := m.Get(k); v != 205 {
-		t.Fatalf("k = %d, want 205 (100*2+5): an unfenced write in the validate-to-install window was lost", v)
-	}
-}
-
 // TestOCCWriteSkew: two transactions with disjoint single-shard footprints
 // each read BOTH keys and conditionally write only their own — the classic
-// write-skew shape, invisible to any per-key check.  Lock-before-validate
-// makes it impossible: each locks its write stripe before validating its
-// read of the other's key, so when the windows overlap at least one sees
-// the other's lock (or its completed write) and aborts.  The on-call
-// invariant a+b >= 1 must hold after every round.
+// write-skew shape, invisible to any per-key check.  Each one's read of the
+// other's key fences the other's shard, so the committing attempts hold
+// both slots and run one after the other.  The on-call invariant a+b >= 1
+// must hold after every round.
 func TestOCCWriteSkew(t *testing.T) {
 	m := newSharded(t, "pswf", 4, 4, nil)
 	defer m.Close()
@@ -325,7 +331,3 @@ func TestOCCWriteSkew(t *testing.T) {
 		}
 	}
 }
-
-// coreHandle / coreTxn shorten the hammer path's types.
-type coreHandle = core.Handle[int64, int64, int64]
-type coreTxn = core.Txn[int64, int64, int64]

@@ -28,22 +28,23 @@
 //     (latest-GSN, install-seq) vector around pinning, retrying until the
 //     seqlock vector is stable (stamps collected before the pins bound the
 //     cut either way) and falling back to briefly fencing the writer
-//     slots.  UpdateAtomicKeys adds full optimistic concurrency on top:
-//     every authoritative read inside the transaction is sampled against
-//     per-key version stripes (core/keyver.go), the write set's stripes
-//     are install-locked, and the read set is revalidated at install time
-//     with the locks held through publication — so a committed transaction
-//     is a true multi-key compare-and-swap, serializable against all
-//     writers, including plain point updates that never take the writer
-//     slot (they stall off the locked write set and are validation
-//     conflicts on the read set).  See the GSN protocol and OCC notes in
-//     core/stamp.go, core/keyver.go and DESIGN.md.
+//     slots.  UpdateAtomicKeys is two-phase locking on the same slots: the
+//     footprint's slots are held from before the transaction's reads until
+//     its install, so a committed transaction is a multi-key
+//     compare-and-swap, serializable against all writers.  See the GSN
+//     notes in core/stamp.go and DESIGN.md.
 //
-// Operations whose keys live on one shard (point reads, per-key updates, a
-// Range that happens to hash into one shard) keep the paper's full
-// guarantees in both modes; single-shard commits carry GSN stamps too, so
-// they order correctly under consistent views at no extra cost beyond two
-// atomic RMWs per commit.
+// # One writer per shard
+//
+// Every commit on shard i — point op, batch part, Update leg, combiner
+// batch, atomic leg, replayed record — holds shard i's writer slot from
+// before its Set until after its log Append, so each shard has exactly one
+// writer at a time: the paper's single-writer setting, where a write
+// transaction's delay is O(P) and its Set never fails.  Operations whose
+// keys live on one shard (point reads, per-key updates, a Range that
+// happens to hash into one shard) keep the paper's full guarantees in both
+// modes; single-shard commits carry GSN stamps too, so they order
+// correctly under consistent views.
 //
 // No pid appears anywhere in this package's API: process identities are
 // leased internally, one per transaction (core.Map.With — one CAS to take a
@@ -58,10 +59,10 @@
 // Every write — point op, batch, Update, UpdateAtomic, UpdateAtomicKeys, a
 // combiner batch, a recovered or replicated redo record — is the paper's
 // one transaction shape run through the same pipeline: plan intents →
-// (fence, lock, validate) → install under a GSN → log → group fsync.
+// writer slots → install under a GSN → log → release → group fsync.
 // commit.go holds its two primitives (commitShard, commitAtomic), the only
 // places that know whether a redo log is attached; txn.go the plan (Txn,
-// intents, validated reads); view.go the read side (View, ViewConsistent,
+// intents, fence growth); view.go the read side (View, ViewConsistent,
 // Snap); scan.go ordered cross-shard reads; wal.go and repl.go the log
 // binding: one applyRecord, one loadSnapshot, for recovery and replication.
 // The lock order and the per-primitive invariants are stated once, in
@@ -108,35 +109,26 @@ type Map[K, V, A any] struct {
 	// (core.Config.Stamp): single-shard commits stamp themselves from it,
 	// and UpdateAtomic allocates one stamp per cross-shard transaction.
 	gsn atomic.Uint64
-	// maxCollects overrides consistentRetries when positive (tests force
-	// the fence fallback with maxCollects == 1 and no stable window).
+	// maxCollects overrides consistentRetries when non-zero (tests force
+	// the fence fallback with a small count and no stable window, or on
+	// every call with a negative one).
 	maxCollects int
 	// snapRetries / fenced count ViewConsistent's failed double-collect
 	// attempts and fence fallbacks, for tests and tuning.
 	snapRetries atomic.Int64
 	fenced      atomic.Int64
-	// occAborts counts UpdateAtomicKeys transactions aborted and retried
-	// because install-time validation found a read key's version stripe
-	// moved (an unfenced writer hit the read set).
+	// occAborts counts UpdateAtomicKeys attempts restarted because f read
+	// a shard outside the attempt's fence.
 	occAborts atomic.Int64
-	// testPostValidate, when non-nil, runs inside an UpdateAtomicKeys
-	// install after its read-set validation passes and before any shard's
-	// root is published — the validate-to-install window.  Tests use it to
-	// land racing work deterministically in the window the install locks
-	// must protect; it must not itself commit a fenced or stripe-stalled
-	// write synchronously (the slots and write locks are held).
-	testPostValidate func()
 
 	// scans pools merge state for ordered cross-shard reads (see scan.go):
 	// S reusable tree iterators plus the loser-tree array, leased per scan
 	// so a warm fixed-length scan allocates nothing.
 	scans sync.Pool
 
-	// wal, when non-nil, is the attached redo log (wal.go); walMu[i] is
-	// held across shard i's {in-memory commit + Append}.  Only the commit
-	// primitives (commit.go) consult either.
+	// wal, when non-nil, is the attached redo log (wal.go); only the commit
+	// primitives (commit.go) and the log binding consult it.
 	wal    *walBinding[K, V]
-	walMu  []sync.Mutex
 	ckptMu sync.Mutex
 
 	// closing/gates/closedCh make Close idempotent and safe against
@@ -189,7 +181,6 @@ func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial [
 	}
 	m := &Map[K, V, A]{
 		hash:     cfg.Hash,
-		walMu:    make([]sync.Mutex, cfg.Shards),
 		gates:    make([]gate, cfg.Shards),
 		closedCh: make(chan struct{}),
 	}
@@ -201,10 +192,6 @@ func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial [
 			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		// Every shard maintains per-key version stripes so UpdateAtomicKeys
-		// can validate its reads against unfenced point writers; the shard
-		// hash doubles as the stripe hash (core remixes it).
-		s.EnableKeyVersions(cfg.Hash, 0)
 		m.shards = append(m.shards, s)
 	}
 	return m, nil
@@ -216,8 +203,10 @@ func (m *Map[K, V, A]) NumShards() int { return len(m.shards) }
 // ShardFor returns the index of the shard owning key k.
 func (m *Map[K, V, A]) ShardFor(k K) int { return int(m.hash(k) % uint64(len(m.shards))) }
 
-// Shard exposes one underlying core.Map for handle-based access (long-lived
+// Shard exposes one underlying core.Map for handle-based reads (long-lived
 // workers that want to lease a per-shard identity once instead of per-op).
+// Its handles are for reads: a write through one would commit without the
+// shard's writer slot, beside the one writer every Map write assumes.
 func (m *Map[K, V, A]) Shard(i int) *core.Map[K, V, A] { return m.shards[i] }
 
 // Get runs a point read as a delay-free read transaction on k's shard.
@@ -228,6 +217,12 @@ func (m *Map[K, V, A]) Get(k K) (v V, ok bool) {
 		return
 	}
 	defer m.exit(i)
+	return m.get(i, k)
+}
+
+// get is Get on shard i without the close gate, for callers already past
+// one (a transaction's reads).
+func (m *Map[K, V, A]) get(i int, k K) (v V, ok bool) {
 	m.shards[i].With(func(h *core.Handle[K, V, A]) {
 		h.Read(func(s core.Snapshot[K, V, A]) { v, ok = s.Get(k) })
 	})
@@ -318,8 +313,8 @@ func (m *Map[K, V, A]) Len() int64 {
 
 // StartBatching launches one Appendix-F combining writer per shard, each
 // committing that shard's submissions as atomic batches through the commit
-// pipeline: a batch is one fenced commitShard — log or no log — so it takes
-// the writer slot, leases a pid for the one transaction and logs its
+// pipeline: a batch is one commitShard — log or no log — so it takes the
+// writer slot, leases a pid for the one transaction and logs its
 // post-images from inside it like every other write.  Its groupCommit runs
 // on the shard's completer (batch.Commit.Wait), so the combiner applies the
 // next batch while this one's fsync is in flight; without a log the wait is
@@ -341,10 +336,9 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 					return 0, err
 				}
 				// The record is the batch as committed: coalescing reorders
-				// and shortens inserts in place, so the encode (and a
-				// conflict's re-run) must see what Apply returns, not the
-				// gathered length.
-				return m.commitShard(i, true,
+				// and shortens inserts in place, so the encode must see
+				// what Apply returns, not the gathered length.
+				return m.commitShard(i,
 					func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
 					func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
 						for _, en := range inserts {
@@ -465,7 +459,9 @@ func (m *Map[K, V, A]) Commits() int64 {
 	return n
 }
 
-// Aborts sums Set failures across shards.
+// Aborts sums Set failures across shards: 0 while every write goes through
+// the Map, whose writers take their shard's slot — a failure means something
+// wrote through a raw Shard handle.
 func (m *Map[K, V, A]) Aborts() int64 {
 	var n int64
 	for _, s := range m.shards {

@@ -173,6 +173,9 @@ func TestShardedConcurrent(t *testing.T) {
 	if m.Commits() <= 0 {
 		t.Fatal("no commits recorded")
 	}
+	if a := m.Aborts(); a != 0 {
+		t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
+	}
 	m.Close()
 	if live := m.Live(); live != 0 {
 		t.Fatalf("leaked %d nodes across shards", live)
@@ -343,6 +346,9 @@ func TestAtomicTransferInvariant(t *testing.T) {
 					t.Fatalf("final sum = %d, want %d", sum, accounts*balance)
 				}
 			})
+			if a := m.Aborts(); a != 0 {
+				t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
+			}
 			m.Close()
 			if live := m.Live(); live != 0 {
 				t.Fatalf("leaked %d nodes", live)
@@ -415,37 +421,6 @@ func TestConsistentFenceFallback(t *testing.T) {
 	}
 }
 
-// TestSingleShardAtomicRespectsFence: an UpdateAtomic whose footprint
-// collapses to one shard must still commit under that shard's writer slot
-// — otherwise it could slip between an UpdateAtomicKeys caller's
-// validation read and install, breaking the multi-key CAS contract.
-func TestSingleShardAtomicRespectsFence(t *testing.T) {
-	m := newSharded(t, "pswf", 2, 3, nil)
-	defer m.Close()
-	k := int64(1)
-	m.Insert(k, 0)
-	m.shards[m.ShardFor(k)].LockWriterSlot()
-	done := make(chan struct{})
-	go func() {
-		m.UpdateAtomic(func(tx *Txn[int64, int64, int64]) { tx.Insert(k, 7) })
-		close(done)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("single-shard UpdateAtomic committed through a held writer slot")
-	default:
-	}
-	if v, _ := m.Get(k); v != 0 {
-		t.Fatalf("value changed to %d while the slot was held", v)
-	}
-	m.shards[m.ShardFor(k)].UnlockWriterSlot()
-	<-done
-	if v, _ := m.Get(k); v != 7 {
-		t.Fatalf("value = %d after slot release, want 7", v)
-	}
-}
-
 // TestShardedUncollectedBound: every shard individually respects PSWF's
 // 2P+1 version bound, so the aggregate is at most S*(2P+1).
 func TestShardedUncollectedBound(t *testing.T) {
@@ -481,8 +456,9 @@ func TestShardedConfigErrors(t *testing.T) {
 	}
 }
 
-// TestShardedHandleAccess: long-lived per-shard handles (the benchmark
-// pattern) coexist with the pool-leasing convenience API.
+// TestShardedHandleAccess: long-lived per-shard read handles (the benchmark
+// pattern) coexist with the pool-leasing convenience API, whose writes
+// lease their own pids beside them.
 func TestShardedHandleAccess(t *testing.T) {
 	m := newSharded(t, "pswf", 2, 3, nil)
 	handles := make([]*core.Handle[int64, int64, int64], m.NumShards())
@@ -490,8 +466,9 @@ func TestShardedHandleAccess(t *testing.T) {
 		handles[i] = m.Shard(i).Handle()
 	}
 	for i := int64(0); i < 100; i++ {
-		h := handles[m.ShardFor(i)]
-		h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(i, i) })
+		if err := m.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var n int64
 	for _, h := range handles {

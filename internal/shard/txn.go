@@ -12,40 +12,30 @@ import (
 // one GSN) replays each shard's intents in order.  Reads see the
 // transaction's own buffered writes first — including deletes, so a
 // get-after-delete inside the transaction reports absence — then the
-// shard's current committed version.  Under UpdateAtomicKeys every
-// authoritative read is additionally sampled into a read set that the
-// install phase validates (and aborts on) against concurrent point writers.
+// shard's current committed version.
 type Txn[K, V, A any] struct {
 	m       *Map[K, V, A]
 	intents [][]intent[K, V]
 
-	// occ marks an UpdateAtomicKeys transaction: authoritative reads go
-	// through the stable-read protocol and land in reads, the read set the
-	// install phase validates; wstripes lists, per shard, the write set's
-	// stripes the install locks.  One Txn serves every attempt (reset in
-	// place), so an abort storm does not reallocate them.
-	occ      bool
-	reads    []readSample
-	wstripes [][]uint64
+	// fenced is non-nil only under UpdateAtomicKeys: fenced[i] marks shard i
+	// as in the attempt's fence, whose writer slots the attempt holds, so
+	// reads there are stable.  A read of a shard outside the fence adds it
+	// for the next attempt and sets grew, which dooms this one.  One Txn
+	// serves every attempt.
+	fenced []bool
+	grew   bool
 }
 
 func (m *Map[K, V, A]) newTxn() *Txn[K, V, A] {
 	return &Txn[K, V, A]{m: m, intents: make([][]intent[K, V], len(m.shards))}
 }
 
-// reset empties the plan for the next attempt (or the next record).  Stale
-// wstripes must not survive: validation masks the lock bit exactly on the
-// stripes listed there, and masking a stripe this attempt did not lock
-// would validate a read another transaction's install is about to
-// overwrite.
+// reset empties the plan for the next attempt (or the next record).
 func (t *Txn[K, V, A]) reset() {
 	for i := range t.intents {
 		t.intents[i] = t.intents[i][:0]
 	}
-	for i := range t.wstripes {
-		t.wstripes[i] = t.wstripes[i][:0]
-	}
-	t.reads = t.reads[:0]
+	t.grew = false
 }
 
 type intent[K, V any] struct {
@@ -53,16 +43,6 @@ type intent[K, V any] struct {
 	key  K
 	val  V
 	comb func(old, new V) V // non-nil: combine with the value below (InsertWith)
-}
-
-// readSample records one validated optimistic read: the key's version
-// stripe on its shard and the stable word observed there when the value was
-// read.  Validation re-loads the stripe and requires the identical word —
-// which proves no writer so much as started a commit on the stripe since.
-type readSample struct {
-	shard  int
-	stripe uint64
-	word   uint64
 }
 
 // Insert buffers an insert-or-replace of (k, v).
@@ -101,10 +81,23 @@ func (t *Txn[K, V, A]) touched() []int {
 	return out
 }
 
+// fence returns the indices of the fenced shards, in ascending order.
+func (t *Txn[K, V, A]) fence() []int {
+	var out []int
+	for i, f := range t.fenced {
+		if f {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // Get reads through the transaction's buffered writes (latest intent for k
 // wins; a buffered delete reports absence), falling back to a point read of
-// k's shard's current version.  Combining intents (InsertWith) are folded,
-// in buffer order, on top of the latest authoritative value below them.
+// k's shard's current version — under UpdateAtomicKeys, a read outside the
+// fence dooms the attempt (see there).  Combining intents (InsertWith) are
+// folded, in buffer order, on top of the latest authoritative value below
+// them.
 func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 	i := t.m.ShardFor(k)
 	cmp := t.m.shards[i].Ops().Cmp
@@ -131,10 +124,11 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 		// absent below the combs
 	case base >= 0:
 		v, ok = list[base].val, true
-	case t.occ:
-		v, ok = t.readTracked(i, k)
 	default:
-		v, ok = t.m.Get(k)
+		if t.fenced != nil && !t.fenced[i] {
+			t.fenced[i], t.grew = true, true
+		}
+		v, ok = t.m.get(i, k)
 	}
 	for j := len(combs) - 1; j >= 0; j-- { // chronological order
 		in := list[combs[j]]
@@ -145,55 +139,6 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 		}
 	}
 	return v, ok
-}
-
-// readTracked is the optimistic stable read: load k's version stripe (a
-// stable word, waiting out in-flight writers and foreign install locks
-// with bounded backoff), read the value, and accept only if the stripe did
-// not move — so the recorded word names exactly the write-state the value
-// came from.  The (shard, stripe, word) sample joins the transaction's
-// read set for install-time validation.  The wait is bounded by commit
-// brackets and install windows, which contain no user code — but a
-// wholesale bracket (a SetRoot or table-scale batch commit on the read
-// shard) marks every stripe for its whole commit, so a read colliding with
-// one waits for that commit's Set; see the UpdateAtomicKeys contract.
-func (t *Txn[K, V, A]) readTracked(i int, k K) (V, bool) {
-	s := t.m.shards[i]
-	stripe := s.KeyStripe(k)
-	var v V
-	var ok bool
-	for n := 0; ; n++ {
-		w := s.StableStripeWord(stripe)
-		s.With(func(h *core.Handle[K, V, A]) {
-			h.Read(func(sn core.Snapshot[K, V, A]) { v, ok = sn.Get(k) })
-		})
-		if s.StripeWord(stripe) == w {
-			t.reads = append(t.reads, readSample{shard: i, stripe: stripe, word: w})
-			return v, ok
-		}
-		core.Backoff(n)
-	}
-}
-
-// validateReads re-loads every read sample's stripe and reports whether all
-// still hold their recorded words.  Equality means no writer entered the
-// stripe since the read — every sampled value is still current — so the
-// caller may treat "now" as the moment all its reads happened at once.  On
-// the stripes the transaction itself has install-locked (wstripes), and only
-// those, the lock bit is masked before comparing — the caller's own lock is
-// not a conflict, but a FOREIGN lock means another transaction is
-// mid-install over the sampled key and the read must not survive validation.
-func (t *Txn[K, V, A]) validateReads() bool {
-	for _, r := range t.reads {
-		w := t.m.shards[r.shard].StripeWord(r.stripe)
-		if w&core.StripeLock != 0 && slices.Contains(t.wstripes[r.shard], r.stripe) {
-			w &^= core.StripeLock
-		}
-		if w != r.word {
-			return false
-		}
-	}
-	return true
 }
 
 // replay applies a shard's buffered intents, in order, to a core write

@@ -9,8 +9,8 @@ import (
 
 // consistentRetries bounds ViewConsistent's optimistic double-collect
 // attempts before it falls back to fencing the writer slots.  Small: each
-// failed attempt costs S pins, and the fence is cheap for writers that
-// never take the slot (all plain transactions).
+// failed attempt costs S pins, and the fence holds writers only for one
+// collect and S pins.
 const consistentRetries = 8
 
 // withPinned acquires one handle and one version per shard in ascending
@@ -71,9 +71,10 @@ func (m *Map[K, V, A]) View(f func(s Snap[K, V, A])) {
 // landed during it).  Only seqlock instability forces a retry; after
 // consistentRetries failed attempts (sustained atomic-install overlap) it
 // falls back to briefly fencing the writer slots in ascending shard order:
-// with the slots held no atomic install or combiner commit can run, so the
-// fenced attempt is definitive.  Plain writers are never blocked in either
-// path.  After Close it returns without running f.
+// with the slots held no write of any kind can commit, so the fenced
+// attempt is definitive.  The optimistic path blocks no writer; the fence
+// holds them for one GSN collect and S pins, never for f.  After Close it
+// returns without running f.
 func (m *Map[K, V, A]) ViewConsistent(f func(s Snap[K, V, A])) {
 	if !m.enter(0) {
 		return
@@ -89,7 +90,7 @@ func (m *Map[K, V, A]) viewConsistent(f func(s Snap[K, V, A])) {
 	gsns := make([]uint64, n)
 	seqs := make([]uint64, n)
 	max := m.maxCollects
-	if max <= 0 {
+	if max == 0 {
 		max = consistentRetries
 	}
 	for try := 0; try < max; try++ {
@@ -126,11 +127,9 @@ func (m *Map[K, V, A]) viewConsistent(f func(s Snap[K, V, A])) {
 		}
 		m.snapRetries.Add(1)
 	}
-	// Fence fallback: exclude atomic installers (and combiner commits) for
-	// the duration of one pin pass.  The GSN vector is collected before
-	// pinning — stamp-after-visibility makes it a sound prefix bound — and
-	// needs no second collect: the slots guarantee no install can tear the
-	// cut, and single-shard commits slipping in are atomic on their own.
+	// Fence fallback: exclude every writer for the duration of one pin
+	// pass.  The GSN vector is collected before pinning and needs no second
+	// collect: with the slots held nothing commits until the pins are done.
 	// The slots are released as soon as the last version is pinned: pinned
 	// versions are immutable, so f — often a long scan, exactly what
 	// ViewConsistent is for — must not extend the writer stall.

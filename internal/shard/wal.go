@@ -5,8 +5,8 @@
 // deltas: a combining write is resolved to its final value at log time,
 // inside the committing transaction, so replay is idempotent and a record
 // buried under a later one is simply overwritten.  Why per-shard log order
-// must equal per-shard commit order, and how walMu enforces it, is stated
-// once in DESIGN.md "The commit pipeline".
+// must equal per-shard commit order, and how the writer slot enforces it,
+// is stated once in DESIGN.md "The commit pipeline".
 package shard
 
 import (
@@ -179,14 +179,13 @@ func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []
 	m.FloorGSN(max(cut, 1) - 1)
 	core.LockWriterSlots(m.shards, all)
 	defer core.UnlockWriterSlots(m.shards, all)
-	stamp, _ = core.InstallAtomicValidated(m.shards, all, nil, func() {
+	return core.InstallAtomic(m.shards, all, func() {
 		for i, s := range m.shards {
 			s.With(func(h *core.Handle[K, V, A]) {
 				h.UpdateUnstamped(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
 			})
 		}
-	})
-	return stamp, nil
+	}), nil
 }
 
 // WALStats exposes the attached log's counters (nil-safe: zero when no WAL).
@@ -269,8 +268,9 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 // ViewConsistent: shard i's pinned root contains all commits stamped <=
 // GSNs()[i], so min(GSNs) is a sound cut — records above it are replayed
 // over the snapshot at recovery, and absolute post-images make re-applying
-// the overlap idempotent.  Concurrent calls are serialized; writers are
-// never blocked (the snapshot is a pinned immutable read).
+// the overlap idempotent.  Concurrent calls are serialized; writers wait at
+// most for the pins of a fenced ViewConsistent, never for the encode (the
+// snapshot is a pinned immutable read).
 func (m *Map[K, V, A]) Checkpoint() error {
 	if m.wal == nil {
 		return errors.New("shard: no WAL attached")

@@ -9,8 +9,10 @@
 //   - Read transactions are delay-free: they acquire a snapshot in O(1)
 //     and run unmodified tree code against it, never blocking writers and
 //     never blocked by them.
-//   - A solo write transaction commits with O(P) delay; concurrent writers
-//     are lock-free (a failed commit implies another writer succeeded).
+//   - A solo write transaction commits with O(P) delay.  The sharded DB
+//     runs exactly one writer per shard at a time; the standalone map's
+//     concurrent writers are lock-free (a failed commit implies another
+//     writer succeeded).
 //   - Garbage collection is precise: every version is collected the moment
 //     its last transaction releases it, in time linear in the garbage.
 //
