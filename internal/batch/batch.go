@@ -191,17 +191,16 @@ type Config struct {
 	MaxBatch int
 }
 
-// New creates a Batcher that commits each batch to m as one write
-// transaction under m's writer slot, so a cross-shard atomic install or a
-// fenced consistent view never has to chase a stream of combiner commits.
-// The commit is GSN-stamped like any other.  comb defines how an inserted
-// value merges with an existing one (nil overwrites).  Start must be called
-// before any Submit.
+// New creates a Batcher that commits each batch to a standalone m as one
+// write transaction on a leased pid, beside any other writer of m (a
+// core.Map's writers are lock-free, and a conflict re-runs the batch).  It
+// takes no writer slot and no commit stamp: those belong to a sharded map,
+// whose batchers go through its own commit pipeline (NewWithCommit).  comb
+// defines how an inserted value merges with an existing one (nil
+// overwrites).  Start must be called before any Submit.
 func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V) *Batcher[K, V, A] {
 	return NewWithCommit[K, V, A](cfg, Commit[K, V]{
 		Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
-			m.LockWriterSlot()
-			defer m.UnlockWriterSlot()
 			m.With(func(h *core.Handle[K, V, A]) {
 				// A conflict re-runs the transaction on what the attempt
 				// before it coalesced the inserts to, never on its leftovers.

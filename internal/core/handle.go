@@ -154,23 +154,9 @@ func (h *Handle[K, V, A]) Read(f func(s Snapshot[K, V, A])) { h.m.Read(h.pid, f)
 // conflict until it commits; it returns the number of retries.
 func (h *Handle[K, V, A]) Update(f func(t *Txn[K, V, A])) int { return h.m.Update(h.pid, f) }
 
-// UpdateUnstamped runs a write transaction whose commit stamp is deferred:
-// the caller is a cross-map atomic installer and will publish the
-// transaction's shared GSN via Map.BumpStamp after every touched map's root
-// is installed (see stamp.go).
-func (h *Handle[K, V, A]) UpdateUnstamped(f func(t *Txn[K, V, A])) int {
-	return h.m.UpdateUnstamped(h.pid, f)
-}
-
 // TryUpdate runs a write transaction that aborts instead of retrying; it
 // reports whether the transaction committed.
 func (h *Handle[K, V, A]) TryUpdate(f func(t *Txn[K, V, A])) bool { return h.m.TryUpdate(h.pid, f) }
-
-// LastStamp returns the GSN of the most recent stamped commit made
-// through this handle, or 0 when that commit was a no-op (nothing
-// published — e.g. a delete of an absent key).  Valid until the next
-// transaction on the handle; the WAL layer keys redo records with it.
-func (h *Handle[K, V, A]) LastStamp() uint64 { return h.m.procs[h.pid].lastStamp }
 
 // ArenaStats exposes the leased pid's arena counters (refills, spills,
 // chunk carves) for tests and tuning; call only while holding the lease.

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"mvgc/internal/ftree"
@@ -35,17 +34,6 @@ type Map[K, V, A any] struct {
 	// that hands the P records out one holder at a time (handle.go).
 	procs []proc[K, V, A]
 	free  lease
-
-	// Global-commit-sequence state (see stamp.go): stampSrc is the counter
-	// commits draw their GSN from (shared across sibling shards when
-	// Config.Stamp is set), latestStamp the largest stamp committed here,
-	// installSeq the seqlock readers double-collect to detect an atomic
-	// cross-map install in flight, and slotMu the writer slot — the one
-	// writer lock of a map whose writers all take it (a shard.Map's).
-	stampSrc    *atomic.Uint64
-	latestStamp atomic.Uint64
-	installSeq  atomic.Uint64
-	slotMu      sync.Mutex
 
 	// TrackVersions enables sampling of the version count at the start of
 	// every write transaction (the Table 2 / Figure 6 metric).
@@ -71,10 +59,6 @@ type proc[K, V, A any] struct {
 	ops   *ftree.Ops[K, V, A]
 	txn   Txn[K, V, A]
 	rbuf  []*ftree.Node[K, V, A]
-	// lastStamp is the GSN of the pid's most recent stamped commit, 0 when
-	// that commit was a no-op.  Read back via Handle.LastStamp by callers
-	// that need their own commit's GSN, e.g. to key a WAL record.
-	lastStamp uint64
 	// handle is what Map.With lends out, so a scoped lease allocates
 	// nothing; next links the pid into the lease's free stack.
 	handle Handle[K, V, A]
@@ -95,12 +79,6 @@ type Config struct {
 	// heap — the ablation NewMap's recycling-on default is measured
 	// against (BenchmarkAllocPointUpdate, cmd/allocbench).
 	NoRecycle bool
-	// Stamp, when non-nil, is the shared counter commits draw their global
-	// commit sequence number from.  Sibling maps given the same counter
-	// (e.g. the shards of one shard.Map) stamp their commits in one global
-	// order, which is what lets a cross-shard reader cut a consistent
-	// snapshot (see stamp.go).  Nil gives the map a private counter.
-	Stamp *atomic.Uint64
 }
 
 // NewMap creates a transactional map whose initial version holds the given
@@ -128,10 +106,6 @@ func NewMap[K, V, A any](cfg Config, ops *ftree.Ops[K, V, A], initial []ftree.En
 		return nil, fmt.Errorf("core: unknown version-maintenance algorithm %q (want one of %v)", alg, vm.Names())
 	}
 	mp := &Map[K, V, A]{ops: ops, m: m, procs: make([]proc[K, V, A], cfg.Procs)}
-	mp.stampSrc = cfg.Stamp
-	if mp.stampSrc == nil {
-		mp.stampSrc = new(atomic.Uint64)
-	}
 	mp.free.wake.L = &mp.free.mu
 	for pid := cfg.Procs - 1; pid >= 0; pid-- {
 		p := &mp.procs[pid]
@@ -335,42 +309,27 @@ func (t *Txn[K, V, A]) DeleteBatch(keys []K) { t.apply(t.ops.MultiDelete(t.cur, 
 // ownership of root's token.
 func (t *Txn[K, V, A]) SetRoot(root *ftree.Node[K, V, A]) { t.apply(root) }
 
+// Changed reports whether the transaction, as it stands, would publish a
+// version: it wrote, and what it wrote is not the root it acquired.  Read at
+// the end of the transaction callback, it says whether the commit publishes
+// anything (a delete of an absent key does not).
+func (t *Txn[K, V, A]) Changed() bool { return t.dirty && t.cur != t.base }
+
 // Update runs a write transaction on process pid (Figure 1, right),
 // retrying on conflict until it commits; it returns the number of retries.
 // A transaction that makes no modifications degenerates to a read.  Retries
 // imply other writers committed, so the loop is lock-free.
 func (m *Map[K, V, A]) Update(pid int, f func(t *Txn[K, V, A])) int {
 	retries := 0
-	for {
-		if m.tryUpdate(pid, f, true) {
-			return retries
-		}
+	for !m.TryUpdate(pid, f) {
 		retries++
 	}
-}
-
-// UpdateUnstamped is Update without the commit stamp: the committed root is
-// published but LatestStamp does not move.  It exists for cross-map atomic
-// installs, where all touched maps' roots share one GSN allocated after the
-// last install; the installer must publish it with BumpStamp on every
-// touched map before EndInstall.
-func (m *Map[K, V, A]) UpdateUnstamped(pid int, f func(t *Txn[K, V, A])) int {
-	retries := 0
-	for {
-		if m.tryUpdate(pid, f, false) {
-			return retries
-		}
-		retries++
-	}
+	return retries
 }
 
 // TryUpdate runs a write transaction that aborts instead of retrying; it
 // reports whether the transaction committed.
 func (m *Map[K, V, A]) TryUpdate(pid int, f func(t *Txn[K, V, A])) bool {
-	return m.tryUpdate(pid, f, true)
-}
-
-func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool) bool {
 	if m.TrackVersions {
 		u := int64(m.m.Uncollected())
 		for {
@@ -383,16 +342,13 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 	root := m.m.Acquire(pid)
 	p := &m.procs[pid]
 	po := p.ops
-	// Zero pid's stamp record up front so a no-op (or aborted, or
-	// unstamped) transaction never leaves a stale GSN for LastStamp.
-	p.lastStamp = 0
 	// The transaction struct is pid-local and reused across transactions
 	// (pid exclusivity makes that safe), so a warm write allocates only
 	// tree nodes — which come from pid's arena.
 	tx := &p.txn
 	*tx = Txn[K, V, A]{ops: po, base: root, cur: root}
 	f(tx)
-	if !tx.dirty || tx.cur == root {
+	if !tx.Changed() {
 		// Nothing to publish.  A dirty transaction can still end at the
 		// acquired root pointer (e.g. deleting an absent key); publishing
 		// it would retire the current version while it stays current, so
@@ -404,12 +360,6 @@ func (m *Map[K, V, A]) tryUpdate(pid int, f func(t *Txn[K, V, A]), stamped bool)
 		return true
 	}
 	ok := m.m.Set(pid, tx.cur)
-	if ok && stamped {
-		// Stamp after visibility: a commit's GSN is allocated only once its
-		// Set is done, so observing LatestStamp() >= g proves commit g is
-		// contained in any later-acquired version (see stamp.go).
-		m.stamp(pid)
-	}
 	// Response point for a successful commit: the new version is visible.
 	m.collect(pid)
 	if ok {

@@ -9,8 +9,10 @@
 // No pid appears anywhere in this package's API: the index leases process
 // identities internally, one per transaction (core.Map.With), so ingestion
 // and queries may be issued from any goroutine.  ShardedIndex (sharded.go)
-// hash-partitions the outer term tree across S independent maps for
-// parallel ingestion.
+// is the same two-level tree on a shard.Map: the outer term tree
+// hash-partitioned across S shards for parallel ingestion, with the
+// sharded map's atomic commits and consistent views keeping documents
+// whole.
 //
 // The corpus is synthetic (Zipf-distributed vocabulary), substituting for
 // the paper's Wikipedia dump; see DESIGN.md for why the substitution
@@ -96,7 +98,7 @@ func (ix *Index) update(f func(tx *core.Txn[uint64, *Posting, struct{}])) {
 // summing weights for documents present in both.
 func combinePostings(inner *ftree.Ops[uint64, int64, int64]) func(a, b *Posting) *Posting {
 	return func(a, b *Posting) *Posting {
-		u := inner.Union(a, b, func(x, y int64) int64 { return x + y })
+		u := inner.Union(a, b, sumWeights)
 		inner.Release(a)
 		inner.Release(b)
 		return u
@@ -127,7 +129,7 @@ func (ix *Index) AddDocument(d Doc) {
 
 // AddDocuments ingests a batch of documents in one write transaction.
 func (ix *Index) AddDocuments(docs []Doc) {
-	insertDocBatch(ix.inner, ix.m, docBatch(ix.inner, docs), true)
+	insertDocBatch(ix.inner, ix.m, docBatch(ix.inner, docs))
 }
 
 // insertDocBatch commits term → posting deltas into m.  Write transactions
@@ -136,16 +138,10 @@ func (ix *Index) AddDocuments(docs []Doc) {
 // its partial tree without consuming the originals (which are released
 // exactly once, after the commit).  This makes concurrent AddDocuments
 // callers safe — the pid-free API no longer implies a single writer.
-// stamped=false is for ShardedIndex's cross-shard atomic ingest, where the
-// caller publishes one shared commit stamp after all shards install.
-func insertDocBatch(inner *ftree.Ops[uint64, int64, int64], m *core.Map[uint64, *Posting, struct{}], batch []ftree.Entry[uint64, *Posting], stamped bool) {
+func insertDocBatch(inner *ftree.Ops[uint64, int64, int64], m *core.Map[uint64, *Posting, struct{}], batch []ftree.Entry[uint64, *Posting]) {
 	comb := combinePostings(inner)
 	m.With(func(h *core.Handle[uint64, *Posting, struct{}]) {
-		commit := h.Update
-		if !stamped {
-			commit = h.UpdateUnstamped
-		}
-		commit(func(tx *core.Txn[uint64, *Posting, struct{}]) {
+		h.Update(func(tx *core.Txn[uint64, *Posting, struct{}]) {
 			attempt := make([]ftree.Entry[uint64, *Posting], len(batch))
 			for i, e := range batch {
 				attempt[i] = ftree.Entry[uint64, *Posting]{Key: e.Key, Val: inner.Share(e.Val)}
@@ -161,14 +157,20 @@ func insertDocBatch(inner *ftree.Ops[uint64, int64, int64], m *core.Map[uint64, 
 // RemoveDocument deletes a document's postings for the given terms,
 // dropping terms whose posting list becomes empty.
 func (ix *Index) RemoveDocument(d Doc) {
-	ix.update(func(tx *core.Txn[uint64, *Posting, struct{}]) {
-		removeDocTerms(ix.inner, tx, d, d.Terms)
-	})
+	ix.update(func(tx *core.Txn[uint64, *Posting, struct{}]) { removeDoc(ix.inner, tx, d) })
 }
 
-// removeDocTerms deletes d's postings for the given terms within tx.
-func removeDocTerms(inner *ftree.Ops[uint64, int64, int64], tx *core.Txn[uint64, *Posting, struct{}], d Doc, terms []TermWeight) {
-	for _, tw := range terms {
+// postingTxn is the write transaction removeDoc runs in: a core.Txn for
+// Index, a shard.Txn for ShardedIndex.
+type postingTxn interface {
+	Get(term uint64) (*Posting, bool)
+	Insert(term uint64, p *Posting)
+	Delete(term uint64)
+}
+
+// removeDoc deletes d's postings within tx.
+func removeDoc(inner *ftree.Ops[uint64, int64, int64], tx postingTxn, d Doc) {
+	for _, tw := range d.Terms {
 		p, ok := tx.Get(tw.Term)
 		if !ok {
 			continue
@@ -193,93 +195,29 @@ type ScoredDoc struct {
 // summed weight, evaluated against one consistent snapshot.  Because both
 // levels are persistent, the two posting lists are snapshots of the same
 // version and the query never blocks or is blocked by writers.
-func (ix *Index) AndQuery(term1, term2 uint64, k int) []ScoredDoc {
-	var out []ScoredDoc
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) {
-		p1, ok1 := s.Get(term1)
-		p2, ok2 := s.Get(term2)
-		if !ok1 || !ok2 {
-			return
-		}
-		inter := ix.inner.Intersect(p1, p2, func(a, b int64) int64 { return a + b })
-		out = TopK(inter, k)
-		ix.inner.Release(inter)
-	})
+func (ix *Index) AndQuery(term1, term2 uint64, k int) (out []ScoredDoc) {
+	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = andQuery(ix.inner, s, term1, term2, k) })
 	return out
 }
 
 // AndQueryN generalizes AndQuery to any number of terms: top-k documents
 // containing every term, ranked by summed weight.  Intersections proceed
 // smallest-posting-first to keep intermediate results minimal.
-func (ix *Index) AndQueryN(terms []uint64, k int) []ScoredDoc {
-	if len(terms) == 0 {
-		return nil
-	}
-	var out []ScoredDoc
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) {
-		postings := make([]*Posting, 0, len(terms))
-		for _, t := range terms {
-			p, ok := s.Get(t)
-			if !ok {
-				return
-			}
-			postings = append(postings, p)
-		}
-		out = intersectTopK(ix.inner, postings, k)
-	})
-	return out
-}
-
-// intersectTopK intersects borrowed postings smallest-first and returns the
-// top-k of the result; the input postings are not consumed.
-func intersectTopK(inner *ftree.Ops[uint64, int64, int64], postings []*Posting, k int) []ScoredDoc {
-	sum := func(a, b int64) int64 { return a + b }
-	sort.Slice(postings, func(i, j int) bool {
-		return inner.Size(postings[i]) < inner.Size(postings[j])
-	})
-	acc := inner.Share(postings[0])
-	for _, p := range postings[1:] {
-		next := inner.Intersect(acc, p, sum)
-		inner.Release(acc)
-		acc = next
-	}
-	out := TopK(acc, k)
-	inner.Release(acc)
+func (ix *Index) AndQueryN(terms []uint64, k int) (out []ScoredDoc) {
+	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = andQueryN(ix.inner, s, terms, k) })
 	return out
 }
 
 // OrQuery returns the top-k documents containing either term, ranked by
 // summed weight (documents with both terms score the sum of both).
-func (ix *Index) OrQuery(term1, term2 uint64, k int) []ScoredDoc {
-	var out []ScoredDoc
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) {
-		p1, ok1 := s.Get(term1)
-		p2, ok2 := s.Get(term2)
-		switch {
-		case !ok1 && !ok2:
-			return
-		case !ok1:
-			out = TopK(p2, k)
-			return
-		case !ok2:
-			out = TopK(p1, k)
-			return
-		}
-		u := ix.inner.Union(p1, p2, func(a, b int64) int64 { return a + b })
-		out = TopK(u, k)
-		ix.inner.Release(u)
-	})
+func (ix *Index) OrQuery(term1, term2 uint64, k int) (out []ScoredDoc) {
+	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = orQuery(ix.inner, s, term1, term2, k) })
 	return out
 }
 
 // PostingLen returns the posting-list length of term.
-func (ix *Index) PostingLen(term uint64) int64 {
-	var n int64
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) {
-		if p, ok := s.Get(term); ok {
-			n = ix.inner.Size(p)
-		}
-	})
+func (ix *Index) PostingLen(term uint64) (n int64) {
+	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { n = postingLen(ix.inner, s, term) })
 	return n
 }
 
@@ -288,6 +226,83 @@ func (ix *Index) Terms() int64 {
 	var n int64
 	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { n = s.Len() })
 	return n
+}
+
+// postingView is one consistent read view the queries below run against: a
+// core.Snapshot for Index, a ViewConsistent shard.Snap for ShardedIndex.
+// The postings it returns are borrowed from the pinned version.
+type postingView interface {
+	Get(term uint64) (*Posting, bool)
+}
+
+func sumWeights(a, b int64) int64 { return a + b }
+
+func andQuery(inner *ftree.Ops[uint64, int64, int64], v postingView, term1, term2 uint64, k int) []ScoredDoc {
+	p1, ok1 := v.Get(term1)
+	p2, ok2 := v.Get(term2)
+	if !ok1 || !ok2 {
+		return nil
+	}
+	inter := inner.Intersect(p1, p2, sumWeights)
+	out := TopK(inter, k)
+	inner.Release(inter)
+	return out
+}
+
+func andQueryN(inner *ftree.Ops[uint64, int64, int64], v postingView, terms []uint64, k int) []ScoredDoc {
+	if len(terms) == 0 {
+		return nil
+	}
+	postings := make([]*Posting, 0, len(terms))
+	for _, t := range terms {
+		p, ok := v.Get(t)
+		if !ok {
+			return nil
+		}
+		postings = append(postings, p)
+	}
+	return intersectTopK(inner, postings, k)
+}
+
+// intersectTopK intersects borrowed postings smallest-first and returns the
+// top-k of the result; the input postings are not consumed.
+func intersectTopK(inner *ftree.Ops[uint64, int64, int64], postings []*Posting, k int) []ScoredDoc {
+	sort.Slice(postings, func(i, j int) bool {
+		return inner.Size(postings[i]) < inner.Size(postings[j])
+	})
+	acc := inner.Share(postings[0])
+	for _, p := range postings[1:] {
+		next := inner.Intersect(acc, p, sumWeights)
+		inner.Release(acc)
+		acc = next
+	}
+	out := TopK(acc, k)
+	inner.Release(acc)
+	return out
+}
+
+func orQuery(inner *ftree.Ops[uint64, int64, int64], v postingView, term1, term2 uint64, k int) []ScoredDoc {
+	p1, ok1 := v.Get(term1)
+	p2, ok2 := v.Get(term2)
+	switch {
+	case !ok1 && !ok2:
+		return nil
+	case !ok1:
+		return TopK(p2, k)
+	case !ok2:
+		return TopK(p1, k)
+	}
+	u := inner.Union(p1, p2, sumWeights)
+	out := TopK(u, k)
+	inner.Release(u)
+	return out
+}
+
+func postingLen(inner *ftree.Ops[uint64, int64, int64], v postingView, term uint64) int64 {
+	if p, ok := v.Get(term); ok {
+		return inner.Size(p)
+	}
+	return 0
 }
 
 // Close shuts the underlying transactional map down.

@@ -214,7 +214,7 @@ func TestShardedDocumentAtomicity(t *testing.T) {
 	// Find two terms on different shards.
 	tA := uint64(1)
 	tB := tA + 1
-	for ix.shardFor(tB) == ix.shardFor(tA) {
+	for ix.m.ShardFor(tB) == ix.m.ShardFor(tA) {
 		tB++
 	}
 	const docs = 300
@@ -254,6 +254,93 @@ func TestShardedDocumentAtomicity(t *testing.T) {
 	}
 	wg.Wait()
 	qwg.Wait()
+	ix.Close()
+	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
+		t.Fatalf("leak: outer %d inner %d", o, i)
+	}
+}
+
+// TestShardedConcurrentWrites races the two write paths over the same
+// cross-shard terms: one goroutine ingests batches large enough that the
+// shards commit their legs in parallel, a second ingests one document at a
+// time, and a third removes documents from a preloaded set.  The final
+// posting of every term must be exactly the expected set — nothing lost,
+// nothing duplicated, nothing removed that was not — and nothing may leak.
+func TestShardedConcurrentWrites(t *testing.T) {
+	const terms, docLen = 32, 8
+	ix, err := NewSharded(4, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(id uint64) Doc {
+		d := Doc{ID: id}
+		for j := uint64(0); j < docLen; j++ {
+			d.Terms = append(d.Terms, TermWeight{Term: (id*5 + j) % terms, Weight: int64(id%97 + j + 1)})
+		}
+		return d
+	}
+	want := make(map[uint64]map[uint64]int64, terms) // term → doc → weight
+	expect := func(d Doc) {
+		for _, tw := range d.Terms {
+			if want[tw.Term] == nil {
+				want[tw.Term] = map[uint64]int64{}
+			}
+			want[tw.Term][d.ID] = tw.Weight
+		}
+	}
+	var preload []Doc
+	for id := uint64(10_000); id < 10_200; id++ {
+		preload = append(preload, doc(id))
+	}
+	ix.AddDocuments(preload)
+	for _, d := range preload {
+		if d.ID%2 == 1 { // the even ones are removed below
+			expect(d)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // batches of 40 documents: ≥ 64 entries on every shard
+		defer wg.Done()
+		for lo := uint64(0); lo < 400; lo += 40 {
+			var docs []Doc
+			for id := lo; id < lo+40; id++ {
+				docs = append(docs, doc(2*id))
+			}
+			ix.AddDocuments(docs)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for id := uint64(0); id < 400; id++ {
+			ix.AddDocument(doc(2*id + 1))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, d := range preload {
+			if d.ID%2 == 0 {
+				ix.RemoveDocument(d)
+			}
+		}
+	}()
+	wg.Wait()
+	for id := uint64(0); id < 800; id++ {
+		expect(doc(id))
+	}
+
+	for term := uint64(0); term < terms; term++ {
+		got := ix.AndQueryN([]uint64{term}, 1<<20)
+		if len(got) != len(want[term]) {
+			t.Fatalf("term %d: %d postings, want %d", term, len(got), len(want[term]))
+		}
+		for _, sd := range got {
+			if w, ok := want[term][sd.Doc]; !ok || w != sd.Score {
+				t.Fatalf("term %d: doc %d weight %d, want %d (present %v)", term, sd.Doc, sd.Score, w, ok)
+			}
+		}
+	}
 	ix.Close()
 	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
 		t.Fatalf("leak: outer %d inner %d", o, i)

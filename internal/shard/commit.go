@@ -41,12 +41,13 @@ func (m *Map[K, V, A]) groupCommit(mark int64, err error) error {
 }
 
 // commitShard is the single-shard primitive: under shard i's writer slot,
-// apply commits as one write transaction on a pid leased for it and, only
-// if a log is attached, the record encode produces is appended under the
-// commit's GSN before the slot is released.  encode runs inside the
-// committing transaction, after apply, so combining writes log their
-// resolved post-image.  It returns the appended record's log watermark, 0
-// when there was none; the caller owes the groupCommit.
+// apply commits as one write transaction on a pid leased for it; if it
+// published a version, the commit is stamped with a fresh GSN and, only if
+// a log is attached, the record encode produces is appended under that GSN
+// before the slot is released.  encode runs inside the committing
+// transaction, after apply, so combining writes log their resolved
+// post-image.  It returns the appended record's log watermark, 0 when there
+// was none; the caller owes the groupCommit.
 func (m *Map[K, V, A]) commitShard(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) (mark int64, err error) {
 	s := m.shards[i]
 	s.LockWriterSlot()
@@ -56,17 +57,20 @@ func (m *Map[K, V, A]) commitShard(i int, apply func(tx *core.Txn[K, V, A]), enc
 		e = w.getEnc()
 		defer w.putEnc(e)
 	}
-	var g uint64
+	changed := false
 	s.With(func(h *core.Handle[K, V, A]) {
 		h.Update(func(tx *core.Txn[K, V, A]) {
 			apply(tx)
-			if e != nil {
+			if changed = tx.Changed(); changed && e != nil {
 				encode(e, tx)
 			}
 		})
-		g = h.LastStamp()
 	})
-	if e == nil || g == 0 {
+	if !changed {
+		return 0, nil
+	}
+	g := m.stamp(i)
+	if e == nil {
 		return 0, nil
 	}
 	return m.wal.log.AppendMark(g, e.buf)
@@ -87,16 +91,15 @@ func (m *Map[K, V, A]) commitIntents(i int, list []intent[K, V]) (int64, error) 
 // atomicity for the legs already installed, cannot wedge the fence.  With a
 // nil plan t's intents are already buffered; a non-nil plan rebuilds them
 // under the fence and may abandon the attempt by returning false (see
-// UpdateAtomicKeys).  Inside, core.InstallAtomic drives the seqlocks odd,
-// runs one unstamped commit per written shard — each encoding its
-// post-images into the shared record from inside that very transaction —
-// and publishes one freshly allocated GSN on all of them.  It reports
-// whether the attempt committed and the appended record's log watermark (0
-// when none); a non-nil error means the commit is in memory but the log is
-// poisoned.
+// UpdateAtomicKeys).  Inside, installAtomic drives the seqlocks odd, runs
+// commitLegs — one commit per written shard, each encoding its post-images
+// from inside that very transaction — and publishes one freshly drawn GSN
+// on all of them.  It reports whether the attempt committed and the
+// appended record's log watermark (0 when none); a non-nil error means the
+// commit is in memory but the log is poisoned.
 func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A]) bool) (committed bool, mark int64, err error) {
-	core.LockWriterSlots(m.shards, fence)
-	defer core.UnlockWriterSlots(m.shards, fence)
+	m.lockSlots(fence)
+	defer m.unlockSlots(fence)
 	if plan != nil {
 		t.reset()
 		if !plan(t) {
@@ -109,24 +112,79 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 		defer w.putEnc(e)
 	}
 	write := t.touched()
-	g := core.InstallAtomic(m.shards, write, func() {
-		for _, i := range write {
-			list := t.intents[i]
-			m.shards[i].With(func(h *core.Handle[K, V, A]) {
-				h.UpdateUnstamped(func(tx *core.Txn[K, V, A]) {
-					replay(tx, list)
-					if e != nil {
-						encodeIntents(e, tx, list)
-					}
-				})
-			})
-		}
-	})
+	g := m.installAtomic(write, func() { m.commitLegs(write, t, e) })
 	if e == nil || g == 0 {
 		return true, 0, nil
 	}
 	mark, err = m.wal.log.AppendMark(g, e.buf)
 	return true, mark, err
+}
+
+// parallelIngestFloor is the leg size from which an atomic commit runs its
+// legs in parallel: at least two legs must carry this many intents.  A
+// handful of entries is cheaper to commit inline than to spawn goroutines
+// for, and a shorter install window means fewer ViewConsistent retries;
+// large cross-shard batches (an inverted index ingesting documents) keep
+// the S-way parallel commit that is the point of sharding.
+const parallelIngestFloor = 64
+
+// commitLegs commits t's intents on every shard in write (ascending), one
+// write transaction per shard, and encodes each leg's post-images into e
+// (nil without a log) in ascending shard order.  Legs run in parallel when
+// at least two carry parallelIngestFloor intents or more, each encoding into
+// its own pooled encoder; e is then their concatenation in shard order, the
+// same bytes the sequential legs write.  A panic in any leg is re-raised
+// here after every leg has returned.
+func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V]) {
+	leg := func(i int, e *walEnc[K, V]) {
+		list := t.intents[i]
+		m.shards[i].With(func(h *core.Handle[K, V, A]) {
+			h.Update(func(tx *core.Txn[K, V, A]) {
+				replay(tx, list)
+				if e != nil {
+					encodeIntents(e, tx, list)
+				}
+			})
+		})
+	}
+	big := 0
+	for _, i := range write {
+		if len(t.intents[i]) >= parallelIngestFloor {
+			big++
+		}
+	}
+	if big < 2 {
+		for _, i := range write {
+			leg(i, e)
+		}
+		return
+	}
+	encs := make([]*walEnc[K, V], len(write))
+	panics := make([]any, len(write))
+	var wg sync.WaitGroup
+	for j, i := range write {
+		if e != nil {
+			encs[j] = m.wal.getEnc()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[j] = recover() }()
+			leg(i, encs[j])
+		}()
+	}
+	wg.Wait()
+	for _, le := range encs {
+		if le != nil {
+			e.buf = append(e.buf, le.buf...)
+			m.wal.putEnc(le)
+		}
+	}
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // commitTxn commits t's buffered intents as one atomic transaction and

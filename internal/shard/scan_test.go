@@ -248,32 +248,22 @@ func TestTornScanForeclosed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// A hand-rolled two-shard atomic install of {a: 1, b: 1} that
-		// parks mid-flight, exactly as an UpdateAtomic would look to a
-		// reader that caught it between the two installs.
-		first, second := m.shards[sa], m.shards[sb]
-		if sb < sa {
-			first, second = second, first
-		}
-		first.LockWriterSlot()
-		second.LockWriterSlot()
-		m.shards[sa].BeginInstall()
-		m.shards[sb].BeginInstall()
-		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
-			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
+		// A two-shard atomic install of {a: 1, b: 1}, through the map's own
+		// installAtomic, that parks mid-flight, exactly as an UpdateAtomic
+		// would look to a reader that caught it between the two installs.
+		fence := []int{min(sa, sb), max(sa, sb)}
+		m.lockSlots(fence)
+		defer m.unlockSlots(fence)
+		m.installAtomic(fence, func() {
+			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
+				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
+			})
+			close(installing)
+			<-finish
+			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
+				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
+			})
 		})
-		close(installing)
-		<-finish
-		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
-			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
-		})
-		g := m.gsn.Add(1)
-		m.shards[sa].BumpStamp(g)
-		m.shards[sb].BumpStamp(g)
-		m.shards[sa].EndInstall()
-		m.shards[sb].EndInstall()
-		second.UnlockWriterSlot()
-		first.UnlockWriterSlot()
 	}()
 
 	<-installing

@@ -32,7 +32,7 @@
 //     footprint's slots are held from before the transaction's reads until
 //     its install, so a committed transaction is a multi-key
 //     compare-and-swap, serializable against all writers.  See the GSN
-//     notes in core/stamp.go and DESIGN.md.
+//     notes in gsn.go and DESIGN.md.
 //
 // # One writer per shard
 //
@@ -101,13 +101,13 @@ type Config[K any] struct {
 // Map is a hash-sharded multiversion map: S independent core.Maps behind
 // one pid-free, goroutine-safe API.
 type Map[K, V, A any] struct {
-	shards   []*core.Map[K, V, A]
+	shards   []*shardRec[K, V, A] // each a core.Map and its GSN words (gsn.go)
 	hash     func(K) uint64
 	batchers []*batch.Batcher[K, V, A] // non-nil between StartBatching and Close
 
-	// gsn is the global commit sequence source shared by every shard
-	// (core.Config.Stamp): single-shard commits stamp themselves from it,
-	// and UpdateAtomic allocates one stamp per cross-shard transaction.
+	// gsn is the global commit sequence source shared by every shard:
+	// single-shard commits stamp themselves from it, and UpdateAtomic draws
+	// one stamp per cross-shard transaction (gsn.go).
 	gsn atomic.Uint64
 	// maxCollects overrides consistentRetries when non-zero (tests force
 	// the fence fallback with a small count and no stable window, or on
@@ -185,14 +185,14 @@ func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial [
 		closedCh: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s, err := core.NewMap(core.Config{Algorithm: cfg.Algorithm, Procs: cfg.Procs, NoRecycle: cfg.NoRecycle, Stamp: &m.gsn}, mkOps(), parts[i])
+		s, err := core.NewMap(core.Config{Algorithm: cfg.Algorithm, Procs: cfg.Procs, NoRecycle: cfg.NoRecycle}, mkOps(), parts[i])
 		if err != nil {
 			for _, prev := range m.shards {
 				prev.Close()
 			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		m.shards = append(m.shards, s)
+		m.shards = append(m.shards, &shardRec[K, V, A]{Map: s})
 	}
 	return m, nil
 }
@@ -206,8 +206,9 @@ func (m *Map[K, V, A]) ShardFor(k K) int { return int(m.hash(k) % uint64(len(m.s
 // Shard exposes one underlying core.Map for handle-based reads (long-lived
 // workers that want to lease a per-shard identity once instead of per-op).
 // Its handles are for reads: a write through one would commit without the
-// shard's writer slot, beside the one writer every Map write assumes.
-func (m *Map[K, V, A]) Shard(i int) *core.Map[K, V, A] { return m.shards[i] }
+// shard's writer slot, beside the one writer every Map write assumes, and
+// without a GSN, so no consistent view or log would order it.
+func (m *Map[K, V, A]) Shard(i int) *core.Map[K, V, A] { return m.shards[i].Map }
 
 // Get runs a point read as a delay-free read transaction on k's shard.
 // After Close it reports absent.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +248,73 @@ func TestTxnReadYourWritesAcrossShards(t *testing.T) {
 	}
 }
 
+// TestTxnInsertBatchMatchesInsertWith: a Txn.InsertBatch commits what the
+// same entries buffered one InsertWith at a time commit, under an
+// associative comb and under nil (overwrite), for entries with repeated keys
+// over keys present and absent, in both commit modes, with enough entries
+// per shard for the parallel legs — and a read through the transaction sees
+// the same folded value.
+func TestTxnInsertBatchMatchesInsertWith(t *testing.T) {
+	type txn = Txn[int64, int64, int64]
+	add := func(old, new int64) int64 { return old + new }
+	initial := make([]ftree.Entry[int64, int64], 0, 200)
+	for k := int64(0); k < 400; k += 2 {
+		initial = append(initial, ftree.Entry[int64, int64]{Key: k, Val: k})
+	}
+	entries := make([]ftree.Entry[int64, int64], 600)
+	for i := range entries {
+		k := int64(i*7) % 500 // repeats keys, on and off the initial set
+		entries[i] = ftree.Entry[int64, int64]{Key: k, Val: int64(i)}
+	}
+	dumpInt := func(m *Map[int64, int64, int64]) map[int64]int64 {
+		out := map[int64]int64{}
+		m.View(func(s Snap[int64, int64, int64]) { s.ForEach(func(k, v int64) { out[k] = v }) })
+		return out
+	}
+	for _, comb := range []func(old, new int64) int64{add, nil} {
+		for _, mode := range []string{"Update", "UpdateAtomic"} {
+			batched, single := newSharded(t, "pswf", 3, 2, initial), newSharded(t, "pswf", 3, 2, initial)
+			commit := func(m *Map[int64, int64, int64], f func(tx *txn)) {
+				commit := m.UpdateAtomic
+				if mode == "Update" {
+					commit = m.Update
+				}
+				if err := commit(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var viaBatch, viaOne int64
+			commit(batched, func(tx *txn) { tx.InsertBatch(slices.Clone(entries), comb); viaBatch, _ = tx.Get(0) })
+			commit(single, func(tx *txn) {
+				for _, e := range entries {
+					if comb == nil {
+						tx.Insert(e.Key, e.Val)
+					} else {
+						tx.InsertWith(e.Key, e.Val, comb)
+					}
+				}
+				viaOne, _ = tx.Get(0)
+			})
+			got, want := dumpInt(batched), dumpInt(single)
+			if len(got) != len(want) || viaBatch != viaOne {
+				t.Fatalf("%s, comb %v: %d keys via InsertBatch, %d one at a time; Get(0) %d vs %d",
+					mode, comb != nil, len(got), len(want), viaBatch, viaOne)
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("%s, comb %v: key %d = %d via InsertBatch, %d one at a time", mode, comb != nil, k, got[k], v)
+				}
+			}
+			for _, m := range []*Map[int64, int64, int64]{batched, single} {
+				m.Close()
+				if live := m.Live(); live != 0 {
+					t.Fatalf("%s: leaked %d nodes", mode, live)
+				}
+			}
+		}
+	}
+}
+
 // TestAtomicTransferInvariant is the torn-write detector: writers move
 // balance between accounts on different shards with UpdateAtomic, and
 // ViewConsistent readers assert the total balance never wavers.  Plain View
@@ -375,31 +443,22 @@ func TestConsistentFenceFallback(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// A hand-rolled two-shard atomic install of {a: 1, b: 1} that parks
-		// mid-flight: shard A's root is already installed, shard B's is not.
-		first, second := m.shards[sa], m.shards[sb]
-		if sb < sa {
-			first, second = second, first
-		}
-		first.LockWriterSlot()
-		second.LockWriterSlot()
-		m.shards[sa].BeginInstall()
-		m.shards[sb].BeginInstall()
-		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
-			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
+		// A two-shard atomic install of {a: 1, b: 1}, through the map's own
+		// installAtomic, that parks mid-flight: shard A's root is already
+		// installed, shard B's is not.
+		fence := []int{min(sa, sb), max(sa, sb)}
+		m.lockSlots(fence)
+		defer m.unlockSlots(fence)
+		m.installAtomic(fence, func() {
+			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
+				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
+			})
+			close(installing)
+			<-finish
+			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
+				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
+			})
 		})
-		close(installing)
-		<-finish
-		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
-			h.UpdateUnstamped(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
-		})
-		g := m.gsn.Add(1)
-		m.shards[sa].BumpStamp(g)
-		m.shards[sb].BumpStamp(g)
-		m.shards[sa].EndInstall()
-		m.shards[sb].EndInstall()
-		second.UnlockWriterSlot()
-		first.UnlockWriterSlot()
 	}()
 
 	<-installing

@@ -7,8 +7,8 @@ import (
 	"mvgc/internal/ftree"
 )
 
-// Txn buffers a cross-shard write transaction: Insert and Delete record
-// intents, and Update (per-shard atomic) or UpdateAtomic (globally atomic,
+// Txn buffers a cross-shard write transaction: Insert, InsertWith,
+// InsertBatch and Delete record intents, and Update (per-shard atomic) or UpdateAtomic (globally atomic,
 // one GSN) replays each shard's intents in order.  Reads see the
 // transaction's own buffered writes first — including deletes, so a
 // get-after-delete inside the transaction reports absence — then the
@@ -40,6 +40,7 @@ func (t *Txn[K, V, A]) reset() {
 
 type intent[K, V any] struct {
 	del  bool
+	run  int32 // > 0: this intent and the run-1 after it are one InsertBatch
 	key  K
 	val  V
 	comb func(old, new V) V // non-nil: combine with the value below (InsertWith)
@@ -67,6 +68,28 @@ func (t *Txn[K, V, A]) InsertWith(k K, v V, comb func(old, new V) V) {
 func (t *Txn[K, V, A]) Delete(k K) {
 	i := t.m.ShardFor(k)
 	t.intents[i] = append(t.intents[i], intent[K, V]{del: true, key: k})
+}
+
+// InsertBatch buffers entries as InsertWith(e.Key, e.Val, comb) each, in
+// order, but commits each shard's share as ONE batched insert (the tree's
+// multi-insert) instead of one insert per entry.  comb must be associative,
+// as batch coalescing assumes (the entries of one key are folded together
+// before they meet the value below); nil overwrites, the last entry of a key
+// winning.
+func (t *Txn[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, new V) V) {
+	start := make([]int, len(t.intents))
+	for i, list := range t.intents {
+		start[i] = len(list)
+	}
+	for _, e := range entries {
+		i := t.m.ShardFor(e.Key)
+		t.intents[i] = append(t.intents[i], intent[K, V]{key: e.Key, val: e.Val, comb: comb})
+	}
+	for i, list := range t.intents {
+		if n := len(list) - start[i]; n > 0 {
+			list[start[i]].run = int32(n)
+		}
+	}
 }
 
 // touched returns the indices of shards with at least one buffered intent,
@@ -145,18 +168,18 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 // transaction.  A list of nothing but plain inserts — every redo record
 // without a delete, so most of what recovery and a follower apply — goes
 // down as one batch: InsertBatch's stable sort keeps the last write of a
-// key, which is what applying them one by one leaves.
+// key, which is what applying them one by one leaves.  So does each run a
+// Txn.InsertBatch buffered, with its comb.
 func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
 	if len(list) > 1 && !slices.ContainsFunc(list, func(in intent[K, V]) bool { return in.del || in.comb != nil }) {
-		batch := make([]ftree.Entry[K, V], len(list))
-		for i, in := range list {
-			batch[i] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
-		}
-		tx.InsertBatch(batch, nil)
+		insertRun(tx, list, nil)
 		return
 	}
-	for _, in := range list {
-		switch {
+	for j := 0; j < len(list); j++ {
+		switch in := list[j]; {
+		case in.run > 0:
+			insertRun(tx, list[j:j+int(in.run)], in.comb)
+			j += int(in.run) - 1
 		case in.del:
 			tx.Delete(in.key)
 		case in.comb != nil:
@@ -165,4 +188,13 @@ func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
 			tx.Insert(in.key, in.val)
 		}
 	}
+}
+
+// insertRun applies run's inserts as one batch.
+func insertRun[K, V, A any](tx *core.Txn[K, V, A], run []intent[K, V], comb func(old, new V) V) {
+	batch := make([]ftree.Entry[K, V], len(run))
+	for i, in := range run {
+		batch[i] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
+	}
+	tx.InsertBatch(batch, comb)
 }

@@ -65,7 +65,7 @@ func (m *Map[K, V, A]) View(f func(s Snap[K, V, A])) {
 // install-seq) vector, pin one version per shard, collect again.  Stable
 // even seqlocks prove no atomic install overlapped the pins — the cut is
 // tear-free — and because stamps are allocated only after their root is
-// visible (core/stamp.go), the GSN vector collected *before* the pins is a
+// visible (gsn.go), the GSN vector collected *before* the pins is a
 // sound prefix bound whether or not stamps moved while pinning (if they
 // also held still, the cut is additionally exact: no commit of any kind
 // landed during it).  Only seqlock instability forces a retry; after
@@ -96,13 +96,13 @@ func (m *Map[K, V, A]) viewConsistent(f func(s Snap[K, V, A])) {
 	for try := 0; try < max; try++ {
 		stable := true
 		for i, s := range m.shards {
-			q := s.InstallSeq()
+			q := s.seq.Load()
 			if q&1 != 0 { // an atomic install is mid-flight; pinning now would be wasted
 				stable = false
 				break
 			}
 			seqs[i] = q
-			gsns[i] = s.LatestStamp()
+			gsns[i] = s.latest.Load()
 		}
 		if !stable {
 			m.snapRetries.Add(1)
@@ -112,7 +112,7 @@ func (m *Map[K, V, A]) viewConsistent(f func(s Snap[K, V, A])) {
 		done := false
 		m.withPinned(func(snaps []core.Snapshot[K, V, A]) {
 			for i, s := range m.shards {
-				if s.InstallSeq() != seqs[i] {
+				if s.seq.Load() != seqs[i] {
 					return // an atomic install overlapped the pins: retry
 				}
 			}
@@ -148,7 +148,7 @@ func (m *Map[K, V, A]) viewConsistent(f func(s Snap[K, V, A])) {
 	}
 	defer unfence()
 	for i, s := range m.shards {
-		gsns[i] = s.LatestStamp()
+		gsns[i] = s.latest.Load()
 	}
 	m.withPinned(func(snaps []core.Snapshot[K, V, A]) {
 		unfence()

@@ -177,12 +177,12 @@ func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []
 		defer s.Ops().Release(roots[i])
 	}
 	m.FloorGSN(max(cut, 1) - 1)
-	core.LockWriterSlots(m.shards, all)
-	defer core.UnlockWriterSlots(m.shards, all)
-	return core.InstallAtomic(m.shards, all, func() {
+	m.lockSlots(all)
+	defer m.unlockSlots(all)
+	return m.installAtomic(all, func() {
 		for i, s := range m.shards {
 			s.With(func(h *core.Handle[K, V, A]) {
-				h.UpdateUnstamped(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
+				h.Update(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
 			})
 		}
 	}), nil

@@ -47,7 +47,9 @@ type Handle[K, V, A any] = core.Handle[K, V, A]
 
 // Config selects the Version Maintenance algorithm ("pswf" by default)
 // and the number of processes.  Node recycling through pid-local arenas
-// is on by default; Config.NoRecycle is the ablation switch.
+// is on by default; Config.NoRecycle is the ablation switch.  A Map has no
+// commit stamps: the global commit sequence numbers behind consistent
+// views and the redo log belong to the sharded DB (internal/shard).
 type Config = core.Config
 
 // Ops bundles ordering, augmentation and allocation accounting for a
