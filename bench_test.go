@@ -1,10 +1,10 @@
 // Benchmark entry points, one per table and figure of the paper's
 // evaluation (Section 7), plus the ablations called out in DESIGN.md.
 // Each benchmark runs a scaled-down configuration per iteration and
-// reports the experiment's own metrics via b.ReportMetric; the cmd/
-// binaries run the full-scale versions.
+// reports the experiment's own metrics via b.ReportMetric; the full-scale
+// versions are the same internal/experiments cells with the paper's knobs.
 //
-//	go test -bench Table2 -benchtime 1x .
+//	go test -run '^$' -bench 'Table2|Figure7$|Table3|LongReader|Txn' -benchtime 1x .
 //	go test -bench . -benchmem .
 package mvgc
 
@@ -33,7 +33,6 @@ func smallTable2() experiments.Table2Config {
 	cfg.N = 100_000
 	cfg.Procs = benchProcs
 	cfg.Duration = 200 * time.Millisecond
-	cfg.Reps = 1
 	return cfg
 }
 
@@ -190,21 +189,20 @@ func BenchmarkDBPointOps(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3 regenerates one inverted-index co-running row: Tu, Tq
+// BenchmarkTable3 regenerates the inverted-index co-running rows: Tu, Tq
 // and Tu+q, whose near-equality of Tu+Tq and Tu+q is the paper's claim.
-// The "p=N" run is the paper's single index (Shards is zeroed so the
-// numbers stay comparable across PRs); "p=N/S=2" is the hash-sharded
-// variant's row.
+// The "p=N" rows sweep the query threads on the paper's single index;
+// "p=N/S=2" is the hash-sharded variant's row at the sweep's largest p.
 func BenchmarkTable3(b *testing.B) {
 	cfg := experiments.DefaultTable3()
 	cfg.Threads = benchProcs
 	cfg.InitialDocs = 400
 	cfg.Vocab = 10_000
 	cfg.Window = 300 * time.Millisecond
-	row := func(b *testing.B, cfg experiments.Table3Config) {
+	row := func(b *testing.B, cfg experiments.Table3Config, p int) {
 		var tu, tq, tuq float64
 		for i := 0; i < b.N; i++ {
-			r := experiments.RunTable3Row(cfg, benchProcs/2)
+			r := experiments.RunTable3Row(cfg, p)
 			tu += r.Tu
 			tq += r.Tq
 			tuq += r.Tuq
@@ -215,16 +213,68 @@ func BenchmarkTable3(b *testing.B) {
 		b.ReportMetric((tu+tq)/n, "Tu+Tq-sec")
 		b.ReportMetric(tuq/n, "Tu+q-sec")
 	}
-	b.Run(fmt.Sprintf("p=%d", benchProcs/2), func(b *testing.B) {
-		cfg := cfg
-		cfg.Shards = 0
-		row(b, cfg)
-	})
-	b.Run(fmt.Sprintf("p=%d/S=2", benchProcs/2), func(b *testing.B) {
+	sweep := experiments.QueryThreadSweep(benchProcs)
+	for _, p := range sweep {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			cfg := cfg
+			cfg.Shards = 0
+			row(b, cfg, p)
+		})
+	}
+	p := sweep[len(sweep)-1]
+	b.Run(fmt.Sprintf("p=%d/S=2", p), func(b *testing.B) {
 		cfg := cfg
 		cfg.Shards = 2
-		row(b, cfg)
+		row(b, cfg, p)
 	})
+}
+
+// BenchmarkLongReader regenerates the space experiment: one read
+// transaction pins a snapshot while writers commit a fixed-size update
+// storm.  Per algorithm it reports the peak retained versions — sbgc, hp
+// and pswf plateau at O(P), epoch retains the storm — the matching peak
+// heap, and the writers' throughput beside the pin.
+func BenchmarkLongReader(b *testing.B) {
+	cfg := experiments.DefaultLongReader()
+	cfg.Records = 50_000
+	cfg.Writers = 4
+	cfg.OpsPerWriter = 100_000
+	for _, alg := range cfg.Algorithms {
+		b.Run(alg, func(b *testing.B) {
+			var peak int64
+			var heap uint64
+			var mops float64
+			for i := 0; i < b.N; i++ {
+				c := experiments.RunLongReaderCell(cfg, alg)
+				peak = max(peak, c.PeakVersions)
+				heap = max(heap, c.PeakHeapBytes)
+				mops += c.WriteMops
+			}
+			b.ReportMetric(float64(peak), "peak-versions")
+			b.ReportMetric(float64(heap)/(1<<20), "peak-heap-MiB")
+			b.ReportMetric(mops/float64(b.N), "write-Mops/s")
+		})
+	}
+}
+
+// BenchmarkTxn measures cross-shard transfers (2 keys each) in every commit
+// mode: one GSN per transaction (txn-atomic), shard by shard
+// (txn-pershard) and the multi-key CAS (txn-occ).
+func BenchmarkTxn(b *testing.B) {
+	cfg := experiments.DefaultTxn()
+	cfg.Accounts = 200_000
+	cfg.Threads = benchProcs
+	cfg.Shards = 4
+	cfg.Duration = 200 * time.Millisecond
+	for _, mode := range experiments.TxnModes {
+		b.Run(mode, func(b *testing.B) {
+			var mops float64
+			for i := 0; i < b.N; i++ {
+				mops += experiments.RunTxnCell(cfg, mode)
+			}
+			b.ReportMetric(mops/float64(b.N), "Mtxn/s")
+		})
+	}
 }
 
 // BenchmarkVMOps measures the raw acquire/release cycle and the
@@ -481,8 +531,8 @@ func BenchmarkVersionListDelay(b *testing.B) {
 // "recycle" variant must report 0 B/op once the magazines are warm —
 // every node comes out of the pid's arena, the Txn struct and the
 // collector's buffers are pid-local and reused, and the VM's ReleaseInto
-// appends into a recycled slice.  cmd/allocbench emits the same cells as
-// a BENCH_alloc/v1 JSON artifact and CI diffs them across runs.
+// appends into a recycled slice.  TestPointUpdateNoAlloc gates the
+// recycling path at 0 allocations.
 func BenchmarkAllocPointUpdate(b *testing.B) {
 	for _, recycle := range []bool{true, false} {
 		name := "norecycle"
@@ -575,8 +625,7 @@ func BenchmarkAllocBatchCommit(b *testing.B) {
 // streamed through the pooled loser-tree merge into a reused append
 // buffer.  Run with -benchmem: warm scans must report 0 B/op — the merge
 // state (iterator stacks, tournament slice) comes from the Map's pool and
-// the results land in the caller's buffer.  cmd/allocbench emits the same
-// cell ("scan-warm") into BENCH_alloc/v1 and CI gates it absolutely.
+// the results land in the caller's buffer.
 func BenchmarkScanWarm(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -1,9 +1,9 @@
 // Command mvgcd serves a sharded multiversion map over the netproto wire
 // protocol (a RESP subset): the repo's network front door.
 //
-// Pipelined clients (internal/netclient, cmd/netbench, or anything that
-// speaks RESP arrays of bulk strings) get SET/GET/DEL/SUM/LEN/SCAN/SCANC/
-// MCAS/PING/STATS; every connection's writes flow through the per-shard
+// Pipelined clients (internal/netclient, or anything that speaks RESP
+// arrays of bulk strings) get SET/GET/DEL/SUM/LEN/SCAN/SCANC/MCAS/PING/
+// STATS; every connection's writes flow through the per-shard
 // combining writers, so N connections' pipelined SETs coalesce into
 // O(shards) commits per batching interval (see internal/netserver).
 //
@@ -38,18 +38,18 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
 	"mvgc"
-	"mvgc/internal/bench"
 	"mvgc/internal/netserver"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":6380", "listen address")
-		shards     = bench.ShardsFlag("")
+		shards     = flag.Int("shards", min(runtime.GOMAXPROCS(0), 8), "shard count (default: GOMAXPROCS capped at 8)")
 		maxConns   = flag.Int("maxconns", 256, "connections served concurrently (combiner fan-in)")
 		pipeline   = flag.Int("pipeline", 1024, "max outstanding responses per connection")
 		latency    = flag.Duration("latency", time.Millisecond, "combiner batching latency bound")

@@ -131,11 +131,6 @@ type DBOptions[K any] struct {
 	// committing goroutine alone; bulk loads and set operations above it
 	// use parallel halves.
 	Grain int
-	// NoRecycle disables node recycling — the per-process magazine
-	// allocator that makes warm point updates heap-allocation-free — so
-	// every tree node is allocated fresh from the Go heap.  Ablation
-	// only; leave false in production.
-	NoRecycle bool
 
 	// WAL enables write-ahead logging when non-nil with a Dir: every
 	// committed write is appended to a segmented redo log and fsynced per
@@ -266,7 +261,7 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 	}
 	s, err := shard.New(
-		shard.Config[K]{Shards: o.Shards, Procs: o.Procs, Algorithm: o.Algorithm, Hash: o.Hash, NoRecycle: o.NoRecycle},
+		shard.Config[K]{Shards: o.Shards, Procs: o.Procs, Algorithm: o.Algorithm, Hash: o.Hash},
 		newOps,
 		initial,
 	)

@@ -23,6 +23,7 @@ package batch
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -58,8 +59,10 @@ type Request[K, V any] struct {
 // Commit is how a Batcher commits, one stage per goroutine.
 type Commit[K, V any] struct {
 	// Apply is the combiner's stage, called once per gathered batch: it
-	// applies the batch's inserts and deletes as ONE write transaction (see
-	// Apply) and hands it to the owner's log without waiting for the log.
+	// applies the batch's deletes and then its inserts as ONE write
+	// transaction (see Apply) and hands it to the owner's log without
+	// waiting for the log.  No insert is one a delete gathered after it
+	// superseded, so that order is the requests' own.
 	// mark identifies the batch to Wait.  The slices are owned by the
 	// combiner and valid only for the duration of the call.
 	Apply func(inserts []ftree.Entry[K, V], deletes []K) (mark int64, err error)
@@ -139,17 +142,20 @@ type batchRec[K, V any] struct {
 // client id from one goroutine at a time; the combiner and completer
 // goroutines commit batches until Stop.  The combiner holds no process
 // identity between batches: each commit leases one like any other
-// transaction.  (A, the map's augmentation type, is in no field: it is a
-// parameter so that Batcher[K, V, A] names the map the batcher writes to.)
+// transaction.
 type Batcher[K, V, A any] struct {
 	rings    []*ring[K, V]
+	ops      *ftree.Ops[K, V, A] // the map's: its key order, its value release
 	commit   Commit[K, V]
 	interval time.Duration
 	maxBatch int
 
 	// The gathered batch; touched only by the combiner goroutine, reused
-	// across commits.  cur is the batch record being filled.
+	// across commits.  dels holds the deletes in gather order until
+	// supersede turns them into deletes.  cur is the batch record being
+	// filled.
 	inserts []ftree.Entry[K, V]
+	dels    []gatheredDelete[K]
 	deletes []K
 	cur     *batchRec[K, V]
 
@@ -166,6 +172,13 @@ type Batcher[K, V, A any] struct {
 	batches   atomic.Int64
 	applied   atomic.Int64
 	maxSeen   atomic.Int64
+}
+
+// gatheredDelete is a delete request and how many inserts the gather had
+// taken before it: those are the ones it may supersede.
+type gatheredDelete[K any] struct {
+	key   K
+	after int
 }
 
 // mark is a ring's head after a gather: its committed watermark once the
@@ -199,7 +212,7 @@ type Config struct {
 // defines how an inserted value merges with an existing one (nil
 // overwrites).  Start must be called before any Submit.
 func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V) *Batcher[K, V, A] {
-	return NewWithCommit[K, V, A](cfg, Commit[K, V]{
+	return NewWithCommit(cfg, m.Ops(), Commit[K, V]{
 		Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
 			m.With(func(h *core.Handle[K, V, A]) {
 				// A conflict re-runs the transaction on what the attempt
@@ -212,14 +225,16 @@ func New[K, V, A any](m *core.Map[K, V, A], cfg Config, comb func(old, new V) V)
 }
 
 // NewWithCommit creates a Batcher around the owner's own commit stages
-// (shard.Map routes them through its commit pipeline).
-func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, A] {
+// (shard.Map routes them through its commit pipeline) for the map whose
+// tree ops is.
+func NewWithCommit[K, V, A any](cfg Config, ops *ftree.Ops[K, V, A], commit Commit[K, V]) *Batcher[K, V, A] {
 	capacity := cfg.BufCap
 	if capacity <= 0 {
 		capacity = 8192
 	}
 	capacity = nextPow2(capacity)
 	b := &Batcher[K, V, A]{
+		ops:       ops,
 		commit:    commit,
 		interval:  cfg.MaxLatency,
 		maxBatch:  cfg.MaxBatch,
@@ -247,16 +262,17 @@ func NewWithCommit[K, V, A any](cfg Config, commit Commit[K, V]) *Batcher[K, V, 
 	return b
 }
 
-// Apply is a gathered batch as transaction code: inserts, then deletes.  It
+// Apply is a gathered batch as transaction code: deletes, then inserts, so
+// an insert gathered after a delete of its key lands on no old value.  It
 // returns the inserts as the transaction wrote them — sorted, one entry per
 // key (see core.Txn.InsertBatch) — which is what a log records and what a
 // re-run of the transaction must be given.
 func Apply[K, V, A any](tx *core.Txn[K, V, A], inserts []ftree.Entry[K, V], deletes []K, comb func(old, new V) V) []ftree.Entry[K, V] {
-	if len(inserts) > 0 {
-		inserts = tx.InsertBatch(inserts, comb)
-	}
 	if len(deletes) > 0 {
 		tx.DeleteBatch(deletes)
+	}
+	if len(inserts) > 0 {
+		inserts = tx.InsertBatch(inserts, comb)
 	}
 	return inserts
 }
@@ -402,7 +418,7 @@ func (b *Batcher[K, V, A]) run() {
 // out of the rings into the combiner's batch and rec, wakes the producers
 // it made room for, and reports how many requests it took.
 func (b *Batcher[K, V, A]) gather(rec *batchRec[K, V]) (total int) {
-	b.inserts, b.deletes = b.inserts[:0], b.deletes[:0]
+	b.inserts, b.dels, b.deletes = b.inserts[:0], b.dels[:0], b.deletes[:0]
 	rec.cbs, rec.marks = rec.cbs[:0], rec.marks[:0]
 	for _, q := range b.rings {
 		h, t := q.head.Load(), q.tail.Load()
@@ -421,7 +437,7 @@ func (b *Batcher[K, V, A]) gather(rec *batchRec[K, V]) (total int) {
 			if r.Op == OpInsert {
 				b.inserts = append(b.inserts, ftree.Entry[K, V]{Key: r.Key, Val: r.Val})
 			} else {
-				b.deletes = append(b.deletes, r.Key)
+				b.dels = append(b.dels, gatheredDelete[K]{r.Key, len(b.inserts)})
 			}
 		}
 		if t != h {
@@ -434,7 +450,44 @@ func (b *Batcher[K, V, A]) gather(rec *batchRec[K, V]) (total int) {
 			break
 		}
 	}
+	if len(b.dels) > 0 {
+		b.supersede()
+	}
 	return total
+}
+
+// supersede makes the gathered batch one that applies as its requests
+// would one by one in gather order (FIFO per ring): it drops every insert
+// that a delete of the same key gathered after it supersedes, releasing its
+// value as the tree would, and leaves deletes holding each deleted key
+// once — what Apply deletes before it inserts the rest.
+func (b *Batcher[K, V, A]) supersede() {
+	cmp := b.ops.Cmp
+	// Sorted stably by key, a key's last delete is the last of its run.
+	slices.SortStableFunc(b.dels, func(x, y gatheredDelete[K]) int { return cmp(x.key, y.key) })
+	last := b.dels[:0]
+	for _, d := range b.dels {
+		if n := len(last); n > 0 && cmp(last[n-1].key, d.key) == 0 {
+			last[n-1] = d
+		} else {
+			last = append(last, d)
+		}
+	}
+	kept := b.inserts[:0]
+	for i, e := range b.inserts {
+		j, found := slices.BinarySearchFunc(last, e.Key, func(d gatheredDelete[K], k K) int { return cmp(d.key, k) })
+		if found && last[j].after > i {
+			if b.ops.ReleaseVal != nil {
+				b.ops.ReleaseVal(e.Val)
+			}
+			continue
+		}
+		kept = append(kept, e)
+	}
+	b.inserts = kept
+	for _, d := range last {
+		b.deletes = append(b.deletes, d.key)
+	}
 }
 
 // step is the combiner's stage of one commit: take a free batch record

@@ -90,6 +90,51 @@ func TestDeletesAndCombine(t *testing.T) {
 	m.Close()
 }
 
+// TestBatchKeepsRequestOrder: one batch applies as its requests would one
+// by one in gather order, though it commits as one delete batch and one
+// insert batch — a delete then an insert of a key leaves the insert, an
+// insert then a delete leaves nothing, and with a comb an insert after a
+// delete does not combine with the value before it.  Key 1 holds 100 when
+// each batch is gathered; the requests are submitted before the combiner
+// starts, so its first gather takes them all.
+func TestBatchKeepsRequestOrder(t *testing.T) {
+	add := func(old, new int64) int64 { return old + new }
+	del := Request[int64, int64]{Op: OpDelete, Key: 1}
+	set := func(v int64) Request[int64, int64] { return Request[int64, int64]{Op: OpInsert, Key: 1, Val: v} }
+	for _, c := range []struct {
+		name    string
+		comb    func(old, new int64) int64
+		reqs    []Request[int64, int64]
+		want    int64
+		present bool
+	}{
+		{"delete-then-insert", nil, []Request[int64, int64]{del, set(7)}, 7, true},
+		{"insert-then-delete", nil, []Request[int64, int64]{set(7), del}, 0, false},
+		{"comb/insert-delete-insert", add, []Request[int64, int64]{set(3), del, set(5)}, 5, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newIntMap(t, 2)
+			defer m.Close()
+			m.Update(0, func(tx *core.Txn[int64, int64, int64]) { tx.Insert(1, 100) })
+			b := New(m, Config{Clients: 1, MaxLatency: time.Millisecond}, c.comb)
+			for _, r := range c.reqs {
+				b.Submit(0, r)
+			}
+			b.Start()
+			b.Flush(0)
+			b.Stop()
+			if n := b.Batches(); n != 1 {
+				t.Fatalf("%d batches, want 1", n)
+			}
+			read(m, func(s core.Snapshot[int64, int64, int64]) {
+				if v, ok := s.Get(1); ok != c.present || v != c.want {
+					t.Fatalf("key 1 = (%d, %v), want (%d, %v)", v, ok, c.want, c.present)
+				}
+			})
+		})
+	}
+}
+
 // TestManyClientsNoLostUpdates: concurrent clients hammer disjoint key
 // ranges while readers run; every submitted update must be present at the
 // end and GC accounting must balance.
@@ -443,7 +488,7 @@ func TestCommitHook(t *testing.T) {
 	defer m.Close()
 	var failing atomic.Bool
 	errRefused := errors.New("log refused")
-	b := NewWithCommit[int64, int64, int64](Config{Clients: 1, MaxLatency: 100 * time.Microsecond},
+	b := NewWithCommit(Config{Clients: 1, MaxLatency: 100 * time.Microsecond}, m.Ops(),
 		Commit[int64, int64]{Apply: func(ins []ftree.Entry[int64, int64], dels []int64) (int64, error) {
 			if failing.Load() {
 				return 0, errRefused // fail fast: nothing reaches memory either

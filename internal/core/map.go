@@ -77,7 +77,7 @@ type Config struct {
 	// NoRecycle disables node recycling (the pid-local magazine allocator
 	// and the shared depot), so every mk allocates fresh from the Go
 	// heap — the ablation NewMap's recycling-on default is measured
-	// against (BenchmarkAllocPointUpdate, cmd/allocbench).
+	// against (BenchmarkAllocPointUpdate, BenchmarkAllocBatchCommit).
 	NoRecycle bool
 }
 

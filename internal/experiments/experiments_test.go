@@ -1,31 +1,19 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mvgc/internal/ycsb"
 )
 
 // Tiny configurations: these tests verify the harnesses are wired
-// correctly (leak-free, right rows, plausible metrics), not performance.
-
-func tinyTable2() Table2Config {
-	return Table2Config{
-		N:          5_000,
-		Procs:      4,
-		Duration:   80 * time.Millisecond,
-		Reps:       1,
-		Algorithms: []string{"pswf", "epoch"},
-		NQs:        []int{10},
-		NUs:        []int{10},
-	}
-}
+// correctly (leak-free, plausible metrics), not performance.
 
 func TestRunTable2CellMetrics(t *testing.T) {
-	c := RunTable2Cell(tinyTable2(), "pswf", 10, 10)
+	c := RunTable2Cell(Table2Config{N: 5_000, Procs: 4, Duration: 80 * time.Millisecond}, "pswf", 10, 10)
 	if c.QueryMops <= 0 {
 		t.Error("no queries measured")
 	}
@@ -34,33 +22,6 @@ func TestRunTable2CellMetrics(t *testing.T) {
 	}
 	if c.MaxVersions < 1 || c.MaxVersions > 2*4+1 {
 		t.Errorf("MaxVersions = %d outside PSWF bound", c.MaxVersions)
-	}
-}
-
-func TestRunTable2Renders(t *testing.T) {
-	var buf bytes.Buffer
-	cells := RunTable2(tinyTable2(), &buf)
-	if len(cells) != 2 { // 2 algorithms × 1 grid point
-		t.Fatalf("got %d cells", len(cells))
-	}
-	out := buf.String()
-	for _, want := range []string{"Table 2a", "Table 2b", "Table 2c", "pswf", "epoch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
-func TestRunFigure6Renders(t *testing.T) {
-	cfg := Figure6Config{Table2Config: tinyTable2(), NQ: 10}
-	cfg.NUs = []int{10, 100}
-	var buf bytes.Buffer
-	RunFigure6(cfg, &buf)
-	if !strings.Contains(buf.String(), "Figure 6") {
-		t.Error("missing title")
-	}
-	if got := strings.Count(buf.String(), "\n"); got < 4 {
-		t.Errorf("too few lines: %d", got)
 	}
 }
 
@@ -73,38 +34,6 @@ func TestRunFigure7CellOursAndBaseline(t *testing.T) {
 	for _, s := range []string{"ours", "ours-sharded", "hashmap"} {
 		if mops := RunFigure7Cell(cfg, s, ycsb.WorkloadA); mops <= 0 {
 			t.Errorf("%s: no throughput measured", s)
-		}
-	}
-}
-
-func TestRunFigure7ReturnsRecords(t *testing.T) {
-	cfg := DefaultFigure7()
-	cfg.Records = 5_000
-	cfg.Threads = 2
-	cfg.Shards = 2
-	cfg.Duration = 50 * time.Millisecond
-	cfg.Structures = []string{"ours-sharded"}
-	cfg.Workloads = []ycsb.Workload{ycsb.WorkloadB}
-	var buf bytes.Buffer
-	recs := RunFigure7(cfg, &buf)
-	if len(recs) != 1 || recs[0].Structure != "ours-sharded" || recs[0].Workload != ycsb.WorkloadB.Name || recs[0].Mops <= 0 {
-		t.Fatalf("records = %+v", recs)
-	}
-}
-
-func TestRunFigure7Renders(t *testing.T) {
-	cfg := DefaultFigure7()
-	cfg.Records = 10_000
-	cfg.Threads = 2
-	cfg.Duration = 50 * time.Millisecond
-	cfg.Structures = []string{"ours", "skiplist"}
-	cfg.Workloads = []ycsb.Workload{ycsb.WorkloadC}
-	var buf bytes.Buffer
-	RunFigure7(cfg, &buf)
-	out := buf.String()
-	for _, want := range []string{"Figure 7", "ours", "skiplist", "C (100/0)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
 		}
 	}
 }
@@ -136,5 +65,57 @@ func TestQueryThreadSweep(t *testing.T) {
 	}
 	if got := QueryThreadSweep(1); len(got) != 1 {
 		t.Fatalf("sweep(1) = %v", got)
+	}
+}
+
+// TestLongReaderPlateaus is the space claim as a gate: under one pinned
+// reader and a fixed write storm, the space-bounded collectors keep the
+// retained versions within internal/vm TestUncollectedBounds' bounds for the
+// cell's P, while epoch — unable to advance past the pin — retains more than
+// its bound would allow.  Fixed op counts make the peaks deterministic
+// functions of the configuration, not of the machine's speed.
+func TestLongReaderPlateaus(t *testing.T) {
+	cfg := LongReaderConfig{Records: 2_000, Writers: 3, OpsPerWriter: 2_000}
+	procs := int64(cfg.Writers + 1) // the pinned reader's pid and the writers'
+	bounds := map[string]int64{
+		"pswf":  2*procs + 1,
+		"hp":    2*procs*procs + 1,
+		"sbgc":  2*procs*procs + 1,
+		"epoch": 2*procs*procs + 1, // the largest bound above: epoch must exceed it
+	}
+	for alg, bound := range bounds {
+		c := RunLongReaderCell(cfg, alg)
+		t.Logf("%s: peak %d versions (bound %d)", alg, c.PeakVersions, bound)
+		if c.WriteMops <= 0 {
+			t.Errorf("%s: no write throughput measured", alg)
+		}
+		if alg == "epoch" {
+			if c.PeakVersions <= bound {
+				t.Errorf("epoch: peak %d versions under a pinned reader, want more than %d", c.PeakVersions, bound)
+			}
+		} else if c.PeakVersions > bound {
+			t.Errorf("%s: peak %d versions under a pinned reader, bound %d", alg, c.PeakVersions, bound)
+		}
+	}
+}
+
+func TestRunCountsAllWorkers(t *testing.T) {
+	mops := run(4, 50*time.Millisecond, func(worker int, stop *atomic.Bool, c *counter) {
+		for !stop.Load() {
+			c.add(1)
+		}
+	})
+	if mops <= 0 {
+		t.Fatal("no operations counted")
+	}
+}
+
+func TestCounterPadding(t *testing.T) {
+	// Counters must be at least a cache line apart when adjacent.
+	cs := make([]counter, 2)
+	a := unsafe.Pointer(&cs[0])
+	b := unsafe.Pointer(&cs[1])
+	if uintptr(b)-uintptr(a) < 64 {
+		t.Fatalf("adjacent counters only %d bytes apart", uintptr(b)-uintptr(a))
 	}
 }

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,11 +9,9 @@ import (
 
 	"mvgc/internal/baseline"
 	"mvgc/internal/batch"
-	"mvgc/internal/bench"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/shard"
-	"mvgc/internal/wal"
 	"mvgc/internal/ycsb"
 )
 
@@ -38,14 +33,6 @@ type Figure7Config struct {
 	Structures []string
 	// Workloads to run; nil means YCSB A, B, C.
 	Workloads []ycsb.Workload
-	// WAL attaches a write-ahead log (temp directory, real disk) to the
-	// ours-sharded structure: every batch commit appends its post-images
-	// and fsyncs per WALFsync, measuring the durability tax.  Other
-	// structures ignore it.
-	WAL bool
-	// WALFsync is the fsync policy for WAL cells ("always", "interval",
-	// "off"; default always).
-	WALFsync string
 }
 
 // DefaultFigure7 returns a host-scaled configuration.
@@ -76,7 +63,7 @@ func RunFigure7Cell(cfg Figure7Config, structure string, w ycsb.Workload) float6
 	}
 	// Load phase: parallel, not measured.
 	loadBaseline(m, cfg.Records, cfg.Threads)
-	r := bench.Run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *bench.Counter) {
+	return run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *counter) {
 		g := ycsb.NewGenerator(w, cfg.Records, uint64(worker)*0x9e3779b9+1)
 		for !stop.Load() {
 			op := g.Next()
@@ -94,10 +81,9 @@ func RunFigure7Cell(cfg Figure7Config, structure string, w ycsb.Workload) float6
 			default:
 				m.Put(op.Key, op.Val)
 			}
-			c.Add(1)
+			c.add(1)
 		}
 	})
-	return r.Mops()
 }
 
 // loadBaseline inserts keys 0..records-1 in per-thread shuffled order:
@@ -154,7 +140,7 @@ func runYCSBOurs(cfg Figure7Config, w ycsb.Workload) float64 {
 		MaxLatency: cfg.MaxLatency,
 	}, nil)
 	b.Start()
-	r := bench.Run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *bench.Counter) {
+	mops := run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *counter) {
 		h := m.Handle()
 		defer h.Close()
 		g := ycsb.NewGenerator(w, cfg.Records, uint64(worker)*0x51ed2701+1)
@@ -176,7 +162,7 @@ func runYCSBOurs(cfg Figure7Config, w ycsb.Workload) float64 {
 				// combining writer.
 				b.Submit(worker, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: op.Key, Val: op.Val})
 			}
-			c.Add(1)
+			c.add(1)
 		}
 	})
 	b.Stop()
@@ -184,7 +170,7 @@ func runYCSBOurs(cfg Figure7Config, w ycsb.Workload) float64 {
 	if live := ops.Live(); live != 0 {
 		panic(fmt.Sprintf("figure7 ours: leaked %d nodes", live))
 	}
-	return r.Mops()
+	return mops
 }
 
 // runYCSBOursSharded runs the workload against the sharded transactional
@@ -222,34 +208,12 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 	if err != nil {
 		panic(err)
 	}
-	if cfg.WAL {
-		dir, derr := os.MkdirTemp("", "figure7-wal-")
-		if derr != nil {
-			panic(derr)
-		}
-		defer os.RemoveAll(dir)
-		pol, perr := wal.ParsePolicy(cfg.WALFsync)
-		if perr != nil {
-			panic(perr)
-		}
-		log, _, werr := wal.Open(wal.Options{Dir: dir, Policy: pol})
-		if werr != nil {
-			panic(werr)
-		}
-		u64 := func(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-		du64 := func(b []byte) (uint64, error) { return binary.LittleEndian.Uint64(b), nil }
-		if aerr := sm.AttachWAL(shard.WALConfig[uint64, uint64]{
-			Log: log, EncKey: u64, DecKey: du64, EncVal: u64, DecVal: du64,
-		}, nil); aerr != nil {
-			panic(aerr)
-		}
-	}
 	sm.StartBatching(batch.Config{
 		Clients:    cfg.Threads,
 		BufCap:     1 << 15,
 		MaxLatency: cfg.MaxLatency,
 	}, nil)
-	r := bench.Run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *bench.Counter) {
+	mops := run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *counter) {
 		// One long-lived handle per shard: reads go straight to the
 		// owning shard with zero per-op leasing overhead.
 		handles := make([]*core.Handle[uint64, uint64, struct{}], sm.NumShards())
@@ -276,40 +240,12 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 			default:
 				sm.Submit(worker, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: op.Key, Val: op.Val})
 			}
-			c.Add(1)
+			c.add(1)
 		}
 	})
 	sm.Close()
 	if live := sm.Live(); live != 0 {
 		panic(fmt.Sprintf("figure7 ours-sharded: leaked %d nodes", live))
 	}
-	return r.Mops()
-}
-
-// RunFigure7 runs every structure on every workload, renders the Figure 7
-// bar groups as a table, and returns the measured cells (for -json).
-func RunFigure7(cfg Figure7Config, w io.Writer) []bench.YCSBRecord {
-	var records []bench.YCSBRecord
-	headers := append([]string{"workload"}, cfg.Structures...)
-	title := fmt.Sprintf("Figure 7: YCSB throughput (Mop/s), %d threads, %d records",
-		cfg.Threads, cfg.Records)
-	if cfg.WAL {
-		fsync := cfg.WALFsync
-		if fsync == "" {
-			fsync = "always"
-		}
-		title += fmt.Sprintf(", WAL fsync=%s", fsync)
-	}
-	t := bench.NewTable(title, headers...)
-	for _, wl := range cfg.Workloads {
-		row := []string{wl.Name}
-		for _, s := range cfg.Structures {
-			mops := RunFigure7Cell(cfg, s, wl)
-			records = append(records, bench.YCSBRecord{Structure: s, Workload: wl.Name, Mops: mops, WAL: cfg.WAL})
-			row = append(row, bench.F2(mops))
-		}
-		t.AddRow(row...)
-	}
-	t.Fprint(w)
-	return records
+	return mops
 }

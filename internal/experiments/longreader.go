@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
 
-	"mvgc/internal/bench"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/ycsb"
@@ -26,10 +24,23 @@ type LongReaderConfig struct {
 	Writers int
 	// OpsPerWriter is the number of committed point updates per writer.
 	OpsPerWriter int
-	// Algorithms to run; nil means sbgc, epoch, hp, pswf.  rcu is excluded
-	// by default: its writers block on the pinned reader, so the storm
-	// would deadlock by design rather than measure anything.
+	// Algorithms to run.  rcu is never among them: its writers block on the
+	// pinned reader, so the storm would deadlock by design rather than
+	// measure anything.
 	Algorithms []string
+}
+
+// LongReaderCell is one algorithm's long-reader-plus-write-storm
+// measurement.  PeakVersions is the headline space metric: the largest
+// retained-version count observed while one read transaction pinned a
+// snapshot through the storm — a space-bounded collector plateaus at O(P),
+// an epoch-style one grows with the op count.  PeakHeapBytes is the
+// matching Go-heap high-water mark and WriteMops the writers' committed
+// throughput while contending with the pin.
+type LongReaderCell struct {
+	PeakVersions  int64
+	PeakHeapBytes uint64
+	WriteMops     float64
 }
 
 // DefaultLongReader returns a host-scaled configuration.
@@ -57,7 +68,7 @@ func DefaultLongReader() LongReaderConfig {
 // PeakHeapBytes is the matching Go-heap high-water mark (sampled
 // HeapAlloc after a normalizing GC), and WriteMops the writers' combined
 // committed-update throughput while contending with the pinned snapshot.
-func RunLongReaderCell(cfg LongReaderConfig, alg string) bench.MemRecord {
+func RunLongReaderCell(cfg LongReaderConfig, alg string) LongReaderCell {
 	ops := ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 512)
 	initial := make([]ftree.Entry[uint64, uint64], cfg.Records)
 	for i := range initial {
@@ -149,33 +160,9 @@ func RunLongReaderCell(cfg LongReaderConfig, alg string) bench.MemRecord {
 		panic(fmt.Sprintf("longreader %s: leaked %d nodes", alg, live))
 	}
 	totalOps := float64(cfg.Writers) * float64(cfg.OpsPerWriter)
-	return bench.MemRecord{
-		Algorithm:     alg,
+	return LongReaderCell{
 		PeakVersions:  peakVersions,
 		PeakHeapBytes: peakHeap,
 		WriteMops:     totalOps / elapsed.Seconds() / 1e6,
 	}
-}
-
-// RunLongReader runs the storm on every configured algorithm, renders the
-// comparison table, and returns the measured cells (for -memjson).
-func RunLongReader(cfg LongReaderConfig, w io.Writer) []bench.MemRecord {
-	algs := cfg.Algorithms
-	if len(algs) == 0 {
-		algs = DefaultLongReader().Algorithms
-	}
-	title := fmt.Sprintf("Long reader + write storm: %d writers x %d ops, %d records",
-		cfg.Writers, cfg.OpsPerWriter, cfg.Records)
-	t := bench.NewTable(title, "algorithm", "peak versions", "peak heap MiB", "write Mop/s")
-	var records []bench.MemRecord
-	for _, alg := range algs {
-		r := RunLongReaderCell(cfg, alg)
-		records = append(records, r)
-		t.AddRow(alg,
-			fmt.Sprintf("%d", r.PeakVersions),
-			bench.F2(float64(r.PeakHeapBytes)/(1<<20)),
-			bench.F2(r.WriteMops))
-	}
-	t.Fprint(w)
-	return records
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mvgc/internal/bench"
 	"mvgc/internal/invindex"
 	"mvgc/internal/ycsb"
 )
@@ -20,10 +17,8 @@ type Table3Config struct {
 	MeanDocLen int
 	// InitialDocs is the corpus size before measurement begins.
 	InitialDocs int
-	// Threads is the total worker count (paper: 144); QueryThreads is the
-	// sweep variable p (paper: 10, 20, 40, 80).
-	Threads      int
-	QueryThreads []int
+	// Threads is the total worker count (paper: 144).
+	Threads int
 	// Window is the co-running measurement window (paper: 30 s).
 	Window time.Duration
 	// DocsPerBatch is the ingestion batch size.
@@ -31,13 +26,12 @@ type Table3Config struct {
 	// TopK is the query result size (paper: top-10).
 	TopK int
 	// Shards selects the hash-partitioned ShardedIndex when positive; zero
-	// runs the paper's single index.  RunTable3 sweeps the single index and
-	// then appends one sharded row at this shard count.
+	// runs the paper's single index.
 	Shards int
 }
 
-// QueryThreadSweep returns the default sweep of query-thread counts for a
-// total thread budget: 25%, 50% and all-but-one, mirroring the paper's
+// QueryThreadSweep returns the sweep of query-thread counts p for a total
+// thread budget: 25%, 50% and all-but-one, mirroring the paper's
 // p ∈ {10, 20, 40, 80} of 144.
 func QueryThreadSweep(threads int) []int {
 	var qts []int
@@ -57,14 +51,11 @@ func QueryThreadSweep(threads int) []int {
 
 // DefaultTable3 returns a host-scaled configuration.
 func DefaultTable3() Table3Config {
-	threads := runtime.GOMAXPROCS(0)
-	qts := QueryThreadSweep(threads)
 	return Table3Config{
 		Vocab:        50_000,
 		MeanDocLen:   48,
 		InitialDocs:  2_000,
-		Threads:      threads,
-		QueryThreads: qts,
+		Threads:      runtime.GOMAXPROCS(0),
 		Window:       3 * time.Second,
 		DocsPerBatch: 16,
 		TopK:         10,
@@ -203,37 +194,4 @@ func nextDocs(c *invindex.Corpus, n int) []invindex.Doc {
 		docs[i] = c.Next()
 	}
 	return docs
-}
-
-// RunTable3 sweeps query-thread counts on the paper's single index and
-// renders Table 3 (if co-running adds little overhead, Tu + Tq ≈ Tu+q),
-// then appends one row for the hash-sharded index (cfg.Shards shards) at
-// the sweep's largest p.  It returns the measured rows in the BENCH_inv/v1
-// record form for machine-readable output.
-func RunTable3(cfg Table3Config, w io.Writer) []bench.InvRecord {
-	t := bench.NewTable(
-		fmt.Sprintf("Table 3: inverted index, %d threads total (times in seconds)", cfg.Threads),
-		"p (query threads)", "updates", "queries", "Tu", "Tq", "Tu+Tq", "Tu+q")
-	var recs []bench.InvRecord
-	addRow := func(label string, r Table3Row) {
-		t.AddRow(label, fmt.Sprint(r.Updates), fmt.Sprint(r.Queries),
-			bench.F2(r.Tu), bench.F2(r.Tq), bench.F2(r.Tu+r.Tq), bench.F2(r.Tuq))
-		recs = append(recs, bench.InvRecord{
-			QueryThreads: r.QueryThreads, Shards: r.Shards,
-			Updates: r.Updates, Queries: r.Queries,
-			TuSec: r.Tu, TqSec: r.Tq, TuqSec: r.Tuq,
-		})
-	}
-	single := cfg
-	single.Shards = 0
-	for _, p := range single.QueryThreads {
-		r := RunTable3Row(single, p)
-		addRow(fmt.Sprint(r.QueryThreads), r)
-	}
-	if cfg.Shards > 0 && len(cfg.QueryThreads) > 0 {
-		r := RunTable3Row(cfg, cfg.QueryThreads[len(cfg.QueryThreads)-1])
-		addRow(fmt.Sprintf("%d (S=%d)", r.QueryThreads, r.Shards), r)
-	}
-	t.Fprint(w)
-	return recs
 }

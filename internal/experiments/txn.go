@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
 
-	"mvgc/internal/bench"
 	"mvgc/internal/ftree"
 	"mvgc/internal/shard"
 	"mvgc/internal/ycsb"
@@ -41,28 +39,20 @@ func DefaultTxn() TxnConfig {
 	}
 }
 
-// txnMode selects the commit path a transfer cell measures.
-type txnMode int
+// TxnModes names the commit paths a transfer cell measures:
+//   - txn-atomic commits all touched shards under one GSN (UpdateAtomic)
+//     with commutative InsertWith deltas;
+//   - txn-pershard commits shard by shard (plain Update): fastest, torn
+//     under concurrent consistent views;
+//   - txn-occ is the multi-key CAS (UpdateAtomicKeys): the footprint's
+//     writer slots are held from before the balance reads until the
+//     absolute values are installed — two-phase locking on the slots, the
+//     price of serializability against every writer.
+var TxnModes = []string{"txn-atomic", "txn-pershard", "txn-occ"}
 
-const (
-	// txnPerShard commits shard by shard (plain Update): fastest, torn
-	// under concurrent consistent views.
-	txnPerShard txnMode = iota
-	// txnAtomicMode commits all touched shards under one GSN
-	// (UpdateAtomic) with commutative InsertWith deltas.
-	txnAtomicMode
-	// txnOCCMode is the multi-key CAS (UpdateAtomicKeys): the footprint's
-	// writer slots are held from before the balance reads until the
-	// absolute values are installed — two-phase locking on the slots, the
-	// price of serializability against every writer.  The cell keeps its
-	// "txn-occ" name so earlier reports still line up.
-	txnOCCMode
-)
-
-// runTxnCell measures transfer throughput (million transactions per second)
-// in one commit mode: UpdateAtomicKeys (multi-key CAS), UpdateAtomic (one
-// GSN per transaction) or the plain per-shard Update.
-func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
+// RunTxnCell measures transfer throughput (million transactions per second)
+// in one of TxnModes.
+func RunTxnCell(cfg TxnConfig, mode string) float64 {
 	initial := make([]ftree.Entry[uint64, int64], cfg.Accounts)
 	for i := range initial {
 		initial[i] = ftree.Entry[uint64, int64]{Key: uint64(i), Val: 1000}
@@ -78,7 +68,7 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 		panic(err)
 	}
 	add := func(old, delta int64) int64 { return old + delta }
-	r := bench.Run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *bench.Counter) {
+	mops := run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *counter) {
 		rng := ycsb.NewSplitMix64(uint64(worker)*0x9e3779b9 + 7)
 		keys := make([]uint64, cfg.KeysPerTxn)
 		for !stop.Load() {
@@ -93,7 +83,7 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 				}
 			}
 			switch mode {
-			case txnOCCMode:
+			case "txn-occ":
 				// The CAS transfer shape: read every balance, write absolute
 				// new balances.  Correctness rests entirely on the reads
 				// holding until the install — exactly what the cell prices.
@@ -109,7 +99,7 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 						t.Insert(k, b+1)
 					}
 				})
-			default:
+			case "txn-atomic", "txn-pershard":
 				// The delta transfer shape: read the source balance, then
 				// commit commutative deltas (InsertWith re-evaluates against
 				// the committed value, so concurrent transfers never lose
@@ -124,42 +114,20 @@ func runTxnCell(cfg TxnConfig, mode txnMode) float64 {
 						t.InsertWith(k, 1, add)
 					}
 				}
-				if mode == txnAtomicMode {
+				if mode == "txn-atomic" {
 					sm.UpdateAtomic(transfer)
 				} else {
 					sm.Update(transfer)
 				}
+			default:
+				panic("unknown transfer mode " + mode)
 			}
-			c.Add(1)
+			c.add(1)
 		}
 	})
 	sm.Close()
 	if live := sm.Live(); live != 0 {
 		panic(fmt.Sprintf("txn workload: leaked %d nodes", live))
 	}
-	return r.Mops()
-}
-
-// RunTxn measures the transfer workload in all three commit modes and
-// returns BENCH_ycsb/v1 cells (structure "ours-sharded", workloads
-// "txn-atomic", "txn-pershard" and "txn-occ") so cmd/benchdiff gates the
-// atomic and multi-key CAS commit paths' throughput like every other cell.
-func RunTxn(cfg TxnConfig, w io.Writer) []bench.YCSBRecord {
-	t := bench.NewTable(fmt.Sprintf("Transfers: %d-key cross-shard txns (Mtxn/s), %d threads, %d accounts, %d shards",
-		cfg.KeysPerTxn, cfg.Threads, cfg.Accounts, cfg.Shards), "commit mode", "Mtxn/s")
-	var records []bench.YCSBRecord
-	for _, m := range []struct {
-		workload string
-		mode     txnMode
-	}{
-		{"txn-atomic", txnAtomicMode},
-		{"txn-pershard", txnPerShard},
-		{"txn-occ", txnOCCMode},
-	} {
-		mops := runTxnCell(cfg, m.mode)
-		records = append(records, bench.YCSBRecord{Structure: "ours-sharded", Workload: m.workload, Mops: mops})
-		t.AddRow(m.workload, bench.F2(mops))
-	}
-	t.Fprint(w)
-	return records
+	return mops
 }

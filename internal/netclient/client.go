@@ -9,7 +9,8 @@
 // Pipelining is what lets a single connection amortize the server's
 // combiner commits: D outstanding SETs from this client land in the same
 // shard batches as every other connection's, so per-op commit cost falls
-// as depth and connection count grow (cmd/netbench sweeps both).
+// as depth and connection count grow (netserver's BenchmarkServeSweep
+// sweeps both).
 //
 // The client pays per burst, not per request.  Flush is a hand-off to the
 // outbox, a bounded double buffer that a flusher goroutine, the socket's

@@ -28,7 +28,7 @@
 // flight on 2N goroutines, and all of a shard's in-flight writes ride ONE
 // combiner commit per batching interval — O(shards) commits for N sockets'
 // traffic instead of N (see DESIGN.md, "The network coalescing path";
-// cmd/netbench measures commits-per-op).
+// BenchmarkServeSweep measures commits-per-op).
 //
 // Backpressure is layered: a connection may have at most Config.MaxPipeline
 // responses outstanding (the read loop stalls in lease beyond that), each
@@ -1018,8 +1018,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	c.complete(sl)
 }
 
-// execStats renders the serving-layer counters netbench uses to prove
-// coalescing: batches/applied are the shard combiners' commit and request
+// execStats renders the serving-layer counters that show coalescing: batches/applied are the shard combiners' commit and request
 // totals (applied/batches = writes per combiner commit), commits is the
 // store's total committed write transactions.  gsn is the store's commit
 // sequence high-water mark; repl_pos is the highest GSN the follower has

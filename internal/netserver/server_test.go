@@ -21,7 +21,7 @@ import (
 
 // startServer brings up a real listener on a random loopback port and
 // returns the server plus its dialable address.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -176,6 +176,41 @@ func TestServerCommands(t *testing.T) {
 	}
 }
 
+// TestPipelinedDeleteThenSet: a DEL and a SET of one key pipelined on one
+// connection reach the key's combiner back to back, so they usually share a
+// batch; the batch must apply them in that order, and a GET sent after both
+// acks reads the SET's value.
+func TestPipelinedDeleteThenSet(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 1, MaxLatency: time.Millisecond})
+	defer s.Shutdown()
+	c, err := netclient.Dial(addr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const rounds = 50
+	lost := 0
+	for round := int64(1); round <= rounds; round++ {
+		del, set := c.DelAsync(7), c.SetAsync(7, round)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(del.Err(), set.Err()); err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := c.Get(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || v != round {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("GET 7 after DEL 7, SET 7 v missed v in %d of %d rounds", lost, rounds)
+	}
+}
+
 // TestPipelinedClientsCoalesce is the tentpole property end to end: many
 // connections pipelining writes concurrently, all acknowledged writes
 // visible, and the combiner commit count far below the op count.
@@ -248,8 +283,8 @@ func TestPipelinedClientsCoalesce(t *testing.T) {
 		t.Fatalf("applied = %d, want >= %d", applied, total)
 	}
 	// The whole point: thousands of pipelined writes ride far fewer
-	// combiner commits.  Be loose here (CI machines stall); netbench
-	// measures the real ratio.
+	// combiner commits.  Be loose here (CI machines stall);
+	// BenchmarkServeSweep reports the real ratio.
 	if batches*4 > applied {
 		t.Fatalf("no coalescing: %d batches for %d applied writes", batches, applied)
 	}

@@ -22,8 +22,8 @@ import (
 // each scan leases a scanState, re-seeks the parked iterators against the
 // Snap's pinned roots, and returns it when done.  After the pool and the
 // iterator stacks have warmed up, a fixed-length scan performs no heap
-// allocation at all, which BenchmarkScanWarm and the allocbench scan cell
-// hold as a checked number.  A scanState is single-owner while leased,
+// allocation at all, which BenchmarkScanWarm measures and
+// TestScanWarmZeroAlloc holds as a checked number.  A scanState is single-owner while leased,
 // exactly like the arenas; the pool hands it to one scan at a time.
 type scanState[K, V, A any] struct {
 	cmp  func(a, b K) int

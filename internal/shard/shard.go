@@ -93,9 +93,6 @@ type Config[K any] struct {
 	// Hash maps a key to the shard space; it must be deterministic.  The
 	// shard index is Hash(k) % Shards.
 	Hash func(K) uint64
-	// NoRecycle disables every shard's node recycling (the pid-local
-	// magazine allocator); see core.Config.NoRecycle.
-	NoRecycle bool
 }
 
 // Map is a hash-sharded multiversion map: S independent core.Maps behind
@@ -185,7 +182,7 @@ func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial [
 		closedCh: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s, err := core.NewMap(core.Config{Algorithm: cfg.Algorithm, Procs: cfg.Procs, NoRecycle: cfg.NoRecycle}, mkOps(), parts[i])
+		s, err := core.NewMap(core.Config{Algorithm: cfg.Algorithm, Procs: cfg.Procs}, mkOps(), parts[i])
 		if err != nil {
 			for _, prev := range m.shards {
 				prev.Close()
@@ -331,22 +328,23 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 	defer m.exit(0)
 	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
 	for i := range m.shards {
-		m.batchers[i] = batch.NewWithCommit[K, V, A](cfg, batch.Commit[K, V]{
+		m.batchers[i] = batch.NewWithCommit(cfg, m.shards[i].Ops(), batch.Commit[K, V]{
 			Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
 				if err := m.logErr(); err != nil {
 					return 0, err
 				}
-				// The record is the batch as committed: coalescing reorders
-				// and shortens inserts in place, so the encode must see
-				// what Apply returns, not the gathered length.
+				// The record is the batch as committed, in Apply's order:
+				// the deletes, then the inserts.  Coalescing reorders and
+				// shortens inserts in place, so the encode must see what
+				// Apply returns, not the gathered length.
 				return m.commitShard(i,
 					func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
 					func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-						for _, en := range inserts {
-							appendPost(e, tx, en.Key, en.Val, comb != nil)
-						}
 						for _, k := range deletes {
 							e.appendDelete(k)
+						}
+						for _, en := range inserts {
+							appendPost(e, tx, en.Key, en.Val, comb != nil)
 						}
 					})
 			},

@@ -195,18 +195,41 @@ func TestWritePathDifferential(t *testing.T) {
 	type tmap = Map[uint64, uint64, struct{}]
 	type txn = Txn[uint64, uint64, struct{}]
 	add := func(old, new uint64) uint64 { return old + new }
-	// submit pushes one request through the combiner and waits for its ack.
-	submit := func(m *tmap, r batch.Request[uint64, uint64]) error {
-		ch := make(chan error, 1)
-		m.SubmitAsync(0, r, func(err error) { ch <- err })
-		return <-ch
+	// submit pushes requests through the combiner back to back and waits for
+	// every ack.
+	submit := func(m *tmap, rs ...batch.Request[uint64, uint64]) error {
+		ch := make(chan error, len(rs))
+		for _, r := range rs {
+			m.SubmitAsync(0, r, func(err error) { ch <- err })
+		}
+		var err error
+		for range rs {
+			err = errors.Join(err, <-ch)
+		}
+		return err
 	}
-	batching := func(comb func(old, new uint64) uint64) func(m *tmap) error {
+	batching := func(cfg batch.Config, comb func(old, new uint64) uint64) func(m *tmap) error {
 		return func(m *tmap) error {
 			m.StopBatching()
-			m.StartBatching(batch.Config{Clients: 1, MaxBatch: 64}, comb)
+			m.StartBatching(cfg, comb)
 			return nil
 		}
+	}
+	capped := batch.Config{Clients: 1, MaxBatch: 64}
+	// oneBatch submits requests as one combiner batch: it restarts the
+	// combiners with a long idle poll and submits once the fresh combiner
+	// has made its first, empty gather, so its next gather, 200 ms after
+	// start, takes them all.
+	oneBatch := func(m *tmap, comb func(old, new uint64) uint64, rs ...batch.Request[uint64, uint64]) error {
+		batching(batch.Config{Clients: 1, MaxLatency: 200 * time.Millisecond}, comb)(m)
+		time.Sleep(20 * time.Millisecond)
+		return submit(m, rs...)
+	}
+	del := func(k uint64) batch.Request[uint64, uint64] {
+		return batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: k}
+	}
+	set := func(k, v uint64) batch.Request[uint64, uint64] {
+		return batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: k, Val: v}
 	}
 	steps := []struct {
 		name    string
@@ -325,16 +348,23 @@ func TestWritePathDifferential(t *testing.T) {
 				tx.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 52, Val: 1}, {Key: 56, Val: 2}, {Key: 52, Val: 3}}, nil)
 			})
 		}, 1, 1}, // shard 0; nil comb: the last entry of a key wins
-		{"StartBatching", batching(nil), 0, 0},
+		{"StartBatching", batching(capped, nil), 0, 0},
 		{"SubmitAsync", func(m *tmap) error {
 			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 90})
 		}, 1, 1},
 		{"SubmitAsync/delete", func(m *tmap) error {
 			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: 12})
 		}, 1, 1},
-		{"StartBatching/comb", batching(add), 0, 0},
+		{"StartBatching/comb", batching(capped, add), 0, 0},
 		{"SubmitAsync/comb", func(m *tmap) error {
 			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 9})
+		}, 1, 1},
+		// One combiner batch (shard 1) that deletes and inserts one key
+		// applies, and logs, its requests in their order: the deletes, then
+		// the inserts no later delete superseded.
+		{"SubmitAsync/delete-then-insert", func(m *tmap) error { return oneBatch(m, nil, del(9), set(9, 19)) }, 1, 1},
+		{"SubmitAsync/comb/insert-delete-insert", func(m *tmap) error {
+			return oneBatch(m, add, set(13, 1), del(13), set(13, 5), set(17, 1), del(17))
 		}, 1, 1},
 	}
 
@@ -377,7 +407,7 @@ func TestWritePathDifferential(t *testing.T) {
 		equal(st.name+": logged vs no log", dump(logged), dump(plain))
 	}
 	want := dump(plain)
-	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 116, 7: 1071, 9: 99, 13: 13, 14: 140, 16: 160,
+	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 116, 7: 1071, 9: 19, 13: 5, 14: 140, 16: 160,
 		20: 3, 24: 2, 28: 4, 21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2})
 	if plain.CommitGSN() != logged.CommitGSN() {
 		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
