@@ -191,8 +191,8 @@ func BenchmarkDBPointOps(b *testing.B) {
 
 // BenchmarkTable3 regenerates the inverted-index co-running rows: Tu, Tq
 // and Tu+q, whose near-equality of Tu+Tq and Tu+q is the paper's claim.
-// The "p=N" rows sweep the query threads on the paper's single index;
-// "p=N/S=2" is the hash-sharded variant's row at the sweep's largest p.
+// The "p=N/S=1" rows sweep the query threads on the paper's single index;
+// "p=N/S=2" is the two-shard row at the sweep's largest p.
 func BenchmarkTable3(b *testing.B) {
 	cfg := experiments.DefaultTable3()
 	cfg.Threads = benchProcs
@@ -214,19 +214,17 @@ func BenchmarkTable3(b *testing.B) {
 		b.ReportMetric(tuq/n, "Tu+q-sec")
 	}
 	sweep := experiments.QueryThreadSweep(benchProcs)
-	for _, p := range sweep {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+	run := func(p, shards int) {
+		b.Run(fmt.Sprintf("p=%d/S=%d", p, shards), func(b *testing.B) {
 			cfg := cfg
-			cfg.Shards = 0
+			cfg.Shards = shards
 			row(b, cfg, p)
 		})
 	}
-	p := sweep[len(sweep)-1]
-	b.Run(fmt.Sprintf("p=%d/S=2", p), func(b *testing.B) {
-		cfg := cfg
-		cfg.Shards = 2
-		row(b, cfg, p)
-	})
+	for _, p := range sweep {
+		run(p, 1)
+	}
+	run(sweep[len(sweep)-1], 2)
 }
 
 // BenchmarkLongReader regenerates the space experiment: one read

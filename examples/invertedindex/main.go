@@ -23,36 +23,16 @@ import (
 	"mvgc/internal/ycsb"
 )
 
-// index is the surface this demo drives; Index and ShardedIndex both
-// provide it.
-type index interface {
-	AddDocuments(docs []invindex.Doc)
-	AndQuery(term1, term2 uint64, k int) []invindex.ScoredDoc
-	PostingLen(term uint64) int64
-	Terms() int64
-	Close()
-	LiveNodes() (outer, inner int64)
-}
-
 func main() {
 	var (
 		queriers = flag.Int("queriers", max(1, runtime.GOMAXPROCS(0)-1),
 			"query goroutines running next to the ingesting writer (default GOMAXPROCS-1)")
-		shards = flag.Int("shards", 0, "hash-partition the term tree across this many shards (0 = single index)")
+		shards = flag.Int("shards", 1, "hash-partition the term tree across this many shards (1 = the paper's single index)")
 		dur    = flag.Duration("dur", time.Second, "live co-running phase duration")
 	)
 	flag.Parse()
 
-	procs := *queriers + 1 // queriers + the ingesting writer
-	var (
-		ix  index
-		err error
-	)
-	if *shards > 0 {
-		ix, err = invindex.NewSharded(*shards, procs, 512)
-	} else {
-		ix, err = invindex.New(procs, 512)
-	}
+	ix, err := invindex.New(*shards, *queriers+1, 512) // queriers + the ingesting writer
 	if err != nil {
 		panic(err)
 	}
@@ -69,7 +49,9 @@ func main() {
 		for j := range docs {
 			docs[j] = corpus.Next()
 		}
-		ix.AddDocuments(docs)
+		if err := ix.AddDocuments(docs); err != nil {
+			panic(err)
+		}
 	}
 	fmt.Printf("corpus: %d terms, hottest posting has %d docs\n",
 		ix.Terms(), ix.PostingLen(hot[0]))
@@ -86,7 +68,9 @@ func main() {
 			for j := range docs {
 				docs[j] = corpus.Next()
 			}
-			ix.AddDocuments(docs)
+			if err := ix.AddDocuments(docs); err != nil {
+				panic(err)
+			}
 		}
 	}()
 	for q := 0; q < *queriers; q++ {

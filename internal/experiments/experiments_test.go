@@ -57,6 +57,11 @@ func TestRunTable3Row(t *testing.T) {
 	if r2.QueryThreads != cfg.Threads-1 {
 		t.Fatalf("p not clamped: %d", r2.QueryThreads)
 	}
+	// S=1 is the paper's single index.
+	cfg.Shards = 1
+	if r1 := RunTable3Row(cfg, 2); r1.Shards != 1 || r1.Updates <= 0 || r1.Queries <= 0 || r1.Tu <= 0 || r1.Tq <= 0 {
+		t.Fatalf("S=1 row: %+v", r1)
+	}
 }
 
 func TestQueryThreadSweep(t *testing.T) {

@@ -25,8 +25,8 @@ type Table3Config struct {
 	DocsPerBatch int
 	// TopK is the query result size (paper: top-10).
 	TopK int
-	// Shards selects the hash-partitioned ShardedIndex when positive; zero
-	// runs the paper's single index.
+	// Shards is the term tree's partition count S (at least 1); S=1 is the
+	// paper's single index.
 	Shards int
 }
 
@@ -67,24 +67,15 @@ func DefaultTable3() Table3Config {
 // (Tu), the queries alone (Tq), and both together (Tuq ≈ the window).
 type Table3Row struct {
 	QueryThreads int
-	Shards       int   // 0 for the paper's single index
+	Shards       int
 	Updates      int64 // documents ingested during the window
 	Queries      int64 // and-queries answered during the window
 	Tu, Tq, Tuq  float64
 }
 
-// table3Index is the surface the experiment drives; invindex.Index and
-// invindex.ShardedIndex both provide it, pid-free.
-type table3Index interface {
-	AddDocuments(docs []invindex.Doc)
-	AndQuery(term1, term2 uint64, k int) []invindex.ScoredDoc
-	Close()
-}
-
 // RunTable3Row measures one sweep point: p query threads and one ingesting
 // writer share the window; then the same number of updates and queries are
-// re-run separately with all threads.  cfg.Shards > 0 swaps in the sharded
-// index.
+// re-run separately with all threads.
 func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	if p >= cfg.Threads {
 		p = cfg.Threads - 1 // leave room for the writer process
@@ -95,7 +86,7 @@ func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	ix := mustIndex(cfg)
 	corpus := invindex.NewCorpus(invindex.CorpusConfig{Vocab: cfg.Vocab, MeanDocLen: cfg.MeanDocLen, Seed: 7})
 	for d := 0; d < cfg.InitialDocs; d += cfg.DocsPerBatch {
-		ix.AddDocuments(nextDocs(corpus, cfg.DocsPerBatch))
+		ingest(ix, corpus, cfg.DocsPerBatch)
 	}
 	hot := corpus.HotTerms(64)
 
@@ -107,7 +98,7 @@ func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	go func() { // the single ingesting writer (parallel unions inside)
 		defer wg.Done()
 		for !stop.Load() {
-			ix.AddDocuments(nextDocs(corpus, cfg.DocsPerBatch))
+			ingest(ix, corpus, cfg.DocsPerBatch)
 			updates.Add(int64(cfg.DocsPerBatch))
 		}
 	}()
@@ -137,11 +128,11 @@ func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	ix2 := mustIndex(cfg)
 	corpus2 := invindex.NewCorpus(invindex.CorpusConfig{Vocab: cfg.Vocab, MeanDocLen: cfg.MeanDocLen, Seed: 7})
 	for d := 0; d < cfg.InitialDocs; d += cfg.DocsPerBatch {
-		ix2.AddDocuments(nextDocs(corpus2, cfg.DocsPerBatch))
+		ingest(ix2, corpus2, cfg.DocsPerBatch)
 	}
 	startU := time.Now()
 	for done := int64(0); done < u; done += int64(cfg.DocsPerBatch) {
-		ix2.AddDocuments(nextDocs(corpus2, cfg.DocsPerBatch))
+		ingest(ix2, corpus2, cfg.DocsPerBatch)
 	}
 	tu := time.Since(startU).Seconds()
 
@@ -172,26 +163,21 @@ func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	return Table3Row{QueryThreads: p, Shards: cfg.Shards, Updates: u, Queries: q, Tu: tu, Tq: tq, Tuq: tuq}
 }
 
-func mustIndex(cfg Table3Config) table3Index {
-	var (
-		ix  table3Index
-		err error
-	)
-	if cfg.Shards > 0 {
-		ix, err = invindex.NewSharded(cfg.Shards, cfg.Threads+1, 2048)
-	} else {
-		ix, err = invindex.New(cfg.Threads+1, 2048)
-	}
+func mustIndex(cfg Table3Config) *invindex.Index {
+	ix, err := invindex.New(cfg.Shards, cfg.Threads+1, 2048)
 	if err != nil {
 		panic(err)
 	}
 	return ix
 }
 
-func nextDocs(c *invindex.Corpus, n int) []invindex.Doc {
+// ingest adds c's next n documents to ix as one batch.
+func ingest(ix *invindex.Index, c *invindex.Corpus, n int) {
 	docs := make([]invindex.Doc, n)
 	for i := range docs {
 		docs[i] = c.Next()
 	}
-	return docs
+	if err := ix.AddDocuments(docs); err != nil {
+		panic(err) // only a closed index refuses, and a row closes its own after ingesting
+	}
 }

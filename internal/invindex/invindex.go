@@ -6,13 +6,28 @@
 // transaction (built with a parallel union) and "and"-queries intersect two
 // posting-list snapshots without any synchronization.
 //
-// No pid appears anywhere in this package's API: the index leases process
-// identities internally, one per transaction (core.Map.With), so ingestion
-// and queries may be issued from any goroutine.  ShardedIndex (sharded.go)
-// is the same two-level tree on a shard.Map: the outer term tree
-// hash-partitioned across S shards for parallel ingestion, with the
-// sharded map's atomic commits and consistent views keeping documents
-// whole.
+// The term tree is a shard.Map hash-partitioned across S shards.  At S=1 it
+// is the paper's single structure: one writer, delay-free readers.  More
+// shards let S ingesting writers commit in parallel.  All shards share one
+// inner (posting) allocator — posting trees are reference-counted, so a
+// posting pinned by one shard's snapshot stays live while another shard
+// commits.  No pid appears anywhere in this package's API: the map leases
+// process identities internally, so ingestion and queries may be issued
+// from any goroutine.
+//
+// # Semantics
+//
+// The sharded map's global mode does the work.  AddDocuments is one
+// UpdateAtomic whose term → posting deltas are one Txn.InsertBatch: one
+// multi-insert per shard, under one global commit sequence number when the
+// terms span shards (the shards in parallel when two of them get a large
+// share), so a batch of documents becomes visible all at once.
+// RemoveDocument is one UpdateAtomicKeys over the document's terms.  Every
+// query reads postings straight from pinned versions: one shard's version
+// when all its terms live there (atomic on its own), else a ViewConsistent
+// cut, so a query never observes a document under one of its terms but not
+// another.  The only per-shard weakening is statistical: Terms sums
+// per-shard counts pinned at slightly different instants.
 //
 // The corpus is synthetic (Zipf-distributed vocabulary), substituting for
 // the paper's Wikipedia dump; see DESIGN.md for why the substitution
@@ -25,20 +40,25 @@ import (
 	"runtime"
 	"sort"
 
-	"mvgc/internal/core"
 	"mvgc/internal/ftree"
+	"mvgc/internal/shard"
 	"mvgc/internal/ycsb"
 )
 
 // Posting is an inner tree node: document → weight, max-weight augmented.
 type Posting = ftree.Node[uint64, int64, int64]
 
+type (
+	txn  = shard.Txn[uint64, *Posting, struct{}]
+	snap = shard.Snap[uint64, *Posting, struct{}]
+)
+
 // Index is the two-level persistent inverted index wrapped in the paper's
-// transactional system.
+// transactional system, its term tree partitioned across S shards.
 type Index struct {
 	inner *ftree.Ops[uint64, int64, int64]
-	outer *ftree.Ops[uint64, *Posting, struct{}]
-	m     *core.Map[uint64, *Posting, struct{}]
+	m     *shard.Map[uint64, *Posting, struct{}]
+	comb  func(a, b *Posting) *Posting
 }
 
 // TermWeight is one term occurrence in a document.
@@ -53,21 +73,31 @@ type Doc struct {
 	Terms []TermWeight
 }
 
-// New creates an empty index admitting up to procs concurrent transactions
-// (procs <= 0 defaults to GOMAXPROCS+1, leaving room for one ingesting
-// writer next to GOMAXPROCS queriers) with the given parallel grain for
-// batch updates.
-func New(procs, grain int) (*Index, error) {
+// New creates an empty index over S shards (S=1 is the paper's single
+// index), each admitting up to procs concurrent transactions (procs <= 0
+// defaults to GOMAXPROCS+1, leaving room for one ingesting writer next to
+// GOMAXPROCS queriers), with the given parallel grain for batch updates.
+// Terms are routed by ycsb.Mix64, which spreads sequential term ids
+// uniformly.
+func New(shards, procs, grain int) (*Index, error) {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0) + 1
 	}
 	inner := ftree.New[uint64, int64, int64](ftree.IntCmp[uint64], ftree.MaxAug[uint64](), grain)
-	outer := newOuter(inner, grain)
-	m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: procs}, outer, nil)
+	m, err := shard.New(shard.Config[uint64]{Shards: shards, Procs: procs, Algorithm: "pswf", Hash: ycsb.Mix64},
+		func() *ftree.Ops[uint64, *Posting, struct{}] { return newOuter(inner, grain) }, nil)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: %w", err)
 	}
-	return &Index{inner: inner, outer: outer, m: m}, nil
+	// comb merges two owned posting trees into one owned tree, summing
+	// weights for documents present in both.
+	comb := func(a, b *Posting) *Posting {
+		u := inner.Union(a, b, sumWeights)
+		inner.Release(a)
+		inner.Release(b)
+		return u
+	}
+	return &Index{inner: inner, m: m, comb: comb}, nil
 }
 
 // newOuter builds a term → posting tree whose values share the inner
@@ -84,119 +114,85 @@ func newOuter(inner *ftree.Ops[uint64, int64, int64], grain int) *ftree.Ops[uint
 	return outer
 }
 
-// read runs a read-only transaction on an internally-leased handle.
-func (ix *Index) read(f func(s core.Snapshot[uint64, *Posting, struct{}])) {
-	ix.m.With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Read(f) })
+// AddDocument ingests one document atomically, even when its terms span
+// shards: no query ever observes the document under some of its terms and
+// not others (the paper's atomic-ingestion requirement).
+func (ix *Index) AddDocument(d Doc) error {
+	return ix.AddDocuments([]Doc{d})
 }
 
-// update runs a write transaction on an internally-leased handle.
-func (ix *Index) update(f func(tx *core.Txn[uint64, *Posting, struct{}])) {
-	ix.m.With(func(h *core.Handle[uint64, *Posting, struct{}]) { h.Update(f) })
-}
-
-// combinePostings merges two owned posting trees into one owned tree,
-// summing weights for documents present in both.
-func combinePostings(inner *ftree.Ops[uint64, int64, int64]) func(a, b *Posting) *Posting {
-	return func(a, b *Posting) *Posting {
-		u := inner.Union(a, b, sumWeights)
-		inner.Release(a)
-		inner.Release(b)
-		return u
-	}
-}
-
-// docBatch turns documents into term → single-entry-posting deltas.
-func docBatch(inner *ftree.Ops[uint64, int64, int64], docs []Doc) []ftree.Entry[uint64, *Posting] {
-	var batch []ftree.Entry[uint64, *Posting]
-	for _, d := range docs {
-		for _, tw := range d.Terms {
-			batch = append(batch, ftree.Entry[uint64, *Posting]{
-				Key: tw.Term,
-				Val: inner.Insert(nil, d.ID, tw.Weight),
-			})
-		}
-	}
-	return batch
-}
-
-// AddDocument ingests one document atomically: it builds the document's
-// term → posting delta and unions it into the index in a single write
-// transaction, so no query ever observes a partial document (the paper's
-// atomic-ingestion requirement).
-func (ix *Index) AddDocument(d Doc) {
-	ix.AddDocuments([]Doc{d})
-}
-
-// AddDocuments ingests a batch of documents in one write transaction.
-func (ix *Index) AddDocuments(docs []Doc) {
-	insertDocBatch(ix.inner, ix.m, docBatch(ix.inner, docs))
-}
-
-// insertDocBatch commits term → posting deltas into m.  Write transactions
-// retry on conflict, so each attempt must be self-contained: it inserts
-// fresh shares of the deltas, letting a conflict-aborted attempt release
-// its partial tree without consuming the originals (which are released
-// exactly once, after the commit).  This makes concurrent AddDocuments
-// callers safe — the pid-free API no longer implies a single writer.
-func insertDocBatch(inner *ftree.Ops[uint64, int64, int64], m *core.Map[uint64, *Posting, struct{}], batch []ftree.Entry[uint64, *Posting]) {
-	comb := combinePostings(inner)
-	m.With(func(h *core.Handle[uint64, *Posting, struct{}]) {
-		h.Update(func(tx *core.Txn[uint64, *Posting, struct{}]) {
-			attempt := make([]ftree.Entry[uint64, *Posting], len(batch))
-			for i, e := range batch {
-				attempt[i] = ftree.Entry[uint64, *Posting]{Key: e.Key, Val: inner.Share(e.Val)}
+// AddDocuments ingests a batch of documents in one atomic write
+// transaction.  The term → single-entry-posting deltas are built inside the
+// callback, which runs at most once and not at all after Close, and the
+// commit consumes them.
+func (ix *Index) AddDocuments(docs []Doc) error {
+	return ix.m.UpdateAtomic(func(t *txn) {
+		var batch []ftree.Entry[uint64, *Posting]
+		for _, d := range docs {
+			for _, tw := range d.Terms {
+				batch = append(batch, ftree.Entry[uint64, *Posting]{Key: tw.Term, Val: ix.inner.Insert(nil, d.ID, tw.Weight)})
 			}
-			tx.InsertBatch(attempt, comb)
-		})
+		}
+		t.InsertBatch(batch, ix.comb)
 	})
-	for _, e := range batch {
-		inner.Release(e.Val)
-	}
 }
 
 // RemoveDocument deletes a document's postings for the given terms,
-// dropping terms whose posting list becomes empty.
-func (ix *Index) RemoveDocument(d Doc) {
-	ix.update(func(tx *core.Txn[uint64, *Posting, struct{}]) { removeDoc(ix.inner, tx, d) })
+// dropping terms whose posting list becomes empty, atomically across shards
+// like AddDocument.  The footprint is every term the removal reads, so the
+// callback runs once.
+func (ix *Index) RemoveDocument(d Doc) error {
+	terms := make([]uint64, len(d.Terms))
+	for i, tw := range d.Terms {
+		terms[i] = tw.Term
+	}
+	return ix.m.UpdateAtomicKeys(terms, func(t *txn) { ix.removeDoc(t, d) })
 }
 
-// postingTxn is the write transaction removeDoc runs in: a core.Txn for
-// Index, a shard.Txn for ShardedIndex.
-type postingTxn interface {
-	Get(term uint64) (*Posting, bool)
-	Insert(term uint64, p *Posting)
-	Delete(term uint64)
-}
-
-// removeDoc deletes d's postings within tx.
-func removeDoc(inner *ftree.Ops[uint64, int64, int64], tx postingTxn, d Doc) {
+// removeDoc deletes d's postings within t.
+func (ix *Index) removeDoc(t *txn, d Doc) {
 	for _, tw := range d.Terms {
-		p, ok := tx.Get(tw.Term)
+		p, ok := t.Get(tw.Term)
 		if !ok {
 			continue
 		}
-		np := inner.Delete(p, d.ID)
-		if inner.Size(np) == 0 {
-			inner.Release(np)
-			tx.Delete(tw.Term)
+		np := ix.inner.Delete(p, d.ID)
+		if ix.inner.Size(np) == 0 {
+			ix.inner.Release(np)
+			t.Delete(tw.Term)
 		} else {
-			tx.Insert(tw.Term, np)
+			t.Insert(tw.Term, np)
 		}
 	}
 }
 
-// ScoredDoc is one "and"-query result.
+// view runs f against a view no ingest tears for terms.  When they all live
+// on one shard, that shard's pinned version is atomic on its own and a plain
+// View serves; otherwise ViewConsistent, whose double-collect retries and
+// then fences while an ingest is installing.  The postings f reads are
+// borrowed from the pinned versions.
+func (ix *Index) view(terms []uint64, f func(s snap)) {
+	for _, t := range terms {
+		if ix.m.ShardFor(t) != ix.m.ShardFor(terms[0]) {
+			ix.m.ViewConsistent(f)
+			return
+		}
+	}
+	ix.m.View(f)
+}
+
+// ScoredDoc is one query result.
 type ScoredDoc struct {
 	Doc   uint64
 	Score int64
 }
 
 // AndQuery returns the top-k documents containing both terms, ranked by
-// summed weight, evaluated against one consistent snapshot.  Because both
+// summed weight, evaluated against one consistent view.  Because both
 // levels are persistent, the two posting lists are snapshots of the same
 // version and the query never blocks or is blocked by writers.
 func (ix *Index) AndQuery(term1, term2 uint64, k int) (out []ScoredDoc) {
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = andQuery(ix.inner, s, term1, term2, k) })
+	ix.view([]uint64{term1, term2}, func(s snap) { out = ix.andQuery(s, term1, term2, k) })
 	return out
 }
 
@@ -204,69 +200,59 @@ func (ix *Index) AndQuery(term1, term2 uint64, k int) (out []ScoredDoc) {
 // containing every term, ranked by summed weight.  Intersections proceed
 // smallest-posting-first to keep intermediate results minimal.
 func (ix *Index) AndQueryN(terms []uint64, k int) (out []ScoredDoc) {
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = andQueryN(ix.inner, s, terms, k) })
+	ix.view(terms, func(s snap) { out = ix.andQueryN(s, terms, k) })
 	return out
 }
 
 // OrQuery returns the top-k documents containing either term, ranked by
-// summed weight (documents with both terms score the sum of both).
+// summed weight; a document carrying both terms always scores both or
+// neither (never a torn single weight).
 func (ix *Index) OrQuery(term1, term2 uint64, k int) (out []ScoredDoc) {
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { out = orQuery(ix.inner, s, term1, term2, k) })
+	ix.view([]uint64{term1, term2}, func(s snap) { out = ix.orQuery(s, term1, term2, k) })
 	return out
 }
 
 // PostingLen returns the posting-list length of term.
 func (ix *Index) PostingLen(term uint64) (n int64) {
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { n = postingLen(ix.inner, s, term) })
+	ix.view([]uint64{term}, func(s snap) {
+		if p, ok := s.Get(term); ok {
+			n = ix.inner.Size(p)
+		}
+	})
 	return n
 }
 
-// Terms returns the vocabulary size.
-func (ix *Index) Terms() int64 {
-	var n int64
-	ix.read(func(s core.Snapshot[uint64, *Posting, struct{}]) { n = s.Len() })
-	return n
-}
-
-// postingView is one consistent read view the queries below run against: a
-// core.Snapshot for Index, a ViewConsistent shard.Snap for ShardedIndex.
-// The postings it returns are borrowed from the pinned version.
-type postingView interface {
-	Get(term uint64) (*Posting, bool)
-}
+// Terms returns the vocabulary size, summed over per-shard snapshots
+// (approximate under concurrent ingestion, like shard.Map.Len).
+func (ix *Index) Terms() int64 { return ix.m.Len() }
 
 func sumWeights(a, b int64) int64 { return a + b }
 
-func andQuery(inner *ftree.Ops[uint64, int64, int64], v postingView, term1, term2 uint64, k int) []ScoredDoc {
-	p1, ok1 := v.Get(term1)
-	p2, ok2 := v.Get(term2)
+func (ix *Index) andQuery(s snap, term1, term2 uint64, k int) []ScoredDoc {
+	p1, ok1 := s.Get(term1)
+	p2, ok2 := s.Get(term2)
 	if !ok1 || !ok2 {
 		return nil
 	}
-	inter := inner.Intersect(p1, p2, sumWeights)
+	inter := ix.inner.Intersect(p1, p2, sumWeights)
 	out := TopK(inter, k)
-	inner.Release(inter)
+	ix.inner.Release(inter)
 	return out
 }
 
-func andQueryN(inner *ftree.Ops[uint64, int64, int64], v postingView, terms []uint64, k int) []ScoredDoc {
+func (ix *Index) andQueryN(s snap, terms []uint64, k int) []ScoredDoc {
 	if len(terms) == 0 {
 		return nil
 	}
 	postings := make([]*Posting, 0, len(terms))
 	for _, t := range terms {
-		p, ok := v.Get(t)
+		p, ok := s.Get(t)
 		if !ok {
 			return nil
 		}
 		postings = append(postings, p)
 	}
-	return intersectTopK(inner, postings, k)
-}
-
-// intersectTopK intersects borrowed postings smallest-first and returns the
-// top-k of the result; the input postings are not consumed.
-func intersectTopK(inner *ftree.Ops[uint64, int64, int64], postings []*Posting, k int) []ScoredDoc {
+	inner := ix.inner
 	sort.Slice(postings, func(i, j int) bool {
 		return inner.Size(postings[i]) < inner.Size(postings[j])
 	})
@@ -281,9 +267,9 @@ func intersectTopK(inner *ftree.Ops[uint64, int64, int64], postings []*Posting, 
 	return out
 }
 
-func orQuery(inner *ftree.Ops[uint64, int64, int64], v postingView, term1, term2 uint64, k int) []ScoredDoc {
-	p1, ok1 := v.Get(term1)
-	p2, ok2 := v.Get(term2)
+func (ix *Index) orQuery(s snap, term1, term2 uint64, k int) []ScoredDoc {
+	p1, ok1 := s.Get(term1)
+	p2, ok2 := s.Get(term2)
 	switch {
 	case !ok1 && !ok2:
 		return nil
@@ -292,25 +278,19 @@ func orQuery(inner *ftree.Ops[uint64, int64, int64], v postingView, term1, term2
 	case !ok2:
 		return TopK(p1, k)
 	}
-	u := inner.Union(p1, p2, sumWeights)
+	u := ix.inner.Union(p1, p2, sumWeights)
 	out := TopK(u, k)
-	inner.Release(u)
+	ix.inner.Release(u)
 	return out
 }
 
-func postingLen(inner *ftree.Ops[uint64, int64, int64], v postingView, term uint64) int64 {
-	if p, ok := v.Get(term); ok {
-		return inner.Size(p)
-	}
-	return 0
-}
-
-// Close shuts the underlying transactional map down.
+// Close shuts every shard's transactional map down.
 func (ix *Index) Close() { ix.m.Close() }
 
-// LiveNodes reports live (outer, inner) node counts for leak checks.
+// LiveNodes reports live (outer, inner) node counts for leak checks; the
+// outer count sums all shards.
 func (ix *Index) LiveNodes() (outer, inner int64) {
-	return ix.outer.Live(), ix.inner.Live()
+	return ix.m.Live(), ix.inner.Live()
 }
 
 // TopK extracts the k highest-weight entries of a max-augmented posting

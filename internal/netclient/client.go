@@ -225,11 +225,16 @@ func (p *Pending) Entries() ([]Entry, error) {
 	if len(arr)%2 != 0 {
 		return nil, fmt.Errorf("netclient: odd scan reply length %d", len(arr))
 	}
+	return pairs(arr), nil
+}
+
+// pairs decodes an even-length array of alternating keys and values.
+func pairs(arr []int64) []Entry {
 	out := make([]Entry, 0, len(arr)/2)
 	for i := 0; i+1 < len(arr); i += 2 {
 		out = append(out, Entry{Key: arr[i], Val: arr[i+1]})
 	}
-	return out, nil
+	return out
 }
 
 // ScanChunk is one SCANC page: up to n entries in ascending key order
@@ -254,12 +259,7 @@ func (p *Pending) Chunk() (ScanChunk, error) {
 	if len(arr) < 2 || len(arr)%2 != 0 {
 		return ScanChunk{}, fmt.Errorf("netclient: malformed cursor-scan reply length %d", len(arr))
 	}
-	ch := ScanChunk{More: arr[0] != 0, Next: arr[1]}
-	ch.Entries = make([]Entry, 0, (len(arr)-2)/2)
-	for i := 2; i+1 < len(arr); i += 2 {
-		ch.Entries = append(ch.Entries, Entry{Key: arr[i], Val: arr[i+1]})
-	}
-	return ch, nil
+	return ScanChunk{Entries: pairs(arr[2:]), Next: arr[1], More: arr[0] != 0}, nil
 }
 
 // Client is one pipelined connection.
@@ -386,121 +386,55 @@ func (c *Client) dead(p *Pending) bool {
 	return true
 }
 
-// SetAsync pipelines SET key val.
-func (c *Client) SetAsync(key, val int64) *Pending {
+// send pipelines one command with integer arguments: the request path of
+// every XxxAsync method but MCASAsync.
+func (c *Client) send(name string, args ...int64) *Pending {
 	p := new(Pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead(p) {
 		return p
 	}
-	c.w.BeginCommand(3)
-	c.w.ArgString(netproto.CmdSet)
-	c.w.ArgInt(key)
-	c.w.ArgInt(val)
+	c.w.BeginCommand(1 + len(args))
+	c.w.ArgString(name)
+	for _, a := range args {
+		c.w.ArgInt(a)
+	}
 	c.enqueue(p)
 	return p
 }
+
+// SetAsync pipelines SET key val.
+func (c *Client) SetAsync(key, val int64) *Pending { return c.send(netproto.CmdSet, key, val) }
 
 // DelAsync pipelines DEL key.
-func (c *Client) DelAsync(key int64) *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(2)
-	c.w.ArgString(netproto.CmdDel)
-	c.w.ArgInt(key)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) DelAsync(key int64) *Pending { return c.send(netproto.CmdDel, key) }
 
 // GetAsync pipelines GET key.
-func (c *Client) GetAsync(key int64) *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(2)
-	c.w.ArgString(netproto.CmdGet)
-	c.w.ArgInt(key)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) GetAsync(key int64) *Pending { return c.send(netproto.CmdGet, key) }
 
 // SumAsync pipelines SUM lo hi.
-func (c *Client) SumAsync(lo, hi int64) *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(3)
-	c.w.ArgString(netproto.CmdSum)
-	c.w.ArgInt(lo)
-	c.w.ArgInt(hi)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) SumAsync(lo, hi int64) *Pending { return c.send(netproto.CmdSum, lo, hi) }
 
 // ScanAsync pipelines SCAN lo n: up to n entries with keys ≥ lo in
 // ascending key order, merged across all shards (one consistent cut when
 // the server runs with Config.Consistent).
 func (c *Client) ScanAsync(lo int64, n int) *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(3)
-	c.w.ArgString(netproto.CmdScan)
-	c.w.ArgInt(lo)
-	c.w.ArgInt(int64(n))
-	c.enqueue(p)
-	return p
+	return c.send(netproto.CmdScan, lo, int64(n))
 }
 
 // ScanChunkAsync pipelines SCANC lo n excl: one cursor page of up to n
 // entries with keys ≥ lo (or > lo when excl), in ascending key order.
 func (c *Client) ScanChunkAsync(lo int64, n int, excl bool) *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(4)
-	c.w.ArgString(netproto.CmdScanCursor)
-	c.w.ArgInt(lo)
-	c.w.ArgInt(int64(n))
+	var x int64
 	if excl {
-		c.w.ArgInt(1)
-	} else {
-		c.w.ArgInt(0)
+		x = 1
 	}
-	c.enqueue(p)
-	return p
+	return c.send(netproto.CmdScanCursor, lo, int64(n), x)
 }
 
 // LenAsync pipelines LEN.
-func (c *Client) LenAsync() *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(1)
-	c.w.ArgString(netproto.CmdLen)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) LenAsync() *Pending { return c.send(netproto.CmdLen) }
 
 // MCASAsync pipelines MCAS k1 e1 n1 [...]: swap every keys[i] from
 // expects[i] to news[i] atomically, all or nothing.
@@ -528,46 +462,13 @@ func (c *Client) MCASAsync(keys, expects, news []int64) *Pending {
 
 // PromoteAsync pipelines PROMOTE: a following server stops replicating
 // and starts accepting writes.
-func (c *Client) PromoteAsync() *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(1)
-	c.w.ArgString(netproto.CmdPromote)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) PromoteAsync() *Pending { return c.send(netproto.CmdPromote) }
 
 // PingAsync pipelines PING.
-func (c *Client) PingAsync() *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(1)
-	c.w.ArgString(netproto.CmdPing)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) PingAsync() *Pending { return c.send(netproto.CmdPing) }
 
 // StatsAsync pipelines STATS.
-func (c *Client) StatsAsync() *Pending {
-	p := new(Pending)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead(p) {
-		return p
-	}
-	c.w.BeginCommand(1)
-	c.w.ArgString(netproto.CmdStats)
-	c.enqueue(p)
-	return p
-}
+func (c *Client) StatsAsync() *Pending { return c.send(netproto.CmdStats) }
 
 // Flush sends all encoded-but-buffered requests on their way.  It is a
 // hand-off: the bytes move to the outbox and the flusher goroutine puts

@@ -23,7 +23,7 @@
 // (Appendix F of the paper) lives in internal/batch, the sharding layer in
 // internal/shard, alternative version-maintenance algorithms (hazard
 // pointers, epochs, RCU) in internal/vm, and the evaluation harness in
-// internal/experiments and the cmd/ binaries.
+// internal/experiments, whose paper rows are this package's benchmarks.
 package mvgc
 
 import (
