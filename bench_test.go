@@ -255,9 +255,9 @@ func BenchmarkLongReader(b *testing.B) {
 	}
 }
 
-// BenchmarkTxn measures cross-shard transfers (2 keys each) in every commit
-// mode: one GSN per transaction (txn-atomic), shard by shard
-// (txn-pershard) and the multi-key CAS (txn-occ).
+// BenchmarkTxn measures cross-shard transfers (2 keys each) in both commit
+// modes: one GSN per transaction (txn-atomic) and the multi-key CAS
+// (txn-occ).
 func BenchmarkTxn(b *testing.B) {
 	cfg := experiments.DefaultTxn()
 	cfg.Accounts = 200_000

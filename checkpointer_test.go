@@ -79,14 +79,18 @@ func TestCheckpointerIdleNoChurn(t *testing.T) {
 	}
 	defer db.Close()
 
-	for i := uint64(0); i < 64; i++ {
-		if err := db.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
+	// One batch, one GSN: the first age-triggered checkpoint covers all of
+	// it, so no second, legitimate checkpoint can land in the idle window.
+	entries := make([]mvgc.Entry[uint64, uint64], 64)
+	for i := range entries {
+		entries[i] = mvgc.Entry[uint64, uint64]{Key: uint64(i), Val: uint64(i)}
 	}
-	// Wait for the age trigger to fold the writes into a snapshot.
+	if err := db.InsertBatch(entries, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the age trigger to fold the write into a snapshot.
 	deadline := time.Now().Add(5 * time.Second)
-	for db.WALStats().SnapshotCut == 0 {
+	for db.WALStats().SnapshotCut != db.CommitGSN() {
 		if time.Now().After(deadline) {
 			t.Fatal("age-triggered checkpoint never happened")
 		}

@@ -24,22 +24,21 @@ var ErrClosed = shard.ErrClosed
 // Version Maintenance instance, O(P) delay bound and precise per-shard
 // garbage collection.  Point operations (Get, Insert, InsertWith, Delete)
 // keep the paper's guarantees in full; GetBatch is many Gets for one read
-// transaction per shard touched.  Cross-shard operations come in two
+// transaction per shard touched.  A write that spans shards — UpdateAtomic,
+// UpdateAtomicKeys, InsertBatch, DeleteBatch — always commits atomically:
+// every touched shard installs under one global commit sequence number
+// (GSN), as one log record, so no consistent read and no recovery sees it
+// torn.  UpdateAtomicKeys also holds its key footprint's writer slots from
+// before its reads until its install — a multi-key compare-and-swap,
+// serializable against all writers (its callback runs again, at most once
+// per shard, when it reads outside the footprint).  Reads come in two
 // modes, and every call site picks one explicitly:
 //
-//   - Per-shard (Update, View, ForEachChunked): fast, but a multi-key write
-//     commits shard by shard and a fan-out read pins shard snapshots at
-//     slightly different instants, so a concurrent reader can observe part
-//     of a multi-shard write.
-//   - Global (UpdateAtomic, UpdateAtomicKeys, ViewConsistent,
-//     ForEachChunkedConsistent): every commit is stamped from one global
-//     commit sequence number (GSN); UpdateAtomic installs all touched
-//     shards under one GSN and ViewConsistent pins a tear-free cut, so no
-//     atomic transaction is ever observed torn; UpdateAtomicKeys holds its
-//     key footprint's writer slots from before its reads until its install
-//     — a multi-key compare-and-swap, serializable against all writers (its
-//     callback runs again, at most once per shard, when it reads outside
-//     the footprint).
+//   - Per-shard (View, ForEachChunked): the paper's delay-free reader, one
+//     pinned snapshot per shard at slightly different instants, so a
+//     concurrent reader can observe part of a multi-shard write.
+//   - Consistent (ViewConsistent, ForEachChunkedConsistent): a tear-free
+//     cut across the GSN stamps.
 //
 // Every write holds its shard's writer slot while it commits, so each shard
 // has exactly one writer at a time, the paper's single-writer setting.
@@ -50,7 +49,7 @@ var ErrClosed = shard.ErrClosed
 // comment for the exact semantics.
 //
 //	db, _ := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{}, nil)
-//	db.Update(func(t *mvgc.DBTxn[uint64, uint64, struct{}]) { t.Insert(1, 100) })
+//	db.UpdateAtomic(func(t *mvgc.DBTxn[uint64, uint64, struct{}]) { t.Insert(1, 100) })
 //	db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) { s.Get(1) })
 //	db.Close()
 type DB[K, V, A any] struct {
@@ -100,7 +99,7 @@ func (db *DB[K, V, A]) RangeFunc(lo, hi K, f func(k K, v V) bool) bool {
 // immutable version per shard.
 type DBSnapshot[K, V, A any] = shard.Snap[K, V, A]
 
-// DBTxn is the buffered write transaction passed to DB.Update.
+// DBTxn is the buffered write transaction passed to DB.UpdateAtomic.
 type DBTxn[K, V, A any] = shard.Txn[K, V, A]
 
 // DBOptions configures OpenDB.  The zero value is usable for integer keys:

@@ -27,7 +27,7 @@ func TestDBNoPidAnywhere(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := uint64(g*iters + i)
-				db.Update(func(tx *mvgc.DBTxn[uint64, uint64, struct{}]) {
+				db.UpdateAtomic(func(tx *mvgc.DBTxn[uint64, uint64, struct{}]) {
 					tx.Insert(k, k*2)
 				})
 				db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) {

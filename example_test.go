@@ -69,7 +69,7 @@ func ExampleOpenPlainDB() {
 		panic(err)
 	}
 
-	db.Update(func(tx *mvgc.DBTxn[uint64, uint64, struct{}]) {
+	db.UpdateAtomic(func(tx *mvgc.DBTxn[uint64, uint64, struct{}]) {
 		for i := uint64(1); i <= 5; i++ {
 			tx.Insert(i, i*100) // keys land on different shards
 		}

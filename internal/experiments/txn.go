@@ -42,13 +42,11 @@ func DefaultTxn() TxnConfig {
 // TxnModes names the commit paths a transfer cell measures:
 //   - txn-atomic commits all touched shards under one GSN (UpdateAtomic)
 //     with commutative InsertWith deltas;
-//   - txn-pershard commits shard by shard (plain Update): fastest, torn
-//     under concurrent consistent views;
 //   - txn-occ is the multi-key CAS (UpdateAtomicKeys): the footprint's
 //     writer slots are held from before the balance reads until the
 //     absolute values are installed — two-phase locking on the slots, the
 //     price of serializability against every writer.
-var TxnModes = []string{"txn-atomic", "txn-pershard", "txn-occ"}
+var TxnModes = []string{"txn-atomic", "txn-occ"}
 
 // RunTxnCell measures transfer throughput (million transactions per second)
 // in one of TxnModes.
@@ -99,12 +97,12 @@ func RunTxnCell(cfg TxnConfig, mode string) float64 {
 						t.Insert(k, b+1)
 					}
 				})
-			case "txn-atomic", "txn-pershard":
+			case "txn-atomic":
 				// The delta transfer shape: read the source balance, then
 				// commit commutative deltas (InsertWith re-evaluates against
 				// the committed value, so concurrent transfers never lose
 				// updates).
-				transfer := func(t *shard.Txn[uint64, int64, struct{}]) {
+				sm.UpdateAtomic(func(t *shard.Txn[uint64, int64, struct{}]) {
 					amt := int64(len(keys) - 1)
 					if bal, _ := t.Get(keys[0]); bal < amt {
 						return // overdrawn: commit nothing
@@ -113,12 +111,7 @@ func RunTxnCell(cfg TxnConfig, mode string) float64 {
 					for _, k := range keys[1:] {
 						t.InsertWith(k, 1, add)
 					}
-				}
-				if mode == "txn-atomic" {
-					sm.UpdateAtomic(transfer)
-				} else {
-					sm.Update(transfer)
-				}
+				})
 			default:
 				panic("unknown transfer mode " + mode)
 			}

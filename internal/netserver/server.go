@@ -874,14 +874,14 @@ func (c *conn) execScan(cmd *netproto.Command) {
 // integers (more + next) ahead of the pairs.
 const maxCursorEntries = (netproto.MaxArgs - 2) / 2
 
-// execScanCursor is the cursor-style chunked scan — the wire form of
-// DB.ForEachChunked, with the chunking driven by the client: each SCANC
-// pins a fresh snapshot, streams at most n entries from the cursor, and
-// releases every pin before replying, so an analytics client walking the
-// whole keyspace never stretches any shard's uncollected-version window
-// beyond one chunk.  Commits landing between chunks are observed, keys
-// stream in strictly increasing order, each at most once — exactly
-// ForEachChunked's bounded-staleness contract.
+// execScanCursor is the cursor-style chunked scan, with the chunking
+// driven by the client: each SCANC page is one ScanFunc over c.view — a
+// fresh pin that streams at most n entries from the cursor and is released
+// before the reply — so an analytics client walking the whole keyspace
+// never stretches any shard's uncollected-version window beyond one page.
+// Commits landing between pages are observed, keys stream in strictly
+// increasing order, each at most once: the bounded-staleness contract of
+// DB.ForEachChunked, kept here without calling it.
 //
 // Reply: *<2m+2> of integers [more, next, k1, v1, ...] — more is 1 when
 // entries remain past this chunk, next is the last key returned (pass it

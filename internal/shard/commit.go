@@ -1,13 +1,14 @@
 // The commit pipeline: every write entry point plans its intents, commits
 // them through one of two primitives — commitShard (one shard) or
-// commitAtomic (many shards, one GSN) — and ends in groupCommit.  Both
-// primitives hold the writer slot of every shard they write from before the
-// Set until after the Append: the slot is the shard's one writer lock, so a
-// shard has one writer at a time, as in the paper, and its log order is its
-// commit order.  The lock order (writer slots ascending by shard → pid) and
-// the logging rules (encode inside the committing transaction, apply then
-// log, no record without a stamp, no lock held across the fsync wait) are
-// written here once; DESIGN.md "The commit pipeline" states them in full.
+// commitAtomic (every write that spans shards, under one GSN) — and ends in
+// groupCommit.  Both primitives hold the writer slot of every shard they
+// write from before the Set until after the Append: the slot is the shard's
+// one writer lock, so a shard has one writer at a time, as in the paper,
+// and its log order is its commit order.  The lock order (writer slots
+// ascending by shard → pid) and the logging rules (encode inside the
+// committing transaction, apply then log, no record without a stamp, no
+// lock held across the fsync wait) are written here once; DESIGN.md "The
+// commit pipeline" states them in full.
 package shard
 
 import (
@@ -92,11 +93,12 @@ func (m *Map[K, V, A]) commitIntents(i int, list []intent[K, V]) (int64, error) 
 // nil plan t's intents are already buffered; a non-nil plan rebuilds them
 // under the fence and may abandon the attempt by returning false (see
 // UpdateAtomicKeys).  Inside, installAtomic drives the seqlocks odd, runs
-// commitLegs — one commit per written shard, each encoding its post-images
-// from inside that very transaction — and publishes one freshly drawn GSN
-// on all of them.  It reports whether the attempt committed and the
-// appended record's log watermark (0 when none); a non-nil error means the
-// commit is in memory but the log is poisoned.
+// commitLegs — one commit per written shard, each that published encoding
+// its post-images from inside that very transaction — and stamps the legs
+// that published with one freshly drawn GSN, if there are any.  It reports
+// whether the attempt committed and the appended record's log watermark (0
+// when none); a non-nil error means the commit is in memory but the log is
+// poisoned.
 func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A]) bool) (committed bool, mark int64, err error) {
 	m.lockSlots(fence)
 	defer m.unlockSlots(fence)
@@ -112,7 +114,7 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 		defer w.putEnc(e)
 	}
 	write := t.touched()
-	g := m.installAtomic(write, func() { m.commitLegs(write, t, e) })
+	g := m.installAtomic(write, func() []int { return m.commitLegs(write, t, e) })
 	if e == nil || g == 0 {
 		return true, 0, nil
 	}
@@ -121,7 +123,7 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 }
 
 // parallelIngestFloor is the leg size from which an atomic commit runs its
-// legs in parallel: at least two legs must carry this many intents.  A
+// legs in parallel: at least two legs must carry this many entries.  A
 // handful of entries is cheaper to commit inline than to spawn goroutines
 // for, and a shorter install window means fewer ViewConsistent retries;
 // large cross-shard batches (an inverted index ingesting documents) keep
@@ -129,19 +131,21 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 const parallelIngestFloor = 64
 
 // commitLegs commits t's intents on every shard in write (ascending), one
-// write transaction per shard, and encodes each leg's post-images into e
-// (nil without a log) in ascending shard order.  Legs run in parallel when
-// at least two carry parallelIngestFloor intents or more, each encoding into
+// write transaction per shard, encodes the post-images of each leg that
+// published into e (nil without a log) in ascending shard order, and
+// returns the shards whose legs published.  Legs run in parallel when at
+// least two carry parallelIngestFloor entries or more, each encoding into
 // its own pooled encoder; e is then their concatenation in shard order, the
 // same bytes the sequential legs write.  A panic in any leg is re-raised
 // here after every leg has returned.
-func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V]) {
-	leg := func(i int, e *walEnc[K, V]) {
-		list := t.intents[i]
-		m.shards[i].With(func(h *core.Handle[K, V, A]) {
+func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V]) (published []int) {
+	changed := make([]bool, len(write))
+	leg := func(j int, e *walEnc[K, V]) {
+		list := t.intents[write[j]]
+		m.shards[write[j]].With(func(h *core.Handle[K, V, A]) {
 			h.Update(func(tx *core.Txn[K, V, A]) {
 				replay(tx, list)
-				if e != nil {
+				if changed[j] = tx.Changed(); changed[j] && e != nil {
 					encodeIntents(e, tx, list)
 				}
 			})
@@ -149,42 +153,48 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V])
 	}
 	big := 0
 	for _, i := range write {
-		if len(t.intents[i]) >= parallelIngestFloor {
+		if legEntries(t.intents[i]) >= parallelIngestFloor {
 			big++
 		}
 	}
 	if big < 2 {
-		for _, i := range write {
-			leg(i, e)
+		for j := range write {
+			leg(j, e)
 		}
-		return
+	} else {
+		encs := make([]*walEnc[K, V], len(write))
+		panics := make([]any, len(write))
+		var wg sync.WaitGroup
+		for j := range write {
+			if e != nil {
+				encs[j] = m.wal.getEnc()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[j] = recover() }()
+				leg(j, encs[j])
+			}()
+		}
+		wg.Wait()
+		for _, le := range encs {
+			if le != nil {
+				e.buf = append(e.buf, le.buf...)
+				m.wal.putEnc(le)
+			}
+		}
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
-	encs := make([]*walEnc[K, V], len(write))
-	panics := make([]any, len(write))
-	var wg sync.WaitGroup
 	for j, i := range write {
-		if e != nil {
-			encs[j] = m.wal.getEnc()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { panics[j] = recover() }()
-			leg(i, encs[j])
-		}()
-	}
-	wg.Wait()
-	for _, le := range encs {
-		if le != nil {
-			e.buf = append(e.buf, le.buf...)
-			m.wal.putEnc(le)
+		if changed[j] {
+			published = append(published, i)
 		}
 	}
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
+	return published
 }
 
 // commitTxn commits t's buffered intents as one atomic transaction and
@@ -243,109 +253,21 @@ func (m *Map[K, V, A]) Delete(k K) error {
 	return m.commitPoint(intent[K, V]{del: true, key: k})
 }
 
-// commitParts partitions items by their key's shard and commits each
-// non-empty part as one write transaction, all shards in parallel, with one
-// groupCommit for the whole fan-out.  apply returns the part as it wrote
-// it, which is what encode logs.  The first error wins (sticky log errors
-// make the rest fail identically anyway).
-func commitParts[K, V, A, T any](m *Map[K, V, A], items []T, key func(T) K, apply func(tx *core.Txn[K, V, A], part []T) []T, encode func(e *walEnc[K, V], tx *core.Txn[K, V, A], part []T)) error {
-	if !m.enter(0) {
-		return ErrClosed
-	}
-	defer m.exit(0)
-	if err := m.logErr(); err != nil {
-		return err
-	}
-	parts := make([][]T, len(m.shards))
-	for _, it := range items {
-		i := m.ShardFor(key(it))
-		parts[i] = append(parts[i], it)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(parts))
-	marks := make([]int64, len(parts))
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, part []T) {
-			defer wg.Done()
-			marks[i], errs[i] = m.commitShard(i,
-				func(tx *core.Txn[K, V, A]) { part = apply(tx, part) },
-				func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encode(e, tx, part) })
-		}(i, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return m.groupCommit(slices.Max(marks), nil)
-}
-
-// InsertBatch partitions the batch by shard and commits each part as one
-// atomic per-shard write transaction, all shards in parallel; nil comb
-// overwrites.  Atomicity is per shard, not global.  With a WAL attached
-// each shard's part is one record of post-images and one grouped fsync
-// covers the batch.
+// InsertBatch commits entries as one atomic transaction: each shard's share
+// is one batched insert, and all shards install under one GSN as one
+// record; nil comb overwrites.  See Txn.InsertBatch.
 func (m *Map[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, new V) V) error {
-	return commitParts(m, entries, func(en ftree.Entry[K, V]) K { return en.Key },
-		func(tx *core.Txn[K, V, A], part []ftree.Entry[K, V]) []ftree.Entry[K, V] {
-			return tx.InsertBatch(part, comb)
-		},
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A], part []ftree.Entry[K, V]) {
-			for _, en := range part {
-				appendPost(e, tx, en.Key, en.Val, comb != nil)
-			}
-		})
+	return m.UpdateAtomic(func(t *Txn[K, V, A]) { t.InsertBatch(entries, comb) })
 }
 
-// DeleteBatch removes keys, one atomic write transaction per affected
-// shard, all shards in parallel; with a WAL attached, one record per shard
-// and one grouped fsync.
+// DeleteBatch removes keys as one atomic transaction: each shard's share is
+// one multi-delete, and all shards install under one GSN as one record.
 func (m *Map[K, V, A]) DeleteBatch(keys []K) error {
-	return commitParts(m, keys, func(k K) K { return k },
-		func(tx *core.Txn[K, V, A], part []K) []K { tx.DeleteBatch(part); return part },
-		func(e *walEnc[K, V], _ *core.Txn[K, V, A], part []K) {
-			for _, k := range part {
-				e.appendDelete(k)
-			}
-		})
-}
-
-// Update runs a buffered cross-shard write transaction in the fast
-// per-shard mode: f records intents, then each affected shard commits its
-// intents atomically (in ascending shard order).  Atomicity is per shard;
-// there is no global commit point, and a concurrent View or ViewConsistent
-// may observe some shards' commits and not others'.  Use UpdateAtomic when
-// the transaction must never be seen torn.  With a WAL attached each
-// shard's commit is one record and a single group fsync covers the whole
-// transaction; durability (like atomicity) is per shard — a crash can
-// persist some shards' legs and not others'.
-func (m *Map[K, V, A]) Update(f func(t *Txn[K, V, A])) error {
-	if !m.enter(0) {
-		return ErrClosed
-	}
-	defer m.exit(0)
-	t := m.newTxn()
-	f(t)
-	if err := m.logErr(); err != nil {
-		return err
-	}
-	var mark int64
-	for i, list := range t.intents {
-		if len(list) == 0 {
-			continue
+	return m.UpdateAtomic(func(t *Txn[K, V, A]) {
+		for _, k := range keys {
+			t.Delete(k)
 		}
-		mk, err := m.commitIntents(i, list)
-		if err != nil {
-			return err
-		}
-		mark = max(mark, mk)
-	}
-	return m.groupCommit(mark, nil)
+	})
 }
 
 // UpdateAtomic runs a buffered cross-shard write transaction with a global

@@ -71,14 +71,14 @@ func (m *Map[K, V, A]) stamp(i int) uint64 {
 
 // installAtomic is the cross-shard install, with the touched shards' slots
 // held by the caller: drive their seqlocks odd, run commitAll — one commit
-// per touched shard — then draw ONE GSN, publish it on every touched shard
-// and drive the seqlocks even.  It returns the GSN, or 0 for an empty
-// footprint, which installs nothing.  The seqlocks return even however
-// commitAll exits: a panic out of user code (a comb) forfeits the
-// transaction's atomicity — legs already installed stay, unstamped — but
-// must not wedge every later consistent read; it propagates to the caller,
-// which releases its slots by defer.
-func (m *Map[K, V, A]) installAtomic(touched []int, commitAll func()) uint64 {
+// per touched shard, returning the shards that published — then draw ONE
+// GSN, publish it on each of those, and drive the seqlocks even.  It
+// returns the GSN, or 0 when nothing was published, which takes no stamp.
+// The seqlocks return even however commitAll exits: a panic out of user
+// code (a comb) forfeits the transaction's atomicity — legs already
+// installed stay, unstamped — but must not wedge every later consistent
+// read; it propagates to the caller, which releases its slots by defer.
+func (m *Map[K, V, A]) installAtomic(touched []int, commitAll func() (published []int)) uint64 {
 	if len(touched) == 0 {
 		return 0
 	}
@@ -90,9 +90,12 @@ func (m *Map[K, V, A]) installAtomic(touched []int, commitAll func()) uint64 {
 			m.shards[i].seq.Add(1)
 		}
 	}()
-	commitAll()
+	published := commitAll()
+	if len(published) == 0 {
+		return 0
+	}
 	g := m.gsn.Add(1)
-	for _, i := range touched {
+	for _, i := range published {
 		m.shards[i].latest.Store(g)
 	}
 	return g

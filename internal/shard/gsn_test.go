@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -64,10 +65,12 @@ func latestStamps[K, V, A any](t *testing.T, m *Map[K, V, A]) []uint64 {
 }
 
 // TestStampAdvancesPerCommit: every commit primitive advances each shard it
-// writes to the GSN it logs — point, batch part, Update leg, combiner batch,
-// atomic install, an InsertBatch run, a replayed record — and a commit that
-// publishes nothing takes no GSN and appends no record.  A snapshot load
-// stamps every shard with the cut of the checkpoint it writes.
+// writes to the GSN it logs — point, batch, combiner batch, atomic install,
+// a Txn.InsertBatch, a replayed record — and a commit that publishes
+// nothing, on one shard or on several, takes no GSN and appends no record.
+// A shard's stamp moves exactly when its contents do, so an atomic leg that
+// publishes nothing beside one that does is neither stamped nor logged.  A
+// snapshot load stamps every shard with the cut of the checkpoint it writes.
 func TestStampAdvancesPerCommit(t *testing.T) {
 	type txn = Txn[uint64, uint64, struct{}]
 	m, log := newWALMap(t, 4, wal.NewMemFS())
@@ -95,11 +98,10 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		{"point", func() error { return m.Insert(1, 10) }, 1},
 		{"point/no-op", func() error { return m.Delete(999) }, 0},
 		{"read-only", func() error { m.Get(1); return m.UpdateAtomicKeys([]uint64{1}, func(tx *txn) { tx.Get(1) }) }, 0},
-		{"batch part", func() error {
-			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 2, Val: 1}, {Key: 3, Val: 1}}, nil)
-		}, 2},
-		{"batch part/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0},
-		{"Update leg", func() error { return m.Update(func(tx *txn) { tx.Insert(4, 1); tx.Insert(5, 1) }) }, 2},
+		{"batch", func() error {
+			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 2, Val: 1}, {Key: 3, Val: 1}, {Key: 4, Val: 1}, {Key: 5, Val: 1}}, nil)
+		}, 1},
+		{"batch/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0},
 		{"combiner batch", func() error {
 			m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 6, Val: 1})
 			return nil
@@ -107,7 +109,13 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		{"atomic install", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(7, 1); tx.Insert(8, 1); tx.InsertWith(9, 1, add) })
 		}, 1},
-		{"InsertBatch run", func() error {
+		{"atomic install/no-op", func() error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Delete(997); tx.Delete(998) })
+		}, 0},
+		{"atomic install/no-op leg", func() error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Insert(12, 1); tx.Delete(997) })
+		}, 1}, // shard 0 publishes; shard 1's delete of an absent key does not
+		{"Txn.InsertBatch", func() error {
 			return m.UpdateAtomic(func(tx *txn) {
 				tx.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 9, Val: 1}, {Key: 10, Val: 1}, {Key: 9, Val: 1}}, add)
 			})
@@ -119,8 +127,18 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 			return m.SyncWAL()
 		}, 1},
 	}
+	perShard := func() []map[uint64]uint64 {
+		out := make([]map[uint64]uint64, m.NumShards())
+		for i := range out {
+			out[i] = map[uint64]uint64{}
+		}
+		for k, v := range dump(m) {
+			out[m.ShardFor(k)][k] = v
+		}
+		return out
+	}
 	for _, r := range rows {
-		before, g0 := latestStamps(t, m), m.CommitGSN()
+		before, g0, was := latestStamps(t, m), m.CommitGSN(), perShard()
 		if err := r.write(); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -137,8 +155,14 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 				want[i] = rec.gsn
 			}
 		}
-		if got := latestStamps(t, m); !slices.Equal(got, want) {
+		got := latestStamps(t, m)
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: shard stamps %v → %v, want %v (records %v)", r.name, before, got, want, recs)
+		}
+		for i, now := range perShard() {
+			if changed := !maps.Equal(was[i], now); changed != (got[i] != before[i]) {
+				t.Fatalf("%s: shard %d contents changed %v, but its stamp went %d → %d", r.name, i, changed, before[i], got[i])
+			}
 		}
 		if r.records == 0 && m.CommitGSN() != g0 {
 			t.Fatalf("%s published nothing but took GSN %d", r.name, m.CommitGSN())
@@ -224,7 +248,7 @@ func TestInstallProtocol(t *testing.T) {
 	before := latestStamps(t, m)
 	fence := []int{0, 2}
 	m.lockSlots(fence)
-	g := m.installAtomic(fence, func() {
+	g := m.installAtomic(fence, func() []int {
 		for _, i := range fence {
 			if q := m.shards[i].seq.Load(); q&1 != 1 {
 				t.Errorf("shard %d seqlock %d during the install, want odd", i, q)
@@ -239,6 +263,7 @@ func TestInstallProtocol(t *testing.T) {
 		if q := m.shards[1].seq.Load(); q != 0 {
 			t.Errorf("untouched shard's seqlock at %d", q)
 		}
+		return fence
 	})
 	m.unlockSlots(fence)
 	if g != m.CommitGSN() || g <= slices.Max(before) {
@@ -257,19 +282,22 @@ func TestInstallProtocol(t *testing.T) {
 // TestInstallAtomic: an atomic commit publishes ONE GSN on every shard it
 // touched, returns it, and leaves each seqlock even, advanced by exactly one
 // odd/even pair; an empty footprint installs nothing, returns 0 and leaves
-// the seqlocks where they were.  The public UpdateAtomic goes the same way.
+// the seqlocks where they were; an install whose legs published nothing
+// takes no GSN and returns its seqlocks to even.  The public UpdateAtomic
+// goes the same way.
 func TestInstallAtomic(t *testing.T) {
 	type txn = Txn[uint64, uint64, struct{}]
 	m, _ := newWALMap(t, 2, wal.NewMemFS())
 	defer m.Close()
 	all := []int{0, 1}
 	m.lockSlots(all)
-	g := m.installAtomic(all, func() {
+	g := m.installAtomic(all, func() []int {
 		for i, s := range m.shards {
 			s.With(func(h *core.Handle[uint64, uint64, struct{}]) {
 				h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 1) })
 			})
 		}
+		return all
 	})
 	m.unlockSlots(all)
 	if g == 0 || m.CommitGSN() != g {
@@ -286,16 +314,22 @@ func TestInstallAtomic(t *testing.T) {
 			t.Fatalf("shard %d lost its leg: %d,%v", i, v, ok)
 		}
 	}
-	if g := m.installAtomic(nil, func() { t.Fatal("empty footprint ran its legs") }); g != 0 {
+	if g := m.installAtomic(nil, func() []int { t.Fatal("empty footprint ran its legs"); return nil }); g != 0 {
 		t.Fatalf("empty footprint returned %d", g)
 	}
+	m.lockSlots(all)
+	g0 := m.CommitGSN()
+	if g := m.installAtomic(all, func() []int { return nil }); g != 0 || m.CommitGSN() != g0 {
+		t.Fatalf("an install that published nothing returned %d and moved CommitGSN %d → %d", g, g0, m.CommitGSN())
+	}
+	m.unlockSlots(all)
 	if err := m.UpdateAtomic(func(tx *txn) { tx.Insert(2, 1); tx.Insert(3, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	g = m.CommitGSN()
 	for i, s := range m.shards {
-		if s.latest.Load() != g || s.seq.Load() != 4 {
-			t.Fatalf("shard %d after UpdateAtomic: stamp %d seqlock %d, want %d and 4", i, s.latest.Load(), s.seq.Load(), g)
+		if s.latest.Load() != g || s.seq.Load() != 6 {
+			t.Fatalf("shard %d after UpdateAtomic: stamp %d seqlock %d, want %d and 6", i, s.latest.Load(), s.seq.Load(), g)
 		}
 	}
 }

@@ -254,7 +254,7 @@ func TestTornScanForeclosed(t *testing.T) {
 		fence := []int{min(sa, sb), max(sa, sb)}
 		m.lockSlots(fence)
 		defer m.unlockSlots(fence)
-		m.installAtomic(fence, func() {
+		m.installAtomic(fence, func() []int {
 			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 			})
@@ -263,6 +263,7 @@ func TestTornScanForeclosed(t *testing.T) {
 			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
 			})
+			return fence
 		})
 	}()
 

@@ -8,42 +8,38 @@
 // GC (Ben-David et al., DISC 2021; Wei & Fatourou 2022: partition version
 // tracking, bound it per structure).
 //
-// # Snapshot semantics: two modes
+// # One write mode, two read modes
 //
-// The package offers two commit/read modes and lets every call site pick:
+// A write that touches one shard commits as one write transaction there.
+// A write that spans shards — UpdateAtomic, UpdateAtomicKeys, InsertBatch,
+// DeleteBatch — always commits atomically: every touched shard's new root
+// is installed under ONE global commit sequence number (GSN) behind
+// per-shard install seqlocks, logged as one record, so neither a
+// consistent read nor recovery ever sees it torn.  Every committed root is
+// stamped from that one shared counter.  UpdateAtomicKeys is two-phase
+// locking on the writer slots: the footprint's slots are held from before
+// the transaction's reads until its install, so a committed transaction is
+// a multi-key compare-and-swap, serializable against all writers.
 //
-//   - Per-shard (Update, View): the fast default.  A View pins one version
-//     per shard — each individually a consistent, immutable snapshot — but
-//     the S versions are pinned at slightly different times, so the
-//     combination is not a single global serialization point.  Update is
-//     atomic per shard: all buffered writes touching one shard commit in a
-//     single write transaction, but different shards commit in separate
-//     transactions, and a concurrent View may observe some of them and not
-//     others.
-//   - Global (UpdateAtomic, ViewConsistent): every committed root is
-//     stamped from one shared global commit sequence number (GSN).
-//     UpdateAtomic installs all touched shards' roots under one GSN behind
-//     per-shard install seqlocks, so the transaction is never observed
-//     torn by ViewConsistent; ViewConsistent double-collects the per-shard
-//     (latest-GSN, install-seq) vector around pinning, retrying until the
-//     seqlock vector is stable (stamps collected before the pins bound the
-//     cut either way) and falling back to briefly fencing the writer
-//     slots.  UpdateAtomicKeys is two-phase locking on the same slots: the
-//     footprint's slots are held from before the transaction's reads until
-//     its install, so a committed transaction is a multi-key
-//     compare-and-swap, serializable against all writers.  See the GSN
-//     notes in gsn.go and DESIGN.md.
+// Reads pick their mode.  View, the fast default, pins one version per
+// shard — each a consistent, immutable snapshot, the paper's delay-free
+// reader — at slightly different times, so it may see a multi-shard write
+// on some shards and not others.  ViewConsistent double-collects the
+// per-shard (latest-GSN, install-seq) vector around pinning, retrying until
+// the seqlock vector is stable and falling back to briefly fencing the
+// writer slots, and so never sees a write torn.  See the GSN notes in
+// gsn.go and DESIGN.md.
 //
 // # One writer per shard
 //
-// Every commit on shard i — point op, batch part, Update leg, combiner
-// batch, atomic leg, replayed record — holds shard i's writer slot from
-// before its Set until after its log Append, so each shard has exactly one
-// writer at a time: the paper's single-writer setting, where a write
-// transaction's delay is O(P) and its Set never fails.  Operations whose
+// Every commit on shard i — point op, combiner batch, atomic leg, replayed
+// record — holds shard i's writer slot from before its Set until after its
+// log Append, so each shard has exactly one writer at a time: the paper's
+// single-writer setting, where a write transaction's delay is O(P) and its
+// Set never fails.  Operations whose
 // keys live on one shard (point reads, per-key updates, a Range that
 // happens to hash into one shard) keep the paper's full guarantees in both
-// modes; single-shard commits carry GSN stamps too, so they order
+// read modes; single-shard commits carry GSN stamps too, so they order
 // correctly under consistent views.
 //
 // No pid appears anywhere in this package's API: process identities are
@@ -56,7 +52,7 @@
 //
 // # One commit pipeline
 //
-// Every write — point op, batch, Update, UpdateAtomic, UpdateAtomicKeys, a
+// Every write — point op, batch, UpdateAtomic, UpdateAtomicKeys, a
 // combiner batch, a recovered or replicated redo record — is the paper's
 // one transaction shape run through the same pipeline: plan intents →
 // writer slots → install under a GSN → log → release → group fsync.

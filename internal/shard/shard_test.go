@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +56,7 @@ func TestShardedMatrix(t *testing.T) {
 				t.Fatalf("InsertWith = %d, want 1", v)
 			}
 
-			// Batched writes: per-shard atomic parts.
+			// Batched writes: one atomic transaction each.
 			var entries []ftree.Entry[int64, int64]
 			for i := int64(2000); i < 2100; i++ {
 				entries = append(entries, ftree.Entry[int64, int64]{Key: i, Val: i})
@@ -74,7 +73,7 @@ func TestShardedMatrix(t *testing.T) {
 			}
 
 			// Cross-shard transaction with read-your-writes.
-			m.Update(func(tx *Txn[int64, int64, int64]) {
+			m.UpdateAtomic(func(tx *Txn[int64, int64, int64]) {
 				tx.Insert(7777, 1)
 				if v, ok := tx.Get(7777); !ok || v != 1 {
 					t.Fatalf("txn Get(7777) = %d,%v (no read-your-writes)", v, ok)
@@ -251,9 +250,9 @@ func TestTxnReadYourWritesAcrossShards(t *testing.T) {
 // TestTxnInsertBatchMatchesInsertWith: a Txn.InsertBatch commits what the
 // same entries buffered one InsertWith at a time commit, under an
 // associative comb and under nil (overwrite), for entries with repeated keys
-// over keys present and absent, in both commit modes, with enough entries
-// per shard for the parallel legs — and a read through the transaction sees
-// the same folded value.
+// over keys present and absent, with enough entries per shard for the
+// parallel legs — and a read through the transaction sees the same folded
+// value.
 func TestTxnInsertBatchMatchesInsertWith(t *testing.T) {
 	type txn = Txn[int64, int64, int64]
 	add := func(old, new int64) int64 { return old + new }
@@ -272,52 +271,46 @@ func TestTxnInsertBatchMatchesInsertWith(t *testing.T) {
 		return out
 	}
 	for _, comb := range []func(old, new int64) int64{add, nil} {
-		for _, mode := range []string{"Update", "UpdateAtomic"} {
-			batched, single := newSharded(t, "pswf", 3, 2, initial), newSharded(t, "pswf", 3, 2, initial)
-			commit := func(m *Map[int64, int64, int64], f func(tx *txn)) {
-				commit := m.UpdateAtomic
-				if mode == "Update" {
-					commit = m.Update
-				}
-				if err := commit(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var viaBatch, viaOne int64
-			commit(batched, func(tx *txn) { tx.InsertBatch(slices.Clone(entries), comb); viaBatch, _ = tx.Get(0) })
-			commit(single, func(tx *txn) {
-				for _, e := range entries {
-					if comb == nil {
-						tx.Insert(e.Key, e.Val)
-					} else {
-						tx.InsertWith(e.Key, e.Val, comb)
-					}
-				}
-				viaOne, _ = tx.Get(0)
-			})
-			got, want := dumpInt(batched), dumpInt(single)
-			if len(got) != len(want) || viaBatch != viaOne {
-				t.Fatalf("%s, comb %v: %d keys via InsertBatch, %d one at a time; Get(0) %d vs %d",
-					mode, comb != nil, len(got), len(want), viaBatch, viaOne)
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("%s, comb %v: key %d = %d via InsertBatch, %d one at a time", mode, comb != nil, k, got[k], v)
+		batched, single := newSharded(t, "pswf", 3, 2, initial), newSharded(t, "pswf", 3, 2, initial)
+		var viaBatch, viaOne int64
+		if err := batched.UpdateAtomic(func(tx *txn) { tx.InsertBatch(entries, comb); viaBatch, _ = tx.Get(0) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.UpdateAtomic(func(tx *txn) {
+			for _, e := range entries {
+				if comb == nil {
+					tx.Insert(e.Key, e.Val)
+				} else {
+					tx.InsertWith(e.Key, e.Val, comb)
 				}
 			}
-			for _, m := range []*Map[int64, int64, int64]{batched, single} {
-				m.Close()
-				if live := m.Live(); live != 0 {
-					t.Fatalf("%s: leaked %d nodes", mode, live)
-				}
+			viaOne, _ = tx.Get(0)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, want := dumpInt(batched), dumpInt(single)
+		if len(got) != len(want) || viaBatch != viaOne {
+			t.Fatalf("comb %v: %d keys via InsertBatch, %d one at a time; Get(0) %d vs %d",
+				comb != nil, len(got), len(want), viaBatch, viaOne)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("comb %v: key %d = %d via InsertBatch, %d one at a time", comb != nil, k, got[k], v)
+			}
+		}
+		for _, m := range []*Map[int64, int64, int64]{batched, single} {
+			m.Close()
+			if live := m.Live(); live != 0 {
+				t.Fatalf("comb %v: leaked %d nodes", comb != nil, live)
 			}
 		}
 	}
 }
 
 // TestAtomicTransferInvariant is the torn-write detector: writers move
-// balance between accounts on different shards with UpdateAtomic, and
-// ViewConsistent readers assert the total balance never wavers.  Plain View
+// balance between accounts on different shards — with UpdateAtomic, or
+// with a two-entry InsertBatch — and ViewConsistent readers assert the
+// total balance never wavers.  Plain View
 // readers run alongside and are allowed to observe torn sums (per-shard
 // semantics — logged, not asserted, since tearing is timing-dependent).
 // Run under -race over the imprecise epoch/hp maintainers and PSWF.
@@ -327,99 +320,117 @@ func TestAtomicTransferInvariant(t *testing.T) {
 	if testing.Short() {
 		iters = 300
 	}
+	add := func(old, new int64) int64 { return old + new }
+	shapes := []struct {
+		name     string
+		transfer func(m *Map[int64, int64, int64], a, b int64) error
+	}{
+		{"UpdateAtomic", func(m *Map[int64, int64, int64], a, b int64) error {
+			return m.UpdateAtomic(func(tx *Txn[int64, int64, int64]) {
+				tx.InsertWith(a, -1, add)
+				tx.InsertWith(b, 1, add)
+			})
+		}},
+		{"InsertBatch", func(m *Map[int64, int64, int64], a, b int64) error {
+			return m.InsertBatch([]ftree.Entry[int64, int64]{{Key: a, Val: -1}, {Key: b, Val: 1}}, add)
+		}},
+	}
 	for _, alg := range []string{"epoch", "hp", "pswf"} {
 		t.Run(alg, func(t *testing.T) {
-			initial := make([]ftree.Entry[int64, int64], accounts)
-			for i := range initial {
-				initial[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: balance}
-			}
-			m := newSharded(t, alg, 4, 8, initial)
-			add := func(old, new int64) int64 { return old + new }
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					initial := make([]ftree.Entry[int64, int64], accounts)
+					for i := range initial {
+						initial[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: balance}
+					}
+					m := newSharded(t, alg, 4, 8, initial)
 
-			const writers, readers = 3, 2
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := ycsb.NewSplitMix64(uint64(w)*77 + 3)
-					for i := 0; i < iters; i++ {
-						a := int64(rng.Intn(accounts))
-						b := int64(rng.Intn(accounts))
-						if a == b || m.ShardFor(a) == m.ShardFor(b) {
-							continue // only cross-shard transfers stress the protocol
-						}
-						m.UpdateAtomic(func(tx *Txn[int64, int64, int64]) {
-							tx.InsertWith(a, -1, add)
-							tx.InsertWith(b, 1, add)
-						})
-					}
-				}(w)
-			}
-			go func() {
-				wg.Wait()
-				close(stop)
-			}()
-			var rwg sync.WaitGroup
-			torn := 0
-			for r := 0; r < readers; r++ {
-				rwg.Add(1)
-				go func(r int) {
-					defer rwg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						m.ViewConsistent(func(s Snap[int64, int64, int64]) {
-							if !s.Consistent() || s.GSNs() == nil {
-								t.Error("ViewConsistent snap does not report a GSN vector")
+					const writers, readers = 3, 2
+					var wg sync.WaitGroup
+					stop := make(chan struct{})
+					for w := 0; w < writers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							rng := ycsb.NewSplitMix64(uint64(w)*77 + 3)
+							for i := 0; i < iters; i++ {
+								a := int64(rng.Intn(accounts))
+								b := int64(rng.Intn(accounts))
+								if a == b || m.ShardFor(a) == m.ShardFor(b) {
+									continue // only cross-shard transfers stress the protocol
+								}
+								if err := shape.transfer(m, a, b); err != nil {
+									t.Error(err)
+									return
+								}
 							}
-							if sum := s.AugRange(0, accounts-1); sum != accounts*balance {
-								t.Errorf("torn consistent view: sum = %d, want %d", sum, accounts*balance)
+						}(w)
+					}
+					go func() {
+						wg.Wait()
+						close(stop)
+					}()
+					var rwg sync.WaitGroup
+					torn := 0
+					for r := 0; r < readers; r++ {
+						rwg.Add(1)
+						go func(r int) {
+							defer rwg.Done()
+							for {
+								select {
+								case <-stop:
+									return
+								default:
+								}
+								m.ViewConsistent(func(s Snap[int64, int64, int64]) {
+									if !s.Consistent() || s.GSNs() == nil {
+										t.Error("ViewConsistent snap does not report a GSN vector")
+									}
+									if sum := s.AugRange(0, accounts-1); sum != accounts*balance {
+										t.Errorf("torn consistent view: sum = %d, want %d", sum, accounts*balance)
+									}
+								})
 							}
-						})
+						}(r)
 					}
-				}(r)
-			}
-			// One plain-View reader: per-shard semantics, may legitimately
-			// observe torn sums while an atomic install is mid-flight.
-			rwg.Add(1)
-			go func() {
-				defer rwg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					m.View(func(s Snap[int64, int64, int64]) {
-						if s.Consistent() {
-							t.Error("plain View snap claims consistency")
+					// One plain-View reader: per-shard semantics, may legitimately
+					// observe torn sums while an atomic install is mid-flight.
+					rwg.Add(1)
+					go func() {
+						defer rwg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							m.View(func(s Snap[int64, int64, int64]) {
+								if s.Consistent() {
+									t.Error("plain View snap claims consistency")
+								}
+								if sum := s.AugRange(0, accounts-1); sum != accounts*balance {
+									torn++
+								}
+							})
 						}
+					}()
+					rwg.Wait()
+					retries, fenced := m.ConsistentStats()
+					t.Logf("%s: plain View torn sums observed: %d; consistent retries %d, fence fallbacks %d",
+						alg, torn, retries, fenced)
+					m.ViewConsistent(func(s Snap[int64, int64, int64]) {
 						if sum := s.AugRange(0, accounts-1); sum != accounts*balance {
-							torn++
+							t.Fatalf("final sum = %d, want %d", sum, accounts*balance)
 						}
 					})
-				}
-			}()
-			rwg.Wait()
-			retries, fenced := m.ConsistentStats()
-			t.Logf("%s: plain View torn sums observed: %d; consistent retries %d, fence fallbacks %d",
-				alg, torn, retries, fenced)
-			m.ViewConsistent(func(s Snap[int64, int64, int64]) {
-				if sum := s.AugRange(0, accounts-1); sum != accounts*balance {
-					t.Fatalf("final sum = %d, want %d", sum, accounts*balance)
-				}
-			})
-			if a := m.Aborts(); a != 0 {
-				t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
-			}
-			m.Close()
-			if live := m.Live(); live != 0 {
-				t.Fatalf("leaked %d nodes", live)
+					if a := m.Aborts(); a != 0 {
+						t.Fatalf("%d Set failures: some commit ran beside its shard's writer", a)
+					}
+					m.Close()
+					if live := m.Live(); live != 0 {
+						t.Fatalf("leaked %d nodes", live)
+					}
+				})
 			}
 		})
 	}
@@ -449,7 +460,7 @@ func TestConsistentFenceFallback(t *testing.T) {
 		fence := []int{min(sa, sb), max(sa, sb)}
 		m.lockSlots(fence)
 		defer m.unlockSlots(fence)
-		m.installAtomic(fence, func() {
+		m.installAtomic(fence, func() []int {
 			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 			})
@@ -458,6 +469,7 @@ func TestConsistentFenceFallback(t *testing.T) {
 			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
 			})
+			return fence
 		})
 	}()
 

@@ -39,7 +39,6 @@ func TestEveryWriteWaitsForSlot(t *testing.T) {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: k, Val: 7}}, nil)
 		}, 7, true},
 		{"DeleteBatch", func() error { return m.DeleteBatch([]uint64{k}) }, 0, false},
-		{"Update", func() error { return m.Update(func(tx *txn) { tx.Insert(k, 7) }) }, 7, true},
 		{"UpdateAtomic", func() error { return m.UpdateAtomic(func(tx *txn) { tx.Insert(k, 7) }) }, 7, true},
 		{"UpdateAtomicKeys", func() error {
 			return m.UpdateAtomicKeys([]uint64{k}, func(tx *txn) {
@@ -146,8 +145,8 @@ func TestLockOrderStress(t *testing.T) {
 		}
 		return m.DeleteBatch([]uint64{key(i, 6), key(i, 7)})
 	})
-	worker("update", func(i int) error {
-		return m.Update(func(tx *txn) { tx.Insert(key(i, 8), 3); tx.Insert(key(i, 9), 3) })
+	worker("atomic-inserts", func(i int) error {
+		return m.UpdateAtomic(func(tx *txn) { tx.Insert(key(i, 8), 3); tx.Insert(key(i, 9), 3) })
 	})
 	worker("atomic", func(i int) error {
 		return m.UpdateAtomic(func(tx *txn) { tx.InsertWith(key(i, 10), 1, add); tx.Delete(key(i, 11)) })

@@ -8,8 +8,8 @@ import (
 )
 
 // Txn buffers a cross-shard write transaction: Insert, InsertWith,
-// InsertBatch and Delete record intents, and Update (per-shard atomic) or UpdateAtomic (globally atomic,
-// one GSN) replays each shard's intents in order.  Reads see the
+// InsertBatch and Delete record intents, and UpdateAtomic replays each
+// shard's intents in order, every shard under one GSN.  Reads see the
 // transaction's own buffered writes first — including deletes, so a
 // get-after-delete inside the transaction reports absence — then the
 // shard's current committed version.
@@ -39,11 +39,11 @@ func (t *Txn[K, V, A]) reset() {
 }
 
 type intent[K, V any] struct {
-	del  bool
-	run  int32 // > 0: this intent and the run-1 after it are one InsertBatch
-	key  K
-	val  V
-	comb func(old, new V) V // non-nil: combine with the value below (InsertWith)
+	del   bool
+	key   K
+	val   V
+	comb  func(old, new V) V  // non-nil: combine with the value below (InsertWith)
+	batch []ftree.Entry[K, V] // non-nil: one InsertBatch of these entries, with comb
 }
 
 // Insert buffers an insert-or-replace of (k, v).
@@ -71,23 +71,20 @@ func (t *Txn[K, V, A]) Delete(k K) {
 }
 
 // InsertBatch buffers entries as InsertWith(e.Key, e.Val, comb) each, in
-// order, but commits each shard's share as ONE batched insert (the tree's
-// multi-insert) instead of one insert per entry.  comb must be associative,
-// as batch coalescing assumes (the entries of one key are folded together
-// before they meet the value below); nil overwrites, the last entry of a key
-// winning.
+// order, but as one intent per shard, committed as ONE batched insert (the
+// tree's multi-insert) instead of one insert per entry.  comb must be
+// associative, as batch coalescing assumes (the entries of one key are
+// folded together before they meet the value below); nil overwrites, the
+// last entry of a key winning.  entries is copied, never reordered.
 func (t *Txn[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, new V) V) {
-	start := make([]int, len(t.intents))
-	for i, list := range t.intents {
-		start[i] = len(list)
-	}
+	parts := make([][]ftree.Entry[K, V], len(t.intents))
 	for _, e := range entries {
 		i := t.m.ShardFor(e.Key)
-		t.intents[i] = append(t.intents[i], intent[K, V]{key: e.Key, val: e.Val, comb: comb})
+		parts[i] = append(parts[i], e)
 	}
-	for i, list := range t.intents {
-		if n := len(list) - start[i]; n > 0 {
-			list[start[i]].run = int32(n)
+	for i, part := range parts {
+		if len(part) > 0 {
+			t.intents[i] = append(t.intents[i], intent[K, V]{comb: comb, batch: part})
 		}
 	}
 }
@@ -118,35 +115,43 @@ func (t *Txn[K, V, A]) fence() []int {
 // Get reads through the transaction's buffered writes (latest intent for k
 // wins; a buffered delete reports absence), falling back to a point read of
 // k's shard's current version — under UpdateAtomicKeys, a read outside the
-// fence dooms the attempt (see there).  Combining intents (InsertWith) are
-// folded, in buffer order, on top of the latest authoritative value below
-// them.
+// fence dooms the attempt (see there).  Combining intents (InsertWith, a
+// batch with a comb) are folded, in buffer order, on top of the latest
+// authoritative value below them.
 func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 	i := t.m.ShardFor(k)
 	cmp := t.m.shards[i].Ops().Cmp
 	list := t.intents[i]
-	// Scan back to the latest plain insert or delete of k, collecting the
-	// combining intents stacked above it.
-	var combs []int
-	base := -1
-	for j := len(list) - 1; j >= 0; j-- {
-		if cmp(list[j].key, k) != 0 {
-			continue
+	// Scan back to the latest plain insert or delete of k, a batch's entries
+	// newest first, collecting the combining writes stacked above it.
+	var combs []intent[K, V]
+	var base intent[K, V]
+	found := false
+	visit := func(in intent[K, V]) {
+		switch {
+		case cmp(in.key, k) != 0:
+		case in.comb != nil:
+			combs = append(combs, in)
+		default:
+			base, found = in, true
 		}
-		if list[j].comb != nil {
-			combs = append(combs, j)
-			continue
+	}
+	for j := len(list) - 1; j >= 0 && !found; j-- {
+		in := list[j]
+		if in.batch == nil {
+			visit(in)
 		}
-		base = j
-		break
+		for b := len(in.batch) - 1; b >= 0 && !found; b-- {
+			visit(intent[K, V]{key: in.batch[b].Key, val: in.batch[b].Val, comb: in.comb})
+		}
 	}
 	var v V
 	var ok bool
 	switch {
-	case base >= 0 && list[base].del:
+	case found && base.del:
 		// absent below the combs
-	case base >= 0:
-		v, ok = list[base].val, true
+	case found:
+		v, ok = base.val, true
 	default:
 		if t.fenced != nil && !t.fenced[i] {
 			t.fenced[i], t.grew = true, true
@@ -154,8 +159,7 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 		v, ok = t.m.get(i, k)
 	}
 	for j := len(combs) - 1; j >= 0; j-- { // chronological order
-		in := list[combs[j]]
-		if ok {
+		if in := combs[j]; ok {
 			v = in.comb(v, in.val)
 		} else {
 			v, ok = in.val, true
@@ -168,18 +172,33 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 // transaction.  A list of nothing but plain inserts — every redo record
 // without a delete, so most of what recovery and a follower apply — goes
 // down as one batch: InsertBatch's stable sort keeps the last write of a
-// key, which is what applying them one by one leaves.  So does each run a
-// Txn.InsertBatch buffered, with its comb.
+// key, which is what applying them one by one leaves.  A list of nothing but
+// deletes goes down as one multi-delete.  A batch intent hands its entries
+// to the tree's multi-insert and keeps the coalesced batch it returns, one
+// entry per key, which is what encodeIntents logs.
 func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
-	if len(list) > 1 && !slices.ContainsFunc(list, func(in intent[K, V]) bool { return in.del || in.comb != nil }) {
-		insertRun(tx, list, nil)
-		return
+	if len(list) > 1 {
+		if !slices.ContainsFunc(list, func(in intent[K, V]) bool { return in.del || in.comb != nil || in.batch != nil }) {
+			batch := make([]ftree.Entry[K, V], len(list))
+			for j, in := range list {
+				batch[j] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
+			}
+			tx.InsertBatch(batch, nil)
+			return
+		}
+		if !slices.ContainsFunc(list, func(in intent[K, V]) bool { return !in.del }) {
+			keys := make([]K, len(list))
+			for j, in := range list {
+				keys[j] = in.key
+			}
+			tx.DeleteBatch(keys)
+			return
+		}
 	}
-	for j := 0; j < len(list); j++ {
-		switch in := list[j]; {
-		case in.run > 0:
-			insertRun(tx, list[j:j+int(in.run)], in.comb)
-			j += int(in.run) - 1
+	for j := range list {
+		switch in := &list[j]; {
+		case in.batch != nil:
+			in.batch = tx.InsertBatch(in.batch, in.comb)
 		case in.del:
 			tx.Delete(in.key)
 		case in.comb != nil:
@@ -190,11 +209,12 @@ func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
 	}
 }
 
-// insertRun applies run's inserts as one batch.
-func insertRun[K, V, A any](tx *core.Txn[K, V, A], run []intent[K, V], comb func(old, new V) V) {
-	batch := make([]ftree.Entry[K, V], len(run))
-	for i, in := range run {
-		batch[i] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
+// legEntries counts the writes a shard's intents carry: one per intent, a
+// batch's entries each.
+func legEntries[K, V any](list []intent[K, V]) int {
+	n := 0
+	for _, in := range list {
+		n += max(1, len(in.batch))
 	}
-	tx.InsertBatch(batch, comb)
+	return n
 }

@@ -37,9 +37,8 @@ func (m *Map[K, V, A]) withPinned(f func(snaps []core.Snapshot[K, V, A])) {
 // View runs f against a Snap that pins one version per shard.  Handles and
 // versions are acquired in ascending shard order before f runs and released
 // after it returns, so f sees S stable immutable snapshots — per-shard
-// consistent, NOT a single global snapshot: a concurrent cross-shard
-// transaction (UpdateAtomic or plain Update) may be visible on some shards
-// of the Snap and not others.  Use ViewConsistent when that matters.
+// consistent, NOT a single global snapshot: a concurrent multi-shard write
+// may be visible on some shards of the Snap and not others.  Use ViewConsistent when that matters.
 // View blocks while all P pids of any shard are leased.  After Close
 // it returns without running f.
 func (m *Map[K, V, A]) View(f func(s Snap[K, V, A])) {

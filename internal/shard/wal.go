@@ -179,12 +179,13 @@ func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []
 	m.FloorGSN(max(cut, 1) - 1)
 	m.lockSlots(all)
 	defer m.unlockSlots(all)
-	return m.installAtomic(all, func() {
+	return m.installAtomic(all, func() []int {
 		for i, s := range m.shards {
 			s.With(func(h *core.Handle[K, V, A]) {
 				h.Update(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
 			})
 		}
+		return all
 	}), nil
 }
 
@@ -316,15 +317,21 @@ func appendPost[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], k K, v V, r
 	e.appendInsert(k, v)
 }
 
-// encodeIntents appends one op per buffered intent, in replay order (tx
-// reads through the fully applied list, so a comb buried under later writes
-// encodes the final value — overwritten at replay by the later ops' own
-// encodes, exactly as in memory).
+// encodeIntents appends one op per buffered intent, a batch's one per
+// coalesced entry, in replay order (tx reads through the fully applied
+// list, so a comb buried under later writes encodes the final value —
+// overwritten at replay by the later ops' own encodes, exactly as in
+// memory).
 func encodeIntents[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], list []intent[K, V]) {
 	for _, in := range list {
-		if in.del {
+		switch {
+		case in.batch != nil:
+			for _, en := range in.batch {
+				appendPost(e, tx, en.Key, en.Val, in.comb != nil)
+			}
+		case in.del:
 			e.appendDelete(in.key)
-		} else {
+		default:
 			appendPost(e, tx, in.key, in.val, in.comb != nil)
 		}
 	}

@@ -101,8 +101,8 @@ func dump(m *Map[uint64, uint64, struct{}]) map[uint64]uint64 {
 }
 
 // TestShardWALRoundTrip drives every logged write path — point ops,
-// combining ops, buffered Update, multi-shard UpdateAtomic and
-// UpdateAtomicKeys, per-shard batches — then reopens from the log alone
+// combining ops, multi-shard UpdateAtomic and UpdateAtomicKeys, batches —
+// then reopens from the log alone
 // and requires the exact same contents.
 func TestShardWALRoundTrip(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -119,7 +119,7 @@ func TestShardWALRoundTrip(t *testing.T) {
 	check(m.InsertWith(1, 5, func(old, new uint64) uint64 { return old + new })) // -> 15
 	check(m.Delete(2))
 	check(m.Delete(999)) // no-op: no record
-	check(m.Update(func(tx *Txn[uint64, uint64, struct{}]) {
+	check(m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) {
 		tx.Insert(3, 30)
 		tx.Insert(4, 40)
 		tx.InsertWith(3, 3, func(old, new uint64) uint64 { return old + new }) // -> 33
@@ -246,21 +246,21 @@ func TestWritePathDifferential(t *testing.T) {
 		{"Delete/absent", func(m *tmap) error { return m.Delete(999) }, 0, 0},
 		{"InsertBatch", func(m *tmap) error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 70}, {Key: 8, Val: 80}, {Key: 12, Val: 120}}, nil)
-		}, 2, 1}, // shards 3 and 0
+		}, 1, 1}, // shards 3 and 0, ONE record
 		{"InsertBatch/comb", func(m *tmap) error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 1}, {Key: 8, Val: 2}, {Key: 14, Val: 140}}, add)
-		}, 3, 1}, // shards 3, 0 and 2
+		}, 1, 1}, // shards 3, 0 and 2
 		// Key 877 is absent: shard 1's leg shares its root, publishes nothing
 		// and logs nothing, like the point delete above.
 		{"DeleteBatch", func(m *tmap) error { return m.DeleteBatch([]uint64{8, 877}) }, 1, 1},
-		{"Update", func(m *tmap) error {
-			return m.Update(func(tx *txn) {
+		{"UpdateAtomic/three-shards", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) {
 				tx.Insert(3, 30)
 				tx.Insert(4, 40)
 				tx.Insert(5, 50)
 				tx.InsertWith(3, 3, add)
 			})
-		}, 3, 1}, // k shards = k records, one group fsync
+		}, 1, 1},
 		{"UpdateAtomic/single-shard", func(m *tmap) error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(4, 44); tx.Insert(16, 160) })
 		}, 1, 1},
@@ -275,8 +275,8 @@ func TestWritePathDifferential(t *testing.T) {
 		// Both arms of replay, on the leader and again where the record is
 		// applied: plain inserts only (a key written twice among them) go
 		// down as one batch; a delete or a comb keeps the list in order.
-		{"Update/duplicate-keys", func(m *tmap) error {
-			return m.Update(func(tx *txn) { tx.Insert(20, 1); tx.Insert(24, 2); tx.Insert(20, 3); tx.Insert(28, 4) })
+		{"UpdateAtomic/duplicate-keys/single-shard", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Insert(20, 1); tx.Insert(24, 2); tx.Insert(20, 3); tx.Insert(28, 4) })
 		}, 1, 1},
 		{"UpdateAtomic/duplicate-keys", func(m *tmap) error {
 			return m.UpdateAtomic(func(tx *txn) {
@@ -288,8 +288,8 @@ func TestWritePathDifferential(t *testing.T) {
 				tx.Insert(26, 6)
 			})
 		}, 1, 1}, // shards 1 and 2, three intents each
-		{"Update/insert-and-delete", func(m *tmap) error {
-			return m.Update(func(tx *txn) {
+		{"UpdateAtomic/insert-and-delete", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) {
 				tx.Insert(32, 5)
 				tx.Insert(36, 6)
 				tx.Delete(32)
@@ -299,8 +299,8 @@ func TestWritePathDifferential(t *testing.T) {
 		}, 1, 1},
 		// Logged as post-images: the record holds key 40 twice, 1 then 3,
 		// and no comb, so where it is applied it takes the batched arm.
-		{"Update/comb", func(m *tmap) error {
-			return m.Update(func(tx *txn) { tx.Insert(40, 1); tx.InsertWith(40, 2, add); tx.Insert(44, 3) })
+		{"UpdateAtomic/comb", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Insert(40, 1); tx.InsertWith(40, 2, add); tx.Insert(44, 3) })
 		}, 1, 1},
 		{"UpdateAtomicKeys", func(m *tmap) error {
 			return m.UpdateAtomicKeys([]uint64{5, 6}, func(tx *txn) {
@@ -335,7 +335,8 @@ func TestWritePathDifferential(t *testing.T) {
 			}
 			return err
 		}, 2, 2}, // the point write inside f, then the committing attempt
-		// Txn.InsertBatch: one run per shard, one record per call.  Key 48's
+		// Txn.InsertBatch: one intent per shard, one record per call, one
+		// post-image per key.  Key 48's
 		// two entries fold together before they meet the (absent) value
 		// below; key 5's meets 115.
 		{"UpdateAtomic/InsertBatch", func(m *tmap) error {
@@ -343,11 +344,15 @@ func TestWritePathDifferential(t *testing.T) {
 				tx.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 48, Val: 1}, {Key: 49, Val: 2}, {Key: 48, Val: 3}, {Key: 5, Val: 1}}, add)
 			})
 		}, 1, 1}, // shards 0 and 1
-		{"Update/InsertBatch", func(m *tmap) error {
-			return m.Update(func(tx *txn) {
+		{"UpdateAtomic/InsertBatch/overwrite", func(m *tmap) error {
+			return m.UpdateAtomic(func(tx *txn) {
 				tx.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 52, Val: 1}, {Key: 56, Val: 2}, {Key: 52, Val: 3}}, nil)
 			})
 		}, 1, 1}, // shard 0; nil comb: the last entry of a key wins
+		// A leg of nothing but deletes goes down as one multi-delete, on the
+		// leader and where the record is applied; key 99 (shard 3) is absent,
+		// so its leg logs nothing.
+		{"DeleteBatch/one-shard-run", func(m *tmap) error { return m.DeleteBatch([]uint64{24, 20, 99, 28}) }, 1, 1},
 		{"StartBatching", batching(capped, nil), 0, 0},
 		{"SubmitAsync", func(m *tmap) error {
 			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 90})
@@ -408,7 +413,7 @@ func TestWritePathDifferential(t *testing.T) {
 	}
 	want := dump(plain)
 	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 116, 7: 1071, 9: 19, 13: 5, 14: 140, 16: 160,
-		20: 3, 24: 2, 28: 4, 21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2})
+		21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2})
 	if plain.CommitGSN() != logged.CommitGSN() {
 		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
 	}
@@ -495,7 +500,8 @@ func TestRecoverWALReplayArms(t *testing.T) {
 
 // TestShardWALBatchLogsCoalesced: a batch holding duplicate keys logs one op
 // per key — the batch as committed, not the gathered length with a stale
-// tail — through InsertBatch and through the combiner.
+// tail — through Map.InsertBatch, through a Txn.InsertBatch and through the
+// combiner.
 func TestShardWALBatchLogsCoalesced(t *testing.T) {
 	m, log := newWALMap(t, 1, wal.NewMemFS())
 	defer m.Close()
@@ -520,12 +526,23 @@ func TestShardWALBatchLogsCoalesced(t *testing.T) {
 		return []ftree.Entry[uint64, uint64]{{Key: 3, Val: 1}, {Key: 1, Val: 2}, {Key: 3, Val: 4}, {Key: 2, Val: 8}, {Key: 1, Val: 16}, {Key: 3, Val: 32}}
 	}
 	want := []uint64{1, 2, 3}
-	for _, comb := range []func(old, new uint64) uint64{nil, add} {
-		if err := m.InsertBatch(dups(), comb); err != nil {
-			t.Fatal(err)
-		}
-		if records, keys := logged(); records != 1 || !slices.Equal(keys, want) {
-			t.Fatalf("InsertBatch (comb %v) logged %d records inserting keys %v, want 1 record of %v", comb != nil, records, keys, want)
+	forms := []struct {
+		name  string
+		write func(comb func(old, new uint64) uint64) error
+	}{
+		{"Map.InsertBatch", func(comb func(old, new uint64) uint64) error { return m.InsertBatch(dups(), comb) }},
+		{"Txn.InsertBatch", func(comb func(old, new uint64) uint64) error {
+			return m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) { tx.InsertBatch(dups(), comb) })
+		}},
+	}
+	for _, f := range forms {
+		for _, comb := range []func(old, new uint64) uint64{nil, add} {
+			if err := f.write(comb); err != nil {
+				t.Fatal(err)
+			}
+			if records, keys := logged(); records != 1 || !slices.Equal(keys, want) {
+				t.Fatalf("%s (comb %v) logged %d records inserting keys %v, want 1 record of %v", f.name, comb != nil, records, keys, want)
+			}
 		}
 	}
 	// The combiner sleeps out its latency budget before it gathers, so the
@@ -632,11 +649,11 @@ func TestShardWALFailFast(t *testing.T) {
 	if _, ok := m.Get(3); ok {
 		t.Fatal("refused write reached memory")
 	}
-	if err := m.Update(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(4, 4) }); err == nil {
-		t.Fatal("Update after sticky error returned nil")
+	if err := m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(4, 4) }); err == nil {
+		t.Fatal("single-shard UpdateAtomic after sticky error returned nil")
 	}
 	if _, ok := m.Get(4); ok {
-		t.Fatal("refused Update reached memory")
+		t.Fatal("refused UpdateAtomic reached memory")
 	}
 	if err := m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(5, 5); tx.Insert(6, 6) }); err == nil {
 		t.Fatal("UpdateAtomic after sticky error returned nil")
@@ -669,8 +686,8 @@ func TestShardCloseIdempotent(t *testing.T) {
 					return
 				}
 				m.Get(k)
-				if err := m.Update(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(k+1, n) }); err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("Update: %v", err)
+				if err := m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(k+1, n) }); err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("UpdateAtomic: %v", err)
 					return
 				}
 			}

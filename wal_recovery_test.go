@@ -52,6 +52,17 @@ type walStep struct {
 func walScript() []walStep {
 	type DB = mvgc.DB[uint64, uint64, struct{}]
 	type Txn = mvgc.DBTxn[uint64, uint64, struct{}]
+	// A batch of about 6 KB of post-images over every shard, wider than a
+	// 4 KB segment: were its shards' parts separate records, a crash at the
+	// segment roll between them would recover it torn.
+	wide := []mvgc.Entry[uint64, uint64]{{Key: 9, Val: 90}, {Key: 10, Val: 100}}
+	for k := uint64(1000); k < 1300; k++ {
+		wide = append(wide, mvgc.Entry[uint64, uint64]{Key: k, Val: 10 * k})
+	}
+	var wideEff []walEffect
+	for _, e := range wide {
+		wideEff = append(wideEff, walEffect{k: e.Key, v: e.Val})
+	}
 	return []walStep{
 		{name: "insert-1", run: func(db *DB) error { return db.Insert(1, 10) },
 			eff: []walEffect{{k: 1, v: 10}}},
@@ -60,8 +71,8 @@ func walScript() []walStep {
 		{name: "insertwith-1", run: func(db *DB) error {
 			return db.InsertWith(1, 5, func(old, new uint64) uint64 { return old + new })
 		}, eff: []walEffect{{k: 1, v: 15}}},
-		{name: "update-3-4", run: func(db *DB) error {
-			return db.Update(func(t *Txn) { t.Insert(3, 30); t.Insert(4, 40) })
+		{name: "atomic-3-4", atomic: true, run: func(db *DB) error {
+			return db.UpdateAtomic(func(t *Txn) { t.Insert(3, 30); t.Insert(4, 40) })
 		}, eff: []walEffect{{k: 3, v: 30}, {k: 4, v: 40}}},
 		{name: "atomic-5-6", atomic: true, run: func(db *DB) error {
 			return db.UpdateAtomic(func(t *Txn) { t.Insert(5, 50); t.Insert(6, 60) })
@@ -75,19 +86,18 @@ func walScript() []walStep {
 		}, eff: []walEffect{{k: 7, v: 70}, {k: 8, v: 80}}},
 		{name: "delete-2", run: func(db *DB) error { return db.Delete(2) },
 			eff: []walEffect{{k: 2, del: true}}},
-		{name: "insertbatch-9-10", run: func(db *DB) error {
-			return db.InsertBatch([]mvgc.Entry[uint64, uint64]{{Key: 9, Val: 90}, {Key: 10, Val: 100}}, nil)
-		}, eff: []walEffect{{k: 9, v: 90}, {k: 10, v: 100}}},
+		{name: "insertbatch-9-10-wide", atomic: true, run: func(db *DB) error { return db.InsertBatch(wide, nil) },
+			eff: wideEff},
 		{name: "checkpoint", run: func(db *DB) error { return db.Checkpoint() }},
 		{name: "insert-11", run: func(db *DB) error { return db.Insert(11, 110) },
 			eff: []walEffect{{k: 11, v: 110}}},
 		{name: "atomic-5-9", atomic: true, run: func(db *DB) error {
 			return db.UpdateAtomic(func(t *Txn) { t.Insert(5, 51); t.Insert(9, 91) })
 		}, eff: []walEffect{{k: 5, v: 51}, {k: 9, v: 91}}},
-		{name: "deletebatch-10", run: func(db *DB) error { return db.DeleteBatch([]uint64{10}) },
-			eff: []walEffect{{k: 10, del: true}}},
-		{name: "update-12", run: func(db *DB) error {
-			return db.Update(func(t *Txn) { t.Insert(12, 120) })
+		{name: "deletebatch-4-10", atomic: true, run: func(db *DB) error { return db.DeleteBatch([]uint64{4, 10}) },
+			eff: []walEffect{{k: 4, del: true}, {k: 10, del: true}}},
+		{name: "atomic-12", run: func(db *DB) error {
+			return db.UpdateAtomic(func(t *Txn) { t.Insert(12, 120) })
 		}, eff: []walEffect{{k: 12, v: 120}}},
 		{name: "insert-13", run: func(db *DB) error { return db.Insert(13, 130) },
 			eff: []walEffect{{k: 13, v: 130}}},
