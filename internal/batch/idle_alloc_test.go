@@ -12,8 +12,16 @@ import (
 // per MaxLatency, forever, on every shard of every batched map — so a poll
 // must not allocate.  Race instrumentation allocates, so the file is built
 // without it.
+//
+// The test runs on one P.  Each P keeps its own timer heap, a slice the
+// runtime grows the first time a timer — the poll's, or this goroutine's
+// sleep — lands on that P.  With several Ps the warm-up may never touch
+// the P the measured window then uses, and that one growth (16 B) used to
+// fail the gate now and then; it is the runtime's, once per P, not the
+// poll's.  On one P the warm-up warms the P the window runs on.
 func TestIdleCombinerAllocs(t *testing.T) {
 	const interval = 200 * time.Microsecond
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := newIntMap(t, 2)
 	defer m.Close()
 	b := New(m, Config{Clients: 1, MaxLatency: interval}, nil)
@@ -34,8 +42,14 @@ func TestIdleCombinerAllocs(t *testing.T) {
 // completer, publication, the producer's park and wake — allocates nothing:
 // the batch records that travel between the two goroutines are a fixed ring
 // reused in place, callbacks included.
+//
+// It runs on one P, like TestIdleCombinerAllocs, for a second runtime
+// effect: with an idle P, a wake-up may start an OS thread (runtime.newm,
+// five objects) when no idle one is left, which is the runtime's one-time
+// cost, not the commit's.
 func TestCombinerCommitAllocs(t *testing.T) {
 	const keys, rounds = 64, 300
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := newIntMap(t, 2)
 	defer m.Close()
 	b := New(m, Config{Clients: 1, BufCap: 8, MaxLatency: 50 * time.Microsecond}, nil)

@@ -154,9 +154,12 @@ func (h *Handle[K, V, A]) Read(f func(s Snapshot[K, V, A])) { h.m.Read(h.pid, f)
 // conflict until it commits; it returns the number of retries.
 func (h *Handle[K, V, A]) Update(f func(t *Txn[K, V, A])) int { return h.m.Update(h.pid, f) }
 
-// TryUpdate runs a write transaction that aborts instead of retrying; it
+// TryUpdate runs a write transaction that aborts instead of retrying, with
+// then between its response point and its cleanup phase (Map.TryUpdate); it
 // reports whether the transaction committed.
-func (h *Handle[K, V, A]) TryUpdate(f func(t *Txn[K, V, A])) bool { return h.m.TryUpdate(h.pid, f) }
+func (h *Handle[K, V, A]) TryUpdate(f func(t *Txn[K, V, A]), then func()) bool {
+	return h.m.TryUpdate(h.pid, f, then)
+}
 
 // ArenaStats exposes the leased pid's arena counters (refills, spills,
 // chunk carves) for tests and tuning; call only while holding the lease.

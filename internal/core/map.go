@@ -321,15 +321,23 @@ func (t *Txn[K, V, A]) Changed() bool { return t.dirty && t.cur != t.base }
 // imply other writers committed, so the loop is lock-free.
 func (m *Map[K, V, A]) Update(pid int, f func(t *Txn[K, V, A])) int {
 	retries := 0
-	for !m.TryUpdate(pid, f) {
+	for !m.TryUpdate(pid, f, nil) {
 		retries++
 	}
 	return retries
 }
 
-// TryUpdate runs a write transaction that aborts instead of retrying; it
-// reports whether the transaction committed.
-func (m *Map[K, V, A]) TryUpdate(pid int, f func(t *Txn[K, V, A])) bool {
+// TryUpdate is the one write path: a write transaction on process pid
+// (Figure 1, right) that aborts instead of retrying; it reports whether the
+// transaction committed.  then, when non-nil, runs once the transaction has
+// committed — its version published, or nothing to publish — between the
+// response point and the cleanup phase, and not at all on an abort.  There
+// a caller finishes what the commit owes before anyone may follow it (the
+// sharded map stamps, logs and frees its writer slot), so a competing
+// writer does not wait out this one's collect.  The collect still runs on
+// pid before TryUpdate returns, even if then panics: GC is as precise with
+// then as without.
+func (m *Map[K, V, A]) TryUpdate(pid int, f func(t *Txn[K, V, A]), then func()) bool {
 	if m.TrackVersions {
 		u := int64(m.m.Uncollected())
 		for {
@@ -348,27 +356,30 @@ func (m *Map[K, V, A]) TryUpdate(pid int, f func(t *Txn[K, V, A])) bool {
 	tx := &p.txn
 	*tx = Txn[K, V, A]{ops: po, base: root, cur: root}
 	f(tx)
-	if !tx.Changed() {
+	if tx.Changed() {
+		if !m.m.Set(pid, tx.cur) {
+			m.aborts.Add(1)
+			m.collect(pid)
+			po.Release(tx.cur) // collect the never-published version
+			return false
+		}
+		m.commits.Add(1)
+	} else if tx.dirty {
 		// Nothing to publish.  A dirty transaction can still end at the
 		// acquired root pointer (e.g. deleting an absent key); publishing
 		// it would retire the current version while it stays current, so
 		// treat it as a no-op too.
-		if tx.dirty {
-			po.Release(tx.cur)
-		}
-		m.collect(pid)
+		po.Release(tx.cur)
+	}
+	// Response point: the new version, if any, is visible.  What follows
+	// is the cleanup phase.
+	if then != nil {
+		defer m.collect(pid)
+		then()
 		return true
 	}
-	ok := m.m.Set(pid, tx.cur)
-	// Response point for a successful commit: the new version is visible.
 	m.collect(pid)
-	if ok {
-		m.commits.Add(1)
-		return true
-	}
-	m.aborts.Add(1)
-	po.Release(tx.cur) // collect the never-published version
-	return false
+	return true
 }
 
 // Close drains the Version Maintenance object and collects every remaining

@@ -276,7 +276,7 @@ func TestTryUpdateAbort(t *testing.T) {
 				ok := m.TryUpdate(p, func(tx *Txn[int64, int64, int64]) {
 					v, _ := tx.Get(0)
 					tx.Insert(0, v+1)
-				})
+				}, nil)
 				if ok {
 					committed.Add(1)
 				} else {

@@ -259,7 +259,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // read loop is interrupted at its next frame boundary, all responses for
 // requests already read are committed, written and flushed, and only then
 // are the combiners drained and the DB closed.  No accepted request's
-// response is dropped.
+// response is dropped, except to a client that stops reading: a writer
+// blocked on it across one drainGrace loses its socket writes (see drain),
+// so such a client delays Shutdown by one to two drainGrace, not for ever.
 func (s *Server) Shutdown() error { return s.stop(true) }
 
 // Close force-closes listeners and connections; in-flight responses may be
@@ -288,6 +290,9 @@ func (s *Server) stop(graceful bool) error {
 		}
 	}
 	s.mu.Unlock()
+	if graceful {
+		s.drain()
+	}
 	s.serveWG.Wait()
 	// All read loops have exited and all writers have drained: every
 	// accepted write's completion callback has fired (the combiners were
@@ -302,6 +307,54 @@ func (s *Server) stop(graceful bool) error {
 	}
 	s.fmu.Unlock()
 	return s.db.Close()
+}
+
+// drainGrace bounds how long a graceful stop waits on a connection whose
+// writer makes no progress: a client that stops reading leaves its writer
+// blocked in a socket write for good, and that must not wedge Shutdown.
+const drainGrace = time.Second
+
+// drain waits for the served connections to finish, bounding the wait on
+// the wire: it looks at each connection still served when the stop begins
+// and every drainGrace after, and one whose writer has not moved since the
+// last look while not parked on a pending response — so blocked in a write
+// to a client that does not read — gets a write deadline in the past.  Its
+// write fails, the error goes sticky, and the writer drains the ring
+// without the socket, so the connection ends.  Commits are not cut short:
+// the combiners run throughout, and a writer parked on a slow commit makes
+// no demand on the client.  The hot path pays nothing for this: no
+// deadline is set while the server runs.
+func (s *Server) drain() {
+	done := make(chan struct{})
+	go func() {
+		s.serveWG.Wait()
+		close(done)
+	}()
+	seen := make(map[*conn]uint64)
+	tick := time.NewTicker(drainGrace)
+	defer tick.Stop()
+	for {
+		s.mu.Lock()
+		for c := range s.conns {
+			h := c.head.Load()
+			if last, ok := seen[c]; ok && last == h && !c.parked(h) {
+				c.nc.SetWriteDeadline(time.Now())
+			}
+			seen[c] = h
+		}
+		s.mu.Unlock()
+		select {
+		case <-done:
+			return
+		case <-tick.C:
+		}
+	}
+}
+
+// parked reports whether the writer at position head sleeps on that slot's
+// completion rather than on the socket.
+func (c *conn) parked(head uint64) bool {
+	return c.ring[head&uint64(len(c.ring)-1)].state.Load() == slotParked
 }
 
 // Conns reports connections currently being served.

@@ -561,6 +561,67 @@ func TestShutdownWALAckedPrefix(t *testing.T) {
 	t.Logf("graceful shutdown with WAL: %d/%d acked, recovered exactly", acked, n)
 }
 
+// TestShutdownClientNeverReads: a client that pipelines GETs and never
+// reads its replies leaves the connection's writer blocked in a socket
+// write once the socket buffers are full.  A graceful Shutdown must still
+// return, within about drainGrace.
+func TestShutdownClientNeverReads(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 1, MaxConns: 2, MaxPipeline: 64})
+	c, err := netclient.Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set(1, math.MaxInt64); err != nil { // the longest reply a GET has
+		t.Fatal(err)
+	}
+	c.Close()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	// Pipeline GET 1 until the server stops reading — nothing accepted for
+	// five write timeouts in a row: then its ring is full and its writer is
+	// blocked on this socket.
+	frame := []byte("*2\r\n$3\r\nGET\r\n$1\r\n1\r\n")
+	burst := bytes.Repeat(frame, 512)
+	sent, off := 0, 0
+	for stalls := 0; stalls < 5; {
+		nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		n, err := nc.Write(burst[off:])
+		sent, off = sent+n, (off+n)%len(burst)
+		if err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatal(err)
+			}
+		}
+		if n > 0 {
+			stalls = 0
+		} else {
+			stalls++
+		}
+		if sent > 256<<20 {
+			t.Fatal("the server read 256 MiB of GETs without its writer blocking")
+		}
+	}
+	t.Logf("the server stopped reading after %d KiB of GETs", sent>>10)
+
+	returned := make(chan error, 1)
+	start := time.Now()
+	go func() { returned <- s.Shutdown() }()
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		t.Logf("Shutdown returned after %v", time.Since(start).Round(time.Millisecond))
+	case <-time.After(3 * drainGrace):
+		t.Fatalf("Shutdown still blocked after %v on a client that never reads", 3*drainGrace)
+	}
+}
+
 // TestServerKillMidPipeline force-closes the server under a deep pipeline
 // (the network-level crash test): every outstanding Pending must complete
 // — acked or errored, never hung — and operations issued afterwards fail

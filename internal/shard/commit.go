@@ -2,7 +2,8 @@
 // them through one of two primitives — commitShard (one shard) or
 // commitAtomic (every write that spans shards, under one GSN) — and ends in
 // groupCommit.  Both primitives hold the writer slot of every shard they
-// write from before the Set until after the Append: the slot is the shard's
+// write from before the Set until after the Append, and collect after
+// releasing it, still on the pid they committed on: the slot is the shard's
 // one writer lock, so a shard has one writer at a time, as in the paper,
 // and its log order is its commit order.  The lock order (writer slots
 // ascending by shard → pid) and the logging rules (encode inside the
@@ -44,37 +45,57 @@ func (m *Map[K, V, A]) groupCommit(mark int64, err error) error {
 // commitShard is the single-shard primitive: under shard i's writer slot,
 // apply commits as one write transaction on a pid leased for it; if it
 // published a version, the commit is stamped with a fresh GSN and, only if
-// a log is attached, the record encode produces is appended under that GSN
-// before the slot is released.  encode runs inside the committing
-// transaction, after apply, so combining writes log their resolved
-// post-image.  It returns the appended record's log watermark, 0 when there
-// was none; the caller owes the groupCommit.
+// a log is attached, the record encode produces is appended under that GSN.
+// Then the slot is released, and only then does the transaction collect —
+// on the same pid, before commitShard returns (core.Map.TryUpdate's then).
+// encode runs inside the committing transaction, after apply, so combining
+// writes log their resolved post-image.  It returns the appended record's
+// log watermark, 0 when there was none; the caller owes the groupCommit.
 func (m *Map[K, V, A]) commitShard(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) (mark int64, err error) {
 	s := m.shards[i]
 	s.LockWriterSlot()
-	defer s.UnlockWriterSlot()
+	locked := true
+	defer func() {
+		if locked {
+			s.UnlockWriterSlot()
+		}
+	}()
 	var e *walEnc[K, V]
 	if w := m.wal; w != nil {
 		e = w.getEnc()
 		defer w.putEnc(e)
 	}
-	changed := false
-	s.With(func(h *core.Handle[K, V, A]) {
-		h.Update(func(tx *core.Txn[K, V, A]) {
+	m.commitOn(i, apply, encode, e, func(published bool) {
+		if published {
+			g := m.stamp(i)
+			if e != nil {
+				mark, err = m.wal.log.AppendMark(g, e.buf)
+			}
+		}
+		locked = false
+		s.UnlockWriterSlot()
+	})
+	return mark, err
+}
+
+// commitOn runs apply as one write transaction on a pid leased from shard
+// i, whose writer slot the caller holds; if the transaction publishes a
+// version and e is non-nil, encode writes its record into e from inside
+// it.  then runs after the Set and before the transaction collects, told
+// whether it published.  With the slot held no other writer commits on the
+// shard, so the Set does not fail; the retry is core's contract, not a path
+// this protocol takes (Aborts() stays 0).
+func (m *Map[K, V, A]) commitOn(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A]), e *walEnc[K, V], then func(published bool)) {
+	published := false
+	m.shards[i].With(func(h *core.Handle[K, V, A]) {
+		for !h.TryUpdate(func(tx *core.Txn[K, V, A]) {
 			apply(tx)
-			if changed = tx.Changed(); changed && e != nil {
+			if published = tx.Changed(); published && e != nil {
 				encode(e, tx)
 			}
-		})
+		}, func() { then(published) }) {
+		}
 	})
-	if !changed {
-		return 0, nil
-	}
-	g := m.stamp(i)
-	if e == nil {
-		return 0, nil
-	}
-	return m.wal.log.AppendMark(g, e.buf)
 }
 
 // commitIntents is commitShard for a plan of buffered intents.
@@ -87,21 +108,28 @@ func (m *Map[K, V, A]) commitIntents(i int, list []intent[K, V]) (int64, error) 
 // commitAtomic is the multi-shard primitive: one attempt to install t's
 // intents on every shard they touch under ONE GSN, logged as one record.
 // It holds the writer slots of the shards in fence (ascending; a superset
-// of those written) for the whole attempt — plan, install and Append — and
-// releases them by defer, so a panic out of a user comb, which forfeits
-// atomicity for the legs already installed, cannot wedge the fence.  With a
-// nil plan t's intents are already buffered; a non-nil plan rebuilds them
-// under the fence and may abandon the attempt by returning false (see
-// UpdateAtomicKeys).  Inside, installAtomic drives the seqlocks odd, runs
-// commitLegs — one commit per written shard, each that published encoding
-// its post-images from inside that very transaction — and stamps the legs
-// that published with one freshly drawn GSN, if there are any.  It reports
-// whether the attempt committed and the appended record's log watermark (0
-// when none); a non-nil error means the commit is in memory but the log is
+// of those written) from before the plan until after the Append, and
+// releases them before the legs collect — by defer if a user comb panics,
+// which forfeits atomicity for the legs already installed but cannot wedge
+// the fence.  With a nil plan t's intents are already buffered; a non-nil
+// plan rebuilds them under the fence and may abandon the attempt by
+// returning false (see UpdateAtomicKeys).  Inside, openInstall drives the
+// seqlocks odd and commitLegs runs one commit per written shard, each that
+// published encoding its post-images from inside that very transaction;
+// once every leg has Set, closeInstall stamps the legs that published with
+// one freshly drawn GSN, if there are any, the record is appended and the
+// slots are released, and then the legs collect.  It reports whether
+// the attempt committed and the appended record's log watermark (0 when
+// none); a non-nil error means the commit is in memory but the log is
 // poisoned.
 func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A]) bool) (committed bool, mark int64, err error) {
 	m.lockSlots(fence)
-	defer m.unlockSlots(fence)
+	locked := true
+	defer func() {
+		if locked {
+			m.unlockSlots(fence)
+		}
+	}()
 	if plan != nil {
 		t.reset()
 		if !plan(t) {
@@ -114,11 +142,21 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 		defer w.putEnc(e)
 	}
 	write := t.touched()
-	g := m.installAtomic(write, func() []int { return m.commitLegs(write, t, e) })
-	if e == nil || g == 0 {
-		return true, 0, nil
-	}
-	mark, err = m.wal.log.AppendMark(g, e.buf)
+	m.openInstall(write)
+	open := true
+	defer func() {
+		if open { // a leg panicked
+			m.closeInstall(write, nil)
+		}
+	}()
+	m.commitLegs(write, t, e, func(published []int) {
+		open = false
+		if g := m.closeInstall(write, published); e != nil && g != 0 {
+			mark, err = m.wal.log.AppendMark(g, e.buf)
+		}
+		locked = false
+		m.unlockSlots(fence)
+	})
 	return true, mark, err
 }
 
@@ -132,25 +170,19 @@ const parallelIngestFloor = 64
 
 // commitLegs commits t's intents on every shard in write (ascending), one
 // write transaction per shard, encodes the post-images of each leg that
-// published into e (nil without a log) in ascending shard order, and
-// returns the shards whose legs published.  Legs run in parallel when at
-// least two carry parallelIngestFloor entries or more, each encoding into
-// its own pooled encoder; e is then their concatenation in shard order, the
-// same bytes the sequential legs write.  A panic in any leg is re-raised
-// here after every leg has returned.
-func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V]) (published []int) {
+// published into e (nil without a log) in ascending shard order, and once
+// every leg has Set — each still on its pid, none collected — calls settle
+// with the shards whose legs published; the legs collect after settle
+// returns.  Sequential legs nest: each runs the next from between its Set
+// and its collect, so their pids are taken in ascending shard order, as a
+// View pins them.  Legs run in parallel when at least two carry
+// parallelIngestFloor entries or more, each encoding into its own pooled
+// encoder and parking after its Set until settle has run; e is then their
+// concatenation in shard order, the same bytes the sequential legs write.
+// A panic in any leg is re-raised here after every leg has returned, and
+// settle is not called.
+func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V], settle func(published []int)) {
 	changed := make([]bool, len(write))
-	leg := func(j int, e *walEnc[K, V]) {
-		list := t.intents[write[j]]
-		m.shards[write[j]].With(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) {
-				replay(tx, list)
-				if changed[j] = tx.Changed(); changed[j] && e != nil {
-					encodeIntents(e, tx, list)
-				}
-			})
-		})
-	}
 	big := 0
 	for _, i := range write {
 		if legEntries(t.intents[i]) >= parallelIngestFloor {
@@ -158,37 +190,78 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V])
 		}
 	}
 	if big < 2 {
-		for j := range write {
-			leg(j, e)
+		m.nestLegs(0, write, t, e, changed, settle)
+		return
+	}
+	encs := make([]*walEnc[K, V], len(write))
+	panics := make([]any, len(write))
+	var set, done sync.WaitGroup
+	collect := make(chan struct{})
+	defer func() {
+		close(collect)
+		done.Wait()
+	}()
+	for j := range write {
+		if e != nil {
+			encs[j] = m.wal.getEnc()
 		}
-	} else {
-		encs := make([]*walEnc[K, V], len(write))
-		panics := make([]any, len(write))
-		var wg sync.WaitGroup
-		for j := range write {
-			if e != nil {
-				encs[j] = m.wal.getEnc()
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { panics[j] = recover() }()
-				leg(j, encs[j])
+		set.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			settled := false
+			defer func() {
+				if !settled {
+					panics[j] = recover()
+					set.Done()
+				}
 			}()
-		}
-		wg.Wait()
-		for _, le := range encs {
-			if le != nil {
-				e.buf = append(e.buf, le.buf...)
-				m.wal.putEnc(le)
-			}
-		}
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
+			m.commitLeg(j, write, t, encs[j], changed, func() {
+				settled = true
+				set.Done()
+				<-collect
+			})
+		}()
+	}
+	set.Wait()
+	for _, le := range encs {
+		if le != nil {
+			e.buf = append(e.buf, le.buf...)
+			m.wal.putEnc(le)
 		}
 	}
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	settle(publishedLegs(write, changed))
+}
+
+// nestLegs commits legs j.. of write in order, each from between the
+// previous leg's Set and its collect, and calls settle from inside the
+// last one.
+func (m *Map[K, V, A]) nestLegs(j int, write []int, t *Txn[K, V, A], e *walEnc[K, V], changed []bool, settle func(published []int)) {
+	if j == len(write) {
+		settle(publishedLegs(write, changed))
+		return
+	}
+	m.commitLeg(j, write, t, e, changed, func() { m.nestLegs(j+1, write, t, e, changed, settle) })
+}
+
+// commitLeg commits t's intents on shard write[j], records in changed[j]
+// whether that published, and runs then between the leg's Set and its
+// collect.
+func (m *Map[K, V, A]) commitLeg(j int, write []int, t *Txn[K, V, A], e *walEnc[K, V], changed []bool, then func()) {
+	list := t.intents[write[j]]
+	m.commitOn(write[j],
+		func(tx *core.Txn[K, V, A]) { replay(tx, list) },
+		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encodeIntents(e, tx, list) },
+		e, func(published bool) { changed[j] = published; then() })
+}
+
+// publishedLegs returns the shards of write whose legs changed.
+func publishedLegs(write []int, changed []bool) (published []int) {
 	for j, i := range write {
 		if changed[j] {
 			published = append(published, i)

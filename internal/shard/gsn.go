@@ -8,7 +8,7 @@
 // only its writer-slot holder writes them:
 //
 //   - latest, the largest GSN the shard has committed.  A stamp is drawn
-//     only after its Set has landed (commitShard; installAtomic after the
+//     only after its Set has landed (commitShard; closeInstall after the
 //     last leg), so observing latest >= g before pinning a version proves
 //     commit g is in it: a stamp never leads its own visibility.  The slot
 //     serialises a shard's stamps, so publishing one is a counter Add and a
@@ -17,15 +17,18 @@
 //     ViewConsistent collects it before and after pinning; two equal even
 //     reads prove no install overlapped the pins.
 //   - slot, the writer slot: the shard's one writer lock, held by every
-//     commit from before its Set until after its log Append.  Slots are taken
-//     in ascending shard order, and always before the pid a commit runs on:
-//     no pid holder waits for a slot, so a slot holder waiting for a pid
-//     waits only for transactions that finish on their own.
+//     commit from before its Set until after its log Append, and released
+//     before the commit collects.  Slots are taken in ascending shard order,
+//     and always before the pid a commit runs on: no pid holder waits for a
+//     slot, so a slot holder waiting for a pid waits only for transactions
+//     that finish on their own.  A waiter spins before it parks
+//     (LockWriterSlot).
 //
 // DESIGN.md, "The GSN protocol".
 package shard
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +44,25 @@ type shardRec[K, V, A any] struct {
 	_      [32]byte // one cache line per shard: readers poll these words
 }
 
-// LockWriterSlot takes the shard's writer slot.
-func (s *shardRec[K, V, A]) LockWriterSlot() { s.slot.Lock() }
+// slotSpins is how many times LockWriterSlot tries a held slot, yielding
+// between tries, before it parks on it.  A slot is held for a Set, a stamp
+// and an Append — microseconds — so a waiter that yields usually gets it
+// without an OS sleep and wake, and keeps its core busy meanwhile; a
+// parked waiter's wake-up waits for an idle P.  Chosen by a sweep on
+// embedded_txn_scan (DESIGN.md, "The commit pipeline").
+const slotSpins = 1024
+
+// LockWriterSlot takes the shard's writer slot: up to slotSpins tries,
+// yielding the processor between them, then a parking Lock.
+func (s *shardRec[K, V, A]) LockWriterSlot() {
+	for range slotSpins {
+		if s.slot.TryLock() {
+			return
+		}
+		runtime.Gosched()
+	}
+	s.slot.Lock()
+}
 
 // UnlockWriterSlot releases it.
 func (s *shardRec[K, V, A]) UnlockWriterSlot() { s.slot.Unlock() }
@@ -69,34 +89,31 @@ func (m *Map[K, V, A]) stamp(i int) uint64 {
 	return g
 }
 
-// installAtomic is the cross-shard install, with the touched shards' slots
-// held by the caller: drive their seqlocks odd, run commitAll — one commit
-// per touched shard, returning the shards that published — then draw ONE
-// GSN, publish it on each of those, and drive the seqlocks even.  It
-// returns the GSN, or 0 when nothing was published, which takes no stamp.
-// The seqlocks return even however commitAll exits: a panic out of user
-// code (a comb) forfeits the transaction's atomicity — legs already
-// installed stay, unstamped — but must not wedge every later consistent
-// read; it propagates to the caller, which releases its slots by defer.
-func (m *Map[K, V, A]) installAtomic(touched []int, commitAll func() (published []int)) uint64 {
-	if len(touched) == 0 {
-		return 0
-	}
+// openInstall starts a cross-shard install on touched, whose slots the
+// caller holds: it drives their seqlocks odd, so a ViewConsistent that
+// overlaps the legs retries.  closeInstall ends it.
+func (m *Map[K, V, A]) openInstall(touched []int) {
 	for _, i := range touched {
 		m.shards[i].seq.Add(1)
 	}
-	defer func() {
-		for _, i := range touched {
-			m.shards[i].seq.Add(1)
+}
+
+// closeInstall ends the install openInstall started, once every leg has
+// Set: it draws ONE GSN, publishes it on each shard in published, and
+// drives the seqlocks of touched even.  It returns the GSN, or 0 when
+// nothing was published, which takes no stamp.  A caller whose legs panic
+// still closes, with no published shards: the panic (a comb's) forfeits
+// the transaction's atomicity — legs already installed stay, unstamped —
+// but must not wedge every later consistent read.
+func (m *Map[K, V, A]) closeInstall(touched, published []int) (g uint64) {
+	if len(published) > 0 {
+		g = m.gsn.Add(1)
+		for _, i := range published {
+			m.shards[i].latest.Store(g)
 		}
-	}()
-	published := commitAll()
-	if len(published) == 0 {
-		return 0
 	}
-	g := m.gsn.Add(1)
-	for _, i := range published {
-		m.shards[i].latest.Store(g)
+	for _, i := range touched {
+		m.shards[i].seq.Add(1)
 	}
 	return g
 }

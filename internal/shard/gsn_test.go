@@ -248,23 +248,22 @@ func TestInstallProtocol(t *testing.T) {
 	before := latestStamps(t, m)
 	fence := []int{0, 2}
 	m.lockSlots(fence)
-	g := m.installAtomic(fence, func() []int {
-		for _, i := range fence {
-			if q := m.shards[i].seq.Load(); q&1 != 1 {
-				t.Errorf("shard %d seqlock %d during the install, want odd", i, q)
-			}
-			m.shards[i].With(func(h *core.Handle[uint64, uint64, struct{}]) {
-				h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 2) })
-			})
-			if s := m.shards[i].latest.Load(); s != before[i] {
-				t.Errorf("shard %d leg moved its stamp %d → %d before the install published", i, before[i], s)
-			}
+	m.openInstall(fence)
+	for _, i := range fence {
+		if q := m.shards[i].seq.Load(); q&1 != 1 {
+			t.Errorf("shard %d seqlock %d during the install, want odd", i, q)
 		}
-		if q := m.shards[1].seq.Load(); q != 0 {
-			t.Errorf("untouched shard's seqlock at %d", q)
+		m.shards[i].With(func(h *core.Handle[uint64, uint64, struct{}]) {
+			h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 2) })
+		})
+		if s := m.shards[i].latest.Load(); s != before[i] {
+			t.Errorf("shard %d leg moved its stamp %d → %d before the install published", i, before[i], s)
 		}
-		return fence
-	})
+	}
+	if q := m.shards[1].seq.Load(); q != 0 {
+		t.Errorf("untouched shard's seqlock at %d", q)
+	}
+	g := m.closeInstall(fence, fence)
 	m.unlockSlots(fence)
 	if g != m.CommitGSN() || g <= slices.Max(before) {
 		t.Fatalf("install stamped %d, CommitGSN %d, stamps before %v", g, m.CommitGSN(), before)
@@ -291,14 +290,13 @@ func TestInstallAtomic(t *testing.T) {
 	defer m.Close()
 	all := []int{0, 1}
 	m.lockSlots(all)
-	g := m.installAtomic(all, func() []int {
-		for i, s := range m.shards {
-			s.With(func(h *core.Handle[uint64, uint64, struct{}]) {
-				h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 1) })
-			})
-		}
-		return all
-	})
+	m.openInstall(all)
+	for i, s := range m.shards {
+		s.With(func(h *core.Handle[uint64, uint64, struct{}]) {
+			h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 1) })
+		})
+	}
+	g := m.closeInstall(all, all)
 	m.unlockSlots(all)
 	if g == 0 || m.CommitGSN() != g {
 		t.Fatalf("install returned %d, CommitGSN %d", g, m.CommitGSN())
@@ -314,12 +312,14 @@ func TestInstallAtomic(t *testing.T) {
 			t.Fatalf("shard %d lost its leg: %d,%v", i, v, ok)
 		}
 	}
-	if g := m.installAtomic(nil, func() []int { t.Fatal("empty footprint ran its legs"); return nil }); g != 0 {
+	m.openInstall(nil)
+	if g := m.closeInstall(nil, nil); g != 0 {
 		t.Fatalf("empty footprint returned %d", g)
 	}
 	m.lockSlots(all)
 	g0 := m.CommitGSN()
-	if g := m.installAtomic(all, func() []int { return nil }); g != 0 || m.CommitGSN() != g0 {
+	m.openInstall(all)
+	if g := m.closeInstall(all, nil); g != 0 || m.CommitGSN() != g0 {
 		t.Fatalf("an install that published nothing returned %d and moved CommitGSN %d → %d", g, g0, m.CommitGSN())
 	}
 	m.unlockSlots(all)

@@ -249,22 +249,21 @@ func TestTornScanForeclosed(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// A two-shard atomic install of {a: 1, b: 1}, through the map's own
-		// installAtomic, that parks mid-flight, exactly as an UpdateAtomic
+		// openInstall/closeInstall, that parks mid-flight, exactly as an UpdateAtomic
 		// would look to a reader that caught it between the two installs.
 		fence := []int{min(sa, sb), max(sa, sb)}
 		m.lockSlots(fence)
 		defer m.unlockSlots(fence)
-		m.installAtomic(fence, func() []int {
-			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
-				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
-			})
-			close(installing)
-			<-finish
-			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
-				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
-			})
-			return fence
+		m.openInstall(fence)
+		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
+			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 		})
+		close(installing)
+		<-finish
+		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
+			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
+		})
+		m.closeInstall(fence, fence)
 	}()
 
 	<-installing

@@ -455,22 +455,21 @@ func TestConsistentFenceFallback(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// A two-shard atomic install of {a: 1, b: 1}, through the map's own
-		// installAtomic, that parks mid-flight: shard A's root is already
+		// openInstall/closeInstall, that parks mid-flight: shard A's root is already
 		// installed, shard B's is not.
 		fence := []int{min(sa, sb), max(sa, sb)}
 		m.lockSlots(fence)
 		defer m.unlockSlots(fence)
-		m.installAtomic(fence, func() []int {
-			m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
-				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
-			})
-			close(installing)
-			<-finish
-			m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
-				h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
-			})
-			return fence
+		m.openInstall(fence)
+		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
+			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 		})
+		close(installing)
+		<-finish
+		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
+			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
+		})
+		m.closeInstall(fence, fence)
 	}()
 
 	<-installing

@@ -3,6 +3,7 @@ package shard
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,5 +222,195 @@ func TestLockOrderStress(t *testing.T) {
 	}
 	if live := m.Live(); live != 0 {
 		t.Fatalf("leaked %d nodes", live)
+	}
+}
+
+// TestCollectAfterSlot: a commit frees its shard's writer slot before it
+// collects, and still collects before the write returns.  A ReleaseVal hook
+// runs inside the collector — it fires for every value of a freed node — and
+// checks that its shard's writer slot is free there, for a point write, a
+// two-shard atomic write on sequential legs and one on parallel legs.  Once
+// each write has returned with no reader pinned, every shard retains one
+// version and the allocator holds exactly the nodes those versions reach.
+func TestCollectAfterSlot(t *testing.T) {
+	type txn = Txn[uint64, uint64, struct{}]
+	const shards = 2
+	var m *Map[uint64, uint64, struct{}]
+	var collected, held atomic.Int64
+	made := 0
+	m, err := New(
+		Config[uint64]{Shards: shards, Procs: 2, Hash: func(k uint64) uint64 { return k }},
+		func() *ftree.Ops[uint64, uint64, struct{}] {
+			i := made // the shard these ops serve; parallel legs collect on their own goroutines
+			made++
+			o := ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
+			o.RetainVal = func(v uint64) uint64 { return v }
+			o.ReleaseVal = func(uint64) {
+				collected.Add(1)
+				if s := m.shards[i]; s.slot.TryLock() {
+					s.slot.Unlock()
+				} else {
+					held.Add(1)
+				}
+			}
+			return o
+		},
+		nil,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n int, v uint64) []ftree.Entry[uint64, uint64] {
+		es := make([]ftree.Entry[uint64, uint64], n)
+		for i := range es {
+			es[i] = ftree.Entry[uint64, uint64]{Key: uint64(i), Val: v}
+		}
+		return es
+	}
+	precise := func(name string) {
+		t.Helper()
+		for i, s := range m.shards {
+			if u := s.Uncollected(); u != 1 {
+				t.Fatalf("%s: shard %d retains %d versions after the write returned, want 1", name, i, u)
+			}
+		}
+		var reachable int64
+		m.View(func(sn Snap[uint64, uint64, struct{}]) {
+			for i, s := range m.shards {
+				reachable += s.Ops().ReachableNodes(sn.Shard(i).Root())
+			}
+		})
+		if live := m.Live(); live != reachable {
+			t.Fatalf("%s: %d nodes live, %d reachable from the current versions", name, live, reachable)
+		}
+	}
+	if err := m.InsertBatch(batch(4*parallelIngestFloor, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	precise("load")
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Insert", func() error { return m.Insert(3, 2) }},
+		{"Delete", func() error { return m.Delete(3) }},
+		{"UpdateAtomic/sequential legs", func() error {
+			return m.UpdateAtomic(func(tx *txn) { tx.Insert(4, 3); tx.Insert(5, 3) })
+		}},
+		{"InsertBatch/parallel legs", func() error { return m.InsertBatch(batch(4*parallelIngestFloor, 4), nil) }},
+	} {
+		collected.Store(0)
+		held.Store(0)
+		if err := w.write(); err != nil {
+			t.Fatal(err)
+		}
+		if collected.Load() == 0 {
+			t.Fatalf("%s: nothing was collected before the write returned", w.name)
+		}
+		if n := held.Load(); n != 0 {
+			t.Fatalf("%s: %d of %d values were collected under their shard's held writer slot", w.name, n, collected.Load())
+		}
+		precise(w.name)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := m.Live(); live != 0 {
+		t.Fatalf("leaked %d nodes", live)
+	}
+}
+
+// TestSlotContentionStress: two goroutines contend for one shard's writer
+// slot with point writes, UpdateAtomicKeys transfers and ViewConsistent
+// scans interleaved, with one pid and with three.  A waiter spins on the
+// slot before it parks, and a committer collects after releasing it; under
+// both, no Set may fail, every consistent scan and the final state must
+// conserve the transfer sum, and nothing may leak.  Fails on a deadline
+// rather than hanging.
+func TestSlotContentionStress(t *testing.T) {
+	type txn = Txn[uint64, uint64, struct{}]
+	const accounts, total = 8, 8 * 100
+	iters := 3000
+	if testing.Short() {
+		iters = 500
+	}
+	for _, procs := range []int{1, 3} {
+		initial := make([]ftree.Entry[uint64, uint64], accounts)
+		for i := range initial {
+			initial[i] = ftree.Entry[uint64, uint64]{Key: uint64(i), Val: total / accounts}
+		}
+		m, err := New(
+			Config[uint64]{Shards: 1, Procs: procs, Hash: func(k uint64) uint64 { return k }},
+			func() *ftree.Ops[uint64, uint64, struct{}] {
+				return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
+			},
+			initial,
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := func(s Snap[uint64, uint64, struct{}]) (n uint64) {
+			s.RangeFunc(0, accounts-1, func(_, v uint64) bool { n += v; return true })
+			return n
+		}
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					var err error
+					switch (i + g) % 3 {
+					case 0:
+						err = m.Insert(accounts+uint64(i%64), uint64(i))
+					case 1:
+						from, to := uint64(i*3+g)%accounts, uint64(i*5+g+1)%accounts
+						err = m.UpdateAtomicKeys([]uint64{from, to}, func(tx *txn) {
+							fv, _ := tx.Get(from)
+							tv, _ := tx.Get(to)
+							if from != to && fv > 0 {
+								tx.Insert(from, fv-1)
+								tx.Insert(to, tv+1)
+							}
+						})
+					case 2:
+						m.ViewConsistent(func(s Snap[uint64, uint64, struct{}]) {
+							if n := sum(s); n != total {
+								t.Errorf("procs %d: a consistent scan saw the transfer sum at %d, want %d", procs, n, total)
+							}
+						})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("procs %d: no progress in 2 minutes: deadlock?\n%s", procs, buf[:runtime.Stack(buf, true)])
+		}
+		m.View(func(s Snap[uint64, uint64, struct{}]) {
+			if n := sum(s); n != total {
+				t.Errorf("procs %d: transfer sum %d at the end, want %d", procs, n, total)
+			}
+		})
+		if a := m.Aborts(); a != 0 {
+			t.Errorf("procs %d: %d Set failures: some commit ran beside its shard's writer", procs, a)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if live := m.Live(); live != 0 {
+			t.Fatalf("procs %d: leaked %d nodes", procs, live)
+		}
 	}
 }
