@@ -43,13 +43,33 @@ func TestIdleCombinerAllocs(t *testing.T) {
 // the batch records that travel between the two goroutines are a fixed ring
 // reused in place, callbacks included.
 //
-// It runs on one P, like TestIdleCombinerAllocs, for a second runtime
-// effect: with an idle P, a wake-up may start an OS thread (runtime.newm,
-// five objects) when no idle one is left, which is the runtime's one-time
-// cost, not the commit's.
+// It measures twice.  On one P the producer, the combiner and the completer
+// take turns, and one window after the warm-up is exact.  On two or more Ps
+// they run at once, so parks and wake-ups cross Ps.  There the runtime has
+// one-time costs a warm-up cannot exhaust — a thread started for a wake-up
+// that finds an idle P but no idle thread (runtime.newm, five objects), a
+// P's timer heap grown on its first timer — and a gather larger than any
+// before grows the combiner's reused buffers once.  So that run takes up to
+// three windows and passes on the first that allocates nothing; a cost per
+// commit or per wake-up recurs in every window and fails all three.
 func TestCombinerCommitAllocs(t *testing.T) {
 	const keys, rounds = 64, 300
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, max(2, runtime.GOMAXPROCS(0))} {
+		windows := 1
+		if procs > 1 {
+			windows = 3
+		}
+		if n := combinerCommitAllocs(t, procs, keys, rounds, windows); n != nil {
+			t.Errorf("GOMAXPROCS %d: %d warm rounds of commits allocated %v objects in each window, want 0", procs, rounds, n)
+		}
+	}
+}
+
+// combinerCommitAllocs warms a combiner on procs Ps, then measures up to
+// windows windows of rounds commits each; it returns each window's count
+// if none allocated nothing, else nil.
+func combinerCommitAllocs(t *testing.T, procs, keys, rounds, windows int) (counts []uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	m := newIntMap(t, 2)
 	defer m.Close()
 	b := New(m, Config{Clients: 1, BufCap: 8, MaxLatency: 50 * time.Microsecond}, nil)
@@ -70,14 +90,18 @@ func TestCombinerCommitAllocs(t *testing.T) {
 	for i := 0; i < rounds; i++ { // warm: tree, arenas, batch records, sudogs
 		round(i)
 	}
-	before := b.Batches()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < rounds; i++ {
-		round(i)
+	for range windows {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds; i++ {
+			round(i)
+		}
+		runtime.ReadMemStats(&m1)
+		n := m1.Mallocs - m0.Mallocs
+		if n == 0 {
+			return nil
+		}
+		counts = append(counts, n)
 	}
-	runtime.ReadMemStats(&m1)
-	if n := m1.Mallocs - m0.Mallocs; n != 0 {
-		t.Fatalf("%d warm commits allocated %d objects, want 0", b.Batches()-before, n)
-	}
+	return counts
 }

@@ -261,7 +261,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // are the combiners drained and the DB closed.  No accepted request's
 // response is dropped, except to a client that stops reading: a writer
 // blocked on it across one drainGrace loses its socket writes (see drain),
-// so such a client delays Shutdown by one to two drainGrace, not for ever.
+// so such a client delays Shutdown by one to one and a half drainGrace, not
+// for ever.
 func (s *Server) Shutdown() error { return s.stop(true) }
 
 // Close force-closes listeners and connections; in-flight responses may be
@@ -315,14 +316,17 @@ func (s *Server) stop(graceful bool) error {
 const drainGrace = time.Second
 
 // drain waits for the served connections to finish, bounding the wait on
-// the wire: it looks at each connection still served when the stop begins
-// and every drainGrace after, and one whose writer has not moved since the
-// last look while not parked on a pending response — so blocked in a write
-// to a client that does not read — gets a write deadline in the past.  Its
-// write fails, the error goes sticky, and the writer drains the ring
-// without the socket, so the connection ends.  Commits are not cut short:
-// the combiners run throughout, and a writer parked on a slow commit makes
-// no demand on the client.  The hot path pays nothing for this: no
+// the wire.  Every half drainGrace it looks at each connection still
+// served: a writer is stuck when it has not moved since the last look and
+// is not parked on a pending response.  One stuck across two looks in a
+// row — a whole drainGrace without progress, not parked at either look, so
+// blocked in a write to a client that does not read — gets a write
+// deadline in the past.  Its write fails, the error goes sticky, and the
+// writer drains the ring without the socket, so the connection ends.  A
+// writer parked on a slow commit makes no demand on the client and is not
+// cut, nor one caught between its wake-up and its next move: that move
+// comes long before the next look.  Commits are not cut short: the
+// combiners run throughout.  The hot path pays nothing for this: no
 // deadline is set while the server runs.
 func (s *Server) drain() {
 	done := make(chan struct{})
@@ -330,17 +334,23 @@ func (s *Server) drain() {
 		s.serveWG.Wait()
 		close(done)
 	}()
-	seen := make(map[*conn]uint64)
-	tick := time.NewTicker(drainGrace)
+	type look struct {
+		head  uint64
+		stuck bool
+	}
+	seen := make(map[*conn]look)
+	tick := time.NewTicker(drainGrace / 2)
 	defer tick.Stop()
 	for {
 		s.mu.Lock()
 		for c := range s.conns {
 			h := c.head.Load()
-			if last, ok := seen[c]; ok && last == h && !c.parked(h) {
+			last, ok := seen[c]
+			stuck := ok && last.head == h && !c.parked(h)
+			if stuck && last.stuck {
 				c.nc.SetWriteDeadline(time.Now())
 			}
-			seen[c] = h
+			seen[c] = look{h, stuck}
 		}
 		s.mu.Unlock()
 		select {

@@ -561,12 +561,50 @@ func TestShutdownWALAckedPrefix(t *testing.T) {
 	t.Logf("graceful shutdown with WAL: %d/%d acked, recovered exactly", acked, n)
 }
 
+// slowSyncFS makes the next Sync after arm take delay, and reports on
+// syncing when that Sync begins: a commit that stays pending that long.
+type slowSyncFS struct {
+	wal.FS
+	delay   time.Duration
+	armed   atomic.Bool
+	syncing chan struct{}
+}
+
+func (fs *slowSyncFS) arm() { fs.armed.Store(true) }
+
+func (fs *slowSyncFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	return slowSyncFile{f, fs}, err
+}
+
+func (fs *slowSyncFS) Open(name string) (wal.File, error) {
+	f, err := fs.FS.Open(name)
+	return slowSyncFile{f, fs}, err
+}
+
+type slowSyncFile struct {
+	wal.File
+	fs *slowSyncFS
+}
+
+func (f slowSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.syncing <- struct{}{}
+		time.Sleep(f.fs.delay)
+	}
+	return f.File.Sync()
+}
+
 // TestShutdownClientNeverReads: a client that pipelines GETs and never
 // reads its replies leaves the connection's writer blocked in a socket
 // write once the socket buffers are full.  A graceful Shutdown must still
-// return, within about drainGrace.
+// return, within about drainGrace.  Beside it, a client that does read
+// waits on a SET whose commit (its fsync) outlasts two of drain's looks:
+// its writer makes no progress either, but it is parked on the commit, so
+// the client must still get its +OK.
 func TestShutdownClientNeverReads(t *testing.T) {
-	s, addr := startServer(t, Config{Shards: 1, MaxConns: 2, MaxPipeline: 64})
+	fs := &slowSyncFS{FS: wal.NewMemFS(), delay: drainGrace * 6 / 5, syncing: make(chan struct{}, 1)}
+	s, addr := startServer(t, Config{Shards: 1, MaxConns: 3, MaxPipeline: 64, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}})
 	c, err := netclient.Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -580,6 +618,11 @@ func TestShutdownClientNeverReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	rc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
 
 	// Pipeline GET 1 until the server stops reading — nothing accepted for
 	// five write timeouts in a row: then its ring is full and its writer is
@@ -608,16 +651,27 @@ func TestShutdownClientNeverReads(t *testing.T) {
 	}
 	t.Logf("the server stopped reading after %d KiB of GETs", sent>>10)
 
+	fs.arm()
+	if _, err := rc.Write([]byte("*3\r\n$3\r\nSET\r\n$1\r\n2\r\n$1\r\n5\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	<-fs.syncing // the SET is committing, its writer parked on it
+
 	returned := make(chan error, 1)
 	start := time.Now()
 	go func() { returned <- s.Shutdown() }()
+	rc.SetReadDeadline(time.Now().Add(3 * drainGrace))
+	reply, err := bufio.NewReader(rc).ReadString('\n')
+	if err != nil || reply != "+OK\r\n" {
+		t.Fatalf("the reading client's slow SET got %q, %v after %v; want +OK", reply, err, time.Since(start).Round(time.Millisecond))
+	}
 	select {
 	case err := <-returned:
 		if err != nil {
 			t.Fatalf("Shutdown: %v", err)
 		}
 		t.Logf("Shutdown returned after %v", time.Since(start).Round(time.Millisecond))
-	case <-time.After(3 * drainGrace):
+	case <-time.After(3*drainGrace - time.Since(start)):
 		t.Fatalf("Shutdown still blocked after %v on a client that never reads", 3*drainGrace)
 	}
 }

@@ -2,14 +2,14 @@
 // them through one of two primitives — commitShard (one shard) or
 // commitAtomic (every write that spans shards, under one GSN) — and ends in
 // groupCommit.  Both primitives hold the writer slot of every shard they
-// write from before the Set until after the Append, and collect after
-// releasing it, still on the pid they committed on: the slot is the shard's
-// one writer lock, so a shard has one writer at a time, as in the paper,
-// and its log order is its commit order.  The lock order (writer slots
-// ascending by shard → pid) and the logging rules (encode inside the
-// committing transaction, apply then log, no record without a stamp, no
-// lock held across the fsync wait) are written here once; DESIGN.md "The
-// commit pipeline" states them in full.
+// write from before the Set until after the Append, and (but for parallel
+// atomic legs) collect after releasing it, still on the pid they committed
+// on: the slot is the shard's one writer lock, so a shard has one writer
+// at a time, as in the paper, and its log order is its commit order.  The
+// lock order (writer slots ascending by shard → pid) and the logging rules
+// (encode inside the committing transaction, apply then log, no record
+// without a stamp, no lock held across the fsync wait) are written here
+// once; DESIGN.md "The commit pipeline" states them in full.
 package shard
 
 import (
@@ -108,20 +108,20 @@ func (m *Map[K, V, A]) commitIntents(i int, list []intent[K, V]) (int64, error) 
 // commitAtomic is the multi-shard primitive: one attempt to install t's
 // intents on every shard they touch under ONE GSN, logged as one record.
 // It holds the writer slots of the shards in fence (ascending; a superset
-// of those written) from before the plan until after the Append, and
-// releases them before the legs collect — by defer if a user comb panics,
-// which forfeits atomicity for the legs already installed but cannot wedge
-// the fence.  With a nil plan t's intents are already buffered; a non-nil
-// plan rebuilds them under the fence and may abandon the attempt by
-// returning false (see UpdateAtomicKeys).  Inside, openInstall drives the
-// seqlocks odd and commitLegs runs one commit per written shard, each that
-// published encoding its post-images from inside that very transaction;
-// once every leg has Set, closeInstall stamps the legs that published with
-// one freshly drawn GSN, if there are any, the record is appended and the
-// slots are released, and then the legs collect.  It reports whether
-// the attempt committed and the appended record's log watermark (0 when
-// none); a non-nil error means the commit is in memory but the log is
-// poisoned.
+// of those written) from before the plan until after the Append — released
+// by defer if a user comb panics, which forfeits atomicity for the legs
+// already installed but cannot wedge the fence.  With a nil plan t's
+// intents are already buffered; a non-nil plan rebuilds them under the
+// fence and may abandon the attempt by returning false (see
+// UpdateAtomicKeys).  Inside, openInstall drives the seqlocks odd and
+// commitLegs runs one commit per written shard, each that published
+// encoding its post-images from inside that very transaction; once every
+// leg has Set, the install's close stamps the legs that published with one
+// freshly drawn GSN, if there are any, the record is appended and the
+// slots are released.  Sequential legs collect after that; parallel legs
+// have collected before (commitLegs).  It reports whether the attempt
+// committed and the appended record's log watermark (0 when none); a
+// non-nil error means the commit is in memory but the log is poisoned.
 func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A]) bool) (committed bool, mark int64, err error) {
 	m.lockSlots(fence)
 	locked := true
@@ -142,16 +142,10 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 		defer w.putEnc(e)
 	}
 	write := t.touched()
-	m.openInstall(write)
-	open := true
-	defer func() {
-		if open { // a leg panicked
-			m.closeInstall(write, nil)
-		}
-	}()
+	in := m.openInstall(write)
+	defer in.close(nil)
 	m.commitLegs(write, t, e, func(published []int) {
-		open = false
-		if g := m.closeInstall(write, published); e != nil && g != 0 {
+		if g := in.close(published); e != nil && g != 0 {
 			mark, err = m.wal.log.AppendMark(g, e.buf)
 		}
 		locked = false
@@ -171,16 +165,17 @@ const parallelIngestFloor = 64
 // commitLegs commits t's intents on every shard in write (ascending), one
 // write transaction per shard, encodes the post-images of each leg that
 // published into e (nil without a log) in ascending shard order, and once
-// every leg has Set — each still on its pid, none collected — calls settle
-// with the shards whose legs published; the legs collect after settle
-// returns.  Sequential legs nest: each runs the next from between its Set
-// and its collect, so their pids are taken in ascending shard order, as a
-// View pins them.  Legs run in parallel when at least two carry
-// parallelIngestFloor entries or more, each encoding into its own pooled
-// encoder and parking after its Set until settle has run; e is then their
-// concatenation in shard order, the same bytes the sequential legs write.
-// A panic in any leg is re-raised here after every leg has returned, and
-// settle is not called.
+// every leg has Set calls settle with the shards whose legs published.
+// Sequential legs nest: each runs the next from between its Set and its
+// collect, so their pids are taken in ascending shard order, as a View
+// pins them, and every leg collects after settle returns.  Legs run in
+// parallel when at least two carry parallelIngestFloor entries or more,
+// each on its own goroutine, encoding into its own pooled encoder and
+// collecting before that goroutine ends: a parallel leg holds its pid only
+// for its own transaction and waits for no other leg, so its collect runs
+// under the slots, before settle.  e is then their concatenation in shard
+// order, the same bytes the sequential legs write.  A panic in any leg is
+// re-raised here after every leg has returned, and settle is not called.
 func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V], settle func(published []int)) {
 	changed := make([]bool, len(write))
 	big := 0
@@ -195,35 +190,19 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 	}
 	encs := make([]*walEnc[K, V], len(write))
 	panics := make([]any, len(write))
-	var set, done sync.WaitGroup
-	collect := make(chan struct{})
-	defer func() {
-		close(collect)
-		done.Wait()
-	}()
+	var wg sync.WaitGroup
 	for j := range write {
 		if e != nil {
 			encs[j] = m.wal.getEnc()
 		}
-		set.Add(1)
-		done.Add(1)
+		wg.Add(1)
 		go func() {
-			defer done.Done()
-			settled := false
-			defer func() {
-				if !settled {
-					panics[j] = recover()
-					set.Done()
-				}
-			}()
-			m.commitLeg(j, write, t, encs[j], changed, func() {
-				settled = true
-				set.Done()
-				<-collect
-			})
+			defer wg.Done()
+			defer func() { panics[j] = recover() }()
+			m.commitLeg(j, write, t, encs[j], changed, func() {})
 		}()
 	}
-	set.Wait()
+	wg.Wait()
 	for _, le := range encs {
 		if le != nil {
 			e.buf = append(e.buf, le.buf...)

@@ -8,17 +8,18 @@
 // only its writer-slot holder writes them:
 //
 //   - latest, the largest GSN the shard has committed.  A stamp is drawn
-//     only after its Set has landed (commitShard; closeInstall after the
-//     last leg), so observing latest >= g before pinning a version proves
-//     commit g is in it: a stamp never leads its own visibility.  The slot
-//     serialises a shard's stamps, so publishing one is a counter Add and a
-//     plain Store.
+//     only after its Set has landed (commitShard; an install's close after
+//     its last leg), so observing latest >= g before pinning a version
+//     proves commit g is in it: a stamp never leads its own visibility.
+//     The slot serialises a shard's stamps, so publishing one is a counter
+//     Add and a plain Store.
 //   - seq, the install seqlock: odd while an atomic install is mid-flight.
 //     ViewConsistent collects it before and after pinning; two equal even
 //     reads prove no install overlapped the pins.
 //   - slot, the writer slot: the shard's one writer lock, held by every
 //     commit from before its Set until after its log Append, and released
-//     before the commit collects.  Slots are taken in ascending shard order,
+//     before the commit collects (but parallel atomic legs collect under
+//     it; commitLegs).  Slots are taken in ascending shard order,
 //     and always before the pid a commit runs on: no pid holder waits for a
 //     slot, so a slot holder waiting for a pid waits only for transactions
 //     that finish on their own.  A waiter spins before it parks
@@ -89,31 +90,47 @@ func (m *Map[K, V, A]) stamp(i int) uint64 {
 	return g
 }
 
-// openInstall starts a cross-shard install on touched, whose slots the
-// caller holds: it drives their seqlocks odd, so a ViewConsistent that
-// overlaps the legs retries.  closeInstall ends it.
-func (m *Map[K, V, A]) openInstall(touched []int) {
-	for _, i := range touched {
-		m.shards[i].seq.Add(1)
-	}
+// install is one cross-shard install in flight, from openInstall until
+// its first close.
+type install[K, V, A any] struct {
+	m       *Map[K, V, A]
+	touched []int
+	open    bool
 }
 
-// closeInstall ends the install openInstall started, once every leg has
-// Set: it draws ONE GSN, publishes it on each shard in published, and
-// drives the seqlocks of touched even.  It returns the GSN, or 0 when
-// nothing was published, which takes no stamp.  A caller whose legs panic
-// still closes, with no published shards: the panic (a comb's) forfeits
-// the transaction's atomicity — legs already installed stay, unstamped —
-// but must not wedge every later consistent read.
-func (m *Map[K, V, A]) closeInstall(touched, published []int) (g uint64) {
-	if len(published) > 0 {
-		g = m.gsn.Add(1)
-		for _, i := range published {
-			m.shards[i].latest.Store(g)
-		}
-	}
+// openInstall starts a cross-shard install on touched, whose slots the
+// caller holds: it drives their seqlocks odd, so a ViewConsistent that
+// overlaps the legs retries.  The caller defers close(nil) at once, so a
+// panic in a leg still ends the install.
+func (m *Map[K, V, A]) openInstall(touched []int) *install[K, V, A] {
 	for _, i := range touched {
 		m.shards[i].seq.Add(1)
+	}
+	return &install[K, V, A]{m: m, touched: touched, open: true}
+}
+
+// close ends the install once every leg has Set: it draws ONE GSN,
+// publishes it on each shard in published, and drives the seqlocks of
+// touched even.  It returns the GSN, or 0 when nothing was published,
+// which takes no stamp, and is a no-op returning 0 once the install has
+// ended.  An install whose legs panic is closed by the deferred
+// close(nil): the panic (a comb's) forfeits the transaction's atomicity —
+// legs already installed stay, unstamped — but must not wedge every later
+// consistent read.
+func (in *install[K, V, A]) close(published []int) (g uint64) {
+	if !in.open {
+		return 0
+	}
+	in.open = false
+	shards := in.m.shards
+	if len(published) > 0 {
+		g = in.m.gsn.Add(1)
+		for _, i := range published {
+			shards[i].latest.Store(g)
+		}
+	}
+	for _, i := range in.touched {
+		shards[i].seq.Add(1)
 	}
 	return g
 }

@@ -248,7 +248,7 @@ func TestInstallProtocol(t *testing.T) {
 	before := latestStamps(t, m)
 	fence := []int{0, 2}
 	m.lockSlots(fence)
-	m.openInstall(fence)
+	in := m.openInstall(fence)
 	for _, i := range fence {
 		if q := m.shards[i].seq.Load(); q&1 != 1 {
 			t.Errorf("shard %d seqlock %d during the install, want odd", i, q)
@@ -263,7 +263,7 @@ func TestInstallProtocol(t *testing.T) {
 	if q := m.shards[1].seq.Load(); q != 0 {
 		t.Errorf("untouched shard's seqlock at %d", q)
 	}
-	g := m.closeInstall(fence, fence)
+	g := in.close(fence)
 	m.unlockSlots(fence)
 	if g != m.CommitGSN() || g <= slices.Max(before) {
 		t.Fatalf("install stamped %d, CommitGSN %d, stamps before %v", g, m.CommitGSN(), before)
@@ -290,13 +290,13 @@ func TestInstallAtomic(t *testing.T) {
 	defer m.Close()
 	all := []int{0, 1}
 	m.lockSlots(all)
-	m.openInstall(all)
+	in := m.openInstall(all)
 	for i, s := range m.shards {
 		s.With(func(h *core.Handle[uint64, uint64, struct{}]) {
 			h.Update(func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(uint64(i), 1) })
 		})
 	}
-	g := m.closeInstall(all, all)
+	g := in.close(all)
 	m.unlockSlots(all)
 	if g == 0 || m.CommitGSN() != g {
 		t.Fatalf("install returned %d, CommitGSN %d", g, m.CommitGSN())
@@ -312,15 +312,18 @@ func TestInstallAtomic(t *testing.T) {
 			t.Fatalf("shard %d lost its leg: %d,%v", i, v, ok)
 		}
 	}
-	m.openInstall(nil)
-	if g := m.closeInstall(nil, nil); g != 0 {
+	if g := m.openInstall(nil).close(nil); g != 0 {
 		t.Fatalf("empty footprint returned %d", g)
 	}
 	m.lockSlots(all)
 	g0 := m.CommitGSN()
-	m.openInstall(all)
-	if g := m.closeInstall(all, nil); g != 0 || m.CommitGSN() != g0 {
+	in = m.openInstall(all)
+	if g := in.close(nil); g != 0 || m.CommitGSN() != g0 {
 		t.Fatalf("an install that published nothing returned %d and moved CommitGSN %d → %d", g, g0, m.CommitGSN())
+	}
+	q0 := m.shards[0].seq.Load()
+	if g := in.close(all); g != 0 || m.CommitGSN() != g0 || m.shards[0].seq.Load() != q0 {
+		t.Fatalf("a second close returned %d, moved CommitGSN %d → %d or seqlock %d → %d", g, g0, m.CommitGSN(), q0, m.shards[0].seq.Load())
 	}
 	m.unlockSlots(all)
 	if err := m.UpdateAtomic(func(tx *txn) { tx.Insert(2, 1); tx.Insert(3, 1) }); err != nil {

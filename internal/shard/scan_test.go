@@ -249,12 +249,12 @@ func TestTornScanForeclosed(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// A two-shard atomic install of {a: 1, b: 1}, through the map's own
-		// openInstall/closeInstall, that parks mid-flight, exactly as an UpdateAtomic
+		// openInstall and close, that parks mid-flight, exactly as an UpdateAtomic
 		// would look to a reader that caught it between the two installs.
 		fence := []int{min(sa, sb), max(sa, sb)}
 		m.lockSlots(fence)
 		defer m.unlockSlots(fence)
-		m.openInstall(fence)
+		in := m.openInstall(fence)
 		m.shards[sa].With(func(h *core.Handle[int64, int64, int64]) {
 			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(a, 1) })
 		})
@@ -263,7 +263,7 @@ func TestTornScanForeclosed(t *testing.T) {
 		m.shards[sb].With(func(h *core.Handle[int64, int64, int64]) {
 			h.Update(func(tx *core.Txn[int64, int64, int64]) { tx.Insert(b, 1) })
 		})
-		m.closeInstall(fence, fence)
+		in.close(fence)
 	}()
 
 	<-installing

@@ -140,8 +140,15 @@ func TestLockOrderStress(t *testing.T) {
 		}
 		return m.Delete(key(i, 2))
 	})
+	wide := make([]ftree.Entry[uint64, uint64], shards*parallelIngestFloor) // every leg parallel
 	worker("batch", func(i int) error {
 		if err := m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: key(i, 3), Val: 2}, {Key: key(i, 4), Val: 2}, {Key: key(i, 5), Val: 2}}, nil); err != nil {
+			return err
+		}
+		for j := range wide {
+			wide[j] = ftree.Entry[uint64, uint64]{Key: 64 + uint64(j), Val: uint64(i)}
+		}
+		if err := m.InsertBatch(wide, nil); err != nil {
 			return err
 		}
 		return m.DeleteBatch([]uint64{key(i, 6), key(i, 7)})
@@ -225,13 +232,94 @@ func TestLockOrderStress(t *testing.T) {
 	}
 }
 
+// TestParallelLegsBesideReaders: an atomic batch whose legs run in
+// parallel (two legs of parallelIngestFloor entries or more) beside
+// readers that pin every shard, on one pid per shard.  A reader holds
+// shard 0's pid while it waits for shard 1's, so a parallel leg must not
+// hold its pid while it waits for another leg.  Fails on a deadline rather
+// than hanging.
+func TestParallelLegsBesideReaders(t *testing.T) {
+	const shards = 2
+	iters := 300
+	if testing.Short() {
+		iters = 60
+	}
+	m, err := New(
+		Config[uint64]{Shards: shards, Procs: 1, Hash: func(k uint64) uint64 { return k }},
+		func() *ftree.Ops[uint64, uint64, struct{}] {
+			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
+		},
+		nil,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := make([]ftree.Entry[uint64, uint64], 2*shards*parallelIngestFloor)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < iters; i++ {
+			for j := range es {
+				es[j] = ftree.Entry[uint64, uint64]{Key: uint64(j), Val: uint64(i)}
+			}
+			if err := m.InsertBatch(es, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for _, consistent := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				read := func(s Snap[uint64, uint64, struct{}]) { s.Len() }
+				if consistent {
+					m.ViewConsistent(read)
+				} else {
+					m.View(read)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("no progress in 2 minutes: deadlock?\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if a := m.Aborts(); a != 0 {
+		t.Errorf("%d Set failures: some commit ran beside its shard's writer", a)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := m.Live(); live != 0 {
+		t.Fatalf("leaked %d nodes", live)
+	}
+}
+
 // TestCollectAfterSlot: a commit frees its shard's writer slot before it
 // collects, and still collects before the write returns.  A ReleaseVal hook
 // runs inside the collector — it fires for every value of a freed node — and
-// checks that its shard's writer slot is free there, for a point write, a
-// two-shard atomic write on sequential legs and one on parallel legs.  Once
-// each write has returned with no reader pinned, every shard retains one
-// version and the allocator holds exactly the nodes those versions reach.
+// checks that its shard's writer slot is free there, for a point write and
+// a two-shard atomic write on sequential legs.  (Parallel legs collect
+// under the slots; commitLegs.)  Once each write has returned with no
+// reader pinned, every shard retains one version and the allocator holds
+// exactly the nodes those versions reach — after the parallel-leg load too.
 func TestCollectAfterSlot(t *testing.T) {
 	type txn = Txn[uint64, uint64, struct{}]
 	const shards = 2
@@ -241,7 +329,7 @@ func TestCollectAfterSlot(t *testing.T) {
 	m, err := New(
 		Config[uint64]{Shards: shards, Procs: 2, Hash: func(k uint64) uint64 { return k }},
 		func() *ftree.Ops[uint64, uint64, struct{}] {
-			i := made // the shard these ops serve; parallel legs collect on their own goroutines
+			i := made // the shard these ops serve
 			made++
 			o := ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 			o.RetainVal = func(v uint64) uint64 { return v }
@@ -287,7 +375,7 @@ func TestCollectAfterSlot(t *testing.T) {
 	if err := m.InsertBatch(batch(4*parallelIngestFloor, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	precise("load")
+	precise("load on parallel legs")
 	for _, w := range []struct {
 		name  string
 		write func() error
@@ -297,7 +385,6 @@ func TestCollectAfterSlot(t *testing.T) {
 		{"UpdateAtomic/sequential legs", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(4, 3); tx.Insert(5, 3) })
 		}},
-		{"InsertBatch/parallel legs", func() error { return m.InsertBatch(batch(4*parallelIngestFloor, 4), nil) }},
 	} {
 		collected.Store(0)
 		held.Store(0)

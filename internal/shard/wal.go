@@ -179,13 +179,14 @@ func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []
 	m.FloorGSN(max(cut, 1) - 1)
 	m.lockSlots(all)
 	defer m.unlockSlots(all)
-	m.openInstall(all)
+	in := m.openInstall(all)
+	defer in.close(nil)
 	for i, s := range m.shards {
 		s.With(func(h *core.Handle[K, V, A]) {
 			h.Update(func(tx *core.Txn[K, V, A]) { tx.SetRoot(s.Ops().Share(roots[i])) })
 		})
 	}
-	return m.closeInstall(all, all), nil
+	return in.close(all), nil
 }
 
 // WALStats exposes the attached log's counters (nil-safe: zero when no WAL).
