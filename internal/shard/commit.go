@@ -1,15 +1,15 @@
-// The commit pipeline: every write entry point plans its intents, commits
-// them through one of two primitives — commitShard (one shard) or
-// commitAtomic (every write that spans shards, under one GSN) — and ends in
-// groupCommit.  Both primitives hold the writer slot of every shard they
-// write from before the Set until after the Append, and (but for parallel
-// atomic legs) collect after releasing it, still on the pid they committed
-// on: the slot is the shard's one writer lock, so a shard has one writer
-// at a time, as in the paper, and its log order is its commit order.  The
-// lock order (writer slots ascending by shard → pid) and the logging rules
-// (encode inside the committing transaction, apply then log, no record
-// without a stamp, no lock held across the fsync wait) are written here
-// once; DESIGN.md "The commit pipeline" states them in full.
+// The commit pipeline: every write entry point — point op, combiner batch,
+// UpdateAtomic, InsertBatch, DeleteBatch, UpdateAtomicKeys, a replayed
+// record — plans its intents into a Txn, commits them through one
+// primitive, commitAtomic, and ends in groupCommit.  commitAtomic holds the
+// writer slot of every shard it writes from before the Set until after the
+// Append, and (but for parallel legs) collects after releasing it, still on
+// the pid it committed on: the slot is the shard's one writer lock, so a
+// shard has one writer at a time, as in the paper, and its log order is its
+// commit order.  The lock order (writer slots ascending by shard → pid) and
+// the logging rules (encode inside the committing transaction, apply then
+// log, no record without a stamp, no lock held across the fsync wait) are
+// written here once; DESIGN.md "The commit pipeline" states them in full.
 package shard
 
 import (
@@ -42,86 +42,24 @@ func (m *Map[K, V, A]) groupCommit(mark int64, err error) error {
 	return m.wal.log.CommitTo(mark)
 }
 
-// commitShard is the single-shard primitive: under shard i's writer slot,
-// apply commits as one write transaction on a pid leased for it; if it
-// published a version, the commit is stamped with a fresh GSN and, only if
-// a log is attached, the record encode produces is appended under that GSN.
-// Then the slot is released, and only then does the transaction collect —
-// on the same pid, before commitShard returns (core.Map.TryUpdate's then).
-// encode runs inside the committing transaction, after apply, so combining
-// writes log their resolved post-image.  It returns the appended record's
-// log watermark, 0 when there was none; the caller owes the groupCommit.
-func (m *Map[K, V, A]) commitShard(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) (mark int64, err error) {
-	s := m.shards[i]
-	s.LockWriterSlot()
-	locked := true
-	defer func() {
-		if locked {
-			s.UnlockWriterSlot()
-		}
-	}()
-	var e *walEnc[K, V]
-	if w := m.wal; w != nil {
-		e = w.getEnc()
-		defer w.putEnc(e)
-	}
-	m.commitOn(i, apply, encode, e, func(published bool) {
-		if published {
-			g := m.stamp(i)
-			if e != nil {
-				mark, err = m.wal.log.AppendMark(g, e.buf)
-			}
-		}
-		locked = false
-		s.UnlockWriterSlot()
-	})
-	return mark, err
-}
-
-// commitOn runs apply as one write transaction on a pid leased from shard
-// i, whose writer slot the caller holds; if the transaction publishes a
-// version and e is non-nil, encode writes its record into e from inside
-// it.  then runs after the Set and before the transaction collects, told
-// whether it published.  With the slot held no other writer commits on the
-// shard, so the Set does not fail; the retry is core's contract, not a path
-// this protocol takes (Aborts() stays 0).
-func (m *Map[K, V, A]) commitOn(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A]), e *walEnc[K, V], then func(published bool)) {
-	published := false
-	m.shards[i].With(func(h *core.Handle[K, V, A]) {
-		for !h.TryUpdate(func(tx *core.Txn[K, V, A]) {
-			apply(tx)
-			if published = tx.Changed(); published && e != nil {
-				encode(e, tx)
-			}
-		}, func() { then(published) }) {
-		}
-	})
-}
-
-// commitIntents is commitShard for a plan of buffered intents.
-func (m *Map[K, V, A]) commitIntents(i int, list []intent[K, V]) (int64, error) {
-	return m.commitShard(i,
-		func(tx *core.Txn[K, V, A]) { replay(tx, list) },
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encodeIntents(e, tx, list) })
-}
-
-// commitAtomic is the multi-shard primitive: one attempt to install t's
+// commitAtomic is the commit primitive: one attempt to install t's
 // intents on every shard they touch under ONE GSN, logged as one record.
 // It holds the writer slots of the shards in fence (ascending; a superset
 // of those written) from before the plan until after the Append — released
 // by defer if a user comb panics, which forfeits atomicity for the legs
 // already installed but cannot wedge the fence.  With a nil plan t's
-// intents are already buffered; a non-nil plan rebuilds them under the
-// fence and may abandon the attempt by returning false (see
-// UpdateAtomicKeys).  Inside, openInstall drives the seqlocks odd and
-// commitLegs runs one commit per written shard, each that published
-// encoding its post-images from inside that very transaction; once every
-// leg has Set, the install's close stamps the legs that published with one
-// freshly drawn GSN, if there are any, the record is appended and the
-// slots are released.  Sequential legs collect after that; parallel legs
-// have collected before (commitLegs).  It reports whether the attempt
-// committed and the appended record's log watermark (0 when none); a
-// non-nil error means the commit is in memory but the log is poisoned.
+// intents are already buffered and fence is the shards they touch; a
+// non-nil plan rebuilds them under the fence and may abandon the attempt by
+// returning false (see UpdateAtomicKeys).  Inside, openInstall drives the
+// seqlocks odd when two or more shards are written, and commitLegs runs one
+// commit per written shard, each that published encoding its post-images
+// from inside that very transaction; once every leg has Set, the install's
+// close stamps the legs that published with one freshly drawn GSN, if there
+// are any, the record is appended and the slots are released.  Sequential
+// legs collect after that; parallel legs have collected before
+// (commitLegs).  It reports whether the attempt committed and the appended
+// record's log watermark (0 when none); a non-nil error means the commit is
+// in memory but the log is poisoned.
 func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *Txn[K, V, A]) bool) (committed bool, mark int64, err error) {
 	m.lockSlots(fence)
 	locked := true
@@ -130,18 +68,19 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 			m.unlockSlots(fence)
 		}
 	}()
+	write := fence
 	if plan != nil {
 		t.reset()
 		if !plan(t) {
 			return false, 0, nil
 		}
+		write = t.touched()
 	}
 	var e *walEnc[K, V]
 	if w := m.wal; w != nil {
 		e = w.getEnc()
 		defer w.putEnc(e)
 	}
-	write := t.touched()
 	in := m.openInstall(write)
 	defer in.close(nil)
 	m.commitLegs(write, t, e, func(published []int) {
@@ -152,6 +91,14 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 		m.unlockSlots(fence)
 	})
 	return true, mark, err
+}
+
+// commitHome commits t's intents, all on shard i: a point write or a
+// combiner batch.
+func (m *Map[K, V, A]) commitHome(i int, t *Txn[K, V, A]) (int64, error) {
+	home := [1]int{i}
+	_, mark, err := m.commitAtomic(home[:], t, nil)
+	return mark, err
 }
 
 // parallelIngestFloor is the leg size from which an atomic commit runs its
@@ -177,7 +124,7 @@ const parallelIngestFloor = 64
 // order, the same bytes the sequential legs write.  A panic in any leg is
 // re-raised here after every leg has returned, and settle is not called.
 func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V], settle func(published []int)) {
-	changed := make([]bool, len(write))
+	t.changed = slices.Grow(t.changed[:0], len(write))[:len(write)] // each leg sets its own
 	big := 0
 	for _, i := range write {
 		if legEntries(t.intents[i]) >= parallelIngestFloor {
@@ -185,13 +132,13 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 		}
 	}
 	if big < 2 {
-		m.nestLegs(0, write, t, e, changed, settle)
+		m.nestLegs(0, write, t, e, settle)
 		return
 	}
 	encs := make([]*walEnc[K, V], len(write))
 	panics := make([]any, len(write))
 	var wg sync.WaitGroup
-	for j := range write {
+	for j, i := range write {
 		if e != nil {
 			encs[j] = m.wal.getEnc()
 		}
@@ -199,7 +146,8 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 		go func() {
 			defer wg.Done()
 			defer func() { panics[j] = recover() }()
-			m.commitLeg(j, write, t, encs[j], changed, func() {})
+			var keys []K
+			m.commitLeg(i, t.intents[i], encs[j], &keys, &t.changed[j], func() {})
 		}()
 	}
 	wg.Wait()
@@ -214,45 +162,43 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 			panic(p)
 		}
 	}
-	settle(publishedLegs(write, changed))
+	settle(t.publishedLegs(write))
 }
 
 // nestLegs commits legs j.. of write in order, each from between the
 // previous leg's Set and its collect, and calls settle from inside the
 // last one.
-func (m *Map[K, V, A]) nestLegs(j int, write []int, t *Txn[K, V, A], e *walEnc[K, V], changed []bool, settle func(published []int)) {
+func (m *Map[K, V, A]) nestLegs(j int, write []int, t *Txn[K, V, A], e *walEnc[K, V], settle func(published []int)) {
 	if j == len(write) {
-		settle(publishedLegs(write, changed))
+		settle(t.publishedLegs(write))
 		return
 	}
-	m.commitLeg(j, write, t, e, changed, func() { m.nestLegs(j+1, write, t, e, changed, settle) })
+	i := write[j]
+	m.commitLeg(i, t.intents[i], e, &t.keys, &t.changed[j], func() { m.nestLegs(j+1, write, t, e, settle) })
 }
 
-// commitLeg commits t's intents on shard write[j], records in changed[j]
-// whether that published, and runs then between the leg's Set and its
-// collect.
-func (m *Map[K, V, A]) commitLeg(j int, write []int, t *Txn[K, V, A], e *walEnc[K, V], changed []bool, then func()) {
-	list := t.intents[write[j]]
-	m.commitOn(write[j],
-		func(tx *core.Txn[K, V, A]) { replay(tx, list) },
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { encodeIntents(e, tx, list) },
-		e, func(published bool) { changed[j] = published; then() })
-}
-
-// publishedLegs returns the shards of write whose legs changed.
-func publishedLegs(write []int, changed []bool) (published []int) {
-	for j, i := range write {
-		if changed[j] {
-			published = append(published, i)
+// commitLeg runs list on shard i as one write transaction on a pid leased
+// from that shard, whose writer slot the caller holds.  It records in
+// *changed whether the transaction published and, if it did and e is
+// non-nil, encodes the leg's record into e from inside it; keys is the
+// leg's replay scratch.  then runs between the Set and the collect.  With
+// the slot held no other writer commits on the shard, so the Set does not
+// fail; the retry is core's contract, not a path this protocol takes
+// (Aborts() stays 0).
+func (m *Map[K, V, A]) commitLeg(i int, list []intent[K, V], e *walEnc[K, V], keys *[]K, changed *bool, then func()) {
+	m.shards[i].With(func(h *core.Handle[K, V, A]) {
+		for !h.TryUpdate(func(tx *core.Txn[K, V, A]) {
+			replay(tx, list, keys)
+			if *changed = tx.Changed(); *changed && e != nil {
+				encodeIntents(e, tx, list)
+			}
+		}, then) {
 		}
-	}
-	return published
+	})
 }
 
 // commitTxn commits t's buffered intents as one atomic transaction and
-// returns its record's log watermark; the caller owes the groupCommit.  A
-// single-shard footprint skips the seqlock protocol — one shard's commit is
-// already atomic and its normal stamp orders it globally.
+// returns its record's log watermark; the caller owes the groupCommit.
 func (m *Map[K, V, A]) commitTxn(t *Txn[K, V, A]) (mark int64, err error) {
 	touched := t.touched()
 	if len(touched) == 0 {
@@ -261,15 +207,12 @@ func (m *Map[K, V, A]) commitTxn(t *Txn[K, V, A]) (mark int64, err error) {
 	if err := m.logErr(); err != nil {
 		return 0, err
 	}
-	if len(touched) == 1 {
-		i := touched[0]
-		return m.commitIntents(i, t.intents[i])
-	}
 	_, mark, err = m.commitAtomic(touched, t, nil)
 	return mark, err
 }
 
-// commitPoint commits one intent on its key's shard.
+// commitPoint commits one intent on its key's shard, planned into a pooled
+// Txn.
 func (m *Map[K, V, A]) commitPoint(in intent[K, V]) error {
 	i := m.ShardFor(in.key)
 	if !m.enter(i) {
@@ -279,8 +222,16 @@ func (m *Map[K, V, A]) commitPoint(in intent[K, V]) error {
 	if err := m.logErr(); err != nil {
 		return err
 	}
-	list := [1]intent[K, V]{in}
-	return m.groupCommit(m.commitIntents(i, list[:]))
+	t, ok := m.txns.Get().(*Txn[K, V, A])
+	if !ok {
+		t = m.newTxn()
+	}
+	t.intents[i] = append(t.intents[i][:0], in)
+	mark, err := m.commitHome(i, t)
+	t.intents[i][0] = intent[K, V]{} // the pool keeps no caller's key, value or comb
+	t.intents[i] = t.intents[i][:0]
+	m.txns.Put(t)
+	return m.groupCommit(mark, err)
 }
 
 // Insert adds or replaces one entry in a single-shard write transaction.

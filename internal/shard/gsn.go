@@ -8,14 +8,14 @@
 // only its writer-slot holder writes them:
 //
 //   - latest, the largest GSN the shard has committed.  A stamp is drawn
-//     only after its Set has landed (commitShard; an install's close after
-//     its last leg), so observing latest >= g before pinning a version
-//     proves commit g is in it: a stamp never leads its own visibility.
-//     The slot serialises a shard's stamps, so publishing one is a counter
-//     Add and a plain Store.
-//   - seq, the install seqlock: odd while an atomic install is mid-flight.
-//     ViewConsistent collects it before and after pinning; two equal even
-//     reads prove no install overlapped the pins.
+//     in one place, an install's close, only after its last leg has Set,
+//     so observing latest >= g before pinning a version proves commit g is
+//     in it: a stamp never leads its own visibility.  The slot serialises a
+//     shard's stamps, so publishing one is a counter Add and a plain Store.
+//   - seq, the install seqlock: odd while an install that writes two or
+//     more shards is mid-flight.  ViewConsistent collects it before and
+//     after pinning; two equal even reads prove no install overlapped the
+//     pins.
 //   - slot, the writer slot: the shard's one writer lock, held by every
 //     commit from before its Set until after its log Append, and released
 //     before the commit collects (but parallel atomic legs collect under
@@ -25,7 +25,10 @@
 //     that finish on their own.  A waiter spins before it parks
 //     (LockWriterSlot).
 //
-// DESIGN.md, "The GSN protocol".
+// Because a stamp follows its Set, the counter itself, read before a
+// consistent read's first pin, is a sound checkpoint cut: every commit
+// stamped at or below it is in every pinned root (Checkpoint).  DESIGN.md,
+// "The GSN protocol".
 package shard
 
 import (
@@ -82,41 +85,38 @@ func (m *Map[K, V, A]) unlockSlots(idx []int) {
 	}
 }
 
-// stamp draws the next GSN and publishes it as shard i's latest commit.
-// The caller holds slot i and has just published a version there.
-func (m *Map[K, V, A]) stamp(i int) uint64 {
-	g := m.gsn.Add(1)
-	m.shards[i].latest.Store(g)
-	return g
-}
-
-// install is one cross-shard install in flight, from openInstall until
-// its first close.
+// install is one commit's install in flight, from openInstall until its
+// first close.
 type install[K, V, A any] struct {
-	m       *Map[K, V, A]
-	touched []int
-	open    bool
+	m    *Map[K, V, A]
+	seqd []int // the shards whose seqlocks it holds odd; nil for one shard
+	open bool
 }
 
-// openInstall starts a cross-shard install on touched, whose slots the
-// caller holds: it drives their seqlocks odd, so a ViewConsistent that
-// overlaps the legs retries.  The caller defers close(nil) at once, so a
-// panic in a leg still ends the install.
-func (m *Map[K, V, A]) openInstall(touched []int) *install[K, V, A] {
-	for _, i := range touched {
-		m.shards[i].seq.Add(1)
+// openInstall starts the install of a commit that writes the shards in
+// write, whose slots the caller holds.  One shard's commit is atomic on its
+// own, so only an install that writes two or more drives their seqlocks
+// odd: a ViewConsistent that overlaps its legs then retries.  The caller
+// defers close(nil) at once, so a panic in a leg still ends the install.
+func (m *Map[K, V, A]) openInstall(write []int) install[K, V, A] {
+	in := install[K, V, A]{m: m, open: true}
+	if len(write) > 1 {
+		in.seqd = write
+		for _, i := range write {
+			m.shards[i].seq.Add(1)
+		}
 	}
-	return &install[K, V, A]{m: m, touched: touched, open: true}
+	return in
 }
 
-// close ends the install once every leg has Set: it draws ONE GSN,
-// publishes it on each shard in published, and drives the seqlocks of
-// touched even.  It returns the GSN, or 0 when nothing was published,
-// which takes no stamp, and is a no-op returning 0 once the install has
-// ended.  An install whose legs panic is closed by the deferred
-// close(nil): the panic (a comb's) forfeits the transaction's atomicity —
-// legs already installed stay, unstamped — but must not wedge every later
-// consistent read.
+// close ends the install once every leg has Set: it draws ONE GSN — the
+// only place a commit's GSN is drawn — publishes it on each shard in
+// published, and drives the seqlocks it holds even.  It returns the GSN,
+// or 0 when nothing was published, which takes no stamp, and is a no-op
+// returning 0 once the install has ended.  An install whose legs panic is
+// closed by the deferred close(nil): the panic (a comb's) forfeits the
+// transaction's atomicity — legs already installed stay, unstamped — but
+// must not wedge every later consistent read.
 func (in *install[K, V, A]) close(published []int) (g uint64) {
 	if !in.open {
 		return 0
@@ -129,7 +129,7 @@ func (in *install[K, V, A]) close(published []int) (g uint64) {
 			shards[i].latest.Store(g)
 		}
 	}
-	for _, i := range in.touched {
+	for _, i := range in.seqd {
 		shards[i].seq.Add(1)
 	}
 	return g

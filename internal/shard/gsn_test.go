@@ -64,10 +64,12 @@ func latestStamps[K, V, A any](t *testing.T, m *Map[K, V, A]) []uint64 {
 	return out
 }
 
-// TestStampAdvancesPerCommit: every commit primitive advances each shard it
+// TestStampAdvancesPerCommit: every write shape advances each shard it
 // writes to the GSN it logs — point, batch, combiner batch, atomic install,
-// a Txn.InsertBatch, a replayed record — and a commit that publishes
-// nothing, on one shard or on several, takes no GSN and appends no record.
+// a Txn.InsertBatch, UpdateAtomicKeys on one shard and on two, a replayed
+// record — and a commit that publishes nothing, on one shard or on several,
+// takes no GSN and appends no record.  Only a write of two or more shards
+// moves install seqlocks, and every seqlock is even after every row.
 // A shard's stamp moves exactly when its contents do, so an atomic leg that
 // publishes nothing beside one that does is neither stamped nor logged.  A
 // snapshot load stamps every shard with the cut of the checkpoint it writes.
@@ -90,42 +92,69 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		e.appendInsert(k, v)
 		return e.buf
 	}
+	// seqs is how many shards' install seqlocks the row moves, each by one
+	// odd/even pair: the shards a write spanning two or more writes.  A
+	// one-shard commit leaves its seqlock where it was.
 	rows := []struct {
 		name    string
 		write   func() error
 		records int
+		seqs    int
 	}{
-		{"point", func() error { return m.Insert(1, 10) }, 1},
-		{"point/no-op", func() error { return m.Delete(999) }, 0},
-		{"read-only", func() error { m.Get(1); return m.UpdateAtomicKeys([]uint64{1}, func(tx *txn) { tx.Get(1) }) }, 0},
+		{"point", func() error { return m.Insert(1, 10) }, 1, 0},
+		{"point/no-op", func() error { return m.Delete(999) }, 0, 0},
+		{"read-only", func() error { m.Get(1); return m.UpdateAtomicKeys([]uint64{1}, func(tx *txn) { tx.Get(1) }) }, 0, 0},
 		{"batch", func() error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 2, Val: 1}, {Key: 3, Val: 1}, {Key: 4, Val: 1}, {Key: 5, Val: 1}}, nil)
-		}, 1},
-		{"batch/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0},
+		}, 1, 4},
+		{"batch/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0, 2},
 		{"combiner batch", func() error {
 			m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 6, Val: 1})
 			return nil
-		}, 1},
+		}, 1, 0},
 		{"atomic install", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(7, 1); tx.Insert(8, 1); tx.InsertWith(9, 1, add) })
-		}, 1},
+		}, 1, 3},
 		{"atomic install/no-op", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Delete(997); tx.Delete(998) })
-		}, 0},
+		}, 0, 2},
 		{"atomic install/no-op leg", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(12, 1); tx.Delete(997) })
-		}, 1}, // shard 0 publishes; shard 1's delete of an absent key does not
+		}, 1, 2}, // shard 0 publishes; shard 1's delete of an absent key does not
 		{"Txn.InsertBatch", func() error {
 			return m.UpdateAtomic(func(tx *txn) {
 				tx.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 9, Val: 1}, {Key: 10, Val: 1}, {Key: 9, Val: 1}}, add)
 			})
-		}, 1},
+		}, 1, 2},
+		{"UpdateAtomicKeys/one shard", func() error {
+			return m.UpdateAtomicKeys([]uint64{1, 5}, func(tx *txn) {
+				a, _ := tx.Get(1)
+				b, _ := tx.Get(5)
+				tx.Insert(1, a+b)
+				tx.Insert(5, a)
+			})
+		}, 1, 0},
+		{"UpdateAtomicKeys/two shards", func() error {
+			return m.UpdateAtomicKeys([]uint64{1, 2}, func(tx *txn) {
+				a, _ := tx.Get(1)
+				b, _ := tx.Get(2)
+				tx.Insert(1, b)
+				tx.Insert(2, a)
+			})
+		}, 1, 2},
 		{"replayed record", func() error { // relogged, synced only by SyncWAL
 			if err := m.ReplayRecord(m.CommitGSN()+10, record(11, 1)); err != nil {
 				return err
 			}
 			return m.SyncWAL()
-		}, 1},
+		}, 1, 0},
+	}
+	seqlocks := func() []uint64 {
+		out := make([]uint64, m.NumShards())
+		for i, s := range m.shards {
+			out[i] = s.seq.Load()
+		}
+		return out
 	}
 	perShard := func() []map[uint64]uint64 {
 		out := make([]map[uint64]uint64, m.NumShards())
@@ -138,7 +167,7 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		return out
 	}
 	for _, r := range rows {
-		before, g0, was := latestStamps(t, m), m.CommitGSN(), perShard()
+		before, g0, was, seq0 := latestStamps(t, m), m.CommitGSN(), perShard(), seqlocks()
 		if err := r.write(); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -155,7 +184,19 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 				want[i] = rec.gsn
 			}
 		}
-		got := latestStamps(t, m)
+		got := latestStamps(t, m) // and every seqlock even
+		moved := 0
+		for i, q := range seqlocks() {
+			if q != seq0[i] {
+				if q != seq0[i]+2 {
+					t.Fatalf("%s: shard %d seqlock %d → %d, want unmoved or one odd/even pair", r.name, i, seq0[i], q)
+				}
+				moved++
+			}
+		}
+		if moved != r.seqs {
+			t.Fatalf("%s: moved %d seqlocks, want %d", r.name, moved, r.seqs)
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: shard stamps %v → %v, want %v (records %v)", r.name, before, got, want, recs)
 		}
@@ -312,7 +353,8 @@ func TestInstallAtomic(t *testing.T) {
 			t.Fatalf("shard %d lost its leg: %d,%v", i, v, ok)
 		}
 	}
-	if g := m.openInstall(nil).close(nil); g != 0 {
+	empty := m.openInstall(nil)
+	if g := empty.close(nil); g != 0 {
 		t.Fatalf("empty footprint returned %d", g)
 	}
 	m.lockSlots(all)

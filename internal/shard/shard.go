@@ -10,16 +10,16 @@
 //
 // # One write mode, two read modes
 //
-// A write that touches one shard commits as one write transaction there.
-// A write that spans shards — UpdateAtomic, UpdateAtomicKeys, InsertBatch,
-// DeleteBatch — always commits atomically: every touched shard's new root
-// is installed under ONE global commit sequence number (GSN) behind
-// per-shard install seqlocks, logged as one record, so neither a
-// consistent read nor recovery ever sees it torn.  Every committed root is
-// stamped from that one shared counter.  UpdateAtomicKeys is two-phase
-// locking on the writer slots: the footprint's slots are held from before
-// the transaction's reads until its install, so a committed transaction is
-// a multi-key compare-and-swap, serializable against all writers.
+// Every write commits atomically: every touched shard's new root is
+// installed under ONE global commit sequence number (GSN), logged as one
+// record, so neither a consistent read nor recovery ever sees it torn.  A
+// write that touches one shard is one write transaction there; one that
+// spans shards — UpdateAtomic, UpdateAtomicKeys, InsertBatch, DeleteBatch —
+// also holds per-shard install seqlocks odd while its legs install.
+// UpdateAtomicKeys is two-phase locking on the writer slots: the
+// footprint's slots are held from before the transaction's reads until its
+// install, so a committed transaction is a multi-key compare-and-swap,
+// serializable against all writers.
 //
 // Reads pick their mode.  View, the fast default, pins one version per
 // shard — each a consistent, immutable snapshot, the paper's delay-free
@@ -56,13 +56,13 @@
 // combiner batch, a recovered or replicated redo record — is the paper's
 // one transaction shape run through the same pipeline: plan intents →
 // writer slots → install under a GSN → log → release → group fsync.
-// commit.go holds its two primitives (commitShard, commitAtomic), the only
-// places that know whether a redo log is attached; txn.go the plan (Txn,
-// intents, fence growth); view.go the read side (View, ViewConsistent,
-// Snap); scan.go ordered cross-shard reads; wal.go and repl.go the log
-// binding: one applyRecord, one loadSnapshot, for recovery and replication.
-// The lock order and the per-primitive invariants are stated once, in
-// DESIGN.md "The commit pipeline".
+// commit.go holds its one primitive, commitAtomic, the only place that
+// knows whether a redo log is attached; txn.go the plan (Txn, intents,
+// fence growth); view.go the read side (View, ViewConsistent, Snap);
+// scan.go ordered cross-shard reads; wal.go and repl.go the log binding:
+// one applyRecord, one loadSnapshot, for recovery and replication.  The
+// lock order and the commit invariants are stated once, in DESIGN.md "The
+// commit pipeline".
 package shard
 
 import (
@@ -99,8 +99,8 @@ type Map[K, V, A any] struct {
 	batchers []*batch.Batcher[K, V, A] // non-nil between StartBatching and Close
 
 	// gsn is the global commit sequence source shared by every shard:
-	// single-shard commits stamp themselves from it, and UpdateAtomic draws
-	// one stamp per cross-shard transaction (gsn.go).
+	// every commit that publishes draws one stamp from it, however many
+	// shards it writes (gsn.go).
 	gsn atomic.Uint64
 	// maxCollects overrides consistentRetries when non-zero (tests force
 	// the fence fallback with a small count and no stable window, or on
@@ -114,13 +114,17 @@ type Map[K, V, A any] struct {
 	// a shard outside the attempt's fence.
 	occAborts atomic.Int64
 
+	// txns pools the Txns point writes plan into (commitPoint), so a warm
+	// point write allocates none and reuses one hot on its own processor.
+	txns sync.Pool
+
 	// scans pools merge state for ordered cross-shard reads (see scan.go):
 	// S reusable tree iterators plus the loser-tree array, leased per scan
 	// so a warm fixed-length scan allocates nothing.
 	scans sync.Pool
 
 	// wal, when non-nil, is the attached redo log (wal.go); only the commit
-	// primitives (commit.go) and the log binding consult it.
+	// primitive (commit.go) and the log binding consult it.
 	wal    *walBinding[K, V]
 	ckptMu sync.Mutex
 
@@ -307,13 +311,13 @@ func (m *Map[K, V, A]) Len() int64 {
 
 // StartBatching launches one Appendix-F combining writer per shard, each
 // committing that shard's submissions as atomic batches through the commit
-// pipeline: a batch is one commitShard — log or no log — so it takes the
-// writer slot, leases a pid for the one transaction and logs its
-// post-images from inside it like every other write.  Its groupCommit runs
-// on the shard's completer (batch.Commit.Wait), so the combiner applies the
-// next batch while this one's fsync is in flight; without a log the wait is
-// a no-op on the same path.  cfg.Clients buffers are created on every shard,
-// so any client id in 0..Clients-1 may submit keys bound for any shard.
+// pipeline: a batch is its deletes, then one batch intent for its inserts,
+// committed through commitAtomic on its shard alone — log or no log — like
+// every other write.  Its groupCommit runs on the shard's completer
+// (batch.Commit.Wait), so the combiner applies the next batch while this
+// one's fsync is in flight; without a log the wait is a no-op on the same
+// path.  cfg.Clients buffers are created on every shard, so any client id in
+// 0..Clients-1 may submit keys bound for any shard.
 func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) {
 	if m.batchers != nil {
 		panic("shard: StartBatching called twice")
@@ -324,25 +328,21 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 	defer m.exit(0)
 	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
 	for i := range m.shards {
+		t := m.newTxn() // the combiner's own: Apply runs on its goroutine alone
 		m.batchers[i] = batch.NewWithCommit(cfg, m.shards[i].Ops(), batch.Commit[K, V]{
 			Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
 				if err := m.logErr(); err != nil {
 					return 0, err
 				}
-				// The record is the batch as committed, in Apply's order:
-				// the deletes, then the inserts.  Coalescing reorders and
-				// shortens inserts in place, so the encode must see what
-				// Apply returns, not the gathered length.
-				return m.commitShard(i,
-					func(tx *core.Txn[K, V, A]) { inserts = batch.Apply(tx, inserts, deletes, comb) },
-					func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-						for _, k := range deletes {
-							e.appendDelete(k)
-						}
-						for _, en := range inserts {
-							appendPost(e, tx, en.Key, en.Val, comb != nil)
-						}
-					})
+				list := t.intents[i][:0]
+				for _, k := range deletes {
+					list = append(list, intent[K, V]{del: true, key: k})
+				}
+				if len(inserts) > 0 {
+					list = append(list, intent[K, V]{comb: comb, batch: inserts})
+				}
+				t.intents[i] = list
+				return m.commitHome(i, t)
 			},
 			Wait: func(mark int64) error { return m.groupCommit(mark, nil) },
 		})

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"slices"
-
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 )
@@ -24,6 +22,13 @@ type Txn[K, V, A any] struct {
 	// serves every attempt.
 	fenced []bool
 	grew   bool
+
+	// Commit scratch, reused by every commit of this Txn (commit.go):
+	// whether each leg published, the shards that did, and the sequential
+	// legs' replay keys.
+	changed   []bool
+	published []int
+	keys      []K
 }
 
 func (m *Map[K, V, A]) newTxn() *Txn[K, V, A] {
@@ -101,6 +106,18 @@ func (t *Txn[K, V, A]) touched() []int {
 	return out
 }
 
+// publishedLegs returns the shards of write whose legs changed, in the
+// Txn's scratch.
+func (t *Txn[K, V, A]) publishedLegs(write []int) []int {
+	t.published = t.published[:0]
+	for j, i := range write {
+		if t.changed[j] {
+			t.published = append(t.published, i)
+		}
+	}
+	return t.published
+}
+
 // fence returns the indices of the fenced shards, in ascending order.
 func (t *Txn[K, V, A]) fence() []int {
 	var out []int
@@ -169,34 +186,34 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 }
 
 // replay applies a shard's buffered intents, in order, to a core write
-// transaction.  A list of nothing but plain inserts — every redo record
-// without a delete, so most of what recovery and a follower apply — goes
-// down as one batch: InsertBatch's stable sort keeps the last write of a
-// key, which is what applying them one by one leaves.  A list of nothing but
-// deletes goes down as one multi-delete.  A batch intent hands its entries
-// to the tree's multi-insert and keeps the coalesced batch it returns, one
-// entry per key, which is what encodeIntents logs.
-func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V]) {
-	if len(list) > 1 {
-		if !slices.ContainsFunc(list, func(in intent[K, V]) bool { return in.del || in.comb != nil || in.batch != nil }) {
-			batch := make([]ftree.Entry[K, V], len(list))
-			for j, in := range list {
-				batch[j] = ftree.Entry[K, V]{Key: in.key, Val: in.val}
+// transaction.  A run of two or more plain inserts — most of a redo record
+// — goes down as one batch: InsertBatch's stable sort keeps the last write
+// of a key, which is what applying them one by one leaves.  A run of
+// deletes — a combiner batch's, a DeleteBatch's — goes down as one
+// multi-delete, its keys gathered into *keys, which is reused.  A batch
+// intent hands its entries to the tree's multi-insert and keeps the
+// coalesced batch it returns, one entry per key, which is what
+// encodeIntents logs.
+func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V], keys *[]K) {
+	plain := func(in intent[K, V]) bool { return !in.del && in.comb == nil && in.batch == nil }
+	for j, n := 0, 0; j < len(list); j += n {
+		in := &list[j]
+		for n = 1; j+n < len(list) && (in.del && list[j+n].del || plain(*in) && plain(list[j+n])); n++ {
+		}
+		switch {
+		case n > 1 && in.del:
+			ks := (*keys)[:0]
+			for _, d := range list[j : j+n] {
+				ks = append(ks, d.key)
+			}
+			*keys = ks
+			tx.DeleteBatch(ks)
+		case n > 1:
+			batch := make([]ftree.Entry[K, V], n)
+			for b, p := range list[j : j+n] {
+				batch[b] = ftree.Entry[K, V]{Key: p.key, Val: p.val}
 			}
 			tx.InsertBatch(batch, nil)
-			return
-		}
-		if !slices.ContainsFunc(list, func(in intent[K, V]) bool { return !in.del }) {
-			keys := make([]K, len(list))
-			for j, in := range list {
-				keys[j] = in.key
-			}
-			tx.DeleteBatch(keys)
-			return
-		}
-	}
-	for j := range list {
-		switch in := &list[j]; {
 		case in.batch != nil:
 			in.batch = tx.InsertBatch(in.batch, in.comb)
 		case in.del:

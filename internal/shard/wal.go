@@ -265,13 +265,16 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 }
 
 // Checkpoint writes a consistent snapshot of the whole map to the log and
-// retires every sealed segment the snapshot covers.  The cut rides
-// ViewConsistent: shard i's pinned root contains all commits stamped <=
-// GSNs()[i], so min(GSNs) is a sound cut — records above it are replayed
-// over the snapshot at recovery, and absolute post-images make re-applying
-// the overlap idempotent.  Concurrent calls are serialized; writers wait at
-// most for the pins of a fenced ViewConsistent, never for the encode (the
-// snapshot is a pinned immutable read).
+// retires every sealed segment the snapshot covers.  The cut is the GSN
+// counter as read before the snapshot's first pin: a stamp is drawn only
+// after its Set, so every commit stamped <= cut is in every pinned root —
+// a shard that has never committed, or not lately, does not hold the cut
+// back.  The snapshot rides ViewConsistent, whose seqlocks keep it
+// tear-free; records above the cut are replayed over it at recovery, and
+// absolute post-images make re-applying the overlap idempotent.  Concurrent
+// calls are serialized; writers wait at most for the pins of a fenced
+// ViewConsistent, never for the encode (the snapshot is a pinned immutable
+// read).
 func (m *Map[K, V, A]) Checkpoint() error {
 	if m.wal == nil {
 		return errors.New("shard: no WAL attached")
@@ -288,15 +291,8 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	// database-sized capacity there indefinitely and hand it to point
 	// writes.  Checkpoints are rare; a throwaway allocation is fine.
 	e := &walEnc[K, V]{cfg: &w.cfg}
-	var cut uint64
+	cut := m.gsn.Load()
 	m.viewConsistent(func(s Snap[K, V, A]) {
-		gsns := s.GSNs()
-		cut = gsns[0]
-		for _, g := range gsns[1:] {
-			if g < cut {
-				cut = g
-			}
-		}
 		for i := range m.shards {
 			s.Shard(i).ForEach(func(k K, v V) { e.appendInsert(k, v) })
 		}

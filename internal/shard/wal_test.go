@@ -622,6 +622,48 @@ func TestShardWALCheckpoint(t *testing.T) {
 	}
 }
 
+// TestShardWALCheckpointIdleShard: a shard that never commits does not hold
+// the checkpoint cut at 0.  Only key 1 (shard 1 of 4) is written, over many
+// small segments; a checkpoint then cuts at the last commit's GSN, retires
+// every sealed segment, and recovery over the snapshot reproduces the map.
+func TestShardWALCheckpointIdleShard(t *testing.T) {
+	fs := wal.NewMemFS()
+	log, _, err := wal.Open(wal.Options{Dir: "wal", FS: fs, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := u64Codec()
+	m := newU64Map(t, 4, nil)
+	if err := m.AttachWAL(WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(0); v < 2000; v++ {
+		if err := m.Insert(1, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := log.Stat(); st.Segments < 4 {
+		t.Fatalf("only %d segments before the checkpoint; the test needs several", st.Segments)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := log.Stat(); st.SnapshotCut != m.CommitGSN() || st.Segments != 1 {
+		t.Fatalf("checkpoint cut %d with CommitGSN %d and left %d segments; want the cut at CommitGSN and 1 segment", st.SnapshotCut, m.CommitGSN(), st.Segments)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, rec := reopenWALMap(t, 4, fs)
+	defer m2.Close()
+	if len(rec.Records) != 0 {
+		t.Fatalf("recovery replayed %d records above the cut, want 0", len(rec.Records))
+	}
+	if got := dump(m2); len(got) != 1 || got[1] != 1999 {
+		t.Fatalf("recovered %v, want {1: 1999}", got)
+	}
+}
+
 // TestShardWALFailFast: once the log is poisoned (injected sync failure),
 // writes return the error BEFORE committing to memory, and Close still
 // works.
