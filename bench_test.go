@@ -257,7 +257,7 @@ func BenchmarkLongReader(b *testing.B) {
 
 // BenchmarkTxn measures cross-shard transfers (2 keys each) in both commit
 // modes: one GSN per transaction (txn-atomic) and the multi-key CAS
-// (txn-occ).
+// (txn-keys).
 func BenchmarkTxn(b *testing.B) {
 	cfg := experiments.DefaultTxn()
 	cfg.Accounts = 200_000

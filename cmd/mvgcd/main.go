@@ -16,9 +16,10 @@
 // With -wal every acknowledged write is appended to a segmented redo log
 // and fsynced per -wal-fsync before its +OK goes out; on restart mvgcd
 // recovers the newest checkpoint snapshot plus all logged records before
-// serving, so a kill -9 loses nothing that was acked.  -checkpoint-bytes /
-// -checkpoint-age enable the background checkpointer, which bounds the
-// retained log by folding it into snapshots.
+// serving, so a kill -9 loses nothing that was acked.  -checkpoint-bytes
+// folds the log into a snapshot each time that many bytes have been
+// appended since the last one, which keeps the retained log under twice
+// that size; the segment size then defaults to a quarter of it.
 //
 // With -follow the server starts as a read-only replica: it streams the
 // leader's WAL (REPL wire command), replays it through the same
@@ -56,9 +57,8 @@ func main() {
 		consistent = flag.Bool("consistent", false, "serve SUM/LEN/SCAN from globally consistent snapshots")
 		walDir     = flag.String("wal", "", "write-ahead log directory (empty = purely in-memory)")
 		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always, interval or off")
-		walSegment = flag.Int64("wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 64MiB)")
-		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint when retained log exceeds this many bytes (0 = off)")
-		ckptAge    = flag.Duration("checkpoint-age", 0, "checkpoint when the log grew and this much time passed (0 = off)")
+		walSegment = flag.Int64("wal-segment-bytes", 0, "WAL segment size before rotation (0 = a quarter of -checkpoint-bytes, at least 4KiB, or 64MiB without it)")
+		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint each time the log has grown this many bytes since the last checkpoint (0 = off)")
 		follow     = flag.String("follow", "", "follow a leader at this address (read-only until PROMOTE/SIGUSR1; requires -wal)")
 	)
 	flag.Parse()
@@ -74,7 +74,6 @@ func main() {
 			Fsync:           *walFsync,
 			SegmentBytes:    *walSegment,
 			CheckpointBytes: *ckptBytes,
-			CheckpointAge:   *ckptAge,
 		},
 		Follow: *follow,
 	})

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
-	"sync"
-	"time"
 
 	"mvgc/internal/ftree"
 	"mvgc/internal/shard"
@@ -54,24 +52,6 @@ var ErrClosed = shard.ErrClosed
 //	db.Close()
 type DB[K, V, A any] struct {
 	*shard.Map[K, V, A]
-
-	// Background checkpointer (nil channels when not configured).
-	ckptStop chan struct{}
-	ckptDone chan struct{}
-	ckptOnce sync.Once
-}
-
-// Close stops the background checkpointer (waiting for an in-flight
-// checkpoint to finish) and then closes the map and its log.  Safe to
-// call more than once and from concurrent goroutines.
-func (db *DB[K, V, A]) Close() error {
-	if db.ckptStop != nil {
-		db.ckptOnce.Do(func() {
-			close(db.ckptStop)
-			<-db.ckptDone
-		})
-	}
-	return db.Map.Close()
 }
 
 // Scan returns up to n entries with keys ≥ lo in global key order — the
@@ -141,25 +121,22 @@ type DBOptions[K any] struct {
 }
 
 // WALOptions configures the durability subsystem: the redo log itself,
-// and the background checkpointer that keeps it bounded.  Requires
-// integer or string key AND value types (OpenDB derives the wire codecs
-// the same way it derives Hash/Cmp); for other types open the map
-// without a WAL and attach one via shard.Map.AttachWAL with explicit
-// codecs.
+// and the checkpoints that keep it bounded.  Requires integer or string
+// key AND value types (OpenDB derives the wire codecs the same way it
+// derives Hash/Cmp); for other types open the map without a WAL and
+// attach one via shard.Map.AttachWAL with explicit codecs.
 type WALOptions struct {
 	// Dir holds the log's segments and checkpoint snapshots.  Created if
 	// missing; empty disables logging even when WALOptions is non-nil.
 	Dir string
 	// Fsync is the fsync policy: "always" (default — acked means
-	// durable), "interval" (group fsync at most every FsyncInterval), or
-	// "off" (fsync only on checkpoint/close; a crash may lose recently
-	// acked writes but never corrupts the log).
+	// durable), "interval" (group fsync within 50ms of the oldest
+	// unsynced append), or "off" (fsync only on checkpoint/close; a
+	// crash may lose recently acked writes but never corrupts the log).
 	Fsync string
-	// FsyncInterval is the flush period for Fsync "interval" (default
-	// 50ms).
-	FsyncInterval time.Duration
 	// SegmentBytes caps each log segment before rotation (default
-	// 64 MiB).
+	// 64 MiB, or a quarter of CheckpointBytes when that is set, at
+	// least 4 KiB).
 	SegmentBytes int64
 	// MaxBytes fails writes with wal.ErrWALFull once live log bytes
 	// exceed this bound, instead of filling the disk (0 = unbounded).
@@ -168,22 +145,13 @@ type WALOptions struct {
 	// FS overrides the log's filesystem (tests inject wal.MemFS or
 	// wal.FaultFS here; nil = the real disk).
 	FS wal.FS
-	// CheckpointBytes, when non-zero, starts a background checkpointer
-	// that snapshots the database and retires covered segments whenever
-	// the log's live bytes exceed this bound, keeping the directory's
-	// footprint (and the prefix a replication follower must bootstrap)
-	// within roughly 2x this value under sustained load.
+	// CheckpointBytes, when non-zero, checkpoints in the background each
+	// time this many bytes have been appended since the last checkpoint
+	// began: the database is snapshotted and the segments the snapshot
+	// covers retire, keeping the log's live bytes (and the prefix a
+	// replication follower must bootstrap) under 2x this value.  An idle
+	// database is never re-snapshotted.
 	CheckpointBytes int64
-	// CheckpointAge, when non-zero, additionally checkpoints once the
-	// newest checkpoint is this old AND records have been appended since
-	// — an idle database is never re-snapshotted.
-	CheckpointAge time.Duration
-}
-
-// checkpointing reports whether the options ask for the background
-// checkpointer.
-func (w *WALOptions) checkpointing() bool {
-	return w.CheckpointBytes > 0 || w.CheckpointAge > 0
 }
 
 // OpenDB opens a sharded map with the given augmenter and initial
@@ -244,16 +212,24 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		if err != nil {
 			return nil, err
 		}
+		seg := o.WAL.SegmentBytes
+		if seg <= 0 && o.WAL.CheckpointBytes > 0 {
+			// Only sealed segments retire: a segment a quarter of the bound
+			// keeps the live log under 2x CheckpointBytes.
+			seg = min(64<<20, max(o.WAL.CheckpointBytes/4, 4<<10))
+		}
 		log, r, err := wal.Open(wal.Options{
 			Dir: o.WAL.Dir, FS: o.WAL.FS,
-			SegmentBytes: o.WAL.SegmentBytes, MaxBytes: o.WAL.MaxBytes,
-			Policy: pol, Interval: o.WAL.FsyncInterval,
+			SegmentBytes: seg, MaxBytes: o.WAL.MaxBytes, Policy: pol,
 		})
 		if err != nil {
 			return nil, err
 		}
 		rec = r
-		wcfg = shard.WALConfig[K, V]{Log: log, EncKey: encK, DecKey: decK, EncVal: encV, DecVal: decV}
+		wcfg = shard.WALConfig[K, V]{
+			Log: log, EncKey: encK, DecKey: decK, EncVal: encV, DecVal: decV,
+			CheckpointBytes: o.WAL.CheckpointBytes,
+		}
 		if rec.Snapshot != nil || len(rec.Records) > 0 {
 			// The log is the source of truth: AttachWAL loads it into an empty map.
 			initial = nil
@@ -282,67 +258,8 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 				return nil, err
 			}
 		}
-		if o.WAL.checkpointing() {
-			db.ckptStop = make(chan struct{})
-			db.ckptDone = make(chan struct{})
-			// The growth baseline is captured HERE, before OpenDB returns
-			// — a write that lands before the loop's first poll must still
-			// read as growth.  A recovered backlog (records beyond the
-			// newest snapshot) forces the first trigger: those records are
-			// not covered and the appended watermark alone cannot see them
-			// (it restarts at zero on open).
-			base := db.WALStats().Appended
-			if len(rec.Records) > 0 {
-				base = -1
-			}
-			go db.checkpointLoop(o.WAL.CheckpointBytes, o.WAL.CheckpointAge, base)
-		}
 	}
 	return db, nil
-}
-
-// checkpointLoop is the background checkpointer: it polls the log's
-// shape and checkpoints when live bytes exceed the size bound, or when
-// the newest checkpoint is older than the age bound and records have
-// been appended since.  A checkpoint rides ViewConsistent — a pinned
-// immutable read — so writers wait at most for its pins, never for the
-// encode; the loop therefore bounds the log's footprint without its work
-// appearing in a write's latency.  Transient checkpoint failures are retried on the next poll
-// (wal.Checkpoint errors are not sticky).
-func (db *DB[K, V, A]) checkpointLoop(bytes int64, age time.Duration, lastAppended int64) {
-	defer close(db.ckptDone)
-	poll := 25 * time.Millisecond
-	if age > 0 && age/4 < poll {
-		poll = age / 4
-	}
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	tick := time.NewTicker(poll)
-	defer tick.Stop()
-	lastAt := time.Now()
-	for {
-		select {
-		case <-db.ckptStop:
-			return
-		case <-tick.C:
-		}
-		st := db.WALStats()
-		grew := st.Appended > lastAppended
-		need := (bytes > 0 && grew && st.LiveBytes >= bytes) ||
-			(age > 0 && grew && time.Since(lastAt) >= age)
-		if !need {
-			continue
-		}
-		if err := db.Checkpoint(); err != nil {
-			if errors.Is(err, ErrClosed) || errors.Is(err, wal.ErrLogClosed) {
-				return
-			}
-			continue
-		}
-		lastAppended = db.WALStats().Appended
-		lastAt = time.Now()
-	}
 }
 
 // OpenPlainDB opens an unaugmented sharded map — the common key-value

@@ -42,11 +42,11 @@ func DefaultTxn() TxnConfig {
 // TxnModes names the commit paths a transfer cell measures:
 //   - txn-atomic commits all touched shards under one GSN (UpdateAtomic)
 //     with commutative InsertWith deltas;
-//   - txn-occ is the multi-key CAS (UpdateAtomicKeys): the footprint's
+//   - txn-keys is the multi-key CAS (UpdateAtomicKeys): the footprint's
 //     writer slots are held from before the balance reads until the
 //     absolute values are installed — two-phase locking on the slots, the
 //     price of serializability against every writer.
-var TxnModes = []string{"txn-atomic", "txn-occ"}
+var TxnModes = []string{"txn-atomic", "txn-keys"}
 
 // RunTxnCell measures transfer throughput (million transactions per second)
 // in one of TxnModes.
@@ -81,7 +81,7 @@ func RunTxnCell(cfg TxnConfig, mode string) float64 {
 				}
 			}
 			switch mode {
-			case "txn-occ":
+			case "txn-keys":
 				// The CAS transfer shape: read every balance, write absolute
 				// new balances.  Correctness rests entirely on the reads
 				// holding until the install — exactly what the cell prices.

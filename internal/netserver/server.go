@@ -75,9 +75,6 @@ type Config struct {
 	// long a submitted write may wait for its commit (batch.Config).
 	// Default 1ms.
 	MaxLatency time.Duration
-	// BufCap is each combiner ring's capacity (batch.Config).  Default
-	// 1024.
-	BufCap int
 	// Consistent routes the fan-out reads — SUM, LEN and SCAN — through
 	// ViewConsistent, so they never observe an MCAS half-applied; plain
 	// per-shard fan-out otherwise.  Point reads are unaffected
@@ -86,10 +83,10 @@ type Config struct {
 	// WAL configures durability (mvgc.WALOptions): a non-empty Dir
 	// enables the write-ahead log — every +OK'd write is durable per the
 	// fsync policy, New recovers prior state from the directory before
-	// serving, and CheckpointBytes/CheckpointAge run the background
-	// checkpointer that keeps the log (and the replication bootstrap
-	// prefix) bounded.  The zero value disables logging (purely
-	// in-memory, the default).
+	// serving, and CheckpointBytes checkpoints each time the log has grown
+	// that much, which keeps the log (and the replication bootstrap
+	// prefix) under twice that size.  The zero value disables logging
+	// (purely in-memory, the default).
 	WAL mvgc.WALOptions
 	// Follow starts the server as a replication follower of the leader at
 	// this address: it bootstraps/tails the leader's redo stream, applies
@@ -115,9 +112,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxLatency <= 0 {
 		c.MaxLatency = time.Millisecond
-	}
-	if c.BufCap <= 0 {
-		c.BufCap = 1024
 	}
 }
 
@@ -153,6 +147,10 @@ type Server struct {
 	follower *repl.Follower
 }
 
+// ringCap is each combiner ring's capacity (batch.Config.BufCap): how many
+// of one connection's writes may wait for their shard's combiner.
+const ringCap = 1024
+
 // New opens the sharded DB (int64 keys and values, sum-augmented so SUM is
 // O(S log n)) and starts one combining writer per shard.  With
 // Config.Follow it also starts the replication follower (read-only until
@@ -177,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	db.StartBatching(batch.Config{
 		Clients:    cfg.MaxConns,
-		BufCap:     cfg.BufCap,
+		BufCap:     ringCap,
 		MaxLatency: cfg.MaxLatency,
 	}, nil)
 	s := &Server{

@@ -71,7 +71,8 @@ func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
 // install's local stamp — the leader's cut can lie below stale local records
 // (local stamps run ahead: applyRecord) that recovery would replay over it.
 // ckptMu keeps a background Checkpoint of the older contents from landing
-// after.  A failed load changes nothing.  DESIGN.md, "A snapshot is a root".
+// after, and the growth baseline restarts here.  A failed load changes
+// nothing.  DESIGN.md, "A snapshot is a root".
 func (m *Map[K, V, A]) ApplyReplSnapshot(cut uint64, payload []byte) error {
 	if m.wal == nil {
 		return errors.New("shard: ApplyReplSnapshot requires an attached WAL")
@@ -85,9 +86,10 @@ func (m *Map[K, V, A]) ApplyReplSnapshot(cut uint64, payload []byte) error {
 	}
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
+	from := m.wal.log.Stat().Appended
 	stamp, err := m.loadSnapshot(&m.wal.cfg, cut, payload)
 	if err != nil {
 		return err
 	}
-	return m.wal.log.Checkpoint(stamp, payload)
+	return m.wal.checkpoint(from, stamp, payload)
 }

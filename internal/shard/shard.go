@@ -110,9 +110,9 @@ type Map[K, V, A any] struct {
 	// attempts and fence fallbacks, for tests and tuning.
 	snapRetries atomic.Int64
 	fenced      atomic.Int64
-	// occAborts counts UpdateAtomicKeys attempts restarted because f read
+	// fenceRestarts counts UpdateAtomicKeys attempts restarted because f read
 	// a shard outside the attempt's fence.
-	occAborts atomic.Int64
+	fenceRestarts atomic.Int64
 
 	// txns pools the Txns point writes plan into (commitPoint), so a warm
 	// point write allocates none and reuses one hot on its own processor.

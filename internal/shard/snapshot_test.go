@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
@@ -226,6 +227,64 @@ func TestSnapshotLoadKeepsPinnedVersion(t *testing.T) {
 			}
 		}
 	})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := m.Live(); live != 0 {
+		t.Fatalf("%d nodes live after Close", live)
+	}
+}
+
+// TestSnapshotLoadRestartsCheckpointGrowth: a shipped snapshot is the
+// follower's own checkpoint, so what it replayed before the load does not
+// count toward the next one — no checkpoint starts until CheckpointBytes
+// more have been replayed, and then one does.
+func TestSnapshotLoadRestartsCheckpointGrowth(t *testing.T) {
+	const ckptBytes = 4 << 10
+	log, _, err := wal.Open(wal.Options{Dir: "wal", FS: wal.NewMemFS(), SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := u64Codec()
+	m := newU64Map(t, 2, nil)
+	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec, CheckpointBytes: ckptBytes}
+	if err := m.AttachWAL(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	val := func(k uint64) uint64 { return k * 7 }
+	var gsn uint64
+	replay := func(bytes int64) {
+		t.Helper()
+		start := m.WALStats().Appended
+		for m.WALStats().Appended-start < bytes {
+			gsn++
+			if err := m.ReplayRecord(gsn, snapshotPayload(gsn, gsn+1, val)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	idle := func(when string, cut uint64) {
+		t.Helper()
+		if m.wal.ckptBusy.Load() || m.WALStats().SnapshotCut != cut {
+			t.Fatalf("%s: a checkpoint started (checkpoint cut %d, want %d)", when, m.WALStats().SnapshotCut, cut)
+		}
+	}
+	replay(ckptBytes * 3 / 4)
+	idle("before the load", 0)
+	if err := m.ApplyReplSnapshot(gsn, snapshotPayload(0, gsn+1, val)); err != nil {
+		t.Fatal(err)
+	}
+	loaded := m.WALStats().SnapshotCut
+	replay(ckptBytes * 3 / 4)
+	idle("3/4 of CheckpointBytes after the load", loaded)
+	replay(ckptBytes / 2)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.WALStats().SnapshotCut == loaded {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint after CheckpointBytes had been replayed past the load")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
@@ -37,6 +38,11 @@ type WALConfig[K, V any] struct {
 	// EncVal / DecVal encode one value.
 	EncVal func(dst []byte, v V) []byte
 	DecVal func(b []byte) (V, error)
+	// CheckpointBytes, when positive, starts one background Checkpoint
+	// whenever a commit's record takes the log's Appended this many bytes
+	// past where it stood when the last checkpoint began (0 = only
+	// explicit checkpoints).
+	CheckpointBytes int64
 }
 
 func (c *WALConfig[K, V]) validate() error {
@@ -73,6 +79,23 @@ type walBinding[K, V any] struct {
 	log  *wal.Log
 	cfg  WALConfig[K, V]
 	encs sync.Pool // *walEnc[K, V]
+
+	// ckptFrom is the log's Appended when the last successful checkpoint
+	// began; ckptBusy keeps the growth-started checkpoints to one at a time.
+	ckptFrom atomic.Int64
+	ckptBusy atomic.Bool
+}
+
+// checkpoint installs payload as the log's snapshot cut at cut and, once
+// it is durable, moves the growth baseline to from, the log's Appended
+// when this checkpoint began.  A failed checkpoint leaves the baseline, so
+// the next commit past the bound tries again.  The caller holds ckptMu.
+func (w *walBinding[K, V]) checkpoint(from int64, cut uint64, payload []byte) error {
+	if err := w.log.Checkpoint(cut, payload); err != nil {
+		return err
+	}
+	w.ckptFrom.Store(from)
+	return nil
 }
 
 func (w *walBinding[K, V]) getEnc() *walEnc[K, V] {
@@ -203,7 +226,9 @@ func (m *Map[K, V, A]) WALStats() wal.Stats {
 // in GSN order (applyRecord), advance the stamp source past everything seen,
 // and only then attach — so nothing recovery does is logged, and from here
 // on every commit appends a record and acks per the log's fsync policy.
-// Call it after New, before any writes and before StartBatching.
+// A recovered log already CheckpointBytes long is checkpointed at once, in
+// the background.  Call it after New, before any writes and before
+// StartBatching.
 func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -232,6 +257,9 @@ func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error 
 	// checkpoint cut.
 	m.FloorGSN(max(rec.MaxGSN, rec.SnapshotCut))
 	m.wal = &walBinding[K, V]{log: cfg.Log, cfg: cfg}
+	if cfg.CheckpointBytes > 0 && cfg.Log.Stat().LiveBytes >= cfg.CheckpointBytes {
+		m.startCheckpoint()
+	}
 	return nil
 }
 
@@ -291,13 +319,39 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	// database-sized capacity there indefinitely and hand it to point
 	// writes.  Checkpoints are rare; a throwaway allocation is fine.
 	e := &walEnc[K, V]{cfg: &w.cfg}
+	from := w.log.Stat().Appended
 	cut := m.gsn.Load()
 	m.viewConsistent(func(s Snap[K, V, A]) {
 		for i := range m.shards {
 			s.Shard(i).ForEach(func(k K, v V) { e.appendInsert(k, v) })
 		}
 	})
-	return w.log.Checkpoint(cut, e.buf)
+	return w.checkpoint(from, cut, e.buf)
+}
+
+// checkpointIfGrown is the checkpoint trigger, run by every commit with
+// its record's mark (0 when it appended none): once the log has grown
+// CheckpointBytes past where the last checkpoint began, the commit starts
+// the next one.  So the log's upkeep follows the work that creates it, and
+// an idle log is never re-snapshotted.
+func (m *Map[K, V, A]) checkpointIfGrown(mark int64) {
+	if w := m.wal; w != nil && w.cfg.CheckpointBytes > 0 && mark-w.ckptFrom.Load() >= w.cfg.CheckpointBytes {
+		m.startCheckpoint()
+	}
+}
+
+// startCheckpoint runs one Checkpoint on its own goroutine unless a
+// growth-started one is still running.  Checkpoint's close gate is what
+// Close waits on; a goroutine that starts too late returns ErrClosed.
+func (m *Map[K, V, A]) startCheckpoint() {
+	w := m.wal
+	if !w.ckptBusy.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer w.ckptBusy.Store(false)
+		m.Checkpoint() //nolint:errcheck // not sticky: the next commit past the bound retries
+	}()
 }
 
 // appendPost logs an insert of k.  With resolve (a combining write) the

@@ -202,56 +202,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Policy == FsyncInterval {
-		l.armCh = make(chan struct{}, 1)
-		l.stopTick = make(chan struct{})
-		l.tickDone = make(chan struct{})
-		go l.tickLoop()
-	}
 	return l, rec, nil
-}
-
-// tickLoop is the FsyncInterval background syncer.  It is not a fixed
-// ticker but a group-commit latency bound in the combiner's MaxLatency
-// style: Append arms a deadline when the first record past the synced
-// watermark lands, the loop sleeps until that record is Interval old, then
-// syncs everything appended so far — one fsync covers the whole burst.  An
-// idle log therefore performs no fsyncs at all, and the oldest unsynced
-// record waits at most Interval plus one fsync.
-func (l *Log) tickLoop() {
-	defer close(l.tickDone)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-l.stopTick:
-			return
-		case <-l.armCh:
-		}
-		l.mu.Lock()
-		at := l.armedAt
-		l.mu.Unlock()
-		if d := l.opts.Interval - time.Since(at); d > 0 {
-			timer.Reset(d)
-			select {
-			case <-l.stopTick:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				return
-			case <-timer.C:
-			}
-		}
-		// Disarm BEFORE syncing: a record appended after the sync leader
-		// snapshots its target re-arms a fresh deadline instead of being
-		// silently absorbed into a sync that will not cover it.
-		l.mu.Lock()
-		l.armed = false
-		l.mu.Unlock()
-		l.Sync() //nolint:errcheck // sticky error surfaces on the next write
-	}
 }
 
 // parseName parses names like seg-00000042.wal into their sequence.

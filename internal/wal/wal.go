@@ -17,10 +17,10 @@ const (
 	// asserts acked-write survival.
 	FsyncAlways Policy = iota
 	// FsyncInterval bounds group-commit latency instead of syncing every
-	// Commit: the background syncer fsyncs once the oldest unsynced
-	// record has waited Interval (MaxLatency-style, not a fixed ticker —
-	// an idle log never fsyncs).  Commit returns immediately, so a crash
-	// can lose up to Interval (plus one fsync) of acked writes.
+	// Commit: the oldest unsynced record's Append arms a timer that
+	// fsyncs Interval later (MaxLatency-style, not a fixed ticker — an
+	// idle log never fsyncs).  Commit returns immediately, so a crash can
+	// lose up to Interval (plus one fsync) of acked writes.
 	FsyncInterval
 	// FsyncOff never syncs except on Close.
 	FsyncOff
@@ -56,8 +56,7 @@ type Options struct {
 	// Policy is the fsync policy (default FsyncAlways).
 	Policy Policy
 	// Interval is the FsyncInterval latency bound: the longest any
-	// appended record waits before the background syncer fsyncs it
-	// (default 50 ms).
+	// appended record waits before an fsync covers it (default 50 ms).
 	Interval time.Duration
 }
 
@@ -139,15 +138,10 @@ type Log struct {
 
 	ckptMu sync.Mutex // single-flight checkpoints
 
-	// FsyncInterval deadline state (under mu): armed is set by the first
-	// Append past the synced watermark and cleared by the background
-	// syncer just before it syncs, so the oldest unsynced record waits at
-	// most Interval plus one fsync.  armCh (capacity 1) kicks the syncer.
-	armed    bool
-	armedAt  time.Time
-	armCh    chan struct{}
-	stopTick chan struct{}
-	tickDone chan struct{}
+	// armed is the FsyncInterval deadline (under mu): set by the Append
+	// that starts its timer, cleared by the timer just before it syncs,
+	// so the oldest unsynced record waits at most Interval plus one fsync.
+	armed bool
 }
 
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%08d.wal", seq) }
@@ -285,11 +279,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 	// record is what waits at most Interval.
 	if l.opts.Policy == FsyncInterval && !l.armed {
 		l.armed = true
-		l.armedAt = time.Now()
-		select {
-		case l.armCh <- struct{}{}:
-		default:
-		}
+		time.AfterFunc(l.opts.Interval, l.intervalSync)
 	}
 	if l.tailWaiters > 0 {
 		// A caught-up Tailer waits for appends so it can force a sync and
@@ -338,6 +328,18 @@ func (l *Log) CommitTo(mark int64) error {
 		return nil
 	}
 	return l.syncTo(mark)
+}
+
+// intervalSync is the FsyncInterval deadline's timer: one fsync covers
+// everything appended so far.  It disarms BEFORE syncing, so a record
+// appended after the sync leader snaps its target arms a fresh deadline
+// instead of being absorbed into a sync that will not cover it.  A timer
+// that fires after Close finds no segment and touches no file.
+func (l *Log) intervalSync() {
+	l.mu.Lock()
+	l.armed = false
+	l.mu.Unlock()
+	l.Sync() //nolint:errcheck // sticky error surfaces on the next write
 }
 
 // Sync forces a flush+fsync regardless of policy.
@@ -593,12 +595,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	stop := l.stopTick
 	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.tickDone
-	}
 
 	_, serr := l.flushAndSync()
 	l.mu.Lock()
