@@ -620,10 +620,9 @@ func BenchmarkAllocBatchCommit(b *testing.B) {
 
 // BenchmarkScanWarm measures the steady-state cross-shard scan: 100
 // entries per op off a snapshot pinned once outside the timed loop,
-// streamed through the pooled loser-tree merge into a reused append
-// buffer.  Run with -benchmem: warm scans must report 0 B/op — the merge
-// state (iterator stacks, tournament slice) comes from the Map's pool and
-// the results land in the caller's buffer.
+// streamed through the pooled loser-tree merge to a callback made once.
+// Run with -benchmem: warm scans must report 0 B/op — the merge state
+// (iterator stacks, tournament slice) comes from the Map's pool.
 func BenchmarkScanWarm(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -642,17 +641,18 @@ func BenchmarkScanWarm(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := ycsb.NewSplitMix64(14)
-			var buf []ftree.Entry[uint64, uint64]
+			var sum uint64
+			visit := func(k, v uint64) bool { sum += v; return true }
 			sm.View(func(s shard.Snap[uint64, uint64, struct{}]) {
 				for i := 0; i < 1000; i++ { // warm the scan-state pool
-					buf = s.ScanAppend(buf[:0], rng.Next()%100_000, 100)
+					s.ScanFunc(rng.Next()%100_000, 100, visit)
 				}
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			sm.View(func(s shard.Snap[uint64, uint64, struct{}]) {
 				for i := 0; i < b.N; i++ {
-					buf = s.ScanAppend(buf[:0], rng.Next()%100_000, 100)
+					s.ScanFunc(rng.Next()%100_000, 100, visit)
 				}
 			})
 			b.StopTimer()

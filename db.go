@@ -32,48 +32,27 @@ var ErrClosed = shard.ErrClosed
 // per shard, when it reads outside the footprint).  Reads come in two
 // modes, and every call site picks one explicitly:
 //
-//   - Per-shard (View, ForEachChunked): the paper's delay-free reader, one
-//     pinned snapshot per shard at slightly different instants, so a
-//     concurrent reader can observe part of a multi-shard write.
-//   - Consistent (ViewConsistent, ForEachChunkedConsistent): a tear-free
-//     cut across the GSN stamps.
+//   - Per-shard (View): the paper's delay-free reader, one pinned
+//     snapshot per shard at slightly different instants, so a concurrent
+//     reader can observe part of a multi-shard write.
+//   - Consistent (ViewConsistent): a tear-free cut across the GSN stamps.
+//
+// Either snapshot streams in global key order through ScanFunc (from a
+// key) and ForEachCond (from the start).
 //
 // Every write holds its shard's writer slot while it commits, so each shard
 // has exactly one writer at a time, the paper's single-writer setting.
 //
 // Write methods return nil unless the database is closed (ErrClosed) or
 // write-ahead logging is enabled and the log cannot persist the commit.
-// The methods are shard.Map's, promoted; see the internal/shard package
-// comment for the exact semantics.
+// DB is shard.Map under the front door's name; see the internal/shard
+// package comment for the exact semantics.
 //
 //	db, _ := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{}, nil)
 //	db.UpdateAtomic(func(t *mvgc.DBTxn[uint64, uint64, struct{}]) { t.Insert(1, 100) })
 //	db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) { s.Get(1) })
 //	db.Close()
-type DB[K, V, A any] struct {
-	*shard.Map[K, V, A]
-}
-
-// Scan returns up to n entries with keys ≥ lo in global key order — the
-// YCSB-style short range scan — from a per-shard View.  The merge is a
-// loser-tree over per-shard iterators (O(log S) per element) on pooled scan
-// state.  For a consistent cut or a zero-allocation warm scan, pin a
-// snapshot yourself (View, ViewConsistent) and use DBSnapshot.ScanAppend
-// with a reused buffer.
-func (db *DB[K, V, A]) Scan(lo K, n int) []Entry[K, V] {
-	var out []Entry[K, V]
-	db.View(func(s DBSnapshot[K, V, A]) { out = s.ScanAppend(nil, lo, n) })
-	return out
-}
-
-// RangeFunc streams the entries with keys in [lo, hi] in global key order
-// from a per-shard View to f, stopping early when f returns false; it
-// reports whether the walk ran to completion.  Nothing is materialized.
-func (db *DB[K, V, A]) RangeFunc(lo, hi K, f func(k K, v V) bool) bool {
-	done := true
-	db.View(func(s DBSnapshot[K, V, A]) { done = s.RangeFunc(lo, hi, f) })
-	return done
-}
+type DB[K, V, A any] = shard.Map[K, V, A]
 
 // DBSnapshot is the fan-out read view passed to DB.View: one pinned
 // immutable version per shard.
@@ -246,7 +225,6 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 		return nil, err
 	}
-	db := &DB[K, V, A]{Map: s}
 	if wcfg.Log != nil {
 		if err := s.AttachWAL(wcfg, rec); err != nil {
 			wcfg.Log.Close()
@@ -254,12 +232,12 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 		}
 		if len(initial) > 0 {
 			if err := s.Checkpoint(); err != nil {
-				db.Close()
+				s.Close()
 				return nil, err
 			}
 		}
 	}
-	return db, nil
+	return s, nil
 }
 
 // OpenPlainDB opens an unaugmented sharded map — the common key-value

@@ -139,10 +139,9 @@ func TestDBAtomicModes(t *testing.T) {
 	}
 }
 
-// TestDBScan covers the front door's ordered-read surface: Scan and
-// RangeFunc merge all shards in global key order, and the snapshot-level
-// streaming forms (ScanFunc, ScanAppend, ForEachCond) expose early exit
-// and buffer reuse.
+// TestDBScan covers the front door's ordered reads on a pinned snapshot:
+// ScanFunc streams from a key and ForEachCond from the start, both merging
+// all shards in global key order, and both stop where their callback says.
 func TestDBScan(t *testing.T) {
 	db, err := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
 	if err != nil {
@@ -153,42 +152,43 @@ func TestDBScan(t *testing.T) {
 	for k := uint64(0); k < n; k++ {
 		db.Insert(k, k*3)
 	}
-	got := db.Scan(100, 50)
-	if len(got) != 50 {
-		t.Fatalf("Scan returned %d entries, want 50", len(got))
-	}
-	for i, e := range got {
-		if e.Key != uint64(100+i) || e.Val != e.Key*3 {
-			t.Fatalf("Scan[%d] = %d:%d", i, e.Key, e.Val)
-		}
-	}
-	if tail := db.Scan(n-10, 100); len(tail) != 10 {
-		t.Fatalf("tail Scan returned %d entries, want 10", len(tail))
-	}
-	visited := 0
-	if !db.RangeFunc(10, 19, func(k, v uint64) bool {
-		if k != uint64(10+visited) {
-			t.Fatalf("RangeFunc out of order at %d: %d", visited, k)
-		}
-		visited++
-		return true
-	}) {
-		t.Fatal("RangeFunc reported early stop")
-	}
-	if visited != 10 {
-		t.Fatalf("RangeFunc visited %d, want 10", visited)
-	}
-	if db.RangeFunc(0, n, func(k, v uint64) bool { return k < 5 }) {
-		t.Fatal("early-stopped RangeFunc reported completion")
-	}
 	db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) {
+		var got []mvgc.Entry[uint64, uint64]
+		s.ScanFunc(100, 50, func(k, v uint64) bool {
+			got = append(got, mvgc.Entry[uint64, uint64]{Key: k, Val: v})
+			return true
+		})
+		if len(got) != 50 {
+			t.Fatalf("ScanFunc streamed %d entries, want 50", len(got))
+		}
+		for i, e := range got {
+			if e.Key != uint64(100+i) || e.Val != e.Key*3 {
+				t.Fatalf("ScanFunc[%d] = %d:%d", i, e.Key, e.Val)
+			}
+		}
+		if tail := s.ScanFunc(n-10, 100, func(k, v uint64) bool { return true }); tail != 10 {
+			t.Fatalf("tail ScanFunc visited %d entries, want 10", tail)
+		}
+		// A range [10, 19]: ScanFunc stopped past its upper key.
+		visited := 0
+		s.ScanFunc(10, n, func(k, v uint64) bool {
+			if k > 19 {
+				return false
+			}
+			if k != uint64(10+visited) {
+				t.Fatalf("range out of order at %d: %d", visited, k)
+			}
+			visited++
+			return true
+		})
+		if visited != 10 {
+			t.Fatalf("range visited %d, want 10", visited)
+		}
 		if m := s.ScanFunc(0, 7, func(k, v uint64) bool { return true }); m != 7 {
 			t.Fatalf("ScanFunc visited %d, want 7", m)
 		}
-		buf := make([]mvgc.Entry[uint64, uint64], 0, 32)
-		buf = s.ScanAppend(buf, 0, 20)
-		if len(buf) != 20 || buf[19].Key != 19 {
-			t.Fatalf("ScanAppend = %d entries, last %v", len(buf), buf[len(buf)-1])
+		if m := s.ScanFunc(0, n, func(k, v uint64) bool { return k < 4 }); m != 5 {
+			t.Fatalf("early-stopped ScanFunc visited %d, want 5", m)
 		}
 		count := 0
 		if s.ForEachCond(func(k, v uint64) bool { count++; return count < 3 }) {
@@ -197,48 +197,17 @@ func TestDBScan(t *testing.T) {
 		if count != 3 {
 			t.Fatalf("ForEachCond visited %d, want 3", count)
 		}
-	})
-}
-
-// TestDBForEachChunked covers the bounded-staleness front door in both
-// consistency modes: the full key set streams in order through the
-// chunked re-pinning walk, and early exit reports non-completion.
-func TestDBForEachChunked(t *testing.T) {
-	for _, consistent := range []bool{false, true} {
-		db, err := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk := db.ForEachChunked
-		if consistent {
-			walk = db.ForEachChunkedConsistent
-		}
-		const n = 300
-		for k := uint64(0); k < n; k++ {
-			db.Insert(k, k+1)
-		}
-		visited := uint64(0)
-		if !walk(32, func(k, v uint64) bool {
-			if k != visited || v != k+1 {
-				t.Fatalf("consistent=%v: got %d:%d at position %d", consistent, k, v, visited)
+		count = 0
+		if !s.ForEachCond(func(k, v uint64) bool {
+			if k != uint64(count) || v != k*3 {
+				t.Fatalf("ForEachCond[%d] = %d:%d", count, k, v)
 			}
-			visited++
+			count++
 			return true
-		}) {
-			t.Fatalf("consistent=%v: chunked walk did not complete", consistent)
+		}) || count != n {
+			t.Fatalf("ForEachCond visited %d of %d", count, n)
 		}
-		if visited != n {
-			t.Fatalf("consistent=%v: visited %d keys, want %d", consistent, visited, n)
-		}
-		count := 0
-		if walk(10, func(k, v uint64) bool { count++; return count < 15 }) {
-			t.Fatalf("consistent=%v: stopped walk reported completion", consistent)
-		}
-		db.Close()
-		if live := db.Live(); live != 0 {
-			t.Fatalf("consistent=%v: leaked %d nodes", consistent, live)
-		}
-	}
+	})
 }
 
 // TestDBAugmented: cross-shard AugRange combines per-shard range sums.
@@ -258,13 +227,20 @@ func TestDBAugmented(t *testing.T) {
 		if sum := s.AugRange(10, 20); sum != 165 {
 			t.Fatalf("AugRange(10,20) = %d, want 165", sum)
 		}
-		es := s.Range(95, 200)
+		var es []int64
+		s.ScanFunc(95, 1<<30, func(k, v int64) bool {
+			if k > 200 {
+				return false
+			}
+			es = append(es, k)
+			return true
+		})
 		if len(es) != 6 {
-			t.Fatalf("Range(95,200) = %d entries", len(es))
+			t.Fatalf("ScanFunc [95,200] = %d entries", len(es))
 		}
-		for i, e := range es {
-			if e.Key != int64(95+i) {
-				t.Fatalf("Range unordered: %v", es)
+		for i, k := range es {
+			if k != int64(95+i) {
+				t.Fatalf("ScanFunc unordered: %v", es)
 			}
 		}
 	})
@@ -286,11 +262,11 @@ func TestDBStringKeys(t *testing.T) {
 	}
 	var got []string
 	db.View(func(s mvgc.DBSnapshot[string, int, struct{}]) {
-		s.ForEach(func(k string, _ int) { got = append(got, k) })
+		s.ForEachCond(func(k string, _ int) bool { got = append(got, k); return true })
 	})
 	want := []string{"apple", "banana", "fig", "mango", "pear"}
 	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v", got)
+		t.Fatalf("ForEachCond visited %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -359,15 +335,16 @@ func roundTripKeys[K int | int32 | int64 | uint | uint32 | uint64](t *testing.T,
 	var visited int
 	var prev K
 	db.View(func(s mvgc.DBSnapshot[K, int, struct{}]) {
-		s.ForEach(func(k K, _ int) {
+		s.ForEachCond(func(k K, _ int) bool {
 			if visited > 0 && k <= prev {
 				t.Fatalf("iteration order broken: %v after %v", k, prev)
 			}
 			prev, visited = k, visited+1
+			return true
 		})
 	})
 	if visited != n {
-		t.Fatalf("ForEach visited %d keys, want %d", visited, n)
+		t.Fatalf("ForEachCond visited %d keys, want %d", visited, n)
 	}
 	db.Close()
 	if live := db.Live(); live != 0 {
@@ -411,24 +388,28 @@ func TestCustomCmpKeepsItsOrder(t *testing.T) {
 		slices.SortFunc(keys, func(a, b int64) int { return mvgc.IntCmp(b, a) })
 		var got []int64
 		db.View(func(s mvgc.DBSnapshot[int64, int64, struct{}]) {
-			s.ForEach(func(k, v int64) {
+			s.ForEachCond(func(k, v int64) bool {
 				if v != ref[k] {
-					t.Fatalf("%s: ForEach saw %d=%d, want %d", what, k, v, ref[k])
+					t.Fatalf("%s: ForEachCond saw %d=%d, want %d", what, k, v, ref[k])
 				}
 				got = append(got, k)
+				return true
 			})
 			// A scan runs DOWN: from a key present, and from one above
 			// every key, which in this order is before the first.
 			for at, from := range map[int]int64{5: keys[5], 0: 1000} {
-				for i, e := range s.Scan(from, 4) {
-					if e.Key != keys[at+i] {
-						t.Fatalf("%s: Scan(%d, 4)[%d] = %d, want %d", what, from, i, e.Key, keys[at+i])
+				i := 0
+				s.ScanFunc(from, 4, func(k, _ int64) bool {
+					if k != keys[at+i] {
+						t.Fatalf("%s: ScanFunc(%d, 4)[%d] = %d, want %d", what, from, i, k, keys[at+i])
 					}
-				}
+					i++
+					return true
+				})
 			}
 		})
 		if !slices.Equal(got, keys) {
-			t.Fatalf("%s: ForEach order %v, want descending %v", what, got, keys)
+			t.Fatalf("%s: ForEachCond order %v, want descending %v", what, got, keys)
 		}
 		probes := make([]int64, 0, 600)
 		for k := int64(-300); k < 300; k++ {

@@ -78,7 +78,7 @@ func ExampleOpenPlainDB() {
 	db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) {
 		v, _ := s.Get(3)
 		fmt.Println("3 →", v)
-		s.ForEach(func(k, v uint64) { fmt.Println(k, v) }) // global key order
+		s.ForEachCond(func(k, v uint64) bool { fmt.Println(k, v); return true }) // global key order
 	})
 
 	db.Close()

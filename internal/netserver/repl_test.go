@@ -561,7 +561,7 @@ func TestFollowerBootstrapCrashMatrix(t *testing.T) {
 		}
 		recovered := map[int64]int64{}
 		db.View(func(s mvgc.DBSnapshot[int64, int64, int64]) {
-			s.ForEach(func(k, v int64) { recovered[k] = v })
+			s.ForEachCond(func(k, v int64) bool { recovered[k] = v; return true })
 		})
 		db.Close()
 		delete(recovered, -1)
@@ -755,5 +755,67 @@ func TestScanCursorWire(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("Scanner visited %d entries, want %d", count, n)
+	}
+}
+
+// TestScanCursorBoundedStaleness pins what sets a SCANC walk apart from
+// one frozen snapshot: every page pins afresh, so writes landing AHEAD of
+// the cursor between pages are observed, writes landing BEHIND it are
+// never revisited, and keys stream strictly increasing throughout.
+func TestScanCursorBoundedStaleness(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 4, MaxConns: 4})
+	defer s.Shutdown()
+	c, err := netclient.Dial(addr, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := int64(0); k < 100; k++ {
+		if err := c.Set(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pages of 10 over keys 0..99 end at 9, 19, ...; after the page that
+	// ends at 59, -5 is behind the cursor and 90 and 500 are ahead of it.
+	var got []int64
+	for lo, excl, more := int64(0), false, true; more; {
+		ch, err := c.ScanChunk(lo, 10, excl)
+		if err != nil {
+			t.Fatalf("SCANC: %v", err)
+		}
+		for _, e := range ch.Entries {
+			got = append(got, e.Key)
+		}
+		if ch.More && ch.Next == 59 {
+			if err := c.Set(-5, 1); err != nil { // behind: never visited
+				t.Fatal(err)
+			}
+			if err := c.Set(500, 1); err != nil { // ahead: must be visited
+				t.Fatal(err)
+			}
+			if err := c.Del(90); err != nil { // ahead: must not be visited
+				t.Fatal(err)
+			}
+		}
+		lo, excl, more = ch.Next, true, ch.More
+	}
+	seen := map[int64]bool{}
+	for i, k := range got {
+		if i > 0 && k <= got[i-1] {
+			t.Fatalf("keys not strictly increasing: %d after %d", k, got[i-1])
+		}
+		seen[k] = true
+	}
+	if seen[-5] {
+		t.Fatal("walk went backwards: visited a key set behind the cursor")
+	}
+	if seen[90] {
+		t.Fatal("walk visited a key deleted ahead of the cursor")
+	}
+	if !seen[500] {
+		t.Fatal("walk missed a key set ahead of the cursor (staleness not bounded)")
+	}
+	if len(got) != 100 { // 0..89, 91..99, 500
+		t.Fatalf("visited %d keys, want 100", len(got))
 	}
 }

@@ -941,8 +941,8 @@ const maxCursorEntries = (netproto.MaxArgs - 2) / 2
 // before the reply — so an analytics client walking the whole keyspace
 // never stretches any shard's uncollected-version window beyond one page.
 // Commits landing between pages are observed, keys stream in strictly
-// increasing order, each at most once: the bounded-staleness contract of
-// DB.ForEachChunked, kept here without calling it.
+// increasing order, each at most once: SCANC is where that
+// bounded-staleness contract lives (TestScanCursorBoundedStaleness).
 //
 // Reply: *<2m+2> of integers [more, next, k1, v1, ...] — more is 1 when
 // entries remain past this chunk, next is the last key returned (pass it

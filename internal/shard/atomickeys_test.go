@@ -92,7 +92,7 @@ func TestOCCUnfencedWriterInvariant(t *testing.T) {
 
 	var sum int64
 	m.ViewConsistent(func(s Snap[int64, int64, int64]) {
-		s.ForEach(func(_ int64, v int64) { sum += v })
+		s.ForEachCond(func(_ int64, v int64) bool { sum += v; return true })
 	})
 	want := int64(accounts)*initBal + hammerNet.Load()
 	if sum != want {

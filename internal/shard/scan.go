@@ -138,23 +138,9 @@ func (st *scanState[K, V, A]) step() {
 	st.tree[0] = w
 }
 
-// ForEach visits every entry across all shards in global key order: a
-// loser-tree S-way merge over the per-shard in-order iterators, O(log S)
-// comparisons per element.
-func (s Snap[K, V, A]) ForEach(f func(K, V)) {
-	st := s.m.getScan()
-	defer s.m.putScan(st)
-	st.seekMin(s)
-	for w := st.winner(); w >= 0; w = st.winner() {
-		f(st.its[w].Key(), st.its[w].Val())
-		st.step()
-	}
-}
-
 // ForEachCond visits every entry across all shards in global key order
 // until f returns false; it reports whether the walk ran to completion.
-// Like RangeFunc it streams — nothing is materialized and the merge stops
-// the moment f says so.
+// It is ScanFunc from the smallest key, which a generic K cannot name.
 func (s Snap[K, V, A]) ForEachCond(f func(K, V) bool) bool {
 	st := s.m.getScan()
 	defer s.m.putScan(st)
@@ -168,31 +154,12 @@ func (s Snap[K, V, A]) ForEachCond(f func(K, V) bool) bool {
 	return true
 }
 
-// RangeFunc streams the entries with keys in [lo, hi] across all shards
-// in global key order, stopping early when f returns false; it reports
-// whether the walk ran to completion.  On a Snap from ViewConsistent the
-// streamed prefix reflects one global commit cut (see Snap.GSNs); on a
-// plain View snap it carries per-shard semantics only.
-func (s Snap[K, V, A]) RangeFunc(lo, hi K, f func(K, V) bool) bool {
-	st := s.m.getScan()
-	defer s.m.putScan(st)
-	st.seekGE(s, lo)
-	for w := st.winner(); w >= 0; w = st.winner() {
-		k, v := st.its[w].Key(), st.its[w].Val()
-		if st.cmp(k, hi) > 0 {
-			return true
-		}
-		if !f(k, v) {
-			return false
-		}
-		st.step()
-	}
-	return true
-}
-
 // ScanFunc streams up to n entries with keys ≥ lo in global key order,
 // stopping early if f returns false, and returns the number visited —
-// the YCSB short-scan access path.
+// the YCSB short-scan access path.  A range [lo, hi] is ScanFunc whose f
+// returns false past hi; a result slice is one that f appends to.  The
+// stream is as consistent as the Snap: one global commit cut from
+// ViewConsistent, per-shard instants from View.
 func (s Snap[K, V, A]) ScanFunc(lo K, n int, f func(K, V) bool) int {
 	st := s.m.getScan()
 	defer s.m.putScan(st)
@@ -206,108 +173,4 @@ func (s Snap[K, V, A]) ScanFunc(lo K, n int, f func(K, V) bool) int {
 		st.step()
 	}
 	return got
-}
-
-// ScanAppend appends up to n entries with keys ≥ lo, in global key order,
-// to dst and returns the extended slice.  When dst has capacity for the
-// result, a warm call allocates nothing — this is the zero-alloc
-// fixed-length scan path the allocation gate measures.
-func (s Snap[K, V, A]) ScanAppend(dst []ftree.Entry[K, V], lo K, n int) []ftree.Entry[K, V] {
-	st := s.m.getScan()
-	defer s.m.putScan(st)
-	st.seekGE(s, lo)
-	for w := st.winner(); w >= 0 && n > 0; w = st.winner() {
-		dst = append(dst, ftree.Entry[K, V]{Key: st.its[w].Key(), Val: st.its[w].Val()})
-		n--
-		st.step()
-	}
-	return dst
-}
-
-// Scan returns up to n entries with keys ≥ lo in global key order.  Use
-// ScanAppend to reuse a result buffer across scans, or ScanFunc/RangeFunc
-// to stream without materializing at all.
-func (s Snap[K, V, A]) Scan(lo K, n int) []ftree.Entry[K, V] {
-	return s.ScanAppend(nil, lo, n)
-}
-
-// ForEachChunked visits every entry in global key order like
-// Snap.ForEachCond, but with bounded staleness instead of one frozen
-// snapshot: every n entries the walk drops its pin and re-seeks at the
-// last visited key against a freshly pinned per-shard View (the pooled
-// seekGE restart — allocation-free once warm).  An analytics-length walk
-// therefore never stretches any shard's uncollected-version window beyond
-// one chunk.  The price is snapshot semantics: each key is visited at most
-// once and keys stream in strictly increasing order, but entries ahead of
-// the walk observe commits that land between chunks, and entries behind it
-// are never revisited.  It reports whether the walk ran to completion
-// (false when f stopped it or the map closed mid-walk).  n <= 0 degrades
-// to ForEachCond under a single pin.
-//
-// This lives on Map, not Snap, by construction: a Snap is only valid
-// inside the View callback that pinned it, so a walk that releases and
-// re-acquires pins has to own the pinning itself.
-func (m *Map[K, V, A]) ForEachChunked(n int, f func(K, V) bool) bool {
-	return m.forEachChunked(n, f, m.View)
-}
-
-// ForEachChunkedConsistent is ForEachChunked with every chunk pinned by
-// ViewConsistent: each chunk reflects one global commit cut — a fresh cut
-// per chunk, so the walk as a whole is bounded-stale, not atomic.
-func (m *Map[K, V, A]) ForEachChunkedConsistent(n int, f func(K, V) bool) bool {
-	return m.forEachChunked(n, f, m.ViewConsistent)
-}
-
-func (m *Map[K, V, A]) forEachChunked(n int, f func(K, V) bool, view func(func(Snap[K, V, A]))) bool {
-	if n <= 0 {
-		done, entered := false, false
-		view(func(s Snap[K, V, A]) {
-			entered = true
-			done = s.ForEachCond(f)
-		})
-		return done && entered
-	}
-	var (
-		last    K
-		first   = true
-		stopped = false
-	)
-	for {
-		entered, full := false, false
-		view(func(s Snap[K, V, A]) {
-			entered = true
-			st := m.getScan()
-			defer m.putScan(st)
-			if first {
-				st.seekMin(s)
-			} else {
-				st.seekGE(s, last)
-				// The anchor key itself was visited by the previous
-				// chunk (unless it was deleted in between).
-				if w := st.winner(); w >= 0 && st.cmp(st.its[w].Key(), last) == 0 {
-					st.step()
-				}
-			}
-			count := 0
-			for w := st.winner(); w >= 0; w = st.winner() {
-				k, v := st.its[w].Key(), st.its[w].Val()
-				if !f(k, v) {
-					stopped = true
-					return
-				}
-				last, first = k, false
-				if count++; count == n {
-					full = true
-					return
-				}
-				st.step()
-			}
-		})
-		if !entered || stopped {
-			return false
-		}
-		if !full {
-			return true
-		}
-	}
 }

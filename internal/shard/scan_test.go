@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +12,23 @@ import (
 	"mvgc/internal/ycsb"
 )
 
+// scanOf collects ScanFunc(lo, n)'s stream.
+func scanOf(s Snap[int64, int64, int64], lo int64, n int) []ftree.Entry[int64, int64] {
+	var out []ftree.Entry[int64, int64]
+	s.ScanFunc(lo, n, func(k, v int64) bool {
+		out = append(out, ftree.Entry[int64, int64]{Key: k, Val: v})
+		return true
+	})
+	return out
+}
+
 // TestScanEquivalence drives an S-shard map and a 1-shard reference with
 // the same randomized op stream over every Version Maintenance algorithm,
-// then checks that every merged-scan surface — ForEach, ForEachCond,
-// RangeFunc, ScanFunc, Scan — streams exactly the reference's in-order
-// view.  The 1-shard map degenerates the loser tree to a single leaf, so
-// agreement here pins the merge itself, not just the per-shard iterators.
+// then checks that both merged-scan surfaces — ForEachCond and ScanFunc,
+// the latter also stopped at an upper key — stream exactly the
+// reference's in-order view.  The 1-shard map degenerates the loser tree
+// to a single leaf, so agreement here pins the merge itself, not just the
+// per-shard iterators.
 func TestScanEquivalence(t *testing.T) {
 	for _, alg := range vm.Names() {
 		t.Run(alg, func(t *testing.T) {
@@ -42,23 +54,25 @@ func TestScanEquivalence(t *testing.T) {
 
 			var want []ftree.Entry[int64, int64]
 			single.View(func(s Snap[int64, int64, int64]) {
-				want = s.Scan(0, keySpace+1)
+				want = scanOf(s, 0, keySpace+1)
 			})
 			sharded.View(func(s Snap[int64, int64, int64]) {
 				// Full ordered walk.
 				var got []ftree.Entry[int64, int64]
-				s.ForEach(func(k, v int64) {
+				s.ForEachCond(func(k, v int64) bool {
 					got = append(got, ftree.Entry[int64, int64]{Key: k, Val: v})
+					return true
 				})
 				if len(got) != len(want) {
-					t.Fatalf("ForEach streamed %d entries, reference has %d", len(got), len(want))
+					t.Fatalf("ForEachCond streamed %d entries, reference has %d", len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("ForEach[%d] = %v, want %v", i, got[i], want[i])
+						t.Fatalf("ForEachCond[%d] = %v, want %v", i, got[i], want[i])
 					}
 				}
-				// Random windows, every scan surface.
+				// Random windows: the first n entries ≥ lo, and the
+				// entries in [lo, hi].
 				for rep := 0; rep < 50; rep++ {
 					lo := int64(rng.Intn(keySpace))
 					n := 1 + int(rng.Intn(100))
@@ -67,15 +81,6 @@ func TestScanEquivalence(t *testing.T) {
 					for _, e := range want {
 						if e.Key >= lo && len(ref) < n {
 							ref = append(ref, e)
-						}
-					}
-					scan := s.Scan(lo, n)
-					if len(scan) != len(ref) {
-						t.Fatalf("Scan(%d,%d) returned %d entries, want %d", lo, n, len(scan), len(ref))
-					}
-					for i := range scan {
-						if scan[i] != ref[i] {
-							t.Fatalf("Scan(%d,%d)[%d] = %v, want %v", lo, n, i, scan[i], ref[i])
 						}
 					}
 					got := 0
@@ -91,17 +96,18 @@ func TestScanEquivalence(t *testing.T) {
 					if len(ref) > 0 {
 						hi := ref[len(ref)-1].Key
 						i := 0
-						if !s.RangeFunc(lo, hi, func(k, v int64) bool {
+						s.ScanFunc(lo, keySpace+1, func(k, v int64) bool {
+							if k > hi {
+								return false
+							}
 							if i >= len(ref) || k != ref[i].Key || v != ref[i].Val {
-								t.Fatalf("RangeFunc(%d,%d) diverged at %d: %d:%d", lo, hi, i, k, v)
+								t.Fatalf("ScanFunc [%d,%d] diverged at %d: %d:%d", lo, hi, i, k, v)
 							}
 							i++
 							return true
-						}) {
-							t.Fatalf("RangeFunc(%d,%d) reported early stop", lo, hi)
-						}
+						})
 						if i != len(ref) {
-							t.Fatalf("RangeFunc(%d,%d) visited %d, want %d", lo, hi, i, len(ref))
+							t.Fatalf("ScanFunc [%d,%d] visited %d, want %d", lo, hi, i, len(ref))
 						}
 					}
 				}
@@ -127,47 +133,37 @@ func TestScanEquivalence(t *testing.T) {
 }
 
 // TestScanEmptyAndBounds covers the degenerate merges: empty map, scans
-// past the last key, n=0, and a ScanAppend reusing its buffer.
+// past the last key and n=0.
 func TestScanEmptyAndBounds(t *testing.T) {
 	m := newSharded(t, "pswf", 3, 2, nil)
 	defer m.Close()
 	m.View(func(s Snap[int64, int64, int64]) {
-		if got := s.Scan(0, 10); len(got) != 0 {
+		if got := scanOf(s, 0, 10); len(got) != 0 {
 			t.Fatalf("scan of empty map returned %d entries", len(got))
 		}
-		s.ForEach(func(k, v int64) { t.Fatalf("ForEach on empty map visited %d", k) })
+		s.ForEachCond(func(k, v int64) bool { t.Fatalf("ForEachCond on empty map visited %d", k); return true })
 	})
 	for i := int64(0); i < 100; i++ {
 		m.Insert(i, i)
 	}
 	m.View(func(s Snap[int64, int64, int64]) {
-		if got := s.Scan(100, 10); len(got) != 0 {
+		if got := scanOf(s, 100, 10); len(got) != 0 {
 			t.Fatalf("scan past the last key returned %d entries", len(got))
 		}
-		if got := s.Scan(0, 0); len(got) != 0 {
+		if got := scanOf(s, 0, 0); len(got) != 0 {
 			t.Fatalf("n=0 scan returned %d entries", len(got))
 		}
 		if n := s.ScanFunc(0, 0, func(int64, int64) bool { return true }); n != 0 {
 			t.Fatalf("n=0 ScanFunc visited %d", n)
 		}
-		buf := make([]ftree.Entry[int64, int64], 0, 64)
-		first := s.ScanAppend(buf, 10, 5)
-		if len(first) != 5 || first[0].Key != 10 {
-			t.Fatalf("ScanAppend = %v", first)
-		}
-		second := s.ScanAppend(first[:0], 20, 5)
-		if &second[0] != &first[0] {
-			t.Fatal("ScanAppend grew a buffer with spare capacity")
-		}
-		if second[0].Key != 20 {
-			t.Fatalf("reused buffer scan starts at %d, want 20", second[0].Key)
-		}
 	})
 }
 
-// TestScanWarmZeroAlloc pins the tentpole's headline number as a unit
+// TestScanWarmZeroAlloc pins the scan path's headline number as a unit
 // test: once the per-map pool and the iterator stacks are warm, a
-// fixed-length scan on a pinned snapshot performs zero heap allocations.
+// fixed-length ScanFunc on a pinned snapshot performs zero heap
+// allocations — with a callback made once outside the measured call, and
+// with a closure literal at the call site that captures a local.
 func TestScanWarmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -180,15 +176,28 @@ func TestScanWarmZeroAlloc(t *testing.T) {
 	defer m.Close()
 	rng := ycsb.NewSplitMix64(7)
 	m.View(func(s Snap[int64, int64, int64]) {
-		buf := make([]ftree.Entry[int64, int64], 0, 128)
+		var sum int64
+		visit := func(k, v int64) bool { sum += v; return true }
 		for i := 0; i < 100; i++ { // warm the pool and the descent stacks
-			buf = s.ScanAppend(buf[:0], int64(rng.Intn(10_000)), 100)
+			s.ScanFunc(int64(rng.Intn(10_000)), 100, visit)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			buf = s.ScanAppend(buf[:0], int64(rng.Intn(10_000)), 100)
+			s.ScanFunc(int64(rng.Intn(10_000)), 100, visit)
 		})
 		if allocs != 0 {
-			t.Fatalf("warm ScanAppend allocates %.1f times per scan", allocs)
+			t.Fatalf("warm ScanFunc allocates %.1f times per scan", allocs)
+		}
+		visited := 0
+		allocs = testing.AllocsPerRun(100, func() {
+			n := 0
+			s.ScanFunc(int64(rng.Intn(9_900)), 100, func(k, v int64) bool { n++; return true })
+			visited = n
+		})
+		if allocs != 0 {
+			t.Fatalf("warm ScanFunc with a capturing closure allocates %.1f times per scan", allocs)
+		}
+		if visited != 100 {
+			t.Fatalf("warm ScanFunc visited %d entries, want 100", visited)
 		}
 	})
 }
@@ -272,7 +281,10 @@ func TestTornScanForeclosed(t *testing.T) {
 		lo, hi = hi, lo
 	}
 	scanBoth := func(s Snap[int64, int64, int64]) (seenA, seenB bool) {
-		s.RangeFunc(lo, hi, func(k, v int64) bool {
+		s.ScanFunc(lo, math.MaxInt, func(k, v int64) bool {
+			if k > hi {
+				return false
+			}
 			if k == a {
 				seenA = true
 			}

@@ -408,16 +408,9 @@ func (m *Map[K, V, A]) Flush(client int) {
 	}
 }
 
-// StopBatching stops every shard's combiner after a final drain.  It is
-// idempotent; Close calls it internally.
-func (m *Map[K, V, A]) StopBatching() {
-	if !m.enter(0) {
-		return
-	}
-	defer m.exit(0)
-	m.stopBatching()
-}
-
+// stopBatching stops every shard's combiner after a final drain.  It is
+// idempotent.  Close calls it once every front-door call has drained, so
+// no Submit indexes m.batchers after it is cleared.
 func (m *Map[K, V, A]) stopBatching() {
 	for _, b := range m.batchers {
 		b.Stop()

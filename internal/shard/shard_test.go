@@ -91,33 +91,34 @@ func TestShardedMatrix(t *testing.T) {
 
 			// Fan-out reads in global key order.
 			m.View(func(s Snap[int64, int64, int64]) {
-				got := s.Range(100, 110)
-				if len(got) != 11 {
-					t.Fatalf("Range(100,110) returned %d entries", len(got))
-				}
-				for i, e := range got {
-					if e.Key != int64(100+i) {
-						t.Fatalf("Range out of order at %d: key %d", i, e.Key)
-					}
-				}
 				var sum int64
-				for _, e := range got {
-					sum += e.Val
+				got := 0
+				s.ScanFunc(100, 11, func(k, v int64) bool {
+					if k != int64(100+got) {
+						t.Fatalf("ScanFunc out of order at %d: key %d", got, k)
+					}
+					sum += v
+					got++
+					return true
+				})
+				if got != 11 {
+					t.Fatalf("ScanFunc(100, 11) visited %d entries", got)
 				}
 				if ar := s.AugRange(100, 110); ar != sum {
 					t.Fatalf("AugRange = %d, range sum = %d", ar, sum)
 				}
 				prev := int64(-1 << 62)
 				n := 0
-				s.ForEach(func(k, v int64) {
+				s.ForEachCond(func(k, v int64) bool {
 					if k <= prev {
-						t.Fatalf("ForEach out of order: %d after %d", k, prev)
+						t.Fatalf("ForEachCond out of order: %d after %d", k, prev)
 					}
 					prev = k
 					n++
+					return true
 				})
 				if int64(n) != s.Len() {
-					t.Fatalf("ForEach visited %d, Len = %d", n, s.Len())
+					t.Fatalf("ForEachCond visited %d, Len = %d", n, s.Len())
 				}
 				if v, ok := s.Get(7777); !ok || v != 2 {
 					t.Fatalf("Snap.Get(7777) = %d,%v", v, ok)
@@ -267,7 +268,7 @@ func TestTxnInsertBatchMatchesInsertWith(t *testing.T) {
 	}
 	dumpInt := func(m *Map[int64, int64, int64]) map[int64]int64 {
 		out := map[int64]int64{}
-		m.View(func(s Snap[int64, int64, int64]) { s.ForEach(func(k, v int64) { out[k] = v }) })
+		m.View(func(s Snap[int64, int64, int64]) { s.ForEachCond(func(k, v int64) bool { out[k] = v; return true }) })
 		return out
 	}
 	for _, comb := range []func(old, new int64) int64{add, nil} {

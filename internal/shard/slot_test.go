@@ -437,7 +437,7 @@ func TestSlotContentionStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := func(s Snap[uint64, uint64, struct{}]) (n uint64) {
-			s.RangeFunc(0, accounts-1, func(_, v uint64) bool { n += v; return true })
+			s.ScanFunc(0, accounts, func(_, v uint64) bool { n += v; return true })
 			return n
 		}
 		var wg sync.WaitGroup

@@ -52,7 +52,7 @@ func TestSnapshotLoadIsOneVersion(t *testing.T) {
 				}
 				var a, b, total int
 				m.ViewConsistent(func(s Snap[uint64, uint64, struct{}]) {
-					s.ForEach(func(k, v uint64) {
+					s.ForEachCond(func(k, v uint64) bool {
 						total++
 						if k < n && v == valA(k) {
 							a++
@@ -60,6 +60,7 @@ func TestSnapshotLoadIsOneVersion(t *testing.T) {
 						if k >= n/2 && k < n/2+n && v == valB(k) {
 							b++
 						}
+						return true
 					})
 				})
 				if total != n || (a != n && b != n) {

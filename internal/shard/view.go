@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"mvgc/internal/core"
-	"mvgc/internal/ftree"
 )
 
 // consistentRetries bounds ViewConsistent's optimistic double-collect
@@ -216,16 +215,4 @@ func (s Snap[K, V, A]) AugRange(lo, hi K) A {
 		a = ops.Aug.Combine(a, sn.AugRange(lo, hi))
 	}
 	return a
-}
-
-// Range returns the entries with keys in [lo, hi] across all shards,
-// merged into global key order.  It materializes the whole result; use
-// RangeFunc, ScanFunc or ForEachCond to stream with early exit instead.
-func (s Snap[K, V, A]) Range(lo, hi K) []ftree.Entry[K, V] {
-	var out []ftree.Entry[K, V]
-	s.RangeFunc(lo, hi, func(k K, v V) bool {
-		out = append(out, ftree.Entry[K, V]{Key: k, Val: v})
-		return true
-	})
-	return out
 }

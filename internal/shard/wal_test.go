@@ -95,7 +95,7 @@ func drainTail(t *testing.T, tail *wal.Tailer, each func(payload []byte)) (recor
 func dump(m *Map[uint64, uint64, struct{}]) map[uint64]uint64 {
 	out := map[uint64]uint64{}
 	m.View(func(s Snap[uint64, uint64, struct{}]) {
-		s.ForEach(func(k, v uint64) { out[k] = v })
+		s.ForEachCond(func(k, v uint64) bool { out[k] = v; return true })
 	})
 	return out
 }
@@ -210,7 +210,7 @@ func TestWritePathDifferential(t *testing.T) {
 	}
 	batching := func(cfg batch.Config, comb func(old, new uint64) uint64) func(m *tmap) error {
 		return func(m *tmap) error {
-			m.StopBatching()
+			m.stopBatching()
 			m.StartBatching(cfg, comb)
 			return nil
 		}

@@ -158,14 +158,16 @@ func checkAutoCmp[K comparable](t *testing.T, keys ...K) {
 	}
 	var got []K
 	db.View(func(s DBSnapshot[K, int, struct{}]) {
-		s.ForEach(func(k K, _ int) { got = append(got, k) })
+		s.ForEachCond(func(k K, _ int) bool { got = append(got, k); return true })
 		// A scan from an absent key starts at the next one present.
-		if first := s.Scan(keys[len(keys)/2], 1); len(first) != 1 || first[0].Key != keys[len(keys)/2+1] {
-			t.Fatalf("%T: Scan(%v, 1) = %v", keys[0], keys[len(keys)/2], first)
+		var first []K
+		s.ScanFunc(keys[len(keys)/2], 1, func(k K, _ int) bool { first = append(first, k); return true })
+		if len(first) != 1 || first[0] != keys[len(keys)/2+1] {
+			t.Fatalf("%T: ScanFunc(%v, 1) = %v", keys[0], keys[len(keys)/2], first)
 		}
 	})
 	if !slices.Equal(got, want) {
-		t.Fatalf("%T: ForEach visited %v, want %v", keys[0], got, want)
+		t.Fatalf("%T: ForEachCond visited %v, want %v", keys[0], got, want)
 	}
 	left := len(want)
 	for i, k := range keys {

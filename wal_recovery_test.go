@@ -23,7 +23,7 @@ func openWALDB(fs wal.FS) (*mvgc.DB[uint64, uint64, struct{}], error) {
 func dumpDB(db *mvgc.DB[uint64, uint64, struct{}]) map[uint64]uint64 {
 	got := map[uint64]uint64{}
 	db.View(func(s mvgc.DBSnapshot[uint64, uint64, struct{}]) {
-		s.ForEach(func(k, v uint64) { got[k] = v })
+		s.ForEachCond(func(k, v uint64) bool { got[k] = v; return true })
 	})
 	return got
 }
@@ -263,7 +263,7 @@ func TestDBWALBatchCrash(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	mem.Crash(0) // power cut: no StopBatching, no Close
+	mem.Crash(0) // power cut: no combiner drain, no Close
 
 	rdb, err := openWALDB(mem)
 	if err != nil {
