@@ -49,7 +49,7 @@ func fatalf(format string, args ...any) {
 // start launches mvgcd and waits until it accepts connections.
 func start() *exec.Cmd {
 	cmd := exec.Command(*mvgcdBin,
-		"-addr", *addr, "-shards", "4", "-latency", "1ms",
+		"-addr", *addr, "-shards", "4",
 		"-wal", *walDir, "-wal-fsync", "always")
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr

@@ -3,13 +3,13 @@
 //
 // Pipelined clients (internal/netclient, or anything that speaks RESP
 // arrays of bulk strings) get SET/GET/DEL/SUM/LEN/SCAN/SCANC/MCAS/PING/
-// STATS; every connection's writes flow through the per-shard
-// combining writers, so N connections' pipelined SETs coalesce into
-// O(shards) commits per batching interval (see internal/netserver).
+// STATS; a connection commits each burst of pipelined SETs and DELs on its
+// own read loop as O(shards) commits, and connections share the log's
+// fsyncs (see internal/netserver).
 //
 // Usage:
 //
-//	mvgcd -addr :6380 -shards 8 -maxconns 256 -latency 1ms
+//	mvgcd -addr :6380 -shards 8 -maxconns 256
 //	mvgcd -addr :6380 -wal /var/lib/mvgcd -wal-fsync always
 //	mvgcd -addr :6381 -wal /var/lib/mvgcd-f -follow leader:6380
 //
@@ -41,7 +41,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"mvgc"
 	"mvgc/internal/netserver"
@@ -51,9 +50,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":6380", "listen address")
 		shards     = flag.Int("shards", min(runtime.GOMAXPROCS(0), 8), "shard count (default: GOMAXPROCS capped at 8)")
-		maxConns   = flag.Int("maxconns", 256, "connections served concurrently (combiner fan-in)")
+		maxConns   = flag.Int("maxconns", 256, "connections served concurrently")
 		pipeline   = flag.Int("pipeline", 1024, "max outstanding responses per connection")
-		latency    = flag.Duration("latency", time.Millisecond, "combiner batching latency bound")
 		consistent = flag.Bool("consistent", false, "serve SUM/LEN/SCAN from globally consistent snapshots")
 		walDir     = flag.String("wal", "", "write-ahead log directory (empty = purely in-memory)")
 		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always, interval or off")
@@ -67,7 +65,6 @@ func main() {
 		Shards:      *shards,
 		MaxConns:    *maxConns,
 		MaxPipeline: *pipeline,
-		MaxLatency:  *latency,
 		Consistent:  *consistent,
 		WAL: mvgc.WALOptions{
 			Dir:             *walDir,
@@ -94,8 +91,8 @@ func main() {
 	if *follow != "" {
 		role = fmt.Sprintf(" following=%s", *follow)
 	}
-	fmt.Printf("mvgcd: serving on %s (shards=%d maxconns=%d latency=%s %s%s)\n",
-		ln.Addr(), *shards, *maxConns, *latency, durability, role)
+	fmt.Printf("mvgcd: serving on %s (shards=%d maxconns=%d %s%s)\n",
+		ln.Addr(), *shards, *maxConns, durability, role)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

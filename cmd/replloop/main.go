@@ -81,7 +81,7 @@ func fatalf(format string, args ...any) {
 // start launches one mvgcd and waits until it accepts connections.
 func start(addr, dir, follow string) *exec.Cmd {
 	args := []string{
-		"-addr", addr, "-shards", "4", "-latency", "1ms",
+		"-addr", addr, "-shards", "4",
 		"-wal", dir, "-wal-fsync", "always",
 		"-wal-segment-bytes", fmt.Sprint(32 << 10),
 		"-checkpoint-bytes", fmt.Sprint(*ckptBytes),

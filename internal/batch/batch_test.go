@@ -197,8 +197,8 @@ func TestManyClientsNoLostUpdates(t *testing.T) {
 }
 
 // TestStopDrains: requests submitted before Stop must be committed by the
-// final drain even if the combiner never woke for them — and resolved by the
-// time Stop returns: Stop joins the completer, not just the combiner.
+// final drain even if the combiner never woke for them, and published by the
+// time Stop returns.
 func TestStopDrains(t *testing.T) {
 	m := newIntMap(t, 2)
 	b := New(m, Config{Clients: 1, MaxLatency: time.Hour}, nil) // never wakes on its own
@@ -209,7 +209,7 @@ func TestStopDrains(t *testing.T) {
 	}
 	b.Stop()
 	if got := b.Applied(); got != 10 {
-		t.Fatalf("Applied = %d when Stop returned, want 10: the completer was not joined", got)
+		t.Fatalf("Applied = %d when Stop returned, want 10", got)
 	}
 	if q := b.rings[0]; q.committed.Load() != q.tail.Load() {
 		t.Fatalf("committed = %d, tail = %d when Stop returned", q.committed.Load(), q.tail.Load())
@@ -237,30 +237,17 @@ func awaitParked(t *testing.T, b *Batcher[int64, int64, int64], client int, why 
 // is called — against the contract, clients were meant to have stopped — is
 // let go: the final drain makes room once, and after it nobody would, so
 // Stop itself wakes whoever is still parked and their leftovers are dropped.
-// Every callback still fires exactly once: nil for what the drain committed,
-// ErrStopped for what it did not.
+// What the drain committed is exactly what is in the map.
 func TestStopReleasesParkedProducer(t *testing.T) {
 	const n = 64
 	m := newIntMap(t, 2)
 	b := New(m, Config{Clients: 1, BufCap: 4, MaxLatency: time.Hour}, nil) // only Stop's drain ever gathers
 	b.Start()
-	fired := make([]atomic.Int32, n)
-	var committed, dropped atomic.Int32
 	produced := make(chan struct{})
 	go func() {
 		defer close(produced)
 		for i := int64(0); i < n; i++ {
-			b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i}, func(err error) {
-				fired[i].Add(1)
-				switch {
-				case err == nil:
-					committed.Add(1)
-				case errors.Is(err, ErrStopped):
-					dropped.Add(1)
-				default:
-					t.Errorf("callback %d got %v", i, err)
-				}
-			})
+			b.Submit(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i})
 		}
 		b.Flush(0) // parked or not, this must return too
 	}()
@@ -271,21 +258,13 @@ func TestStopReleasesParkedProducer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a producer parked at Stop was never released")
 	}
-	for i := range fired {
-		// A request the producer slipped into the ring after the final
-		// drain's last gather is neither committed nor refused; the contract
-		// (no submits during Stop) is what rules those out, so only double
-		// fires are an error here.
-		if c := fired[i].Load(); c > 1 {
-			t.Fatalf("callback %d fired %d times", i, c)
-		}
-	}
-	if committed.Load() < 4 {
-		t.Fatalf("the final drain committed %d requests, want at least the 4 the ring held", committed.Load())
+	committed := b.Applied()
+	if committed < 4 {
+		t.Fatalf("the final drain committed %d requests, want at least the 4 the ring held", committed)
 	}
 	read(m, func(s core.Snapshot[int64, int64, int64]) {
-		if s.Len() != int64(committed.Load()) {
-			t.Fatalf("Len = %d, callbacks acknowledged %d", s.Len(), committed.Load())
+		if s.Len() != committed {
+			t.Fatalf("Len = %d, the combiner committed %d", s.Len(), committed)
 		}
 	})
 	m.Close()
@@ -294,7 +273,7 @@ func TestStopReleasesParkedProducer(t *testing.T) {
 // TestParkedHandshakeStress hunts lost wake-ups in the declare-recheck-sleep
 // handshake: rings of one and two slots, so nearly every Submit parks for
 // room and every SubmitWait and Flush parks for its commit, four producers
-// mixing all three against one combiner and one completer.  A lost wake-up
+// mixing all three against one combiner.  A lost wake-up
 // is a producer that never finishes.  The full count runs under the race
 // detector without -short (the nightly lane); a plain build spends an idle
 // timer period on most rounds, so it and -short run a tenth.
@@ -406,114 +385,29 @@ func TestMaxBatchRespected(t *testing.T) {
 	m.Close()
 }
 
-// TestSubmitAsyncExactlyOnce: every SubmitAsync callback fires exactly
-// once, after the commit containing its request — the contract the
-// pipelined network server's in-order response writers depend on.
-func TestSubmitAsyncExactlyOnce(t *testing.T) {
-	const n = 2000
-	m := newIntMap(t, 2)
-	b := New(m, Config{Clients: 2, BufCap: 64, MaxLatency: 100 * time.Microsecond}, nil)
-	b.Start()
-	fired := make([]atomic.Int32, n)
-	var done atomic.Int32
-	all := make(chan struct{})
-	for i := int64(0); i < n; i++ {
-		i := i
-		b.SubmitAsync(int(i)%2, Request[int64, int64]{Op: OpInsert, Key: i, Val: i * 2}, func(err error) {
-			if err != nil {
-				t.Errorf("callback %d got error %v", i, err)
-			}
-			fired[i].Add(1)
-			if done.Add(1) == n {
-				close(all)
-			}
-		})
-	}
-	select {
-	case <-all:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d/%d callbacks fired", done.Load(), n)
-	}
-	// Callbacks fire after the watermark publication, so by now every
-	// request is committed and visible.
-	read(m, func(s core.Snapshot[int64, int64, int64]) {
-		if s.Len() != n {
-			t.Fatalf("Len = %d after all callbacks, want %d", s.Len(), n)
-		}
-	})
-	b.Stop()
-	for i := range fired {
-		if c := fired[i].Load(); c != 1 {
-			t.Fatalf("callback %d fired %d times", i, c)
-		}
-	}
-	m.Close()
-}
-
-// TestSubmitAsyncShutdownDrain: callbacks for requests still buffered when
-// Stop is called fire exactly once from the final drain — a server shutting
-// down must complete every accepted write's response, never drop or double
-// it.
-func TestSubmitAsyncShutdownDrain(t *testing.T) {
-	const n = 100
-	m := newIntMap(t, 2)
-	b := New(m, Config{Clients: 1, MaxLatency: time.Hour}, nil) // combiner never wakes on its own
-	b.Start()
-	time.Sleep(5 * time.Millisecond) // let it park in its timer
-	fired := make([]atomic.Int32, n)
-	for i := int64(0); i < n; i++ {
-		i := i
-		b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: i, Val: i}, func(error) { fired[i].Add(1) })
-	}
-	b.Stop() // final drain commits, and the joined completer has fired every callback
-	for i := range fired {
-		if c := fired[i].Load(); c != 1 {
-			t.Fatalf("callback %d fired %d times by the time Stop returned", i, c)
-		}
-	}
-	read(m, func(s core.Snapshot[int64, int64, int64]) {
-		if s.Len() != n {
-			t.Fatalf("Len = %d after Stop drain", s.Len())
-		}
-	})
-	m.Close()
-}
-
 // TestCommitHook: the owner's commit function sees every gathered batch,
-// and its error is delivered to every callback in the batch while the
-// watermarks still advance — SubmitWait and Flush never wedge behind a
-// commit function that refuses.
+// and when it refuses one the watermarks still advance — SubmitWait and
+// Flush never wedge behind a commit function that refuses — while the
+// refused batch is not counted.
 func TestCommitHook(t *testing.T) {
 	m := newIntMap(t, 2)
 	defer m.Close()
 	var failing atomic.Bool
-	errRefused := errors.New("log refused")
 	b := NewWithCommit(Config{Clients: 1, MaxLatency: 100 * time.Microsecond}, m.Ops(),
-		Commit[int64, int64]{Apply: func(ins []ftree.Entry[int64, int64], dels []int64) (int64, error) {
+		func(ins []ftree.Entry[int64, int64], dels []int64) error {
 			if failing.Load() {
-				return 0, errRefused // fail fast: nothing reaches memory either
+				return errors.New("log refused") // fail fast: nothing reaches memory either
 			}
 			m.With(func(h *core.Handle[int64, int64, int64]) {
 				h.Update(func(tx *core.Txn[int64, int64, int64]) { Apply(tx, ins, dels, nil) })
 			})
-			return 0, nil
-		}})
+			return nil
+		})
 	b.Start()
-
-	errs := make(chan error, 3)
-	b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: 1, Val: 10}, func(err error) { errs <- err })
-	if err := <-errs; err != nil {
-		t.Fatalf("healthy commit delivered error %v", err)
-	}
-
+	b.SubmitWait(0, Request[int64, int64]{Op: OpInsert, Key: 1, Val: 10})
 	failing.Store(true)
 	for k := int64(2); k <= 4; k++ {
-		b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: k, Val: 10 * k}, func(err error) { errs <- err })
-	}
-	for k := 2; k <= 4; k++ {
-		if err := <-errs; !errors.Is(err, errRefused) {
-			t.Fatalf("refused batch delivered %v, want %v", err, errRefused)
-		}
+		b.Submit(0, Request[int64, int64]{Op: OpInsert, Key: k, Val: 10 * k})
 	}
 	b.SubmitWait(0, Request[int64, int64]{Op: OpInsert, Key: 5, Val: 50}) // must not wedge
 	b.Flush(0)                                                            // nor this

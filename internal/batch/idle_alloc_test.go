@@ -9,8 +9,7 @@ import (
 )
 
 // TestIdleCombinerAllocs: a started combiner with nothing to do polls once
-// per MaxLatency, forever, on every shard of every batched map — so a poll
-// must not allocate.  Race instrumentation allocates, so the file is built
+// per MaxLatency, forever — so a poll must not allocate.  Race instrumentation allocates, so the file is built
 // without it.
 //
 // The test runs on one P.  Each P keeps its own timer heap, a slice the
@@ -38,13 +37,11 @@ func TestIdleCombinerAllocs(t *testing.T) {
 	}
 }
 
-// TestCombinerCommitAllocs: a warm commit — gather, apply, hand-over to the
-// completer, publication, the producer's park and wake — allocates nothing:
-// the batch records that travel between the two goroutines are a fixed ring
-// reused in place, callbacks included.
+// TestCombinerCommitAllocs: a warm commit — gather, apply, publication, the
+// producer's park and wake — allocates nothing: the combiner's batch buffers
+// are reused in place.
 //
-// It measures twice.  On one P the producer, the combiner and the completer
-// take turns, and one window after the warm-up is exact.  On two or more Ps
+// It measures twice.  On one P the producer and the combiner take turns, and one window after the warm-up is exact.  On two or more Ps
 // they run at once, so parks and wake-ups cross Ps.  There the runtime has
 // one-time costs a warm-up cannot exhaust — a thread started for a wake-up
 // that finds an idle P but no idle thread (runtime.newm, five objects), a
@@ -75,19 +72,15 @@ func combinerCommitAllocs(t *testing.T, procs, keys, rounds, windows int) (count
 	b := New(m, Config{Clients: 1, BufCap: 8, MaxLatency: 50 * time.Microsecond}, nil)
 	b.Start()
 	defer b.Stop()
-	acked := make(chan struct{}, 1)
-	ack := func(error) { acked <- struct{}{} }
 	round := func(i int) {
-		// A burst that overflows the ring (Submit parks for room), one
-		// request with a callback, one wait for the commit.
-		for j := 0; j < 12; j++ {
+		// A burst that overflows the ring (Submit parks for room), then one
+		// wait for the commit.
+		for j := 0; j < 13; j++ {
 			b.Submit(0, Request[int64, int64]{Op: OpInsert, Key: int64((i + j) % keys), Val: int64(i)})
 		}
-		b.SubmitAsync(0, Request[int64, int64]{Op: OpInsert, Key: int64(i % keys), Val: int64(i)}, ack)
 		b.Flush(0)
-		<-acked
 	}
-	for i := 0; i < rounds; i++ { // warm: tree, arenas, batch records, sudogs
+	for i := 0; i < rounds; i++ { // warm: tree, arenas, batch buffers, sudogs
 		round(i)
 	}
 	for range windows {

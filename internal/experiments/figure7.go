@@ -208,11 +208,24 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 	if err != nil {
 		panic(err)
 	}
-	sm.StartBatching(batch.Config{
-		Clients:    cfg.Threads,
-		BufCap:     1 << 15,
-		MaxLatency: cfg.MaxLatency,
-	}, nil)
+	// One combiner per shard, committing its batches through the map's
+	// commit pipeline: the deletes, then one batched insert.
+	bs := make([]*batch.Batcher[uint64, uint64, struct{}], shards)
+	for i := range bs {
+		bs[i] = batch.NewWithCommit(batch.Config{
+			Clients:    cfg.Threads,
+			BufCap:     1 << 15,
+			MaxLatency: cfg.MaxLatency,
+		}, sm.Shard(i).Ops(), func(inserts []ftree.Entry[uint64, uint64], deletes []uint64) error {
+			return sm.UpdateAtomic(func(t *shard.Txn[uint64, uint64, struct{}]) {
+				for _, k := range deletes {
+					t.Delete(k)
+				}
+				t.InsertBatch(inserts, nil)
+			})
+		})
+		bs[i].Start()
+	}
 	mops := run(cfg.Threads, cfg.Duration, func(worker int, stop *atomic.Bool, c *counter) {
 		// One long-lived handle per shard: reads go straight to the
 		// owning shard with zero per-op leasing overhead.
@@ -238,11 +251,14 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 					s.ScanFunc(op.Key, op.Len, func(uint64, uint64) bool { return true })
 				})
 			default:
-				sm.Submit(worker, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: op.Key, Val: op.Val})
+				bs[sm.ShardFor(op.Key)].Submit(worker, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: op.Key, Val: op.Val})
 			}
 			c.add(1)
 		}
 	})
+	for _, b := range bs {
+		b.Stop()
+	}
 	sm.Close()
 	if live := sm.Live(); live != 0 {
 		panic(fmt.Sprintf("figure7 ours-sharded: leaked %d nodes", live))

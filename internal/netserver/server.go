@@ -7,35 +7,34 @@
 //
 //   - The read loop decodes requests (netproto) and never blocks on a
 //     response.  It leases the next slot of the ring for every request,
-//     which fixes the response's place on the wire.  Writes (SET/DEL) are
-//     then submitted to the key's shard combiner via the async completion
-//     path (shard.Map.SubmitAsync) with a callback that marks the slot
-//     ready when the batch commit holding the write is resolved — durable,
-//     with a log — which the shard's completer goroutine does one batch
-//     behind the combiner.  Reads (GET) coalesce the other way: consecutive
-//     GETs already in the input buffer are queued as one run and answered
-//     by one read transaction per shard (mvgc.DB.GetBatch) as soon as the
-//     run ends — see getRun.  MCAS runs mvgc.DB.UpdateAtomicKeys inline.
+//     which fixes the response's place on the wire.  Consecutive requests
+//     of one kind that are already in the input buffer form a run, and a
+//     run is executed as soon as it cannot grow without waiting: GETs as
+//     one read transaction per shard (mvgc.DB.GetBatch, see getRun), SETs
+//     and DELs as one commit per shard (mvgc.DB.CommitEach, see writeRun),
+//     which does not wait for the log.  So a pipelined GET reads its own
+//     connection's earlier writes.  MCAS runs mvgc.DB.UpdateAtomicKeys
+//     inline.
 //   - The writer walks the ring in order, encoding each slot once it is
-//     ready, so pipelined replies come back in protocol order no matter
-//     which shard's combiner commits first.  It sleeps only on the slot at
-//     its own position, after flushing, and the completion of that slot is
-//     the one thing that wakes it: a burst of requests costs the two
-//     goroutines one scheduler interaction, not one per request.
+//     ready, so pipelined replies come back in protocol order.  A write's
+//     slot carries its run's log mark: before it encodes that +OK the
+//     writer flushes what it has encoded and makes the log durable up to
+//     the mark (wal.Log.CommitTo), so an acknowledged write is durable and
+//     the read loop never waits on an fsync.  The writer sleeps only on the
+//     slot at its own position, after flushing, and the completion of that
+//     slot is the one thing that wakes it: a burst of requests costs the
+//     two goroutines one scheduler interaction, not one per request.
 //
-// This is what makes the serving layer cheaper than goroutine-per-request
-// over SubmitWait: N connections × D-deep pipelines keep N×D writes in
-// flight on 2N goroutines, and all of a shard's in-flight writes ride ONE
-// combiner commit per batching interval — O(shards) commits for N sockets'
-// traffic instead of N (see DESIGN.md, "The network coalescing path";
-// BenchmarkServeSweep measures commits-per-op).
+// N connections × D-deep pipelines keep N×D requests in flight on 2N
+// goroutines; a burst of D writes is O(shards) commits, and the writers
+// of all connections share fsyncs through the log's group commit (see
+// DESIGN.md, "Inside the server"; BenchmarkServeSweep measures
+// commits-per-op).
 //
-// Backpressure is layered: a connection may have at most Config.MaxPipeline
-// responses outstanding (the read loop stalls in lease beyond that), each
-// combiner ring bounds in-flight writes per connection (a read loop that
-// fills one sleeps in Submit until the combiner's next gather), and
-// Config.MaxConns bounds connections being served concurrently (each holds
-// a combiner client slot for its lifetime).
+// Backpressure is layered: a connection may have at most
+// Config.MaxPipeline responses outstanding (the read loop stalls in lease
+// beyond that), and Config.MaxConns bounds connections being served
+// concurrently.
 package netserver
 
 import (
@@ -51,30 +50,24 @@ import (
 	"time"
 
 	"mvgc"
-	"mvgc/internal/batch"
 	"mvgc/internal/netproto"
 	"mvgc/internal/repl"
 )
 
 // Config sizes a Server.  The zero value serves: GOMAXPROCS shards, 64
-// connection slots, 1024-deep pipelines, 1ms combiner latency bound.
+// connection slots, 1024-deep pipelines.
 type Config struct {
 	// Shards is the number of independent map shards (default GOMAXPROCS,
-	// floor 1).  More shards = more combiners = more parallel commits.
+	// floor 1).  More shards = more parallel commits.
 	Shards int
-	// MaxConns bounds connections served concurrently; each holds one
-	// combiner client slot (an SPSC ring per shard) for its lifetime, so
-	// this is also the combiner fan-in.  Further connections are accepted
-	// but wait for a slot (admission control).  Default 64.
+	// MaxConns bounds connections served concurrently.  Further
+	// connections are accepted but wait for a slot (admission control).
+	// Default 64.
 	MaxConns int
 	// MaxPipeline bounds one connection's outstanding responses; a read
 	// loop that gets further ahead stalls until the writer catches up.
 	// Default 1024.
 	MaxPipeline int
-	// MaxLatency is the per-shard combiner's batching latency bound: how
-	// long a submitted write may wait for its commit (batch.Config).
-	// Default 1ms.
-	MaxLatency time.Duration
 	// Consistent routes the fan-out reads — SUM, LEN and SCAN — through
 	// ViewConsistent, so they never observe an MCAS half-applied; plain
 	// per-shard fan-out otherwise.  Point reads are unaffected
@@ -110,9 +103,6 @@ func (c *Config) fill() {
 	if c.MaxPipeline <= 0 {
 		c.MaxPipeline = 1024
 	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = time.Millisecond
-	}
 }
 
 // Server is a pipelined netproto server over one sharded DB.
@@ -120,9 +110,9 @@ type Server struct {
 	cfg Config
 	db  *mvgc.DB[int64, int64, int64]
 
-	// ids holds the free combiner client slots; a connection leases one
-	// for its lifetime (the combiner rings are single-producer).
-	ids chan int
+	// admit holds one token per connection being served: MaxConns bounds
+	// it (admission control).
+	admit chan struct{}
 
 	mu     sync.Mutex
 	lns    []net.Listener
@@ -134,10 +124,12 @@ type Server struct {
 	nconns  atomic.Int64
 
 	// getRuns and gets count executed read runs and the GETs in them, one
-	// add each per run: gets/getRuns is the mean run length, the read-side
-	// twin of the combiners' applied/batches.
-	getRuns atomic.Int64
-	gets    atomic.Int64
+	// add each per run: gets/getRuns is the mean run length.  writeRuns and
+	// writes are the same for committed write runs.
+	getRuns   atomic.Int64
+	gets      atomic.Int64
+	writeRuns atomic.Int64
+	writes    atomic.Int64
 
 	// Replication state: readOnly gates the write commands while the
 	// server follows a leader; Promote clears it.  fmu serializes
@@ -147,15 +139,10 @@ type Server struct {
 	follower *repl.Follower
 }
 
-// ringCap is each combiner ring's capacity (batch.Config.BufCap): how many
-// of one connection's writes may wait for their shard's combiner.
-const ringCap = 1024
-
 // New opens the sharded DB (int64 keys and values, sum-augmented so SUM is
-// O(S log n)) and starts one combining writer per shard.  With
-// Config.Follow it also starts the replication follower (read-only until
-// promoted).  Close releases everything; the caller owns listeners
-// (Serve) until then.
+// O(S log n)).  With Config.Follow it also starts the replication follower
+// (read-only until promoted).  Close releases everything; the caller owns
+// listeners (Serve) until then.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	if cfg.Follow != "" && cfg.WAL.Dir == "" {
@@ -173,20 +160,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.StartBatching(batch.Config{
-		Clients:    cfg.MaxConns,
-		BufCap:     ringCap,
-		MaxLatency: cfg.MaxLatency,
-	}, nil)
 	s := &Server{
 		cfg:    cfg,
 		db:     db,
-		ids:    make(chan int, cfg.MaxConns),
+		admit:  make(chan struct{}, cfg.MaxConns),
 		conns:  make(map[*conn]struct{}),
 		doneCh: make(chan struct{}),
-	}
-	for i := 0; i < cfg.MaxConns; i++ {
-		s.ids <- i
 	}
 	if cfg.Follow != "" {
 		s.readOnly.Store(true)
@@ -256,16 +235,15 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown stops the server gracefully: listeners close, every connection's
 // read loop is interrupted at its next frame boundary, all responses for
 // requests already read are committed, written and flushed, and only then
-// are the combiners drained and the DB closed.  No accepted request's
-// response is dropped, except to a client that stops reading: a writer
-// blocked on it across one drainGrace loses its socket writes (see drain),
-// so such a client delays Shutdown by one to one and a half drainGrace, not
-// for ever.
+// is the DB closed.  No accepted request's response is dropped, except to a
+// client that stops reading: a writer blocked on it across one drainGrace
+// loses its socket writes (see drain), so such a client delays Shutdown by
+// one to one and a half drainGrace, not for ever.
 func (s *Server) Shutdown() error { return s.stop(true) }
 
 // Close force-closes listeners and connections; in-flight responses may be
-// lost (their commits still complete — the combiners drain — but the
-// sockets are gone).  Prefer Shutdown.
+// lost (what the read loops accepted still commits, but the sockets are
+// gone).  Prefer Shutdown.
 func (s *Server) Close() error { return s.stop(false) }
 
 func (s *Server) stop(graceful bool) error {
@@ -294,11 +272,10 @@ func (s *Server) stop(graceful bool) error {
 	}
 	s.serveWG.Wait()
 	// All read loops have exited and all writers have drained: every
-	// accepted write's completion callback has fired (the combiners were
-	// live throughout).  A following server also stops its stream (the
-	// final position persists after a local log sync).  Now the final
-	// drain can't strand a response — and Close's WAL flush makes every
-	// acked write durable before the log is released.
+	// accepted write has committed and been answered.  A following server
+	// also stops its stream (the final position persists after a local log
+	// sync).  Close's WAL flush makes every committed write durable before
+	// the log is released.
 	s.fmu.Lock()
 	if s.follower != nil {
 		s.follower.Stop()
@@ -316,16 +293,15 @@ const drainGrace = time.Second
 // drain waits for the served connections to finish, bounding the wait on
 // the wire.  Every half drainGrace it looks at each connection still
 // served: a writer is stuck when it has not moved since the last look and
-// is not parked on a pending response.  One stuck across two looks in a
-// row — a whole drainGrace without progress, not parked at either look, so
-// blocked in a write to a client that does not read — gets a write
+// is not parked, on a pending response or on the log.  One stuck across two
+// looks in a row — a whole drainGrace without progress, not parked at either
+// look, so blocked in a write to a client that does not read — gets a write
 // deadline in the past.  Its write fails, the error goes sticky, and the
 // writer drains the ring without the socket, so the connection ends.  A
-// writer parked on a slow commit makes no demand on the client and is not
-// cut, nor one caught between its wake-up and its next move: that move
-// comes long before the next look.  Commits are not cut short: the
-// combiners run throughout.  The hot path pays nothing for this: no
-// deadline is set while the server runs.
+// writer parked on a slow commit or fsync makes no demand on the client and
+// is not cut, nor one caught between its wake-up and its next move: that
+// move comes long before the next look.  The hot path pays nothing for
+// this: no deadline is set while the server runs.
 func (s *Server) drain() {
 	done := make(chan struct{})
 	go func() {
@@ -360,9 +336,10 @@ func (s *Server) drain() {
 }
 
 // parked reports whether the writer at position head sleeps on that slot's
-// completion rather than on the socket.
+// completion or on the log rather than on the socket.
 func (c *conn) parked(head uint64) bool {
-	return c.ring[head&uint64(len(c.ring)-1)].state.Load() == slotParked
+	st := c.ring[head&uint64(len(c.ring)-1)].state.Load()
+	return st == slotParked || st == slotLogWait
 }
 
 // Conns reports connections currently being served.
@@ -384,46 +361,42 @@ const (
 )
 
 // A slot's state word.  The read loop leases slots in ring order without
-// touching the word; whoever completes the response swaps in slotReady;
+// touching the word, and swaps in slotReady when it completes the response;
 // the writer, which only ever looks at the slot at its own position, parks
-// by moving slotIdle to slotParked and resets the word when it has encoded
-// the response.
+// by moving slotIdle to slotParked, marks a ready slot slotLogWait while it
+// waits for the log, and resets the word when it has encoded the response.
 const (
-	slotIdle   uint32 = iota // free, or leased and not yet completed
-	slotReady                // response complete: the writer may encode it
-	slotParked               // the writer sleeps until this slot completes
+	slotIdle    uint32 = iota // free, or leased and not yet completed
+	slotReady                 // response complete: the writer may encode it
+	slotParked                // the writer sleeps until this slot completes
+	slotLogWait               // the writer waits for the log to reach mark
 )
 
 // slot is one in-flight response: leased from the connection's ring at
-// decode time, completed either immediately (reads, errors) or by the
-// shard combiner's commit callback (writes), encoded by the writer in
-// ring order.
+// decode time, completed by the read loop — at once, or when the run it
+// belongs to executes — and encoded by the writer in ring order.
 type slot struct {
 	state atomic.Uint32
 	kind  respKind
 	n     int64
 	msg   string
+	// mark is a committed write's log watermark: the writer makes the log
+	// durable up to it before it encodes the reply.  0 when there is
+	// nothing to wait for.
+	mark int64
 	// arr carries an array reply's integer elements (SCAN's alternating
 	// key/value stream).  The backing array survives recycling, so a warm
 	// connection's scans stop allocating once a slot has grown to the
 	// largest scan it has served.
 	arr []int64
-	// done completes the slot from the combiner; made on a slot's first
-	// write and kept, so a warm slot's async submission costs no closure
-	// allocation.  A non-nil error from the combiner (WAL failure, map
-	// closing) rewrites the prepared response into a protocol error before
-	// release: the client must never see +OK for a write that was not
-	// committed (and, with a WAL, not made durable).
-	done func(error)
 }
 
 // conn is one served connection.  Its two goroutines share ring, an SPSC
 // queue of response slots: the read loop owns tail and is the only one to
 // lease, the writer owns head and is the only one to release.
 type conn struct {
-	srv    *Server
-	nc     net.Conn
-	client int // leased combiner client slot
+	srv *Server
+	nc  net.Conn
 
 	ring []slot // power-of-two length ≥ MaxPipeline
 	tail uint64 // next position to lease; read loop only
@@ -438,8 +411,13 @@ type conn struct {
 	stalled atomic.Bool
 	space   chan struct{}
 
-	// gets is the run of GETs decoded and not yet executed; read loop only.
-	gets getRun
+	// gets and writes are the runs of GETs and of SETs/DELs decoded and not
+	// yet executed, at most one of them non-empty; read loop only.
+	gets   getRun
+	writes writeRun
+	// synced is how far the writer has seen the log made durable; writer
+	// only.
+	synced int64
 
 	// mcas is execMCAS's scratch; an MCAS runs to completion on the read
 	// loop, so nothing outlives the call.
@@ -451,14 +429,13 @@ type conn struct {
 	repl *replHandoff
 }
 
-func (s *Server) newConn(nc net.Conn, client int) *conn {
+func (s *Server) newConn(nc net.Conn) *conn {
 	return &conn{
-		srv:    s,
-		nc:     nc,
-		client: client,
-		ring:   make([]slot, 1<<bits.Len(uint(s.cfg.MaxPipeline-1))),
-		wake:   make(chan struct{}, 1),
-		space:  make(chan struct{}, 1),
+		srv:   s,
+		nc:    nc,
+		ring:  make([]slot, 1<<bits.Len(uint(s.cfg.MaxPipeline-1))),
+		wake:  make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
 		gets: getRun{
 			keys:  make([]int64, 0, getRunCap),
 			vals:  make([]int64, getRunCap),
@@ -479,18 +456,17 @@ type replHandoff struct {
 // read-loop goroutine.
 func (s *Server) handle(nc net.Conn) {
 	defer s.serveWG.Done()
-	// Lease a combiner client slot; bail out if the server shuts down
-	// while this connection is queued for admission.
-	var id int
+	// Wait for admission; bail out if the server shuts down while this
+	// connection is queued.
 	select {
-	case id = <-s.ids:
+	case s.admit <- struct{}{}:
 	case <-s.doneCh:
 		nc.Close()
 		return
 	}
-	defer func() { s.ids <- id }()
+	defer func() { <-s.admit }()
 
-	c := s.newConn(nc, id)
+	c := s.newConn(nc)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -547,16 +523,16 @@ func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
 // response's place on the wire: leases happen in request order, before the
 // operation that will complete the slot.  With MaxPipeline responses
 // outstanding it waits for the writer to release one — the pipeline-depth
-// backpressure — answering the queued read run first.  A recycled slot
+// backpressure — executing the queued run first.  A recycled slot
 // carries the previous response's payload, so every field a handler might
 // leave unset is cleared here — a handler that sets kind but not n (MCAS's
 // failure path, say) must not echo a stale value.
 func (c *conn) lease() *slot {
 	full := func() bool { return c.tail-c.head.Load() >= uint64(c.srv.cfg.MaxPipeline) }
 	for full() {
-		// The writer may be waiting on a queued GET's slot: answer the run
-		// before waiting for the writer.
-		c.flushGets()
+		// The writer may be waiting on a queued request's slot: execute the
+		// run before waiting for the writer.
+		c.flush()
 		c.stalled.Store(true)
 		// Between the check and the declaration the writer may have
 		// released without seeing it: look again before sleeping, and take
@@ -569,6 +545,7 @@ func (c *conn) lease() *slot {
 	c.tail++
 	sl.kind = 0
 	sl.n = 0
+	sl.mark = 0
 	sl.arr = sl.arr[:0]
 	return sl
 }
@@ -591,29 +568,18 @@ func (c *conn) closeRing() {
 	c.complete(sl)
 }
 
-// completion returns the slot's combiner callback.
-func (c *conn) completion(sl *slot) func(error) {
-	if sl.done == nil {
-		sl.done = func(err error) {
-			if err != nil {
-				sl.kind = respErr
-				sl.msg = "ERR " + err.Error()
-			}
-			c.complete(sl)
-		}
-	}
-	return sl.done
-}
-
 // writeLoop encodes responses in ring order.  It looks only at the slot at
 // its own position: ready, it encodes and releases it; not ready — leased
 // and incomplete, or not leased yet — it flushes everything already
 // encoded, so a stalled write never withholds earlier completed responses
 // from the client, and parks on that slot.  One wake-up per park: a burst
 // of completions behind a sleeping writer costs one scheduler interaction,
-// and a writer that keeps finding slots ready costs none.  Write errors go
-// sticky inside the buffered writer; the loop keeps draining so every
-// combiner callback finds its slot in place.
+// and a writer that keeps finding slots ready costs none.  A ready slot
+// with a mark past synced is a write not yet known durable: the writer
+// flushes, waits for the log (the one wait covers the rest of the run, and
+// whatever else the same fsync covered) and answers -ERR if the log fails.
+// Write errors go sticky inside the buffered writer; the loop keeps
+// draining to the close marker.
 func (c *conn) writeLoop() {
 	w := netproto.NewWriter(c.nc)
 	defer w.Flush()
@@ -624,6 +590,15 @@ func (c *conn) writeLoop() {
 			// A failed swap means the completion got in first.
 			if sl.state.CompareAndSwap(slotIdle, slotParked) {
 				<-c.wake
+			}
+		}
+		if sl.mark > c.synced {
+			w.Flush()
+			sl.state.Store(slotLogWait)
+			if err := c.srv.db.WAL().CommitTo(sl.mark); err != nil {
+				sl.kind, sl.msg = respErr, "ERR "+err.Error()
+			} else {
+				c.synced = sl.mark
 			}
 		}
 		switch sl.kind {
@@ -692,19 +667,27 @@ func argInt(b []byte) (int64, bool) {
 }
 
 // Read makes the connection the read loop's input: the socket, behind a
-// flush of the queued read run, so GETs already decoded are never held back
+// flush of the queued run, so requests already decoded are never held back
 // while the loop waits for input that has not arrived.
 func (c *conn) Read(p []byte) (int, error) {
-	c.flushGets()
+	c.flush()
 	return c.nc.Read(p)
 }
 
+// flush executes whichever run is queued.
+func (c *conn) flush() {
+	c.flushGets()
+	c.flushWrites()
+}
+
 // readLoop decodes and dispatches until EOF, a protocol error, or
-// shutdown.  It never waits for a response: the only things that block it
-// are its own backpressure bounds (pipeline FIFO, combiner ring).
+// shutdown.  It never waits for a response: the only thing that blocks it
+// is its own backpressure bound (MaxPipeline).  A run never crosses another
+// kind of command: the queued run is executed before it, in the
+// connection's order.
 func (c *conn) readLoop() {
-	// Whatever ends the loop, the GETs it accepted are answered.
-	defer c.flushGets()
+	// Whatever ends the loop, the requests it accepted are executed.
+	defer c.flush()
 	r := netproto.NewReader(c)
 	var cmd netproto.Command
 	for {
@@ -715,18 +698,20 @@ func (c *conn) readLoop() {
 			return
 		}
 		name := cmd.Args[0]
-		if eqFold(name, netproto.CmdGet) {
-			c.execGet(&cmd)
-			continue
+		get := eqFold(name, netproto.CmdGet)
+		del := !get && eqFold(name, netproto.CmdDel)
+		write := del || !get && eqFold(name, netproto.CmdSet)
+		if !get {
+			c.flushGets()
 		}
-		// A read run never crosses another command: the queued GETs are
-		// dispatched before it, in the connection's order.
-		c.flushGets()
+		if !write {
+			c.flushWrites()
+		}
 		switch {
-		case eqFold(name, netproto.CmdSet):
-			c.execWrite(&cmd, batch.OpInsert)
-		case eqFold(name, netproto.CmdDel):
-			c.execWrite(&cmd, batch.OpDelete)
+		case get:
+			c.execGet(&cmd)
+		case write:
+			c.execWrite(&cmd, del)
 		case eqFold(name, netproto.CmdSum):
 			c.execSum(&cmd)
 		case eqFold(name, netproto.CmdLen):
@@ -758,19 +743,15 @@ func (c *conn) readLoop() {
 	}
 }
 
-// execWrite is the coalescing path: lease the response slot, then hand
-// the write to the key's shard combiner with the slot's completion
-// callback.  The reply reaches the wire only after the combiner commit
-// containing this write has published — a replied SET is committed — yet
-// the read loop moves on immediately, so every write this and other
-// connections pipeline meanwhile rides the same O(shards) commits.
-func (c *conn) execWrite(cmd *netproto.Command, op batch.Op) {
+// execWrite queues one SET (or, with del, one DEL) on the connection's
+// write run.
+func (c *conn) execWrite(cmd *netproto.Command, del bool) {
 	if c.srv.readOnly.Load() {
 		c.fail("READONLY following a leader; PROMOTE to enable writes")
 		return
 	}
 	wantArgs := 3
-	if op == batch.OpDelete {
+	if del {
 		wantArgs = 2
 	}
 	if len(cmd.Args) != wantArgs {
@@ -780,7 +761,7 @@ func (c *conn) execWrite(cmd *netproto.Command, op batch.Op) {
 	k, ok1 := argInt(cmd.Args[1])
 	var v int64
 	ok2 := true
-	if op == batch.OpInsert {
+	if !del {
 		v, ok2 = argInt(cmd.Args[2])
 	}
 	if !ok1 || !ok2 {
@@ -789,7 +770,59 @@ func (c *conn) execWrite(cmd *netproto.Command, op batch.Op) {
 	}
 	sl := c.lease()
 	sl.kind = respOK
-	c.srv.db.SubmitAsync(c.client, batch.Request[int64, int64]{Op: op, Key: k, Val: v}, c.completion(sl))
+	w := &c.writes
+	w.ops, w.slots = append(w.ops, writeOp{key: k, val: v, del: del}), append(w.slots, sl)
+}
+
+// writeRun is a run of consecutive SETs and DELs that were all in the input
+// buffer together: their slots are leased, in request order, and their
+// writes wait to be committed together — the write-side mirror of getRun,
+// ended on the same conditions but for the count, since MaxPipeline and the
+// read buffer already bound it.  flushWrites commits the run without waiting
+// for the log, one commit per shard it touches (mvgc.DB.CommitEach), each
+// applying its share in request order, and hands the log mark to the
+// writer through the slots.
+type writeRun struct {
+	ops   []writeOp
+	slots []*slot // slots[i] answers ops[i]
+}
+
+type writeOp struct {
+	key, val int64
+	del      bool
+}
+
+// flushWrites commits the queued write run and completes its slots, each
+// carrying the run's log mark, or -ERR if the commit failed.
+func (c *conn) flushWrites() {
+	w := &c.writes
+	n := len(w.ops)
+	if n == 0 {
+		return
+	}
+	mark, err := c.srv.db.CommitEach(func(t *mvgc.DBTxn[int64, int64, int64]) {
+		for _, op := range w.ops {
+			if op.del {
+				t.Delete(op.key)
+			} else {
+				t.Insert(op.key, op.val)
+			}
+		}
+	})
+	for i := n - 1; i >= 0; i-- { // last first, as flushGets
+		sl := w.slots[i]
+		if err != nil {
+			sl.kind, sl.msg = respErr, "ERR "+err.Error()
+		} else {
+			sl.mark = mark
+		}
+		c.complete(sl)
+	}
+	w.ops, w.slots = w.ops[:0], w.slots[:0]
+	if err == nil {
+		c.srv.writeRuns.Add(1)
+		c.srv.writes.Add(int64(n))
+	}
 }
 
 // getRunCap bounds a read run, and with it how long one run holds the
@@ -800,13 +833,13 @@ const getRunCap = 256
 
 // getRun is a run of consecutive GETs that were all in the input buffer
 // together: their slots are leased, in request order, and their lookups
-// wait to be executed as one batch.  It is the read-side mirror of the
-// combiner — N pipelined GETs cost one read transaction per shard, and
-// their tree descents overlap (ftree.Ops.FindBatch) — with one difference:
-// nothing here ever waits.  flushGets runs the moment the run cannot grow
-// without waiting: before any other command is dispatched, before the read
-// loop goes back to the socket (conn.Read), before a lease that would block
-// on MaxPipeline, at getRunCap keys, and on the way out of the read loop.
+// wait to be executed as one batch — N pipelined GETs cost one read
+// transaction per shard, and their tree descents overlap
+// (ftree.Ops.FindBatch).  Nothing here ever waits.  flushGets runs the
+// moment the run cannot grow without waiting: before any other command is
+// dispatched, before the read loop goes back to the socket (conn.Read),
+// before a lease that would block on MaxPipeline, at getRunCap keys, and on
+// the way out of the read loop.
 // So each key is read from a version acquired after its GET arrived and
 // before its reply is written, exactly as when every GET was its own
 // transaction.
@@ -1027,10 +1060,10 @@ func (c *conn) execLen() {
 // execMCAS maps MCAS onto DB.UpdateAtomicKeys: the declared footprint is
 // the swapped keys, expectations are read under its writer slots, and the
 // commit is a serializable multi-key compare-and-swap against every other
-// writer — including the combiners all pipelined SETs flow through.  It runs inline
-// on the read loop (it must observe its own connection's earlier SETs no
-// differently than any other writer's), so an MCAS is a pipeline barrier
-// for its connection; replies stay in order regardless.
+// writer.  It runs inline on the read loop after the connection's queued
+// write run has committed, so it reads the connection's earlier SETs; an
+// MCAS is a pipeline barrier for its connection, and replies stay in
+// order regardless.
 func (c *conn) execMCAS(cmd *netproto.Command) {
 	if c.srv.readOnly.Load() {
 		c.fail("READONLY following a leader; PROMOTE to enable writes")
@@ -1079,17 +1112,17 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	c.complete(sl)
 }
 
-// execStats renders the serving-layer counters that show coalescing: batches/applied are the shard combiners' commit and request
-// totals (applied/batches = writes per combiner commit), commits is the
-// store's total committed write transactions.  gsn is the store's commit
+// execStats renders the serving-layer counters that show coalescing:
+// batches/applied are the write runs committed and the writes in them
+// (applied/batches = writes per run), commits is the store's total
+// committed write transactions.  gsn is the store's commit
 // sequence high-water mark; repl_pos is the highest GSN the follower has
 // applied (NOT the positional resume marker, which names the last frame
 // and can trail by a GSN inversion) and repl_floor its newest snapshot cut
 // — leader gsn minus follower repl_pos is the replication lag in GSNs, 0
 // when caught up; wal_live is the log's live bytes (what the background
 // checkpointer bounds); get_runs/gets are the read runs executed and the GETs
-// in them (gets/get_runs = GETs per read transaction batch, applied/batches'
-// read-side twin).
+// in them (gets/get_runs = GETs per read run).
 func (c *conn) execStats() {
 	s := c.srv
 	sl := c.lease()
@@ -1105,8 +1138,8 @@ func (c *conn) execStats() {
 		_, floor = s.follower.Pos()
 	}
 	s.fmu.Unlock()
-	sl.msg = "batches=" + strconv.FormatInt(s.db.Batches(), 10) +
-		" applied=" + strconv.FormatInt(s.db.Applied(), 10) +
+	sl.msg = "batches=" + strconv.FormatInt(s.writeRuns.Load(), 10) +
+		" applied=" + strconv.FormatInt(s.writes.Load(), 10) +
 		" commits=" + strconv.FormatInt(s.db.Commits(), 10) +
 		" conns=" + strconv.FormatInt(s.Conns(), 10) +
 		" shards=" + strconv.FormatInt(int64(s.db.NumShards()), 10) +

@@ -171,17 +171,17 @@ func TestServerCommands(t *testing.T) {
 	if got := statInt(t, stats, "shards"); got != 2 {
 		t.Fatalf("STATS shards = %d, want 2", got)
 	}
-	if statInt(t, stats, "applied") < 11 { // 10 SETs + 1 DEL rode combiners
+	if statInt(t, stats, "applied") < 11 { // 10 SETs + 1 DEL rode write runs
 		t.Fatalf("STATS applied = %d, want >= 11", statInt(t, stats, "applied"))
 	}
 }
 
 // TestPipelinedDeleteThenSet: a DEL and a SET of one key pipelined on one
-// connection reach the key's combiner back to back, so they usually share a
-// batch; the batch must apply them in that order, and a GET sent after both
-// acks reads the SET's value.
+// connection usually share a write run, so one commit; the commit must
+// apply them in that order, and a GET sent after both acks reads the SET's
+// value.
 func TestPipelinedDeleteThenSet(t *testing.T) {
-	s, addr := startServer(t, Config{Shards: 2, MaxConns: 1, MaxLatency: time.Millisecond})
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 1})
 	defer s.Shutdown()
 	c, err := netclient.Dial(addr, 4)
 	if err != nil {
@@ -211,16 +211,77 @@ func TestPipelinedDeleteThenSet(t *testing.T) {
 	}
 }
 
-// TestPipelinedClientsCoalesce is the tentpole property end to end: many
-// connections pipelining writes concurrently, all acknowledged writes
-// visible, and the combiner commit count far below the op count.
+// TestPipelinedReadYourWrites: a read pipelined behind a write on the same
+// connection reads that write — a GET behind SET 7 r sees r, behind DEL 7
+// sees nothing, and an MCAS behind SET 7 r finds r — every round, because a
+// write run is committed before the next command of another kind runs.
+func TestPipelinedReadYourWrites(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 1})
+	defer s.Shutdown()
+	c, err := netclient.Dial(addr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const rounds = 200
+	for _, row := range []struct {
+		name  string
+		round func(r int64) (ok bool, err error)
+	}{
+		{"SET 7 r; GET 7", func(r int64) (bool, error) {
+			set, get := c.SetAsync(7, r), c.GetAsync(7)
+			if err := c.Flush(); err != nil {
+				return false, err
+			}
+			v, ok, err := get.Value()
+			return ok && v == r, errors.Join(set.Err(), err)
+		}},
+		{"DEL 7; GET 7", func(r int64) (bool, error) {
+			if err := c.Set(7, r); err != nil {
+				return false, err
+			}
+			del, get := c.DelAsync(7), c.GetAsync(7)
+			if err := c.Flush(); err != nil {
+				return false, err
+			}
+			_, ok, err := get.Value()
+			return !ok, errors.Join(del.Err(), err)
+		}},
+		{"SET 7 r; MCAS 7 r r+1", func(r int64) (bool, error) {
+			set, cas := c.SetAsync(7, r), c.MCASAsync([]int64{7}, []int64{r}, []int64{r + 1})
+			if err := c.Flush(); err != nil {
+				return false, err
+			}
+			n, err := cas.Int()
+			return n == 1, errors.Join(set.Err(), err)
+		}},
+	} {
+		missed := 0
+		for r := int64(1); r <= rounds; r++ {
+			ok, err := row.round(r)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			if !ok {
+				missed++
+			}
+		}
+		if missed > 0 {
+			t.Errorf("%s: the read missed its own connection's write in %d of %d rounds", row.name, missed, rounds)
+		}
+	}
+}
+
+// TestPipelinedClientsCoalesce: many connections pipelining writes
+// concurrently, all acknowledged writes visible, and the write runs far
+// fewer than the writes.
 func TestPipelinedClientsCoalesce(t *testing.T) {
 	const (
 		clients = 8
 		perConn = 400
 		depth   = 64
 	)
-	s, addr := startServer(t, Config{Shards: 2, MaxConns: clients, MaxLatency: time.Millisecond})
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: clients})
 	defer s.Shutdown()
 
 	var wg sync.WaitGroup
@@ -286,7 +347,7 @@ func TestPipelinedClientsCoalesce(t *testing.T) {
 	// combiner commits.  Be loose here (CI machines stall);
 	// BenchmarkServeSweep reports the real ratio.
 	if batches*4 > applied {
-		t.Fatalf("no coalescing: %d batches for %d applied writes", batches, applied)
+		t.Fatalf("no coalescing: %d write runs for %d applied writes", batches, applied)
 	}
 	t.Logf("coalescing: %d writes in %d commits (%.1f writes/commit)",
 		applied, batches, float64(applied)/float64(batches))
@@ -385,17 +446,13 @@ func TestConsistentScanInvariant(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains: a reply is only written after the write's
-// combiner commit published, so every SET acknowledged before/through a
-// graceful shutdown must be durable, successes must form an order-prefix
+// commit published, so every SET acknowledged before/through a graceful
+// shutdown must be committed, successes must form an order-prefix
 // (protocol order), and nothing may hang — even though Shutdown lands in
 // the middle of a pipelined burst.
 func TestGracefulShutdownDrains(t *testing.T) {
 	const n = 2000
-	// Long MaxLatency: at shutdown time most accepted writes are still
-	// sitting uncommitted in combiner rings, so returning their replies
-	// requires the drain path to keep the combiners alive until every
-	// writer finished.
-	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2, MaxLatency: 20 * time.Millisecond})
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2})
 
 	c, err := netclient.Dial(addr, n)
 	if err != nil {
@@ -510,7 +567,7 @@ func TestShutdownWALAckedPrefix(t *testing.T) {
 	const n = 2000
 	mem := wal.NewMemFS()
 	s, addr := startServer(t, Config{
-		Shards: 2, MaxConns: 2, MaxLatency: 20 * time.Millisecond,
+		Shards: 2, MaxConns: 2,
 		WAL: mvgc.WALOptions{Dir: "wal", FS: mem},
 	})
 
@@ -599,9 +656,9 @@ func (f slowSyncFile) Sync() error {
 // reads its replies leaves the connection's writer blocked in a socket
 // write once the socket buffers are full.  A graceful Shutdown must still
 // return, within about drainGrace.  Beside it, a client that does read
-// waits on a SET whose commit (its fsync) outlasts two of drain's looks:
-// its writer makes no progress either, but it is parked on the commit, so
-// the client must still get its +OK.
+// waits on a SET whose fsync outlasts two of drain's looks: its writer
+// makes no progress either, but it is parked on the log, so the client
+// must still get its +OK.
 func TestShutdownClientNeverReads(t *testing.T) {
 	fs := &slowSyncFS{FS: wal.NewMemFS(), delay: drainGrace * 6 / 5, syncing: make(chan struct{}, 1)}
 	s, addr := startServer(t, Config{Shards: 1, MaxConns: 3, MaxPipeline: 64, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}})
@@ -655,7 +712,7 @@ func TestShutdownClientNeverReads(t *testing.T) {
 	if _, err := rc.Write([]byte("*3\r\n$3\r\nSET\r\n$1\r\n2\r\n$1\r\n5\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	<-fs.syncing // the SET is committing, its writer parked on it
+	<-fs.syncing // the SET is being made durable, its writer parked on the log
 
 	returned := make(chan error, 1)
 	start := time.Now()
@@ -679,10 +736,13 @@ func TestShutdownClientNeverReads(t *testing.T) {
 // TestServerKillMidPipeline force-closes the server under a deep pipeline
 // (the network-level crash test): every outstanding Pending must complete
 // — acked or errored, never hung — and operations issued afterwards fail
-// fast on the poisoned connection.
+// fast on the poisoned connection.  A slow fsync keeps the writes in
+// flight when the kill lands.
 func TestServerKillMidPipeline(t *testing.T) {
 	const n = 5000
-	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2, MaxLatency: 10 * time.Millisecond})
+	fs := &slowSyncFS{FS: wal.NewMemFS(), delay: 50 * time.Millisecond, syncing: make(chan struct{}, 1)}
+	s, addr := startServer(t, Config{Shards: 2, MaxConns: 2, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}})
+	fs.arm()
 
 	c, err := netclient.Dial(addr, 64)
 	if err != nil {
@@ -779,9 +839,8 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 		s.mu.Unlock()
 	}
 
-	// Request i is SET 1000+i i when i%3 == 0, else GET i%getKeys: SETs
-	// complete from the combiners, GETs inline, and the GETs' replies tell
-	// positions apart.
+	// Request i is SET 1000+i i when i%3 == 0, else GET i%getKeys: runs of
+	// one and two, and the GETs' replies tell positions apart.
 	var consumed atomic.Int64
 	sent := make(chan error, 1)
 	go func() {
@@ -855,13 +914,19 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 	}
 }
 
-// TestRingLateCompletion: a slot the combiner completes after the writer
-// has gone to sleep on it is still written — with the combiner's error
-// rewritten into the response — and the close marker ends the writer.
+// TestRingLateCompletion: a slot completed after the writer has gone to
+// sleep on it is still written; a slot whose mark the log cannot make
+// durable is answered -ERR, not +OK; and the close marker ends the writer.
 func TestRingLateCompletion(t *testing.T) {
+	ffs := wal.NewFaultFS(wal.NewMemFS())
+	s, err := New(Config{Shards: 2, MaxPipeline: 4, WAL: mvgc.WALOptions{Dir: "wal", FS: ffs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	cli, srv := net.Pipe()
 	defer cli.Close()
-	c := (&Server{cfg: Config{MaxPipeline: 4}}).newConn(srv, 0)
+	c := s.newConn(srv)
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -869,12 +934,20 @@ func TestRingLateCompletion(t *testing.T) {
 	}()
 	r := bufio.NewReader(cli)
 	for _, tc := range []struct {
-		err  error
-		want string
-	}{{nil, "+OK\r\n"}, {errors.New("disk full"), "-ERR disk full\r\n"}, {nil, "+OK\r\n"}} {
+		failLog bool // the fsync that would make the write durable fails
+		want    string
+	}{{false, "+OK\r\n"}, {true, "-ERR "}} {
+		mark, err := s.DB().CommitEach(func(t *mvgc.DBTxn[int64, int64, int64]) { t.Insert(1, 1) })
+		if err != nil || mark == 0 {
+			t.Fatalf("CommitEach: mark %d, %v", mark, err)
+		}
+		if tc.failLog {
+			for op := ffs.Ops() + 1; op < ffs.Ops()+100; op++ {
+				ffs.Script(op, wal.FaultErr)
+			}
+		}
 		sl := c.lease()
 		sl.kind = respOK
-		done := c.completion(sl)
 		deadline := time.Now().Add(10 * time.Second)
 		for sl.state.Load() != slotParked {
 			if time.Now().After(deadline) {
@@ -882,9 +955,10 @@ func TestRingLateCompletion(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		go done(tc.err) // the combiner's goroutine
+		sl.mark = mark
+		go c.complete(sl) // late, from another goroutine
 		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if got, err := r.ReadString('\n'); err != nil || got != tc.want {
+		if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, tc.want) {
 			t.Fatalf("reply %q (%v), want %q", got, err, tc.want)
 		}
 	}

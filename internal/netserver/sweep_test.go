@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mvgc/internal/netclient"
 )
@@ -13,10 +12,10 @@ import (
 // pipelining depth on a loopback server with two shards: per iteration the
 // connections share 1 024 SETs, each keeping depth in flight (replies
 // retire in order, so the oldest is the next to complete) until all are
-// acknowledged.  It reports ops/s and commits/op — combiner commits per write: 1 for an
-// unbatched server, falling as either axis grows, because every shard's
-// in-flight writes from all connections ride one commit per batching
-// interval.
+// acknowledged.  It reports ops/s and commits/op — shard commits per
+// write: 1 with one write in flight per connection, falling as depth grows,
+// because a connection's buffered writes are one write run, one commit per
+// shard it touches.  Connections do not share commits; they share fsyncs.
 //
 //	go test -run '^$' -bench ServeSweep -benchtime 1x ./internal/netserver
 func BenchmarkServeSweep(b *testing.B) {
@@ -24,7 +23,7 @@ func BenchmarkServeSweep(b *testing.B) {
 	for _, conns := range []int{1, 4, 16} {
 		for _, depth := range []int{1, 8, 32} {
 			b.Run(fmt.Sprintf("conns=%d/depth=%d", conns, depth), func(b *testing.B) {
-				s, addr := startServer(b, Config{Shards: 2, MaxConns: conns, MaxLatency: time.Millisecond})
+				s, addr := startServer(b, Config{Shards: 2, MaxConns: conns})
 				defer s.Shutdown()
 				clients := make([]*netclient.Client, conns)
 				for i := range clients {
@@ -35,7 +34,7 @@ func BenchmarkServeSweep(b *testing.B) {
 					defer c.Close()
 					clients[i] = c
 				}
-				commits := s.DB().Batches()
+				commits := s.DB().Commits()
 				errs := make([]error, conns)
 				var wg sync.WaitGroup
 				b.ResetTimer()
@@ -55,7 +54,7 @@ func BenchmarkServeSweep(b *testing.B) {
 				}
 				sets := float64(b.N * setsPerIter)
 				b.ReportMetric(sets/b.Elapsed().Seconds(), "ops/s")
-				b.ReportMetric(float64(s.DB().Batches()-commits)/sets, "commits/op")
+				b.ReportMetric(float64(s.DB().Commits()-commits)/sets, "commits/op")
 			})
 		}
 	}

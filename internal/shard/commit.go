@@ -1,4 +1,4 @@
-// The commit pipeline: every write entry point — point op, combiner batch,
+// The commit pipeline: every write entry point — point op, CommitEach run,
 // UpdateAtomic, InsertBatch, DeleteBatch, UpdateAtomicKeys, a replayed
 // record — plans its intents into a Txn, commits them through one
 // primitive, commitAtomic, and ends in groupCommit.  commitAtomic holds the
@@ -95,8 +95,8 @@ func (m *Map[K, V, A]) commitAtomic(fence []int, t *Txn[K, V, A], plan func(t *T
 	return true, mark, err
 }
 
-// commitHome commits t's intents, all on shard i: a point write or a
-// combiner batch.
+// commitHome commits t's intents on shard i alone: a point write or one
+// shard's share of a CommitEach run.
 func (m *Map[K, V, A]) commitHome(i int, t *Txn[K, V, A]) (int64, error) {
 	home := [1]int{i}
 	_, mark, err := m.commitAtomic(home[:], t, nil)
@@ -148,8 +148,8 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 		go func() {
 			defer wg.Done()
 			defer func() { panics[j] = recover() }()
-			var keys []K
-			m.commitLeg(i, t.intents[i], encs[j], &keys, &t.changed[j], func() {})
+			var sc replayScratch[K, V]
+			m.commitLeg(i, t.intents[i], encs[j], &sc, &t.changed[j], func() {})
 		}()
 	}
 	wg.Wait()
@@ -176,21 +176,21 @@ func (m *Map[K, V, A]) nestLegs(j int, write []int, t *Txn[K, V, A], e *walEnc[K
 		return
 	}
 	i := write[j]
-	m.commitLeg(i, t.intents[i], e, &t.keys, &t.changed[j], func() { m.nestLegs(j+1, write, t, e, settle) })
+	m.commitLeg(i, t.intents[i], e, &t.scratch, &t.changed[j], func() { m.nestLegs(j+1, write, t, e, settle) })
 }
 
 // commitLeg runs list on shard i as one write transaction on a pid leased
 // from that shard, whose writer slot the caller holds.  It records in
 // *changed whether the transaction published and, if it did and e is
-// non-nil, encodes the leg's record into e from inside it; keys is the
+// non-nil, encodes the leg's record into e from inside it; sc is the
 // leg's replay scratch.  then runs between the Set and the collect.  With
 // the slot held no other writer commits on the shard, so the Set does not
 // fail; the retry is core's contract, not a path this protocol takes
 // (Aborts() stays 0).
-func (m *Map[K, V, A]) commitLeg(i int, list []intent[K, V], e *walEnc[K, V], keys *[]K, changed *bool, then func()) {
+func (m *Map[K, V, A]) commitLeg(i int, list []intent[K, V], e *walEnc[K, V], sc *replayScratch[K, V], changed *bool, then func()) {
 	m.shards[i].With(func(h *core.Handle[K, V, A]) {
 		for !h.TryUpdate(func(tx *core.Txn[K, V, A]) {
-			replay(tx, list, keys)
+			replay(tx, list, sc)
 			if *changed = tx.Changed(); *changed && e != nil {
 				encodeIntents(e, tx, list)
 			}
@@ -234,6 +234,42 @@ func (m *Map[K, V, A]) commitPoint(in intent[K, V]) error {
 	t.intents[i] = t.intents[i][:0]
 	m.txns.Put(t)
 	return m.groupCommit(mark, err)
+}
+
+// CommitEach runs f, which plans a run of writes into t, and commits the
+// run shard by shard in ascending order: each touched shard's share is one
+// write transaction on that shard, one GSN and one record, its intents
+// applied in f's order.  The shares are independent commits — a
+// ViewConsistent may see one and not another — so a run is a sequence of
+// point writes, batched, not an atomic transaction.  CommitEach does not
+// wait for the log: it returns the highest log watermark the run appended
+// (0 when none), and the caller makes the run durable with the log's
+// CommitTo(mark) before it acknowledges any of it.  A non-nil error means
+// the shares from the failing one on did not commit, or are not durable;
+// the run must not be acknowledged.  f must not keep t.
+func (m *Map[K, V, A]) CommitEach(f func(t *Txn[K, V, A])) (mark int64, err error) {
+	if !m.enter(0) {
+		return 0, ErrClosed
+	}
+	defer m.exit(0)
+	t, ok := m.txns.Get().(*Txn[K, V, A])
+	if !ok {
+		t = m.newTxn()
+	}
+	f(t)
+	for i, list := range t.intents {
+		if len(list) > 0 && err == nil {
+			if err = m.logErr(); err == nil {
+				var mk int64
+				mk, err = m.commitHome(i, t)
+				mark = max(mark, mk)
+			}
+		}
+		clear(list) // the pool keeps no caller's key, value or comb
+		t.intents[i] = list[:0]
+	}
+	m.txns.Put(t)
+	return mark, err
 }
 
 // Insert adds or replaces one entry in a single-shard write transaction.

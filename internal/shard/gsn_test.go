@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
@@ -85,7 +84,6 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 	if g := latestStamps(t, m); slices.Max(g) != 0 {
 		t.Fatalf("fresh map stamps %v, want all 0", g)
 	}
-	m.StartBatching(batch.Config{Clients: 1}, nil)
 	add := func(old, new uint64) uint64 { return old + new }
 	record := func(k, v uint64) []byte {
 		e := &walEnc[uint64, uint64]{cfg: &m.wal.cfg}
@@ -108,10 +106,12 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 2, Val: 1}, {Key: 3, Val: 1}, {Key: 4, Val: 1}, {Key: 5, Val: 1}}, nil)
 		}, 1, 4},
 		{"batch/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0, 2},
-		{"combiner batch", func() error {
-			m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 6, Val: 1})
-			return nil
+		{"CommitEach", func() error {
+			return m.groupCommit(m.CommitEach(func(tx *txn) { tx.Insert(6, 1) }))
 		}, 1, 0},
+		{"CommitEach/two shards", func() error { // one commit per shard: no seqlock
+			return m.groupCommit(m.CommitEach(func(tx *txn) { tx.Insert(15, 1); tx.Delete(6); tx.Insert(6, 2) }))
+		}, 2, 0},
 		{"atomic install", func() error {
 			return m.UpdateAtomic(func(tx *txn) { tx.Insert(7, 1); tx.Insert(8, 1); tx.InsertWith(9, 1, add) })
 		}, 1, 3},

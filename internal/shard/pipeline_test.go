@@ -3,19 +3,17 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/wal"
 )
 
 // holdFS wraps a filesystem so that one fsync — the first after arm — is held
 // until full reports the commit pipeline full (or a deadline passes), and
-// every later one for long enough that the combiners get ahead of it again:
-// the tests below crash, and fail, a log whose combiners run ahead of it.
+// every later one for long enough that the committer gets ahead of it again:
+// the tests below crash, and fail, a log whose commits run ahead of it.
 type holdFS struct {
 	wal.FS
 	armed atomic.Bool
@@ -60,28 +58,38 @@ func tryOpenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, st
 	return m, m.AttachWAL(cfg, rec)
 }
 
-// pipelineRun is one run of the pipelined workload: n distinct keys
-// submitted asynchronously on one client, MaxBatch 4, over a log whose first
-// fsync is held until every shard has three batches applied and unresolved.
+// pipelineRun is one run of the pipelined workload, shaped like a served
+// connection: a committer commits runs of pipeRun keys with CommitEach, one
+// commit per shard each, and hands each run's log mark to an acker, which
+// acknowledges the run once CommitTo(mark) returns — the log's first fsync
+// held until every shard has three runs committed and unacknowledged.
 type pipelineRun struct {
 	m     *Map[uint64, uint64, struct{}]
-	errs  []error        // per key: what its callback got
-	fired []atomic.Int32 // per key: how often its callback ran
-	peak  []int64        // per shard: batches in flight when the held fsync let go
+	errs  []error        // per key: its verdict
+	fired []atomic.Int32 // per key: how often it was resolved
+	peak  []int64        // per shard: runs in flight when the held fsync let go
 }
 
 const (
 	pipeShards   = 2
 	pipeKeys     = 256
+	pipeRun      = 4 // keys per run: every run writes both shards
 	pipeInFlight = 3
 )
 
 func pipeVal(k uint64) uint64 { return k*10 + 1 }
 
+// pipeMark is one run on its way from the committer to the acker.
+type pipeMark struct {
+	lo   uint64
+	mark int64
+	err  error
+}
+
 // runPipeline opens a map over fs, runs the workload and returns once every
-// callback has fired.  arm, if non-nil, runs after the open, before the
-// first submit (to script faults from "now" on).  A nil run means the open
-// itself failed.
+// key is resolved.  arm, if non-nil, runs after the open, before the first
+// commit (to script faults from "now" on).  A nil run means the open itself
+// failed.
 func runPipeline(t *testing.T, fs wal.FS, arm func()) *pipelineRun {
 	t.Helper()
 	hfs := &holdFS{FS: fs}
@@ -90,11 +98,11 @@ func runPipeline(t *testing.T, fs wal.FS, arm func()) *pipelineRun {
 		return nil
 	}
 	r := &pipelineRun{m: m, errs: make([]error, pipeKeys), fired: make([]atomic.Int32, pipeKeys), peak: make([]int64, pipeShards)}
-	m.StartBatching(batch.Config{Clients: 1, BufCap: pipeKeys, MaxBatch: 4, MaxLatency: 50 * time.Microsecond}, nil)
-	// In flight on shard i: write transactions its combiner has committed in
-	// memory minus batches its completer has resolved.  Nothing else writes.
-	bs := m.batchers // Close drops the field; a late fsync may still ask
-	inFlight := func(i int) int64 { return m.Shard(i).Commits() - bs[i].Batches() }
+	// In flight on shard i: the runs committed there (nothing else writes)
+	// minus the runs acknowledged.
+	var acked atomic.Int64
+	shards := m.shards // Close may run while a late fsync still asks
+	inFlight := func(i int) int64 { return shards[i].Commits() - acked.Load() }
 	hfs.full = func() bool {
 		for i := range r.peak {
 			r.peak[i] = inFlight(i)
@@ -110,21 +118,37 @@ func runPipeline(t *testing.T, fs wal.FS, arm func()) *pipelineRun {
 		arm()
 	}
 	hfs.armed.Store(true)
-	var wg sync.WaitGroup
-	wg.Add(pipeKeys)
-	for k := uint64(0); k < pipeKeys; k++ {
-		m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: k, Val: pipeVal(k)}, func(err error) {
-			r.errs[k] = err
-			r.fired[k].Add(1)
-			wg.Done()
-		})
-	}
+	marks := make(chan pipeMark, 2*pipeInFlight) // the committer runs this far ahead
+	go func() {
+		defer close(marks)
+		for lo := uint64(0); lo < pipeKeys; lo += pipeRun {
+			mark, err := m.CommitEach(func(tx *Txn[uint64, uint64, struct{}]) {
+				for k := lo; k < lo+pipeRun; k++ {
+					tx.Insert(k, pipeVal(k))
+				}
+			})
+			marks <- pipeMark{lo, mark, err}
+		}
+	}()
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() {
+		defer close(done)
+		for pm := range marks {
+			err := pm.err
+			if err == nil {
+				err = m.wal.log.CommitTo(pm.mark)
+			}
+			for k := pm.lo; k < pm.lo+pipeRun; k++ {
+				r.errs[k] = err
+				r.fired[k].Add(1)
+			}
+			acked.Add(1)
+		}
+	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("callbacks lost: the pipeline never resolved every submitted write")
+		t.Fatal("writes lost: the pipeline never resolved every committed run")
 	}
 	return r
 }
@@ -133,16 +157,16 @@ func (r *pipelineRun) checkFiredOnce(t *testing.T, tag string) {
 	t.Helper()
 	for k := range r.fired {
 		if n := r.fired[k].Load(); n != 1 {
-			t.Fatalf("%s: callback of key %d fired %d times", tag, k, n)
+			t.Fatalf("%s: key %d resolved %d times", tag, k, n)
 		}
 	}
 }
 
-// TestShardWALPipelineCrashMatrix: the combiners run ahead of the log — three
-// and more batches per shard applied in memory, appended, and waiting for one
-// held fsync — and the filesystem loses power at every operation index in
-// turn.  Whatever a callback acknowledged with nil must be in the recovered
-// map; every callback fires exactly once, acknowledged or not.
+// TestShardWALPipelineCrashMatrix: commits run ahead of the log — three and
+// more runs per shard applied in memory, appended, and waiting for one held
+// fsync — and the filesystem loses power at every operation index in turn.
+// Whatever was acknowledged must be in the recovered map; every key is
+// resolved exactly once, acknowledged or not.
 func TestShardWALPipelineCrashMatrix(t *testing.T) {
 	probe := wal.NewFaultFS(wal.NewMemFS())
 	r := runPipeline(t, probe, nil)
@@ -151,7 +175,7 @@ func TestShardWALPipelineCrashMatrix(t *testing.T) {
 	}
 	for i, n := range r.peak {
 		if n < pipeInFlight {
-			t.Fatalf("shard %d had %d batches in flight behind the held fsync, want >= %d", i, n, pipeInFlight)
+			t.Fatalf("shard %d had %d runs in flight behind the held fsync, want >= %d", i, n, pipeInFlight)
 		}
 	}
 	for k, err := range r.errs {
@@ -165,8 +189,8 @@ func TestShardWALPipelineCrashMatrix(t *testing.T) {
 	total := probe.Ops()
 	acked, cells := 0, 0
 
-	// Runs differ by a few operations (how the two completers' fsyncs
-	// group); a little slack past the probe's count covers the longest.
+	// Runs differ by a few operations (how the fsyncs group); a little
+	// slack past the probe's count covers the longest.
 	for _, torn := range []int{0, 7} {
 		for op := 1; op <= total+4; op++ {
 			tag := fmt.Sprintf("crash@%d/torn=%d", op, torn)
@@ -210,10 +234,10 @@ func TestShardWALPipelineCrashMatrix(t *testing.T) {
 }
 
 // TestShardWALPipelineSyncFailure: the fsync the pipeline is waiting behind
-// fails.  Every batch in flight — applied in memory, never durable — hands
-// the error to each of its callbacks exactly once, none is lost, and what is
-// submitted afterwards is refused before it reaches memory:
-// TestShardWALFailFast's contract, across the completer.
+// fails.  Every run in flight — applied in memory, never durable — gets the
+// error from its CommitTo, every key exactly once, none is lost, and what is
+// committed afterwards is refused before it reaches memory:
+// TestShardWALFailFast's contract, across a pipeline.
 func TestShardWALPipelineSyncFailure(t *testing.T) {
 	ffs := wal.NewFaultFS(wal.NewMemFS())
 	r := runPipeline(t, ffs, func() {
@@ -230,38 +254,28 @@ func TestShardWALPipelineSyncFailure(t *testing.T) {
 	defer m.Close()
 	for i, n := range r.peak {
 		if n < pipeInFlight {
-			t.Fatalf("shard %d had %d batches in flight behind the failing fsync, want >= %d", i, n, pipeInFlight)
+			t.Fatalf("shard %d had %d runs in flight behind the failing fsync, want >= %d", i, n, pipeInFlight)
 		}
 	}
 	r.checkFiredOnce(t, "failing fsync")
 	for k, err := range r.errs {
 		if !errors.Is(err, wal.ErrInjected) {
-			t.Fatalf("key %d: callback got %v, want the injected fsync error", k, err)
+			t.Fatalf("key %d: got %v, want the injected fsync error", k, err)
 		}
 	}
 	if m.wal.log.Err() == nil {
 		t.Fatal("log error not sticky")
 	}
 
-	// Later submits: refused with the error, and before touching memory.
+	// Later commits: refused with the error, and before touching memory.
 	const late = uint64(1000)
-	refused := make(chan error, 1)
-	m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: late, Val: 1}, func(err error) { refused <- err })
-	select {
-	case err := <-refused:
-		if !errors.Is(err, wal.ErrInjected) {
-			t.Fatalf("submit after the failure got %v, want the sticky log error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("submit after the failure never resolved")
+	if _, err := m.CommitEach(func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(late, 1); tx.Insert(late+1, 1) }); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("CommitEach after the failure got %v, want the sticky log error", err)
 	}
 	if _, ok := m.Get(late); ok {
 		t.Fatal("a refused write reached memory")
 	}
-	// And nobody wedges behind the poisoned log.
-	m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: late + 1, Val: 1})
-	m.Flush(0)
 	if _, ok := m.Get(late + 1); ok {
-		t.Fatal("a refused SubmitWait reached memory")
+		t.Fatal("a refused write reached memory")
 	}
 }

@@ -3,8 +3,8 @@
 // its own pid space and its own allocation accounting, so the paper's
 // per-structure guarantees hold shard-locally: O(P) version delay, precise
 // collection and Live() == 0 after Close apply to every shard on its own.
-// Sharding multiplies write throughput — S combining writers commit in
-// parallel instead of one — which is how follow-up work scales multiversion
+// Sharding multiplies write throughput — S writers commit in parallel
+// instead of one — which is how follow-up work scales multiversion
 // GC (Ben-David et al., DISC 2021; Wei & Fatourou 2022: partition version
 // tracking, bound it per structure).
 //
@@ -13,6 +13,8 @@
 // Every write commits atomically: every touched shard's new root is
 // installed under ONE global commit sequence number (GSN), logged as one
 // record, so neither a consistent read nor recovery ever sees it torn.  A
+// CommitEach run is a sequence of independent writes, not one write: each
+// shard's share of it is its own commit.  A
 // write that touches one shard is one write transaction there; one that
 // spans shards — UpdateAtomic, UpdateAtomicKeys, InsertBatch, DeleteBatch —
 // also holds per-shard install seqlocks odd while its legs install.
@@ -32,8 +34,8 @@
 //
 // # One writer per shard
 //
-// Every commit on shard i — point op, combiner batch, atomic leg, replayed
-// record — holds shard i's writer slot from before its Set until after its
+// Every commit on shard i — point op, a CommitEach run's share, atomic leg,
+// replayed record — holds shard i's writer slot from before its Set until after its
 // log Append, so each shard has exactly one writer at a time: the paper's
 // single-writer setting, where a write transaction's delay is O(P) and its
 // Set never fails.  Operations whose
@@ -53,7 +55,7 @@
 // # One commit pipeline
 //
 // Every write — point op, batch, UpdateAtomic, UpdateAtomicKeys, a
-// combiner batch, a recovered or replicated redo record — is the paper's
+// CommitEach run, a recovered or replicated redo record — is the paper's
 // one transaction shape run through the same pipeline: plan intents →
 // writer slots → install under a GSN → log → release → group fsync.
 // commit.go holds its one primitive, commitAtomic, the only place that
@@ -71,7 +73,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 )
@@ -94,9 +95,8 @@ type Config[K any] struct {
 // Map is a hash-sharded multiversion map: S independent core.Maps behind
 // one pid-free, goroutine-safe API.
 type Map[K, V, A any] struct {
-	shards   []*shardRec[K, V, A] // each a core.Map and its GSN words (gsn.go)
-	hash     func(K) uint64
-	batchers []*batch.Batcher[K, V, A] // non-nil between StartBatching and Close
+	shards []*shardRec[K, V, A] // each a core.Map and its GSN words (gsn.go)
+	hash   func(K) uint64
 
 	// gsn is the global commit sequence source shared by every shard:
 	// every commit that publishes draws one stamp from it, however many
@@ -309,135 +309,6 @@ func (m *Map[K, V, A]) Len() int64 {
 	return n
 }
 
-// StartBatching launches one Appendix-F combining writer per shard, each
-// committing that shard's submissions as atomic batches through the commit
-// pipeline: a batch is its deletes, then one batch intent for its inserts,
-// committed through commitAtomic on its shard alone — log or no log — like
-// every other write.  Its groupCommit runs on the shard's completer
-// (batch.Commit.Wait), so the combiner applies the next batch while this
-// one's fsync is in flight; without a log the wait is a no-op on the same
-// path.  cfg.Clients buffers are created on every shard, so any client id in
-// 0..Clients-1 may submit keys bound for any shard.
-func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) {
-	if m.batchers != nil {
-		panic("shard: StartBatching called twice")
-	}
-	if !m.enter(0) {
-		return
-	}
-	defer m.exit(0)
-	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
-	for i := range m.shards {
-		t := m.newTxn() // the combiner's own: Apply runs on its goroutine alone
-		m.batchers[i] = batch.NewWithCommit(cfg, m.shards[i].Ops(), batch.Commit[K, V]{
-			Apply: func(inserts []ftree.Entry[K, V], deletes []K) (int64, error) {
-				if err := m.logErr(); err != nil {
-					return 0, err
-				}
-				list := t.intents[i][:0]
-				for _, k := range deletes {
-					list = append(list, intent[K, V]{del: true, key: k})
-				}
-				if len(inserts) > 0 {
-					list = append(list, intent[K, V]{comb: comb, batch: inserts})
-				}
-				t.intents[i] = list
-				return m.commitHome(i, t)
-			},
-			Wait: func(mark int64) error { return m.groupCommit(mark, nil) },
-		})
-		m.batchers[i].Start()
-	}
-}
-
-// Submit routes a buffered update to its key's shard batcher.  Requires
-// StartBatching.  After Close the request is dropped.
-func (m *Map[K, V, A]) Submit(client int, r batch.Request[K, V]) {
-	i := m.ShardFor(r.Key)
-	if !m.enter(i) {
-		return
-	}
-	defer m.exit(i)
-	m.batchers[i].Submit(client, r)
-}
-
-// SubmitWait routes a buffered update and blocks until its shard's
-// combiner has committed it.  After Close it returns immediately (the
-// request is dropped).
-func (m *Map[K, V, A]) SubmitWait(client int, r batch.Request[K, V]) {
-	i := m.ShardFor(r.Key)
-	if !m.enter(i) {
-		return
-	}
-	defer m.exit(i)
-	m.batchers[i].SubmitWait(client, r)
-}
-
-// SubmitAsync routes a buffered update and returns immediately; done runs
-// exactly once on the owning shard's completer goroutine, in that shard's
-// batch order, after the commit containing the request has been resolved
-// (see batch.Batcher.SubmitAsync for the callback contract: fast,
-// non-blocking, and no Submit into a ring that may be full — the completer
-// and the combiner would wait for each other).  A nil error means the
-// write committed — and, with a WAL attached, is durable per the log's
-// fsync policy; ErrClosed (delivered synchronously when the map is
-// closing) or a log error means it did not.  This is how a pipelined
-// connection keeps many writes in flight without parking a goroutine per
-// write.
-func (m *Map[K, V, A]) SubmitAsync(client int, r batch.Request[K, V], done func(error)) {
-	i := m.ShardFor(r.Key)
-	if !m.enter(i) {
-		if done != nil {
-			done(ErrClosed)
-		}
-		return
-	}
-	defer m.exit(i)
-	m.batchers[i].SubmitAsync(client, r, done)
-}
-
-// Flush blocks until everything the client submitted (on any shard) before
-// the call has committed.  After Close it returns immediately.
-func (m *Map[K, V, A]) Flush(client int) {
-	if !m.enter(0) {
-		return
-	}
-	defer m.exit(0)
-	for _, b := range m.batchers {
-		b.Flush(client)
-	}
-}
-
-// stopBatching stops every shard's combiner after a final drain.  It is
-// idempotent.  Close calls it once every front-door call has drained, so
-// no Submit indexes m.batchers after it is cleared.
-func (m *Map[K, V, A]) stopBatching() {
-	for _, b := range m.batchers {
-		b.Stop()
-	}
-	m.batchers = nil
-}
-
-// Batches sums committed batch counts across shard combiners.
-func (m *Map[K, V, A]) Batches() int64 {
-	var n int64
-	for _, b := range m.batchers {
-		n += b.Batches()
-	}
-	return n
-}
-
-// Applied sums combiner-committed requests across shard combiners.
-// Batches()/Applied() is the write-coalescing ratio: commits per submitted
-// write, the number the network layer drives toward O(shards)/N.
-func (m *Map[K, V, A]) Applied() int64 {
-	var n int64
-	for _, b := range m.batchers {
-		n += b.Applied()
-	}
-	return n
-}
-
 // Commits sums committed write transactions across shards.
 func (m *Map[K, V, A]) Commits() int64 {
 	var n int64
@@ -478,7 +349,7 @@ func (m *Map[K, V, A]) Live() int64 {
 	return n
 }
 
-// Close stops any batchers, closes the WAL (flushing and syncing its tail
+// Close closes the WAL (flushing and syncing its tail
 // whatever the fsync policy, so everything acked — and everything
 // committed — is on disk) and drains every shard.  It is idempotent and
 // safe against concurrent operations: the first caller flips the closing
@@ -500,9 +371,6 @@ func (m *Map[K, V, A]) Close() error {
 		for m.gates[i].n.Load() != 0 {
 			runtime.Gosched()
 		}
-	}
-	if m.batchers != nil {
-		m.stopBatching()
 	}
 	var err error
 	if m.wal != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/vm"
@@ -136,14 +135,11 @@ func TestShardedMatrix(t *testing.T) {
 }
 
 // TestShardedConcurrent hammers a sharded map from many goroutines doing
-// point ops while batched writers stream through per-shard combiners; -race
-// checks the pid discipline, and Close checks precise collection.
+// point ops while others commit runs of writes (CommitEach); -race checks
+// the pid discipline, and Close checks precise collection.
 func TestShardedConcurrent(t *testing.T) {
-	// Each worker owns its client buffer: the rings are single-producer.
-	const workers, iters = 8, 400
-	const clients = workers
+	const workers, iters, run = 8, 400, 16
 	m := newSharded(t, "pswf", 4, workers+2, nil)
-	m.StartBatching(batch.Config{Clients: clients, BufCap: 256, MaxLatency: time.Millisecond}, nil)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -154,8 +150,12 @@ func TestShardedConcurrent(t *testing.T) {
 				k := int64(w*iters + i)
 				if w%2 == 0 {
 					m.Insert(k, k) // direct single-shard write transactions
-				} else {
-					m.Submit(w, batch.Request[int64, int64]{Op: batch.OpInsert, Key: k, Val: k})
+				} else if i%run == run-1 {
+					m.CommitEach(func(tx *Txn[int64, int64, int64]) {
+						for j := k - run + 1; j <= k; j++ {
+							tx.Insert(j, j)
+						}
+					})
 				}
 				if i%16 == 0 {
 					m.Get(int64(i))
@@ -165,9 +165,6 @@ func TestShardedConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	for c := 0; c < clients; c++ {
-		m.Flush(c)
-	}
 	if n := m.Len(); n != workers*iters {
 		t.Fatalf("Len = %d, want %d", n, workers*iters)
 	}

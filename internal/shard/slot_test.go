@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
 )
@@ -21,7 +20,6 @@ func TestEveryWriteWaitsForSlot(t *testing.T) {
 	add := func(old, new uint64) uint64 { return old + new }
 	m, _ := newWALMap(t, 2, wal.NewMemFS())
 	defer m.Close()
-	m.StartBatching(batch.Config{Clients: 1}, nil)
 	record := func(v uint64) []byte {
 		e := &walEnc[uint64, uint64]{cfg: &m.wal.cfg}
 		e.appendInsert(k, v)
@@ -47,9 +45,8 @@ func TestEveryWriteWaitsForSlot(t *testing.T) {
 				tx.Insert(k, v+6)
 			})
 		}, 7, true},
-		{"SubmitWait", func() error {
-			m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: k, Val: 7})
-			return nil
+		{"CommitEach", func() error {
+			return m.groupCommit(m.CommitEach(func(tx *txn) { tx.Delete(k); tx.Insert(k, 7) }))
 		}, 7, true},
 		{"ReplayRecord", func() error { return m.ReplayRecord(m.CommitGSN()+1, record(7)) }, 7, true},
 	}
@@ -114,7 +111,6 @@ func TestLockOrderStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.maxCollects = -1 // every ViewConsistent takes the fence
-	m.StartBatching(batch.Config{Clients: 2, MaxLatency: 100 * time.Microsecond}, nil)
 	add := func(old, new uint64) uint64 { return old + new }
 
 	var wg sync.WaitGroup
@@ -173,20 +169,12 @@ func TestLockOrderStress(t *testing.T) {
 		e.appendDelete(key(i, 15))
 		return m.ReplayRecord(0, e.buf)
 	})
-	var async sync.WaitGroup
-	worker("submit-async", func(i int) error {
-		async.Add(1)
-		m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: key(i, 16), Val: 5}, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			async.Done()
-		})
-		return nil
-	})
-	worker("submit-wait", func(i int) error {
-		m.SubmitWait(1, batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: key(i, 17)})
-		return nil
+	worker("commit-each", func(i int) error {
+		return m.groupCommit(m.CommitEach(func(tx *txn) {
+			tx.Insert(key(i, 16), 5)
+			tx.Delete(key(i, 17))
+			tx.Insert(key(i, 18), 5)
+		}))
 	})
 	worker("get-batch", func(i int) error {
 		keys := []uint64{key(i, 0), key(i, 1), key(i, 2), key(i, 3)}
@@ -207,7 +195,6 @@ func TestLockOrderStress(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
-		async.Wait()
 		close(done)
 	}()
 	select {
@@ -220,7 +207,7 @@ func TestLockOrderStress(t *testing.T) {
 	if fenced < int64(iters) {
 		t.Errorf("%d fenced views, want %d: the fence was not exercised", fenced, iters)
 	}
-	t.Logf("%d commits, %d batches, %d fenced views, %d fence restarts", m.Commits(), m.Batches(), fenced, m.OCCAborts())
+	t.Logf("%d commits, %d fenced views, %d fence restarts", m.Commits(), fenced, m.OCCAborts())
 	if a := m.Aborts(); a != 0 {
 		t.Errorf("%d Set failures: some commit ran beside its shard's writer", a)
 	}

@@ -25,10 +25,17 @@ type Txn[K, V, A any] struct {
 
 	// Commit scratch, reused by every commit of this Txn (commit.go):
 	// whether each leg published, the shards that did, and the sequential
-	// legs' replay keys.
+	// legs' replay scratch.
 	changed   []bool
 	published []int
-	keys      []K
+	scratch   replayScratch[K, V]
+}
+
+// replayScratch is what replay gathers a run of deletes or of plain inserts
+// into, reused from commit to commit.
+type replayScratch[K, V any] struct {
+	keys    []K
+	entries []ftree.Entry[K, V]
 }
 
 func (m *Map[K, V, A]) newTxn() *Txn[K, V, A] {
@@ -189,12 +196,12 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 // transaction.  A run of two or more plain inserts — most of a redo record
 // — goes down as one batch: InsertBatch's stable sort keeps the last write
 // of a key, which is what applying them one by one leaves.  A run of
-// deletes — a combiner batch's, a DeleteBatch's — goes down as one
-// multi-delete, its keys gathered into *keys, which is reused.  A batch
+// deletes — a DeleteBatch's, a wire run's — goes down as one multi-delete.
+// Both runs are gathered into sc, which is reused.  A batch
 // intent hands its entries to the tree's multi-insert and keeps the
 // coalesced batch it returns, one entry per key, which is what
 // encodeIntents logs.
-func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V], keys *[]K) {
+func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V], sc *replayScratch[K, V]) {
 	plain := func(in intent[K, V]) bool { return !in.del && in.comb == nil && in.batch == nil }
 	for j, n := 0, 0; j < len(list); j += n {
 		in := &list[j]
@@ -202,18 +209,20 @@ func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V], keys *[]K) 
 		}
 		switch {
 		case n > 1 && in.del:
-			ks := (*keys)[:0]
+			ks := sc.keys[:0]
 			for _, d := range list[j : j+n] {
 				ks = append(ks, d.key)
 			}
-			*keys = ks
+			sc.keys = ks
 			tx.DeleteBatch(ks)
 		case n > 1:
-			batch := make([]ftree.Entry[K, V], n)
-			for b, p := range list[j : j+n] {
-				batch[b] = ftree.Entry[K, V]{Key: p.key, Val: p.val}
+			batch := sc.entries[:0]
+			for _, p := range list[j : j+n] {
+				batch = append(batch, ftree.Entry[K, V]{Key: p.key, Val: p.val})
 			}
+			sc.entries = batch
 			tx.InsertBatch(batch, nil)
+			clear(batch) // the scratch keeps no value alive
 		case in.batch != nil:
 			in.batch = tx.InsertBatch(in.batch, in.comb)
 		case in.del:

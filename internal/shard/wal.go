@@ -227,17 +227,13 @@ func (m *Map[K, V, A]) WALStats() wal.Stats {
 // and only then attach — so nothing recovery does is logged, and from here
 // on every commit appends a record and acks per the log's fsync policy.
 // A recovered log already CheckpointBytes long is checkpointed at once, in
-// the background.  Call it after New, before any writes and before
-// StartBatching.
+// the background.  Call it after New, before any writes.
 func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	if m.wal != nil {
 		return errors.New("shard: WAL already attached")
-	}
-	if m.batchers != nil {
-		return errors.New("shard: AttachWAL must precede StartBatching")
 	}
 	if rec == nil {
 		rec = &wal.Recovered{}

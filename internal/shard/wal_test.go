@@ -7,9 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
 )
@@ -138,19 +136,11 @@ func TestShardWALRoundTrip(t *testing.T) {
 	check(m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 70}, {Key: 8, Val: 80}}, nil))
 	check(m.DeleteBatch([]uint64{8, 877}))
 
-	m.StartBatching(batch.Config{Clients: 2, MaxBatch: 64}, func(old, new uint64) uint64 { return old + new })
-	m.SubmitWait(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 90})
-	m.SubmitWait(1, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 9}) // comb -> 99
-	var serr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 11, Val: 111}, func(err error) {
-		serr = err
-		wg.Done()
-	})
-	m.Flush(0)
-	wg.Wait()
-	check(serr)
+	check(m.groupCommit(m.CommitEach(func(tx *Txn[uint64, uint64, struct{}]) {
+		tx.Insert(9, 90)
+		tx.InsertWith(9, 9, func(old, new uint64) uint64 { return old + new }) // -> 99
+		tx.Insert(11, 111)
+	})))
 
 	want := dump(m)
 	if err := m.Close(); err != nil {
@@ -195,42 +185,9 @@ func TestWritePathDifferential(t *testing.T) {
 	type tmap = Map[uint64, uint64, struct{}]
 	type txn = Txn[uint64, uint64, struct{}]
 	add := func(old, new uint64) uint64 { return old + new }
-	// submit pushes requests through the combiner back to back and waits for
-	// every ack.
-	submit := func(m *tmap, rs ...batch.Request[uint64, uint64]) error {
-		ch := make(chan error, len(rs))
-		for _, r := range rs {
-			m.SubmitAsync(0, r, func(err error) { ch <- err })
-		}
-		var err error
-		for range rs {
-			err = errors.Join(err, <-ch)
-		}
-		return err
-	}
-	batching := func(cfg batch.Config, comb func(old, new uint64) uint64) func(m *tmap) error {
-		return func(m *tmap) error {
-			m.stopBatching()
-			m.StartBatching(cfg, comb)
-			return nil
-		}
-	}
-	capped := batch.Config{Clients: 1, MaxBatch: 64}
-	// oneBatch submits requests as one combiner batch: it restarts the
-	// combiners with a long idle poll and submits once the fresh combiner
-	// has made its first, empty gather, so its next gather, 200 ms after
-	// start, takes them all.
-	oneBatch := func(m *tmap, comb func(old, new uint64) uint64, rs ...batch.Request[uint64, uint64]) error {
-		batching(batch.Config{Clients: 1, MaxLatency: 200 * time.Millisecond}, comb)(m)
-		time.Sleep(20 * time.Millisecond)
-		return submit(m, rs...)
-	}
-	del := func(k uint64) batch.Request[uint64, uint64] {
-		return batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: k}
-	}
-	set := func(k, v uint64) batch.Request[uint64, uint64] {
-		return batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: k, Val: v}
-	}
+	// each commits a run with CommitEach and waits for the log to reach its
+	// mark, as a served connection's writer does.
+	each := func(m *tmap, f func(tx *txn)) error { return m.groupCommit(m.CommitEach(f)) }
 	steps := []struct {
 		name    string
 		run     func(m *tmap) error
@@ -353,24 +310,34 @@ func TestWritePathDifferential(t *testing.T) {
 		// leader and where the record is applied; key 99 (shard 3) is absent,
 		// so its leg logs nothing.
 		{"DeleteBatch/one-shard-run", func(m *tmap) error { return m.DeleteBatch([]uint64{24, 20, 99, 28}) }, 1, 1},
-		{"StartBatching", batching(capped, nil), 0, 0},
-		{"SubmitAsync", func(m *tmap) error {
-			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 90})
+		{"CommitEach", func(m *tmap) error { return each(m, func(tx *txn) { tx.Insert(9, 90) }) }, 1, 1},
+		{"CommitEach/delete", func(m *tmap) error { return each(m, func(tx *txn) { tx.Delete(12) }) }, 1, 1},
+		{"CommitEach/comb", func(m *tmap) error { return each(m, func(tx *txn) { tx.InsertWith(9, 9, add) }) }, 1, 1},
+		// A run on one shard (shard 1) that deletes and inserts one key
+		// applies, and logs, its writes in their order.
+		{"CommitEach/delete-then-insert", func(m *tmap) error {
+			return each(m, func(tx *txn) { tx.Delete(9); tx.Insert(9, 19) })
 		}, 1, 1},
-		{"SubmitAsync/delete", func(m *tmap) error {
-			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpDelete, Key: 12})
+		{"CommitEach/comb/insert-delete-insert", func(m *tmap) error {
+			return each(m, func(tx *txn) {
+				tx.InsertWith(13, 1, add)
+				tx.Delete(13)
+				tx.InsertWith(13, 5, add)
+				tx.InsertWith(17, 1, add)
+				tx.Delete(17)
+			})
 		}, 1, 1},
-		{"StartBatching/comb", batching(capped, add), 0, 0},
-		{"SubmitAsync/comb", func(m *tmap) error {
-			return submit(m, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: 9, Val: 9})
-		}, 1, 1},
-		// One combiner batch (shard 1) that deletes and inserts one key
-		// applies, and logs, its requests in their order: the deletes, then
-		// the inserts no later delete superseded.
-		{"SubmitAsync/delete-then-insert", func(m *tmap) error { return oneBatch(m, nil, del(9), set(9, 19)) }, 1, 1},
-		{"SubmitAsync/comb/insert-delete-insert", func(m *tmap) error {
-			return oneBatch(m, add, set(13, 1), del(13), set(13, 5), set(17, 1), del(17))
-		}, 1, 1},
+		// A run over three shards is one record per shard under one fsync;
+		// key 61's run of plain inserts goes down as one batch.
+		{"CommitEach/three-shards", func(m *tmap) error {
+			return each(m, func(tx *txn) {
+				tx.Insert(60, 1)
+				tx.Insert(61, 2)
+				tx.Insert(65, 3)
+				tx.Insert(61, 4)
+				tx.Insert(62, 5)
+			})
+		}, 3, 1},
 	}
 
 	equal := func(what string, got, want map[uint64]uint64) {
@@ -413,7 +380,7 @@ func TestWritePathDifferential(t *testing.T) {
 	}
 	want := dump(plain)
 	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 116, 7: 1071, 9: 19, 13: 5, 14: 140, 16: 160,
-		21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2})
+		21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2, 60: 1, 61: 4, 62: 5, 65: 3})
 	if plain.CommitGSN() != logged.CommitGSN() {
 		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
 	}
@@ -500,8 +467,7 @@ func TestRecoverWALReplayArms(t *testing.T) {
 
 // TestShardWALBatchLogsCoalesced: a batch holding duplicate keys logs one op
 // per key — the batch as committed, not the gathered length with a stale
-// tail — through Map.InsertBatch, through a Txn.InsertBatch and through the
-// combiner.
+// tail — through Map.InsertBatch and through a Txn.InsertBatch.
 func TestShardWALBatchLogsCoalesced(t *testing.T) {
 	m, log := newWALMap(t, 1, wal.NewMemFS())
 	defer m.Close()
@@ -536,40 +502,13 @@ func TestShardWALBatchLogsCoalesced(t *testing.T) {
 		}},
 	}
 	for _, f := range forms {
-		for _, comb := range []func(old, new uint64) uint64{nil, add} {
+		for _, comb := range []func(old, new uint64) uint64{add, nil} {
 			if err := f.write(comb); err != nil {
 				t.Fatal(err)
 			}
 			if records, keys := logged(); records != 1 || !slices.Equal(keys, want) {
 				t.Fatalf("%s (comb %v) logged %d records inserting keys %v, want 1 record of %v", f.name, comb != nil, records, keys, want)
 			}
-		}
-	}
-	// The combiner sleeps out its latency budget before it gathers, so the
-	// six requests submitted inside that window are one batch; should a
-	// stall split them, the round is run again.
-	m.StartBatching(batch.Config{Clients: 1, MaxLatency: 50 * time.Millisecond}, nil)
-	for round := 0; ; round++ {
-		var wg sync.WaitGroup
-		for _, e := range dups() {
-			wg.Add(1)
-			m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: e.Key, Val: e.Val}, func(err error) {
-				if err != nil {
-					t.Error(err)
-				}
-				wg.Done()
-			})
-		}
-		wg.Wait()
-		records, keys := logged()
-		if records == 1 {
-			if !slices.Equal(keys, want) {
-				t.Fatalf("the combiner's batch logged inserts of keys %v, want %v", keys, want)
-			}
-			break
-		}
-		if round == 20 {
-			t.Fatalf("the combiner never gathered the six requests as one batch")
 		}
 	}
 	if got := dump(m); got[1] != 16 || got[2] != 8 || got[3] != 32 {

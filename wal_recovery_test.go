@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mvgc"
-	"mvgc/internal/batch"
 	"mvgc/internal/wal"
 )
 
@@ -236,34 +235,42 @@ func TestDBWALCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestDBWALBatchCrash covers the group-commit path: acked combiner writes
-// survive a power cut with no clean shutdown.
+// TestDBWALBatchCrash covers the group-commit path: writes committed in runs
+// (CommitEach) by two writers at once, each acked once the log is durable up
+// to its run's mark, survive a power cut with no clean shutdown.
 func TestDBWALBatchCrash(t *testing.T) {
 	mem := wal.NewMemFS()
 	db, err := openWALDB(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.StartBatching(batch.Config{Clients: 2, MaxBatch: 64}, nil)
-	const n = 200
+	const n, run = 200, 10
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	errs := make([]error, 2)
+	for w := range errs {
 		wg.Add(1)
-		k, v := uint64(i), uint64(i*10+1)
-		idx := i
-		db.SubmitAsync(i%2, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: k, Val: v}, func(err error) {
-			errs[idx] = err
-			wg.Done()
-		})
+		go func() {
+			defer wg.Done()
+			for lo := w * n / 2; lo < (w+1)*n/2 && errs[w] == nil; lo += run {
+				mark, err := db.CommitEach(func(t *mvgc.DBTxn[uint64, uint64, struct{}]) {
+					for i := lo; i < lo+run; i++ {
+						t.Insert(uint64(i), uint64(i*10+1))
+					}
+				})
+				if err == nil {
+					err = db.WAL().CommitTo(mark)
+				}
+				errs[w] = err
+			}
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for w, err := range errs {
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("writer %d: %v", w, err)
 		}
 	}
-	mem.Crash(0) // power cut: no combiner drain, no Close
+	mem.Crash(0) // power cut: no Close
 
 	rdb, err := openWALDB(mem)
 	if err != nil {
