@@ -52,9 +52,8 @@ func main() {
 		shards     = flag.Int("shards", min(runtime.GOMAXPROCS(0), 8), "shard count (default: GOMAXPROCS capped at 8)")
 		maxConns   = flag.Int("maxconns", 256, "connections served concurrently")
 		pipeline   = flag.Int("pipeline", 1024, "max outstanding responses per connection")
-		consistent = flag.Bool("consistent", false, "serve SUM/LEN/SCAN from globally consistent snapshots")
 		walDir     = flag.String("wal", "", "write-ahead log directory (empty = purely in-memory)")
-		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always, interval or off")
+		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always or off")
 		walSegment = flag.Int64("wal-segment-bytes", 0, "WAL segment size before rotation (0 = a quarter of -checkpoint-bytes, at least 4KiB, or 64MiB without it)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint each time the log has grown this many bytes since the last checkpoint (0 = off)")
 		follow     = flag.String("follow", "", "follow a leader at this address (read-only until PROMOTE/SIGUSR1; requires -wal)")
@@ -65,7 +64,6 @@ func main() {
 		Shards:      *shards,
 		MaxConns:    *maxConns,
 		MaxPipeline: *pipeline,
-		Consistent:  *consistent,
 		WAL: mvgc.WALOptions{
 			Dir:             *walDir,
 			Fsync:           *walFsync,

@@ -69,8 +69,8 @@ type DBOptions[K any] struct {
 	// GOMAXPROCS, floor 1).
 	Shards int
 	// Procs is the per-shard admission limit P: at most P concurrent
-	// transactions per shard (default GOMAXPROCS+1, leaving room for one
-	// combining writer next to GOMAXPROCS readers).
+	// transactions per shard (default GOMAXPROCS+1, leaving room for the
+	// shard's one writer next to GOMAXPROCS readers).
 	Procs int
 	// Algorithm is the Version Maintenance algorithm, one of vm.Names():
 	// base, pswf, pslf, hp, epoch, rcu, sbgc (default pswf).
@@ -109,9 +109,8 @@ type WALOptions struct {
 	// missing; empty disables logging even when WALOptions is non-nil.
 	Dir string
 	// Fsync is the fsync policy: "always" (default — acked means
-	// durable), "interval" (group fsync within 50ms of the oldest
-	// unsynced append), or "off" (fsync only on checkpoint/close; a
-	// crash may lose recently acked writes but never corrupts the log).
+	// durable) or "off" (fsync only on checkpoint/close; a crash may
+	// lose recently acked writes but never corrupts the log).
 	Fsync string
 	// SegmentBytes caps each log segment before rotation (default
 	// 64 MiB, or a quarter of CheckpointBytes when that is set, at

@@ -447,26 +447,6 @@ func TestRangeEntries(t *testing.T) {
 	o.Release(root)
 }
 
-func TestFilter(t *testing.T) {
-	o := intOps(0)
-	rng := rand.New(rand.NewSource(8))
-	root, ref := buildRandom(o, rng, 500, 1000)
-	f := o.Filter(root, func(k, _ int64) bool { return k%3 == 0 })
-	want := map[int64]int64{}
-	for k, v := range ref {
-		if k%3 == 0 {
-			want[k] = v
-		}
-	}
-	assertTreeEquals(t, o, f, want)
-	if err := o.Validate(f, augEq); err != nil {
-		t.Fatal(err)
-	}
-	o.Release(root)
-	o.Release(f)
-	checkExact(t, o)
-}
-
 // TestDoubleReleasePanics: the poisoned refcount must catch a double
 // collect, which would be a GC-safety bug in the transaction layer.  The
 // sole-owner fast path frees on a count of 1 without decrementing; a freed
@@ -712,28 +692,6 @@ func TestForEachCond(t *testing.T) {
 		t.Fatalf("ForEachCond stopped after %d (complete=%v), want 50", n, complete)
 	}
 	o.Release(root)
-}
-
-func TestMapValues(t *testing.T) {
-	for _, grain := range []int{0, 8} {
-		o := intOps(grain)
-		rng := rand.New(rand.NewSource(14))
-		root, ref := buildRandom(o, rng, 600, 1200)
-		doubled := o.MapValues(root, func(_, v int64) int64 { return v * 2 })
-		want := map[int64]int64{}
-		for k, v := range ref {
-			want[k] = v * 2
-		}
-		assertTreeEquals(t, o, doubled, want)
-		if err := o.Validate(doubled, augEq); err != nil {
-			t.Fatal(err) // augmentations must reflect the new values
-		}
-		// The original is untouched.
-		assertTreeEquals(t, o, root, ref)
-		o.Release(root)
-		o.Release(doubled)
-		checkExact(t, o)
-	}
 }
 
 // TestRecycleCorrectness re-runs the random-history property with node

@@ -57,7 +57,7 @@ type Ops[K, V, A any] struct {
 	// both halves of the batch exceed Grain (the tree under a batch is
 	// shared, not work), Build forks halves of more than Grain entries,
 	// and the operations over two trees (Union, Intersect, Difference)
-	// and over one whole tree (MapValues, Filter) fork above Grain keys.
+	// fork above Grain keys.
 	// Zero means fully sequential.  DESIGN.md, "Parallel bulk operations".
 	Grain int
 	// NoSteal disables decompose's exclusive-node fast path (ablation).

@@ -141,54 +141,3 @@ func (o *Ops[K, V, A]) recurse(op setOp, a, b *Node[K, V, A], comb func(av, bv V
 		return o.differenceOwned(a, b)
 	}
 }
-
-// MapValues returns a tree with the same keys as borrowed tree t and
-// values f(k, v).  The result is structurally fresh (augmentations are
-// recomputed from the new values) but shares nothing, so it costs O(n)
-// work with parallel halves.  f must return an owned value reference.
-func (o *Ops[K, V, A]) MapValues(t *Node[K, V, A], f func(K, V) V) *Node[K, V, A] {
-	if t == nil {
-		return nil
-	}
-	if t.leaf != nil {
-		nd := o.newLeaf(int(t.size))
-		for i, e := range t.run() {
-			nd.leaf.e[i] = Entry[K, V]{e.Key, f(e.Key, e.Val)}
-		}
-		return o.seal(nd)
-	}
-	var l, r *Node[K, V, A]
-	o.maybeParallel(t.size,
-		func(o *Ops[K, V, A]) { l = o.MapValues(t.left, f) },
-		func(o *Ops[K, V, A]) { r = o.MapValues(t.right, f) },
-	)
-	return o.mk(l, t.key, f(t.key, t.val), r)
-}
-
-// Filter returns a tree with the entries of borrowed tree t satisfying
-// keep.  O(n) work, parallel.
-func (o *Ops[K, V, A]) Filter(t *Node[K, V, A], keep func(K, V) bool) *Node[K, V, A] {
-	if t == nil {
-		return nil
-	}
-	if t.leaf != nil {
-		var kept [leafMax]Entry[K, V]
-		n := 0
-		for _, e := range t.run() {
-			if keep(e.Key, e.Val) {
-				kept[n] = e
-				n++
-			}
-		}
-		return o.leafOf(kept[:n], true)
-	}
-	var l, r *Node[K, V, A]
-	o.maybeParallel(t.size,
-		func(o *Ops[K, V, A]) { l = o.Filter(t.left, keep) },
-		func(o *Ops[K, V, A]) { r = o.Filter(t.right, keep) },
-	)
-	if keep(t.key, t.val) {
-		return o.Join(l, t.key, o.retainVal(t.val), r)
-	}
-	return o.Join2(l, r)
-}

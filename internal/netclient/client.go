@@ -7,10 +7,9 @@
 // demultiplexing the protocol needs.
 //
 // Pipelining is what lets a single connection amortize the server's
-// combiner commits: D outstanding SETs from this client land in the same
-// shard batches as every other connection's, so per-op commit cost falls
-// as depth and connection count grow (netserver's BenchmarkServeSweep
-// sweeps both).
+// commits: D outstanding SETs from this client are one burst the server
+// commits as one commit per shard, so per-op commit cost falls as depth
+// grows (netserver's BenchmarkServeSweep sweeps depth and connections).
 //
 // The client pays per burst, not per request.  Flush is a hand-off to the
 // outbox, a bounded double buffer that a flusher goroutine, the socket's
@@ -417,8 +416,7 @@ func (c *Client) GetAsync(key int64) *Pending { return c.send(netproto.CmdGet, k
 func (c *Client) SumAsync(lo, hi int64) *Pending { return c.send(netproto.CmdSum, lo, hi) }
 
 // ScanAsync pipelines SCAN lo n: up to n entries with keys ≥ lo in
-// ascending key order, merged across all shards (one consistent cut when
-// the server runs with Config.Consistent).
+// ascending key order, merged across all shards from one consistent cut.
 func (c *Client) ScanAsync(lo int64, n int) *Pending {
 	return c.send(netproto.CmdScan, lo, int64(n))
 }

@@ -68,11 +68,6 @@ type Config struct {
 	// loop that gets further ahead stalls until the writer catches up.
 	// Default 1024.
 	MaxPipeline int
-	// Consistent routes the fan-out reads — SUM, LEN and SCAN — through
-	// ViewConsistent, so they never observe an MCAS half-applied; plain
-	// per-shard fan-out otherwise.  Point reads are unaffected
-	// (single-shard reads are atomic either way).
-	Consistent bool
 	// WAL configures durability (mvgc.WALOptions): a non-empty Dir
 	// enables the write-ahead log — every +OK'd write is durable per the
 	// fsync policy, New recovers prior state from the directory before
@@ -900,16 +895,6 @@ func (c *conn) flushGets() {
 	c.srv.gets.Add(int64(n))
 }
 
-// view is the fan-out read mode SUM and LEN use: globally consistent when
-// the server was configured for it, per-shard otherwise.
-func (c *conn) view(f func(sn mvgc.DBSnapshot[int64, int64, int64])) {
-	if c.srv.cfg.Consistent {
-		c.srv.db.ViewConsistent(f)
-		return
-	}
-	c.srv.db.View(f)
-}
-
 func (c *conn) execSum(cmd *netproto.Command) {
 	if len(cmd.Args) != 3 {
 		c.fail("ERR wrong number of arguments")
@@ -923,7 +908,7 @@ func (c *conn) execSum(cmd *netproto.Command) {
 	}
 	sl := c.lease()
 	sl.kind = respInt
-	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.AugRange(lo, hi) })
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.AugRange(lo, hi) })
 	c.complete(sl)
 }
 
@@ -934,10 +919,9 @@ const maxScanEntries = netproto.MaxArgs / 2
 // execScan streams up to n entries with keys ≥ lo — the loser-tree merge
 // over all shards — into the slot's reusable element buffer and replies
 // with an array of alternating keys and values in ascending key order.
-// Under Config.Consistent the scan observes one global GSN cut, so a
-// concurrent MCAS (or any atomic transaction) is never seen half-applied
-// mid-scan; per-shard snapshots otherwise.  Like GET it runs inline on
-// the read loop against a pinned snapshot, so it never blocks writers.
+// Like SUM and LEN it reads one ViewConsistent cut, so a concurrent MCAS
+// is never seen half-applied mid-scan.  It runs inline on the read loop
+// against pinned snapshots, so it never blocks writers.
 func (c *conn) execScan(cmd *netproto.Command) {
 	if len(cmd.Args) != 3 {
 		c.fail("ERR wrong number of arguments")
@@ -955,7 +939,7 @@ func (c *conn) execScan(cmd *netproto.Command) {
 	}
 	sl := c.lease()
 	sl.kind = respArray
-	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
 		sn.ScanFunc(lo, int(n), func(k, v int64) bool {
 			sl.arr = append(sl.arr, k, v)
 			return true
@@ -969,10 +953,11 @@ func (c *conn) execScan(cmd *netproto.Command) {
 const maxCursorEntries = (netproto.MaxArgs - 2) / 2
 
 // execScanCursor is the cursor-style chunked scan, with the chunking
-// driven by the client: each SCANC page is one ScanFunc over c.view — a
-// fresh pin that streams at most n entries from the cursor and is released
-// before the reply — so an analytics client walking the whole keyspace
-// never stretches any shard's uncollected-version window beyond one page.
+// driven by the client: each SCANC page is one ScanFunc over its own
+// ViewConsistent cut — fresh pins that stream at most n entries from the
+// cursor and are released before the reply — so an analytics client
+// walking the whole keyspace never stretches any shard's
+// uncollected-version window beyond one page.
 // Commits landing between pages are observed, keys stream in strictly
 // increasing order, each at most once: SCANC is where that
 // bounded-staleness contract lives (TestScanCursorBoundedStaleness).
@@ -1007,7 +992,7 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 		}
 		start = lo + 1
 	}
-	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
 		sn.ScanFunc(start, int(n)+1, func(k, v int64) bool {
 			if int64(len(sl.arr))-2 >= 2*n {
 				sl.arr[0] = 1 // the probe entry: more remain
@@ -1053,7 +1038,7 @@ func (c *conn) execRepl(cmd *netproto.Command) bool {
 func (c *conn) execLen() {
 	sl := c.lease()
 	sl.kind = respInt
-	c.view(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.Len() })
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.Len() })
 	c.complete(sl)
 }
 

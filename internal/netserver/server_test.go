@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strconv"
@@ -356,14 +357,15 @@ func TestPipelinedClientsCoalesce(t *testing.T) {
 	}
 }
 
-// TestConsistentScanInvariant: under Config.Consistent, a SCAN rides one
-// global GSN cut, so it can never observe an MCAS transfer half-applied —
-// the wire-level version of the torn-scan regression.  Writers move value
-// between random keys with MCAS (atomic across shards, sum-preserving);
-// scanning readers assert the total never wavers.
+// TestConsistentScanInvariant: every fan-out read rides one global GSN
+// cut, so none can observe an MCAS transfer half-applied — the wire-level
+// version of the torn-scan regression, on a default-configured server.
+// Writers move value between random keys with MCAS (atomic across shards,
+// sum-preserving); a reader asserts that a full SCAN, a SUM over the whole
+// range and a SCANC page covering every key each see the same total.
 func TestConsistentScanInvariant(t *testing.T) {
 	const keys, balance = 64, 100
-	s, addr := startServer(t, Config{Shards: 4, MaxConns: 8, Consistent: true})
+	s, addr := startServer(t, Config{Shards: 4, MaxConns: 8})
 	defer s.Shutdown()
 
 	load, err := netclient.Dial(addr, 16)
@@ -377,7 +379,9 @@ func TestConsistentScanInvariant(t *testing.T) {
 		}
 	}
 
-	stop := make(chan struct{})
+	// quit stops the writers early once the reader has failed; stop closes
+	// once they are all done.
+	quit, stop := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -391,6 +395,11 @@ func TestConsistentScanInvariant(t *testing.T) {
 			defer c.Close()
 			rng := uint64(w)*0x9E3779B9 + 5
 			for i := 0; i < 300; i++ {
+				select {
+				case <-quit:
+					return
+				default:
+				}
 				rng = rng*6364136223846793005 + 1
 				a := int64(rng>>33) % keys
 				b := (a + 1 + int64(rng>>17)%(keys-1)) % keys
@@ -419,26 +428,51 @@ func TestConsistentScanInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	scans := 0
-	for {
-		entries, err := c.Scan(0, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != keys {
-			t.Fatalf("consistent SCAN returned %d entries, want %d", len(entries), keys)
-		}
-		var sum int64
+	total := func(entries []netclient.Entry) (sum int64) {
 		for _, e := range entries {
 			sum += e.Val
 		}
-		if sum != keys*balance {
-			t.Fatalf("consistent SCAN observed a torn transfer: sum = %d, want %d", sum, keys*balance)
+		return sum
+	}
+	// check runs one round of the three reads; a non-empty result is the
+	// failure, reported only after the writers have been joined.
+	check := func() string {
+		entries, err := c.Scan(0, keys)
+		if err != nil {
+			return err.Error()
 		}
-		scans++
+		if len(entries) != keys || total(entries) != keys*balance {
+			return fmt.Sprintf("SCAN observed a torn transfer: %d entries, sum %d, want %d and %d",
+				len(entries), total(entries), keys, keys*balance)
+		}
+		sum, err := c.Sum(0, keys-1)
+		if err != nil {
+			return err.Error()
+		}
+		if sum != keys*balance {
+			return fmt.Sprintf("SUM observed a torn transfer: %d, want %d", sum, keys*balance)
+		}
+		page, err := c.ScanChunk(0, keys, false)
+		if err != nil {
+			return err.Error()
+		}
+		if page.More || len(page.Entries) != keys || total(page.Entries) != keys*balance {
+			return fmt.Sprintf("SCANC page observed a torn transfer: %d entries (more=%v), sum %d, want %d and %d",
+				len(page.Entries), page.More, total(page.Entries), keys, keys*balance)
+		}
+		return ""
+	}
+	rounds := 0
+	for {
+		if msg := check(); msg != "" {
+			close(quit)
+			<-stop
+			t.Fatal(msg)
+		}
+		rounds++
 		select {
 		case <-stop:
-			t.Logf("verified %d consistent scans against the MCAS storm", scans)
+			t.Logf("verified %d rounds of SCAN, SUM and SCANC against the MCAS storm", rounds)
 			return
 		default:
 		}

@@ -6,9 +6,8 @@
 // record stamped with its commit GSN, and recovery replays records in
 // ascending GSN order on top of the newest valid checkpoint snapshot.
 // Durability is group-commit shaped: Append buffers, Commit fsyncs once
-// for every record appended so far, so the batch combiner's N-writes-one-
-// commit gathering turns into N-writes-one-fsync (see internal/batch and
-// DESIGN.md "Durability").
+// for every record appended so far, so the commits of N concurrent
+// writers share one fsync (see DESIGN.md "Durability").
 //
 // All file I/O goes through the FS interface so tests can run the whole
 // stack against MemFS (an in-memory filesystem with a power-cut model)
@@ -117,8 +116,8 @@ type MemFS struct {
 }
 
 // Syncs reports how many file fsyncs have been performed, so tests can
-// assert fsync *scheduling* (e.g. an idle FsyncInterval log must not
-// fsync at all), not just durability outcomes.
+// assert fsync *scheduling* (e.g. how many fsyncs one write entry point
+// costs), not just durability outcomes.
 func (fs *MemFS) Syncs() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Record is one recovered redo record.
@@ -56,9 +55,6 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = 50 * time.Millisecond
 	}
 	fs, dir := opts.FS, opts.Dir
 	if err := fs.MkdirAll(dir); err != nil {

@@ -211,8 +211,8 @@ func (l *Log) nextRetainedLocked(seq uint64) (uint64, bool) {
 // NextFrame.  The run is at most MaxRunBytes long and aliases the tailer's
 // buffer: it is valid until the next call.
 // With wait=true it blocks until records are available (forcing a sync
-// of buffered appends first, so FsyncOff/Interval logs still ship
-// promptly); with wait=false it returns (nil, nil) when caught up.
+// of buffered appends first, so FsyncOff logs still ship promptly); with
+// wait=false it returns (nil, nil) when caught up.
 // Terminal returns: ErrTailTruncated (re-bootstrap), ErrLogClosed (the
 // log closed and every durable byte has been returned), ErrTailerClosed
 // (Close was called), or the log's sticky error.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // Policy selects when appended records are fsynced.
@@ -16,12 +15,6 @@ const (
 	// write.  This is the only policy under which the recovery matrix
 	// asserts acked-write survival.
 	FsyncAlways Policy = iota
-	// FsyncInterval bounds group-commit latency instead of syncing every
-	// Commit: the oldest unsynced record's Append arms a timer that
-	// fsyncs Interval later (MaxLatency-style, not a fixed ticker — an
-	// idle log never fsyncs).  Commit returns immediately, so a crash can
-	// lose up to Interval (plus one fsync) of acked writes.
-	FsyncInterval
 	// FsyncOff never syncs except on Close.
 	FsyncOff
 )
@@ -31,12 +24,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "always":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or off)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or off)", s)
 }
 
 // Options configures a Log.
@@ -55,9 +46,6 @@ type Options struct {
 	MaxBytes int64
 	// Policy is the fsync policy (default FsyncAlways).
 	Policy Policy
-	// Interval is the FsyncInterval latency bound: the longest any
-	// appended record waits before an fsync covers it (default 50 ms).
-	Interval time.Duration
 }
 
 // ErrWALFull is returned by Append when MaxBytes is exceeded.  It is not
@@ -137,11 +125,6 @@ type Log struct {
 	syncing  bool  // a leader elected by syncTo is inside flushAndSync
 
 	ckptMu sync.Mutex // single-flight checkpoints
-
-	// armed is the FsyncInterval deadline (under mu): set by the Append
-	// that starts its timer, cleared by the timer just before it syncs,
-	// so the oldest unsynced record waits at most Interval plus one fsync.
-	armed bool
 }
 
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%08d.wal", seq) }
@@ -274,16 +257,9 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 	if gsn > l.curMaxGSN {
 		l.curMaxGSN = gsn
 	}
-	// First unsynced record under FsyncInterval: arm the latency bound.
-	// Later appends ride the existing deadline, so the OLDEST unsynced
-	// record is what waits at most Interval.
-	if l.opts.Policy == FsyncInterval && !l.armed {
-		l.armed = true
-		time.AfterFunc(l.opts.Interval, l.intervalSync)
-	}
 	if l.tailWaiters > 0 {
 		// A caught-up Tailer waits for appends so it can force a sync and
-		// ship under FsyncOff/Interval, where no Commit would ever wake it.
+		// ship under FsyncOff, where no Commit would ever wake it.
 		l.tailCond.Broadcast()
 	}
 	// An fsync leader that got in first takes the whole buffer with it, so
@@ -302,7 +278,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 
 // Commit makes every record appended so far durable under FsyncAlways
 // (group commit: one leader fsyncs for all concurrent committers) and is
-// a no-op returning only the sticky error under the other policies.
+// a no-op returning only the sticky error under FsyncOff.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	target := l.appended
@@ -328,18 +304,6 @@ func (l *Log) CommitTo(mark int64) error {
 		return nil
 	}
 	return l.syncTo(mark)
-}
-
-// intervalSync is the FsyncInterval deadline's timer: one fsync covers
-// everything appended so far.  It disarms BEFORE syncing, so a record
-// appended after the sync leader snaps its target arms a fresh deadline
-// instead of being absorbed into a sync that will not cover it.  A timer
-// that fires after Close finds no segment and touches no file.
-func (l *Log) intervalSync() {
-	l.mu.Lock()
-	l.armed = false
-	l.mu.Unlock()
-	l.Sync() //nolint:errcheck // sticky error surfaces on the next write
 }
 
 // Sync forces a flush+fsync regardless of policy.
@@ -584,9 +548,8 @@ func (l *Log) Stat() Stats {
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Close flushes and fsyncs outstanding records under every policy (the
-// graceful-shutdown path: SIGTERM must not lose interval/off-policy
-// acks), then closes the segment.  Safe to call once; the Log is
+// Close flushes and fsyncs outstanding records under either policy (the
+// graceful-shutdown path: SIGTERM must not lose off-policy acks), then closes the segment.  Safe to call once; the Log is
 // unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
