@@ -94,10 +94,12 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stopped := make(chan struct{})
 	go func() {
 		<-sig
 		fmt.Println("mvgcd: shutting down")
 		srv.Shutdown()
+		close(stopped)
 	}()
 
 	promote := make(chan os.Signal, 1)
@@ -113,4 +115,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mvgcd:", err)
 		os.Exit(1)
 	}
+	// Serve returns once Shutdown has closed the listener, before the drain
+	// it goes on to wait for: exit only when that is done.
+	<-stopped
 }

@@ -193,6 +193,82 @@ func TestGetRunBoundaries(t *testing.T) {
 	}
 }
 
+// TestBadArgumentInsideRun: a malformed GET or SET arrives while a run of
+// its own kind is queued, with slots leased and not yet filled.  Its -ERR
+// must not be written ahead of them, nor let the writer past them: one burst
+// of GET 1, GET x, GET 2, SET 3 4, SET y 1, SET 5 6, 200 times over, comes
+// back in request order with -ERR at the two malformed positions.
+func TestBadArgumentInsideRun(t *testing.T) {
+	const rounds = 200
+	s, err := New(Config{Shards: 2, MaxConns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := int64(1); k <= 2; k++ {
+		if err := s.DB().Insert(k, 10*k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli := pipeConn(t, s)
+	var burst bytes.Buffer
+	w := netproto.NewWriter(&burst)
+	for i := 0; i < rounds; i++ {
+		encGet(w, 1)
+		w.BeginCommand(2)
+		w.ArgString(netproto.CmdGet)
+		w.ArgString("x")
+		encGet(w, 2)
+		encSet(w, 3, 4)
+		w.BeginCommand(3)
+		w.ArgString(netproto.CmdSet)
+		w.ArgString("y")
+		w.ArgInt(1)
+		encSet(w, 5, 6)
+	}
+	w.Flush()
+	sent := make(chan error, 1)
+	go func() { // deeper than MaxPipeline: the read loop stalls until replies are read
+		_, err := cli.Write(burst.Bytes())
+		sent <- err
+	}()
+	want := []struct {
+		kind byte
+		text string
+	}{
+		{netproto.KindBulk, "10"},
+		{netproto.KindError, "ERR bad integer"},
+		{netproto.KindBulk, "20"},
+		{netproto.KindSimple, "OK"},
+		{netproto.KindError, "ERR bad integer"},
+		{netproto.KindSimple, "OK"},
+	}
+	r := netproto.NewReader(cli)
+	var rep netproto.Reply
+	for i := 0; i < rounds; i++ {
+		for j, wt := range want {
+			if err := r.ReadReply(&rep); err != nil {
+				t.Fatalf("round %d reply %d: %v", i, j, err)
+			}
+			got := string(rep.Line)
+			if rep.Kind == netproto.KindBulk {
+				got = string(rep.Bulk)
+			}
+			if rep.Kind != wt.kind || got != wt.text {
+				t.Fatalf("round %d reply %d: %q, want %q", i, j, got, wt.text)
+			}
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(3); k <= 5; k += 2 {
+		if v, ok := s.DB().Get(k); !ok || v != k+1 {
+			t.Fatalf("acknowledged SET %d not in the store: %d %v", k, v, ok)
+		}
+	}
+}
+
 // TestUndurableWriteNeverAcked: once the log is poisoned a SET is answered
 // -ERR, never +OK — and so is an MCAS on the same connection, which must
 // not report :1 (or :0) for a transaction that is not durable or never ran.

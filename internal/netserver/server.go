@@ -15,15 +15,18 @@
 //     which does not wait for the log.  So a pipelined GET reads its own
 //     connection's earlier writes.  MCAS runs mvgc.DB.UpdateAtomicKeys
 //     inline.
-//   - The writer walks the ring in order, encoding each slot once it is
-//     ready, so pipelined replies come back in protocol order.  A write's
-//     slot carries its run's log mark: before it encodes that +OK the
-//     writer flushes what it has encoded and makes the log durable up to
-//     the mark (wal.Log.CommitTo), so an acknowledged write is durable and
-//     the read loop never waits on an fsync.  The writer sleeps only on the
-//     slot at its own position, after flushing, and the completion of that
-//     slot is the one thing that wakes it: a burst of requests costs the
-//     two goroutines one scheduler interaction, not one per request.
+//   - The writer walks the ring in order up to one watermark, ready, so
+//     pipelined replies come back in protocol order.  The read loop
+//     publishes its tail there whenever no run is queued — every slot
+//     before it is filled — and a run fills all its slots before it
+//     publishes once.  A write's slot carries its run's log mark: before it
+//     encodes that +OK the writer flushes what it has encoded and makes the
+//     log durable up to the mark (wal.Log.CommitTo), so an acknowledged
+//     write is durable and the read loop never waits on an fsync.  The
+//     writer sleeps only once it has caught up with ready, after flushing,
+//     and the next publication is the one thing that wakes it: a burst of
+//     requests costs the two goroutines one scheduler interaction, not one
+//     per request.
 //
 // N connections × D-deep pipelines keep N×D requests in flight on 2N
 // goroutines; a burst of D writes is O(shards) commits, and the writers
@@ -109,14 +112,15 @@ type Server struct {
 	// it (admission control).
 	admit chan struct{}
 
-	mu     sync.Mutex
-	lns    []net.Listener
-	conns  map[*conn]struct{}
-	closed bool
+	mu    sync.Mutex
+	lns   []net.Listener
+	conns map[*conn]struct{}
+	// closed is set, under mu, by Shutdown/Close; the connections' writers
+	// load it before every socket write (conn.Write).
+	closed atomic.Bool
 	doneCh chan struct{} // closed by Shutdown/Close to abort slot waiters
 
 	serveWG sync.WaitGroup // accept loops + connection goroutines
-	nconns  atomic.Int64
 
 	// getRuns and gets count executed read runs and the GETs in them, one
 	// add each per run: gets/getRuns is the mean run length.  writeRuns and
@@ -202,7 +206,7 @@ func (s *Server) DB() *mvgc.DB[int64, int64, int64] { return s.db }
 // (several listeners) are allowed.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("netserver: server closed")
@@ -214,10 +218,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			return err
@@ -231,9 +232,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // read loop is interrupted at its next frame boundary, all responses for
 // requests already read are committed, written and flushed, and only then
 // is the DB closed.  No accepted request's response is dropped, except to a
-// client that stops reading: a writer blocked on it across one drainGrace
-// loses its socket writes (see drain), so such a client delays Shutdown by
-// one to one and a half drainGrace, not for ever.
+// client that stops reading: from the stop on, each socket write has
+// drainGrace to finish (see conn.Write), so such a client delays Shutdown by
+// about one drainGrace, not for ever.
 func (s *Server) Shutdown() error { return s.stop(true) }
 
 // Close force-closes listeners and connections; in-flight responses may be
@@ -243,28 +244,28 @@ func (s *Server) Close() error { return s.stop(false) }
 
 func (s *Server) stop(graceful bool) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	close(s.doneCh)
 	for _, ln := range s.lns {
 		ln.Close()
 	}
+	now := time.Now()
 	for c := range s.conns {
 		if graceful {
 			// Wake a read loop parked in Read; everything it already
-			// enqueued still drains through its writer.
-			c.nc.SetReadDeadline(time.Now())
+			// enqueued still drains through its writer.  The write deadline
+			// bounds a write already blocked; later ones arm their own.
+			c.nc.SetReadDeadline(now)
+			c.nc.SetWriteDeadline(now.Add(drainGrace))
 		} else {
 			c.nc.Close()
 		}
 	}
 	s.mu.Unlock()
-	if graceful {
-		s.drain()
-	}
 	s.serveWG.Wait()
 	// All read loops have exited and all writers have drained: every
 	// accepted write has committed and been answered.  A following server
@@ -280,65 +281,17 @@ func (s *Server) stop(graceful bool) error {
 	return s.db.Close()
 }
 
-// drainGrace bounds how long a graceful stop waits on a connection whose
-// writer makes no progress: a client that stops reading leaves its writer
-// blocked in a socket write for good, and that must not wedge Shutdown.
+// drainGrace bounds each socket write once the server stops: a client that
+// stops reading leaves its writer blocked in a write for good, and that must
+// not wedge Shutdown.
 const drainGrace = time.Second
 
-// drain waits for the served connections to finish, bounding the wait on
-// the wire.  Every half drainGrace it looks at each connection still
-// served: a writer is stuck when it has not moved since the last look and
-// is not parked, on a pending response or on the log.  One stuck across two
-// looks in a row — a whole drainGrace without progress, not parked at either
-// look, so blocked in a write to a client that does not read — gets a write
-// deadline in the past.  Its write fails, the error goes sticky, and the
-// writer drains the ring without the socket, so the connection ends.  A
-// writer parked on a slow commit or fsync makes no demand on the client and
-// is not cut, nor one caught between its wake-up and its next move: that
-// move comes long before the next look.  The hot path pays nothing for
-// this: no deadline is set while the server runs.
-func (s *Server) drain() {
-	done := make(chan struct{})
-	go func() {
-		s.serveWG.Wait()
-		close(done)
-	}()
-	type look struct {
-		head  uint64
-		stuck bool
-	}
-	seen := make(map[*conn]look)
-	tick := time.NewTicker(drainGrace / 2)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		for c := range s.conns {
-			h := c.head.Load()
-			last, ok := seen[c]
-			stuck := ok && last.head == h && !c.parked(h)
-			if stuck && last.stuck {
-				c.nc.SetWriteDeadline(time.Now())
-			}
-			seen[c] = look{h, stuck}
-		}
-		s.mu.Unlock()
-		select {
-		case <-done:
-			return
-		case <-tick.C:
-		}
-	}
-}
-
-// parked reports whether the writer at position head sleeps on that slot's
-// completion or on the log rather than on the socket.
-func (c *conn) parked(head uint64) bool {
-	st := c.ring[head&uint64(len(c.ring)-1)].state.Load()
-	return st == slotParked || st == slotLogWait
-}
-
 // Conns reports connections currently being served.
-func (s *Server) Conns() int64 { return s.nconns.Load() }
+func (s *Server) Conns() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int64(len(s.conns))
+}
 
 // respKind discriminates a slot's prepared response.
 type respKind uint8
@@ -355,26 +308,14 @@ const (
 	respClose // no response: the read loop is done and the writer exits
 )
 
-// A slot's state word.  The read loop leases slots in ring order without
-// touching the word, and swaps in slotReady when it completes the response;
-// the writer, which only ever looks at the slot at its own position, parks
-// by moving slotIdle to slotParked, marks a ready slot slotLogWait while it
-// waits for the log, and resets the word when it has encoded the response.
-const (
-	slotIdle    uint32 = iota // free, or leased and not yet completed
-	slotReady                 // response complete: the writer may encode it
-	slotParked                // the writer sleeps until this slot completes
-	slotLogWait               // the writer waits for the log to reach mark
-)
-
 // slot is one in-flight response: leased from the connection's ring at
-// decode time, completed by the read loop — at once, or when the run it
-// belongs to executes — and encoded by the writer in ring order.
+// decode time, filled by the read loop — at once, or when the run it
+// belongs to executes — and encoded by the writer in ring order once the
+// read loop has published past it.
 type slot struct {
-	state atomic.Uint32
-	kind  respKind
-	n     int64
-	msg   string
+	kind respKind
+	n    int64
+	msg  string
 	// mark is a committed write's log watermark: the writer makes the log
 	// durable up to it before it encodes the reply.  0 when there is
 	// nothing to wait for.
@@ -398,9 +339,13 @@ type conn struct {
 	// head is the writer's position; it stores, the read loop loads it to
 	// hold tail-head at MaxPipeline.
 	head atomic.Uint64
-	// wake carries the one token a completion sends when it finds the
-	// writer parked on its slot.
-	wake chan struct{}
+	// ready is how far the responses are complete: the read loop stores its
+	// tail there (publish), the writer encodes up to it.
+	ready atomic.Uint64
+	// asleep is the writer's declaration that it has caught up with ready
+	// and sleeps; the publication that sees it sends the one token on wake.
+	asleep atomic.Bool
+	wake   chan struct{}
 	// stalled is the read loop's declaration that it waits for head to
 	// move; the release that sees it sends the one token on space.
 	stalled atomic.Bool
@@ -463,19 +408,17 @@ func (s *Server) handle(nc net.Conn) {
 
 	c := s.newConn(nc)
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		nc.Close()
 		return
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
-	s.nconns.Add(1)
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
-		s.nconns.Add(-1)
 	}()
 
 	var writerWG sync.WaitGroup
@@ -516,7 +459,7 @@ func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
 
 // lease takes the next slot of the ring for a response, which fixes the
 // response's place on the wire: leases happen in request order, before the
-// operation that will complete the slot.  With MaxPipeline responses
+// operation that will fill the slot.  With MaxPipeline responses
 // outstanding it waits for the writer to release one — the pipeline-depth
 // backpressure — executing the queued run first.  A recycled slot
 // carries the previous response's payload, so every field a handler might
@@ -545,12 +488,13 @@ func (c *conn) lease() *slot {
 	return sl
 }
 
-// complete publishes a leased slot's response to the writer, waking it if
-// it sleeps on this very slot.  The swap is the only synchronization a
-// completion pays: a writer that is awake, or asleep on an earlier slot,
-// finds the slot ready when it gets there.
-func (c *conn) complete(sl *slot) {
-	if sl.state.Swap(slotReady) == slotParked {
+// publish hands the writer every slot leased so far, waking it if it
+// sleeps.  It must not run while a run is queued, whose slots are leased but
+// not filled: a run fills all its slots, then publishes once, and a lone
+// response is published as soon as it is filled.
+func (c *conn) publish() {
+	c.ready.Store(c.tail)
+	if c.asleep.Load() && c.asleep.CompareAndSwap(true, false) {
 		c.wake <- struct{}{}
 	}
 }
@@ -558,38 +502,40 @@ func (c *conn) complete(sl *slot) {
 // closeRing ends the response stream: the writer drains every response
 // leased before this marker, flushes, and exits when it reaches it.
 func (c *conn) closeRing() {
-	sl := c.lease()
-	sl.kind = respClose
-	c.complete(sl)
+	c.lease().kind = respClose
+	c.publish()
 }
 
-// writeLoop encodes responses in ring order.  It looks only at the slot at
-// its own position: ready, it encodes and releases it; not ready — leased
-// and incomplete, or not leased yet — it flushes everything already
-// encoded, so a stalled write never withholds earlier completed responses
-// from the client, and parks on that slot.  One wake-up per park: a burst
-// of completions behind a sleeping writer costs one scheduler interaction,
-// and a writer that keeps finding slots ready costs none.  A ready slot
-// with a mark past synced is a write not yet known durable: the writer
-// flushes, waits for the log (the one wait covers the rest of the run, and
-// whatever else the same fsync covered) and answers -ERR if the log fails.
-// Write errors go sticky inside the buffered writer; the loop keeps
-// draining to the close marker.
+// writeLoop encodes responses in ring order, up to the published
+// watermark.  Once it catches up it flushes everything already encoded, so
+// a stalled run never withholds earlier responses from the client, and
+// sleeps until the next publication: a burst of responses behind a
+// sleeping writer costs one scheduler interaction, and a writer that keeps
+// finding responses published costs none.  A slot with a mark past synced
+// is a write not yet known durable: the writer flushes, waits for the log
+// (the one wait covers the rest of the run, and whatever else the same
+// fsync covered) and answers -ERR if the log fails.  Write errors go sticky
+// inside the buffered writer; the loop keeps draining to the close marker.
 func (c *conn) writeLoop() {
-	w := netproto.NewWriter(c.nc)
+	w := netproto.NewWriter(c)
 	defer w.Flush()
+	var ready uint64
 	for head := uint64(0); ; head++ {
-		sl := &c.ring[head&uint64(len(c.ring)-1)]
-		if sl.state.Load() != slotReady {
-			w.Flush()
-			// A failed swap means the completion got in first.
-			if sl.state.CompareAndSwap(slotIdle, slotParked) {
-				<-c.wake
+		for ready == head {
+			if ready = c.ready.Load(); ready == head {
+				w.Flush()
+				c.asleep.Store(true)
+				// A publication between the load and the declaration may not
+				// have seen it: look again before sleeping, and take the token
+				// only if a publication has claimed the declaration.
+				if c.ready.Load() == head || !c.asleep.CompareAndSwap(true, false) {
+					<-c.wake
+				}
 			}
 		}
+		sl := &c.ring[head&uint64(len(c.ring)-1)]
 		if sl.mark > c.synced {
 			w.Flush()
-			sl.state.Store(slotLogWait)
 			if err := c.srv.db.WAL().CommitTo(sl.mark); err != nil {
 				sl.kind, sl.msg = respErr, "ERR "+err.Error()
 			} else {
@@ -620,7 +566,6 @@ func (c *conn) writeLoop() {
 			}
 		}
 		sl.msg = ""
-		sl.state.Store(slotIdle)
 		c.head.Store(head + 1)
 		if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
 			c.space <- struct{}{}
@@ -628,14 +573,27 @@ func (c *conn) writeLoop() {
 	}
 }
 
+// Write makes the socket the writer's output, the mirror of Read.  Once the
+// server stops, each socket write has drainGrace to finish: to a client that
+// stops reading it fails, the error goes sticky in the encoder, and the
+// writer drains the ring without the socket.  A writer waiting on the log
+// writes nothing meanwhile, so a slow fsync is never cut.
+func (c *conn) Write(p []byte) (int, error) {
+	if c.srv.closed.Load() {
+		c.nc.SetWriteDeadline(time.Now().Add(drainGrace))
+	}
+	return c.nc.Write(p)
+}
+
 // fail answers with an error response; the connection survives (framing
 // is intact — parse errors of VALUES are command errors, not protocol
-// errors).
+// errors).  A malformed GET or SET arrives with its kind's run queued, so
+// that run executes first: publish must not pass its unfilled slots.
 func (c *conn) fail(msg string) {
+	c.flush()
 	sl := c.lease()
-	sl.kind = respErr
-	sl.msg = msg
-	c.complete(sl)
+	sl.kind, sl.msg = respErr, msg
+	c.publish()
 }
 
 // eqFold reports ASCII case-insensitive equality with an upper-case name.
@@ -718,9 +676,8 @@ func (c *conn) readLoop() {
 		case eqFold(name, netproto.CmdMCAS):
 			c.execMCAS(&cmd)
 		case eqFold(name, netproto.CmdPing):
-			sl := c.lease()
-			sl.kind = respPong
-			c.complete(sl)
+			c.lease().kind = respPong
+			c.publish()
 		case eqFold(name, netproto.CmdStats):
 			c.execStats()
 		case eqFold(name, netproto.CmdRepl):
@@ -729,9 +686,8 @@ func (c *conn) readLoop() {
 			}
 		case eqFold(name, netproto.CmdPromote):
 			c.srv.Promote()
-			sl := c.lease()
-			sl.kind = respOK
-			c.complete(sl)
+			c.lease().kind = respOK
+			c.publish()
 		default:
 			c.fail(fmt.Sprintf("ERR unknown command %q", name))
 		}
@@ -787,7 +743,7 @@ type writeOp struct {
 	del      bool
 }
 
-// flushWrites commits the queued write run and completes its slots, each
+// flushWrites commits the queued write run and publishes its slots, each
 // carrying the run's log mark, or -ERR if the commit failed.
 func (c *conn) flushWrites() {
 	w := &c.writes
@@ -804,16 +760,15 @@ func (c *conn) flushWrites() {
 			}
 		}
 	})
-	for i := n - 1; i >= 0; i-- { // last first, as flushGets
-		sl := w.slots[i]
+	for _, sl := range w.slots {
 		if err != nil {
 			sl.kind, sl.msg = respErr, "ERR "+err.Error()
 		} else {
 			sl.mark = mark
 		}
-		c.complete(sl)
 	}
 	w.ops, w.slots = w.ops[:0], w.slots[:0]
+	c.publish()
 	if err == nil {
 		c.srv.writeRuns.Add(1)
 		c.srv.writes.Add(int64(n))
@@ -832,10 +787,9 @@ const getRunCap = 256
 // transaction per shard, and their tree descents overlap
 // (ftree.Ops.FindBatch).  Nothing here ever waits.  flushGets runs the
 // moment the run cannot grow without waiting: before any other command is
-// dispatched, before the read loop goes back to the socket (conn.Read),
-// before a lease that would block on MaxPipeline, at getRunCap keys, and on
-// the way out of the read loop.
-// So each key is read from a version acquired after its GET arrived and
+// dispatched or an error answered, before the read loop goes back to the
+// socket (conn.Read), before a lease that would block on MaxPipeline, at
+// getRunCap keys, and on the way out of the read loop.  So each key is read from a version acquired after its GET arrived and
 // before its reply is written, exactly as when every GET was its own
 // transaction.
 type getRun struct {
@@ -865,7 +819,7 @@ func (c *conn) execGet(cmd *netproto.Command) {
 	}
 }
 
-// flushGets executes the queued read run and completes its slots.  A lone
+// flushGets executes the queued read run and publishes its slots.  A lone
 // GET — every GET of a client that sends one request at a time — is the
 // cached-handle point read, 0 B/op on the store side.
 func (c *conn) flushGets() {
@@ -879,18 +833,15 @@ func (c *conn) flushGets() {
 	default:
 		c.srv.db.GetBatch(g.keys, g.vals, g.found)
 	}
-	// Last slot first: a writer parked on the run's first slot wakes once,
-	// to find the whole run ready.
-	for i := n - 1; i >= 0; i-- {
-		sl := g.slots[i]
+	for i, sl := range g.slots {
 		if g.found[i] {
 			sl.kind, sl.n = respValue, g.vals[i]
 		} else {
 			sl.kind = respNull
 		}
-		c.complete(sl)
 	}
 	g.keys, g.slots = g.keys[:0], g.slots[:0]
+	c.publish()
 	c.srv.getRuns.Add(1)
 	c.srv.gets.Add(int64(n))
 }
@@ -909,7 +860,7 @@ func (c *conn) execSum(cmd *netproto.Command) {
 	sl := c.lease()
 	sl.kind = respInt
 	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.AugRange(lo, hi) })
-	c.complete(sl)
+	c.publish()
 }
 
 // maxScanEntries bounds one SCAN's result so the reply's element count
@@ -945,7 +896,7 @@ func (c *conn) execScan(cmd *netproto.Command) {
 			return true
 		})
 	})
-	c.complete(sl)
+	c.publish()
 }
 
 // maxCursorEntries bounds one SCANC chunk: the reply carries two extra
@@ -987,7 +938,7 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 	start := lo
 	if excl != 0 {
 		if lo == math.MaxInt64 { // nothing can follow the cursor
-			c.complete(sl)
+			c.publish()
 			return
 		}
 		start = lo + 1
@@ -1003,7 +954,7 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 			return true
 		})
 	})
-	c.complete(sl)
+	c.publish()
 }
 
 // execRepl validates a REPL handshake and schedules the connection
@@ -1029,9 +980,8 @@ func (c *conn) execRepl(cmd *netproto.Command) bool {
 		return false
 	}
 	c.repl = &replHandoff{afterGSN: after, floor: floor}
-	sl := c.lease()
-	sl.kind = respOK
-	c.complete(sl)
+	c.lease().kind = respOK
+	c.publish()
 	return true
 }
 
@@ -1039,7 +989,7 @@ func (c *conn) execLen() {
 	sl := c.lease()
 	sl.kind = respInt
 	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.Len() })
-	c.complete(sl)
+	c.publish()
 }
 
 // execMCAS maps MCAS onto DB.UpdateAtomicKeys: the declared footprint is
@@ -1094,7 +1044,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	if swapped {
 		sl.n = 1
 	}
-	c.complete(sl)
+	c.publish()
 }
 
 // execStats renders the serving-layer counters that show coalescing:
@@ -1135,5 +1085,5 @@ func (c *conn) execStats() {
 		" wal_live=" + strconv.FormatInt(s.db.WALStats().LiveBytes, 10) +
 		" get_runs=" + strconv.FormatInt(s.getRuns.Load(), 10) +
 		" gets=" + strconv.FormatInt(s.gets.Load(), 10)
-	c.complete(sl)
+	c.publish()
 }

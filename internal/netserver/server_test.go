@@ -690,9 +690,9 @@ func (f slowSyncFile) Sync() error {
 // reads its replies leaves the connection's writer blocked in a socket
 // write once the socket buffers are full.  A graceful Shutdown must still
 // return, within about drainGrace.  Beside it, a client that does read
-// waits on a SET whose fsync outlasts two of drain's looks: its writer
-// makes no progress either, but it is parked on the log, so the client
-// must still get its +OK.
+// waits on a SET whose fsync outlasts drainGrace: its writer makes no
+// progress either, but it waits on the log and writes nothing meanwhile, so
+// the client must still get its +OK.
 func TestShutdownClientNeverReads(t *testing.T) {
 	fs := &slowSyncFS{FS: wal.NewMemFS(), delay: drainGrace * 6 / 5, syncing: make(chan struct{}, 1)}
 	s, addr := startServer(t, Config{Shards: 1, MaxConns: 3, MaxPipeline: 64, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}})
@@ -746,7 +746,7 @@ func TestShutdownClientNeverReads(t *testing.T) {
 	if _, err := rc.Write([]byte("*3\r\n$3\r\nSET\r\n$1\r\n2\r\n$1\r\n5\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	<-fs.syncing // the SET is being made durable, its writer parked on the log
+	<-fs.syncing // the SET is being made durable, its writer waiting on the log
 
 	returned := make(chan error, 1)
 	start := time.Now()
@@ -948,9 +948,9 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 	}
 }
 
-// TestRingLateCompletion: a slot completed after the writer has gone to
-// sleep on it is still written; a slot whose mark the log cannot make
-// durable is answered -ERR, not +OK; and the close marker ends the writer.
+// TestRingLateCompletion: a slot published after the writer has gone to
+// sleep is still written; a slot whose mark the log cannot make durable is
+// answered -ERR, not +OK; and the close marker ends the writer.
 func TestRingLateCompletion(t *testing.T) {
 	ffs := wal.NewFaultFS(wal.NewMemFS())
 	s, err := New(Config{Shards: 2, MaxPipeline: 4, WAL: mvgc.WALOptions{Dir: "wal", FS: ffs}})
@@ -983,14 +983,14 @@ func TestRingLateCompletion(t *testing.T) {
 		sl := c.lease()
 		sl.kind = respOK
 		deadline := time.Now().Add(10 * time.Second)
-		for sl.state.Load() != slotParked {
+		for !c.asleep.Load() {
 			if time.Now().After(deadline) {
-				t.Fatal("the writer never parked on the incomplete slot")
+				t.Fatal("the writer never went to sleep ahead of the unpublished slot")
 			}
 			time.Sleep(time.Millisecond)
 		}
 		sl.mark = mark
-		go c.complete(sl) // late, from another goroutine
+		go c.publish() // late, from another goroutine
 		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
 		if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, tc.want) {
 			t.Fatalf("reply %q (%v), want %q", got, err, tc.want)
