@@ -50,7 +50,7 @@ type Map[K, V, A any] struct {
 // field needs, so none of it is synchronized except the free-list link.
 type proc[K, V, A any] struct {
 	// The pid's transactions run on ops, an Ops view bound to arena — the
-	// pid's magazines of nodes and leaf blocks (see ftree.Arena) — so the
+	// pid's magazines of nodes and leaf units (see ftree.Arena) — so the
 	// path-copying write path allocates and collects with no locks.  txn
 	// and rbuf are the reusable write transaction and Release collect
 	// buffer, which together with the arena make a warm point update

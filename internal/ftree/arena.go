@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Arena is a pid-local allocation cache: two magazines — one of tree
-// nodes, one of leaf blocks — and a tally of the units allocated and freed
-// through them, which let one process (in the paper's sense — one leased
-// pid, never used concurrently) allocate, free and count tree memory with
-// no lock and no locked instruction.  The transaction layer gives every pid
-// its own arena and runs that pid's transactions on an Ops view Bound to
-// it, so allocation on the path-copying write path touches only
+// Arena is a pid-local allocation cache: two magazines — one of internal
+// nodes, one of whole leaf units — and a tally of the units allocated and
+// freed through them, which let one process (in the paper's sense — one
+// leased pid, never used concurrently) allocate, free and count tree memory
+// with no lock and no locked instruction.  The transaction layer gives
+// every pid its own arena and runs that pid's transactions on an Ops view
+// Bound to it, so allocation on the path-copying write path touches only
 // single-owner memory; the locked instructions left on that path are the
 // reference counts' (share, and Release of a node someone else still
 // holds).  Both magazines follow the same rules:
@@ -28,15 +28,15 @@ import (
 //     share cache lines.
 //
 // Free objects are linked only through the magazine and depot slices,
-// never through fields of their own, which keeps leafBlock pointer-free
-// for pointer-free keys and values.
+// never through fields of their own, which keeps a leaf unit pointer-free
+// for pointer-free keys, values and augmentation.
 //
-// Accounting follows the memory's owner, not the memory: newNode and
-// freeNode count allocation units (an internal node, or a leaf node with
-// its block) in the arena's tally — plain adds on a cache line nobody else
-// writes — when the view is bound, in the family's sharded atomics when it
-// is not, wherever the unit itself came from or goes to.  The family lists
-// every tally, so Allocs, Frees and Live are sums over both kinds; Ops.Allocs
+// Accounting follows the memory's owner, not the memory: newNode, newLeaf
+// and freeNode count allocation units (an internal node or a whole leaf)
+// in the arena's tally — plain adds on a cache line nobody else writes —
+// when the view is bound, in the family's sharded atomics when it is not,
+// wherever the unit itself came from or goes to.  The family lists every
+// tally, so Allocs, Frees and Live are sums over both kinds; Ops.Allocs
 // states when those sums are exact.  DESIGN.md ("Pid-local node magazines")
 // explains why the cache is per-pid rather than a per-P sync.Pool.
 //
@@ -47,7 +47,7 @@ import (
 // running its pid.
 type Arena[K, V, A any] struct {
 	nodes  magazine[Node[K, V, A]]
-	blocks magazine[leafBlock[K, V]]
+	leaves magazine[leaf[K, V, A]]
 
 	// tally counts the units allocated and freed through views bound to
 	// this arena.  The family's allocShared lists it too, so the counts
@@ -73,11 +73,12 @@ const (
 	magCap = 256
 	// magMove is M, the block size of spills and refills.
 	magMove = magCap / 2
-	// chunkNodes and chunkBlocks are how many objects a fresh locality
-	// chunk carves: 16 KiB of 64-byte nodes, and as many bytes again per
-	// eight entries of a block.
+	// chunkNodes and chunkLeaves are how many objects a fresh locality
+	// chunk carves: 12 KiB of 48-byte internal nodes, and 32 KiB of
+	// 512-byte leaf units (int64 pairs under NoAug; both chunks are exact
+	// Go size classes).
 	chunkNodes  = 256
-	chunkBlocks = 64
+	chunkLeaves = 64
 	// depotShards is the number of independent depot lists; sharding keeps
 	// unbound collectors and allocators from serializing on one lock, and
 	// gives arenas independent places to spill to.
@@ -171,7 +172,7 @@ func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 	return &Arena[K, V, A]{
 		tally:  o.sh.newTally(),
 		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
-		blocks: magazine[leafBlock[K, V]]{d: &o.sh.blocks, mag: make([]*leafBlock[K, V], 0, magCap), chunk: chunkBlocks},
+		leaves: magazine[leaf[K, V, A]]{d: &o.sh.leaves, mag: make([]*leaf[K, V, A], 0, magCap), chunk: chunkLeaves},
 	}
 }
 
@@ -253,13 +254,13 @@ func (m *magazine[T]) cached() int { return len(m.mag) + len(m.blk) - m.bi }
 // memory is never stranded with a dead pid.
 func (a *Arena[K, V, A]) Flush() {
 	a.nodes.flush()
-	a.blocks.flush()
+	a.leaves.flush()
 }
 
 // Cached reports how many allocations of either kind the arena can serve
 // without touching the depot.  Like all arena state it is single-owner —
 // read it only from the owning process or at quiescence.
-func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.blocks.cached()) }
+func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.leaves.cached()) }
 
 // Stats reports the arena's lifetime block-transfer counters, both
 // magazines together: refills and spills against the depot, and fresh
@@ -267,6 +268,6 @@ func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.blocks.ca
 // or at quiescence — the rule the family's Allocs, Frees and Live follow
 // for every arena at once (see Ops.Allocs).
 func (a *Arena[K, V, A]) Stats() (refills, spills, carves int64) {
-	n, b := &a.nodes, &a.blocks
-	return n.refills + b.refills, n.spills + b.spills, n.carves + b.carves
+	n, l := &a.nodes, &a.leaves
+	return n.refills + l.refills, n.spills + l.spills, n.carves + l.carves
 }

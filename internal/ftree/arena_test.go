@@ -116,9 +116,9 @@ func (e ownerErr) Error() string {
 	return "owner tree corrupted (cross-arena reuse of a live node?)"
 }
 
-// TestArenaSpillRefillMigration: nodes and leaf blocks freed by one arena
-// must become allocatable by another via the depot — spill on one side,
-// refill on the other — without disturbing exact accounting.
+// TestArenaSpillRefillMigration: internal nodes and leaf units freed by one
+// arena must become allocatable by another via the depot — spill on one
+// side, refill on the other — without disturbing exact accounting.
 func TestArenaSpillRefillMigration(t *testing.T) {
 	o := arenaOps()
 	a1 := o.NewArena()
@@ -136,9 +136,9 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 	if o.Live() != 0 {
 		t.Fatalf("phase 1 leaked %d nodes", o.Live())
 	}
-	if a1.nodes.spills == 0 || a1.blocks.spills == 0 {
-		t.Fatalf("freeing ≥ %d leaves spilled nodes %d times, blocks %d times; magazine capacity %d",
-			4*magCap, a1.nodes.spills, a1.blocks.spills, magCap)
+	if a1.nodes.spills == 0 || a1.leaves.spills == 0 {
+		t.Fatalf("freeing ≥ %d leaves spilled nodes %d times, leaves %d times; magazine capacity %d",
+			4*magCap, a1.nodes.spills, a1.leaves.spills, magCap)
 	}
 
 	// Arena 2 must refill off those spilled nodes rather than carving
@@ -152,8 +152,8 @@ func TestArenaSpillRefillMigration(t *testing.T) {
 		b2.Release(root)
 		root = nr
 	}
-	if a2.nodes.refills == 0 || a2.blocks.refills == 0 {
-		t.Fatalf("arena 2 refilled nodes %d times, blocks %d times from the depot", a2.nodes.refills, a2.blocks.refills)
+	if a2.nodes.refills == 0 || a2.leaves.refills == 0 {
+		t.Fatalf("arena 2 refilled nodes %d times, leaves %d times from the depot", a2.nodes.refills, a2.leaves.refills)
 	}
 	if _, _, carves := a2.Stats(); carves != 0 {
 		t.Fatalf("arena 2 carved %d fresh chunks with the depot full", carves)
@@ -239,21 +239,21 @@ func TestArenaFlush(t *testing.T) {
 		t.Fatalf("nothing parked before Flush")
 	}
 	a.Flush()
-	if n, b := a.nodes.cached(), a.blocks.cached(); n != 0 || b != 0 {
-		t.Fatalf("%d nodes and %d blocks still parked after Flush", n, b)
+	if n, l := a.nodes.cached(), a.leaves.cached(); n != 0 || l != 0 {
+		t.Fatalf("%d nodes and %d leaves still parked after Flush", n, l)
 	}
 	if o.Live() != 0 {
 		t.Fatalf("leaked %d nodes", o.Live())
 	}
-	// The flushed nodes and blocks are now in the depot, available to any
+	// The flushed nodes and leaves are now in the depot, available to any
 	// arena or to the unbound root.
-	nodes, blocks := 0, 0
+	nodes, leaves := 0, 0
 	for i := range o.sh.nodes.shards {
 		nodes += len(o.sh.nodes.shards[i].items)
-		blocks += len(o.sh.blocks.shards[i].items)
+		leaves += len(o.sh.leaves.shards[i].items)
 	}
-	if nodes == 0 || blocks == 0 {
-		t.Fatalf("depot holds %d nodes and %d blocks after Flush", nodes, blocks)
+	if nodes == 0 || leaves == 0 {
+		t.Fatalf("depot holds %d nodes and %d leaves after Flush", nodes, leaves)
 	}
 }
 
@@ -316,30 +316,30 @@ func TestDeleteAbsentSharesInput(t *testing.T) {
 	}
 }
 
-// parkedBlocks empties an unbound family's depot of leaf blocks.
-func parkedBlocks[K, V, A any](o *Ops[K, V, A]) (blocks []*leafBlock[K, V]) {
-	for b := o.sh.blocks.pop(); b != nil; b = o.sh.blocks.pop() {
-		blocks = append(blocks, b)
+// parkedLeaves empties an unbound family's depot of leaf units.
+func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (leaves []*leaf[K, V, A]) {
+	for u := o.sh.leaves.pop(); u != nil; u = o.sh.leaves.pop() {
+		leaves = append(leaves, u)
 	}
-	return blocks
+	return leaves
 }
 
-// TestFreeClearsPointerfulBlocks: a freed leaf block is parked, not handed
-// back to the Go heap, so whatever it still points at would stay alive for
-// as long as it is parked.  With a pointer in the value or in the key every
-// parked entry is zero; with neither — where a stale entry pins nothing —
-// the block is parked as it was, which is the 512-byte clear per freed leaf
-// that the collector does not pay.
+// TestFreeClearsPointerfulBlocks: a freed leaf unit is parked, not handed
+// back to the Go heap, so whatever its run still points at would stay alive
+// for as long as it is parked.  With a pointer in the value or in the key
+// every parked entry is zero; with neither — where a stale entry pins
+// nothing — the unit is parked as it was, which is the 496-byte clear per
+// freed leaf that the collector does not pay.
 func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	const n = 10 * leafMax
 	type payload struct{ id int }
 	check := func(name string, parked, stale int, wantStale bool) {
 		t.Helper()
 		if parked < n/leafMax {
-			t.Fatalf("%s: %d blocks parked after freeing %d entries", name, parked, n)
+			t.Fatalf("%s: %d leaves parked after freeing %d entries", name, parked, n)
 		}
 		if (stale > 0) != wantStale {
-			t.Fatalf("%s: %d stale entries in %d parked blocks, want stale: %v", name, stale, parked, wantStale)
+			t.Fatalf("%s: %d stale entries in %d parked leaves, want stale: %v", name, stale, parked, wantStale)
 		}
 	}
 
@@ -368,7 +368,7 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	}
 
 	stale := 0
-	pb := parkedBlocks(ptrs)
+	pb := parkedLeaves(ptrs)
 	for _, b := range pb {
 		for _, e := range b.e {
 			if e.Val != nil {
@@ -379,7 +379,7 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	check("*T values", len(pb), stale, false)
 
 	stale = 0
-	sb := parkedBlocks(strs)
+	sb := parkedLeaves(strs)
 	for _, b := range sb {
 		for _, e := range b.e {
 			if e.Key != "" {
@@ -390,7 +390,7 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	check("string keys", len(sb), stale, false)
 
 	stale = 0
-	ib := parkedBlocks(ints)
+	ib := parkedLeaves(ints)
 	for _, b := range ib {
 		for _, e := range b.e {
 			if e != (Entry[int64, int64]{}) {

@@ -7,17 +7,25 @@ import (
 
 // Build constructs a perfectly balanced owned tree from entries sorted by
 // key with no duplicates, cutting the input into leaves directly and
-// consuming the entries' values.  O(n) work, O(log n) span with parallel
-// halves.
+// consuming the entries' values.  The leaves are as few as hold the input
+// and as evenly filled as they can be — their fills differ by at most one
+// entry — whatever the input's length.  O(n) work, O(log n) span with
+// parallel halves.
 func (o *Ops[K, V, A]) Build(entries []Entry[K, V]) *Node[K, V, A] {
-	if o.Grain <= 0 || len(entries) <= max(o.Grain, leafMax) {
-		return o.build(entries)
+	return o.buildFork(entries, leavesFor(len(entries)))
+}
+
+// buildFork is Build over the given number of leaves, forking halves of
+// more than Grain entries.
+func (o *Ops[K, V, A]) buildFork(entries []Entry[K, V], leaves int) *Node[K, V, A] {
+	if o.Grain <= 0 || len(entries) <= o.Grain || leaves == 1 {
+		return o.buildLeaves(entries, leaves)
 	}
-	mid := len(entries) / 2
+	mid, ll := cut(len(entries), leaves)
 	var l, r *Node[K, V, A]
 	o.maybeParallel(int64(len(entries)),
-		func(o *Ops[K, V, A]) { l = o.Build(entries[:mid]) },
-		func(o *Ops[K, V, A]) { r = o.Build(entries[mid+1:]) },
+		func(o *Ops[K, V, A]) { l = o.buildFork(entries[:mid], ll) },
+		func(o *Ops[K, V, A]) { r = o.buildFork(entries[mid+1:], leaves-ll) },
 	)
 	return o.mk(l, entries[mid].Key, entries[mid].Val, r)
 }
@@ -25,11 +33,35 @@ func (o *Ops[K, V, A]) Build(entries []Entry[K, V]) *Node[K, V, A] {
 // build is Build's sequential case.  It captures nothing, so a caller's
 // stack-allocated run stays on the stack.
 func (o *Ops[K, V, A]) build(entries []Entry[K, V]) *Node[K, V, A] {
-	if len(entries) <= leafMax {
+	return o.buildLeaves(entries, leavesFor(len(entries)))
+}
+
+// buildLeaves is build over the given number of leaves.
+func (o *Ops[K, V, A]) buildLeaves(entries []Entry[K, V], leaves int) *Node[K, V, A] {
+	if leaves == 1 {
 		return o.leafOf(entries, false)
 	}
-	mid := len(entries) / 2
-	return o.mk(o.build(entries[:mid]), entries[mid].Key, entries[mid].Val, o.build(entries[mid+1:]))
+	mid, ll := cut(len(entries), leaves)
+	return o.mk(o.buildLeaves(entries[:mid], ll), entries[mid].Key, entries[mid].Val, o.buildLeaves(entries[mid+1:], leaves-ll))
+}
+
+// leavesFor is how many leaves Build cuts n entries into: the fewest that
+// hold them.  A tree of L leaves has L−1 internal entries, so L leaves hold
+// n entries when n+1 ≤ L·(leafMax+1).
+func leavesFor(n int) int { return (n + leafMax + 1) / (leafMax + 1) }
+
+// cut splits a build of n entries over the given number of leaves (at least
+// two): the left subtree takes ll = leaves/2 of them and entries[:mid],
+// entries[mid] is the root's.  Every leaf gets fill or fill+1 entries, the
+// extra ones going left first.  Every subtree of two or more leaves holds
+// more than leafMax entries, so mk makes it an internal node: two leaves
+// alone are a build of more than leafMax, and from three leaves on the
+// fewest that hold n entries carry at least 20 each.
+func cut(n, leaves int) (mid, ll int) {
+	ll = leaves / 2
+	inLeaves := n - (leaves - 1)
+	fill, extra := inLeaves/leaves, inLeaves%leaves
+	return ll*fill + min(ll, extra) + ll - 1, ll
 }
 
 // SortEntries sorts a batch by key and coalesces duplicates, applying comb
@@ -124,7 +156,7 @@ func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *
 		return o.share(t)
 	case len(batch) == 0:
 		return o.leafOf(run, true)
-	case t != nil && t.leaf != nil:
+	case t != nil && t.fill != 0:
 		t, run = nil, t.run()
 	}
 	var e Entry[K, V]
@@ -232,7 +264,7 @@ func (o *Ops[K, V, A]) deleteRun(t *Node[K, V, A], keys []K) (out *Node[K, V, A]
 	if t == nil || len(keys) == 0 {
 		return nil, false
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		return o.leafDeleteRun(t, keys)
 	}
 	i, found := slices.BinarySearchFunc(keys, t.key, o.Cmp)
@@ -278,7 +310,7 @@ func (o *Ops[K, V, A]) ForEach(t *Node[K, V, A], f func(K, V)) {
 	if t == nil {
 		return
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		for _, e := range t.run() {
 			f(e.Key, e.Val)
 		}
@@ -295,7 +327,7 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 	if t == nil {
 		return true
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		return eachCond(t.run(), f)
 	}
 	if !o.ForEachCond(t.left, f) {
@@ -327,7 +359,7 @@ func (o *Ops[K, V, A]) ForEachCondFrom(t *Node[K, V, A], lo K, f func(K, V) bool
 	if t == nil {
 		return true
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		run := t.run()
 		i, _ := o.search(run, lo)
 		return eachCond(run[i:], f)
@@ -363,7 +395,7 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 	if t == nil {
 		return
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		for _, e := range o.between(t.run(), lo, hi) {
 			f(e.Key, e.Val)
 		}
@@ -395,7 +427,7 @@ func (o *Ops[K, V, A]) between(run []Entry[K, V], lo, hi K) []Entry[K, V] {
 // (Section 7.1) when used with SumAug.
 func (o *Ops[K, V, A]) AugRange(t *Node[K, V, A], lo, hi K) A {
 	for t != nil {
-		if t.leaf != nil {
+		if t.fill != 0 {
 			return o.foldRun(o.between(t.run(), lo, hi))
 		}
 		if o.Cmp(t.key, lo) < 0 {
@@ -418,7 +450,7 @@ func (o *Ops[K, V, A]) AugRange(t *Node[K, V, A], lo, hi K) A {
 func (o *Ops[K, V, A]) augGE(t *Node[K, V, A], lo K) A {
 	a := o.Aug.Zero()
 	for t != nil {
-		if t.leaf != nil {
+		if t.fill != 0 {
 			run := t.run()
 			i, _ := o.search(run, lo)
 			return o.Aug.Combine(o.foldRun(run[i:]), a)
@@ -442,7 +474,7 @@ func (o *Ops[K, V, A]) augGE(t *Node[K, V, A], lo K) A {
 func (o *Ops[K, V, A]) augLE(t *Node[K, V, A], hi K) A {
 	a := o.Aug.Zero()
 	for t != nil {
-		if t.leaf != nil {
+		if t.fill != 0 {
 			run := t.run()
 			_, j := o.span(run, hi)
 			return o.Aug.Combine(a, o.foldRun(run[:j]))

@@ -302,3 +302,48 @@ func TestSortedBatchSkipsSort(t *testing.T) {
 		}
 	}
 }
+
+// leafFills returns the fill of every leaf of borrowed tree t, in order.
+func leafFills[K, V, A any](t *Node[K, V, A], fills []int) []int {
+	switch {
+	case t == nil:
+		return fills
+	case t.fill != 0:
+		return append(fills, int(t.fill))
+	}
+	return leafFills(t.right, leafFills(t.left, fills))
+}
+
+// TestBuildFillNoCliff: Build cuts any input into the fewest leaves that
+// hold it, filled within one entry of each other — at and around the
+// lengths (leafMax+1)·2^k where halving until a run fits a leaf jumps from
+// full leaves to half-empty ones, and at 600 000 and 1 100 000, between
+// those jumps.
+func TestBuildFillNoCliff(t *testing.T) {
+	var ns []int
+	for k := 4; k <= 15; k++ {
+		for d := -2; d <= 2; d++ {
+			ns = append(ns, (leafMax+1)<<k+d)
+		}
+	}
+	ns = append(ns, 600_000, 1_100_000)
+	for _, n := range ns {
+		o := intOps(0)
+		root := o.Build(seqEntries(n))
+		if err := o.Validate(root, augEq); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		fills := leafFills(root, nil)
+		lo, hi, sum := slices.Min(fills), slices.Max(fills), 0
+		for _, f := range fills {
+			sum += f
+		}
+		mean := float64(sum) / float64(len(fills))
+		if len(fills) != leavesFor(n) || hi-lo > 1 || mean < 0.9*leafMax {
+			t.Fatalf("n=%d: %d leaves (want %d) filled %d..%d, mean %.1f; want within one entry of each other, mean ≥ %.1f",
+				n, len(fills), leavesFor(n), lo, hi, mean, 0.9*leafMax)
+		}
+		o.Release(root)
+		checkExact(t, o)
+	}
+}

@@ -311,7 +311,7 @@ func FuzzTreeOps(f *testing.F) {
 	})
 }
 
-// stagedMerge is mergeRun as it was before it wrote into the new block
+// stagedMerge is mergeRun as it was before it wrote into the new leaf
 // directly: every entry staged through a stack array and handed to build.
 // FuzzLeafKernels holds mergeRun to it.
 func stagedMerge(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], comb func(old, new int64) int64) *Node[int64, int64, int64] {

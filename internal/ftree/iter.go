@@ -61,8 +61,8 @@ func (it *Iter[K, V, A]) Reset(t *Node[K, V, A]) {
 func (it *Iter[K, V, A]) SeekGE(t *Node[K, V, A], k K) {
 	it.stack = it.stack[:0]
 	for t != nil {
-		if t.leaf != nil {
-			if i, _ := it.ops.search(t.run(), k); i < int(t.size) {
+		if t.fill != 0 {
+			if i, _ := it.ops.search(t.run(), k); i < int(t.fill) {
 				it.cur, it.idx = t, i
 				return
 			}
@@ -86,6 +86,9 @@ func (it *Iter[K, V, A]) SeekGE(t *Node[K, V, A], k K) {
 func (it *Iter[K, V, A]) descendLeft(t *Node[K, V, A]) {
 	for t != nil {
 		it.stack = append(it.stack, t)
+		if t.fill != 0 {
+			return
+		}
 		t = t.left
 	}
 }
@@ -106,16 +109,16 @@ func (it *Iter[K, V, A]) Valid() bool { return it.cur != nil }
 
 // Key returns the current entry's key; requires Valid.
 func (it *Iter[K, V, A]) Key() K {
-	if b := it.cur.leaf; b != nil {
-		return b.e[it.idx].Key
+	if it.cur.fill != 0 {
+		return it.cur.unit().e[it.idx].Key
 	}
 	return it.cur.key
 }
 
 // Val returns the current entry's value; requires Valid.
 func (it *Iter[K, V, A]) Val() V {
-	if b := it.cur.leaf; b != nil {
-		return b.e[it.idx].Val
+	if it.cur.fill != 0 {
+		return it.cur.unit().e[it.idx].Val
 	}
 	return it.cur.val
 }
@@ -125,8 +128,8 @@ func (it *Iter[K, V, A]) Next() {
 	if it.cur == nil {
 		return
 	}
-	if it.cur.leaf != nil {
-		if it.idx++; it.idx < int(it.cur.size) {
+	if it.cur.fill != 0 {
+		if it.idx++; it.idx < int(it.cur.fill) {
 			return
 		}
 	} else {

@@ -52,21 +52,22 @@ func (o *Ops[K, V, A]) span(run []Entry[K, V], k K) (i, j int) {
 }
 
 // newLeaf returns a private leaf of n entries for the caller to fill and
-// seal.  Node and block come from the same place newNode's node does.
+// seal: one unit, from the same places newNode's node comes from.
 func (o *Ops[K, V, A]) newLeaf(n int) *Node[K, V, A] {
-	nd := o.newNode()
-	var b *leafBlock[K, V]
+	var u *leaf[K, V, A]
 	if o.Recycle {
 		if a := o.arena; a != nil {
-			b = a.blocks.get()
+			u = a.leaves.get()
 		} else {
-			b = o.sh.blocks.pop()
+			u = o.sh.leaves.pop()
 		}
 	}
-	if b == nil {
-		b = new(leafBlock[K, V])
+	if u == nil {
+		u = new(leaf[K, V, A])
 	}
-	nd.leaf, nd.size = b, int64(n)
+	u.ref, u.fill = 1, int32(n) // private until the caller publishes it
+	nd := u.node()
+	o.countAlloc(nd)
 	return nd
 }
 
@@ -110,7 +111,7 @@ func (o *Ops[K, V, A]) leafOf(run []Entry[K, V], retain bool) *Node[K, V, A] {
 		return nil
 	}
 	nd := o.newLeaf(len(run))
-	copy(nd.leaf.e[:], run)
+	copy(nd.run(), run)
 	if retain {
 		o.retainRun(nd.run())
 	}
@@ -277,7 +278,7 @@ func (o *Ops[K, V, A]) leafDeleteRun(t *Node[K, V, A], keys []K) (out *Node[K, V
 		run = run[j:]
 	}
 	n += copy(kept[n:], run)
-	if n == int(t.size) {
+	if n == int(t.fill) {
 		return nil, false
 	}
 	return o.leafOf(kept[:n], true), true

@@ -154,7 +154,7 @@ func warmPointWriteAllocs(t *testing.T, write func(bo *Ops[int64, int64, int64],
 }
 
 // TestBoundReplaceInsertNoAlloc: on a bound view, replacing a key and
-// releasing the old version recycles the path's nodes and the leaf's block
+// releasing the old version recycles the path's nodes and the leaf's unit
 // through the magazines — nothing comes from the Go heap once warm.
 func TestBoundReplaceInsertNoAlloc(t *testing.T) {
 	allocs := warmPointWriteAllocs(t, func(bo *Ops[int64, int64, int64], root *Node[int64, int64, int64], k int64) *Node[int64, int64, int64] {

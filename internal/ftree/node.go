@@ -6,19 +6,20 @@
 // user-defined augmentation, and precise reference-counting garbage
 // collection following Algorithm 5.
 //
-// # Layout: leaf blocks
+// # Layout: leaves
 //
 // A subtree of at most leafMax entries is ONE node — a leaf — whose
-// entries sit sorted in one contiguous block (the PaC-tree shape of
-// Dhulipala, Blelloch, Gu and Sun, PLDI 2022).  Internal nodes are the
-// binary, one-entry, weight-balanced nodes of the paper and exist only
-// above more than leafMax entries.  Size, balance and augmentation are
-// counted in entries throughout, so a leaf is to every algorithm a
-// perfectly balanced subtree of its size: mk folds children that fit into
-// one leaf, decompose unfolds a leaf at its middle entry, and the join
-// algorithms between those two are unchanged.  The hot paths do not unfold
-// entry by entry; they have array base cases (leaf.go).  DESIGN.md ("Leaf
-// blocks") has the invariants and the measurements behind leafMax.
+// entries sit sorted in one contiguous run inside the leaf's own object
+// (the PaC-tree shape of Dhulipala, Blelloch, Gu and Sun, PLDI 2022).
+// Internal nodes are the binary, one-entry, weight-balanced nodes of the
+// paper and exist only above more than leafMax entries.  Size, balance and
+// augmentation are counted in entries throughout, so a leaf is to every
+// algorithm a perfectly balanced subtree of its size: mk folds children
+// that fit into one leaf, decompose unfolds a leaf at its middle entry, and
+// the join algorithms between those two are unchanged.  The hot paths do
+// not unfold entry by entry; they have array base cases (leaf.go).
+// DESIGN.md ("Leaf blocks") has the invariants and the measurements behind
+// leafMax; unit.go has the leaf's layout.
 //
 // # Ownership discipline
 //
@@ -42,11 +43,11 @@
 //
 // # Allocation
 //
-// An allocation unit is an internal node, or a leaf node together with its
-// block; Allocs, Frees and Live count units.  With Recycle on, freed units
-// are reused by the next mk.  An Ops view bound to an Arena (the per-pid
-// magazine allocator, arena.go) recycles through the arena and counts in
-// the arena's own tally: no lock and no locked instruction per unit.  The
+// An allocation unit is an internal node or a whole leaf; Allocs, Frees and
+// Live count units.  With Recycle on, freed units are reused by the next
+// mk.  An Ops view bound to an Arena (the per-pid magazine allocator,
+// arena.go) recycles through the arena and counts in the arena's own
+// tally: no lock and no locked instruction per unit.  The
 // unbound root Ops recycles through the sharded mutex-protected depot that
 // magazines spill to and refill from, and counts in sharded atomics.
 package ftree
@@ -57,35 +58,32 @@ import (
 	"unsafe"
 )
 
-// leafMax is the most entries one leaf holds.  DESIGN.md ("Leaf blocks")
-// records the measurements at 16, 32 and 64 that chose it.
-const leafMax = 32
+// leafMax is the most entries one leaf holds: 31 int64 pairs and the
+// leaf's header are one 512-byte unit.  DESIGN.md ("Leaf blocks") records
+// the measurements that chose it.
+const leafMax = 31
 
-// leafBlock is the storage of one leaf's run.  It has no pointer fields of
-// its own — free blocks are linked through the magazine and depot slices —
-// so for pointer-free K and V the collector never scans a block.
-type leafBlock[K, V any] struct {
-	e [leafMax]Entry[K, V]
-}
-
-// Node is an immutable tree node: a leaf when leaf is non-nil (entries
-// leaf.e[:size]; left, right, key and val unused), an internal node
-// otherwise.  Exported so the transaction layer can name the type, but its
-// fields are managed exclusively by this package.
+// Node is an immutable tree node, addressed by its parent's child pointer:
+// an internal node when fill is 0, otherwise a leaf whose run of fill
+// entries follows the header inline — the pointer then addresses a leaf
+// unit (unit.go), which has ref, fill and aug where a Node has them and
+// none of the other fields.  Exported so the transaction layer can name the
+// type, but its fields are managed exclusively by this package.
 type Node[K, V, A any] struct {
 	// ref is a plain word: written plainly while the node is private (mk
 	// before the node is published, freeNode after its last token died, and
 	// Release's sole-owner fast path), through sync/atomic wherever another
 	// goroutine can hold a token.  DESIGN.md ("Reference counts") has the
 	// happens-before argument.
-	ref   int32
+	ref  int32
+	fill int32
+	aug  A
+	// The internal node's own fields.
 	left  *Node[K, V, A]
 	right *Node[K, V, A]
-	leaf  *leafBlock[K, V]
 	size  int64
 	key   K
 	val   V
-	aug   A
 }
 
 // freedMark poisons the refcount of freed nodes so that sharing or
@@ -101,7 +99,7 @@ func (n *Node[K, V, A]) Aug() A { return n.aug }
 // a leaf.  It is how a caller searches by augmentation (the inverted
 // index's top-k) without knowing the layout.
 func (n *Node[K, V, A]) Expand(sub func(*Node[K, V, A]), entry func(K, V)) {
-	if n.leaf != nil {
+	if n.fill != 0 {
 		for _, e := range n.run() {
 			entry(e.Key, e.Val)
 		}
@@ -116,13 +114,13 @@ func (n *Node[K, V, A]) Expand(sub func(*Node[K, V, A]), entry func(K, V)) {
 	}
 }
 
-// run returns leaf n's entries.
-func (n *Node[K, V, A]) run() []Entry[K, V] { return n.leaf.e[:n.size] }
-
 // Size returns the number of keys in the subtree rooted at n (nil-safe).
 func size[K, V, A any](n *Node[K, V, A]) int64 {
 	if n == nil {
 		return 0
+	}
+	if n.fill != 0 {
+		return int64(n.fill)
 	}
 	return n.size
 }
@@ -155,16 +153,16 @@ type tally struct {
 }
 
 // allocShared is the allocation state every view of one Ops family shares:
-// the root's statistics, every arena's tally and the two depots (nodes,
-// leaf blocks).  Arenas hold a pointer to the depots so spills and refills
-// stay inside the family.  A tally is listed here for good: the units an
-// arena allocated outlive an arena that is dropped.
+// the root's statistics, every arena's tally and the two depots (internal
+// nodes, leaf units).  Arenas hold a pointer to the depots so spills and
+// refills stay inside the family.  A tally is listed here for good: the
+// units an arena allocated outlive an arena that is dropped.
 type allocShared[K, V, A any] struct {
 	st      stats
 	mu      sync.Mutex // guards tallies
 	tallies []*tally
 	nodes   depot[Node[K, V, A]]
-	blocks  depot[leafBlock[K, V]]
+	leaves  depot[leaf[K, V, A]]
 }
 
 func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
@@ -231,15 +229,15 @@ func hasAug[A any]() bool {
 	return unsafe.Sizeof(z) != 0
 }
 
-// newNode returns a private node with a count of 1 and counts the unit.  A
-// bound view counts in its arena's tally and, with Recycle on, takes the
-// node from the arena's magazine — plain loads and stores throughout; the
-// unbound root counts in the sharded atomics and asks the depot.
+// newNode returns a private internal node with a count of 1 and counts the
+// unit.  A bound view counts in its arena's tally and, with Recycle on,
+// takes the node from the arena's magazine — plain loads and stores
+// throughout; the unbound root counts in the sharded atomics and asks the
+// depot.
 func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 	var n *Node[K, V, A]
-	a := o.arena
 	if o.Recycle {
-		if a != nil {
+		if a := o.arena; a != nil {
 			n = a.nodes.get()
 		} else {
 			n = o.sh.nodes.pop()
@@ -249,12 +247,17 @@ func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 		n = &Node[K, V, A]{}
 	}
 	n.ref = 1 // private until the caller publishes it
-	if a != nil {
+	o.countAlloc(n)
+	return n
+}
+
+// countAlloc counts a new unit in the view's tally.
+func (o *Ops[K, V, A]) countAlloc(n *Node[K, V, A]) {
+	if a := o.arena; a != nil {
 		a.tally.allocs++
 	} else {
 		o.sh.st.addAlloc(unsafe.Pointer(n))
 	}
-	return n
 }
 
 // mk makes a tree of children l and r around entry (k, v), consuming the
@@ -347,15 +350,16 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 			}
 			dead = n == 0
 		}
-		if dead {
-			l, r := cur.left, cur.right
-			if cur.leaf == nil {
-				o.releaseVal(cur.val)
-			} else if o.ReleaseVal != nil {
+		if dead && cur.fill != 0 {
+			if o.ReleaseVal != nil {
 				for _, e := range cur.run() {
 					o.ReleaseVal(e.Val)
 				}
 			}
+			o.freeNode(cur)
+		} else if dead {
+			l, r := cur.left, cur.right
+			o.releaseVal(cur.val)
 			o.freeNode(cur)
 			if l != nil {
 				if r != nil {
@@ -380,8 +384,9 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 	}
 }
 
-// freeNode frees a unit whose last token just died.  The caller has
-// released, or moved elsewhere, every value the unit held.
+// freeNode frees a unit whose last token just died: one put into the
+// magazine or depot of its kind.  The caller has released, or moved
+// elsewhere, every value the unit held.
 func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 	n.ref = freedMark // unreachable: nobody else can read the word
 	a := o.arena
@@ -390,30 +395,35 @@ func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 	} else {
 		o.sh.st.addFree(unsafe.Pointer(n))
 	}
-	b := n.leaf
-	if !o.Recycle {
-		n.left, n.right, n.leaf = nil, nil, nil
-		return
-	}
 	// The unit is unreachable from any live version, so no reader can
-	// observe it; drop its references so parked memory pins nothing.  A
-	// block of entries that cannot hold a pointer pins nothing as it is.
-	var zeroK K
-	var zeroV V
-	n.left, n.right, n.leaf, n.key, n.val = nil, nil, nil, zeroK, zeroV
-	if b != nil && !o.plainLeaves {
-		clear(b.e[:n.size])
-	}
-	if a != nil {
-		a.nodes.put(n)
-		if b != nil {
-			a.blocks.put(b)
+	// observe it; drop its references so parked memory pins nothing.  A run
+	// of entries that cannot hold a pointer pins nothing as it is.
+	if n.fill != 0 {
+		if !o.Recycle {
+			return
+		}
+		u := n.unit()
+		if !o.plainLeaves {
+			clear(u.e[:u.fill])
+		}
+		if a != nil {
+			a.leaves.put(u)
+		} else {
+			o.sh.leaves.put(u)
 		}
 		return
 	}
-	o.sh.nodes.put(n)
-	if b != nil {
-		o.sh.blocks.put(b)
+	n.left, n.right = nil, nil
+	if !o.Recycle {
+		return
+	}
+	var zeroK K
+	var zeroV V
+	n.key, n.val = zeroK, zeroV
+	if a != nil {
+		a.nodes.put(n)
+	} else {
+		o.sh.nodes.put(n)
 	}
 }
 
@@ -426,8 +436,8 @@ func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 // atomic operations.  DESIGN.md lists this choice as an ablation
 // (BenchmarkAblationSteal).
 func (o *Ops[K, V, A]) decompose(t *Node[K, V, A]) (k K, v V, l, r *Node[K, V, A]) {
-	if t.leaf != nil {
-		mid := int(t.size / 2)
+	if t.fill != 0 {
+		mid := int(t.fill / 2)
 		l, r, e := o.carve(t, mid, mid+1)
 		return e.Key, e.Val, l, r
 	}

@@ -62,7 +62,7 @@ type Ops[K, V, A any] struct {
 	Grain int
 	// NoSteal disables decompose's exclusive-node fast path (ablation).
 	NoSteal bool
-	// Recycle routes freed nodes and leaf blocks back to the next mk —
+	// Recycle routes freed nodes and leaf units back to the next mk —
 	// through the bound Arena's magazines when one is attached, through the
 	// sharded depot otherwise — making the collector's "free instruction"
 	// literal (the paper's C++ implementation reuses version memory the
@@ -104,7 +104,7 @@ type Ops[K, V, A any] struct {
 	// bulk is Aug when Aug can fold a whole run in one call, else nil.
 	bulk runFolder[K, V, A]
 	// plainLeaves says neither K nor V can hold a pointer, so a freed leaf
-	// block pins nothing and is parked as it is (freeNode).
+	// unit's run pins nothing and is parked as it is (freeNode).
 	plainLeaves bool
 }
 
@@ -127,6 +127,9 @@ func (o *Ops[K, V, A]) releaseVal(v V) {
 // grain g.  The tree orders keys by calling cmp, whatever cmp is; for a key
 // type's own order NewNatural compares keys directly.
 func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[K, V, A] {
+	if !unitFitsNode[K, V, A]() {
+		panic("ftree: a leaf unit of this key and value is smaller than a node")
+	}
 	o := &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
 	o.bulk, _ = aug.(runFolder[K, V, A])
 	o.plainLeaves = pointerFree(reflect.TypeFor[Entry[K, V]]())

@@ -17,7 +17,7 @@ func (o *Ops[K, V, A]) refInsertWith(t *Node[K, V, A], k K, v V, comb func(old, 
 	if t == nil {
 		return o.mk(nil, k, v, nil)
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		return o.leafInsert(t, k, v, comb)
 	}
 	c := o.Cmp(k, t.key)
@@ -45,7 +45,7 @@ func (o *Ops[K, V, A]) refDeleteFound(t *Node[K, V, A], k K) (out *Node[K, V, A]
 	if t == nil {
 		return nil, false
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		return o.leafDelete(t, k)
 	}
 	c := o.Cmp(k, t.key)
@@ -77,10 +77,10 @@ func sameShape[V, A any](a, b *Node[int64, V, A], eq func(a, b V) bool) error {
 		}
 		return nil
 	}
-	if (a.leaf != nil) != (b.leaf != nil) || a.size != b.size {
-		return fmt.Errorf("leaf %v of %d entries against leaf %v of %d", a.leaf != nil, a.size, b.leaf != nil, b.size)
+	if (a.fill != 0) != (b.fill != 0) || size(a) != size(b) {
+		return fmt.Errorf("leaf %v of %d entries against leaf %v of %d", a.fill != 0, size(a), b.fill != 0, size(b))
 	}
-	if a.leaf != nil {
+	if a.fill != 0 {
 		for i, e := range a.run() {
 			if f := b.run()[i]; e.Key != f.Key || !eq(e.Val, f.Val) {
 				return fmt.Errorf("leaf entry %d: %v against %v", i, e, f)
@@ -100,7 +100,7 @@ func sameShape[V, A any](a, b *Node[int64, V, A], eq func(a, b V) bool) error {
 // internalKey returns the key of an internal node of t picked by a random
 // walk, or a random key when t has none.
 func internalKey[V, A any](rng *rand.Rand, t *Node[int64, V, A], keyRange int64) int64 {
-	if t == nil || t.leaf != nil {
+	if t == nil || t.fill != 0 {
 		return rng.Int63n(keyRange)
 	}
 	for {
@@ -108,7 +108,7 @@ func internalKey[V, A any](rng *rand.Rand, t *Node[int64, V, A], keyRange int64)
 		if rng.Intn(2) == 0 {
 			next = t.right
 		}
-		if next.leaf != nil || rng.Intn(3) == 0 {
+		if next.fill != 0 || rng.Intn(3) == 0 {
 			return t.key
 		}
 		t = next
@@ -271,7 +271,7 @@ func TestPathCopyDifferentialNested(t *testing.T) {
 			// innerLive counts; the combine keeps the stored one.
 			val := func(i int64) *innerNode { return inner.Insert(nil, i, i) }
 			keepOld := func(old, new *innerNode) *innerNode { inner.Release(new); return old }
-			eq := func(a, b *innerNode) bool { return a.leaf.e[0] == b.leaf.e[0] }
+			eq := func(a, b *innerNode) bool { return a.run()[0] == b.run()[0] }
 			check := func(roots []*Node[int64, *innerNode, struct{}]) {
 				t.Helper()
 				if live, want := inner.Live(), innerLive(ref, roots...); live != want {

@@ -88,17 +88,17 @@ func (o *Ops[K, V, A]) differenceOwned(a, b *Node[K, V, A]) *Node[K, V, A] {
 // other side is split by its key — one cut of the run when that side is a
 // leaf — and the two halves recurse; nothing unfolds entry by entry.
 func (o *Ops[K, V, A]) divide(op setOp, a, b *Node[K, V, A], comb func(av, bv V) V) *Node[K, V, A] {
-	if a.leaf != nil && b.leaf != nil {
+	if a.fill != 0 && b.fill != 0 {
 		return o.mergeLeaves(op, a, b, comb)
 	}
-	sz := a.size + b.size
+	sz := size(a) + size(b)
 	var (
 		k              K
 		av, bv         V
 		inA, inB       bool
 		al, ar, bl, br *Node[K, V, A]
 	)
-	if a.leaf == nil {
+	if a.fill == 0 {
 		k, av, al, ar = o.decompose(a)
 		bl, br, inB, bv = o.splitOwned(b, k)
 		inA = true

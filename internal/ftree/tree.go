@@ -92,8 +92,8 @@ func (o *Ops[K, V, A]) Join2(l, r *Node[K, V, A]) *Node[K, V, A] {
 // splitLast removes the maximum entry from owned tree t, returning the
 // remaining tree and the entry.  Consumes t.
 func (o *Ops[K, V, A]) splitLast(t *Node[K, V, A]) (rest *Node[K, V, A], k K, v V) {
-	if t.leaf != nil {
-		rest, _, e := o.carve(t, int(t.size)-1, int(t.size))
+	if t.fill != 0 {
+		rest, _, e := o.carve(t, int(t.fill)-1, int(t.fill))
 		return rest, e.Key, e.Val
 	}
 	tk, tv, l, r := o.decompose(t)
@@ -110,7 +110,7 @@ func (o *Ops[K, V, A]) Split(t *Node[K, V, A], k K) (l, r *Node[K, V, A], found 
 	if t == nil {
 		return nil, nil, false, fv
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		l, r, found, fv = o.splitOwned(o.share(t), k)
 		if found {
 			o.releaseVal(fv) // reported borrowed: t keeps its own reference
@@ -137,7 +137,7 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 	if t == nil {
 		return nil, nil, false, fv
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		i, j := o.span(t.run(), k)
 		l, r, e := o.carve(t, i, j)
 		return l, r, i < j, e.Val
@@ -161,7 +161,7 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 // are delay-free.
 func (o *Ops[K, V, A]) Find(t *Node[K, V, A], k K) (V, bool) {
 	for t != nil {
-		if t.leaf != nil {
+		if t.fill != 0 {
 			run := t.run()
 			if i, found := o.search(run, k); found {
 				return run[i].Val, true
@@ -203,7 +203,7 @@ func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []b
 	var (
 		cur  [findWidth]*Node[K, V, A] // never nil
 		at   [findWidth]int            // cursor c serves keys[at[c]]
-		leaf [findWidth]*leafBlock[K, V]
+		fill [findWidth]int32          // cur[c].fill
 	)
 	live := min(findWidth, len(keys))
 	next := live // first key no cursor has taken yet
@@ -212,14 +212,14 @@ func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []b
 	}
 	for live > 0 {
 		for c := 0; c < live; c++ {
-			leaf[c] = cur[c].leaf
+			fill[c] = cur[c].fill
 		}
 		for c := 0; c < live; {
 			n, i := cur[c], at[c]
 			var v V
 			ok := false
-			if leaf[c] != nil {
-				run := n.run()
+			if fill[c] != 0 {
+				run := n.unit().e[:fill[c]]
 				if j, hit := o.search(run, keys[i]); hit {
 					v, ok = run[j].Val, true
 				}
@@ -246,7 +246,7 @@ func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []b
 				c++
 			} else {
 				live--
-				cur[c], at[c], leaf[c] = cur[live], at[live], leaf[live]
+				cur[c], at[c], fill[c] = cur[live], at[live], fill[live]
 			}
 		}
 	}
@@ -304,7 +304,7 @@ func (o *Ops[K, V, A]) descend(t *Node[K, V, A], k K) ([]step[K, V, A], *Node[K,
 			path = make([]step[K, V, A], 0, maxPath)
 		}
 	}
-	for t != nil && t.leaf == nil {
+	for t != nil && t.fill == 0 {
 		c := o.Cmp(k, t.key)
 		if c == 0 {
 			break
@@ -368,7 +368,7 @@ func (o *Ops[K, V, A]) InsertWith(t *Node[K, V, A], k K, v V, comb func(old, new
 	switch {
 	case t == nil:
 		t = o.mk(nil, k, v, nil)
-	case t.leaf != nil:
+	case t.fill != 0:
 		t = o.leafInsert(t, k, v, comb)
 	default: // k sits at internal node t
 		if comb != nil {
@@ -390,7 +390,7 @@ func (o *Ops[K, V, A]) Delete(t *Node[K, V, A], k K) *Node[K, V, A] {
 	found := false
 	switch {
 	case at == nil:
-	case at.leaf != nil:
+	case at.fill != 0:
 		out, found = o.leafDelete(at, k)
 	default: // k sits at internal node at
 		out, found = o.Join2(o.share(at.left), o.share(at.right)), true
@@ -410,11 +410,11 @@ func (o *Ops[K, V, A]) Min(t *Node[K, V, A]) (Entry[K, V], bool) {
 	if t == nil {
 		return Entry[K, V]{}, false
 	}
-	for t.left != nil {
+	for t.fill == 0 && t.left != nil {
 		t = t.left
 	}
-	if t.leaf != nil {
-		return t.leaf.e[0], true
+	if t.fill != 0 {
+		return t.run()[0], true
 	}
 	return Entry[K, V]{t.key, t.val}, true
 }
@@ -424,11 +424,11 @@ func (o *Ops[K, V, A]) Max(t *Node[K, V, A]) (Entry[K, V], bool) {
 	if t == nil {
 		return Entry[K, V]{}, false
 	}
-	for t.right != nil {
+	for t.fill == 0 && t.right != nil {
 		t = t.right
 	}
-	if t.leaf != nil {
-		return t.leaf.e[t.size-1], true
+	if t.fill != 0 {
+		return t.run()[t.fill-1], true
 	}
 	return Entry[K, V]{t.key, t.val}, true
 }
@@ -436,11 +436,11 @@ func (o *Ops[K, V, A]) Max(t *Node[K, V, A]) (Entry[K, V], bool) {
 // Select returns the entry with zero-based rank i in borrowed tree t.
 func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int64) (Entry[K, V], bool) {
 	for t != nil {
-		if t.leaf != nil {
-			if i < 0 || i >= t.size {
+		if t.fill != 0 {
+			if i < 0 || i >= int64(t.fill) {
 				break
 			}
-			return t.leaf.e[i], true
+			return t.run()[i], true
 		}
 		ls := size(t.left)
 		switch {
@@ -460,7 +460,7 @@ func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int64) (Entry[K, V], bool) {
 func (o *Ops[K, V, A]) Rank(t *Node[K, V, A], k K) int64 {
 	var r int64
 	for t != nil {
-		if t.leaf != nil {
+		if t.fill != 0 {
 			i, _ := o.search(t.run(), k)
 			return r + int64(i)
 		}

@@ -26,7 +26,7 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 	if r := atomic.LoadInt32(&t.ref); r <= 0 {
 		return 0, fmt.Errorf("ftree: reachable node has ref %d", r)
 	}
-	if t.leaf != nil {
+	if t.fill != 0 {
 		return o.validateLeaf(t, lo, hi, augEqual)
 	}
 	if t.size <= leafMax {
@@ -68,11 +68,8 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 }
 
 func (o *Ops[K, V, A]) validateLeaf(t *Node[K, V, A], lo, hi *K, augEqual func(a, b A) bool) (int64, error) {
-	if t.size < 1 || t.size > leafMax {
-		return 0, fmt.Errorf("ftree: leaf of %d entries, want 1..%d", t.size, leafMax)
-	}
-	if t.left != nil || t.right != nil {
-		return 0, fmt.Errorf("ftree: leaf with children")
+	if t.fill < 1 || t.fill > leafMax {
+		return 0, fmt.Errorf("ftree: leaf of %d entries, want 1..%d", t.fill, leafMax)
 	}
 	run := t.run()
 	for i := range run {
@@ -90,7 +87,7 @@ func (o *Ops[K, V, A]) validateLeaf(t *Node[K, V, A], lo, hi *K, augEqual func(a
 	if augEqual != nil && !augEqual(t.aug, o.foldRun(run)) {
 		return 0, fmt.Errorf("ftree: augmentation cache mismatch in leaf at key %v", run[0].Key)
 	}
-	return t.size, nil
+	return int64(t.fill), nil
 }
 
 // Height returns the height of borrowed tree t in nodes (0 for empty, 1
@@ -98,6 +95,9 @@ func (o *Ops[K, V, A]) validateLeaf(t *Node[K, V, A], lo, hi *K, augEqual func(a
 func (o *Ops[K, V, A]) Height(t *Node[K, V, A]) int {
 	if t == nil {
 		return 0
+	}
+	if t.fill != 0 {
+		return 1
 	}
 	lh := o.Height(t.left)
 	rh := o.Height(t.right)
@@ -121,8 +121,10 @@ func (o *Ops[K, V, A]) ReachableNodes(roots ...*Node[K, V, A]) int64 {
 			return
 		}
 		seen[n] = struct{}{}
-		walk(n.left)
-		walk(n.right)
+		if n.fill == 0 {
+			walk(n.left)
+			walk(n.right)
+		}
 	}
 	for _, r := range roots {
 		walk(r)
