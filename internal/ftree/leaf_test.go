@@ -19,8 +19,10 @@ func seqEntries(n int) []Entry[int64, int64] {
 // through the point operations: a build, an insert at the front, in the
 // middle, at the back and over an existing key, then deletes down to empty —
 // with every snapshot taken on the way still reading its own contents.
+// Sizes 33 and 65 are fixed besides the ones derived from leafMax: a
+// second and a third leaf that Build fills unevenly.
 func TestLeafBoundaries(t *testing.T) {
-	for _, n := range []int{0, 1, leafMax - 1, leafMax, leafMax + 1, 2*leafMax + 1, 10_000} {
+	for _, n := range []int{0, 1, leafMax - 1, leafMax, leafMax + 1, 33, 2*leafMax + 1, 65, 10_000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			o := intOps(0)
 			ref := map[int64]int64{}
