@@ -3,6 +3,7 @@ package ftree
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Arena is a pid-local allocation cache: two magazines — one of internal
@@ -17,11 +18,12 @@ import (
 // holds).  Both magazines follow the same rules:
 //
 //   - get/put hit the magazine, a plain LIFO of freed objects.
-//   - A magazine that fills up spills a block of magMove objects to one
-//     shard of the family's depot under a single lock, so memory migrates
-//     between pids at O(1/M) locks per object instead of one lock each.
-//   - An empty magazine refills the same way: a block of magMove objects
-//     off the depot, one lock.
+//   - A magazine that fills up spills a block of half its capacity, M
+//     objects, to one shard of the family's depot under a single lock, so
+//     memory migrates between pids at O(1/M) locks per object instead of
+//     one lock each.
+//   - An empty magazine refills the same way: a block of M objects off the
+//     depot, one lock.
 //   - When the depot is empty too (cold start, growing tree), the magazine
 //     carves objects sequentially out of a chunk-allocated slice, so
 //     objects born together — which path copying tends to link together —
@@ -65,20 +67,20 @@ type Arena[K, V, A any] struct {
 }
 
 const (
-	// magCap is a magazine's initial capacity and default spill threshold
-	// M·2: a put into a full magazine moves magMove objects out, a get from
-	// an empty one moves up to magMove objects in, so a process
-	// ping-ponging around the threshold still amortizes one lock per
-	// magMove operations.
+	// magCap is the internal-node magazine's capacity, its spill threshold
+	// 2M: a put into a full magazine moves M objects out, a get from an
+	// empty one moves up to M objects in, so a process ping-ponging around
+	// the threshold still amortizes one lock per M operations.
 	magCap = 256
-	// magMove is M, the block size of spills and refills.
-	magMove = magCap / 2
-	// chunkNodes and chunkLeaves are how many objects a fresh locality
-	// chunk carves: 12 KiB of 48-byte internal nodes, and 32 KiB of
-	// 512-byte leaf units (int64 pairs under NoAug; both chunks are exact
-	// Go size classes).
-	chunkNodes  = 256
-	chunkLeaves = 64
+	// chunkNodes is how many internal nodes a fresh locality chunk carves:
+	// 12 KiB of 48-byte nodes, an exact Go size class.
+	chunkNodes = 256
+	// magLeafBytes and chunkLeafBytes size the leaf magazine and its
+	// chunks in bytes, whatever a leaf unit's size (leafUnits): 128 KiB
+	// and 32 KiB, 128 and 32 units of int64 pairs.  A larger unit then
+	// parks no more memory per pid than a smaller one did.
+	magLeafBytes   = 128 << 10
+	chunkLeafBytes = 32 << 10
 	// depotShards is the number of independent depot lists; sharding keeps
 	// unbound collectors and allocators from serializing on one lock, and
 	// gives arenas independent places to spill to.
@@ -149,7 +151,8 @@ type magazine[T any] struct {
 	d *depot[T]
 
 	// mag holds parked free objects, most recently freed last (LIFO keeps
-	// reuse cache-warm).  Its capacity, magCap, is the spill threshold.
+	// reuse cache-warm).  Its capacity, 2M, is the spill threshold; cap/2 is
+	// M, the block size of spills and refills.
 	mag []*T
 
 	// blk is the current locality chunk; blk[bi:] are raw never-allocated
@@ -169,18 +172,25 @@ type magazine[T any] struct {
 // with Ops.Bound; the caller must guarantee the arena (and every view
 // bound to it) is used by one goroutine at a time.
 func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
+	leafCap, leafChunk := leafUnits[K, V, A](magLeafBytes), leafUnits[K, V, A](chunkLeafBytes)
 	return &Arena[K, V, A]{
 		tally:  o.sh.newTally(),
 		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
-		leaves: magazine[leaf[K, V, A]]{d: &o.sh.leaves, mag: make([]*leaf[K, V, A], 0, magCap), chunk: chunkLeaves},
+		leaves: magazine[leaf[K, V, A]]{d: &o.sh.leaves, mag: make([]*leaf[K, V, A], 0, leafCap), chunk: leafChunk},
 	}
+}
+
+// leafUnits is how many leaf units fit in the given bytes, and at least
+// two, so that a magazine moves at least one unit a block.
+func leafUnits[K, V, A any](bytes uintptr) int {
+	return max(2, int(bytes/unsafe.Sizeof(leaf[K, V, A]{})))
 }
 
 // get returns a free object: magazine first, then the current chunk, then
 // a block refill from the depot, then a fresh chunk.
 func (m *magazine[T]) get() *T {
 	if len(m.mag) == 0 {
-		if m.bi == len(m.blk) && !m.refill(magMove) {
+		if m.bi == len(m.blk) && !m.refill(cap(m.mag)/2) {
 			m.blk, m.bi = make([]T, m.chunk), 0
 			m.carves++
 		}
@@ -200,7 +210,7 @@ func (m *magazine[T]) get() *T {
 // when the magazine is at capacity.
 func (m *magazine[T]) put(x *T) {
 	if len(m.mag) == cap(m.mag) {
-		m.spill(magMove)
+		m.spill(cap(m.mag) / 2)
 	}
 	m.mag = append(m.mag, x)
 }
@@ -240,7 +250,7 @@ func (m *magazine[T]) refill(k int) bool {
 // allocated, so no accounting moves.
 func (m *magazine[T]) flush() {
 	for len(m.mag) > 0 {
-		m.spill(magMove)
+		m.spill(cap(m.mag) / 2)
 	}
 	m.blk, m.bi = nil, 0
 }

@@ -328,7 +328,7 @@ func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (leaves []*leaf[K, V, A]) {
 // back to the Go heap, so whatever its run still points at would stay alive
 // for as long as it is parked.  With a pointer in the value or in the key
 // every parked entry is zero; with neither — where a stale entry pins
-// nothing — the unit is parked as it was, which is the 496-byte clear per
+// nothing — the unit is parked as it was, which is the 1 008-byte clear per
 // freed leaf that the collector does not pay.
 func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	const n = 10 * leafMax

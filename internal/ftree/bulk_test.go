@@ -161,7 +161,8 @@ func TestMultiInsertMatchesSequential(t *testing.T) {
 	sum := func(a, b int64) int64 { return a + b }
 	plain := func(k int64, i int) int64 { return k ^ int64(i) }
 	eq := func(a, b int64) bool { return a == b }
-	trees, batches := []int{0, 1, 33, 10_000}, []int{0, 1, 31, 32, 33, 1_000}
+	trees := []int{0, 1, 33, leafMax + 1, 10_000}
+	batches := []int{0, 1, 31, 32, 33, leafMax, leafMax + 1, 1_000}
 	big := map[int]bulkConfig{0: {0, true, false, true}, 8: {8, false, true, true}, 1024: {1024, true, true, false}}
 	for _, cfg := range bulkConfigs() {
 		mk := func() *Ops[int64, int64, int64] { return intOps(0) }

@@ -25,29 +25,37 @@ func churnedTree(o *Ops[int64, int64, int64], n int) *Node[int64, int64, int64] 
 
 // BenchmarkFindBatch prices one lookup on a tree larger than the cache, with
 // uniform keys: back-to-back Finds against FindBatch over short runs (what a
-// 95 % GET pipeline hands one shard between two SETs) and long ones.
+// 95 % GET pipeline hands one shard between two SETs) and long ones.  Each
+// runs through Cmp and, as natural-*, through the leaf kernels (NewNatural,
+// what OpenDB builds without a Cmp).
 func BenchmarkFindBatch(b *testing.B) {
 	const n = 500_000
-	o := intOps(0)
-	root := churnedTree(o, n)
-	defer o.Release(root)
-	rng := rand.New(rand.NewSource(2))
-	keys := make([]int64, 1<<16)
-	for i := range keys {
-		keys[i] = rng.Int63n(n)
-	}
-	vals, found := make([]int64, 64), make([]bool, 64)
-	b.Run("find", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vals[0], found[0] = o.Find(root, keys[i%len(keys)])
+	natural, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	for _, ops := range []struct {
+		prefix string
+		o      *Ops[int64, int64, int64]
+	}{{"", intOps(0)}, {"natural-", natural}} {
+		o := ops.o
+		root := churnedTree(o, n)
+		rng := rand.New(rand.NewSource(2))
+		keys := make([]int64, 1<<16)
+		for i := range keys {
+			keys[i] = rng.Int63n(n)
 		}
-	})
-	for _, run := range []int{10, 64} {
-		b.Run(fmt.Sprintf("batch%d", run), func(b *testing.B) {
-			for i := 0; i < b.N; i += run {
-				at := i % (len(keys) - run)
-				o.FindBatch(root, keys[at:at+run], vals, found)
+		vals, found := make([]int64, 64), make([]bool, 64)
+		b.Run(ops.prefix+"find", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vals[0], found[0] = o.Find(root, keys[i%len(keys)])
 			}
 		})
+		for _, run := range []int{10, 64} {
+			b.Run(fmt.Sprintf("%sbatch%d", ops.prefix, run), func(b *testing.B) {
+				for i := 0; i < b.N; i += run {
+					at := i % (len(keys) - run)
+					o.FindBatch(root, keys[at:at+run], vals, found)
+				}
+			})
+		}
+		o.Release(root)
 	}
 }

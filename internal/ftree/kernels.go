@@ -14,20 +14,20 @@ type kernels[K, V any] struct {
 	sort func(batch, buf []Entry[K, V]) []Entry[K, V]
 }
 
-// searchOrdered is search without a data-dependent branch.  Down to a
-// leaf's worth it is a lower-bound halving in which the comparison's outcome
-// is added, not jumped on.  (An `if less { base += half }` would do, were it
-// compiled to a conditional move; the compiler does not speculate a value
-// that feeds a load address.)  The last leafMax entries are counted, not
-// halved: first every fourth key, loads that depend on nothing and so miss
-// together when the run is cold — a halving's five would miss one after
-// another, with no branch to speculate past — then the three keys between
-// two of those.
+// searchOrdered is search without a data-dependent branch.  Down to
+// searchWindow entries it is a lower-bound halving in which the comparison's
+// outcome is added, not jumped on.  (An `if less { base += half }` would do,
+// were it compiled to a conditional move; the compiler does not speculate a
+// value that feeds a load address.)  The last searchWindow entries are
+// counted, not halved: first every fourth key, loads that depend on nothing
+// and so miss together when the run is cold — a halving's five would miss
+// one after another, with no branch to speculate past — then the three keys
+// between two of those.
 func searchOrdered[K cmp.Ordered, V any](run []Entry[K, V], k K) (int, bool) {
 	// The position lies in [base, base+n].
 	base, n := 0, len(run)
-	for n > leafMax {
-		half := n >> 1
+	for n > searchWindow {
+		half := (n + 1) >> 1
 		base += half & -less(run[base+half-1].Key, k)
 		n -= half
 	}
@@ -43,6 +43,12 @@ func searchOrdered[K cmp.Ordered, V any](run []Entry[K, V], k K) (int, bool) {
 	base += c
 	return base, base < len(run) && run[base].Key == k
 }
+
+// searchWindow is the most entries searchOrdered counts: a full leaf is
+// halved once, at its middle entry, and then counted in 31 entries — eight
+// cache lines of int64 pairs — rather than counted whole over sixteen.
+// DESIGN.md ("Leaf kernels") has the measurement.
+const searchWindow = 31
 
 // less is 1 when a < b and 0 otherwise, as a flag materialized rather than
 // branched on.

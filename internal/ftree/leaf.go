@@ -224,9 +224,13 @@ func (o *Ops[K, V, A]) leafDelete(t *Node[K, V, A], k K) (out *Node[K, V, A], fo
 // every batch of replaces does, is woven straight into the new block, so a
 // batch of one costs what leafInsert costs.  Only a result that overflows
 // is staged, for build to cut in two.
+//
+// The two constants after it fail to compile for a leafMax that outgrows
+// that bookkeeping: hit has one bit per batch entry and at one uint8 per
+// batch entry, each holding a position up to leafMax.
 func (o *Ops[K, V, A]) mergeRun(run, batch []Entry[K, V], comb func(old, new V) V) *Node[K, V, A] {
 	var at [leafMax]uint8 // batch[b] belongs at run[at[b]],
-	var hit uint32        // which holds its key already when bit b is set
+	var hit uint64        // which holds its key already when bit b is set
 	from := 0
 	for b := range batch {
 		i, found := o.search(run[from:], batch[b].Key)
@@ -237,7 +241,7 @@ func (o *Ops[K, V, A]) mergeRun(run, batch []Entry[K, V], comb func(old, new V) 
 			from++
 		}
 	}
-	n := len(run) + len(batch) - bits.OnesCount32(hit)
+	n := len(run) + len(batch) - bits.OnesCount64(hit)
 	if n <= leafMax {
 		nd := o.newLeaf(n)
 		o.weave(nd.run(), run, batch, &at, hit, comb)
@@ -248,10 +252,15 @@ func (o *Ops[K, V, A]) mergeRun(run, batch []Entry[K, V], comb func(old, new V) 
 	return o.build(out[:n])
 }
 
+const (
+	_ uint64 = 1 << (leafMax - 1) // overflows when leafMax > 64
+	_ uint8  = leafMax            // overflows when leafMax > 255
+)
+
 // weave writes the merge of a live run and a batch located in it (see
 // mergeRun) into dst: the stretch of the run between two batch entries moves
 // in one copy, retaining what it copies.
-func (o *Ops[K, V, A]) weave(dst, run, batch []Entry[K, V], at *[leafMax]uint8, hit uint32, comb func(old, new V) V) {
+func (o *Ops[K, V, A]) weave(dst, run, batch []Entry[K, V], at *[leafMax]uint8, hit uint64, comb func(old, new V) V) {
 	n, from := 0, 0
 	for b, e := range batch {
 		i := int(at[b])

@@ -58,10 +58,12 @@ import (
 	"unsafe"
 )
 
-// leafMax is the most entries one leaf holds: 31 int64 pairs and the
-// leaf's header are one 512-byte unit.  DESIGN.md ("Leaf blocks") records
-// the measurements that chose it.
-const leafMax = 31
+// leafMax is the most entries one leaf holds: 63 int64 pairs and the
+// leaf's header are one 1 KiB unit.  DESIGN.md ("Leaf blocks") records
+// the measurements that chose it.  It is at most 64: mergeRun keeps a
+// bit per batch entry in a uint64, and the package does not compile with
+// more (the constants after mergeRun).
+const leafMax = 63
 
 // Node is an immutable tree node, addressed by its parent's child pointer:
 // an internal node when fill is 0, otherwise a leaf whose run of fill

@@ -277,9 +277,9 @@ type step[K, V, A any] struct {
 // maxPath bounds the internal nodes on any root-to-leaf path, so a step
 // record of this capacity never grows.  With α = 1/4 a child weighs at most
 // 3/4 of its parent, an internal node weighs at least leafMax+2 and a tree
-// of math.MaxInt64 entries weighs 2⁶³: log₄⸝₃(2⁶³/34) < 140.
+// of math.MaxInt64 entries weighs 2⁶³: log₄⸝₃(2⁶³/65) < 138.
 // TestMaxPathBound derives the number.
-const maxPath = 140
+const maxPath = 138
 
 // descend walks borrowed t toward k and records the internal nodes it
 // passes.  It returns the record and where the walk ended: nil, the leaf

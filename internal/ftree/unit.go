@@ -4,7 +4,7 @@ import "unsafe"
 
 // leaf is a leaf's allocation unit: the header it shares with an internal
 // Node followed inline by its run, one object.  For int64 keys and values
-// it is 512 bytes under NoAug and under SumAug alike (TestLeafUnitSize), and
+// it is 1 KiB under NoAug and under SumAug alike (TestLeafUnitSize), and
 // with pointer-free K, V and A it holds no pointer, so the collector never
 // scans it.  A parent's *Node child pointer addresses a leaf's unit
 // directly: the fill word at the same offset in both says which kind it is,
@@ -20,8 +20,8 @@ type leaf[K, V, A any] struct {
 // aug, at the same offsets — and at most 16 bytes.  The zero-length array
 // aligns the unit as a Node is aligned.  Go pads a struct that ends in a
 // zero-size field, so with a zero-size A (NoAug) the header still takes 16
-// bytes of a 512-byte unit rather than 8 of a 504-byte one: the run starts
-// on a 16-byte boundary and a chunk of units lies on cache lines.
+// bytes of a 1 KiB unit rather than 8 of a 1 016-byte one: the run starts on
+// a 16-byte boundary and a chunk of units lies on cache lines.
 type leafHead[A any] struct {
 	_    [0]int64
 	ref  int32
