@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mvgc/internal/core"
+	"mvgc/internal/ftree"
 	"mvgc/internal/ycsb"
 )
 
@@ -23,7 +24,7 @@ func TestPointUpdateNoAlloc(t *testing.T) {
 	}
 	rng := ycsb.NewSplitMix64(1)
 
-	m, err := core.NewMap(core.Config{Procs: 4}, NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 0), initial)
+	m, err := core.NewMap(core.Config{Procs: 4}, ftree.New(ftree.IntCmp[uint64], NoAug[uint64, uint64](), 0), initial)
 	if err != nil {
 		t.Fatal(err)
 	}

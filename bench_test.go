@@ -126,23 +126,23 @@ func BenchmarkFigure7ShardScaling(b *testing.B) {
 // (Map.With — what shard.Map and DB point ops use) is one CAS at each end
 // of the transaction and allocates nothing.
 func BenchmarkDBGet(b *testing.B) {
-	ops := NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 0)
+	ops := ftree.New(ftree.IntCmp[uint64], NoAug[uint64, uint64](), 0)
 	initial := make([]Entry[uint64, uint64], 100_000)
 	for i := range initial {
 		initial[i] = Entry[uint64, uint64]{Key: uint64(i), Val: uint64(i)}
 	}
-	m, err := NewMap(Config{Algorithm: "pswf", Procs: benchProcs}, ops, initial)
+	m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: benchProcs}, ops, initial)
 	if err != nil {
 		b.Fatal(err)
 	}
-	get := func(h *Handle[uint64, uint64, struct{}], k uint64) {
-		h.Read(func(s Snapshot[uint64, uint64, struct{}]) { s.Get(k) })
+	get := func(h *core.Handle[uint64, uint64, struct{}], k uint64) {
+		h.Read(func(s core.Snapshot[uint64, uint64, struct{}]) { s.Get(k) })
 	}
 	b.Run("with", func(b *testing.B) {
 		rng := ycsb.NewSplitMix64(10)
 		for i := 0; i < b.N; i++ {
 			k := rng.Next() % 100_000
-			m.With(func(h *Handle[uint64, uint64, struct{}]) { get(h, k) })
+			m.With(func(h *core.Handle[uint64, uint64, struct{}]) { get(h, k) })
 		}
 	})
 	b.Run("with-parallel", func(b *testing.B) {
@@ -150,7 +150,7 @@ func BenchmarkDBGet(b *testing.B) {
 			rng := ycsb.NewSplitMix64(11)
 			for pb.Next() {
 				k := rng.Next() % 100_000
-				m.With(func(h *Handle[uint64, uint64, struct{}]) { get(h, k) })
+				m.With(func(h *core.Handle[uint64, uint64, struct{}]) { get(h, k) })
 			}
 		})
 	})
@@ -427,19 +427,19 @@ func BenchmarkAblationBatch(b *testing.B) {
 // BenchmarkReadTxn measures the end-to-end delay-free read path: acquire,
 // one tree lookup, release, collect.
 func BenchmarkReadTxn(b *testing.B) {
-	ops := NewOps(IntCmp[int64], SumAug[int64](), 0)
+	ops := ftree.New(ftree.IntCmp[int64], SumAug[int64](), 0)
 	initial := make([]Entry[int64, int64], 1_000_000)
 	for i := range initial {
 		initial[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
 	}
-	m, err := NewMap(Config{Algorithm: "pswf", Procs: 2}, ops, initial)
+	m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: 2}, ops, initial)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := ycsb.NewSplitMix64(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Read(0, func(s Snapshot[int64, int64, int64]) {
+		m.Read(0, func(s core.Snapshot[int64, int64, int64]) {
 			s.Get(int64(rng.Intn(1_000_000)))
 		})
 	}
@@ -450,19 +450,19 @@ func BenchmarkReadTxn(b *testing.B) {
 // BenchmarkWriteTxn measures a solo writer's commit path: acquire, one
 // path-copying insert, set, release, collect.
 func BenchmarkWriteTxn(b *testing.B) {
-	ops := NewOps(IntCmp[int64], SumAug[int64](), 0)
+	ops := ftree.New(ftree.IntCmp[int64], SumAug[int64](), 0)
 	initial := make([]Entry[int64, int64], 1_000_000)
 	for i := range initial {
 		initial[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
 	}
-	m, err := NewMap(Config{Algorithm: "pswf", Procs: 2}, ops, initial)
+	m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: 2}, ops, initial)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := ycsb.NewSplitMix64(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Update(0, func(tx *Txn[int64, int64, int64]) {
+		m.Update(0, func(tx *core.Txn[int64, int64, int64]) {
 			tx.Insert(int64(rng.Intn(1_000_000)), int64(i))
 		})
 	}
@@ -495,17 +495,17 @@ func BenchmarkVersionListDelay(b *testing.B) {
 			sn.End()
 		})
 		b.Run(fmt.Sprintf("ours/depth=%d", depth), func(b *testing.B) {
-			ops := NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 0)
-			m, err := NewMap(Config{Algorithm: "pswf", Procs: 2},
+			ops := ftree.New(ftree.IntCmp[uint64], NoAug[uint64, uint64](), 0)
+			m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: 2},
 				ops, []Entry[uint64, uint64]{{Key: 5, Val: 0}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.Read(1, func(s Snapshot[uint64, uint64, struct{}]) {
+			m.Read(1, func(s core.Snapshot[uint64, uint64, struct{}]) {
 				// The writer advances `depth` versions while this
 				// transaction stays pinned on the old one.
 				for i := 1; i <= depth; i++ {
-					m.Update(0, func(tx *Txn[uint64, uint64, struct{}]) {
+					m.Update(0, func(tx *core.Txn[uint64, uint64, struct{}]) {
 						tx.Insert(5, uint64(i))
 					})
 				}
@@ -538,18 +538,18 @@ func BenchmarkAllocPointUpdate(b *testing.B) {
 			name = "recycle"
 		}
 		b.Run(name, func(b *testing.B) {
-			ops := NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 0)
+			ops := ftree.New(ftree.IntCmp[uint64], NoAug[uint64, uint64](), 0)
 			initial := make([]Entry[uint64, uint64], 100_000)
 			for i := range initial {
 				initial[i] = Entry[uint64, uint64]{Key: uint64(i), Val: uint64(i)}
 			}
-			m, err := NewMap(Config{Algorithm: "pswf", Procs: 2, NoRecycle: !recycle}, ops, initial)
+			m, err := core.NewMap(core.Config{Algorithm: "pswf", Procs: 2, NoRecycle: !recycle}, ops, initial)
 			if err != nil {
 				b.Fatal(err)
 			}
 			rng := ycsb.NewSplitMix64(12)
 			var k, v uint64
-			f := func(tx *Txn[uint64, uint64, struct{}]) { tx.Insert(k, v) }
+			f := func(tx *core.Txn[uint64, uint64, struct{}]) { tx.Insert(k, v) }
 			for i := 0; i < 10_000; i++ { // warm the magazines
 				k, v = rng.Next()%100_000, uint64(i)
 				m.Update(0, f)
@@ -578,7 +578,7 @@ func BenchmarkAllocBatchCommit(b *testing.B) {
 			name = "recycle"
 		}
 		b.Run(name, func(b *testing.B) {
-			ops := NewOps(IntCmp[uint64], NoAug[uint64, uint64](), 2048)
+			ops := ftree.New(ftree.IntCmp[uint64], NoAug[uint64, uint64](), 2048)
 			initial := make([]Entry[uint64, uint64], 100_000)
 			for i := range initial {
 				initial[i] = Entry[uint64, uint64]{Key: uint64(i), Val: uint64(i)}
@@ -635,7 +635,7 @@ func BenchmarkScanWarm(b *testing.B) {
 				func() *ftree.Ops[uint64, uint64, struct{}] {
 					return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 				},
-				initial,
+				initial, nil, nil,
 			)
 			if err != nil {
 				b.Fatal(err)

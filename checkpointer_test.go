@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mvgc"
+	"mvgc/internal/shard"
 	"mvgc/internal/wal"
 )
 
@@ -217,7 +218,7 @@ func TestCheckpointerIdleNoChurn(t *testing.T) {
 	}
 	// Wait for the checkpoint to fold the write into a snapshot.
 	deadline := time.Now().Add(5 * time.Second)
-	for db.WALStats().SnapshotCut != db.CommitGSN() {
+	for db.WALStats().SnapshotCut != shard.CommitGSN(db) {
 		if time.Now().After(deadline) {
 			t.Fatal("growth-started checkpoint never happened")
 		}

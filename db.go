@@ -23,7 +23,7 @@ var ErrClosed = shard.ErrClosed
 // garbage collection.  Point operations (Get, Insert, InsertWith, Delete)
 // keep the paper's guarantees in full; GetBatch is many Gets for one read
 // transaction per shard touched.  A write that spans shards — UpdateAtomic,
-// UpdateAtomicKeys, InsertBatch, DeleteBatch — always commits atomically:
+// UpdateAtomicKeys, InsertBatch — always commits atomically:
 // every touched shard installs under one global commit sequence number
 // (GSN), as one log record, so no consistent read and no recovery sees it
 // torn.  UpdateAtomicKeys also holds its key footprint's writer slots from
@@ -100,10 +100,8 @@ type DBOptions[K any] struct {
 }
 
 // WALOptions configures the durability subsystem: the redo log itself,
-// and the checkpoints that keep it bounded.  Requires integer or string
-// key AND value types (OpenDB derives the wire codecs the same way it
-// derives Hash/Cmp); for other types open the map without a WAL and
-// attach one via shard.Map.AttachWAL with explicit codecs.
+// and the checkpoints that keep it bounded.  A logged DB needs integer or
+// string key AND value types: OpenDB derives the log's codecs from them.
 type WALOptions struct {
 	// Dir holds the log's segments and checkpoint snapshots.  Created if
 	// missing; empty disables logging even when WALOptions is non-nil.
@@ -166,25 +164,25 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 	// keys are in their type's own order, which the tree compares directly
 	// (ftree.NewNatural); a caller's Cmp is called, whatever it computes.
 	cmp, grain := o.Cmp, o.Grain
-	newOps := func() *Ops[K, V, A] { return ftree.New(cmp, aug, grain) }
+	newOps := func() *ftree.Ops[K, V, A] { return ftree.New(cmp, aug, grain) }
 	if cmp == nil {
 		if _, ok := ftree.NewNatural(aug, grain); !ok {
 			return nil, errors.New("mvgc: DBOptions.Cmp is required for this key type")
 		}
-		newOps = func() *Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, grain); return ops }
+		newOps = func() *ftree.Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, grain); return ops }
 	}
 	var (
-		wcfg shard.WALConfig[K, V]
+		wcfg *shard.WALConfig[K, V]
 		rec  *wal.Recovered
 	)
 	if o.WAL != nil && o.WAL.Dir != "" {
 		encK, decK, ok := autoCodec[K]()
 		if !ok {
-			return nil, errors.New("mvgc: WAL requires an integer or string key type; use shard.Map.AttachWAL with explicit codecs")
+			return nil, errors.New("mvgc: WAL requires an integer or string key type")
 		}
 		encV, decV, ok := autoCodec[V]()
 		if !ok {
-			return nil, errors.New("mvgc: WAL requires an integer or string value type; use shard.Map.AttachWAL with explicit codecs")
+			return nil, errors.New("mvgc: WAL requires an integer or string value type")
 		}
 		pol, err := wal.ParsePolicy(o.WAL.Fsync)
 		if err != nil {
@@ -196,47 +194,23 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 			// keeps the live log under 2x CheckpointBytes.
 			seg = min(64<<20, max(o.WAL.CheckpointBytes/4, 4<<10))
 		}
-		log, r, err := wal.Open(wal.Options{
+		var log *wal.Log
+		log, rec, err = wal.Open(wal.Options{
 			Dir: o.WAL.Dir, FS: o.WAL.FS,
 			SegmentBytes: seg, MaxBytes: o.WAL.MaxBytes, Policy: pol,
 		})
 		if err != nil {
 			return nil, err
 		}
-		rec = r
-		wcfg = shard.WALConfig[K, V]{
+		wcfg = &shard.WALConfig[K, V]{
 			Log: log, EncKey: encK, DecKey: decK, EncVal: encV, DecVal: decV,
 			CheckpointBytes: o.WAL.CheckpointBytes,
 		}
-		if rec.Snapshot != nil || len(rec.Records) > 0 {
-			// The log is the source of truth: AttachWAL loads it into an empty map.
-			initial = nil
-		}
 	}
-	s, err := shard.New(
+	return shard.New(
 		shard.Config[K]{Shards: o.Shards, Procs: o.Procs, Algorithm: o.Algorithm, Hash: o.Hash},
-		newOps,
-		initial,
+		newOps, initial, wcfg, rec,
 	)
-	if err != nil {
-		if wcfg.Log != nil {
-			wcfg.Log.Close()
-		}
-		return nil, err
-	}
-	if wcfg.Log != nil {
-		if err := s.AttachWAL(wcfg, rec); err != nil {
-			wcfg.Log.Close()
-			return nil, err
-		}
-		if len(initial) > 0 {
-			if err := s.Checkpoint(); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-	}
-	return s, nil
 }
 
 // OpenPlainDB opens an unaugmented sharded map — the common key-value
@@ -270,8 +244,7 @@ func autoHash[K any]() (func(K) uint64, bool) {
 
 // autoCodec returns default WAL wire codecs for integer and string types
 // (fixed 8-byte little-endian for integers, raw bytes for strings); ok is
-// false for other kinds, where the WAL must be attached manually with
-// explicit codecs via shard.Map.AttachWAL.
+// false for other kinds, which a logged DB cannot hold.
 func autoCodec[T any]() (enc func(dst []byte, t T) []byte, dec func(b []byte) (T, error), ok bool) {
 	errShort := errors.New("mvgc: WAL codec: truncated 8-byte integer")
 	encU64 := func(dst []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(dst, x) }

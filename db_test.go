@@ -1,7 +1,9 @@
 package mvgc_test
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -373,7 +375,7 @@ func TestAutoHashCmpRoundTrip(t *testing.T) {
 func TestCustomCmpKeepsItsOrder(t *testing.T) {
 	db, err := mvgc.OpenPlainDB[int64, int64](mvgc.DBOptions[int64]{
 		Shards: 2, Procs: 2,
-		Cmp: func(a, b int64) int { return mvgc.IntCmp(b, a) },
+		Cmp: func(a, b int64) int { return cmp.Compare(b, a) },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +387,7 @@ func TestCustomCmpKeepsItsOrder(t *testing.T) {
 		for k := range ref {
 			keys = append(keys, k)
 		}
-		slices.SortFunc(keys, func(a, b int64) int { return mvgc.IntCmp(b, a) })
+		slices.SortFunc(keys, func(a, b int64) int { return cmp.Compare(b, a) })
 		var got []int64
 		db.View(func(s mvgc.DBSnapshot[int64, int64, struct{}]) {
 			s.ForEachCond(func(k, v int64) bool {
@@ -565,5 +567,25 @@ func TestDBPointOpContention(t *testing.T) {
 		if live := db.Live(); live != 0 {
 			t.Fatalf("shards=%d: leaked %d nodes", shards, live)
 		}
+	}
+}
+
+// TestDBMethodSet pins DB's exported methods: the store and the counters a
+// caller reads, nothing of the log, replication or per-shard plumbing that
+// internal/shard keeps for its own packages.
+func TestDBMethodSet(t *testing.T) {
+	want := []string{
+		"Aborts", "Checkpoint", "Close", "CommitEach", "Commits", "ConsistentStats",
+		"Delete", "Get", "GetBatch", "Has", "Insert", "InsertBatch", "InsertWith",
+		"Len", "Live", "NumShards", "OCCAborts", "ShardFor", "Uncollected",
+		"UpdateAtomic", "UpdateAtomicKeys", "View", "ViewConsistent", "WALStats",
+	}
+	typ := reflect.TypeOf((*mvgc.DB[uint64, uint64, struct{}])(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("DB has %d methods %v, want %d %v", len(got), got, len(want), want)
 	}
 }

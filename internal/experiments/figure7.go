@@ -203,7 +203,7 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 		func() *ftree.Ops[uint64, uint64, struct{}] {
 			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 512)
 		},
-		initial,
+		initial, nil, nil,
 	)
 	if err != nil {
 		panic(err)
@@ -216,7 +216,7 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 			Clients:    cfg.Threads,
 			BufCap:     1 << 15,
 			MaxLatency: cfg.MaxLatency,
-		}, sm.Shard(i).Ops(), func(inserts []ftree.Entry[uint64, uint64], deletes []uint64) error {
+		}, shard.Shard(sm, i).Ops(), func(inserts []ftree.Entry[uint64, uint64], deletes []uint64) error {
 			return sm.UpdateAtomic(func(t *shard.Txn[uint64, uint64, struct{}]) {
 				for _, k := range deletes {
 					t.Delete(k)
@@ -231,7 +231,7 @@ func runYCSBOursSharded(cfg Figure7Config, w ycsb.Workload) float64 {
 		// owning shard with zero per-op leasing overhead.
 		handles := make([]*core.Handle[uint64, uint64, struct{}], sm.NumShards())
 		for i := range handles {
-			handles[i] = sm.Shard(i).Handle()
+			handles[i] = shard.Shard(sm, i).Handle()
 			defer handles[i].Close()
 		}
 		g := ycsb.NewGenerator(w, cfg.Records, uint64(worker)*0x51ed2701+1)

@@ -60,7 +60,7 @@ func RunTxnCell(cfg TxnConfig, mode string) float64 {
 		func() *ftree.Ops[uint64, int64, struct{}] {
 			return ftree.New[uint64, int64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, int64](), 0)
 		},
-		initial,
+		initial, nil, nil,
 	)
 	if err != nil {
 		panic(err)

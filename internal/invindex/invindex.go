@@ -85,7 +85,7 @@ func New(shards, procs, grain int) (*Index, error) {
 	}
 	inner := ftree.New[uint64, int64, int64](ftree.IntCmp[uint64], ftree.MaxAug[uint64](), grain)
 	m, err := shard.New(shard.Config[uint64]{Shards: shards, Procs: procs, Algorithm: "pswf", Hash: ycsb.Mix64},
-		func() *ftree.Ops[uint64, *Posting, struct{}] { return newOuter(inner, grain) }, nil)
+		func() *ftree.Ops[uint64, *Posting, struct{}] { return newOuter(inner, grain) }, nil, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("invindex: %w", err)
 	}

@@ -248,27 +248,31 @@ func TestFollowerReconnectAndBootstrap(t *testing.T) {
 // frame — nothing skipped, nothing shipped twice.
 func TestFollowerLagAcrossGSNInversion(t *testing.T) {
 	lmem, fmem := wal.NewMemFS(), wal.NewMemFS()
-	leader, laddr := startServer(t, Config{
-		Shards: 2, MaxConns: 4,
-		WAL: mvgc.WALOptions{Dir: "wal", FS: lmem},
-	})
-	defer leader.Close()
 	// One insert op in the redo payload format (tag, length-prefixed
 	// 8-byte key and value); appended directly so the inversion is exact.
 	insert := func(k, v int64) []byte {
 		p := binary.LittleEndian.AppendUint64([]byte{1, 8}, uint64(k))
 		return binary.LittleEndian.AppendUint64(append(p, 8), uint64(v))
 	}
-	log := leader.db.WAL()
+	log, _, err := wal.Open(wal.Options{Dir: "wal", FS: lmem})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range []struct{ gsn, k, v int64 }{{2, 20, 200}, {1, 10, 100}} {
 		if err := log.Append(uint64(r.gsn), insert(r.k, r.v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := log.Commit(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	leader.db.FloorGSN(2)
+	// The leader recovers that log, which floors its GSN at 2 and leaves
+	// the records in the inverted order it ships them in.
+	leader, laddr := startServer(t, Config{
+		Shards: 2, MaxConns: 4,
+		WAL: mvgc.WALOptions{Dir: "wal", FS: lmem},
+	})
+	defer leader.Close()
 	lc, err := netclient.Dial(laddr, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -55,6 +55,8 @@ import (
 	"mvgc"
 	"mvgc/internal/netproto"
 	"mvgc/internal/repl"
+	"mvgc/internal/shard"
+	"mvgc/internal/wal"
 )
 
 // Config sizes a Server.  The zero value serves: GOMAXPROCS shards, 64
@@ -107,6 +109,7 @@ func (c *Config) fill() {
 type Server struct {
 	cfg Config
 	db  *mvgc.DB[int64, int64, int64]
+	log *wal.Log // db's redo log; nil without Config.WAL.Dir
 
 	// admit holds one token per connection being served: MaxConns bounds
 	// it (admission control).
@@ -162,6 +165,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		db:     db,
+		log:    shard.WAL(db),
 		admit:  make(chan struct{}, cfg.MaxConns),
 		conns:  make(map[*conn]struct{}),
 		doneCh: make(chan struct{}),
@@ -170,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 		s.readOnly.Store(true)
 		f, err := repl.Start(repl.Config{
 			Addr: cfg.Follow,
-			DB:   db,
+			DB:   shard.Applier(db),
 			Dir:  cfg.WAL.Dir,
 			FS:   cfg.WAL.FS,
 		})
@@ -444,7 +448,7 @@ func (s *Server) handle(nc net.Conn) {
 // the server stops (a graceful stop's read deadline cannot interrupt a
 // blocked shipper, so a watchdog tears the stream down explicitly).
 func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
-	sh := repl.NewShipper(s.db.WAL(), nc)
+	sh := repl.NewShipper(s.log, nc)
 	stopped := make(chan struct{})
 	go func() {
 		select {
@@ -536,7 +540,7 @@ func (c *conn) writeLoop() {
 		sl := &c.ring[head&uint64(len(c.ring)-1)]
 		if sl.mark > c.synced {
 			w.Flush()
-			if err := c.srv.db.WAL().CommitTo(sl.mark); err != nil {
+			if err := c.srv.log.CommitTo(sl.mark); err != nil {
 				sl.kind, sl.msg = respErr, "ERR "+err.Error()
 			} else {
 				c.synced = sl.mark
@@ -975,7 +979,7 @@ func (c *conn) execRepl(cmd *netproto.Command) bool {
 		c.fail("ERR bad position")
 		return false
 	}
-	if c.srv.db.WAL() == nil {
+	if c.srv.log == nil {
 		c.fail("ERR replication requires a WAL (-wal)")
 		return false
 	}
@@ -1078,7 +1082,7 @@ func (c *conn) execStats() {
 		" commits=" + strconv.FormatInt(s.db.Commits(), 10) +
 		" conns=" + strconv.FormatInt(s.Conns(), 10) +
 		" shards=" + strconv.FormatInt(int64(s.db.NumShards()), 10) +
-		" gsn=" + strconv.FormatUint(s.db.CommitGSN(), 10) +
+		" gsn=" + strconv.FormatUint(shard.CommitGSN(s.db), 10) +
 		" readonly=" + strconv.FormatInt(readonly, 10) +
 		" repl_pos=" + strconv.FormatUint(pos, 10) +
 		" repl_floor=" + strconv.FormatUint(floor, 10) +

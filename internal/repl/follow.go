@@ -15,8 +15,8 @@ import (
 	"mvgc/internal/wal"
 )
 
-// Applier is the follower-side apply surface — what shard.Map (and so
-// mvgc.DB) provides for replication.
+// Applier is the follower-side apply surface — what shard.Applier hands
+// out for a logged map.
 type Applier interface {
 	// ReplayRecord applies one shipped record as an atomic transaction,
 	// relogs it without waiting for the local log's fsync, and floors the

@@ -1,7 +1,7 @@
 // The commit pipeline: every write entry point — point op, CommitEach run,
-// UpdateAtomic, InsertBatch, DeleteBatch, UpdateAtomicKeys, a replayed
-// record — plans its intents into a Txn, commits them through one
-// primitive, commitAtomic, and ends in groupCommit.  commitAtomic holds the
+// UpdateAtomic, InsertBatch, UpdateAtomicKeys, a replayed record — plans
+// its intents into a Txn, commits them through one primitive,
+// commitAtomic, and ends in groupCommit.  commitAtomic holds the
 // writer slot of every shard it writes from before the Set until after the
 // Append, and (but for parallel legs) collects after releasing it, still on
 // the pid it committed on: the slot is the shard's one writer lock, so a
@@ -299,16 +299,6 @@ func (m *Map[K, V, A]) Delete(k K) error {
 // record; nil comb overwrites.  See Txn.InsertBatch.
 func (m *Map[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, new V) V) error {
 	return m.UpdateAtomic(func(t *Txn[K, V, A]) { t.InsertBatch(entries, comb) })
-}
-
-// DeleteBatch removes keys as one atomic transaction: each shard's share is
-// one multi-delete, and all shards install under one GSN as one record.
-func (m *Map[K, V, A]) DeleteBatch(keys []K) error {
-	return m.UpdateAtomic(func(t *Txn[K, V, A]) {
-		for _, k := range keys {
-			t.Delete(k)
-		}
-	})
 }
 
 // UpdateAtomic runs a buffered cross-shard write transaction with a global

@@ -105,7 +105,7 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		{"batch", func() error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 2, Val: 1}, {Key: 3, Val: 1}, {Key: 4, Val: 1}, {Key: 5, Val: 1}}, nil)
 		}, 1, 4},
-		{"batch/no-op", func() error { return m.DeleteBatch([]uint64{997, 998}) }, 0, 2},
+		{"batch/no-op", func() error { return deleteAtomic(m, 997, 998) }, 0, 2},
 		{"CommitEach", func() error {
 			return m.groupCommit(m.CommitEach(func(tx *txn) { tx.Insert(6, 1) }))
 		}, 1, 0},
@@ -143,10 +143,10 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 			})
 		}, 1, 2},
 		{"replayed record", func() error { // relogged, synced only by SyncWAL
-			if err := m.ReplayRecord(m.CommitGSN()+10, record(11, 1)); err != nil {
+			if err := Applier(m).ReplayRecord(CommitGSN(m)+10, record(11, 1)); err != nil {
 				return err
 			}
-			return m.SyncWAL()
+			return Applier(m).SyncWAL()
 		}, 1, 0},
 	}
 	seqlocks := func() []uint64 {
@@ -167,7 +167,7 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		return out
 	}
 	for _, r := range rows {
-		before, g0, was, seq0 := latestStamps(t, m), m.CommitGSN(), perShard(), seqlocks()
+		before, g0, was, seq0 := latestStamps(t, m), CommitGSN(m), perShard(), seqlocks()
 		if err := r.write(); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -177,8 +177,8 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 		}
 		want := slices.Clone(before)
 		for _, rec := range recs {
-			if rec.gsn <= g0 || rec.gsn > m.CommitGSN() {
-				t.Fatalf("%s: record stamped %d, outside (%d, %d]", r.name, rec.gsn, g0, m.CommitGSN())
+			if rec.gsn <= g0 || rec.gsn > CommitGSN(m) {
+				t.Fatalf("%s: record stamped %d, outside (%d, %d]", r.name, rec.gsn, g0, CommitGSN(m))
 			}
 			for _, i := range rec.shards {
 				want[i] = rec.gsn
@@ -205,16 +205,16 @@ func TestStampAdvancesPerCommit(t *testing.T) {
 				t.Fatalf("%s: shard %d contents changed %v, but its stamp went %d → %d", r.name, i, changed, before[i], got[i])
 			}
 		}
-		if r.records == 0 && m.CommitGSN() != g0 {
-			t.Fatalf("%s published nothing but took GSN %d", r.name, m.CommitGSN())
+		if r.records == 0 && CommitGSN(m) != g0 {
+			t.Fatalf("%s published nothing but took GSN %d", r.name, CommitGSN(m))
 		}
 	}
 
-	g0 := m.CommitGSN()
-	if err := m.ApplyReplSnapshot(g0, snapshotPayload(0, 100, func(k uint64) uint64 { return k })); err != nil {
+	g0 := CommitGSN(m)
+	if err := Applier(m).ApplyReplSnapshot(g0, snapshotPayload(0, 100, func(k uint64) uint64 { return k })); err != nil {
 		t.Fatal(err)
 	}
-	g := m.CommitGSN()
+	g := CommitGSN(m)
 	if cut := m.WALStats().SnapshotCut; g != g0+1 || cut != g {
 		t.Fatalf("snapshot load: CommitGSN %d → %d, checkpoint cut %d; want one stamp, the cut", g0, g, cut)
 	}
@@ -252,7 +252,7 @@ func TestStampSharedSource(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if g := m.CommitGSN(); g != writers*per {
+	if g := CommitGSN(m); g != writers*per {
 		t.Fatalf("shared counter at %d after %d commits", g, writers*per)
 	}
 	recs := drainLogged(t, m, tail)
@@ -306,8 +306,8 @@ func TestInstallProtocol(t *testing.T) {
 	}
 	g := in.close(fence)
 	m.unlockSlots(fence)
-	if g != m.CommitGSN() || g <= slices.Max(before) {
-		t.Fatalf("install stamped %d, CommitGSN %d, stamps before %v", g, m.CommitGSN(), before)
+	if g != CommitGSN(m) || g <= slices.Max(before) {
+		t.Fatalf("install stamped %d, CommitGSN %d, stamps before %v", g, CommitGSN(m), before)
 	}
 	if got, want := latestStamps(t, m), []uint64{g, before[1], g}; !slices.Equal(got, want) {
 		t.Fatalf("stamps after the install %v, want %v", got, want)
@@ -339,8 +339,8 @@ func TestInstallAtomic(t *testing.T) {
 	}
 	g := in.close(all)
 	m.unlockSlots(all)
-	if g == 0 || m.CommitGSN() != g {
-		t.Fatalf("install returned %d, CommitGSN %d", g, m.CommitGSN())
+	if g == 0 || CommitGSN(m) != g {
+		t.Fatalf("install returned %d, CommitGSN %d", g, CommitGSN(m))
 	}
 	for i, s := range m.shards {
 		if got := s.latest.Load(); got != g {
@@ -358,20 +358,20 @@ func TestInstallAtomic(t *testing.T) {
 		t.Fatalf("empty footprint returned %d", g)
 	}
 	m.lockSlots(all)
-	g0 := m.CommitGSN()
+	g0 := CommitGSN(m)
 	in = m.openInstall(all)
-	if g := in.close(nil); g != 0 || m.CommitGSN() != g0 {
-		t.Fatalf("an install that published nothing returned %d and moved CommitGSN %d → %d", g, g0, m.CommitGSN())
+	if g := in.close(nil); g != 0 || CommitGSN(m) != g0 {
+		t.Fatalf("an install that published nothing returned %d and moved CommitGSN %d → %d", g, g0, CommitGSN(m))
 	}
 	q0 := m.shards[0].seq.Load()
-	if g := in.close(all); g != 0 || m.CommitGSN() != g0 || m.shards[0].seq.Load() != q0 {
-		t.Fatalf("a second close returned %d, moved CommitGSN %d → %d or seqlock %d → %d", g, g0, m.CommitGSN(), q0, m.shards[0].seq.Load())
+	if g := in.close(all); g != 0 || CommitGSN(m) != g0 || m.shards[0].seq.Load() != q0 {
+		t.Fatalf("a second close returned %d, moved CommitGSN %d → %d or seqlock %d → %d", g, g0, CommitGSN(m), q0, m.shards[0].seq.Load())
 	}
 	m.unlockSlots(all)
 	if err := m.UpdateAtomic(func(tx *txn) { tx.Insert(2, 1); tx.Insert(3, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	g = m.CommitGSN()
+	g = CommitGSN(m)
 	for i, s := range m.shards {
 		if s.latest.Load() != g || s.seq.Load() != 6 {
 			t.Fatalf("shard %d after UpdateAtomic: stamp %d seqlock %d, want %d and 6", i, s.latest.Load(), s.seq.Load(), g)

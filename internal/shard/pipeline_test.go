@@ -52,10 +52,7 @@ func tryOpenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, st
 	if err != nil {
 		return nil, err
 	}
-	enc, dec := u64Codec()
-	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
-	m := newU64Map(t, shards, nil)
-	return m, m.AttachWAL(cfg, rec)
+	return openU64Map(shards, nil, u64WAL(log), rec)
 }
 
 // pipelineRun is one run of the pipelined workload, shaped like a served

@@ -1,22 +1,24 @@
 // Replication: the follower-side surface.  A follower receives the
 // leader's redo stream — the exact framed records a Tailer lifts out of the
-// leader's log, in log byte order — and applies each through ReplayRecord,
-// i.e. through the same applyRecord recovery uses (wal.go).  Because
-// records carry absolute post-images, replay is idempotent: re-applying a
-// record, or applying one that a later record overwrites, converges to the
-// same map; and because the follower has its own log attached, it relogs
-// what it applies — a follower is itself recoverable and shippable.
+// leader's log, in log byte order — and applies each through the Applier's
+// ReplayRecord, i.e. through the same applyRecord recovery uses (wal.go).
+// Because records carry absolute post-images, replay is idempotent:
+// re-applying a record, or applying one that a later record overwrites,
+// converges to the same map; and because the follower has its own log
+// bound, it relogs what it applies — a follower is itself recoverable and
+// shippable.
 package shard
 
 import (
 	"errors"
 
+	"mvgc/internal/repl"
 	"mvgc/internal/wal"
 )
 
-// FloorGSN raises the map's commit-sequence source to at least g; stamps
+// floorGSN raises the map's commit-sequence source to at least g; stamps
 // handed out afterwards are strictly greater.  It never lowers it.
-func (m *Map[K, V, A]) FloorGSN(g uint64) {
+func (m *Map[K, V, A]) floorGSN(g uint64) {
 	for {
 		cur := m.gsn.Load()
 		if cur >= g || m.gsn.CompareAndSwap(cur, g) {
@@ -25,43 +27,50 @@ func (m *Map[K, V, A]) FloorGSN(g uint64) {
 	}
 }
 
-// CommitGSN reports the highest commit sequence number allocated (or
+// CommitGSN reports the highest commit sequence number m has allocated (or
 // floored) so far.
-func (m *Map[K, V, A]) CommitGSN() uint64 { return m.gsn.Load() }
+func CommitGSN[K, V, A any](m *Map[K, V, A]) uint64 { return m.gsn.Load() }
 
-// WAL returns the attached redo log, or nil when none is attached.
-func (m *Map[K, V, A]) WAL() *wal.Log {
+// WAL returns m's redo log, or nil when m was built without one.
+func WAL[K, V, A any](m *Map[K, V, A]) *wal.Log {
 	if m.wal == nil {
 		return nil
 	}
 	return m.wal.log
 }
 
-// SyncWAL forces the attached log's buffered records durable regardless
-// of fsync policy (nil-safe no-op without a WAL).  Followers call it
-// before persisting their replication watermark, so the watermark never
-// claims records the local log could lose.
-func (m *Map[K, V, A]) SyncWAL() error {
-	if m.wal == nil {
+// Applier hands out the replication apply surface of a logged map: a
+// follower applies its leader's stream through it.  Its apply methods fail
+// on a map built without a log, which has no codecs and could not relog.
+func Applier[K, V, A any](m *Map[K, V, A]) repl.Applier { return applier[K, V, A]{m} }
+
+type applier[K, V, A any] struct{ m *Map[K, V, A] }
+
+var errNoLog = errors.New("shard: replication requires a logged map")
+
+// SyncWAL forces the log's buffered records durable regardless of fsync
+// policy (a no-op without a log).  Followers call it before persisting
+// their replication watermark, so the watermark never claims records the
+// local log could lose.
+func (a applier[K, V, A]) SyncWAL() error {
+	if a.m.wal == nil {
 		return nil
 	}
-	return m.wal.log.Sync()
+	return a.m.wal.log.Sync()
 }
 
 // ReplayRecord applies one shipped redo record stamped gsn as a single
 // atomic transaction and floors the stamp source at gsn.  A decode error
-// applies nothing.  Requires an attached WAL (for the codecs, and so the
-// follower relogs what it applies).  It returns once the record is applied
-// and appended to the local log, without waiting for that log's fsync: a
-// follower acks nothing, so the apply of the next record overlaps this
-// one's durability, and SyncWAL is the barrier — the follower calls it when
-// it has applied everything it has received, and before it persists its
-// position.
-func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
-	if m.wal == nil {
-		return errors.New("shard: ReplayRecord requires an attached WAL")
+// applies nothing.  It returns once the record is applied and appended to
+// the local log, without waiting for that log's fsync: a follower acks
+// nothing, so the apply of the next record overlaps this one's durability,
+// and SyncWAL is the barrier — the follower calls it when it has applied
+// everything it has received, and before it persists its position.
+func (a applier[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
+	if a.m.wal == nil {
+		return errNoLog
 	}
-	return m.applyRecord(&m.wal.cfg, m.newTxn(), gsn, payload)
+	return a.m.applyRecord(&a.m.wal.cfg, a.m.newTxn(), gsn, payload)
 }
 
 // ApplyReplSnapshot replaces the map's contents with a shipped checkpoint
@@ -73,9 +82,10 @@ func (m *Map[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
 // ckptMu keeps a background Checkpoint of the older contents from landing
 // after, and the growth baseline restarts here.  A failed load changes
 // nothing.  DESIGN.md, "A snapshot is a root".
-func (m *Map[K, V, A]) ApplyReplSnapshot(cut uint64, payload []byte) error {
+func (a applier[K, V, A]) ApplyReplSnapshot(cut uint64, payload []byte) error {
+	m := a.m
 	if m.wal == nil {
-		return errors.New("shard: ApplyReplSnapshot requires an attached WAL")
+		return errNoLog
 	}
 	if !m.enter(0) {
 		return ErrClosed

@@ -14,10 +14,10 @@
 // installed under ONE global commit sequence number (GSN), logged as one
 // record, so neither a consistent read nor recovery ever sees it torn.  A
 // CommitEach run is a sequence of independent writes, not one write: each
-// shard's share of it is its own commit.  A
-// write that touches one shard is one write transaction there; one that
-// spans shards — UpdateAtomic, UpdateAtomicKeys, InsertBatch, DeleteBatch —
-// also holds per-shard install seqlocks odd while its legs install.
+// shard's share of it is its own commit.  A write that touches one shard is
+// one write transaction there; one that spans shards — UpdateAtomic,
+// UpdateAtomicKeys, InsertBatch — also holds per-shard install seqlocks odd
+// while its legs install.
 // UpdateAtomicKeys is two-phase locking on the writer slots: the
 // footprint's slots are held from before the transaction's reads until its
 // install, so a committed transaction is a multi-key compare-and-swap,
@@ -75,6 +75,7 @@ import (
 
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
+	"mvgc/internal/wal"
 )
 
 // Config sizes a sharded map.
@@ -164,7 +165,39 @@ func (m *Map[K, V, A]) exit(i int) { m.gates[i].n.Add(-1) }
 // New builds a sharded map.  mkOps must return a fresh ftree.Ops per call:
 // every shard gets its own, so allocation accounting (Ops().Live()) stays
 // precise per shard.  initial is partitioned by hash across the shards.
-func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial []ftree.Entry[K, V]) (*Map[K, V, A], error) {
+//
+// With w non-nil the map is logged: New takes ownership of w.Log (Close
+// closes it, and so does a failed New) and first brings back rec, what
+// wal.Open recovered from it (nil for a new log) — see recoverWAL.  When rec
+// holds state, initial is ignored: the log is the source of truth.  On a
+// fresh log a non-empty initial is checkpointed before New returns, so it is
+// durable from the start.
+func New[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial []ftree.Entry[K, V], w *WALConfig[K, V], rec *wal.Recovered) (*Map[K, V, A], error) {
+	if w == nil {
+		return newShards(cfg, mkOps, initial)
+	}
+	if rec != nil && (rec.Snapshot != nil || len(rec.Records) > 0) {
+		initial = nil
+	}
+	m, err := newShards(cfg, mkOps, initial)
+	if err == nil {
+		err = m.recoverWAL(*w, rec)
+		if err == nil && len(initial) > 0 {
+			err = m.Checkpoint()
+		}
+		if err == nil {
+			return m, nil
+		}
+		m.Close() //nolint:errcheck // err is the failure to report
+	}
+	if w.Log != nil {
+		w.Log.Close() //nolint:errcheck // a no-op if m.Close closed it
+	}
+	return nil, err
+}
+
+// newShards is New without a log.
+func newShards[K, V, A any](cfg Config[K], mkOps func() *ftree.Ops[K, V, A], initial []ftree.Entry[K, V]) (*Map[K, V, A], error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("shard: Shards must be positive, got %d", cfg.Shards)
 	}
@@ -200,12 +233,12 @@ func (m *Map[K, V, A]) NumShards() int { return len(m.shards) }
 // ShardFor returns the index of the shard owning key k.
 func (m *Map[K, V, A]) ShardFor(k K) int { return int(m.hash(k) % uint64(len(m.shards))) }
 
-// Shard exposes one underlying core.Map for handle-based reads (long-lived
-// workers that want to lease a per-shard identity once instead of per-op).
-// Its handles are for reads: a write through one would commit without the
-// shard's writer slot, beside the one writer every Map write assumes, and
-// without a GSN, so no consistent view or log would order it.
-func (m *Map[K, V, A]) Shard(i int) *core.Map[K, V, A] { return m.shards[i].Map }
+// Shard exposes m's shard i, an underlying core.Map, for handle-based reads
+// (long-lived workers that want to lease a per-shard identity once instead
+// of per-op).  Its handles are for reads: a write through one would commit
+// without the shard's writer slot, beside the one writer every Map write
+// assumes, and without a GSN, so no consistent view or log would order it.
+func Shard[K, V, A any](m *Map[K, V, A], i int) *core.Map[K, V, A] { return m.shards[i].Map }
 
 // Get runs a point read as a delay-free read transaction on k's shard.
 // After Close it reports absent.
@@ -320,7 +353,7 @@ func (m *Map[K, V, A]) Commits() int64 {
 
 // Aborts sums Set failures across shards: 0 while every write goes through
 // the Map, whose writers take their shard's slot — a failure means something
-// wrote through a raw Shard handle.
+// wrote through a handle of a raw Shard.
 func (m *Map[K, V, A]) Aborts() int64 {
 	var n int64
 	for _, s := range m.shards {

@@ -18,12 +18,22 @@ func newSharded(t testing.TB, alg string, shards, procs int, initial []ftree.Ent
 		func() *ftree.Ops[int64, int64, int64] {
 			return ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
 		},
-		initial,
+		initial, nil, nil,
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// deleteAtomic deletes keys in one UpdateAtomic: one atomic transaction,
+// each shard's share of it one multi-delete.
+func deleteAtomic[K, V, A any](m *Map[K, V, A], keys ...K) error {
+	return m.UpdateAtomic(func(t *Txn[K, V, A]) {
+		for _, k := range keys {
+			t.Delete(k)
+		}
+	})
 }
 
 // TestShardedMatrix runs the full point-op/batch/fan-out surface over every
@@ -65,7 +75,7 @@ func TestShardedMatrix(t *testing.T) {
 			for i := int64(2000); i < 2050; i++ {
 				dels = append(dels, i)
 			}
-			m.DeleteBatch(dels)
+			deleteAtomic(m, dels...)
 			want := int64(500) - 1 + 1 + 50 // initial - Delete(0) + Insert(1000) + surviving batch half
 			if n := m.Len(); n != want {
 				t.Fatalf("Len = %d, want %d", n, want)
@@ -126,7 +136,7 @@ func TestShardedMatrix(t *testing.T) {
 
 			m.Close()
 			for i := 0; i < m.NumShards(); i++ {
-				if live := m.Shard(i).Ops().Live(); live != 0 {
+				if live := Shard(m, i).Ops().Live(); live != 0 {
 					t.Fatalf("%s: shard %d leaked %d nodes", alg, i, live)
 				}
 			}
@@ -513,13 +523,13 @@ func TestShardedConfigErrors(t *testing.T) {
 		return ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
 	}
 	hash := func(k int64) uint64 { return uint64(k) }
-	if _, err := New(Config[int64]{Shards: 0, Procs: 1, Hash: hash}, mk, nil); err == nil {
+	if _, err := New(Config[int64]{Shards: 0, Procs: 1, Hash: hash}, mk, nil, nil, nil); err == nil {
 		t.Fatal("Shards=0 accepted")
 	}
-	if _, err := New(Config[int64]{Shards: 2, Procs: 1}, mk, nil); err == nil {
+	if _, err := New(Config[int64]{Shards: 2, Procs: 1}, mk, nil, nil, nil); err == nil {
 		t.Fatal("nil Hash accepted")
 	}
-	if _, err := New(Config[int64]{Shards: 2, Procs: 1, Algorithm: "bogus", Hash: hash}, mk, nil); err == nil {
+	if _, err := New(Config[int64]{Shards: 2, Procs: 1, Algorithm: "bogus", Hash: hash}, mk, nil, nil, nil); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }
@@ -531,7 +541,7 @@ func TestShardedHandleAccess(t *testing.T) {
 	m := newSharded(t, "pswf", 2, 3, nil)
 	handles := make([]*core.Handle[int64, int64, int64], m.NumShards())
 	for i := range handles {
-		handles[i] = m.Shard(i).Handle()
+		handles[i] = Shard(m, i).Handle()
 	}
 	for i := int64(0); i < 100; i++ {
 		if err := m.Insert(i, i); err != nil {

@@ -37,7 +37,7 @@ func TestEveryWriteWaitsForSlot(t *testing.T) {
 		{"InsertBatch", func() error {
 			return m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: k, Val: 7}}, nil)
 		}, 7, true},
-		{"DeleteBatch", func() error { return m.DeleteBatch([]uint64{k}) }, 0, false},
+		{"UpdateAtomic/delete", func() error { return deleteAtomic(m, k) }, 0, false},
 		{"UpdateAtomic", func() error { return m.UpdateAtomic(func(tx *txn) { tx.Insert(k, 7) }) }, 7, true},
 		{"UpdateAtomicKeys", func() error {
 			return m.UpdateAtomicKeys([]uint64{k}, func(tx *txn) {
@@ -48,7 +48,7 @@ func TestEveryWriteWaitsForSlot(t *testing.T) {
 		{"CommitEach", func() error {
 			return m.groupCommit(m.CommitEach(func(tx *txn) { tx.Delete(k); tx.Insert(k, 7) }))
 		}, 7, true},
-		{"ReplayRecord", func() error { return m.ReplayRecord(m.CommitGSN()+1, record(7)) }, 7, true},
+		{"ReplayRecord", func() error { return Applier(m).ReplayRecord(CommitGSN(m)+1, record(7)) }, 7, true},
 	}
 	s := m.shards[m.ShardFor(k)]
 	for _, r := range rows {
@@ -101,13 +101,9 @@ func TestLockOrderStress(t *testing.T) {
 		func() *ftree.Ops[uint64, uint64, struct{}] {
 			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 		},
-		nil,
+		nil, u64WAL(log), nil,
 	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	enc, dec := u64Codec()
-	if err := m.AttachWAL(WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.maxCollects = -1 // every ViewConsistent takes the fence
@@ -147,7 +143,7 @@ func TestLockOrderStress(t *testing.T) {
 		if err := m.InsertBatch(wide, nil); err != nil {
 			return err
 		}
-		return m.DeleteBatch([]uint64{key(i, 6), key(i, 7)})
+		return deleteAtomic(m, key(i, 6), key(i, 7))
 	})
 	worker("atomic-inserts", func(i int) error {
 		return m.UpdateAtomic(func(tx *txn) { tx.Insert(key(i, 8), 3); tx.Insert(key(i, 9), 3) })
@@ -167,7 +163,7 @@ func TestLockOrderStress(t *testing.T) {
 		e := &walEnc[uint64, uint64]{cfg: &m.wal.cfg}
 		e.appendInsert(key(i, 14), 4)
 		e.appendDelete(key(i, 15))
-		return m.ReplayRecord(0, e.buf)
+		return Applier(m).ReplayRecord(0, e.buf)
 	})
 	worker("commit-each", func(i int) error {
 		return m.groupCommit(m.CommitEach(func(tx *txn) {
@@ -236,7 +232,7 @@ func TestParallelLegsBesideReaders(t *testing.T) {
 		func() *ftree.Ops[uint64, uint64, struct{}] {
 			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 		},
-		nil,
+		nil, nil, nil,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +326,7 @@ func TestCollectAfterSlot(t *testing.T) {
 			}
 			return o
 		},
-		nil,
+		nil, nil, nil,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +414,7 @@ func TestSlotContentionStress(t *testing.T) {
 			func() *ftree.Ops[uint64, uint64, struct{}] {
 				return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 			},
-			initial,
+			initial, nil, nil,
 		)
 		if err != nil {
 			t.Fatal(err)

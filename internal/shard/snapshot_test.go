@@ -14,8 +14,7 @@ import (
 // snapshotPayload encodes entries keys[i] = val(keys[i]) as a checkpoint
 // payload, the way Checkpoint writes one.
 func snapshotPayload(lo, hi uint64, val func(k uint64) uint64) []byte {
-	enc, dec := u64Codec()
-	e := &walEnc[uint64, uint64]{cfg: &WALConfig[uint64, uint64]{EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}}
+	e := &walEnc[uint64, uint64]{cfg: u64WAL(nil)}
 	for k := lo; k < hi; k++ {
 		e.appendInsert(k, val(k))
 	}
@@ -34,7 +33,7 @@ func TestSnapshotLoadIsOneVersion(t *testing.T) {
 	valA := func(uint64) uint64 { return 2 }
 	valB := func(k uint64) uint64 { return 1 + 2*(k/n) } // 1 on the overlap, 3 past it
 	snaps := [2][]byte{snapshotPayload(0, n, valA), snapshotPayload(n/2, n/2+n, valB)}
-	if err := m.ApplyReplSnapshot(1, snaps[0]); err != nil {
+	if err := Applier(m).ApplyReplSnapshot(1, snaps[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +70,7 @@ func TestSnapshotLoadIsOneVersion(t *testing.T) {
 		}()
 	}
 	for round := uint64(1); round <= 40 && !t.Failed(); round++ {
-		if err := m.ApplyReplSnapshot(1+round, snaps[round%2]); err != nil {
+		if err := Applier(m).ApplyReplSnapshot(1+round, snaps[round%2]); err != nil {
 			t.Error(err)
 			break
 		}
@@ -92,9 +91,8 @@ func TestSnapshotLoadIsACheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, dec := u64Codec()
-		m := newU64Map(t, 4, nil)
-		if err := m.AttachWAL(WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}, rec); err != nil {
+		m, err := openU64Map(4, nil, u64WAL(log), rec)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return m
@@ -117,17 +115,17 @@ func TestSnapshotLoadIsACheckpoint(t *testing.T) {
 	const n = 100_000
 	val := func(k uint64) uint64 { return k * 3 }
 	payload := snapshotPayload(0, n, val)
-	before, gsn := m.WALStats(), m.CommitGSN()
+	before, gsn := m.WALStats(), CommitGSN(m)
 	if int64(len(payload)) <= 1<<20 {
 		t.Fatalf("the snapshot is %d bytes, want more than the log's MaxBytes", len(payload))
 	}
-	if err := m.ApplyReplSnapshot(gsn, payload); err != nil {
+	if err := Applier(m).ApplyReplSnapshot(gsn, payload); err != nil {
 		t.Fatalf("loading a %d-byte snapshot beside a %d-byte log bound: %v", len(payload), 1<<20, err)
 	}
 	after := m.WALStats()
-	if after.Appended != before.Appended || after.Segments != 1 || after.SnapshotCut != gsn+1 || m.CommitGSN() != gsn+1 {
+	if after.Appended != before.Appended || after.Segments != 1 || after.SnapshotCut != gsn+1 || CommitGSN(m) != gsn+1 {
 		t.Fatalf("after the load: %d record bytes appended, %d segments, checkpoint cut %d, CommitGSN %d; want 0, 1, %d, %d",
-			after.Appended-before.Appended, after.Segments, after.SnapshotCut, m.CommitGSN(), gsn+1, gsn+1)
+			after.Appended-before.Appended, after.Segments, after.SnapshotCut, CommitGSN(m), gsn+1, gsn+1)
 	}
 	names, err := fs.ReadDir("wal")
 	if err != nil {
@@ -156,17 +154,17 @@ func TestSnapshotLoadIsACheckpoint(t *testing.T) {
 	}
 	holdsSnapshot("after the load", m)
 
-	if err := m.ApplyReplSnapshot(gsn+9, payload[:len(payload)-3]); err == nil {
+	if err := Applier(m).ApplyReplSnapshot(gsn+9, payload[:len(payload)-3]); err == nil {
 		t.Fatal("a truncated payload loaded")
 	}
 	holdsSnapshot("after a payload that does not decode", m)
-	if m.CommitGSN() != gsn+1 {
-		t.Fatalf("a failed load moved CommitGSN to %d", m.CommitGSN())
+	if CommitGSN(m) != gsn+1 {
+		t.Fatalf("a failed load moved CommitGSN to %d", CommitGSN(m))
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ApplyReplSnapshot(gsn+9, payload); !errors.Is(err, ErrClosed) {
+	if err := Applier(m).ApplyReplSnapshot(gsn+9, payload); !errors.Is(err, ErrClosed) {
 		t.Fatalf("load into a closed map: %v, want ErrClosed", err)
 	}
 
@@ -208,12 +206,12 @@ func TestSnapshotLoadKeepsPinnedVersion(t *testing.T) {
 		})
 	}()
 	<-pinned
-	gsn := m.CommitGSN()
-	if err := m.ApplyReplSnapshot(gsn, snapshotPayload(n, 2*n, func(k uint64) uint64 { return k })); err != nil {
+	gsn := CommitGSN(m)
+	if err := Applier(m).ApplyReplSnapshot(gsn, snapshotPayload(n, 2*n, func(k uint64) uint64 { return k })); err != nil {
 		t.Fatal(err)
 	}
-	if m.CommitGSN() != gsn+1 {
-		t.Fatalf("the load moved CommitGSN %d -> %d, want one stamp", gsn, m.CommitGSN())
+	if CommitGSN(m) != gsn+1 {
+		t.Fatalf("the load moved CommitGSN %d -> %d, want one stamp", gsn, CommitGSN(m))
 	}
 	if _, ok := m.Get(0); ok || m.Len() != n {
 		t.Fatalf("a new reader sees key 0 = %v among %d keys, want the snapshot's %d", ok, m.Len(), n)
@@ -222,7 +220,7 @@ func TestSnapshotLoadKeepsPinnedVersion(t *testing.T) {
 	<-done
 	m.View(func(s Snap[uint64, uint64, struct{}]) {
 		for i := 0; i < m.NumShards(); i++ {
-			ops := m.Shard(i).Ops()
+			ops := Shard(m, i).Ops()
 			if live, reach := ops.Live(), ops.ReachableNodes(s.Shard(i).Root()); live != reach {
 				t.Errorf("shard %d: %d live nodes, %d reachable from the loaded root", i, live, reach)
 			}
@@ -246,10 +244,10 @@ func TestSnapshotLoadRestartsCheckpointGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := u64Codec()
-	m := newU64Map(t, 2, nil)
-	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec, CheckpointBytes: ckptBytes}
-	if err := m.AttachWAL(cfg, nil); err != nil {
+	w := u64WAL(log)
+	w.CheckpointBytes = ckptBytes
+	m, err := openU64Map(2, nil, w, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	val := func(k uint64) uint64 { return k * 7 }
@@ -259,7 +257,7 @@ func TestSnapshotLoadRestartsCheckpointGrowth(t *testing.T) {
 		start := m.WALStats().Appended
 		for m.WALStats().Appended-start < bytes {
 			gsn++
-			if err := m.ReplayRecord(gsn, snapshotPayload(gsn, gsn+1, val)); err != nil {
+			if err := Applier(m).ReplayRecord(gsn, snapshotPayload(gsn, gsn+1, val)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -272,7 +270,7 @@ func TestSnapshotLoadRestartsCheckpointGrowth(t *testing.T) {
 	}
 	replay(ckptBytes * 3 / 4)
 	idle("before the load", 0)
-	if err := m.ApplyReplSnapshot(gsn, snapshotPayload(0, gsn+1, val)); err != nil {
+	if err := Applier(m).ApplyReplSnapshot(gsn, snapshotPayload(0, gsn+1, val)); err != nil {
 		t.Fatal(err)
 	}
 	loaded := m.WALStats().SnapshotCut

@@ -196,7 +196,7 @@ func (t *Txn[K, V, A]) Get(k K) (V, bool) {
 // transaction.  A run of two or more plain inserts — most of a redo record
 // — goes down as one batch: InsertBatch's stable sort keeps the last write
 // of a key, which is what applying them one by one leaves.  A run of
-// deletes — a DeleteBatch's, a wire run's — goes down as one multi-delete.
+// deletes — an UpdateAtomic's, a wire run's — goes down as one multi-delete.
 // Both runs are gathered into sc, which is reused.  A batch
 // intent hands its entries to the tree's multi-insert and keeps the
 // coalesced batch it returns, one entry per key, which is what

@@ -199,7 +199,7 @@ func (m *Map[K, V, A]) loadSnapshot(cfg *WALConfig[K, V], cut uint64, payload []
 		// because a conflict retry releases what it was handed.
 		defer s.Ops().Release(roots[i])
 	}
-	m.FloorGSN(max(cut, 1) - 1)
+	m.floorGSN(max(cut, 1) - 1)
 	m.lockSlots(all)
 	defer m.unlockSlots(all)
 	in := m.openInstall(all)
@@ -220,20 +220,17 @@ func (m *Map[K, V, A]) WALStats() wal.Stats {
 	return m.wal.log.Stat()
 }
 
-// AttachWAL binds an open redo log to a fresh, empty map, first bringing
-// back what wal.Open recovered from it (rec; nil for a new log): load the
+// recoverWAL binds an open redo log to New's fresh map, first bringing back
+// what wal.Open recovered from it (rec; nil for a new log): load the
 // snapshot as one version (loadSnapshot), replay the records above its cut
 // in GSN order (applyRecord), advance the stamp source past everything seen,
-// and only then attach — so nothing recovery does is logged, and from here
-// on every commit appends a record and acks per the log's fsync policy.
-// A recovered log already CheckpointBytes long is checkpointed at once, in
-// the background.  Call it after New, before any writes.
-func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
+// and only then bind — so nothing recovery does is logged, and from here on
+// every commit appends a record and acks per the log's fsync policy.  A
+// recovered log already CheckpointBytes long is checkpointed at once, in the
+// background.
+func (m *Map[K, V, A]) recoverWAL(cfg WALConfig[K, V], rec *wal.Recovered) error {
 	if err := cfg.validate(); err != nil {
 		return err
-	}
-	if m.wal != nil {
-		return errors.New("shard: WAL already attached")
 	}
 	if rec == nil {
 		rec = &wal.Recovered{}
@@ -251,7 +248,7 @@ func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error 
 	}
 	// A snapshot-only recovery (no records) must still clear the
 	// checkpoint cut.
-	m.FloorGSN(max(rec.MaxGSN, rec.SnapshotCut))
+	m.floorGSN(max(rec.MaxGSN, rec.SnapshotCut))
 	m.wal = &walBinding[K, V]{log: cfg.Log, cfg: cfg}
 	if cfg.CheckpointBytes > 0 && cfg.Log.Stat().LiveBytes >= cfg.CheckpointBytes {
 		m.startCheckpoint()
@@ -259,16 +256,16 @@ func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V], rec *wal.Recovered) error 
 	return nil
 }
 
-// applyRecord is the one redo-apply path, shared by recovery (AttachWAL)
-// and replication (ReplayRecord): decode the record into t, then commit it
-// as ONE atomic transaction, so a multi-shard record applies all-or-nothing
-// exactly as it committed.  A decode error applies nothing.  The stamp
-// source is floored at gsn-1 before the commit and at gsn after (which also
-// covers records that publish nothing); floors never rewind.  So the commit
-// is stamped gsn unless the source had already passed it: never at recovery,
-// on a follower once the leader's log order and GSN order part (DESIGN.md
-// "Replication").  The commit is relogged when a log is attached (a
-// follower's) but not waited for: see ReplayRecord.
+// applyRecord is the one redo-apply path, shared by recovery (recoverWAL)
+// and replication (Applier's ReplayRecord): decode the record into t, then
+// commit it as ONE atomic transaction, so a multi-shard record applies
+// all-or-nothing exactly as it committed.  A decode error applies nothing.
+// The stamp source is floored at gsn-1 before the commit and at gsn after
+// (which also covers records that publish nothing); floors never rewind.
+// So the commit is stamped gsn unless the source had already passed it:
+// never at recovery, on a follower once the leader's log order and GSN
+// order part (DESIGN.md "Replication").  The commit is relogged when a log
+// is bound (a follower's) but not waited for: see Applier.
 func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn uint64, payload []byte) error {
 	if !m.enter(0) {
 		return ErrClosed
@@ -279,12 +276,12 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 		return fmt.Errorf("shard: applying record gsn=%d: %w", gsn, err)
 	}
 	if gsn > 0 {
-		m.FloorGSN(gsn - 1)
+		m.floorGSN(gsn - 1)
 	}
 	if _, err := m.commitTxn(t); err != nil {
 		return err
 	}
-	m.FloorGSN(gsn)
+	m.floorGSN(gsn)
 	return nil
 }
 
@@ -301,7 +298,7 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 // read).
 func (m *Map[K, V, A]) Checkpoint() error {
 	if m.wal == nil {
-		return errors.New("shard: no WAL attached")
+		return errors.New("shard: map has no log")
 	}
 	if !m.enter(0) {
 		return ErrClosed

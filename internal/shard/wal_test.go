@@ -12,7 +12,9 @@ import (
 	"mvgc/internal/wal"
 )
 
-func u64Codec() (func([]byte, uint64) []byte, func([]byte) (uint64, error)) {
+// u64WAL binds log with 8-byte little-endian uint64 codecs (a nil log
+// leaves only the codecs, for encoding payloads by hand).
+func u64WAL(log *wal.Log) *WALConfig[uint64, uint64] {
 	enc := func(dst []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(dst, x) }
 	dec := func(b []byte) (uint64, error) {
 		if len(b) != 8 {
@@ -20,7 +22,7 @@ func u64Codec() (func([]byte, uint64) []byte, func([]byte) (uint64, error)) {
 		}
 		return binary.LittleEndian.Uint64(b), nil
 	}
-	return enc, dec
+	return &WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
 }
 
 func newWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, struct{}], *wal.Log) {
@@ -32,17 +34,23 @@ func newWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, struct
 	return m, m.wal.log
 }
 
-// newU64Map builds the uint64 test map every WAL test shares: identity
-// hash, so key k lives on shard k % shards.
-func newU64Map(t *testing.T, shards int, initial []ftree.Entry[uint64, uint64]) *Map[uint64, uint64, struct{}] {
-	t.Helper()
-	m, err := New(
+// openU64Map builds the uint64 test map every WAL test shares: identity
+// hash, so key k lives on shard k % shards.  A non-nil w logs it and
+// recovers rec first, as New does.
+func openU64Map(shards int, initial []ftree.Entry[uint64, uint64], w *WALConfig[uint64, uint64], rec *wal.Recovered) (*Map[uint64, uint64, struct{}], error) {
+	return New(
 		Config[uint64]{Shards: shards, Procs: 4, Hash: func(k uint64) uint64 { return k }},
 		func() *ftree.Ops[uint64, uint64, struct{}] {
 			return ftree.New[uint64, uint64, struct{}](ftree.IntCmp[uint64], ftree.NoAug[uint64, uint64](), 0)
 		},
-		initial,
+		initial, w, rec,
 	)
+}
+
+// newU64Map is openU64Map without a log, failing t on error.
+func newU64Map(t *testing.T, shards int, initial []ftree.Entry[uint64, uint64]) *Map[uint64, uint64, struct{}] {
+	t.Helper()
+	m, err := openU64Map(shards, initial, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +65,8 @@ func reopenWALMap(t *testing.T, shards int, fs wal.FS) (*Map[uint64, uint64, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := u64Codec()
-	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
-	m := newU64Map(t, shards, nil)
-	if err := m.AttachWAL(cfg, rec); err != nil {
+	m, err := openU64Map(shards, nil, u64WAL(log), rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return m, rec
@@ -134,7 +140,7 @@ func TestShardWALRoundTrip(t *testing.T) {
 		tx.Delete(6)
 	}))
 	check(m.InsertBatch([]ftree.Entry[uint64, uint64]{{Key: 7, Val: 70}, {Key: 8, Val: 80}}, nil))
-	check(m.DeleteBatch([]uint64{8, 877}))
+	check(deleteAtomic(m, 8, 877))
 
 	check(m.groupCommit(m.CommitEach(func(tx *Txn[uint64, uint64, struct{}]) {
 		tx.Insert(9, 90)
@@ -178,8 +184,8 @@ func TestShardWALRoundTrip(t *testing.T) {
 // log and (b) a map logging to a MemFS.  After every step the two must hold
 // identical contents, and (b)'s log must have grown by exactly the step's
 // record count under exactly the step's number of group fsyncs.  Then (c) a
-// fresh map recovered from (b)'s log (AttachWAL) and (d) a follower-shaped
-// map fed the same records (ReplayRecord) must equal both, with the same
+// fresh map recovered from (b)'s log (New) and (d) a follower-shaped
+// map fed the same records (Applier) must equal both, with the same
 // CommitGSN — recovery and replication are one applyRecord.
 func TestWritePathDifferential(t *testing.T) {
 	type tmap = Map[uint64, uint64, struct{}]
@@ -209,7 +215,7 @@ func TestWritePathDifferential(t *testing.T) {
 		}, 1, 1}, // shards 3, 0 and 2
 		// Key 877 is absent: shard 1's leg shares its root, publishes nothing
 		// and logs nothing, like the point delete above.
-		{"DeleteBatch", func(m *tmap) error { return m.DeleteBatch([]uint64{8, 877}) }, 1, 1},
+		{"UpdateAtomic/deletes", func(m *tmap) error { return deleteAtomic(m, 8, 877) }, 1, 1},
 		{"UpdateAtomic/three-shards", func(m *tmap) error {
 			return m.UpdateAtomic(func(tx *txn) {
 				tx.Insert(3, 30)
@@ -309,7 +315,7 @@ func TestWritePathDifferential(t *testing.T) {
 		// A leg of nothing but deletes goes down as one multi-delete, on the
 		// leader and where the record is applied; key 99 (shard 3) is absent,
 		// so its leg logs nothing.
-		{"DeleteBatch/one-shard-run", func(m *tmap) error { return m.DeleteBatch([]uint64{24, 20, 99, 28}) }, 1, 1},
+		{"UpdateAtomic/delete-run", func(m *tmap) error { return deleteAtomic(m, 24, 20, 99, 28) }, 1, 1},
 		{"CommitEach", func(m *tmap) error { return each(m, func(tx *txn) { tx.Insert(9, 90) }) }, 1, 1},
 		{"CommitEach/delete", func(m *tmap) error { return each(m, func(tx *txn) { tx.Delete(12) }) }, 1, 1},
 		{"CommitEach/comb", func(m *tmap) error { return each(m, func(tx *txn) { tx.InsertWith(9, 9, add) }) }, 1, 1},
@@ -381,10 +387,10 @@ func TestWritePathDifferential(t *testing.T) {
 	want := dump(plain)
 	equal("script result", want, map[uint64]uint64{1: 1071, 3: 33, 5: 116, 7: 1071, 9: 19, 13: 5, 14: 140, 16: 160,
 		21: 3, 22: 5, 25: 4, 26: 6, 36: 7, 40: 3, 44: 3, 48: 4, 49: 2, 52: 3, 56: 2, 60: 1, 61: 4, 62: 5, 65: 3})
-	if plain.CommitGSN() != logged.CommitGSN() {
-		t.Errorf("CommitGSN: no log %d, logged %d", plain.CommitGSN(), logged.CommitGSN())
+	if CommitGSN(plain) != CommitGSN(logged) {
+		t.Errorf("CommitGSN: no log %d, logged %d", CommitGSN(plain), CommitGSN(logged))
 	}
-	gsn := logged.CommitGSN()
+	gsn := CommitGSN(logged)
 	if err := logged.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,24 +398,24 @@ func TestWritePathDifferential(t *testing.T) {
 	recovered, rec := reopenWALMap(t, 4, fs)
 	defer recovered.Close()
 	equal("recovered", dump(recovered), want)
-	if rec.MaxGSN != gsn || recovered.CommitGSN() != gsn {
-		t.Errorf("recovered CommitGSN %d (log max %d), want %d", recovered.CommitGSN(), rec.MaxGSN, gsn)
+	if rec.MaxGSN != gsn || CommitGSN(recovered) != gsn {
+		t.Errorf("recovered CommitGSN %d (log max %d), want %d", CommitGSN(recovered), rec.MaxGSN, gsn)
 	}
 
 	follower, _ := newWALMap(t, 4, wal.NewMemFS())
 	defer follower.Close()
 	for _, r := range rec.Records {
-		if err := follower.ReplayRecord(r.GSN, r.Payload); err != nil {
+		if err := Applier(follower).ReplayRecord(r.GSN, r.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	equal("follower", dump(follower), want)
-	if follower.CommitGSN() != gsn {
-		t.Errorf("follower CommitGSN %d, want %d", follower.CommitGSN(), gsn)
+	if CommitGSN(follower) != gsn {
+		t.Errorf("follower CommitGSN %d, want %d", CommitGSN(follower), gsn)
 	}
 }
 
-// TestRecoverWALReplayArms feeds AttachWAL hand-made records that take each
+// TestRecoverWALReplayArms feeds New hand-made records that take each
 // arm of replay — plain inserts with a repeated key (one batch), an insert
 // and a delete of the same key (in order), a lone insert — and requires
 // what applying every op in stream order gives.
@@ -428,12 +434,11 @@ func TestRecoverWALReplayArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := u64Codec()
-	cfg := WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}
+	cfg := u64WAL(log)
 	want := map[uint64]uint64{}
 	rec := &wal.Recovered{}
 	for i, ops := range records {
-		e := &walEnc[uint64, uint64]{cfg: &cfg}
+		e := &walEnc[uint64, uint64]{cfg: cfg}
 		for _, o := range ops {
 			if o.del {
 				e.appendDelete(o.k)
@@ -446,11 +451,11 @@ func TestRecoverWALReplayArms(t *testing.T) {
 		rec.Records = append(rec.Records, wal.Record{GSN: uint64(i + 1), Payload: e.buf})
 		rec.MaxGSN = uint64(i + 1)
 	}
-	m := newU64Map(t, 4, nil)
-	defer m.Close()
-	if err := m.AttachWAL(cfg, rec); err != nil {
+	m, err := openU64Map(4, nil, cfg, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	got := dump(m)
 	if len(got) != len(want) {
 		t.Fatalf("recovered %v, want %v", got, want)
@@ -460,8 +465,8 @@ func TestRecoverWALReplayArms(t *testing.T) {
 			t.Fatalf("recovered %v, want %v", got, want)
 		}
 	}
-	if m.CommitGSN() != rec.MaxGSN {
-		t.Fatalf("CommitGSN %d, want %d", m.CommitGSN(), rec.MaxGSN)
+	if CommitGSN(m) != rec.MaxGSN {
+		t.Fatalf("CommitGSN %d, want %d", CommitGSN(m), rec.MaxGSN)
 	}
 }
 
@@ -571,9 +576,8 @@ func TestShardWALCheckpointIdleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := u64Codec()
-	m := newU64Map(t, 4, nil)
-	if err := m.AttachWAL(WALConfig[uint64, uint64]{Log: log, EncKey: enc, DecKey: dec, EncVal: enc, DecVal: dec}, nil); err != nil {
+	m, err := openU64Map(4, nil, u64WAL(log), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for v := uint64(0); v < 2000; v++ {
@@ -587,8 +591,8 @@ func TestShardWALCheckpointIdleShard(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := log.Stat(); st.SnapshotCut != m.CommitGSN() || st.Segments != 1 {
-		t.Fatalf("checkpoint cut %d with CommitGSN %d and left %d segments; want the cut at CommitGSN and 1 segment", st.SnapshotCut, m.CommitGSN(), st.Segments)
+	if st := log.Stat(); st.SnapshotCut != CommitGSN(m) || st.Segments != 1 {
+		t.Fatalf("checkpoint cut %d with CommitGSN %d and left %d segments; want the cut at CommitGSN and 1 segment", st.SnapshotCut, CommitGSN(m), st.Segments)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

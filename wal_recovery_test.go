@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mvgc"
+	"mvgc/internal/shard"
 	"mvgc/internal/wal"
 )
 
@@ -93,7 +94,9 @@ func walScript() []walStep {
 		{name: "atomic-5-9", atomic: true, run: func(db *DB) error {
 			return db.UpdateAtomic(func(t *Txn) { t.Insert(5, 51); t.Insert(9, 91) })
 		}, eff: []walEffect{{k: 5, v: 51}, {k: 9, v: 91}}},
-		{name: "deletebatch-4-10", atomic: true, run: func(db *DB) error { return db.DeleteBatch([]uint64{4, 10}) },
+		{name: "atomic-delete-4-10", atomic: true, run: func(db *DB) error {
+			return db.UpdateAtomic(func(t *Txn) { t.Delete(4); t.Delete(10) })
+		},
 			eff: []walEffect{{k: 4, del: true}, {k: 10, del: true}}},
 		{name: "atomic-12", run: func(db *DB) error {
 			return db.UpdateAtomic(func(t *Txn) { t.Insert(12, 120) })
@@ -258,7 +261,7 @@ func TestDBWALBatchCrash(t *testing.T) {
 					}
 				})
 				if err == nil {
-					err = db.WAL().CommitTo(mark)
+					err = shard.WAL(db).CommitTo(mark)
 				}
 				errs[w] = err
 			}
