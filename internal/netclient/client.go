@@ -435,11 +435,17 @@ func (c *Client) ScanChunkAsync(lo int64, n int, excl bool) *Pending {
 func (c *Client) LenAsync() *Pending { return c.send(netproto.CmdLen) }
 
 // MCASAsync pipelines MCAS k1 e1 n1 [...]: swap every keys[i] from
-// expects[i] to news[i] atomically, all or nothing.
+// expects[i] to news[i] atomically, all or nothing.  A frame over
+// netproto.MaxArgs — more than (MaxArgs-1)/3 keys — fails here: the server
+// would drop the connection for it.
 func (c *Client) MCASAsync(keys, expects, news []int64) *Pending {
 	p := new(Pending)
 	if len(keys) == 0 || len(keys) != len(expects) || len(keys) != len(news) {
 		p.completeErr(&errorBox{errors.New("netclient: MCAS wants equal-length non-empty key/expect/new slices")})
+		return p
+	}
+	if 1+3*len(keys) > netproto.MaxArgs {
+		p.completeErr(&errorBox{fmt.Errorf("netclient: MCAS of %d keys exceeds the frame bound of %d", len(keys), (netproto.MaxArgs-1)/3)})
 		return p
 	}
 	c.mu.Lock()
@@ -595,11 +601,12 @@ type Scanner struct {
 }
 
 // Scanner starts an iteration at keys ≥ lo fetching pages of the given
-// size (<= 0 means 512).
+// size (<= 0 means 512; above netproto.MaxScanPage means that bound).
 func (c *Client) Scanner(lo int64, chunk int) *Scanner {
 	if chunk <= 0 {
 		chunk = 512
 	}
+	chunk = min(chunk, netproto.MaxScanPage)
 	return &Scanner{c: c, chunk: chunk, cur: lo, i: -1, more: true}
 }
 

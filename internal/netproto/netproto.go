@@ -88,6 +88,9 @@ const (
 	MaxArgs = 4096
 	// MaxBulk bounds one bulk string's length.
 	MaxBulk = 1 << 20
+	// MaxScanPage bounds one SCANC page's entries: its reply carries two
+	// more elements (more, next) ahead of the pairs.
+	MaxScanPage = (MaxArgs - 2) / 2
 )
 
 // maxFrame bounds one whole frame, headers included: one MaxBulk payload
@@ -604,6 +607,10 @@ func (w *Writer) Null() { w.bw.WriteString("$-1\r\n") }
 // calls) must follow.  SCAN replies are arrays of 2m integers: the m
 // scanned entries' keys and values, alternating, in ascending key order.
 func (w *Writer) BeginArray(n int) { w.lineInt(KindArray, int64(n)) }
+
+// Write passes frames another Writer has already encoded through to the
+// buffer.
+func (w *Writer) Write(p []byte) (int, error) { return w.bw.Write(p) }
 
 // Flush writes buffered frames to the connection and reports the sticky
 // write error, if any.

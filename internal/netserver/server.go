@@ -2,31 +2,26 @@
 // mvgc.DB: the front door that turns N sockets' traffic into the
 // concurrency shape the underlying store amortizes best.
 //
-// Each accepted connection runs two goroutines joined by a ring of
-// response slots, single-producer single-consumer:
+// Each accepted connection runs two goroutines:
 //
-//   - The read loop decodes requests (netproto) and never blocks on a
-//     response.  It leases the next slot of the ring for every request,
-//     which fixes the response's place on the wire.  Consecutive requests
-//     of one kind that are already in the input buffer form a run, and a
-//     run is executed as soon as it cannot grow without waiting: GETs as
-//     one read transaction per shard (mvgc.DB.GetBatch, see getRun), SETs
-//     and DELs as one commit per shard (mvgc.DB.CommitEach, see writeRun),
-//     which does not wait for the log.  So a pipelined GET reads its own
-//     connection's earlier writes.  MCAS runs mvgc.DB.UpdateAtomicKeys
-//     inline.
-//   - The writer walks the ring in order up to one watermark, ready, so
-//     pipelined replies come back in protocol order.  The read loop
-//     publishes its tail there whenever no run is queued — every slot
-//     before it is filled — and a run fills all its slots before it
-//     publishes once.  A write's slot carries its run's log mark: before it
-//     encodes that +OK the writer flushes what it has encoded and makes the
-//     log durable up to the mark (wal.Log.CommitTo), so an acknowledged
-//     write is durable and the read loop never waits on an fsync.  The
-//     writer sleeps only once it has caught up with ready, after flushing,
-//     and the next publication is the one thing that wakes it: a burst of
-//     requests costs the two goroutines one scheduler interaction, not one
-//     per request.
+//   - The read loop decodes requests (netproto), executes them in request
+//     order and encodes every reply itself, into a buffer the connection
+//     owns, so a reply's place on the wire is where it was encoded.
+//     Consecutive requests of one kind that are already in the input buffer
+//     form a run, and a run is executed as soon as it cannot grow without
+//     waiting: GETs as one read transaction per shard (mvgc.DB.GetBatch,
+//     see getRun), SETs and DELs as one commit per shard
+//     (mvgc.DB.CommitEach, see flushWrites), which does not wait for the
+//     log.  So a pipelined GET reads its own connection's earlier writes.
+//     MCAS runs mvgc.DB.UpdateAtomicKeys inline.
+//   - The writer puts the replies on the socket.  The read loop hands it
+//     everything encoded so far (publish) at the end of each run and after
+//     each lone reply; the writer takes all of it at once, so a burst of
+//     requests costs the two goroutines one handoff, not one per request.
+//     A write run's replies travel as a count and the run's log mark: the
+//     writer sends what precedes them, makes the log durable up to the mark
+//     (wal.Log.CommitTo) and only then writes the +OKs, so an acknowledged
+//     write is durable and the read loop never waits on an fsync.
 //
 // N connections × D-deep pipelines keep N×D requests in flight on 2N
 // goroutines; a burst of D writes is O(shards) commits, and the writers
@@ -35,16 +30,16 @@
 // commits-per-op).
 //
 // Backpressure is layered: a connection may have at most
-// Config.MaxPipeline responses outstanding (the read loop stalls in lease
-// beyond that), and Config.MaxConns bounds connections being served
-// concurrently.
+// Config.MaxPipeline replies outstanding — accepted by the read loop and
+// not yet written by the writer, which counts them per handoff; the read
+// loop waits in reserve beyond that — and Config.MaxConns bounds
+// connections being served concurrently.
 package netserver
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"net"
 	"runtime"
 	"strconv"
@@ -297,74 +292,43 @@ func (s *Server) Conns() int64 {
 	return int64(len(s.conns))
 }
 
-// respKind discriminates a slot's prepared response.
-type respKind uint8
-
-const (
-	respOK respKind = iota
-	respPong
-	respErr
-	respInt
-	respValue // BulkInt(n)
-	respNull
-	respBulk  // Bulk([]byte(msg))
-	respArray // BeginArray(len(arr)) + Int per element
-	respClose // no response: the read loop is done and the writer exits
-)
-
-// slot is one in-flight response: leased from the connection's ring at
-// decode time, filled by the read loop — at once, or when the run it
-// belongs to executes — and encoded by the writer in ring order once the
-// read loop has published past it.
-type slot struct {
-	kind respKind
-	n    int64
-	msg  string
-	// mark is a committed write's log watermark: the writer makes the log
-	// durable up to it before it encodes the reply.  0 when there is
-	// nothing to wait for.
-	mark int64
-	// arr carries an array reply's integer elements (SCAN's alternating
-	// key/value stream).  The backing array survives recycling, so a warm
-	// connection's scans stop allocating once a slot has grown to the
-	// largest scan it has served.
-	arr []int64
-}
-
-// conn is one served connection.  Its two goroutines share ring, an SPSC
-// queue of response slots: the read loop owns tail and is the only one to
-// lease, the writer owns head and is the only one to release.
+// conn is one served connection.  The read loop encodes replies into enc
+// and publishes them to pend; the writer takes pend whole, under mu.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	ring []slot // power-of-two length ≥ MaxPipeline
-	tail uint64 // next position to lease; read loop only
-	// head is the writer's position; it stores, the read loop loads it to
-	// hold tail-head at MaxPipeline.
-	head atomic.Uint64
-	// ready is how far the responses are complete: the read loop stores its
-	// tail there (publish), the writer encodes up to it.
-	ready atomic.Uint64
-	// asleep is the writer's declaration that it has caught up with ready
-	// and sleeps; the publication that sees it sends the one token on wake.
-	asleep atomic.Bool
-	wake   chan struct{}
-	// stalled is the read loop's declaration that it waits for head to
-	// move; the release that sees it sends the one token on space.
-	stalled atomic.Bool
-	space   chan struct{}
+	// w encodes the read loop's replies into enc; read loop only.
+	w   *netproto.Writer
+	enc batch
+	// accepted counts the replies the read loop owes; read loop only.
+	accepted int64
+	// written counts the replies the writer has put on the socket.  The
+	// writer stores it under mu; the read loop loads it to hold
+	// accepted-written at MaxPipeline.
+	written atomic.Int64
+
+	// mu guards the handoff: pend holds the replies published and not yet
+	// taken, ready counts every reply published, and done says the read
+	// loop has returned.  more wakes the writer, room the read loop.
+	mu    sync.Mutex
+	more  sync.Cond
+	room  sync.Cond
+	pend  batch
+	ready int64
+	done  bool
 
 	// gets and writes are the runs of GETs and of SETs/DELs decoded and not
 	// yet executed, at most one of them non-empty; read loop only.
 	gets   getRun
-	writes writeRun
+	writes []writeOp
 	// synced is how far the writer has seen the log made durable; writer
 	// only.
 	synced int64
 
-	// mcas is execMCAS's scratch; an MCAS runs to completion on the read
-	// loop, so nothing outlives the call.
+	// scan collects a SCAN or SCANC reply's elements, and mcas is
+	// execMCAS's scratch; both run to completion on the read loop.
+	scan []int64
 	mcas struct{ keys, expects, news []int64 }
 
 	// repl, when set by a REPL command, hands the connection over to the
@@ -373,20 +337,33 @@ type conn struct {
 	repl *replHandoff
 }
 
+// batch is a stretch of encoded replies.  An ack stands where a committed
+// write run's replies belong: the writer sends the bytes before it, waits
+// for the log, and then answers the run.
+type batch struct {
+	b    []byte
+	acks []ack
+}
+
+// ack is a write run's n replies, due once the log is durable up to mark;
+// off is their place in the batch's bytes.
+type ack struct {
+	off, n int
+	mark   int64
+}
+
+// Write appends encoded replies: the read loop's netproto.Writer flushes
+// into enc.
+func (b *batch) Write(p []byte) (int, error) {
+	b.b = append(b.b, p...)
+	return len(p), nil
+}
+
 func (s *Server) newConn(nc net.Conn) *conn {
-	return &conn{
-		srv:   s,
-		nc:    nc,
-		ring:  make([]slot, 1<<bits.Len(uint(s.cfg.MaxPipeline-1))),
-		wake:  make(chan struct{}, 1),
-		space: make(chan struct{}, 1),
-		gets: getRun{
-			keys:  make([]int64, 0, getRunCap),
-			vals:  make([]int64, getRunCap),
-			found: make([]bool, getRunCap),
-			slots: make([]*slot, 0, getRunCap),
-		},
-	}
+	c := &conn{srv: s, nc: nc}
+	c.w = netproto.NewWriterSize(&c.enc, 4<<10)
+	c.more.L, c.room.L = &c.mu, &c.mu
+	return c
 }
 
 // replHandoff carries a REPL command's arguments from the read loop to
@@ -432,7 +409,7 @@ func (s *Server) handle(nc net.Conn) {
 		c.writeLoop()
 	}()
 	c.readLoop()
-	c.closeRing()
+	c.finish()
 	writerWG.Wait()
 	if c.repl != nil {
 		// RESP is fully drained (+OK for REPL was the writer's last
@@ -461,127 +438,112 @@ func (s *Server) runShipper(nc net.Conn, h *replHandoff) {
 	close(stopped)
 }
 
-// lease takes the next slot of the ring for a response, which fixes the
-// response's place on the wire: leases happen in request order, before the
-// operation that will fill the slot.  With MaxPipeline responses
-// outstanding it waits for the writer to release one — the pipeline-depth
-// backpressure — executing the queued run first.  A recycled slot
-// carries the previous response's payload, so every field a handler might
-// leave unset is cleared here — a handler that sets kind but not n (MCAS's
-// failure path, say) must not echo a stale value.
-func (c *conn) lease() *slot {
-	full := func() bool { return c.tail-c.head.Load() >= uint64(c.srv.cfg.MaxPipeline) }
-	for full() {
-		// The writer may be waiting on a queued request's slot: execute the
-		// run before waiting for the writer.
+// reserve counts one more reply owed, before the request it answers is
+// executed.  With MaxPipeline replies outstanding it waits for the writer
+// to put some on the wire — the pipeline-depth backpressure — after
+// executing the queued run, whose replies the writer may be waiting for.
+func (c *conn) reserve() {
+	limit := int64(c.srv.cfg.MaxPipeline)
+	if c.accepted-c.written.Load() >= limit {
 		c.flush()
-		c.stalled.Store(true)
-		// Between the check and the declaration the writer may have
-		// released without seeing it: look again before sleeping, and take
-		// the token only if a release has claimed the declaration.
-		if full() || !c.stalled.CompareAndSwap(true, false) {
-			<-c.space
+		c.mu.Lock()
+		for c.accepted-c.written.Load() >= limit {
+			c.room.Wait()
 		}
+		c.mu.Unlock()
 	}
-	sl := &c.ring[c.tail&uint64(len(c.ring)-1)]
-	c.tail++
-	sl.kind = 0
-	sl.n = 0
-	sl.mark = 0
-	sl.arr = sl.arr[:0]
-	return sl
+	c.accepted++
 }
 
-// publish hands the writer every slot leased so far, waking it if it
-// sleeps.  It must not run while a run is queued, whose slots are leased but
-// not filled: a run fills all its slots, then publishes once, and a lone
-// response is published as soon as it is filled.
+// publish hands the writer every reply encoded so far.  It must not run
+// while a run is queued, whose replies are reserved but not encoded: a run
+// encodes all its replies, then publishes once, and a lone reply is
+// published as soon as it is encoded.
 func (c *conn) publish() {
-	c.ready.Store(c.tail)
-	if c.asleep.Load() && c.asleep.CompareAndSwap(true, false) {
-		c.wake <- struct{}{}
+	c.w.Flush()
+	c.mu.Lock()
+	for _, a := range c.enc.acks {
+		a.off += len(c.pend.b)
+		c.pend.acks = append(c.pend.acks, a)
 	}
+	c.pend.b = append(c.pend.b, c.enc.b...)
+	c.enc.b, c.enc.acks = c.enc.b[:0], c.enc.acks[:0]
+	c.ready = c.accepted
+	c.mu.Unlock()
+	c.more.Signal()
 }
 
-// closeRing ends the response stream: the writer drains every response
-// leased before this marker, flushes, and exits when it reaches it.
-func (c *conn) closeRing() {
-	c.lease().kind = respClose
-	c.publish()
+// finish ends the reply stream: the writer sends everything published and
+// exits.
+func (c *conn) finish() {
+	c.mu.Lock()
+	c.done = true
+	c.mu.Unlock()
+	c.more.Signal()
 }
 
-// writeLoop encodes responses in ring order, up to the published
-// watermark.  Once it catches up it flushes everything already encoded, so
-// a stalled run never withholds earlier responses from the client, and
-// sleeps until the next publication: a burst of responses behind a
-// sleeping writer costs one scheduler interaction, and a writer that keeps
-// finding responses published costs none.  A slot with a mark past synced
-// is a write not yet known durable: the writer flushes, waits for the log
-// (the one wait covers the rest of the run, and whatever else the same
-// fsync covered) and answers -ERR if the log fails.  Write errors go sticky
-// inside the buffered writer; the loop keeps draining to the close marker.
+// writeLoop takes whatever the read loop has published, sends it and
+// flushes, so one socket write carries every reply published while the
+// last one was in flight; it sleeps only when nothing is published.  At an
+// ack past synced — a write not yet known durable — it flushes, waits for
+// the log (the one wait covers the rest of the run, and whatever else the
+// same fsync covered) and answers -ERR if the log fails.  Write errors go
+// sticky inside the buffered writer; the loop keeps draining until the
+// read loop is done.
 func (c *conn) writeLoop() {
 	w := netproto.NewWriter(c)
-	defer w.Flush()
-	var ready uint64
-	for head := uint64(0); ; head++ {
-		for ready == head {
-			if ready = c.ready.Load(); ready == head {
-				w.Flush()
-				c.asleep.Store(true)
-				// A publication between the load and the declaration may not
-				// have seen it: look again before sleeping, and take the token
-				// only if a publication has claimed the declaration.
-				if c.ready.Load() == head || !c.asleep.CompareAndSwap(true, false) {
-					<-c.wake
-				}
-			}
+	var b batch
+	var taken int64
+	for {
+		c.mu.Lock()
+		c.written.Store(taken)
+		c.room.Signal()
+		for c.ready == taken && !c.done {
+			c.more.Wait()
 		}
-		sl := &c.ring[head&uint64(len(c.ring)-1)]
-		if sl.mark > c.synced {
-			w.Flush()
-			if err := c.srv.log.CommitTo(sl.mark); err != nil {
-				sl.kind, sl.msg = respErr, "ERR "+err.Error()
-			} else {
-				c.synced = sl.mark
-			}
-		}
-		switch sl.kind {
-		case respClose:
+		if c.ready == taken {
+			c.mu.Unlock()
 			return
-		case respOK:
-			w.Simple("OK")
-		case respPong:
-			w.Simple("PONG")
-		case respErr:
-			w.Error(sl.msg)
-		case respInt:
-			w.Int(sl.n)
-		case respValue:
-			w.BulkInt(sl.n)
-		case respNull:
-			w.Null()
-		case respBulk:
-			w.Bulk([]byte(sl.msg))
-		case respArray:
-			w.BeginArray(len(sl.arr))
-			for _, v := range sl.arr {
-				w.Int(v)
+		}
+		b, c.pend = c.pend, b
+		taken = c.ready
+		c.mu.Unlock()
+		off := 0
+		for _, a := range b.acks {
+			w.Write(b.b[off:a.off])
+			off = a.off
+			c.answer(w, a)
+		}
+		w.Write(b.b[off:])
+		w.Flush()
+		b.b, b.acks = b.b[:0], b.acks[:0]
+	}
+}
+
+// answer writes a write run's replies once the log is durable up to its
+// mark: +OK each, or -ERR if the log failed.
+func (c *conn) answer(w *netproto.Writer, a ack) {
+	if a.mark > c.synced {
+		w.Flush()
+		if err := c.srv.log.CommitTo(a.mark); err != nil {
+			msg := "ERR " + err.Error()
+			for range a.n {
+				w.Error(msg)
 			}
+			return
 		}
-		sl.msg = ""
-		c.head.Store(head + 1)
-		if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
-			c.space <- struct{}{}
-		}
+		c.synced = a.mark
+	}
+	for range a.n {
+		w.Simple("OK")
 	}
 }
 
 // Write makes the socket the writer's output, the mirror of Read.  Once the
 // server stops, each socket write has drainGrace to finish: to a client that
 // stops reading it fails, the error goes sticky in the encoder, and the
-// writer drains the ring without the socket.  A writer waiting on the log
-// writes nothing meanwhile, so a slow fsync is never cut.
+// writer drains without the socket.  A writer waiting on the log writes
+// nothing meanwhile, so a slow fsync is never cut.
 func (c *conn) Write(p []byte) (int, error) {
 	if c.srv.closed.Load() {
 		c.nc.SetWriteDeadline(time.Now().Add(drainGrace))
@@ -592,11 +554,11 @@ func (c *conn) Write(p []byte) (int, error) {
 // fail answers with an error response; the connection survives (framing
 // is intact — parse errors of VALUES are command errors, not protocol
 // errors).  A malformed GET or SET arrives with its kind's run queued, so
-// that run executes first: publish must not pass its unfilled slots.
+// that run executes first: its replies come before this one.
 func (c *conn) fail(msg string) {
 	c.flush()
-	sl := c.lease()
-	sl.kind, sl.msg = respErr, msg
+	c.reserve()
+	c.w.Error(msg)
 	c.publish()
 }
 
@@ -638,10 +600,10 @@ func (c *conn) flush() {
 }
 
 // readLoop decodes and dispatches until EOF, a protocol error, or
-// shutdown.  It never waits for a response: the only thing that blocks it
-// is its own backpressure bound (MaxPipeline).  A run never crosses another
-// kind of command: the queued run is executed before it, in the
-// connection's order.
+// shutdown.  It never waits for a reply to be written: the only thing that
+// blocks it is its own backpressure bound (MaxPipeline).  A run never
+// crosses another kind of command: the queued run is executed before it,
+// in the connection's order.
 func (c *conn) readLoop() {
 	// Whatever ends the loop, the requests it accepted are executed.
 	defer c.flush()
@@ -680,7 +642,8 @@ func (c *conn) readLoop() {
 		case eqFold(name, netproto.CmdMCAS):
 			c.execMCAS(&cmd)
 		case eqFold(name, netproto.CmdPing):
-			c.lease().kind = respPong
+			c.reserve()
+			c.w.Simple("PONG")
 			c.publish()
 		case eqFold(name, netproto.CmdStats):
 			c.execStats()
@@ -690,7 +653,8 @@ func (c *conn) readLoop() {
 			}
 		case eqFold(name, netproto.CmdPromote):
 			c.srv.Promote()
-			c.lease().kind = respOK
+			c.reserve()
+			c.w.Simple("OK")
 			c.publish()
 		default:
 			c.fail(fmt.Sprintf("ERR unknown command %q", name))
@@ -699,7 +663,10 @@ func (c *conn) readLoop() {
 }
 
 // execWrite queues one SET (or, with del, one DEL) on the connection's
-// write run.
+// write run: a run of consecutive SETs and DELs that were all in the input
+// buffer together, the write-side mirror of getRun, ended on the same
+// conditions but for the count, since MaxPipeline and the read buffer
+// already bound it.
 func (c *conn) execWrite(cmd *netproto.Command, del bool) {
 	if c.srv.readOnly.Load() {
 		c.fail("READONLY following a leader; PROMOTE to enable writes")
@@ -723,23 +690,8 @@ func (c *conn) execWrite(cmd *netproto.Command, del bool) {
 		c.fail("ERR bad integer")
 		return
 	}
-	sl := c.lease()
-	sl.kind = respOK
-	w := &c.writes
-	w.ops, w.slots = append(w.ops, writeOp{key: k, val: v, del: del}), append(w.slots, sl)
-}
-
-// writeRun is a run of consecutive SETs and DELs that were all in the input
-// buffer together: their slots are leased, in request order, and their
-// writes wait to be committed together — the write-side mirror of getRun,
-// ended on the same conditions but for the count, since MaxPipeline and the
-// read buffer already bound it.  flushWrites commits the run without waiting
-// for the log, one commit per shard it touches (mvgc.DB.CommitEach), each
-// applying its share in request order, and hands the log mark to the
-// writer through the slots.
-type writeRun struct {
-	ops   []writeOp
-	slots []*slot // slots[i] answers ops[i]
+	c.reserve()
+	c.writes = append(c.writes, writeOp{key: k, val: v, del: del})
 }
 
 type writeOp struct {
@@ -747,16 +699,17 @@ type writeOp struct {
 	del      bool
 }
 
-// flushWrites commits the queued write run and publishes its slots, each
-// carrying the run's log mark, or -ERR if the commit failed.
+// flushWrites commits the queued write run without waiting for the log,
+// one commit per shard it touches (mvgc.DB.CommitEach), each applying its
+// share in request order, and publishes the run's replies: an ack carrying
+// the log mark, or -ERR each if the commit failed.
 func (c *conn) flushWrites() {
-	w := &c.writes
-	n := len(w.ops)
+	n := len(c.writes)
 	if n == 0 {
 		return
 	}
 	mark, err := c.srv.db.CommitEach(func(t *mvgc.DBTxn[int64, int64, int64]) {
-		for _, op := range w.ops {
+		for _, op := range c.writes {
 			if op.del {
 				t.Delete(op.key)
 			} else {
@@ -764,19 +717,25 @@ func (c *conn) flushWrites() {
 			}
 		}
 	})
-	for _, sl := range w.slots {
-		if err != nil {
-			sl.kind, sl.msg = respErr, "ERR "+err.Error()
-		} else {
-			sl.mark = mark
+	c.writes = c.writes[:0]
+	if err != nil {
+		msg := "ERR " + err.Error()
+		for range n {
+			c.w.Error(msg)
 		}
-	}
-	w.ops, w.slots = w.ops[:0], w.slots[:0]
-	c.publish()
-	if err == nil {
+	} else {
+		c.ack(n, mark)
 		c.srv.writeRuns.Add(1)
 		c.srv.writes.Add(int64(n))
 	}
+	c.publish()
+}
+
+// ack places n replies of a committed write run after everything encoded
+// so far: the writer answers them once the log is durable up to mark.
+func (c *conn) ack(n int, mark int64) {
+	c.w.Flush()
+	c.enc.acks = append(c.enc.acks, ack{off: len(c.enc.b), n: n, mark: mark})
 }
 
 // getRunCap bounds a read run, and with it how long one run holds the
@@ -786,22 +745,21 @@ func (c *conn) flushWrites() {
 const getRunCap = 256
 
 // getRun is a run of consecutive GETs that were all in the input buffer
-// together: their slots are leased, in request order, and their lookups
+// together: their replies are reserved, in request order, and their lookups
 // wait to be executed as one batch — N pipelined GETs cost one read
 // transaction per shard, and their tree descents overlap
 // (ftree.Ops.FindBatch).  Nothing here ever waits.  flushGets runs the
 // moment the run cannot grow without waiting: before any other command is
 // dispatched or an error answered, before the read loop goes back to the
-// socket (conn.Read), before a lease that would block on MaxPipeline, at
-// getRunCap keys, and on the way out of the read loop.  So each key is read from a version acquired after its GET arrived and
-// before its reply is written, exactly as when every GET was its own
-// transaction.
+// socket (conn.Read), before a reserve that would block on MaxPipeline, at
+// getRunCap keys, and on the way out of the read loop.  So each key is read
+// from a version acquired after its GET arrived and before its reply is
+// written, exactly as when every GET was its own transaction.
 type getRun struct {
-	keys  []int64
-	slots []*slot // slots[i] answers keys[i]
-	// vals and found receive a flush's results; getRunCap long.
-	vals  []int64
-	found []bool
+	keys []int64
+	// vals and found receive a flush's results.
+	vals  [getRunCap]int64
+	found [getRunCap]bool
 }
 
 // execGet queues one GET on the connection's read run.
@@ -815,17 +773,17 @@ func (c *conn) execGet(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
+	c.reserve()
 	g := &c.gets
-	sl := c.lease()
-	g.keys, g.slots = append(g.keys, k), append(g.slots, sl)
+	g.keys = append(g.keys, k)
 	if len(g.keys) == getRunCap {
 		c.flushGets()
 	}
 }
 
-// flushGets executes the queued read run and publishes its slots.  A lone
-// GET — every GET of a client that sends one request at a time — is the
-// cached-handle point read, 0 B/op on the store side.
+// flushGets executes the queued read run and publishes its replies.  A
+// lone GET — every GET of a client that sends one request at a time — is
+// the cached-handle point read, 0 B/op on the store side.
 func (c *conn) flushGets() {
 	g := &c.gets
 	n := len(g.keys)
@@ -835,16 +793,16 @@ func (c *conn) flushGets() {
 	case 1:
 		g.vals[0], g.found[0] = c.srv.db.Get(g.keys[0])
 	default:
-		c.srv.db.GetBatch(g.keys, g.vals, g.found)
+		c.srv.db.GetBatch(g.keys, g.vals[:n], g.found[:n])
 	}
-	for i, sl := range g.slots {
+	for i := range n {
 		if g.found[i] {
-			sl.kind, sl.n = respValue, g.vals[i]
+			c.w.BulkInt(g.vals[i])
 		} else {
-			sl.kind = respNull
+			c.w.Null()
 		}
 	}
-	g.keys, g.slots = g.keys[:0], g.slots[:0]
+	g.keys = g.keys[:0]
 	c.publish()
 	c.srv.getRuns.Add(1)
 	c.srv.gets.Add(int64(n))
@@ -861,9 +819,10 @@ func (c *conn) execSum(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
-	sl := c.lease()
-	sl.kind = respInt
-	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.AugRange(lo, hi) })
+	c.reserve()
+	var sum int64
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sum = sn.AugRange(lo, hi) })
+	c.w.Int(sum)
 	c.publish()
 }
 
@@ -872,11 +831,11 @@ func (c *conn) execSum(cmd *netproto.Command) {
 const maxScanEntries = netproto.MaxArgs / 2
 
 // execScan streams up to n entries with keys ≥ lo — the loser-tree merge
-// over all shards — into the slot's reusable element buffer and replies
-// with an array of alternating keys and values in ascending key order.
-// Like SUM and LEN it reads one ViewConsistent cut, so a concurrent MCAS
-// is never seen half-applied mid-scan.  It runs inline on the read loop
-// against pinned snapshots, so it never blocks writers.
+// over all shards — into the connection's reusable element buffer and
+// replies with an array of alternating keys and values in ascending key
+// order.  Like SUM and LEN it reads one ViewConsistent cut, so a
+// concurrent MCAS is never seen half-applied mid-scan.  It runs inline on
+// the read loop against pinned snapshots, so it never blocks writers.
 func (c *conn) execScan(cmd *netproto.Command) {
 	if len(cmd.Args) != 3 {
 		c.fail("ERR wrong number of arguments")
@@ -892,20 +851,26 @@ func (c *conn) execScan(cmd *netproto.Command) {
 		c.fail(fmt.Sprintf("ERR scan count must be in [0, %d]", maxScanEntries))
 		return
 	}
-	sl := c.lease()
-	sl.kind = respArray
+	c.reserve()
+	c.scan = c.scan[:0]
 	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
 		sn.ScanFunc(lo, int(n), func(k, v int64) bool {
-			sl.arr = append(sl.arr, k, v)
+			c.scan = append(c.scan, k, v)
 			return true
 		})
 	})
-	c.publish()
+	c.replyScan()
 }
 
-// maxCursorEntries bounds one SCANC chunk: the reply carries two extra
-// integers (more + next) ahead of the pairs.
-const maxCursorEntries = (netproto.MaxArgs - 2) / 2
+// replyScan encodes the collected elements as one array reply and
+// publishes it.
+func (c *conn) replyScan() {
+	c.w.BeginArray(len(c.scan))
+	for _, v := range c.scan {
+		c.w.Int(v)
+	}
+	c.publish()
+}
 
 // execScanCursor is the cursor-style chunked scan, with the chunking
 // driven by the client: each SCANC page is one ScanFunc over its own
@@ -932,40 +897,38 @@ func (c *conn) execScanCursor(cmd *netproto.Command) {
 		c.fail("ERR bad integer")
 		return
 	}
-	if n < 1 || n > maxCursorEntries {
-		c.fail(fmt.Sprintf("ERR scan count must be in [1, %d]", maxCursorEntries))
+	if n < 1 || n > netproto.MaxScanPage {
+		c.fail(fmt.Sprintf("ERR scan count must be in [1, %d]", netproto.MaxScanPage))
 		return
 	}
-	sl := c.lease()
-	sl.kind = respArray
-	sl.arr = append(sl.arr, 0, lo) // [more, next] backfilled below
+	c.reserve()
+	c.scan = append(c.scan[:0], 0, lo) // [more, next] backfilled below
 	start := lo
 	if excl != 0 {
 		if lo == math.MaxInt64 { // nothing can follow the cursor
-			c.publish()
+			c.replyScan()
 			return
 		}
 		start = lo + 1
 	}
 	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
 		sn.ScanFunc(start, int(n)+1, func(k, v int64) bool {
-			if int64(len(sl.arr))-2 >= 2*n {
-				sl.arr[0] = 1 // the probe entry: more remain
+			if int64(len(c.scan))-2 >= 2*n {
+				c.scan[0] = 1 // the probe entry: more remain
 				return false
 			}
-			sl.arr = append(sl.arr, k, v)
-			sl.arr[1] = k
+			c.scan = append(c.scan, k, v)
+			c.scan[1] = k
 			return true
 		})
 	})
-	c.publish()
+	c.replyScan()
 }
 
 // execRepl validates a REPL handshake and schedules the connection
 // handover; it reports whether the read loop should return.  The +OK
-// travels through the normal slot path, so any pipelined commands ahead
-// of REPL are answered first and the handover happens at a clean frame
-// boundary.
+// travels the normal reply path, so any pipelined commands ahead of REPL
+// are answered first and the handover happens at a clean frame boundary.
 func (c *conn) execRepl(cmd *netproto.Command) bool {
 	if len(cmd.Args) != 4 || string(cmd.Args[1]) != repl.Proto {
 		// Includes the first protocol's REPL <afterGSN> <floor>: its follower
@@ -984,15 +947,17 @@ func (c *conn) execRepl(cmd *netproto.Command) bool {
 		return false
 	}
 	c.repl = &replHandoff{afterGSN: after, floor: floor}
-	c.lease().kind = respOK
+	c.reserve()
+	c.w.Simple("OK")
 	c.publish()
 	return true
 }
 
 func (c *conn) execLen() {
-	sl := c.lease()
-	sl.kind = respInt
-	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sl.n = sn.Len() })
+	c.reserve()
+	var n int64
+	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { n = sn.Len() })
+	c.w.Int(n)
 	c.publish()
 }
 
@@ -1024,15 +989,15 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 		keys, expects, news = append(keys, k), append(expects, e), append(news, n)
 	}
 	c.mcas.keys, c.mcas.expects, c.mcas.news = keys, expects, news
-	swapped := false
+	var swapped int64 // the reply: 1 swapped, 0 conflict
 	err := c.srv.db.UpdateAtomicKeys(keys, func(t *mvgc.DBTxn[int64, int64, int64]) {
-		swapped = false // f may re-run if the attempt restarts
+		swapped = 0 // f may re-run if the attempt restarts
 		for i, k := range keys {
 			if v, ok := t.Get(k); !ok || v != expects[i] {
 				return // no intents buffered: nothing commits
 			}
 		}
-		swapped = true
+		swapped = 1
 		for i, k := range keys {
 			t.Insert(k, news[i])
 		}
@@ -1043,11 +1008,8 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 		c.fail("ERR " + err.Error())
 		return
 	}
-	sl := c.lease()
-	sl.kind = respInt
-	if swapped {
-		sl.n = 1
-	}
+	c.reserve()
+	c.w.Int(swapped)
 	c.publish()
 }
 
@@ -1064,8 +1026,7 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 // in them (gets/get_runs = GETs per read run).
 func (c *conn) execStats() {
 	s := c.srv
-	sl := c.lease()
-	sl.kind = respBulk
+	c.reserve()
 	readonly := int64(0)
 	if s.readOnly.Load() {
 		readonly = 1
@@ -1077,7 +1038,7 @@ func (c *conn) execStats() {
 		_, floor = s.follower.Pos()
 	}
 	s.fmu.Unlock()
-	sl.msg = "batches=" + strconv.FormatInt(s.writeRuns.Load(), 10) +
+	c.w.Bulk([]byte("batches=" + strconv.FormatInt(s.writeRuns.Load(), 10) +
 		" applied=" + strconv.FormatInt(s.writes.Load(), 10) +
 		" commits=" + strconv.FormatInt(s.db.Commits(), 10) +
 		" conns=" + strconv.FormatInt(s.Conns(), 10) +
@@ -1088,6 +1049,6 @@ func (c *conn) execStats() {
 		" repl_floor=" + strconv.FormatUint(floor, 10) +
 		" wal_live=" + strconv.FormatInt(s.db.WALStats().LiveBytes, 10) +
 		" get_runs=" + strconv.FormatInt(s.getRuns.Load(), 10) +
-		" gets=" + strconv.FormatInt(s.gets.Load(), 10)
+		" gets=" + strconv.FormatInt(s.gets.Load(), 10)))
 	c.publish()
 }

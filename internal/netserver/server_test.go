@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -835,12 +836,12 @@ func TestServerKillMidPipeline(t *testing.T) {
 
 // TestRingOrderAndBackpressure pipelines 10k mixed GETs and SETs far
 // deeper than MaxPipeline at a server whose replies nobody reads at first:
-// the read loop must stall with exactly MaxPipeline responses outstanding
-// (not the ring's rounded-up length), never get further ahead while the
-// client drains, and every reply must come back in request order.
+// the read loop must stall with exactly MaxPipeline replies outstanding,
+// never get further ahead while the client drains, and every reply must
+// come back in request order.
 func TestRingOrderAndBackpressure(t *testing.T) {
 	const (
-		maxPipeline = 48 // not a power of two: the ring itself has 64 slots
+		maxPipeline = 48
 		total       = 10000
 		getKeys     = 100
 	)
@@ -858,7 +859,7 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 	// flush until this side reads, and a Write here returns when the
 	// server's read loop has taken the bytes — so with one request per
 	// Write, consumed counts the requests the read loop has taken, of
-	// which all but the one it may be holding in lease have a slot.
+	// which all but the one it may be holding in reserve are accepted.
 	cli, srv := net.Pipe()
 	defer cli.Close()
 	s.serveWG.Add(1)
@@ -901,9 +902,10 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 		}
 		sent <- nil
 	}()
-	// outstanding is a lower bound on leased-minus-released that is exact
-	// once both loops stand still (consumed is read first: head only grows).
-	outstanding := func() int64 { return consumed.Load() - 1 - int64(c.head.Load()) }
+	// outstanding is a lower bound on accepted-minus-written that is exact
+	// once both loops stand still (consumed is read first: written only
+	// grows).
+	outstanding := func() int64 { return consumed.Load() - 1 - c.written.Load() }
 
 	deadline := time.Now().Add(10 * time.Second)
 	for stable := 0; stable < 20; {
@@ -914,7 +916,7 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 		switch out := outstanding(); {
 		case out > maxPipeline:
 			t.Fatalf("%d responses outstanding, want ≤ %d", out, maxPipeline)
-		case out == maxPipeline && c.stalled.Load():
+		case out == maxPipeline && parkedIn("(*conn).reserve"):
 			stable++
 		default:
 			stable = 0
@@ -948,9 +950,10 @@ func TestRingOrderAndBackpressure(t *testing.T) {
 	}
 }
 
-// TestRingLateCompletion: a slot published after the writer has gone to
-// sleep is still written; a slot whose mark the log cannot make durable is
-// answered -ERR, not +OK; and the close marker ends the writer.
+// TestRingLateCompletion: a reply published after the writer has gone to
+// sleep is still written; a write run whose mark the log cannot make
+// durable is answered -ERR, not +OK; and the end of the reply stream ends
+// the writer.
 func TestRingLateCompletion(t *testing.T) {
 	ffs := wal.NewFaultFS(wal.NewMemFS())
 	s, err := New(Config{Shards: 2, MaxPipeline: 4, WAL: mvgc.WALOptions{Dir: "wal", FS: ffs}})
@@ -980,26 +983,146 @@ func TestRingLateCompletion(t *testing.T) {
 				ffs.Script(op, wal.FaultErr)
 			}
 		}
-		sl := c.lease()
-		sl.kind = respOK
+		c.reserve()
 		deadline := time.Now().Add(10 * time.Second)
-		for !c.asleep.Load() {
+		for !parkedIn("(*conn).writeLoop") {
 			if time.Now().After(deadline) {
-				t.Fatal("the writer never went to sleep ahead of the unpublished slot")
+				t.Fatal("the writer never went to sleep ahead of the unpublished reply")
 			}
 			time.Sleep(time.Millisecond)
 		}
-		sl.mark = mark
-		go c.publish() // late, from another goroutine
+		go func() { // late, from another goroutine
+			c.ack(1, mark)
+			c.publish()
+		}()
 		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
 		if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, tc.want) {
 			t.Fatalf("reply %q (%v), want %q", got, err, tc.want)
 		}
 	}
-	c.closeRing()
+	c.finish()
 	select {
 	case <-exited:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the writer did not exit at the close marker")
+		t.Fatal("the writer did not exit at the end of the reply stream")
+	}
+}
+
+// parkedIn reports whether some goroutine sleeps in sync.Cond.Wait with fn
+// on its stack.
+func parkedIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.HasPrefix(g, "goroutine ") && strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// heldSyncFS holds the next Sync after arm until release is closed, and
+// reports on syncing when that Sync begins.
+type heldSyncFS struct {
+	wal.FS
+	armed   atomic.Bool
+	syncing chan struct{}
+	release chan struct{}
+}
+
+func (fs *heldSyncFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	return heldSyncFile{f, fs}, err
+}
+
+func (fs *heldSyncFS) Open(name string) (wal.File, error) {
+	f, err := fs.FS.Open(name)
+	return heldSyncFile{f, fs}, err
+}
+
+type heldSyncFile struct {
+	wal.File
+	fs *heldSyncFS
+}
+
+func (f heldSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.syncing <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestReplyAheadOfFsync: a GET pipelined ahead of a SET, in one write, is
+// answered while the SET's fsync is still held — the writer puts what
+// precedes a write run on the wire before it waits for the log — and the
+// SET's +OK follows once the fsync completes.
+func TestReplyAheadOfFsync(t *testing.T) {
+	fs := &heldSyncFS{FS: wal.NewMemFS(), syncing: make(chan struct{}, 1), release: make(chan struct{})}
+	s, addr := startServer(t, Config{Shards: 1, WAL: mvgc.WALOptions{Dir: "wal", FS: fs}})
+	defer s.Close()
+	c, err := netclient.Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	release := sync.OnceFunc(func() { close(fs.release) })
+	defer release() // before s.Close, which waits for the held fsync
+	fs.armed.Store(true)
+	if _, err := nc.Write([]byte("*2\r\n$3\r\nGET\r\n$1\r\n7\r\n*3\r\n$3\r\nSET\r\n$1\r\n8\r\n$2\r\n80\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	<-fs.syncing // the SET's fsync has begun and is held
+	r := bufio.NewReader(nc)
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for _, want := range []string{"$2\r\n", "70\r\n"} {
+		if got, err := r.ReadString('\n'); err != nil || got != want {
+			t.Fatalf("GET ahead of a held fsync: %q, %v; want %q", got, err, want)
+		}
+	}
+	release()
+	if got, err := r.ReadString('\n'); err != nil || got != "+OK\r\n" {
+		t.Fatalf("SET after its fsync: %q, %v; want +OK", got, err)
+	}
+}
+
+// TestIdleConnMemory: what a served connection holds does not grow with
+// MaxPipeline.  One idle connection at MaxPipeline = 1<<20 must cost the
+// server less than 1 MiB of heap.
+func TestIdleConnMemory(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 1, MaxPipeline: 1 << 20})
+	defer s.Close()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte("*1\r\n$4\r\nPING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bufio.NewReader(nc).ReadString('\n'); err != nil || got != "+PONG\r\n" {
+		t.Fatalf("PING: %q, %v", got, err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	grown := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("one idle connection at MaxPipeline 1<<20: %d KiB of heap", grown>>10)
+	if grown >= 1<<20 {
+		t.Fatalf("one idle connection holds %d KiB, want < 1 MiB", grown>>10)
+	}
+	if s.Conns() != 1 {
+		t.Fatalf("%d connections served, want 1", s.Conns())
 	}
 }
