@@ -6,16 +6,16 @@ import (
 	"unsafe"
 )
 
-// Arena is a pid-local allocation cache: two magazines — one of internal
-// nodes, one of whole leaf units — and a tally of the units allocated and
-// freed through them, which let one process (in the paper's sense — one
-// leased pid, never used concurrently) allocate, free and count tree memory
-// with no lock and no locked instruction.  The transaction layer gives
-// every pid its own arena and runs that pid's transactions on an Ops view
-// Bound to it, so allocation on the path-copying write path touches only
-// single-owner memory; the locked instructions left on that path are the
-// reference counts' (share, and Release of a node someone else still
-// holds).  Both magazines follow the same rules:
+// Arena is a pid-local allocation cache: three magazines — one of internal
+// nodes, one each of wide and narrow leaf units — and a tally of the units
+// allocated and freed through them, which let one process (in the paper's
+// sense — one leased pid, never used concurrently) allocate, free and count
+// tree memory with no lock and no locked instruction.  The transaction
+// layer gives every pid its own arena and runs that pid's transactions on
+// an Ops view Bound to it, so allocation on the path-copying write path
+// touches only single-owner memory; the locked instructions left on that
+// path are the reference counts' (share, and Release of a node someone else
+// still holds).  The magazines follow the same rules:
 //
 //   - get/put hit the magazine, a plain LIFO of freed objects.
 //   - A magazine that fills up spills a block of half its capacity, M
@@ -27,7 +27,9 @@ import (
 //   - When the depot is empty too (cold start, growing tree), the magazine
 //     carves objects sequentially out of a chunk-allocated slice, so
 //     objects born together — which path copying tends to link together —
-//     share cache lines.
+//     share cache lines.  A magazine carves its first chunk on its first
+//     get, so an arena whose trees never hold a leaf of one layout holds no
+//     chunk of it.
 //
 // Free objects are linked only through the magazine and depot slices,
 // never through fields of their own, which keeps a leaf unit pointer-free
@@ -50,6 +52,7 @@ import (
 type Arena[K, V, A any] struct {
 	nodes  magazine[Node[K, V, A]]
 	leaves magazine[leaf[K, V, A]]
+	narrow magazine[narrowLeaf[K, V, A]]
 
 	// tally counts the units allocated and freed through views bound to
 	// this arena.  The family's allocShared lists it too, so the counts
@@ -75,10 +78,11 @@ const (
 	// chunkNodes is how many internal nodes a fresh locality chunk carves:
 	// 12 KiB of 48-byte nodes, an exact Go size class.
 	chunkNodes = 256
-	// magLeafBytes and chunkLeafBytes size the leaf magazine and its
-	// chunks in bytes, whatever a leaf unit's size (leafUnits): 128 KiB
-	// and 32 KiB, 128 and 32 units of int64 pairs.  A larger unit then
-	// parks no more memory per pid than a smaller one did.
+	// magLeafBytes and chunkLeafBytes size each leaf magazine and its
+	// chunks in bytes, whatever the unit's size (unitsIn): 128 KiB and
+	// 32 KiB — 128 and 32 wide units of int64 pairs, 199 and 49 narrow
+	// ones.  A larger unit then parks no more memory per pid than a smaller
+	// one did.
 	magLeafBytes   = 128 << 10
 	chunkLeafBytes = 32 << 10
 	// depotShards is the number of independent depot lists; sharding keeps
@@ -172,18 +176,24 @@ type magazine[T any] struct {
 // with Ops.Bound; the caller must guarantee the arena (and every view
 // bound to it) is used by one goroutine at a time.
 func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
-	leafCap, leafChunk := leafUnits[K, V, A](magLeafBytes), leafUnits[K, V, A](chunkLeafBytes)
 	return &Arena[K, V, A]{
 		tally:  o.sh.newTally(),
 		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
-		leaves: magazine[leaf[K, V, A]]{d: &o.sh.leaves, mag: make([]*leaf[K, V, A], 0, leafCap), chunk: leafChunk},
+		leaves: leafMagazine(&o.sh.leaves),
+		narrow: leafMagazine(&o.sh.narrow),
 	}
 }
 
-// leafUnits is how many leaf units fit in the given bytes, and at least
+// leafMagazine is an empty magazine of leaf units of type T, sized in bytes.
+func leafMagazine[T any](d *depot[T]) magazine[T] {
+	return magazine[T]{d: d, mag: make([]*T, 0, unitsIn[T](magLeafBytes)), chunk: unitsIn[T](chunkLeafBytes)}
+}
+
+// unitsIn is how many units of type T fit in the given bytes, and at least
 // two, so that a magazine moves at least one unit a block.
-func leafUnits[K, V, A any](bytes uintptr) int {
-	return max(2, int(bytes/unsafe.Sizeof(leaf[K, V, A]{})))
+func unitsIn[T any](bytes uintptr) int {
+	var u T
+	return max(2, int(bytes/unsafe.Sizeof(u)))
 }
 
 // get returns a free object: magazine first, then the current chunk, then
@@ -265,19 +275,22 @@ func (m *magazine[T]) cached() int { return len(m.mag) + len(m.blk) - m.bi }
 func (a *Arena[K, V, A]) Flush() {
 	a.nodes.flush()
 	a.leaves.flush()
+	a.narrow.flush()
 }
 
-// Cached reports how many allocations of either kind the arena can serve
-// without touching the depot.  Like all arena state it is single-owner —
+// Cached reports how many units, of all kinds together, the arena can hand
+// out without touching the depot.  Like all arena state it is single-owner —
 // read it only from the owning process or at quiescence.
-func (a *Arena[K, V, A]) Cached() int { return min(a.nodes.cached(), a.leaves.cached()) }
+func (a *Arena[K, V, A]) Cached() int {
+	return a.nodes.cached() + a.leaves.cached() + a.narrow.cached()
+}
 
-// Stats reports the arena's lifetime block-transfer counters, both
+// Stats reports the arena's lifetime block-transfer counters, all
 // magazines together: refills and spills against the depot, and fresh
 // chunks carved from the heap.  Single-owner; read from the owning process
 // or at quiescence — the rule the family's Allocs, Frees and Live follow
 // for every arena at once (see Ops.Allocs).
 func (a *Arena[K, V, A]) Stats() (refills, spills, carves int64) {
-	n, l := &a.nodes, &a.leaves
-	return n.refills + l.refills, n.spills + l.spills, n.carves + l.carves
+	n, l, w := &a.nodes, &a.leaves, &a.narrow
+	return n.refills + l.refills + w.refills, n.spills + l.spills + w.spills, n.carves + l.carves + w.carves
 }

@@ -316,23 +316,29 @@ func TestDeleteAbsentSharesInput(t *testing.T) {
 	}
 }
 
-// parkedLeaves empties an unbound family's depot of leaf units.
-func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (leaves []*leaf[K, V, A]) {
+// parkedLeaves empties an unbound family's depots of leaf units: the wide
+// ones and the narrow ones.
+func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (wide []*leaf[K, V, A], narrow []*narrowLeaf[K, V, A]) {
 	for u := o.sh.leaves.pop(); u != nil; u = o.sh.leaves.pop() {
-		leaves = append(leaves, u)
+		wide = append(wide, u)
 	}
-	return leaves
+	for u := o.sh.narrow.pop(); u != nil; u = o.sh.narrow.pop() {
+		narrow = append(narrow, u)
+	}
+	return wide, narrow
 }
 
 // TestFreeClearsPointerfulBlocks: a freed leaf unit is parked, not handed
 // back to the Go heap, so whatever its run still points at would stay alive
 // for as long as it is parked.  With a pointer in the value or in the key
-// every parked entry is zero; with neither — where a stale entry pins
-// nothing — the unit is parked as it was, which is the 1 008-byte clear per
-// freed leaf that the collector does not pay.
+// every parked entry is zero, in a wide unit or a narrow one; with neither —
+// where a stale entry pins nothing — the unit is parked as it was, which is
+// the clear per freed leaf that the collector does not pay.  Reference
+// counted values in a family of both layouts (clustered keys make narrow
+// leaves, spread ones wide) are released exactly once each.
 func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	const n = 10 * leafMax
-	type payload struct{ id int }
+	type payload struct{ id, refs int }
 	check := func(name string, parked, stale int, wantStale bool) {
 		t.Helper()
 		if parked < n/leafMax {
@@ -346,57 +352,103 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	ptrs := New[int64, *payload, struct{}](IntCmp[int64], NoAug[int64, *payload](), 0)
 	strs, _ := NewNatural[string, int64, struct{}](NoAug[string, int64](), 0)
 	ints, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
-	ptrs.Recycle, strs.Recycle, ints.Recycle = true, true, true
+	counted, _ := NewNatural[int64, *payload, struct{}](NoAug[int64, *payload](), 0)
+	ptrs.Recycle, strs.Recycle, ints.Recycle, counted.Recycle = true, true, true, true
+	counted.RetainVal = func(p *payload) *payload { p.refs++; return p }
+	counted.ReleaseVal = func(p *payload) {
+		if p.refs--; p.refs < 0 {
+			t.Fatalf("payload %d released more often than retained", p.id)
+		}
+	}
 
-	var pr *Node[int64, *payload, struct{}]
+	var pr, cr *Node[int64, *payload, struct{}]
 	var sr *Node[string, int64, struct{}]
 	var ir *Node[int64, int64, int64]
+	var payloads []*payload
 	for i := 0; i < n; i++ {
-		np := ptrs.Insert(pr, int64(i), &payload{i})
+		np := ptrs.Insert(pr, int64(i), &payload{id: i})
 		ns := strs.Insert(sr, fmt.Sprintf("key-%04d", i), int64(i))
 		ni := ints.Insert(ir, int64(i+1), int64(i+1))
 		ptrs.Release(pr)
 		strs.Release(sr)
 		ints.Release(ir)
 		pr, sr, ir = np, ns, ni
+		for _, k := range []int64{int64(i), int64(i+1) << 20} {
+			p := &payload{id: len(payloads), refs: 1}
+			payloads = append(payloads, p)
+			nc := counted.Insert(cr, k, p)
+			counted.Release(cr)
+			cr = nc
+		}
+		if i%3 == 0 { // and delete one, so leaves shrink as well as grow
+			nc := counted.Delete(cr, int64(i/2))
+			counted.Release(cr)
+			cr = nc
+		}
 	}
 	ptrs.Release(pr)
 	strs.Release(sr)
 	ints.Release(ir)
-	if ptrs.Live() != 0 || strs.Live() != 0 || ints.Live() != 0 {
-		t.Fatalf("live units after the release: %d, %d, %d", ptrs.Live(), strs.Live(), ints.Live())
+	counted.Release(cr)
+	if ptrs.Live() != 0 || strs.Live() != 0 || ints.Live() != 0 || counted.Live() != 0 {
+		t.Fatalf("live units after the release: %d, %d, %d, %d", ptrs.Live(), strs.Live(), ints.Live(), counted.Live())
 	}
-
-	stale := 0
-	pb := parkedLeaves(ptrs)
-	for _, b := range pb {
-		for _, e := range b.e {
-			if e.Val != nil {
-				stale++
-			}
+	for _, p := range payloads {
+		if p.refs != 0 {
+			t.Fatalf("payload %d holds %d references after the release, want 0", p.id, p.refs)
 		}
 	}
-	check("*T values", len(pb), stale, false)
 
-	stale = 0
-	sb := parkedLeaves(strs)
-	for _, b := range sb {
+	staleWide := func(b []*leaf[int64, *payload, struct{}]) (stale int) {
+		for _, u := range b {
+			for _, e := range u.e {
+				if e.Val != nil {
+					stale++
+				}
+			}
+		}
+		return stale
+	}
+	staleNarrow := func(b []*narrowLeaf[int64, *payload, struct{}]) (stale int) {
+		for _, u := range b {
+			for _, v := range u.v {
+				if v != nil {
+					stale++
+				}
+			}
+		}
+		return stale
+	}
+
+	pw, pn := parkedLeaves(ptrs)
+	if len(pn) != 0 {
+		t.Fatalf("*T values ordered by Cmp: %d narrow leaves", len(pn))
+	}
+	check("*T values", len(pw), staleWide(pw), false)
+
+	cw, cn := parkedLeaves(counted)
+	check("*T values, spread keys", len(cw), staleWide(cw), false)
+	check("*T values, clustered keys", len(cn), staleNarrow(cn), false)
+
+	stale := 0
+	sw, _ := parkedLeaves(strs)
+	for _, b := range sw {
 		for _, e := range b.e {
 			if e.Key != "" {
 				stale++
 			}
 		}
 	}
-	check("string keys", len(sb), stale, false)
+	check("string keys", len(sw), stale, false)
 
 	stale = 0
-	ib := parkedLeaves(ints)
-	for _, b := range ib {
-		for _, e := range b.e {
-			if e != (Entry[int64, int64]{}) {
+	_, in := parkedLeaves(ints)
+	for _, b := range in {
+		for _, v := range b.v {
+			if v != 0 {
 				stale++
 			}
 		}
 	}
-	check("int64/int64", len(ib), stale, true)
+	check("int64/int64, narrow", len(in), stale, true)
 }

@@ -39,7 +39,7 @@ func (o *Ops[K, V, A]) build(entries []Entry[K, V]) *Node[K, V, A] {
 // buildLeaves is build over the given number of leaves.
 func (o *Ops[K, V, A]) buildLeaves(entries []Entry[K, V], leaves int) *Node[K, V, A] {
 	if leaves == 1 {
-		return o.leafOf(entries, false)
+		return o.leafOf(entries)
 	}
 	mid, ll := cut(len(entries), leaves)
 	return o.mk(o.buildLeaves(entries[:mid], ll), entries[mid].Key, entries[mid].Val, o.buildLeaves(entries[mid+1:], leaves-ll))
@@ -139,25 +139,27 @@ func (o *Ops[K, V, A]) InsertSorted(t *Node[K, V, A], sorted []Entry[K, V], comb
 
 // landing is one step of MultiInsert's descent: a batch, sorted by key
 // without duplicates, whose values the step consumes, and what it lands
-// on, which the step borrows — subtree t or, with t nil, run: part of a
-// live leaf's run that a batch larger than a leaf cut in two.
+// on, which the step borrows — subtree t or, with t nil, entries [lo, hi)
+// of live leaf leaf: the part of its run that a batch larger than a leaf
+// cut in two.
 type landing[K, V, A any] struct {
-	t     *Node[K, V, A]
-	run   []Entry[K, V]
-	batch []Entry[K, V]
+	t      *Node[K, V, A]
+	leaf   *Node[K, V, A]
+	lo, hi int
+	batch  []Entry[K, V]
 }
 
 // insertRun is MultiInsert's descent.  A side no batch entry reaches is
 // shared, never copied, so the work is the batch's paths and nothing else.
 func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *Node[K, V, A] {
-	t, run, batch := at.t, at.run, at.batch
+	t, lf, lo, hi, batch := at.t, at.leaf, at.lo, at.hi, at.batch
 	switch {
 	case len(batch) == 0 && t != nil:
 		return o.share(t)
 	case len(batch) == 0:
-		return o.leafOf(run, true)
+		return o.leafFrom(lf, lo, hi, true)
 	case t != nil && t.fill != 0:
-		t, run = nil, t.run()
+		t, lf, lo, hi = nil, t, 0, int(t.fill)
 	}
 	var e Entry[K, V]
 	var l, r *Node[K, V, A]
@@ -181,20 +183,20 @@ func (o *Ops[K, V, A]) insertRun(at landing[K, V, A], comb func(old, new V) V) *
 			// were to Join, balanced and too many for one leaf.
 			return o.mkInternal(l, e.Key, e.Val, r)
 		}
-	case len(run) == 0:
+	case lo == hi:
 		return o.Build(batch)
 	case len(batch) <= leafMax:
-		return o.mergeRun(run, batch, comb)
+		return o.mergeRun(lf, lo, hi, batch, comb)
 	default:
 		// More than a leaf's worth lands on one run: the batch's median
-		// cuts the run, so both halves stay slices of what they were.
+		// cuts the run, so both halves stay stretches of the same leaf.
 		mid := len(batch) / 2
 		e = batch[mid]
-		i, j := o.span(run, e.Key)
+		i, j := o.spanIn(lf, lo, hi, e.Key)
 		if i < j {
-			e = o.over(run[i].Val, e, comb)
+			e = o.over(lf.leafVal(i), e, comb)
 		}
-		l, r = o.insertBoth(landing[K, V, A]{run: run[:i], batch: batch[:mid]}, landing[K, V, A]{run: run[j:], batch: batch[mid+1:]}, comb)
+		l, r = o.insertBoth(landing[K, V, A]{leaf: lf, lo: lo, hi: i, batch: batch[:mid]}, landing[K, V, A]{leaf: lf, lo: j, hi: hi, batch: batch[mid+1:]}, comb)
 	}
 	return o.Join(l, e.Key, e.Val, r)
 }
@@ -311,9 +313,7 @@ func (o *Ops[K, V, A]) ForEach(t *Node[K, V, A], f func(K, V)) {
 		return
 	}
 	if t.fill != 0 {
-		for _, e := range t.run() {
-			f(e.Key, e.Val)
-		}
+		eachIn(t, 0, int(t.fill), func(k K, v V) bool { f(k, v); return true })
 		return
 	}
 	o.ForEach(t.left, f)
@@ -328,7 +328,7 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 		return true
 	}
 	if t.fill != 0 {
-		return eachCond(t.run(), f)
+		return eachIn(t, 0, int(t.fill), f)
 	}
 	if !o.ForEachCond(t.left, f) {
 		return false
@@ -337,17 +337,6 @@ func (o *Ops[K, V, A]) ForEachCond(t *Node[K, V, A], f func(K, V) bool) bool {
 		return false
 	}
 	return o.ForEachCond(t.right, f)
-}
-
-// eachCond visits a run until f returns false, reporting whether it ran to
-// completion.
-func eachCond[K, V any](run []Entry[K, V], f func(K, V) bool) bool {
-	for _, e := range run {
-		if !f(e.Key, e.Val) {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEachCondFrom visits borrowed tree t's entries with key ≥ lo in key
@@ -360,9 +349,8 @@ func (o *Ops[K, V, A]) ForEachCondFrom(t *Node[K, V, A], lo K, f func(K, V) bool
 		return true
 	}
 	if t.fill != 0 {
-		run := t.run()
-		i, _ := o.search(run, lo)
-		return eachCond(run[i:], f)
+		i, _ := o.searchLeaf(t, lo)
+		return eachIn(t, i, int(t.fill), f)
 	}
 	if o.Cmp(t.key, lo) < 0 {
 		// t and everything left of it are below lo.
@@ -396,9 +384,8 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 		return
 	}
 	if t.fill != 0 {
-		for _, e := range o.between(t.run(), lo, hi) {
-			f(e.Key, e.Val)
-		}
+		i, j := o.between(t, lo, hi)
+		eachIn(t, i, j, func(k K, v V) bool { f(k, v); return true })
 		return
 	}
 	geLo := o.Cmp(t.key, lo) >= 0
@@ -414,12 +401,11 @@ func (o *Ops[K, V, A]) visitRange(t *Node[K, V, A], lo, hi K, f func(K, V)) {
 	}
 }
 
-// between returns the entries of a run with lo ≤ key ≤ hi.
-func (o *Ops[K, V, A]) between(run []Entry[K, V], lo, hi K) []Entry[K, V] {
-	i, _ := o.search(run, lo)
-	run = run[i:]
-	_, j := o.span(run, hi)
-	return run[:j]
+// between brackets the entries of leaf n with lo ≤ key ≤ hi: [i, j).
+func (o *Ops[K, V, A]) between(n *Node[K, V, A], lo, hi K) (i, j int) {
+	i, _ = o.searchLeaf(n, lo)
+	_, j = o.spanIn(n, i, int(n.fill), hi)
+	return i, j
 }
 
 // AugRange returns the augmented value of the entries of borrowed tree t
@@ -428,7 +414,8 @@ func (o *Ops[K, V, A]) between(run []Entry[K, V], lo, hi K) []Entry[K, V] {
 func (o *Ops[K, V, A]) AugRange(t *Node[K, V, A], lo, hi K) A {
 	for t != nil {
 		if t.fill != 0 {
-			return o.foldRun(o.between(t.run(), lo, hi))
+			i, j := o.between(t, lo, hi)
+			return o.foldIn(t, i, j)
 		}
 		if o.Cmp(t.key, lo) < 0 {
 			t = t.right
@@ -451,9 +438,8 @@ func (o *Ops[K, V, A]) augGE(t *Node[K, V, A], lo K) A {
 	a := o.Aug.Zero()
 	for t != nil {
 		if t.fill != 0 {
-			run := t.run()
-			i, _ := o.search(run, lo)
-			return o.Aug.Combine(o.foldRun(run[i:]), a)
+			i, _ := o.searchLeaf(t, lo)
+			return o.Aug.Combine(o.foldIn(t, i, int(t.fill)), a)
 		}
 		if o.Cmp(t.key, lo) < 0 {
 			t = t.right
@@ -475,9 +461,8 @@ func (o *Ops[K, V, A]) augLE(t *Node[K, V, A], hi K) A {
 	a := o.Aug.Zero()
 	for t != nil {
 		if t.fill != 0 {
-			run := t.run()
-			_, j := o.span(run, hi)
-			return o.Aug.Combine(a, o.foldRun(run[:j]))
+			_, j := o.spanIn(t, 0, int(t.fill), hi)
+			return o.Aug.Combine(a, o.foldIn(t, 0, j))
 		}
 		if o.Cmp(t.key, hi) > 0 {
 			t = t.left

@@ -2,6 +2,7 @@ package ftree
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 )
@@ -55,7 +56,8 @@ func (f *fuzzTrees) keys() []int64 {
 }
 
 // FuzzTreeOps drives the persistent map with an op sequence decoded from
-// fuzz input — two-byte keys, so trees grow past leaf boundaries — through
+// fuzz input — two-byte keys, so trees grow past leaf boundaries, clustered
+// or spread so leaves change layout — through
 // point, bulk, set, split/join, iterator and order-statistic operations,
 // checking every result against a map model, with structural invariants and
 // exact space accounting after every step that returns a tree.  Run long
@@ -100,7 +102,19 @@ func FuzzTreeOps(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		key := func() int64 { return int64(binary.BigEndian.Uint16([]byte{next(), next()})) }
+		u16 := func() int { return int(binary.BigEndian.Uint16([]byte{next(), next()})) }
+		// A key is clustered, 0 to 0x7fff, or with the top bit set spread:
+		// multiples of 1<<12 on both sides of zero, sixteen to a narrow
+		// leaf's reach.  Leaves of both kinds then mix keys of both, and an
+		// insert, delete or split moves a leaf's span across 1<<16 either
+		// way: the layout changes under every write.
+		key := func() int64 {
+			u := u16()
+			if u >= 0x8000 {
+				return int64(u-0xc000) << 12
+			}
+			return int64(u)
+		}
 		sum := func(a, b int64) int64 { return a + b }
 		// The first byte picks the allocator and the decompose path, so both
 		// sides of every steal-or-retain branch see the same op sequences,
@@ -258,7 +272,7 @@ func FuzzTreeOps(f *testing.F) {
 				}
 			case 12: // delete by rank: always hits, so leaves shrink and merge
 				if ks := s.keys(); len(ks) > 0 {
-					k := ks[int(key())%len(ks)]
+					k := ks[u16()%len(ks)]
 					delete(s.ref, k)
 					s.set(po.Delete(s.root, k))
 				}
@@ -270,7 +284,7 @@ func FuzzTreeOps(f *testing.F) {
 					case pick == 0 && i > 0:
 						ks[i] = ks[i-1]
 					case pick == 1 && len(present) > 0:
-						ks[i] = present[int(key())%len(present)]
+						ks[i] = present[u16()%len(present)]
 					default:
 						ks[i] = key()
 					}
@@ -312,14 +326,19 @@ func FuzzTreeOps(f *testing.F) {
 }
 
 // stagedMerge is mergeRun as it was before it wrote into the new leaf
-// directly: every entry staged through a stack array and handed to build.
-// FuzzLeafKernels holds mergeRun to it.
+// directly: every entry staged through a stack array and handed to build,
+// the live run read as entries.  FuzzLeafKernels holds mergeRun to it.
 func stagedMerge(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], comb func(old, new int64) int64) *Node[int64, int64, int64] {
 	var out [2 * leafMax]Entry[int64, int64]
+	copyRun := func(dst, src []Entry[int64, int64]) int {
+		n := copy(dst, src)
+		o.retainRun(dst[:n])
+		return n
+	}
 	n := 0
 	for _, e := range batch {
 		i, j := o.span(run, e.Key)
-		n += o.copyRun(out[n:], run[:i])
+		n += copyRun(out[n:], run[:i])
 		if i < j {
 			e = o.over(run[i].Val, e, comb)
 		}
@@ -327,32 +346,33 @@ func stagedMerge(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], 
 		n++
 		run = run[j:]
 	}
-	n += o.copyRun(out[n:], run)
+	n += copyRun(out[n:], run)
 	return o.build(out[:n])
 }
-
-// mergeFunc is mergeRun's signature, and stagedMerge's.
-type mergeFunc = func(o *Ops[int64, int64, int64], run, batch []Entry[int64, int64], comb func(old, new int64) int64) *Node[int64, int64, int64]
 
 // unbulked hides an augmenter's FoldRun, leaving the Single/Combine fold.
 type unbulked struct{ Augmenter[int64, int64, int64] }
 
 // FuzzLeafKernels holds each leaf kernel to the body it replaced, on a
 // sorted run and a sorted batch of up to a leaf's worth each decoded from
-// the input: the direct-compare search to the search through Cmp (and both
-// to a linear scan) for every probe around the run's keys, also on a slice
-// longer than a leaf; mergeRun to stagedMerge entry for entry and in the
-// augmentation, with and without a combine function, under both orderings
-// and with every value reference counted — whatever a merge retained is
-// released exactly once, and the live run keeps exactly its own; FoldRun to
-// the Single/Combine fold for SumAug and MaxAug, the empty run included.
+// the input, their keys clustered or spread: the direct-compare search to
+// the search through Cmp (and both to a linear scan) for every probe around
+// the run's keys, also on a slice longer than a leaf, and the narrow search
+// over the keys' offsets (kernels.go) to the same, with probes at both
+// ends of int64 and of the offsets' reach; mergeRun, on a live leaf of
+// either layout, to stagedMerge entry for entry and in the augmentation,
+// with and without a combine function, under both orderings and with every
+// value reference counted — whatever a merge retained is released exactly
+// once, and the live run keeps exactly its own; FoldRun to the
+// Single/Combine fold for SumAug and MaxAug, the empty run included.
 func FuzzLeafKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 1, 0, 5, 5})                            // one entry replaced
 	f.Add([]byte{3, 32, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})      // a full run, one new key: overflow
 	f.Add([]byte{2, 7, 32, 200, 100, 50, 25, 12, 6, 3, 1})  // a short run under a full batch
 	f.Add([]byte{7, 32, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})  // the batch is the run: all replaces
-	f.Add([]byte{4, 20, 9, 255, 128, 127, 129, 1, 254, 64}) // values at both ends of int64
+	f.Add([]byte{4, 20, 9, 255, 128, 127, 129, 1, 254, 64}) // values at both ends of int64, spread keys
+	f.Add([]byte{0x25, 40, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8})   // spread keys: a wide run, a narrow batch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -363,14 +383,20 @@ func FuzzLeafKernels(f *testing.F) {
 			return b
 		}
 		cfg := next()
-		// Ascending keys from small steps, so run and batch share many;
-		// values carry the byte in their top bits, so folds see both signs
-		// and magnitudes beyond MaxAug's Zero.
+		// Ascending keys from small steps, so run and batch share many —
+		// or, with cfg&4, from steps of 1 500 to 6 000, so a run of more
+		// than a dozen keys spans past a narrow leaf's reach; values carry
+		// the byte in their top bits, so folds see both signs and
+		// magnitudes beyond MaxAug's Zero.
+		step := int64(1)
+		if cfg&4 != 0 {
+			step = 1500
+		}
 		ascending := func(n int, key, id int64) []Entry[int64, int64] {
 			es := make([]Entry[int64, int64], n)
 			for i := range es {
 				b := next()
-				key += 1 + int64(b%4)
+				key += (1 + int64(b%4)) * step
 				id++
 				es[i] = Entry[int64, int64]{Key: key, Val: int64(int8(b))<<56 | id}
 			}
@@ -383,22 +409,41 @@ func FuzzLeafKernels(f *testing.F) {
 		gen := intOps(0)
 		nat, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
 
-		// search
+		// search, and the narrow search wherever the keys fit one
 		for _, sorted := range [][]Entry[int64, int64]{run, batch, long, nil} {
-			lo, hi := int64(-2), int64(2)
+			var base int64
+			var off []uint16
 			if len(sorted) > 0 {
-				lo, hi = sorted[0].Key-2, sorted[len(sorted)-1].Key+2
+				base = sorted[0].Key
+				if sorted[len(sorted)-1].Key-base < 1<<16 {
+					for _, e := range sorted {
+						off = append(off, uint16(e.Key-base))
+					}
+				}
 			}
-			for k := lo; k <= hi; k++ {
+			// Every key and its neighbours within two — with clustered
+			// keys, every probe between the first and the last.
+			probes := []int64{math.MinInt64, math.MaxInt64, base - 2, base - 1, base, base + 1<<16 - 1, base + 1<<16}
+			for _, e := range sorted {
+				for k := e.Key - 2; k <= e.Key+2; k++ {
+					probes = append(probes, k)
+				}
+			}
+			for _, k := range probes {
 				want := 0
 				for want < len(sorted) && sorted[want].Key < k {
 					want++
 				}
 				wantOK := want < len(sorted) && sorted[want].Key == k
-				gi, gok := gen.search(sorted, k)
+				gi, gok := gen.searchCmp(sorted, k)
 				ni, nok := nat.search(sorted, k)
 				if gi != want || gok != wantOK || ni != want || nok != wantOK {
 					t.Fatalf("search(%d keys, %d): by Cmp %d,%v, direct %d,%v, want %d,%v", len(sorted), k, gi, gok, ni, nok, want, wantOK)
+				}
+				if off != nil || len(sorted) == 0 {
+					if ri, rok := nat.typed.searchNarrow(base, off, k); ri != want || rok != wantOK {
+						t.Fatalf("narrow search(%d keys from %d, %d) = %d,%v, want %d,%v", len(off), base, k, ri, rok, want, wantOK)
+					}
 				}
 			}
 		}
@@ -437,17 +482,17 @@ func FuzzLeafKernels(f *testing.F) {
 		}
 		owned := map[int64]int{} // what must be left when everything else is released
 		for _, e := range run {
-			retain(e.Val) // the live leaf's own
+			retain(e.Val) // the live run's own
 			owned[e.Val] = 1
 		}
-		merged := func(o *Ops[int64, int64, int64], merge mergeFunc) ([]Entry[int64, int64], int64) {
+		merged := func(o *Ops[int64, int64, int64], merge func(o *Ops[int64, int64, int64], batch []Entry[int64, int64]) *Node[int64, int64, int64]) ([]Entry[int64, int64], int64) {
 			o.RetainVal, o.ReleaseVal = retain, release
 			o.Recycle = cfg&2 != 0
 			mine := slices.Clone(batch)
 			for _, e := range mine {
 				retain(e.Val) // owned, for the merge to consume
 			}
-			nd := merge(o, run, mine, comb)
+			nd := merge(o, mine)
 			if err := o.Validate(nd, augEq); err != nil {
 				t.Fatal(err)
 			}
@@ -463,9 +508,24 @@ func FuzzLeafKernels(f *testing.F) {
 			}
 			return es, aug
 		}
-		want, wantAug := merged(gen, stagedMerge)
+		want, wantAug := merged(gen, func(o *Ops[int64, int64, int64], mine []Entry[int64, int64]) *Node[int64, int64, int64] {
+			return stagedMerge(o, run, mine, comb)
+		})
 		for name, o := range map[string]*Ops[int64, int64, int64]{"by Cmp": intOps(0), "direct": nat} {
-			got, aug := merged(o, (*Ops[int64, int64, int64]).mergeRun)
+			got, aug := merged(o, func(o *Ops[int64, int64, int64], mine []Entry[int64, int64]) *Node[int64, int64, int64] {
+				// The live run as a leaf, holding references of its own.
+				own := slices.Clone(run)
+				for _, e := range own {
+					retain(e.Val)
+				}
+				lf := o.leafOf(own)
+				if err := o.Validate(lf, augEq); err != nil {
+					t.Fatal(err)
+				}
+				nd := o.mergeRun(lf, 0, len(own), mine, comb)
+				o.Release(lf)
+				return nd
+			})
 			if !slices.Equal(got, want) || aug != wantAug {
 				t.Fatalf("%s: mergeRun of %d into %d = %v (aug %d)\nstaged: %v (aug %d)", name, len(batch), len(run), got, aug, want, wantAug)
 			}

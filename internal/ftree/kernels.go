@@ -12,6 +12,8 @@ type kernels[K, V any] struct {
 	search func(run []Entry[K, V], k K) (i int, found bool)
 	// sort sorts a batch by key, stably, through buf; see sortOrdered.
 	sort func(batch, buf []Entry[K, V]) []Entry[K, V]
+	// searchNarrow is search over a narrow leaf's offsets from base.
+	searchNarrow func(base K, off []uint16, k K) (i int, found bool)
 }
 
 // searchOrdered is search without a data-dependent branch.  Down to
@@ -49,6 +51,43 @@ func searchOrdered[K cmp.Ordered, V any](run []Entry[K, V], k K) (int, bool) {
 // cache lines of int64 pairs — rather than counted whole over sixteen.
 // DESIGN.md ("Leaf kernels") has the measurement.
 const searchWindow = 31
+
+// searchNarrow is searchOrdered over a narrow run: key i is base + off[i].
+// A key below base or past base's 16-bit reach is placed without reading an
+// offset; any other is searched for as its own offset.
+func searchNarrow[K integer](base K, off []uint16, k K) (int, bool) {
+	if k < base {
+		return 0, false
+	}
+	d := uint64(k) - uint64(base) // k − base: both sign- or zero-extend alike
+	if d > 1<<16-1 {
+		return len(off), false
+	}
+	return searchOff(off, uint16(d))
+}
+
+// searchOff is searchOrdered over offsets, which a run of 63 keeps in 126
+// bytes — two or three cache lines where a wide run's keys take sixteen.
+// It halves down to offWindow offsets and counts those.
+func searchOff(off []uint16, d uint16) (int, bool) {
+	base, n := 0, len(off)
+	for n > offWindow {
+		half := (n + 1) >> 1
+		base += half & -less(off[base+half-1], d)
+		n -= half
+	}
+	c := 0
+	for _, x := range off[base : base+n] {
+		c += less(x, d)
+	}
+	base += c
+	return base, base < len(off) && off[base] == d
+}
+
+// offWindow is the most offsets searchOff counts: a full run is halved
+// twice, then 15 offsets are counted.  On a cold tree that beat counting 32
+// or all 63 (DESIGN.md, "Narrow leaves").
+const offWindow = 16
 
 // less is 1 when a < b and 0 otherwise, as a flag materialized rather than
 // branched on.

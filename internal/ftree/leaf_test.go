@@ -129,31 +129,40 @@ func TestLeafShape(t *testing.T) {
 
 // warmPointWriteAllocs builds a few-level tree on a bound view, warms the
 // magazines, the collector's stack and the step record with write, and
-// reports the heap allocations of one more write.  write maps the current
-// root and a key of the tree to the next root.
+// reports the heap allocations of one more write — the most over two
+// families: keys ordered by a Cmp, in wide leaves, and in their own order
+// (NewNatural), in narrow ones.  write maps the current root and a key of
+// the tree to the next root.
 func warmPointWriteAllocs(t *testing.T, write func(bo *Ops[int64, int64, int64], root *Node[int64, int64, int64], k int64) *Node[int64, int64, int64]) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	o := arenaOps()
-	bo := o.Bound(o.NewArena())
-	const n = 100 * leafMax
-	root := bo.Build(seqEntries(n))
-	k := int64(0)
-	step := func() {
-		k = (k + 7919) % n
-		root = write(bo, root, (k+1)*10)
+	natural, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	natural.Recycle = true
+	worst := 0.0
+	for _, o := range []*Ops[int64, int64, int64]{arenaOps(), natural} {
+		bo := o.Bound(o.NewArena())
+		const n = 100 * leafMax
+		root := bo.Build(seqEntries(n))
+		if first := leftmostLeaf(root); first.narrow != (o == natural) {
+			t.Fatalf("leaves narrow %v under NewNatural %v", first.narrow, o == natural)
+		}
+		k := int64(0)
+		step := func() {
+			k = (k + 7919) % n
+			root = write(bo, root, (k+1)*10)
+		}
+		for i := 0; i < 100; i++ {
+			step()
+		}
+		worst = max(worst, testing.AllocsPerRun(1000, step))
+		bo.Release(root)
+		if o.Live() != 0 {
+			t.Fatalf("leaked %d units", o.Live())
+		}
 	}
-	for i := 0; i < 100; i++ {
-		step()
-	}
-	allocs := testing.AllocsPerRun(1000, step)
-	bo.Release(root)
-	if o.Live() != 0 {
-		t.Fatalf("leaked %d units", o.Live())
-	}
-	return allocs
+	return worst
 }
 
 // TestBoundReplaceInsertNoAlloc: on a bound view, replacing a key and
@@ -185,4 +194,12 @@ func TestBoundDeleteInsertNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm Delete+Insert+2×Release allocates %.2f times per op", allocs)
 	}
+}
+
+// leftmostLeaf is the leaf that holds non-empty tree t's smallest key.
+func leftmostLeaf[K, V, A any](t *Node[K, V, A]) *Node[K, V, A] {
+	for t.fill == 0 {
+		t = t.left
+	}
+	return t
 }

@@ -162,62 +162,90 @@ func innerLive(outer *Ops[int64, *innerNode, struct{}], roots ...*Node[int64, *i
 }
 
 // TestNestedLeafOwnership: a leaf whose run holds refcounted inner trees is
-// copied (replace), split (overflow), merged (delete, union) and freed, with
-// and without the steal path; at every stage the inner family's live space
-// is exactly the inner trees some live outer version references.
+// copied (replace), split (overflow), merged (delete, union), widened and
+// narrowed (an insert far away and its delete) and freed, with and without
+// the steal path, with the outer keys ordered by a Cmp (wide leaves) and by
+// their own order (clustered keys: narrow leaves); at every stage the inner
+// family's live space is exactly the inner trees some live outer version
+// references.
 func TestNestedLeafOwnership(t *testing.T) {
-	for _, noSteal := range []bool{false, true} {
-		inner, outer := nestedOps()
-		outer.NoSteal = noSteal
-		posting := func(k int64) *innerNode { return inner.Insert(nil, k, k) }
-		var live []*Node[int64, *innerNode, struct{}]
-		check := func(what string) {
-			t.Helper()
-			if got, want := inner.Live(), innerLive(outer, live...); got != want {
-				t.Fatalf("noSteal=%v, %s: inner live %d, want %d", noSteal, what, got, want)
+	for _, natural := range []bool{false, true} {
+		for _, noSteal := range []bool{false, true} {
+			inner, outer := nestedOps()
+			if natural {
+				nat, _ := NewNatural[int64, *innerNode, struct{}](NoAug[int64, *innerNode](), 0)
+				nat.RetainVal, nat.ReleaseVal = outer.RetainVal, outer.ReleaseVal
+				outer = nat
 			}
-			if got, want := outer.Live(), outer.ReachableNodes(live...); got != want {
-				t.Fatalf("noSteal=%v, %s: outer live %d, want %d", noSteal, what, got, want)
+			outer.NoSteal = noSteal
+			posting := func(k int64) *innerNode { return inner.Insert(nil, k, k) }
+			var live []*Node[int64, *innerNode, struct{}]
+			check := func(what string) {
+				t.Helper()
+				if got, want := inner.Live(), innerLive(outer, live...); got != want {
+					t.Fatalf("natural=%v noSteal=%v, %s: inner live %d, want %d", natural, noSteal, what, got, want)
+				}
+				if got, want := outer.Live(), outer.ReachableNodes(live...); got != want {
+					t.Fatalf("natural=%v noSteal=%v, %s: outer live %d, want %d", natural, noSteal, what, got, want)
+				}
+				if err := outer.Validate(live[len(live)-1], nil); err != nil {
+					t.Fatalf("natural=%v noSteal=%v, %s: %v", natural, noSteal, what, err)
+				}
 			}
-		}
-		// One full leaf.
-		es := make([]Entry[int64, *innerNode], leafMax)
-		for i := range es {
-			es[i] = Entry[int64, *innerNode]{Key: int64(i) * 2, Val: posting(int64(i))}
-		}
-		v1 := outer.Build(es)
-		live = append(live, v1)
-		check("build")
-		// Copy: a replace retains the other leafMax−1 postings for the new leaf.
-		v2 := outer.Insert(v1, 10, posting(100))
-		live = append(live, v2)
-		check("replace")
-		// Split: an overflowing insert cuts the run in two around a middle entry.
-		v3 := outer.Insert(v2, 11, posting(101))
-		live = append(live, v3)
-		check("overflow")
-		// Merge: deleting it folds two leaves and the middle entry into one.
-		v4 := outer.Delete(v3, 11)
-		live = append(live, v4)
-		check("fold")
-		// Merge two runs: union with a second leaf, combining shared keys by
-		// keeping the left posting and releasing the right one.
-		other := outer.Build([]Entry[int64, *innerNode]{{Key: 10, Val: posting(200)}, {Key: 13, Val: posting(201)}})
-		live = append(live, other)
-		v5 := outer.Union(v4, other, func(a, b *innerNode) *innerNode { inner.Release(b); return a })
-		live = append(live, v5)
-		check("union")
-		v6 := outer.Difference(v5, other)
-		live = append(live, v6)
-		check("difference")
-		// Free in an order that leaves shared postings alive to the end.
-		for len(live) > 0 {
-			outer.Release(live[0])
-			live = live[1:]
-			check("release")
-		}
-		if outer.Live() != 0 || inner.Live() != 0 {
-			t.Fatalf("noSteal=%v: leak: outer %d inner %d", noSteal, outer.Live(), inner.Live())
+			// One full leaf.
+			es := make([]Entry[int64, *innerNode], leafMax)
+			for i := range es {
+				es[i] = Entry[int64, *innerNode]{Key: int64(i) * 2, Val: posting(int64(i))}
+			}
+			v1 := outer.Build(es)
+			live = append(live, v1)
+			if v1.narrow != natural {
+				t.Fatalf("natural=%v: a leaf of keys 0..%d is narrow: %v", natural, 2*(leafMax-1), v1.narrow)
+			}
+			check("build")
+			// Copy: a replace retains the other leafMax−1 postings for the new leaf.
+			v2 := outer.Insert(v1, 10, posting(100))
+			live = append(live, v2)
+			check("replace")
+			// Split: an overflowing insert cuts the run in two around a middle entry.
+			v3 := outer.Insert(v2, 11, posting(101))
+			live = append(live, v3)
+			check("overflow")
+			// Merge: deleting it folds two leaves and the middle entry into one.
+			v4 := outer.Delete(v3, 11)
+			live = append(live, v4)
+			check("fold")
+			// Merge two runs: union with a second leaf, combining shared keys by
+			// keeping the left posting and releasing the right one.
+			other := outer.Build([]Entry[int64, *innerNode]{{Key: 10, Val: posting(200)}, {Key: 13, Val: posting(201)}})
+			live = append(live, other)
+			v5 := outer.Union(v4, other, func(a, b *innerNode) *innerNode { inner.Release(b); return a })
+			live = append(live, v5)
+			check("union")
+			v6 := outer.Difference(v5, other)
+			live = append(live, v6)
+			check("difference")
+			// Widen and narrow: a key past a narrow leaf's reach, then its delete.
+			v7 := outer.Insert(v6, 1<<20, posting(102))
+			live = append(live, v7)
+			check("widen")
+			v8 := outer.Delete(v7, 1<<20)
+			live = append(live, v8)
+			check("narrow")
+			if v8.narrow != natural || v7.narrow {
+				t.Fatalf("natural=%v: narrow after widening %v, after narrowing %v", natural, v7.narrow, v8.narrow)
+			}
+			// Free in an order that leaves shared postings alive to the end.
+			for len(live) > 0 {
+				outer.Release(live[0])
+				live = live[1:]
+				if len(live) > 0 {
+					check("release")
+				}
+			}
+			if outer.Live() != 0 || inner.Live() != 0 {
+				t.Fatalf("natural=%v noSteal=%v: leak: outer %d inner %d", natural, noSteal, outer.Live(), inner.Live())
+			}
 		}
 	}
 }

@@ -17,9 +17,12 @@
 // algorithm a perfectly balanced subtree of its size: mk folds children
 // that fit into one leaf, decompose unfolds a leaf at its middle entry, and
 // the join algorithms between those two are unchanged.  The hot paths do
-// not unfold entry by entry; they have array base cases (leaf.go).
-// DESIGN.md ("Leaf blocks") has the invariants and the measurements behind
-// leafMax; unit.go has the leaf's layout.
+// not unfold entry by entry; they have array base cases (leaf.go).  A
+// leaf of integer keys that lie close together stores them as 16-bit
+// offsets from its first key (a narrow leaf); which layout a leaf has
+// follows from its keys alone.  DESIGN.md ("Leaf blocks") has the
+// invariants and the measurements behind leafMax; unit.go has the leaf's
+// layouts.
 //
 // # Ownership discipline
 //
@@ -59,27 +62,30 @@ import (
 )
 
 // leafMax is the most entries one leaf holds: 63 int64 pairs and the
-// leaf's header are one 1 KiB unit.  DESIGN.md ("Leaf blocks") records
-// the measurements that chose it.  It is at most 64: mergeRun keeps a
-// bit per batch entry in a uint64, and the package does not compile with
-// more (the constants after mergeRun).
+// leaf's header are one 1 KiB wide unit, 656 bytes narrow (unit.go).
+// DESIGN.md ("Leaf blocks") records the measurements that chose it.  It is
+// at most 64: mergeRun keeps a bit per batch entry in a uint64, and the
+// package does not compile with more (the constants after mergeRun).
 const leafMax = 63
 
 // Node is an immutable tree node, addressed by its parent's child pointer:
 // an internal node when fill is 0, otherwise a leaf whose run of fill
 // entries follows the header inline — the pointer then addresses a leaf
-// unit (unit.go), which has ref, fill and aug where a Node has them and
-// none of the other fields.  Exported so the transaction layer can name the
-// type, but its fields are managed exclusively by this package.
+// unit (unit.go), wide or narrow, which has ref, fill, narrow and aug where
+// a Node has them and none of the other fields.  Exported so the
+// transaction layer can name the type, but its fields are managed
+// exclusively by this package.
 type Node[K, V, A any] struct {
 	// ref is a plain word: written plainly while the node is private (mk
 	// before the node is published, freeNode after its last token died, and
 	// Release's sole-owner fast path), through sync/atomic wherever another
 	// goroutine can hold a token.  DESIGN.md ("Reference counts") has the
 	// happens-before argument.
-	ref  int32
-	fill int32
-	aug  A
+	ref    int32
+	fill   uint16
+	narrow bool
+	_      uint8
+	aug    A
 	// The internal node's own fields.
 	left  *Node[K, V, A]
 	right *Node[K, V, A]
@@ -102,9 +108,7 @@ func (n *Node[K, V, A]) Aug() A { return n.aug }
 // index's top-k) without knowing the layout.
 func (n *Node[K, V, A]) Expand(sub func(*Node[K, V, A]), entry func(K, V)) {
 	if n.fill != 0 {
-		for _, e := range n.run() {
-			entry(e.Key, e.Val)
-		}
+		eachIn(n, 0, int(n.fill), func(k K, v V) bool { entry(k, v); return true })
 		return
 	}
 	if n.left != nil {
@@ -155,8 +159,8 @@ type tally struct {
 }
 
 // allocShared is the allocation state every view of one Ops family shares:
-// the root's statistics, every arena's tally and the two depots (internal
-// nodes, leaf units).  Arenas hold a pointer to the depots so spills and
+// the root's statistics, every arena's tally and the three depots (internal
+// nodes, wide and narrow leaf units).  Arenas hold a pointer to the depots so spills and
 // refills stay inside the family.  A tally is listed here for good: the
 // units an arena allocated outlive an arena that is dropped.
 type allocShared[K, V, A any] struct {
@@ -165,6 +169,7 @@ type allocShared[K, V, A any] struct {
 	tallies []*tally
 	nodes   depot[Node[K, V, A]]
 	leaves  depot[leaf[K, V, A]]
+	narrow  depot[narrowLeaf[K, V, A]]
 }
 
 func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
@@ -354,9 +359,7 @@ func (o *Ops[K, V, A]) Release(t *Node[K, V, A]) {
 		}
 		if dead && cur.fill != 0 {
 			if o.ReleaseVal != nil {
-				for _, e := range cur.run() {
-					o.ReleaseVal(e.Val)
-				}
+				eachIn(cur, 0, int(cur.fill), func(_ K, v V) bool { o.ReleaseVal(v); return true })
 			}
 			o.freeNode(cur)
 		} else if dead {
@@ -402,6 +405,18 @@ func (o *Ops[K, V, A]) freeNode(n *Node[K, V, A]) {
 	// of entries that cannot hold a pointer pins nothing as it is.
 	if n.fill != 0 {
 		if !o.Recycle {
+			return
+		}
+		if n.narrow {
+			u := n.narrowUnit()
+			if !o.plainLeaves {
+				clear(u.v[:u.fill])
+			}
+			if a != nil {
+				a.narrow.put(u)
+			} else {
+				o.sh.narrow.put(u)
+			}
 			return
 		}
 		u := n.unit()

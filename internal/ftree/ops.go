@@ -1,7 +1,6 @@
 package ftree
 
 import (
-	"cmp"
 	"reflect"
 	"strings"
 )
@@ -33,6 +32,18 @@ type Augmenter[K, V, A any] interface {
 // speed.
 type runFolder[K, V, A any] interface {
 	FoldRun(run []Entry[K, V]) A
+}
+
+// valFolder is the bulk form for an augmenter whose Single reads only the
+// value: one that also has
+//
+//	FoldVals(vals []V) A
+//
+// is handed a narrow leaf's values (unit.go), which lie apart from its
+// keys, and must return what FoldRun returns for entries of those values.
+// SumAug and MaxAug have it; without it a narrow leaf folds entry by entry.
+type valFolder[V, A any] interface {
+	FoldVals(vals []V) A
 }
 
 // Ops holds the comparison function, augmenter and allocation accounting
@@ -101,8 +112,14 @@ type Ops[K, V, A any] struct {
 	// the same order, so the two cannot disagree; it is nil on an Ops from
 	// New, whose ordering is whatever the caller's Cmp says.
 	typed *kernels[K, V]
-	// bulk is Aug when Aug can fold a whole run in one call, else nil.
+	// narrows says a leaf whose keys span less than 1<<16 is narrow
+	// (narrowFor): typed is set for an integer K, and the narrow unit is the
+	// smaller.
+	narrows bool
+	// bulk is Aug when Aug can fold a whole run in one call, else nil;
+	// vals is Aug when it can fold a narrow leaf's values so.
 	bulk runFolder[K, V, A]
+	vals valFolder[V, A]
 	// plainLeaves says neither K nor V can hold a pointer, so a freed leaf
 	// unit's run pins nothing and is parked as it is (freeNode).
 	plainLeaves bool
@@ -132,6 +149,7 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 	}
 	o := &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
 	o.bulk, _ = aug.(runFolder[K, V, A])
+	o.vals, _ = aug.(valFolder[V, A])
 	o.plainLeaves = pointerFree(reflect.TypeFor[Entry[K, V]]())
 	return o
 }
@@ -140,7 +158,7 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 // int32, int64, uint, uint32, uint64 or string, exactly; ok is false for
 // any other K.  It is New with Cmp set to that order and, for the integer
 // kinds, with leaf kernels (search, the batch sort) that compare keys
-// directly instead of through Cmp.  There is no way to have the kernels
+// directly instead of through Cmp, and with narrow leaves (unit.go).  There is no way to have the kernels
 // with another ordering.  A string comparison follows a pointer and is a
 // call however it is made, so string keys are compared through Cmp.
 func NewNatural[K, V, A any](aug Augmenter[K, V, A], g int) (o *Ops[K, V, A], ok bool) {
@@ -167,10 +185,16 @@ func NewNatural[K, V, A any](aug Augmenter[K, V, A], g int) (o *Ops[K, V, A], ok
 // natural is NewNatural for an integer K, which the caller knows to be T:
 // cmp, which computes T's own order, and the kernels compiled for it, set
 // together.
-func natural[T cmp.Ordered, K, V, A any](cmp func(a, b T) int, aug Augmenter[K, V, A], g int) *Ops[K, V, A] {
+func natural[T integer, K, V, A any](cmp func(a, b T) int, aug Augmenter[K, V, A], g int) *Ops[K, V, A] {
 	o := New(any(cmp).(func(a, b K) int), aug, g)
-	o.typed = any(&kernels[T, V]{search: searchOrdered[T, V], sort: sortOrdered[T, V]}).(*kernels[K, V])
+	o.typed = any(&kernels[T, V]{search: searchOrdered[T, V], sort: sortOrdered[T, V], searchNarrow: searchNarrow[T]}).(*kernels[K, V])
+	o.narrows = narrowPays[K, V, A]()
 	return o
+}
+
+// integer is the key types with kernels: their own order, and narrow leaves.
+type integer interface {
+	~int | ~int32 | ~int64 | ~uint | ~uint32 | ~uint64
 }
 
 // pointerFree reports whether no value of type t holds a pointer.
@@ -253,6 +277,12 @@ func (sumAug[K]) FoldRun(run []Entry[K, int64]) (s int64) {
 	}
 	return s
 }
+func (sumAug[K]) FoldVals(vals []int64) (s int64) {
+	for _, v := range vals {
+		s += v
+	}
+	return s
+}
 
 // SumAug returns an augmenter computing the sum of int64 values; this is
 // the augmentation used for the paper's range-sum query workload (§7.1).
@@ -277,6 +307,16 @@ func (m maxAug[K]) FoldRun(run []Entry[K, int64]) int64 {
 	a := run[0].Val
 	for _, e := range run[1:] {
 		a = max(a, e.Val)
+	}
+	return a
+}
+func (m maxAug[K]) FoldVals(vals []int64) int64 {
+	if len(vals) == 0 {
+		return m.Zero()
+	}
+	a := vals[0]
+	for _, v := range vals[1:] {
+		a = max(a, v)
 	}
 	return a
 }

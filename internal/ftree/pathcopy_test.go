@@ -81,8 +81,11 @@ func sameShape[V, A any](a, b *Node[int64, V, A], eq func(a, b V) bool) error {
 		return fmt.Errorf("leaf %v of %d entries against leaf %v of %d", a.fill != 0, size(a), b.fill != 0, size(b))
 	}
 	if a.fill != 0 {
-		for i, e := range a.run() {
-			if f := b.run()[i]; e.Key != f.Key || !eq(e.Val, f.Val) {
+		if a.narrow != b.narrow {
+			return fmt.Errorf("leaf of %d entries narrow %v against %v", size(a), a.narrow, b.narrow)
+		}
+		for i := range int(a.fill) {
+			if e, f := a.leafEntry(i), b.leafEntry(i); e.Key != f.Key || !eq(e.Val, f.Val) {
 				return fmt.Errorf("leaf entry %d: %v against %v", i, e, f)
 			}
 		}
@@ -231,13 +234,17 @@ var pathCopyRanges = []struct {
 // TestPathCopyDifferential holds the iterative path copy to the recursive
 // one it replaced over plain values: same trees, same space, same unit
 // counts, through the root and through a bound view, stealing and not, with
-// and without recycling.
+// and without recycling, in wide leaves and in narrow ones.
 func TestPathCopyDifferential(t *testing.T) {
 	sum := func(old, new int64) int64 { return old + new }
 	eq := func(a, b int64) bool { return a == b }
-	for cfg := 0; cfg < 8; cfg++ {
+	for cfg := 0; cfg < 16; cfg++ {
 		for ri, r := range pathCopyRanges {
 			ref, got := intOps(0), intOps(0)
+			if cfg&8 != 0 {
+				ref, _ = NewNatural[int64, int64, int64](SumAug[int64](), 0)
+				got, _ = NewNatural[int64, int64, int64](SumAug[int64](), 0)
+			}
 			ref.NoSteal, got.NoSteal = cfg&1 != 0, cfg&1 != 0
 			ref.Recycle, got.Recycle = cfg&2 != 0, cfg&2 != 0
 			view := got
@@ -271,7 +278,7 @@ func TestPathCopyDifferentialNested(t *testing.T) {
 			// innerLive counts; the combine keeps the stored one.
 			val := func(i int64) *innerNode { return inner.Insert(nil, i, i) }
 			keepOld := func(old, new *innerNode) *innerNode { inner.Release(new); return old }
-			eq := func(a, b *innerNode) bool { return a.run()[0] == b.run()[0] }
+			eq := func(a, b *innerNode) bool { return a.leafEntry(0) == b.leafEntry(0) }
 			check := func(roots []*Node[int64, *innerNode, struct{}]) {
 				t.Helper()
 				if live, want := inner.Live(), innerLive(ref, roots...); live != want {

@@ -138,7 +138,7 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 		return nil, nil, false, fv
 	}
 	if t.fill != 0 {
-		i, j := o.span(t.run(), k)
+		i, j := o.spanIn(t, 0, int(t.fill), k)
 		l, r, e := o.carve(t, i, j)
 		return l, r, i < j, e.Val
 	}
@@ -162,9 +162,8 @@ func (o *Ops[K, V, A]) splitOwned(t *Node[K, V, A], k K) (l, r *Node[K, V, A], f
 func (o *Ops[K, V, A]) Find(t *Node[K, V, A], k K) (V, bool) {
 	for t != nil {
 		if t.fill != 0 {
-			run := t.run()
-			if i, found := o.search(run, k); found {
-				return run[i].Val, true
+			if i, found := o.searchLeaf(t, k); found {
+				return t.leafVal(i), true
 			}
 			break
 		}
@@ -203,7 +202,7 @@ func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []b
 	var (
 		cur  [findWidth]*Node[K, V, A] // never nil
 		at   [findWidth]int            // cursor c serves keys[at[c]]
-		fill [findWidth]int32          // cur[c].fill
+		fill [findWidth]uint16         // cur[c].fill
 	)
 	live := min(findWidth, len(keys))
 	next := live // first key no cursor has taken yet
@@ -219,9 +218,8 @@ func (o *Ops[K, V, A]) FindBatch(t *Node[K, V, A], keys []K, vals []V, found []b
 			var v V
 			ok := false
 			if fill[c] != 0 {
-				run := n.unit().e[:fill[c]]
-				if j, hit := o.search(run, keys[i]); hit {
-					v, ok = run[j].Val, true
+				if j, hit := o.searchIn(n, 0, int(fill[c]), keys[i]); hit {
+					v, ok = n.leafVal(j), true
 				}
 			} else if cmp := o.Cmp(keys[i], n.key); cmp == 0 {
 				v, ok = n.val, true
@@ -414,7 +412,7 @@ func (o *Ops[K, V, A]) Min(t *Node[K, V, A]) (Entry[K, V], bool) {
 		t = t.left
 	}
 	if t.fill != 0 {
-		return t.run()[0], true
+		return t.leafEntry(0), true
 	}
 	return Entry[K, V]{t.key, t.val}, true
 }
@@ -428,7 +426,7 @@ func (o *Ops[K, V, A]) Max(t *Node[K, V, A]) (Entry[K, V], bool) {
 		t = t.right
 	}
 	if t.fill != 0 {
-		return t.run()[t.fill-1], true
+		return t.leafEntry(int(t.fill) - 1), true
 	}
 	return Entry[K, V]{t.key, t.val}, true
 }
@@ -440,7 +438,7 @@ func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int64) (Entry[K, V], bool) {
 			if i < 0 || i >= int64(t.fill) {
 				break
 			}
-			return t.run()[i], true
+			return t.leafEntry(int(i)), true
 		}
 		ls := size(t.left)
 		switch {
@@ -461,7 +459,7 @@ func (o *Ops[K, V, A]) Rank(t *Node[K, V, A], k K) int64 {
 	var r int64
 	for t != nil {
 		if t.fill != 0 {
-			i, _ := o.search(t.run(), k)
+			i, _ := o.searchLeaf(t, k)
 			return r + int64(i)
 		}
 		if o.Cmp(k, t.key) <= 0 {

@@ -11,9 +11,10 @@ import (
 // Validate checks every structural invariant of borrowed tree t: BST key
 // order, BB[α] weight balance, correct cached sizes and augmented values,
 // positive reference counts on every reachable node, and the leaf-block
-// shape — a leaf holds 1 to leafMax strictly ascending entries, an
-// internal node more than leafMax.  It returns the first violation found,
-// or nil.
+// shape — a leaf holds 1 to leafMax strictly ascending entries in the
+// layout its first and last key call for (narrowFor), a narrow one's
+// offsets ascending from 0, and an internal node more than leafMax.  It
+// returns the first violation found, or nil.
 func (o *Ops[K, V, A]) Validate(t *Node[K, V, A], augEqual func(a, b A) bool) error {
 	_, err := o.validate(t, nil, nil, augEqual)
 	return err
@@ -68,26 +69,43 @@ func (o *Ops[K, V, A]) validate(t *Node[K, V, A], lo, hi *K, augEqual func(a, b 
 }
 
 func (o *Ops[K, V, A]) validateLeaf(t *Node[K, V, A], lo, hi *K, augEqual func(a, b A) bool) (int64, error) {
-	if t.fill < 1 || t.fill > leafMax {
-		return 0, fmt.Errorf("ftree: leaf of %d entries, want 1..%d", t.fill, leafMax)
+	fill := int(t.fill)
+	if fill < 1 || fill > leafMax {
+		return 0, fmt.Errorf("ftree: leaf of %d entries, want 1..%d", fill, leafMax)
 	}
-	run := t.run()
-	for i := range run {
-		prev := lo
-		if i > 0 {
-			prev = &run[i-1].Key
+	if t.narrow {
+		if !o.narrows {
+			return 0, fmt.Errorf("ftree: narrow leaf in a family that has none")
 		}
-		if prev != nil && o.Cmp(run[i].Key, *prev) <= 0 {
+		u := t.narrowUnit()
+		if u.off[0] != 0 {
+			return 0, fmt.Errorf("ftree: narrow leaf's first offset %d, want 0", u.off[0])
+		}
+		for i := 1; i < fill; i++ {
+			if u.off[i] <= u.off[i-1] {
+				return 0, fmt.Errorf("ftree: narrow leaf's offsets do not ascend at %d", i)
+			}
+		}
+	}
+	first, last := t.leafKey(0), t.leafKey(fill-1)
+	prev := lo
+	for i := 0; i < fill; i++ {
+		k := t.leafKey(i)
+		if prev != nil && o.Cmp(k, *prev) <= 0 {
 			return 0, fmt.Errorf("ftree: key order violated in leaf (≤ predecessor)")
 		}
+		prev = &k
 	}
-	if hi != nil && o.Cmp(run[len(run)-1].Key, *hi) >= 0 {
+	if hi != nil && o.Cmp(last, *hi) >= 0 {
 		return 0, fmt.Errorf("ftree: key order violated in leaf (≥ upper bound)")
 	}
-	if augEqual != nil && !augEqual(t.aug, o.foldRun(run)) {
-		return 0, fmt.Errorf("ftree: augmentation cache mismatch in leaf at key %v", run[0].Key)
+	if want := o.narrowFor(first, last); t.narrow != want {
+		return 0, fmt.Errorf("ftree: leaf of keys %v..%v is narrow: %v, want %v", first, last, t.narrow, want)
 	}
-	return int64(t.fill), nil
+	if augEqual != nil && !augEqual(t.aug, o.foldIn(t, 0, fill)) {
+		return 0, fmt.Errorf("ftree: augmentation cache mismatch in leaf at key %v", first)
+	}
+	return int64(fill), nil
 }
 
 // Height returns the height of borrowed tree t in nodes (0 for empty, 1

@@ -37,7 +37,13 @@ type Entry[K, V any] = ftree.Entry[K, V]
 //
 // returning what Single and Combine fold a leaf's run to (Zero for the empty
 // run); the tree then makes that one call per leaf instead of two per entry.
-// SumAug and MaxAug do.  It is optional: without it nothing changes.
+// One whose Single reads only the value may also implement
+//
+//	FoldVals(vals []V) A
+//
+// for the leaves that keep their values apart from their keys (integer keys
+// under the key type's own order).  SumAug and MaxAug do both.  Both are
+// optional: without them nothing changes but the speed.
 type Augmenter[K, V, A any] = ftree.Augmenter[K, V, A]
 
 // NoAug is the trivial augmenter for plain maps.
