@@ -697,43 +697,52 @@ func BenchmarkAblationRecycle(b *testing.B) {
 // level of the path copy is a miss — under an arena-bound view, as every
 // pid's transactions run.  "replace" overwrites a uniform key and releases
 // the previous root; "delete-insert" deletes one and puts it back, two path
-// copies and two collects per iteration.  Both must report 0 B/op.
-// DESIGN.md ("The point write") records the numbers.
+// copies and two collects per iteration.  Both run on keys ordered through
+// ftree.New's Cmp, in wide leaves, and as natural-* on ftree.NewNatural's,
+// what OpenDB builds without a Cmp, in narrow ones.  Both must report
+// 0 B/op.  DESIGN.md ("The point write", "Narrow leaves") records the
+// numbers.
 func BenchmarkPointUpdateLargeTree(b *testing.B) {
 	const n = 1_000_000
-	o := ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)
-	o.Recycle = true
-	po := o.Bound(o.NewArena())
-	entries := make([]ftree.Entry[int64, int64], n)
-	for i := range entries {
-		entries[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: int64(i)}
-	}
-	root := po.Build(entries)
-	set := func(next *ftree.Node[int64, int64, int64]) {
-		po.Release(root)
-		root = next
-	}
-	rng := ycsb.NewSplitMix64(25)
-	for i := 0; i < n; i++ { // warm the magazines, scatter the paths
-		set(po.Insert(root, int64(rng.Intn(n)), int64(i)))
-	}
-	b.Run("replace", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	natural, _ := ftree.NewNatural[int64, int64, int64](ftree.SumAug[int64](), 0)
+	for _, ops := range []struct {
+		prefix string
+		o      *ftree.Ops[int64, int64, int64]
+	}{{"", ftree.New[int64, int64, int64](ftree.IntCmp[int64], ftree.SumAug[int64](), 0)}, {"natural-", natural}} {
+		o := ops.o
+		o.Recycle = true
+		po := o.Bound(o.NewArena())
+		entries := make([]ftree.Entry[int64, int64], n)
+		for i := range entries {
+			entries[i] = ftree.Entry[int64, int64]{Key: int64(i), Val: int64(i)}
+		}
+		root := po.Build(entries)
+		set := func(next *ftree.Node[int64, int64, int64]) {
+			po.Release(root)
+			root = next
+		}
+		rng := ycsb.NewSplitMix64(25)
+		for i := 0; i < n; i++ { // warm the magazines, scatter the paths
 			set(po.Insert(root, int64(rng.Intn(n)), int64(i)))
 		}
-	})
-	b.Run("delete-insert", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k := int64(rng.Intn(n))
-			set(po.Delete(root, k))
-			set(po.Insert(root, k, int64(i)))
+		b.Run(ops.prefix+"replace", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set(po.Insert(root, int64(rng.Intn(n)), int64(i)))
+			}
+		})
+		b.Run(ops.prefix+"delete-insert", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := int64(rng.Intn(n))
+				set(po.Delete(root, k))
+				set(po.Insert(root, k, int64(i)))
+			}
+		})
+		set(nil)
+		if live := o.Live(); live != 0 {
+			b.Fatalf("leaked %d units", live)
 		}
-	})
-	set(nil)
-	if live := o.Live(); live != 0 {
-		b.Fatalf("leaked %d units", live)
 	}
 }
 
