@@ -222,38 +222,55 @@ func TestArenaParallelBulk(t *testing.T) {
 	}
 }
 
-// TestArenaFlush: Flush must park nothing and push everything back where
-// other arenas can get it.
+// TestArenaFlush: Flush must park nothing, in any of the three magazines,
+// and push everything back where other arenas can get it — in a family of
+// wide leaves and in one of narrow leaves.
 func TestArenaFlush(t *testing.T) {
-	o := arenaOps()
-	a := o.NewArena()
-	bo := o.Bound(a)
-	var root *Node[int64, int64, int64]
-	for i := int64(0); i < 100; i++ {
-		nr := bo.Insert(root, i, i)
-		bo.Release(root)
-		root = nr
-	}
-	bo.Release(root) // everything parks in the magazine
-	if a.Cached() == 0 {
-		t.Fatalf("nothing parked before Flush")
-	}
-	a.Flush()
-	if n, l := a.nodes.cached(), a.leaves.cached(); n != 0 || l != 0 {
-		t.Fatalf("%d nodes and %d leaves still parked after Flush", n, l)
-	}
-	if o.Live() != 0 {
-		t.Fatalf("leaked %d nodes", o.Live())
-	}
-	// The flushed nodes and leaves are now in the depot, available to any
-	// arena or to the unbound root.
-	nodes, leaves := 0, 0
-	for i := range o.sh.nodes.shards {
-		nodes += len(o.sh.nodes.shards[i].items)
-		leaves += len(o.sh.leaves.shards[i].items)
-	}
-	if nodes == 0 || leaves == 0 {
-		t.Fatalf("depot holds %d nodes and %d leaves after Flush", nodes, leaves)
+	natural, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	natural.Recycle = true
+	for _, c := range []struct {
+		name   string
+		o      *Ops[int64, int64, int64]
+		narrow bool // the family's leaves are narrow units
+	}{{"ordered by Cmp", arenaOps(), false}, {"natural", natural, true}} {
+		o := c.o
+		a := o.NewArena()
+		bo := o.Bound(a)
+		var root *Node[int64, int64, int64]
+		for i := int64(0); i < 100; i++ {
+			nr := bo.Insert(root, i, i)
+			bo.Release(root)
+			root = nr
+		}
+		bo.Release(root) // everything parks in the magazines
+		leafMag := a.leaves.cached()
+		if c.narrow {
+			leafMag = a.narrow.cached()
+		}
+		if a.nodes.cached() == 0 || leafMag == 0 {
+			t.Fatalf("%s: %d nodes and %d leaves parked before Flush", c.name, a.nodes.cached(), leafMag)
+		}
+		a.Flush()
+		if n, l, w := a.nodes.cached(), a.leaves.cached(), a.narrow.cached(); n != 0 || l != 0 || w != 0 || a.Cached() != 0 {
+			t.Fatalf("%s: %d nodes, %d wide and %d narrow leaves still parked after Flush", c.name, n, l, w)
+		}
+		if o.Live() != 0 {
+			t.Fatalf("%s: leaked %d nodes", c.name, o.Live())
+		}
+		// The flushed nodes and leaves are now in the depot, available to
+		// any arena or to the unbound root.
+		nodes, leaves := 0, 0
+		for i := range o.sh.nodes.shards {
+			nodes += len(o.sh.nodes.shards[i].items)
+			if c.narrow {
+				leaves += len(o.sh.narrow.shards[i].items)
+			} else {
+				leaves += len(o.sh.leaves.shards[i].items)
+			}
+		}
+		if nodes == 0 || leaves == 0 {
+			t.Fatalf("%s: depot holds %d nodes and %d leaves after Flush", c.name, nodes, leaves)
+		}
 	}
 }
 
@@ -332,8 +349,8 @@ func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (wide []*leaf[K, V, A], narrow [
 // back to the Go heap, so whatever its run still points at would stay alive
 // for as long as it is parked.  With a pointer in the value or in the key
 // every parked entry is zero, in a wide unit or a narrow one; with neither —
-// where a stale entry pins nothing — the unit is parked as it was, which is
-// the clear per freed leaf that the collector does not pay.  Reference
+// where a stale entry pins nothing — the unit is parked as it was, wide or
+// narrow, which is the clear per freed leaf that the collector does not pay.  Reference
 // counted values in a family of both layouts (clustered keys make narrow
 // leaves, spread ones wide) are released exactly once each.
 func TestFreeClearsPointerfulBlocks(t *testing.T) {
@@ -352,8 +369,9 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	ptrs := New[int64, *payload, struct{}](IntCmp[int64], NoAug[int64, *payload](), 0)
 	strs, _ := NewNatural[string, int64, struct{}](NoAug[string, int64](), 0)
 	ints, _ := NewNatural[int64, int64, int64](SumAug[int64](), 0)
+	wints := New[int64, int64, int64](IntCmp[int64], SumAug[int64](), 0)
 	counted, _ := NewNatural[int64, *payload, struct{}](NoAug[int64, *payload](), 0)
-	ptrs.Recycle, strs.Recycle, ints.Recycle, counted.Recycle = true, true, true, true
+	ptrs.Recycle, strs.Recycle, ints.Recycle, wints.Recycle, counted.Recycle = true, true, true, true, true
 	counted.RetainVal = func(p *payload) *payload { p.refs++; return p }
 	counted.ReleaseVal = func(p *payload) {
 		if p.refs--; p.refs < 0 {
@@ -363,16 +381,18 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 
 	var pr, cr *Node[int64, *payload, struct{}]
 	var sr *Node[string, int64, struct{}]
-	var ir *Node[int64, int64, int64]
+	var ir, wr *Node[int64, int64, int64]
 	var payloads []*payload
 	for i := 0; i < n; i++ {
 		np := ptrs.Insert(pr, int64(i), &payload{id: i})
 		ns := strs.Insert(sr, fmt.Sprintf("key-%04d", i), int64(i))
 		ni := ints.Insert(ir, int64(i+1), int64(i+1))
+		nw := wints.Insert(wr, int64(i+1), int64(i+1))
 		ptrs.Release(pr)
 		strs.Release(sr)
 		ints.Release(ir)
-		pr, sr, ir = np, ns, ni
+		wints.Release(wr)
+		pr, sr, ir, wr = np, ns, ni, nw
 		for _, k := range []int64{int64(i), int64(i+1) << 20} {
 			p := &payload{id: len(payloads), refs: 1}
 			payloads = append(payloads, p)
@@ -389,9 +409,10 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 	ptrs.Release(pr)
 	strs.Release(sr)
 	ints.Release(ir)
+	wints.Release(wr)
 	counted.Release(cr)
-	if ptrs.Live() != 0 || strs.Live() != 0 || ints.Live() != 0 || counted.Live() != 0 {
-		t.Fatalf("live units after the release: %d, %d, %d, %d", ptrs.Live(), strs.Live(), ints.Live(), counted.Live())
+	if ptrs.Live() != 0 || strs.Live() != 0 || ints.Live() != 0 || wints.Live() != 0 || counted.Live() != 0 {
+		t.Fatalf("live units after the release: %d, %d, %d, %d, %d", ptrs.Live(), strs.Live(), ints.Live(), wints.Live(), counted.Live())
 	}
 	for _, p := range payloads {
 		if p.refs != 0 {
@@ -451,4 +472,18 @@ func TestFreeClearsPointerfulBlocks(t *testing.T) {
 		}
 	}
 	check("int64/int64, narrow", len(in), stale, true)
+
+	stale = 0
+	ww, wn := parkedLeaves(wints)
+	if len(wn) != 0 {
+		t.Fatalf("int64/int64 ordered by Cmp: %d narrow leaves", len(wn))
+	}
+	for _, b := range ww {
+		for _, e := range b.e {
+			if e != (Entry[int64, int64]{}) {
+				stale++
+			}
+		}
+	}
+	check("int64/int64, wide", len(ww), stale, true)
 }

@@ -10,9 +10,9 @@ package ftree
 // The cursor is a path of pending nodes plus a position: an internal
 // node's single entry, or an index into a leaf's run.  Next inside a leaf
 // is an index increment; only crossing a leaf boundary touches the stack.
-// The current key is read once, when the cursor moves to it, so Key — which
-// a merge of iterators calls at every comparison — is one load whatever the
-// leaf's layout.
+// The cursor holds no copy of the current key: through a *Node a leaf's
+// key field does not exist (unit.go), so Key reads the leaf's run and an
+// internal node's field only once the fill word has said which it is.
 //
 // An Iter is reusable: Reset and SeekGE re-position it on a (possibly
 // different) tree of the same Ops family while keeping the descent
@@ -26,7 +26,6 @@ type Iter[K, V, A any] struct {
 	stack []*Node[K, V, A] // path of nodes whose entries are all still pending
 	cur   *Node[K, V, A]   // node holding the current entry; nil when exhausted
 	idx   int              // position in cur's run when cur is a leaf
-	key   K                // the current entry's key
 }
 
 // NewIter returns an iterator positioned at t's smallest entry; Valid
@@ -67,7 +66,7 @@ func (it *Iter[K, V, A]) SeekGE(t *Node[K, V, A], k K) {
 	for t != nil {
 		if t.fill != 0 {
 			if i, _ := it.ops.searchLeaf(t, k); i < int(t.fill) {
-				it.cur, it.idx, it.key = t, i, t.leafKey(i)
+				it.cur, it.idx = t, i
 				return
 			}
 			break
@@ -104,19 +103,20 @@ func (it *Iter[K, V, A]) advance() {
 		it.cur = nil
 		return
 	}
-	n := it.stack[len(it.stack)-1]
+	it.cur = it.stack[len(it.stack)-1]
 	it.stack = it.stack[:len(it.stack)-1]
-	it.cur, it.key = n, n.key
-	if n.fill != 0 {
-		it.key = n.leafKey(0)
-	}
 }
 
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iter[K, V, A]) Valid() bool { return it.cur != nil }
 
 // Key returns the current entry's key; requires Valid.
-func (it *Iter[K, V, A]) Key() K { return it.key }
+func (it *Iter[K, V, A]) Key() K {
+	if it.cur.fill != 0 {
+		return it.cur.leafKey(it.idx)
+	}
+	return it.cur.key
+}
 
 // Val returns the current entry's value; requires Valid.
 func (it *Iter[K, V, A]) Val() V {
@@ -133,7 +133,6 @@ func (it *Iter[K, V, A]) Next() {
 	}
 	if it.cur.fill != 0 {
 		if it.idx++; it.idx < int(it.cur.fill) {
-			it.key = it.cur.leafKey(it.idx)
 			return
 		}
 	} else {

@@ -2,8 +2,12 @@ package ftree
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestIterEmpty(t *testing.T) {
@@ -35,7 +39,9 @@ func TestIterFullScan(t *testing.T) {
 		t.Fatalf("visited %d entries, want %d", n, len(ref))
 	}
 	o.Release(root)
-	checkExact(t, o)
+	if o.Live() != 0 {
+		t.Fatalf("leaked %d units", o.Live())
+	}
 }
 
 func TestIterSeek(t *testing.T) {
@@ -182,3 +188,60 @@ func TestIterQuickMatchesEntries(t *testing.T) {
 	}
 	checkExact(t, o)
 }
+
+// TestIterPointerKeysUnderGC: an Iter over string keys reads a leaf's keys
+// from its run only, never from the bytes where an internal Node keeps its
+// key field — in a wide string/int64 leaf those bytes are the first value
+// and half of the second key, and copied into the Iter they would be a
+// string whose data pointer is a user's integer.  Every value here is an
+// address inside a live heap span but past its last object, which the
+// collector rejects as a bad pointer (GODEBUG invalidptr, on by default)
+// if it ever meets it in a pointer slot: the scan runs under a concurrent
+// collector, so a write barrier or a mark of the heap-allocated Iter would
+// find it.
+func TestIterPointerKeysUnderGC(t *testing.T) {
+	o, _ := NewNatural[string, int64, struct{}](NoAug[string, int64](), 0)
+	// A 700-byte object lies in the 704-byte size class: 11 objects in an
+	// 8 KiB span, and the span's last 448 bytes hold none.
+	keep := make([]byte, 700)
+	bad := int64(uintptr(unsafe.Pointer(&keep[0]))&^8191 + 8192 - 64)
+	entries := make([]Entry[string, int64], 5000)
+	for i := range entries {
+		entries[i] = Entry[string, int64]{Key: "k" + strconv.Itoa(100000+i), Val: bad}
+	}
+	root := o.Build(entries)
+	it := o.NewIter(nil)
+	heapSink = []any{keep, it} // both live on the heap, the Iter as a pooled one does
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			runtime.GC()
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+		heapSink = nil
+	}()
+	for round := 0; round < 200; round++ {
+		n := 0
+		for it.Reset(root); it.Valid(); it.Next() {
+			if it.Key() != entries[n].Key || it.Val() != bad {
+				t.Fatalf("entry %d: %q=%d, want %q", n, it.Key(), it.Val(), entries[n].Key)
+			}
+			n++
+		}
+		if n != len(entries) {
+			t.Fatalf("visited %d entries, want %d", n, len(entries))
+		}
+	}
+	o.Release(root)
+	if o.Live() != 0 {
+		t.Fatalf("leaked %d units", o.Live())
+	}
+}
+
+// heapSink makes TestIterPointerKeysUnderGC's objects escape to the heap.
+var heapSink any

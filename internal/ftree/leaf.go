@@ -194,14 +194,16 @@ func (o *Ops[K, V, A]) foldRun(run []Entry[K, V]) A {
 	return a
 }
 
-// foldIn is foldRun of leaf n's entries [i, j).
+// foldIn is foldRun of leaf n's entries [i, j).  A narrow leaf has no run
+// of entries to hand a FoldRun: it folds its values in one call under
+// SumAug (valFolder), entry by entry otherwise.
 func (o *Ops[K, V, A]) foldIn(n *Node[K, V, A], i, j int) A {
 	if !n.narrow {
 		return o.foldRun(n.unit().e[i:j])
 	}
 	u := n.narrowUnit()
 	if o.vals != nil {
-		return o.vals.FoldVals(u.v[i:j])
+		return o.vals.foldVals(u.v[i:j])
 	}
 	if i == j {
 		return o.Aug.Zero()

@@ -34,16 +34,15 @@ type runFolder[K, V, A any] interface {
 	FoldRun(run []Entry[K, V]) A
 }
 
-// valFolder is the bulk form for an augmenter whose Single reads only the
-// value: one that also has
-//
-//	FoldVals(vals []V) A
-//
-// is handed a narrow leaf's values (unit.go), which lie apart from its
-// keys, and must return what FoldRun returns for entries of those values.
-// SumAug and MaxAug have it; without it a narrow leaf folds entry by entry.
+// valFolder is an augmenter of this package whose Single reads only the
+// value — SumAug — folding a narrow leaf's values (unit.go), which lie apart
+// from its keys, in one call: what FoldRun returns for entries of those
+// values.  The method is unexported, so no augmenter from outside the
+// package has it and none has to promise that its Single ignores the key;
+// any other augmenter folds a narrow leaf entry by entry.  Validate checks
+// it against Single and Combine.
 type valFolder[V, A any] interface {
-	FoldVals(vals []V) A
+	foldVals(vals []V) A
 }
 
 // Ops holds the comparison function, augmenter and allocation accounting
@@ -158,9 +157,10 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 // int32, int64, uint, uint32, uint64 or string, exactly; ok is false for
 // any other K.  It is New with Cmp set to that order and, for the integer
 // kinds, with leaf kernels (search, the batch sort) that compare keys
-// directly instead of through Cmp, and with narrow leaves (unit.go).  There is no way to have the kernels
-// with another ordering.  A string comparison follows a pointer and is a
-// call however it is made, so string keys are compared through Cmp.
+// directly instead of through Cmp, and with narrow leaves (unit.go).  There
+// is no way to have the kernels with another ordering.  A string comparison
+// follows a pointer and is a call however it is made, so string keys are
+// compared through Cmp.
 func NewNatural[K, V, A any](aug Augmenter[K, V, A], g int) (o *Ops[K, V, A], ok bool) {
 	var zero K
 	switch any(zero).(type) {
@@ -277,7 +277,7 @@ func (sumAug[K]) FoldRun(run []Entry[K, int64]) (s int64) {
 	}
 	return s
 }
-func (sumAug[K]) FoldVals(vals []int64) (s int64) {
+func (sumAug[K]) foldVals(vals []int64) (s int64) {
 	for _, v := range vals {
 		s += v
 	}
@@ -307,16 +307,6 @@ func (m maxAug[K]) FoldRun(run []Entry[K, int64]) int64 {
 	a := run[0].Val
 	for _, e := range run[1:] {
 		a = max(a, e.Val)
-	}
-	return a
-}
-func (m maxAug[K]) FoldVals(vals []int64) int64 {
-	if len(vals) == 0 {
-		return m.Zero()
-	}
-	a := vals[0]
-	for _, v := range vals[1:] {
-		a = max(a, v)
 	}
 	return a
 }

@@ -37,13 +37,7 @@ type Entry[K, V any] = ftree.Entry[K, V]
 //
 // returning what Single and Combine fold a leaf's run to (Zero for the empty
 // run); the tree then makes that one call per leaf instead of two per entry.
-// One whose Single reads only the value may also implement
-//
-//	FoldVals(vals []V) A
-//
-// for the leaves that keep their values apart from their keys (integer keys
-// under the key type's own order).  SumAug and MaxAug do both.  Both are
-// optional: without them nothing changes but the speed.
+// SumAug and MaxAug do.  It is optional: without it nothing changes.
 type Augmenter[K, V, A any] = ftree.Augmenter[K, V, A]
 
 // NoAug is the trivial augmenter for plain maps.
