@@ -83,12 +83,6 @@ type DBOptions[K any] struct {
 	// than through a function — and errors on other kinds.  A Cmp given
 	// here is called for every comparison, whatever it computes.
 	Cmp func(a, b K) int
-	// Grain is the parallel cutoff of the tree's bulk operations (0 =
-	// sequential).  A batch commit forks a step only when both halves of
-	// the batch exceed it, so batches up to twice Grain run on the
-	// committing goroutine alone; bulk loads and set operations above it
-	// use parallel halves.
-	Grain int
 
 	// WAL enables write-ahead logging when non-nil with a Dir: every
 	// committed write is appended to a segmented redo log and fsynced per
@@ -130,6 +124,11 @@ type WALOptions struct {
 	CheckpointBytes int64
 }
 
+// dbGrain is every shard tree's parallel cutoff: a batch commit forks a step
+// only when both halves exceed it, so batches up to twice dbGrain run on the
+// committing goroutine; bulk loads and set operations above it fork halves.
+const dbGrain = 1024
+
 // OpenDB opens a sharded map with the given augmenter and initial
 // contents; use OpenPlainDB for the common unaugmented case.
 //
@@ -163,13 +162,13 @@ func OpenDB[K, V, A any](o DBOptions[K], aug Augmenter[K, V, A], initial []Entry
 	// Each shard gets its own Ops family.  Without a caller's ordering the
 	// keys are in their type's own order, which the tree compares directly
 	// (ftree.NewNatural); a caller's Cmp is called, whatever it computes.
-	cmp, grain := o.Cmp, o.Grain
-	newOps := func() *ftree.Ops[K, V, A] { return ftree.New(cmp, aug, grain) }
+	cmp := o.Cmp
+	newOps := func() *ftree.Ops[K, V, A] { return ftree.New(cmp, aug, dbGrain) }
 	if cmp == nil {
-		if _, ok := ftree.NewNatural(aug, grain); !ok {
+		if _, ok := ftree.NewNatural(aug, dbGrain); !ok {
 			return nil, errors.New("mvgc: DBOptions.Cmp is required for this key type")
 		}
-		newOps = func() *ftree.Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, grain); return ops }
+		newOps = func() *ftree.Ops[K, V, A] { ops, _ := ftree.NewNatural(aug, dbGrain); return ops }
 	}
 	var (
 		wcfg *shard.WALConfig[K, V]

@@ -29,7 +29,8 @@ import (
 //     objects born together — which path copying tends to link together —
 //     share cache lines.  A magazine carves its first chunk on its first
 //     get, so an arena whose trees never hold a leaf of one layout holds no
-//     chunk of it.
+//     chunk of it.  The unbound root carves the same chunks when the depot
+//     runs dry, parking all but the object it takes.
 //
 // Free objects are linked only through the magazine and depot slices,
 // never through fields of their own, which keeps a leaf unit pointer-free
@@ -140,14 +141,25 @@ func (d *depot[T]) take(dst []*T, k int) []*T {
 	return dst
 }
 
-// pop takes one object for the unbound root Ops (nil when the depot is
-// empty).
-func (d *depot[T]) pop() *T {
+// pop takes one object for the unbound root Ops.  When the depot is empty
+// it carves a chunk of the given count from the heap, as a magazine does,
+// keeps the first object and parks the rest on one shard: the units the
+// unbound root allocates — a bulk load's, a parallel fork's — share chunks
+// instead of each taking a heap object of its own size class.
+func (d *depot[T]) pop(chunk int) *T {
 	var one [1]*T
-	if len(d.take(one[:0], 1)) == 0 {
-		return nil
+	if len(d.take(one[:0], 1)) == 1 {
+		return one[0]
 	}
-	return one[0]
+	blk := make([]T, chunk)
+	s := &d.shards[d.hint.Add(1)%depotShards]
+	s.mu.Lock()
+	for i := 1; i < chunk; i++ {
+		s.items = append(s.items, &blk[i])
+	}
+	s.mu.Unlock()
+	d.size.Add(int64(chunk - 1))
+	return &blk[0]
 }
 
 // magazine is one object type's pid-local cache.
@@ -186,8 +198,11 @@ func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 
 // leafMagazine is an empty magazine of leaf units of type T, sized in bytes.
 func leafMagazine[T any](d *depot[T]) magazine[T] {
-	return magazine[T]{d: d, mag: make([]*T, 0, unitsIn[T](magLeafBytes)), chunk: unitsIn[T](chunkLeafBytes)}
+	return magazine[T]{d: d, mag: make([]*T, 0, unitsIn[T](magLeafBytes)), chunk: leafChunk[T]()}
 }
+
+// leafChunk is how many leaf units of type T a fresh chunk carves.
+func leafChunk[T any]() int { return unitsIn[T](chunkLeafBytes) }
 
 // unitsIn is how many units of type T fit in the given bytes, and at least
 // two, so that a magazine moves at least one unit a block.

@@ -336,12 +336,8 @@ func TestDeleteAbsentSharesInput(t *testing.T) {
 // parkedLeaves empties an unbound family's depots of leaf units: the wide
 // ones and the narrow ones.
 func parkedLeaves[K, V, A any](o *Ops[K, V, A]) (wide []*leaf[K, V, A], narrow []*narrowLeaf[K, V, A]) {
-	for u := o.sh.leaves.pop(); u != nil; u = o.sh.leaves.pop() {
-		wide = append(wide, u)
-	}
-	for u := o.sh.narrow.pop(); u != nil; u = o.sh.narrow.pop() {
-		narrow = append(narrow, u)
-	}
+	wide = o.sh.leaves.take(nil, int(o.sh.leaves.size.Load()))
+	narrow = o.sh.narrow.take(nil, int(o.sh.narrow.size.Load()))
 	return wide, narrow
 }
 

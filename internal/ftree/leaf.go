@@ -138,29 +138,25 @@ func (o *Ops[K, V, A]) newLeaf(n int, first, last K) *Node[K, V, A] {
 	var nd *Node[K, V, A]
 	if o.narrowFor(first, last) {
 		var u *narrowLeaf[K, V, A]
-		if o.Recycle {
-			if a := o.arena; a != nil {
-				u = a.narrow.get()
-			} else {
-				u = o.sh.narrow.pop()
-			}
-		}
-		if u == nil {
+		switch {
+		case !o.Recycle:
 			u = new(narrowLeaf[K, V, A])
+		case o.arena != nil:
+			u = o.arena.narrow.get()
+		default:
+			u = o.sh.narrow.pop(leafChunk[narrowLeaf[K, V, A]]())
 		}
 		u.narrow, u.base = true, first
 		nd = u.node()
 	} else {
 		var u *leaf[K, V, A]
-		if o.Recycle {
-			if a := o.arena; a != nil {
-				u = a.leaves.get()
-			} else {
-				u = o.sh.leaves.pop()
-			}
-		}
-		if u == nil {
+		switch {
+		case !o.Recycle:
 			u = new(leaf[K, V, A])
+		case o.arena != nil:
+			u = o.arena.leaves.get()
+		default:
+			u = o.sh.leaves.pop(leafChunk[leaf[K, V, A]]())
 		}
 		u.narrow = false
 		nd = u.node()

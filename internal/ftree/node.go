@@ -240,18 +240,16 @@ func hasAug[A any]() bool {
 // unit.  A bound view counts in its arena's tally and, with Recycle on,
 // takes the node from the arena's magazine — plain loads and stores
 // throughout; the unbound root counts in the sharded atomics and asks the
-// depot.
+// depot, which carves a chunk when it is empty.
 func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 	var n *Node[K, V, A]
-	if o.Recycle {
-		if a := o.arena; a != nil {
-			n = a.nodes.get()
-		} else {
-			n = o.sh.nodes.pop()
-		}
-	}
-	if n == nil {
+	switch {
+	case !o.Recycle:
 		n = &Node[K, V, A]{}
+	case o.arena != nil:
+		n = o.arena.nodes.get()
+	default:
+		n = o.sh.nodes.pop(chunkNodes)
 	}
 	n.ref = 1 // private until the caller publishes it
 	o.countAlloc(n)

@@ -49,21 +49,28 @@ func TestLeafUnitSize(t *testing.T) {
 // make narrow leaves: 656-byte units, each its own allocation in the 704-byte
 // size class, and one 48-byte node, per 64 keys — 11.75 B/key.  Uniform
 // random 64-bit keys make wide ones, 1 KiB: 16.75 B/key, the figure from
-// before narrow leaves, which spread keys must keep.  The lengths lie on
-// both sides of (leafMax+1)·2^k, where a build that halves a run until it
-// fits a leaf jumps from full leaves to half-empty ones.
+// before narrow leaves, which spread keys must keep.  With Recycle on, the
+// unbound root carves its units from the depot's 32 KiB chunks instead: 49
+// narrow units in the 32 768-byte class, 668.7 B each, and 12 KiB of nodes —
+// 11.25 B/key before the depot's own slices, under 11.4 with them.  The
+// lengths lie on both sides of (leafMax+1)·2^k, where a build that halves a
+// run until it fits a leaf jumps from full leaves to half-empty ones.
 func TestTreeBytesPerKey(t *testing.T) {
 	for _, n := range []int{500_000, 600_000, 1_100_000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			dense := func(_ *rand.Rand, i int) int64 { return int64(i) }
 			for _, c := range []struct {
-				name  string
-				key   func(rng *rand.Rand, i int) int64
-				bound float64
+				name    string
+				key     func(rng *rand.Rand, i int) int64
+				bound   float64
+				recycle bool
 			}{
-				{"dense", func(_ *rand.Rand, i int) int64 { return int64(i) }, 11.8},
-				{"random", func(rng *rand.Rand, _ int) int64 { return int64(rng.Uint64()) }, 17.25},
+				{"dense", dense, 11.8, false},
+				{"random", func(rng *rand.Rand, _ int) int64 { return int64(rng.Uint64()) }, 17.25, false},
+				{"dense, Recycle", dense, 11.4, true},
 			} {
 				o, _ := NewNatural[int64, int64, struct{}](NoAug[int64, int64](), 0)
+				o.Recycle = c.recycle
 				rng := rand.New(rand.NewSource(int64(n)))
 				batch := make([]Entry[int64, int64], n)
 				for i, k := range rng.Perm(n) {

@@ -151,7 +151,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	db, err := mvgc.OpenDB[int64, int64, int64](mvgc.DBOptions[int64]{
 		Shards: cfg.Shards,
-		Grain:  1024,
 		WAL:    walOpts,
 	}, mvgc.SumAug[int64](), nil)
 	if err != nil {

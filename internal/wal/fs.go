@@ -5,9 +5,11 @@
 // sequence numbers (GSNs): every committed write transaction appends one
 // record stamped with its commit GSN, and recovery replays records in
 // ascending GSN order on top of the newest valid checkpoint snapshot.
-// Durability is group-commit shaped: Append buffers, Commit fsyncs once
-// for every record appended so far, so the commits of N concurrent
-// writers share one fsync (see DESIGN.md "Durability").
+// Durability is group-commit shaped: Append buffers, and a Commit either
+// leads — elected under the log's one mutex, it fsyncs every record
+// appended so far with the mutex released — or waits for the leader that
+// covers it, so the commits of N concurrent writers share one fsync (see
+// DESIGN.md "Durability").
 //
 // All file I/O goes through the FS interface so tests can run the whole
 // stack against MemFS (an in-memory filesystem with a power-cut model)

@@ -189,7 +189,6 @@ func Open(opts Options) (*Log, *Recovered, error) {
 		snapSize:  snapSize,
 		snapCut:   rec.SnapshotCut,
 	}
-	l.syncCond.L = &l.syncMu
 	l.tailCond.L = &l.mu
 	l.ioCond.L = &l.mu
 	l.mu.Lock()

@@ -7,11 +7,13 @@ import (
 	"time"
 )
 
-// gateFS is a MemFS whose segment fsyncs can be held: once armed, a Sync
-// announces itself on entered and parks until release is closed.  It is how
-// the tests below stand inside an fsync and look at the log from outside.
+// gateFS is a MemFS whose segment fsyncs are counted and can be held: once
+// armed, a Sync announces itself on entered and parks until release is
+// closed.  It is how the tests below stand inside an fsync and look at the
+// log from outside.
 type gateFS struct {
 	*MemFS
+	syncs   atomic.Int64 // segment fsyncs begun
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
@@ -43,6 +45,7 @@ type gateFile struct {
 }
 
 func (f *gateFile) Sync() error {
+	f.fs.syncs.Add(1)
 	if f.fs.armed.Load() {
 		f.fs.entered <- struct{}{}
 		<-f.fs.release
@@ -145,5 +148,37 @@ func TestTailNeverPastCompletedSync(t *testing.T) {
 	st := l.Stat()
 	if st.Synced <= before || st.Synced >= st.Appended {
 		t.Fatalf("Synced = %d, want past %d (A) and short of Appended %d (B)", st.Synced, before, st.Appended)
+	}
+}
+
+// TestSealedRecordDurableWithoutSync: the fsync that seals a segment makes
+// every record in it durable, so a record a roll sealed needs no fsync of its
+// own — Stat().Synced covers it once the roll is done, and CommitTo on its
+// mark returns without a Sync.
+func TestSealedRecordDurableWithoutSync(t *testing.T) {
+	fs := newGateFS(t)
+	l, _ := openMem(t, fs, Options{SegmentBytes: 128})
+	defer l.Close()
+	payload := make([]byte, 64)
+	mark, err := l.AppendMark(1, payload)
+	if err != nil {
+		t.Fatalf("AppendMark(1): %v", err)
+	}
+	if _, err := l.AppendMark(2, payload); err != nil { // does not fit: rolls
+		t.Fatalf("AppendMark(2): %v", err)
+	}
+	st := l.Stat()
+	if st.Segments != 2 {
+		t.Fatalf("%d segments after the second record, want 2 (a roll)", st.Segments)
+	}
+	if st.Synced < mark {
+		t.Fatalf("Synced = %d after the roll sealed the record ending at %d", st.Synced, mark)
+	}
+	before := fs.syncs.Load()
+	if err := l.CommitTo(mark); err != nil {
+		t.Fatalf("CommitTo: %v", err)
+	}
+	if n := fs.syncs.Load() - before; n != 0 {
+		t.Fatalf("CommitTo of a sealed record issued %d fsyncs, want 0", n)
 	}
 }

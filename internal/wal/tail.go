@@ -278,7 +278,10 @@ func (t *Tailer) Next(wait bool) ([]byte, error) {
 			l.mu.Unlock()
 			t.drop()
 			t.seq, t.off = next, int64(len(segMagic))
-		case l.closed:
+		case l.cur == nil:
+			// Closed, and Close's last fsync published: until then the
+			// default case below waits that fsync out and ships what it
+			// made durable.
 			l.mu.Unlock()
 			t.drop()
 			return nil, ErrLogClosed
@@ -294,11 +297,9 @@ func (t *Tailer) Next(wait bool) ([]byte, error) {
 			// Caught up with the active segment's durable bytes: push any
 			// buffered appends toward durability, then sleep until the
 			// window can move.
-			l.mu.Unlock()
-			l.Sync() //nolint:errcheck // a sticky error surfaces next pass
-			l.mu.Lock()
+			l.syncLocked(l.appended) //nolint:errcheck // a sticky error surfaces next pass
 			lim, _, _, gone := t.windowLocked()
-			if !gone && lim <= t.off && !t.closed && !l.closed && l.err == nil {
+			if !gone && lim <= t.off && !t.closed && l.cur != nil && l.err == nil {
 				l.tailWaiters++
 				l.tailCond.Wait()
 				l.tailWaiters--

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Policy selects when appended records are fsynced.
@@ -76,10 +77,10 @@ type Log struct {
 	dir  string
 	opts Options
 
-	// mu guards the log's state and is never held across an fsync nor
-	// acquired while holding syncMu.  The current segment has one writer at
-	// a time: whoever holds mu with inflight clear, or — with mu released —
-	// the fsync leader that set inflight (flushAndSync).
+	// mu guards all of the log's state, the group commit's included, and is
+	// never held across an fsync.  The current segment has one writer at a
+	// time: whoever holds mu with inflight clear, or — with mu released —
+	// the fsync leader that set inflight (syncLocked).
 	mu        sync.Mutex
 	cur       File
 	curName   string
@@ -89,11 +90,13 @@ type Log struct {
 	buf       []byte // framed records not yet written to cur
 	spare     []byte // the other append buffer; nil while a leader writes it out
 	appended  int64  // logical watermark: total framed bytes ever appended
-	// inflight is set while an fsync leader writes and syncs cur outside mu.
-	// A size-triggered flush and a segment roll wait for it on ioCond rather
+	// inflight is set while an fsync leader writes and syncs cur outside mu;
+	// there is at most one leader.  A size-triggered flush, a segment roll
+	// and a committer the leader does not cover wait for it on ioCond rather
 	// than write to (or seal) the file under the leader.
 	inflight  bool
 	ioCond    sync.Cond
+	synced    int64 // watermark: appended bytes known durable
 	sealed    []segInfo
 	liveBytes int64
 	snapSeq   uint64
@@ -102,10 +105,13 @@ type Log struct {
 	err       error  // sticky: the log is unusable after an I/O failure
 	closed    bool
 
+	failed atomic.Bool // err != nil, readable without mu (see Err)
+
 	// curDurable is the current segment's durable prefix in bytes: 0 until
 	// its first fsync, then what l.curSize was when the last completed
-	// flushAndSync swapped the buffers out — published only after that
-	// fsync returned, and short of l.curSize by whatever was appended since.
+	// leader swapped the buffers out — published with synced, only after
+	// that fsync returned, and short of l.curSize by whatever was appended
+	// since.
 	// Sealed segments are fully durable (sealing syncs before closing), so
 	// this single watermark plus the sealed sizes define exactly the byte
 	// range a Tailer may ship — a shipped record is never one a crash on
@@ -118,11 +124,6 @@ type Log struct {
 	// path pays one integer check.
 	tailCond    sync.Cond
 	tailWaiters int
-
-	syncMu   sync.Mutex
-	syncCond sync.Cond
-	synced   int64 // watermark: appended bytes known durable
-	syncing  bool  // a leader elected by syncTo is inside flushAndSync
 
 	ckptMu sync.Mutex // single-flight checkpoints
 }
@@ -144,21 +145,21 @@ func Create(opts Options) (*Log, error) {
 // next one.  The seal syncs the old file before the new one exists, so
 // a torn tail can only ever be in the highest-numbered segment; the
 // SyncDir makes the new entry crash-durable before any record lands in
-// it.  The caller holds mu with no fsync in flight (see awaitIOLocked).
+// it.  The seal's fsync makes every record appended so far durable, so it
+// advances synced too.  The caller holds mu with no fsync in flight.
 func (l *Log) newSegmentLocked() error {
 	if l.cur != nil {
 		if err := l.flushLocked(); err != nil {
 			return err
 		}
 		if err := l.cur.Sync(); err != nil {
-			l.err = fmt.Errorf("wal: seal %s: %w", l.curName, err)
-			return l.err
+			return l.fail(fmt.Errorf("wal: seal %s: %w", l.curName, err))
 		}
 		if err := l.cur.Close(); err != nil {
-			l.err = fmt.Errorf("wal: seal %s: %w", l.curName, err)
-			return l.err
+			return l.fail(fmt.Errorf("wal: seal %s: %w", l.curName, err))
 		}
 		l.sealed = append(l.sealed, segInfo{seq: l.curSeq, name: l.curName, maxGSN: l.curMaxGSN, size: l.curSize})
+		l.synced = l.appended // the seal's fsync covered every record so far
 		if l.tailWaiters > 0 {
 			l.tailCond.Broadcast() // the sealed segment is fully durable
 		}
@@ -167,16 +168,13 @@ func (l *Log) newSegmentLocked() error {
 	name := filepath.Join(l.dir, segName(seq))
 	f, err := l.fs.Create(name)
 	if err != nil {
-		l.err = fmt.Errorf("wal: create segment: %w", err)
-		return l.err
+		return l.fail(fmt.Errorf("wal: create segment: %w", err))
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
-		l.err = fmt.Errorf("wal: segment header: %w", err)
-		return l.err
+		return l.fail(fmt.Errorf("wal: segment header: %w", err))
 	}
 	if err := l.fs.SyncDir(l.dir); err != nil {
-		l.err = fmt.Errorf("wal: sync dir: %w", err)
-		return l.err
+		return l.fail(fmt.Errorf("wal: sync dir: %w", err))
 	}
 	l.cur, l.curName, l.curSeq = f, name, seq
 	l.curSize = int64(len(segMagic))
@@ -196,8 +194,7 @@ func (l *Log) flushLocked() error {
 	}
 	_, err := l.cur.Write(l.buf)
 	if err != nil {
-		l.err = fmt.Errorf("wal: write %s: %w", l.curName, err)
-		return l.err
+		return l.fail(fmt.Errorf("wal: write %s: %w", l.curName, err))
 	}
 	l.buf = l.buf[:0]
 	return nil
@@ -241,7 +238,7 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 			break
 		}
 		if l.inflight {
-			l.awaitIOLocked() // everything above may have changed: look again
+			l.ioCond.Wait() // everything above may have changed: look again
 			continue
 		}
 		if err := l.newSegmentLocked(); err != nil {
@@ -281,9 +278,8 @@ func (l *Log) AppendMark(gsn uint64, payload []byte) (mark int64, err error) {
 // a no-op returning only the sticky error under FsyncOff.
 func (l *Log) Commit() error {
 	l.mu.Lock()
-	target := l.appended
-	l.mu.Unlock()
-	return l.CommitTo(target)
+	defer l.mu.Unlock()
+	return l.commitLocked(l.appended)
 }
 
 // CommitTo is Commit for one record: it returns once the log is durable up
@@ -291,66 +287,28 @@ func (l *Log) Commit() error {
 // of — anything appended after it.
 func (l *Log) CommitTo(mark int64) error {
 	l.mu.Lock()
-	err := l.err
-	closed := l.closed
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if closed {
+	defer l.mu.Unlock()
+	return l.commitLocked(mark)
+}
+
+// commitLocked is CommitTo with mu held.
+func (l *Log) commitLocked(mark int64) error {
+	switch {
+	case l.err != nil:
+		return l.err
+	case l.closed:
 		return ErrLogClosed
-	}
-	if l.opts.Policy != FsyncAlways {
+	case l.opts.Policy != FsyncAlways:
 		return nil
 	}
-	return l.syncTo(mark)
+	return l.syncLocked(mark)
 }
 
 // Sync forces a flush+fsync regardless of policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	target := l.appended
-	l.mu.Unlock()
-	return l.syncTo(target)
-}
-
-// syncTo blocks until the durable watermark covers target.  One caller
-// becomes the fsync leader; the rest wait on its barrier and re-elect if
-// the watermark still falls short (e.g. records appended after the
-// leader snapped its target).
-func (l *Log) syncTo(target int64) error {
-	l.syncMu.Lock()
-	for {
-		if l.synced >= target {
-			l.syncMu.Unlock()
-			return nil
-		}
-		if !l.syncing {
-			break
-		}
-		l.syncCond.Wait()
-	}
-	l.syncing = true
-	l.syncMu.Unlock()
-
-	reached, err := l.flushAndSync()
-
-	l.syncMu.Lock()
-	l.syncing = false
-	if err == nil && reached > l.synced {
-		l.synced = reached
-	}
-	l.syncCond.Broadcast()
-	l.syncMu.Unlock()
-	return err
-}
-
-// awaitIOLocked waits out an in-flight fsync; the caller holds mu, which
-// the wait releases and retakes.
-func (l *Log) awaitIOLocked() {
-	for l.inflight {
-		l.ioCond.Wait()
-	}
+	defer l.mu.Unlock()
+	return l.syncLocked(l.appended)
 }
 
 // maxSpareBytes bounds the capacity a written-out append buffer may keep
@@ -358,77 +316,87 @@ func (l *Log) awaitIOLocked() {
 // both buffers for the life of the log.
 const maxSpareBytes = 2 * flushThreshold
 
-// flushAndSync writes the buffer and fsyncs the current segment, returning
-// the appended watermark the fsync covered.  Only the bookkeeping runs
-// under mu: the buffer is swapped for the spare and the watermarks noted,
-// the Write and the Sync run with mu released — appenders fill the other
-// buffer meanwhile, and the next fsync covers them all — and mu is retaken
-// to publish what became durable.  Between the two, inflight makes the
-// caller the segment's only writer.
-func (l *Log) flushAndSync() (int64, error) {
-	l.mu.Lock()
-	l.awaitIOLocked()
-	if l.err != nil {
-		l.mu.Unlock()
-		return 0, l.err
-	}
-	if l.cur == nil {
-		l.mu.Unlock()
-		return 0, ErrLogClosed
-	}
-	var out []byte
-	if len(l.buf) > 0 {
-		out, l.buf, l.spare = l.buf, l.spare[:0], nil
-	}
-	// Everything up to reached is in the file or in out, and the file will
-	// be exactly size bytes long once out is written.
-	reached, size := l.appended, l.curSize
-	f, name := l.cur, l.curName
-	l.inflight = true
-	l.mu.Unlock()
-
-	var err error
-	if len(out) > 0 {
-		if _, werr := f.Write(out); werr != nil {
-			err = fmt.Errorf("wal: write %s: %w", name, werr)
+// syncLocked returns once the durable watermark covers target, whatever the
+// policy; the caller holds mu.  A caller that finds the watermark short and
+// no fsync in flight becomes the leader: it swaps the buffer for the spare
+// and notes the watermarks under mu, then writes and fsyncs with mu
+// released — appenders fill the other buffer meanwhile, and the next leader
+// covers them all — and retakes mu to publish synced and curDurable
+// together.  Everyone else waits on ioCond and looks again: the leader
+// covers them, or one of them leads next (records appended after the
+// leader noted its watermark).
+func (l *Log) syncLocked(target int64) error {
+	for l.synced < target {
+		switch {
+		case l.err != nil:
+			return l.err
+		case l.cur == nil:
+			return ErrLogClosed
+		case l.inflight:
+			l.ioCond.Wait()
+			continue
 		}
-	}
-	if err == nil {
-		if serr := f.Sync(); serr != nil {
-			err = fmt.Errorf("wal: fsync %s: %w", name, serr)
+		var out []byte
+		if len(l.buf) > 0 {
+			out, l.buf, l.spare = l.buf, l.spare[:0], nil
 		}
-	}
+		// Everything up to reached is in the file or in out, and the file
+		// will be exactly size bytes long once out is written.
+		reached, size := l.appended, l.curSize
+		f, name := l.cur, l.curName
+		l.inflight = true
+		l.mu.Unlock()
 
-	l.mu.Lock()
-	l.inflight = false
-	if out != nil && cap(out) <= maxSpareBytes {
-		l.spare = out[:0]
-	}
-	if err != nil {
-		// As in flushLocked: the file may hold a partial frame, and nothing
-		// appended since can be acked from this Log either.
-		l.err = err
-	} else {
+		var err error
+		if len(out) > 0 {
+			if _, werr := f.Write(out); werr != nil {
+				err = fmt.Errorf("wal: write %s: %w", name, werr)
+			}
+		}
+		if err == nil {
+			if serr := f.Sync(); serr != nil {
+				err = fmt.Errorf("wal: fsync %s: %w", name, serr)
+			}
+		}
+
+		l.mu.Lock()
+		l.inflight = false
+		l.ioCond.Broadcast()
+		if out != nil && cap(out) <= maxSpareBytes {
+			l.spare = out[:0]
+		}
+		if err != nil {
+			// As in flushLocked: the file may hold a partial frame, and
+			// nothing appended since can be acked from this Log either.
+			return l.fail(err)
+		}
 		// Durable only now that the Sync has returned.  No roll can have
 		// happened under inflight, so size still measures l.cur.
-		l.curDurable = size
+		l.synced, l.curDurable = reached, size
 		if l.tailWaiters > 0 {
 			l.tailCond.Broadcast()
 		}
 	}
-	l.ioCond.Broadcast()
-	l.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return reached, nil
+	return nil
 }
 
-// Err returns the sticky log error, if any.
+// Err returns the sticky log error, if any.  A healthy log answers without
+// mu: every logged write asks first, and must not queue behind the
+// committers a finished fsync wakes.
 func (l *Log) Err() error {
+	if !l.failed.Load() {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
+}
+
+// fail makes err the log's sticky error and returns it; the caller holds mu.
+func (l *Log) fail(err error) error {
+	l.err = err
+	l.failed.Store(true)
+	return err
 }
 
 // Checkpoint atomically installs a snapshot covering every commit with
@@ -534,45 +502,32 @@ type Stats struct {
 // Stat reports the log's current shape.
 func (l *Log) Stat() Stats {
 	l.mu.Lock()
-	segs := len(l.sealed) + 1
-	live := l.liveBytes
-	app := l.appended
-	cut := l.snapCut
-	l.mu.Unlock()
-	l.syncMu.Lock()
-	syn := l.synced
-	l.syncMu.Unlock()
-	return Stats{Segments: segs, LiveBytes: live, Appended: app, Synced: syn, SnapshotCut: cut}
+	defer l.mu.Unlock()
+	return Stats{Segments: len(l.sealed) + 1, LiveBytes: l.liveBytes, Appended: l.appended, Synced: l.synced, SnapshotCut: l.snapCut}
 }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
 // Close flushes and fsyncs outstanding records under either policy (the
-// graceful-shutdown path: SIGTERM must not lose off-policy acks), then closes the segment.  Safe to call once; the Log is
-// unusable afterwards.
+// graceful-shutdown path: SIGTERM must not lose off-policy acks), then
+// closes the segment.  Committers already waiting are covered by that
+// fsync; later ones get ErrLogClosed.  Safe to call more than once; the
+// Log is unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-
-	_, serr := l.flushAndSync()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.awaitIOLocked()      // a Tailer's forced Sync may have got in behind ours
+	err := l.syncLocked(l.appended)
 	l.tailCond.Broadcast() // wake Tailers so they observe closed
 	if l.cur != nil {
-		if err := l.cur.Close(); err != nil && serr == nil {
-			serr = err
+		if cerr := l.cur.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 		l.cur = nil
 	}
-	if errors.Is(serr, ErrLogClosed) {
-		serr = nil
-	}
-	return serr
+	return err
 }

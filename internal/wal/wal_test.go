@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func openMem(t *testing.T, fs FS, opts Options) (*Log, *Recovered) {
@@ -398,10 +401,46 @@ func TestStickyError(t *testing.T) {
 }
 
 // TestGroupCommit: concurrent committers all return with their records
-// durable; under -race this also exercises the leader/follower protocol.
+// durable; under -race this also exercises the leader/follower protocol.  A
+// Tailer blocked in Next(true) follows them throughout, and a Close lands
+// while a second round of committers is still at it: every CommitTo returns
+// nil or ErrLogClosed and none hangs, and the Tailer reports ErrLogClosed
+// only once it has shipped every record the log holds durably.
 func TestGroupCommit(t *testing.T) {
 	fs := NewMemFS()
-	l, _ := openMem(t, fs, Options{})
+	l, _ := openMem(t, fs, Options{SegmentBytes: 1 << 10})
+	tl, err := l.Tail(0, 0)
+	if err != nil {
+		t.Fatalf("Tail: %v", err)
+	}
+	defer tl.Close()
+	type tailed struct {
+		gsns []uint64
+		err  error
+	}
+	tailDone := make(chan tailed, 1)
+	go func() {
+		var got []uint64
+		for {
+			recs, err := nextRecs(tl, true)
+			if err != nil {
+				tailDone <- tailed{got, err}
+				return
+			}
+			got = append(got, gsns(recs)...)
+		}
+	}()
+	waitFor := func(wg *sync.WaitGroup, what string) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s hung", what)
+		}
+	}
+
 	const writers, each = 8, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -422,22 +461,68 @@ func TestGroupCommit(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("writer: %v", err)
-	}
+	waitFor(&wg, "committers")
 	st := l.Stat()
 	if st.Synced != st.Appended {
 		t.Fatalf("synced %d < appended %d after all commits", st.Synced, st.Appended)
 	}
-	l.Close()
+
+	// Second round: committers run until Close stops them.  A record
+	// appended before Close is durable once Close returns, whatever its
+	// CommitTo said.
+	var next, appended atomic.Int64
+	next.Store(writers * each)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				mark, err := l.AppendMark(uint64(next.Add(1)), []byte{byte(w)})
+				if err == nil {
+					appended.Add(1)
+					err = l.CommitTo(mark)
+				}
+				if err != nil {
+					if !errors.Is(err, ErrLogClosed) {
+						errs <- err
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	for deadline := time.Now().Add(10 * time.Second); appended.Load() < 4*writers && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	waitFor(&wg, "committers after Close")
+	close(errs)
+	for err := range errs {
+		t.Fatalf("writer: %v", err)
+	}
+	var got tailed
+	select {
+	case got = <-tailDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Tailer never returned after Close")
+	}
+	if !errors.Is(got.err, ErrLogClosed) {
+		t.Fatalf("Tailer ended with %v, want ErrLogClosed", got.err)
+	}
+
 	_, rec, err := Open(Options{Dir: "db", FS: fs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if len(rec.Records) != writers*each {
-		t.Fatalf("recovered %d records, want %d", len(rec.Records), writers*each)
+	want := gsns(rec.Records)
+	if n := writers*each + int(appended.Load()); len(want) != n {
+		t.Fatalf("recovered %d records, want %d", len(want), n)
+	}
+	slices.Sort(got.gsns)
+	if !slices.Equal(got.gsns, want) {
+		t.Fatalf("Tailer shipped %d records before ErrLogClosed, the log holds %d", len(got.gsns), len(want))
 	}
 }
 
