@@ -21,6 +21,7 @@ import (
 	"mvgc/internal/shard"
 	"mvgc/internal/vlist"
 	"mvgc/internal/vm"
+	"mvgc/internal/wal"
 	"mvgc/internal/ycsb"
 )
 
@@ -790,5 +791,32 @@ func BenchmarkBatchInsertLargeTree(b *testing.B) {
 	set(nil)
 	if live := o.Live(); live != 0 {
 		b.Fatalf("leaked %d units", live)
+	}
+}
+
+// BenchmarkCheckpoint prices one explicit checkpoint of a logged DB of
+// 100 k int64 pairs on two shards, the log on MemFS: the consistent cut,
+// the encode into one buffer while it is pinned, and the snapshot file's
+// write, sync and rename.  B/op counts MemFS's own copy of the file too.
+//
+//	go test -run '^$' -bench '^BenchmarkCheckpoint$' -benchmem -count 3 .
+func BenchmarkCheckpoint(b *testing.B) {
+	initial := make([]Entry[int64, int64], 100_000)
+	for i := range initial {
+		initial[i] = Entry[int64, int64]{Key: int64(i), Val: int64(i)}
+	}
+	db, err := OpenPlainDB[int64, int64](DBOptions[int64]{
+		Shards: 2, Procs: benchProcs,
+		WAL: &WALOptions{Dir: "wal", FS: wal.NewMemFS()},
+	}, initial)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -65,14 +65,15 @@ const (
 	walOpDelete = 2
 )
 
-// walEnc is a pooled encode buffer pair: buf accumulates the record, while
-// scratch holds one key or value encode so its length can be written as a
-// uvarint prefix before the bytes (codecs append open-endedly, so the
-// length is only known after the fact).
+// walEnc encodes a record (pooled) or a checkpoint's payload (not pooled:
+// see Checkpoint) into buf.  Each key and value is encoded straight into
+// buf behind a one-byte uvarint length placeholder that is patched once the
+// codec has appended (codecs append open-endedly, so the length is only
+// known after the fact); only a field of 128 bytes or more, whose length
+// takes more than one byte, is moved up to make room.
 type walEnc[K, V any] struct {
-	cfg     *WALConfig[K, V]
-	buf     []byte
-	scratch []byte
+	cfg *WALConfig[K, V]
+	buf []byte
 }
 
 type walBinding[K, V any] struct {
@@ -84,6 +85,9 @@ type walBinding[K, V any] struct {
 	// began; ckptBusy keeps the growth-started checkpoints to one at a time.
 	ckptFrom atomic.Int64
 	ckptBusy atomic.Bool
+	// ckptPerEntry is the last non-empty checkpoint's payload bytes per
+	// entry, the next one's size estimate (0 = none yet).  Under ckptMu.
+	ckptPerEntry float64
 }
 
 // checkpoint installs payload as the log's snapshot cut at cut and, once
@@ -108,23 +112,41 @@ func (w *walBinding[K, V]) getEnc() *walEnc[K, V] {
 
 func (w *walBinding[K, V]) putEnc(e *walEnc[K, V]) { w.encs.Put(e) }
 
-func (e *walEnc[K, V]) appendScratch() {
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(e.scratch)))
-	e.buf = append(e.buf, e.scratch...)
+// patchLen writes the length of the field encoded after the placeholder
+// byte at buf[at] as its uvarint prefix.
+func (e *walEnc[K, V]) patchLen(at int) {
+	if n := len(e.buf) - at - 1; n < 0x80 {
+		e.buf[at] = byte(n)
+		return
+	}
+	e.widenLen(at)
+}
+
+// widenLen is patchLen for a field of 128 bytes or more: its bytes move up
+// to make room for the longer prefix.  Kept out of patchLen so that the
+// one-byte case inlines into every field's encode.
+func (e *walEnc[K, V]) widenLen(at int) {
+	n := len(e.buf) - at - 1
+	var pad [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pad[:], uint64(n))
+	e.buf = append(e.buf, pad[:w-1]...)
+	copy(e.buf[at+w:], e.buf[at+1:at+1+n])
+	copy(e.buf[at:], pad[:w])
 }
 
 func (e *walEnc[K, V]) appendInsert(k K, v V) {
-	e.buf = append(e.buf, walOpInsert)
-	e.scratch = e.cfg.EncKey(e.scratch[:0], k)
-	e.appendScratch()
-	e.scratch = e.cfg.EncVal(e.scratch[:0], v)
-	e.appendScratch()
+	at := len(e.buf) + 1
+	e.buf = e.cfg.EncKey(append(e.buf, walOpInsert, 0), k)
+	e.patchLen(at)
+	at = len(e.buf)
+	e.buf = e.cfg.EncVal(append(e.buf, 0), v)
+	e.patchLen(at)
 }
 
 func (e *walEnc[K, V]) appendDelete(k K) {
-	e.buf = append(e.buf, walOpDelete)
-	e.scratch = e.cfg.EncKey(e.scratch[:0], k)
-	e.appendScratch()
+	at := len(e.buf) + 1
+	e.buf = e.cfg.EncKey(append(e.buf, walOpDelete, 0), k)
+	e.patchLen(at)
 }
 
 // decodeWALOps walks one record (or snapshot) payload, calling ins/del per
@@ -295,7 +317,10 @@ func (m *Map[K, V, A]) applyRecord(cfg *WALConfig[K, V], t *Txn[K, V, A], gsn ui
 // absolute post-images make re-applying the overlap idempotent.  Concurrent
 // calls are serialized; writers wait at most for the pins of a fenced
 // ViewConsistent, never for the encode (the snapshot is a pinned immutable
-// read).
+// read).  But the pinned roots hold every node the writers path-copy
+// meanwhile, so the encode is kept short: one pass over each shard straight
+// into one buffer, sized from the entry count and the previous checkpoint's
+// bytes per entry.
 func (m *Map[K, V, A]) Checkpoint() error {
 	if m.wal == nil {
 		return errors.New("shard: map has no log")
@@ -310,15 +335,24 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	// Deliberately NOT the pooled encoder: a checkpoint serializes the
 	// whole map, and returning that buffer to the sync.Pool would park
 	// database-sized capacity there indefinitely and hand it to point
-	// writes.  Checkpoints are rare; a throwaway allocation is fine.
+	// writes.  The buffer is garbage once the log has written it.
 	e := &walEnc[K, V]{cfg: &w.cfg}
+	put := func(k K, v V) bool { e.appendInsert(k, v); return true }
+	var n int64
 	from := w.log.Stat().Appended
 	cut := m.gsn.Load()
 	m.viewConsistent(func(s Snap[K, V, A]) {
+		n = s.Len()
+		if size := int(float64(n) * w.ckptPerEntry); size > 0 {
+			e.buf = make([]byte, 0, size+size/64+64)
+		}
 		for i := range m.shards {
-			s.Shard(i).ForEach(func(k K, v V) { e.appendInsert(k, v) })
+			s.Shard(i).ForEachCond(put)
 		}
 	})
+	if n > 0 {
+		w.ckptPerEntry = float64(len(e.buf)) / float64(n)
+	}
 	return w.checkpoint(from, cut, e.buf)
 }
 
