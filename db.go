@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"unsafe"
 
 	"mvgc/internal/ftree"
 	"mvgc/internal/shard"
@@ -243,35 +244,38 @@ func autoHash[K any]() (func(K) uint64, bool) {
 
 // autoCodec returns default WAL wire codecs for integer and string types
 // (fixed 8-byte little-endian for integers, raw bytes for strings); ok is
-// false for other kinds, which a logged DB cannot hold.
+// false for other kinds, which a logged DB cannot hold.  An integer encoder
+// runs once per field of every record and checkpoint, so it reads the word
+// straight out of t (word) and appends it: no interface conversion, no
+// second call.
 func autoCodec[T any]() (enc func(dst []byte, t T) []byte, dec func(b []byte) (T, error), ok bool) {
 	errShort := errors.New("mvgc: WAL codec: truncated 8-byte integer")
-	encU64 := func(dst []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(dst, x) }
 	decU64 := func(b []byte) (uint64, error) {
 		if len(b) != 8 {
 			return 0, errShort
 		}
 		return binary.LittleEndian.Uint64(b), nil
 	}
+	le := binary.LittleEndian
 	var zero T
 	switch any(zero).(type) {
 	case int:
-		return func(dst []byte, t T) []byte { return encU64(dst, uint64(any(t).(int))) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, uint64(word[int](t))) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(int(x)).(T), err }, true
 	case int32:
-		return func(dst []byte, t T) []byte { return encU64(dst, uint64(any(t).(int32))) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, uint64(word[int32](t))) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(int32(x)).(T), err }, true
 	case int64:
-		return func(dst []byte, t T) []byte { return encU64(dst, uint64(any(t).(int64))) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, uint64(word[int64](t))) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(int64(x)).(T), err }, true
 	case uint:
-		return func(dst []byte, t T) []byte { return encU64(dst, uint64(any(t).(uint))) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, uint64(word[uint](t))) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(uint(x)).(T), err }, true
 	case uint32:
-		return func(dst []byte, t T) []byte { return encU64(dst, uint64(any(t).(uint32))) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, uint64(word[uint32](t))) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(uint32(x)).(T), err }, true
 	case uint64:
-		return func(dst []byte, t T) []byte { return encU64(dst, any(t).(uint64)) },
+		return func(dst []byte, t T) []byte { return le.AppendUint64(dst, word[uint64](t)) },
 			func(b []byte) (T, error) { x, err := decU64(b); return any(x).(T), err }, true
 	case string:
 		return func(dst []byte, t T) []byte { return append(dst, any(t).(string)...) },
@@ -279,6 +283,9 @@ func autoCodec[T any]() (enc func(dst []byte, t T) []byte, dec func(b []byte) (T
 	}
 	return nil, nil, false
 }
+
+// word reads t as I, the integer type autoCodec's switch has matched T to.
+func word[I, T any](t T) I { return *(*I)(unsafe.Pointer(&t)) }
 
 // Mix64 is SplitMix64's finalizer: a fast, well-distributed integer hash
 // suitable for shard routing (sequential keys spread uniformly).

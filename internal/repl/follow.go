@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -54,6 +55,10 @@ const (
 	// snapTrustBytes: how far ahead of the bytes received a snapshot's
 	// declared length is believed (a smaller file is allocated once, whole).
 	snapTrustBytes = 64 << 20
+	// streamWindow sizes the connection's read buffer: a frame header and
+	// the longest run a tailer hands out or snapshot chunk a shipper sends,
+	// so every frame but a run of one larger record is read in place.
+	streamWindow = frameHeaderBytes + max(wal.RunWindow, snapChunkBytes)
 )
 
 // Follower maintains a replication connection to the leader: it
@@ -178,7 +183,7 @@ func (f *Follower) follow() error {
 		nc.Close() //nolint:errcheck
 	}()
 
-	br := bufio.NewReaderSize(nc, 256<<10)
+	br := bufio.NewReaderSize(nc, streamWindow)
 	w := netproto.NewWriter(nc)
 	w.BeginCommand(4)
 	w.ArgString(netproto.CmdRepl)
@@ -201,18 +206,16 @@ func (f *Follower) follow() error {
 // frameLoop applies the stream until the connection breaks.
 func (f *Follower) frameLoop(br *bufio.Reader) error {
 	var (
-		buf      []byte // frame read buffer, reused
 		snap     []byte // accumulating checkpoint file
 		snapLen  int64  // how long what snap holds so far says the file is
 		inSnap   bool
 		unsynced int // records applied since the last position save
 	)
 	for {
-		tag, body, err := ReadFrame(br, buf)
+		tag, body, err := nextFrame(br)
 		if err != nil {
 			return err
 		}
-		buf = body[:0]
 		switch tag {
 		case TagSnapBegin:
 			snap, snapLen, inSnap = nil, 0, true
@@ -227,7 +230,7 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 				room := min(max(snapLen, need), need+max(int64(len(snap)), snapTrustBytes))
 				snap = append(make([]byte, 0, room), snap...)
 			}
-			snap = append(snap, body...) // copied out: body (== buf) is free again
+			snap = append(snap, body...) // copied out: body is free again
 			var ok bool
 			if snapLen, ok = wal.SnapshotFileLen(snap); !ok || int64(len(snap)) > snapLen {
 				return errors.New("repl: snapshot chunks do not match the file's declared length")
@@ -289,4 +292,21 @@ func (f *Follower) frameLoop(br *bufio.Reader) error {
 			return fmt.Errorf("repl: unknown frame tag %q", tag)
 		}
 	}
+}
+
+// nextFrame reads one frame in place — the body aliases br's buffer, valid
+// until the next read from br — when the whole frame fits that buffer, and
+// otherwise through ReadFrame into a buffer of its own, used once: no buffer
+// that one large frame grew outlives it.  A stream that ends or fails is
+// left to ReadFrame to report, from the bytes br still holds.
+func nextFrame(br *bufio.Reader) (tag byte, body []byte, err error) {
+	if hdr, err := br.Peek(frameHeaderBytes); err == nil {
+		if n := frameHeaderBytes + int(binary.LittleEndian.Uint32(hdr[1:])); n <= br.Size() {
+			if fr, err := br.Peek(n); err == nil {
+				br.Discard(n) //nolint:errcheck // n bytes are buffered
+				return fr[0], fr[frameHeaderBytes:], nil
+			}
+		}
+	}
+	return ReadFrame(br, nil)
 }

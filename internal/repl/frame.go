@@ -73,9 +73,12 @@ const maxFrameBody = wal.MaxRunBytes
 // snapChunkBytes is the shipper's snapshot chunk size.
 const snapChunkBytes = 256 << 10
 
+// frameHeaderBytes is a frame's tag and body length.
+const frameHeaderBytes = 5
+
 // WriteFrame writes one frame.  The caller flushes.
 func WriteFrame(w *bufio.Writer, tag byte, body []byte) error {
-	var hdr [5]byte
+	var hdr [frameHeaderBytes]byte
 	hdr[0] = tag
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(body)))
 	// Byte by byte: a slice handed to Write may reach the connection and so
@@ -100,7 +103,7 @@ const frameGrowBytes = 1 << 20
 // frameGrowBytes beyond what the stream delivers, and a body cut short is
 // io.ErrUnexpectedEOF.
 func ReadFrame(r *bufio.Reader, buf []byte) (tag byte, body []byte, err error) {
-	var hdr [5]byte
+	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}

@@ -116,17 +116,22 @@ func TestReadFrameGrowsInSteps(t *testing.T) {
 	}
 }
 
-// replayLog is an Applier that records what the stream asked of it.
+// replayLog is an Applier that records what the stream asked of it, and
+// calls onReplay, when set, with each record it applies.
 type replayLog struct {
 	gsns     []uint64
 	payloads []string
 	snapCut  uint64
 	snap     string
 	syncs    int
+	onReplay func(gsn uint64)
 }
 
 func (r *replayLog) ReplayRecord(gsn uint64, payload []byte) error {
 	r.gsns, r.payloads = append(r.gsns, gsn), append(r.payloads, string(payload))
+	if r.onReplay != nil {
+		r.onReplay(gsn)
+	}
 	return nil
 }
 
@@ -142,9 +147,57 @@ func (r *replayLog) SyncWAL() error { r.syncs++; return nil }
 func follow(t *testing.T, stream []byte, floor uint64) (*Follower, *replayLog, error) {
 	t.Helper()
 	db := &replayLog{}
+	f, err := followInto(t, db, stream, floor)
+	return f, db, err
+}
+
+// followInto is follow applying to db, reading the stream through a buffer
+// of the follower's own size.
+func followInto(t *testing.T, db *replayLog, stream []byte, floor uint64) (*Follower, error) {
+	t.Helper()
 	f := &Follower{cfg: Config{DB: db, Dir: "follower", FS: wal.NewMemFS()}}
 	f.floor.Store(floor)
-	return f, db, f.frameLoop(bufio.NewReader(bytes.NewReader(stream)))
+	return f, f.frameLoop(bufio.NewReaderSize(bytes.NewReader(stream), streamWindow))
+}
+
+// liveHeap is the heap's live bytes after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFollowerLargeFrameReleased: a run of one record longer than the
+// follower's read window is read into a buffer of its own, and once the run
+// is applied the follower keeps nothing of it — the live heap while the
+// small runs behind it apply is what it was before it.  The large record
+// sits at the floor, so it is read but not applied (nor copied by the fake
+// Applier).
+func TestFollowerLargeFrameReleased(t *testing.T) {
+	big := wal.AppendFrame(nil, 1, make([]byte, 1<<20))
+	stream := frameBytes(t, func(w *bufio.Writer) error {
+		err := errors.Join(
+			WriteFrame(w, TagRecord, wal.AppendFrame(nil, 2, []byte("before"))),
+			WriteFrame(w, TagRecord, big),
+		)
+		for g := uint64(3); g < 40; g++ {
+			err = errors.Join(err, WriteFrame(w, TagRecord, wal.AppendFrame(nil, g, []byte("after"))))
+		}
+		return err
+	})
+	heap := map[uint64]uint64{}
+	db := &replayLog{onReplay: func(gsn uint64) {
+		if gsn == 2 || gsn == 39 {
+			heap[gsn] = liveHeap()
+		}
+	}}
+	if _, err := followInto(t, db, stream, 1); err != io.EOF || len(db.gsns) != 38 {
+		t.Fatalf("applied %d records, frame loop ended with %v; want 38 and io.EOF", len(db.gsns), err)
+	}
+	if kept := int64(heap[39]) - int64(heap[2]); kept > streamWindow {
+		t.Fatalf("after a %d-byte run the follower keeps %d more live bytes, want ≤ %d", len(big), kept, streamWindow)
+	}
 }
 
 // TestFollowerRunAcrossFloor: one 'R' frame carries a run of the log's own

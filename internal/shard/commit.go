@@ -137,6 +137,9 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 		m.nestLegs(0, write, t, e, settle)
 		return
 	}
+	if t.legs == nil {
+		t.legs = make([]replayScratch[K, V], len(t.intents))
+	}
 	encs := make([]*walEnc[K, V], len(write))
 	panics := make([]any, len(write))
 	var wg sync.WaitGroup
@@ -148,8 +151,7 @@ func (m *Map[K, V, A]) commitLegs(write []int, t *Txn[K, V, A], e *walEnc[K, V],
 		go func() {
 			defer wg.Done()
 			defer func() { panics[j] = recover() }()
-			var sc replayScratch[K, V]
-			m.commitLeg(i, t.intents[i], encs[j], &sc, &t.changed[j], func() {})
+			m.commitLeg(i, t.intents[i], encs[j], &t.legs[i], &t.changed[j], func() {})
 		}()
 	}
 	wg.Wait()
@@ -224,15 +226,10 @@ func (m *Map[K, V, A]) commitPoint(in intent[K, V]) error {
 	if err := m.logErr(); err != nil {
 		return err
 	}
-	t, ok := m.txns.Get().(*Txn[K, V, A])
-	if !ok {
-		t = m.newTxn()
-	}
-	t.intents[i] = append(t.intents[i][:0], in)
+	t := m.getTxn()
+	t.intents[i] = append(t.intents[i], in)
 	mark, err := m.commitHome(i, t)
-	t.intents[i][0] = intent[K, V]{} // the pool keeps no caller's key, value or comb
-	t.intents[i] = t.intents[i][:0]
-	m.txns.Put(t)
+	m.putTxn(t)
 	return m.groupCommit(mark, err)
 }
 
@@ -252,10 +249,7 @@ func (m *Map[K, V, A]) CommitEach(f func(t *Txn[K, V, A])) (mark int64, err erro
 		return 0, ErrClosed
 	}
 	defer m.exit(0)
-	t, ok := m.txns.Get().(*Txn[K, V, A])
-	if !ok {
-		t = m.newTxn()
-	}
+	t := m.getTxn()
 	f(t)
 	for i, list := range t.intents {
 		if len(list) > 0 && err == nil {
@@ -265,10 +259,8 @@ func (m *Map[K, V, A]) CommitEach(f func(t *Txn[K, V, A])) (mark int64, err erro
 				mark = max(mark, mk)
 			}
 		}
-		clear(list) // the pool keeps no caller's key, value or comb
-		t.intents[i] = list[:0]
 	}
-	m.txns.Put(t)
+	m.putTxn(t)
 	return mark, err
 }
 

@@ -65,12 +65,18 @@ func (a applier[K, V, A]) SyncWAL() error {
 // the local log, without waiting for that log's fsync: a follower acks
 // nothing, so the apply of the next record overlaps this one's durability,
 // and SyncWAL is the barrier — the follower calls it when it has applied
-// everything it has received, and before it persists its position.
+// everything it has received, and before it persists its position.  The
+// record is planned into a pooled Txn, so a warm replay of a steady record
+// allocates nothing.
 func (a applier[K, V, A]) ReplayRecord(gsn uint64, payload []byte) error {
-	if a.m.wal == nil {
+	m := a.m
+	if m.wal == nil {
 		return errNoLog
 	}
-	return a.m.applyRecord(&a.m.wal.cfg, a.m.newTxn(), gsn, payload)
+	t := m.getTxn()
+	err := m.applyRecord(&m.wal.cfg, t, gsn, payload)
+	m.putTxn(t)
+	return err
 }
 
 // ApplyReplSnapshot replaces the map's contents with a shipped checkpoint

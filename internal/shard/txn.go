@@ -23,12 +23,14 @@ type Txn[K, V, A any] struct {
 	fenced []bool
 	grew   bool
 
-	// Commit scratch, reused by every commit of this Txn (commit.go):
-	// whether each leg published, the shards that did, and the sequential
-	// legs' replay scratch.
+	// Commit scratch, reused by every commit of this Txn (commit.go): the
+	// shards with intents, whether each leg published, the shards that did,
+	// the sequential legs' replay scratch and, by shard, the parallel legs'.
+	write     []int
 	changed   []bool
 	published []int
 	scratch   replayScratch[K, V]
+	legs      []replayScratch[K, V]
 }
 
 // replayScratch is what replay gathers a run of deletes or of plain inserts
@@ -38,8 +40,48 @@ type replayScratch[K, V any] struct {
 	entries []ftree.Entry[K, V]
 }
 
+// steadyIntents bounds what a pooled Txn keeps of a buffer a plan grew: a
+// shard's intents, a replay scratch.  A buffer a bulk record grew past it
+// is dropped with that record, not pooled.
+const steadyIntents = 1024
+
 func (m *Map[K, V, A]) newTxn() *Txn[K, V, A] {
 	return &Txn[K, V, A]{m: m, intents: make([][]intent[K, V], len(m.shards))}
+}
+
+// getTxn leases a pooled Txn for a plan that is committed at once: a point
+// write, a CommitEach run, a replayed record.
+func (m *Map[K, V, A]) getTxn() *Txn[K, V, A] {
+	if t, ok := m.txns.Get().(*Txn[K, V, A]); ok {
+		return t
+	}
+	return m.newTxn()
+}
+
+// putTxn returns t to the pool holding no caller's key, value or comb, and
+// no buffer grown past steadyIntents.
+func (m *Map[K, V, A]) putTxn(t *Txn[K, V, A]) {
+	for i, list := range t.intents {
+		t.intents[i] = steady(list)
+	}
+	t.scratch.trim()
+	for i := range t.legs {
+		t.legs[i].trim()
+	}
+	m.txns.Put(t)
+}
+
+// steady empties s for reuse, or drops it if it grew past steadyIntents.
+func steady[T any](s []T) []T {
+	if cap(s) > steadyIntents {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+func (sc *replayScratch[K, V]) trim() {
+	sc.keys, sc.entries = steady(sc.keys), steady(sc.entries)
 }
 
 // reset empties the plan for the next attempt (or the next record).
@@ -102,15 +144,15 @@ func (t *Txn[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, n
 }
 
 // touched returns the indices of shards with at least one buffered intent,
-// in ascending order (intents is indexed by shard).
+// in ascending order (intents is indexed by shard), in the Txn's scratch.
 func (t *Txn[K, V, A]) touched() []int {
-	var out []int
+	t.write = t.write[:0]
 	for i, list := range t.intents {
 		if len(list) > 0 {
-			out = append(out, i)
+			t.write = append(t.write, i)
 		}
 	}
-	return out
+	return t.write
 }
 
 // publishedLegs returns the shards of write whose legs changed, in the
@@ -215,6 +257,7 @@ func replay[K, V, A any](tx *core.Txn[K, V, A], list []intent[K, V], sc *replayS
 			}
 			sc.keys = ks
 			tx.DeleteBatch(ks)
+			clear(ks) // the scratch keeps no key alive
 		case n > 1:
 			batch := sc.entries[:0]
 			for _, p := range list[j : j+n] {

@@ -110,7 +110,14 @@ func (w *walBinding[K, V]) getEnc() *walEnc[K, V] {
 	return &walEnc[K, V]{cfg: &w.cfg}
 }
 
-func (w *walBinding[K, V]) putEnc(e *walEnc[K, V]) { w.encs.Put(e) }
+// putEnc pools e unless a bulk record grew its buffer past wal.RunWindow,
+// the longest run of steady records a tailer ships: that buffer goes with
+// its record, so the pool never hands bulk capacity to point writes.
+func (w *walBinding[K, V]) putEnc(e *walEnc[K, V]) {
+	if cap(e.buf) <= wal.RunWindow {
+		w.encs.Put(e)
+	}
+}
 
 // patchLen writes the length of the field encoded after the placeholder
 // byte at buf[at] as its uvarint prefix.

@@ -18,11 +18,16 @@ var ErrTailTruncated = fmt.Errorf("wal: tail position retired (bootstrap from th
 var ErrTailerClosed = fmt.Errorf("wal: tailer closed")
 
 // maxTailRead bounds one read from a segment file, so a tailer never
-// materialises a whole segment at once.
+// materialises a whole segment at once, and one run that Next hands out.
 const maxTailRead = 256 << 10
 
-// MaxRunBytes bounds what one Next returns: the frames one read completes,
-// the first of which may be the largest legal record, begun in earlier reads.
+// RunWindow is the longest run Next hands out unless the run is one larger
+// frame: a consumer with a buffer this long reads every other run in place.
+const RunWindow = maxTailRead
+
+// MaxRunBytes bounds a run as a consumer may receive it: the largest legal
+// record and a window behind it — what one read could complete before runs
+// were cut at RunWindow, so a follower still takes such a leader's runs.
 const MaxRunBytes = frameOverhead + maxPayloadBytes + maxTailRead
 
 // Tailer follows the log's durable byte stream: every record fsynced to
@@ -48,7 +53,8 @@ type Tailer struct {
 	f     File   // open sequential handle on seq, positioned at off (nil until used)
 	// buf holds bytes read from the file: buf[:head] is the run the last Next
 	// handed out (the caller's until the next one), buf[head:] is not yet
-	// parsed into frames.
+	// parsed into frames.  A frame longer than the window grows it, and
+	// the capacity goes back once the frame is consumed (fill, empty).
 	buf  []byte
 	head int
 
@@ -208,8 +214,9 @@ func (l *Log) nextRetainedLocked(seq uint64) (uint64, bool) {
 
 // Next returns the next run of durable records in log-append order: whole
 // frames, each CRC-verified, as the bytes the log holds — walk them with
-// NextFrame.  The run is at most MaxRunBytes long and aliases the tailer's
-// buffer: it is valid until the next call.
+// NextFrame.  The run is at most RunWindow long unless it is one longer
+// frame (at most MaxRunBytes), and aliases the tailer's buffer: it is valid
+// until the next call.
 // With wait=true it blocks until records are available (forcing a sync
 // of buffered appends first, so FsyncOff logs still ship promptly); with
 // wait=false it returns (nil, nil) when caught up.
@@ -290,13 +297,15 @@ func (t *Tailer) Next(wait bool) ([]byte, error) {
 			l.mu.Unlock()
 			t.drop()
 			return nil, err
-		case !wait:
-			l.mu.Unlock()
-			return nil, nil
 		default:
-			// Caught up with the active segment's durable bytes: push any
-			// buffered appends toward durability, then sleep until the
-			// window can move.
+			// Caught up with the active segment's durable bytes, holding
+			// no buffer a large frame grew: push any buffered appends
+			// toward durability, then sleep until the window can move.
+			t.empty()
+			if !wait {
+				l.mu.Unlock()
+				return nil, nil
+			}
 			l.syncLocked(l.appended) //nolint:errcheck // a sticky error surfaces next pass
 			lim, _, _, gone := t.windowLocked()
 			if !gone && lim <= t.off && !t.closed && l.cur != nil && l.err == nil {
@@ -311,7 +320,9 @@ func (t *Tailer) Next(wait bool) ([]byte, error) {
 
 // fill drops the run already handed out and reads up to maxTailRead more
 // bytes of the durable window in behind what is left, so the buffer never
-// holds more than one read beyond the frame being completed.
+// holds more than one read beyond the frame being completed.  A buffer that
+// a frame longer than the window grew past twice the window is replaced by
+// one of the window's size as soon as what is left and the read fit there.
 func (t *Tailer) fill(name string, limit int64) error {
 	if t.f == nil {
 		f, err := t.l.fs.Open(name)
@@ -325,9 +336,14 @@ func (t *Tailer) fill(name string, limit int64) error {
 			}
 		}
 	}
-	t.buf = append(t.buf[:0], t.buf[t.head:]...)
-	t.head = 0
 	n := int(min(limit-t.off, maxTailRead))
+	rest := t.buf[t.head:]
+	if cap(t.buf) > 2*maxTailRead && len(rest)+n <= maxTailRead {
+		t.buf = append(make([]byte, 0, maxTailRead), rest...)
+	} else {
+		t.buf = append(t.buf[:0], rest...)
+	}
+	t.head = 0
 	start := len(t.buf)
 	t.buf = slices.Grow(t.buf, n)[:start+n]
 	if _, err := io.ReadFull(t.f, t.buf[start:]); err != nil {
@@ -340,8 +356,9 @@ func (t *Tailer) fill(name string, limit int64) error {
 
 // frames verifies the whole frames at the head of the unparsed bytes and
 // hands them out as one run, ending it just past a frame stamped until (0
-// ends it only where the whole frames do).  A frame cut short by the read
-// cap stays unparsed until a later fill completes it.
+// ends it where the whole frames do, or before a frame that would take it
+// past RunWindow).  A frame cut short by the read cap stays unparsed until
+// a later fill completes it.
 func (t *Tailer) frames(until uint64) (run []byte, found bool, err error) {
 	end := t.head
 	for !found {
@@ -351,6 +368,9 @@ func (t *Tailer) frames(until uint64) (run []byte, found bool, err error) {
 		}
 		if err != nil {
 			return nil, false, err
+		}
+		if until == 0 && end > t.head && end+n-t.head > RunWindow {
+			break
 		}
 		end += n
 		found = until != 0 && gsn == until
@@ -382,13 +402,22 @@ func (t *Tailer) seek(name string, limit int64, gsn uint64) (bool, error) {
 	}
 }
 
-// drop closes the segment handle and clears the buffer.
+// drop closes the segment handle and empties the buffer.
 func (t *Tailer) drop() {
 	if t.f != nil {
 		t.f.Close() //nolint:errcheck // read-only handle
 		t.f = nil
 	}
+	t.empty()
+}
+
+// empty clears the buffer, releasing it if a frame longer than the window
+// grew it past twice the window.
+func (t *Tailer) empty() {
 	t.buf, t.head = t.buf[:0], 0
+	if cap(t.buf) > 2*maxTailRead {
+		t.buf = nil
+	}
 }
 
 // Close stops the tailer: a concurrent Next blocked in wait wakes and

@@ -388,3 +388,74 @@ func TestTailResumeBoundedMemory(t *testing.T) {
 		t.Fatalf("resume after %d yielded %v, want [%d]", g-1, got, g)
 	}
 }
+
+// TestTailLargeFrameReleased: a frame longer than the read window grows the
+// tailer's buffer to hold it, and that capacity goes back once the frame is
+// consumed — after the small records behind it, and once the tailer is
+// caught up — to the bound TestTailResumeBoundedMemory states.  Every run
+// of small records fits the window.
+func TestTailLargeFrameReleased(t *testing.T) {
+	l, _ := openMem(t, NewMemFS(), Options{Policy: FsyncOff})
+	defer l.Close()
+	tl, err := l.Tail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	big := bytes.Repeat([]byte{0xb1}, 1<<20+1)
+	if err := l.Append(1, big); err != nil {
+		t.Fatal(err)
+	}
+	small := bytes.Repeat([]byte{0x5a}, 1000)
+	for g := uint64(2); g <= 600; g++ { // > 2 windows of small records
+		if err := l.Append(g, small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	grown := 0
+	for {
+		run, err := tl.Next(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run) == 0 {
+			break
+		}
+		grown = max(grown, cap(tl.buf))
+		gsn, _, n, _ := NextFrame(run)
+		if gsn != 1 && len(run) > RunWindow {
+			t.Fatalf("a run of small records from gsn %d is %d bytes, want ≤ %d", gsn, len(run), RunWindow)
+		}
+		for ; len(run) > 0; run = run[n:] {
+			gsn, _, n, _ = NextFrame(run)
+			got = append(got, gsn)
+		}
+	}
+	if len(got) != 600 || got[0] != 1 || got[599] != 600 {
+		t.Fatalf("tailed %d records (%v…), want gsns 1..600", len(got), got[:min(len(got), 3)])
+	}
+	if grown < len(big) {
+		t.Fatalf("the buffer never held the %d-byte frame (cap ≤ %d)", len(big), grown)
+	}
+	if cap(tl.buf) > 2*maxTailRead {
+		t.Fatalf("after the small records the buffer keeps cap %d, want ≤ %d", cap(tl.buf), 2*maxTailRead)
+	}
+
+	// The same frame last: a tailer caught up holds nothing.
+	if err := l.Append(601, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := drainTailer(t, tl); len(recs) != 1 || recs[0].GSN != 601 {
+		t.Fatalf("tailed %d records, want gsn 601", len(recs))
+	}
+	if cap(tl.buf) > 2*maxTailRead {
+		t.Fatalf("a tailer caught up after a %d-byte frame keeps cap %d, want ≤ %d", len(big), cap(tl.buf), 2*maxTailRead)
+	}
+}

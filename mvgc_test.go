@@ -1,6 +1,8 @@
 package mvgc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -100,5 +102,47 @@ func TestAutoCmp(t *testing.T) {
 	checkAutoCmp[string](t, "", "a", "ab", "abc", "abd", "b", "b\x00")
 	if _, ok := ftree.NewNatural[float64, int, struct{}](NoAug[float64, int](), 0); ok {
 		t.Fatal("float64 has no default ordering")
+	}
+}
+
+// checkAutoCodec pins the default integer WAL codec of one kind: each value
+// encodes as the 8 little-endian bytes of its uint64 conversion (a negative
+// value sign-extended), and decodes back to itself.
+func checkAutoCodec[T comparable](t *testing.T, widen func(T) uint64, vals ...T) {
+	t.Helper()
+	enc, dec, ok := autoCodec[T]()
+	if !ok {
+		t.Fatalf("%T has no default codec", vals[0])
+	}
+	for _, v := range vals {
+		got := enc([]byte{0xee}, v)
+		if want := binary.LittleEndian.AppendUint64([]byte{0xee}, widen(v)); !bytes.Equal(got, want) {
+			t.Fatalf("%T %v encodes as %x, want %x", v, v, got, want)
+		}
+		if back, err := dec(got[1:]); err != nil || back != v {
+			t.Fatalf("%T %v decodes back as %v, %v", v, v, back, err)
+		}
+	}
+}
+
+// TestAutoCodecBytes: the integer codecs write the same bytes for every
+// kind and every sign, so logs and checkpoints already on disk stay
+// readable; the string codec writes the string itself.
+func TestAutoCodecBytes(t *testing.T) {
+	checkAutoCodec(t, func(v int) uint64 { return uint64(v) }, 0, 1, -1, 1<<40, -1<<62)
+	checkAutoCodec(t, func(v int32) uint64 { return uint64(v) }, 0, 255, -256, 1<<31-1, -1<<31)
+	checkAutoCodec(t, func(v int64) uint64 { return uint64(v) }, 0, 7919, -7919, 1<<63-1, -1<<63)
+	checkAutoCodec(t, func(v uint) uint64 { return uint64(v) }, 0, 1, 1<<63)
+	checkAutoCodec(t, func(v uint32) uint64 { return uint64(v) }, 0, 1, 1<<32-1)
+	checkAutoCodec(t, func(v uint64) uint64 { return v }, 0, 1, 1<<64-1)
+	enc, dec, ok := autoCodec[string]()
+	if got := enc([]byte("k:"), "v\x00w"); !ok || string(got) != "k:v\x00w" {
+		t.Fatalf("string encodes as %q", got)
+	}
+	if back, err := dec([]byte("v\x00w")); err != nil || back != "v\x00w" {
+		t.Fatalf("string decodes back as %q, %v", back, err)
+	}
+	if _, _, ok := autoCodec[float64](); ok {
+		t.Fatal("float64 has a default codec")
 	}
 }
