@@ -285,7 +285,7 @@ func BenchmarkVMOps(b *testing.B) {
 			m := vm.New[payload](name, benchProcs, &payload{})
 			for i := 0; i < b.N; i++ {
 				m.Acquire(0)
-				m.Release(0)
+				m.ReleaseInto(0, nil)
 			}
 		})
 		b.Run("write/"+name, func(b *testing.B) {
@@ -293,7 +293,7 @@ func BenchmarkVMOps(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Acquire(0)
 				m.Set(0, &payload{x: i})
-				m.Release(0)
+				m.ReleaseInto(0, nil)
 			}
 		})
 	}
@@ -320,7 +320,7 @@ func BenchmarkAblationHelping(b *testing.B) {
 						default:
 						}
 						m.Acquire(r)
-						m.Release(r)
+						m.ReleaseInto(r, nil)
 					}
 				}(r)
 			}
@@ -328,7 +328,7 @@ func BenchmarkAblationHelping(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Acquire(0)
 				m.Set(0, &payload{x: i})
-				m.Release(0)
+				m.ReleaseInto(0, nil)
 			}
 			b.StopTimer()
 			close(stop)

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Base is the no-maintenance baseline of Table 2 ("Base"): Acquire loads
 // the current version, Set CASes it, and Release never returns anything, so
@@ -12,58 +9,38 @@ import (
 // overhead.  Superseded versions are recorded (cheaply, writer-side) only
 // so Drain can hand every allocation back for end-of-run accounting.
 type Base[T any] struct {
-	p   int
-	cur atomic.Pointer[T]
-	acq []ptr[T]
-
-	mu     sync.Mutex
+	swap[T]
+	mu     sync.Mutex // guards leaked; the shared count keeps Uncollected off it
 	leaked []*T
 }
 
 // NewBase returns the no-VM baseline for p processes.
 func NewBase[T any](p int, initial *T) *Base[T] {
-	m := &Base[T]{p: p, acq: make([]ptr[T], p)}
-	m.cur.Store(initial)
+	m := new(Base[T])
+	m.init(p, initial)
 	return m
 }
 
 func (m *Base[T]) Name() string { return "base" }
-func (m *Base[T]) Procs() int   { return m.p }
 
 // Acquire returns the current version with no protection whatsoever.
-func (m *Base[T]) Acquire(k int) *T {
-	v := m.cur.Load()
-	m.acq[k].p.Store(v)
-	return v
-}
+func (m *Base[T]) Acquire(k int) *T { return m.load(k) }
 
 // Set CASes the new version into place.
 func (m *Base[T]) Set(k int, data *T) bool {
-	old := m.acq[k].p.Load()
-	if !m.cur.CompareAndSwap(old, data) {
-		return false
+	old, ok := m.install(k, data)
+	if ok {
+		m.mu.Lock()
+		m.leaked = append(m.leaked, old)
+		m.mu.Unlock()
 	}
-	m.mu.Lock()
-	m.leaked = append(m.leaked, old)
-	m.mu.Unlock()
-	return true
+	return ok
 }
 
-// Release returns nothing: the baseline never collects.
-func (m *Base[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release with a caller-provided buffer; see Maintainer.
+// ReleaseInto returns out unchanged: the baseline never collects.
 func (m *Base[T]) ReleaseInto(k int, out []*T) []*T {
 	m.acq[k].p.Store(nil)
 	return out
-}
-
-// Uncollected reports every version ever superseded plus the current one.
-func (m *Base[T]) Uncollected() int {
-	m.mu.Lock()
-	n := len(m.leaked)
-	m.mu.Unlock()
-	return n + 1
 }
 
 // Drain returns all superseded versions and the current version.
@@ -72,11 +49,7 @@ func (m *Base[T]) Drain() []*T {
 	out := m.leaked
 	m.leaked = nil
 	m.mu.Unlock()
-	if c := m.cur.Load(); c != nil {
-		out = append(out, c)
-		m.cur.Store(nil)
-	}
-	return out
+	return m.drain(out)
 }
 
 // New constructs the named Version Maintenance algorithm for p processes.

@@ -30,7 +30,7 @@ func TestLemmaB13AnnouncementCASes(t *testing.T) {
 			if !m.Set(0, &payload{id: id}) {
 				t.Error("single-writer Set failed")
 			}
-			m.Release(0)
+			m.ReleaseInto(0, nil)
 		}
 		close(stop)
 	}()
@@ -46,7 +46,7 @@ func TestLemmaB13AnnouncementCASes(t *testing.T) {
 				}
 				m.Acquire(k)
 				acquires.Add(1)
-				m.Release(k)
+				m.ReleaseInto(k, nil)
 			}
 		}(k)
 	}
@@ -85,7 +85,7 @@ func TestStalledReaderIsHelped(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatal("set failed")
 		}
-		m.Release(0)
+		m.ReleaseInto(0, nil)
 		helped = !annHelp(m.a[1].load())
 	}
 	if !helped {
@@ -102,7 +102,7 @@ func TestStalledReaderIsHelped(t *testing.T) {
 		t.Fatal("helped reader's version was collected while announced")
 	}
 	// Releasing it must account exactly once, like any other version.
-	out := m.Release(1)
+	out := m.ReleaseInto(1, nil)
 	for _, f := range out {
 		if !f.collected.CompareAndSwap(false, true) {
 			t.Fatal("double collection")
@@ -133,13 +133,13 @@ func TestStalledReaderBlocksCollection(t *testing.T) {
 		m.Acquire(0)
 		id++
 		m.Set(0, &payload{id: id})
-		for _, f := range m.Release(0) {
+		for _, f := range m.ReleaseInto(0, nil) {
 			if f.id == 0 {
 				t.Fatal("version 0 collected while reader 1 holds it")
 			}
 		}
 	}
-	out := m.Release(1)
+	out := m.ReleaseInto(1, nil)
 	if len(out) != 1 || out[0].id != 0 {
 		t.Fatalf("reader's release returned %v, want [0]", ids(out))
 	}

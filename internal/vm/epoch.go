@@ -18,16 +18,13 @@ import (
 // uncollected versions is unbounded in theory (and reaches the hundreds in
 // the paper's Figure 6 under frequent updates).
 type Epoch[T any] struct {
-	p     int
-	cur   atomic.Pointer[T]
+	swap[T]
 	epoch atomic.Uint64
-	ann   []word   // per-process ⟨epoch, active⟩ announcements
-	acq   []ptr[T] // per-process acquired version (private)
-	wrote []bool   // per-process "my Set succeeded" flag (private per k)
+	ann   []word // per-process ⟨epoch, active⟩ announcements
+	wrote []bool // per-process "my Set succeeded" flag (private per k)
 
 	mu   sync.Mutex // guards bags (cold path: retire + epoch advance)
 	bags [3]epochBag[T]
-	nRet counter
 }
 
 type epochBag[T any] struct {
@@ -51,13 +48,8 @@ func epEpoch(w uint64) uint64 { return w >> 1 }
 // NewEpoch returns an epoch-based Version Maintenance object for p
 // processes.
 func NewEpoch[T any](p int, initial *T) *Epoch[T] {
-	m := &Epoch[T]{
-		p:     p,
-		ann:   make([]word, p),
-		acq:   make([]ptr[T], p),
-		wrote: make([]bool, p),
-	}
-	m.cur.Store(initial)
+	m := &Epoch[T]{ann: make([]word, p), wrote: make([]bool, p)}
+	m.init(p, initial)
 	m.epoch.Store(3) // start past the bag window so indices never underflow
 	for i := range m.bags {
 		m.bags[i].epoch = uint64(i)
@@ -66,7 +58,6 @@ func NewEpoch[T any](p int, initial *T) *Epoch[T] {
 }
 
 func (m *Epoch[T]) Name() string { return "epoch" }
-func (m *Epoch[T]) Procs() int   { return m.p }
 
 // Acquire announces the current epoch and returns the current version.
 // Unlike hazard pointers there is no revalidation loop, so Acquire is
@@ -74,9 +65,7 @@ func (m *Epoch[T]) Procs() int   { return m.p }
 func (m *Epoch[T]) Acquire(k int) *T {
 	e := m.epoch.Load()
 	m.ann[k].store(epPack(e, true))
-	v := m.cur.Load()
-	m.acq[k].p.Store(v)
-	return v
+	return m.load(k)
 }
 
 // Set CASes the new version in and retires the replaced version into the
@@ -84,15 +73,14 @@ func (m *Epoch[T]) Acquire(k int) *T {
 // retire into epoch e+1 cannot recycle the slot still holding epoch e-2's
 // versions before the concurrent epoch-advance drains it.
 func (m *Epoch[T]) Set(k int, data *T) bool {
-	old := m.acq[k].p.Load()
-	if !m.cur.CompareAndSwap(old, data) {
+	old, ok := m.install(k, data)
+	if !ok {
 		return false
 	}
 	m.mu.Lock()
 	e := m.epoch.Load()
 	m.bag(e).versions = append(m.bag(e).versions, old)
 	m.mu.Unlock()
-	m.nRet.v.Add(1)
 	m.wrote[k] = true
 	return true
 }
@@ -109,15 +97,11 @@ func (m *Epoch[T]) bag(e uint64) *epochBag[T] {
 	return b
 }
 
-// Release marks the caller quiescent.  Only a Release following the
+// ReleaseInto marks the caller quiescent.  Only a release following the
 // caller's own successful Set pays for the announcement scan (the paper's
 // optimization, which increases the uncollected count by at most one); if
 // every active process has announced the current epoch it advances the
-// epoch and returns the bag retired two epochs ago.
-func (m *Epoch[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer; see
-// Maintainer.
+// epoch and appends the bag retired two epochs ago.
 func (m *Epoch[T]) ReleaseInto(k int, out []*T) []*T {
 	e := m.epoch.Load()
 	m.ann[k].store(epPack(e, false))
@@ -148,15 +132,6 @@ func (m *Epoch[T]) ReleaseInto(k int, out []*T) []*T {
 	return out
 }
 
-// Uncollected reports retired-but-unfreed versions plus the current one.
-func (m *Epoch[T]) Uncollected() int {
-	n := int(m.nRet.v.Load())
-	if m.cur.Load() != nil {
-		n++
-	}
-	return n
-}
-
 // Drain empties every epoch bag and the current version exactly once.
 func (m *Epoch[T]) Drain() []*T {
 	var out []*T
@@ -166,10 +141,5 @@ func (m *Epoch[T]) Drain() []*T {
 		m.bags[i].versions = nil
 	}
 	m.mu.Unlock()
-	m.nRet.v.Store(0)
-	if c := m.cur.Load(); c != nil {
-		out = append(out, c)
-		m.cur.Store(nil)
-	}
-	return out
+	return m.drain(out)
 }

@@ -1,7 +1,5 @@
 package vm
 
-import "sync/atomic"
-
 // HP is the hazard-pointer based Version Maintenance solution of Section 6.
 // Each process announces the version it intends to use and revalidates
 // against the current version; a successful Set retires the superseded
@@ -15,37 +13,35 @@ import "sync/atomic"
 // wait-free: it retries whenever the current version moves between the read
 // and the announcement.
 type HP[T any] struct {
-	p       int
-	cur     atomic.Pointer[T]
-	ann     []ptr[T] // hazard announcements, one per process
-	acq     []ptr[T] // the version each process acquired (private, padded)
-	retired [][]*T   // per-process retired lists (private)
-	nRet    counter  // total retired-and-uncollected versions
+	swap[T]
+	ann       []ptr[T]          // hazard announcements, one per process
+	retired   [][]*T            // per-process retired lists (private)
+	announced []map[*T]struct{} // per-process scan scratch (private)
 }
 
 // NewHP returns a hazard-pointer Version Maintenance object for p processes.
 func NewHP[T any](p int, initial *T) *HP[T] {
 	m := &HP[T]{
-		p:       p,
-		ann:     make([]ptr[T], p),
-		acq:     make([]ptr[T], p),
-		retired: make([][]*T, p),
+		ann:       make([]ptr[T], p),
+		retired:   make([][]*T, p),
+		announced: make([]map[*T]struct{}, p),
 	}
-	m.cur.Store(initial)
+	for k := range m.announced {
+		m.announced[k] = make(map[*T]struct{}, p)
+	}
+	m.init(p, initial)
 	return m
 }
 
 func (m *HP[T]) Name() string { return "hp" }
-func (m *HP[T]) Procs() int   { return m.p }
 
 // Acquire reads the current version, announces it, and revalidates; it
 // restarts if the current version moved in between.
 func (m *HP[T]) Acquire(k int) *T {
 	for {
-		v := m.cur.Load()
+		v := m.load(k)
 		m.ann[k].p.Store(v)
 		if m.cur.Load() == v {
-			m.acq[k].p.Store(v)
 			return v
 		}
 	}
@@ -53,25 +49,19 @@ func (m *HP[T]) Acquire(k int) *T {
 
 // Set CASes the new version into place and retires the one it replaced.
 func (m *HP[T]) Set(k int, data *T) bool {
-	old := m.acq[k].p.Load()
-	if !m.cur.CompareAndSwap(old, data) {
-		return false
+	old, ok := m.install(k, data)
+	if ok {
+		m.retired[k] = append(m.retired[k], old)
 	}
-	m.retired[k] = append(m.retired[k], old)
-	m.nRet.v.Add(1)
-	return true
+	return ok
 }
 
-// Release clears the announcement.  When the caller's retired list has
-// reached 2P entries it scans all announcements and returns the retired
+// ReleaseInto clears the announcement.  When the caller's retired list has
+// reached 2P entries it scans all announcements and appends the retired
 // versions nobody has announced; at least P of the 2P entries must be
 // unannounced, so the O(P) scan returns Ω(P) versions and the amortized
-// cost is O(1).  Otherwise it returns nothing — in particular, read-only
-// processes always return an empty list.
-func (m *HP[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer; see
-// Maintainer.
+// cost is O(1).  Otherwise it returns out unchanged — in particular,
+// read-only processes never return a version.
 func (m *HP[T]) ReleaseInto(k int, out []*T) []*T {
 	m.ann[k].p.Store(nil)
 	m.acq[k].p.Store(nil)
@@ -81,8 +71,11 @@ func (m *HP[T]) ReleaseInto(k int, out []*T) []*T {
 	return m.scan(k, out)
 }
 
+// scan reuses process k's announced set, so a compacting release allocates
+// nothing once the retired list has grown to 2P; the set is cleared on the
+// way out, so it holds no version between scans.
 func (m *HP[T]) scan(k int, out []*T) []*T {
-	announced := make(map[*T]struct{}, m.p)
+	announced := m.announced[k]
 	for i := 0; i < m.p; i++ {
 		if v := m.ann[i].p.Load(); v != nil {
 			announced[v] = struct{}{}
@@ -98,18 +91,10 @@ func (m *HP[T]) scan(k int, out []*T) []*T {
 			freed++
 		}
 	}
+	clear(announced)
 	m.retired[k] = keep
 	m.nRet.v.Add(-int64(freed))
 	return out
-}
-
-// Uncollected reports retired-but-unfreed versions plus the current one.
-func (m *HP[T]) Uncollected() int {
-	n := int(m.nRet.v.Load())
-	if m.cur.Load() != nil {
-		n++
-	}
-	return n
 }
 
 // Drain returns every retired version and the current version exactly once.
@@ -119,10 +104,5 @@ func (m *HP[T]) Drain() []*T {
 		out = append(out, m.retired[k]...)
 		m.retired[k] = nil
 	}
-	m.nRet.v.Store(0)
-	if c := m.cur.Load(); c != nil {
-		out = append(out, c)
-		m.cur.Store(nil)
-	}
-	return out
+	return m.drain(out)
 }

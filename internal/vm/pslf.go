@@ -1,42 +1,28 @@
 package vm
 
-// PSLF is the paper's "algorithm without helping" (Section 7.1): the PSWF
-// data structures and release path, but Set never helps announcements, so
-// an Acquire may have to retry each time the current version moves.  A
-// retry only happens when some Set succeeded, hence the algorithm is
-// lock-free rather than wait-free; it remains precise and safe.
+// PSLF is the paper's "algorithm without helping" (Section 7.1): PSWF with
+// Acquire and Set overridden so that Set never helps announcements, and an
+// Acquire may have to retry each time the current version moves.  A retry
+// only happens when some Set succeeded, hence the algorithm is lock-free
+// rather than wait-free; it remains precise and safe.
 //
-// Releases still help announcements of the version they are freezing — that
-// helping is what makes the frozen state final, and removing it would break
-// precision, not just progress.
+// Everything else — the data structures, ReleaseInto, Uncollected and
+// Drain — is PSWF's.  Releases still help announcements of the version they
+// are freezing: that helping is what makes the frozen state final, and
+// removing it would break precision, not just progress.
 type PSLF[T any] struct {
-	p int
-	v word
-	s []word
-	a []word
-	d []ptr[T]
+	PSWF[T]
 }
 
 // NewPSLF returns a PSLF Version Maintenance object for p processes with
 // the given initial version.
 func NewPSLF[T any](p int, initial *T) *PSLF[T] {
-	m := &PSLF[T]{
-		p: p,
-		s: make([]word, 3*p+1),
-		a: make([]word, p),
-		d: make([]ptr[T], 3*p+1),
-	}
-	v0 := mkVersion(1, 0)
-	m.d[0].p.Store(initial)
-	m.s[0].store(stPack(v0, stUsable))
-	m.v.store(uint64(v0))
+	m := new(PSLF[T])
+	m.init(p, initial)
 	return m
 }
 
 func (m *PSLF[T]) Name() string { return "pslf" }
-func (m *PSLF[T]) Procs() int   { return m.p }
-
-func (m *PSLF[T]) getData(v version) *T { return m.d[v.idx()].p.Load() }
 
 // Acquire announces and revalidates until an announcement sticks.  With no
 // setter-side helping the loop is unbounded, but each extra iteration
@@ -82,73 +68,4 @@ func (m *PSLF[T]) Set(k int, data *T) bool {
 	}
 	m.s[slot].store(0)
 	return false
-}
-
-// Release is identical to PSWF's: the usable → pending → frozen → empty
-// status machine with releaser-side helping.
-func (m *PSLF[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer; see
-// Maintainer.
-func (m *PSLF[T]) ReleaseInto(k int, out []*T) []*T {
-	v := annVer(m.a[k].load())
-	m.a[k].store(0)
-	if version(m.v.load()) == v {
-		return out
-	}
-	si := v.idx()
-	s := m.s[si].load()
-	if stVer(s) != v {
-		return out
-	}
-	if stStatus(s) == stUsable {
-		if !m.s[si].cas(s, stPack(v, stPending)) {
-			return out
-		}
-		for i := 0; i < m.p; i++ {
-			a := m.a[i].load()
-			if a == annPack(v, true) {
-				m.a[i].cas(a, annPack(v, false))
-			}
-		}
-		s = stPack(v, stFrozen)
-		m.s[si].store(s)
-	}
-	if stStatus(s) == stFrozen {
-		for i := 0; i < m.p; i++ {
-			if m.a[i].load() == annPack(v, false) {
-				return out
-			}
-		}
-		data := m.d[si].p.Load()
-		if m.s[si].cas(s, 0) {
-			return append(out, data)
-		}
-		return out
-	}
-	return out
-}
-
-// Uncollected counts occupied status slots, as in PSWF.
-func (m *PSLF[T]) Uncollected() int {
-	n := 0
-	for i := range m.s {
-		if m.s[i].load() != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Drain returns all retained versions exactly once; see Maintainer.Drain.
-func (m *PSLF[T]) Drain() []*T {
-	var out []*T
-	for i := range m.s {
-		if m.s[i].load() != 0 {
-			out = append(out, m.d[i].p.Load())
-			m.s[i].store(0)
-		}
-	}
-	m.v.store(0)
-	return out
 }

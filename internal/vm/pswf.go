@@ -29,17 +29,21 @@ type PSWF[T any] struct {
 // the given initial version.  The initial version occupies slot 0 with
 // timestamp 1.
 func NewPSWF[T any](p int, initial *T) *PSWF[T] {
-	m := &PSWF[T]{
-		p: p,
-		s: make([]word, 3*p+1),
-		a: make([]word, p),
-		d: make([]ptr[T], 3*p+1),
-	}
+	m := new(PSWF[T])
+	m.init(p, initial)
+	return m
+}
+
+// init lays out the arrays in place, so PSLF can embed a PSWF by value.
+func (m *PSWF[T]) init(p int, initial *T) {
+	m.p = p
+	m.s = make([]word, 3*p+1)
+	m.a = make([]word, p)
+	m.d = make([]ptr[T], 3*p+1)
 	v0 := mkVersion(1, 0)
 	m.d[0].p.Store(initial)
 	m.s[0].store(stPack(v0, stUsable))
 	m.v.store(uint64(v0))
-	return m
 }
 
 // NewPSWFInstrumented is NewPSWF with shared-memory step counting enabled;
@@ -188,17 +192,14 @@ func (m *PSWF[T]) Set(k int, data *T) bool {
 	return false
 }
 
-// Release implements Algorithm 4's release(k).  It clears this process's
-// announcement, then drives the released version's status machine:
-// usable → pending (one releaser wins and helps outstanding announcements
-// of this version) → frozen (no new process can ever commit it) → empty.
-// The releaser that erases the frozen status owns the version and returns
-// it for collection; everyone else returns nil.  Precision (Theorem 3.3):
-// the version is returned exactly when it stops being live.
-func (m *PSWF[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer, so the
-// transaction layer's per-commit cleanup allocates nothing; see Maintainer.
+// ReleaseInto implements Algorithm 4's release(k).  It clears this
+// process's announcement, then drives the released version's status
+// machine: usable → pending (one releaser wins and helps outstanding
+// announcements of this version) → frozen (no new process can ever commit
+// it) → empty.  The releaser that erases the frozen status owns the version
+// and appends it to out for collection; everyone else returns out as it
+// was.  Precision (Theorem 3.3): the version is returned exactly when it
+// stops being live.
 func (m *PSWF[T]) ReleaseInto(k int, out []*T) []*T {
 	m.resetSteps(k)
 	v := annVer(m.a[k].load())

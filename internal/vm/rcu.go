@@ -16,60 +16,42 @@ import (
 // blocks on readers, which is exactly the behaviour Table 2 shows as
 // collapsed update throughput under long queries.
 type RCU[T any] struct {
-	p    int
-	cur  atomic.Pointer[T]
+	swap[T]
 	gp   atomic.Uint64 // grace-period counter, even values; bit 0 of a slot means "reading"
 	rc   []word        // per-process read-side state: 0 = quiescent, gp|1 = reading
-	acq  []ptr[T]      // per-process acquired version (private)
 	pend []ptr[T]      // per-process version awaiting a grace period (private)
-	live counter       // 1 or 2
 }
 
 // NewRCU returns an RCU-based Version Maintenance object for p processes.
 func NewRCU[T any](p int, initial *T) *RCU[T] {
-	m := &RCU[T]{
-		p:    p,
-		rc:   make([]word, p),
-		acq:  make([]ptr[T], p),
-		pend: make([]ptr[T], p),
-	}
-	m.cur.Store(initial)
+	m := &RCU[T]{rc: make([]word, p), pend: make([]ptr[T], p)}
+	m.init(p, initial)
 	m.gp.Store(2)
-	m.live.v.Store(1)
 	return m
 }
 
 func (m *RCU[T]) Name() string { return "rcu" }
-func (m *RCU[T]) Procs() int   { return m.p }
 
 // Acquire enters a read-side critical section and returns the current
 // version.  Wait-free, O(1).
 func (m *RCU[T]) Acquire(k int) *T {
 	m.rc[k].store(m.gp.Load() | 1)
-	v := m.cur.Load()
-	m.acq[k].p.Store(v)
-	return v
+	return m.load(k)
 }
 
 // Set publishes the new version; the replaced version is remembered so the
 // following Release can wait out its readers and return it.
 func (m *RCU[T]) Set(k int, data *T) bool {
-	old := m.acq[k].p.Load()
-	if !m.cur.CompareAndSwap(old, data) {
-		return false
+	old, ok := m.install(k, data)
+	if ok {
+		m.pend[k].p.Store(old)
 	}
-	m.pend[k].p.Store(old)
-	m.live.v.Add(1)
-	return true
+	return ok
 }
 
-// Release leaves the read-side critical section.  If the caller's Set
+// ReleaseInto leaves the read-side critical section.  If the caller's Set
 // succeeded it then synchronizes — blocking until every reader that
-// predates the new version has left — and returns the superseded version.
-func (m *RCU[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer; see
-// Maintainer.
+// predates the new version has left — and appends the superseded version.
 func (m *RCU[T]) ReleaseInto(k int, out []*T) []*T {
 	m.rc[k].store(0)
 	m.acq[k].p.Store(nil)
@@ -79,7 +61,7 @@ func (m *RCU[T]) ReleaseInto(k int, out []*T) []*T {
 	}
 	m.pend[k].p.Store(nil)
 	m.synchronize()
-	m.live.v.Add(-1)
+	m.nRet.v.Add(-1)
 	return append(out, old)
 }
 
@@ -98,10 +80,6 @@ func (m *RCU[T]) synchronize() {
 	}
 }
 
-// Uncollected is at most 2: the current version plus at most one awaiting a
-// grace period.
-func (m *RCU[T]) Uncollected() int { return int(m.live.v.Load()) }
-
 // Drain returns any pending version and the current version exactly once.
 func (m *RCU[T]) Drain() []*T {
 	var out []*T
@@ -111,10 +89,5 @@ func (m *RCU[T]) Drain() []*T {
 			m.pend[k].p.Store(nil)
 		}
 	}
-	if c := m.cur.Load(); c != nil {
-		out = append(out, c)
-		m.cur.Store(nil)
-	}
-	m.live.v.Store(0)
-	return out
+	return m.drain(out)
 }

@@ -84,7 +84,7 @@ func TestQuickSequentialSafetyAll(t *testing.T) {
 								v := held[k]
 								holders[v]--
 								delete(held, k)
-								if !checkReleased(m.Release(k), k, v) {
+								if !checkReleased(m.ReleaseInto(k, nil), k, v) {
 									return false
 								}
 								phase[k] = 0
@@ -95,7 +95,7 @@ func TestQuickSequentialSafetyAll(t *testing.T) {
 							v := held[k]
 							holders[v]--
 							delete(held, k)
-							if !checkReleased(m.Release(k), k, v) {
+							if !checkReleased(m.ReleaseInto(k, nil), k, v) {
 								return false
 							}
 							phase[k] = 0
@@ -104,7 +104,7 @@ func TestQuickSequentialSafetyAll(t *testing.T) {
 						v := held[k]
 						holders[v]--
 						delete(held, k)
-						if !checkReleased(m.Release(k), k, v) {
+						if !checkReleased(m.ReleaseInto(k, nil), k, v) {
 							return false
 						}
 						phase[k] = 0

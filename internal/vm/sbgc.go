@@ -26,9 +26,9 @@ import "sync/atomic"
 // old birth can never validate against a recycled node.
 type SBGC[T any] struct {
 	p     int
-	cur   atomic.Pointer[sbgcNode[T]]
-	clock atomic.Uint64 // last issued birth timestamp; real stamps are >= 1
-	ann   []word        // announced birth timestamps, one per process; 0 = idle
+	cur   atomic.Pointer[sbgcNode[T]] // node-typed: not the swap core's pointer
+	clock atomic.Uint64               // last issued birth timestamp; real stamps are >= 1
+	ann   []word                      // announced birth timestamps, one per process; 0 = idle
 
 	acq     []sbgcPriv[T]    // the node each process acquired (private, padded)
 	retired [][]sbgcEntry[T] // per-process retired lists, born-ascending (private)
@@ -142,14 +142,10 @@ func (m *SBGC[T]) node(k int) *sbgcNode[T] {
 	return new(sbgcNode[T])
 }
 
-// Release clears the announcement.  When the caller's retired list has
+// ReleaseInto clears the announcement.  When the caller's retired list has
 // reached 2P entries it compacts: each of the at-most-P live announcements
 // protects at most one entry (the intervals are disjoint), so at least P
 // entries are returned and the amortized cost per Set is O(1).
-func (m *SBGC[T]) Release(k int) []*T { return m.ReleaseInto(k, nil) }
-
-// ReleaseInto is Release appending to a caller-provided buffer; see
-// Maintainer.
 func (m *SBGC[T]) ReleaseInto(k int, out []*T) []*T {
 	m.ann[k].store(0)
 	m.acq[k].n = nil

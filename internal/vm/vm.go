@@ -12,7 +12,8 @@
 //     false) only if another Set succeeded since this process's last Acquire.
 //   - Release(k) declares the acquired version no longer needed and returns
 //     the versions whose last user has now departed, so the caller can
-//     collect them.
+//     collect them.  Maintainer spells it ReleaseInto(k, out): it appends
+//     them to out, a buffer the caller reuses.
 //
 // The operations must be called in acquire → [set] → release order for each
 // k, and no two operations with the same k may run concurrently.  A solution
@@ -24,7 +25,8 @@
 // the follow-on space-bounded GC literature:
 //
 //	PSWF   precise, safe and wait-free (Algorithm 4, the paper's contribution)
-//	PSLF   PSWF without helping; precise and lock-free (Section 7.1)
+//	PSLF   PSWF with Acquire and Set overridden to skip helping; precise
+//	       and lock-free (Section 7.1)
 //	HP     hazard-pointer based; safe but imprecise (Section 6)
 //	Epoch  epoch based; safe but imprecise (Section 6)
 //	RCU    read-copy-update based; precise but the writer blocks (Section 6)
@@ -39,25 +41,23 @@ package vm
 // identifier and respects the acquire → [set] → release protocol order.
 type Maintainer[T any] interface {
 	// Acquire returns the current version and protects it from collection
-	// until the next Release(k).  It never returns nil after the object was
-	// initialized with a non-nil version.
+	// until the next ReleaseInto(k, ...).  It never returns nil after the
+	// object was initialized with a non-nil version.
 	Acquire(k int) *T
 
 	// Set installs data as the current version.  It returns false without
 	// effect if a conflicting Set succeeded since this process's Acquire.
 	Set(k int, data *T) bool
 
-	// Release ends this process's use of its acquired version and returns
-	// the versions that may now be collected.  Precise implementations
-	// return at most one version, and exactly when the caller was its last
-	// user.  Imprecise implementations may return a batch, or defer
-	// versions to a later Release.
-	Release(k int) []*T
-
-	// ReleaseInto is Release appending the collectable versions to out
-	// instead of allocating a fresh slice, so a caller that releases on
-	// every transaction (the transaction layer's cleanup phase) can reuse
-	// one per-process buffer and keep the commit path allocation-free.
+	// ReleaseInto ends this process's use of its acquired version and
+	// appends the versions that may now be collected to out.  Precise
+	// implementations append at most one version, and exactly when the
+	// caller was its last user.  Imprecise implementations may append a
+	// batch, or defer versions to a later release.  A caller that releases
+	// on every transaction (the transaction layer's cleanup phase) reuses
+	// one per-process buffer and keeps the commit path allocation-free;
+	// ReleaseInto(k, nil) allocates a fresh slice only when it returns a
+	// version.
 	ReleaseInto(k int, out []*T) []*T
 
 	// Procs reports the number of processes P the object was created for.

@@ -92,7 +92,7 @@ func TestSequentialProtocol(t *testing.T) {
 			if got := m.Acquire(0); got != v0 {
 				t.Fatalf("first Acquire = %v, want initial", got)
 			}
-			if out := m.Release(0); len(out) != 0 {
+			if out := m.ReleaseInto(0, nil); len(out) != 0 {
 				t.Fatalf("Release of current version returned %d versions, want 0", len(out))
 			}
 
@@ -106,7 +106,7 @@ func TestSequentialProtocol(t *testing.T) {
 				if !m.Set(0, &payload{id: uint64(i)}) {
 					t.Fatalf("uncontended Set #%d failed", i)
 				}
-				freed = append(freed, m.Release(0)...)
+				freed = append(freed, m.ReleaseInto(0, nil)...)
 			}
 			freed = append(freed, m.Drain()...)
 			if len(freed) != 11 {
@@ -135,7 +135,7 @@ func TestPreciseSequentialRelease(t *testing.T) {
 				if !m.Set(0, &payload{id: uint64(i)}) {
 					t.Fatalf("Set %d failed", i)
 				}
-				out := m.Release(0)
+				out := m.ReleaseInto(0, nil)
 				if len(out) != 1 {
 					t.Fatalf("precise Release returned %d versions, want exactly 1", len(out))
 				}
@@ -176,14 +176,14 @@ func TestReaderHoldsVersionAcrossSet(t *testing.T) {
 				if !m.Set(0, &payload{id: uint64(i)}) {
 					t.Fatalf("Set %d failed", i)
 				}
-				freedByWriter = append(freedByWriter, m.Release(0)...)
+				freedByWriter = append(freedByWriter, m.ReleaseInto(0, nil)...)
 			}
 			for _, f := range freedByWriter {
 				if f.id == 0 {
 					t.Fatal("writer's release returned the version a reader still holds")
 				}
 			}
-			freedByReader := m.Release(1)
+			freedByReader := m.ReleaseInto(1, nil)
 			all := append(freedByWriter, freedByReader...)
 			all = append(all, m.Drain()...)
 			seen := make(map[uint64]bool)
@@ -236,7 +236,7 @@ func TestSetAbortsOnlyOnConflict(t *testing.T) {
 				if !m.Set(0, &payload{id: uint64(i)}) {
 					t.Fatalf("solo Set #%d aborted", i)
 				}
-				m.Release(0)
+				m.ReleaseInto(0, nil)
 			}
 		})
 	}
@@ -259,17 +259,17 @@ func TestSetConflictDetected(t *testing.T) {
 			}
 			// Release the reader side first: RCU's writer Release blocks
 			// until readers of the superseded version are gone.
-			m.Release(1)
-			m.Release(0)
+			m.ReleaseInto(1, nil)
+			m.ReleaseInto(0, nil)
 			m.Acquire(1)
 			if !m.Set(1, &payload{id: 3}) {
 				t.Fatal("retry after fresh Acquire failed")
 			}
-			m.Release(1)
+			m.ReleaseInto(1, nil)
 			if got := m.Acquire(0); got.id != 3 {
 				t.Fatalf("current version id = %d, want 3", got.id)
 			}
-			m.Release(0)
+			m.ReleaseInto(0, nil)
 		})
 	}
 }
@@ -355,7 +355,7 @@ func sequentialRelease(t *testing.T, step int, m Maintainer[payload], k int, st 
 	if st.holders[v] == 0 {
 		delete(st.holders, v)
 	}
-	out := m.Release(k)
+	out := m.ReleaseInto(k, nil)
 	// Precise spec: return exactly v iff v is dead after this release.
 	dead := v != st.current && st.holders[v] == 0 && !st.returned[v]
 	if dead {
@@ -407,7 +407,7 @@ func TestConcurrentSingleWriter(t *testing.T) {
 					if !m.Set(0, p) {
 						t.Errorf("single-writer Set %d failed", i)
 					}
-					collect(m.Release(0))
+					collect(m.ReleaseInto(0, nil))
 				}
 				close(stop)
 			}()
@@ -440,7 +440,7 @@ func TestConcurrentSingleWriter(t *testing.T) {
 								return
 							}
 						}
-						collect(m.Release(k))
+						collect(m.ReleaseInto(k, nil))
 						// Yield between transactions, never inside one: seven
 						// spinning readers on two cores otherwise get
 						// preempted mid-read, and a blocking maintainer
@@ -500,7 +500,7 @@ func TestConcurrentMultiWriter(t *testing.T) {
 							// The failed version never entered the system;
 							// the transaction layer collects it directly.
 						}
-						for _, f := range m.Release(k) {
+						for _, f := range m.ReleaseInto(k, nil) {
 							if !f.collected.CompareAndSwap(false, true) {
 								t.Errorf("version %d collected twice", f.id)
 							}
@@ -557,7 +557,7 @@ func TestUncollectedBounds(t *testing.T) {
 						m.Acquire(k)
 						id++
 						m.Set(k, &payload{id: id})
-						m.Release(k)
+						m.ReleaseInto(k, nil)
 						if u := m.Uncollected(); u > bound {
 							t.Errorf("%s: Uncollected = %d exceeds bound %d", name, u, bound)
 							return
@@ -593,7 +593,7 @@ func TestStepBoundsAcquire(t *testing.T) {
 				m.Acquire(0)
 				id++
 				m.Set(0, &payload{id: id})
-				m.Release(0)
+				m.ReleaseInto(0, nil)
 			}
 		}()
 		for i := 0; i < 2000; i++ {
@@ -601,7 +601,7 @@ func TestStepBoundsAcquire(t *testing.T) {
 			if s := m.StepCount(1); s > maxSteps {
 				maxSteps = s
 			}
-			m.Release(1)
+			m.ReleaseInto(1, nil)
 		}
 		close(stop)
 		wg.Wait()
@@ -627,7 +627,7 @@ func TestStepBoundsSetRelease(t *testing.T) {
 			if s := m.StepCount(0); s > maxSet {
 				maxSet = s
 			}
-			m.Release(0)
+			m.ReleaseInto(0, nil)
 			if s := m.StepCount(0); s > maxRel {
 				maxRel = s
 			}
@@ -654,7 +654,7 @@ func TestRCUWriterBlocksOnReader(t *testing.T) {
 		t.Fatal("Set failed")
 	}
 	released := make(chan []*payload, 1)
-	go func() { released <- m.Release(0) }()
+	go func() { released <- m.ReleaseInto(0, nil) }()
 
 	// The writer must not complete while the reader is inside.
 	for i := 0; i < 100; i++ {
@@ -665,7 +665,7 @@ func TestRCUWriterBlocksOnReader(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	m.Release(1) // reader exits; the writer may now finish
+	m.ReleaseInto(1, nil) // reader exits; the writer may now finish
 	out := <-released
 	if len(out) != 1 || out[0].id != 0 {
 		t.Fatalf("writer release = %v, want [0]", ids(out))
@@ -685,7 +685,7 @@ func TestHPReleaseAmortization(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatal("Set failed")
 		}
-		out := m.Release(0)
+		out := m.ReleaseInto(0, nil)
 		if len(out) == 0 {
 			emptyReleases++
 			continue
@@ -696,6 +696,35 @@ func TestHPReleaseAmortization(t *testing.T) {
 	}
 	if emptyReleases == 0 {
 		t.Fatal("HP release was never cheap; amortization broken")
+	}
+}
+
+// TestHPSteadyStateAllocs: once the retired list has grown to 2P, a round
+// of 2P writes — one compacting release among them — allocates nothing.
+// Each AllocsPerRun run is a whole round, because its integer division
+// would hide one allocation spread over 2P calls.  P = 9 and 17 are past
+// the size at which a per-scan map of P entries stops fitting on the stack.
+func TestHPSteadyStateAllocs(t *testing.T) {
+	for _, procs := range []int{9, 17} {
+		const runs = 50
+		m := NewHP(procs, &payload{id: 0})
+		payloads := make([]payload, (runs+3)*2*procs)
+		next := 0
+		buf := make([]*payload, 0, 2*procs)
+		round := func() {
+			for i := 0; i < 2*procs; i++ {
+				m.Acquire(0)
+				if !m.Set(0, &payloads[next]) {
+					t.Fatalf("P=%d: solo Set failed", procs)
+				}
+				next++
+				buf = m.ReleaseInto(0, buf[:0])
+			}
+		}
+		round() // grow the retired list and the release buffer
+		if avg := testing.AllocsPerRun(runs, round); avg != 0 {
+			t.Errorf("P=%d: a round of %d writes allocates %.2f objects, want 0", procs, 2*procs, avg)
+		}
 	}
 }
 
@@ -711,21 +740,21 @@ func TestEpochAdvanceRequiresQuiescence(t *testing.T) {
 		if !m.Set(0, &payload{id: id}) {
 			t.Fatal("Set failed")
 		}
-		if out := m.Release(0); len(out) != 0 {
+		if out := m.ReleaseInto(0, nil); len(out) != 0 {
 			t.Fatalf("epoch release reclaimed %v while a reader is pinned", ids(out))
 		}
 	}
 	if m.Uncollected() < 50 {
 		t.Fatalf("expected ≥50 uncollected versions behind a pinned reader, got %d", m.Uncollected())
 	}
-	m.Release(1)
+	m.ReleaseInto(1, nil)
 	// After the reader leaves, a few writer cycles flush the backlog down
 	// to the 3-epoch window.
 	for i := 0; i < 10; i++ {
 		m.Acquire(0)
 		id++
 		m.Set(0, &payload{id: id})
-		m.Release(0)
+		m.ReleaseInto(0, nil)
 	}
 	if m.Uncollected() > 10 {
 		t.Fatalf("backlog not reclaimed after reader left: %d", m.Uncollected())
@@ -745,11 +774,16 @@ func TestDrainExactlyOnce(t *testing.T) {
 				m.Acquire(0)
 				id++
 				m.Set(0, &payload{id: id})
-				for _, f := range m.Release(0) {
+				for _, f := range m.ReleaseInto(0, nil) {
 					collected = append(collected, f.id)
 				}
 			}
-			for _, f := range m.Drain() {
+			retained := m.Uncollected()
+			drained := m.Drain()
+			if retained != len(drained) {
+				t.Fatalf("Uncollected = %d before Drain, which returned %d", retained, len(drained))
+			}
+			for _, f := range drained {
 				collected = append(collected, f.id)
 			}
 			seen := make(map[uint64]bool)
