@@ -2,10 +2,10 @@
 // protocol (a RESP subset): the repo's network front door.
 //
 // Pipelined clients (internal/netclient, or anything that speaks RESP
-// arrays of bulk strings) get SET/GET/DEL/SUM/LEN/SCAN/SCANC/MCAS/PING/
-// STATS; a connection commits each burst of pipelined SETs and DELs on its
-// own read loop as O(shards) commits, and connections share the log's
-// fsyncs (see internal/netserver).
+// arrays of bulk strings) get SET/GET/DEL/SUM/LEN/SCAN/MCAS/PING/STATS; a
+// connection commits each burst of pipelined SETs and DELs on its own read
+// loop as O(shards) commits, and connections share the log's fsyncs (see
+// internal/netserver).
 //
 // Usage:
 //

@@ -22,8 +22,8 @@
 //     value EQUALS the last leader-acked value — the catch-up barrier
 //     (a sentinel write observed through the stream) proves every
 //     earlier log byte arrived.
-//   - The promoted follower's cursor scan (SCANC pages) agrees with SUM
-//     and LEN, and it accepts writes after PROMOTE.
+//   - The promoted follower's paged scan (netclient.Scanner over SCAN)
+//     agrees with SUM and LEN, and it accepts writes after PROMOTE.
 //
 // Role swap after each kill: the promoted follower is the next round's
 // leader; the dead leader's directory is wiped and a fresh follower

@@ -138,11 +138,8 @@ func (m *Map[K, V, A]) Aborts() int64 { return m.aborts.Load() }
 func (m *Map[K, V, A]) Uncollected() int { return m.m.Uncollected() }
 
 // MaxVersions returns the peak version count sampled at write-transaction
-// starts since the last ResetMaxVersions (requires TrackVersions).
+// starts (requires TrackVersions).
 func (m *Map[K, V, A]) MaxVersions() int64 { return m.maxVersions.Load() }
-
-// ResetMaxVersions clears the peak version gauge.
-func (m *Map[K, V, A]) ResetMaxVersions() { m.maxVersions.Store(0) }
 
 // collect runs Figure 1's cleanup loop for pid — the end of every
 // transaction: Algorithm 5's collect on every version the VM hands back,

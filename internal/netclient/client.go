@@ -19,6 +19,10 @@
 // 64-byte heap object, its Pending.  See DESIGN.md, "The network coalescing
 // path".
 //
+// A long range is walked with a Scanner, which keeps its cursor on the
+// client and pages the server's SCAN: each page is one fresh consistent
+// cut, so the walk holds the server's versions no longer than one page.
+//
 // The client is safe for concurrent use; requests from multiple goroutines
 // are serialized onto the wire in submission order.
 package netclient
@@ -27,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -224,41 +229,11 @@ func (p *Pending) Entries() ([]Entry, error) {
 	if len(arr)%2 != 0 {
 		return nil, fmt.Errorf("netclient: odd scan reply length %d", len(arr))
 	}
-	return pairs(arr), nil
-}
-
-// pairs decodes an even-length array of alternating keys and values.
-func pairs(arr []int64) []Entry {
 	out := make([]Entry, 0, len(arr)/2)
-	for i := 0; i+1 < len(arr); i += 2 {
+	for i := 0; i < len(arr); i += 2 {
 		out = append(out, Entry{Key: arr[i], Val: arr[i+1]})
 	}
-	return out
-}
-
-// ScanChunk is one SCANC page: up to n entries in ascending key order
-// plus the cursor to continue from.  When More is set, resuming at Next
-// with excl=true yields the following page; pages from different calls
-// may observe different snapshots (the cursor lives on the client).
-type ScanChunk struct {
-	Entries []Entry
-	Next    int64 // last key of this page; resume point when More
-	More    bool  // the range may hold entries beyond Next
-}
-
-// Chunk waits and decodes a SCANC reply: [more, next, k1, v1, ...].
-func (p *Pending) Chunk() (ScanChunk, error) {
-	if err := p.Err(); err != nil {
-		return ScanChunk{}, err
-	}
-	if p.kind != netproto.KindArray {
-		return ScanChunk{}, fmt.Errorf("netclient: unexpected reply kind %q", p.kind)
-	}
-	arr := p.array()
-	if len(arr) < 2 || len(arr)%2 != 0 {
-		return ScanChunk{}, fmt.Errorf("netclient: malformed cursor-scan reply length %d", len(arr))
-	}
-	return ScanChunk{Entries: pairs(arr[2:]), Next: arr[1], More: arr[0] != 0}, nil
+	return out, nil
 }
 
 // Client is one pipelined connection.
@@ -421,16 +396,6 @@ func (c *Client) ScanAsync(lo int64, n int) *Pending {
 	return c.send(netproto.CmdScan, lo, int64(n))
 }
 
-// ScanChunkAsync pipelines SCANC lo n excl: one cursor page of up to n
-// entries with keys ≥ lo (or > lo when excl), in ascending key order.
-func (c *Client) ScanChunkAsync(lo int64, n int, excl bool) *Pending {
-	var x int64
-	if excl {
-		x = 1
-	}
-	return c.send(netproto.CmdScanCursor, lo, int64(n), x)
-}
-
 // LenAsync pipelines LEN.
 func (c *Client) LenAsync() *Pending { return c.send(netproto.CmdLen) }
 
@@ -533,13 +498,6 @@ func (c *Client) Scan(lo int64, n int) ([]Entry, error) {
 	return p.Entries()
 }
 
-// ScanChunk is the synchronous SCANC: one cursor page.
-func (c *Client) ScanChunk(lo int64, n int, excl bool) (ScanChunk, error) {
-	p := c.ScanChunkAsync(lo, n, excl)
-	c.Flush()
-	return p.Chunk()
-}
-
 // Promote is the synchronous PROMOTE.
 func (c *Client) Promote() error {
 	p := c.PromoteAsync()
@@ -576,7 +534,7 @@ func (c *Client) Stats() (string, error) {
 	return p.Text()
 }
 
-// Scanner iterates a key range in ascending order, fetching one SCANC
+// Scanner iterates a key range in ascending order, fetching one SCAN
 // page at a time:
 //
 //	sc := c.Scanner(0, 512)
@@ -586,17 +544,19 @@ func (c *Client) Stats() (string, error) {
 //	}
 //	if err := sc.Err(); err != nil { ... }
 //
-// Each page is served from a fresh server-side snapshot, so a long
-// iteration observes a sequence of consistent cuts rather than one; the
-// keys still arrive in strictly ascending order with no duplicates.
+// The cursor lives here, not on the server: each page is one SCAN from the
+// key after the last one seen, served from its own fresh consistent cut, so
+// a long iteration observes a sequence of cuts rather than one, and no page
+// holds the server's versions past its own reply.  Keys still arrive in
+// strictly ascending order, each at most once.  A short page ends the walk,
+// so a range that ends exactly on a page boundary costs one empty page more.
 type Scanner struct {
 	c     *Client
 	chunk int
-	cur   int64
-	excl  bool
+	cur   int64 // where the next page starts
 	page  []Entry
-	i     int // index of the current entry in page; -1 before first Next
-	more  bool
+	i     int  // index of the current entry in page; -1 before first Next
+	done  bool // the last page fetched ended the range
 	err   error
 }
 
@@ -607,12 +567,12 @@ func (c *Client) Scanner(lo int64, chunk int) *Scanner {
 		chunk = 512
 	}
 	chunk = min(chunk, netproto.MaxScanPage)
-	return &Scanner{c: c, chunk: chunk, cur: lo, i: -1, more: true}
+	return &Scanner{c: c, chunk: chunk, cur: lo, i: -1}
 }
 
 // Next advances to the next entry, fetching a new page when the current
 // one is exhausted; false means the range is done or the scan failed
-// (check Err).
+// (check Err).  Only the last page can be empty: every other one is full.
 func (s *Scanner) Next() bool {
 	if s.err != nil {
 		return false
@@ -621,20 +581,21 @@ func (s *Scanner) Next() bool {
 		s.i++
 		return true
 	}
-	for s.more {
-		ch, err := s.c.ScanChunk(s.cur, s.chunk, s.excl)
-		if err != nil {
-			s.err = err
-			return false
-		}
-		s.page, s.i = ch.Entries, -1
-		s.cur, s.excl, s.more = ch.Next, true, ch.More
-		if len(s.page) > 0 {
-			s.i = 0
-			return true
-		}
+	if s.done {
+		return false
 	}
-	return false
+	page, err := s.c.Scan(s.cur, s.chunk)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.page, s.i = page, 0
+	if len(page) < s.chunk || page[len(page)-1].Key == math.MaxInt64 {
+		s.done = true // nothing can follow MaxInt64: cur+1 would wrap
+		return len(page) > 0
+	}
+	s.cur = page[len(page)-1].Key + 1
+	return true
 }
 
 // Entry returns the current entry; valid after a true Next.

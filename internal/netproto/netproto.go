@@ -52,10 +52,6 @@ const (
 	CmdMCAS  = "MCAS"  // MCAS (<k> <expect> <new>)+ → :1 swapped | :0 conflict
 	CmdStats = "STATS" // STATS                     → $key=value ... (see netserver)
 
-	// CmdScanCursor is the cursor-style chunked scan: the client drives the
-	// walk, so no server-side state (and no long-pinned shard snapshot)
-	// outlives a single request.
-	CmdScanCursor = "SCANC" // SCANC <lo> <n> <excl>  → *<2m+2>: :more :next then k/v pairs
 	// CmdRepl hands the connection over to the replication shipper: after
 	// the +OK the server stops speaking RESP on this connection and streams
 	// raw repl frames (see internal/repl) forever.  Args are the stream protocol's
@@ -88,9 +84,9 @@ const (
 	MaxArgs = 4096
 	// MaxBulk bounds one bulk string's length.
 	MaxBulk = 1 << 20
-	// MaxScanPage bounds one SCANC page's entries: its reply carries two
-	// more elements (more, next) ahead of the pairs.
-	MaxScanPage = (MaxArgs - 2) / 2
+	// MaxScanPage bounds one SCAN's entries, so its reply's element count
+	// (two per entry) stays within the array bound.
+	MaxScanPage = MaxArgs / 2
 )
 
 // maxFrame bounds one whole frame, headers included: one MaxBulk payload
@@ -560,9 +556,6 @@ func (w *Writer) bulkHeader(n int) []byte {
 // BeginCommand starts a request frame of nargs arguments; exactly nargs
 // Arg* calls must follow.
 func (w *Writer) BeginCommand(nargs int) { w.lineInt('*', int64(nargs)) }
-
-// ArgBytes appends one bulk-string argument.
-func (w *Writer) ArgBytes(b []byte) { w.Bulk(b) }
 
 // ArgString appends one bulk-string argument, in one write when it is as
 // short as a command name.

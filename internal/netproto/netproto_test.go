@@ -29,7 +29,7 @@ func TestCommandRoundTrip(t *testing.T) {
 	w.BeginCommand(1)
 	w.ArgString(CmdLen)
 	w.BeginCommand(2)
-	w.ArgBytes([]byte(CmdGet))
+	w.Bulk([]byte(CmdGet))
 	w.ArgInt(9223372036854775807)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -539,7 +539,7 @@ func fuzzSeeds(f *testing.F) {
 		args []int64
 	}{
 		{CmdGet, []int64{7}}, {CmdDel, []int64{-7}}, {CmdSet, []int64{math.MaxInt64, math.MinInt64}},
-		{CmdSum, []int64{0, 99}}, {CmdScan, []int64{5, 10}}, {CmdScanCursor, []int64{5, 10, 1}},
+		{CmdSum, []int64{0, 99}}, {CmdScan, []int64{5, 10}},
 		{CmdMCAS, []int64{1, 2, 3, 4, 5, 6}}, {CmdRepl, []int64{2, 100, 50}},
 	} {
 		w.BeginCommand(1 + len(c.args))
@@ -550,7 +550,7 @@ func fuzzSeeds(f *testing.F) {
 	}
 	w.BeginCommand(2)
 	w.ArgString(CmdGet)
-	w.ArgBytes([]byte("x\r\ny"))
+	w.Bulk([]byte("x\r\ny"))
 	w.Simple("OK")
 	w.Error("ERR nope")
 	w.Int(math.MinInt64)

@@ -697,9 +697,10 @@ func TestReplHandshakeVersion(t *testing.T) {
 	}
 }
 
-// TestScanCursorWire pins the SCANC reply contract at the client level:
-// paging visits every entry exactly once in order, the probe entry sets
-// More without leaking, and an exclusive resume skips the cursor key.
+// TestScanCursorWire pins the client-side cursor over SCAN pages: paging
+// from the key after each page's last visits every entry exactly once in
+// order (a resume never returns the key it resumed past), every page but
+// the last is full, and Scanner walks the same entries.
 func TestScanCursorWire(t *testing.T) {
 	s, addr := startServer(t, Config{Shards: 4, MaxConns: 4})
 	defer s.Shutdown()
@@ -717,13 +718,13 @@ func TestScanCursorWire(t *testing.T) {
 
 	var pages, seen int
 	last := int64(-1)
-	for lo, excl, more := int64(0), false, true; more; {
-		ch, err := c.ScanChunk(lo, 100, excl)
+	for lo := int64(0); ; lo = last + 1 {
+		page, err := c.Scan(lo, 100)
 		if err != nil {
-			t.Fatalf("SCANC: %v", err)
+			t.Fatalf("SCAN: %v", err)
 		}
 		pages++
-		for _, e := range ch.Entries {
+		for _, e := range page {
 			if e.Key <= last {
 				t.Fatalf("cursor went backwards: %d after %d", e.Key, last)
 			}
@@ -733,38 +734,37 @@ func TestScanCursorWire(t *testing.T) {
 			last = e.Key
 			seen++
 		}
-		if ch.More && len(ch.Entries) == 0 {
-			t.Fatal("More set on an empty page: no progress possible")
+		if len(page) < 100 {
+			break
 		}
-		if ch.More && ch.Next != last {
-			t.Fatalf("Next = %d, want last key %d", ch.Next, last)
-		}
-		lo, excl, more = ch.Next, true, ch.More
 	}
 	if seen != n {
 		t.Fatalf("cursor visited %d entries, want %d", seen, n)
 	}
-	if pages < n/100 {
-		t.Fatalf("only %d pages for %d entries at page size 100", pages, n)
+	if pages != n/100+1 {
+		t.Fatalf("%d pages for %d entries at page size 100, want %d", pages, n, n/100+1)
 	}
 
-	// The iterator agrees.
+	// The iterator agrees, entry for entry.
 	sc := c.Scanner(0, 100)
-	count := 0
+	next := int64(0)
 	for sc.Next() {
-		count++
+		if e := sc.Entry(); e.Key != 2*next || e.Val != next {
+			t.Fatalf("Scanner entry %d = %+v, want key %d", next, e, 2*next)
+		}
+		next++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if count != n {
-		t.Fatalf("Scanner visited %d entries, want %d", count, n)
+	if next != n {
+		t.Fatalf("Scanner visited %d entries, want %d", next, n)
 	}
 }
 
-// TestScanCursorBoundedStaleness pins what sets a SCANC walk apart from
-// one frozen snapshot: every page pins afresh, so writes landing AHEAD of
-// the cursor between pages are observed, writes landing BEHIND it are
+// TestScanCursorBoundedStaleness pins what sets a paged Scanner walk apart
+// from one frozen snapshot: every page pins afresh, so writes landing AHEAD
+// of the cursor between pages are observed, writes landing BEHIND it are
 // never revisited, and keys stream strictly increasing throughout.
 func TestScanCursorBoundedStaleness(t *testing.T) {
 	s, addr := startServer(t, Config{Shards: 4, MaxConns: 4})
@@ -779,18 +779,15 @@ func TestScanCursorBoundedStaleness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pages of 10 over keys 0..99 end at 9, 19, ...; after the page that
-	// ends at 59, -5 is behind the cursor and 90 and 500 are ahead of it.
+	// Pages of 10 over keys 0..99 end at 9, 19, ...; 59 ends a page the
+	// Scanner has fetched whole, and the next is fetched only after the
+	// writes below: -5 is behind the cursor, 90 and 500 are ahead of it.
 	var got []int64
-	for lo, excl, more := int64(0), false, true; more; {
-		ch, err := c.ScanChunk(lo, 10, excl)
-		if err != nil {
-			t.Fatalf("SCANC: %v", err)
-		}
-		for _, e := range ch.Entries {
-			got = append(got, e.Key)
-		}
-		if ch.More && ch.Next == 59 {
+	sc := c.Scanner(0, 10)
+	for sc.Next() {
+		k := sc.Entry().Key
+		got = append(got, k)
+		if k == 59 {
 			if err := c.Set(-5, 1); err != nil { // behind: never visited
 				t.Fatal(err)
 			}
@@ -801,7 +798,9 @@ func TestScanCursorBoundedStaleness(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		lo, excl, more = ch.Next, true, ch.More
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
 	for i, k := range got {

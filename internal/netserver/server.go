@@ -39,7 +39,6 @@ package netserver
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"strconv"
@@ -325,8 +324,10 @@ type conn struct {
 	// only.
 	synced int64
 
-	// scan collects a SCAN or SCANC reply's elements, and mcas is
-	// execMCAS's scratch; both run to completion on the read loop.
+	// arg holds the integer arguments ints parsed last; scan collects a
+	// SCAN reply's elements, and mcas is execMCAS's scratch.  All three are
+	// used by one command at a time, on the read loop.
+	arg  [3]int64
 	scan []int64
 	mcas struct{ keys, expects, news []int64 }
 
@@ -578,10 +579,29 @@ func eqFold(b []byte, upper string) bool {
 	return true
 }
 
-// argInt parses one int64 argument.
-func argInt(b []byte) (int64, bool) {
-	v, err := netproto.ParseInt(b)
-	return v, err == nil
+// args checks that cmd carries n integer arguments after its name and
+// parses them into c.arg; when it does not, it answers -ERR and reports
+// false.
+func (c *conn) args(cmd *netproto.Command, n int) bool {
+	if len(cmd.Args) != 1+n {
+		c.fail("ERR wrong number of arguments")
+		return false
+	}
+	return c.ints(cmd.Args[1:])
+}
+
+// ints parses each of args, at most len(c.arg), into c.arg; on a malformed
+// one it answers -ERR and reports false.
+func (c *conn) ints(args [][]byte) bool {
+	for i, b := range args {
+		v, err := netproto.ParseInt(b)
+		if err != nil {
+			c.fail("ERR bad integer")
+			return false
+		}
+		c.arg[i] = v
+	}
+	return true
 }
 
 // Read makes the connection the read loop's input: the socket, behind a
@@ -636,8 +656,6 @@ func (c *conn) readLoop() {
 			c.execLen()
 		case eqFold(name, netproto.CmdScan):
 			c.execScan(&cmd)
-		case eqFold(name, netproto.CmdScanCursor):
-			c.execScanCursor(&cmd)
 		case eqFold(name, netproto.CmdMCAS):
 			c.execMCAS(&cmd)
 		case eqFold(name, netproto.CmdPing):
@@ -671,26 +689,15 @@ func (c *conn) execWrite(cmd *netproto.Command, del bool) {
 		c.fail("READONLY following a leader; PROMOTE to enable writes")
 		return
 	}
-	wantArgs := 3
+	n := 2 // SET <key> <val>
 	if del {
-		wantArgs = 2
+		n = 1 // DEL <key>: the run ignores val
 	}
-	if len(cmd.Args) != wantArgs {
-		c.fail("ERR wrong number of arguments")
-		return
-	}
-	k, ok1 := argInt(cmd.Args[1])
-	var v int64
-	ok2 := true
-	if !del {
-		v, ok2 = argInt(cmd.Args[2])
-	}
-	if !ok1 || !ok2 {
-		c.fail("ERR bad integer")
+	if !c.args(cmd, n) {
 		return
 	}
 	c.reserve()
-	c.writes = append(c.writes, writeOp{key: k, val: v, del: del})
+	c.writes = append(c.writes, writeOp{key: c.arg[0], val: c.arg[1], del: del})
 }
 
 type writeOp struct {
@@ -763,18 +770,12 @@ type getRun struct {
 
 // execGet queues one GET on the connection's read run.
 func (c *conn) execGet(cmd *netproto.Command) {
-	if len(cmd.Args) != 2 {
-		c.fail("ERR wrong number of arguments")
-		return
-	}
-	k, ok := argInt(cmd.Args[1])
-	if !ok {
-		c.fail("ERR bad integer")
+	if !c.args(cmd, 1) {
 		return
 	}
 	c.reserve()
 	g := &c.gets
-	g.keys = append(g.keys, k)
+	g.keys = append(g.keys, c.arg[0])
 	if len(g.keys) == getRunCap {
 		c.flushGets()
 	}
@@ -808,16 +809,10 @@ func (c *conn) flushGets() {
 }
 
 func (c *conn) execSum(cmd *netproto.Command) {
-	if len(cmd.Args) != 3 {
-		c.fail("ERR wrong number of arguments")
+	if !c.args(cmd, 2) {
 		return
 	}
-	lo, ok1 := argInt(cmd.Args[1])
-	hi, ok2 := argInt(cmd.Args[2])
-	if !ok1 || !ok2 {
-		c.fail("ERR bad integer")
-		return
-	}
+	lo, hi := c.arg[0], c.arg[1]
 	c.reserve()
 	var sum int64
 	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) { sum = sn.AugRange(lo, hi) })
@@ -825,29 +820,22 @@ func (c *conn) execSum(cmd *netproto.Command) {
 	c.publish()
 }
 
-// maxScanEntries bounds one SCAN's result so the reply's element count
-// (two per entry) stays within the protocol's array bound.
-const maxScanEntries = netproto.MaxArgs / 2
-
 // execScan streams up to n entries with keys ≥ lo — the loser-tree merge
 // over all shards — into the connection's reusable element buffer and
 // replies with an array of alternating keys and values in ascending key
 // order.  Like SUM and LEN it reads one ViewConsistent cut, so a
 // concurrent MCAS is never seen half-applied mid-scan.  It runs inline on
-// the read loop against pinned snapshots, so it never blocks writers.
+// the read loop against snapshots pinned for this one page and released
+// before the reply, so it never blocks writers, and a client that walks a
+// long range page by page (netclient.Scanner) holds no version beyond the
+// page it is reading.
 func (c *conn) execScan(cmd *netproto.Command) {
-	if len(cmd.Args) != 3 {
-		c.fail("ERR wrong number of arguments")
+	if !c.args(cmd, 2) {
 		return
 	}
-	lo, ok1 := argInt(cmd.Args[1])
-	n, ok2 := argInt(cmd.Args[2])
-	if !ok1 || !ok2 {
-		c.fail("ERR bad integer")
-		return
-	}
-	if n < 0 || n > maxScanEntries {
-		c.fail(fmt.Sprintf("ERR scan count must be in [0, %d]", maxScanEntries))
+	lo, n := c.arg[0], c.arg[1]
+	if n < 0 || n > netproto.MaxScanPage {
+		c.fail(fmt.Sprintf("ERR scan count must be in [0, %d]", netproto.MaxScanPage))
 		return
 	}
 	c.reserve()
@@ -858,70 +846,11 @@ func (c *conn) execScan(cmd *netproto.Command) {
 			return true
 		})
 	})
-	c.replyScan()
-}
-
-// replyScan encodes the collected elements as one array reply and
-// publishes it.
-func (c *conn) replyScan() {
 	c.w.BeginArray(len(c.scan))
 	for _, v := range c.scan {
 		c.w.Int(v)
 	}
 	c.publish()
-}
-
-// execScanCursor is the cursor-style chunked scan, with the chunking
-// driven by the client: each SCANC page is one ScanFunc over its own
-// ViewConsistent cut — fresh pins that stream at most n entries from the
-// cursor and are released before the reply — so an analytics client
-// walking the whole keyspace never stretches any shard's
-// uncollected-version window beyond one page.
-// Commits landing between pages are observed, keys stream in strictly
-// increasing order, each at most once: SCANC is where that
-// bounded-staleness contract lives (TestScanCursorBoundedStaleness).
-//
-// Reply: *<2m+2> of integers [more, next, k1, v1, ...] — more is 1 when
-// entries remain past this chunk, next is the last key returned (pass it
-// back with excl=1 to continue).
-func (c *conn) execScanCursor(cmd *netproto.Command) {
-	if len(cmd.Args) != 4 {
-		c.fail("ERR usage: SCANC <lo> <n> <excl>")
-		return
-	}
-	lo, ok1 := argInt(cmd.Args[1])
-	n, ok2 := argInt(cmd.Args[2])
-	excl, ok3 := argInt(cmd.Args[3])
-	if !ok1 || !ok2 || !ok3 {
-		c.fail("ERR bad integer")
-		return
-	}
-	if n < 1 || n > netproto.MaxScanPage {
-		c.fail(fmt.Sprintf("ERR scan count must be in [1, %d]", netproto.MaxScanPage))
-		return
-	}
-	c.reserve()
-	c.scan = append(c.scan[:0], 0, lo) // [more, next] backfilled below
-	start := lo
-	if excl != 0 {
-		if lo == math.MaxInt64 { // nothing can follow the cursor
-			c.replyScan()
-			return
-		}
-		start = lo + 1
-	}
-	c.srv.db.ViewConsistent(func(sn mvgc.DBSnapshot[int64, int64, int64]) {
-		sn.ScanFunc(start, int(n)+1, func(k, v int64) bool {
-			if int64(len(c.scan))-2 >= 2*n {
-				c.scan[0] = 1 // the probe entry: more remain
-				return false
-			}
-			c.scan = append(c.scan, k, v)
-			c.scan[1] = k
-			return true
-		})
-	})
-	c.replyScan()
 }
 
 // execRepl validates a REPL handshake and schedules the connection
@@ -978,14 +907,10 @@ func (c *conn) execMCAS(cmd *netproto.Command) {
 	}
 	keys, expects, news := c.mcas.keys[:0], c.mcas.expects[:0], c.mcas.news[:0]
 	for i := 1; i < len(cmd.Args); i += 3 {
-		k, ok1 := argInt(cmd.Args[i])
-		e, ok2 := argInt(cmd.Args[i+1])
-		n, ok3 := argInt(cmd.Args[i+2])
-		if !ok1 || !ok2 || !ok3 {
-			c.fail("ERR bad integer")
+		if !c.ints(cmd.Args[i : i+3]) {
 			return
 		}
-		keys, expects, news = append(keys, k), append(expects, e), append(news, n)
+		keys, expects, news = append(keys, c.arg[0]), append(expects, c.arg[1]), append(news, c.arg[2])
 	}
 	c.mcas.keys, c.mcas.expects, c.mcas.news = keys, expects, news
 	var swapped int64 // the reply: 1 swapped, 0 conflict

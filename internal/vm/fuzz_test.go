@@ -12,6 +12,9 @@ import "testing"
 func FuzzPSWFSequential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2})
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3})
+	// On pslf (odd first byte): processes 0 and 1 acquire, 0's set wins and
+	// 1's loses, and both release.
+	f.Add([]byte{1, 0, 1, 0x81, 0x82, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
