@@ -107,6 +107,9 @@ type depot[T any] struct {
 	// is: an object the depot holds is never passed over for a fresh heap
 	// allocation, which would grow the pool by one for good.
 	size atomic.Int64
+	// carved is the bytes of every chunk of T carved from the Go heap,
+	// by magazines and by pop, as the heap rounds them (classBytes).
+	carved atomic.Int64
 }
 
 // put parks xs on one shard under a single lock.
@@ -151,7 +154,7 @@ func (d *depot[T]) pop(chunk int) *T {
 	if len(d.take(one[:0], 1)) == 1 {
 		return one[0]
 	}
-	blk := make([]T, chunk)
+	blk := d.carve(chunk)
 	s := &d.shards[d.hint.Add(1)%depotShards]
 	s.mu.Lock()
 	for i := 1; i < chunk; i++ {
@@ -160,6 +163,26 @@ func (d *depot[T]) pop(chunk int) *T {
 	s.mu.Unlock()
 	d.size.Add(int64(chunk - 1))
 	return &blk[0]
+}
+
+// carve allocates a fresh chunk of n objects from the Go heap and counts
+// its bytes.
+func (d *depot[T]) carve(n int) []T {
+	var x T
+	d.carved.Add(int64(classBytes(uintptr(n) * unsafe.Sizeof(x))))
+	return make([]T, n)
+}
+
+// slots is the pointer slots the depot's shards hold, parked or not.
+func (d *depot[T]) slots() int {
+	n := 0
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		n += cap(s.items)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // magazine is one object type's pid-local cache.
@@ -216,7 +239,7 @@ func unitsIn[T any](bytes uintptr) int {
 func (m *magazine[T]) get() *T {
 	if len(m.mag) == 0 {
 		if m.bi == len(m.blk) && !m.refill(cap(m.mag)/2) {
-			m.blk, m.bi = make([]T, m.chunk), 0
+			m.blk, m.bi = m.d.carve(m.chunk), 0
 			m.carves++
 		}
 		if m.bi < len(m.blk) {
@@ -308,4 +331,15 @@ func (a *Arena[K, V, A]) Cached() int {
 func (a *Arena[K, V, A]) Stats() (refills, spills, carves int64) {
 	n, l, w := &a.nodes, &a.leaves, &a.narrow
 	return n.refills + l.refills + w.refills, n.spills + l.spills + w.spills, n.carves + l.carves + w.carves
+}
+
+// Footprint reports what the family's allocator holds of the Go heap
+// beside its units' own accounting: the bytes of every chunk its magazines
+// and depots ever carved, as the heap rounds them, and the pointer slots
+// its depots hold now, parked or empty.  Read it at quiescence, like
+// Allocs.
+func (o *Ops[K, V, A]) Footprint() (carved int64, slots int) {
+	sh := o.sh
+	carved = sh.nodes.carved.Load() + sh.leaves.carved.Load() + sh.narrow.carved.Load()
+	return carved, sh.nodes.slots() + sh.leaves.slots() + sh.narrow.slots()
 }
