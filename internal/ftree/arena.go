@@ -27,14 +27,15 @@ import (
 //   - When the depot is empty too (cold start, growing tree), the magazine
 //     carves objects sequentially out of a chunk-allocated slice, so
 //     objects born together — which path copying tends to link together —
-//     share cache lines.  A magazine carves its first chunk on its first
-//     get, so an arena whose trees never hold a leaf of one layout holds no
-//     chunk of it.  The unbound root carves the same chunks when the depot
-//     runs dry, parking all but the object it takes.
+//     share cache lines.  A leaf chunk fills its Go size class (chunkUnits).
+//     A magazine carves its first chunk on its first get, so an arena whose
+//     trees never hold a leaf of one layout holds no chunk of it.  The
+//     unbound root carves the same chunks when the depot runs dry, parking
+//     all but the object it takes.
 //
-// Free objects are linked only through the magazine and depot slices,
-// never through fields of their own, which keeps a leaf unit pointer-free
-// for pointer-free keys, values and augmentation.
+// Free objects are linked only through the magazine slice and the depot's
+// blocks, never through fields of their own, which keeps a leaf unit
+// pointer-free for pointer-free keys, values and augmentation.
 //
 // Accounting follows the memory's owner, not the memory: newNode, newLeaf
 // and freeNode count allocation units (an internal node or a whole leaf)
@@ -79,29 +80,35 @@ const (
 	// chunkNodes is how many internal nodes a fresh locality chunk carves:
 	// 12 KiB of 48-byte nodes, an exact Go size class.
 	chunkNodes = 256
-	// magLeafBytes and chunkLeafBytes size each leaf magazine and its
-	// chunks in bytes, whatever the unit's size (unitsIn): 128 KiB and
-	// 32 KiB — 128 and 32 wide units of int64 pairs, 199 and 49 narrow
+	// magLeafBytes sizes each leaf magazine in bytes, whatever the unit's
+	// size (unitsIn): 64 KiB, 64 wide units of int64 pairs or 99 narrow
 	// ones.  A larger unit then parks no more memory per pid than a smaller
-	// one did.
-	magLeafBytes   = 128 << 10
+	// one did.  chunkLeafBytes caps a leaf chunk, which chunkUnits fits to
+	// its size class below it.
+	magLeafBytes   = 64 << 10
 	chunkLeafBytes = 32 << 10
 	// depotShards is the number of independent depot lists; sharding keeps
 	// unbound collectors and allocators from serializing on one lock, and
-	// gives arenas independent places to spill to.
+	// gives arenas independent places to spill to.  It is also how many
+	// empty blocks a depot keeps.
 	depotShards = 16
+	// blockSlots is how many parked objects a depot block holds: with its
+	// link and count a block is 1 KiB, an exact size class.
+	blockSlots = 126
 )
 
 // depot is the shared side of the allocator: sharded mutex-protected
 // stacks of free objects.  Magazines move blocks in and out; the unbound
 // root Ops pushes and pops single objects.
+//
+// A shard parks its objects in blocks of blockSlots, a stack of which
+// only the top may be partly empty, so its slot storage follows what it
+// parks: a block that empties goes to the depot's spares, which keep at
+// most depotShards of them for the next put and let the heap have the
+// rest.  A burst of parked objects leaves no slots behind it.
 type depot[T any] struct {
-	shards [depotShards]struct {
-		mu    sync.Mutex
-		items []*T
-		_     [4]uint64
-	}
-	hint atomic.Uint32
+	shards [depotShards]depotShard[T]
+	hint   atomic.Uint32
 	// size is the number of objects in all shards.  It lets a taker sweep
 	// every shard while anything is parked and skip the sweep when nothing
 	// is: an object the depot holds is never passed over for a fresh heap
@@ -110,78 +117,170 @@ type depot[T any] struct {
 	// carved is the bytes of every chunk of T carved from the Go heap,
 	// by magazines and by pop, as the heap rounds them (classBytes).
 	carved atomic.Int64
+	// chunk is how many objects a fresh chunk of T holds (leafChunk).
+	chunk int
+
+	spareMu sync.Mutex
+	spare   *block[T] // empty blocks, linked through next
+	spares  int
+}
+
+// depotShard is one of a depot's stacks.
+type depotShard[T any] struct {
+	mu  sync.Mutex
+	top *block[T] // nil, or the top block, holding at least one object
+	_   [6]uint64
+}
+
+// block is a depot's slot storage: up to blockSlots parked objects, in a
+// shard's stack of blocks or, empty, among the spares.
+type block[T any] struct {
+	next *block[T]
+	n    int
+	slot [blockSlots]*T
+}
+
+// room returns s's top block with room for one more object, pushing a
+// spare on top when the top is full or absent.  The caller holds s.mu.
+func (s *depotShard[T]) room(d *depot[T]) *block[T] {
+	if s.top == nil || s.top.n == blockSlots {
+		b := d.emptyBlock()
+		b.next, s.top = s.top, b
+	}
+	return s.top
+}
+
+// emptyBlock returns a spare block if there is one, else a new one.
+func (d *depot[T]) emptyBlock() *block[T] {
+	d.spareMu.Lock()
+	b := d.spare
+	if b != nil {
+		d.spare, d.spares = b.next, d.spares-1
+	}
+	d.spareMu.Unlock()
+	if b == nil {
+		return new(block[T])
+	}
+	b.next = nil
+	return b
+}
+
+// recycle keeps a block that has emptied as a spare, unless the depot
+// already keeps depotShards.
+func (d *depot[T]) recycle(b *block[T]) {
+	d.spareMu.Lock()
+	if d.spares < depotShards {
+		b.next, d.spare = d.spare, b
+		d.spares++
+	}
+	d.spareMu.Unlock()
+}
+
+// lock locks the shard a put parks on: the hinted one, or, when another
+// process holds it, the first free one after it, which the hint then
+// names.  Uncontended, a depot parks everything on one shard, whose top is
+// then its only partly empty block.
+func (d *depot[T]) lock() *depotShard[T] {
+	h := d.hint.Load()
+	for i := uint32(0); i < depotShards; i++ {
+		if s := &d.shards[(h+i)%depotShards]; s.mu.TryLock() {
+			if i > 0 {
+				d.hint.Store(h + i)
+			}
+			return s
+		}
+	}
+	s := &d.shards[h%depotShards]
+	s.mu.Lock()
+	return s
 }
 
 // put parks xs on one shard under a single lock.
 func (d *depot[T]) put(xs ...*T) {
-	s := &d.shards[d.hint.Add(1)%depotShards]
-	s.mu.Lock()
-	s.items = append(s.items, xs...)
+	n := len(xs)
+	s := d.lock()
+	for len(xs) > 0 {
+		b := s.room(d)
+		c := copy(b.slot[b.n:], xs)
+		b.n += c
+		xs = xs[c:]
+	}
 	s.mu.Unlock()
-	d.size.Add(int64(len(xs)))
+	d.size.Add(int64(n))
 }
 
-// take moves up to k parked objects onto dst, sweeping shards from a
-// rotating start, and returns dst.
+// take moves up to k parked objects onto dst, sweeping shards from the
+// one puts go to, and returns dst.
 func (d *depot[T]) take(dst []*T, k int) []*T {
 	if d.size.Load() == 0 {
 		return dst
 	}
 	had := len(dst)
-	start := d.hint.Add(1)
+	start := d.hint.Load()
 	for i := uint32(0); i < depotShards && k > 0; i++ {
 		s := &d.shards[(start+i)%depotShards]
 		s.mu.Lock()
-		n := min(k, len(s.items))
-		rest := len(s.items) - n
-		dst = append(dst, s.items[rest:]...)
-		clear(s.items[rest:])
-		s.items = s.items[:rest]
+		for k > 0 && s.top != nil {
+			b := s.top
+			c := min(k, b.n)
+			dst = append(dst, b.slot[b.n-c:b.n]...)
+			clear(b.slot[b.n-c : b.n])
+			b.n -= c
+			k -= c
+			if b.n == 0 {
+				s.top = b.next
+				d.recycle(b)
+			}
+		}
 		s.mu.Unlock()
-		k -= n
 	}
 	d.size.Add(int64(had - len(dst)))
 	return dst
 }
 
 // pop takes one object for the unbound root Ops.  When the depot is empty
-// it carves a chunk of the given count from the heap, as a magazine does,
-// keeps the first object and parks the rest on one shard: the units the
-// unbound root allocates — a bulk load's, a parallel fork's — share chunks
-// instead of each taking a heap object of its own size class.
-func (d *depot[T]) pop(chunk int) *T {
+// it carves a chunk from the heap, as a magazine does, keeps the first
+// object and parks the rest on one shard: the units the unbound root
+// allocates — a bulk load's, a parallel fork's — share chunks instead of
+// each taking a heap object of its own size class.
+func (d *depot[T]) pop() *T {
 	var one [1]*T
 	if len(d.take(one[:0], 1)) == 1 {
 		return one[0]
 	}
-	blk := d.carve(chunk)
-	s := &d.shards[d.hint.Add(1)%depotShards]
-	s.mu.Lock()
-	for i := 1; i < chunk; i++ {
-		s.items = append(s.items, &blk[i])
+	blk := d.carve()
+	s := d.lock()
+	for i := 1; i < len(blk); i++ {
+		b := s.room(d)
+		b.slot[b.n] = &blk[i]
+		b.n++
 	}
 	s.mu.Unlock()
-	d.size.Add(int64(chunk - 1))
+	d.size.Add(int64(len(blk) - 1))
 	return &blk[0]
 }
 
-// carve allocates a fresh chunk of n objects from the Go heap and counts
-// its bytes.
-func (d *depot[T]) carve(n int) []T {
+// carve allocates a fresh chunk from the Go heap and counts its bytes.
+func (d *depot[T]) carve() []T {
 	var x T
-	d.carved.Add(int64(classBytes(uintptr(n) * unsafe.Sizeof(x))))
-	return make([]T, n)
+	d.carved.Add(int64(classBytes(uintptr(d.chunk) * unsafe.Sizeof(x))))
+	return make([]T, d.chunk)
 }
 
-// slots is the pointer slots the depot's shards hold, parked or not.
+// slots is the pointer slots the depot's blocks hold, parked or spare.
 func (d *depot[T]) slots() int {
 	n := 0
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += cap(s.items)
+		for b := s.top; b != nil; b = b.next {
+			n += blockSlots
+		}
 		s.mu.Unlock()
 	}
+	d.spareMu.Lock()
+	n += d.spares * blockSlots
+	d.spareMu.Unlock()
 	return n
 }
 
@@ -196,10 +295,9 @@ type magazine[T any] struct {
 
 	// blk is the current locality chunk; blk[bi:] are raw never-allocated
 	// objects handed out sequentially when the magazine and the depot are
-	// both empty.  chunk is how many a fresh one holds.
-	blk   []T
-	bi    int
-	chunk int
+	// both empty.
+	blk []T
+	bi  int
 
 	// Counters for tests and tuning; single-owner like the rest.
 	refills int64 // block transfers in from the depot
@@ -213,7 +311,7 @@ type magazine[T any] struct {
 func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 	return &Arena[K, V, A]{
 		tally:  o.sh.newTally(),
-		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap), chunk: chunkNodes},
+		nodes:  magazine[Node[K, V, A]]{d: &o.sh.nodes, mag: make([]*Node[K, V, A], 0, magCap)},
 		leaves: leafMagazine(&o.sh.leaves),
 		narrow: leafMagazine(&o.sh.narrow),
 	}
@@ -221,11 +319,8 @@ func (o *Ops[K, V, A]) NewArena() *Arena[K, V, A] {
 
 // leafMagazine is an empty magazine of leaf units of type T, sized in bytes.
 func leafMagazine[T any](d *depot[T]) magazine[T] {
-	return magazine[T]{d: d, mag: make([]*T, 0, unitsIn[T](magLeafBytes)), chunk: leafChunk[T]()}
+	return magazine[T]{d: d, mag: make([]*T, 0, unitsIn[T](magLeafBytes))}
 }
-
-// leafChunk is how many leaf units of type T a fresh chunk carves.
-func leafChunk[T any]() int { return unitsIn[T](chunkLeafBytes) }
 
 // unitsIn is how many units of type T fit in the given bytes, and at least
 // two, so that a magazine moves at least one unit a block.
@@ -234,12 +329,42 @@ func unitsIn[T any](bytes uintptr) int {
 	return max(2, int(bytes/unsafe.Sizeof(u)))
 }
 
+// leafChunk is how many leaf units of type T a fresh chunk carves.
+func leafChunk[T any]() int {
+	var u T
+	return chunkUnits(unsafe.Sizeof(u))
+}
+
+// chunkUnits is how many units of the given size a leaf chunk holds so
+// that the chunk fills its Go size class: of the counts from half as many
+// as fit in chunkLeafBytes up to as many, the one whose bytes leave the
+// least of their class unused, the larger of two that leave as little.
+// 656-byte units make chunks of 29 (19 024 B of the 19 072-byte class)
+// where 49 would leave 1.9 % of 32 KiB unused; 1 KiB units stay at 32.
+func chunkUnits(unit uintptr) int {
+	fit := func(n int) (unused, class uintptr) {
+		b := uintptr(n) * unit
+		c := classBytes(b)
+		return c - b, c
+	}
+	hi := max(1, int(chunkLeafBytes/unit))
+	best := hi
+	for n := hi - 1; n >= (hi+1)/2; n-- {
+		u, c := fit(n)
+		bu, bc := fit(best)
+		if u*bc < bu*c { // u/c < bu/bc
+			best = n
+		}
+	}
+	return best
+}
+
 // get returns a free object: magazine first, then the current chunk, then
 // a block refill from the depot, then a fresh chunk.
 func (m *magazine[T]) get() *T {
 	if len(m.mag) == 0 {
 		if m.bi == len(m.blk) && !m.refill(cap(m.mag)/2) {
-			m.blk, m.bi = m.d.carve(m.chunk), 0
+			m.blk, m.bi = m.d.carve(), 0
 			m.carves++
 		}
 		if m.bi < len(m.blk) {

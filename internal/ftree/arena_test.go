@@ -259,14 +259,9 @@ func TestArenaFlush(t *testing.T) {
 		}
 		// The flushed nodes and leaves are now in the depot, available to
 		// any arena or to the unbound root.
-		nodes, leaves := 0, 0
-		for i := range o.sh.nodes.shards {
-			nodes += len(o.sh.nodes.shards[i].items)
-			if c.narrow {
-				leaves += len(o.sh.narrow.shards[i].items)
-			} else {
-				leaves += len(o.sh.leaves.shards[i].items)
-			}
+		nodes, leaves := o.sh.nodes.size.Load(), o.sh.leaves.size.Load()
+		if c.narrow {
+			leaves = o.sh.narrow.size.Load()
 		}
 		if nodes == 0 || leaves == 0 {
 			t.Fatalf("%s: depot holds %d nodes and %d leaves after Flush", c.name, nodes, leaves)

@@ -144,7 +144,7 @@ func (o *Ops[K, V, A]) newLeaf(n int, first, last K) *Node[K, V, A] {
 		case o.arena != nil:
 			u = o.arena.narrow.get()
 		default:
-			u = o.sh.narrow.pop(leafChunk[narrowLeaf[K, V, A]]())
+			u = o.sh.narrow.pop()
 		}
 		u.narrow, u.base = true, first
 		nd = u.node()
@@ -156,7 +156,7 @@ func (o *Ops[K, V, A]) newLeaf(n int, first, last K) *Node[K, V, A] {
 		case o.arena != nil:
 			u = o.arena.leaves.get()
 		default:
-			u = o.sh.leaves.pop(leafChunk[leaf[K, V, A]]())
+			u = o.sh.leaves.pop()
 		}
 		u.narrow = false
 		nd = u.node()

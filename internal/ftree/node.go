@@ -172,6 +172,16 @@ type allocShared[K, V, A any] struct {
 	narrow  depot[narrowLeaf[K, V, A]]
 }
 
+// newAllocShared returns a family's allocation state, each depot knowing
+// its chunk: 256 internal nodes, and leaf units fitted to their size class.
+func newAllocShared[K, V, A any]() *allocShared[K, V, A] {
+	sh := &allocShared[K, V, A]{}
+	sh.nodes.chunk = chunkNodes
+	sh.leaves.chunk = leafChunk[leaf[K, V, A]]()
+	sh.narrow.chunk = leafChunk[narrowLeaf[K, V, A]]()
+	return sh
+}
+
 func shard(p unsafe.Pointer) int { return int((uintptr(p) >> 7) % statShards) }
 
 func (s *stats) addAlloc(p unsafe.Pointer) { s.allocs[shard(p)].v.Add(1) }
@@ -249,7 +259,7 @@ func (o *Ops[K, V, A]) newNode() *Node[K, V, A] {
 	case o.arena != nil:
 		n = o.arena.nodes.get()
 	default:
-		n = o.sh.nodes.pop(chunkNodes)
+		n = o.sh.nodes.pop()
 	}
 	n.ref = 1 // private until the caller publishes it
 	o.countAlloc(n)

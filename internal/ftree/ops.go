@@ -146,7 +146,7 @@ func New[K, V, A any](cmp func(a, b K) int, aug Augmenter[K, V, A], g int) *Ops[
 	if !unitFitsNode[K, V, A]() {
 		panic("ftree: a leaf unit of this key and value is smaller than a node")
 	}
-	o := &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: &allocShared[K, V, A]{}}
+	o := &Ops[K, V, A]{Cmp: cmp, Aug: aug, Grain: g, sh: newAllocShared[K, V, A]()}
 	o.bulk, _ = aug.(runFolder[K, V, A])
 	o.vals, _ = aug.(valFolder[V, A])
 	o.plainLeaves = pointerFree(reflect.TypeFor[Entry[K, V]]())

@@ -1,11 +1,12 @@
 package ftree
 
+import "slices"
+
 // sizeClasses are the Go allocator's small-object size classes, in bytes:
 // a heap object of n ≤ 32 768 bytes takes the first class ≥ n.  They are
-// the runtime's (runtime/sizeclasses.go), unchanged since Go 1.12;
-// TestSizeClassTable checks them against runtime.MemStats.BySize and the
-// runtime/metrics allocation histogram of the toolchain that builds the
-// tests.
+// the runtime's (runtime/sizeclasses.go); TestArenaFootprint checks them
+// against runtime.MemStats.BySize and the runtime/metrics allocation
+// histogram of the toolchain that builds the tests.
 var sizeClasses = [...]uint32{
 	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
 	240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768,
@@ -25,14 +26,6 @@ func classBytes(n uintptr) uintptr {
 	if n > uintptr(sizeClasses[len(sizeClasses)-1]) {
 		return (n + heapPage - 1) &^ (heapPage - 1)
 	}
-	lo, hi := 0, len(sizeClasses)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if uintptr(sizeClasses[mid]) < n {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return uintptr(sizeClasses[lo])
+	i, _ := slices.BinarySearch(sizeClasses[:], uint32(n))
+	return uintptr(sizeClasses[i])
 }

@@ -10,7 +10,7 @@ import (
 	"mvgc/internal/netproto"
 )
 
-// TestScannerLargePage: a Scanner asked for pages larger than one SCANC
+// TestScannerLargePage: a Scanner asked for pages larger than one SCAN
 // reply can carry fetches netproto.MaxScanPage entries at a time and still
 // walks every key in order.
 func TestScannerLargePage(t *testing.T) {
