@@ -9,7 +9,6 @@ import (
 	"mvgc/internal/ftree"
 	"mvgc/internal/shard"
 	"mvgc/internal/wal"
-	"mvgc/internal/ycsb"
 )
 
 var errNilAugmenter = errors.New("mvgc: OpenDB requires an augmenter; use OpenPlainDB for unaugmented maps")
@@ -289,7 +288,11 @@ func word[I, T any](t T) I { return *(*I)(unsafe.Pointer(&t)) }
 
 // Mix64 is SplitMix64's finalizer: a fast, well-distributed integer hash
 // suitable for shard routing (sequential keys spread uniformly).
-func Mix64(x uint64) uint64 { return ycsb.Mix64(x) }
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
 
 // HashString is FNV-1a, the default shard hash for string keys.
 func HashString(s string) uint64 {

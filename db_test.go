@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mvgc"
+	"mvgc/internal/ycsb"
 )
 
 // TestDBNoPidAnywhere is the acceptance property of the DB front door: an
@@ -365,6 +366,23 @@ func TestAutoHashCmpRoundTrip(t *testing.T) {
 	t.Run("uint", func(t *testing.T) { roundTripKeys(t, func(i int) uint { return 1<<63 + uint(i-200)*13 }) })
 	t.Run("uint32", func(t *testing.T) { roundTripKeys(t, func(i int) uint32 { return 1<<31 + uint32(i-200)*17 }) })
 	t.Run("uint64", func(t *testing.T) { roundTripKeys(t, func(i int) uint64 { return 1<<63 + uint64(i-200)*19 }) })
+}
+
+// TestMix64MatchesYCSB: the root's Mix64, the default shard hash for integer
+// keys, is the same function as the workload generators' ycsb.Mix64, so
+// every workload routes its keys to the same shards through either: 5 000
+// sequential inputs and 5 000 drawn from a SplitMix64 stream.
+func TestMix64MatchesYCSB(t *testing.T) {
+	rng := ycsb.NewSplitMix64(1)
+	for i := range uint64(10_000) {
+		x := i
+		if i >= 5_000 {
+			x = rng.Next()
+		}
+		if got, want := mvgc.Mix64(x), ycsb.Mix64(x); got != want {
+			t.Fatalf("Mix64(%#x) = %#x, ycsb.Mix64 = %#x", x, got, want)
+		}
+	}
 }
 
 // TestCustomCmpKeepsItsOrder: a caller's ordering is the ordering, even over
