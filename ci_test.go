@@ -15,7 +15,10 @@ import (
 // names Test, Fuzz or Benchmark functions that exist: each alternative, its
 // ^ and $ anchors stripped, is a prefix of one declared in a _test.go file
 // of the repository.  go test passes a -run that matches nothing, so a
-// rename that leaves a CI step running no test fails here instead.
+// rename that leaves a CI step running no test fails here instead.  And
+// every ./path a workflow's go run, build, test or vet names (a trailing
+// /... or / stripped) is a directory with Go files, so a deleted package
+// that a workflow still names fails here and not on the scheduled run.
 func TestCIRunPatternsResolve(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	var names []string
@@ -37,7 +40,9 @@ func TestCIRunPatternsResolve(t *testing.T) {
 		t.Fatalf("no workflows found (%v)", err)
 	}
 	flag := regexp.MustCompile(`-(?:run|fuzz) (?:'([^']*)'|(\w+))|\brun='([^']*)'`)
-	checked := 0
+	goCmd := regexp.MustCompile(`\bgo (?:run|build|test|vet)\b.*`)
+	pkgArg := regexp.MustCompile(`\s(\./[\w./-]*)`)
+	checked, dirs := 0, 0
 	for _, wf := range workflows {
 		b, err := os.ReadFile(wf)
 		if err != nil {
@@ -55,9 +60,18 @@ func TestCIRunPatternsResolve(t *testing.T) {
 				}
 			}
 		}
+		for _, cmd := range goCmd.FindAll(b, -1) {
+			for _, m := range pkgArg.FindAllSubmatch(cmd, -1) {
+				dir := strings.TrimSuffix(strings.TrimSuffix(string(m[1]), "..."), "/")
+				dirs++
+				if files, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(files) == 0 {
+					t.Errorf("%s: %s names %s, which holds no Go package", wf, cmd, m[1])
+				}
+			}
+		}
 	}
 	if checked == 0 {
 		t.Fatal("no -run, -fuzz or run= pattern found in the workflows")
 	}
-	t.Logf("%d pattern alternatives in %d workflows resolve among %d functions", checked, len(workflows), len(names))
+	t.Logf("%d pattern alternatives in %d workflows resolve among %d functions; %d package paths hold Go files", checked, len(workflows), len(names), dirs)
 }
