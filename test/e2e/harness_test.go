@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -75,10 +76,24 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func skipShort(t *testing.T) {
+var inputs sync.Once
+
+// setup skips the test under -short.  Otherwise it lists every directory of
+// the module once, which go test records as the package's inputs: mvgcd is
+// not in the test binary's import graph, so without them a cached result
+// would outlive a change to the server.
+func setup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds, loads and kills mvgcd processes")
 	}
+	inputs.Do(func() {
+		filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+			if d != nil && d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "../.." {
+				return filepath.SkipDir
+			}
+			return err
+		})
+	})
 }
 
 // server is one mvgcd child process.
@@ -153,12 +168,12 @@ type ledger struct {
 	attempted [nKeys]int64 // the last value sent
 }
 
-// load writes to addr from conns pipelined connections for loadTime, each
-// walking its own keys in windows of depth SETs.  Then it tells them to
-// stop, runs halt (a kill, or nil to let them finish their pass and drain),
-// and returns once all are done: true if every connection drained without
-// an error.
-func (l *ledger) load(addr string, halt func()) bool {
+// load writes to addr from conns connections for d, each walking its own
+// keys in windows of window pipelined SETs.  Then it tells them to stop,
+// runs halt (a kill, or nil to let them finish their pass and drain), and
+// returns once all are done: true if every connection drained without an
+// error.  With d = 0 each connection writes each of its keys once.
+func (l *ledger) load(addr string, window int, d time.Duration, halt func()) bool {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var failed atomic.Bool
@@ -166,12 +181,12 @@ func (l *ledger) load(addr string, halt func()) bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !l.conn(addr, c, stop) {
+			if !l.conn(addr, c, window, stop) {
 				failed.Store(true)
 			}
 		}()
 	}
-	time.Sleep(loadTime)
+	time.Sleep(d)
 	close(stop)
 	if halt != nil {
 		halt()
@@ -182,7 +197,7 @@ func (l *ledger) load(addr string, halt func()) bool {
 
 // conn is load's connection c.  Only it touches its keys' entries, so the
 // connections share l without a lock.
-func (l *ledger) conn(addr string, c int, stop <-chan struct{}) bool {
+func (l *ledger) conn(addr string, c, window int, stop <-chan struct{}) bool {
 	cl, err := netclient.Dial(addr, depth)
 	if err != nil {
 		return false
@@ -193,17 +208,17 @@ func (l *ledger) conn(addr string, c int, stop <-chan struct{}) bool {
 		val int64
 		p   *netclient.Pending
 	}
-	window := make([]inflight, 0, depth)
+	inflights := make([]inflight, 0, window)
 	drain := func() bool {
 		ok := cl.Flush() == nil
-		for _, in := range window {
+		for _, in := range inflights {
 			if in.p.Err() == nil {
 				l.acked[in.key] = in.val
 			} else {
 				ok = false
 			}
 		}
-		window = window[:0]
+		inflights = inflights[:0]
 		return ok
 	}
 	for k := c; ; k += conns {
@@ -217,8 +232,8 @@ func (l *ledger) conn(addr string, c int, stop <-chan struct{}) bool {
 		}
 		l.attempted[k]++
 		v := l.attempted[k]
-		window = append(window, inflight{k, v, cl.SetAsync(int64(k), v)})
-		if len(window) == depth && !drain() {
+		inflights = append(inflights, inflight{k, v, cl.SetAsync(int64(k), v)})
+		if len(inflights) == window && !drain() {
 			return false
 		}
 	}

@@ -12,12 +12,12 @@ import (
 // SUM and LEN agree with the contents: the augmented tree recovered
 // consistent with its entries.
 func TestCrashLoop(t *testing.T) {
-	skipShort(t)
+	setup(t)
 	dir := t.TempDir()
 	var l ledger
 	for round := 1; round <= 2; round++ {
 		s := start(t, dir, "")
-		l.load(s.addr, s.kill)
+		l.load(s.addr, depth, loadTime, s.kill)
 		unacked := 0
 		for k := range nKeys {
 			if l.attempted[k] > l.acked[k] {
@@ -42,13 +42,14 @@ func TestCrashLoop(t *testing.T) {
 //   - after a mid-burst kill each key lies in [baseline, attempted], the
 //     baseline being what the previous promoted follower held: shipping is
 //     asynchronous, so acked writes that were not yet shipped may be lost;
-//   - on the last round the load stops, a second sentinel reaches the
-//     follower and the leader's live log falls under twice its checkpoint
-//     bytes before the kill, and each key is exactly max(baseline, acked);
+//   - on the last round the load stops and writes each key once more, a
+//     second sentinel reaches the follower and the leader's live log falls
+//     under twice its checkpoint bytes before the kill, and each key is
+//     exactly max(baseline, acked);
 //   - the paged SCAN, the GETs, SUM and LEN agree (LEN counts the sentinel);
 //   - the promoted follower accepts a write and reads it back.
 func TestFailoverLoop(t *testing.T) {
-	skipShort(t)
+	setup(t)
 	const rounds = 3
 	leader := start(t, t.TempDir(), "")
 	follower := start(t, t.TempDir(), leader.addr)
@@ -73,7 +74,9 @@ func TestFailoverLoop(t *testing.T) {
 		clear(l.acked[:])
 		lo, hi := baseline[:], l.attempted[:]
 		if quiesced {
-			if !l.load(leader.addr, nil) {
+			// The load drains, then writes each key once more on its own,
+			// so the values checked come from nKeys separate log records.
+			if !l.load(leader.addr, depth, loadTime, nil) || !l.load(leader.addr, 1, 0, nil) {
 				t.Fatalf("round %d: the load failed before the kill", round)
 			}
 			barrier()
@@ -88,7 +91,7 @@ func TestFailoverLoop(t *testing.T) {
 			}
 			lo, hi = exact, exact
 		} else {
-			l.load(leader.addr, leader.kill)
+			l.load(leader.addr, depth, loadTime, leader.kill)
 		}
 		cl := dial(t, follower.addr)
 		if err := cl.Promote(); err != nil {
